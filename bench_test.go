@@ -216,8 +216,8 @@ func BenchmarkAblationNumericSweep(b *testing.B) {
 	}
 }
 
-// TRSVD solver ablation: Lanczos (paper's choice) vs subspace iteration
-// vs explicit Gram, on the same matricized-tensor shape.
+// TRSVD solver ablation: Lanczos (paper's choice) vs the randomized
+// sketch solver, on the same matricized-tensor shape.
 func benchTRSVD(b *testing.B, method core.SVDMethod) {
 	x := gen.Random(gen.Config{Dims: []int{500, 400, 300}, NNZ: 20000, Skew: 0.5, Seed: 4})
 	b.ResetTimer()
@@ -232,8 +232,6 @@ func benchTRSVD(b *testing.B, method core.SVDMethod) {
 }
 
 func BenchmarkAblationTRSVDLanczos(b *testing.B)    { benchTRSVD(b, core.SVDLanczos) }
-func BenchmarkAblationTRSVDSubspace(b *testing.B)   { benchTRSVD(b, core.SVDSubspace) }
-func BenchmarkAblationTRSVDGram(b *testing.B)       { benchTRSVD(b, core.SVDGram) }
 func BenchmarkAblationTRSVDRandomized(b *testing.B) { benchTRSVD(b, core.SVDRandomized) }
 
 // BenchmarkSolverCompare keeps the htbench -solver driver wired into

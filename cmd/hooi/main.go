@@ -65,7 +65,7 @@ func main() {
 		sched   = flag.String("schedule", "balanced", "parallel loop schedule: balanced | dynamic | static")
 		algo    = flag.String("algo", "hooi", "algorithm: hooi | sthosvd | sthosvd+hooi")
 		initM   = flag.String("init", "random", "factor initialization: random | hosvd")
-		svd     = flag.String("svd", "lanczos", "TRSVD solver: lanczos | subspace | gram | rand")
+		svd     = flag.String("svd", "lanczos", "TRSVD solver: lanczos | rand")
 		eps     = flag.Float64("eps", 0, "adaptive-rank relative error target in (0,1]; selects per-mode ranks from the sketched spectrum (-ranks becomes an optional cap)")
 		sketch  = flag.String("sketch", "gauss", "randomized solver sketching operator: gauss | count")
 		oversmp = flag.Int("oversample", 0, "randomized solver oversampling columns (0 = default 8)")
@@ -76,7 +76,6 @@ func main() {
 		distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
 		grain   = flag.String("grain", "fine", "distributed task grain: fine | coarse")
 		method  = flag.String("method", "hp", "distributed placement: hp | rd | bl")
-		exch    = flag.String("exchange", "sparse", "distributed factor exchange: sparse (point-to-point comm plans) | dense (collectives); trajectories are bitwise identical")
 		np      = flag.Int("np", 4, "rank-process count for -dist spawn")
 		rank    = flag.Int("rank", -1, "this process's rank for -dist tcp")
 		peersIn = flag.String("peers", "", "comma-separated host:port of every rank (index = rank) for -dist tcp")
@@ -105,6 +104,10 @@ func main() {
 			fail(err)
 		}
 	}
+	svdMethod, err := parseSVD(*svd)
+	if err != nil {
+		fail(err)
+	}
 	x, err := hypertensor.ReadTensorFile(*input)
 	if err != nil {
 		fail(err)
@@ -126,9 +129,8 @@ func main() {
 			fail(fmt.Errorf("-dist requires explicit -ranks"))
 		}
 		d := distRun{
-			input: *input, ranks: ranks, grain: *grain, method: *method, svd: *svd,
-			exchange: *exch,
-			iters:    *iters, tol: *tol, seed: *seed, timeout: *distTO, quiet: *quiet,
+			input: *input, ranks: ranks, grain: *grain, method: *method, svd: *svd, svdMethod: svdMethod,
+			iters: *iters, tol: *tol, seed: *seed, timeout: *distTO, quiet: *quiet,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, maxRestarts: *maxRestart,
 			chaosRank: *chaosRank, chaosSweep: *chaosSweep,
 		}
@@ -201,11 +203,7 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown init %q", *initM))
 	}
-	m, err := parseSVD(*svd)
-	if err != nil {
-		fail(err)
-	}
-	opts.SVD = m
+	opts.SVD = svdMethod
 	switch *sketch {
 	case "gauss":
 		opts.Sketch = hypertensor.SketchGauss
@@ -325,13 +323,6 @@ func runUpdates(eng *hypertensor.Engine, x *hypertensor.SparseTensor, initial *h
 			if quiet {
 				continue
 			}
-			if last.UpdateSweeps == 0 {
-				// A non-positive -iters budget runs no sweeps at all;
-				// there is no per-sweep cost to report.
-				fmt.Printf("update %d (%s): +%d nnz ingested, no re-convergence sweeps ran (iters budget %d)\n",
-					step, strings.TrimSpace(path), last.DeltaNNZ, opts.MaxIters)
-				continue
-			}
 			perSweep := last.UpdateMadds / int64(last.UpdateSweeps)
 			fmt.Printf("update %d (%s): +%d nnz -> fit %.8f in %d sweeps; ttmc %s madds/sweep vs %s full-sweep (%.2fx less)\n",
 				step, strings.TrimSpace(path), last.DeltaNNZ, last.Fit, last.UpdateSweeps,
@@ -374,10 +365,6 @@ func parseSVD(s string) (hypertensor.SVDMethod, error) {
 	switch s {
 	case "lanczos":
 		return hypertensor.SVDLanczos, nil
-	case "subspace":
-		return hypertensor.SVDSubspace, nil
-	case "gram":
-		return hypertensor.SVDGram, nil
 	case "rand":
 		return hypertensor.SVDRandomized, nil
 	}
@@ -390,8 +377,8 @@ type distRun struct {
 	input         string
 	ranks         []int
 	grain, method string
-	svd           string
-	exchange      string
+	svd           string // the flag as spelled, for the spawned children
+	svdMethod     hypertensor.SVDMethod
 	iters         int
 	tol           float64
 	seed          int64
@@ -411,25 +398,10 @@ type distRun struct {
 // hard-exit chaos hook separately — a spawn-mode chaos kill must be a
 // real process death for the supervisor to detect.
 func (d *distRun) config() hypertensor.DistConfig {
-	ex, err := dist.ParseExchange(d.exchange)
-	if err != nil {
-		fail(err)
-	}
-	cfg := hypertensor.DistConfig{
-		Ranks: d.ranks, MaxIters: d.iters, Tol: d.tol, Seed: d.seed, SVD: d.svdMethod(),
-		Exchange:      ex,
+	return hypertensor.DistConfig{
+		Ranks: d.ranks, MaxIters: d.iters, Tol: d.tol, Seed: d.seed, SVD: d.svdMethod,
 		CheckpointDir: d.ckptDir, CheckpointEvery: d.ckptEvery,
 	}
-	return cfg
-}
-
-// svdMethod resolves the -svd flag for the distributed configs.
-func (d *distRun) svdMethod() hypertensor.SVDMethod {
-	m, err := parseSVD(d.svd)
-	if err != nil {
-		fail(err)
-	}
-	return m
 }
 
 func (d *distRun) partition(x *hypertensor.SparseTensor, p int) *hypertensor.Partition {
@@ -617,7 +589,6 @@ func (d *distRun) spawnOnce(exe string, np, attempt int) *rankFailure {
 			"-grain", d.grain,
 			"-method", d.method,
 			"-svd", d.svd,
-			"-exchange", d.exchange,
 			"-dist", "tcp",
 			"-rank", strconv.Itoa(r),
 			"-peers", strings.Join(addrs, ","),
@@ -723,7 +694,8 @@ func (d *distRun) report(part *hypertensor.Partition, res *hypertensor.DistDecom
 		dist.MaxDuration(st.TTMcTime), dist.MaxDuration(st.TRSVDTime),
 		dist.MaxDuration(st.CoreTime), dist.MaxDuration(st.SymbolicTime))
 	for r := 0; r < p; r++ {
-		fmt.Printf("  rank %d: wall %v, sent %d B payload\n", r, st.RankWall[r].Round(time.Millisecond), st.SentBytes[r])
+		fmt.Printf("  rank %d: wall %v, sent %d B payload (core %d, assemble %d)\n",
+			r, st.RankWall[r].Round(time.Millisecond), st.SentBytes[r], st.CoreBytes[r], st.AssembleBytes[r])
 	}
 	for n := range st.Mode {
 		var maxC, sumE, sumF, sumS int64

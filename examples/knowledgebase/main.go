@@ -64,8 +64,7 @@ func main() {
 	variants := []variant{
 		{"random init + Lanczos", hypertensor.InitRandom, hypertensor.SVDLanczos},
 		{"HOSVD init + Lanczos", hypertensor.InitHOSVD, hypertensor.SVDLanczos},
-		{"HOSVD init + subspace", hypertensor.InitHOSVD, hypertensor.SVDSubspace},
-		{"HOSVD init + Gram", hypertensor.InitHOSVD, hypertensor.SVDGram},
+		{"HOSVD init + randomized", hypertensor.InitHOSVD, hypertensor.SVDRandomized},
 	}
 	var best *hypertensor.Decomposition
 	for _, v := range variants {

@@ -89,8 +89,7 @@ type (
 	SweepState = core.SweepState
 	// InitMethod selects factor initialization (InitRandom, InitHOSVD).
 	InitMethod = core.InitMethod
-	// SVDMethod selects the TRSVD solver (SVDLanczos, SVDSubspace,
-	// SVDGram, SVDRandomized).
+	// SVDMethod selects the TRSVD solver (SVDLanczos, SVDRandomized).
 	SVDMethod = core.SVDMethod
 	// SketchKind selects the randomized solver's sketching operator
 	// (SketchGauss, SketchCount).
@@ -110,10 +109,6 @@ type (
 	PartitionMethod = dist.Method
 	// DistConfig configures DecomposeDistributed.
 	DistConfig = dist.Config
-	// ExchangeKind selects the factor-exchange strategy for distributed
-	// HOOI (ExchangeSparse point-to-point plans, ExchangeDense
-	// collectives). Both produce bitwise-identical trajectories.
-	ExchangeKind = dist.ExchangeKind
 	// DistDecomposition is the distributed result with per-rank Stats.
 	DistDecomposition = dist.Result
 	// DistStats carries per-rank work and communication measurements.
@@ -159,8 +154,6 @@ const (
 	InitHOSVD  = core.InitHOSVD
 
 	SVDLanczos    = core.SVDLanczos
-	SVDSubspace   = core.SVDSubspace
-	SVDGram       = core.SVDGram
 	SVDRandomized = core.SVDRandomized
 
 	SketchGauss = core.SketchGauss
@@ -183,9 +176,6 @@ const (
 	PartitionHypergraph = dist.MethodHypergraph
 	PartitionRandom     = dist.MethodRandom
 	PartitionBlock      = dist.MethodBlock
-
-	ExchangeSparse = dist.ExchangeSparse
-	ExchangeDense  = dist.ExchangeDense
 )
 
 // NewSparseTensor returns an empty sparse tensor with the given mode

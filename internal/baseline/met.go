@@ -39,7 +39,7 @@ func Decompose(x *tensor.COO, optsIn core.Options) (*core.Result, error) {
 	// Engine (factors, reusable TRSVD workspaces, seed schedule), so its
 	// relative timings are not skewed by per-call allocations the main
 	// path no longer performs and its seed sequence matches core's.
-	state := core.NewSweepState(initialFactors(x, opts), opts.Seed)
+	state := core.NewSweepState(core.InitialFactors(x, opts, opts.Ranks), opts.Seed)
 	factors := state.Factors
 
 	res := &core.Result{}
@@ -50,7 +50,7 @@ func Decompose(x *tensor.COO, optsIn core.Options) (*core.Result, error) {
 		for n := 0; n < order; n++ {
 			rows, y := ttm.ChainTTMc(x, n, factors)
 			op := &trsvd.DenseOperator{A: y, Threads: opts.Threads}
-			sres, err := state.SolveOperator(op, n, opts.Ranks[n], core.SVDLanczos, nil)
+			sres, err := state.Solve(op, n, opts.Ranks[n], opts.SVD, nil)
 			if err != nil {
 				return nil, fmt.Errorf("baseline: TRSVD failed in mode %d: %w", n, err)
 			}
@@ -62,11 +62,7 @@ func Decompose(x *tensor.COO, optsIn core.Options) (*core.Result, error) {
 		}
 		// Core: G_(N-1) = Ũ^T Y over the nonempty rows.
 		last := order - 1
-		uc := dense.NewMatrix(len(lastRows), opts.Ranks[last])
-		for r, row := range lastRows {
-			copy(uc.Row(r), factors[last].Row(int(row)))
-		}
-		gm := dense.MatMulTA(uc, lastY, opts.Threads)
+		gm := ttm.CoreMatricized(lastY, lastRows, factors[last], opts.Threads)
 		res.Core = ttm.CoreFromMatricized(gm, opts.Ranks, last)
 
 		fit, stop := fits.Record(res.Core.Norm())
@@ -79,26 +75,4 @@ func Decompose(x *tensor.COO, optsIn core.Options) (*core.Result, error) {
 	res.FitHistory = fits.History
 	res.Factors = factors
 	return res, nil
-}
-
-// initialFactors mirrors core's initialization for fair comparisons:
-// explicit Initial factors are copied; otherwise a seeded random
-// orthonormal start is drawn (identical to core.InitRandom for the same
-// seed, because both use dense.RandomNormal under rand.NewSource).
-func initialFactors(x *tensor.COO, opts core.Options) []*dense.Matrix {
-	if opts.Initial != nil {
-		out := make([]*dense.Matrix, len(opts.Initial))
-		for n, u := range opts.Initial {
-			out[n] = u.Clone()
-		}
-		return out
-	}
-	// Delegate to core by running zero iterations is not possible, so
-	// replicate the simple random path here.
-	out := make([]*dense.Matrix, x.Order())
-	rng := newSeededRNG(opts.Seed)
-	for n := range out {
-		out[n] = dense.Orthonormalize(dense.RandomNormal(x.Dims[n], opts.Ranks[n], rng))
-	}
-	return out
 }

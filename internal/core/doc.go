@@ -1,21 +1,26 @@
-// Package core implements the shared-memory HOOI algorithm of the
-// paper (Algorithm 1 / Algorithm 3): the alternating least squares
-// sweep that, for each mode, computes the TTMc product with all other
-// factor matrices, extracts the leading left singular vectors of the
-// matricized result (TRSVD), and finally forms the core tensor and the
-// fit measure. ST-HOSVD initialization and adaptive rank selection
-// under a relative error budget (Options.Eps) are included.
+// Package core implements the HOOI algorithm of the paper (Algorithm 1
+// / Algorithm 3): the alternating least squares sweep that, for each
+// mode, computes the TTMc product with all other factor matrices,
+// extracts the leading left singular vectors of the matricized result
+// (TRSVD), and finally forms the core tensor and the fit measure. The
+// sweep loop, Engine.converge, has no distributed twin: the paper's
+// Algorithm 4 is the same loop run on every rank through an
+// Exchange (fold, row-distributed operator, expand, core reduction,
+// factor replication), of which shared memory is the one-rank case.
+// ST-HOSVD initialization and adaptive rank selection under a relative
+// error budget (Options.Eps) are included.
 //
 // The API splits the paper's symbolic/numeric separation into two
 // objects (see docs/architecture.md):
 //
 //   - Plan is the immutable per-tensor analysis: option validation,
 //     storage-format construction (Options.Format selects COO, CSF, or
-//     ALTO), the per-mode symbolic update lists, and the TTMc strategy
-//     binding (flat per-format kernels or the memoized dimension
-//     tree). A Plan is a pure function of (tensor, options).
+//     ALTO) and the per-mode symbolic update lists. A Plan is a pure
+//     function of (tensor, options).
 //   - Engine holds the resident mutable state — factors, TRSVD
-//     workspaces, memoized partials, and an engine-owned copy of the
+//     workspaces, the TTMc kernel the options select (flat per-format
+//     kernels or the memoized dimension tree) with its memoized
+//     partials, and an engine-owned copy of the
 //     evolving tensor once deltas arrive. Run converges from the
 //     current factors; Update ingests a coordinate delta through the
 //     incremental merge/splice/invalidate paths of every layer and

@@ -40,7 +40,6 @@ type Engine struct {
 	csf     *tensor.CSF
 	alto    *tensor.ALTO
 	storage tensor.Sparse
-	flatX   *tensor.COO
 	sym     *symbolic.Structure
 	owned   bool
 	// mergeIx amortizes the coordinate lookup across a stream of COO
@@ -48,9 +47,10 @@ type Engine struct {
 	// ingest, so Update cost is proportional to the delta.
 	mergeIx *tensor.MergeIndex
 
-	tree  *ttm.DTree
-	fiber *ttm.CSFTTMc
-	lin   *ttm.ALTOTTMc
+	// kern is the numeric TTMc engine the plan's format and strategy
+	// select (newKernel); ex is the world the sweep runs in.
+	kern kernel
+	ex   Exchange
 
 	state     *SweepState
 	ys        []*dense.Matrix
@@ -65,9 +65,8 @@ type Engine struct {
 	// allocation-free.
 	ranksBuf []int
 
-	flatFlops int64 // flat-kernel madds (tree/fiber keep their own counters)
-	symTime   time.Duration
-	res       *Result
+	symTime time.Duration
+	res     *Result
 
 	// Checkpointing (EnableCheckpoints) and the one-shot resume state a
 	// ResumeEngine-built engine consumes on its first converge.
@@ -76,9 +75,42 @@ type Engine struct {
 	resume    *checkpoint.State
 }
 
+// kernel is the numeric TTMc engine of a sweep: the flat reference loop,
+// the CSF fiber walk, the ALTO stream kernels or the dimension tree.
+type kernel interface {
+	// TTMc computes the compacted mode-n product into y.
+	TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int)
+	// Flops is the multiply-add count of all calls so far.
+	Flops() int64
+	SetSchedule(par.Schedule)
+	// Invalidate records that factor n changed.
+	Invalidate(n int)
+}
+
+// newKernel builds the kernel the options select on the engine's
+// current storage and symbolic structure, with empty caches.
+func (e *Engine) newKernel() kernel {
+	var k kernel
+	switch {
+	case e.opts.TTMc == TTMcDTree:
+		k = ttm.NewDTree(e.storage)
+	case e.csf != nil && e.order >= 2:
+		k = ttm.NewCSFTTMc(e.csf)
+	case e.alto != nil && e.order >= 2:
+		k = ttm.NewALTOTTMc(e.alto, e.sym)
+	default:
+		// The flat kernel reads coordinate streams in the symbolic
+		// structure's nonzero order; for the order-1 corner the fiber and
+		// stream kernels do not model, that is an expanded copy.
+		k = ttm.NewFlat(e.Tensor(), e.sym)
+	}
+	k.SetSchedule(e.opts.Schedule)
+	return k
+}
+
 // NewEngine builds a resident handle on the plan's analysis: the
-// numeric TTMc engine (dimension tree or fiber walker) with empty
-// caches, seeded initial factors, and per-mode solver workspaces.
+// numeric TTMc kernel with empty caches, seeded initial factors, and
+// per-mode solver workspaces.
 func NewEngine(p *Plan) *Engine {
 	e := &Engine{
 		plan:     p,
@@ -88,25 +120,18 @@ func NewEngine(p *Plan) *Engine {
 		csf:      p.csf,
 		alto:     p.alto,
 		storage:  p.storage,
-		flatX:    p.flatX,
 		sym:      p.sym,
 		normX:    p.normX,
+		ex:       p.ex,
 		firstRun: true,
 	}
-	start := time.Now()
-	switch {
-	case p.useTree:
-		e.tree = ttm.NewDTree(e.storage)
-		e.tree.SetSchedule(e.opts.Schedule)
-	case p.useFiber:
-		e.fiber = ttm.NewCSFTTMc(e.csf)
-		e.fiber.SetSchedule(e.opts.Schedule)
-	case p.useLin:
-		e.lin = ttm.NewALTOTTMc(e.alto, e.sym)
-		e.lin.SetSchedule(e.opts.Schedule)
+	if e.ex == nil {
+		e.ex = localExchange{threads: e.opts.Threads}
 	}
+	start := time.Now()
+	e.kern = e.newKernel()
 	e.symTime = time.Since(start)
-	e.state = NewSweepState(initFactors(p.x, e.opts, startRanks(p.x, e.opts)), e.opts.Seed)
+	e.state = NewSweepState(InitialFactors(p.x, e.opts, startRanks(p.x, e.opts)), e.opts.Seed)
 	e.state.Sketch = e.opts.Sketch
 	e.state.Oversample = e.opts.Oversample
 	e.state.PowerIters = e.opts.PowerIters
@@ -201,32 +226,26 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 // an update the nonempty-slice counts may have grown.
 func (e *Engine) shapeYs() {
 	for n := 0; n < e.order; n++ {
-		rows := e.sym.Modes[n].NumRows()
-		cols := ttm.RowSize(e.state.Factors, n)
-		if e.ys[n] == nil || e.ys[n].Rows != rows || e.ys[n].Cols != cols {
-			e.ys[n] = dense.NewMatrix(rows, cols)
-		}
+		e.shapeY(n)
 	}
 }
 
-func (e *Engine) flopsTotal() int64 {
-	switch {
-	case e.tree != nil:
-		return e.tree.Flops()
-	case e.fiber != nil:
-		return e.fiber.Flops()
-	case e.lin != nil:
-		return e.lin.Flops()
+// shapeY sizes mode n's buffer for the current rows and the ∏ of the
+// other modes' current ranks.
+func (e *Engine) shapeY(n int) {
+	rows := e.sym.Modes[n].NumRows()
+	cols := ttm.RowSize(e.state.Factors, n)
+	if e.ys[n] == nil || e.ys[n].Rows != rows || e.ys[n].Cols != cols {
+		e.ys[n] = dense.NewMatrix(rows, cols)
 	}
-	return e.flatFlops
 }
 
 // warmVec gathers the compact left warm-start vector for mode n into a
 // reusable per-mode buffer: the leading column of the current factor at
-// the nonempty slices — the scattered leading left singular vector of
-// the previous solve. Only the Lanczos solver consumes warm starts, so
+// the solved rows — the scattered leading left singular vector of the
+// previous solve. Only the Lanczos solver consumes warm starts, so
 // other methods skip the gather entirely.
-func (e *Engine) warmVec(n int, sm *symbolic.Mode) []float64 {
+func (e *Engine) warmVec(n int, rows []int32) []float64 {
 	if e.opts.SVD != SVDLanczos {
 		return nil
 	}
@@ -238,21 +257,24 @@ func (e *Engine) warmVec(n int, sm *symbolic.Mode) []float64 {
 		e.warmBuf = make([][]float64, e.order)
 	}
 	w := e.warmBuf[n]
-	if cap(w) < sm.NumRows() {
-		w = make([]float64, sm.NumRows())
+	if cap(w) < len(rows) {
+		w = make([]float64, len(rows))
 	}
-	w = w[:sm.NumRows()]
+	w = w[:len(rows)]
 	e.warmBuf[n] = w
-	for r, row := range sm.Rows {
+	for r, row := range rows {
 		w[r] = u.At(int(row), 0)
 	}
 	return w
 }
 
-// converge runs ALS sweeps until the fit stalls or MaxIters is reached.
-// It is the loop body shared by Run and Update; the first call matches
-// Decompose's cold path bit for bit (no warm starts), later calls
-// warm-start every TRSVD from the previous factors.
+// converge is the one HOOI sweep loop: Algorithm 3 in shared memory,
+// and — through the plan's Exchange — Algorithm 4 on every rank of a
+// distributed world. It runs ALS sweeps until the fit stalls or
+// MaxIters is reached, owns resume, fit tracking, checkpoint cadence
+// and phase timing, and is the body shared by Run and Update; the first
+// call matches Decompose's cold path bit for bit (no warm starts),
+// later calls warm-start every TRSVD from the previous factors.
 func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	opts := e.opts
 	res := &Result{Format: opts.Format, IndexBytes: e.storage.IndexBytes()}
@@ -262,10 +284,11 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 		res.Timings.Symbolic += e.plan.symbolicTime
 	}
 	e.symTime = 0
-	flops0 := e.flopsTotal()
+	flops0 := e.kern.Flops()
+	tree, _ := e.kern.(*ttm.DTree)
 	var nodeTime0 time.Duration
-	if e.tree != nil {
-		nodeTime0 = e.tree.NodeTime()
+	if tree != nil {
+		nodeTime0 = tree.NodeTime()
 	}
 
 	var memBase runtime.MemStats
@@ -300,43 +323,35 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			startIter = opts.MaxIters // the original run stopped here
 		}
 	}
+	last := e.order - 1
 	for iter := startIter; iter < opts.MaxIters; iter++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
+		e.ex.BeginSweep(iter + 1)
 		if opts.MeasureAllocs && allocFrom < 0 && (iter == 1 || opts.MaxIters == 1) {
 			// Steady state starts once the sweep-1 arena growth is done
 			// (or immediately when there is only one sweep to measure).
 			runtime.ReadMemStats(&memBase)
 			allocFrom = iter
 		}
+		// y and rows are the mode's folded rows; the last mode's outlive
+		// the loop, for the core is formed from them.
+		var y *dense.Matrix
+		var rows []int32
 		for n := 0; n < e.order; n++ {
 			sm := &e.sym.Modes[n]
 			if opts.Eps > 0 {
 				// Adaptive rank resizes factors mid-sweep, so this
-				// mode's matricization buffer may need a new column
-				// count (∏ of the other modes' current ranks).
-				rows := sm.NumRows()
-				colsY := ttm.RowSize(e.state.Factors, n)
-				if e.ys[n] == nil || e.ys[n].Rows != rows || e.ys[n].Cols != colsY {
-					e.ys[n] = dense.NewMatrix(rows, colsY)
-				}
+				// mode's matricization buffer may need a new column count.
+				e.shapeY(n)
 			}
 
 			t0 := time.Now()
-			switch {
-			case e.tree != nil:
-				e.tree.TTMc(e.ys[n], n, e.state.Factors, opts.Threads)
-			case e.fiber != nil:
-				e.fiber.TTMc(e.ys[n], n, e.state.Factors, opts.Threads)
-			case e.lin != nil:
-				e.lin.TTMc(e.ys[n], n, e.state.Factors, opts.Threads)
-			default:
-				ttm.TTMcSched(e.ys[n], e.flatX, sm, e.state.Factors, opts.Threads, opts.Schedule)
-				e.flatFlops += ttm.Flops(e.flatX.NNZ(), e.ys[n].Cols)
-			}
+			e.kern.TTMc(e.ys[n], n, e.state.Factors, opts.Threads)
+			y, rows = e.ex.Fold(n, e.ys[n], sm.Rows)
 			res.Timings.TTMc += time.Since(t0)
 
 			t0 = time.Now()
@@ -351,7 +366,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 				var rank int
 				var err error
 				uc, rank, matvecs, err = e.state.SolveDenseEps(
-					e.ys[n], n, e.state.Factors[n].Cols, capR, opts.Threads, tau, frobSq(e.ys[n], opts.Threads))
+					y, n, e.state.Factors[n].Cols, capR, opts.Threads, tau, frobSq(y, opts.Threads))
 				if err != nil {
 					return nil, fmt.Errorf("core: TRSVD failed in mode %d: %w", n, err)
 				}
@@ -361,25 +376,25 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			} else {
 				var warm []float64
 				if e.warmReady {
-					warm = e.warmVec(n, sm)
+					warm = e.warmVec(n, rows)
 				}
-				var err error
-				uc, matvecs, err = e.state.SolveDense(e.ys[n], n, opts.Ranks[n], opts.SVD, opts.Threads, warm)
+				sres, err := e.state.Solve(e.ex.Operator(n, y), n, opts.Ranks[n], opts.SVD, warm)
 				if err != nil {
 					return nil, fmt.Errorf("core: TRSVD failed in mode %d: %w", n, err)
 				}
+				uc, matvecs = sres.U, sres.MatVecs
 			}
-			res.TRSVDMadds += int64(matvecs) * int64(e.ys[n].Rows) * int64(e.ys[n].Cols)
-			scatterRows(e.state.Factors[n], uc, sm)
-			if e.tree != nil {
-				e.tree.Invalidate(n)
-			}
+			res.TRSVDMadds += int64(matvecs) * int64(y.Rows) * int64(y.Cols)
+			scatterRows(e.state.Factors[n], uc, rows)
+			e.ex.Expand(n, e.state.Factors[n])
+			e.kern.Invalidate(n)
 			res.Timings.TRSVD += time.Since(t0)
 		}
 
 		t0 := time.Now()
-		last := e.order - 1
-		g := ttm.Core(e.ys[last], &e.sym.Modes[last], e.state.Factors[last], e.currentRanks(), opts.Threads)
+		gm := ttm.CoreMatricized(y, rows, e.state.Factors[last], opts.Threads)
+		e.ex.ReduceCore(gm)
+		g := ttm.CoreFromMatricized(gm, e.currentRanks(), last)
 		res.Core = g
 		res.Timings.Core += time.Since(t0)
 
@@ -387,7 +402,16 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 		res.Fit = fit
 		res.Iters = iter + 1
 		if e.ckptDir != "" && e.ckptEvery > 0 && (iter+1)%e.ckptEvery == 0 {
-			if _, err := checkpoint.Save(e.ckptDir, e.midRunState(iter+1, fits.History, g)); err != nil {
+			// The core reduction above closed the sweep: core and fit are
+			// replicated bitwise on every rank, and Sync completes the
+			// factors before one rank writes them, so the single file is
+			// the world's state. Sync also keeps ranks from running into
+			// the next sweep before the checkpoint is durable.
+			err := e.ex.Sync(e.state.Factors, func() error {
+				_, err := checkpoint.Save(e.ckptDir, e.midRunState(iter+1, fits.History, g))
+				return err
+			})
+			if err != nil {
 				return nil, fmt.Errorf("core: checkpoint at sweep %d: %w", iter+1, err)
 			}
 		}
@@ -395,15 +419,21 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			break
 		}
 	}
+	// A Result carries complete factors; a rank of a distributed world
+	// holds only the rows its nonzeros reference until this assembly,
+	// once per run.
+	if err := e.ex.Sync(e.state.Factors, nil); err != nil {
+		return nil, fmt.Errorf("core: assembling the factors: %w", err)
+	}
 	res.FitHistory = fits.History
 	if allocFrom >= 0 && res.Iters > allocFrom {
 		var memEnd runtime.MemStats
 		runtime.ReadMemStats(&memEnd)
 		res.AllocsPerSweep = int64(memEnd.Mallocs-memBase.Mallocs) / int64(res.Iters-allocFrom)
 	}
-	res.TTMcFlops = e.flopsTotal() - flops0
-	if e.tree != nil {
-		res.Timings.TTMcNodes = e.tree.NodeTime() - nodeTime0
+	res.TTMcFlops = e.kern.Flops() - flops0
+	if tree != nil {
+		res.Timings.TTMcNodes = tree.NodeTime() - nodeTime0
 	}
 	res.Factors = e.state.Factors
 	res.ChosenRanks = append([]int(nil), e.currentRanks()...)
@@ -414,10 +444,9 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 }
 
 // ensureOwned clones the shared plan structures the first time the
-// engine is about to mutate them, and rebinds the numeric TTMc engines
-// onto the clones (their caches stay valid — the clone is
-// bit-identical). The plan, and the caller's tensor, are never touched
-// by updates.
+// engine is about to mutate them, and rebinds the kernel onto the
+// clones (its caches stay valid — the clone is bit-identical). The
+// plan, and the caller's tensor, are never touched by updates.
 func (e *Engine) ensureOwned() {
 	if e.owned {
 		return
@@ -428,29 +457,49 @@ func (e *Engine) ensureOwned() {
 	case e.csf != nil:
 		e.csf = e.csf.Clone()
 		e.storage = e.csf
-		if e.fiber != nil {
-			e.fiber.Rebind(e.csf)
-		}
-		if e.tree != nil {
-			e.tree.Rebind(e.csf)
-		}
 	case e.alto != nil:
 		e.alto = e.alto.Clone()
 		e.storage = e.alto
-		if e.lin != nil {
-			e.lin.Rebind(e.alto, e.sym)
-		}
-		if e.tree != nil {
-			e.tree.Rebind(e.alto)
-		}
 	default:
 		e.x = e.x.Clone()
 		e.storage = e.x
-		e.flatX = e.x
-		if e.tree != nil {
-			e.tree.Rebind(e.x)
+	}
+	switch k := e.kern.(type) {
+	case *ttm.DTree:
+		k.Rebind(e.storage)
+	case *ttm.CSFTTMc:
+		k.Rebind(e.csf)
+	case *ttm.ALTOTTMc:
+		k.Rebind(e.alto, e.sym)
+	default:
+		e.kern = e.newKernel() // flat: nothing cached to keep
+	}
+}
+
+// ingested brings the symbolic structure and the kernel in line with a
+// CSF or ALTO merge and returns the delta's size. A structural merge
+// shifted the storage positions: the symbolic layers are re-derived
+// from the re-pressed storage (a linear rebuild) and the kernel starts
+// over on them — only the dimension tree's numeric caches are genuinely
+// lost. A value-only merge left every position and update list as it
+// was: the tree is told which entries went stale, and the order-1
+// corner's flat kernel re-expands the values it reads a copy of.
+func (e *Engine) ingested(updated []int32, inserted int, structural bool) int {
+	switch k := e.kern.(type) {
+	case *ttm.DTree:
+		if !structural {
+			k.ApplyDelta(updated, e.storage.NNZ())
+		}
+	case *ttm.Flat:
+		if !structural {
+			e.kern = e.newKernel()
 		}
 	}
+	if structural {
+		e.sym = symbolic.Build(e.storage, e.opts.Threads)
+		e.kern = e.newKernel()
+	}
+	return len(updated) + inserted
 }
 
 // Update ingests a coordinate delta — appended and changed nonzeros,
@@ -482,65 +531,13 @@ func (e *Engine) UpdateContext(ctx context.Context, delta *tensor.COO) (*Result,
 		if err != nil {
 			return nil, err
 		}
-		deltaNNZ = len(info.Updated) + info.Inserted
-		if info.Structural {
-			// Insertions shifted the storage positions of the single key
-			// stream: re-derive the symbolic layers (one stream sweep)
-			// and rebuild the numeric engine on them.
-			e.sym = symbolic.Build(e.alto, e.opts.Threads)
-			switch {
-			case e.tree != nil:
-				e.tree = ttm.NewDTree(e.alto)
-				e.tree.SetSchedule(e.opts.Schedule)
-			case e.lin != nil:
-				e.lin = ttm.NewALTOTTMc(e.alto, e.sym)
-				e.lin.SetSchedule(e.opts.Schedule)
-			default:
-				e.flatX = e.alto.ToCOO()
-			}
-		} else {
-			// Value-only: every position and update list is unchanged;
-			// just tell the tree which entries went stale.
-			if e.tree != nil {
-				e.tree.ApplyDelta(info.Updated, e.alto.NNZ())
-			}
-			if e.tree == nil && e.lin == nil {
-				e.flatX = e.alto.ToCOO() // order-1 corner reads copied values
-			}
-		}
+		deltaNNZ = e.ingested(info.Updated, info.Inserted, info.Structural)
 	} else if e.csf != nil {
 		info, err := e.csf.Merge(delta)
 		if err != nil {
 			return nil, err
 		}
-		deltaNNZ = len(info.Updated) + info.Inserted
-		switch {
-		case info.Structural:
-			// New fibers shifted the storage positions: re-derive the
-			// symbolic layers from the re-pressed tensor. The linear
-			// fiber-based rebuild is cheap; only the dimension tree's
-			// numeric caches are genuinely lost.
-			e.sym = symbolic.Build(e.csf, e.opts.Threads)
-			switch {
-			case e.tree != nil:
-				e.tree = ttm.NewDTree(e.csf)
-				e.tree.SetSchedule(e.opts.Schedule)
-			case e.fiber != nil:
-				e.fiber = ttm.NewCSFTTMc(e.csf)
-				e.fiber.SetSchedule(e.opts.Schedule)
-			default:
-				e.flatX = e.csf.ToCOO()
-			}
-		default:
-			// Value-only: every position, fiber, and update list is
-			// unchanged; just tell the tree which entries went stale.
-			if e.tree != nil {
-				e.tree.ApplyDelta(info.Updated, e.csf.NNZ())
-			}
-			if e.tree == nil && e.fiber == nil {
-				e.flatX = e.csf.ToCOO() // order-1 corner reads copied values
-			}
-		}
+		deltaNNZ = e.ingested(info.Updated, info.Inserted, info.Structural)
 	} else {
 		oldNNZ := e.x.NNZ()
 		if e.mergeIx == nil {
@@ -556,8 +553,8 @@ func (e *Engine) UpdateContext(ctx context.Context, delta *tensor.COO) (*Result,
 				return nil, fmt.Errorf("core: incremental symbolic maintenance failed: %w", err)
 			}
 		}
-		if e.tree != nil {
-			e.tree.ApplyDelta(info.Updated, oldNNZ)
+		if tree, ok := e.kern.(*ttm.DTree); ok {
+			tree.ApplyDelta(info.Updated, oldNNZ)
 		}
 	}
 	e.normX = e.storage.Norm(e.opts.Threads)

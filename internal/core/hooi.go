@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hypertensor/internal/dense"
-	"hypertensor/internal/symbolic"
 	"hypertensor/internal/tensor"
 )
 
@@ -110,15 +109,11 @@ func Decompose(x *tensor.COO, optsIn Options) (*Result, error) {
 	return NewEngine(p).Run(context.Background())
 }
 
-// scatterRows writes the compact TRSVD result (one row per nonempty
-// slice) into the full factor matrix, zeroing rows of empty slices.
-func scatterRows(full, compact *dense.Matrix, sm *symbolic.Mode) {
+// scatterRows writes the compact TRSVD result (row r belongs to slice
+// rows[r]) into the full factor matrix, zeroing every other row.
+func scatterRows(full, compact *dense.Matrix, rows []int32) {
 	full.Zero()
-	for r, row := range sm.Rows {
+	for r, row := range rows {
 		copy(full.Row(int(row)), compact.Row(r))
 	}
 }
-
-// fitFromNorms is the package-private spelling of FitFromNorms kept for
-// the ST-HOSVD path.
-func fitFromNorms(normX, normG float64) float64 { return FitFromNorms(normX, normG) }

@@ -170,7 +170,7 @@ func TestCoreNormNeverExceedsTensorNorm(t *testing.T) {
 func TestSVDMethodsAgreeOnFit(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{25, 20, 15}, NNZ: 700, Skew: 0.4, Seed: 10})
 	var fits []float64
-	for _, m := range []SVDMethod{SVDLanczos, SVDSubspace, SVDGram} {
+	for _, m := range []SVDMethod{SVDLanczos, SVDRandomized} {
 		res, err := Decompose(x, Options{Ranks: []int{3, 3, 3}, MaxIters: 10, Tol: -1, Seed: 11, SVD: m})
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)

@@ -142,11 +142,6 @@ const (
 	// SVDLanczos is Golub–Kahan–Lanczos bidiagonalization, the paper's
 	// (SLEPc) method and the default.
 	SVDLanczos SVDMethod = iota
-	// SVDSubspace is randomized block subspace iteration (ablation).
-	SVDSubspace
-	// SVDGram forms the small column-side Gram matrix explicitly
-	// (ablation; feasible because Y_(n) has only ∏_{t≠n} R_t columns).
-	SVDGram
 	// SVDRandomized is the sketched range-finder solver
 	// (trsvd.Randomized): a deterministic Gaussian or CountSketch panel
 	// through the operator, power iterations, CholeskyQR2 Gram
@@ -249,6 +244,9 @@ func (o *Options) Validate(x *tensor.COO) error {
 	if x.NNZ() == 0 {
 		return fmt.Errorf("core: cannot decompose an empty tensor")
 	}
+	if o.MaxIters < 0 {
+		return fmt.Errorf("core: MaxIters %d is negative (0 selects the default of 50)", o.MaxIters)
+	}
 	if o.Eps != 0 && !(o.Eps > 0 && o.Eps <= 1) {
 		return fmt.Errorf("core: Eps %v outside (0, 1]", o.Eps)
 	}
@@ -287,6 +285,9 @@ func (o *Options) Validate(x *tensor.COO) error {
 				return fmt.Errorf("core: rank %d in mode %d exceeds the product of the other ranks (%d); Y_(%d) cannot have that many singular vectors", r, n, other, n)
 			}
 		}
+	}
+	if o.SVD != SVDLanczos && o.SVD != SVDRandomized {
+		return fmt.Errorf("core: unknown SVD method %d", int(o.SVD))
 	}
 	if int(o.Format) < 0 || int(o.Format) >= len(formatNames) {
 		return fmt.Errorf("core: unknown storage format %d", int(o.Format))

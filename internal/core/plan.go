@@ -9,11 +9,11 @@ import (
 
 // Plan is the immutable per-tensor analysis of a decomposition: the
 // validated options, the storage-format build (CSF or ALTO conversion
-// when requested), the symbolic update lists, the TTMc strategy choice,
-// and the tensor norm. Everything in a Plan is a pure function of (tensor,
-// options) and is never mutated afterwards, so one Plan can back any
-// number of Engines — the resident handles that own the mutable factor
-// state and ingest deltas. Decompose is NewPlan + NewEngine + Run.
+// when requested), the symbolic update lists, and the tensor norm.
+// Everything in a Plan is a pure function of (tensor, options) and is
+// never mutated afterwards, so one Plan can back any number of Engines
+// — the resident handles that own the mutable factor state and ingest
+// deltas. Decompose is NewPlan + NewEngine + Run.
 type Plan struct {
 	opts Options
 	x    *tensor.COO // the caller's tensor; engines clone before mutating
@@ -21,66 +21,68 @@ type Plan struct {
 	csf     *tensor.CSF
 	alto    *tensor.ALTO
 	storage tensor.Sparse
-	flatX   *tensor.COO // coordinate view for the flat kernel
 	sym     *symbolic.Structure
 	normX   float64
-
-	useTree  bool
-	useFiber bool
-	useLin   bool
+	// ex is the world a rank plan converges in (NewRankPlan); nil is
+	// shared memory.
+	ex Exchange
 
 	convertTime  time.Duration
 	symbolicTime time.Duration
 }
 
 // NewPlan validates the options and performs the one-time symbolic
-// setup for x: storage-format construction, norm, per-mode update
-// lists, and the TTMc strategy decision. x is not copied — it must not
-// be mutated while plans or engines built from it are in use (engines
-// clone it lazily before their first Update, so Engine.Update never
-// mutates the caller's tensor).
+// setup for x: storage-format construction, norm, and per-mode update
+// lists. x is not copied — it must not be mutated while plans or
+// engines built from it are in use (engines clone it lazily before
+// their first Update, so Engine.Update never mutates the caller's
+// tensor).
 func NewPlan(x *tensor.COO, optsIn Options) (*Plan, error) {
 	if err := optsIn.Validate(x); err != nil {
 		return nil, err
 	}
-	p := &Plan{opts: optsIn.withDefaults(), x: x}
-	var storage tensor.Sparse = x
-	switch p.opts.Format {
-	case FormatCSF:
-		start := time.Now()
-		p.csf = tensor.NewCSF(x, tensor.CSFOptions{ModeOrder: p.opts.CSFModeOrder, Threads: p.opts.Threads})
-		p.convertTime = time.Since(start)
-		storage = p.csf
-	case FormatALTO:
-		start := time.Now()
-		p.alto = tensor.NewALTO(x, tensor.ALTOOptions{Threads: p.opts.Threads})
-		p.convertTime = time.Since(start)
-		storage = p.alto
-	}
-	p.storage = storage
-	p.normX = storage.Norm(p.opts.Threads)
-
-	start := time.Now()
-	p.sym = symbolic.Build(storage, p.opts.Threads)
-	// The flat kernel consumes coordinate storage whose nonzero order
-	// matches the symbolic structure; for CSF that is the fiber order,
-	// but the fiber engine replaces it except in the order-1 corner the
-	// engine does not model.
-	p.flatX = x
-	switch {
-	case p.opts.TTMc == TTMcDTree:
-		p.useTree = true
-	case p.csf != nil && x.Order() >= 2:
-		p.useFiber = true
-	case p.alto != nil && x.Order() >= 2:
-		p.useLin = true
-	case p.csf != nil:
-		p.flatX = p.csf.ToCOO()
-	case p.alto != nil:
-		p.flatX = p.alto.ToCOO()
-	}
-	p.symbolicTime = time.Since(start)
+	p := buildPlan(x, optsIn.withDefaults(), nil)
+	p.normX = p.storage.Norm(p.opts.Threads)
 	return p, nil
+}
+
+// NewRankPlan is the plan of one rank of a distributed world: x holds
+// only the rank's local nonzeros — possibly none, on a rank that must
+// still enter every collective — so opts are the caller's to validate
+// against the whole tensor, and normX is the whole tensor's norm, which
+// the fit is measured against. sym, when non-nil, is the symbolic
+// structure of x for a FormatCOO plan (a coarse-grain rank restricts
+// its lists to the slices it owns); otherwise the plan derives its own.
+// Engines built on the plan converge through ex.
+func NewRankPlan(x *tensor.COO, opts Options, normX float64, sym *symbolic.Structure, ex Exchange) *Plan {
+	p := buildPlan(x, opts.withDefaults(), sym)
+	p.normX = normX
+	p.ex = ex
+	return p
+}
+
+func buildPlan(x *tensor.COO, opts Options, sym *symbolic.Structure) *Plan {
+	p := &Plan{opts: opts, x: x, storage: x}
+	start := time.Now()
+	switch opts.Format {
+	case FormatCSF:
+		p.csf = tensor.NewCSF(x, tensor.CSFOptions{ModeOrder: opts.CSFModeOrder, Threads: opts.Threads})
+		p.storage = p.csf
+	case FormatALTO:
+		p.alto = tensor.NewALTO(x, tensor.ALTOOptions{Threads: opts.Threads})
+		p.storage = p.alto
+	}
+	if opts.Format != FormatCOO {
+		p.convertTime = time.Since(start)
+		sym = nil // a converted storage numbers its nonzeros its own way
+	}
+	start = time.Now()
+	if sym == nil {
+		sym = symbolic.Build(p.storage, opts.Threads)
+	}
+	p.sym = sym
+	p.symbolicTime = time.Since(start)
+	return p
 }
 
 // Options returns a copy of the validated options (defaults applied).

@@ -10,8 +10,8 @@ import (
 // SweepState is the resident per-mode numeric state every HOOI variant
 // carries between sweeps: the factor matrices, one reusable TRSVD
 // workspace arena per mode, and the monotone TRSVD seed schedule. The
-// shared-memory Engine, the MET baseline, and each simulated
-// distributed rank all iterate on this same state type, so warm starts
+// Engine — in shared memory and on every rank of a distributed world —
+// and the MET baseline iterate on this same state type, so warm starts
 // and workspace reuse behave identically across the execution models.
 type SweepState struct {
 	// Factors are the current factor matrices U_n (I_n x R_n).
@@ -66,26 +66,24 @@ func (s *SweepState) next(n int, warm []float64) trsvd.Options {
 	return o
 }
 
-// SolveDense runs the selected TRSVD solver on the compacted matricized
-// tensor for mode n and returns its |J_n| x rank left singular vector
-// block plus the solver's operator-application count. warm optionally
-// supplies a left warm-start vector (Lanczos only; see
+// Solve runs the selected TRSVD solver on mode n's operator — the
+// threaded dense one in shared memory, a row-distributed one on a rank
+// of a distributed world — and advances the seed schedule. warm
+// optionally supplies a left warm-start vector (Lanczos only; see
 // trsvd.Options.WarmLeft).
-func (s *SweepState) SolveDense(y *dense.Matrix, n, rank int, method SVDMethod, threads int, warm []float64) (*dense.Matrix, int, error) {
+func (s *SweepState) Solve(op trsvd.Operator, n, rank int, method SVDMethod, warm []float64) (*trsvd.Result, error) {
 	sopts := s.next(n, warm)
-	op := &trsvd.DenseOperator{A: y, Threads: threads}
-	var r *trsvd.Result
-	var err error
-	switch method {
-	case SVDSubspace:
-		r, err = trsvd.SubspaceIteration(op, rank, sopts)
-	case SVDGram:
-		r, err = trsvd.GramSVD(y, rank, threads, sopts)
-	case SVDRandomized:
-		r, err = trsvd.Randomized(op, rank, sopts)
-	default:
-		r, err = trsvd.Lanczos(op, rank, sopts)
+	if method == SVDRandomized {
+		return trsvd.Randomized(op, rank, sopts)
 	}
+	return trsvd.Lanczos(op, rank, sopts)
+}
+
+// SolveDense is Solve on the compacted matricized tensor held in
+// memory: it returns the |J_n| x rank left singular vector block and
+// the solver's operator-application count.
+func (s *SweepState) SolveDense(y *dense.Matrix, n, rank int, method SVDMethod, threads int, warm []float64) (*dense.Matrix, int, error) {
+	r, err := s.Solve(&trsvd.DenseOperator{A: y, Threads: threads}, n, rank, method, warm)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -120,7 +118,7 @@ func (s *SweepState) SolveDenseEps(y *dense.Matrix, n, guess, capR, threads int,
 	}
 	matvecs := 0
 	for {
-		r, err := trsvd.Randomized(&trsvd.DenseOperator{A: y, Threads: threads}, k, s.next(n, nil))
+		r, err := s.Solve(&trsvd.DenseOperator{A: y, Threads: threads}, n, k, SVDRandomized, nil)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -143,23 +141,6 @@ func (s *SweepState) SolveDenseEps(y *dense.Matrix, n, guess, capR, threads int,
 		if k > maxR {
 			k = maxR
 		}
-	}
-}
-
-// SolveOperator runs the selected solver on a matrix-free (possibly
-// distributed) operator for mode n — the path the simulated ranks use.
-// Only the operator-interface solvers apply (Lanczos, the default, and
-// SVDRandomized/SVDSubspace); SVDGram needs an explicit matrix and
-// falls back to Lanczos here.
-func (s *SweepState) SolveOperator(op trsvd.Operator, n, rank int, method SVDMethod, warm []float64) (*trsvd.Result, error) {
-	sopts := s.next(n, warm)
-	switch method {
-	case SVDRandomized:
-		return trsvd.Randomized(op, rank, sopts)
-	case SVDSubspace:
-		return trsvd.SubspaceIteration(op, rank, sopts)
-	default:
-		return trsvd.Lanczos(op, rank, sopts)
 	}
 }
 

@@ -134,7 +134,7 @@ func STHOSVD(x *tensor.COO, opts STHOSVDOptions) (*Result, error) {
 	res.Core = s.DenseCore(chosen)
 	res.Factors = factors
 	res.ChosenRanks = chosen
-	res.Fit = fitFromNorms(normX, res.Core.Norm())
+	res.Fit = FitFromNorms(normX, res.Core.Norm())
 	res.FitHistory = []float64{res.Fit}
 	res.Iters = 1
 	res.Timings.TTMc = time.Since(start)

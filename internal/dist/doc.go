@@ -11,12 +11,16 @@
 // or in contiguous blocks — the fine-hp / fine-rd / coarse-hp /
 // coarse-bl configurations of the paper's evaluation.
 //
-// Each rank stores only its local nonzeros, computes partial TTMc rows
-// for the slices those nonzeros touch, folds partials to the slice
-// owners, runs a row-distributed Lanczos TRSVD in SPMD lockstep (the
-// column-space vectors are replicated through deterministic AllReduce,
-// so every rank observes bitwise-identical iterates), and exchanges
-// the updated factor rows it owns. Per-rank work and communication
-// statistics (allgathered so every rank holds all of them) back the
-// Table II-IV reproductions.
+// Algorithm 4 is Algorithm 3 with a fold after the TTMc and an expand
+// after the TRSVD, so there is no second sweep loop here. Each rank
+// stores only its local nonzeros, builds its point-to-point
+// communication plans (exchange) and an ordinary core.Plan over those
+// nonzeros, and runs core.Engine.converge with the plans as its
+// core.Exchange: partial TTMc rows fold to the slice owners, the TRSVD
+// runs row-distributed in SPMD lockstep (the column-space vectors are
+// replicated through deterministic AllReduce, so every rank observes
+// bitwise-identical iterates), and the updated factor rows travel to
+// exactly the ranks whose nonzeros reference them. Per-rank work and
+// communication statistics (allgathered so every rank holds all of
+// them) back the Table II-IV reproductions.
 package dist

@@ -1,0 +1,158 @@
+package dist
+
+import (
+	"context"
+	"math"
+	"runtime"
+	"strings"
+	"testing"
+
+	"hypertensor/internal/core"
+	"hypertensor/internal/dense"
+	"hypertensor/internal/gen"
+	"hypertensor/internal/mpi"
+)
+
+// Options from outside the program must come back as plain errors, from
+// the shared-memory planner and the distributed driver alike — never as
+// a rank's index-out-of-range panic, and never as a nil result with a
+// nil error.
+func TestInvalidOptionsArePlainErrors(t *testing.T) {
+	x := testTensor3(t)
+	ranks := []int{3, 3, 3}
+	good := DefaultInitial(x.Dims, ranks, 1)
+	part, err := MakePartition(x, 2, Fine, MethodBlock, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		ranks    []int
+		maxIters int
+		svd      core.SVDMethod
+		initial  []*dense.Matrix
+	}{
+		{"short initial", ranks, 2, core.SVDLanczos, good[:2]},
+		{"initial with too few rows", ranks, 2, core.SVDLanczos, []*dense.Matrix{dense.NewMatrix(9, 3), good[1], good[2]}},
+		{"initial with the wrong rank", ranks, 2, core.SVDLanczos, DefaultInitial(x.Dims, []int{3, 2, 3}, 1)},
+		{"negative MaxIters", ranks, -1, core.SVDLanczos, nil},
+		{"too few ranks", ranks[:2], 2, core.SVDLanczos, nil},
+		{"rank above the mode size", []int{3, 3, 21}, 2, core.SVDLanczos, nil},
+		{"unknown solver", ranks, 2, core.SVDMethod(7), nil},
+	} {
+		_, planErr := core.NewPlan(x, core.Options{Ranks: tc.ranks, MaxIters: tc.maxIters, SVD: tc.svd, Initial: tc.initial})
+		res, distErr := Decompose(x, part, Config{Ranks: tc.ranks, MaxIters: tc.maxIters, SVD: tc.svd, Initial: tc.initial})
+		if res != nil {
+			t.Errorf("%s: dist.Decompose returned a result", tc.name)
+		}
+		for what, err := range map[string]error{"core.NewPlan": planErr, "dist.Decompose": distErr} {
+			if err == nil {
+				t.Errorf("%s: %s accepted it", tc.name, what)
+			} else if strings.Contains(err.Error(), "panicked") {
+				t.Errorf("%s: %s surfaced a panic: %v", tc.name, what, err)
+			}
+		}
+	}
+	if _, err := Decompose(x, nil, Config{Ranks: ranks}); err == nil {
+		t.Error("dist.Decompose accepted a nil partition")
+	}
+}
+
+// Every payload byte a rank sends belongs to a named phase: at one
+// sweep the per-mode expand, fold and TRSVD bytes plus the core
+// AllReduce and the final factor assembly add up to SentBytes exactly.
+func TestSentBytesFullyAttributed(t *testing.T) {
+	x := testTensor4(t)
+	for _, pc := range allConfigs() {
+		part, err := MakePartition(x, 3, pc.G, pc.M, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Decompose(x, part, Config{Ranks: []int{2, 2, 3, 2}, MaxIters: 1, Tol: -1, Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", part.Name(), err)
+		}
+		st := res.Stats
+		for r := 0; r < st.P; r++ {
+			if st.CoreBytes[r] == 0 || st.AssembleBytes[r] == 0 {
+				t.Fatalf("%s rank %d: core %d B, assemble %d B not recorded", part.Name(), r, st.CoreBytes[r], st.AssembleBytes[r])
+			}
+			sum := st.CoreBytes[r] + st.AssembleBytes[r]
+			for n := range st.Mode {
+				sum += st.Mode[n][r].CommBytes()
+			}
+			if sum != st.SentBytes[r] {
+				t.Fatalf("%s rank %d: phases account for %d of %d B sent", part.Name(), r, sum, st.SentBytes[r])
+			}
+		}
+	}
+}
+
+// The expand writes into the resident factor through plan-sized
+// buffers: once the first sweep has grown the arenas, a sweep allocates
+// nothing the size of a factor. The tall mode has far more slices than
+// nonzeros, so dims[0]×R dwarfs everything a sweep legitimately
+// allocates (solver results over the nonempty rows, message copies).
+func TestSteadyStateSweepAllocatesNoFactorSizedBlock(t *testing.T) {
+	x := gen.Random(gen.Config{Dims: []int{200000, 30, 20}, NNZ: 1500, Skew: 0.3, Seed: 3})
+	ranks := []int{3, 3, 3}
+	part, err := MakePartition(x, 2, Fine, MethodBlock, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(sweeps int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Decompose(x, part, Config{Ranks: ranks, MaxIters: sweeps, Tol: -1, Seed: 9}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const extra = 4
+	perSweep := (allocated(2+extra) - allocated(2)) / extra
+	factorBytes := uint64(x.Dims[0] * ranks[0] * 8)
+	t.Logf("steady-state sweep allocates %d B; one mode-0 factor is %d B", perSweep, factorBytes)
+	if perSweep >= factorBytes/2 {
+		t.Fatalf("a steady-state sweep of the 2-rank world allocates %d B; one mode-0 factor is %d B", perSweep, factorBytes)
+	}
+}
+
+// The seam between the exchange and the rank's compute carries any
+// core.Plan: ranks planned as CSF or with the dimension tree converge
+// to the flat COO ranks' fit, and the tree executes at most half of the
+// flat kernel's multiply-adds on every rank.
+func TestRankPlansCarryAnyKernel(t *testing.T) {
+	x := gen.Random(gen.Config{Dims: []int{40, 30, 35, 25}, NNZ: 3000, Skew: 0.4, Seed: 12})
+	cfg := Config{Ranks: []int{3, 3, 3, 3}, MaxIters: 4, Tol: -1, Seed: 2}
+	part, err := MakePartition(x, 3, Fine, MethodHypergraph, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := Decompose(x, part, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rewrite := range map[string]func(*core.Options){
+		"csf":   func(o *core.Options) { o.Format = core.FormatCSF },
+		"dtree": func(o *core.Options) { o.TTMc = core.TTMcDTree },
+	} {
+		res, err := decompose(context.Background(), mpi.NewWorld(part.P), x, part, cfg, seam{rankOptions: rewrite})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, fit := range flat.FitHistory {
+			if d := math.Abs(res.FitHistory[i] - fit); d > 1e-8 {
+				t.Fatalf("%s sweep %d: fit %v, flat %v (diff %v)", name, i, res.FitHistory[i], fit, d)
+			}
+		}
+		for r, madds := range res.Stats.TTMcMadds {
+			if madds >= flat.Stats.TTMcMadds[r] {
+				t.Fatalf("%s rank %d: %d TTMc madds, flat %d", name, r, madds, flat.Stats.TTMcMadds[r])
+			}
+			if name == "dtree" && 2*madds > flat.Stats.TTMcMadds[r] {
+				t.Fatalf("dtree rank %d: %d TTMc madds, more than half of flat's %d", r, madds, flat.Stats.TTMcMadds[r])
+			}
+		}
+	}
+}

@@ -15,7 +15,7 @@ import (
 )
 
 // localNZ reproduces the rank-local nonzero rule independently of
-// newRankState: fine ranks store their NZOwner nonzeros; coarse ranks
+// newExchange: fine ranks store their NZOwner nonzeros; coarse ranks
 // store every nonzero of a slice they own in any mode.
 func localNZ(x *tensor.COO, part *Partition, r int) []int32 {
 	var ids []int32
@@ -53,7 +53,7 @@ func TestExpandPlanExactness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Derive each rank's plan the way newRankState does.
+			// Derive each rank's plan the way newExchange does.
 			type rankPlan struct {
 				owned      []int32
 				send, recv [][]int32
@@ -147,17 +147,15 @@ func TestSparseMatchesDenseBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(e ExchangeKind) *Result {
-				res, err := Decompose(tc.x, part, Config{
-					Ranks: tc.ranks, MaxIters: 3, Tol: -1, Seed: 23,
-					Initial: initial, Exchange: e,
-				})
-				if err != nil {
-					t.Fatalf("%s %s %v: %v", tc.name, part.Name(), e, err)
-				}
-				return res
+			cfg := Config{Ranks: tc.ranks, MaxIters: 3, Tol: -1, Seed: 23, Initial: initial}
+			sparse, err := Decompose(tc.x, part, cfg)
+			if err != nil {
+				t.Fatalf("%s %s sparse: %v", tc.name, part.Name(), err)
 			}
-			sparse, dense := run(ExchangeSparse), run(ExchangeDense)
+			dense, err := decomposeDense(tc.x, part, cfg)
+			if err != nil {
+				t.Fatalf("%s %s dense: %v", tc.name, part.Name(), err)
+			}
 			if len(sparse.FitHistory) != len(dense.FitHistory) {
 				t.Fatalf("%s %s: sweep counts differ", tc.name, part.Name())
 			}
@@ -195,7 +193,7 @@ func TestSparseMatchesDenseTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := Decompose(x, part, Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 29, Exchange: ExchangeDense})
+	dense, err := decomposeDense(x, part, Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +208,7 @@ func TestSparseMatchesDenseTCP(t *testing.T) {
 			defer wg.Done()
 			defer worlds[r].Close()
 			results[r], errs[r] = DecomposeWorld(context.Background(), worlds[r], x, part,
-				Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 29, Exchange: ExchangeSparse})
+				Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 29})
 		}(r)
 	}
 	wg.Wait()

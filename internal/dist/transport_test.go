@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hypertensor/internal/mpi"
+	"hypertensor/internal/tensor"
 )
 
 // tcpWorlds stands up one TCPWorld per rank over loopback, using
@@ -54,6 +55,7 @@ func TestTransportEquivalence(t *testing.T) {
 	ranks := []int{3, 3, 3}
 	cfg := Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 17}
 
+	var parts []*Partition
 	for _, pc := range []struct {
 		p int
 		g Grain
@@ -62,29 +64,48 @@ func TestTransportEquivalence(t *testing.T) {
 		{2, Fine, MethodHypergraph},
 		{4, Fine, MethodHypergraph},
 		{4, Coarse, MethodBlock},
+		// Odd worlds: the dissemination barrier and the reduce/broadcast
+		// trees take their non-power-of-two branches.
+		{3, Fine, MethodHypergraph},
+		{5, Fine, MethodRandom},
+		{3, Coarse, MethodHypergraph},
+		{5, Coarse, MethodBlock},
 	} {
 		part, err := MakePartition(x, pc.p, pc.g, pc.m, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
+		parts = append(parts, part)
+	}
+	idle := idleRankPartition(x, 3)
+	parts = append(parts, idle)
+
+	for _, part := range parts {
 		sim, err := Decompose(x, part, cfg)
 		if err != nil {
 			t.Fatalf("%s simulated: %v", part.Name(), err)
 		}
+		if part == idle {
+			for n := range sim.Stats.Mode {
+				if ms := sim.Stats.Mode[n][idle.P-1]; ms.WTTMc != 0 || ms.WTRSVD != 0 {
+					t.Fatalf("mode %d: the idle rank was given work: %+v", n, ms)
+				}
+			}
+		}
 
-		worlds := tcpWorlds(t, pc.p)
-		results := make([]*Result, pc.p)
-		errs := make([]error, pc.p)
+		worlds := tcpWorlds(t, part.P)
+		results := make([]*Result, part.P)
+		errs := make([]error, part.P)
 		var wg sync.WaitGroup
-		wg.Add(pc.p)
-		for r := 0; r < pc.p; r++ {
+		wg.Add(part.P)
+		for r := 0; r < part.P; r++ {
 			go func(r int) {
 				defer wg.Done()
 				results[r], errs[r] = DecomposeWorld(context.Background(), worlds[r], x, part, cfg)
 			}(r)
 		}
 		wg.Wait()
-		for r := 0; r < pc.p; r++ {
+		for r := 0; r < part.P; r++ {
 			if errs[r] != nil {
 				t.Fatalf("%s tcp rank %d: %v", part.Name(), r, errs[r])
 			}
@@ -113,7 +134,7 @@ func TestTransportEquivalence(t *testing.T) {
 					t.Fatalf("%s rank %d: core differs at %d", part.Name(), r, i)
 				}
 			}
-			for q := 0; q < pc.p; q++ {
+			for q := 0; q < part.P; q++ {
 				if res.Stats.SentBytes[q] != sim.Stats.SentBytes[q] {
 					t.Fatalf("%s rank %d: TCP accounting for rank %d is %d bytes, simulated %d",
 						part.Name(), r, q, res.Stats.SentBytes[q], sim.Stats.SentBytes[q])
@@ -121,6 +142,21 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// idleRankPartition is a fine-grain partition whose last rank holds no
+// nonzero and owns no row, and must all the same enter every collective
+// with empty buffers.
+func idleRankPartition(x *tensor.COO, p int) *Partition {
+	part := &Partition{P: p, Grain: Fine, Method: MethodBlock,
+		NZOwner: make([]int32, x.NNZ()), RowOwner: make([][]int32, x.Order())}
+	for id := range part.NZOwner {
+		part.NZOwner[id] = int32(id % (p - 1))
+	}
+	for n := range part.RowOwner {
+		part.RowOwner[n] = rowOwnersFromNZ(x, n, part.NZOwner, p)
+	}
+	return part
 }
 
 // TestTransportEquivalenceStatsComplete: every TCP rank must end with a

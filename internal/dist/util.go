@@ -1,24 +1,20 @@
 package dist
 
 import (
-	"math/rand"
 	"time"
 
+	"hypertensor/internal/core"
 	"hypertensor/internal/dense"
+	"hypertensor/internal/tensor"
 )
 
 // DefaultInitial produces the deterministic random orthonormal initial
 // factor matrices shared by the shared-memory and distributed drivers
-// (and by the MET baseline comparison): it matches core's InitRandom for
-// the same seed, so the two execution models start from identical
-// factors and their per-sweep fits are directly comparable.
+// (and by the MET baseline comparison): it is core's InitRandom for the
+// same seed, so the two execution models start from identical factors
+// and their per-sweep fits are directly comparable.
 func DefaultInitial(dims, ranks []int, seed int64) []*dense.Matrix {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]*dense.Matrix, len(dims))
-	for n := range dims {
-		out[n] = dense.Orthonormalize(dense.RandomNormal(dims[n], ranks[n], rng))
-	}
-	return out
+	return core.InitialFactors(tensor.NewCOO(dims, 0), core.Options{Seed: seed}, ranks)
 }
 
 // MaxDuration returns the maximum of the per-rank durations (the

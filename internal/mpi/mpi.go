@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -224,10 +225,19 @@ func (w *World) RunContext(ctx context.Context, body func(c *Comm)) error {
 	return firstCause(rankErr, w)
 }
 
-// recoveredError shapes a recovered panic value into the run error.
+// recoveredError shapes a recovered panic value into the run error. A
+// rank body has no error return, so it reports a failure that is not a
+// bug — a transport *Error, or any other error value — by panicking
+// with it, and that error stays matchable with errors.Is. Anything
+// else, runtime errors included, is a bug and says so.
 func recoveredError(rank int, e any) error {
 	if te, ok := e.(*Error); ok {
 		return te
+	}
+	if _, bug := e.(runtime.Error); !bug {
+		if err, ok := e.(error); ok {
+			return fmt.Errorf("mpi: rank %d: %w", rank, err)
+		}
 	}
 	return fmt.Errorf("mpi: rank %d panicked: %v", rank, e)
 }

@@ -63,6 +63,31 @@ func (m *Mode) Chains(threads int) []int32 {
 	return m.chainBounds
 }
 
+// Select returns the mode's structure restricted to the rows at the
+// given ascending positions: the same update lists in the same order,
+// for those rows only. A kernel driven by it computes exactly the
+// selected rows of Y_(n), bit for bit — how a coarse-grain rank, whose
+// local tensor also stores nonzeros it holds through other modes,
+// evaluates just the slices it owns (Algorithm 4 lines 3-4).
+func (m *Mode) Select(positions []int32) Mode {
+	out := Mode{
+		N:    m.N,
+		Rows: make([]int32, len(positions)),
+		Ptr:  make([]int32, 1, len(positions)+1),
+		Pos:  make([]int32, len(m.Pos)),
+	}
+	for i := range out.Pos {
+		out.Pos[i] = -1
+	}
+	for k, p := range positions {
+		out.Rows[k] = m.Rows[p]
+		out.Pos[m.Rows[p]] = int32(k)
+		out.NZ = append(out.NZ, m.RowNZ(int(p))...)
+		out.Ptr = append(out.Ptr, int32(len(out.NZ)))
+	}
+	return out
+}
+
 // Structure bundles the per-mode symbolic data for a tensor.
 type Structure struct {
 	Modes []Mode

@@ -13,8 +13,8 @@
 //     single-pass variant for the update path), plus EpsRankSelect,
 //     the adaptive rank-selection rule behind Options.Eps.
 //
-// Randomized subspace iteration and an explicit Gram-matrix solver
-// remain as ablation alternatives. All access to the matrix goes
+// An explicit Gram-matrix solver survives in the tests as the oracle
+// both are compared against. All access to the matrix goes
 // through MatVec (y = Ax) and MatTVec (x = Aᵀy), so the same driver
 // runs on local rows, on the coarse-grain row-distributed Y_(n), and
 // on the fine-grain sum-distributed Y_(n), whose operators implement

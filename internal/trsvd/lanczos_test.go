@@ -147,27 +147,6 @@ func TestLanczosDeterministic(t *testing.T) {
 	}
 }
 
-func TestSubspaceIterationMatchesDenseSVD(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	s := []float64{50, 25, 10, 4, 2, 1}
-	a := matrixWithSpectrum(70, 15, s, rng)
-	res, err := SubspaceIteration(&DenseOperator{A: a}, 3, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkLeftVectors(t, a, res.U, res.Sigma, 3, 1e-5)
-}
-
-func TestSubspaceIterationErrors(t *testing.T) {
-	a := dense.NewMatrix(10, 4)
-	if _, err := SubspaceIteration(&DenseOperator{A: a}, 0, Options{}); err == nil {
-		t.Fatal("k = 0 accepted")
-	}
-	if _, err := SubspaceIteration(&DenseOperator{A: a}, 5, Options{}); err == nil {
-		t.Fatal("k > cols accepted")
-	}
-}
-
 func TestGramSVDMatchesDenseSVD(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := dense.RandomNormal(120, 12, rng)
@@ -181,8 +160,8 @@ func TestGramSVDMatchesDenseSVD(t *testing.T) {
 	}
 }
 
-// Property: all three solvers agree on the leading singular values of
-// random matrices with decent spectral gaps.
+// Property: both solvers agree with the Gram oracle on the leading
+// singular values of random matrices with decent spectral gaps.
 func TestSolversAgreeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -198,7 +177,7 @@ func TestSolversAgreeProperty(t *testing.T) {
 		a := matrixWithSpectrum(m, n, s, rng)
 		k := 2
 		lan, err1 := Lanczos(&DenseOperator{A: a}, k, Options{Seed: seed})
-		sub, err2 := SubspaceIteration(&DenseOperator{A: a}, k, Options{Seed: seed})
+		rnd, err2 := Randomized(&DenseOperator{A: a}, k, Options{Seed: seed})
 		gram, err3 := GramSVD(a, k, 1, Options{Seed: seed})
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
@@ -207,7 +186,7 @@ func TestSolversAgreeProperty(t *testing.T) {
 			if math.Abs(lan.Sigma[i]-gram.Sigma[i]) > 1e-5*s[0] {
 				return false
 			}
-			if math.Abs(sub.Sigma[i]-gram.Sigma[i]) > 1e-4*s[0] {
+			if math.Abs(rnd.Sigma[i]-gram.Sigma[i]) > 1e-4*s[0] {
 				return false
 			}
 		}

@@ -81,8 +81,8 @@ var _ BlockOperator = (*DenseOperator)(nil)
 var _ RowGramer = (*DenseOperator)(nil)
 
 // BlockOperator is an optional Operator extension for applying the
-// operator to a whole panel at once. The blocked solvers
-// (SubspaceIteration, the panel helpers) use it when available — one
+// operator to a whole panel at once. The randomized solver's panel
+// helpers use it when available — one
 // BLAS3 pass over A per panel instead of one BLAS2 pass per column —
 // and otherwise fall back to a column loop over MatVec/MatTVec, so
 // plain distributed operators keep working unchanged.

@@ -26,14 +26,14 @@ type Workspace struct {
 	vecRows       []float64
 	vecCols       []float64
 
-	// Block panels (subspace iteration, operator fallbacks, Gram).
-	panelW, panelW2 *dense.Matrix
-	panelY, panelZ  *dense.Matrix
-	gram, vk, bt    *dense.Matrix
-	colIn, colOut   []float64
+	// Block panels (randomized sketch, operator fallbacks, Gram).
+	panelW         *dense.Matrix
+	panelY, panelZ *dense.Matrix
+	gram, vk, bt   *dense.Matrix
+	colIn, colOut  []float64
 
 	// Small vectors shared by ritz extraction and basis completion.
-	col, other, sig, prevSig []float64
+	col, other []float64
 
 	// Randomized sketch solver: the transposed replicated panel the CGS2
 	// orthonormalization streams over, the projected B = AᵀQ panel, the

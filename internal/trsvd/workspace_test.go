@@ -35,11 +35,8 @@ func TestWorkspaceReuseBitwiseIdentical(t *testing.T) {
 		{"lanczos", func(m *dense.Matrix, opts Options) (*Result, error) {
 			return Lanczos(&DenseOperator{A: m, Threads: 1}, 5, opts)
 		}},
-		{"subspace", func(m *dense.Matrix, opts Options) (*Result, error) {
-			return SubspaceIteration(&DenseOperator{A: m, Threads: 1}, 5, opts)
-		}},
-		{"gram", func(m *dense.Matrix, opts Options) (*Result, error) {
-			return GramSVD(m, 5, 1, opts)
+		{"randomized", func(m *dense.Matrix, opts Options) (*Result, error) {
+			return Randomized(&DenseOperator{A: m, Threads: 1}, 5, opts)
 		}},
 	}
 	for _, s := range solvers {
@@ -74,84 +71,6 @@ func matEqualBits(a, b *dense.Matrix) bool {
 		}
 	}
 	return true
-}
-
-// GramSVD completes rank-deficient bases with the caller's seed: the
-// same seed must reproduce the basis bit for bit, a different seed must
-// complete the null directions differently, and the healthy leading
-// directions must not depend on the seed at all.
-func TestGramSVDSeedReproducibleCompletion(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	// Rank-2 matrix, ask for 4 vectors: two columns need completion.
-	u := dense.RandomNormal(40, 2, rng)
-	v := dense.RandomNormal(6, 2, rng)
-	a := dense.MatMulTB(u, v, 1)
-	r1, err := GramSVD(a, 4, 1, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := GramSVD(a, 4, 1, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matEqualBits(r1.U, r2.U) {
-		t.Fatal("same seed produced different completed bases")
-	}
-	r3, err := GramSVD(a, 4, 1, Options{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := 0; i < r1.U.Rows; i++ {
-		for j := 2; j < 4; j++ { // completed columns
-			if r1.U.At(i, j) != r3.U.At(i, j) {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Fatal("different seeds completed the null columns identically")
-	}
-	// The genuine singular directions are seed-independent.
-	for j := 0; j < 2; j++ {
-		var dot float64
-		for i := 0; i < r1.U.Rows; i++ {
-			dot += r1.U.At(i, j) * r3.U.At(i, j)
-		}
-		if math.Abs(math.Abs(dot)-1) > 1e-8 {
-			t.Fatalf("leading direction %d depends on the completion seed", j)
-		}
-	}
-	// Orthonormality of the completed basis.
-	g := dense.MatMulTA(r1.U, r1.U, 1)
-	if !g.Equal(dense.Identity(4), 1e-8) {
-		t.Fatal("completed basis not orthonormal")
-	}
-}
-
-// The block-operator path and the column-loop fallback must agree (to
-// rounding — their accumulation orders differ) so distributed
-// operators without MatMat/MatTMat keep working.
-func TestSubspaceBlockVsColumnFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	a := dense.RandomNormal(60, 12, rng)
-	op := &DenseOperator{A: a, Threads: 1}
-	blockRes, err := SubspaceIteration(op, 4, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	colRes, err := SubspaceIteration(hideBlock{op}, 4, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range blockRes.Sigma {
-		if d := math.Abs(blockRes.Sigma[i] - colRes.Sigma[i]); d > 1e-8*(1+blockRes.Sigma[0]) {
-			t.Fatalf("sigma[%d]: block %v vs fallback %v", i, blockRes.Sigma[i], colRes.Sigma[i])
-		}
-	}
-	if blockRes.MatVecs != colRes.MatVecs {
-		t.Fatalf("operation counts diverge: block %d vs fallback %d", blockRes.MatVecs, colRes.MatVecs)
-	}
 }
 
 // With a warm workspace and one thread (parallel regions run inline),

@@ -128,6 +128,10 @@ func (k *ALTOTTMc) Flops() int64 { return k.flops }
 // ResetFlops clears the accumulated flop counter.
 func (k *ALTOTTMc) ResetFlops() { k.flops = 0 }
 
+// Invalidate is a no-op: the stream kernels cache no factor-dependent
+// values between calls.
+func (k *ALTOTTMc) Invalidate(int) {}
+
 // useDense reports whether mode n takes the blocked dense-accumulator
 // path for the given row size. The decision depends only on the tensor
 // and the factor shapes — never the thread count or schedule — so the

@@ -15,17 +15,17 @@ import (
 //
 // The result is returned as a dense tensor with dims = ranks.
 func Core(y *dense.Matrix, sm *symbolic.Mode, u *dense.Matrix, ranks []int, threads int) *tensor.Dense {
-	g := CoreMatricized(y, sm, u, threads)
-	return CoreFromMatricized(g, ranks, sm.N)
+	return CoreFromMatricized(CoreMatricized(y, sm.Rows, u, threads), ranks, sm.N)
 }
 
 // CoreMatricized computes G_(n) = Ũ^T · y as a ranks[n] x prod(other
-// ranks) matrix without unfolding it into a dense tensor. The
-// distributed algorithm uses this form directly: each rank computes its
-// local contribution and the final G is an AllReduce away.
-func CoreMatricized(y *dense.Matrix, sm *symbolic.Mode, u *dense.Matrix, threads int) *dense.Matrix {
-	uc := dense.NewMatrix(sm.NumRows(), u.Cols)
-	for r, row := range sm.Rows {
+// ranks) matrix without unfolding it into a dense tensor; row r of y
+// belongs to slice rows[r]. A distributed rank passes the rows it owns:
+// the result is its local contribution and the final G is an AllReduce
+// away.
+func CoreMatricized(y *dense.Matrix, rows []int32, u *dense.Matrix, threads int) *dense.Matrix {
+	uc := dense.NewMatrix(len(rows), u.Cols)
+	for r, row := range rows {
 		copy(uc.Row(r), u.Row(int(row)))
 	}
 	return dense.MatMulTA(uc, y, threads)

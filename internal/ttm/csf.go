@@ -182,6 +182,10 @@ func (k *CSFTTMc) Flops() int64 { return k.flops }
 // ResetFlops zeroes the flop counter.
 func (k *CSFTTMc) ResetFlops() { k.flops = 0 }
 
+// Invalidate is a no-op: the fiber walk caches no factor-dependent
+// values between calls.
+func (k *CSFTTMc) Invalidate(int) {}
+
 // TTMc computes the compacted mode-n matricized product Y_(n) into y —
 // the same result and row order as the flat TTMc over the mode's update
 // lists. y must be pre-shaped NumRows(n) x RowSize(u, n); it is
@@ -199,7 +203,7 @@ func (k *CSFTTMc) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
 
 // TTMcRows computes the TTMc result only for the row positions listed
 // in rows (ascending positions into Rows(n)): y.Row(j) receives the row
-// for slice Rows(n)[rows[j]], mirroring the coordinate TTMcRows.
+// for slice Rows(n)[rows[j]].
 func (k *CSFTTMc) TTMcRows(y *dense.Matrix, n int, rows []int32, u []*dense.Matrix, threads int) {
 	if y.Rows != len(rows) || y.Cols != RowSize(u, n) {
 		panic("ttm: CSF TTMcRows output shape mismatch")

@@ -8,7 +8,7 @@
 // One kernel per storage format, all built on the Kronecker row
 // kernels:
 //
-//   - TTMc / TTMcRows — the flat nonzero loop over COO streams, the
+//   - TTMc / Flat — the flat nonzero loop over COO streams, the
 //     reference path.
 //   - CSFTTMc — fiber-walking kernels over compressed fiber trees;
 //     each subtree's contraction is accumulated once and expanded

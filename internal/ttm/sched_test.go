@@ -36,7 +36,10 @@ func TestTTMcSchedBitwiseEquivalent(t *testing.T) {
 	}
 }
 
-func TestTTMcRowsSchedBitwiseEquivalent(t *testing.T) {
+// Update lists restricted by Mode.Select drive the kernel to exactly the
+// selected rows of the full product, bit for bit, under every schedule
+// and thread count — the owned-rows-only TTMc of a coarse-grain rank.
+func TestTTMcSelectedRowsBitwiseEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	x, u, sym := randomSetup(rng, []int{30, 20, 25}, []int{3, 4, 3}, 700)
 	sm := &sym.Modes[0]
@@ -44,15 +47,28 @@ func TestTTMcRowsSchedBitwiseEquivalent(t *testing.T) {
 	for r := 0; r < sm.NumRows(); r += 2 {
 		rows = append(rows, int32(r))
 	}
-	ref := dense.NewMatrix(len(rows), RowSize(u, 0))
-	TTMcRows(ref, x, sm, rows, u, 1)
+	full := dense.NewMatrix(sm.NumRows(), RowSize(u, 0))
+	TTMc(full, x, sm, u, 1)
+	sel := sm.Select(rows)
+	var listed int
+	for _, r := range rows {
+		listed += len(sm.RowNZ(int(r)))
+	}
+	if len(sel.NZ) != listed {
+		t.Fatalf("selected lists hold %d nonzeros, the rows own %d", len(sel.NZ), listed)
+	}
 	for _, sched := range allSchedules {
-		for _, threads := range []int{2, 5} {
+		for _, threads := range []int{1, 2, 5} {
 			y := dense.NewMatrix(len(rows), RowSize(u, 0))
-			TTMcRowsSched(y, x, sm, rows, u, threads, sched)
-			for i := range ref.Data {
-				if y.Data[i] != ref.Data[i] {
-					t.Fatalf("sched=%v threads=%d: bit difference at %d", sched, threads, i)
+			TTMcSched(y, x, &sel, u, threads, sched)
+			for j, r := range rows {
+				if sel.Rows[j] != sm.Rows[r] {
+					t.Fatalf("selected row %d is slice %d, want %d", j, sel.Rows[j], sm.Rows[r])
+				}
+				for c, v := range y.Row(j) {
+					if v != full.Row(int(r))[c] {
+						t.Fatalf("sched=%v threads=%d: bit difference at row %d col %d", sched, threads, j, c)
+					}
 				}
 			}
 		}

@@ -112,80 +112,6 @@ func TTMcSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 		})
 }
 
-// TTMcRows computes the TTMc result only for the symbolic row positions
-// listed in rows (ascending positions into sm.Rows): y.Row(j) receives
-// the row for slice sm.Rows[rows[j]]. The coarse-grain distributed
-// algorithm uses this to evaluate exactly its owned set K_n = I_n^k
-// (Algorithm 4 lines 3-4, 9-12) from a local tensor that also stores
-// nonzeros owned through other modes.
-func TTMcRows(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int32, u []*dense.Matrix, threads int) {
-	TTMcRowsSched(y, x, sm, rows, u, threads, par.ScheduleDynamic)
-}
-
-// TTMcRowsSched is TTMcRows under an explicit schedule. The balanced
-// schedule chains over the selected rows' nonzero weights (computed per
-// call — subsets vary, so there is nothing to cache).
-func TTMcRowsSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int32, u []*dense.Matrix, threads int, sched par.Schedule) {
-	k := RowSize(u, sm.N)
-	if y.Rows != len(rows) || y.Cols != k {
-		panic("ttm: TTMcRows output shape mismatch")
-	}
-	order := x.Order()
-	nOther := order - 1
-	lastMode := order - 1
-	if lastMode == sm.N {
-		lastMode--
-	}
-	prefixLen := 1
-	for t := 0; t < order; t++ {
-		if t != sm.N && t != lastMode {
-			prefixLen *= u[t].Cols
-		}
-	}
-	threads = par.DefaultThreads(threads)
-	type scratch struct {
-		rows [][]float64
-		bufA []float64
-		bufB []float64
-	}
-	scratches := make([]*scratch, threads)
-	chains := func() []int32 {
-		w := make([]int64, len(rows))
-		for j, r := range rows {
-			w[j] = int64(sm.Ptr[r+1] - sm.Ptr[r])
-		}
-		return par.PartitionChains(w, threads)
-	}
-	runRows(sched, len(rows), threads, chains, func(w, lo, hi int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = &scratch{
-				rows: make([][]float64, nOther),
-				bufA: make([]float64, prefixLen),
-				bufB: make([]float64, prefixLen),
-			}
-			scratches[w] = sc
-		}
-		for j := lo; j < hi; j++ {
-			row := y.Row(j)
-			for i := range row {
-				row[i] = 0
-			}
-			for _, id := range sm.RowNZ(int(rows[j])) {
-				q := 0
-				for t := 0; t < order; t++ {
-					if t == sm.N {
-						continue
-					}
-					sc.rows[q] = u[t].Row(int(x.Idx[t][id]))
-					q++
-				}
-				accumKron(row, x.Val[id], sc.rows, sc.bufA, sc.bufB)
-			}
-		}
-	})
-}
-
 // TTMcNaive is the un-fused variant used as an ablation baseline: for
 // every nonzero it materializes the full Kronecker product in a
 // temporary of length RowSize and then adds it to the row. Numerically
@@ -234,3 +160,39 @@ func TTMcNaive(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 // mode: nnz * RowSize (the final AXPY dominates; prefix terms are a
 // geometric series below it). It is the W_TTMc statistic of Table III.
 func Flops(nnz, rowSize int) int64 { return int64(nnz) * int64(rowSize) }
+
+// Flat is the reference kernel as a resident value with the same
+// method set as DTree, CSFTTMc and ALTOTTMc, so a HOOI driver holds one
+// kernel whatever the strategy: TTMcSched over the per-mode update
+// lists, with the multiply-adds it executed counted. Lists restricted
+// by symbolic.Mode.Select make it compute exactly those rows.
+type Flat struct {
+	x     *tensor.COO
+	sym   *symbolic.Structure
+	sched par.Schedule
+	flops int64
+}
+
+// NewFlat binds the flat kernel to a coordinate tensor and the symbolic
+// structure whose nonzero ids index it. Both may be mutated in place
+// between calls (the stable-id delta merge does).
+func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
+	return &Flat{x: x, sym: sym, sched: par.ScheduleBalanced}
+}
+
+// SetSchedule selects the scheduling discipline of subsequent calls.
+func (k *Flat) SetSchedule(s par.Schedule) { k.sched = s }
+
+// TTMc computes the mode-n product for every row of the mode's update
+// lists into y (see TTMcSched).
+func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
+	sm := &k.sym.Modes[n]
+	TTMcSched(y, k.x, sm, u, threads, k.sched)
+	k.flops += Flops(len(sm.NZ), y.Cols)
+}
+
+// Flops returns the accumulated multiply-add count of all calls so far.
+func (k *Flat) Flops() int64 { return k.flops }
+
+// Invalidate is a no-op: the flat kernel caches nothing between calls.
+func (k *Flat) Invalidate(int) {}
