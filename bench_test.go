@@ -8,7 +8,11 @@ package hypertensor
 // `go test -bench`.
 
 import (
+	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"hypertensor/internal/bench"
@@ -18,6 +22,7 @@ import (
 	"hypertensor/internal/gen"
 	"hypertensor/internal/hypergraph"
 	"hypertensor/internal/symbolic"
+	"hypertensor/internal/tensor"
 	"hypertensor/internal/trsvd"
 	"hypertensor/internal/ttm"
 )
@@ -350,5 +355,58 @@ func BenchmarkTRSVDKernel(b *testing.B) {
 		if _, err := trsvd.Lanczos(op, 10, trsvd.Options{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// tnsImage is the netflix preset at half scale (100k nonzeros) and its
+// .tns text, the input of the reader and writer benchmarks.
+var tnsImage = sync.OnceValues(func() (*SparseTensor, []byte) {
+	x, err := GeneratePreset("netflix", 0.5)
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	if err := tensor.WriteTNS(&buf, x); err != nil {
+		panic(err)
+	}
+	return x, buf.Bytes()
+})
+
+// File image to COO: the largest one-time cost of a cold solve.
+func BenchmarkReadTNS(b *testing.B) {
+	_, img := tnsImage()
+	b.SetBytes(int64(len(img)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tensor.ReadTNS(bytes.NewReader(img)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWriteTNS(b *testing.B) {
+	x, img := tnsImage()
+	b.SetBytes(int64(len(img)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tensor.WriteTNS(io.Discard, x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The initial-factor QR of nell3_tall's longest mode (640000 x 10).
+func BenchmarkOrthonormalizeTall(b *testing.B) {
+	a := dense.RandomNormal(640000, 10, rand.New(rand.NewSource(1)))
+	q := a.Clone()
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(q.Data, a.Data)
+				b.StartTimer()
+				dense.Orthonormalize(q, threads)
+			}
+		})
 	}
 }

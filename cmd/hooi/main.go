@@ -108,7 +108,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	readStart := time.Now()
 	x, err := hypertensor.ReadTensorFile(*input)
+	readTime := time.Since(readStart)
 	if err != nil {
 		fail(err)
 	}
@@ -269,8 +271,8 @@ func main() {
 	if *eps > 0 {
 		fmt.Printf("eps %g selected ranks %v\n", *eps, dec.ChosenRanks)
 	}
-	fmt.Printf("timings: convert=%v symbolic=%v ttmc=%v trsvd=%v core=%v (steady-state allocs/sweep %d)\n",
-		dec.Timings.Convert, dec.Timings.Symbolic, dec.Timings.TTMc, dec.Timings.TRSVD, dec.Timings.Core,
+	fmt.Printf("timings: read=%v init=%v convert=%v symbolic=%v ttmc=%v trsvd=%v core=%v (steady-state allocs/sweep %d)\n",
+		readTime, dec.Timings.Init, dec.Timings.Convert, dec.Timings.Symbolic, dec.Timings.TTMc, dec.Timings.TRSVD, dec.Timings.Core,
 		dec.AllocsPerSweep)
 	fmt.Printf("storage: format=%s index=%d B (%.2f B/nnz)\n",
 		dec.Format, dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()))

@@ -65,8 +65,8 @@ type Engine struct {
 	// allocation-free.
 	ranksBuf []int
 
-	symTime time.Duration
-	res     *Result
+	symTime, initTime time.Duration
+	res               *Result
 
 	// Checkpointing (EnableCheckpoints) and the one-shot resume state a
 	// ResumeEngine-built engine consumes on its first converge.
@@ -131,7 +131,9 @@ func NewEngine(p *Plan) *Engine {
 	start := time.Now()
 	e.kern = e.newKernel()
 	e.symTime = time.Since(start)
+	start = time.Now()
 	e.state = NewSweepState(InitialFactors(p.x, e.opts, startRanks(p.x, e.opts)), e.opts.Seed)
+	e.initTime = time.Since(start)
 	e.state.Sketch = e.opts.Sketch
 	e.state.Oversample = e.opts.Oversample
 	e.state.PowerIters = e.opts.PowerIters
@@ -281,6 +283,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	res.Timings.Symbolic = e.symTime
 	if e.firstRun {
 		res.Timings.Convert = e.plan.convertTime
+		res.Timings.Init = e.initTime
 		res.Timings.Symbolic += e.plan.symbolicTime
 	}
 	e.symTime = 0

@@ -14,7 +14,11 @@ type Timings struct {
 	// Convert is the one-time storage-format construction: zero for
 	// FormatCOO, the sort/dedup and fiber-level build for FormatCSF, the
 	// key encoding and sort/dedup for FormatALTO.
-	Convert  time.Duration
+	Convert time.Duration
+	// Init is the one-time construction of the initial factors (random
+	// draw or range finder, then the orthonormalizing QR); like Convert
+	// it is reported by an engine's first Run only.
+	Init     time.Duration
 	Symbolic time.Duration // one-time symbolic TTMc preprocessing (and, for updates, the incremental maintenance)
 	TTMc     time.Duration
 	// TTMcNodes is the share of TTMc spent recomputing internal
@@ -26,7 +30,7 @@ type Timings struct {
 }
 
 // Total returns the summed iteration time: TTMc + TRSVD + Core. The
-// one-time Symbolic and Convert phases are both excluded — Total is the
+// one-time Symbolic, Convert and Init phases are all excluded — Total is the
 // recurring per-sweep cost, not the end-to-end wall time.
 func (t Timings) Total() time.Duration { return t.TTMc + t.TRSVD + t.Core }
 

@@ -28,12 +28,14 @@ func InitialFactors(x tensor.Sparse, opts Options, ranks []int) []*dense.Matrix 
 		// the largest mode once instead of allocating per call.
 		ws := trsvd.NewWorkspace()
 		for n := range factors {
-			factors[n] = dense.Orthonormalize(trsvd.RangeFinder(x, n, ranks[n], opts.Seed+int64(n), opts.Threads, ws))
+			// The sketch lives in ws and the next mode reuses it: copy out.
+			sketch := trsvd.RangeFinder(x, n, ranks[n], opts.Seed+int64(n), opts.Threads, ws)
+			factors[n] = dense.Orthonormalize(sketch.Clone(), opts.Threads)
 		}
 	default:
 		rng := rand.New(rand.NewSource(opts.Seed))
 		for n := range factors {
-			factors[n] = dense.Orthonormalize(dense.RandomNormal(x.Shape()[n], ranks[n], rng))
+			factors[n] = dense.Orthonormalize(dense.RandomNormal(x.Shape()[n], ranks[n], rng), opts.Threads)
 		}
 	}
 	return factors

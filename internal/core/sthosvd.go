@@ -117,11 +117,11 @@ func STHOSVD(x *tensor.COO, opts STHOSVDOptions) (*Result, error) {
 				k = x.Dims[n]
 			}
 			sketch := sketchMode(s, n, k, opts.Seed+101*int64(n))
-			basis := dense.Orthonormalize(sketch)
+			basis := dense.Orthonormalize(sketch, 1)
 			for it := 0; it < power; it++ {
 				// One subspace refinement: project the mode-n Gram action
 				// through the semi-sparse entries, Z = Y_(n) (Y_(n)^T B).
-				basis = dense.Orthonormalize(gramApply(s, n, basis))
+				basis = dense.Orthonormalize(gramApply(s, n, basis), 1)
 			}
 			// Truncate the refined basis to R_n columns via the projected
 			// small eigenproblem: B' = B·Q where Q holds the top
@@ -159,9 +159,9 @@ func adaptiveFactor(s *ttm.SemiSparse, n, capR, oversample, power int, tau float
 		b = dim
 	}
 	for {
-		basis := dense.Orthonormalize(sketchMode(s, n, b, seed))
+		basis := dense.Orthonormalize(sketchMode(s, n, b, seed), 1)
 		for it := 0; it < power; it++ {
-			basis = dense.Orthonormalize(gramApply(s, n, basis))
+			basis = dense.Orthonormalize(gramApply(s, n, basis), 1)
 		}
 		z := gramApply(s, n, basis) // Y Yᵀ B
 		m := dense.MatMulTA(basis, z, 1)

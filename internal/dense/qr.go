@@ -1,6 +1,10 @@
 package dense
 
-import "math"
+import (
+	"math"
+
+	"hypertensor/internal/par"
+)
 
 // QR computes a thin Householder QR factorization of a (m x n, m >= n):
 // a = Q*R with Q m x n having orthonormal columns and R n x n upper
@@ -59,19 +63,133 @@ func QR(a *Matrix) (q, r *Matrix) {
 	return q, r
 }
 
-// Orthonormalize returns a matrix with the same shape as a whose columns
-// form an orthonormal basis containing a's column space (thin QR, Q
-// factor). Rank deficiency is tolerated: numerically zero columns of Q
-// are replaced by coordinate directions orthogonalized against the rest,
-// so the result always has exactly a.Cols orthonormal columns.
-func Orthonormalize(a *Matrix) *Matrix {
-	q, _ := QR(a)
-	for j := 0; j < q.Cols; j++ {
-		var nrm float64
-		for i := 0; i < q.Rows; i++ {
-			nrm += q.At(i, j) * q.At(i, j)
+// Orthonormalize overwrites a (rows >= cols) with a matrix whose columns
+// form an orthonormal basis containing a's column space, and returns it:
+// the Q factor of QR, signs included, so a start built from it does not
+// move. Rank deficiency is tolerated: numerically zero columns of Q are
+// replaced by coordinate directions orthogonalized against the rest, so
+// the result always has exactly a.Cols orthonormal columns.
+//
+// It is Householder QR for tall-skinny input, row-major and in place.
+// Reflector j is u_j = x - alpha*e_j with H_j = I - beta_j*u_j*u_j^T;
+// u_j stays where x was. One pass over the rows per column applies
+// reflector j-1 to the row's trailing entries and sums column j's dot
+// products with them, which is all reflector j needs; Q = (I -
+// U*T*U^T)[I; 0] (compact WY) is then one more row pass. Every sum over
+// rows goes through a block grid fixed by the row count and is combined
+// in block order, so the result is bitwise identical for every thread
+// count.
+func Orthonormalize(a *Matrix, threads int) *Matrix {
+	m, n := a.Rows, a.Cols
+	if m < n {
+		panic("dense: Orthonormalize requires rows >= cols")
+	}
+	if m*n < serialCutoff {
+		threads = 1
+	}
+	q := a // from here on it holds U, then Q
+	nb := par.NumReduceBlocks(m)
+	part := make([]float64, nb*2*n)
+	// reduce sums, in block order, the vectors body accumulates per block.
+	reduce := func(sum []float64, body func(lo, hi int, p []float64)) {
+		w := len(sum)
+		par.For(nb, threads, 1, func(b int) {
+			p := part[b*w : (b+1)*w]
+			clear(p)
+			lo, hi := par.Split(m, nb, b)
+			body(lo, hi, p)
+		})
+		clear(sum)
+		for b := 0; b < nb; b++ {
+			for k, v := range part[b*w : (b+1)*w] {
+				sum[k] += v
+			}
 		}
-		if math.Sqrt(nrm) < 1e-12 {
+	}
+	d, g, beta := make([]float64, 2*n), make([]float64, n), make([]float64, n)
+	gram, t := make([]float64, n*n), make([]float64, n*n)
+	nm := make([]float64, (n+3)*n) // -T*Utop^T, then three rows of zeros for axpy4's last step
+
+	for j := 0; j < n; j++ {
+		// d[k], k >= j: column j (reflector j-1 applied) dot column k;
+		// d[n+l], l < j: u_l dot column j, T's raw material.
+		reduce(d, func(lo, hi int, p []float64) {
+			gj, pj, ph := g[j:n], p[j:n], p[n:n+j]
+			for i := max(lo, j); i < hi; i++ {
+				head, row, u := q.Data[i*n:i*n+j], q.Data[i*n+j:(i+1)*n], 0.0
+				if j > 0 {
+					u = head[j-1]
+				}
+				x := row[0] - u*gj[0]
+				for k, gk := range gj {
+					v := row[k] - u*gk
+					row[k] = v
+					pj[k] += x * v
+				}
+				for l, ul := range head {
+					ph[l] += ul * x
+				}
+			}
+		})
+		row := q.Row(j)
+		x0, alpha := row[j], math.Sqrt(d[j])
+		if x0 > 0 {
+			alpha = -alpha
+		}
+		// |u|^2 = 2*(x.x - alpha*x0), free of cancellation by alpha's sign.
+		if h := d[j] - alpha*x0; h > 0 {
+			beta[j] = 1 / h
+		}
+		for k := j + 1; k < n; k++ {
+			g[k] = beta[j] * (d[k] - alpha*row[k])
+		}
+		row[j] = x0 - alpha
+		for l := 0; l < j; l++ {
+			gram[l*n+j] = d[n+l] - alpha*row[l]
+		}
+	}
+
+	// T, upper triangular, column by column; then nm = -T*Utop^T.
+	for j := 0; j < n; j++ {
+		t[j*n+j] = beta[j]
+		for k := 0; k < j; k++ {
+			var s float64
+			for l := k; l < j; l++ {
+				s += t[k*n+l] * gram[l*n+j]
+			}
+			t[k*n+j] = -beta[j] * s
+		}
+	}
+	for l := 0; l < n; l++ {
+		for c := l; c < n; c++ {
+			var s float64
+			for k := l; k <= c; k++ {
+				s -= t[l*n+k] * q.At(c, k)
+			}
+			nm[l*n+c] = s
+		}
+	}
+	// Q[i,:] = e_i + U[i,:]*nm, with the column norms riding along. Row
+	// i < n of U ends at its diagonal; what lies beyond is R's.
+	reduce(d[:n], func(lo, hi int, p []float64) {
+		u := make([]float64, n+3)
+		for i := lo; i < hi; i++ {
+			row := q.Row(i)
+			clear(u[copy(u, row[:min(i+1, n)]):])
+			clear(row)
+			if i < n {
+				row[i] = 1
+			}
+			for k := 0; k < n; k += 4 {
+				axpy4(u[k], u[k+1], u[k+2], u[k+3], nm[k*n:], nm[(k+1)*n:], nm[(k+2)*n:], nm[(k+3)*n:], row)
+			}
+			for c, v := range row {
+				p[c] += v * v
+			}
+		}
+	})
+	for j, s := range d[:n] {
+		if math.Sqrt(s) < 1e-12 {
 			reseedColumn(q, j)
 		}
 	}

@@ -57,12 +57,12 @@ func TestOrthonormalizeRankDeficient(t *testing.T) {
 	// Two identical columns: Orthonormalize must still return 2
 	// orthonormal columns.
 	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}, {0, 0}})
-	q := Orthonormalize(a)
+	q := Orthonormalize(a, 1)
 	checkOrthonormalColumns(t, q, 1e-10)
 }
 
 func TestOrthonormalizeZeroMatrix(t *testing.T) {
-	q := Orthonormalize(NewMatrix(5, 3))
+	q := Orthonormalize(NewMatrix(5, 3), 1)
 	checkOrthonormalColumns(t, q, 1e-10)
 }
 
@@ -84,4 +84,60 @@ func TestQRProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The row-major in-place Householder must reproduce the Q of the
+// column-copying QR — same reflectors, same signs — to rounding: the
+// initial factors, and every committed fit that starts from them, hang
+// on it.
+func TestOrthonormalizeMatchesQR(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, shape := range [][2]int{{1, 1}, {3, 3}, {5, 5}, {6, 5}, {40, 1}, {301, 10}, {20000, 10}} {
+		a := RandomNormal(shape[0], shape[1], rng)
+		want, _ := QR(a)
+		got := Orthonormalize(a.Clone(), 2)
+		if d := maxAbsDiff(got.Data, want.Data); !(d <= 1e-12) {
+			t.Fatalf("%v: Orthonormalize is %.3g off QR's Q", shape, d)
+		}
+		checkOrthonormalColumns(t, got, 1e-12)
+	}
+}
+
+// Every sum over rows runs on a grid fixed by the row count, so the
+// thread count must not move a bit.
+func TestOrthonormalizeThreadInvariant(t *testing.T) {
+	for _, shape := range [][2]int{{7, 7}, {500, 6}, {70001, 9}} {
+		a := RandomNormal(shape[0], shape[1], rand.New(rand.NewSource(11)))
+		want := Orthonormalize(a.Clone(), 1)
+		for _, threads := range []int{2, 3, 8} {
+			if got := Orthonormalize(a.Clone(), threads); !got.Equal(want, 0) {
+				t.Fatalf("%v: threads=%d differs from threads=1", shape, threads)
+			}
+		}
+	}
+}
+
+// Degenerate inputs still give exactly Cols orthonormal columns.
+func TestOrthonormalizeDegenerate(t *testing.T) {
+	dup := RandomNormal(50000, 4, rand.New(rand.NewSource(5)))
+	for i := 0; i < dup.Rows; i++ {
+		dup.Set(i, 2, dup.At(i, 0))
+	}
+	square := FromRows([][]float64{{2, 2, 0}, {0, 0, 0}, {1, 1, 0}})
+	for name, a := range map[string]*Matrix{
+		"zero":      NewMatrix(40000, 3),
+		"duplicate": dup,
+		"square":    square,
+	} {
+		q := Orthonormalize(a, 2)
+		if q != a {
+			t.Fatalf("%s: not in place", name)
+		}
+		checkOrthonormalColumns(t, q, 1e-10)
+	}
+	// The safety net itself: a column without length is replaced by a
+	// direction orthogonal to the rest.
+	q := FromRows([][]float64{{1, 0}, {0, 0}, {0, 0}})
+	reseedColumn(q, 1)
+	checkOrthonormalColumns(t, q, 1e-12)
 }

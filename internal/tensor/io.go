@@ -2,11 +2,16 @@ package tensor
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
+
+	"hypertensor/internal/par"
 )
 
 // The .tns text format (as used by FROSTT and SPLATT): one nonzero per
@@ -18,16 +23,22 @@ import (
 // exact mode sizes round-trip.
 func WriteTNS(w io.Writer, t *COO) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	fmt.Fprintf(bw, "# dims:")
+	// Lines are built in the writer's own free space, so a line that
+	// fits is never copied.
+	line := append(bw.AvailableBuffer(), "# dims:"...)
 	for _, d := range t.Dims {
-		fmt.Fprintf(bw, " %d", d)
+		line = strconv.AppendInt(append(line, ' '), int64(d), 10)
 	}
-	fmt.Fprintln(bw)
+	if _, err := bw.Write(append(line, '\n')); err != nil {
+		return err
+	}
 	for i := 0; i < t.NNZ(); i++ {
+		line = bw.AvailableBuffer()
 		for m := range t.Dims {
-			fmt.Fprintf(bw, "%d ", t.Idx[m][i]+1)
+			line = append(strconv.AppendInt(line, int64(t.Idx[m][i])+1, 10), ' ')
 		}
-		if _, err := fmt.Fprintf(bw, "%.17g\n", t.Val[i]); err != nil {
+		line = strconv.AppendFloat(line, t.Val[i], 'g', 17, 64)
+		if _, err := bw.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}
@@ -38,131 +49,305 @@ func WriteTNS(w io.Writer, t *COO) error {
 // int32 throughout the library.
 const maxIndex = 1 << 31
 
+var newline = []byte{'\n'}
+
+// tnsChunkBytes is the least share of a file image parsed on a
+// goroutine of its own; tests lower it to cut small inputs everywhere.
+var tnsChunkBytes = 1 << 16
+
 // ReadTNS parses a .tns stream. If no dims header is present the mode
 // sizes are the maxima seen per mode. Malformed input — short lines,
-// non-numeric fields, inconsistent arity, out-of-range or non-int32
-// indices, duplicate or bad headers — is rejected with an error naming
-// the offending line.
+// non-numeric fields, non-finite values, inconsistent arity,
+// out-of-range or non-int32 indices, duplicate or bad headers — is
+// rejected with an error naming the offending line.
 func ReadTNS(r io.Reader) (*COO, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, tnsErr(data, len(data), "%w", err)
+	}
+	return parseTNS(data, par.DefaultThreads(0))
+}
 
-	var dims []int
-	var rows [][]int
-	var vals []float64
-	var lineOf []int
-	order := -1
-	dimsLine := 0
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+// parseTNS parses a whole file image. The image is cut at newlines into
+// one chunk per thread and every chunk is parsed as if the file began
+// there. That guess holds when the chunks after the first contain no
+// error and no header, have the first chunk's arity and stay inside its
+// mode sizes; the columns are then concatenated in file order. Otherwise
+// the image is read again as one chunk, line by line, so the tensor and
+// the first error are a serial reader's whatever the thread count.
+func parseTNS(data []byte, threads int) (*COO, error) {
+	size := max(tnsChunkBytes, (len(data)+threads-1)/threads)
+	chunks := make([]tnsChunk, max(1, (len(data)+size-1)/size))
+	cut := func(k int) int { // chunk k starts after the first newline at or past byte k*size-1
+		p := min(k*size, len(data))
+		if p == 0 || p == len(data) {
+			return p
 		}
-		if strings.HasPrefix(line, "#") {
-			rest, ok := strings.CutPrefix(line, "# dims:")
-			if !ok {
-				continue
-			}
-			if dims != nil {
-				return nil, fmt.Errorf("tns line %d: duplicate dims header (first on line %d)", lineNo, dimsLine)
-			}
-			fields := strings.Fields(rest)
-			if len(fields) == 0 {
-				return nil, fmt.Errorf("tns line %d: empty dims header", lineNo)
-			}
-			for _, f := range fields {
-				d, err := strconv.Atoi(f)
-				if err != nil {
-					return nil, fmt.Errorf("tns line %d: bad dims header entry %q: %v", lineNo, f, err)
-				}
-				if d <= 0 {
-					return nil, fmt.Errorf("tns line %d: mode size %d must be positive", lineNo, d)
-				}
-				if d >= maxIndex {
-					return nil, fmt.Errorf("tns line %d: mode size %d exceeds the int32 index range", lineNo, d)
-				}
-				dims = append(dims, d)
-			}
-			dimsLine = lineNo
-			if order != -1 && len(dims) != order {
-				return nil, fmt.Errorf("tns line %d: dims header has %d modes but data has %d", lineNo, len(dims), order)
-			}
-			continue
+		if i := bytes.IndexByte(data[p-1:], '\n'); i >= 0 {
+			return p + i
 		}
-		fields := strings.Fields(line)
-		if order == -1 {
-			order = len(fields) - 1
-			if order < 1 {
-				return nil, fmt.Errorf("tns line %d: need at least one coordinate and a value", lineNo)
-			}
-			if dims != nil && len(dims) != order {
-				return nil, fmt.Errorf("tns line %d: %d coordinates but dims header (line %d) has %d modes",
-					lineNo, order, dimsLine, len(dims))
-			}
-		}
-		if len(fields) != order+1 {
-			return nil, fmt.Errorf("tns line %d: expected %d fields, got %d", lineNo, order+1, len(fields))
-		}
-		coord := make([]int, order)
-		for m := 0; m < order; m++ {
-			c, err := strconv.Atoi(fields[m])
-			if err != nil {
-				return nil, fmt.Errorf("tns line %d: bad coordinate %q in mode %d: %v", lineNo, fields[m], m+1, err)
-			}
-			if c < 1 {
-				return nil, fmt.Errorf("tns line %d: coordinates are 1-based, got %d in mode %d", lineNo, c, m+1)
-			}
-			if c >= maxIndex {
-				return nil, fmt.Errorf("tns line %d: coordinate %d in mode %d exceeds the int32 index range", lineNo, c, m+1)
-			}
-			if dims != nil && c > dims[m] {
-				return nil, fmt.Errorf("tns line %d: coordinate %d out of range [1,%d] in mode %d", lineNo, c, dims[m], m+1)
-			}
-			coord[m] = c - 1
-		}
-		v, err := strconv.ParseFloat(fields[order], 64)
-		if err != nil {
-			return nil, fmt.Errorf("tns line %d: bad value %q: %v", lineNo, fields[order], err)
-		}
-		rows = append(rows, coord)
-		vals = append(vals, v)
-		lineOf = append(lineOf, lineNo)
+		return len(data)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tns line %d: %w", lineNo+1, err)
+	par.For(len(chunks), threads, 1, func(k int) { chunks[k].parse(data, cut(k), cut(k+1)) })
+
+	first := &chunks[0]
+	arity := first.arity()
+	for k := 1; k < len(chunks) && first.err == nil; k++ {
+		c := &chunks[k]
+		fits := c.err == nil && c.dims == nil && (c.order == -1 || arity == -1 || c.order == arity)
+		for m := 0; fits && m < len(first.dims) && m < len(c.top); m++ {
+			fits = int(c.top[m]) < first.dims[m]
+		}
+		if !fits {
+			chunks = chunks[:1]
+			first.parse(data, 0, len(data))
+			arity = first.arity()
+		} else if c.order != -1 {
+			arity = c.order
+		}
 	}
-	if order == -1 && dims == nil {
+	switch {
+	case first.err != nil:
+		return nil, first.err
+	case arity == -1:
 		return nil, fmt.Errorf("tns: empty input")
 	}
+	dims, total := first.dims, 0
+	for k := range chunks {
+		total += len(chunks[k].val)
+	}
 	if dims == nil {
-		dims = make([]int, order)
-		for _, c := range rows {
-			for m, x := range c {
-				if x+1 > dims[m] {
-					dims[m] = x + 1
-				}
+		dims = make([]int, arity)
+		for k := range chunks {
+			for m, x := range chunks[k].top {
+				dims[m] = max(dims[m], int(x)+1)
 			}
 		}
 	}
-	t := NewCOO(dims, len(vals))
-	for i, c := range rows {
-		if err := t.AppendChecked(c, vals[i]); err != nil {
-			return nil, fmt.Errorf("tns line %d: %w", lineOf[i], err)
+	t := NewCOO(dims, total)
+	for k := range chunks {
+		for m := range chunks[k].idx {
+			t.Idx[m] = append(t.Idx[m], chunks[k].idx[m]...)
+		}
+		t.Val = append(t.Val, chunks[k].val...)
+	}
+	// Nonzeros ahead of a late header were accepted before the mode sizes
+	// were known; a line-by-line reader checks them last, and so do we.
+	for i := 0; i < first.hdrRows; i++ {
+		for m, d := range dims {
+			if x := int(t.Idx[m][i]); x >= d {
+				return nil, tnsErr(data, rowOffset(data, i), "tensor: coordinate %d out of range [0,%d) in mode %d", x, d, m)
+			}
 		}
 	}
 	return t, nil
 }
 
+// tnsChunk is the parse of a run of lines: what they fixed — the arity,
+// by the first data line, and the mode sizes, by the header — their
+// nonzeros as 0-based columns, and the first error if one stopped it.
+type tnsChunk struct {
+	order   int   // -1 until a data line is seen
+	dims    []int // nil until a header is seen
+	dimsOff int   // byte offset of the header line
+	hdrRows int   // nonzeros ahead of the header
+	idx     [][]int32
+	val     []float64
+	top     []int32 // largest index per mode
+	err     error
+}
+
+// arity returns the number of modes the chunk's lines fixed, or -1.
+func (c *tnsChunk) arity() int {
+	if c.order == -1 && c.dims != nil {
+		return len(c.dims)
+	}
+	return c.order
+}
+
+// parse reads the lines of data[lo:hi) as if nothing preceded them,
+// stopping at the first malformed one.
+func (c *tnsChunk) parse(data []byte, lo, hi int) {
+	*c = tnsChunk{order: -1}
+	var toks [][]byte // the fields of the current line
+	n := 0
+	for rest := data[lo:hi]; len(rest) > 0 && c.err == nil; {
+		off := hi - len(rest)
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, newline)
+		if line = bytes.TrimSpace(line); len(line) == 0 {
+			continue
+		}
+		if line[0] == '#' {
+			if after, ok := bytes.CutPrefix(line, []byte("# dims:")); ok {
+				c.err = c.header(data, off, string(after))
+				c.hdrRows = n
+			}
+			continue
+		}
+		toks = toks[:0]
+		for i := 0; i < len(line); {
+			j := i
+			for j < len(line) && line[j]-'!' < utf8.RuneSelf-'!' {
+				j++
+			}
+			if j < len(line) && !asciiSpace(line[j]) {
+				// A control or non-ASCII byte: it may or may not be white
+				// space, and bytes.Fields knows.
+				toks = bytes.Fields(line)
+				break
+			}
+			toks = append(toks, line[i:j])
+			for i = j; i < len(line) && asciiSpace(line[i]); i++ {
+			}
+		}
+		if c.order == -1 {
+			if len(toks) < 2 {
+				c.err = tnsErr(data, off, "need at least one coordinate and a value")
+				break
+			}
+			if c.dims != nil && len(c.dims) != len(toks)-1 {
+				c.err = tnsErr(data, off, "%d coordinates but dims header (line %d) has %d modes",
+					len(toks)-1, lineAt(data, c.dimsOff), len(c.dims))
+				break
+			}
+			c.order = len(toks) - 1
+			// Every nonzero ends a line, so the newlines left bound them.
+			rows := 1 + bytes.Count(data[off:hi], newline)
+			c.idx, c.val, c.top = make([][]int32, c.order), make([]float64, rows), make([]int32, c.order)
+			for m := range c.idx {
+				c.idx[m] = make([]int32, rows)
+			}
+		}
+		if len(toks) != c.order+1 {
+			c.err = tnsErr(data, off, "expected %d fields, got %d", c.order+1, len(toks))
+			break
+		}
+		if c.err = c.row(data, off, toks, n); c.err == nil {
+			n++
+		}
+	}
+	for m := range c.idx {
+		c.idx[m] = c.idx[m][:n]
+	}
+	c.val = c.val[:n]
+}
+
+// row parses the fields of one data line into nonzero n.
+func (c *tnsChunk) row(data []byte, off int, toks [][]byte, n int) error {
+	for m, tok := range toks[:c.order] {
+		x, ok := digits(tok)
+		if !ok {
+			// Signs, long runs and junk: strconv decides, and words the error.
+			var err error
+			if x, err = strconv.Atoi(string(tok)); err != nil {
+				return tnsErr(data, off, "bad coordinate %q in mode %d: %v", tok, m+1, err)
+			}
+		}
+		switch {
+		case x < 1:
+			return tnsErr(data, off, "coordinates are 1-based, got %d in mode %d", x, m+1)
+		case x >= maxIndex:
+			return tnsErr(data, off, "coordinate %d in mode %d exceeds the int32 index range", x, m+1)
+		case c.dims != nil && x > c.dims[m]:
+			return tnsErr(data, off, "coordinate %d out of range [1,%d] in mode %d", x, c.dims[m], m+1)
+		}
+		c.idx[m][n] = int32(x - 1)
+		c.top[m] = max(c.top[m], int32(x-1))
+	}
+	tok := toks[c.order]
+	v, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return tnsErr(data, off, "bad value %q: %v", tok, err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return tnsErr(data, off, "non-finite value %q", tok)
+	}
+	c.val[n] = v
+	return nil
+}
+
+// header parses what follows "# dims:" on the line at byte offset off.
+func (c *tnsChunk) header(data []byte, off int, rest string) error {
+	if c.dims != nil {
+		return tnsErr(data, off, "duplicate dims header (first on line %d)", lineAt(data, c.dimsOff))
+	}
+	fields := strings.Fields(rest)
+	if len(fields) == 0 {
+		return tnsErr(data, off, "empty dims header")
+	}
+	dims := make([]int, len(fields))
+	for m, f := range fields {
+		d, err := strconv.Atoi(f)
+		switch {
+		case err != nil:
+			return tnsErr(data, off, "bad dims header entry %q: %v", f, err)
+		case d <= 0:
+			return tnsErr(data, off, "mode size %d must be positive", d)
+		case d >= maxIndex:
+			return tnsErr(data, off, "mode size %d exceeds the int32 index range", d)
+		}
+		dims[m] = d
+	}
+	if c.order != -1 && len(dims) != c.order {
+		return tnsErr(data, off, "dims header has %d modes but data has %d", len(dims), c.order)
+	}
+	c.dims, c.dimsOff = dims, off
+	return nil
+}
+
+// digits parses a run of at most 18 decimal digits, which is how every
+// writer spells a coordinate.
+func digits(b []byte) (x int, ok bool) {
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	for _, ch := range b {
+		d := ch - '0'
+		if d > 9 {
+			return 0, false
+		}
+		x = x*10 + int(d)
+	}
+	return x, true
+}
+
+// asciiSpace reports whether c is one of the six ASCII white-space
+// bytes strings.Fields splits on.
+func asciiSpace(c byte) bool { return c == ' ' || c-'\t' < 5 }
+
+// lineAt returns the 1-based number of the line that starts at byte
+// offset off. Lines are only ever counted to word an error.
+func lineAt(data []byte, off int) int {
+	return 1 + bytes.Count(data[:off], newline)
+}
+
+// tnsErr words an error about the line at byte offset off.
+func tnsErr(data []byte, off int, format string, args ...any) error {
+	return fmt.Errorf("tns line %d: "+format, append([]any{lineAt(data, off)}, args...)...)
+}
+
+// rowOffset returns the byte offset of the line holding the row-th
+// nonzero of an image whose lines up to there are well formed.
+func rowOffset(data []byte, row int) int {
+	for rest := data; ; {
+		line, after, _ := bytes.Cut(rest, newline)
+		if line = bytes.TrimSpace(line); len(line) > 0 && line[0] != '#' {
+			if row--; row < 0 {
+				return len(data) - len(rest)
+			}
+		}
+		rest = after
+	}
+}
+
 // ReadTNSFile reads a .tns tensor from the named file.
 func ReadTNSFile(path string) (*COO, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadTNS(f)
+	return parseTNS(data, par.DefaultThreads(0))
 }
 
 // WriteTNSFile writes the tensor to the named file.

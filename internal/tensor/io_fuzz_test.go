@@ -7,9 +7,13 @@ import (
 )
 
 // FuzzReadTNS drives the .tns parser with arbitrary input: it must
-// never panic, and anything it accepts must survive a write/read
-// round trip with identical shape and nonzeros.
+// never panic, must agree with the line-at-a-time oracle — acceptance,
+// tensor, error text and line number; non-finite values excepted — both
+// in one chunk and cut every few bytes, and anything it accepts must
+// survive a write/read round trip with identical shape and nonzeros.
 func FuzzReadTNS(f *testing.F) {
+	defer func(old int) { tnsChunkBytes = old }(tnsChunkBytes)
+	tnsChunkBytes = 5
 	f.Add("# dims: 3 4\n1 1 1.5\n3 4 -2\n")
 	f.Add("1 2 3 4.25\n")
 	f.Add("# dims: 2\n")
@@ -20,7 +24,15 @@ func FuzzReadTNS(f *testing.F) {
 	f.Add("1 0 1\n")
 	f.Add("9999999999 1 1\n")
 	f.Add("1 1 1\n1 1\n")
+	f.Add("3 1 1.0\n1\u00a02\t-1\r\n# dims: 2 2\n")
+	f.Add("+1 1 0x1p-2\n# dims: 2 2\n\n1 1 Inf")
 	f.Fuzz(func(t *testing.T, data string) {
+		want := oracleOf([]byte(data))
+		for _, threads := range []int{1, 4} {
+			if err := want.check([]byte(data), threads); err != nil {
+				t.Fatalf("%v\ninput: %q", err, data)
+			}
+		}
 		x, err := ReadTNS(strings.NewReader(data))
 		if err != nil {
 			return

@@ -13,8 +13,8 @@ import (
 // values via A = U diag(s) V^T with random orthonormal U, V.
 func matrixWithSpectrum(m, n int, s []float64, rng *rand.Rand) *dense.Matrix {
 	k := len(s)
-	u := dense.Orthonormalize(dense.RandomNormal(m, k, rng))
-	v := dense.Orthonormalize(dense.RandomNormal(n, k, rng))
+	u := dense.Orthonormalize(dense.RandomNormal(m, k, rng), 1)
+	v := dense.Orthonormalize(dense.RandomNormal(n, k, rng), 1)
 	us := u.Clone()
 	for i := 0; i < m; i++ {
 		row := us.Row(i)

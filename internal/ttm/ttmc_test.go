@@ -188,7 +188,7 @@ func TestCoreMatchesNaive(t *testing.T) {
 	x, u, sym := randomSetup(rng, dims, ranks, 40)
 	// Orthonormal factors are the realistic input (HOOI maintains this).
 	for m := range u {
-		u[m] = dense.Orthonormalize(u[m])
+		u[m] = dense.Orthonormalize(u[m], 1)
 	}
 	last := x.Order() - 1
 	sm := &sym.Modes[last]
