@@ -10,7 +10,7 @@
 //	hooi -input x.tns -eps 0.25
 //	hooi -input x.tns -ranks 10,10,10 -format csf
 //	hooi -input x.tns -ranks 10,10,10 -format alto
-//	hooi -input x.tns -ranks 5,5,5,5 -format csf -ttmc dtree
+//	hooi -input x.tns -ranks 5,5,5,5 -format csf -ttmc flat
 //	hooi -input x.tns -ranks 10,10,10 -ttmc dtree -update delta.tns
 //	hooi -input x.tns -ranks 5,5,5,5 -dist 16 -grain fine -method hp
 //	hooi -input x.tns -ranks 5,5,5 -dist spawn -np 4
@@ -70,7 +70,7 @@ func main() {
 		sketch  = flag.String("sketch", "gauss", "randomized solver sketching operator: gauss | count")
 		oversmp = flag.Int("oversample", 0, "randomized solver oversampling columns (0 = default 8)")
 		power   = flag.Int("power", 0, "randomized solver power-iteration cap (0 = default 6, negative = none); the solver stops early once its Ritz energies settle")
-		ttmc    = flag.String("ttmc", "flat", "TTMc strategy: flat | dtree (memoized dimension tree)")
+		ttmc    = flag.String("ttmc", "auto", "TTMc strategy: auto (dtree from order 4 up, else flat) | flat | dtree (memoized dimension tree)")
 		format  = flag.String("format", "coo", hypertensor.FormatUsage())
 		seed    = flag.Int64("seed", 1, "random seed")
 		distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
@@ -214,13 +214,9 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown sketch %q", *sketch))
 	}
-	switch *ttmc {
-	case "flat":
-		opts.TTMc = hypertensor.TTMcFlat
-	case "dtree":
-		opts.TTMc = hypertensor.TTMcDTree
-	default:
-		fail(fmt.Errorf("unknown ttmc strategy %q", *ttmc))
+	opts.TTMc, err = hypertensor.ParseTTMc(*ttmc)
+	if err != nil {
+		fail(err)
 	}
 	opts.Format, err = hypertensor.ParseFormat(*format)
 	if err != nil {
@@ -276,8 +272,13 @@ func main() {
 		dec.AllocsPerSweep)
 	fmt.Printf("storage: format=%s index=%d B (%.2f B/nnz)\n",
 		dec.Format, dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()))
-	fmt.Printf("ttmc: strategy=%s schedule=%s flops=%d", *ttmc, schedule, dec.TTMcFlops)
-	if *ttmc == "dtree" {
+	// The measured count sits next to what each strategy was predicted
+	// to cost, so a choice of -ttmc auto that the input proves wrong
+	// shows here.
+	flatMadds, treeMadds := hypertensor.PredictSweepMadds(x, dec.ChosenRanks, *threads)
+	fmt.Printf("ttmc: strategy=%s schedule=%s flops=%d (%d madds/sweep; predicted flat=%d dtree=%d)",
+		dec.TTMc, schedule, dec.TTMcFlops, dec.TTMcFlops/int64(max(dec.Iters, 1)), flatMadds, treeMadds)
+	if dec.TTMc == hypertensor.TTMcDTree {
 		fmt.Printf(" (node recompute time %v)", dec.Timings.TTMcNodes)
 	}
 	fmt.Println()

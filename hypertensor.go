@@ -94,8 +94,8 @@ type (
 	// SketchKind selects the randomized solver's sketching operator
 	// (SketchGauss, SketchCount).
 	SketchKind = core.SketchKind
-	// TTMcStrategy selects the TTMc evaluation path (TTMcFlat,
-	// TTMcDTree).
+	// TTMcStrategy selects the TTMc evaluation path (TTMcAuto, the
+	// default, which a Plan resolves to TTMcFlat or TTMcDTree).
 	TTMcStrategy = core.TTMcStrategy
 	// Schedule selects the parallel loop scheduling discipline
 	// (ScheduleBalanced, ScheduleDynamic, ScheduleStatic).
@@ -159,6 +159,7 @@ const (
 	SketchGauss = core.SketchGauss
 	SketchCount = core.SketchCount
 
+	TTMcAuto  = core.TTMcAuto
 	TTMcFlat  = core.TTMcFlat
 	TTMcDTree = core.TTMcDTree
 
@@ -247,6 +248,18 @@ func Decompose(x *SparseTensor, opts Options) (*Decomposition, error) {
 // The plan is immutable; build any number of Engines on it.
 func NewPlan(x *SparseTensor, opts Options) (*Plan, error) {
 	return core.NewPlan(x, opts)
+}
+
+// ParseTTMc maps a -ttmc flag spelling (auto, flat, dtree) to its
+// TTMcStrategy value.
+func ParseTTMc(s string) (TTMcStrategy, error) { return core.ParseTTMc(s) }
+
+// PredictSweepMadds returns the TTMc multiply-adds per sweep the flat
+// path and the dimension tree would each execute on x at the given
+// ranks — the quantities TTMcAuto's rule stands for. It builds the
+// tree's symbolic structure to count its entries.
+func PredictSweepMadds(x *SparseTensor, ranks []int, threads int) (flat, tree int64) {
+	return core.PredictSweepMadds(x, ranks, threads)
 }
 
 // NewEngine builds a resident decomposition handle on a plan. The

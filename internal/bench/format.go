@@ -72,6 +72,7 @@ func FormatCompare(o Options, w io.Writer) ([]FormatRow, error) {
 				Tol:      -1,
 				Seed:     o.Seed + 17,
 				Format:   format,
+				TTMc:     core.TTMcFlat,
 			})
 		}
 		buildStart := time.Now()

@@ -214,7 +214,9 @@ func cpuModel() string {
 
 // Scaling runs the shared-memory thread-scaling sweep on every preset
 // dataset with the given schedule: one HOOI measurement per thread
-// count on the CSF fast path, reporting seconds and speedup per sweep,
+// count on CSF storage under the default TTMc strategy (the fiber walk
+// on the 3-mode presets, the dimension tree on the 4-mode ones),
+// reporting seconds and speedup per sweep,
 // the TTMc share, the machine-independent madds-per-sweep count, and
 // whether the fit trajectory stayed bitwise identical across the whole
 // thread sweep (it must, for the static and balanced schedules — that
@@ -387,16 +389,18 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 	return rep, nil
 }
 
-// measureAlto runs one dataset under FormatALTO at the sweep's largest
-// thread count, min-of-reps like the thread cells, and reports the
-// machine-independent index bytes and madds plus the host-gated sweep
-// seconds.
+// measureAlto runs one dataset under FormatALTO, on the stream kernels
+// (flat strategy; the default would put the 4-mode presets on the
+// dimension tree, which reads no format's kernels), at the sweep's
+// largest thread count, min-of-reps like the thread cells, and reports
+// the machine-independent index bytes and madds plus the host-gated
+// sweep seconds.
 func measureAlto(x *tensor.COO, ranks []int, sched par.Schedule, iters, reps, threads int, seed int64) (*AltoCell, error) {
 	cell := &AltoCell{}
 	for rep := 0; rep < reps; rep++ {
 		r, err := core.Decompose(x, core.Options{
 			Ranks: ranks, MaxIters: iters, Tol: -1, Threads: threads,
-			Schedule: sched, Format: core.FormatALTO, Seed: seed,
+			Schedule: sched, Format: core.FormatALTO, TTMc: core.TTMcFlat, Seed: seed,
 		})
 		if err != nil {
 			return nil, err

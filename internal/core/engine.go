@@ -52,8 +52,13 @@ type Engine struct {
 	kern kernel
 	ex   Exchange
 
-	state     *SweepState
-	ys        []*dense.Matrix
+	state *SweepState
+	// ys[n] is mode n's matricized product Y_(n), a view of ybuf: only
+	// one Y_(n) is live at a time (the last mode's until the core is
+	// formed from it), so one buffer sized for the widest mode serves
+	// them all.
+	ys        []dense.Matrix
+	ybuf      []float64
 	normX     float64
 	warmReady bool
 	firstRun  bool
@@ -78,22 +83,29 @@ type Engine struct {
 // kernel is the numeric TTMc engine of a sweep: the flat reference loop,
 // the CSF fiber walk, the ALTO stream kernels or the dimension tree.
 type kernel interface {
+	// Rows lists the nonempty slices of mode n, ascending: row r of the
+	// mode-n product belongs to slice Rows(n)[r].
+	Rows(n int) []int32
 	// TTMc computes the compacted mode-n product into y.
 	TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int)
 	// Flops is the multiply-add count of all calls so far.
 	Flops() int64
 	SetSchedule(par.Schedule)
-	// Invalidate records that factor n changed.
+	// Invalidate records that factor n is being replaced. The sweep
+	// calls it before mode n's TTMc — which reads neither U_n nor any
+	// partial that depends on it — so that a kernel holding such
+	// partials can reuse their storage for what that TTMc builds.
 	Invalidate(n int)
 }
 
 // newKernel builds the kernel the options select on the engine's
-// current storage and symbolic structure, with empty caches.
-func (e *Engine) newKernel() kernel {
+// current storage and symbolic structure, with empty caches, on up to
+// threads goroutines.
+func (e *Engine) newKernel(threads int) kernel {
 	var k kernel
 	switch {
 	case e.opts.TTMc == TTMcDTree:
-		k = ttm.NewDTree(e.storage)
+		k = ttm.BuildDTree(e.storage, threads)
 	case e.csf != nil && e.order >= 2:
 		k = ttm.NewCSFTTMc(e.csf)
 	case e.alto != nil && e.order >= 2:
@@ -128,17 +140,31 @@ func NewEngine(p *Plan) *Engine {
 	if e.ex == nil {
 		e.ex = localExchange{threads: e.opts.Threads}
 	}
+	built := make(chan struct{})
+	build := func(threads int) {
+		defer close(built)
+		start := time.Now()
+		e.kern = e.newKernel(threads)
+		e.symTime = time.Since(start)
+	}
+	if threads := par.DefaultThreads(e.opts.Threads); e.opts.TTMc == TTMcDTree && threads >= 2 {
+		// The tree's symbolic build only reads the index streams and the
+		// initial factors (largely a serial random fill) only the shape
+		// and the seed, so the two run side by side, the build on the
+		// threads the fill leaves idle.
+		go build(threads - 1)
+	} else {
+		build(threads)
+	}
 	start := time.Now()
-	e.kern = e.newKernel()
-	e.symTime = time.Since(start)
-	start = time.Now()
 	e.state = NewSweepState(InitialFactors(p.x, e.opts, startRanks(p.x, e.opts)), e.opts.Seed)
 	e.initTime = time.Since(start)
 	e.state.Sketch = e.opts.Sketch
 	e.state.Oversample = e.opts.Oversample
 	e.state.PowerIters = e.opts.PowerIters
-	e.ys = make([]*dense.Matrix, e.order)
-	e.shapeYs()
+	<-built
+	e.ys = make([]dense.Matrix, e.order)
+	e.sizeYs()
 	return e
 }
 
@@ -224,22 +250,32 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	return e.converge(ctx)
 }
 
-// shapeYs (re)allocates the per-mode matricized-product buffers; after
-// an update the nonempty-slice counts may have grown.
-func (e *Engine) shapeYs() {
+// sizeYs grows the shared Y buffer to the widest mode's product at the
+// current rows and ranks, so that a sweep does not grow it mode by
+// mode; after an update the nonempty-slice counts may have grown.
+func (e *Engine) sizeYs() {
+	need := 0
 	for n := 0; n < e.order; n++ {
-		e.shapeY(n)
+		need = max(need, len(e.kern.Rows(n))*ttm.RowSize(e.state.Factors, n))
+	}
+	if cap(e.ybuf) < need {
+		e.ybuf = make([]float64, need)
 	}
 }
 
-// shapeY sizes mode n's buffer for the current rows and the ∏ of the
-// other modes' current ranks.
-func (e *Engine) shapeY(n int) {
-	rows := e.sym.Modes[n].NumRows()
+// shapeY returns mode n's view of the shared buffer, sized for the
+// mode's current rows and the ∏ of the other modes' current ranks
+// (which adaptive rank selection changes mid-sweep). Whatever another
+// mode left in the buffer is dead by the time this one is computed.
+func (e *Engine) shapeY(n int) *dense.Matrix {
+	rows := len(e.kern.Rows(n))
 	cols := ttm.RowSize(e.state.Factors, n)
-	if e.ys[n] == nil || e.ys[n].Rows != rows || e.ys[n].Cols != cols {
-		e.ys[n] = dense.NewMatrix(rows, cols)
+	if cap(e.ybuf) < rows*cols {
+		e.sizeYs()
 	}
+	y := &e.ys[n]
+	y.Rows, y.Cols, y.Data = rows, cols, e.ybuf[:rows*cols]
+	return y
 }
 
 // warmVec gathers the compact left warm-start vector for mode n into a
@@ -279,7 +315,7 @@ func (e *Engine) warmVec(n int, rows []int32) []float64 {
 // later calls warm-start every TRSVD from the previous factors.
 func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	opts := e.opts
-	res := &Result{Format: opts.Format, IndexBytes: e.storage.IndexBytes()}
+	res := &Result{Format: opts.Format, TTMc: opts.TTMc, IndexBytes: e.storage.IndexBytes()}
 	res.Timings.Symbolic = e.symTime
 	if e.firstRun {
 		res.Timings.Convert = e.plan.convertTime
@@ -345,16 +381,11 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 		var y *dense.Matrix
 		var rows []int32
 		for n := 0; n < e.order; n++ {
-			sm := &e.sym.Modes[n]
-			if opts.Eps > 0 {
-				// Adaptive rank resizes factors mid-sweep, so this
-				// mode's matricization buffer may need a new column count.
-				e.shapeY(n)
-			}
-
 			t0 := time.Now()
-			e.kern.TTMc(e.ys[n], n, e.state.Factors, opts.Threads)
-			y, rows = e.ex.Fold(n, e.ys[n], sm.Rows)
+			e.kern.Invalidate(n)
+			yn := e.shapeY(n)
+			e.kern.TTMc(yn, n, e.state.Factors, opts.Threads)
+			y, rows = e.ex.Fold(n, yn, e.kern.Rows(n))
 			res.Timings.TTMc += time.Since(t0)
 
 			t0 = time.Now()
@@ -390,7 +421,6 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			res.TRSVDMadds += int64(matvecs) * int64(y.Rows) * int64(y.Cols)
 			scatterRows(e.state.Factors[n], uc, rows)
 			e.ex.Expand(n, e.state.Factors[n])
-			e.kern.Invalidate(n)
 			res.Timings.TRSVD += time.Since(t0)
 		}
 
@@ -455,7 +485,9 @@ func (e *Engine) ensureOwned() {
 		return
 	}
 	e.owned = true
-	e.sym = e.sym.Clone()
+	if e.sym != nil {
+		e.sym = e.sym.Clone()
+	}
 	switch {
 	case e.csf != nil:
 		e.csf = e.csf.Clone()
@@ -475,7 +507,7 @@ func (e *Engine) ensureOwned() {
 	case *ttm.ALTOTTMc:
 		k.Rebind(e.alto, e.sym)
 	default:
-		e.kern = e.newKernel() // flat: nothing cached to keep
+		e.kern = e.newKernel(e.opts.Threads) // flat: nothing cached to keep
 	}
 }
 
@@ -495,12 +527,14 @@ func (e *Engine) ingested(updated []int32, inserted int, structural bool) int {
 		}
 	case *ttm.Flat:
 		if !structural {
-			e.kern = e.newKernel()
+			e.kern = e.newKernel(e.opts.Threads)
 		}
 	}
 	if structural {
-		e.sym = symbolic.Build(e.storage, e.opts.Threads)
-		e.kern = e.newKernel()
+		if e.sym != nil {
+			e.sym = symbolic.Build(e.storage, e.opts.Threads)
+		}
+		e.kern = e.newKernel(e.opts.Threads)
 	}
 	return len(updated) + inserted
 }
@@ -551,7 +585,7 @@ func (e *Engine) UpdateContext(ctx context.Context, delta *tensor.COO) (*Result,
 			return nil, err
 		}
 		deltaNNZ = len(info.Updated) + info.Appended
-		if info.Appended > 0 {
+		if info.Appended > 0 && e.sym != nil {
 			if _, err := e.sym.Insert(e.x, oldNNZ); err != nil {
 				return nil, fmt.Errorf("core: incremental symbolic maintenance failed: %w", err)
 			}
@@ -561,7 +595,7 @@ func (e *Engine) UpdateContext(ctx context.Context, delta *tensor.COO) (*Result,
 		}
 	}
 	e.normX = e.storage.Norm(e.opts.Threads)
-	e.shapeYs()
+	e.sizeYs()
 	e.symTime += time.Since(start)
 
 	res, err := e.converge(ctx)

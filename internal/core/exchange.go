@@ -23,7 +23,10 @@ type Exchange interface {
 	// locally computed row per slice in rows (ascending mode-n indices);
 	// the result holds the rows this rank owns with every other rank's
 	// partial sums added in, and their slice indices. It runs inside the
-	// TTMc timer. The returned matrix stays valid until the next Fold of
+	// TTMc timer. y is a view of the one buffer all modes' products
+	// share: it holds until the next mode's TTMc (the last mode's until
+	// the core is formed), and so does a result that is y itself. A
+	// matrix of the exchange's own stays valid until the next Fold of
 	// the same mode.
 	Fold(n int, y *dense.Matrix, rows []int32) (*dense.Matrix, []int32)
 	// Operator wraps the folded rows as the TRSVD operator whose

@@ -56,6 +56,9 @@ type Result struct {
 	TTMcFlops int64
 	// Format is the sparse storage layout the decomposition ran on.
 	Format Format
+	// TTMc is the TTMc strategy it ran: Options.TTMc, with TTMcAuto
+	// resolved.
+	TTMc TTMcStrategy
 	// IndexBytes is the index storage of that layout (COO: N x nnz x 4
 	// bytes; CSF: the compressed fiber levels and pointers; ALTO: 8 or
 	// 16 bytes per nonzero of linearized keys).

@@ -51,10 +51,20 @@ const (
 type TTMcStrategy int
 
 const (
+	// TTMcAuto (the default) lets the plan choose, once, from what it
+	// can see of the input: the dimension tree for tensors of order 4
+	// and up, where the partial products the modes share are worth
+	// several-fold fewer multiply-adds per sweep, and the flat path for
+	// order 3 and below (one memoized node there buys little time for
+	// its memory) and for rank plans whose update lists are restricted
+	// to owned slices, which only the flat kernel reads.
+	// Plan.TTMc and Result.TTMc report the choice; docs/formats.md has
+	// the measurements behind the rule.
+	TTMcAuto TTMcStrategy = iota
 	// TTMcFlat recomputes every mode's product from the nonzeros with
 	// the row-parallel kernel over the per-mode update lists
 	// (Algorithm 3). It is the reference path.
-	TTMcFlat TTMcStrategy = iota
+	TTMcFlat
 	// TTMcDTree memoizes partial contractions shared between the modes
 	// in a binary dimension tree (ttm.DTree): internal nodes cache the
 	// semi-sparse product over their mode set and are recomputed only
@@ -62,9 +72,35 @@ const (
 	// TTMc flops per sweep several-fold (~4x on the 4-mode benchmark
 	// presets; see bench.DTreeCompare). The numeric results match
 	// TTMcFlat to rounding and remain deterministic for any thread
-	// count.
+	// count. Needs a tensor of order 2 or more.
 	TTMcDTree
 )
+
+// ttmcNames spells the strategies the way cmd/hooi's -ttmc flag does,
+// indexed by the TTMcStrategy value.
+var ttmcNames = [...]string{
+	TTMcAuto:  "auto",
+	TTMcFlat:  "flat",
+	TTMcDTree: "dtree",
+}
+
+// ParseTTMc maps a -ttmc flag spelling to its TTMcStrategy value.
+func ParseTTMc(s string) (TTMcStrategy, error) {
+	for t, name := range ttmcNames {
+		if s == name {
+			return TTMcStrategy(t), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown ttmc strategy %q (strategies: %s)", s, strings.Join(ttmcNames[:], " | "))
+}
+
+// String names the strategy the way cmd/hooi's -ttmc flag spells it.
+func (t TTMcStrategy) String() string {
+	if int(t) < 0 || int(t) >= len(ttmcNames) {
+		return fmt.Sprintf("TTMcStrategy(%d)", int(t))
+	}
+	return ttmcNames[t]
+}
 
 // Format selects the sparse storage layout the decomposition runs on.
 type Format int
@@ -202,8 +238,9 @@ type Options struct {
 	Init InitMethod
 	// SVD selects the TRSVD solver.
 	SVD SVDMethod
-	// TTMc selects the TTMc evaluation strategy (flat reference path or
-	// memoized dimension tree).
+	// TTMc selects the TTMc evaluation strategy: TTMcAuto (the default)
+	// resolves at plan time to the flat reference path or the memoized
+	// dimension tree.
 	TTMc TTMcStrategy
 	// Format selects the sparse storage layout (coordinate streams,
 	// compressed sparse fibers, or adaptive linearized offsets).
@@ -288,6 +325,12 @@ func (o *Options) Validate(x *tensor.COO) error {
 	}
 	if o.SVD != SVDLanczos && o.SVD != SVDRandomized {
 		return fmt.Errorf("core: unknown SVD method %d", int(o.SVD))
+	}
+	if int(o.TTMc) < 0 || int(o.TTMc) >= len(ttmcNames) {
+		return fmt.Errorf("core: unknown ttmc strategy %d", int(o.TTMc))
+	}
+	if o.TTMc == TTMcDTree && x.Order() < 2 {
+		return fmt.Errorf("core: the dimension tree needs a tensor of order 2 or more, got order %d", x.Order())
 	}
 	if int(o.Format) < 0 || int(o.Format) >= len(formatNames) {
 		return fmt.Errorf("core: unknown storage format %d", int(o.Format))

@@ -5,11 +5,13 @@ import (
 
 	"hypertensor/internal/symbolic"
 	"hypertensor/internal/tensor"
+	"hypertensor/internal/ttm"
 )
 
 // Plan is the immutable per-tensor analysis of a decomposition: the
-// validated options, the storage-format build (CSF or ALTO conversion
-// when requested), the symbolic update lists, and the tensor norm.
+// validated options with the TTMc strategy resolved, the storage-format
+// build (CSF or ALTO conversion when requested), the symbolic update
+// lists, and the tensor norm.
 // Everything in a Plan is a pure function of (tensor, options) and is
 // never mutated afterwards, so one Plan can back any number of Engines
 // — the resident handles that own the mutable factor state and ingest
@@ -21,8 +23,12 @@ type Plan struct {
 	csf     *tensor.CSF
 	alto    *tensor.ALTO
 	storage tensor.Sparse
-	sym     *symbolic.Structure
-	normX   float64
+	// sym holds the per-mode update lists the flat, fiber and stream
+	// kernels run on. It is nil under the dimension tree, which groups
+	// the nonzeros its own way (in the engine, next to its caches) and
+	// reads none of them.
+	sym   *symbolic.Structure
+	normX float64
 	// ex is the world a rank plan converges in (NewRankPlan); nil is
 	// shared memory.
 	ex Exchange
@@ -62,6 +68,7 @@ func NewRankPlan(x *tensor.COO, opts Options, normX float64, sym *symbolic.Struc
 }
 
 func buildPlan(x *tensor.COO, opts Options, sym *symbolic.Structure) *Plan {
+	opts.TTMc = resolveTTMc(opts.TTMc, x, sym)
 	p := &Plan{opts: opts, x: x, storage: x}
 	start := time.Now()
 	switch opts.Format {
@@ -77,7 +84,7 @@ func buildPlan(x *tensor.COO, opts Options, sym *symbolic.Structure) *Plan {
 		sym = nil // a converted storage numbers its nonzeros its own way
 	}
 	start = time.Now()
-	if sym == nil {
+	if sym == nil && opts.TTMc != TTMcDTree {
 		sym = symbolic.Build(p.storage, opts.Threads)
 	}
 	p.sym = sym
@@ -85,11 +92,59 @@ func buildPlan(x *tensor.COO, opts Options, sym *symbolic.Structure) *Plan {
 	return p
 }
 
+// resolveTTMc turns TTMcAuto into the strategy the plan runs; an
+// explicit choice is kept. The tree earns its memo nodes from order 4
+// up. A rank's local tensor may be empty, and sym — a rank plan's
+// caller-supplied update lists — may leave out nonzeros of slices the
+// rank does not own: the tree can run neither.
+func resolveTTMc(s TTMcStrategy, x *tensor.COO, sym *symbolic.Structure) TTMcStrategy {
+	if s != TTMcAuto {
+		return s
+	}
+	if x.Order() < 4 || x.NNZ() == 0 {
+		return TTMcFlat
+	}
+	if sym != nil {
+		for n := range sym.Modes {
+			if len(sym.Modes[n].NZ) != x.NNZ() {
+				return TTMcFlat
+			}
+		}
+	}
+	return TTMcDTree
+}
+
 // Options returns a copy of the validated options (defaults applied).
 func (p *Plan) Options() Options { return p.opts }
+
+// TTMc reports the TTMc strategy the plan runs: Options.TTMc, with
+// TTMcAuto resolved.
+func (p *Plan) TTMc() TTMcStrategy { return p.opts.TTMc }
 
 // Format reports the storage layout the plan was built for.
 func (p *Plan) Format() Format { return p.opts.Format }
 
 // IndexBytes reports the index storage of the plan's layout.
 func (p *Plan) IndexBytes() int64 { return p.storage.IndexBytes() }
+
+// PredictSweepMadds returns the TTMc multiply-adds of one steady-state
+// sweep of x at the given ranks under each strategy: nnz times the row
+// size, summed over the modes, for the flat path; parent entries times
+// block size, summed over the nodes, for the dimension tree (0 below
+// order 2, where there is none). It is what TTMcAuto's rule should
+// agree with; counting the tree's entries costs one symbolic tree build.
+func PredictSweepMadds(x tensor.Sparse, ranks []int, threads int) (flat, tree int64) {
+	for n := range ranks {
+		row := 1
+		for t, r := range ranks {
+			if t != n {
+				row *= r
+			}
+		}
+		flat += ttm.Flops(x.NNZ(), row)
+	}
+	if x.Order() >= 2 && x.NNZ() > 0 {
+		tree = ttm.BuildDTree(x, threads).SweepFlops(ranks)
+	}
+	return flat, tree
+}

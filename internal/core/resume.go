@@ -103,7 +103,7 @@ func ResumeEngineState(p *Plan, st *checkpoint.State) (*Engine, error) {
 	}
 	e.state.Step = st.Step
 	e.warmReady = st.WarmReady
-	e.shapeYs() // under Eps the restored ranks differ from the probe ranks
+	e.sizeYs() // under Eps the restored ranks differ from the probe ranks
 	rs := &checkpoint.State{
 		Sweep:      st.Sweep,
 		FitHistory: append([]float64(nil), st.FitHistory...),

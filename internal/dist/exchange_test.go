@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"hypertensor/internal/dense"
 	"hypertensor/internal/gen"
 	"hypertensor/internal/mpi"
+	"hypertensor/internal/tensor"
 )
 
 // Options from outside the program must come back as plain errors, from
@@ -120,8 +122,9 @@ func TestSteadyStateSweepAllocatesNoFactorSizedBlock(t *testing.T) {
 
 // The seam between the exchange and the rank's compute carries any
 // core.Plan: ranks planned as CSF or with the dimension tree converge
-// to the flat COO ranks' fit, and the tree executes at most half of the
-// flat kernel's multiply-adds on every rank.
+// to the flat COO ranks' fit, and the tree — which is what a fine-grain
+// order-4 rank plans by default — executes at most half of the flat
+// kernel's multiply-adds on every rank.
 func TestRankPlansCarryAnyKernel(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{40, 30, 35, 25}, NNZ: 3000, Skew: 0.4, Seed: 12})
 	cfg := Config{Ranks: []int{3, 3, 3, 3}, MaxIters: 4, Tol: -1, Seed: 2}
@@ -129,13 +132,15 @@ func TestRankPlansCarryAnyKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := Decompose(x, part, cfg)
+	flat, err := decompose(context.Background(), mpi.NewWorld(part.P), x, part, cfg,
+		seam{rankOptions: func(o *core.Options) { o.TTMc = core.TTMcFlat }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, rewrite := range map[string]func(*core.Options){
-		"csf":   func(o *core.Options) { o.Format = core.FormatCSF },
+		"csf":   func(o *core.Options) { o.Format, o.TTMc = core.FormatCSF, core.TTMcFlat },
 		"dtree": func(o *core.Options) { o.TTMc = core.TTMcDTree },
+		"auto":  func(*core.Options) {},
 	} {
 		res, err := decompose(context.Background(), mpi.NewWorld(part.P), x, part, cfg, seam{rankOptions: rewrite})
 		if err != nil {
@@ -150,8 +155,85 @@ func TestRankPlansCarryAnyKernel(t *testing.T) {
 			if madds >= flat.Stats.TTMcMadds[r] {
 				t.Fatalf("%s rank %d: %d TTMc madds, flat %d", name, r, madds, flat.Stats.TTMcMadds[r])
 			}
-			if name == "dtree" && 2*madds > flat.Stats.TTMcMadds[r] {
-				t.Fatalf("dtree rank %d: %d TTMc madds, more than half of flat's %d", r, madds, flat.Stats.TTMcMadds[r])
+			if name != "csf" && 2*madds > flat.Stats.TTMcMadds[r] {
+				t.Fatalf("%s rank %d: %d TTMc madds, more than half of flat's %d", name, r, madds, flat.Stats.TTMcMadds[r])
+			}
+		}
+	}
+}
+
+// foldWitness is a rank's exchange with a memory: it keeps a copy of
+// what every Fold returned and checks later that the matrix still says
+// the same.
+type foldWitness struct {
+	*exchange
+	t    *testing.T
+	kept []keptFold
+}
+
+type keptFold struct {
+	in, out *dense.Matrix
+	copy    []float64
+}
+
+func (w *foldWitness) intact(n int, when string) {
+	if k := w.kept[n]; k.out != nil && !reflect.DeepEqual(k.out.Data, k.copy) {
+		w.t.Errorf("rank %d mode %d: the folded rows changed before %s", w.me, n, when)
+	}
+}
+
+func (w *foldWitness) Fold(n int, y *dense.Matrix, rows []int32) (*dense.Matrix, []int32) {
+	if k := w.kept[n]; k.out != k.in {
+		w.intact(n, "the next Fold of the same mode")
+	}
+	out, outRows := w.exchange.Fold(n, y, rows)
+	w.kept[n] = keptFold{in: y, out: out, copy: append([]float64(nil), out.Data...)}
+	return out, outRows
+}
+
+func (w *foldWitness) Expand(n int, factor *dense.Matrix) {
+	w.intact(n, "the mode was solved")
+	w.exchange.Expand(n, factor)
+}
+
+func (w *foldWitness) ReduceCore(g *dense.Matrix) {
+	w.intact(len(w.kept)-1, "the core was formed")
+	w.exchange.ReduceCore(g)
+}
+
+// The engine computes every mode's product into one shared buffer, so
+// what Fold is handed lives only until the next mode's TTMc. The
+// exchange's contract has to hold all the same: rows it returns as its
+// own (the fine grain's folded owned rows) stay valid until the next
+// Fold of the same mode, a whole sweep later; rows it passes through
+// (the coarse grain) hold through the mode's solve, and the last
+// mode's until the core is formed.
+func TestFoldResultsOutliveTheSharedBuffer(t *testing.T) {
+	for _, x := range []*tensor.COO{testTensor3(t), testTensor4(t)} {
+		ranks := make([]int, x.Order())
+		for n := range ranks {
+			ranks[n] = 2
+		}
+		cfg := Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 5}
+		for _, grain := range []Grain{Fine, Coarse} {
+			part, err := MakePartition(x, 3, grain, MethodHypergraph, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Decompose(x, part, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			watched, err := decompose(context.Background(), mpi.NewWorld(part.P), x, part, cfg, seam{
+				wrap: func(ex *exchange) core.Exchange {
+					return &foldWitness{exchange: ex, t: t, kept: make([]keptFold, x.Order())}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(watched.FitHistory, plain.FitHistory) {
+				t.Fatalf("%s: the witness changed the run", part.Name())
 			}
 		}
 	}

@@ -62,8 +62,9 @@ type Config struct {
 // rank's Stats — including a single process of a multi-process TCP
 // world — holds the measurements of all ranks.
 type ModeStats struct {
-	// WTTMc is the TTMc multiply-add count: local nonzeros times the
-	// TTMc row size.
+	// WTTMc is the paper's TTMc work statistic: local nonzeros times
+	// the TTMc row size, the flat kernel's multiply-adds (what a rank's
+	// kernel actually executed is Stats.TTMcMadds).
 	WTTMc int64
 	// WTRSVD is the per-operator-pass TRSVD work: owned rows times the
 	// row size.
@@ -152,8 +153,9 @@ type Result struct {
 // options routes the configuration through the shared-memory
 // validation (ranks, sweep cap, solver, initial factor shapes — against
 // the whole tensor) and returns the options every rank plans with.
-// Rank kernels are single-threaded COO + flat: the ranks are the
-// parallelism.
+// Rank kernels are single-threaded COO, the ranks being the
+// parallelism, and the TTMc strategy is each rank plan's own choice
+// (core.TTMcAuto).
 func (cfg Config) options(x *tensor.COO, part *Partition) (core.Options, error) {
 	opts := core.Options{
 		Ranks: cfg.Ranks, MaxIters: cfg.MaxIters, Tol: cfg.Tol, Seed: cfg.Seed,

@@ -2,11 +2,13 @@ package dist
 
 import (
 	"context"
+	"math"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"hypertensor/internal/core"
 	"hypertensor/internal/mpi"
 	"hypertensor/internal/tensor"
 )
@@ -81,10 +83,7 @@ func TestTransportEquivalence(t *testing.T) {
 	parts = append(parts, idle)
 
 	for _, part := range parts {
-		sim, err := Decompose(x, part, cfg)
-		if err != nil {
-			t.Fatalf("%s simulated: %v", part.Name(), err)
-		}
+		sim := worldMatchesTCP(t, x, part, cfg)
 		if part == idle {
 			for n := range sim.Stats.Mode {
 				if ms := sim.Stats.Mode[n][idle.P-1]; ms.WTTMc != 0 || ms.WTRSVD != 0 {
@@ -92,53 +91,109 @@ func TestTransportEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
 
-		worlds := tcpWorlds(t, part.P)
-		results := make([]*Result, part.P)
-		errs := make([]error, part.P)
-		var wg sync.WaitGroup
-		wg.Add(part.P)
-		for r := 0; r < part.P; r++ {
-			go func(r int) {
-				defer wg.Done()
-				results[r], errs[r] = DecomposeWorld(context.Background(), worlds[r], x, part, cfg)
-			}(r)
+// worldMatchesTCP runs the same solve over the simulated world and over
+// a TCP mesh and requires every TCP rank's fit trajectory, factors,
+// core and byte accounting to equal the simulated result's bit for bit.
+// It returns the simulated result.
+func worldMatchesTCP(t *testing.T, x *tensor.COO, part *Partition, cfg Config) *Result {
+	t.Helper()
+	sim, err := Decompose(x, part, cfg)
+	if err != nil {
+		t.Fatalf("%s simulated: %v", part.Name(), err)
+	}
+	worlds := tcpWorlds(t, part.P)
+	results := make([]*Result, part.P)
+	errs := make([]error, part.P)
+	var wg sync.WaitGroup
+	wg.Add(part.P)
+	for r := 0; r < part.P; r++ {
+		go func(r int) {
+			defer wg.Done()
+			results[r], errs[r] = DecomposeWorld(context.Background(), worlds[r], x, part, cfg)
+		}(r)
+	}
+	wg.Wait()
+	for r := 0; r < part.P; r++ {
+		if errs[r] != nil {
+			t.Fatalf("%s tcp rank %d: %v", part.Name(), r, errs[r])
 		}
-		wg.Wait()
-		for r := 0; r < part.P; r++ {
-			if errs[r] != nil {
-				t.Fatalf("%s tcp rank %d: %v", part.Name(), r, errs[r])
+	}
+	for r, res := range results {
+		if len(res.FitHistory) != len(sim.FitHistory) {
+			t.Fatalf("%s rank %d: %d sweeps over TCP vs %d simulated",
+				part.Name(), r, len(res.FitHistory), len(sim.FitHistory))
+		}
+		for i := range sim.FitHistory {
+			if res.FitHistory[i] != sim.FitHistory[i] { // bitwise, not approximate
+				t.Fatalf("%s rank %d sweep %d: TCP fit %.17g != simulated %.17g",
+					part.Name(), r, i, res.FitHistory[i], sim.FitHistory[i])
 			}
 		}
+		for n := range sim.Factors {
+			for i := range sim.Factors[n].Data {
+				if res.Factors[n].Data[i] != sim.Factors[n].Data[i] {
+					t.Fatalf("%s rank %d: factor %d differs at %d", part.Name(), r, n, i)
+				}
+			}
+		}
+		for i := range sim.Core.Data {
+			if res.Core.Data[i] != sim.Core.Data[i] {
+				t.Fatalf("%s rank %d: core differs at %d", part.Name(), r, i)
+			}
+		}
+		for q := 0; q < part.P; q++ {
+			if res.Stats.SentBytes[q] != sim.Stats.SentBytes[q] {
+				t.Fatalf("%s rank %d: TCP accounting for rank %d is %d bytes, simulated %d",
+					part.Name(), r, q, res.Stats.SentBytes[q], sim.Stats.SentBytes[q])
+			}
+		}
+	}
+	return sim
+}
 
-		for r, res := range results {
-			if len(res.FitHistory) != len(sim.FitHistory) {
-				t.Fatalf("%s rank %d: %d sweeps over TCP vs %d simulated",
-					part.Name(), r, len(res.FitHistory), len(sim.FitHistory))
+// On an order-4 tensor every rank plans with default options, so the
+// TTMc strategy is the plan's choice: the tree on a fine-grain rank,
+// the flat kernel on a coarse-grain one (its update lists are
+// restricted to owned slices) and on a rank that holds nothing. Either
+// way World ≡ TCP, at even and odd world sizes, and the fits agree with
+// an all-flat world's to rounding.
+func TestDefaultRankPlansOnOrder4(t *testing.T) {
+	x := testTensor4(t)
+	cfg := Config{Ranks: []int{2, 2, 3, 2}, MaxIters: 3, Tol: -1, Seed: 5}
+	var parts []*Partition
+	for _, p := range []int{2, 3} {
+		for _, g := range []Grain{Fine, Coarse} {
+			part, err := MakePartition(x, p, g, MethodHypergraph, 3)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range sim.FitHistory {
-				if res.FitHistory[i] != sim.FitHistory[i] { // bitwise, not approximate
-					t.Fatalf("%s rank %d sweep %d: TCP fit %.17g != simulated %.17g",
-						part.Name(), r, i, res.FitHistory[i], sim.FitHistory[i])
-				}
+			parts = append(parts, part)
+		}
+	}
+	parts = append(parts, idleRankPartition(x, 3))
+	for _, part := range parts {
+		sim := worldMatchesTCP(t, x, part, cfg)
+		flat, err := decompose(context.Background(), mpi.NewWorld(part.P), x, part, cfg,
+			seam{rankOptions: func(o *core.Options) { o.TTMc = core.TTMcFlat }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, fit := range flat.FitHistory {
+			if d := math.Abs(sim.FitHistory[i] - fit); !(d <= 1e-10) {
+				t.Fatalf("%s sweep %d: default fit %.17g is %.3g off the all-flat world's", part.Name(), i+1, sim.FitHistory[i], d)
 			}
-			for n := range sim.Factors {
-				for i := range sim.Factors[n].Data {
-					if res.Factors[n].Data[i] != sim.Factors[n].Data[i] {
-						t.Fatalf("%s rank %d: factor %d differs at %d", part.Name(), r, n, i)
-					}
-				}
+		}
+		for r, madds := range sim.Stats.TTMcMadds {
+			flatMadds := flat.Stats.TTMcMadds[r]
+			tree := part.Grain == Fine && flatMadds > 0
+			if tree && madds >= flatMadds {
+				t.Fatalf("%s rank %d: %d TTMc madds by default, the flat kernel %d — not the tree", part.Name(), r, madds, flatMadds)
 			}
-			for i := range sim.Core.Data {
-				if res.Core.Data[i] != sim.Core.Data[i] {
-					t.Fatalf("%s rank %d: core differs at %d", part.Name(), r, i)
-				}
-			}
-			for q := 0; q < part.P; q++ {
-				if res.Stats.SentBytes[q] != sim.Stats.SentBytes[q] {
-					t.Fatalf("%s rank %d: TCP accounting for rank %d is %d bytes, simulated %d",
-						part.Name(), r, q, res.Stats.SentBytes[q], sim.Stats.SentBytes[q])
-				}
+			if !tree && madds != flatMadds {
+				t.Fatalf("%s rank %d: %d TTMc madds by default, the flat kernel %d — not the flat kernel", part.Name(), r, madds, flatMadds)
 			}
 		}
 	}

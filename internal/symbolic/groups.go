@@ -30,6 +30,24 @@ func (g *Groups) NumGroups() int { return len(g.Ptr) - 1 }
 // Group returns the entry ids of the i-th group.
 func (g *Groups) Group(i int) []int32 { return g.Ids[g.Ptr[i]:g.Ptr[i+1]] }
 
+// GroupScratch holds the work arrays of GroupByModes — the second
+// buffer of the radix ping-pong and the counting-sort histogram — so a
+// caller that groups many times (one dimension-tree build groups once
+// per node) allocates them once, at the largest size it meets. The zero
+// value is ready to use; a scratch must not be shared between
+// concurrent calls.
+type GroupScratch struct {
+	next, counts []int32
+}
+
+// int32s returns buf resized to n, reallocating only to grow.
+func int32s(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	return (*buf)[:n]
+}
+
 // GroupByModes groups n entries by their joint coordinates in the given
 // modes. keys is indexed by mode number; only the listed modes are
 // consulted (others may be nil). The result orders groups
@@ -38,31 +56,47 @@ func (g *Groups) Group(i int) []int32 { return g.Ids[g.Ptr[i]:g.Ptr[i+1]] }
 // is an LSD radix of stable counting-sort passes — the same
 // histogram/prefix-sum/scatter pattern as the per-mode update lists —
 // so grouping costs O(n * len(modes)), not a comparison sort over the
-// nonzero stream.
-func GroupByModes(keys [][]int32, n int, modes []int) *Groups {
+// nonzero stream. The result's arrays are sized exactly (groups are
+// counted before Ptr and Keys are made); everything else lives in sc,
+// which may be nil for a one-off call.
+func GroupByModes(keys [][]int32, n int, modes []int, sc *GroupScratch) *Groups {
+	if sc == nil {
+		sc = &GroupScratch{}
+	}
 	cols := make([][]int32, len(modes))
 	for j, m := range modes {
 		cols[j] = keys[m]
 	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
 	// Least-significant mode first: each pass is the shared stable
 	// counting-sort pass, so after the final pass entries are in
 	// lexicographic key order with original (ascending) ids within
-	// equal tuples.
-	next := make([]int32, n)
+	// equal tuples. The first pass reads the identity permutation
+	// implicitly, and the passes alternate between the result's Ids and
+	// the scratch so that the last one lands in Ids.
+	ids := make([]int32, n)
+	if len(cols) == 0 {
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+	}
+	var perm []int32 // nil = identity
+	toIds := len(cols)%2 == 1
 	for j := len(cols) - 1; j >= 0; j-- {
-		col := cols[j]
+		col := cols[j][:n]
 		var hi int32
 		for _, k := range col {
 			if k > hi {
 				hi = k
 			}
 		}
-		groupByKey(col, perm, next, make([]int32, hi+1))
-		perm, next = next, perm
+		counts := int32s(&sc.counts, int(hi)+1)
+		clear(counts)
+		out := ids
+		if !toIds {
+			out = int32s(&sc.next, n)
+		}
+		groupByKey(col, perm, out, counts)
+		perm, toIds = out, !toIds
 	}
 	same := func(a, b int32) bool {
 		for _, col := range cols {
@@ -72,24 +106,32 @@ func GroupByModes(keys [][]int32, n int, modes []int) *Groups {
 		}
 		return true
 	}
-
+	groups := 0
+	for i := 0; i < n; i++ {
+		if i == 0 || !same(ids[i-1], ids[i]) {
+			groups++
+		}
+	}
 	g := &Groups{
 		Modes: append([]int(nil), modes...),
 		Keys:  make([][]int32, len(modes)),
-		Ids:   perm,
-		Ptr:   make([]int32, 1, n+1),
+		Ids:   ids,
+		Ptr:   make([]int32, groups+1),
 	}
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && same(perm[i], perm[j]) {
-			j++
-		}
-		for c, col := range cols {
-			g.Keys[c] = append(g.Keys[c], col[perm[i]])
-		}
-		g.Ptr = append(g.Ptr, int32(j))
-		i = j
+	for c := range g.Keys {
+		g.Keys[c] = make([]int32, groups)
 	}
+	gi := 0
+	for i := 0; i < n; i++ {
+		if i == 0 || !same(ids[i-1], ids[i]) {
+			for c, col := range cols {
+				g.Keys[c][gi] = col[ids[i]]
+			}
+			g.Ptr[gi] = int32(i)
+			gi++
+		}
+	}
+	g.Ptr[groups] = int32(n)
 	return g
 }
 

@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -16,7 +17,7 @@ func TestGroupByModesInvariants(t *testing.T) {
 		}
 	}
 	for _, modes := range [][]int{{0}, {1, 3}, {0, 1, 2}, {0, 1, 2, 3}} {
-		g := GroupByModes(keys, n, modes)
+		g := GroupByModes(keys, n, modes, nil)
 		if len(g.Modes) != len(modes) {
 			t.Fatalf("modes %v: stored %v", modes, g.Modes)
 		}
@@ -67,7 +68,7 @@ func TestGroupByModesInvariants(t *testing.T) {
 func TestGroupByModesSingletons(t *testing.T) {
 	// Distinct keys: every group is a singleton in input-sorted order.
 	keys := [][]int32{{3, 1, 2, 0}}
-	g := GroupByModes(keys, 4, []int{0})
+	g := GroupByModes(keys, 4, []int{0}, nil)
 	if g.NumGroups() != 4 {
 		t.Fatalf("%d groups", g.NumGroups())
 	}
@@ -76,6 +77,40 @@ func TestGroupByModesSingletons(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if g.Keys[0][i] != wantKeys[i] || g.Group(i)[0] != wantIds[i] {
 			t.Fatalf("group %d: key %d id %d", i, g.Keys[0][i], g.Group(i)[0])
+		}
+	}
+}
+
+// A scratch threaded through many calls (as one dimension-tree build
+// does) must leave no trace in the results, and the result arrays are
+// sized for the groups found, not for the entries scanned.
+func TestGroupByModesScratchAndExactSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sc := &GroupScratch{}
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(300)
+		keys := make([][]int32, 4)
+		for m := range keys {
+			keys[m] = make([]int32, n)
+			for i := range keys[m] {
+				keys[m][i] = int32(rng.Intn(1 + trial%7*40))
+			}
+		}
+		for _, modes := range [][]int{{}, {2}, {0, 3}, {1, 2, 3}, {0, 1, 2, 3}} {
+			want := GroupByModes(keys, n, modes, nil)
+			got := GroupByModes(keys, n, modes, sc)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d modes %v: scratch run differs from a fresh one", trial, modes)
+			}
+			if cap(got.Ptr) != got.NumGroups()+1 || len(got.Ids) != n || cap(got.Ids) != n {
+				t.Fatalf("trial %d modes %v: Ptr cap %d for %d groups, Ids cap %d for %d entries",
+					trial, modes, cap(got.Ptr), got.NumGroups(), cap(got.Ids), n)
+			}
+			for c := range got.Keys {
+				if cap(got.Keys[c]) != got.NumGroups() {
+					t.Fatalf("trial %d modes %v: Keys[%d] cap %d for %d groups", trial, modes, c, cap(got.Keys[c]), got.NumGroups())
+				}
+			}
 		}
 	}
 }

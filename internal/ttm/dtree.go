@@ -49,6 +49,39 @@ type DTree struct {
 	nodeTime time.Duration
 	// sched is the scheduling discipline of the node-recompute loops.
 	sched par.Schedule
+	// free holds the value buffers of invalidated nodes for ensure to
+	// draw from: in a Gauss–Seidel sweep a node dies (Invalidate) before
+	// the next one is built, so the memo nodes of a sweep take turns in
+	// the same storage instead of each keeping its own.
+	free [][]float64
+	// One contraction runs at a time, so its parameters (call), the
+	// per-worker scratch and the region closures over them are the
+	// tree's, built once: a node or leaf evaluation allocates nothing.
+	call     contraction
+	scratch  []kronScratch
+	rootFn   func(worker, lo, hi int)
+	innerFn  func(worker, lo, hi int)
+	chainsFn func() []int32
+}
+
+// contraction is the state of the running contract call.
+type contraction struct {
+	nd      *dnode
+	dst     []float64
+	rows    []int32 // entry subset, nil = every entry
+	u       []*dense.Matrix
+	threads int
+	bs      int // block size of nd
+	// Internal step only: the parent's blocks are a x b, the dropped
+	// modes' Kronecker row has d entries.
+	a, b, d int
+}
+
+// kronScratch is one worker's scratch: the factor rows of the entry at
+// hand and two buffers for their Kronecker prefix products.
+type kronScratch struct {
+	rows       [][]float64
+	bufA, bufB []float64
 }
 
 // SetSchedule selects the scheduling discipline for subsequent TTMc
@@ -68,6 +101,9 @@ type dnode struct {
 	// tensor's index arrays.
 	keys [][]int32
 	n    int // number of entries
+	// dropped lists, ascending, the modes the parent keeps sparse and
+	// this node contracts.
+	dropped []int
 	// Numeric cache (internal nodes only; leaves are emitted straight
 	// into the caller's matrix since each is consumed once per sweep).
 	blockSize int
@@ -113,7 +149,12 @@ func (nd *dnode) isLeaf() bool { return nd.hi-nd.lo == 1 }
 // on the per-mode index streams, which a CSF tensor expands (and keeps)
 // on first use — the tree's own memoized nodes dominate its footprint
 // either way.
-func NewDTree(x tensor.Sparse) *DTree {
+func NewDTree(x tensor.Sparse) *DTree { return BuildDTree(x, 1) }
+
+// BuildDTree is NewDTree on up to threads goroutines: the root's two
+// subtrees group their entries independently, so with threads >= 2 they
+// are built side by side. The tree is the same for every thread count.
+func BuildDTree(x tensor.Sparse, threads int) *DTree {
 	if x.Order() < 2 {
 		panic("ttm: DTree requires an order >= 2 tensor")
 	}
@@ -125,17 +166,33 @@ func NewDTree(x tensor.Sparse) *DTree {
 		order:  x.Order(),
 		leaves: make([]*dnode, x.Order()),
 	}
+	t.rootFn, t.innerFn, t.chainsFn = t.rootRows, t.innerRows, t.callChains
 	t.root = &dnode{lo: 0, hi: t.order, n: x.NNZ(), keys: make([][]int32, t.order)}
 	for m := 0; m < t.order; m++ {
 		t.root.keys[m] = x.ModeStream(m)
 	}
 	t.nodes = append(t.nodes, t.root)
 	t.split(t.root)
+	// One grouping scratch serves a whole subtree: the root children
+	// size it for the nonzero stream, everything below fits inside.
+	if par.DefaultThreads(threads) >= 2 {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			t.group(t.root.left, &symbolic.GroupScratch{})
+		}()
+		t.group(t.root.right, &symbolic.GroupScratch{})
+		<-done
+	} else {
+		sc := &symbolic.GroupScratch{}
+		t.group(t.root.left, sc)
+		t.group(t.root.right, sc)
+	}
 	return t
 }
 
-// split recursively builds both children of an internal node and their
-// symbolic groupings.
+// split recursively lays out both children of an internal node
+// (structure only; group fills in the update lists).
 func (t *DTree) split(nd *dnode) {
 	if nd.isLeaf() {
 		t.leaves[nd.lo] = nd
@@ -148,24 +205,72 @@ func (t *DTree) split(nd *dnode) {
 	t.split(nd.right)
 }
 
-// makeChild groups the parent's entries by the child's mode range.
 func (t *DTree) makeChild(parent *dnode, lo, hi int) *dnode {
-	modes := make([]int, hi-lo)
-	for i := range modes {
-		modes[i] = lo + i
-	}
-	g := symbolic.GroupByModes(parent.keys, parent.n, modes)
-	c := &dnode{
-		lo: lo, hi: hi, parent: parent,
-		groups: g,
-		keys:   make([][]int32, t.order),
-		n:      g.NumGroups(),
-	}
-	for j, m := range modes {
-		c.keys[m] = g.Keys[j]
+	c := &dnode{lo: lo, hi: hi, parent: parent, keys: make([][]int32, t.order)}
+	for m := parent.lo; m < parent.hi; m++ {
+		if m < lo || m >= hi {
+			c.dropped = append(c.dropped, m)
+		}
 	}
 	t.nodes = append(t.nodes, c)
 	return c
+}
+
+// group builds the update lists of nd's subtree, top down: each node
+// groups its parent's entries by its own mode range.
+func (t *DTree) group(nd *dnode, sc *symbolic.GroupScratch) {
+	modes := make([]int, nd.hi-nd.lo)
+	for i := range modes {
+		modes[i] = nd.lo + i
+	}
+	g := symbolic.GroupByModes(nd.parent.keys, nd.parent.n, modes, sc)
+	nd.groups = g
+	nd.n = g.NumGroups()
+	for j, m := range modes {
+		nd.keys[m] = g.Keys[j]
+	}
+	if !nd.isLeaf() {
+		t.group(nd.left, sc)
+		t.group(nd.right, sc)
+	}
+}
+
+// release hands nd's value buffer to the free list.
+func (t *DTree) release(nd *dnode) {
+	nd.valid = false
+	nd.dirty = nil // subsumed by the full recompute
+	if nd.val != nil {
+		t.free = append(t.free, nd.val)
+		nd.val = nil
+	}
+}
+
+// take returns a value buffer of length need: the smallest free one
+// that fits, or a new one sized for sibling too — the node that, sweep
+// after sweep, is built right after nd died or right before it is.
+func (t *DTree) take(nd *dnode, need int) []float64 {
+	best := -1
+	for i, buf := range t.free {
+		if cap(buf) >= need && (best < 0 || cap(buf) < cap(t.free[best])) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		buf := t.free[best]
+		last := len(t.free) - 1
+		t.free[best], t.free[last] = t.free[last], nil
+		t.free = t.free[:last]
+		return buf[:need]
+	}
+	size := need
+	sib := nd.parent.left
+	if sib == nd {
+		sib = nd.parent.right
+	}
+	if !sib.isLeaf() {
+		size = max(size, sib.n*t.rowSize(sib))
+	}
+	return make([]float64, need, size)
 }
 
 // Invalidate records that factor matrix n changed: every cached node
@@ -174,8 +279,7 @@ func (t *DTree) makeChild(parent *dnode, lo, hi int) *dnode {
 func (t *DTree) Invalidate(n int) {
 	for _, nd := range t.nodes {
 		if n < nd.lo || n >= nd.hi {
-			nd.valid = false
-			nd.dirty = nil // subsumed by the full recompute
+			t.release(nd)
 		}
 	}
 }
@@ -184,8 +288,7 @@ func (t *DTree) Invalidate(n int) {
 // change between calls).
 func (t *DTree) InvalidateAll() {
 	for _, nd := range t.nodes {
-		nd.valid = false
-		nd.dirty = nil
+		t.release(nd)
 	}
 	t.ranks = nil
 }
@@ -275,13 +378,17 @@ func (t *DTree) syncRanks(u []*dense.Matrix) {
 	}
 }
 
-// rowSize is the dense block length of a node's entries: the product of
-// the contracted modes' ranks.
-func (t *DTree) rowSize(nd *dnode) int {
+// rowSize is the dense block length of a node's entries at the ranks
+// the caches were computed with.
+func (t *DTree) rowSize(nd *dnode) int { return nd.blockLen(t.ranks) }
+
+// blockLen is the dense block length of the node's entries at the given
+// ranks: the product of the contracted modes' ranks.
+func (nd *dnode) blockLen(ranks []int) int {
 	size := 1
-	for m := 0; m < t.order; m++ {
+	for m, r := range ranks {
 		if m < nd.lo || m >= nd.hi {
-			size *= t.ranks[m]
+			size *= r
 		}
 	}
 	return size
@@ -305,10 +412,7 @@ func (t *DTree) ensure(nd *dnode, u []*dense.Matrix, threads int) {
 		return
 	}
 	bs := t.rowSize(nd)
-	if cap(nd.val) < nd.n*bs {
-		nd.val = make([]float64, nd.n*bs)
-	}
-	nd.val = nd.val[:nd.n*bs]
+	nd.val = t.take(nd, nd.n*bs)
 	nd.blockSize = bs
 	t.contract(nd, nd.val, nil, u, threads)
 	nd.valid = true
@@ -324,18 +428,9 @@ func (t *DTree) ensure(nd *dnode, u []*dense.Matrix, threads int) {
 // reached by a full or a partial pass.
 func (t *DTree) contract(nd *dnode, dst []float64, rows []int32, u []*dense.Matrix, threads int) {
 	parent := nd.parent
-	bs := t.rowSize(nd)
-	// Dropped modes: the parent keeps them sparse, the child contracts
-	// them (left child drops a suffix of the parent range, right child
-	// a prefix).
-	var dropLo, dropHi int
-	if nd.lo == parent.lo {
-		dropLo, dropHi = nd.hi, parent.hi
-	} else {
-		dropLo, dropHi = parent.lo, nd.lo
-	}
-	nDrop := dropHi - dropLo
 	threads = par.DefaultThreads(threads)
+	c := &t.call
+	*c = contraction{nd: nd, dst: dst, rows: rows, u: u, threads: threads, bs: t.rowSize(nd)}
 	nRows := nd.n
 	work := int64(parent.n) // sum of group sizes over all entries
 	if rows == nil {
@@ -347,138 +442,148 @@ func (t *DTree) contract(nd *dnode, dst []float64, rows []int32, u []*dense.Matr
 			work += int64(nd.groups.Ptr[g+1] - nd.groups.Ptr[g])
 		}
 	}
-	entry := func(j int) int {
-		if rows == nil {
-			return j
-		}
-		return int(rows[j])
-	}
-	chainsFn := func() []int32 {
-		if rows == nil {
-			return nd.chains(threads)
-		}
-		w := make([]int64, len(rows))
-		for j, g := range rows {
-			w[j] = int64(nd.groups.Ptr[g+1] - nd.groups.Ptr[g])
-		}
-		return par.PartitionChains(w, threads)
-	}
-	t.flops += work * int64(bs)
+	t.flops += work * int64(c.bs)
 
+	// kron is the longest Kronecker product a worker builds per entry.
+	kron := 1
+	body := t.rootFn
 	if parent == t.root {
 		// Root child: contract straight from the nonzeros with the same
-		// fused Kronecker kernel as the flat TTMc. The dropped modes
-		// here are all contracted modes of the child (both sides of the
-		// range), ascending.
-		var dropped []int
-		for m := 0; m < t.order; m++ {
-			if m < nd.lo || m >= nd.hi {
-				dropped = append(dropped, m)
-			}
+		// fused Kronecker kernel as the flat TTMc; the last dropped
+		// mode's row is AXPY-ed, the rest form the prefix.
+		for _, m := range nd.dropped[:len(nd.dropped)-1] {
+			kron *= t.ranks[m]
 		}
-		prefixLen := 1
-		for _, m := range dropped[:len(dropped)-1] {
-			prefixLen *= t.ranks[m]
+	} else {
+		// Internal step: the parent's blocks cover the modes outside
+		// [parent.lo, parent.hi) as an a x b matrix (a = ranks before
+		// the range, b = ranks after). The dropped modes sit between
+		// those two groups in the child's ascending layout, so each
+		// parent block is scaled into the child block at stride
+		// positions:
+		//
+		//	child[a, d, b] += parent[a, b] * (⊗_{m dropped} U_m(key_m, :))[d]
+		body = t.innerFn
+		c.a, c.b = 1, 1
+		for m := 0; m < parent.lo; m++ {
+			c.a *= t.ranks[m]
 		}
-		streams := make([][]int32, len(dropped))
-		for j, m := range dropped {
-			streams[j] = t.x.ModeStream(m)
+		for m := parent.hi; m < t.order; m++ {
+			c.b *= t.ranks[m]
 		}
-		vals := t.x.Values()
-		type scratch struct {
-			rows [][]float64
-			bufA []float64
-			bufB []float64
+		for _, m := range nd.dropped {
+			kron *= t.ranks[m]
 		}
-		scratches := make([]*scratch, threads)
-		runRows(t.sched, nRows, threads, chainsFn, func(w, lo, hi int) {
-			sc := scratches[w]
-			if sc == nil {
-				sc = &scratch{
-					rows: make([][]float64, len(dropped)),
-					bufA: make([]float64, prefixLen),
-					bufB: make([]float64, prefixLen),
-				}
-				scratches[w] = sc
-			}
-			for j := lo; j < hi; j++ {
-				g := entry(j)
-				row := dst[g*bs : (g+1)*bs]
-				for i := range row {
-					row[i] = 0
-				}
-				for _, id := range nd.groups.Group(g) {
-					for jj := range dropped {
-						sc.rows[jj] = u[dropped[jj]].Row(int(streams[jj][id]))
-					}
-					accumKron(row, vals[id], sc.rows, sc.bufA, sc.bufB)
-				}
-			}
-		})
-		return
+		c.d = kron
 	}
+	for len(t.scratch) < threads {
+		t.scratch = append(t.scratch, kronScratch{rows: make([][]float64, t.order)})
+	}
+	for w := range t.scratch[:threads] {
+		if sc := &t.scratch[w]; cap(sc.bufA) < kron {
+			sc.bufA, sc.bufB = make([]float64, kron), make([]float64, kron)
+		}
+	}
+	runRows(t.sched, nRows, threads, t.chainsFn, body)
+	c.dst, c.rows, c.u = nil, nil, nil
+}
 
-	// Internal step: the parent's blocks cover the modes outside
-	// [parent.lo, parent.hi) as an A x B matrix (A = ranks before the
-	// range, B = ranks after). The dropped modes sit between those two
-	// groups in the child's ascending layout, so each parent block is
-	// scaled into the child block at stride positions:
-	//
-	//	child[a, d, b] += parent[a, b] * (⊗_{m dropped} U_m(key_m, :))[d]
-	a := 1
-	for m := 0; m < parent.lo; m++ {
-		a *= t.ranks[m]
+// callChains is the balanced partition of the running contraction: the
+// node's cached chains for a full evaluation, a fresh partition of the
+// listed entries for a partial one.
+func (t *DTree) callChains() []int32 {
+	c := &t.call
+	if c.rows == nil {
+		return c.nd.chains(c.threads)
 	}
-	b := 1
-	for m := parent.hi; m < t.order; m++ {
-		b *= t.ranks[m]
+	w := make([]int64, len(c.rows))
+	for j, g := range c.rows {
+		w[j] = int64(c.nd.groups.Ptr[g+1] - c.nd.groups.Ptr[g])
 	}
-	d := 1
-	for m := dropLo; m < dropHi; m++ {
-		d *= t.ranks[m]
+	return par.PartitionChains(w, c.threads)
+}
+
+// entry maps a loop position of the running contraction to the node
+// entry it computes.
+func (c *contraction) entry(j int) int {
+	if c.rows == nil {
+		return j
 	}
+	return int(c.rows[j])
+}
+
+// rootRows computes entries [lo, hi) of a root child from the nonzeros.
+func (t *DTree) rootRows(w, lo, hi int) {
+	c, sc := &t.call, &t.scratch[w]
+	nd, bs := c.nd, c.bs
+	frows := sc.rows[:len(nd.dropped)]
+	vals := t.x.Values()
+	for j := lo; j < hi; j++ {
+		g := c.entry(j)
+		row := c.dst[g*bs : (g+1)*bs]
+		for i := range row {
+			row[i] = 0
+		}
+		for _, id := range nd.groups.Group(g) {
+			for jj, m := range nd.dropped {
+				frows[jj] = c.u[m].Row(int(t.root.keys[m][id]))
+			}
+			accumKron(row, vals[id], frows, sc.bufA, sc.bufB)
+		}
+	}
+}
+
+// innerRows computes entries [lo, hi) of a deeper node from its
+// parent's cached blocks.
+func (t *DTree) innerRows(w, lo, hi int) {
+	c, sc := &t.call, &t.scratch[w]
+	nd, bs := c.nd, c.bs
+	parent := nd.parent
+	a, b, d := c.a, c.b, c.d
 	pbs := parent.blockSize
-	type scratch struct {
-		rows [][]float64
-		kron []float64
+	frows := sc.rows[:len(nd.dropped)]
+	for jr := lo; jr < hi; jr++ {
+		g := c.entry(jr)
+		blk := c.dst[g*bs : (g+1)*bs]
+		for i := range blk {
+			blk[i] = 0
+		}
+		for _, e := range nd.groups.Group(g) {
+			var kw []float64
+			if len(nd.dropped) == 1 {
+				m := nd.dropped[0]
+				kw = c.u[m].Row(int(parent.keys[m][e]))
+			} else {
+				for j, m := range nd.dropped {
+					frows[j] = c.u[m].Row(int(parent.keys[m][e]))
+				}
+				kw = sc.bufA[:d]
+				KronRows(frows, kw)
+			}
+			pblk := parent.val[int(e)*pbs : (int(e)+1)*pbs]
+			for ai := 0; ai < a; ai++ {
+				pa := pblk[ai*b : (ai+1)*b]
+				for di, wv := range kw {
+					if wv == 0 {
+						continue
+					}
+					dense.Axpy(wv, pa, blk[(ai*d+di)*b:(ai*d+di+1)*b])
+				}
+			}
+		}
 	}
-	scratches := make([]*scratch, threads)
-	runRows(t.sched, nRows, threads, chainsFn, func(w, lo, hi int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = &scratch{rows: make([][]float64, nDrop), kron: make([]float64, d)}
-			scratches[w] = sc
-		}
-		for jr := lo; jr < hi; jr++ {
-			g := entry(jr)
-			blk := dst[g*bs : (g+1)*bs]
-			for i := range blk {
-				blk[i] = 0
-			}
-			for _, e := range nd.groups.Group(g) {
-				kw := sc.kron
-				if nDrop == 1 {
-					kw = u[dropLo].Row(int(parent.keys[dropLo][e]))
-				} else {
-					for j := 0; j < nDrop; j++ {
-						m := dropLo + j
-						sc.rows[j] = u[m].Row(int(parent.keys[m][e]))
-					}
-					KronRows(sc.rows, kw)
-				}
-				pblk := parent.val[int(e)*pbs : (int(e)+1)*pbs]
-				for ai := 0; ai < a; ai++ {
-					pa := pblk[ai*b : (ai+1)*b]
-					for di, wv := range kw {
-						if wv == 0 {
-							continue
-						}
-						dense.Axpy(wv, pa, blk[(ai*d+di)*b:(ai*d+di+1)*b])
-					}
-				}
-			}
-		}
-	})
+}
+
+// SweepFlops returns the tree's multiply-add count of one steady-state
+// HOOI sweep at the given ranks: a Gauss–Seidel sweep builds every node
+// below the root exactly once, each from its parent's entries at its
+// own block size.
+func (t *DTree) SweepFlops(ranks []int) int64 {
+	var total int64
+	for _, nd := range t.nodes[1:] {
+		total += int64(nd.parent.n) * int64(nd.blockLen(ranks))
+	}
+	return total
 }
 
 // SweepFlops returns the flat-path multiply-add count of one full HOOI

@@ -183,6 +183,9 @@ func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
 // SetSchedule selects the scheduling discipline of subsequent calls.
 func (k *Flat) SetSchedule(s par.Schedule) { k.sched = s }
 
+// Rows lists the slices of mode n the kernel computes, ascending.
+func (k *Flat) Rows(n int) []int32 { return k.sym.Modes[n].Rows }
+
 // TTMc computes the mode-n product for every row of the mode's update
 // lists into y (see TTMcSched).
 func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
