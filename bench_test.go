@@ -56,7 +56,7 @@ func BenchmarkScalingSweep(b *testing.B) {
 	o := benchOpts()
 	o.Reps = 1
 	for i := 0; i < b.N; i++ {
-		rep, err := bench.Scaling(o, ScheduleBalanced, io.Discard)
+		rep, err := bench.Scaling(o, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,41 +125,6 @@ func BenchmarkDTreeVsFlat(b *testing.B) {
 		}
 	}
 	b.ReportMetric(ratio, "flat/dtree-flops")
-}
-
-// BenchmarkCSFVsCOO reports the storage-format comparison: index bytes
-// per nonzero for each format (host independent, the compression
-// headline) plus the per-sweep TTMc madd ratio of the fiber-walking
-// kernels over the flat coordinate kernel. CI runs this at
-// -benchtime=1x as a format-regression smoke.
-func BenchmarkCSFVsCOO(b *testing.B) {
-	o := benchOpts()
-	var cooB, csfB, altoB, flopRatio float64
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.FormatCompare(o, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.CSFBytes >= r.COOBytes {
-				b.Fatalf("%s: CSF index bytes %d not below COO %d", r.Dataset, r.CSFBytes, r.COOBytes)
-			}
-			if r.ALTOBytes >= r.COOBytes {
-				b.Fatalf("%s: ALTO index bytes %d not below COO %d", r.Dataset, r.ALTOBytes, r.COOBytes)
-			}
-			if r.FitDelta > 1e-8 {
-				b.Fatalf("%s: formats diverge by %g", r.Dataset, r.FitDelta)
-			}
-			if r.Dataset == "flickr" {
-				cooB, csfB, altoB = r.BytesPerNNZ()
-				flopRatio = float64(r.COOFlops) / float64(r.CSFFlops)
-			}
-		}
-	}
-	b.ReportMetric(cooB, "coo-B/nnz")
-	b.ReportMetric(csfB, "csf-B/nnz")
-	b.ReportMetric(altoB, "alto-B/nnz")
-	b.ReportMetric(flopRatio, "coo/csf-flops")
 }
 
 // --- Ablations -------------------------------------------------------

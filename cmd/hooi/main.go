@@ -8,9 +8,7 @@
 //	hooi -input x.tns -ranks 10,10,10 -iters 20 -tol 1e-5
 //	hooi -input x.tns -ranks 10,10,10 -svd rand -sketch gauss
 //	hooi -input x.tns -eps 0.25
-//	hooi -input x.tns -ranks 10,10,10 -format csf
-//	hooi -input x.tns -ranks 10,10,10 -format alto
-//	hooi -input x.tns -ranks 5,5,5,5 -format csf -ttmc flat
+//	hooi -input x.tns -ranks 5,5,5,5 -ttmc flat
 //	hooi -input x.tns -ranks 10,10,10 -ttmc dtree -update delta.tns
 //	hooi -input x.tns -ranks 5,5,5,5 -dist 16 -grain fine -method hp
 //	hooi -input x.tns -ranks 5,5,5 -dist spawn -np 4
@@ -25,11 +23,10 @@
 // counts.
 //
 // With -update the tool converges once, then ingests the delta
-// tensor(s) through the resident engine's incremental path and reports,
-// per update, the sweeps to re-converge, the TTMc madds actually
-// executed (dirty dimension-tree entries only) against the recompute-
-// everything flat-sweep cost, and finally |Δfit| against a from-scratch
-// solve of the fully merged tensor.
+// tensor(s) through the resident engine and reports, per update, the
+// sweeps to re-converge and the TTMc madds executed per sweep against
+// the recompute-everything flat-sweep cost, and finally |Δfit| against a
+// from-scratch solve of the fully merged tensor.
 package main
 
 import (
@@ -52,7 +49,6 @@ import (
 	"hypertensor"
 	"hypertensor/internal/dist"
 	"hypertensor/internal/mpi"
-	"hypertensor/internal/par"
 )
 
 func main() {
@@ -62,7 +58,6 @@ func main() {
 		iters   = flag.Int("iters", 20, "maximum ALS sweeps")
 		tol     = flag.Float64("tol", 1e-5, "fit-change stopping tolerance (negative disables)")
 		threads = flag.Int("threads", 0, "shared-memory threads (0 = GOMAXPROCS)")
-		sched   = flag.String("schedule", "balanced", "parallel loop schedule: balanced | dynamic | static")
 		algo    = flag.String("algo", "hooi", "algorithm: hooi | sthosvd | sthosvd+hooi")
 		initM   = flag.String("init", "random", "factor initialization: random | hosvd")
 		svd     = flag.String("svd", "lanczos", "TRSVD solver: lanczos | rand")
@@ -71,7 +66,6 @@ func main() {
 		oversmp = flag.Int("oversample", 0, "randomized solver oversampling columns (0 = default 8)")
 		power   = flag.Int("power", 0, "randomized solver power-iteration cap (0 = default 6, negative = none); the solver stops early once its Ritz energies settle")
 		ttmc    = flag.String("ttmc", "auto", "TTMc strategy: auto (dtree from order 4 up, else flat) | flat | dtree (memoized dimension tree)")
-		format  = flag.String("format", "coo", hypertensor.FormatUsage())
 		seed    = flag.Int64("seed", 1, "random seed")
 		distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
 		grain   = flag.String("grain", "fine", "distributed task grain: fine | coarse")
@@ -121,6 +115,15 @@ func main() {
 	}
 
 	if *distM != "" && *distM != "0" {
+		// distRun carries none of these to the ranks: each runs HOOI on one
+		// thread from the seeded random start, on the kernel its own plan
+		// resolves to, with the solver's default sketch.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "threads", "ttmc", "init", "algo", "sketch", "oversample", "power":
+				fail(fmt.Errorf("-%s is a shared-memory engine option; it cannot be combined with -dist", f.Name))
+			}
+		})
 		if *update != "" {
 			fail(fmt.Errorf("-update is a shared-memory engine feature; it cannot be combined with -dist"))
 		}
@@ -181,17 +184,12 @@ func main() {
 		fail(fmt.Errorf("unknown algo %q", *algo))
 	}
 
-	schedule, err := par.ParseSchedule(*sched)
-	if err != nil {
-		fail(err)
-	}
 	opts := hypertensor.Options{
 		Ranks:      ranks,
 		Eps:        *eps,
 		MaxIters:   *iters,
 		Tol:        *tol,
 		Threads:    *threads,
-		Schedule:   schedule,
 		Seed:       *seed,
 		Initial:    warmStart,
 		Oversample: *oversmp,
@@ -215,10 +213,6 @@ func main() {
 		fail(fmt.Errorf("unknown sketch %q", *sketch))
 	}
 	opts.TTMc, err = hypertensor.ParseTTMc(*ttmc)
-	if err != nil {
-		fail(err)
-	}
-	opts.Format, err = hypertensor.ParseFormat(*format)
 	if err != nil {
 		fail(err)
 	}
@@ -267,17 +261,17 @@ func main() {
 	if *eps > 0 {
 		fmt.Printf("eps %g selected ranks %v\n", *eps, dec.ChosenRanks)
 	}
-	fmt.Printf("timings: read=%v init=%v convert=%v symbolic=%v ttmc=%v trsvd=%v core=%v (steady-state allocs/sweep %d)\n",
-		readTime, dec.Timings.Init, dec.Timings.Convert, dec.Timings.Symbolic, dec.Timings.TTMc, dec.Timings.TRSVD, dec.Timings.Core,
+	fmt.Printf("timings: read=%v init=%v symbolic=%v ttmc=%v trsvd=%v core=%v (steady-state allocs/sweep %d)\n",
+		readTime, dec.Timings.Init, dec.Timings.Symbolic, dec.Timings.TTMc, dec.Timings.TRSVD, dec.Timings.Core,
 		dec.AllocsPerSweep)
-	fmt.Printf("storage: format=%s index=%d B (%.2f B/nnz)\n",
-		dec.Format, dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()))
+	fmt.Printf("storage: index=%d B (%.2f B/nnz)\n",
+		dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()))
 	// The measured count sits next to what each strategy was predicted
 	// to cost, so a choice of -ttmc auto that the input proves wrong
 	// shows here.
 	flatMadds, treeMadds := hypertensor.PredictSweepMadds(x, dec.ChosenRanks, *threads)
-	fmt.Printf("ttmc: strategy=%s schedule=%s flops=%d (%d madds/sweep; predicted flat=%d dtree=%d)",
-		dec.TTMc, schedule, dec.TTMcFlops, dec.TTMcFlops/int64(max(dec.Iters, 1)), flatMadds, treeMadds)
+	fmt.Printf("ttmc: strategy=%s flops=%d (%d madds/sweep; predicted flat=%d dtree=%d)",
+		dec.TTMc, dec.TTMcFlops, dec.TTMcFlops/int64(max(dec.Iters, 1)), flatMadds, treeMadds)
 	if dec.TTMc == hypertensor.TTMcDTree {
 		fmt.Printf(" (node recompute time %v)", dec.Timings.TTMcNodes)
 	}

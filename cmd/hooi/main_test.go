@@ -1,0 +1,140 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"hypertensor/internal/gen"
+	"hypertensor/internal/tensor"
+)
+
+// hooiBin is the binary under test and tnsPath its input, a 2k-nnz
+// order-3 tensor; TestMain builds both once.
+var hooiBin, tnsPath string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "hooi-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	hooiBin = filepath.Join(dir, "hooi")
+	if out, err := exec.Command("go", "build", "-o", hooiBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building hooi: %v\n%s", err, out)
+		os.Exit(1)
+	}
+	tnsPath = filepath.Join(dir, "x.tns")
+	x := gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 2000, Skew: 0.5, Seed: 1})
+	if err := tensor.WriteTNSFile(tnsPath, x); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// hooi runs the binary on the test tensor at ranks 3,3,3 for two sweeps
+// with the given extra arguments.
+func hooi(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(hooiBin, append([]string{"-input", tnsPath, "-ranks", "3,3,3", "-iters", "2", "-tol", "-1"}, args...)...)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) {
+			t.Fatalf("running hooi %v: %v", args, err)
+		}
+		exit = ee.ExitCode()
+	}
+	return out.String(), errOut.String(), exit
+}
+
+// Flags that are gone are usage errors, and a flag the distributed path
+// does not carry to its ranks is refused when set — whatever it is set
+// to — with the error -update and -eps get there.
+func TestFlagErrors(t *testing.T) {
+	const notDist = " is a shared-memory engine option; it cannot be combined with -dist"
+	for _, tc := range []struct {
+		args   []string
+		exit   int
+		stderr string
+	}{
+		{[]string{"-format", "csf"}, 2, "flag provided but not defined: -format"},
+		{[]string{"-schedule", "static"}, 2, "flag provided but not defined: -schedule"},
+		{[]string{"-dist", "2", "-threads", "2"}, 1, "hooi: -threads" + notDist},
+		{[]string{"-dist", "2", "-ttmc", "flat"}, 1, "hooi: -ttmc" + notDist},
+		{[]string{"-dist", "2", "-ttmc", "auto"}, 1, "hooi: -ttmc" + notDist},
+		{[]string{"-dist", "2", "-init", "hosvd"}, 1, "hooi: -init" + notDist},
+		{[]string{"-dist", "2", "-algo", "sthosvd"}, 1, "hooi: -algo" + notDist},
+		{[]string{"-dist", "2", "-svd", "rand", "-sketch", "count"}, 1, "hooi: -sketch" + notDist},
+		{[]string{"-dist", "2", "-svd", "rand", "-oversample", "4"}, 1, "hooi: -oversample" + notDist},
+		{[]string{"-dist", "2", "-svd", "rand", "-power", "1"}, 1, "hooi: -power" + notDist},
+		{[]string{"-dist", "spawn", "-np", "2", "-threads", "1"}, 1, "hooi: -threads" + notDist},
+		{[]string{"-dist", "2", "-update", "delta.tns"}, 1, "hooi: -update is a shared-memory engine feature; it cannot be combined with -dist"},
+		{[]string{"-dist", "2", "-eps", "0.5"}, 1, "hooi: -eps adaptive rank is a shared-memory engine feature; it cannot be combined with -dist"},
+		{[]string{"-dist", "0", "-threads", "2", "-q"}, 0, ""},
+	} {
+		stdout, stderr, exit := hooi(t, tc.args...)
+		if exit != tc.exit || !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("hooi %v: exit %d, stderr %q; want exit %d and %q", tc.args, exit, stderr, tc.exit, tc.stderr)
+		}
+		if tc.exit != 0 && strings.Contains(stdout, "fit") {
+			t.Errorf("hooi %v: refused, yet it solved: %q", tc.args, stdout)
+		}
+	}
+}
+
+// -q prints the fit, to ten places, and nothing else — in every mode.
+func TestQuietPrintsOneFitLine(t *testing.T) {
+	fit := regexp.MustCompile(`^0\.\d{10}\n$`)
+	for _, args := range [][]string{
+		{"-q"},
+		{"-q", "-ttmc", "dtree"},
+		{"-q", "-svd", "rand"},
+		{"-q", "-algo", "sthosvd"},
+		{"-q", "-dist", "2"},
+		{"-q", "-dist", "2", "-grain", "coarse", "-method", "bl"},
+	} {
+		stdout, stderr, exit := hooi(t, args...)
+		if exit != 0 || !fit.MatchString(stdout) {
+			t.Errorf("hooi %v: exit %d, stdout %q, stderr %q; want one %%.10f line", args, exit, stdout, stderr)
+		}
+	}
+}
+
+// The full report's phase, storage and kernel lines.
+func TestReportLines(t *testing.T) {
+	stdout, stderr, exit := hooi(t)
+	if exit != 0 {
+		t.Fatalf("exit %d: %s", exit, stderr)
+	}
+	const dur = `[0-9.]+(ns|µs|ms|s)`
+	for _, line := range []string{
+		`^tensor: dims=\[60 50 40\] nnz=\d+$`,
+		`^Tucker core \[3 3 3\], fit 0\.\d{4} after 2 sweeps$`,
+		`^timings: read=` + dur + ` init=` + dur + ` symbolic=` + dur + ` ttmc=` + dur + ` trsvd=` + dur + ` core=` + dur + ` \(steady-state allocs/sweep \d+\)$`,
+		`^storage: index=\d+ B \(12\.00 B/nnz\)$`,
+		`^ttmc: strategy=flat flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\)$`,
+		`^  sweep  2: fit 0\.\d{8}$`,
+	} {
+		if !regexp.MustCompile(`(?m)` + line).MatchString(stdout) {
+			t.Errorf("no line matches %s in:\n%s", line, stdout)
+		}
+	}
+	stdout, stderr, exit = hooi(t, "-ttmc", "dtree")
+	if exit != 0 {
+		t.Fatalf("exit %d: %s", exit, stderr)
+	}
+	if !regexp.MustCompile(`(?m)^ttmc: strategy=dtree flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\) \(node recompute time ` + dur + `\)$`).MatchString(stdout) {
+		t.Errorf("no dtree ttmc line in:\n%s", stdout)
+	}
+}

@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"hypertensor/internal/bench"
-	"hypertensor/internal/par"
 )
 
 func main() {
@@ -31,12 +30,10 @@ func main() {
 		table   = flag.Int("table", 0, "regenerate one table (1-5)")
 		met     = flag.Bool("met", false, "run the MET single-core comparison")
 		dtree   = flag.Bool("dtree", false, "run the dimension-tree vs flat TTMc comparison")
-		format  = flag.Bool("format", false, "run the COO vs CSF vs ALTO storage-format comparison")
 		scaling = flag.Bool("scaling", false, "run the thread-scaling sweep (per-thread speedup table)")
 		solver  = flag.Bool("solver", false, "run the randomized-vs-Lanczos TRSVD solver comparison")
 		comm    = flag.Bool("comm", false, "run the comm-volume table: modeled hypergraph cut vs realized sparse-exchange bytes per partition method at p=2,4")
 		chaos   = flag.Bool("chaos", false, "run the fault-injection experiment: seed-swept transport faults plus a kill-and-recover checkpoint demonstration")
-		schedIn = flag.String("sched", "balanced", "scaling sweep schedule: balanced | dynamic | static")
 		jsonOut = flag.String("json", "", "write the scaling report as machine-readable JSON to this path")
 		basePth = flag.String("baseline", "", "compare the scaling report against this baseline JSON; exit 1 on regression")
 		reps    = flag.Int("reps", 3, "scaling sweep repetitions per measurement (fastest kept)")
@@ -51,7 +48,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "seed for datasets and partitioners")
 	)
 	flag.Parse()
-	if !*all && *table == 0 && !*met && !*dtree && !*format && !*scaling && !*solver && !*chaos && !*comm {
+	if !*all && *table == 0 && !*met && !*dtree && !*scaling && !*solver && !*chaos && !*comm {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -87,11 +84,7 @@ func main() {
 	}
 
 	runScaling := func() {
-		sched, err := par.ParseSchedule(*schedIn)
-		if err != nil {
-			fail(err)
-		}
-		rep, err := bench.Scaling(o, sched, out)
+		rep, err := bench.Scaling(o, out)
 		if err != nil {
 			fail(err)
 		}
@@ -126,10 +119,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Fprintln(out)
-		if _, err := bench.FormatCompare(o, out); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(out)
 		if _, err := bench.CommVolume(o, out); err != nil {
 			fail(err)
 		}
@@ -149,11 +138,6 @@ func main() {
 	}
 	if *dtree {
 		if _, err := bench.DTreeCompare(o, out); err != nil {
-			fail(err)
-		}
-	}
-	if *format {
-		if _, err := bench.FormatCompare(o, out); err != nil {
 			fail(err)
 		}
 	}

@@ -39,7 +39,6 @@ import (
 
 	"hypertensor/internal/checkpoint"
 	"hypertensor/internal/core"
-	"hypertensor/internal/cp"
 	"hypertensor/internal/dense"
 	"hypertensor/internal/dist"
 	"hypertensor/internal/gen"
@@ -52,23 +51,6 @@ import (
 type (
 	// SparseTensor is an N-mode sparse tensor in coordinate format.
 	SparseTensor = tensor.COO
-	// Sparse is the storage abstraction every kernel layer consumes;
-	// both SparseTensor (COO) and CSFTensor implement it.
-	Sparse = tensor.Sparse
-	// CSFTensor is an N-mode sparse tensor in compressed-sparse-fiber
-	// format: per-root-mode fiber trees with compressed index levels.
-	CSFTensor = tensor.CSF
-	// CSFOptions configure BuildCSF (storage mode order, threads).
-	CSFOptions = tensor.CSFOptions
-	// ALTOTensor is an N-mode sparse tensor in adaptive linearized
-	// tensor order: one sorted stream of bit-interleaved coordinate
-	// keys, 8 or 16 bytes of index per nonzero.
-	ALTOTensor = tensor.ALTO
-	// ALTOOptions configure BuildALTO (threads).
-	ALTOOptions = tensor.ALTOOptions
-	// Format selects the storage layout Decompose runs on (FormatCOO,
-	// FormatCSF, FormatALTO).
-	Format = core.Format
 	// DenseTensor is a dense N-mode tensor (e.g. the Tucker core).
 	DenseTensor = tensor.Dense
 	// Matrix is a row-major dense matrix (factor matrices).
@@ -78,11 +60,11 @@ type (
 	// Decomposition is a computed Tucker model [[G; U_1..U_N]] with fit,
 	// per-phase timings, update accounting, and reconstruction helpers.
 	Decomposition = core.Result
-	// Plan is the immutable per-tensor analysis (storage build, symbolic
-	// update lists, strategy choice) any number of Engines can share.
+	// Plan is the immutable per-tensor analysis (symbolic update lists,
+	// strategy choice) any number of Engines can share.
 	Plan = core.Plan
 	// Engine is a resident decomposition handle: Run converges, Update
-	// ingests a coordinate delta incrementally and re-converges warm.
+	// merges a coordinate delta and re-converges warm.
 	Engine = core.Engine
 	// SweepState is the resident per-mode numeric state (factors, TRSVD
 	// workspaces, seed schedule) shared by every execution model.
@@ -97,9 +79,6 @@ type (
 	// TTMcStrategy selects the TTMc evaluation path (TTMcAuto, the
 	// default, which a Plan resolves to TTMcFlat or TTMcDTree).
 	TTMcStrategy = core.TTMcStrategy
-	// Schedule selects the parallel loop scheduling discipline
-	// (ScheduleBalanced, ScheduleDynamic, ScheduleStatic).
-	Schedule = core.Schedule
 	// Partition is a distributed task assignment (rows and, for fine
 	// grain, nonzeros) for P ranks.
 	Partition = dist.Partition
@@ -142,10 +121,6 @@ type (
 	FaultConfig = mpi.FaultConfig
 	// STHOSVDOptions configure DecomposeSTHOSVD.
 	STHOSVDOptions = core.STHOSVDOptions
-	// CPOptions configure DecomposeCP.
-	CPOptions = cp.Options
-	// CPDecomposition is a computed CANDECOMP/PARAFAC model.
-	CPDecomposition = cp.Result
 )
 
 // Re-exported enum values.
@@ -163,14 +138,6 @@ const (
 	TTMcFlat  = core.TTMcFlat
 	TTMcDTree = core.TTMcDTree
 
-	FormatCOO  = core.FormatCOO
-	FormatCSF  = core.FormatCSF
-	FormatALTO = core.FormatALTO
-
-	ScheduleBalanced = core.ScheduleBalanced
-	ScheduleDynamic  = core.ScheduleDynamic
-	ScheduleStatic   = core.ScheduleStatic
-
 	CoarseGrain = dist.Coarse
 	FineGrain   = dist.Fine
 
@@ -185,42 +152,6 @@ const (
 func NewSparseTensor(dims []int, capacity int) *SparseTensor {
 	return tensor.NewCOO(dims, capacity)
 }
-
-// BuildCSF converts a coordinate tensor to compressed-sparse-fiber
-// storage — the same conversion Decompose performs internally when
-// Options.Format is FormatCSF. Use it to inspect the compressed layout
-// before committing to a format: the CSFTensor reports its fiber
-// counts, index footprint (IndexBytes), storage permutation, and
-// per-mode streams, and ToCOO converts back.
-func BuildCSF(x *SparseTensor, opts CSFOptions) *CSFTensor {
-	return tensor.NewCSF(x, opts)
-}
-
-// BuildALTO converts a coordinate tensor to adaptive-linearized-
-// tensor-order storage — the same conversion Decompose performs
-// internally when Options.Format is FormatALTO. Each nonzero's
-// coordinates are bit-interleaved into a single 64-bit (or split
-// 128-bit) key and the keys are sorted and deduplicated into one
-// linear stream; the ALTOTensor reports its per-mode bit widths,
-// index footprint (IndexBytes), and mode streams, and ToCOO converts
-// back. Panics if the shape needs more than 128 interleaved bits.
-func BuildALTO(x *SparseTensor, opts ALTOOptions) *ALTOTensor {
-	return tensor.NewALTO(x, opts)
-}
-
-// ParseFormat parses a storage-format name ("coo", "csf", "alto") as
-// spelled by the CLI -format flags; FormatNames lists the accepted
-// spellings and FormatUsage renders the flag help text. All three
-// derive from the same table, so a new format cannot reach one
-// without the others.
-func ParseFormat(s string) (Format, error) { return core.ParseFormat(s) }
-
-// FormatNames lists the accepted storage-format spellings in enum
-// order.
-func FormatNames() []string { return core.FormatNames() }
-
-// FormatUsage renders the canonical -format flag usage string.
-func FormatUsage() string { return core.FormatUsage() }
 
 // ReadTensorFile loads a tensor in .tns text format (1-based
 // coordinates, optional "# dims:" header).
@@ -244,7 +175,7 @@ func Decompose(x *SparseTensor, opts Options) (*Decomposition, error) {
 }
 
 // NewPlan performs the one-time per-tensor analysis of a decomposition:
-// storage-format build, symbolic update lists, TTMc strategy choice.
+// symbolic update lists, TTMc strategy choice.
 // The plan is immutable; build any number of Engines on it.
 func NewPlan(x *SparseTensor, opts Options) (*Plan, error) {
 	return core.NewPlan(x, opts)
@@ -303,14 +234,6 @@ func LoadLatestCheckpoint(dir string) (*CheckpointState, string, error) {
 // Options.Initial to Decompose to chain the two.
 func DecomposeSTHOSVD(x *SparseTensor, opts STHOSVDOptions) (*Decomposition, error) {
 	return core.STHOSVD(x, opts)
-}
-
-// DecomposeCP computes a CANDECOMP/PARAFAC decomposition with CP-ALS.
-// The paper's parallel framework originates from the authors' CP-ALS
-// system (SC'15) and its released library computes both models; the
-// MTTKRP kernel shares the symbolic substrate with TTMc.
-func DecomposeCP(x *SparseTensor, opts CPOptions) (*CPDecomposition, error) {
-	return cp.Decompose(x, opts)
 }
 
 // NewPartition builds a task partition of the tensor for p simulated

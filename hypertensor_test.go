@@ -102,38 +102,3 @@ func TestPublicAPISTHOSVDAndWarmStart(t *testing.T) {
 		t.Fatalf("warm-started HOOI regressed: %v -> %v", st.Fit, warm.Fit)
 	}
 }
-
-func TestPublicAPICSFFormat(t *testing.T) {
-	x, err := GeneratePreset("netflix", 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranks := PaperRanks(x.Order())
-	for n := range ranks {
-		if ranks[n] > x.Dims[n] {
-			ranks[n] = x.Dims[n]
-		}
-	}
-	base := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2}
-	coo, err := Decompose(x, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Format = FormatCSF
-	csf, err := Decompose(x, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(coo.Fit - csf.Fit); d > 1e-8 {
-		t.Fatalf("formats diverge by %g", d)
-	}
-	if csf.IndexBytes >= coo.IndexBytes {
-		t.Fatalf("CSF index bytes %d not below COO %d", csf.IndexBytes, coo.IndexBytes)
-	}
-	// Standalone conversion through the public surface.
-	c := BuildCSF(x, CSFOptions{})
-	var s Sparse = c
-	if s.NNZ() != x.Clone().SortDedup().NNZ() {
-		t.Fatal("BuildCSF lost nonzeros")
-	}
-}

@@ -17,7 +17,6 @@ import (
 	"hypertensor/internal/dist"
 	"hypertensor/internal/gen"
 	"hypertensor/internal/mpi"
-	"hypertensor/internal/par"
 	"hypertensor/internal/tensor"
 )
 
@@ -59,18 +58,6 @@ type DistCell struct {
 	SweepSec             float64 `json:"sweep_sec"`
 }
 
-// AltoCell is the ALTO storage-format measurement of one dataset:
-// linearized-key index bytes (8 or 16 per nonzero, machine
-// independent), TTMc madds per sweep (machine independent — the
-// linearized kernels count the same nnz x row-size convention as the
-// flat path), and the measured sweep seconds at the sweep's largest
-// thread count (host gated like the thread cells).
-type AltoCell struct {
-	IndexBytes    int64   `json:"index_bytes"`
-	MaddsPerSweep int64   `json:"madds_per_sweep"`
-	SweepSec      float64 `json:"sweep_sec"`
-}
-
 // CheckpointCell is the crash-recovery measurement of one dataset:
 // the serialized checkpoint size (a deterministic function of the
 // dims and ranks — factors, core, history, and a fixed-size header —
@@ -105,9 +92,8 @@ type ScalingRow struct {
 	// after the initial convergence a deterministic ~0.6% delta is
 	// ingested through Engine.Update, and these record the sweeps it
 	// took to re-converge and the TTMc madds actually executed. Both are
-	// machine-independent (the update path is bitwise thread- and
-	// schedule-invariant), so a regression means the incremental
-	// machinery — warm starts, dirty-subtree recompute — degraded.
+	// machine-independent (the update path is bitwise thread-invariant),
+	// so a regression means the warm re-convergence degraded.
 	UpdateSweeps int           `json:"update_sweeps"`
 	UpdateMadds  int64         `json:"update_madds"`
 	Fit          float64       `json:"fit"`
@@ -120,9 +106,6 @@ type ScalingRow struct {
 	// sweep's largest thread count (madds and |Δfit| deterministic and
 	// gated; seconds host-gated; eps_ranks gated with a small slack).
 	Solver *SolverCell `json:"solver,omitempty"`
-	// Alto is the ALTO storage-format row (schema 6): index bytes and
-	// madds deterministic and gated, seconds host-gated.
-	Alto *AltoCell `json:"alto,omitempty"`
 	// Checkpoint is the crash-recovery row (schema 7): checkpoint bytes
 	// deterministic and gated, write/restore seconds host-gated.
 	Checkpoint *CheckpointCell `json:"checkpoint,omitempty"`
@@ -137,8 +120,6 @@ type ScalingReport struct {
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	Scale      float64      `json:"scale"`
 	Iters      int          `json:"iters"`
-	Schedule   string       `json:"schedule"`
-	Format     string       `json:"format"`
 	Rows       []ScalingRow `json:"rows"`
 }
 
@@ -155,8 +136,10 @@ type ScalingReport struct {
 // switched the dist cells to hypergraph partitions with the sparse
 // point-to-point exchange and added their per-phase breakdown
 // (expand/fold/trsvd bytes per sweep) plus the block-placement cut
-// volume the HP-beats-block gate compares against.
-const scalingSchema = 8
+// volume the HP-beats-block gate compares against; schema 9 dropped the
+// schedule and format fields and the ALTO cell with the options they
+// recorded, and measures every cell on default options.
+const scalingSchema = 9
 
 // distNPs are the multi-process rank counts measured per dataset.
 var distNPs = []int{2, 4}
@@ -213,15 +196,13 @@ func cpuModel() string {
 }
 
 // Scaling runs the shared-memory thread-scaling sweep on every preset
-// dataset with the given schedule: one HOOI measurement per thread
-// count on CSF storage under the default TTMc strategy (the fiber walk
-// on the 3-mode presets, the dimension tree on the 4-mode ones),
-// reporting seconds and speedup per sweep,
-// the TTMc share, the machine-independent madds-per-sweep count, and
-// whether the fit trajectory stayed bitwise identical across the whole
-// thread sweep (it must, for the static and balanced schedules — that
-// is the determinism contract of the runtime).
-func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error) {
+// dataset: one HOOI measurement per thread count on default options (the
+// flat kernel on the 3-mode presets, the dimension tree on the 4-mode
+// ones), reporting seconds and speedup per sweep, the TTMc share, the
+// machine-independent madds-per-sweep count, and whether the fit
+// trajectory stayed bitwise identical across the whole thread sweep (it
+// must — that is the determinism contract of the runtime).
+func Scaling(o Options, w io.Writer) (*ScalingReport, error) {
 	o = o.withDefaults()
 	rep := &ScalingReport{
 		Schema:     scalingSchema,
@@ -229,12 +210,9 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Scale:      o.Scale,
 		Iters:      o.Iters,
-		Schedule:   sched.String(),
-		Format:     core.FormatCSF.String(),
 	}
 	t := &Table{
-		Title: fmt.Sprintf("Thread scaling: seconds/sweep, schedule=%s, format=csf (host %s)",
-			sched, rep.Host),
+		Title:   fmt.Sprintf("Thread scaling: seconds/sweep (host %s)", rep.Host),
 		Headers: []string{"Tensor", "#threads", "s/sweep", "ttmc s", "trsvd s", "speedup", "madds/sweep", "allocs/sweep", "upd sweeps", "upd madds", "fit-invariant"},
 	}
 	for _, name := range []string{"netflix", "nell", "delicious", "flickr"} {
@@ -257,8 +235,6 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 					MaxIters:      o.Iters,
 					Tol:           -1,
 					Threads:       th,
-					Schedule:      sched,
-					Format:        core.FormatCSF,
 					Seed:          o.Seed + 31,
 					MeasureAllocs: th == 1,
 				})
@@ -299,7 +275,7 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 				}
 			}
 		}
-		row.UpdateSweeps, row.UpdateMadds, err = measureUpdate(x, ranks, sched, o.Seed)
+		row.UpdateSweeps, row.UpdateMadds, err = measureUpdate(x, ranks, o.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s update: %w", name, err)
 		}
@@ -314,11 +290,7 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 		if err != nil {
 			return nil, fmt.Errorf("%s solver comparison: %w", name, err)
 		}
-		row.Alto, err = measureAlto(x, ranks, sched, o.Iters, o.Reps, maxInt(o.Threads), o.Seed+31)
-		if err != nil {
-			return nil, fmt.Errorf("%s alto: %w", name, err)
-		}
-		row.Checkpoint, err = measureCheckpoint(x, ranks, sched, o.Iters, o.Reps, maxInt(o.Threads), o.Seed+31)
+		row.Checkpoint, err = measureCheckpoint(x, ranks, o.Iters, o.Reps, maxInt(o.Threads), o.Seed+31)
 		if err != nil {
 			return nil, fmt.Errorf("%s checkpoint: %w", name, err)
 		}
@@ -361,19 +333,6 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 	}
 	td.Render(w)
 	renderSolverTable(rep, w)
-	ta := &Table{
-		Title:   "ALTO storage format (largest thread count)",
-		Headers: []string{"Tensor", "alto B/nnz", "madds/sweep", "s/sweep"},
-	}
-	for _, row := range rep.Rows {
-		if row.Alto == nil {
-			continue
-		}
-		ta.AddRow(row.Dataset,
-			fmt.Sprintf("%.1f", float64(row.Alto.IndexBytes)/float64(row.NNZ)),
-			humanCount(row.Alto.MaddsPerSweep), secs(row.Alto.SweepSec))
-	}
-	ta.Render(w)
 	tc := &Table{
 		Title:   "Checkpoint/restore (converged engine snapshot)",
 		Headers: []string{"Tensor", "ckpt bytes", "write s", "restore s"},
@@ -389,31 +348,6 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 	return rep, nil
 }
 
-// measureAlto runs one dataset under FormatALTO, on the stream kernels
-// (flat strategy; the default would put the 4-mode presets on the
-// dimension tree, which reads no format's kernels), at the sweep's
-// largest thread count, min-of-reps like the thread cells, and reports
-// the machine-independent index bytes and madds plus the host-gated
-// sweep seconds.
-func measureAlto(x *tensor.COO, ranks []int, sched par.Schedule, iters, reps, threads int, seed int64) (*AltoCell, error) {
-	cell := &AltoCell{}
-	for rep := 0; rep < reps; rep++ {
-		r, err := core.Decompose(x, core.Options{
-			Ranks: ranks, MaxIters: iters, Tol: -1, Threads: threads,
-			Schedule: sched, Format: core.FormatALTO, TTMc: core.TTMcFlat, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if s := r.Timings.Total().Seconds() / float64(r.Iters); rep == 0 || s < cell.SweepSec {
-			cell.SweepSec = s
-		}
-		cell.IndexBytes = r.IndexBytes
-		cell.MaddsPerSweep = r.TTMcFlops / int64(r.Iters)
-	}
-	return cell, nil
-}
-
 // measureCheckpoint converges one engine on the dataset, then measures
 // the crash-recovery round trip: Snapshot into a buffer (write), and
 // ResumeEngine from those bytes against a fresh plan (restore —
@@ -422,11 +356,8 @@ func measureAlto(x *tensor.COO, ranks []int, sched par.Schedule, iters, reps, th
 // ranks, and sweep count. The restored engine must reproduce the
 // original result bitwise, so the cell also acts as a round-trip
 // correctness check inside the bench sweep.
-func measureCheckpoint(x *tensor.COO, ranks []int, sched par.Schedule, iters, reps, threads int, seed int64) (*CheckpointCell, error) {
-	opts := core.Options{
-		Ranks: ranks, MaxIters: iters, Tol: -1, Threads: threads,
-		Schedule: sched, Format: core.FormatCSF, Seed: seed,
-	}
+func measureCheckpoint(x *tensor.COO, ranks []int, iters, reps, threads int, seed int64) (*CheckpointCell, error) {
+	opts := core.Options{Ranks: ranks, MaxIters: iters, Tol: -1, Threads: threads, Seed: seed}
 	p, err := core.NewPlan(x, opts)
 	if err != nil {
 		return nil, err
@@ -596,19 +527,13 @@ func distSolveTCP(x *tensor.COO, part *dist.Partition, ranks []int, np, iters in
 // measureUpdate exercises the resident-engine delta path once per
 // dataset: converge, ingest a deterministic ~0.6% delta (half value
 // perturbations, half fresh coordinates), and report the re-convergence
-// sweeps and executed TTMc madds. It deliberately runs the COO +
-// dimension-tree configuration — the one where ingest is incremental in
-// every layer (stable-id merge, symbolic splice, per-entry dirty
-// recompute) — so a regression in that machinery (e.g. ApplyDelta
-// degrading to full-cache recomputes) shows up directly as more madds.
+// sweeps and executed TTMc madds. It runs the dimension tree on every
+// preset, the kernel whose madds per sweep an update should not exceed.
 // Single-threaded — the update path is bitwise thread-invariant, so one
 // cell suffices — with a convergence tolerance, so the sweep count
 // reflects the warm start instead of a fixed iteration budget.
-func measureUpdate(x *tensor.COO, ranks []int, sched par.Schedule, seed int64) (int, int64, error) {
-	opts := core.Options{
-		Ranks: ranks, MaxIters: 30, Tol: 1e-9, Threads: 1,
-		Schedule: sched, Format: core.FormatCOO, TTMc: core.TTMcDTree, Seed: seed + 31,
-	}
+func measureUpdate(x *tensor.COO, ranks []int, seed int64) (int, int64, error) {
+	opts := core.Options{Ranks: ranks, MaxIters: 30, Tol: 1e-9, Threads: 1, TTMc: core.TTMcDTree, Seed: seed + 31}
 	p, err := core.NewPlan(x, opts)
 	if err != nil {
 		return 0, 0, err
@@ -678,15 +603,15 @@ func ReadScalingReport(path string) (*ScalingReport, error) {
 //     because one synthetic dataset's sorted nonzero order gives block
 //     placement near-optimal locality; see the gate's comment).
 //
-// The configurations (scale, iters, schedule, schema) must match, so a
-// CI job cannot silently compare sweeps of different shapes.
+// The configurations (scale, iters, schema) must match, so a CI job
+// cannot silently compare sweeps of different shapes.
 func CompareScaling(base, cur *ScalingReport, tol, timeTol float64, w io.Writer) error {
 	if base.Schema != cur.Schema {
 		return fmt.Errorf("bench: baseline schema %d vs current %d", base.Schema, cur.Schema)
 	}
-	if base.Scale != cur.Scale || base.Iters != cur.Iters || base.Schedule != cur.Schedule || base.Format != cur.Format {
-		return fmt.Errorf("bench: baseline config (scale=%g iters=%d sched=%s format=%s) does not match current (scale=%g iters=%d sched=%s format=%s)",
-			base.Scale, base.Iters, base.Schedule, base.Format, cur.Scale, cur.Iters, cur.Schedule, cur.Format)
+	if base.Scale != cur.Scale || base.Iters != cur.Iters {
+		return fmt.Errorf("bench: baseline config (scale=%g iters=%d) does not match current (scale=%g iters=%d)",
+			base.Scale, base.Iters, cur.Scale, cur.Iters)
 	}
 	timeGate := base.Host == cur.Host
 	if !timeGate {
@@ -743,8 +668,8 @@ func CompareScaling(base, cur *ScalingReport, tol, timeTol float64, w io.Writer)
 				c.Dataset, b.AllocsPerSweep, c.AllocsPerSweep, tol*100, allocNoiseFloor)
 		}
 		// The update-path gates cover the resident-engine delta
-		// machinery. Both metrics are deterministic (bitwise thread- and
-		// schedule-invariant), so sweeps get no tolerance at all — more
+		// machinery. Both metrics are deterministic (bitwise
+		// thread-invariant), so sweeps get no tolerance at all — more
 		// sweeps to re-converge means the warm start degraded — and
 		// madds get the standard fractional one.
 		if b.UpdateSweeps > 0 && c.UpdateSweeps <= 0 {
@@ -842,27 +767,6 @@ func CompareScaling(base, cur *ScalingReport, tol, timeTol float64, w io.Writer)
 				exceeds(c.Solver.RandTRSVDSec, b.Solver.RandTRSVDSec, timeTol) {
 				return fmt.Errorf("bench: %s randomized-solver TRSVD time regressed %.4fs -> %.4fs (> %.0f%%)",
 					c.Dataset, b.Solver.RandTRSVDSec, c.Solver.RandTRSVDSec, timeTol*100)
-			}
-		}
-		// The ALTO storage-format gates (schema 6): index bytes and madds
-		// are deterministic functions of the dataset (fractional
-		// tolerance); the sweep seconds follow the host rules below.
-		if b.Alto != nil {
-			if c.Alto == nil {
-				return fmt.Errorf("bench: %s no longer reports the ALTO format cell present in the baseline", c.Dataset)
-			}
-			if exceeds(float64(c.Alto.IndexBytes), float64(b.Alto.IndexBytes), tol) {
-				return fmt.Errorf("bench: %s ALTO index bytes regressed %d -> %d (> %.0f%%)",
-					c.Dataset, b.Alto.IndexBytes, c.Alto.IndexBytes, tol*100)
-			}
-			if exceeds(float64(c.Alto.MaddsPerSweep), float64(b.Alto.MaddsPerSweep), tol) {
-				return fmt.Errorf("bench: %s ALTO madds/sweep regressed %d -> %d (> %.0f%%)",
-					c.Dataset, b.Alto.MaddsPerSweep, c.Alto.MaddsPerSweep, tol*100)
-			}
-			if timeGate && timeTol > 0 && c.Alto.SweepSec-b.Alto.SweepSec >= timeNoiseFloorSec &&
-				exceeds(c.Alto.SweepSec, b.Alto.SweepSec, timeTol) {
-				return fmt.Errorf("bench: %s ALTO sweep time regressed %.4fs -> %.4fs (> %.0f%%)",
-					c.Dataset, b.Alto.SweepSec, c.Alto.SweepSec, timeTol*100)
 			}
 		}
 		// The checkpoint gates (schema 7): the serialized size is a

@@ -5,15 +5,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"hypertensor/internal/par"
 )
 
 func TestScalingReport(t *testing.T) {
 	var buf bytes.Buffer
 	o := quickOpts()
 	o.Reps = 1
-	rep, err := Scaling(o, par.ScheduleBalanced, &buf)
+	rep, err := Scaling(o, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +61,12 @@ func TestScalingReport(t *testing.T) {
 	if !strings.Contains(buf.String(), "Thread scaling") {
 		t.Fatal("table output missing title")
 	}
-	if rep.Schedule != "balanced" {
-		t.Fatalf("schedule %q recorded", rep.Schedule)
-	}
 }
 
 func TestScalingJSONRoundTrip(t *testing.T) {
 	o := quickOpts()
 	o.Reps = 1
-	rep, err := Scaling(o, par.ScheduleBalanced, &bytes.Buffer{})
+	rep, err := Scaling(o, &bytes.Buffer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +92,7 @@ func TestScalingJSONRoundTrip(t *testing.T) {
 func scalingFixture() *ScalingReport {
 	return &ScalingReport{
 		Schema: scalingSchema, Host: "test/amd64/maxprocs=8", GOMAXPROCS: 8,
-		Scale: 1, Iters: 3, Schedule: "balanced", Format: "csf",
+		Scale: 1, Iters: 3,
 		Rows: []ScalingRow{{
 			Dataset: "netflix", Order: 3, NNZ: 1000,
 			MaddsPerSweep: 1000000, IndexBytes: 5000, AllocsPerSweep: 100,

@@ -22,9 +22,9 @@ const solverEps = 0.25
 const epsRankSlack = 2
 
 // SolverCell is one dataset's randomized-vs-Lanczos TRSVD comparison,
-// measured at identical ranks, sweeps, and threads on the CSF fast
-// path. Madds and |Δfit| are deterministic and gated against the
-// committed baseline; the per-sweep TRSVD seconds follow the same
+// measured at identical ranks, sweeps, and threads on default options.
+// Madds and |Δfit| are deterministic and gated against the committed
+// baseline; the per-sweep TRSVD seconds follow the same
 // host-fingerprint rules as the thread cells. EpsRanks records the
 // per-mode ranks the adaptive-rank path (Options.Eps = solverEps)
 // selects, a deterministic regression signal for the epsilon-truncation
@@ -54,7 +54,6 @@ func SolverCompare(x *tensor.COO, ranks []int, iters, reps, threads int, seed in
 		MaxIters: iters,
 		Tol:      -1,
 		Threads:  threads,
-		Format:   core.FormatCSF,
 		Seed:     seed,
 	}
 	cell := &SolverCell{Eps: solverEps}

@@ -12,6 +12,7 @@ import (
 	"hypertensor/internal/checkpoint"
 	"hypertensor/internal/dense"
 	"hypertensor/internal/gen"
+	"hypertensor/internal/par"
 	"hypertensor/internal/symbolic"
 	"hypertensor/internal/tensor"
 	"hypertensor/internal/ttm"
@@ -44,30 +45,28 @@ func TestTTMcAutoResolution(t *testing.T) {
 		if order >= 4 {
 			want = TTMcDTree
 		}
-		for _, format := range []Format{FormatCOO, FormatCSF, FormatALTO} {
-			opts := Options{Ranks: ranks, MaxIters: 2, Tol: -1, Seed: 1, Format: format}
-			p, err := NewPlan(x, opts)
-			if err != nil {
-				t.Fatalf("order %d %v: %v", order, format, err)
+		opts := Options{Ranks: ranks, MaxIters: 2, Tol: -1, Seed: 1}
+		p, err := NewPlan(x, opts)
+		if err != nil {
+			t.Fatalf("order %d: %v", order, err)
+		}
+		if p.TTMc() != want || p.Options().TTMc != want {
+			t.Fatalf("order %d: auto resolved to %v, want %v", order, p.TTMc(), want)
+		}
+		res, err := NewEngine(p).Run(context.Background())
+		if err != nil {
+			t.Fatalf("order %d: %v", order, err)
+		}
+		if res.TTMc != want {
+			t.Fatalf("order %d: result reports %v, want %v", order, res.TTMc, want)
+		}
+		for _, explicit := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
+			if explicit == TTMcDTree && order < 2 {
+				continue
 			}
-			if p.TTMc() != want || p.Options().TTMc != want {
-				t.Fatalf("order %d %v: auto resolved to %v, want %v", order, format, p.TTMc(), want)
-			}
-			res, err := NewEngine(p).Run(context.Background())
-			if err != nil {
-				t.Fatalf("order %d %v: %v", order, format, err)
-			}
-			if res.TTMc != want {
-				t.Fatalf("order %d %v: result reports %v, want %v", order, format, res.TTMc, want)
-			}
-			for _, explicit := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
-				if explicit == TTMcDTree && order < 2 {
-					continue
-				}
-				opts.TTMc = explicit
-				if p, err := NewPlan(x, opts); err != nil || p.TTMc() != explicit {
-					t.Fatalf("order %d %v: explicit %v became %v (err %v)", order, format, explicit, p.TTMc(), err)
-				}
+			opts.TTMc = explicit
+			if p, err := NewPlan(x, opts); err != nil || p.TTMc() != explicit {
+				t.Fatalf("order %d: explicit %v became %v (err %v)", order, explicit, p.TTMc(), err)
 			}
 		}
 	}
@@ -118,115 +117,88 @@ func TestTTMcAutoResolution(t *testing.T) {
 }
 
 // On an order-4 tensor the zero Options value IS the dimension tree —
-// bit for bit, on every format — and agrees with the flat path to
-// rounding.
+// bit for bit — and agrees with the flat path to rounding.
 func TestAutoIsTheTreeOnOrder4(t *testing.T) {
 	x, ranks := presetTensor(t, "flickr", 0.02)
-	for _, format := range []Format{FormatCOO, FormatCSF, FormatALTO} {
-		base := Options{Ranks: ranks, MaxIters: 4, Tol: -1, Seed: 7, Format: format, Threads: 2}
-		auto := mustRun(t, x, base)
-		tree, flat := base, base
-		tree.TTMc, flat.TTMc = TTMcDTree, TTMcFlat
-		rt, rf := mustRun(t, x, tree), mustRun(t, x, flat)
-		resultsBitwiseEqual(t, format.String()+": auto vs explicit dtree", auto, rt)
-		if auto.TTMcFlops != rt.TTMcFlops {
-			t.Fatalf("%v: auto executed %d madds, explicit dtree %d", format, auto.TTMcFlops, rt.TTMcFlops)
+	base := Options{Ranks: ranks, MaxIters: 4, Tol: -1, Seed: 7, Threads: 2}
+	auto := mustRun(t, x, base)
+	tree, flat := base, base
+	tree.TTMc, flat.TTMc = TTMcDTree, TTMcFlat
+	rt, rf := mustRun(t, x, tree), mustRun(t, x, flat)
+	resultsBitwiseEqual(t, "auto vs explicit dtree", auto, rt)
+	if auto.TTMcFlops != rt.TTMcFlops {
+		t.Fatalf("auto executed %d madds, explicit dtree %d", auto.TTMcFlops, rt.TTMcFlops)
+	}
+	for i := range rf.FitHistory {
+		if d := math.Abs(auto.FitHistory[i] - rf.FitHistory[i]); !(d <= 1e-10) {
+			t.Fatalf("sweep %d: auto fit %.17g is %.3g off flat's %.17g", i+1, auto.FitHistory[i], d, rf.FitHistory[i])
 		}
-		for i := range rf.FitHistory {
-			if d := math.Abs(auto.FitHistory[i] - rf.FitHistory[i]); !(d <= 1e-10) {
-				t.Fatalf("%v sweep %d: auto fit %.17g is %.3g off flat's %.17g", format, i+1, auto.FitHistory[i], d, rf.FitHistory[i])
-			}
-		}
-		if format == FormatCOO && 2*auto.TTMcFlops > rf.TTMcFlops {
-			t.Fatalf("auto executed %d madds, more than half of flat's %d", auto.TTMcFlops, rf.TTMcFlops)
-		}
+	}
+	if 2*auto.TTMcFlops > rf.TTMcFlops {
+		t.Fatalf("auto executed %d madds, more than half of flat's %d", auto.TTMcFlops, rf.TTMcFlops)
 	}
 }
 
 // The default path keeps the determinism contract: the same bits for
-// every thread count and schedule.
-func TestAutoThreadAndScheduleInvariant(t *testing.T) {
+// every thread count.
+func TestAutoThreadInvariant(t *testing.T) {
 	x, ranks := presetTensor(t, "delicious", 0.02)
 	var ref *Result
 	for _, threads := range []int{1, 2, 4} {
-		for _, sched := range []Schedule{ScheduleBalanced, ScheduleDynamic, ScheduleStatic} {
-			res := mustRun(t, x, Options{Ranks: ranks, MaxIters: 4, Tol: -1, Seed: 3, Threads: threads, Schedule: sched})
-			if res.TTMc != TTMcDTree {
-				t.Fatalf("order-4 default ran %v", res.TTMc)
-			}
-			if ref == nil {
-				ref = res
-				continue
-			}
-			resultsBitwiseEqual(t, "threads/schedule changed the default path's bits", ref, res)
+		res := mustRun(t, x, Options{Ranks: ranks, MaxIters: 4, Tol: -1, Seed: 3, Threads: threads})
+		if res.TTMc != TTMcDTree {
+			t.Fatalf("order-4 default ran %v", res.TTMc)
 		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		resultsBitwiseEqual(t, "the thread count changed the default path's bits", ref, res)
 	}
 }
 
 // Resume ≡ uninterrupted under the default options of an order-4 run.
 func TestAutoResumeBitwise(t *testing.T) {
 	x, ranks := presetTensor(t, "flickr", 0.02)
-	for _, format := range []Format{FormatCOO, FormatCSF} {
-		opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 7, Format: format, Threads: 2}
-		full := mustRun(t, x, opts)
+	opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 7, Threads: 2}
+	full := mustRun(t, x, opts)
 
-		dir := t.TempDir()
-		p, err := NewPlan(x, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(p)
-		e.EnableCheckpoints(dir, 3)
-		if _, err := e.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName(3)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := NewPlan(x, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2, err := ResumeEngine(p2, bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed, err := e2.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsBitwiseEqual(t, format.String()+": resumed default run diverged", full, resumed)
-	}
-}
-
-// An Update lands on a tree that has been through whole sweeps of
-// buffer hand-overs: one memo node valid, in the buffer its sibling
-// died in. Its re-convergence must be, bit for bit, what an engine
-// built cold on the merged tensor does from the same factors, seed
-// position and warm-start state.
-func TestUpdateOnRecycledTreeMatchesColdRebuild(t *testing.T) {
-	x, ranks := presetTensor(t, "flickr", 0.02)
-	delta := gen.Delta(x, 0.01, 0.01, 5)
-	opts := Options{Ranks: ranks, MaxIters: 4, Tol: -1, Seed: 3, Threads: 2}
+	dir := t.TempDir()
 	p, err := NewPlan(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := NewEngine(p)
+	e.EnableCheckpoints(dir, 3)
 	if _, err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	tree := e.kern.(*ttm.DTree)
-	valid := 0
-	for _, ni := range tree.Nodes() {
-		if ni.Valid {
-			valid++
-		}
+	b, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName(3)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if valid != 1 {
-		t.Fatalf("%d memo nodes valid after a run, want 1 (the other's buffer recycled)", valid)
+	p2, err := NewPlan(x, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	e2, err := ResumeEngine(p2, bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := e2.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsBitwiseEqual(t, "resumed default run diverged", full, resumed)
+}
+
+// updateVsColdRebuild states what Update is: the delta merged into the
+// tensor, the kernel built on the result, and sweeps from the factors,
+// seed position and warm-start state the engine was in. An engine built
+// cold on the merged tensor and handed that state must do the same
+// thing bit for bit. e has run; it is updated with delta.
+func updateVsColdRebuild(t *testing.T, e *Engine, x, delta *tensor.COO, opts Options) {
+	t.Helper()
 	warm := e.SnapshotState()
 	updated, err := e.Update(delta)
 	if err != nil {
@@ -252,7 +224,60 @@ func TestUpdateOnRecycledTreeMatchesColdRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsBitwiseEqual(t, "update on the resident tree vs cold rebuild", updated, rebuilt)
+	resultsBitwiseEqual(t, "update on the resident engine vs cold rebuild", updated, rebuilt)
+}
+
+// Update ≡ cold rebuild whatever the resident tree held when the delta
+// arrived — here, after whole sweeps of buffer hand-overs: one memo node
+// valid, in the buffer its sibling died in.
+func TestUpdateOnRecycledTreeMatchesColdRebuild(t *testing.T) {
+	x, ranks := presetTensor(t, "flickr", 0.02)
+	opts := Options{Ranks: ranks, MaxIters: 4, Tol: -1, Seed: 3, Threads: 2}
+	p, err := NewPlan(x, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(p)
+	if _, err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	valid := 0
+	for _, ni := range e.kern.(*ttm.DTree).Nodes() {
+		if ni.Valid {
+			valid++
+		}
+	}
+	if valid != 1 {
+		t.Fatalf("%d memo nodes valid after a run, want 1 (the other's buffer recycled)", valid)
+	}
+	updateVsColdRebuild(t, e, x, gen.Delta(x, 0.01, 0.01, 5), opts)
+}
+
+// Shapes whose coordinates do not linearize into 64 bits — the paper's
+// 4-mode tensors are such, and most shapes from order 6 up — go through
+// the same path, under either kernel. (The true Table I shapes are
+// exercised where the limit was, in internal/tensor; an engine on them
+// would hold 20M-row factors.)
+func TestUpdateOnWideShapesMatchesColdRebuild(t *testing.T) {
+	for _, dims := range [][]int{{60_000, 70_000, 50_000, 65_000}, {2000, 3000, 1500, 2500, 1800, 2200}} {
+		x := gen.Random(gen.Config{Dims: dims, NNZ: 4000, Skew: 0.9, Seed: 31})
+		ranks := make([]int, len(dims))
+		for n := range ranks {
+			ranks[n] = 2
+		}
+		for _, strategy := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
+			opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 3, Threads: 2, TTMc: strategy}
+			p, err := NewPlan(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(p)
+			if _, err := e.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			updateVsColdRebuild(t, e, x, gen.Delta(x, 0.02, 0.02, 7), opts)
+		}
+	}
 }
 
 // epsReference is the adaptive-rank sweep written out with a Y of its
@@ -272,7 +297,7 @@ func epsReference(t *testing.T, x *tensor.COO, opts Options) (fits []float64, fa
 			sm := &sym.Modes[n]
 			y = dense.NewMatrix(sm.NumRows(), ttm.RowSize(state.Factors, n))
 			sweepCols = append(sweepCols, y.Cols)
-			ttm.TTMcSched(y, x, sm, state.Factors, opts.Threads, opts.Schedule)
+			ttm.TTMcSched(y, x, sm, state.Factors, opts.Threads, par.ScheduleBalanced)
 			tau := opts.Eps * opts.Eps * normX * normX / float64(order)
 			uc, rank, _, err := state.SolveDenseEps(y, n, state.Factors[n].Cols, 0, opts.Threads, tau, frobSq(y, opts.Threads))
 			if err != nil {

@@ -13,19 +13,18 @@
 // The API splits the paper's symbolic/numeric separation into two
 // objects (see docs/architecture.md):
 //
-//   - Plan is the immutable per-tensor analysis: option validation,
-//     storage-format construction (Options.Format selects COO, CSF, or
-//     ALTO) and the per-mode symbolic update lists. A Plan is a pure
-//     function of (tensor, options).
+//   - Plan is the immutable per-tensor analysis: option validation, the
+//     TTMc strategy resolved, and the per-mode symbolic update lists
+//     over the coordinate tensor. A Plan is a pure function of (tensor,
+//     options).
 //   - Engine holds the resident mutable state — factors, TRSVD
-//     workspaces, the TTMc kernel the options select (flat per-format
-//     kernels or the memoized dimension tree) with its memoized
-//     partials, and an engine-owned copy of the
-//     evolving tensor once deltas arrive. Run converges from the
-//     current factors; Update ingests a coordinate delta through the
-//     incremental merge/splice/invalidate paths of every layer and
-//     re-converges warm.
+//     workspaces, the TTMc kernel the plan resolved to (the flat kernel
+//     or the dimension tree with its memoized partials), and an
+//     engine-owned copy of the evolving tensor once deltas arrive. Run
+//     converges from the current factors; Update merges a coordinate
+//     delta into the tensor, splices the flat kernel's update lists or
+//     builds the tree anew, and re-converges warm.
 //
 // Decompose is the batch convenience: NewPlan + NewEngine + Run. All
-// paths are bitwise deterministic across thread counts and schedules.
+// paths are bitwise deterministic across thread counts.
 package core

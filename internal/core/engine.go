@@ -18,12 +18,10 @@ import (
 // long-running service keeps between solves — factor matrices, TRSVD
 // workspaces, the memoized dimension-tree partials, and (after the
 // first Update) an engine-owned copy of the evolving tensor. Run
-// converges from the current factors; Update ingests a coordinate
-// delta through the incremental paths of every layer (stable-id COO
-// merge, fiber-local CSF merge, or linear ALTO key-stream merge,
-// spliced symbolic update lists, per-entry dimension-tree
-// invalidation, warm-started TRSVD) and re-converges in a handful of
-// sweeps instead of a cold solve.
+// converges from the current factors; Update merges a coordinate delta
+// into the tensor, brings the kernel's symbolic structure in line with
+// it, and re-converges from the current factors with warm-started
+// TRSVD, in a handful of sweeps instead of a cold solve.
 //
 // An Engine is not safe for concurrent use. Several Engines may share
 // one Plan; each owns its numeric state, and none mutates the plan or
@@ -36,19 +34,16 @@ type Engine struct {
 	// Resident tensor-derived state. Until the first Update these alias
 	// the plan's (shared, immutable) structures; ensureOwned clones them
 	// before the first mutation.
-	x       *tensor.COO
-	csf     *tensor.CSF
-	alto    *tensor.ALTO
-	storage tensor.Sparse
-	sym     *symbolic.Structure
-	owned   bool
-	// mergeIx amortizes the coordinate lookup across a stream of COO
+	x     *tensor.COO
+	sym   *symbolic.Structure
+	owned bool
+	// mergeIx amortizes the coordinate lookup across a stream of
 	// deltas: built once over the engine-owned clone, extended per
 	// ingest, so Update cost is proportional to the delta.
 	mergeIx *tensor.MergeIndex
 
-	// kern is the numeric TTMc engine the plan's format and strategy
-	// select (newKernel); ex is the world the sweep runs in.
+	// kern is the numeric TTMc engine the plan's strategy selects
+	// (newKernel); ex is the world the sweep runs in.
 	kern kernel
 	ex   Exchange
 
@@ -80,8 +75,8 @@ type Engine struct {
 	resume    *checkpoint.State
 }
 
-// kernel is the numeric TTMc engine of a sweep: the flat reference loop,
-// the CSF fiber walk, the ALTO stream kernels or the dimension tree.
+// kernel is the numeric TTMc engine of a sweep: the flat reference loop
+// or the dimension tree.
 type kernel interface {
 	// Rows lists the nonempty slices of mode n, ascending: row r of the
 	// mode-n product belongs to slice Rows(n)[r].
@@ -90,7 +85,6 @@ type kernel interface {
 	TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int)
 	// Flops is the multiply-add count of all calls so far.
 	Flops() int64
-	SetSchedule(par.Schedule)
 	// Invalidate records that factor n is being replaced. The sweep
 	// calls it before mode n's TTMc — which reads neither U_n nor any
 	// partial that depends on it — so that a kernel holding such
@@ -98,26 +92,14 @@ type kernel interface {
 	Invalidate(n int)
 }
 
-// newKernel builds the kernel the options select on the engine's
-// current storage and symbolic structure, with empty caches, on up to
-// threads goroutines.
+// newKernel builds the kernel the plan's strategy selects on the
+// engine's current tensor and symbolic structure, with empty caches, on
+// up to threads goroutines.
 func (e *Engine) newKernel(threads int) kernel {
-	var k kernel
-	switch {
-	case e.opts.TTMc == TTMcDTree:
-		k = ttm.BuildDTree(e.storage, threads)
-	case e.csf != nil && e.order >= 2:
-		k = ttm.NewCSFTTMc(e.csf)
-	case e.alto != nil && e.order >= 2:
-		k = ttm.NewALTOTTMc(e.alto, e.sym)
-	default:
-		// The flat kernel reads coordinate streams in the symbolic
-		// structure's nonzero order; for the order-1 corner the fiber and
-		// stream kernels do not model, that is an expanded copy.
-		k = ttm.NewFlat(e.Tensor(), e.sym)
+	if e.opts.TTMc == TTMcDTree {
+		return ttm.BuildDTree(e.x, threads)
 	}
-	k.SetSchedule(e.opts.Schedule)
-	return k
+	return ttm.NewFlat(e.x, e.sym)
 }
 
 // NewEngine builds a resident handle on the plan's analysis: the
@@ -129,9 +111,6 @@ func NewEngine(p *Plan) *Engine {
 		opts:     p.opts,
 		order:    p.x.Order(),
 		x:        p.x,
-		csf:      p.csf,
-		alto:     p.alto,
-		storage:  p.storage,
 		sym:      p.sym,
 		normX:    p.normX,
 		ex:       p.ex,
@@ -229,18 +208,9 @@ func (e *Engine) Result() *Result { return e.res }
 // a copy).
 func (e *Engine) Factors() []*dense.Matrix { return e.state.Factors }
 
-// Tensor returns the engine's current tensor state in coordinate
-// format. For COO engines this is the live stable-id tensor (do not
-// mutate); CSF and ALTO engines expand a fresh copy.
-func (e *Engine) Tensor() *tensor.COO {
-	switch {
-	case e.csf != nil:
-		return e.csf.ToCOO()
-	case e.alto != nil:
-		return e.alto.ToCOO()
-	}
-	return e.x
-}
+// Tensor returns the engine's current tensor: the live stable-id
+// storage the kernel reads (do not mutate).
+func (e *Engine) Tensor() *tensor.COO { return e.x }
 
 // Run converges the decomposition from the engine's current factors
 // (the cold start on the first call, the previous solution afterwards)
@@ -315,10 +285,9 @@ func (e *Engine) warmVec(n int, rows []int32) []float64 {
 // later calls warm-start every TRSVD from the previous factors.
 func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	opts := e.opts
-	res := &Result{Format: opts.Format, TTMc: opts.TTMc, IndexBytes: e.storage.IndexBytes()}
+	res := &Result{TTMc: opts.TTMc, IndexBytes: e.x.IndexBytes()}
 	res.Timings.Symbolic = e.symTime
 	if e.firstRun {
-		res.Timings.Convert = e.plan.convertTime
 		res.Timings.Init = e.initTime
 		res.Timings.Symbolic += e.plan.symbolicTime
 	}
@@ -477,80 +446,34 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 }
 
 // ensureOwned clones the shared plan structures the first time the
-// engine is about to mutate them, and rebinds the kernel onto the
-// clones (its caches stay valid — the clone is bit-identical). The
-// plan, and the caller's tensor, are never touched by updates.
+// engine is about to mutate them. The kernel stays on the plan's —
+// bit-identical, immutable — copies until Update has merged the delta
+// and rebuilds it; the plan, and the caller's tensor, are never touched
+// by updates.
 func (e *Engine) ensureOwned() {
 	if e.owned {
 		return
 	}
 	e.owned = true
+	e.x = e.x.Clone()
 	if e.sym != nil {
 		e.sym = e.sym.Clone()
 	}
-	switch {
-	case e.csf != nil:
-		e.csf = e.csf.Clone()
-		e.storage = e.csf
-	case e.alto != nil:
-		e.alto = e.alto.Clone()
-		e.storage = e.alto
-	default:
-		e.x = e.x.Clone()
-		e.storage = e.x
-	}
-	switch k := e.kern.(type) {
-	case *ttm.DTree:
-		k.Rebind(e.storage)
-	case *ttm.CSFTTMc:
-		k.Rebind(e.csf)
-	case *ttm.ALTOTTMc:
-		k.Rebind(e.alto, e.sym)
-	default:
-		e.kern = e.newKernel(e.opts.Threads) // flat: nothing cached to keep
-	}
-}
-
-// ingested brings the symbolic structure and the kernel in line with a
-// CSF or ALTO merge and returns the delta's size. A structural merge
-// shifted the storage positions: the symbolic layers are re-derived
-// from the re-pressed storage (a linear rebuild) and the kernel starts
-// over on them — only the dimension tree's numeric caches are genuinely
-// lost. A value-only merge left every position and update list as it
-// was: the tree is told which entries went stale, and the order-1
-// corner's flat kernel re-expands the values it reads a copy of.
-func (e *Engine) ingested(updated []int32, inserted int, structural bool) int {
-	switch k := e.kern.(type) {
-	case *ttm.DTree:
-		if !structural {
-			k.ApplyDelta(updated, e.storage.NNZ())
-		}
-	case *ttm.Flat:
-		if !structural {
-			e.kern = e.newKernel(e.opts.Threads)
-		}
-	}
-	if structural {
-		if e.sym != nil {
-			e.sym = symbolic.Build(e.storage, e.opts.Threads)
-		}
-		e.kern = e.newKernel(e.opts.Threads)
-	}
-	return len(updated) + inserted
 }
 
 // Update ingests a coordinate delta — appended and changed nonzeros,
 // duplicates summed — and re-converges from the current factors. The
-// delta flows through the incremental path of every layer: the tensor
-// merge keeps existing storage positions stable (COO), splices new
-// fibers without a re-sort (CSF), or linearly merges the sorted key
-// stream (ALTO), the symbolic update lists of touched
-// slices are spliced rather than rebuilt, the dimension tree marks
-// exactly the entries whose group changed as dirty and recomputes only
-// those, and every TRSVD is warm-started from the previous factors. The
-// result carries the update accounting: sweeps to re-converge, the TTMc
-// madds actually executed, and the recompute-everything cost they
-// replace (FullSweepMadds).
+// path is the same whatever the delta: the merge sums into existing
+// storage positions and appends new coordinates at the tail
+// (tensor.COO.MergeIndexed, cost proportional to the delta); the flat
+// kernel's update lists take the appended nonzeros by splice
+// (symbolic.Structure.Insert); a plan that runs the dimension tree
+// groups the merged tensor afresh (ttm.BuildDTree) — every memo node is
+// invalidated by the first sweep before it is read, so a patched tree
+// would recompute exactly what a fresh one computes; and every TRSVD is
+// warm-started from the previous factors. The result carries the update
+// accounting: sweeps to re-converge, the TTMc madds executed, and the
+// flat-sweep cost they stand against (FullSweepMadds).
 //
 // A validation error (shape mismatch, out-of-range coordinate) leaves
 // the engine state untouched.
@@ -562,39 +485,24 @@ func (e *Engine) Update(delta *tensor.COO) (*Result, error) {
 func (e *Engine) UpdateContext(ctx context.Context, delta *tensor.COO) (*Result, error) {
 	e.ensureOwned()
 	start := time.Now()
-	var deltaNNZ int
-	if e.alto != nil {
-		info, err := e.alto.Merge(delta)
-		if err != nil {
-			return nil, err
-		}
-		deltaNNZ = e.ingested(info.Updated, info.Inserted, info.Structural)
-	} else if e.csf != nil {
-		info, err := e.csf.Merge(delta)
-		if err != nil {
-			return nil, err
-		}
-		deltaNNZ = e.ingested(info.Updated, info.Inserted, info.Structural)
-	} else {
-		oldNNZ := e.x.NNZ()
-		if e.mergeIx == nil {
-			e.mergeIx = e.x.NewMergeIndex()
-		}
-		info, err := e.x.MergeIndexed(delta, e.mergeIx)
-		if err != nil {
-			return nil, err
-		}
-		deltaNNZ = len(info.Updated) + info.Appended
-		if info.Appended > 0 && e.sym != nil {
-			if _, err := e.sym.Insert(e.x, oldNNZ); err != nil {
-				return nil, fmt.Errorf("core: incremental symbolic maintenance failed: %w", err)
-			}
-		}
-		if tree, ok := e.kern.(*ttm.DTree); ok {
-			tree.ApplyDelta(info.Updated, oldNNZ)
+	oldNNZ := e.x.NNZ()
+	if e.mergeIx == nil {
+		e.mergeIx = e.x.NewMergeIndex()
+	}
+	info, err := e.x.MergeIndexed(delta, e.mergeIx)
+	if err != nil {
+		return nil, err
+	}
+	if e.sym != nil {
+		if _, err := e.sym.Insert(e.x, oldNNZ); err != nil {
+			return nil, fmt.Errorf("core: incremental symbolic maintenance failed: %w", err)
 		}
 	}
-	e.normX = e.storage.Norm(e.opts.Threads)
+	// The old kernel is dropped before its successor is built, so that a
+	// tree's memo buffers are collectable while the new groupings grow.
+	e.kern = nil
+	e.kern = e.newKernel(e.opts.Threads)
+	e.normX = e.x.Norm(e.opts.Threads)
 	e.sizeYs()
 	e.symTime += time.Since(start)
 
@@ -604,7 +512,7 @@ func (e *Engine) UpdateContext(ctx context.Context, delta *tensor.COO) (*Result,
 	}
 	res.UpdateSweeps = res.Iters
 	res.UpdateMadds = res.TTMcFlops
-	res.FullSweepMadds = ttm.SweepFlops(e.storage.NNZ(), e.state.Factors)
-	res.DeltaNNZ = deltaNNZ
+	res.FullSweepMadds = ttm.SweepFlops(e.x.NNZ(), e.state.Factors)
+	res.DeltaNNZ = len(info.Updated) + info.Appended
 	return res, nil
 }

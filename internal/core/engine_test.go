@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"hypertensor/internal/gen"
 	"hypertensor/internal/tensor"
+	"hypertensor/internal/ttm"
 )
 
 func presetTensor(t *testing.T, name string, scale float64) (*tensor.COO, []int) {
@@ -25,13 +27,12 @@ func presetTensor(t *testing.T, name string, scale float64) (*tensor.COO, []int)
 	return x, ranks
 }
 
-// TestEngineUpdateMatchesScratch is the acceptance bar of the
-// incremental path: after a ~1% delta on a 3-mode and a 4-mode preset,
+// TestEngineUpdateMatchesScratch is the acceptance bar of the update
+// path: after a ~1% delta on a 3-mode and a 4-mode preset,
 // Engine.Update must re-converge to within 1e-8 of a from-scratch solve
-// of the merged tensor, for both storage formats and both TTMc
-// strategies, while never executing more TTMc madds per re-convergence
-// sweep than a recompute-everything flat sweep — and strictly fewer on
-// the memoized paths.
+// of the merged tensor under both TTMc strategies, while never
+// executing more TTMc madds per re-convergence sweep than a
+// recompute-everything flat sweep — and strictly fewer on the tree.
 func TestEngineUpdateMatchesScratch(t *testing.T) {
 	for _, name := range []string{"netflix", "flickr"} {
 		x, ranks := presetTensor(t, name, 0.02)
@@ -40,48 +41,45 @@ func TestEngineUpdateMatchesScratch(t *testing.T) {
 		if _, err := merged.Merge(delta); err != nil {
 			t.Fatal(err)
 		}
-		for _, format := range []Format{FormatCOO, FormatCSF, FormatALTO} {
-			for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
-				opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 7, TTMc: strat, Format: format}
-				p, err := NewPlan(x, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := NewEngine(p)
-				if _, err := e.Run(context.Background()); err != nil {
-					t.Fatalf("%s fmt=%v strat=%v run: %v", name, format, strat, err)
-				}
-				ru, err := e.Update(delta)
-				if err != nil {
-					t.Fatalf("%s fmt=%v strat=%v update: %v", name, format, strat, err)
-				}
-				rc, err := Decompose(merged, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := math.Abs(ru.Fit - rc.Fit); d > 1e-8 {
-					t.Fatalf("%s fmt=%v strat=%v: incremental fit %v vs scratch %v (|d|=%g)",
-						name, format, strat, ru.Fit, rc.Fit, d)
-				}
-				if ru.UpdateSweeps <= 0 || ru.UpdateSweeps != ru.Iters {
-					t.Fatalf("%s: update sweep accounting broken (%d vs %d)", name, ru.UpdateSweeps, ru.Iters)
-				}
-				if ru.UpdateMadds <= 0 || ru.FullSweepMadds <= 0 {
-					t.Fatalf("%s: update madds accounting missing (%d, %d)", name, ru.UpdateMadds, ru.FullSweepMadds)
-				}
-				perSweep := ru.UpdateMadds / int64(ru.UpdateSweeps)
-				if perSweep > ru.FullSweepMadds {
-					t.Fatalf("%s fmt=%v strat=%v: update executed %d madds/sweep, full sweep is %d",
-						name, format, strat, perSweep, ru.FullSweepMadds)
-				}
-				memoized := strat == TTMcDTree || (format == FormatCSF && x.Order() >= 2)
-				if memoized && perSweep >= ru.FullSweepMadds {
-					t.Fatalf("%s fmt=%v strat=%v: memoized update should beat the full sweep (%d vs %d)",
-						name, format, strat, perSweep, ru.FullSweepMadds)
-				}
-				if ru.DeltaNNZ <= 0 {
-					t.Fatalf("%s: DeltaNNZ not recorded", name)
-				}
+		for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
+			opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 7, TTMc: strat}
+			p, err := NewPlan(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(p)
+			if _, err := e.Run(context.Background()); err != nil {
+				t.Fatalf("%s strat=%v run: %v", name, strat, err)
+			}
+			ru, err := e.Update(delta)
+			if err != nil {
+				t.Fatalf("%s strat=%v update: %v", name, strat, err)
+			}
+			rc, err := Decompose(merged, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(ru.Fit - rc.Fit); d > 1e-8 {
+				t.Fatalf("%s strat=%v: incremental fit %v vs scratch %v (|d|=%g)",
+					name, strat, ru.Fit, rc.Fit, d)
+			}
+			if ru.UpdateSweeps <= 0 || ru.UpdateSweeps != ru.Iters {
+				t.Fatalf("%s: update sweep accounting broken (%d vs %d)", name, ru.UpdateSweeps, ru.Iters)
+			}
+			if ru.UpdateMadds <= 0 || ru.FullSweepMadds <= 0 {
+				t.Fatalf("%s: update madds accounting missing (%d, %d)", name, ru.UpdateMadds, ru.FullSweepMadds)
+			}
+			perSweep := ru.UpdateMadds / int64(ru.UpdateSweeps)
+			if perSweep > ru.FullSweepMadds {
+				t.Fatalf("%s strat=%v: update executed %d madds/sweep, full sweep is %d",
+					name, strat, perSweep, ru.FullSweepMadds)
+			}
+			if strat == TTMcDTree && perSweep >= ru.FullSweepMadds {
+				t.Fatalf("%s: the tree's update should beat the full sweep (%d vs %d)",
+					name, perSweep, ru.FullSweepMadds)
+			}
+			if ru.DeltaNNZ <= 0 {
+				t.Fatalf("%s: DeltaNNZ not recorded", name)
 			}
 		}
 	}
@@ -131,43 +129,39 @@ func TestEngineUpdateScale02(t *testing.T) {
 	}
 }
 
-// TestEngineUpdateDeterminism pins the bitwise thread- and schedule-
-// invariance contract of the update path: the re-convergence fit
-// trajectory must be identical for every thread count and every
-// schedule, on both storage formats.
+// TestEngineUpdateDeterminism pins the bitwise thread-invariance
+// contract of the update path: the re-convergence fit trajectory must
+// be identical for every thread count, under both TTMc strategies.
 func TestEngineUpdateDeterminism(t *testing.T) {
 	x, ranks := presetTensor(t, "flickr", 0.02)
 	delta := gen.Delta(x, 0.01, 0.01, 5)
-	for _, format := range []Format{FormatCOO, FormatCSF, FormatALTO} {
+	for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
 		var ref []float64
 		for _, threads := range []int{1, 2, 4, 8} {
-			for _, sched := range []Schedule{ScheduleBalanced, ScheduleDynamic, ScheduleStatic} {
-				opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3,
-					TTMc: TTMcDTree, Format: format, Threads: threads, Schedule: sched}
-				p, err := NewPlan(x, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := NewEngine(p)
-				if _, err := e.Run(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				ru, err := e.Update(delta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref = ru.FitHistory
-					continue
-				}
-				if len(ru.FitHistory) != len(ref) {
-					t.Fatalf("fmt=%v threads=%d sched=%v: %d sweeps vs %d", format, threads, sched, len(ru.FitHistory), len(ref))
-				}
-				for i := range ref {
-					if ru.FitHistory[i] != ref[i] {
-						t.Fatalf("fmt=%v threads=%d sched=%v: update fit trajectory diverged at sweep %d (%v vs %v)",
-							format, threads, sched, i, ru.FitHistory[i], ref[i])
-					}
+			opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3, TTMc: strat, Threads: threads}
+			p, err := NewPlan(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(p)
+			if _, err := e.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			ru, err := e.Update(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = ru.FitHistory
+				continue
+			}
+			if len(ru.FitHistory) != len(ref) {
+				t.Fatalf("strat=%v threads=%d: %d sweeps vs %d", strat, threads, len(ru.FitHistory), len(ref))
+			}
+			for i := range ref {
+				if ru.FitHistory[i] != ref[i] {
+					t.Fatalf("strat=%v threads=%d: update fit trajectory diverged at sweep %d (%v vs %v)",
+						strat, threads, i, ru.FitHistory[i], ref[i])
 				}
 			}
 		}
@@ -218,7 +212,7 @@ func TestEnginePlanReuse(t *testing.T) {
 // merged tensor.
 func TestEngineSequentialUpdates(t *testing.T) {
 	x, ranks := presetTensor(t, "flickr", 0.01)
-	opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 13, Format: FormatCSF, TTMc: TTMcDTree}
+	opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 13, TTMc: TTMcDTree}
 	p, err := NewPlan(x, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -305,4 +299,92 @@ func TestEngineRunCancellation(t *testing.T) {
 	if _, err := NewEngine(p).Run(ctx); err == nil {
 		t.Fatal("canceled context did not abort the run")
 	}
+}
+
+// The update path's numbers, recorded from the commit before Update
+// rebuilt the tree in place of splicing the delta into its groupings:
+// three deltas streamed into the order-4 default engine. The sweep and
+// multiply-add counts are exact; fits and the factor digest
+// sum U[i,j]*cos(0.7i+1.3j+n) hold to rounding.
+func TestUpdatePathUnchanged(t *testing.T) {
+	x, ranks := presetTensor(t, "delicious", 0.1)
+	plan, err := NewPlan(x, Options{Ranks: ranks, MaxIters: 20, Seed: 1, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(plan)
+	if _, err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range []struct {
+		sweeps int
+		madds  int64
+		fits   []float64
+		digest float64
+	}{
+		{2, 7479500, []float64{0.98198372184533622, 0.98198373155096652}, 2.2368993106621291},
+		{2, 7571900, []float64{0.98196895006282414, 0.98196895033369669}, 1.5850410052646375},
+		{2, 7664300, []float64{0.98195570281140021, 0.98195570282731415}, 6.4455318749030779},
+	} {
+		res, err := eng.Update(gen.Delta(eng.Tensor(), 0.003, 0.003, int64(100+k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.UpdateSweeps != want.sweeps || res.UpdateMadds != want.madds {
+			t.Fatalf("update %d: %d sweeps and %d madds, recorded %d and %d", k, res.UpdateSweeps, res.UpdateMadds, want.sweeps, want.madds)
+		}
+		for i, fit := range want.fits {
+			if d := math.Abs(res.FitHistory[i] - fit); !(d <= 1e-9) {
+				t.Fatalf("update %d sweep %d: fit %.17g is %.3g off the recorded %.17g", k, i+1, res.FitHistory[i], d, fit)
+			}
+		}
+		var digest float64
+		for n, u := range res.Factors {
+			for i := 0; i < u.Rows; i++ {
+				for j := 0; j < u.Cols; j++ {
+					digest += u.At(i, j) * math.Cos(0.7*float64(i)+1.3*float64(j)+float64(n))
+				}
+			}
+		}
+		if d := math.Abs(digest - want.digest); !(d <= 1e-9) {
+			t.Fatalf("update %d: factor digest %.17g is %.3g off the recorded %.17g", k, digest, d, want.digest)
+		}
+	}
+}
+
+// Every Update builds a tree; the engine must end up holding one, not
+// one per update. Between the first and the eighth update its live heap
+// grows with the tensor (new nonzeros open new slices, and every Y row
+// and memo entry has its price) — by well under what one resident tree
+// holds, where keeping the old trees would cost seven.
+func TestEngineHoldsOneTreeAcrossUpdates(t *testing.T) {
+	x, ranks := presetTensor(t, "delicious", 0.1)
+	base := liveBytes()
+	plan, err := NewPlan(x, Options{Ranks: ranks, MaxIters: 2, Tol: -1, Seed: 1, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(plan)
+	if _, err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var first, last uint64
+	for k := 0; k < 8; k++ {
+		if _, err := eng.Update(gen.Delta(eng.Tensor(), 0.003, 0.003, int64(100+k))); err != nil {
+			t.Fatal(err)
+		}
+		if last = liveBytes() - base; k == 0 {
+			first = last
+		}
+	}
+	if _, ok := eng.kern.(*ttm.DTree); !ok {
+		t.Fatalf("the order-4 default engine runs %T", eng.kern)
+	}
+	eng.kern = nil
+	tree := last - (liveBytes() - base)
+	t.Logf("live heap after update 1: %d B, after update 8: %d B; the resident tree: %d B", first, last, tree)
+	if last-first > tree {
+		t.Fatalf("the engine grew from %d B to %d B over seven updates; one resident tree is %d B", first, last, tree)
+	}
+	runtime.KeepAlive(eng)
 }

@@ -11,15 +11,11 @@ import (
 // Timings accumulates wall-clock time per HOOI phase across all
 // iterations; it backs the Table IV / Table V breakdowns.
 type Timings struct {
-	// Convert is the one-time storage-format construction: zero for
-	// FormatCOO, the sort/dedup and fiber-level build for FormatCSF, the
-	// key encoding and sort/dedup for FormatALTO.
-	Convert time.Duration
 	// Init is the one-time construction of the initial factors (random
-	// draw or range finder, then the orthonormalizing QR); like Convert
-	// it is reported by an engine's first Run only.
+	// draw or range finder, then the orthonormalizing QR); it is
+	// reported by an engine's first Run only.
 	Init     time.Duration
-	Symbolic time.Duration // one-time symbolic TTMc preprocessing (and, for updates, the incremental maintenance)
+	Symbolic time.Duration // one-time symbolic TTMc preprocessing (and, for updates, the merge and the kernel's symbolic maintenance)
 	TTMc     time.Duration
 	// TTMcNodes is the share of TTMc spent recomputing internal
 	// dimension-tree nodes (zero for the flat strategy); the remainder
@@ -30,7 +26,7 @@ type Timings struct {
 }
 
 // Total returns the summed iteration time: TTMc + TRSVD + Core. The
-// one-time Symbolic, Convert and Init phases are all excluded — Total is the
+// one-time Symbolic and Init phases are excluded — Total is the
 // recurring per-sweep cost, not the end-to-end wall time.
 func (t Timings) Total() time.Duration { return t.TTMc + t.TRSVD + t.Core }
 
@@ -51,17 +47,14 @@ type Result struct {
 	Timings Timings
 	// TTMcFlops is the multiply-add count of all TTMc work performed
 	// (dominant AXPY terms): for the flat strategy, modes x sweeps x
-	// nnz x row size; for the dimension tree or the CSF fiber walk, the
-	// memoized/hoisted — typically much smaller — actual count.
+	// nnz x row size; for the dimension tree, the memoized — typically
+	// much smaller — actual count.
 	TTMcFlops int64
-	// Format is the sparse storage layout the decomposition ran on.
-	Format Format
 	// TTMc is the TTMc strategy it ran: Options.TTMc, with TTMcAuto
 	// resolved.
 	TTMc TTMcStrategy
-	// IndexBytes is the index storage of that layout (COO: N x nnz x 4
-	// bytes; CSF: the compressed fiber levels and pointers; ALTO: 8 or
-	// 16 bytes per nonzero of linearized keys).
+	// IndexBytes is the tensor's index storage: N x nnz x 4 bytes of
+	// coordinate streams.
 	IndexBytes int64
 	// AllocsPerSweep is the steady-state heap allocation count per ALS
 	// sweep (the first sweep, which grows the workspace arenas, is
@@ -78,14 +71,13 @@ type Result struct {
 	TRSVDMadds int64
 
 	// Update accounting, populated by Engine.Update (zero for cold
-	// solves): the dirty-subtree cost of the re-convergence versus the
-	// recompute-everything cost it replaced.
+	// solves): the cost of the re-convergence next to one
+	// recompute-everything flat sweep.
 
 	// UpdateSweeps is the number of ALS sweeps the re-convergence took.
 	UpdateSweeps int
 	// UpdateMadds is the TTMc multiply-add count actually executed
-	// during the re-convergence (dirty dimension-tree entries plus leaf
-	// emissions, or the fiber-walk count).
+	// during the re-convergence.
 	UpdateMadds int64
 	// FullSweepMadds is the multiply-add count of ONE recompute-
 	// everything flat sweep over all modes at the post-update tensor

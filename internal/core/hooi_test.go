@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,6 +133,37 @@ func TestDecomposeDeterministicAcrossThreads(t *testing.T) {
 	for n := range r1.Factors {
 		if !r1.Factors[n].Equal(r4.Factors[n], 1e-10) {
 			t.Fatalf("factor %d differs across thread counts", n)
+		}
+	}
+}
+
+// The HOOI fit trajectory must be bitwise identical for every thread
+// count, on the flat kernel and on the tree. This is the determinism
+// acceptance test of the parallel runtime: partitions move row ownership
+// between workers but never an accumulation order, and every reduction
+// runs on a block grid that depends only on the problem size.
+func TestFitBitwiseInvariantAcrossThreads(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	x := lowRankTensor(rng, []int{24, 18, 15, 9}, 2, 5)
+	for _, strategy := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
+		var ref *Result
+		for _, threads := range []int{1, 2, 4, 8} {
+			res, err := Decompose(x, Options{
+				Ranks:    []int{2, 2, 2, 2},
+				MaxIters: 4,
+				Tol:      -1,
+				Threads:  threads,
+				TTMc:     strategy,
+				Seed:     5,
+			})
+			if err != nil {
+				t.Fatalf("strategy=%v threads=%d: %v", strategy, threads, err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			bitsEqual(t, fmt.Sprintf("strategy=%v threads=%d: fit history vs one thread", strategy, threads), res.FitHistory, ref.FitHistory)
 		}
 	}
 }

@@ -10,11 +10,8 @@ import (
 
 // InitialFactors produces the initial orthonormal factor matrices
 // (Algorithm 1, line 1) at the given per-mode ranks (the requested
-// ranks, or the starting probe ranks under adaptive selection). The
-// tensor is reached through the storage abstraction; initialization is
-// always seeded from the caller's tensor, so both storage formats start
-// HOOI from the same factors.
-func InitialFactors(x tensor.Sparse, opts Options, ranks []int) []*dense.Matrix {
+// ranks, or the starting probe ranks under adaptive selection).
+func InitialFactors(x *tensor.COO, opts Options, ranks []int) []*dense.Matrix {
 	factors := make([]*dense.Matrix, x.Order())
 	if opts.Initial != nil {
 		for n, u := range opts.Initial {

@@ -72,8 +72,8 @@ func TestFitHistoryUnchanged(t *testing.T) {
 	}
 }
 
-// Init is one-time work: the first Run of an engine reports it, like
-// Convert, and later runs do not.
+// Init is one-time work: the first Run of an engine reports it, and
+// later runs do not.
 func TestTimingsInitReportedOnce(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 2000, Seed: 1})
 	plan, err := NewPlan(x, Options{Ranks: []int{4, 4, 4}, MaxIters: 1, Tol: -1, Seed: 1})

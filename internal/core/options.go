@@ -5,29 +5,8 @@ import (
 	"strings"
 
 	"hypertensor/internal/dense"
-	"hypertensor/internal/par"
 	"hypertensor/internal/tensor"
 	"hypertensor/internal/trsvd"
-)
-
-// Schedule selects how the parallel kernels distribute their loop
-// iterations across threads; it re-exports par.Schedule. All schedules
-// are owner-computes and produce bitwise-identical results — they
-// differ only in load balance and scheduling overhead.
-type Schedule = par.Schedule
-
-const (
-	// ScheduleBalanced (the default) partitions rows/fibers into
-	// per-worker chains of near-equal nonzero weight — prefix-sum
-	// chain-on-chain, or LPT where single slices dominate — and steals
-	// chunks for irregular tails. This is the paper's load-balance
-	// discipline: uniform chunking leaves whichever thread owns the
-	// heaviest slices running long after the rest go idle.
-	ScheduleBalanced = par.ScheduleBalanced
-	// ScheduleDynamic is chunked self-scheduling from a shared cursor.
-	ScheduleDynamic = par.ScheduleDynamic
-	// ScheduleStatic is uniform contiguous blocks, one per worker.
-	ScheduleStatic = par.ScheduleStatic
 )
 
 // InitMethod selects how the factor matrices are initialized (HOOI
@@ -102,75 +81,6 @@ func (t TTMcStrategy) String() string {
 	return ttmcNames[t]
 }
 
-// Format selects the sparse storage layout the decomposition runs on.
-type Format int
-
-const (
-	// FormatCOO keeps the tensor in coordinate format: N index streams
-	// of nnz int32 each, scanned per nonzero by the TTMc kernels. It is
-	// the reference path.
-	FormatCOO Format = iota
-	// FormatCSF converts the tensor to compressed-sparse-fiber storage
-	// (tensor.CSF) before the symbolic phase: per-root-mode fiber trees
-	// with compressed index levels. The symbolic structure is built
-	// from the fiber boundaries, and the flat TTMc strategy switches to
-	// the fiber-walking kernels (ttm.CSFTTMc), which hoist per-fiber
-	// work out of the per-nonzero loop. Index storage and TTMc
-	// multiply-adds both drop on compressible tensors; results match
-	// FormatCOO to rounding and stay deterministic for any thread
-	// count.
-	FormatCSF
-	// FormatALTO converts the tensor to the adaptive linearized format
-	// (tensor.ALTO): every coordinate packed into one bit-interleaved
-	// key, all nonzeros in a single sorted stream with no per-mode
-	// replication. The symbolic structure is recovered from the mode-bit
-	// boundaries, and the flat TTMc strategy switches to the
-	// sequential-stream kernels (ttm.ALTOTTMc) with blocked dense
-	// accumulation for short modes and owner-computes emission for long
-	// ones. Index storage is 8 bytes/nnz (16 for shapes above 64
-	// interleaved bits) independent of how compressible the fibers are —
-	// the format that wins on skewed tensors where CSF fibers stay
-	// short. Results match FormatCOO to rounding and stay deterministic
-	// for any thread count.
-	FormatALTO
-)
-
-// formatNames spells the formats the way cmd/hooi's -format flag does,
-// indexed by the Format value. It is the single source of truth the
-// CLI usage strings, the parser, and String derive from.
-var formatNames = [...]string{
-	FormatCOO:  "coo",
-	FormatCSF:  "csf",
-	FormatALTO: "alto",
-}
-
-// FormatNames lists the -format flag spellings in Format value order.
-func FormatNames() []string { return append([]string(nil), formatNames[:]...) }
-
-// FormatUsage is the canonical -format flag description shared by the
-// CLIs and the docs, derived from FormatNames.
-func FormatUsage() string {
-	return "sparse storage format: coo (coordinate streams) | csf (compressed sparse fibers) | alto (adaptive linearized offsets)"
-}
-
-// ParseFormat maps a -format flag spelling to its Format value.
-func ParseFormat(s string) (Format, error) {
-	for f, name := range formatNames {
-		if s == name {
-			return Format(f), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown storage format %q (formats: %s)", s, strings.Join(formatNames[:], " | "))
-}
-
-// String names the format the way cmd/hooi's -format flag spells it.
-func (f Format) String() string {
-	if int(f) < 0 || int(f) >= len(formatNames) {
-		return fmt.Sprintf("Format(%d)", int(f))
-	}
-	return formatNames[f]
-}
-
 // SVDMethod selects the truncated SVD solver used for the TRSVD step.
 type SVDMethod int
 
@@ -230,10 +140,6 @@ type Options struct {
 	Tol float64
 	// Threads bounds shared-memory parallelism; 0 uses GOMAXPROCS.
 	Threads int
-	// Schedule selects the parallel loop scheduling discipline
-	// (ScheduleBalanced by default). Results are bitwise identical
-	// under every schedule and thread count.
-	Schedule Schedule
 	// Init selects the factor initialization.
 	Init InitMethod
 	// SVD selects the TRSVD solver.
@@ -242,13 +148,6 @@ type Options struct {
 	// resolves at plan time to the flat reference path or the memoized
 	// dimension tree.
 	TTMc TTMcStrategy
-	// Format selects the sparse storage layout (coordinate streams,
-	// compressed sparse fibers, or adaptive linearized offsets).
-	Format Format
-	// CSFModeOrder overrides the CSF storage mode permutation
-	// (ModeOrder[0] is the root level). nil selects shortest-mode-first.
-	// Ignored for FormatCOO.
-	CSFModeOrder []int
 	// Seed makes the whole decomposition deterministic.
 	Seed int64
 	// MeasureAllocs records the steady-state heap allocation count per
@@ -331,26 +230,6 @@ func (o *Options) Validate(x *tensor.COO) error {
 	}
 	if o.TTMc == TTMcDTree && x.Order() < 2 {
 		return fmt.Errorf("core: the dimension tree needs a tensor of order 2 or more, got order %d", x.Order())
-	}
-	if int(o.Format) < 0 || int(o.Format) >= len(formatNames) {
-		return fmt.Errorf("core: unknown storage format %d", int(o.Format))
-	}
-	if o.Format == FormatALTO {
-		if b := tensor.ALTOTotalBits(x.Dims); b > 128 {
-			return fmt.Errorf("core: shape %v needs %d interleaved bits; the ALTO split-key limit is 128", x.Dims, b)
-		}
-	}
-	if o.Format == FormatCSF && o.CSFModeOrder != nil {
-		if len(o.CSFModeOrder) != x.Order() {
-			return fmt.Errorf("core: CSF mode order has %d modes for an order-%d tensor", len(o.CSFModeOrder), x.Order())
-		}
-		seen := make([]bool, x.Order())
-		for _, m := range o.CSFModeOrder {
-			if m < 0 || m >= x.Order() || seen[m] {
-				return fmt.Errorf("core: CSF mode order %v is not a permutation", o.CSFModeOrder)
-			}
-			seen[m] = true
-		}
 	}
 	if o.Initial != nil {
 		if len(o.Initial) != x.Order() {

@@ -9,8 +9,7 @@ import (
 )
 
 // Plan is the immutable per-tensor analysis of a decomposition: the
-// validated options with the TTMc strategy resolved, the storage-format
-// build (CSF or ALTO conversion when requested), the symbolic update
+// validated options with the TTMc strategy resolved, the symbolic update
 // lists, and the tensor norm.
 // Everything in a Plan is a pure function of (tensor, options) and is
 // never mutated afterwards, so one Plan can back any number of Engines
@@ -20,35 +19,29 @@ type Plan struct {
 	opts Options
 	x    *tensor.COO // the caller's tensor; engines clone before mutating
 
-	csf     *tensor.CSF
-	alto    *tensor.ALTO
-	storage tensor.Sparse
-	// sym holds the per-mode update lists the flat, fiber and stream
-	// kernels run on. It is nil under the dimension tree, which groups
-	// the nonzeros its own way (in the engine, next to its caches) and
-	// reads none of them.
+	// sym holds the per-mode update lists the flat kernel runs on. It is
+	// nil under the dimension tree, which groups the nonzeros its own way
+	// (in the engine, next to its caches) and reads none of them.
 	sym   *symbolic.Structure
 	normX float64
 	// ex is the world a rank plan converges in (NewRankPlan); nil is
 	// shared memory.
 	ex Exchange
 
-	convertTime  time.Duration
 	symbolicTime time.Duration
 }
 
 // NewPlan validates the options and performs the one-time symbolic
-// setup for x: storage-format construction, norm, and per-mode update
-// lists. x is not copied — it must not be mutated while plans or
-// engines built from it are in use (engines clone it lazily before
-// their first Update, so Engine.Update never mutates the caller's
-// tensor).
+// setup for x: norm and per-mode update lists. x is not copied — it
+// must not be mutated while plans or engines built from it are in use
+// (engines clone it lazily before their first Update, so Engine.Update
+// never mutates the caller's tensor).
 func NewPlan(x *tensor.COO, optsIn Options) (*Plan, error) {
 	if err := optsIn.Validate(x); err != nil {
 		return nil, err
 	}
 	p := buildPlan(x, optsIn.withDefaults(), nil)
-	p.normX = p.storage.Norm(p.opts.Threads)
+	p.normX = x.Norm(p.opts.Threads)
 	return p, nil
 }
 
@@ -57,8 +50,8 @@ func NewPlan(x *tensor.COO, optsIn Options) (*Plan, error) {
 // still enter every collective — so opts are the caller's to validate
 // against the whole tensor, and normX is the whole tensor's norm, which
 // the fit is measured against. sym, when non-nil, is the symbolic
-// structure of x for a FormatCOO plan (a coarse-grain rank restricts
-// its lists to the slices it owns); otherwise the plan derives its own.
+// structure of x (a coarse-grain rank restricts its lists to the slices
+// it owns); otherwise the plan derives its own.
 // Engines built on the plan converge through ex.
 func NewRankPlan(x *tensor.COO, opts Options, normX float64, sym *symbolic.Structure, ex Exchange) *Plan {
 	p := buildPlan(x, opts.withDefaults(), sym)
@@ -69,23 +62,10 @@ func NewRankPlan(x *tensor.COO, opts Options, normX float64, sym *symbolic.Struc
 
 func buildPlan(x *tensor.COO, opts Options, sym *symbolic.Structure) *Plan {
 	opts.TTMc = resolveTTMc(opts.TTMc, x, sym)
-	p := &Plan{opts: opts, x: x, storage: x}
+	p := &Plan{opts: opts, x: x}
 	start := time.Now()
-	switch opts.Format {
-	case FormatCSF:
-		p.csf = tensor.NewCSF(x, tensor.CSFOptions{ModeOrder: opts.CSFModeOrder, Threads: opts.Threads})
-		p.storage = p.csf
-	case FormatALTO:
-		p.alto = tensor.NewALTO(x, tensor.ALTOOptions{Threads: opts.Threads})
-		p.storage = p.alto
-	}
-	if opts.Format != FormatCOO {
-		p.convertTime = time.Since(start)
-		sym = nil // a converted storage numbers its nonzeros its own way
-	}
-	start = time.Now()
 	if sym == nil && opts.TTMc != TTMcDTree {
-		sym = symbolic.Build(p.storage, opts.Threads)
+		sym = symbolic.Build(x, opts.Threads)
 	}
 	p.sym = sym
 	p.symbolicTime = time.Since(start)
@@ -121,19 +101,13 @@ func (p *Plan) Options() Options { return p.opts }
 // TTMcAuto resolved.
 func (p *Plan) TTMc() TTMcStrategy { return p.opts.TTMc }
 
-// Format reports the storage layout the plan was built for.
-func (p *Plan) Format() Format { return p.opts.Format }
-
-// IndexBytes reports the index storage of the plan's layout.
-func (p *Plan) IndexBytes() int64 { return p.storage.IndexBytes() }
-
 // PredictSweepMadds returns the TTMc multiply-adds of one steady-state
 // sweep of x at the given ranks under each strategy: nnz times the row
 // size, summed over the modes, for the flat path; parent entries times
 // block size, summed over the nodes, for the dimension tree (0 below
 // order 2, where there is none). It is what TTMcAuto's rule should
 // agree with; counting the tree's entries costs one symbolic tree build.
-func PredictSweepMadds(x tensor.Sparse, ranks []int, threads int) (flat, tree int64) {
+func PredictSweepMadds(x *tensor.COO, ranks []int, threads int) (flat, tree int64) {
 	for n := range ranks {
 		row := 1
 		for t, r := range ranks {

@@ -69,8 +69,8 @@ func (e *Engine) SnapshotState() *checkpoint.State {
 // tensor and options, ResumeEngine from these bytes, and the resumed
 // solve's fit trajectory is bitwise identical to the one this engine
 // would have produced. The tensor itself is not captured — the caller
-// must rebuild the plan from equivalent input (same format, same
-// canonical nonzeros).
+// must rebuild the plan from equivalent input (the same canonical
+// nonzeros).
 func (e *Engine) Snapshot(w io.Writer) error {
 	return checkpoint.Write(w, e.SnapshotState())
 }

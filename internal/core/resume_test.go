@@ -43,60 +43,57 @@ func resultsBitwiseEqual(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestResumeBitwiseIdentical is the tentpole contract: for every
-// storage format and TTMc strategy, kill a run at sweep 3 (by loading
-// its sweep-3 checkpoint into a fresh plan) and the resumed run's fit
-// trajectory, factors, and core must be bitwise identical to the
-// uninterrupted run's.
+// TestResumeBitwiseIdentical is the tentpole contract: for either TTMc
+// strategy, kill a run at sweep 3 (by loading its sweep-3 checkpoint
+// into a fresh plan) and the resumed run's fit trajectory, factors, and
+// core must be bitwise identical to the uninterrupted run's.
 func TestResumeBitwiseIdentical(t *testing.T) {
 	x, ranks := presetTensor(t, "netflix", 0.02)
-	for _, format := range []Format{FormatCOO, FormatCSF, FormatALTO} {
-		for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
-			opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 7, TTMc: strat, Format: format}
+	for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
+		opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 7, TTMc: strat}
 
-			p1, err := NewPlan(x, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := NewEngine(p1).Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Same run with sweep-boundary checkpointing every 3 sweeps.
-			dir := t.TempDir()
-			p2, err := NewPlan(x, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e2 := NewEngine(p2)
-			e2.EnableCheckpoints(dir, 3)
-			ckpted, err := e2.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			resultsBitwiseEqual(t, "checkpointing perturbed the run", full, ckpted)
-
-			// Resume from the mid-run (sweep 3) checkpoint on a fresh
-			// plan — the crashed-and-restarted scenario.
-			b, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName(3)))
-			if err != nil {
-				t.Fatalf("fmt=%v strat=%v: sweep-3 checkpoint missing: %v", format, strat, err)
-			}
-			p3, err := NewPlan(x, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e3, err := ResumeEngine(p3, bytes.NewReader(b))
-			if err != nil {
-				t.Fatalf("fmt=%v strat=%v resume: %v", format, strat, err)
-			}
-			resumed, err := e3.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			resultsBitwiseEqual(t, "resumed run diverged", full, resumed)
+		p1, err := NewPlan(x, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		full, err := NewEngine(p1).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Same run with sweep-boundary checkpointing every 3 sweeps.
+		dir := t.TempDir()
+		p2, err := NewPlan(x, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2 := NewEngine(p2)
+		e2.EnableCheckpoints(dir, 3)
+		ckpted, err := e2.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsBitwiseEqual(t, "checkpointing perturbed the run", full, ckpted)
+
+		// Resume from the mid-run (sweep 3) checkpoint on a fresh
+		// plan — the crashed-and-restarted scenario.
+		b, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName(3)))
+		if err != nil {
+			t.Fatalf("strat=%v: sweep-3 checkpoint missing: %v", strat, err)
+		}
+		p3, err := NewPlan(x, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e3, err := ResumeEngine(p3, bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("strat=%v resume: %v", strat, err)
+		}
+		resumed, err := e3.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsBitwiseEqual(t, "resumed run diverged", full, resumed)
 	}
 }
 
@@ -150,7 +147,7 @@ func TestResumeAfterTolStop(t *testing.T) {
 // original engine's.
 func TestSnapshotResumeRoundTrip(t *testing.T) {
 	x, ranks := presetTensor(t, "netflix", 0.02)
-	opts := Options{Ranks: ranks, MaxIters: 4, Tol: -1, Seed: 7, Format: FormatCSF}
+	opts := Options{Ranks: ranks, MaxIters: 4, Tol: -1, Seed: 7}
 
 	p1, err := NewPlan(x, opts)
 	if err != nil {

@@ -198,10 +198,10 @@ func DecomposeWorld(ctx context.Context, world mpi.Runner, x *tensor.COO, part *
 }
 
 // seam lets tests vary what production fixes. rankOptions rewrites the
-// options a rank plans with (storage format, TTMc strategy), proving
-// the exchange carries any core.Plan — under the fine grain: a coarse
-// rank's restriction to its owned slices lives in the update lists only
-// the flat COO kernel reads. wrap substitutes the exchange, which is how
+// options a rank plans with (the TTMc strategy), proving the exchange
+// carries any core.Plan — under the fine grain: a coarse rank's
+// restriction to its owned slices lives in the update lists only the
+// flat kernel reads. wrap substitutes the exchange, which is how
 // the dense-collective oracle is run.
 type seam struct {
 	rankOptions func(*core.Options)

@@ -42,7 +42,7 @@ func (s Schedule) String() string {
 	}
 }
 
-// ParseSchedule parses a -schedule flag value.
+// ParseSchedule parses the spelling String gives a schedule.
 func ParseSchedule(s string) (Schedule, error) {
 	switch s {
 	case "balanced":

@@ -1,9 +1,10 @@
 package tensor
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"hypertensor/internal/par"
 )
@@ -103,9 +104,25 @@ func (t *COO) Norm(threads int) float64 {
 	}))
 }
 
+// keyWords is the number of 64-bit words a linearized coordinate of a
+// tensor with these mode sizes takes (3 standing for "more than 2"). A
+// factor of two is held back, so rounding in the product cannot matter.
+func keyWords(dims []int) int {
+	var prod float64 = 1
+	for _, d := range dims {
+		prod *= float64(d)
+	}
+	switch {
+	case prod <= 0x1p63:
+		return 1
+	case prod <= 0x1p127:
+		return 2
+	}
+	return 3
+}
+
 // key returns a comparable linearized coordinate of nonzero i under the
-// given mode ordering. It is only valid when the product of dimensions
-// fits in 64 bits, which SortDedupOrder checks.
+// given mode ordering. It is only valid for shapes of one key word.
 func (t *COO) key(i int, order []int) uint64 {
 	var k uint64
 	for _, m := range order {
@@ -139,29 +156,46 @@ func (t *COO) SortDedupOrder(order []int) *COO {
 	if n == 0 {
 		return t
 	}
-	var prod float64 = 1
-	for _, d := range t.Dims {
-		prod *= float64(d)
-	}
-	if prod > math.MaxUint64/2 {
-		panic("tensor: dimensions too large for linearized dedup")
-	}
+	t.sortDedup(order, keyWords(t.Dims) == 1)
+	return t
+}
+
+// sortDedup is SortDedupOrder's body. With keyed, nonzeros compare by
+// their linearized 64-bit key, which the shape must admit; without, by
+// coordinate tuple, which any shape does (the paper's 4-mode tensors
+// and most shapes of order 6 and up do not linearize). Both are the
+// same total order, so the result is the same bit for bit.
+func (t *COO) sortDedup(order []int, keyed bool) {
+	n := t.NNZ()
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = t.key(i, order)
-	}
-	// Tie-break equal keys on the original position: duplicates are
-	// summed in appearance order, so every storage format's dedup
-	// produces bitwise-identical values for the same input.
-	sort.Slice(perm, func(a, b int) bool {
-		if keys[perm[a]] != keys[perm[b]] {
-			return keys[perm[a]] < keys[perm[b]]
+	// compare orders nonzeros a and b by coordinate under the mode
+	// ordering.
+	compare := func(a, b int) int {
+		for _, m := range order {
+			if c := cmp.Compare(t.Idx[m][a], t.Idx[m][b]); c != 0 {
+				return c
+			}
 		}
-		return perm[a] < perm[b]
+		return 0
+	}
+	if keyed {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = t.key(i, order)
+		}
+		compare = func(a, b int) int { return cmp.Compare(keys[a], keys[b]) }
+	}
+	// Tie-break equal coordinates on the original position: duplicates
+	// are summed in appearance order, so every storage format's dedup
+	// produces bitwise-identical values for the same input.
+	slices.SortFunc(perm, func(a, b int) int {
+		if c := compare(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
 
 	outIdx := make([][]int32, t.Order())
@@ -173,7 +207,7 @@ func (t *COO) SortDedupOrder(order []int) *COO {
 	for i < n {
 		j := i
 		var sum float64
-		for j < n && keys[perm[j]] == keys[perm[i]] {
+		for j < n && compare(perm[j], perm[i]) == 0 {
 			sum += t.Val[perm[j]]
 			j++
 		}
@@ -187,7 +221,6 @@ func (t *COO) SortDedupOrder(order []int) *COO {
 	}
 	t.Idx = outIdx
 	t.Val = outVal
-	return t
 }
 
 // ModeCounts returns, for the given mode, the number of nonzeros in each

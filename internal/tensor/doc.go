@@ -1,28 +1,21 @@
 // Package tensor provides the sparse and dense N-mode tensor data
-// structures of the paper and the Sparse storage abstraction the whole
-// pipeline is written against.
+// structures of the paper.
 //
-// Three interchangeable sparse formats implement Sparse (see
-// docs/formats.md for layouts and trade-offs):
+// COO — one mode-major int32 index stream per mode plus the value array —
+// is the storage the decomposition runs on: what the reader produces,
+// what the symbolic and TTMc layers scan, and what deltas merge into.
+// SortDedup canonicalizes it (duplicates summed in appearance order,
+// exact-zero sums dropped) for any shape; Merge and MergeIndexed ingest
+// a coordinate delta with stable storage ids, summing into existing
+// positions and appending new coordinates at the tail, for shapes whose
+// linearized coordinates fit 128 bits.
 //
-//   - COO — one mode-major int32 index stream per mode plus the value
-//     array; the reference, ingest, and mutation path.
-//   - CSF — per-root-mode compressed fiber trees; shared index
-//     prefixes are stored once, which the fiber-walking TTMc kernels
-//     exploit.
-//   - ALTO — one bit-interleaved linearized key per nonzero (adaptive
-//     per-mode bit allocation, 64-bit keys with a split 128-bit
-//     fallback); a single mode-agnostic stream with a flat 8 index
-//     bytes per nonzero.
-//
-// All three builds run the same sort/dedup discipline: duplicates are
-// merged by summation with an appearance-order tie-break, so every
-// format holds the bitwise-identical canonical nonzero set for the same
-// input, for any thread count. Each format also ingests coordinate
-// deltas incrementally (COO.Merge keeps storage ids stable, CSF.Merge
-// splices fibers with a linear re-press, ALTO.Merge linearly merges two
-// sorted key streams), reporting whether positions moved so the
-// symbolic and memoization layers can invalidate precisely.
+// CSF (per-root-mode compressed fiber trees) and ALTO (one
+// bit-interleaved linearized key per nonzero), with the Sparse interface
+// over all three, have no caller in the decomposition: they won no
+// measured workload against COO (docs/formats.md) and remain only as the
+// layers `go run ./benchmark` builds and times per row, until those
+// rows are dropped.
 //
 // The package also holds the dense tensor with matricization helpers,
 // text I/O in the FROSTT-style .tns format, and the slice-size

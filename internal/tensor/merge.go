@@ -2,7 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -21,30 +21,12 @@ type MergeInfo struct {
 	OldNNZ int
 }
 
-// validateDelta runs the shared pre-mutation checks of the 64-bit-key
-// delta-merge entry points (COO.MergeIndexed, CSF.Merge): the shape
-// checks of validateDeltaShape plus the requirement that the
-// lexicographic linearized key space fits 64 bits. ALTO.Merge uses
-// validateDeltaShape directly — its split keys cover larger shapes.
-// Nothing may be mutated before this passes.
+// validateDelta runs the pre-mutation checks of the delta-merge entry
+// points (COO.MergeIndexed, CSF.Merge) against the receiver's shape:
+// order and mode sizes must match, every coordinate must be in range,
+// and the index streams must be consistent. Nothing may be mutated
+// before this passes.
 func validateDelta(dims []int, delta *COO) error {
-	if err := validateDeltaShape(dims, delta); err != nil {
-		return err
-	}
-	var prod float64 = 1
-	for _, d := range dims {
-		prod *= float64(d)
-	}
-	if prod > math.MaxUint64/2 {
-		return fmt.Errorf("tensor: dimensions too large for linearized merge")
-	}
-	return nil
-}
-
-// validateDeltaShape checks a delta against the receiver's shape: order
-// and mode sizes must match, every coordinate must be in range, and the
-// index streams must be consistent.
-func validateDeltaShape(dims []int, delta *COO) error {
 	if delta == nil {
 		return fmt.Errorf("tensor: nil delta")
 	}
@@ -79,22 +61,58 @@ func validateDeltaShape(dims []int, delta *COO) error {
 // MergeIndexed (stable ids); it must not be shared between tensors.
 type MergeIndex struct {
 	owner *COO
-	pos   map[uint64]int32
-	n     int // nonzeros indexed so far
+	// pos maps a linearized coordinate (wideKey) to its storage position
+	// by the low word alone; wide does, by both words, for shapes whose
+	// coordinates do not linearize into 64 bits. Exactly one of the two
+	// is non-nil.
+	pos  map[uint64]int32
+	wide map[[2]uint64]int32
+	n    int // nonzeros indexed so far
 }
 
 // NewMergeIndex returns an empty index bound to t; the first
 // MergeIndexed call populates it.
 func (t *COO) NewMergeIndex() *MergeIndex {
-	return &MergeIndex{owner: t, pos: make(map[uint64]int32, t.NNZ())}
+	if keyWords(t.Dims) == 1 {
+		return &MergeIndex{owner: t, pos: make(map[uint64]int32, t.NNZ())}
+	}
+	return &MergeIndex{owner: t, wide: make(map[[2]uint64]int32, t.NNZ())}
+}
+
+// wideKey is the linearized coordinate of nonzero i in 128 bits, high
+// word first. It is only valid for shapes of at most two key words,
+// which MergeIndexed checks.
+func (t *COO) wideKey(i int) (k [2]uint64) {
+	for m, d := range t.Dims {
+		hi, lo := bits.Mul64(k[1], uint64(d))
+		lo, carry := bits.Add64(lo, uint64(t.Idx[m][i]), 0)
+		k[0], k[1] = k[0]*uint64(d)+hi+carry, lo
+	}
+	return k
 }
 
 // sync indexes the nonzeros appended since the last call.
-func (ix *MergeIndex) sync(order []int) {
+func (ix *MergeIndex) sync() {
 	t := ix.owner
 	for ; ix.n < t.NNZ(); ix.n++ {
-		ix.pos[t.key(ix.n, order)] = int32(ix.n)
+		if k := t.wideKey(ix.n); ix.pos != nil {
+			ix.pos[k[1]] = int32(ix.n)
+		} else {
+			ix.wide[k] = int32(ix.n)
+		}
 	}
+}
+
+// find returns the storage position of the nonzero with the coordinates
+// of d's nonzero i, if the index holds one.
+func (ix *MergeIndex) find(d *COO, i int) (int32, bool) {
+	k := d.wideKey(i)
+	if ix.pos != nil {
+		p, ok := ix.pos[k[1]]
+		return p, ok
+	}
+	p, ok := ix.wide[k]
+	return p, ok
 }
 
 // Merge ingests a delta tensor: for every delta nonzero whose
@@ -128,6 +146,9 @@ func (t *COO) MergeIndexed(delta *COO, ix *MergeIndex) (*MergeInfo, error) {
 	if err := validateDelta(t.Dims, delta); err != nil {
 		return nil, err
 	}
+	if keyWords(t.Dims) > 2 {
+		return nil, fmt.Errorf("tensor: shape %v is too large for the merge index's 128-bit coordinate keys", t.Dims)
+	}
 	if ix != nil && ix.owner != t {
 		return nil, fmt.Errorf("tensor: merge index belongs to a different tensor")
 	}
@@ -137,17 +158,12 @@ func (t *COO) MergeIndexed(delta *COO, ix *MergeIndex) (*MergeInfo, error) {
 	}
 	d := delta.Clone().SortDedup()
 
-	order := make([]int, t.Order())
-	for m := range order {
-		order[m] = m
-	}
 	if ix == nil {
 		ix = t.NewMergeIndex()
 	}
-	ix.sync(order)
+	ix.sync()
 	for i := 0; i < d.NNZ(); i++ {
-		k := d.key(i, order)
-		if p, ok := ix.pos[k]; ok {
+		if p, ok := ix.find(d, i); ok {
 			t.Val[p] += d.Val[i]
 			info.Updated = append(info.Updated, p)
 		} else {
@@ -158,7 +174,7 @@ func (t *COO) MergeIndexed(delta *COO, ix *MergeIndex) (*MergeInfo, error) {
 			info.Appended++
 		}
 	}
-	ix.sync(order)
+	ix.sync()
 	// Delta entries were visited in sorted-key order, but the positions
 	// they update are in the receiver's (arbitrary) storage order.
 	slices.Sort(info.Updated)

@@ -4,13 +4,13 @@ import (
 	"testing"
 )
 
-// FuzzMergeDelta drives COO.Merge, CSF.Merge, and ALTO.Merge with
-// arbitrary (possibly malformed) deltas against a fixed receiver:
-// out-of-range coordinates must error without mutating the receiver,
-// and every accepted delta must leave all three formats holding the
-// same canonical nonzero multiset (merge-then-canonicalize ==
-// concatenate-then-canonicalize), with the CSF and ALTO passing their
-// structural Validates.
+// FuzzMergeDelta drives COO.Merge and CSF.Merge with arbitrary
+// (possibly malformed) deltas against a fixed receiver: out-of-range
+// coordinates must error without mutating the receiver, and every
+// accepted delta must leave both formats holding the same canonical
+// nonzero multiset (merge-then-canonicalize ==
+// concatenate-then-canonicalize), with the CSF passing its structural
+// Validate.
 func FuzzMergeDelta(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 1, 2, 250}, int16(3))
 	f.Add([]byte{0, 0, 0, 255, 255, 255, 7, 7}, int16(1))
@@ -38,14 +38,12 @@ func FuzzMergeDelta(f *testing.F) {
 
 		x := base.Clone()
 		c := NewCSF(base, CSFOptions{})
-		a := NewALTO(base, ALTOOptions{})
 		before := x.Clone()
 
 		info, err := x.Merge(d)
 		cinfo, cerr := c.Merge(d)
-		ainfo, aerr := a.Merge(d)
-		if (err == nil) != (cerr == nil) || (err == nil) != (aerr == nil) {
-			t.Fatalf("formats disagree on delta validity: coo=%v csf=%v alto=%v", err, cerr, aerr)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("formats disagree on delta validity: coo=%v csf=%v", err, cerr)
 		}
 		if err != nil {
 			// Rejected: the receiver must be untouched.
@@ -65,9 +63,6 @@ func FuzzMergeDelta(f *testing.F) {
 			if c.NNZ() != before.NNZ() {
 				t.Fatal("failed CSF merge changed nnz")
 			}
-			if a.NNZ() != before.NNZ() {
-				t.Fatal("failed ALTO merge changed nnz")
-			}
 			return
 		}
 		if info.OldNNZ != before.NNZ() || x.NNZ() != before.NNZ()+info.Appended {
@@ -78,15 +73,6 @@ func FuzzMergeDelta(f *testing.F) {
 		}
 		if cinfo.OldNNZ != before.NNZ() || c.NNZ() != before.NNZ()+cinfo.Inserted {
 			t.Fatalf("CSF merge accounting inconsistent: %+v nnz=%d", cinfo, c.NNZ())
-		}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("merged ALTO fails Validate: %v", err)
-		}
-		if ainfo.OldNNZ != before.NNZ() || a.NNZ() != before.NNZ()+ainfo.Inserted {
-			t.Fatalf("ALTO merge accounting inconsistent: %+v nnz=%d", ainfo, a.NNZ())
-		}
-		if ainfo.Structural != (ainfo.Inserted > 0) {
-			t.Fatalf("ALTO merge Structural=%v with %d insertions", ainfo.Structural, ainfo.Inserted)
 		}
 
 		// Reference: concatenate and canonicalize.
@@ -106,10 +92,6 @@ func FuzzMergeDelta(f *testing.F) {
 		fromCSF := c.ToCOO().SortDedup()
 		if !sameCanonical(fromCSF, ref) {
 			t.Fatal("CSF merge diverged from concatenate+SortDedup")
-		}
-		fromALTO := a.ToCOO().SortDedup()
-		if !sameCanonical(fromALTO, ref) {
-			t.Fatal("ALTO merge diverged from concatenate+SortDedup")
 		}
 	})
 }

@@ -1,10 +1,9 @@
 package tensor
 
-// Sparse is the storage abstraction over sparse tensor formats. The
-// symbolic preprocessing, the TTMc kernels, and the HOOI driver are
-// written against this interface so a decomposition can run on the
-// coordinate format (COO) or the compressed-sparse-fiber format (CSF)
-// without the consumers hard-coding either layout.
+// Sparse is the storage abstraction over sparse tensor formats that
+// symbolic.Build and ttm.BuildDTree read a tensor through. The HOOI
+// driver hands them a COO; the CSF and ALTO implementations are reached
+// only from the per-layer benchmark rows.
 //
 // Nonzeros are addressed by a stable storage-order position 0..NNZ()-1.
 // Different formats store the same tensor in different orders (CSF

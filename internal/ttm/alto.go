@@ -100,18 +100,6 @@ func NewALTOTTMc(x *tensor.ALTO, sym *symbolic.Structure) *ALTOTTMc {
 // bitwise identical under every schedule; only load balance differs.
 func (k *ALTOTTMc) SetSchedule(s par.Schedule) { k.sched = s }
 
-// Rebind swaps the engine onto a different ALTO tensor with the
-// identical key stream (e.g. a clone taken so a resident engine can
-// apply value-only merges without touching the plan's copy) and its
-// symbolic structure. A structural change requires a fresh engine.
-func (k *ALTOTTMc) Rebind(x *tensor.ALTO, sym *symbolic.Structure) {
-	if x.Order() != k.x.Order() || x.NNZ() != k.x.NNZ() {
-		panic("ttm: Rebind tensor does not match the engine's structure")
-	}
-	k.x = x
-	k.sym = sym
-}
-
 // NumRows returns the number of compact result rows for mode n (the
 // count of nonempty slices), matching symbolic.Mode.NumRows.
 func (k *ALTOTTMc) NumRows(n int) int { return k.sym.Modes[n].NumRows() }

@@ -143,19 +143,6 @@ func NewCSFTTMc(x *tensor.CSF) *CSFTTMc {
 	return k
 }
 
-// Rebind swaps the engine onto a different CSF tensor with the
-// identical fiber structure (e.g. a clone taken so a resident engine
-// can apply value-only merges without touching the plan's copy). The
-// cached fiber groupings and schedule partitions stay valid because
-// they depend only on the structure; a structural change requires a
-// fresh engine.
-func (k *CSFTTMc) Rebind(x *tensor.CSF) {
-	if x.Order() != k.order || x.NNZ() != k.x.NNZ() {
-		panic("ttm: Rebind storage does not match the engine")
-	}
-	k.x = x
-}
-
 // NumRows returns the number of compact result rows for mode n (the
 // count of nonempty slices), matching symbolic.Mode.NumRows.
 func (k *CSFTTMc) NumRows(n int) int {

@@ -5,24 +5,23 @@
 // update lists so results are bitwise deterministic for any thread
 // count and schedule.
 //
-// One kernel per storage format, all built on the Kronecker row
-// kernels:
+// The decomposition runs one of two kernels, both built on the
+// Kronecker row kernels:
 //
-//   - TTMc / Flat — the flat nonzero loop over COO streams, the
-//     reference path.
-//   - CSFTTMc — fiber-walking kernels over compressed fiber trees;
-//     each subtree's contraction is accumulated once and expanded
-//     through the parent (~2x fewer madds than flat).
-//   - ALTOTTMc — sequential-stream kernels over the linearized format;
-//     the key stream is split by recursive halving into a fixed block
-//     grid, short modes accumulate into per-thread dense slabs reduced
-//     in block order, long modes switch to owner-computes rows.
+//   - TTMc / Flat — the flat nonzero loop over COO streams and the
+//     per-mode update lists, the paper's Algorithm 3 and the reference
+//     path.
+//   - DTree — the dimension-tree memoization that caches the partial
+//     contractions shared between a sweep's N updates; the default
+//     from order 4 up.
 //
-// On top of the per-mode kernels sit DTree, the dimension-tree TTMc
-// memoization that caches the partial contractions shared between a
-// sweep's N updates (with per-entry dirty invalidation for delta
-// ingest via ApplyDelta), core-tensor formation, and a MET-style
-// TTM-chain baseline that materializes semi-sparse intermediate
+// CSFTTMc (fiber-walking kernels over compressed fiber trees) and
+// ALTOTTMc (sequential-stream kernels over the linearized format) have
+// no caller in the decomposition: they won no measured workload against
+// what runs by default (docs/formats.md) and remain only as the layers
+// `go run ./benchmark` times per row, until those rows are dropped.
+//
+// Also here: core-tensor formation, and a MET-style TTM-chain baseline that materializes semi-sparse intermediate
 // tensors (the Matlab Tensor Toolbox strategy the paper compares
 // against in §V).
 package ttm

@@ -47,8 +47,6 @@ type DTree struct {
 	// nodeTime accumulates wall time spent recomputing internal nodes
 	// (the memoized share of TTMc); leaf emission is the remainder.
 	nodeTime time.Duration
-	// sched is the scheduling discipline of the node-recompute loops.
-	sched par.Schedule
 	// free holds the value buffers of invalidated nodes for ensure to
 	// draw from: in a Gauss–Seidel sweep a node dies (Invalidate) before
 	// the next one is built, so the memo nodes of a sweep take turns in
@@ -68,7 +66,6 @@ type DTree struct {
 type contraction struct {
 	nd      *dnode
 	dst     []float64
-	rows    []int32 // entry subset, nil = every entry
 	u       []*dense.Matrix
 	threads int
 	bs      int // block size of nd
@@ -83,12 +80,6 @@ type kronScratch struct {
 	rows       [][]float64
 	bufA, bufB []float64
 }
-
-// SetSchedule selects the scheduling discipline for subsequent TTMc
-// calls: balanced (weight-aware chains over each node's per-entry group
-// sizes, with stealing — the default), dynamic, or static. Results are
-// bitwise identical under every schedule.
-func (t *DTree) SetSchedule(s par.Schedule) { t.sched = s }
 
 // dnode is one tree node.
 type dnode struct {
@@ -110,15 +101,6 @@ type dnode struct {
 	val       []float64
 	valid     bool
 	computes  int
-	// partials counts delta-driven partial recomputations (dirty entries
-	// only, the cache otherwise intact).
-	partials int
-	// dirty lists entry positions whose cached blocks are stale against
-	// the tensor (sorted ascending): the per-row generalization of the
-	// whole-node valid flag, set by ApplyDelta and cleared by the next
-	// recompute. Meaningful only while valid is true — a full
-	// invalidation subsumes it.
-	dirty []int32
 	// bounds caches the balanced chain partition of the node's entries
 	// (weighted by group size) for boundsThreads workers.
 	bounds        []int32
@@ -127,7 +109,7 @@ type dnode struct {
 
 // chains returns (building on first use) the balanced chain partition
 // of the node's entries, weighted by each entry's update-list length —
-// the precomputed partition the balanced recompute loop runs on.
+// the precomputed partition the recompute loop runs on.
 func (nd *dnode) chains(threads int) []int32 {
 	if nd.bounds == nil || nd.boundsThreads != threads {
 		w := make([]int64, nd.n)
@@ -238,7 +220,6 @@ func (t *DTree) group(nd *dnode, sc *symbolic.GroupScratch) {
 // release hands nd's value buffer to the free list.
 func (t *DTree) release(nd *dnode) {
 	nd.valid = false
-	nd.dirty = nil // subsumed by the full recompute
 	if nd.val != nil {
 		t.free = append(t.free, nd.val)
 		nd.val = nil
@@ -311,9 +292,7 @@ type NodeInfo struct {
 	Lo, Hi   int  // mode range [Lo, Hi)
 	Entries  int  // distinct projections of the nonzeros
 	Valid    bool // cached value up to date (internal nodes only)
-	Computes int  // full numeric recomputations so far
-	Partials int  // delta-driven partial (dirty-entries-only) recomputations
-	Dirty    int  // entries currently marked stale against the tensor
+	Computes int  // numeric recomputations so far
 }
 
 // Nodes reports the state of every tree node in topological order
@@ -321,8 +300,7 @@ type NodeInfo struct {
 func (t *DTree) Nodes() []NodeInfo {
 	out := make([]NodeInfo, len(t.nodes))
 	for i, nd := range t.nodes {
-		out[i] = NodeInfo{Lo: nd.lo, Hi: nd.hi, Entries: nd.n, Valid: nd.valid,
-			Computes: nd.computes, Partials: nd.partials, Dirty: len(nd.dirty)}
+		out[i] = NodeInfo{Lo: nd.lo, Hi: nd.hi, Entries: nd.n, Valid: nd.valid, Computes: nd.computes}
 	}
 	return out
 }
@@ -349,8 +327,7 @@ func (t *DTree) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
 	start := time.Now()
 	t.ensure(leaf.parent, u, threads)
 	t.nodeTime += time.Since(start)
-	t.contract(leaf, y.Data, nil, u, threads)
-	leaf.dirty = nil // leaves are emitted in full, never cached
+	t.contract(leaf, y.Data, u, threads)
 }
 
 // syncRanks checks the factor column counts against the cached values
@@ -395,54 +372,30 @@ func (nd *dnode) blockLen(ranks []int) int {
 }
 
 // ensure makes nd's cached value valid, recomputing ancestors first.
-// The root is always valid (it is the tensor itself). A node that is
-// valid but carries delta-dirty entries gets a partial recompute: only
-// the dirty blocks are rebuilt from the (ensured) parent, bit-for-bit
-// what a full recompute would produce for them, while every untouched
-// block keeps its cached value untouched.
+// The root is always valid (it is the tensor itself).
 func (t *DTree) ensure(nd *dnode, u []*dense.Matrix, threads int) {
-	if nd == t.root || (nd.valid && len(nd.dirty) == 0) {
+	if nd == t.root || nd.valid {
 		return
 	}
 	t.ensure(nd.parent, u, threads)
-	if nd.valid {
-		t.contract(nd, nd.val, nd.dirty, u, threads)
-		nd.partials++
-		nd.dirty = nil
-		return
-	}
 	bs := t.rowSize(nd)
 	nd.val = t.take(nd, nd.n*bs)
 	nd.blockSize = bs
-	t.contract(nd, nd.val, nil, u, threads)
+	t.contract(nd, nd.val, u, threads)
 	nd.valid = true
-	nd.dirty = nil
 }
 
 // contract computes nd's value into dst (nd.n blocks of rowSize(nd))
-// from its parent's value, contracting the modes the child drops. rows
-// selects a subset of entry positions to recompute (nil means every
-// entry — the full evaluation). Every computed entry is owned by
-// exactly one worker and accumulated in CSR order, so the result is
-// deterministic for any thread count and identical whether an entry is
-// reached by a full or a partial pass.
-func (t *DTree) contract(nd *dnode, dst []float64, rows []int32, u []*dense.Matrix, threads int) {
+// from its parent's value, contracting the modes the child drops. Every
+// entry is owned by exactly one worker and accumulated in CSR order, so
+// the result is deterministic for any thread count.
+func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads int) {
 	parent := nd.parent
 	threads = par.DefaultThreads(threads)
 	c := &t.call
-	*c = contraction{nd: nd, dst: dst, rows: rows, u: u, threads: threads, bs: t.rowSize(nd)}
-	nRows := nd.n
-	work := int64(parent.n) // sum of group sizes over all entries
-	if rows == nil {
-		nd.computes++
-	} else {
-		nRows = len(rows)
-		work = 0
-		for _, g := range rows {
-			work += int64(nd.groups.Ptr[g+1] - nd.groups.Ptr[g])
-		}
-	}
-	t.flops += work * int64(c.bs)
+	*c = contraction{nd: nd, dst: dst, u: u, threads: threads, bs: t.rowSize(nd)}
+	nd.computes++
+	t.flops += int64(parent.n) * int64(c.bs) // the group sizes sum to the parent's entries
 
 	// kron is the longest Kronecker product a worker builds per entry.
 	kron := 1
@@ -484,33 +437,12 @@ func (t *DTree) contract(nd *dnode, dst []float64, rows []int32, u []*dense.Matr
 			sc.bufA, sc.bufB = make([]float64, kron), make([]float64, kron)
 		}
 	}
-	runRows(t.sched, nRows, threads, t.chainsFn, body)
-	c.dst, c.rows, c.u = nil, nil, nil
+	runRows(par.ScheduleBalanced, nd.n, threads, t.chainsFn, body)
+	c.dst, c.u = nil, nil
 }
 
-// callChains is the balanced partition of the running contraction: the
-// node's cached chains for a full evaluation, a fresh partition of the
-// listed entries for a partial one.
-func (t *DTree) callChains() []int32 {
-	c := &t.call
-	if c.rows == nil {
-		return c.nd.chains(c.threads)
-	}
-	w := make([]int64, len(c.rows))
-	for j, g := range c.rows {
-		w[j] = int64(c.nd.groups.Ptr[g+1] - c.nd.groups.Ptr[g])
-	}
-	return par.PartitionChains(w, c.threads)
-}
-
-// entry maps a loop position of the running contraction to the node
-// entry it computes.
-func (c *contraction) entry(j int) int {
-	if c.rows == nil {
-		return j
-	}
-	return int(c.rows[j])
-}
+// callChains is the balanced partition of the running contraction.
+func (t *DTree) callChains() []int32 { return t.call.nd.chains(t.call.threads) }
 
 // rootRows computes entries [lo, hi) of a root child from the nonzeros.
 func (t *DTree) rootRows(w, lo, hi int) {
@@ -518,8 +450,7 @@ func (t *DTree) rootRows(w, lo, hi int) {
 	nd, bs := c.nd, c.bs
 	frows := sc.rows[:len(nd.dropped)]
 	vals := t.x.Values()
-	for j := lo; j < hi; j++ {
-		g := c.entry(j)
+	for g := lo; g < hi; g++ {
 		row := c.dst[g*bs : (g+1)*bs]
 		for i := range row {
 			row[i] = 0
@@ -542,8 +473,7 @@ func (t *DTree) innerRows(w, lo, hi int) {
 	a, b, d := c.a, c.b, c.d
 	pbs := parent.blockSize
 	frows := sc.rows[:len(nd.dropped)]
-	for jr := lo; jr < hi; jr++ {
-		g := c.entry(jr)
+	for g := lo; g < hi; g++ {
 		blk := c.dst[g*bs : (g+1)*bs]
 		for i := range blk {
 			blk[i] = 0

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hypertensor/internal/dense"
-	"hypertensor/internal/tensor"
 )
 
 // engineSweep drives the tree the way core.Engine's sweep does:
@@ -92,58 +91,6 @@ func TestDTreeSweepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// The dirty-entry path must be exact on recycled storage: node {2,3}
-// is built in the buffer node {0,1} died in, a delta then marks some of
-// its entries stale, and the partial recompute over them — everything
-// else in the buffer left as it is — must give the products of a tree
-// built cold on the mutated tensor, bit for bit.
-func TestDTreeDirtyEntriesOnRecycledBuffer(t *testing.T) {
-	dims, ranks := []int{8, 10, 12, 14}, []int{3, 3, 2, 2}
-	x := deltaTestTensor(17, dims, 220)
-	u := randFactors(19, dims, ranks)
-	tree := NewDTree(x)
-	y := func(tr *DTree, n int) *dense.Matrix {
-		out := dense.NewMatrix(tr.NumRows(n), RowSize(u, n))
-		tr.TTMc(out, n, u, 2)
-		return out
-	}
-	y(tree, 0)         // builds {0,1}
-	tree.Invalidate(2) // {0,1} dies, its buffer is free
-	y(tree, 2)         // builds {2,3} in it
-	if n, _ := liveBuffers(tree); n != 1 {
-		t.Fatalf("tree holds %d value buffers after the hand-over, want 1", n)
-	}
-
-	oldNNZ := x.NNZ()
-	d := tensor.NewCOO(dims, 0)
-	coord := make([]int, len(dims))
-	d.Append(x.Coord(5, coord), 0.75)
-	d.Append(x.Coord(120, coord), -1.25)
-	for m := range coord {
-		coord[m] = dims[m] - 1
-	}
-	d.Append(coord, 2)
-	info, err := x.Merge(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree.ApplyDelta(info.Updated, oldNNZ)
-	if ni := nodeByRange(tree.Nodes(), 2, 4); !ni.Valid || ni.Dirty == 0 {
-		t.Fatalf("node {2,3} after the delta: valid=%v dirty=%d; want a valid node with stale entries", ni.Valid, ni.Dirty)
-	}
-
-	fresh := NewDTree(x)
-	for _, n := range []int{3, 2} {
-		got, want := y(tree, n), y(fresh, n)
-		if !reflect.DeepEqual(got.Data, want.Data) {
-			t.Fatalf("mode %d: partial recompute on recycled storage differs from a cold tree", n)
-		}
-	}
-	if ni := nodeByRange(tree.Nodes(), 2, 4); ni.Partials != 1 || ni.Computes != 1 {
-		t.Fatalf("node {2,3}: %d partial and %d full evaluations, want 1 and 1", ni.Partials, ni.Computes)
-	}
-}
-
 // The tree is the same for every build thread count.
 func TestBuildDTreeThreadInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
@@ -185,40 +132,6 @@ func TestDTreeSweepFlopsMatchesMeasured(t *testing.T) {
 		engineSweep(tree, u, 2, rng)
 		if got, want := tree.Flops(), tree.SweepFlops(ranks); got != want {
 			t.Fatalf("dims %v: a sweep executed %d madds, SweepFlops predicts %d", dims, got, want)
-		}
-	}
-}
-
-// A stream of structural deltas, each followed by sweeps, must not grow
-// the tree's stock of value buffers: a node that outgrew its buffer
-// gets a new one and the old one goes to the collector, not onto the
-// free list for good.
-func TestDTreeBuffersStayBoundedUnderDeltas(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	dims, ranks := []int{8, 10, 12, 14}, []int{2, 2, 2, 2}
-	x := deltaTestTensor(23, dims, 200)
-	u := randFactors(29, dims, ranks)
-	tree := NewDTree(x)
-	engineSweep(tree, u, 2, rng)
-	coord := make([]int, len(dims))
-	for round := 0; round < 6; round++ {
-		oldNNZ := x.NNZ()
-		d := tensor.NewCOO(dims, 0)
-		for i := 0; i < 12; i++ {
-			for m := range coord {
-				coord[m] = rng.Intn(dims[m])
-			}
-			d.Append(coord, rng.NormFloat64())
-		}
-		info, err := x.Merge(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree.ApplyDelta(info.Updated, oldNNZ)
-		engineSweep(tree, u, 2, rng)
-		engineSweep(tree, u, 2, rng)
-		if n, _ := liveBuffers(tree); n > 2 {
-			t.Fatalf("round %d: the tree holds %d value buffers for its 2 memo nodes", round, n)
 		}
 	}
 }

@@ -103,36 +103,6 @@ func TestCSFTTMcSchedBitwiseEquivalent(t *testing.T) {
 	}
 }
 
-func TestDTreeSchedBitwiseEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	x, u, _ := randomSetup(rng, []int{12, 9, 7, 5}, []int{3, 2, 2, 3}, 400)
-	want := make([]*dense.Matrix, x.Order())
-	refTree := NewDTree(x)
-	refTree.SetSchedule(par.ScheduleDynamic)
-	for mode := 0; mode < x.Order(); mode++ {
-		want[mode] = dense.NewMatrix(refTree.NumRows(mode), RowSize(u, mode))
-		refTree.TTMc(want[mode], mode, u, 1)
-		refTree.Invalidate(mode)
-	}
-	for _, sched := range allSchedules {
-		for _, threads := range []int{1, 3, 8} {
-			tree := NewDTree(x)
-			tree.SetSchedule(sched)
-			for mode := 0; mode < x.Order(); mode++ {
-				y := dense.NewMatrix(tree.NumRows(mode), RowSize(u, mode))
-				tree.TTMc(y, mode, u, threads)
-				tree.Invalidate(mode)
-				for i := range want[mode].Data {
-					if y.Data[i] != want[mode].Data[i] {
-						t.Fatalf("sched=%v threads=%d mode=%d: bit difference at %d",
-							sched, threads, mode, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 // The balanced schedule's cached partitions must survive thread-count
 // changes (rebuild) and factor-rank changes (no dependence).
 func TestCSFTTMcPartitionCacheAcrossThreadCounts(t *testing.T) {

@@ -162,14 +162,13 @@ func TTMcNaive(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 func Flops(nnz, rowSize int) int64 { return int64(nnz) * int64(rowSize) }
 
 // Flat is the reference kernel as a resident value with the same
-// method set as DTree, CSFTTMc and ALTOTTMc, so a HOOI driver holds one
-// kernel whatever the strategy: TTMcSched over the per-mode update
+// method set as DTree, so a HOOI driver holds one kernel whatever the
+// strategy: the balanced-chain TTMcSched over the per-mode update
 // lists, with the multiply-adds it executed counted. Lists restricted
 // by symbolic.Mode.Select make it compute exactly those rows.
 type Flat struct {
 	x     *tensor.COO
 	sym   *symbolic.Structure
-	sched par.Schedule
 	flops int64
 }
 
@@ -177,11 +176,8 @@ type Flat struct {
 // structure whose nonzero ids index it. Both may be mutated in place
 // between calls (the stable-id delta merge does).
 func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
-	return &Flat{x: x, sym: sym, sched: par.ScheduleBalanced}
+	return &Flat{x: x, sym: sym}
 }
-
-// SetSchedule selects the scheduling discipline of subsequent calls.
-func (k *Flat) SetSchedule(s par.Schedule) { k.sched = s }
 
 // Rows lists the slices of mode n the kernel computes, ascending.
 func (k *Flat) Rows(n int) []int32 { return k.sym.Modes[n].Rows }
@@ -190,7 +186,7 @@ func (k *Flat) Rows(n int) []int32 { return k.sym.Modes[n].Rows }
 // lists into y (see TTMcSched).
 func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
 	sm := &k.sym.Modes[n]
-	TTMcSched(y, k.x, sm, u, threads, k.sched)
+	TTMcSched(y, k.x, sm, u, threads, par.ScheduleBalanced)
 	k.flops += Flops(len(sm.NZ), y.Cols)
 }
 
