@@ -1,11 +1,9 @@
 package hypertensor
 
-// Benchmarks regenerating each of the paper's evaluation artifacts
-// (Tables I-V and the MET comparison) at reduced scale, plus ablation
-// benchmarks for the design choices called out in DESIGN.md. The
-// cmd/htbench tool runs the same drivers at full scale with formatted
-// output; these testing.B entry points keep every experiment wired into
-// `go test -bench`.
+// Kernel and ablation benchmarks for the design choices called out in
+// docs/architecture.md. The paper's tables are cmd/htbench's (drivers
+// and their tests in internal/bench); times that gate a change are
+// `go run ./benchmark`'s.
 
 import (
 	"bytes"
@@ -15,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"hypertensor/internal/bench"
 	"hypertensor/internal/core"
 	"hypertensor/internal/dense"
 	"hypertensor/internal/dist"
@@ -26,106 +23,6 @@ import (
 	"hypertensor/internal/trsvd"
 	"hypertensor/internal/ttm"
 )
-
-// benchOpts shrinks the experiments to tenths of seconds per run.
-func benchOpts() bench.Options {
-	return bench.Options{Scale: 0.05, Ps: []int{1, 2, 4}, P: 4, Iters: 1, Threads: []int{1, 2}, Seed: 1}
-}
-
-func BenchmarkTableI_Datasets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableI(benchOpts(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableII_StrongScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableII(benchOpts(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScalingSweep keeps the htbench -scaling driver wired into
-// the CI benchmark smoke: it fails the pipeline if a sweep errors or a
-// dataset's fit trajectory stops being bitwise invariant across thread
-// counts.
-func BenchmarkScalingSweep(b *testing.B) {
-	o := benchOpts()
-	o.Reps = 1
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.Scaling(o, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range rep.Rows {
-			if !row.FitInvariant {
-				b.Fatalf("%s: fit not bitwise invariant across thread counts", row.Dataset)
-			}
-		}
-	}
-}
-
-func BenchmarkTableIII_CommStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableIII(benchOpts(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableIV_StepBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableIV(benchOpts(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableV_SharedMemoryScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableV(benchOpts(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMET_Comparison(b *testing.B) {
-	o := benchOpts()
-	o.Scale = 0.1
-	o.Iters = 5
-	var lastRatio float64
-	for i := 0; i < b.N; i++ {
-		res, err := bench.MET(o, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lastRatio = res.Ratio
-	}
-	b.ReportMetric(lastRatio, "met/ours-speedup")
-}
-
-// BenchmarkDTreeVsFlat reports the dimension-tree TTMc comparison: the
-// per-sweep flop ratio on the 4-mode Flickr-like tensor is the headline
-// metric (host independent), alongside the measured sweep times.
-func BenchmarkDTreeVsFlat(b *testing.B) {
-	o := benchOpts()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.DTreeCompare(o, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Dataset == "flickr" {
-				ratio = r.FlopRatio
-			}
-		}
-	}
-	b.ReportMetric(ratio, "flat/dtree-flops")
-}
 
 // --- Ablations -------------------------------------------------------
 
@@ -203,48 +100,6 @@ func benchTRSVD(b *testing.B, method core.SVDMethod) {
 
 func BenchmarkAblationTRSVDLanczos(b *testing.B)    { benchTRSVD(b, core.SVDLanczos) }
 func BenchmarkAblationTRSVDRandomized(b *testing.B) { benchTRSVD(b, core.SVDRandomized) }
-
-// BenchmarkSolverCompare keeps the htbench -solver driver wired into
-// the CI benchmark smoke: the randomized and Lanczos solvers must both
-// complete on every preset and land within the benchmark noise floor
-// of each other.
-func BenchmarkSolverCompare(b *testing.B) {
-	o := benchOpts()
-	o.Reps = 1
-	for i := 0; i < b.N; i++ {
-		cells, err := bench.Solver(o, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range cells {
-			if c.RandDFit > 1e-5 {
-				b.Fatalf("randomized fit drifted %g from Lanczos", c.RandDFit)
-			}
-		}
-	}
-}
-
-// BenchmarkCommVolume keeps the htbench -comm table wired into the CI
-// benchmark smoke and holds its exactness claim: the realized sparse
-// exchange's expand+fold payload must equal the cut model's byte
-// prediction for every dataset, rank count, and placement method.
-func BenchmarkCommVolume(b *testing.B) {
-	o := benchOpts()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.CommVolume(o, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for name, rs := range rows {
-			for _, r := range rs {
-				if r.Realized() != r.ModelBytes {
-					b.Fatalf("%s %s p=%d: realized %d B != cut model %d B",
-						name, r.Method, r.P, r.Realized(), r.ModelBytes)
-				}
-			}
-		}
-	}
-}
 
 // Partitioning ablation: multilevel hypergraph partitioning time and
 // achieved cutsize versus the random baseline.

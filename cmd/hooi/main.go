@@ -154,6 +154,14 @@ func main() {
 		return
 	}
 
+	// A shared-memory run reads none of the distributed flags.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "grain", "method", "np", "rank", "peers", "listen-fd", "dist-timeout", "max-restarts", "chaos-kill-rank", "chaos-kill-sweep":
+			fail(fmt.Errorf("-%s is a distributed option; it needs -dist", f.Name))
+		}
+	})
+
 	var warmStart []*hypertensor.Matrix
 	switch *algo {
 	case "hooi":

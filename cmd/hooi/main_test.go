@@ -60,9 +60,11 @@ func hooi(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 
 // Flags that are gone are usage errors, and a flag the distributed path
 // does not carry to its ranks is refused when set — whatever it is set
-// to — with the error -update and -eps get there.
+// to — with the error -update and -eps get there. So is a distributed
+// flag on a shared-memory run.
 func TestFlagErrors(t *testing.T) {
 	const notDist = " is a shared-memory engine option; it cannot be combined with -dist"
+	const needsDist = " is a distributed option; it needs -dist"
 	for _, tc := range []struct {
 		args   []string
 		exit   int
@@ -82,6 +84,18 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-dist", "2", "-update", "delta.tns"}, 1, "hooi: -update is a shared-memory engine feature; it cannot be combined with -dist"},
 		{[]string{"-dist", "2", "-eps", "0.5"}, 1, "hooi: -eps adaptive rank is a shared-memory engine feature; it cannot be combined with -dist"},
 		{[]string{"-dist", "0", "-threads", "2", "-q"}, 0, ""},
+		{[]string{"-grain", "coarse"}, 1, "hooi: -grain" + needsDist},
+		{[]string{"-grain", "fine"}, 1, "hooi: -grain" + needsDist},
+		{[]string{"-method", "bl"}, 1, "hooi: -method" + needsDist},
+		{[]string{"-np", "2"}, 1, "hooi: -np" + needsDist},
+		{[]string{"-rank", "0"}, 1, "hooi: -rank" + needsDist},
+		{[]string{"-peers", "127.0.0.1:1"}, 1, "hooi: -peers" + needsDist},
+		{[]string{"-listen-fd", "3"}, 1, "hooi: -listen-fd" + needsDist},
+		{[]string{"-dist-timeout", "1s"}, 1, "hooi: -dist-timeout" + needsDist},
+		{[]string{"-max-restarts", "1"}, 1, "hooi: -max-restarts" + needsDist},
+		{[]string{"-chaos-kill-rank", "1"}, 1, "hooi: -chaos-kill-rank" + needsDist},
+		{[]string{"-chaos-kill-sweep", "2"}, 1, "hooi: -chaos-kill-sweep" + needsDist},
+		{[]string{"-dist", "0", "-method", "hp"}, 1, "hooi: -method" + needsDist},
 	} {
 		stdout, stderr, exit := hooi(t, tc.args...)
 		if exit != tc.exit || !strings.Contains(stderr, tc.stderr) {

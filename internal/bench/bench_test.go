@@ -118,27 +118,30 @@ func TestTableV(t *testing.T) {
 	}
 }
 
-func TestDTreeCompare(t *testing.T) {
+// The comm-volume table's claim: for every dataset, rank count and
+// placement method, one sweep's realized expand+fold payload equals the
+// cut model's byte prediction exactly.
+func TestCommVolume(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := DTreeCompare(quickOpts(), &buf)
+	rows, err := CommVolume(quickOpts(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("%d datasets", len(rows))
 	}
-	for _, r := range rows {
-		if r.FlatFlops <= 0 || r.TreeFlops <= 0 {
-			t.Fatalf("%s: flop counters empty", r.Dataset)
+	for name, rs := range rows {
+		if len(rs) != len(commPs)*len(commMethods) {
+			t.Fatalf("%s: %d rows", name, len(rs))
 		}
-		// The acceptance bar: on 4-mode tensors the memoized tree must
-		// do strictly less TTMc work per sweep than the flat path.
-		if r.Order >= 4 && r.TreeFlops >= r.FlatFlops {
-			t.Fatalf("%s (%d modes): dtree %d madds >= flat %d", r.Dataset, r.Order, r.TreeFlops, r.FlatFlops)
+		for _, r := range rs {
+			if r.Realized() != r.ModelBytes {
+				t.Fatalf("%s %s p=%d: realized %d B != cut model %d B", name, r.Method, r.P, r.Realized(), r.ModelBytes)
+			}
 		}
 	}
-	if !strings.Contains(buf.String(), "dtree") {
-		t.Fatal("table output missing dtree column")
+	if !strings.Contains(buf.String(), "Comm volume") {
+		t.Fatal("table output missing title")
 	}
 }
 

@@ -23,14 +23,9 @@ type Options struct {
 	// Iters is the number of HOOI sweeps per measurement. Default 5,
 	// matching the paper.
 	Iters int
-	// Threads is the Table V / scaling thread sweep. Default
+	// Threads is the Table V thread sweep. Default
 	// {1,2,4,...,32}.
 	Threads []int
-	// Reps is how many times the scaling sweep repeats each
-	// measurement, keeping the fastest (min-of-N suppresses scheduler
-	// noise, which routinely exceeds a 10% regression gate on shared
-	// hosts). Default 3.
-	Reps int
 	// Seed drives dataset generation and partitioners.
 	Seed int64
 }
@@ -50,9 +45,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Threads) == 0 {
 		o.Threads = []int{1, 2, 4, 8, 16, 32}
-	}
-	if o.Reps <= 0 {
-		o.Reps = 3
 	}
 	return o
 }

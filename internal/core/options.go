@@ -49,7 +49,8 @@ const (
 	// semi-sparse product over their mode set and are recomputed only
 	// when a factor in their contracted complement changes, cutting the
 	// TTMc flops per sweep several-fold (~4x on the 4-mode benchmark
-	// presets; see bench.DTreeCompare). The numeric results match
+	// presets; ttm.flat_madds against ttm.dtree_madds in `go run
+	// ./benchmark`). The numeric results match
 	// TTMcFlat to rounding and remain deterministic for any thread
 	// count. Needs a tensor of order 2 or more.
 	TTMcDTree

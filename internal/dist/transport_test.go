@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hypertensor/internal/core"
+	"hypertensor/internal/gen"
 	"hypertensor/internal/mpi"
 	"hypertensor/internal/tensor"
 )
@@ -96,8 +97,8 @@ func TestTransportEquivalence(t *testing.T) {
 
 // worldMatchesTCP runs the same solve over the simulated world and over
 // a TCP mesh and requires every TCP rank's fit trajectory, factors,
-// core and byte accounting to equal the simulated result's bit for bit.
-// It returns the simulated result.
+// core and byte accounting (per rank, and per mode and phase) to equal
+// the simulated result's bit for bit. It returns the simulated result.
 func worldMatchesTCP(t *testing.T, x *tensor.COO, part *Partition, cfg Config) *Result {
 	t.Helper()
 	sim, err := Decompose(x, part, cfg)
@@ -148,6 +149,12 @@ func worldMatchesTCP(t *testing.T, x *tensor.COO, part *Partition, cfg Config) *
 			if res.Stats.SentBytes[q] != sim.Stats.SentBytes[q] {
 				t.Fatalf("%s rank %d: TCP accounting for rank %d is %d bytes, simulated %d",
 					part.Name(), r, q, res.Stats.SentBytes[q], sim.Stats.SentBytes[q])
+			}
+			for n := range sim.Stats.Mode {
+				if res.Stats.Mode[n][q] != sim.Stats.Mode[n][q] {
+					t.Fatalf("%s rank %d: TCP stats for rank %d in mode %d are %+v, simulated %+v",
+						part.Name(), r, q, n, res.Stats.Mode[n][q], sim.Stats.Mode[n][q])
+				}
 			}
 		}
 	}
@@ -283,5 +290,72 @@ func TestDecomposeWorldSizeMismatch(t *testing.T) {
 	_, err = DecomposeWorld(context.Background(), mpi.NewWorld(2), x, part, Config{Ranks: []int{3, 3, 3}, MaxIters: 1, Tol: -1})
 	if err == nil {
 		t.Fatal("accepted a 2-rank world for a 3-rank partition")
+	}
+}
+
+// What one sweep of the four presets at scale 0.2 puts on the wire under
+// the fine-grain hypergraph partition (3 sweeps, no tolerance stop), on
+// both transports: the whole run's payload per sweep and its expand, fold
+// and TRSVD parts, recorded at commit c9e0e6f. The bytes are functions of
+// the partition alone, so they are held with ==; a change that
+// legitimately moves one edits the literal. Summed over the presets, the
+// np=4 hypergraph placements must also send less expand+fold than block
+// placements would (one preset alone may not: netflix's sorted nonzero
+// order hands the block placement a smaller cut than the multilevel
+// partitioner finds).
+func TestRecordedWireBytes(t *testing.T) {
+	type cell struct {
+		np                       int
+		net, expand, fold, trsvd int64 // per sweep, all ranks
+	}
+	var hp4, block4 int64
+	for _, want := range []struct {
+		preset string
+		cells  [2]cell
+	}{
+		{"netflix", [2]cell{{2, 224400, 7872, 65280, 85902}, {4, 669968, 23296, 193280, 257358}}},
+		{"nell", [2]cell{{2, 445834, 18960, 189600, 125592}, {4, 1125424, 37600, 376000, 376780}}},
+		{"delicious", [2]cell{{2, 539344, 12720, 318000, 128302}, {4, 1302912, 26040, 651000, 384908}}},
+		{"flickr", [2]cell{{2, 452872, 9840, 246000, 137442}, {4, 1095496, 19400, 485000, 412330}}},
+	} {
+		cfg, err := gen.Preset(want.preset, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := gen.Random(cfg)
+		ranks := gen.PaperRanks(x.Order())
+		for n := range ranks {
+			ranks[n] = min(ranks[n], x.Dims[n])
+		}
+		for _, c := range want.cells {
+			part, err := MakePartition(x, c.np, Fine, MethodHypergraph, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := worldMatchesTCP(t, x, part, Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32})
+			got := cell{np: c.np, net: res.Stats.TotalSentBytes() / int64(res.Iters)}
+			for n := range res.Stats.Mode {
+				for _, ms := range res.Stats.Mode[n] {
+					got.expand += ms.ExpandBytes
+					got.fold += ms.FoldBytes
+					got.trsvd += ms.TRSVDBytes
+				}
+			}
+			if got != c {
+				t.Errorf("%s: {np net expand fold trsvd} bytes per sweep %v, recorded %v", want.preset, got, c)
+			}
+			if c.np == 4 {
+				hp4 += got.expand + got.fold
+			}
+		}
+		block, err := MakePartition(x, 4, Fine, MethodBlock, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		be, bf := ModeledCommVolume(x, block, ranks)
+		block4 += be + bf
+	}
+	if hp4 >= block4 {
+		t.Errorf("np=4 hypergraph placements send %d expand+fold bytes per sweep over the presets, block placements %d", hp4, block4)
 	}
 }

@@ -82,7 +82,6 @@ func newFaultyTransport(inner transport, cfg FaultConfig) *FaultyTransport {
 func (f *FaultyTransport) rank() int        { return f.inner.rank() }
 func (f *FaultyTransport) size() int        { return f.inner.size() }
 func (f *FaultyTransport) bytesSent() int64 { return f.inner.bytesSent() }
-func (f *FaultyTransport) wireSent() int64  { return f.inner.wireSent() }
 
 func (f *FaultyTransport) send(dst int, m message) {
 	f.inject("send", dst)

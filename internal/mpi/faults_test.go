@@ -20,7 +20,6 @@ func (t nopTransport) size() int         { return t.p }
 func (t nopTransport) send(int, message) {}
 func (t nopTransport) recv(int) message  { return message{} }
 func (t nopTransport) bytesSent() int64  { return 0 }
-func (t nopTransport) wireSent() int64   { return 0 }
 
 // faultOp drives ops through a FaultyTransport until the first injected
 // fault and reports (op index, error); 0 means no fault within limit.
@@ -104,7 +103,7 @@ func TestWorldInjectedDropAbortsCleanly(t *testing.T) {
 	w.InjectFaults(FaultConfig{Seed: 5, DropProb: 0.02})
 	err := w.Run(func(c *Comm) {
 		for i := 0; i < 200; i++ {
-			c.AllReduceScalar(float64(i))
+			c.AllReduceSum([]float64{float64(i)})
 		}
 	})
 	if err == nil {
@@ -125,7 +124,7 @@ func TestWorldInjectedDelayPreservesResults(t *testing.T) {
 	w.InjectFaults(FaultConfig{Seed: 5, DelayProb: 0.3, Delay: time.Millisecond})
 	err := w.Run(func(c *Comm) {
 		for i := 0; i < 20; i++ {
-			if got := c.AllReduceScalar(1); got != 4 {
+			if got := c.AllReduceSum([]float64{1}); got[0] != 4 {
 				panic("delayed allreduce returned wrong sum")
 			}
 		}
@@ -162,7 +161,7 @@ func TestTCPLeakKillMidCollective(t *testing.T) {
 	})
 	errs := runAll(worlds, func(c *Comm) {
 		for i := 0; i < 50; i++ {
-			c.AllReduceScalar(float64(i))
+			c.AllReduceSum([]float64{float64(i)})
 		}
 	})
 	if !errors.Is(errs[1], ErrPeerDied) || !strings.Contains(errs[1].Error(), "injected") {
@@ -310,7 +309,7 @@ func TestTCPDialBackoffRecoversFromLateListener(t *testing.T) {
 		_ = r
 	}
 	runErrs := runAll(worlds[:], func(c *Comm) {
-		if got := c.AllReduceScalar(1); got != 2 {
+		if got := c.AllReduceSum([]float64{1}); got[0] != 2 {
 			panic("allreduce over the recovered mesh is wrong")
 		}
 	})

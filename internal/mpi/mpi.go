@@ -103,7 +103,6 @@ type transport interface {
 	send(dst int, m message)
 	recv(src int) message
 	bytesSent() int64
-	wireSent() int64
 }
 
 // Runner is the surface shared by the in-process World and the
@@ -275,23 +274,6 @@ func firstCause(rankErr []error, w *World) error {
 // BytesSent returns the payload bytes sent so far by the given rank.
 func (w *World) BytesSent(rank int) int64 { return w.sent[rank].Load() }
 
-// SnapshotBytes returns a copy of all per-rank sent-byte counters.
-func (w *World) SnapshotBytes() []int64 {
-	out := make([]int64, w.p)
-	for r := range out {
-		out[r] = w.sent[r].Load()
-	}
-	return out
-}
-
-// ResetCounters zeroes the byte counters (call between setup and the
-// measured iterations; must not race with sends).
-func (w *World) ResetCounters() {
-	for r := range w.sent {
-		w.sent[r].Store(0)
-	}
-}
-
 // chanEndpoint is one simulated rank's transport: buffered channels to
 // every peer, with the world's done channel aborting blocked operations.
 type chanEndpoint struct {
@@ -302,10 +284,8 @@ type chanEndpoint struct {
 func (t *chanEndpoint) rank() int { return t.r }
 func (t *chanEndpoint) size() int { return t.w.p }
 
-// bytesSent is this rank's payload-byte counter; wireSent equals it for
-// the in-process fabric, which has no frame overhead.
+// bytesSent is this rank's payload-byte counter.
 func (t *chanEndpoint) bytesSent() int64 { return t.w.sent[t.r].Load() }
-func (t *chanEndpoint) wireSent() int64  { return t.w.sent[t.r].Load() }
 
 func (t *chanEndpoint) send(dst int, m message) {
 	if dst != t.r {
@@ -346,11 +326,6 @@ func (c *Comm) Size() int { return c.t.size() }
 // is identical between the simulated and TCP transports.
 func (c *Comm) BytesSent() int64 { return c.t.bytesSent() }
 
-// WireBytesSent returns the bytes this rank actually put on the wire,
-// including frame headers. For the in-process fabric it equals
-// BytesSent; for TCP it is larger by the per-frame header overhead.
-func (c *Comm) WireBytesSent() int64 { return c.t.wireSent() }
-
 const (
 	tagUserBase = 1 << 20
 	tagBarrier  = 1
@@ -367,22 +342,11 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	c.sendMsg(dst, message{tag: tagUserBase + tag, f: append([]float64(nil), data...)})
 }
 
-// SendInt32s transfers a copy of an int32 slice.
-func (c *Comm) SendInt32s(dst, tag int, data []int32) {
-	c.sendMsg(dst, message{tag: tagUserBase + tag, i: append([]int32(nil), data...)})
-}
-
 // Recv receives the next float64 message from src, which must carry the
 // given tag — a mismatch is a protocol bug and panics.
 func (c *Comm) Recv(src, tag int) []float64 {
 	m := c.recvMsg(src, tagUserBase+tag)
 	return m.f
-}
-
-// RecvInt32s receives the next int32 message from src with the tag.
-func (c *Comm) RecvInt32s(src, tag int) []int32 {
-	m := c.recvMsg(src, tagUserBase+tag)
-	return m.i
 }
 
 func (c *Comm) sendMsg(dst int, m message) { c.t.send(dst, m) }
@@ -491,11 +455,6 @@ func (c *Comm) AllReduceSum(data []float64) []float64 {
 	return c.Bcast(0, acc)
 }
 
-// AllReduceScalar is AllReduceSum for a single value.
-func (c *Comm) AllReduceScalar(v float64) float64 {
-	return c.AllReduceSum([]float64{v})[0]
-}
-
 // AllGatherV exchanges each rank's (variable-length) slice with every
 // other rank directly; the result is indexed by rank. Total traffic is
 // P·(P−1)·m, the information-theoretic volume of an allgather.
@@ -512,24 +471,6 @@ func (c *Comm) AllGatherV(local []float64) [][]float64 {
 		src := (me - off + p) % p
 		m := c.recvMsg(src, tagGather)
 		out[m.meta] = m.f
-	}
-	return out
-}
-
-// AllGatherInt32s is AllGatherV for int32 payloads (partition setup).
-func (c *Comm) AllGatherInt32s(local []int32) [][]int32 {
-	p := c.Size()
-	me := c.Rank()
-	out := make([][]int32, p)
-	out[me] = append([]int32(nil), local...)
-	for off := 1; off < p; off++ {
-		dst := (me + off) % p
-		c.sendMsg(dst, message{tag: tagGather, i: append([]int32(nil), local...), meta: me})
-	}
-	for off := 1; off < p; off++ {
-		src := (me - off + p) % p
-		m := c.recvMsg(src, tagGather)
-		out[m.meta] = m.i
 	}
 	return out
 }
@@ -613,27 +554,6 @@ func (c *Comm) SparseAllToAllV(bufs [][]float64, recvFrom []int) [][]float64 {
 			panic(fmt.Sprintf("mpi: rank %d: SparseAllToAllV expected a message from %d, got one stamped %d", me, src, m.meta))
 		}
 		out[src] = m.f
-	}
-	return out
-}
-
-// AllToAllInt32s is AllToAllV for int32 payloads.
-func (c *Comm) AllToAllInt32s(bufs [][]int32) [][]int32 {
-	p := c.Size()
-	me := c.Rank()
-	if len(bufs) != p {
-		panic("mpi: AllToAllInt32s needs one buffer per rank")
-	}
-	out := make([][]int32, p)
-	out[me] = append([]int32(nil), bufs[me]...)
-	for off := 1; off < p; off++ {
-		dst := (me + off) % p
-		c.sendMsg(dst, message{tag: tagExchange, i: append([]int32(nil), bufs[dst]...), meta: me})
-	}
-	for off := 1; off < p; off++ {
-		src := (me - off + p) % p
-		m := c.recvMsg(src, tagExchange)
-		out[m.meta] = m.i
 	}
 	return out
 }

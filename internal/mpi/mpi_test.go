@@ -115,10 +115,6 @@ func TestReduceAndAllReduce(t *testing.T) {
 			if sum[0] != wantFirst || sum[1] != float64(p) {
 				panic("allreduce sum wrong")
 			}
-			s := c.AllReduceScalar(2)
-			if s != float64(2*p) {
-				panic("allreduce scalar wrong")
-			}
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
@@ -134,7 +130,7 @@ func TestAllReduceDeterministicBits(t *testing.T) {
 	results := make([]float64, p)
 	err := w.Run(func(c *Comm) {
 		v := math.Pow(10, float64(c.Rank()-4)) // wildly varying magnitudes
-		results[c.Rank()] = c.AllReduceScalar(v)
+		results[c.Rank()] = c.AllReduceSum([]float64{v})[0]
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,22 +168,6 @@ func TestAllGatherV(t *testing.T) {
 	}
 }
 
-func TestAllGatherInt32s(t *testing.T) {
-	const p = 5
-	w := NewWorld(p)
-	err := w.Run(func(c *Comm) {
-		all := c.AllGatherInt32s([]int32{int32(c.Rank()) * 10})
-		for r := 0; r < p; r++ {
-			if len(all[r]) != 1 || all[r][0] != int32(r)*10 {
-				panic("allgather int32 wrong")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllToAllV(t *testing.T) {
 	for _, p := range rankCounts {
 		w := NewWorld(p)
@@ -209,50 +189,22 @@ func TestAllToAllV(t *testing.T) {
 	}
 }
 
-func TestAllToAllInt32s(t *testing.T) {
-	const p = 4
-	w := NewWorld(p)
-	err := w.Run(func(c *Comm) {
-		bufs := make([][]int32, p)
-		for d := range bufs {
-			bufs[d] = []int32{int32(c.Rank()), int32(d)}
-		}
-		got := c.AllToAllInt32s(bufs)
-		for s := 0; s < p; s++ {
-			if got[s][0] != int32(s) || got[s][1] != int32(c.Rank()) {
-				panic("alltoall int32 wrong")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCountersAndReset(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, make([]float64, 10))
-			c.SendInt32s(1, 1, make([]int32, 10))
+			c.Send(1, 1, make([]float64, 5))
 		} else {
 			c.Recv(0, 0)
-			c.RecvInt32s(0, 1)
+			c.Recv(0, 1)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.BytesSent(0); got != 120 {
-		t.Fatalf("rank 0 sent %d bytes, want 120", got)
-	}
-	snap := w.SnapshotBytes()
-	if snap[0] != 120 || snap[1] != 0 {
-		t.Fatalf("snapshot %v", snap)
-	}
-	w.ResetCounters()
-	if w.BytesSent(0) != 0 {
-		t.Fatal("reset failed")
+	if got0, got1 := w.BytesSent(0), w.BytesSent(1); got0 != 120 || got1 != 0 {
+		t.Fatalf("ranks sent %d and %d bytes, want 120 and 0", got0, got1)
 	}
 }
 
@@ -296,7 +248,7 @@ func TestRunPanicAbortsBlockedRanks(t *testing.T) {
 				panic("rank 1 dies mid-collective")
 			}
 			c.Barrier() // blocks on rank 1 forever without the abort path
-			c.AllReduceScalar(1)
+			c.AllReduceSum([]float64{1})
 		})
 		if err == nil {
 			t.Fatal("expected error")

@@ -414,7 +414,6 @@ func (w *TCPWorld) WireBytes() int64 { return w.wire.Load() }
 func (w *TCPWorld) rank() int        { return w.rankID }
 func (w *TCPWorld) size() int        { return w.p }
 func (w *TCPWorld) bytesSent() int64 { return w.payload.Load() }
-func (w *TCPWorld) wireSent() int64  { return w.wire.Load() }
 
 func (w *TCPWorld) fail(err error) {
 	w.failOnce.Do(func() {

@@ -76,15 +76,11 @@ func TestTCPCollectives(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4} {
 		worlds := connectLoopback(t, p, TCPOptions{Timeout: 10 * time.Second})
 		errs := runAll(worlds, func(c *Comm) {
-			// Point-to-point ring with both payload types.
+			// Point-to-point ring.
 			next, prev := (c.Rank()+1)%p, (c.Rank()-1+p)%p
 			c.Send(next, 1, []float64{float64(c.Rank()), 0.5})
-			c.SendInt32s(next, 2, []int32{int32(c.Rank())})
 			if got := c.Recv(prev, 1); got[0] != float64(prev) || got[1] != 0.5 {
 				panic("ring float payload wrong")
-			}
-			if got := c.RecvInt32s(prev, 2); got[0] != int32(prev) {
-				panic("ring int32 payload wrong")
 			}
 
 			c.Barrier()
@@ -92,8 +88,8 @@ func TestTCPCollectives(t *testing.T) {
 			if len(b) != 3 || b[2] != 9 {
 				panic("bcast wrong")
 			}
-			sum := c.AllReduceScalar(float64(c.Rank() + 1))
-			if sum != float64(p*(p+1))/2 {
+			sum := c.AllReduceSum([]float64{float64(c.Rank() + 1)})
+			if sum[0] != float64(p*(p+1))/2 {
 				panic("allreduce wrong")
 			}
 			all := c.AllGatherV(make([]float64, c.Rank()+1))
@@ -131,7 +127,7 @@ func TestTCPBytesMatchSimulated(t *testing.T) {
 		c.Barrier()
 		c.Bcast(1, []float64{1, 2, 3})
 		c.AllReduceSum([]float64{float64(c.Rank())})
-		c.AllGatherInt32s([]int32{int32(c.Rank()), 7})
+		c.AllGatherV([]float64{float64(c.Rank()), 7})
 		c.AllToAllV([][]float64{{1}, {2, 2}, {}, {4}})
 		c.Send((c.Rank()+1)%p, 0, make([]float64, 100))
 		c.Recv((c.Rank()-1+p)%p, 0)
@@ -141,7 +137,6 @@ func TestTCPBytesMatchSimulated(t *testing.T) {
 	if err := sim.Run(body); err != nil {
 		t.Fatal(err)
 	}
-	simBytes := sim.SnapshotBytes()
 
 	worlds := connectLoopback(t, p, TCPOptions{Timeout: 10 * time.Second})
 	for r, err := range runAll(worlds, body) {
@@ -150,8 +145,8 @@ func TestTCPBytesMatchSimulated(t *testing.T) {
 		}
 	}
 	for r, w := range worlds {
-		if w.BytesSent() != simBytes[r] {
-			t.Errorf("rank %d: TCP counted %d payload bytes, simulated %d", r, w.BytesSent(), simBytes[r])
+		if w.BytesSent() != sim.BytesSent(r) {
+			t.Errorf("rank %d: TCP counted %d payload bytes, simulated %d", r, w.BytesSent(), sim.BytesSent(r))
 		}
 		if w.WireBytes() <= w.BytesSent() {
 			t.Errorf("rank %d: wire bytes %d not above payload bytes %d", r, w.WireBytes(), w.BytesSent())
@@ -171,7 +166,7 @@ func TestTCPDeadPeerFailsEveryRank(t *testing.T) {
 			panic("rank 2 dies") // Run recovers, closes the mesh abruptly
 		}
 		c.Barrier()
-		c.AllReduceScalar(1)
+		c.AllReduceSum([]float64{1})
 	})
 	if errs[2] == nil || !strings.Contains(errs[2].Error(), "rank 2 dies") {
 		t.Fatalf("dying rank error: %v", errs[2])
@@ -274,7 +269,7 @@ func TestTCPSingleRankWorld(t *testing.T) {
 	}
 	err = w.Run(func(c *Comm) {
 		c.Barrier()
-		if got := c.AllReduceScalar(3); got != 3 {
+		if got := c.AllReduceSum([]float64{3}); got[0] != 3 {
 			panic("p=1 allreduce wrong")
 		}
 		c.Send(0, 1, []float64{11})
@@ -302,7 +297,7 @@ func TestTCPNoGoroutineLeak(t *testing.T) {
 			if i == 1 && c.Rank() == 0 {
 				panic("induced failure")
 			}
-			c.AllReduceScalar(1)
+			c.AllReduceSum([]float64{1})
 		})
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -236,9 +236,9 @@ func ForWorker(n, threads int, body func(worker, lo, hi int)) {
 }
 
 // ForDynamicWorker combines dynamic chunk scheduling with worker ids:
-// body(worker, lo, hi) is invoked for dynamically claimed chunks. This is
-// the schedule used by the numeric TTMc row loop, where rows have wildly
-// different costs and each worker owns a scratch buffer.
+// body(worker, lo, hi) is invoked for dynamically claimed chunks, for
+// loops whose iterations have wildly different costs and no weights to
+// balance by, and whose workers each own a scratch buffer.
 func ForDynamicWorker(n, threads, chunk int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return

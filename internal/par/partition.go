@@ -1,59 +1,23 @@
 package par
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
 
-// Schedule selects how a parallel loop assigns iterations to workers.
-// All three schedules give every iteration exactly one owner, so kernels
-// that accumulate per-owner state in a fixed order (the owner-computes
-// discipline of the TTMc kernels) produce bitwise-identical results
-// under any schedule and any thread count; the schedules differ only in
-// load balance and scheduling overhead.
+// Schedule names how a parallel row loop assigns iterations to workers.
+// It has one value (dynamic and static scheduling won no benchmark row)
+// and remains for ttm.TTMcSched's signature.
 type Schedule int
 
-const (
-	// ScheduleBalanced partitions iterations into per-worker contiguous
-	// chains of near-equal total weight (prefix-sum chain-on-chain over
-	// the caller's weights) and lets workers that drain their chain
-	// early steal chunks from the heaviest remaining chain — static
-	// balance for the bulk, dynamic stealing for irregular tails. It is
-	// the default.
-	ScheduleBalanced Schedule = iota
-	// ScheduleDynamic is chunked self-scheduling from a shared atomic
-	// cursor, ignoring weights (the legacy par.For discipline).
-	ScheduleDynamic
-	// ScheduleStatic assigns uniform contiguous index blocks, one per
-	// worker, ignoring weights.
-	ScheduleStatic
-)
-
-// String spells the schedule the way the CLI flags do.
-func (s Schedule) String() string {
-	switch s {
-	case ScheduleDynamic:
-		return "dynamic"
-	case ScheduleStatic:
-		return "static"
-	default:
-		return "balanced"
-	}
-}
-
-// ParseSchedule parses the spelling String gives a schedule.
-func ParseSchedule(s string) (Schedule, error) {
-	switch s {
-	case "balanced":
-		return ScheduleBalanced, nil
-	case "dynamic":
-		return ScheduleDynamic, nil
-	case "static":
-		return ScheduleStatic, nil
-	}
-	return 0, fmt.Errorf("par: unknown schedule %q (want balanced|dynamic|static)", s)
-}
+// ScheduleBalanced partitions iterations into per-worker contiguous
+// chains of near-equal total weight (prefix-sum chain-on-chain over the
+// caller's weights) and lets workers that drain their chain early steal
+// chunks from the heaviest remaining chain — static balance for the
+// bulk, dynamic stealing for irregular tails. Every iteration has
+// exactly one owner, so kernels that accumulate per-owner state in a
+// fixed order produce bitwise-identical results for any thread count.
+const ScheduleBalanced Schedule = 0
 
 // PartitionChains splits [0, len(weights)) into parts contiguous chains
 // of near-equal total weight and returns the chain boundaries as a

@@ -20,7 +20,7 @@ import (
 //     each) while streaming their block's key range, then reduce the
 //     slabs into the output rows in ascending block order — the
 //     fixed-block discipline of par.SumBlocks, so results are bitwise
-//     identical for every thread count and schedule.
+//     identical for every thread count.
 //   - Long modes (where the slabs would not fit the accumulator budget)
 //     fall back to owner-computes emission over the symbolic update
 //     lists: every output row is owned by exactly one worker and its
@@ -33,7 +33,6 @@ type ALTOTTMc struct {
 	x   *tensor.ALTO
 	sym *symbolic.Structure
 
-	sched par.Schedule
 	flops int64
 
 	// bounds is the recursive-split block grid over the linearized
@@ -89,16 +88,9 @@ func NewALTOTTMc(x *tensor.ALTO, sym *symbolic.Structure) *ALTOTTMc {
 	return &ALTOTTMc{
 		x:      x,
 		sym:    sym,
-		sched:  par.ScheduleBalanced,
 		bounds: altoSplitBounds(x.NNZ()),
 	}
 }
-
-// SetSchedule selects the scheduling discipline for subsequent kernel
-// calls: balanced (weight-aware chains, the default), dynamic (chunked
-// self-scheduling), or static (uniform blocks). The numeric results are
-// bitwise identical under every schedule; only load balance differs.
-func (k *ALTOTTMc) SetSchedule(s par.Schedule) { k.sched = s }
 
 // NumRows returns the number of compact result rows for mode n (the
 // count of nonempty slices), matching symbolic.Mode.NumRows.
@@ -122,7 +114,7 @@ func (k *ALTOTTMc) Invalidate(int) {}
 
 // useDense reports whether mode n takes the blocked dense-accumulator
 // path for the given row size. The decision depends only on the tensor
-// and the factor shapes — never the thread count or schedule — so the
+// and the factor shapes — never the thread count — so the
 // accumulation order (and hence the bits) of the result is stable.
 func (k *ALTOTTMc) useDense(n, rowSize int) bool {
 	dim := k.x.Shape()[n]
@@ -199,7 +191,7 @@ func (k *ALTOTTMc) denseTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*den
 		bufB []float64
 	}
 	scratches := make([]*scratch, threads)
-	runRows(k.sched, blocks, threads, chains, func(w, blo, bhi int) {
+	runRows(blocks, threads, chains, func(w, blo, bhi int) {
 		sc := scratches[w]
 		if sc == nil {
 			sc = &scratch{
@@ -231,7 +223,7 @@ func (k *ALTOTTMc) denseTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*den
 		}
 	})
 
-	runRows(k.sched, sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
+	runRows(sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
 		func(w, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				row := y.Row(r)
@@ -267,7 +259,7 @@ func (k *ALTOTTMc) ownerTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*den
 		bufB []float64
 	}
 	scratches := make([]*scratch, threads)
-	runRows(k.sched, sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
+	runRows(sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
 		func(w, lo, hi int) {
 			sc := scratches[w]
 			if sc == nil {
@@ -332,7 +324,7 @@ func (k *ALTOTTMc) TTMcRows(y *dense.Matrix, n int, rows []int32, u []*dense.Mat
 		return par.PartitionChains(w, threads)
 	}
 	var nnzDone int64
-	runRows(k.sched, len(rows), threads, chains, func(w, lo, hi int) {
+	runRows(len(rows), threads, chains, func(w, lo, hi int) {
 		sc := scratches[w]
 		if sc == nil {
 			sc = &scratch{

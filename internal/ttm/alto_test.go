@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hypertensor/internal/dense"
-	"hypertensor/internal/par"
 	"hypertensor/internal/symbolic"
 	"hypertensor/internal/tensor"
 )
@@ -96,19 +95,16 @@ func TestALTOTTMcBitwiseAcrossThreadsAndSchedules(t *testing.T) {
 	for mode := 0; mode < a.Order(); mode++ {
 		sm := &sym.Modes[mode]
 		var want []float64
-		for _, sched := range []par.Schedule{par.ScheduleBalanced, par.ScheduleDynamic, par.ScheduleStatic} {
-			k.SetSchedule(sched)
-			for _, threads := range []int{1, 2, 4, 8} {
-				y := dense.NewMatrix(sm.NumRows(), RowSize(u, mode))
-				k.TTMc(y, mode, u, threads)
-				if want == nil {
-					want = append([]float64(nil), y.Data...)
-					continue
-				}
-				for i := range want {
-					if y.Data[i] != want[i] {
-						t.Fatalf("mode=%d sched=%v threads=%d: bit drift at %d", mode, sched, threads, i)
-					}
+		for _, threads := range []int{1, 2, 4, 8} {
+			y := dense.NewMatrix(sm.NumRows(), RowSize(u, mode))
+			k.TTMc(y, mode, u, threads)
+			if want == nil {
+				want = append([]float64(nil), y.Data...)
+				continue
+			}
+			for i := range want {
+				if y.Data[i] != want[i] {
+					t.Fatalf("mode=%d threads=%d: bit drift at %d", mode, threads, i)
 				}
 			}
 		}
@@ -147,22 +143,19 @@ func TestALTOTTMcOwnerPathMatchesDense(t *testing.T) {
 			}
 		}
 	}
-	// The owner path itself must be bitwise schedule/thread invariant.
+	// The owner path itself must be bitwise thread invariant.
 	sm := &sym.Modes[0]
 	var want []float64
-	for _, sched := range []par.Schedule{par.ScheduleBalanced, par.ScheduleDynamic, par.ScheduleStatic} {
-		k.SetSchedule(sched)
-		for _, threads := range []int{1, 2, 8} {
-			y := dense.NewMatrix(sm.NumRows(), RowSize(u, 0))
-			k.TTMc(y, 0, u, threads)
-			if want == nil {
-				want = append([]float64(nil), y.Data...)
-				continue
-			}
-			for i := range want {
-				if y.Data[i] != want[i] {
-					t.Fatalf("owner path: sched=%v threads=%d bit drift at %d", sched, threads, i)
-				}
+	for _, threads := range []int{1, 2, 8} {
+		y := dense.NewMatrix(sm.NumRows(), RowSize(u, 0))
+		k.TTMc(y, 0, u, threads)
+		if want == nil {
+			want = append([]float64(nil), y.Data...)
+			continue
+		}
+		for i := range want {
+			if y.Data[i] != want[i] {
+				t.Fatalf("owner path: threads=%d bit drift at %d", threads, i)
 			}
 		}
 	}

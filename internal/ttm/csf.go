@@ -40,9 +40,6 @@ type CSFTTMc struct {
 	blkA, blkB []float64
 	flops      int64
 
-	// sched is the scheduling discipline of the parallel loops; the
-	// balanced default precomputes the partitions below.
-	sched par.Schedule
 	// partThreads is the worker count the cached partitions were built
 	// for; a different thread count rebuilds them.
 	partThreads int
@@ -52,13 +49,6 @@ type CSFTTMc struct {
 	levelBounds [][]int32
 	emitParts   [][][]int32
 }
-
-// SetSchedule selects the scheduling discipline for subsequent kernel
-// calls: balanced (weight-aware chains/LPT with stealing, the default),
-// dynamic (chunked self-scheduling), or static (uniform blocks). The
-// numeric results are bitwise identical under every schedule; only load
-// balance differs.
-func (k *CSFTTMc) SetSchedule(s par.Schedule) { k.sched = s }
 
 // resetParts drops the cached partitions when the thread count changes.
 func (k *CSFTTMc) resetParts(threads int) {
@@ -99,9 +89,9 @@ func (k *CSFTTMc) partsFor(n, threads int) [][]int32 {
 	return k.emitParts[n]
 }
 
-// runLevel dispatches one upward-sweep fiber loop under the schedule.
+// runLevel dispatches one upward-sweep fiber loop over its cached chains.
 func (k *CSFTTMc) runLevel(l, nf, threads int, body func(worker, lo, hi int)) {
-	runRows(k.sched, nf, threads, func() []int32 { return k.boundsFor(l, threads) }, body)
+	runRows(nf, threads, func() []int32 { return k.boundsFor(l, threads) }, body)
 }
 
 // NewCSFTTMc builds the symbolic side of the engine: per-mode fiber
@@ -462,7 +452,7 @@ func (k *CSFTTMc) emit(y *dense.Matrix, rows []int32, n int, below []float64, u 
 			}
 		}
 	}
-	if k.sched == par.ScheduleBalanced && rows == nil && threads > 1 && nRows > 1 {
+	if rows == nil && threads > 1 && nRows > 1 {
 		// Full-mode emission rides the precomputed LPT row assignment:
 		// slice fiber counts are the most skewed weights in the
 		// pipeline, so contiguous chains can strand one worker with the
@@ -480,7 +470,7 @@ func (k *CSFTTMc) emit(y *dense.Matrix, rows []int32, n int, below []float64, u 
 			}
 			return par.PartitionChains(wts, threads)
 		}
-		runRows(k.sched, nRows, threads, chains, func(w, lo, hi int) {
+		runRows(nRows, threads, chains, func(w, lo, hi int) {
 			sc := getScratch(w)
 			for j := lo; j < hi; j++ {
 				doRow(sc, j)

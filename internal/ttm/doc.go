@@ -3,7 +3,7 @@
 // tensor is contracted with every other mode's factor matrix, with
 // row-parallel owner-computes numeric execution over the symbolic
 // update lists so results are bitwise deterministic for any thread
-// count and schedule.
+// count.
 //
 // The decomposition runs one of two kernels, both built on the
 // Kronecker row kernels:

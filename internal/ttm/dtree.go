@@ -437,7 +437,7 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 			sc.bufA, sc.bufB = make([]float64, kron), make([]float64, kron)
 		}
 	}
-	runRows(par.ScheduleBalanced, nd.n, threads, t.chainsFn, body)
+	runRows(nd.n, threads, t.chainsFn, body)
 	c.dst, c.u = nil, nil
 }
 

@@ -9,11 +9,9 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-var allSchedules = []par.Schedule{par.ScheduleBalanced, par.ScheduleDynamic, par.ScheduleStatic}
-
-// Every schedule and thread count must produce the bitwise-identical
-// flat TTMc result: the schedules move row ownership between workers,
-// never the per-row accumulation order.
+// Every thread count must produce the bitwise-identical flat TTMc
+// result through the entry point the benchmark calls: the chains move
+// row ownership between workers, never the per-row accumulation order.
 func TestTTMcSchedBitwiseEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	x, u, sym := randomSetup(rng, []int{40, 25, 30}, []int{4, 3, 5}, 900)
@@ -21,15 +19,12 @@ func TestTTMcSchedBitwiseEquivalent(t *testing.T) {
 		sm := &sym.Modes[mode]
 		ref := dense.NewMatrix(sm.NumRows(), RowSize(u, mode))
 		TTMc(ref, x, sm, u, 1)
-		for _, sched := range allSchedules {
-			for _, threads := range []int{1, 2, 4, 8} {
-				y := dense.NewMatrix(sm.NumRows(), RowSize(u, mode))
-				TTMcSched(y, x, sm, u, threads, sched)
-				for i := range ref.Data {
-					if y.Data[i] != ref.Data[i] {
-						t.Fatalf("mode=%d sched=%v threads=%d: bit difference at %d",
-							mode, sched, threads, i)
-					}
+		for _, threads := range []int{1, 2, 4, 8} {
+			y := dense.NewMatrix(sm.NumRows(), RowSize(u, mode))
+			TTMcSched(y, x, sm, u, threads, par.ScheduleBalanced)
+			for i := range ref.Data {
+				if y.Data[i] != ref.Data[i] {
+					t.Fatalf("mode=%d threads=%d: bit difference at %d", mode, threads, i)
 				}
 			}
 		}
@@ -37,8 +32,8 @@ func TestTTMcSchedBitwiseEquivalent(t *testing.T) {
 }
 
 // Update lists restricted by Mode.Select drive the kernel to exactly the
-// selected rows of the full product, bit for bit, under every schedule
-// and thread count — the owned-rows-only TTMc of a coarse-grain rank.
+// selected rows of the full product, bit for bit, at every thread
+// count — the owned-rows-only TTMc of a coarse-grain rank.
 func TestTTMcSelectedRowsBitwiseEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	x, u, sym := randomSetup(rng, []int{30, 20, 25}, []int{3, 4, 3}, 700)
@@ -57,26 +52,24 @@ func TestTTMcSelectedRowsBitwiseEquivalent(t *testing.T) {
 	if len(sel.NZ) != listed {
 		t.Fatalf("selected lists hold %d nonzeros, the rows own %d", len(sel.NZ), listed)
 	}
-	for _, sched := range allSchedules {
-		for _, threads := range []int{1, 2, 5} {
-			y := dense.NewMatrix(len(rows), RowSize(u, 0))
-			TTMcSched(y, x, &sel, u, threads, sched)
-			for j, r := range rows {
-				if sel.Rows[j] != sm.Rows[r] {
-					t.Fatalf("selected row %d is slice %d, want %d", j, sel.Rows[j], sm.Rows[r])
-				}
-				for c, v := range y.Row(j) {
-					if v != full.Row(int(r))[c] {
-						t.Fatalf("sched=%v threads=%d: bit difference at row %d col %d", sched, threads, j, c)
-					}
+	for _, threads := range []int{1, 2, 5} {
+		y := dense.NewMatrix(len(rows), RowSize(u, 0))
+		TTMc(y, x, &sel, u, threads)
+		for j, r := range rows {
+			if sel.Rows[j] != sm.Rows[r] {
+				t.Fatalf("selected row %d is slice %d, want %d", j, sel.Rows[j], sm.Rows[r])
+			}
+			for c, v := range y.Row(j) {
+				if v != full.Row(int(r))[c] {
+					t.Fatalf("threads=%d: bit difference at row %d col %d", threads, j, c)
 				}
 			}
 		}
 	}
 }
 
-// The CSF fiber engine must be schedule- and thread-count-invariant for
-// every mode, including the precomputed LPT emission path.
+// The CSF fiber engine must be thread-count-invariant for every mode,
+// including the precomputed LPT emission path.
 func TestCSFTTMcSchedBitwiseEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	x, u, _ := randomSetup(rng, []int{15, 10, 8, 6}, []int{3, 2, 2, 3}, 600)
@@ -84,19 +77,14 @@ func TestCSFTTMcSchedBitwiseEquivalent(t *testing.T) {
 	ref := NewCSFTTMc(c)
 	for mode := 0; mode < x.Order(); mode++ {
 		want := dense.NewMatrix(ref.NumRows(mode), RowSize(u, mode))
-		ref.SetSchedule(par.ScheduleDynamic)
 		ref.TTMc(want, mode, u, 1)
-		for _, sched := range allSchedules {
-			k := NewCSFTTMc(c)
-			k.SetSchedule(sched)
-			for _, threads := range []int{1, 2, 4, 8} {
-				y := dense.NewMatrix(k.NumRows(mode), RowSize(u, mode))
-				k.TTMc(y, mode, u, threads)
-				for i := range want.Data {
-					if y.Data[i] != want.Data[i] {
-						t.Fatalf("mode=%d sched=%v threads=%d: bit difference at %d",
-							mode, sched, threads, i)
-					}
+		k := NewCSFTTMc(c)
+		for _, threads := range []int{1, 2, 4, 8} {
+			y := dense.NewMatrix(k.NumRows(mode), RowSize(u, mode))
+			k.TTMc(y, mode, u, threads)
+			for i := range want.Data {
+				if y.Data[i] != want.Data[i] {
+					t.Fatalf("mode=%d threads=%d: bit difference at %d", mode, threads, i)
 				}
 			}
 		}

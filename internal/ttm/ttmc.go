@@ -16,45 +16,16 @@ import (
 // sm.NumRows() x RowSize(u, sm.N); it is overwritten. U[sm.N] is not
 // referenced and may be nil.
 //
-// Rows are computed independently with dynamic scheduling (Algorithm 3
-// lines 5-8): each row is owned by exactly one worker so no locks are
-// needed, and the accumulation order within a row is fixed by the
-// symbolic structure, making the result bitwise deterministic for any
-// thread count. TTMcSched selects other schedules.
+// Rows are computed independently (Algorithm 3 lines 5-8): each row is
+// owned by exactly one worker so no locks are needed, and the
+// accumulation order within a row is fixed by the symbolic structure,
+// making the result bitwise deterministic for any thread count. The rows
+// are split into per-worker chains of near-equal nonzero weight (cached
+// on the symbolic mode), with chunks stolen for irregular tails — the
+// load-balance discipline the paper's scaling results rest on, where
+// uniform chunking leaves the worker that owns the heaviest slices
+// running long after the rest are idle.
 func TTMc(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix, threads int) {
-	TTMcSched(y, x, sm, u, threads, par.ScheduleDynamic)
-}
-
-// runRows executes an owner-computes row loop over [0, n) under the
-// given schedule: uniform static blocks, chunked dynamic
-// self-scheduling, or balanced chains with work-stealing (chains() is
-// only consulted for the balanced schedule, so callers can defer the
-// partition computation). All schedules give every row exactly one
-// owner, so the results are bitwise identical.
-func runRows(sched par.Schedule, n, threads int, chains func() []int32, body func(worker, lo, hi int)) {
-	if threads <= 1 || n <= 1 {
-		if n > 0 {
-			body(0, 0, n)
-		}
-		return
-	}
-	switch sched {
-	case par.ScheduleStatic:
-		par.ForWorker(n, threads, body)
-	case par.ScheduleDynamic:
-		par.ForDynamicWorker(n, threads, 0, body)
-	default:
-		par.RunChains(chains(), threads, body)
-	}
-}
-
-// TTMcSched is TTMc under an explicit schedule. The balanced schedule
-// partitions the rows into per-worker chains of near-equal nonzero
-// weight (cached on the symbolic mode) and steals chunks for irregular
-// tails — the load-balance discipline the paper's scaling results rest
-// on, where uniform chunking leaves the worker that owns the heaviest
-// slices running long after the rest are idle.
-func TTMcSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix, threads int, sched par.Schedule) {
 	k := RowSize(u, sm.N)
 	if y.Rows != sm.NumRows() || y.Cols != k {
 		panic("ttm: TTMc output shape mismatch")
@@ -81,7 +52,7 @@ func TTMcSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 		bufB []float64
 	}
 	scratches := make([]*scratch, threads)
-	runRows(sched, sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
+	runRows(sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
 		func(w, lo, hi int) {
 			sc := scratches[w]
 			if sc == nil {
@@ -110,6 +81,25 @@ func TTMcSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 				}
 			}
 		})
+}
+
+// TTMcSched is TTMc; the schedule argument has one value, and the
+// signature is the one the repository benchmark compiles against.
+func TTMcSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix, threads int, _ par.Schedule) {
+	TTMc(y, x, sm, u, threads)
+}
+
+// runRows executes an owner-computes row loop over [0, n) on balanced
+// chains with work-stealing (chains() is not consulted when the loop
+// runs inline, so callers can defer the partition computation).
+func runRows(n, threads int, chains func() []int32, body func(worker, lo, hi int)) {
+	if threads <= 1 || n <= 1 {
+		if n > 0 {
+			body(0, 0, n)
+		}
+		return
+	}
+	par.RunChains(chains(), threads, body)
 }
 
 // TTMcNaive is the un-fused variant used as an ablation baseline: for
@@ -163,7 +153,7 @@ func Flops(nnz, rowSize int) int64 { return int64(nnz) * int64(rowSize) }
 
 // Flat is the reference kernel as a resident value with the same
 // method set as DTree, so a HOOI driver holds one kernel whatever the
-// strategy: the balanced-chain TTMcSched over the per-mode update
+// strategy: the balanced-chain TTMc over the per-mode update
 // lists, with the multiply-adds it executed counted. Lists restricted
 // by symbolic.Mode.Select make it compute exactly those rows.
 type Flat struct {
@@ -183,10 +173,10 @@ func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
 func (k *Flat) Rows(n int) []int32 { return k.sym.Modes[n].Rows }
 
 // TTMc computes the mode-n product for every row of the mode's update
-// lists into y (see TTMcSched).
+// lists into y (see TTMc).
 func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
 	sm := &k.sym.Modes[n]
-	TTMcSched(y, k.x, sm, u, threads, par.ScheduleBalanced)
+	TTMc(y, k.x, sm, u, threads)
 	k.flops += Flops(len(sm.NZ), y.Cols)
 }
 
