@@ -60,7 +60,7 @@ func main() {
 		threads = flag.Int("threads", 0, "shared-memory threads (0 = GOMAXPROCS)")
 		algo    = flag.String("algo", "hooi", "algorithm: hooi | sthosvd | sthosvd+hooi")
 		initM   = flag.String("init", "random", "factor initialization: random | hosvd")
-		svd     = flag.String("svd", "lanczos", "TRSVD solver: lanczos | rand")
+		svd     = flag.String("svd", "auto", "TRSVD solver: auto (per mode: gram when the matricized product has at most 16 columns per rank, else lanczos) | lanczos | gram (two BLAS3 passes + a dense eigenproblem) | rand")
 		eps     = flag.Float64("eps", 0, "adaptive-rank relative error target in (0,1]; selects per-mode ranks from the sketched spectrum (-ranks becomes an optional cap)")
 		sketch  = flag.String("sketch", "gauss", "randomized solver sketching operator: gauss | count")
 		oversmp = flag.Int("oversample", 0, "randomized solver oversampling columns (0 = default 8)")
@@ -98,7 +98,7 @@ func main() {
 			fail(err)
 		}
 	}
-	svdMethod, err := parseSVD(*svd)
+	svdMethod, err := hypertensor.ParseSVD(*svd)
 	if err != nil {
 		fail(err)
 	}
@@ -284,6 +284,12 @@ func main() {
 		fmt.Printf(" (node recompute time %v)", dec.Timings.TTMcNodes)
 	}
 	fmt.Println()
+	// The solver each mode resolved to, how often it read Y_(n), and the
+	// Lanczos solves that stopped at the Krylov cap short of their
+	// tolerance (HOOI carries on with their approximate vectors).
+	fmt.Printf("trsvd: solver=%v solves=%d passes=%d (%.1f/solve) madds=%d unconverged=%d\n",
+		dec.SVD, dec.TRSVDSolves, dec.TRSVDPasses, float64(dec.TRSVDPasses)/float64(max(dec.TRSVDSolves, 1)),
+		dec.TRSVDMadds, dec.TRSVDUnconverged)
 	for i, f := range dec.FitHistory {
 		fmt.Printf("  sweep %2d: fit %.8f\n", i+1, f)
 	}
@@ -363,17 +369,6 @@ func humanInt(v int64) string {
 		return fmt.Sprintf("%.1fk", float64(v)/1e3)
 	}
 	return fmt.Sprintf("%d", v)
-}
-
-// parseSVD maps the -svd flag to a solver method.
-func parseSVD(s string) (hypertensor.SVDMethod, error) {
-	switch s {
-	case "lanczos":
-		return hypertensor.SVDLanczos, nil
-	case "rand":
-		return hypertensor.SVDRandomized, nil
-	}
-	return hypertensor.SVDLanczos, fmt.Errorf("unknown svd %q", s)
 }
 
 // distRun carries the flag state a distributed launch needs, in any of
@@ -703,18 +698,19 @@ func (d *distRun) report(part *hypertensor.Partition, res *hypertensor.DistDecom
 			r, st.RankWall[r].Round(time.Millisecond), st.SentBytes[r], st.CoreBytes[r], st.AssembleBytes[r])
 	}
 	for n := range st.Mode {
-		var maxC, sumE, sumF, sumS int64
+		var maxC, sumE, sumF, sumS, sumM int64
 		for _, ms := range st.Mode[n] {
 			sumE += ms.ExpandBytes
 			sumF += ms.FoldBytes
 			sumS += ms.TRSVDBytes
+			sumM += ms.TRSVDMsgs
 			if c := ms.CommBytes(); c > maxC {
 				maxC = c
 			}
 		}
-		fmt.Printf("  mode %d comm: max %d B, avg %.0f B per rank (expand %.0f, fold %.0f, trsvd %.0f)\n",
+		fmt.Printf("  mode %d comm: max %d B, avg %.0f B per rank (expand %.0f, fold %.0f, trsvd %.0f in %.0f collectives)\n",
 			n+1, maxC, float64(sumE+sumF+sumS)/float64(p),
-			float64(sumE)/float64(p), float64(sumF)/float64(p), float64(sumS)/float64(p))
+			float64(sumE)/float64(p), float64(sumF)/float64(p), float64(sumS)/float64(p), float64(sumM)/float64(p))
 	}
 }
 

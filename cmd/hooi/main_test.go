@@ -72,6 +72,8 @@ func TestFlagErrors(t *testing.T) {
 	}{
 		{[]string{"-format", "csf"}, 2, "flag provided but not defined: -format"},
 		{[]string{"-schedule", "static"}, 2, "flag provided but not defined: -schedule"},
+		{[]string{"-svd", "jacobi"}, 1, `hooi: core: unknown svd solver "jacobi" (solvers: auto | lanczos | rand | gram)`},
+		{[]string{"-dist", "2", "-svd", "subspace"}, 1, `hooi: core: unknown svd solver "subspace"`},
 		{[]string{"-dist", "2", "-threads", "2"}, 1, "hooi: -threads" + notDist},
 		{[]string{"-dist", "2", "-ttmc", "flat"}, 1, "hooi: -ttmc" + notDist},
 		{[]string{"-dist", "2", "-ttmc", "auto"}, 1, "hooi: -ttmc" + notDist},
@@ -114,6 +116,9 @@ func TestQuietPrintsOneFitLine(t *testing.T) {
 		{"-q"},
 		{"-q", "-ttmc", "dtree"},
 		{"-q", "-svd", "rand"},
+		{"-q", "-svd", "gram"},
+		{"-q", "-svd", "lanczos"},
+		{"-q", "-dist", "2", "-svd", "gram"},
 		{"-q", "-algo", "sthosvd"},
 		{"-q", "-dist", "2"},
 		{"-q", "-dist", "2", "-grain", "coarse", "-method", "bl"},
@@ -138,6 +143,7 @@ func TestReportLines(t *testing.T) {
 		`^timings: read=` + dur + ` init=` + dur + ` symbolic=` + dur + ` ttmc=` + dur + ` trsvd=` + dur + ` core=` + dur + ` \(steady-state allocs/sweep \d+\)$`,
 		`^storage: index=\d+ B \(12\.00 B/nnz\)$`,
 		`^ttmc: strategy=flat flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\)$`,
+		`^trsvd: solver=\[gram gram gram\] solves=6 passes=12 \(2\.0/solve\) madds=\d+ unconverged=0$`,
 		`^  sweep  2: fit 0\.\d{8}$`,
 	} {
 		if !regexp.MustCompile(`(?m)` + line).MatchString(stdout) {
@@ -150,5 +156,21 @@ func TestReportLines(t *testing.T) {
 	}
 	if !regexp.MustCompile(`(?m)^ttmc: strategy=dtree flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\) \(node recompute time ` + dur + `\)$`).MatchString(stdout) {
 		t.Errorf("no dtree ttmc line in:\n%s", stdout)
+	}
+	// The trsvd line names the solver each mode resolved to and what it
+	// cost: -svd auto (the default) is Gram at 9 columns for 3 vectors,
+	// and an explicit solver is reported as given.
+	for svd, line := range map[string]string{
+		"auto":    `^trsvd: solver=\[gram gram gram\] solves=6 passes=12 \(2\.0/solve\) madds=\d+ unconverged=0$`,
+		"lanczos": `^trsvd: solver=\[lanczos lanczos lanczos\] solves=6 passes=\d{2,} \(\d+\.\d/solve\) madds=\d+ unconverged=\d$`,
+		"rand":    `^trsvd: solver=\[rand rand rand\] solves=6 passes=\d{2,} `,
+	} {
+		stdout, stderr, exit = hooi(t, "-svd", svd)
+		if exit != 0 {
+			t.Fatalf("-svd %s: exit %d: %s", svd, exit, stderr)
+		}
+		if !regexp.MustCompile(`(?m)` + line).MatchString(stdout) {
+			t.Errorf("-svd %s: no line matches %s in:\n%s", svd, line, stdout)
+		}
 	}
 }

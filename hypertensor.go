@@ -9,8 +9,10 @@
 //   - Decompose runs the shared-memory parallel HOOI (paper
 //     Algorithm 3): a one-time symbolic TTMc preprocessing step builds
 //     per-mode update lists, numeric TTMc updates rows of the matricized
-//     product in parallel without locks, and a matrix-free Lanczos
-//     truncated SVD extracts each factor's leading singular vectors.
+//     product in parallel without locks, and a truncated SVD chosen by
+//     the product's shape (an exact two-pass Gram solver where it is
+//     narrow, the paper's matrix-free Lanczos where it is not) extracts
+//     each factor's leading singular vectors.
 //
 //   - DecomposeDistributed runs the distributed-memory HOOI (paper
 //     Algorithm 4) over simulated MPI ranks, with coarse-grain (slice)
@@ -71,7 +73,8 @@ type (
 	SweepState = core.SweepState
 	// InitMethod selects factor initialization (InitRandom, InitHOSVD).
 	InitMethod = core.InitMethod
-	// SVDMethod selects the TRSVD solver (SVDLanczos, SVDRandomized).
+	// SVDMethod selects the TRSVD solver (SVDAuto, the default: SVDGram
+	// or SVDLanczos per mode by its shape; SVDRandomized).
 	SVDMethod = core.SVDMethod
 	// SketchKind selects the randomized solver's sketching operator
 	// (SketchGauss, SketchCount).
@@ -128,8 +131,10 @@ const (
 	InitRandom = core.InitRandom
 	InitHOSVD  = core.InitHOSVD
 
+	SVDAuto       = core.SVDAuto
 	SVDLanczos    = core.SVDLanczos
 	SVDRandomized = core.SVDRandomized
+	SVDGram       = core.SVDGram
 
 	SketchGauss = core.SketchGauss
 	SketchCount = core.SketchCount
@@ -184,6 +189,10 @@ func NewPlan(x *SparseTensor, opts Options) (*Plan, error) {
 // ParseTTMc maps a -ttmc flag spelling (auto, flat, dtree) to its
 // TTMcStrategy value.
 func ParseTTMc(s string) (TTMcStrategy, error) { return core.ParseTTMc(s) }
+
+// ParseSVD maps a -svd flag spelling (auto, lanczos, rand, gram) to its
+// SVDMethod value.
+func ParseSVD(s string) (SVDMethod, error) { return core.ParseSVD(s) }
 
 // PredictSweepMadds returns the TTMc multiply-adds per sweep the flat
 // path and the dimension tree would each execute on x at the given

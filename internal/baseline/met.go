@@ -20,7 +20,7 @@ import (
 
 // Decompose runs HOOI with chain-based (MET-style) TTMc. Options are
 // interpreted as in core.Decompose; the SVD method selection is honored
-// (default Lanczos), but Threads only affects the TRSVD (the chain
+// (default core.SVDAuto), but Threads only affects the TRSVD (the chain
 // baseline itself is sequential, matching the single-core comparison).
 func Decompose(x *tensor.COO, optsIn core.Options) (*core.Result, error) {
 	if err := optsIn.Validate(x); err != nil {

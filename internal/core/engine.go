@@ -252,11 +252,8 @@ func (e *Engine) shapeY(n int) *dense.Matrix {
 // reusable per-mode buffer: the leading column of the current factor at
 // the solved rows — the scattered leading left singular vector of the
 // previous solve. Only the Lanczos solver consumes warm starts, so
-// other methods skip the gather entirely.
+// converge gathers one only for a mode that resolves to it.
 func (e *Engine) warmVec(n int, rows []int32) []float64 {
-	if e.opts.SVD != SVDLanczos {
-		return nil
-	}
 	u := e.state.Factors[n]
 	if u.Cols == 0 {
 		return nil
@@ -285,7 +282,7 @@ func (e *Engine) warmVec(n int, rows []int32) []float64 {
 // later calls warm-start every TRSVD from the previous factors.
 func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	opts := e.opts
-	res := &Result{TTMc: opts.TTMc, IndexBytes: e.x.IndexBytes()}
+	res := &Result{TTMc: opts.TTMc, SVD: make([]SVDMethod, e.order), IndexBytes: e.x.IndexBytes()}
 	res.Timings.Symbolic = e.symTime
 	if e.firstRun {
 		res.Timings.Init = e.initTime
@@ -301,7 +298,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 
 	var memBase runtime.MemStats
 	allocFrom := -1
-	randSolver := opts.SVD == SVDRandomized || opts.Eps > 0
+	solves0 := e.state.SolveCounts
 	// The streaming single-pass sketch engages only on warm
 	// re-convergence after an Update: there the retained right bases and
 	// Ritz energies sit at the previous fixed point, so the first
@@ -311,7 +308,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	// solves — on nearly flat spectra the early sweeps pick the subspace
 	// basin the whole trajectory settles into, and an under-resolved
 	// solve there shifts the final fit by far more than it saves.
-	e.state.SinglePass = e.warmReady && randSolver
+	e.state.SinglePass = e.warmReady
 	fits := NewFitTracker(e.normX, opts.Tol)
 	startIter := 0
 	if rs := e.resume; rs != nil {
@@ -359,7 +356,6 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 
 			t0 = time.Now()
 			var uc *dense.Matrix
-			var matvecs int
 			if opts.Eps > 0 {
 				tau := opts.Eps * opts.Eps * e.normX * e.normX / float64(e.order)
 				capR := 0
@@ -368,7 +364,8 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 				}
 				var rank int
 				var err error
-				uc, rank, matvecs, err = e.state.SolveDenseEps(
+				res.SVD[n] = SVDRandomized
+				uc, rank, _, err = e.state.SolveDenseEps(
 					y, n, e.state.Factors[n].Cols, capR, opts.Threads, tau, frobSq(y, opts.Threads))
 				if err != nil {
 					return nil, fmt.Errorf("core: TRSVD failed in mode %d: %w", n, err)
@@ -377,17 +374,19 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 					e.state.Factors[n] = dense.NewMatrix(e.x.Dims[n], rank)
 				}
 			} else {
+				// Resolved here as Solve resolves it, so that only a mode
+				// Lanczos solves pays for the warm-start gather.
+				res.SVD[n] = ResolveSVD(opts.SVD, y.Cols, opts.Ranks[n])
 				var warm []float64
-				if e.warmReady {
+				if e.warmReady && res.SVD[n] == SVDLanczos {
 					warm = e.warmVec(n, rows)
 				}
-				sres, err := e.state.Solve(e.ex.Operator(n, y), n, opts.Ranks[n], opts.SVD, warm)
+				sres, err := e.state.Solve(e.ex.Operator(n, y), n, opts.Ranks[n], res.SVD[n], warm)
 				if err != nil {
 					return nil, fmt.Errorf("core: TRSVD failed in mode %d: %w", n, err)
 				}
-				uc, matvecs = sres.U, sres.MatVecs
+				uc = sres.U
 			}
-			res.TRSVDMadds += int64(matvecs) * int64(y.Rows) * int64(y.Cols)
 			scatterRows(e.state.Factors[n], uc, rows)
 			e.ex.Expand(n, e.state.Factors[n])
 			res.Timings.TRSVD += time.Since(t0)
@@ -434,6 +433,10 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 		res.AllocsPerSweep = int64(memEnd.Mallocs-memBase.Mallocs) / int64(res.Iters-allocFrom)
 	}
 	res.TTMcFlops = e.kern.Flops() - flops0
+	res.TRSVDSolves = e.state.Solves - solves0.Solves
+	res.TRSVDPasses = e.state.Passes - solves0.Passes
+	res.TRSVDMadds = e.state.Madds - solves0.Madds
+	res.TRSVDUnconverged = e.state.Unconverged - solves0.Unconverged
 	if tree != nil {
 		res.Timings.TTMcNodes = tree.NodeTime() - nodeTime0
 	}

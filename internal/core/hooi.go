@@ -65,10 +65,25 @@ type Result struct {
 	// equal to Options.Ranks for fixed-rank runs, the eps-selected ranks
 	// for adaptive-rank (Options.Eps) runs.
 	ChosenRanks []int
+	// SVD is the TRSVD solver each mode ran: Options.SVD, with SVDAuto
+	// resolved per mode (a resumed run that executed no sweep leaves
+	// SVDAuto in place).
+	SVD []SVDMethod
 	// TRSVDMadds counts the operator multiply-adds spent inside the
-	// TRSVD solves (operator applications x matricization size, summed
-	// over all solves) — for the randomized solver, the sketch flops.
+	// TRSVD solves on this rank's rows, summed over all solves: operator
+	// applications x matricization size for Lanczos and for the
+	// randomized solver (its sketch flops); rows x (C(C+1)/2 + C·R) for a
+	// Gram solve of R vectors from C columns.
 	TRSVDMadds int64
+	// TRSVDSolves counts the mode solves and TRSVDPasses their sweeps
+	// over Y_(n): two per Gram solve, one per operator application of a
+	// Lanczos solve (58 when it runs into the default Krylov cap of 30).
+	TRSVDSolves, TRSVDPasses int64
+	// TRSVDUnconverged counts the solves that hit that cap with a
+	// residual still above the solver's tolerance. HOOI proceeds on
+	// their approximate vectors; a count near TRSVDSolves says every
+	// Lanczos solve was cut short.
+	TRSVDUnconverged int64
 
 	// Update accounting, populated by Engine.Update (zero for cold
 	// solves): the cost of the re-convergence next to one

@@ -86,9 +86,26 @@ func (t TTMcStrategy) String() string {
 type SVDMethod int
 
 const (
+	// SVDAuto (the default) chooses per mode, from the shape of the
+	// matricized product alone: Y_(n) has C = ∏_{t≠n} R_t columns and
+	// R_n singular vectors are wanted, and the Gram solver runs when
+	// C ≤ 16·R_n, Lanczos otherwise (ResolveSVD). Gram's work per row of
+	// Y_(n) is C·(C/2 + R_n) multiply-adds in two BLAS3 passes, plus a
+	// serial O(C³) eigenproblem per solve; Lanczos's is C per GEMV pass,
+	// 30 to 58 passes at these ranks, and no eigenproblem. So Gram takes
+	// the order-3 shapes (C = 100 at ranks 10: 1.8-2.2x faster per
+	// solve) and Lanczos keeps the order-4 ones (C = 125 at ranks 5: the
+	// two within a tenth of each other, and only Lanczos warm-starts an
+	// update; C = 1000 at ranks 10: the eigenproblem alone takes
+	// seconds). Both sides of the rule are replicated, so every rank of
+	// a distributed world resolves the same way. Plan.SVD and Result.SVD
+	// report the choice per mode; the README's "Solvers" section has the
+	// measurements.
+	SVDAuto SVDMethod = iota
 	// SVDLanczos is Golub–Kahan–Lanczos bidiagonalization, the paper's
-	// (SLEPc) method and the default.
-	SVDLanczos SVDMethod = iota
+	// (SLEPc) method: matrix-free, warm-startable, one GEMV pass over
+	// Y_(n) per operator application.
+	SVDLanczos
 	// SVDRandomized is the sketched range-finder solver
 	// (trsvd.Randomized): a deterministic Gaussian or CountSketch panel
 	// through the operator, power iterations, CholeskyQR2 Gram
@@ -96,7 +113,59 @@ const (
 	// instead of Lanczos's GEMV chain, at equal fit on the benchmark
 	// presets. Options.Eps switches it to adaptive rank selection.
 	SVDRandomized
+	// SVDGram is the exact two-pass solver (trsvd.Gram): G = Y_(n)ᵀY_(n)
+	// by a symmetric rank-k product, its eigenvectors by a serial
+	// tridiagonal eigensolver, U = Y_(n)·V·Σ⁻¹ by one GEMM.
+	SVDGram
 )
+
+// gramMaxColsPerRank is SVDAuto's rule: the Gram solver runs on a mode
+// whose matricized product has at most this many columns per requested
+// singular vector. The benchmark's shapes sit at 10 on one side and at
+// 25 and 100 on the other. At 16, Gram's C/2 + R = 9·R pass-equivalents
+// per row stand against Lanczos's ~5·R passes: about the factor of two
+// by which a BLAS3 pass outruns a GEMV pass here.
+const gramMaxColsPerRank = 16
+
+// ResolveSVD turns SVDAuto into the solver that runs on a matricized
+// product with cols columns of which rank singular vectors are wanted;
+// an explicit choice is kept.
+func ResolveSVD(m SVDMethod, cols, rank int) SVDMethod {
+	if m != SVDAuto {
+		return m
+	}
+	if cols <= gramMaxColsPerRank*rank {
+		return SVDGram
+	}
+	return SVDLanczos
+}
+
+// svdNames spells the solvers the way cmd/hooi's -svd flag does,
+// indexed by the SVDMethod value.
+var svdNames = [...]string{
+	SVDAuto:       "auto",
+	SVDLanczos:    "lanczos",
+	SVDRandomized: "rand",
+	SVDGram:       "gram",
+}
+
+// ParseSVD maps a -svd flag spelling to its SVDMethod value.
+func ParseSVD(s string) (SVDMethod, error) {
+	for m, name := range svdNames {
+		if s == name {
+			return SVDMethod(m), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown svd solver %q (solvers: %s)", s, strings.Join(svdNames[:], " | "))
+}
+
+// String names the solver the way cmd/hooi's -svd flag spells it.
+func (m SVDMethod) String() string {
+	if int(m) < 0 || int(m) >= len(svdNames) {
+		return fmt.Sprintf("SVDMethod(%d)", int(m))
+	}
+	return svdNames[m]
+}
 
 // SketchKind re-exports trsvd.SketchKind for Options.Sketch.
 type SketchKind = trsvd.SketchKind
@@ -143,7 +212,8 @@ type Options struct {
 	Threads int
 	// Init selects the factor initialization.
 	Init InitMethod
-	// SVD selects the TRSVD solver.
+	// SVD selects the TRSVD solver: SVDAuto (the default) resolves per
+	// mode to SVDGram or SVDLanczos from the mode's shape.
 	SVD SVDMethod
 	// TTMc selects the TTMc evaluation strategy: TTMcAuto (the default)
 	// resolves at plan time to the flat reference path or the memoized
@@ -223,7 +293,7 @@ func (o *Options) Validate(x *tensor.COO) error {
 			}
 		}
 	}
-	if o.SVD != SVDLanczos && o.SVD != SVDRandomized {
+	if int(o.SVD) < 0 || int(o.SVD) >= len(svdNames) {
 		return fmt.Errorf("core: unknown SVD method %d", int(o.SVD))
 	}
 	if int(o.TTMc) < 0 || int(o.TTMc) >= len(ttmcNames) {

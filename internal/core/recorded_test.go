@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,74 +12,118 @@ import (
 
 // The machine-independent counts of a solve on the four presets at
 // scale 0.2 (3 sweeps, no tolerance stop, default options unless the
-// column says otherwise), recorded at commit c9e0e6f. They are functions
-// of the tensor, the ranks and the seed alone, so every one is held with
-// ==; when a change legitimately moves one, the failure prints got and
-// recorded and the literal is edited in that change. Allocations per
-// sweep depend on the runtime as well, so they are the least of three
-// runs against a bound two above what was recorded (43/44/30/34): one
-// make per mode per sweep crosses it.
+// column says otherwise). They are functions of the tensor, the ranks
+// and the seed alone, so every one is held with ==; when a change
+// legitimately moves one, the failure prints got and recorded and the
+// literal is edited in that change. The Lanczos, randomized, snapshot
+// and Lanczos-update columns were recorded at commit c9e0e6f, when
+// Lanczos was the default, and are now taken with SVD pinned to it: that
+// they still hold says the Lanczos path is what it was. The auto columns
+// are the default's, recorded when SVDAuto arrived: the order-3 presets
+// resolve to Gram in every mode (two passes per solve, none
+// unconverged), the order-4 ones to Lanczos, whose numbers they repeat.
+// Allocations per sweep depend on the runtime as well, so they are the
+// least of three runs against a bound two above what was recorded under
+// Lanczos (43/44/30/34), for either solver: one make per mode per sweep
+// crosses it.
 func TestRecordedCounts(t *testing.T) {
+	type solverCounts struct {
+		trsvdMadds, passes, unconverged int64 // whole run
+		updateSweeps                    int
+		updateMadds                     int64
+	}
 	for _, want := range []struct {
-		preset                        string
-		ttmcMadds                     int64 // per sweep
-		indexBytes                    int64
-		lanczosMadds, randomizedMadds int64 // TRSVD, whole run
-		snapshotBytes                 int
-		updateSweeps                  int
-		updateMadds                   int64
-		allocsBound                   int64 // per sweep at one thread
+		preset          string
+		ttmcMadds       int64 // per sweep
+		indexBytes      int64
+		randomizedMadds int64 // TRSVD, whole run
+		snapshotBytes   int
+		allocsBound     int64 // per sweep at one thread
+		auto            string
+		lanczos, dflt   solverCounts
 	}{
-		{"netflix", 9980360, 460632, 20831360, 51060480, 166084, 2, 13711512, 45},
-		{"nell", 9360000, 374400, 49085600, 116251200, 1260372, 2, 10391260, 46},
-		{"delicious", 6922300, 896016, 59142500, 177053500, 3250268, 2, 14029400, 32},
-		{"flickr", 5290500, 716800, 44326250, 112560500, 4821428, 2, 10728400, 36},
+		{"netflix", 9980360, 460632, 51060480, 166084, 45, "[gram gram gram]",
+			solverCounts{20831360, 332, 0, 2, 13711512}, solverCounts{23944080, 18, 0, 2, 13711512}},
+		{"nell", 9360000, 374400, 116251200, 1260372, 46, "[gram gram gram]",
+			solverCounts{49085600, 412, 0, 2, 10391260}, solverCounts{65122200, 18, 0, 2, 10391260}},
+		{"delicious", 6922300, 896016, 177053500, 3250268, 32, "[lanczos lanczos lanczos lanczos]",
+			solverCounts{59142500, 356, 0, 2, 14029400}, solverCounts{59142500, 356, 0, 2, 14029400}},
+		{"flickr", 5290500, 716800, 112560500, 4821428, 36, "[lanczos lanczos lanczos lanczos]",
+			solverCounts{44326250, 380, 0, 2, 10728400}, solverCounts{44326250, 380, 0, 2, 10728400}},
 	} {
 		x, ranks := presetTensor(t, want.preset, 0.2)
 		opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32}
-
-		// The fit trajectory must not depend on the thread count, bit for
-		// bit. The one-thread runs (parallel regions inline, so no worker
-		// pool in the count) also count allocations.
-		var first *Result
-		allocs := int64(math.MaxInt64)
-		for _, threads := range []int{1, 1, 1, 2, 4, 8} {
-			o := opts
-			o.Threads = threads
-			o.MeasureAllocs = threads == 1
-			res := mustRun(t, x, o)
-			if o.MeasureAllocs {
-				allocs = min(allocs, res.AllocsPerSweep)
-			}
-			if first == nil {
-				first = res
-				continue
-			}
-			for i, fit := range first.FitHistory {
-				if res.FitHistory[i] != fit {
-					t.Errorf("%s sweep %d: fit %.17g at %d threads, %.17g at one", want.preset, i+1, res.FitHistory[i], threads, fit)
+		for _, sv := range []struct {
+			svd  SVDMethod
+			want solverCounts
+		}{{SVDLanczos, want.lanczos}, {SVDAuto, want.dflt}} {
+			opts.SVD = sv.svd
+			// The fit trajectory must not depend on the thread count, bit
+			// for bit. The one-thread runs (parallel regions inline, so no
+			// worker pool in the count) also count allocations.
+			var first *Result
+			allocs := int64(math.MaxInt64)
+			for _, threads := range []int{1, 1, 1, 2, 4, 8} {
+				o := opts
+				o.Threads = threads
+				o.MeasureAllocs = threads == 1
+				res := mustRun(t, x, o)
+				if o.MeasureAllocs {
+					allocs = min(allocs, res.AllocsPerSweep)
+				}
+				if first == nil {
+					first = res
+					continue
+				}
+				for i, fit := range first.FitHistory {
+					if res.FitHistory[i] != fit {
+						t.Errorf("%s svd=%v sweep %d: fit %.17g at %d threads, %.17g at one", want.preset, sv.svd, i+1, res.FitHistory[i], threads, fit)
+					}
 				}
 			}
-		}
-		if got := first.TTMcFlops / int64(first.Iters); got != want.ttmcMadds {
-			t.Errorf("%s: %d TTMc madds per sweep, recorded %d", want.preset, got, want.ttmcMadds)
-		}
-		if first.IndexBytes != want.indexBytes {
-			t.Errorf("%s: %d index bytes, recorded %d", want.preset, first.IndexBytes, want.indexBytes)
-		}
-		if first.TRSVDMadds != want.lanczosMadds {
-			t.Errorf("%s: %d Lanczos madds, recorded %d", want.preset, first.TRSVDMadds, want.lanczosMadds)
-		}
-		if !raceBuild && (allocs <= 0 || allocs > want.allocsBound) {
-			t.Errorf("%s: %d allocations per sweep, bound %d", want.preset, allocs, want.allocsBound)
+			if got := first.TTMcFlops / int64(first.Iters); got != want.ttmcMadds {
+				t.Errorf("%s svd=%v: %d TTMc madds per sweep, recorded %d", want.preset, sv.svd, got, want.ttmcMadds)
+			}
+			if first.IndexBytes != want.indexBytes {
+				t.Errorf("%s svd=%v: %d index bytes, recorded %d", want.preset, sv.svd, first.IndexBytes, want.indexBytes)
+			}
+			plan, err := NewPlan(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ran, planned := fmt.Sprint(first.SVD), fmt.Sprint(plan.SVD()); ran != planned || (sv.svd == SVDAuto && ran != want.auto) {
+				t.Errorf("%s svd=%v: ran %s, planned %s, recorded for auto %s", want.preset, sv.svd, ran, planned, want.auto)
+			}
+			if !raceBuild && (allocs <= 0 || allocs > want.allocsBound) {
+				t.Errorf("%s svd=%v: %d allocations per sweep, bound %d", want.preset, sv.svd, allocs, want.allocsBound)
+			}
+
+			// The update path on the tree, to a converged tolerance, so the
+			// sweep count is the warm start's and not a budget's.
+			plan, err = NewPlan(x, Options{Ranks: ranks, MaxIters: 30, Tol: 1e-9, Threads: 1, TTMc: TTMcDTree, Seed: 32, SVD: sv.svd})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := NewEngine(plan)
+			if _, err := eng.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Update(gen.Delta(x, 0.003, 0.003, 78))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := solverCounts{first.TRSVDMadds, first.TRSVDPasses, first.TRSVDUnconverged, res.UpdateSweeps, res.UpdateMadds}
+			if got != sv.want {
+				t.Errorf("%s svd=%v: {TRSVD madds, passes, unconverged, update sweeps, update madds} %v, recorded %v", want.preset, sv.svd, got, sv.want)
+			}
 		}
 
-		o := opts
-		o.SVD = SVDRandomized
-		if got := mustRun(t, x, o).TRSVDMadds; got != want.randomizedMadds {
+		opts.SVD = SVDRandomized
+		if got := mustRun(t, x, opts).TRSVDMadds; got != want.randomizedMadds {
 			t.Errorf("%s: %d randomized-solver madds, recorded %d", want.preset, got, want.randomizedMadds)
 		}
 
+		opts.SVD = SVDAuto
 		plan, err := NewPlan(x, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -93,24 +138,6 @@ func TestRecordedCounts(t *testing.T) {
 		}
 		if snap.Len() != want.snapshotBytes {
 			t.Errorf("%s: snapshot of %d bytes, recorded %d", want.preset, snap.Len(), want.snapshotBytes)
-		}
-
-		// The update path on the tree, to a converged tolerance, so the
-		// sweep count is the warm start's and not a budget's.
-		plan, err = NewPlan(x, Options{Ranks: ranks, MaxIters: 30, Tol: 1e-9, Threads: 1, TTMc: TTMcDTree, Seed: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng = NewEngine(plan)
-		if _, err := eng.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Update(gen.Delta(x, 0.003, 0.003, 78))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.UpdateSweeps != want.updateSweeps || res.UpdateMadds != want.updateMadds {
-			t.Errorf("%s update: %d sweeps and %d madds, recorded %d and %d", want.preset, res.UpdateSweeps, res.UpdateMadds, want.updateSweeps, want.updateMadds)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -44,13 +45,19 @@ func resultsBitwiseEqual(t *testing.T, label string, a, b *Result) {
 }
 
 // TestResumeBitwiseIdentical is the tentpole contract: for either TTMc
-// strategy, kill a run at sweep 3 (by loading its sweep-3 checkpoint
+// strategy and either solver the default resolves to (Gram at these
+// ranks), kill a run at sweep 3 (by loading its sweep-3 checkpoint
 // into a fresh plan) and the resumed run's fit trajectory, factors, and
 // core must be bitwise identical to the uninterrupted run's.
 func TestResumeBitwiseIdentical(t *testing.T) {
 	x, ranks := presetTensor(t, "netflix", 0.02)
-	for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
+	for i, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree, TTMcFlat} {
 		opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 7, TTMc: strat}
+		if i == 2 {
+			opts.SVD = SVDLanczos
+		} else if got := fmt.Sprint(mustPlan(t, x, opts).SVD()); got != "[gram gram gram]" {
+			t.Fatalf("the default plans %s at ranks %v", got, ranks)
+		}
 
 		p1, err := NewPlan(x, opts)
 		if err != nil {

@@ -36,8 +36,19 @@ type SweepState struct {
 	// (sketch seeded from the previous solve's right basis, previous
 	// Ritz energies feeding the first convergence check). The Engine
 	// raises it once warm re-convergence begins, mirroring the Lanczos
-	// warm-start discipline.
+	// warm-start discipline; the other solvers do not read it.
 	SinglePass bool
+	// SolveCounts accumulates over the state's lifetime.
+	SolveCounts
+}
+
+// SolveCounts is what Solve keeps count of: the mode solves, their
+// sweeps over Y_(n) (two per Gram solve, one per operator application
+// of a Lanczos solve), their multiply-adds on this rank's rows, and the
+// solves that ran into the Krylov dimension cap without meeting the
+// tolerance.
+type SolveCounts struct {
+	Solves, Passes, Madds, Unconverged int64
 }
 
 // NewSweepState wraps initial factors (owned by the state from here on)
@@ -66,17 +77,43 @@ func (s *SweepState) next(n int, warm []float64) trsvd.Options {
 	return o
 }
 
-// Solve runs the selected TRSVD solver on mode n's operator — the
-// threaded dense one in shared memory, a row-distributed one on a rank
-// of a distributed world — and advances the seed schedule. warm
-// optionally supplies a left warm-start vector (Lanczos only; see
-// trsvd.Options.WarmLeft).
+// Solve runs the TRSVD solver the method resolves to on mode n's
+// operator (ResolveSVD, from the operator's column count and the rank:
+// the one place SVDAuto is decided, for the engine in shared memory, on
+// every rank of a distributed world, and for the MET baseline alike) —
+// the threaded dense operator in shared memory, a row-distributed one
+// on a rank of a distributed world — and advances the seed schedule and
+// the solve counters. warm optionally supplies a left warm-start vector
+// (Lanczos only; see trsvd.Options.WarmLeft).
 func (s *SweepState) Solve(op trsvd.Operator, n, rank int, method SVDMethod, warm []float64) (*trsvd.Result, error) {
 	sopts := s.next(n, warm)
-	if method == SVDRandomized {
-		return trsvd.Randomized(op, rank, sopts)
+	method = ResolveSVD(method, op.Cols(), rank)
+	var r *trsvd.Result
+	var err error
+	switch method {
+	case SVDGram:
+		r, err = trsvd.Gram(op, rank, sopts)
+	case SVDRandomized:
+		r, err = trsvd.Randomized(op, rank, sopts)
+	default:
+		r, err = trsvd.Lanczos(op, rank, sopts)
 	}
-	return trsvd.Lanczos(op, rank, sopts)
+	if err != nil {
+		return nil, err
+	}
+	rows, cols := int64(op.LocalRows()), int64(op.Cols())
+	madds := int64(r.MatVecs) * rows * cols
+	if method == SVDGram {
+		// The upper triangle of YᵀY, then Y·(V·Σ⁻¹).
+		madds = rows * (cols*(cols+1)/2 + cols*int64(rank))
+	}
+	s.Solves++
+	s.Passes += int64(r.Passes)
+	s.Madds += madds
+	if !r.Converged {
+		s.Unconverged++
+	}
+	return r, nil
 }
 
 // SolveDense is Solve on the compacted matricized tensor held in

@@ -454,3 +454,99 @@ func matMulTBRows(c, a, b *Matrix, lo, hi int) {
 		}
 	}
 }
+
+// SyrkInto computes the symmetric rank-k product G = AᵀA (A is m x n,
+// G n x n) into caller-owned storage: only the upper triangle is
+// accumulated — half the multiply-adds of MatMulTAInto(g, a, a) — and
+// then mirrored, so g is exactly symmetric. The row range is cut into
+// the same fixed block grid and consumed by the same four-row tiles as
+// MatMulTAInto, so every upper-triangle element is bitwise equal to
+// that kernel's and the result is bitwise identical for every thread
+// count. The block partials live in work (n² values on one thread, one
+// n² buffer per block otherwise), which is grown as needed and
+// returned: a caller that keeps it allocates nothing in steady state.
+func SyrkInto(g, a *Matrix, work []float64, threads int) []float64 {
+	n := a.Cols
+	if g.Rows != n || g.Cols != n {
+		panic("dense: Syrk destination shape mismatch")
+	}
+	g.Zero()
+	nb := par.NumReduceBlocks(a.Rows)
+	width := n * n
+	if a.Rows*width < serialCutoff {
+		threads = 1
+	}
+	switch {
+	case nb <= 1:
+		syrkBlock(g.Data, a, 0, a.Rows)
+	case par.DefaultThreads(threads) <= 1:
+		// One reused partial, combined in block order: bitwise identical
+		// to the parallel partials below.
+		work = ReuseVec(work, width)
+		for blk := 0; blk < nb; blk++ {
+			lo, hi := par.Split(a.Rows, nb, blk)
+			if blk > 0 {
+				for i := range work {
+					work[i] = 0
+				}
+			}
+			syrkBlock(work, a, lo, hi)
+			AxpyUnrolled(1, work, g.Data)
+		}
+	default:
+		work = ReuseVec(work, nb*width)
+		s := syrkRunPool.Get().(*syrkRun)
+		s.a, s.partials, s.nb, s.width = a, work, nb, width
+		par.ForBody(nb, threads, 1, s)
+		*s = syrkRun{}
+		syrkRunPool.Put(s)
+		for blk := 0; blk < nb; blk++ {
+			AxpyUnrolled(1, work[blk*width:(blk+1)*width], g.Data)
+		}
+	}
+	for i := 1; i < n; i++ {
+		row := g.Row(i)
+		for j := 0; j < i; j++ {
+			row[j] = g.Data[j*n+i]
+		}
+	}
+	return work
+}
+
+// syrkRun is the pooled region body of the parallel SyrkInto block grid.
+type syrkRun struct {
+	a         *Matrix
+	partials  []float64
+	nb, width int
+}
+
+func (s *syrkRun) Index(blk int) {
+	lo, hi := par.Split(s.a.Rows, s.nb, blk)
+	syrkBlock(s.partials[blk*s.width:(blk+1)*s.width], s.a, lo, hi)
+}
+
+var syrkRunPool = sync.Pool{New: func() any { return new(syrkRun) }}
+
+// syrkBlock accumulates the upper triangle of p += A[lo:hi,:]ᵀ·A[lo:hi,:]
+// where p is a row-major n x n buffer: matMulTABlock with both operands
+// A and each destination row started at its diagonal, so an element
+// sees exactly that kernel's operations in that kernel's order.
+func syrkBlock(p []float64, a *Matrix, lo, hi int) {
+	n := a.Cols
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		for j := 0; j < n; j++ {
+			axpy4(a0[j], a1[j], a2[j], a3[j], a0[j:], a1[j:], a2[j:], a3[j:], p[j*n+j:(j+1)*n])
+		}
+	}
+	for ; i < hi; i++ {
+		arow := a.Row(i)
+		for j, av := range arow {
+			if av == 0 {
+				continue
+			}
+			Axpy(av, arow[j:], p[j*n+j:(j+1)*n])
+		}
+	}
+}

@@ -4,9 +4,10 @@ import (
 	"math"
 )
 
-// SVDWork holds the scratch buffers of the one-sided Jacobi SVD so
-// tight loops (the per-iteration Ritz checks inside the Lanczos TRSVD)
-// can factor small projected matrices without allocating. The zero
+// SVDWork holds the scratch buffers of the one-sided Jacobi SVD and of
+// the symmetric eigensolver (SymEig) so tight loops (the per-iteration
+// Ritz checks inside the Lanczos TRSVD, the per-solve Gram
+// eigenproblem) can factor small matrices without allocating. The zero
 // value is ready to use; buffers grow on demand and are reused. The
 // matrices returned by (*SVDWork).SVD are owned by the workspace and
 // are overwritten by the next call — copy what must survive. A
@@ -15,6 +16,10 @@ type SVDWork struct {
 	t, w, vcols, u, v *Matrix
 	s, nrms, lastRow  []float64
 	idx               []int
+	// SymEig: the transposed eigenvector matrix, the diagonal (then the
+	// eigenvalues) and the subdiagonal.
+	ev     *Matrix
+	ed, ee []float64
 }
 
 // SVD computes a thin singular value decomposition a = U * diag(s) * V^T

@@ -67,6 +67,7 @@ type exchangeMode struct {
 	expandBytes     int64
 	foldBytes       int64
 	trsvdBytes      int64
+	trsvdMsgs       int64
 }
 
 // ownedRows lists, per mode and rank, the slices the rank owns,
@@ -132,7 +133,7 @@ func newExchange(c *mpi.Comm, x *tensor.COO, part *Partition, gsym *symbolic.Str
 				rowSize *= r
 			}
 		}
-		m.op = rowDistOperator{c: c, gids: gids, tmp: make([]float64, rowSize), sent: &m.trsvdBytes}
+		m.op = rowDistOperator{c: c, gids: gids, tmp: make([]float64, rowSize), sent: &m.trsvdBytes, msgs: &m.trsvdMsgs}
 		m.gather = make([]float64, len(m.owned)*ranks[n])
 		m.wTRSVD = int64(len(m.owned)) * int64(rowSize)
 
@@ -306,19 +307,21 @@ func (ex *exchange) assemble(n int, u *dense.Matrix) {
 // each rank stores its owned rows; column-space results are reduced in
 // fixed rank order, so every rank receives bitwise-identical vectors
 // and the SPMD solver iterations stay in lockstep. sent accumulates the
-// payload of those reductions — the mode's TRSVD traffic.
+// payload of those reductions — the mode's TRSVD traffic — and msgs
+// their number.
 type rowDistOperator struct {
-	a    *dense.Matrix
-	c    *mpi.Comm
-	gids []int64
-	tmp  []float64
-	sent *int64
+	a          *dense.Matrix
+	c          *mpi.Comm
+	gids       []int64
+	tmp        []float64
+	sent, msgs *int64
 }
 
 func (o *rowDistOperator) allReduce(v []float64) []float64 {
 	b0 := o.c.BytesSent()
 	sum := o.c.AllReduceSum(v)
 	*o.sent += o.c.BytesSent() - b0
+	*o.msgs++
 	return sum
 }
 
@@ -348,7 +351,35 @@ func (o *rowDistOperator) RowGram(y, g *dense.Matrix) {
 	copy(g.Data, o.allReduce(g.Data))
 }
 
+// Gram folds the local symmetric product AᵀA of the owned rows with one
+// AllReduce of its packed upper triangle, Cols·(Cols+1)/2 values: the
+// one large collective of a Gram solve, where a Lanczos solve makes a
+// Cols-vector reduction per step and a scalar one per inner product.
+// work holds the block partials, then the packed triangle.
+func (o *rowDistOperator) Gram(g *dense.Matrix, work []float64) []float64 {
+	work = dense.SyrkInto(g, o.a, work, 1)
+	n := g.Rows
+	work = dense.ReuseVec(work, n*(n+1)/2)
+	packed := work[:0]
+	for i := 0; i < n; i++ {
+		packed = append(packed, g.Row(i)[i:]...)
+	}
+	sum := o.allReduce(packed)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			g.Data[i*n+j], g.Data[j*n+i] = sum[0], sum[0]
+			sum = sum[1:]
+		}
+	}
+	return work
+}
+
+// MatMat is the local block of A·W: the rows are this rank's, W is
+// replicated.
+func (o *rowDistOperator) MatMat(w, y *dense.Matrix) { dense.MatMulInto(y, o.a, w, 1) }
+
 var _ core.Exchange = (*exchange)(nil)
 var _ trsvd.Operator = (*rowDistOperator)(nil)
 var _ trsvd.GlobalRowIDer = (*rowDistOperator)(nil)
 var _ trsvd.RowGramer = (*rowDistOperator)(nil)
+var _ trsvd.GramOperator = (*rowDistOperator)(nil)

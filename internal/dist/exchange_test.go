@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"hypertensor/internal/gen"
 	"hypertensor/internal/mpi"
 	"hypertensor/internal/tensor"
+	"hypertensor/internal/trsvd"
 )
 
 // Options from outside the program must come back as plain errors, from
@@ -231,6 +233,100 @@ func TestFoldResultsOutliveTheSharedBuffer(t *testing.T) {
 			if !reflect.DeepEqual(watched.FitHistory, plain.FitHistory) {
 				t.Fatalf("%s: the witness changed the run", part.Name())
 			}
+		}
+	}
+}
+
+// The Gram solver on a row-distributed matrix, straight through
+// rowDistOperator: the rows are dealt to three ranks, the last of which
+// gets none. Every rank must return the same singular values, bit for
+// bit (its branches are taken on replicated values, so no rank waits in
+// a collective the others skip), the stacked rows must span what a
+// one-rank solve spans, and a well-conditioned solve must enter two
+// collectives — whatever the spectrum: a steep one runs the
+// orthogonality repair, a rank-deficient one the basis completion, whose
+// fill is seeded by global row id.
+func TestGramOnRowDistributedOperator(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	withSpectrum := func(m, n int, s []float64) *dense.Matrix {
+		u := dense.Orthonormalize(dense.RandomNormal(m, len(s), rng), 1)
+		v := dense.Orthonormalize(dense.RandomNormal(n, len(s), rng), 1)
+		for i := 0; i < m; i++ {
+			for j, sv := range s {
+				u.Row(i)[j] *= sv
+			}
+		}
+		return dense.MatMulTB(u, v, 1)
+	}
+	dup := dense.NewMatrix(60, 12) // two distinct rows, 30 times each
+	for i, pair := 0, dense.RandomNormal(2, 12, rng); i < dup.Rows; i++ {
+		copy(dup.Row(i), pair.Row(i%2))
+	}
+	const p = 3
+	for _, tc := range []struct {
+		name     string
+		a        *dense.Matrix
+		k        int
+		maxMsgs  int64
+		subspace bool // the k-dimensional leading subspace is well defined
+	}{
+		{"well conditioned", withSpectrum(90, 12, []float64{9, 7, 5, 3, 2, 1}), 4, 2, true},
+		{"sigma1/sigmaK = 1e6", withSpectrum(90, 12, []float64{1e3, 1e1, 1e-1, 1e-3}), 4, 2, true},
+		{"rank 2, four wanted", withSpectrum(90, 12, []float64{5, 2}), 4, 1 << 20, false},
+		{"duplicate rows", dup, 2, 2, true},
+	} {
+		a := tc.a
+		one, err := trsvd.Gram(&trsvd.DenseOperator{A: a, Threads: 1}, tc.k, trsvd.Options{Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rows 0, 2, 4, … to rank 0, the odd ones to rank 1, none to rank 2.
+		results := make([]*trsvd.Result, p)
+		msgs := make([]int64, p)
+		err = mpi.NewWorld(p).Run(func(c *mpi.Comm) {
+			me := c.Rank()
+			var gids []int64
+			for i := me; i < a.Rows && me < 2; i += 2 {
+				gids = append(gids, int64(i))
+			}
+			local := dense.NewMatrix(len(gids), a.Cols)
+			for r, g := range gids {
+				copy(local.Row(r), a.Row(int(g)))
+			}
+			var sent int64
+			op := &rowDistOperator{a: local, c: c, gids: gids, tmp: make([]float64, a.Cols), sent: &sent, msgs: &msgs[me]}
+			res, err := trsvd.Gram(op, tc.k, trsvd.Options{Seed: 4})
+			if err != nil {
+				panic(err)
+			}
+			results[me] = res
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		stacked := dense.NewMatrix(a.Rows, tc.k)
+		for me, res := range results {
+			if !reflect.DeepEqual(res.Sigma, results[0].Sigma) {
+				t.Fatalf("%s: rank %d computed sigma %v, rank 0 %v", tc.name, me, res.Sigma, results[0].Sigma)
+			}
+			if msgs[me] != msgs[0] || msgs[me] > tc.maxMsgs {
+				t.Fatalf("%s: rank %d entered %d collectives, rank 0 %d, bound %d", tc.name, me, msgs[me], msgs[0], tc.maxMsgs)
+			}
+			for r := 0; r < res.U.Rows; r++ {
+				copy(stacked.Row(me+2*r), res.U.Row(r))
+			}
+		}
+		gram := dense.MatMulTA(stacked, stacked, 1)
+		if !gram.Equal(dense.Identity(tc.k), 1e-10) {
+			t.Fatalf("%s: the stacked basis is not orthonormal: %v", tc.name, gram)
+		}
+		for i, s := range one.Sigma {
+			if d := math.Abs(results[0].Sigma[i] - s); !(d <= 1e-9*(1+one.Sigma[0])) {
+				t.Fatalf("%s: sigma[%d] = %v distributed, %v on one rank", tc.name, i, results[0].Sigma[i], s)
+			}
+		}
+		if proj := dense.MatMulTA(one.U, stacked, 1); tc.subspace && !dense.MatMulTA(proj, proj, 1).Equal(dense.Identity(tc.k), 1e-8) {
+			t.Fatalf("%s: the distributed solve spans a different subspace than the one-rank solve", tc.name)
 		}
 	}
 }

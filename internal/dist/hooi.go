@@ -28,10 +28,11 @@ type Config struct {
 	// Initial optionally supplies explicit initial factor matrices;
 	// when nil, DefaultInitial(x.Dims, Ranks, Seed) is used.
 	Initial []*dense.Matrix
-	// SVD selects the per-mode solver (default Lanczos). The randomized
-	// solver's decisions are all made on replicated b×b data after fixed
-	// rank-order reductions, so ranks with zero owned rows stay in
-	// lockstep with the rest of the world.
+	// SVD selects the per-mode solver (default core.SVDAuto: Gram or
+	// Lanczos by the mode's shape, the same on every rank). The Gram and
+	// randomized solvers' decisions are all made on replicated small
+	// matrices after fixed rank-order reductions, so ranks with zero
+	// owned rows stay in lockstep with the rest of the world.
 	SVD core.SVDMethod
 	// CheckpointDir enables coordinated sweep-boundary checkpoints: rank
 	// 0 writes one atomically (write-temp, fsync, rename) every
@@ -74,10 +75,17 @@ type ModeStats struct {
 	// the factor-row expand (Algorithm 4's distribution of updated
 	// rows), the Y-row partial fold (fine grain only; coarse rows are
 	// complete locally), and the TRSVD solver's collectives (the
-	// AllReduces of the row-distributed Lanczos/randomized passes).
+	// AllReduces of the row-distributed Lanczos/randomized/Gram passes).
 	ExpandBytes int64
 	FoldBytes   int64
 	TRSVDBytes  int64
+	// TRSVDMsgs is the number of those TRSVD collectives this rank
+	// entered, averaged over iterations like the bytes: two per Gram
+	// solve (the packed Gram triangle and the small orthogonality
+	// check), on the order of a thousand per Lanczos solve (a vector
+	// reduction per step, a scalar one per reorthogonalization
+	// coefficient).
+	TRSVDMsgs int64
 }
 
 // CommBytes is the mode's total sent payload across all three phases —
@@ -303,7 +311,8 @@ func decompose(ctx context.Context, world mpi.Runner, x *tensor.COO, part *Parti
 		for n := range ex.modes {
 			m := &ex.modes[n]
 			local = append(local, float64(m.wTTMc), float64(m.wTRSVD),
-				float64(m.expandBytes/perSweep), float64(m.foldBytes/perSweep), float64(m.trsvdBytes/perSweep))
+				float64(m.expandBytes/perSweep), float64(m.foldBytes/perSweep), float64(m.trsvdBytes/perSweep),
+				float64(m.trsvdMsgs/perSweep))
 		}
 		results[c.Rank()] = &Result{
 			Factors: run.Factors, Core: run.Core, Fit: run.Fit, FitHistory: run.FitHistory, Iters: run.Iters,
@@ -329,7 +338,7 @@ func decompose(ctx context.Context, world mpi.Runner, x *tensor.COO, part *Parti
 // each per-mode group.
 const (
 	statsFixedFields = 9
-	statsModeFields  = 5
+	statsModeFields  = 6
 )
 
 // decodeStats unpacks the allgathered per-rank measurement payloads.
@@ -354,7 +363,7 @@ func decodeStats(all [][]float64, p, order, iters int) *Stats {
 		for r := range all {
 			f := all[r][statsFixedFields+statsModeFields*n:]
 			st.Mode[n][r] = ModeStats{WTTMc: int64(f[0]), WTRSVD: int64(f[1]),
-				ExpandBytes: int64(f[2]), FoldBytes: int64(f[3]), TRSVDBytes: int64(f[4])}
+				ExpandBytes: int64(f[2]), FoldBytes: int64(f[3]), TRSVDBytes: int64(f[4]), TRSVDMsgs: int64(f[5])}
 		}
 	}
 	if iters > 0 {

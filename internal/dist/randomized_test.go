@@ -10,13 +10,20 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// The randomized solver's convergence decisions all run on replicated
-// b×b panels after fixed rank-order reductions, so the fit trajectory
-// must be bitwise identical between the simulated in-process world and
-// a real TCP mesh — including a tensor with a mode smaller than the
-// rank count, where some ranks own zero rows of that matricization and
-// participate in the sketch collectives with empty panels.
+// The randomized solver's convergence decisions, and the Gram solver's
+// branches (null directions, the orthogonality repair), all run on
+// replicated small matrices after fixed rank-order reductions, so the
+// fit trajectory must be bitwise identical between the simulated
+// in-process world and a real TCP mesh — including a tensor with a mode
+// smaller than the rank count, where some ranks own zero rows of that
+// matricization and participate in the collectives with empty panels.
 func TestRandomizedTransportBitwise(t *testing.T) {
+	for _, svd := range []core.SVDMethod{core.SVDRandomized, core.SVDGram} {
+		transportBitwise(t, svd)
+	}
+}
+
+func transportBitwise(t *testing.T, svd core.SVDMethod) {
 	for _, tc := range []struct {
 		name  string
 		x     *tensor.COO
@@ -27,14 +34,14 @@ func TestRandomizedTransportBitwise(t *testing.T) {
 		{"4mode", testTensor4(t), []int{2, 2, 3, 2}, 2},
 		// Mode 2 has 3 rows split across 4 ranks: at least one rank owns
 		// zero rows of Y_(2) and must stay in lockstep through the
-		// RowGram/MatTMat collectives.
+		// RowGram/MatTMat (randomized) and Gram (Gram) collectives.
 		{"zero-row-rank", gen.Random(gen.Config{Dims: []int{25, 20, 3}, NNZ: 600, Skew: 0.4, Seed: 31}), []int{3, 3, 2}, 4},
 	} {
 		part, err := MakePartition(tc.x, tc.p, Coarse, MethodBlock, 11)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s svd=%v: %v", tc.name, svd, err)
 		}
-		cfg := Config{Ranks: tc.ranks, MaxIters: 3, Tol: -1, Seed: 17, SVD: core.SVDRandomized}
+		cfg := Config{Ranks: tc.ranks, MaxIters: 3, Tol: -1, Seed: 17, SVD: svd}
 		sim, err := Decompose(tc.x, part, cfg)
 		if err != nil {
 			t.Fatalf("%s simulated: %v", tc.name, err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hypertensor/internal/checkpoint"
+	"hypertensor/internal/core"
 	"hypertensor/internal/mpi"
 )
 
@@ -41,24 +42,27 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 // TestDistKillAndRecoverBitwise is the recovery contract: kill a rank
 // at a sweep boundary, restart the whole world from the last
 // coordinated checkpoint, and the completed run is bitwise identical to
-// one that never faulted — through two successive crashes.
+// one that never faulted — through two successive crashes, under either
+// solver the default resolves to (Gram at these ranks).
 func TestDistKillAndRecoverBitwise(t *testing.T) {
 	x := testTensor3(t)
 	ranks := []int{3, 3, 3}
 	for _, pc := range []struct {
-		p int
-		g Grain
-		m Method
+		p   int
+		g   Grain
+		m   Method
+		svd core.SVDMethod
 	}{
-		{2, Fine, MethodHypergraph},
-		{4, Fine, MethodHypergraph},
-		{4, Coarse, MethodBlock},
+		{2, Fine, MethodHypergraph, core.SVDAuto},
+		{4, Fine, MethodHypergraph, core.SVDAuto},
+		{4, Coarse, MethodBlock, core.SVDAuto},
+		{3, Fine, MethodHypergraph, core.SVDLanczos},
 	} {
 		part, err := MakePartition(x, pc.p, pc.g, pc.m, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := Config{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3}
+		base := Config{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3, SVD: pc.svd}
 		control, err := Decompose(x, part, base)
 		if err != nil {
 			t.Fatalf("%s control: %v", part.Name(), err)

@@ -83,12 +83,22 @@ func TestTransportEquivalence(t *testing.T) {
 	idle := idleRankPartition(x, 3)
 	parts = append(parts, idle)
 
-	for _, part := range parts {
-		sim := worldMatchesTCP(t, x, part, cfg)
-		if part == idle {
+	// The default resolves to Gram at these ranks (9 columns for 3
+	// vectors); Lanczos is the other solver it can resolve to.
+	for _, svd := range []core.SVDMethod{core.SVDAuto, core.SVDLanczos} {
+		cfg.SVD = svd
+		for _, part := range parts {
+			sim := worldMatchesTCP(t, x, part, cfg)
 			for n := range sim.Stats.Mode {
-				if ms := sim.Stats.Mode[n][idle.P-1]; ms.WTTMc != 0 || ms.WTRSVD != 0 {
-					t.Fatalf("mode %d: the idle rank was given work: %+v", n, ms)
+				for r, ms := range sim.Stats.Mode[n] {
+					if part == idle && r == idle.P-1 && (ms.WTTMc != 0 || ms.WTRSVD != 0) {
+						t.Fatalf("mode %d: the idle rank was given work: %+v", n, ms)
+					}
+					// Two collectives per Gram solve, on every rank, the
+					// idle one included; a Lanczos solve enters dozens.
+					if gram := svd == core.SVDAuto; gram != (ms.TRSVDMsgs == 2) {
+						t.Fatalf("%s svd=%v mode %d rank %d: %d TRSVD collectives per sweep", part.Name(), svd, n, r, ms.TRSVDMsgs)
+					}
 				}
 			}
 		}
@@ -295,11 +305,20 @@ func TestDecomposeWorldSizeMismatch(t *testing.T) {
 
 // What one sweep of the four presets at scale 0.2 puts on the wire under
 // the fine-grain hypergraph partition (3 sweeps, no tolerance stop), on
-// both transports: the whole run's payload per sweep and its expand, fold
-// and TRSVD parts, recorded at commit c9e0e6f. The bytes are functions of
-// the partition alone, so they are held with ==; a change that
-// legitimately moves one edits the literal. Summed over the presets, the
-// np=4 hypergraph placements must also send less expand+fold than block
+// both transports: the whole run's payload per sweep, its expand, fold
+// and TRSVD parts, and the number of TRSVD collectives. The bytes are
+// functions of the partition and the solver alone, so they are held with
+// ==; a change that legitimately moves one edits the literal. The
+// Lanczos byte columns were recorded at commit c9e0e6f, when Lanczos was
+// the default, and are now taken with SVD pinned to it: that they still
+// hold says the Lanczos path is what it was. The default's rows were
+// recorded when SVDAuto arrived. On the order-3 presets it resolves to
+// Gram, whose one packed triangle of C(C+1)/2 doubles per solve is more
+// payload than the few dozen C-vectors a Lanczos solve that converges
+// early reduces at this scale — and two collectives per solve where
+// Lanczos enters several hundred; on the order-4 presets it resolves to
+// Lanczos and repeats its row. Summed over the presets, the np=4
+// hypergraph placements must also send less expand+fold than block
 // placements would (one preset alone may not: netflix's sorted nonzero
 // order hands the block placement a smaller cut than the multilevel
 // partitioner finds).
@@ -307,16 +326,25 @@ func TestRecordedWireBytes(t *testing.T) {
 	type cell struct {
 		np                       int
 		net, expand, fold, trsvd int64 // per sweep, all ranks
+		trsvdMsgs                int64 // per sweep, all ranks
 	}
 	var hp4, block4 int64
 	for _, want := range []struct {
-		preset string
-		cells  [2]cell
+		preset        string
+		lanczos, dflt [2]cell
 	}{
-		{"netflix", [2]cell{{2, 224400, 7872, 65280, 85902}, {4, 669968, 23296, 193280, 257358}}},
-		{"nell", [2]cell{{2, 445834, 18960, 189600, 125592}, {4, 1125424, 37600, 376000, 376780}}},
-		{"delicious", [2]cell{{2, 539344, 12720, 318000, 128302}, {4, 1302912, 26040, 651000, 384908}}},
-		{"flickr", [2]cell{{2, 452872, 9840, 246000, 137442}, {4, 1095496, 19400, 485000, 412330}}},
+		{"netflix",
+			[2]cell{{2, 224400, 7872, 65280, 85902, 1594}, {4, 669968, 23296, 193280, 257358, 3160}},
+			[2]cell{{2, 327200, 7872, 65280, 188704, 12}, {4, 978720, 23296, 193280, 566112, 24}}},
+		{"nell",
+			[2]cell{{2, 445834, 18960, 189600, 125592, 2102}, {4, 1125424, 37600, 376000, 376780, 4204}},
+			[2]cell{{2, 567440, 18960, 189600, 247200, 12}, {4, 1490240, 37600, 376000, 741600, 24}}},
+		{"delicious",
+			[2]cell{{2, 539344, 12720, 318000, 128302, 1322}, {4, 1302912, 26040, 651000, 384908, 2644}},
+			[2]cell{{2, 539344, 12720, 318000, 128302, 1322}, {4, 1302912, 26040, 651000, 384908, 2644}}},
+		{"flickr",
+			[2]cell{{2, 452872, 9840, 246000, 137442, 1474}, {4, 1095496, 19400, 485000, 412330, 2948}},
+			[2]cell{{2, 452872, 9840, 246000, 137442, 1474}, {4, 1095496, 19400, 485000, 412330, 2948}}},
 	} {
 		cfg, err := gen.Preset(want.preset, 0.2)
 		if err != nil {
@@ -327,25 +355,37 @@ func TestRecordedWireBytes(t *testing.T) {
 		for n := range ranks {
 			ranks[n] = min(ranks[n], x.Dims[n])
 		}
-		for _, c := range want.cells {
-			part, err := MakePartition(x, c.np, Fine, MethodHypergraph, 32)
+		for i, np := range []int{2, 4} {
+			part, err := MakePartition(x, np, Fine, MethodHypergraph, 32)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := worldMatchesTCP(t, x, part, Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32})
-			got := cell{np: c.np, net: res.Stats.TotalSentBytes() / int64(res.Iters)}
-			for n := range res.Stats.Mode {
-				for _, ms := range res.Stats.Mode[n] {
-					got.expand += ms.ExpandBytes
-					got.fold += ms.FoldBytes
-					got.trsvd += ms.TRSVDBytes
+			for _, sv := range []struct {
+				svd  core.SVDMethod
+				want cell
+			}{{core.SVDLanczos, want.lanczos[i]}, {core.SVDAuto, want.dflt[i]}} {
+				res := worldMatchesTCP(t, x, part, Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32, SVD: sv.svd})
+				got := cell{np: np, net: res.Stats.TotalSentBytes() / int64(res.Iters)}
+				for n := range res.Stats.Mode {
+					for _, ms := range res.Stats.Mode[n] {
+						got.expand += ms.ExpandBytes
+						got.fold += ms.FoldBytes
+						got.trsvd += ms.TRSVDBytes
+						got.trsvdMsgs += ms.TRSVDMsgs
+					}
 				}
-			}
-			if got != c {
-				t.Errorf("%s: {np net expand fold trsvd} bytes per sweep %v, recorded %v", want.preset, got, c)
-			}
-			if c.np == 4 {
-				hp4 += got.expand + got.fold
+				if got != sv.want {
+					t.Errorf("%s svd=%v: {np net expand fold trsvd trsvdMsgs} per sweep %v, recorded %v", want.preset, sv.svd, got, sv.want)
+				}
+				// At the paper's ranks the default solves every mode of an
+				// order-3 tensor by Gram, and a Gram solve enters at most
+				// three collectives on a rank.
+				if solves := int64(x.Order() * np); sv.svd == core.SVDAuto && x.Order() == 3 && got.trsvdMsgs > 3*solves {
+					t.Errorf("%s np=%d: %d TRSVD collectives per sweep for %d Gram solves", want.preset, np, got.trsvdMsgs, solves)
+				}
+				if np == 4 && sv.svd == core.SVDAuto {
+					hp4 += got.expand + got.fold
+				}
 			}
 		}
 		block, err := MakePartition(x, 4, Fine, MethodBlock, 32)

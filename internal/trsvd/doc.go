@@ -3,8 +3,12 @@
 // interface, standing in for the PETSc+SLEPc solvers the paper links
 // against (§III.A.2, §III.B).
 //
-// Two production solvers share the driver interface:
+// Three production solvers share the driver interface:
 //
+//   - the exact Gram-eigen solver for narrow matrices (Gram): the
+//     Cols x Cols Gram matrix in one symmetric rank-k pass, its
+//     eigenvectors by a serial tridiagonal eigensolver, the left
+//     vectors in one block pass — through the GramOperator extension;
 //   - Golub–Kahan–Lanczos bidiagonalization with full
 //     reorthogonalization and warm starts (Options.WarmLeft) for the
 //     resident engine's re-convergence sweeps;
@@ -13,12 +17,12 @@
 //     single-pass variant for the update path), plus EpsRankSelect,
 //     the adaptive rank-selection rule behind Options.Eps.
 //
-// An explicit Gram-matrix solver survives in the tests as the oracle
-// both are compared against. All access to the matrix goes
-// through MatVec (y = Ax) and MatTVec (x = Aᵀy), so the same driver
-// runs on local rows, on the coarse-grain row-distributed Y_(n), and
-// on the fine-grain sum-distributed Y_(n), whose operators implement
-// the paper's y-fold / x-allreduce communication scheme. Solver
+// An unblocked Gram-matrix solver on the Jacobi SVD survives in the
+// tests as the oracle all three are compared against. The iterative
+// solvers reach the matrix only through MatVec (y = Ax) and MatTVec
+// (x = Aᵀy), or their block forms, so the same driver runs on local
+// rows and on the row-distributed Y_(n), whose operator implements the
+// paper's x-allreduce communication scheme. Solver
 // workspaces are reusable across sweeps and allocation-free in steady
 // state.
 package trsvd

@@ -69,8 +69,13 @@ type Result struct {
 	Sigma []float64
 	// MatVecs counts operator applications (MatVec + MatTVec, one per
 	// column for the block applications), the communication-bearing
-	// steps in the distributed setting.
+	// steps in the distributed setting. A Gram solve reports the k
+	// columns of its projection pass.
 	MatVecs int
+	// Passes counts sweeps over the operator's matrix: one per MatVec,
+	// MatTVec or block application, two for a Gram solve (the symmetric
+	// rank-k product and the projection).
+	Passes int
 	// Converged reports whether all k residuals met the tolerance
 	// before MaxDim was reached. HOOI tolerates approximate vectors, so
 	// callers usually proceed either way.
@@ -250,6 +255,7 @@ func Lanczos(op Operator, k int, opts Options) (*Result, error) {
 	u2, sigma := ritzExtract(op, ub, s, alphas[:s], betas[:s-1], k, opts, ws)
 	res.U = u2
 	res.Sigma = sigma
+	res.Passes = res.MatVecs
 	return res, nil
 }
 

@@ -75,10 +75,16 @@ func (o *DenseOperator) MatTMat(y, z *dense.Matrix) { dense.MatMulTAInto(z, o.A,
 // reduction — the shared-memory fast path of the RowGramer extension.
 func (o *DenseOperator) RowGram(y, g *dense.Matrix) { dense.MatMulTAInto(g, y, y, o.Threads) }
 
+// Gram computes g = AᵀA with the threaded symmetric rank-k kernel.
+func (o *DenseOperator) Gram(g *dense.Matrix, work []float64) []float64 {
+	return dense.SyrkInto(g, o.A, work, o.Threads)
+}
+
 var _ Operator = (*DenseOperator)(nil)
 var _ GlobalRowIDer = (*DenseOperator)(nil)
 var _ BlockOperator = (*DenseOperator)(nil)
 var _ RowGramer = (*DenseOperator)(nil)
+var _ GramOperator = (*DenseOperator)(nil)
 
 // BlockOperator is an optional Operator extension for applying the
 // operator to a whole panel at once. The randomized solver's panel
@@ -121,15 +127,18 @@ func opThreads(op Operator) int {
 }
 
 // opMatMat computes y = A·w, through BlockOperator when the operator
-// supports it and by columns otherwise. matvecs is advanced by the
+// supports it and by columns otherwise. res.MatVecs is advanced by the
 // column count either way, so solver operation counts stay comparable
-// across operator kinds.
-func opMatMat(op Operator, w, y *dense.Matrix, ws *Workspace, matvecs *int) {
-	*matvecs += w.Cols
+// across operator kinds; res.Passes counts the sweeps over A actually
+// made — one for a block operator, one per column otherwise.
+func opMatMat(op Operator, w, y *dense.Matrix, ws *Workspace, res *Result) {
+	res.MatVecs += w.Cols
 	if b, ok := op.(BlockOperator); ok {
+		res.Passes++
 		b.MatMat(w, y)
 		return
 	}
+	res.Passes += w.Cols
 	x := dense.ReuseVec(ws.colIn, w.Rows)
 	ws.colIn = x
 	out := dense.ReuseVec(ws.colOut, y.Rows)
@@ -147,12 +156,14 @@ func opMatMat(op Operator, w, y *dense.Matrix, ws *Workspace, matvecs *int) {
 
 // opMatTMat computes z = Aᵀ·y, blocked when possible, by columns
 // otherwise.
-func opMatTMat(op Operator, y, z *dense.Matrix, ws *Workspace, matvecs *int) {
-	*matvecs += y.Cols
+func opMatTMat(op Operator, y, z *dense.Matrix, ws *Workspace, res *Result) {
+	res.MatVecs += y.Cols
 	if b, ok := op.(BlockOperator); ok {
+		res.Passes++
 		b.MatTMat(y, z)
 		return
 	}
+	res.Passes += y.Cols
 	in := dense.ReuseVec(ws.colOut, y.Rows)
 	ws.colOut = in
 	out := dense.ReuseVec(ws.colIn, z.Rows)

@@ -154,7 +154,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 
 	y := dense.ReuseMatrixUninit(ws.panelY, rows, b)
 	ws.panelY = y
-	opMatMat(op, w, y, ws, &res.MatVecs)
+	opMatMat(op, w, y, ws, res)
 
 	maxPower := opts.powerIters()
 	coeff := dense.ReuseVec(ws.coeff, b)
@@ -208,7 +208,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		// tiny b x b Gram BᵀB are the captured Ritz energies λ_j = σ_j² —
 		// exactly the quantities the HOOI fit is made of — so the
 		// convergence check costs no operator pass and no large SVD.
-		opMatTMat(op, y, bm, ws, &res.MatVecs)
+		opMatTMat(op, y, bm, ws, res)
 		dense.MatMulTAInto(g2, bm, bm, threads)
 		_, lam, _ = ws.svd.SVD(g2)
 		tol := ritzTolWarm
@@ -233,7 +233,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		orthRowsCGS2(t, coeff, threads)
 		z := dense.TransposeInto(ws.panelZ, t)
 		ws.panelZ = z
-		opMatMat(op, z, y, ws, &res.MatVecs)
+		opMatMat(op, z, y, ws, res)
 	}
 	// Retain the Ritz energies for the next streaming solve's first
 	// check (before the SVD calls below recycle lam's backing array).

@@ -50,6 +50,11 @@ type Workspace struct {
 	// operator has stopped moving.
 	sigStream []float64
 
+	// Gram: the block partials of the symmetric rank-k product (gram, vk,
+	// gram2, white and qpanel above hold its small matrices and the
+	// re-whitened panel).
+	syrk []float64
+
 	// RangeFinder: counting-sort row grouping (permutation + offsets)
 	// and the sketch output matrix.
 	rfPerm, rfOff []int32

@@ -38,6 +38,9 @@ func TestWorkspaceReuseBitwiseIdentical(t *testing.T) {
 		{"randomized", func(m *dense.Matrix, opts Options) (*Result, error) {
 			return Randomized(&DenseOperator{A: m, Threads: 1}, 5, opts)
 		}},
+		{"gram", func(m *dense.Matrix, opts Options) (*Result, error) {
+			return Gram(&DenseOperator{A: m, Threads: 1}, 5, opts)
+		}},
 	}
 	for _, s := range solvers {
 		for _, m := range []*dense.Matrix{a, b, a} { // alternate shapes
