@@ -178,6 +178,61 @@ func BenchmarkTRSVDKernel(b *testing.B) {
 	}
 }
 
+// The axpy-family kernels on L1-resident operands, both paths (without
+// AVX2, or under -tags purego, the first of each pair is the Go loop
+// too). Both go through a function value, so neither is inlined into the
+// timing loop: each pays one call, as the assembly always does. The row
+// lengths are a rank (5, 10), a Kronecker row of order 4 (25) and of
+// order 3 at ranks 10 (100). Axpy4 walks the rows of a small destination
+// block, as the SYRK and GEMM tiles that call it do, so one call's adds do
+// not wait for the last call's stores; Ger keeps hitting one block, as
+// the nonzeros of one TTMc row do.
+func BenchmarkKernelAxpy4(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{5, 10, 25, 100} {
+		x := dense.RandomNormal(4, n, rng)
+		y := dense.NewMatrix(8, n)
+		for _, k := range []struct {
+			name string
+			fn   func(a0, a1, a2, a3 float64, x []float64, stride int, y []float64)
+		}{{dense.KernelName(), dense.Axpy4}, {"goloop", dense.Axpy4Go}} {
+			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.fn(1e-3, -1e-3, 2e-3, -2e-3, x.Data, n, y.Row(i&7))
+				}
+				reportGmadds(b, 4*n)
+			})
+		}
+	}
+}
+
+func BenchmarkKernelGer(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{5, 10, 25, 100} {
+		c := dense.RandomNormal(1, n, rng).Data
+		x := dense.RandomNormal(1, n, rng).Data
+		dense.Scal(1e-3, c)
+		y := make([]float64, n*n)
+		for _, k := range []struct {
+			name string
+			fn   func(c, x, y []float64)
+		}{{dense.KernelName(), dense.Ger}, {"goloop", dense.GerGo}} {
+			b.Run(fmt.Sprintf("%s/%dx%d", k.name, n, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.fn(c, x, y)
+				}
+				reportGmadds(b, n*n)
+			})
+		}
+	}
+}
+
+// reportGmadds reports the rate of a benchmark whose iteration is madds
+// multiply-adds.
+func reportGmadds(b *testing.B, madds int) {
+	b.ReportMetric(float64(madds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmadd/s")
+}
+
 // tnsImage is the netflix preset at half scale (100k nonzeros) and its
 // .tns text, the input of the reader and writer benchmarks.
 var tnsImage = sync.OnceValues(func() (*SparseTensor, []byte) {

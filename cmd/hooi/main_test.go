@@ -144,6 +144,7 @@ func TestReportLines(t *testing.T) {
 		`^storage: index=\d+ B \(12\.00 B/nnz\)$`,
 		`^ttmc: strategy=flat flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\)$`,
 		`^trsvd: solver=\[gram gram gram\] solves=6 passes=12 \(2\.0/solve\) madds=\d+ unconverged=0$`,
+		`^kernels: (avx2|go)$`,
 		`^  sweep  2: fit 0\.\d{8}$`,
 	} {
 		if !regexp.MustCompile(`(?m)` + line).MatchString(stdout) {

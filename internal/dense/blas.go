@@ -61,8 +61,10 @@ func DotUnrolled(x, y []float64) float64 {
 	return ((s0 + s1) + (s2 + s3)) + t
 }
 
-// Axpy computes y += alpha*x elementwise. Like Dot it stays small
-// enough to inline into the per-nonzero TTMc loops; AxpyUnrolled is the
+// Axpy computes y += alpha*x elementwise; alpha == 0 (either sign) is a
+// no-op, so an Inf or NaN in x does not reach y through a zero. It is
+// always the Go loop: like Dot it stays small enough to inline into the
+// per-nonzero loops, whose vectors are a rank long. AxpyUnrolled is the
 // long-vector variant (identical bits — the update is elementwise).
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -76,9 +78,10 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// AxpyUnrolled is the 4-way unrolled in-place update y += alpha*x,
-// bitwise identical to Axpy (elementwise operation, no reassociation)
-// and faster on vectors longer than a few dozen elements.
+// AxpyUnrolled is the long-vector y += alpha*x, bitwise identical to
+// Axpy on every input (elementwise operation, no reassociation, the same
+// alpha == 0 no-op): the AVX2 kernel when the CPU has it and the vectors
+// hold at least four elements, the 4-way unrolled Go loop otherwise.
 func AxpyUnrolled(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("dense: Axpy length mismatch")
@@ -86,6 +89,15 @@ func AxpyUnrolled(alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
 	}
+	if useAVX2 && len(y) >= 4 {
+		axpyAVX2(alpha, &x[0], &y[0], len(y))
+		return
+	}
+	axpyUnrolledGo(alpha, x, y)
+}
+
+// axpyUnrolledGo is AxpyUnrolled's Go loop (lengths already checked).
+func axpyUnrolledGo(alpha float64, x, y []float64) {
 	n := len(y)
 	x = x[:n]
 	for i := 0; i+4 <= n; i += 4 {
@@ -259,8 +271,7 @@ func GemvTInto(y []float64, a *Matrix, x []float64, threads int) { GemvT(a, x, y
 func gemvtBlock(y []float64, a *Matrix, x []float64, lo, hi int) {
 	i := lo
 	for ; i+4 <= hi; i += 4 {
-		axpy4(x[i], x[i+1], x[i+2], x[i+3],
-			a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3), y)
+		Axpy4(x[i], x[i+1], x[i+2], x[i+3], a.Data[i*a.Cols:(i+4)*a.Cols], a.Cols, y)
 	}
 	for ; i < hi; i++ {
 		Axpy(x[i], a.Row(i), y)
@@ -394,9 +405,9 @@ func matMulTABlock(p []float64, a, b *Matrix, lo, hi int) {
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-		b0, b1, b2, b3 := b.Row(i), b.Row(i+1), b.Row(i+2), b.Row(i+3)
+		b4 := b.Data[i*bc : (i+4)*bc]
 		for j := 0; j < a.Cols; j++ {
-			axpy4(a0[j], a1[j], a2[j], a3[j], b0, b1, b2, b3, p[j*bc:(j+1)*bc])
+			Axpy4(a0[j], a1[j], a2[j], a3[j], b4, bc, p[j*bc:(j+1)*bc])
 		}
 	}
 	for ; i < hi; i++ {
@@ -535,9 +546,9 @@ func syrkBlock(p []float64, a *Matrix, lo, hi int) {
 	n := a.Cols
 	i := lo
 	for ; i+4 <= hi; i += 4 {
-		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		a4 := a.Data[i*n : (i+4)*n]
 		for j := 0; j < n; j++ {
-			axpy4(a0[j], a1[j], a2[j], a3[j], a0[j:], a1[j:], a2[j:], a3[j:], p[j*n+j:(j+1)*n])
+			Axpy4(a4[j], a4[n+j], a4[2*n+j], a4[3*n+j], a4[j:], n, p[j*n+j:(j+1)*n])
 		}
 	}
 	for ; i < hi; i++ {

@@ -1,0 +1,119 @@
+package dense
+
+// The axpy family — every hot loop of the shape y += c·x under TTMc,
+// SYRK and GEMM — has two implementations: the Go loops in this file and,
+// on amd64, AVX2 kernels in Go assembly (kernels_amd64.s). The assembly
+// is UNFUSED: a VMULPD and then a VADDPD per update, never an FMA, so each
+// element sees the same two roundings in the same order as the Go loop
+// and the two paths agree bit for bit — including on ±0, ±Inf and NaN
+// operands, because the assembly keeps each loop's zero-skip rule. (A NaN
+// is a NaN on both paths; which payload survives when two different NaNs
+// meet is the hardware's operand-order rule, which the compiler's
+// register allocation decides per inlining site and no path ever fixed.)
+//
+// One dispatch point: useAVX2, set once at start-up from CPUID + XGETBV
+// on amd64 and the constant false elsewhere and under the purego build
+// tag. The wrappers keep every length check, take the assembly from one
+// vector up (n >= 4) and fall through to the Go loop below that, where a
+// call buys nothing. The Go loops are the portable build and the oracle
+// of the differential tests (TestKernelsBitwise, FuzzKernelsBitwise).
+//
+// The dot family (Dot, dot2, gemvRows) stays in Go: a single-chain sum
+// cannot be vectorised without re-associating it, which moves bits.
+
+// KernelName names the axpy-family path this process runs: "avx2" or
+// "go".
+func KernelName() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
+
+// Axpy4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 with the four
+// updates applied in order per element — for finite data, bitwise
+// identical to four consecutive Axpy calls. The operands are four rows of
+// one row-major array, as every tile that calls it has them: x_r is
+// x[r*stride : r*stride+len(y)], so x must hold at least 3*stride+len(y)
+// elements (more are ignored). Passing one slice and a stride instead of
+// four slices keeps the whole call in registers, which is most of the
+// cost at row lengths of 10-25. Unlike Axpy no zero coefficient is
+// skipped, on either path, so a 0*Inf term yields NaN where Axpy's skip
+// would not; that only matters on non-finite inputs and never depends on
+// tile or thread boundaries. Keeping y[i] in a register across the four
+// updates is what makes the four-row tiles pay: one load and one store
+// per element instead of four of each. Runs the AVX2 kernel when the CPU
+// has it and len(y) >= 4, Axpy4Go otherwise.
+func Axpy4(a0, a1, a2, a3 float64, x []float64, stride int, y []float64) {
+	n := len(y)
+	if stride < 0 || len(x) < 3*stride+n {
+		panic("dense: Axpy4 operand rows too short")
+	}
+	if useAVX2 && n >= 4 {
+		axpy4AVX2(a0, a1, a2, a3, &x[0], stride, &y[0], n)
+		return
+	}
+	Axpy4Go(a0, a1, a2, a3, x, stride, y)
+}
+
+// Axpy4Go is Axpy4's Go loop: the portable path and the oracle the AVX2
+// kernel is held to.
+func Axpy4Go(a0, a1, a2, a3 float64, x []float64, stride int, y []float64) {
+	n := len(y)
+	x0, x1, x2, x3 := x[:n], x[stride:stride+n], x[2*stride:2*stride+n], x[3*stride:3*stride+n]
+	for i := 0; i < n; i++ {
+		v := y[i]
+		v += a0 * x0[i]
+		v += a1 * x1[i]
+		v += a2 * x2[i]
+		v += a3 * x3[i]
+		y[i] = v
+	}
+}
+
+// Ger is the rank-one update of a len(c) x len(x) row-major block:
+// y[p*n+q] += c[p]*x[q] with n = len(x), and len(y) must be len(c)*n.
+// Rows with c[p] == 0 (either sign) are skipped on both paths, so an
+// Inf or NaN in x does not reach them. It is the last step of the fused
+// Kronecker accumulation of the per-nonzero TTMc loops and the block
+// update of the dimension tree's inner nodes; taking the whole block per
+// call is what lets the assembly pay at row lengths of 5-10. Runs the
+// AVX2 kernel when the CPU has it and len(x) >= 4, GerGo otherwise.
+func Ger(c, x, y []float64) {
+	n := len(x)
+	if len(y) != len(c)*n {
+		panic("dense: Ger shape mismatch")
+	}
+	if useAVX2 && n >= 4 && len(c) > 0 {
+		gerAVX2(&c[0], len(c), &x[0], n, &y[0])
+		return
+	}
+	GerGo(c, x, y)
+}
+
+// GerGo is Ger's Go loop, two elements a step: the one-element loop is
+// five instructions that the front end delivers in one cycle only if they
+// sit in one 64-byte line, which the linker decides (the same source ran
+// TTMc 22% slower when other packages' code size moved it by 32 bytes);
+// two a step takes the front end off the critical path at either
+// placement.
+func GerGo(c, x, y []float64) {
+	n := len(x)
+	if len(y) != len(c)*n {
+		panic("dense: Ger shape mismatch")
+	}
+	for p, cp := range c {
+		if cp == 0 {
+			continue
+		}
+		row := y[p*n : (p+1)*n]
+		i := 0
+		for ; i+2 <= n; i += 2 {
+			row[i] += cp * x[i]
+			row[i+1] += cp * x[i+1]
+		}
+		if i < n {
+			row[i] += cp * x[i]
+		}
+	}
+}

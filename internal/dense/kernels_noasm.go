@@ -1,0 +1,20 @@
+//go:build !amd64 || purego
+
+package dense
+
+// useAVX2 is constant false in this build, so the compiler drops the
+// assembly branch of every wrapper; the declarations below only let
+// those branches type-check.
+const useAVX2 = false
+
+func axpy4AVX2(a0, a1, a2, a3 float64, x *float64, stride int, y *float64, n int) {
+	panic("dense: no assembly kernels in this build")
+}
+
+func gerAVX2(c *float64, m int, x *float64, n int, y *float64) {
+	panic("dense: no assembly kernels in this build")
+}
+
+func axpyAVX2(alpha float64, x, y *float64, n int) {
+	panic("dense: no assembly kernels in this build")
+}

@@ -108,7 +108,7 @@ func Orthonormalize(a *Matrix, threads int) *Matrix {
 	}
 	d, g, beta := make([]float64, 2*n), make([]float64, n), make([]float64, n)
 	gram, t := make([]float64, n*n), make([]float64, n*n)
-	nm := make([]float64, (n+3)*n) // -T*Utop^T, then three rows of zeros for axpy4's last step
+	nm := make([]float64, (n+3)*n) // -T*Utop^T, then three rows of zeros for Axpy4's last step
 
 	for j := 0; j < n; j++ {
 		// d[k], k >= j: column j (reflector j-1 applied) dot column k;
@@ -181,7 +181,7 @@ func Orthonormalize(a *Matrix, threads int) *Matrix {
 				row[i] = 1
 			}
 			for k := 0; k < n; k += 4 {
-				axpy4(u[k], u[k+1], u[k+2], u[k+3], nm[k*n:], nm[(k+1)*n:], nm[(k+2)*n:], nm[(k+3)*n:], row)
+				Axpy4(u[k], u[k+1], u[k+2], u[k+3], nm[k*n:], n, row)
 			}
 			for c, v := range row {
 				p[c] += v * v

@@ -16,28 +16,6 @@ import "sync"
 //     buffers come from a sync.Pool, whose per-P caches effectively pin
 //     a warm buffer to each worker between calls.
 
-// axpy4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 with the four
-// updates applied in order per element — for finite data, bitwise
-// identical to four consecutive Axpy calls. (Unlike Axpy it does not
-// skip zero coefficients, so a 0*Inf term yields NaN where Axpy's skip
-// would not, and -0 accumulators can flip to +0; both only matter on
-// non-finite or signed-zero inputs, and neither depends on tile or
-// thread boundaries.) Keeping y[i] in a register across the four fused
-// updates is what makes the four-row tiles pay: one load and one store
-// per element instead of four of each.
-func axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
-	n := len(y)
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	for i := 0; i < n; i++ {
-		v := y[i]
-		v += a0 * x0[i]
-		v += a1 * x1[i]
-		v += a2 * x2[i]
-		v += a3 * x3[i]
-		y[i] = v
-	}
-}
-
 // dot2 returns (Dot(x0, y), Dot(x1, y)) sharing one streaming pass
 // over y: two independent single-accumulator chains with exactly Dot's
 // association, so each result is bitwise identical to a separate Dot
@@ -69,7 +47,7 @@ const (
 
 // matMulRows computes C[lo:hi,:] = A[lo:hi,:] * B for row-major
 // operands, assuming those C rows are already zeroed. The inner kernel
-// is a k-unrolled axpy4 against a j-panel of B; per element the k order
+// is a k-unrolled Axpy4 against a j-panel of B; per element the k order
 // is ascending across panels and within them, so the result matches
 // the naive i-k-j loop bit for bit and never depends on [lo, hi).
 func matMulRows(c, a, b *Matrix, lo, hi int) {
@@ -100,9 +78,7 @@ func matMulRows(c, a, b *Matrix, lo, hi int) {
 					crow := c.Row(i)[j0:j1]
 					k := k0
 					for ; k+4 <= k1; k += 4 {
-						p := panel[(k-k0)*jw:]
-						axpy4(arow[k], arow[k+1], arow[k+2], arow[k+3],
-							p[:jw], p[jw:2*jw], p[2*jw:3*jw], p[3*jw:4*jw], crow)
+						Axpy4(arow[k], arow[k+1], arow[k+2], arow[k+3], panel[(k-k0)*jw:], jw, crow)
 					}
 					for ; k < k1; k++ {
 						Axpy(arow[k], panel[(k-k0)*jw:(k-k0+1)*jw], crow)
@@ -115,8 +91,7 @@ func matMulRows(c, a, b *Matrix, lo, hi int) {
 				crow := c.Row(i)[j0:j1]
 				k := k0
 				for ; k+4 <= k1; k += 4 {
-					axpy4(arow[k], arow[k+1], arow[k+2], arow[k+3],
-						b.Row(k)[j0:j1], b.Row(k + 1)[j0:j1], b.Row(k + 2)[j0:j1], b.Row(k + 3)[j0:j1], crow)
+					Axpy4(arow[k], arow[k+1], arow[k+2], arow[k+3], b.Data[k*bc+j0:], bc, crow)
 				}
 				for ; k < k1; k++ {
 					Axpy(arow[k], b.Row(k)[j0:j1], crow)

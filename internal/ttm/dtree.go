@@ -74,13 +74,6 @@ type contraction struct {
 	a, b, d int
 }
 
-// kronScratch is one worker's scratch: the factor rows of the entry at
-// hand and two buffers for their Kronecker prefix products.
-type kronScratch struct {
-	rows       [][]float64
-	bufA, bufB []float64
-}
-
 // dnode is one tree node.
 type dnode struct {
 	lo, hi              int
@@ -429,14 +422,7 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 		}
 		c.d = kron
 	}
-	for len(t.scratch) < threads {
-		t.scratch = append(t.scratch, kronScratch{rows: make([][]float64, t.order)})
-	}
-	for w := range t.scratch[:threads] {
-		if sc := &t.scratch[w]; cap(sc.bufA) < kron {
-			sc.bufA, sc.bufB = make([]float64, kron), make([]float64, kron)
-		}
-	}
+	t.scratch = growKronScratch(t.scratch, threads, t.order, kron)
 	runRows(nd.n, threads, t.chainsFn, body)
 	c.dst, c.u = nil, nil
 }
@@ -491,14 +477,14 @@ func (t *DTree) innerRows(w, lo, hi int) {
 				KronRows(frows, kw)
 			}
 			pblk := parent.val[int(e)*pbs : (int(e)+1)*pbs]
+			if b == 1 {
+				// blk[ai*d+di] += pblk[ai]*kw[di]: one rank-one update of
+				// the whole a x d block (the product commutes bitwise).
+				dense.Ger(pblk, kw, blk)
+				continue
+			}
 			for ai := 0; ai < a; ai++ {
-				pa := pblk[ai*b : (ai+1)*b]
-				for di, wv := range kw {
-					if wv == 0 {
-						continue
-					}
-					dense.Axpy(wv, pa, blk[(ai*d+di)*b:(ai*d+di+1)*b])
-				}
+				dense.Ger(kw, pblk[ai*b:(ai+1)*b], blk[ai*d*b:(ai+1)*d*b])
 			}
 		}
 	}

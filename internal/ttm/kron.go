@@ -54,7 +54,8 @@ func RowSize(u []*dense.Matrix, skip int) int {
 // the fused scheme described in DESIGN.md: the prefix Kronecker product
 // of the first k-1 rows is built in scratch buffers (bufA, bufB, each of
 // length >= len(dst)/len(last row)), then the last row is AXPY-ed into
-// consecutive segments of dst. This avoids materializing a full
+// consecutive segments of dst, skipping prefix entries that are zero —
+// one dense.Ger over the whole row. This avoids materializing a full
 // len(dst) temporary per nonzero, which the ablation benchmark shows is
 // the difference between a bandwidth-bound and a compute-bound kernel.
 func accumKron(dst []float64, x float64, rows [][]float64, bufA, bufB []float64) {
@@ -76,32 +77,36 @@ func accumKron(dst []float64, x float64, rows [][]float64, bufA, bufB []float64)
 		}
 		cur, bufA, bufB = nxt, bufB, bufA
 	}
-	last := rows[k-1]
-	rl := len(last)
-	for p, c := range cur {
-		if c == 0 {
-			continue
-		}
-		axpy2(c, last, dst[p*rl:(p+1)*rl])
-	}
+	dense.Ger(cur, rows[k-1], dst)
 }
 
-// axpy2 is y += c*x two elements a step (x at least as long as y). It
-// is for the short rows of the per-nonzero loops, whose one-element
-// loop is five instructions that the front end delivers in one cycle
-// only if they sit in one 64-byte line — which the linker decides: the
-// same source ran TTMc 22% slower when other packages' code size moved
-// accumKron by 32 bytes. Two elements a step takes the front end off
-// the critical path at either placement. Elementwise, so the bits are
-// dense.Axpy's.
-func axpy2(c float64, x, y []float64) {
-	x = x[:len(y)]
-	i := 0
-	for ; i+2 <= len(y); i += 2 {
-		y[i] += c * x[i]
-		y[i+1] += c * x[i+1]
+// kronScratch is one worker's scratch: the factor rows of the entry at
+// hand and two buffers for their Kronecker prefix products.
+type kronScratch struct {
+	rows       [][]float64
+	bufA, bufB []float64
+}
+
+// growKronScratch returns s holding a scratch for each of threads
+// workers, with room for order factor rows and Kronecker prefixes of
+// length kron; what is already large enough is kept. Every worker
+// writes its scratch once per nonzero, and small allocations made back
+// to back sit side by side in memory, so each worker's slices start and
+// end a cache line inside their allocation: no two workers share a line.
+func growKronScratch(s []kronScratch, threads, order, kron int) []kronScratch {
+	const (
+		linePad = 8 // float64s in a 64-byte line
+		rowsPad = 3 // slice headers covering a 64-byte line
+	)
+	for len(s) < threads {
+		s = append(s, kronScratch{rows: make([][]float64, order+2*rowsPad)[rowsPad : rowsPad+order]})
 	}
-	if i < len(y) {
-		y[i] += c * x[i]
+	for w := range s[:threads] {
+		if sc := &s[w]; cap(sc.bufA) < kron {
+			slab := make([]float64, 2*(kron+linePad))
+			sc.bufA = slab[linePad : linePad+kron : linePad+kron]
+			sc.bufB = slab[linePad+kron : linePad+2*kron]
+		}
 	}
+	return s
 }

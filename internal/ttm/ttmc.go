@@ -26,61 +26,7 @@ import (
 // uniform chunking leaves the worker that owns the heaviest slices
 // running long after the rest are idle.
 func TTMc(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix, threads int) {
-	k := RowSize(u, sm.N)
-	if y.Rows != sm.NumRows() || y.Cols != k {
-		panic("ttm: TTMc output shape mismatch")
-	}
-	order := x.Order()
-	nOther := order - 1
-	// Length of the longest Kronecker prefix (everything except the
-	// last contracted mode).
-	lastMode := order - 1
-	if lastMode == sm.N {
-		lastMode--
-	}
-	prefixLen := 1
-	for t := 0; t < order; t++ {
-		if t != sm.N && t != lastMode {
-			prefixLen *= u[t].Cols
-		}
-	}
-
-	threads = par.DefaultThreads(threads)
-	type scratch struct {
-		rows [][]float64
-		bufA []float64
-		bufB []float64
-	}
-	scratches := make([]*scratch, threads)
-	runRows(sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
-		func(w, lo, hi int) {
-			sc := scratches[w]
-			if sc == nil {
-				sc = &scratch{
-					rows: make([][]float64, nOther),
-					bufA: make([]float64, prefixLen),
-					bufB: make([]float64, prefixLen),
-				}
-				scratches[w] = sc
-			}
-			for r := lo; r < hi; r++ {
-				row := y.Row(r)
-				for i := range row {
-					row[i] = 0
-				}
-				for _, id := range sm.RowNZ(r) {
-					j := 0
-					for t := 0; t < order; t++ {
-						if t == sm.N {
-							continue
-						}
-						sc.rows[j] = u[t].Row(int(x.Idx[t][id]))
-						j++
-					}
-					accumKron(row, x.Val[id], sc.rows, sc.bufA, sc.bufB)
-				}
-			}
-		})
+	NewFlat(x, nil).run(y, sm, u, threads)
 }
 
 // TTMcSched is TTMc; the schedule argument has one value, and the
@@ -160,13 +106,30 @@ type Flat struct {
 	x     *tensor.COO
 	sym   *symbolic.Structure
 	flops int64
+	// One call runs at a time, so its parameters (call), the per-worker
+	// scratch and the region closures over them are the kernel's, built
+	// once: a call allocates nothing in steady state.
+	call     flatCall
+	scratch  []kronScratch
+	rowsFn   func(worker, lo, hi int)
+	chainsFn func() []int32
+}
+
+// flatCall is the state of the running TTMc call.
+type flatCall struct {
+	y       *dense.Matrix
+	sm      *symbolic.Mode
+	u       []*dense.Matrix
+	threads int
 }
 
 // NewFlat binds the flat kernel to a coordinate tensor and the symbolic
 // structure whose nonzero ids index it. Both may be mutated in place
 // between calls (the stable-id delta merge does).
 func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
-	return &Flat{x: x, sym: sym}
+	k := &Flat{x: x, sym: sym}
+	k.rowsFn, k.chainsFn = k.rows, k.callChains
+	return k
 }
 
 // Rows lists the slices of mode n the kernel computes, ascending.
@@ -176,8 +139,61 @@ func (k *Flat) Rows(n int) []int32 { return k.sym.Modes[n].Rows }
 // lists into y (see TTMc).
 func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
 	sm := &k.sym.Modes[n]
-	TTMc(y, k.x, sm, u, threads)
+	k.run(y, sm, u, threads)
 	k.flops += Flops(len(sm.NZ), y.Cols)
+}
+
+// run is TTMc over the update lists of sm.
+func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, u []*dense.Matrix, threads int) {
+	if y.Rows != sm.NumRows() || y.Cols != RowSize(u, sm.N) {
+		panic("ttm: TTMc output shape mismatch")
+	}
+	order := k.x.Order()
+	// Length of the longest Kronecker prefix (everything except the
+	// last contracted mode).
+	lastMode := order - 1
+	if lastMode == sm.N {
+		lastMode--
+	}
+	prefixLen := 1
+	for t := 0; t < order; t++ {
+		if t != sm.N && t != lastMode {
+			prefixLen *= u[t].Cols
+		}
+	}
+	threads = par.DefaultThreads(threads)
+	k.scratch = growKronScratch(k.scratch, threads, order, prefixLen)
+	k.call = flatCall{y: y, sm: sm, u: u, threads: threads}
+	runRows(sm.NumRows(), threads, k.chainsFn, k.rowsFn)
+	k.call = flatCall{}
+}
+
+// callChains is the balanced partition of the running call.
+func (k *Flat) callChains() []int32 { return k.call.sm.Chains(k.call.threads) }
+
+// rows computes rows [lo, hi) of the running call.
+func (k *Flat) rows(w, lo, hi int) {
+	x, y, sm, u := k.x, k.call.y, k.call.sm, k.call.u
+	sc := &k.scratch[w]
+	order := x.Order()
+	frows := sc.rows[:order-1]
+	for r := lo; r < hi; r++ {
+		row := y.Row(r)
+		for i := range row {
+			row[i] = 0
+		}
+		for _, id := range sm.RowNZ(r) {
+			j := 0
+			for t := 0; t < order; t++ {
+				if t == sm.N {
+					continue
+				}
+				frows[j] = u[t].Row(int(x.Idx[t][id]))
+				j++
+			}
+			accumKron(row, x.Val[id], frows, sc.bufA, sc.bufB)
+		}
+	}
 }
 
 // Flops returns the accumulated multiply-add count of all calls so far.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/gen"
@@ -115,6 +116,74 @@ func TestTTMcDeterministicAcrossThreads(t *testing.T) {
 	for i := range y1.Data {
 		if y1.Data[i] != y4.Data[i] {
 			t.Fatalf("thread count changed bits at %d: %v vs %v", i, y1.Data[i], y4.Data[i])
+		}
+	}
+}
+
+// The resident kernel reuses its per-worker scratch across modes, ranks
+// and thread counts: every call must still give TTMc's bits, and at one
+// thread a warm call must allocate nothing.
+func TestFlatReusesItsScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	x, u, sym := randomSetup(rng, []int{30, 20, 25, 6}, []int{2, 3, 5, 2}, 400)
+	flat := NewFlat(x, sym)
+	ys := make([]*dense.Matrix, len(u))
+	for _, threads := range []int{1, 4, 2} {
+		for n := range u {
+			sm := &sym.Modes[n]
+			want := dense.NewMatrix(sm.NumRows(), RowSize(u, n))
+			TTMc(want, x, sm, u, 1)
+			ys[n] = dense.NewMatrix(sm.NumRows(), RowSize(u, n))
+			flat.TTMc(ys[n], n, u, threads)
+			for i := range want.Data {
+				if math.Float64bits(ys[n].Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("mode %d at %d threads: element %d is %v, a fresh TTMc gives %v", n, threads, i, ys[n].Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(5, func() {
+		for n := range u {
+			flat.TTMc(ys[n], n, u, 1)
+		}
+	}); a != 0 {
+		t.Fatalf("a warm flat sweep allocates %v times, want 0", a)
+	}
+}
+
+// Workers write their scratch once per nonzero, so no two workers'
+// scratch may share a cache line (they did when the buffers were small
+// allocations made back to back, and two threads ran slower than one
+// core's worth apart).
+func TestKronScratchWorkersShareNoCacheLine(t *testing.T) {
+	const line = 64
+	type span struct{ lo, hi uintptr } // the lines [lo, hi] a slice touches
+	lines := func(p unsafe.Pointer, bytes int) span {
+		return span{uintptr(p) / line, (uintptr(p) + uintptr(bytes) - 1) / line}
+	}
+	for _, kron := range []int{1, 5, 10, 25, 100} {
+		sc := growKronScratch(nil, 4, 4, kron)
+		var spans [][]span
+		for w := range sc {
+			spans = append(spans, []span{
+				lines(unsafe.Pointer(unsafe.SliceData(sc[w].rows)), len(sc[w].rows)*int(unsafe.Sizeof(sc[w].rows[0]))),
+				lines(unsafe.Pointer(unsafe.SliceData(sc[w].bufA)), 8*kron),
+				lines(unsafe.Pointer(unsafe.SliceData(sc[w].bufB)), 8*kron),
+			})
+			if cap(sc[w].bufA) < kron || cap(sc[w].bufB) < kron || len(sc[w].rows) != 4 {
+				t.Fatalf("kron=%d worker %d: scratch too small", kron, w)
+			}
+		}
+		for w := range spans {
+			for v := w + 1; v < len(spans); v++ {
+				for _, a := range spans[w] {
+					for _, b := range spans[v] {
+						if a.lo <= b.hi && b.lo <= a.hi {
+							t.Fatalf("kron=%d: workers %d and %d share a cache line", kron, w, v)
+						}
+					}
+				}
+			}
 		}
 	}
 }
