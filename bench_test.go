@@ -227,6 +227,44 @@ func BenchmarkKernelGer(b *testing.B) {
 	}
 }
 
+// BenchmarkTTMcFlat times the run-factored flat kernel on the two
+// order-3 presets, per mode, in storage order and with the same nonzeros
+// shuffled (every run one entry long: what an unsorted .tns gets), in ns
+// per nonzero beside the runs per nonzero it found — the run effect
+// without the benchmark driver: go test -run '^$' -bench TTMcFlat -cpu 1,2 .
+func BenchmarkTTMcFlat(b *testing.B) {
+	for _, preset := range []string{"netflix", "nell"} {
+		sorted, err := GeneratePreset(preset, 0.5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		shuffled := tensor.NewCOO(sorted.Dims, sorted.NNZ())
+		coord := make([]int, sorted.Order())
+		for _, id := range rand.New(rand.NewSource(1)).Perm(sorted.NNZ()) {
+			sorted.Coord(id, coord)
+			shuffled.Append(coord, sorted.Val[id])
+		}
+		us := dist.DefaultInitial(sorted.Dims, []int{10, 10, 10}, 3)
+		for _, in := range []struct {
+			order string
+			x     *SparseTensor
+		}{{"sorted", sorted}, {"shuffled", shuffled}} {
+			sym := symbolic.Build(in.x, 0)
+			flat := ttm.NewFlat(in.x, sym)
+			for n := range us {
+				y := dense.NewMatrix(sym.Modes[n].NumRows(), ttm.RowSize(us, n))
+				b.Run(fmt.Sprintf("%s/%s/mode%d", preset, in.order, n), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						flat.TTMc(y, n, us, 0)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in.x.NNZ()), "ns/nnz")
+					b.ReportMetric(flat.RunsPerNZ(n), "runs/nnz")
+				})
+			}
+		}
+	}
+}
+
 // reportGmadds reports the rate of a benchmark whose iteration is madds
 // multiply-adds.
 func reportGmadds(b *testing.B, madds int) {

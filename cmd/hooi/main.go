@@ -283,6 +283,9 @@ func main() {
 		dec.TTMc, dec.TTMcFlops, dec.TTMcFlops/int64(max(dec.Iters, 1)), flatMadds, treeMadds)
 	if dec.TTMc == hypertensor.TTMcDTree {
 		fmt.Printf(" (node recompute time %v)", dec.Timings.TTMcNodes)
+	} else {
+		// Per mode; ~1 means the file's order leaves the kernel nothing to factor out.
+		fmt.Printf(" runs=%.2f", dec.TTMcRuns)
 	}
 	fmt.Println()
 	// The solver each mode resolved to, how often it read Y_(n), and the

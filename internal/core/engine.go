@@ -439,6 +439,10 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	res.TRSVDUnconverged = e.state.Unconverged - solves0.Unconverged
 	if tree != nil {
 		res.Timings.TTMcNodes = tree.NodeTime() - nodeTime0
+	} else if flat, ok := e.kern.(*ttm.Flat); ok {
+		for n := 0; n < e.order; n++ {
+			res.TTMcRuns = append(res.TTMcRuns, flat.RunsPerNZ(n))
+		}
 	}
 	res.Factors = e.state.Factors
 	res.ChosenRanks = append([]int(nil), e.currentRanks()...)

@@ -46,10 +46,14 @@ type Result struct {
 	// Timings is the phase breakdown.
 	Timings Timings
 	// TTMcFlops is the multiply-add count of all TTMc work performed
-	// (dominant AXPY terms): for the flat strategy, modes x sweeps x
-	// nnz x row size; for the dimension tree, the memoized — typically
-	// much smaller — actual count.
+	// (dominant AXPY terms), as executed: for the flat strategy, per
+	// mode and sweep, nnz x (row size / leading rank) + runs x row size;
+	// for the dimension tree, the memoized count.
 	TTMcFlops int64
+	// TTMcRuns is, per mode, the flat kernel's runs per listed nonzero
+	// in its last TTMc: about 1 on an unsorted input, which gets no run
+	// saving, a third on the sorted presets. Nil under the tree.
+	TTMcRuns []float64
 	// TTMc is the TTMc strategy it ran: Options.TTMc, with TTMcAuto
 	// resolved.
 	TTMc TTMcStrategy

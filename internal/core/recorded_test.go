@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hypertensor/internal/gen"
+	"hypertensor/internal/ttm"
 )
 
 // The machine-independent counts of a solve on the four presets at
@@ -22,6 +23,10 @@ import (
 // are the default's, recorded when SVDAuto arrived: the order-3 presets
 // resolve to Gram in every mode (two passes per solve, none
 // unconverged), the order-4 ones to Lanczos, whose numbers they repeat.
+// TTMc madds are what the kernel executed: on order 3 the flat kernel's
+// accumulator update per nonzero plus a row update per run (the nominal
+// nnz x row size of both presets is 2.2-2.5x the figure), on order 4 the
+// tree's.
 // Allocations per sweep depend on the runtime as well, so they are the
 // least of three runs against a bound two above what was recorded under
 // Lanczos (30/34 on the tree; 25/25 on the flat kernel since its
@@ -44,9 +49,9 @@ func TestRecordedCounts(t *testing.T) {
 		auto            string
 		lanczos, dflt   solverCounts
 	}{
-		{"netflix", 9980360, 460632, 51060480, 166084, 27, "[gram gram gram]",
+		{"netflix", 4469116, 460632, 51060480, 166084, 27, "[gram gram gram]",
 			solverCounts{20831360, 332, 0, 2, 13711512}, solverCounts{23944080, 18, 0, 2, 13711512}},
-		{"nell", 9360000, 374400, 116251200, 1260372, 27, "[gram gram gram]",
+		{"nell", 3716400, 374400, 116251200, 1260372, 27, "[gram gram gram]",
 			solverCounts{49085600, 412, 0, 2, 10391260}, solverCounts{65122200, 18, 0, 2, 10391260}},
 		{"delicious", 6922300, 896016, 177053500, 3250268, 32, "[lanczos lanczos lanczos lanczos]",
 			solverCounts{59142500, 356, 0, 2, 14029400}, solverCounts{59142500, 356, 0, 2, 14029400}},
@@ -86,6 +91,9 @@ func TestRecordedCounts(t *testing.T) {
 			if got := first.TTMcFlops / int64(first.Iters); got != want.ttmcMadds {
 				t.Errorf("%s svd=%v: %d TTMc madds per sweep, recorded %d", want.preset, sv.svd, got, want.ttmcMadds)
 			}
+			if nominal := ttm.SweepFlops(x.NNZ(), first.Factors); want.ttmcMadds > nominal {
+				t.Errorf("%s: recorded %d TTMc madds per sweep, above the nominal %d", want.preset, want.ttmcMadds, nominal)
+			}
 			if first.IndexBytes != want.indexBytes {
 				t.Errorf("%s svd=%v: %d index bytes, recorded %d", want.preset, sv.svd, first.IndexBytes, want.indexBytes)
 			}
@@ -118,6 +126,16 @@ func TestRecordedCounts(t *testing.T) {
 			if got != sv.want {
 				t.Errorf("%s svd=%v: {TRSVD madds, passes, unconverged, update sweeps, update madds} %v, recorded %v", want.preset, sv.svd, got, sv.want)
 			}
+		}
+
+		// What ran is what the plan's strategy was predicted to cost.
+		flat, tree := PredictSweepMadds(x, ranks, 1)
+		predicted := tree
+		if x.Order() < 4 {
+			predicted = flat
+		}
+		if predicted != want.ttmcMadds {
+			t.Errorf("%s: PredictSweepMadds gives flat=%d dtree=%d, recorded %d madds per sweep", want.preset, flat, tree, want.ttmcMadds)
 		}
 
 		opts.SVD = SVDRandomized

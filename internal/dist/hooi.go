@@ -64,8 +64,8 @@ type Config struct {
 // world — holds the measurements of all ranks.
 type ModeStats struct {
 	// WTTMc is the paper's TTMc work statistic: local nonzeros times
-	// the TTMc row size, the flat kernel's multiply-adds (what a rank's
-	// kernel actually executed is Stats.TTMcMadds).
+	// the TTMc row size, one full rank-one update per nonzero (what a
+	// rank's kernel actually executed is Stats.TTMcMadds).
 	WTTMc int64
 	// WTRSVD is the per-operator-pass TRSVD work: owned rows times the
 	// row size.
@@ -120,8 +120,8 @@ type Stats struct {
 	CoreBytes     []int64
 	AssembleBytes []int64
 	// TTMcMadds[r] is the TTMc multiply-add count rank r's kernel
-	// actually executed over the run (the flat kernel's equals the sum
-	// of its WTTMc times the sweeps).
+	// actually executed over the run (at most the sum of its WTTMc
+	// times the sweeps: both kernels share work between nonzeros).
 	TTMcMadds []int64
 	// Per-rank phase times, accumulated over all sweeps.
 	SymbolicTime []time.Duration

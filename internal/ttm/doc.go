@@ -10,7 +10,8 @@
 //
 //   - TTMc / Flat — the flat nonzero loop over COO streams and the
 //     per-mode update lists, the paper's Algorithm 3 and the reference
-//     path.
+//     path, with the leading contracted mode factored out of each run
+//     of neighbouring nonzeros that share its index.
 //   - DTree — the dimension-tree memoization that caches the partial
 //     contractions shared between a sweep's N updates; the default
 //     from order 4 up.

@@ -502,9 +502,9 @@ func (t *DTree) SweepFlops(ranks []int) int64 {
 	return total
 }
 
-// SweepFlops returns the flat-path multiply-add count of one full HOOI
-// sweep over all modes (the recompute-everything cost the tree is
-// measured against): sum over modes of nnz * RowSize.
+// SweepFlops returns the nominal multiply-add count of one full HOOI
+// sweep over all modes (the recompute-everything cost the kernels are
+// measured against, not what Flat executes): sum over modes of Flops.
 func SweepFlops(nnz int, u []*dense.Matrix) int64 {
 	var total int64
 	for n := range u {

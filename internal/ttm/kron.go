@@ -50,14 +50,14 @@ func RowSize(u []*dense.Matrix, skip int) int {
 	return size
 }
 
-// accumKron adds x * (rows[0] ⊗ rows[1] ⊗ ... ⊗ rows[k-1]) to dst using
-// the fused scheme described in DESIGN.md: the prefix Kronecker product
-// of the first k-1 rows is built in scratch buffers (bufA, bufB, each of
-// length >= len(dst)/len(last row)), then the last row is AXPY-ed into
-// consecutive segments of dst, skipping prefix entries that are zero —
-// one dense.Ger over the whole row. This avoids materializing a full
-// len(dst) temporary per nonzero, which the ablation benchmark shows is
-// the difference between a bandwidth-bound and a compute-bound kernel.
+// accumKron adds x * (rows[0] ⊗ rows[1] ⊗ ... ⊗ rows[k-1]) to dst —
+// Flat's run accumulator, a root child's block in DTree — fused: the
+// prefix Kronecker product of the first k-1 rows is built in scratch
+// buffers (bufA, bufB, each of length >= len(dst)/len(last row)), then
+// the last row is AXPY-ed into consecutive segments of dst, skipping
+// prefix entries that are zero — one dense.Ger over the whole of dst.
+// This avoids materializing a full len(dst) temporary per nonzero, the
+// difference between a bandwidth-bound and a compute-bound kernel.
 func accumKron(dst []float64, x float64, rows [][]float64, bufA, bufB []float64) {
 	k := len(rows)
 	if k == 0 {
@@ -81,18 +81,19 @@ func accumKron(dst []float64, x float64, rows [][]float64, bufA, bufB []float64)
 }
 
 // kronScratch is one worker's scratch: the factor rows of the entry at
-// hand and two buffers for their Kronecker prefix products.
+// hand, two Kronecker prefix buffers and Flat's run accumulator.
 type kronScratch struct {
-	rows       [][]float64
-	bufA, bufB []float64
+	rows            [][]float64
+	bufA, bufB, acc []float64
 }
 
 // growKronScratch returns s holding a scratch for each of threads
-// workers, with room for order factor rows and Kronecker prefixes of
-// length kron; what is already large enough is kept. Every worker
-// writes its scratch once per nonzero, and small allocations made back
-// to back sit side by side in memory, so each worker's slices start and
-// end a cache line inside their allocation: no two workers share a line.
+// workers, with room for order factor rows and for Kronecker prefixes
+// and an accumulator of length kron; what is already large enough is
+// kept. Every worker writes its scratch once per nonzero, and small
+// allocations made back to back sit side by side in memory, so each
+// worker's slices start and end a cache line inside their allocation:
+// no two workers share a line.
 func growKronScratch(s []kronScratch, threads, order, kron int) []kronScratch {
 	const (
 		linePad = 8 // float64s in a 64-byte line
@@ -103,9 +104,10 @@ func growKronScratch(s []kronScratch, threads, order, kron int) []kronScratch {
 	}
 	for w := range s[:threads] {
 		if sc := &s[w]; cap(sc.bufA) < kron {
-			slab := make([]float64, 2*(kron+linePad))
+			slab := make([]float64, 3*kron+2*linePad)
 			sc.bufA = slab[linePad : linePad+kron : linePad+kron]
-			sc.bufB = slab[linePad+kron : linePad+2*kron]
+			sc.bufB = slab[linePad+kron : linePad+2*kron : linePad+2*kron]
+			sc.acc = slab[linePad+2*kron : linePad+3*kron]
 		}
 	}
 	return s

@@ -1,6 +1,8 @@
 package ttm
 
 import (
+	"sync/atomic"
+
 	"hypertensor/internal/dense"
 	"hypertensor/internal/par"
 	"hypertensor/internal/symbolic"
@@ -92,20 +94,33 @@ func TTMcNaive(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 	})
 }
 
-// Flops returns the multiply-add count of one TTMc call for the given
-// mode: nnz * RowSize (the final AXPY dominates; prefix terms are a
-// geometric series below it). It is the W_TTMc statistic of Table III.
+// Flops returns the nominal multiply-add count of one TTMc call for the
+// given mode: nnz * RowSize, a full-width rank-one update per nonzero. It
+// is the W_TTMc statistic of Table III, which the partitioners balance
+// and Result.FullSweepMadds reports — not what a kernel executes: Flat
+// factors runs of nonzeros and counts what it ran (Flat.Flops).
 func Flops(nnz, rowSize int) int64 { return int64(nnz) * int64(rowSize) }
 
 // Flat is the reference kernel as a resident value with the same
 // method set as DTree, so a HOOI driver holds one kernel whatever the
-// strategy: the balanced-chain TTMc over the per-mode update
-// lists, with the multiply-adds it executed counted. Lists restricted
-// by symbolic.Mode.Select make it compute exactly those rows.
+// strategy: the balanced-chain TTMc over the per-mode update lists, with
+// the multiply-adds it executed counted. Lists restricted by
+// symbolic.Mode.Select make it compute exactly those rows.
+//
+// Eq. 4 is bilinear, so within a row the leading contracted mode
+// a = min{t != n} is factored out of every run of consecutive list
+// entries with one mode-a index: each nonzero adds
+// x * ⊗_{t>a, t!=n} U_t(i_t, :) to an accumulator of RowSize/R_a
+// entries, each run ends in one rank-one update U_a(i_a, :) ⊗ acc of
+// the row — a compressed format's fiber saving from the order of the one
+// coordinate list. Runs are found by comparing neighbours: an unsorted
+// tensor is exact too, with runs one entry long. A row's bits depend on
+// the order of its list and on nothing else.
 type Flat struct {
 	x     *tensor.COO
 	sym   *symbolic.Structure
 	flops int64
+	runs  []atomic.Int64 // per mode, the runs its last TTMc closed
 	// One call runs at a time, so its parameters (call), the per-worker
 	// scratch and the region closures over them are the kernel's, built
 	// once: a call allocates nothing in steady state.
@@ -121,13 +136,14 @@ type flatCall struct {
 	sm      *symbolic.Mode
 	u       []*dense.Matrix
 	threads int
+	acc     int // the accumulator's length: the row without its leading factor
 }
 
 // NewFlat binds the flat kernel to a coordinate tensor and the symbolic
 // structure whose nonzero ids index it. Both may be mutated in place
 // between calls (the stable-id delta merge does).
 func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
-	k := &Flat{x: x, sym: sym}
+	k := &Flat{x: x, sym: sym, runs: make([]atomic.Int64, x.Order())}
 	k.rowsFn, k.chainsFn = k.rows, k.callChains
 	return k
 }
@@ -138,34 +154,39 @@ func (k *Flat) Rows(n int) []int32 { return k.sym.Modes[n].Rows }
 // TTMc computes the mode-n product for every row of the mode's update
 // lists into y (see TTMc).
 func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
-	sm := &k.sym.Modes[n]
-	k.run(y, sm, u, threads)
-	k.flops += Flops(len(sm.NZ), y.Cols)
+	k.run(y, &k.sym.Modes[n], u, threads)
 }
 
-// run is TTMc over the update lists of sm.
+// leadMode is the mode factored out of mode n's runs: the first one
+// contracted — or n itself on an order-1 tensor, which contracts none,
+// so that a row is one run with the unit factor row.
+func leadMode(order, n int) int {
+	if n > 0 {
+		return 0
+	}
+	return min(1, order-1)
+}
+
+var unitRow = []float64{1}
+
+// run is TTMc over the update lists of sm, counted.
 func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, u []*dense.Matrix, threads int) {
-	if y.Rows != sm.NumRows() || y.Cols != RowSize(u, sm.N) {
+	rowSize := RowSize(u, sm.N)
+	if y.Rows != sm.NumRows() || y.Cols != rowSize {
 		panic("ttm: TTMc output shape mismatch")
 	}
-	order := k.x.Order()
-	// Length of the longest Kronecker prefix (everything except the
-	// last contracted mode).
-	lastMode := order - 1
-	if lastMode == sm.N {
-		lastMode--
-	}
-	prefixLen := 1
-	for t := 0; t < order; t++ {
-		if t != sm.N && t != lastMode {
-			prefixLen *= u[t].Cols
-		}
-	}
 	threads = par.DefaultThreads(threads)
-	k.scratch = growKronScratch(k.scratch, threads, order, prefixLen)
-	k.call = flatCall{y: y, sm: sm, u: u, threads: threads}
+	acc := rowSize // which also bounds the prefixes built on the way to it
+	if a := leadMode(len(u), sm.N); a != sm.N {
+		acc /= u[a].Cols
+	}
+	k.scratch = growKronScratch(k.scratch, threads, len(u), acc)
+	k.call = flatCall{y: y, sm: sm, u: u, threads: threads, acc: acc}
+	k.runs[sm.N].Store(0)
 	runRows(sm.NumRows(), threads, k.chainsFn, k.rowsFn)
 	k.call = flatCall{}
+	// What ran: an accumulator update per nonzero, a row update per run.
+	k.flops += int64(len(sm.NZ))*int64(acc) + k.runs[sm.N].Load()*int64(rowSize)
 }
 
 // callChains is the balanced partition of the running call.
@@ -175,29 +196,73 @@ func (k *Flat) callChains() []int32 { return k.call.sm.Chains(k.call.threads) }
 func (k *Flat) rows(w, lo, hi int) {
 	x, y, sm, u := k.x, k.call.y, k.call.sm, k.call.u
 	sc := &k.scratch[w]
-	order := x.Order()
-	frows := sc.rows[:order-1]
+	order, a, runs := x.Order(), leadMode(x.Order(), sm.N), 0
+	lead, leadRow, acc := x.Idx[a], unitRow, sc.acc[:k.call.acc]
+	frows := sc.rows[:max(order-2, 0)]
 	for r := lo; r < hi; r++ {
 		row := y.Row(r)
-		for i := range row {
-			row[i] = 0
-		}
-		for _, id := range sm.RowNZ(r) {
-			j := 0
-			for t := 0; t < order; t++ {
-				if t == sm.N {
-					continue
+		clear(row)
+		nz := sm.RowNZ(r)
+		for p := 0; p < len(nz); runs++ {
+			i := lead[nz[p]]
+			clear(acc)
+			for ; p < len(nz) && lead[nz[p]] == i; p++ {
+				id, j := nz[p], 0
+				for t := a + 1; t < order; t++ {
+					if t != sm.N {
+						frows[j] = u[t].Row(int(x.Idx[t][id]))
+						j++
+					}
 				}
-				frows[j] = u[t].Row(int(x.Idx[t][id]))
-				j++
+				accumKron(acc, x.Val[id], frows, sc.bufA, sc.bufB)
 			}
-			accumKron(row, x.Val[id], frows, sc.bufA, sc.bufB)
+			if a != sm.N {
+				leadRow = u[a].Row(int(i))
+			}
+			dense.Ger(leadRow, acc, row)
 		}
 	}
+	k.runs[sm.N].Add(int64(runs)) // once a chunk; integers, so any thread count sums the same
 }
 
-// Flops returns the accumulated multiply-add count of all calls so far.
+// Flops returns the accumulated multiply-add count of all calls so far:
+// what the run-factored loop executed, not the nominal Flops.
 func (k *Flat) Flops() int64 { return k.flops }
+
+// RunsPerNZ reports the runs mode n's last TTMc closed per listed
+// nonzero: about 1 on an unsorted input, a fraction on a sorted one.
+func (k *Flat) RunsPerNZ(n int) float64 {
+	return float64(k.runs[n].Load()) / float64(max(len(k.sym.Modes[n].NZ), 1))
+}
+
+// SweepFlops predicts the multiply-adds of one sweep at the given ranks
+// by walking the update lists for their runs, as DTree.SweepFlops does
+// the tree's nodes.
+func (k *Flat) SweepFlops(ranks []int) int64 {
+	var total int64
+	for n := range k.sym.Modes {
+		sm, a := &k.sym.Modes[n], leadMode(len(ranks), n)
+		rowSize, acc, runs := 1, 1, int64(0)
+		for t, r := range ranks {
+			if t != n {
+				rowSize *= r
+			}
+			if t != n && t != a {
+				acc *= r
+			}
+		}
+		for r := range sm.Rows {
+			nz := sm.RowNZ(r)
+			for p, id := range nz {
+				if p == 0 || k.x.Idx[a][id] != k.x.Idx[a][nz[p-1]] {
+					runs++
+				}
+			}
+		}
+		total += int64(len(sm.NZ))*int64(acc) + runs*int64(rowSize)
+	}
+	return total
+}
 
 // Invalidate is a no-op: the flat kernel caches nothing between calls.
 func (k *Flat) Invalidate(int) {}

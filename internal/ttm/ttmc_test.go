@@ -1,6 +1,7 @@
 package ttm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -169,8 +170,9 @@ func TestKronScratchWorkersShareNoCacheLine(t *testing.T) {
 				lines(unsafe.Pointer(unsafe.SliceData(sc[w].rows)), len(sc[w].rows)*int(unsafe.Sizeof(sc[w].rows[0]))),
 				lines(unsafe.Pointer(unsafe.SliceData(sc[w].bufA)), 8*kron),
 				lines(unsafe.Pointer(unsafe.SliceData(sc[w].bufB)), 8*kron),
+				lines(unsafe.Pointer(unsafe.SliceData(sc[w].acc)), 8*kron),
 			})
-			if cap(sc[w].bufA) < kron || cap(sc[w].bufB) < kron || len(sc[w].rows) != 4 {
+			if cap(sc[w].bufA) < kron || cap(sc[w].bufB) < kron || len(sc[w].acc) < kron || len(sc[w].rows) != 4 {
 				t.Fatalf("kron=%d worker %d: scratch too small", kron, w)
 			}
 		}
@@ -184,6 +186,260 @@ func TestKronScratchWorkersShareNoCacheLine(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// cooFrom builds an unsorted tensor from coordinates in the given order.
+func cooFrom(dims []int, coords [][]int, vals []float64) *tensor.COO {
+	x := tensor.NewCOO(dims, len(coords))
+	for i, c := range coords {
+		x.Append(c, vals[i])
+	}
+	return x
+}
+
+// flatSweep runs the resident kernel over every mode and returns the
+// products with the kernel, whose counters then hold one sweep.
+func flatSweep(x *tensor.COO, u []*dense.Matrix, sym *symbolic.Structure, threads int) ([]*dense.Matrix, *Flat) {
+	flat := NewFlat(x, sym)
+	ys := make([]*dense.Matrix, len(u))
+	for n := range u {
+		ys[n] = dense.NewMatrix(sym.Modes[n].NumRows(), RowSize(u, n))
+		flat.TTMc(ys[n], n, u, threads)
+	}
+	return ys, flat
+}
+
+// closeTo holds got to want within tol of the largest entry of want.
+func closeTo(t *testing.T, what string, got, want []float64, tol float64) {
+	t.Helper()
+	scale := 1.0
+	for _, v := range want {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	for i := range want {
+		if d := math.Abs(got[i] - want[i]); !(d <= tol*scale) {
+			t.Fatalf("%s: element %d is %.17g, want %.17g (off by %.3g of %.3g)", what, i, got[i], want[i], d, scale)
+		}
+	}
+}
+
+// The run-factored loop against the un-fused oracle and the dense
+// matricized product, to 1e-12 of the largest entry, in every mode of
+// every shape that moves a run boundary: orders 1 to 5 (order 1
+// contracts nothing, mode 0 leads with mode 1, the last mode contracts
+// everything before it), modes of
+// length one (a row is then a single run), rows of one nonzero, rows
+// whose neighbours never share a leading index, and explicit zeros in
+// the values and in the factor rows, which the rank-one kernel skips.
+// What ran is what SweepFlops predicts from the lists, and the runs it
+// reports are the ones the shape dictates.
+func TestFlatMatchesNaiveAndDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	type shape struct {
+		name        string
+		x           *tensor.COO
+		ranks       []int
+		runsPerNZ   map[int]float64 // mode -> expected, where the shape fixes it
+		zeroFactors bool
+	}
+	random := func(name string, dims, ranks []int, nnz int) shape {
+		x, _, _ := randomSetup(rng, dims, ranks, nnz)
+		return shape{name: name, x: x, ranks: ranks}
+	}
+	diag := cooFrom([]int{5, 5, 5}, [][]int{{0, 0, 0}, {1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {4, 4, 4}}, []float64{1, -2, 3, -4, 5})
+	// Row 0 of mode 0 lists five nonzeros with five leading indices; in
+	// mode 1 and mode 2 every row holds one.
+	fan := cooFrom([]int{2, 5, 5}, [][]int{{0, 0, 0}, {0, 1, 1}, {0, 2, 2}, {0, 3, 3}, {0, 4, 4}}, []float64{1, 2, 3, 4, 5})
+	zeros := random("zeros in Val and factor rows", []int{6, 5, 7}, []int{3, 2, 4}, 60)
+	zeros.zeroFactors = true
+	for id := 0; id < zeros.x.NNZ(); id += 3 {
+		zeros.x.Val[id] = 0
+	}
+	for _, sh := range []shape{
+		random("order 1", []int{9}, []int{1}, 6),
+		random("order 2", []int{7, 9}, []int{3, 4}, 25),
+		random("order 3", []int{6, 5, 7}, []int{3, 2, 4}, 60),
+		random("order 4", []int{4, 5, 3, 6}, []int{2, 3, 2, 2}, 80),
+		random("order 5", []int{3, 4, 2, 3, 4}, []int{2, 2, 1, 3, 2}, 90),
+		{name: "leading mode of length 1", x: random("", []int{1, 6, 5}, []int{1, 3, 2}, 20).x, ranks: []int{1, 3, 2}},
+		random("middle mode of length 1", []int{5, 1, 6}, []int{2, 1, 3}, 20),
+		random("last mode of length 1", []int{4, 5, 1}, []int{2, 3, 1}, 15),
+		{name: "one nonzero a row", x: diag, ranks: []int{2, 3, 2}, runsPerNZ: map[int]float64{0: 1, 1: 1, 2: 1}},
+		{name: "no two equal neighbours", x: fan, ranks: []int{2, 3, 2}, runsPerNZ: map[int]float64{0: 1, 1: 1, 2: 1}},
+		zeros,
+	} {
+		x := sh.x
+		sym := symbolic.Build(x, 1)
+		u := make([]*dense.Matrix, x.Order())
+		for m := range u {
+			u[m] = dense.RandomNormal(x.Dims[m], sh.ranks[m], rng)
+			if sh.zeroFactors {
+				u[m].Row(0)[0] = 0
+				clear(u[m].Row(x.Dims[m] - 1))
+			}
+		}
+		ys, flat := flatSweep(x, u, sym, 1)
+		if sh.name == "leading mode of length 1" {
+			// Modes 1 and 2 lead with the one index of mode 0.
+			sh.runsPerNZ = map[int]float64{
+				1: float64(sym.Modes[1].NumRows()) / float64(x.NNZ()),
+				2: float64(sym.Modes[2].NumRows()) / float64(x.NNZ()),
+			}
+		}
+		for n := range u {
+			sm := &sym.Modes[n]
+			naive := dense.NewMatrix(sm.NumRows(), RowSize(u, n))
+			TTMcNaive(naive, x, sm, u, 1)
+			closeTo(t, fmt.Sprintf("%s mode %d vs TTMcNaive", sh.name, n), ys[n].Data, naive.Data, 1e-12)
+			ref := denseTTMcRef(x, n, u)
+			for r, slice := range sm.Rows {
+				closeTo(t, fmt.Sprintf("%s mode %d slice %d vs dense", sh.name, n, slice), ys[n].Row(r), ref.Row(int(slice)), 1e-12)
+			}
+			if want, ok := sh.runsPerNZ[n]; ok && flat.RunsPerNZ(n) != want {
+				t.Errorf("%s mode %d: %v runs per nonzero, want %v", sh.name, n, flat.RunsPerNZ(n), want)
+			}
+		}
+		if got, want := flat.Flops(), flat.SweepFlops(sh.ranks); got != want {
+			t.Errorf("%s: a sweep executed %d madds, SweepFlops predicts %d", sh.name, got, want)
+		}
+	}
+}
+
+// Rows are owner-computed in list order and runs are a function of the
+// list alone, so every thread count gives the same bits and counts the
+// same runs, in every mode of orders 2 to 4.
+func TestFlatThreadInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for _, tc := range []struct{ dims, ranks []int }{
+		{[]int{60, 45}, []int{4, 3}},
+		{[]int{40, 25, 30}, []int{4, 3, 5}},
+		{[]int{12, 20, 9, 15}, []int{2, 3, 2, 4}},
+	} {
+		x, u, sym := randomSetup(rng, tc.dims, tc.ranks, 1500)
+		want, one := flatSweep(x, u, sym, 1)
+		for _, threads := range []int{2, 4, 8} {
+			got, flat := flatSweep(x, u, sym, threads)
+			for n := range want {
+				for i, v := range want[n].Data {
+					if math.Float64bits(got[n].Data[i]) != math.Float64bits(v) {
+						t.Fatalf("dims %v mode %d threads %d: bit difference at %d", tc.dims, n, threads, i)
+					}
+				}
+				if flat.RunsPerNZ(n) != one.RunsPerNZ(n) {
+					t.Fatalf("dims %v mode %d: %v runs per nonzero at %d threads, %v at one", tc.dims, n, flat.RunsPerNZ(n), threads, one.RunsPerNZ(n))
+				}
+			}
+			if flat.Flops() != one.Flops() {
+				t.Fatalf("dims %v: %d madds at %d threads, %d at one", tc.dims, flat.Flops(), threads, one.Flops())
+			}
+		}
+	}
+}
+
+// The same tensor with its nonzeros stored in random order: no
+// sortedness is assumed, so the products agree to rounding with the
+// sorted tensor's, the count is still what ran, and nearly every
+// nonzero is a run of its own where the sorted order shared most.
+func TestFlatShuffledOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	x, u, sym := randomSetup(rng, []int{30, 40, 35}, []int{3, 4, 2}, 6000)
+	coords, vals := make([][]int, x.NNZ()), make([]float64, x.NNZ())
+	for i, id := range rng.Perm(x.NNZ()) {
+		coords[i] = make([]int, x.Order())
+		x.Coord(id, coords[i])
+		vals[i] = x.Val[id]
+	}
+	shuffled := cooFrom(x.Dims, coords, vals)
+	ssym := symbolic.Build(shuffled, 1)
+	ranks := []int{3, 4, 2}
+	for _, threads := range []int{1, 4} {
+		want, sorted := flatSweep(x, u, sym, threads)
+		got, flat := flatSweep(shuffled, u, ssym, threads)
+		for n := range want {
+			closeTo(t, fmt.Sprintf("mode %d at %d threads", n, threads), got[n].Data, want[n].Data, 1e-12)
+			if s, f := sorted.RunsPerNZ(n), flat.RunsPerNZ(n); f < 0.9 || s > 0.5 {
+				t.Errorf("mode %d: %.2f runs per nonzero sorted, %.2f shuffled; want under 0.5 and over 0.9", n, s, f)
+			}
+		}
+		if flat.Flops() != flat.SweepFlops(ranks) || flat.Flops() <= sorted.Flops() {
+			t.Errorf("shuffled sweep executed %d madds, predicted %d, sorted %d", flat.Flops(), flat.SweepFlops(ranks), sorted.Flops())
+		}
+	}
+}
+
+// flatGo is the run-factored loop written out on dense.GerGo: the
+// kernel's definition, and what it must equal bit for bit whichever
+// path dense.Ger dispatches to — so the assembly build and the purego
+// build, which both equal this, equal each other.
+func flatGo(x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix) *dense.Matrix {
+	y := dense.NewMatrix(sm.NumRows(), RowSize(u, sm.N))
+	a := leadMode(x.Order(), sm.N)
+	for r := range sm.Rows {
+		nz := sm.RowNZ(r)
+		for p := 0; p < len(nz); {
+			i := x.Idx[a][nz[p]]
+			acc := make([]float64, y.Cols/u[a].Cols)
+			for ; p < len(nz) && x.Idx[a][nz[p]] == i; p++ {
+				kron, last := []float64{x.Val[nz[p]]}, []float64{1}
+				for t := a + 1; t < x.Order(); t++ {
+					if t == sm.N {
+						continue
+					}
+					next := make([]float64, len(kron)*len(last))
+					dense.GerGo(kron, last, next)
+					kron, last = next, u[t].Row(int(x.Idx[t][nz[p]]))
+				}
+				dense.GerGo(kron, last, acc)
+			}
+			dense.GerGo(u[a].Row(int(i)), acc, y.Row(r))
+		}
+	}
+	return y
+}
+
+func TestFlatMatchesGoLoopsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, tc := range []struct{ dims, ranks []int }{
+		{[]int{50, 40}, []int{10, 7}},
+		{[]int{30, 25, 20}, []int{10, 10, 10}},
+		{[]int{30, 25, 20}, []int{3, 5, 9}},
+		{[]int{10, 12, 9, 8}, []int{5, 5, 5, 5}},
+		{[]int{6, 5, 4, 5, 6}, []int{2, 3, 4, 3, 2}},
+	} {
+		x, u, sym := randomSetup(rng, tc.dims, tc.ranks, 1200)
+		got, _ := flatSweep(x, u, sym, 2)
+		for n := range u {
+			for i, v := range flatGo(x, &sym.Modes[n], u).Data {
+				if math.Float64bits(got[n].Data[i]) != math.Float64bits(v) {
+					t.Fatalf("dims %v ranks %v mode %d: element %d is %x on the %s kernels, %x on the Go loops",
+						tc.dims, tc.ranks, n, i, math.Float64bits(got[n].Data[i]), dense.KernelName(), math.Float64bits(v))
+				}
+			}
+		}
+	}
+}
+
+// On the four presets the prediction from the lists is, to the
+// multiply-add, what a sweep executes, and never above the nominal
+// nnz x row size that Flops and SweepFlops keep reporting.
+func TestFlatSweepFlopsMatchesMeasured(t *testing.T) {
+	for _, name := range gen.PresetNames() {
+		cfg, err := gen.Preset(name, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := gen.Random(cfg)
+		ranks := gen.PaperRanks(x.Order())
+		u := make([]*dense.Matrix, x.Order())
+		for m := range u {
+			ranks[m] = min(ranks[m], x.Dims[m])
+			u[m] = dense.RandomNormal(x.Dims[m], ranks[m], rand.New(rand.NewSource(int64(m))))
+		}
+		_, flat := flatSweep(x, u, symbolic.Build(x, 1), 2)
+		if got, want := flat.Flops(), flat.SweepFlops(ranks); got != want || got >= SweepFlops(x.NNZ(), u) {
+			t.Errorf("%s: a sweep executed %d madds, SweepFlops predicts %d, nominal %d", name, got, want, SweepFlops(x.NNZ(), u))
 		}
 	}
 }
