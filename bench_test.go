@@ -227,6 +227,46 @@ func BenchmarkKernelGer(b *testing.B) {
 	}
 }
 
+// The two block passes of the Gram TRSVD at the shapes the order-3 and
+// order-4 presets give them: rows that stay in L2 (2048) and a nell-2
+// mode's worth (41655), Y_(n) rows of 25 and 100. The thread count is
+// GOMAXPROCS: go test -run '^$' -bench 'KernelSyrk|KernelGemmNarrow' -cpu 1,2 .
+func BenchmarkKernelSyrk(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, rows := range []int{2048, 41655} {
+		for _, cols := range []int{25, 100} {
+			a := dense.RandomNormal(rows, cols, rng)
+			g := dense.NewMatrix(cols, cols)
+			var work []float64
+			b.Run(fmt.Sprintf("%s/%dx%d", dense.KernelName(), rows, cols), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					work = dense.SyrkInto(g, a, work, 0)
+				}
+				reportGmadds(b, rows*cols*(cols+1)/2)
+			})
+		}
+	}
+}
+
+// BenchmarkKernelGemmNarrow is U = Y·V: the Gram solver's second pass at
+// ranks 10 (100 -> 10) and the order-4 shape (125 -> 5).
+func BenchmarkKernelGemmNarrow(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, rows := range []int{2048, 41655} {
+		for _, s := range [][2]int{{100, 10}, {125, 5}} {
+			y := dense.RandomNormal(rows, s[0], rng)
+			v := dense.RandomNormal(s[0], s[1], rng)
+			u := dense.NewMatrix(rows, s[1])
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", dense.KernelName(), rows, s[0], s[1]), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					dense.MatMulInto(u, y, v, 0)
+				}
+				reportGmadds(b, rows*s[0]*s[1])
+			})
+		}
+	}
+}
+
 // BenchmarkTTMcFlat times the run-factored flat kernel on the two
 // order-3 presets, per mode, in storage order and with the same nonzeros
 // shuffled (every run one entry long: what an unsorted .tns gets), in ns

@@ -312,6 +312,7 @@ func epsReference(t *testing.T, x *tensor.COO, opts Options) (fits []float64, fa
 			if rank != state.Factors[n].Cols {
 				state.Factors[n] = dense.NewMatrix(x.Dims[n], rank)
 			}
+			state.Factors[n].Zero()
 			scatterRows(state.Factors[n], uc, sm.Rows)
 		}
 		last := order - 1

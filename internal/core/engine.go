@@ -64,6 +64,8 @@ type Engine struct {
 	// ranksBuf backs currentRanks, keeping the per-sweep core formation
 	// allocation-free.
 	ranksBuf []int
+	// scattered[n] is the mode-n factor matrix scatter has zeroed.
+	scattered []*dense.Matrix
 
 	symTime, initTime time.Duration
 	res               *Result
@@ -143,6 +145,7 @@ func NewEngine(p *Plan) *Engine {
 	e.state.PowerIters = e.opts.PowerIters
 	<-built
 	e.ys = make([]dense.Matrix, e.order)
+	e.scattered = make([]*dense.Matrix, e.order)
 	e.sizeYs()
 	return e
 }
@@ -273,6 +276,22 @@ func (e *Engine) warmVec(n int, rows []int32) []float64 {
 	return w
 }
 
+// scatter writes mode n's compact TRSVD result into the factor matrix,
+// every row outside the list zero. An engine's list only grows (Update
+// inserts slices and removes none; a distributed rank's owned rows are
+// fixed and Expand overwrites what it receives), so a factor matrix is
+// zeroed the first time this engine scatters into it and only copied into
+// afterwards — a tall mode's factor is tens of megabytes. A matrix that
+// replaces it (adaptive-rank resize, restored factors) is zeroed again.
+func (e *Engine) scatter(n int, compact *dense.Matrix, rows []int32) {
+	full := e.state.Factors[n]
+	if e.scattered[n] != full {
+		full.Zero()
+		e.scattered[n] = full
+	}
+	scatterRows(full, compact, rows)
+}
+
 // converge is the one HOOI sweep loop: Algorithm 3 in shared memory,
 // and — through the plan's Exchange — Algorithm 4 on every rank of a
 // distributed world. It runs ALS sweeps until the fit stalls or
@@ -387,7 +406,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 				}
 				uc = sres.U
 			}
-			scatterRows(e.state.Factors[n], uc, rows)
+			e.scatter(n, uc, rows)
 			e.ex.Expand(n, e.state.Factors[n])
 			res.Timings.TRSVD += time.Since(t0)
 		}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hypertensor/internal/dense"
 	"hypertensor/internal/gen"
 	"hypertensor/internal/tensor"
 	"hypertensor/internal/ttm"
@@ -387,4 +388,81 @@ func TestEngineHoldsOneTreeAcrossUpdates(t *testing.T) {
 		t.Fatalf("the engine grew from %d B to %d B over seven updates; one resident tree is %d B", first, last, tree)
 	}
 	runtime.KeepAlive(eng)
+}
+
+// emptyRowsAreZero fails unless every row of every factor whose slice
+// holds no nonzero is exactly zero, and reports how many such rows it saw.
+func emptyRowsAreZero(t *testing.T, label string, e *Engine) (empty int) {
+	t.Helper()
+	for n, u := range e.Factors() {
+		solved := make(map[int32]bool)
+		for _, row := range e.kern.Rows(n) {
+			solved[row] = true
+		}
+		for i := 0; i < u.Rows; i++ {
+			if solved[int32(i)] {
+				continue
+			}
+			empty++
+			for j, v := range u.Row(i) {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("%s: mode %d row %d holds no nonzero, yet U(%d,%d) = %v", label, n, i, i, j, v)
+				}
+			}
+		}
+	}
+	return empty
+}
+
+// The scatter zeroes a factor matrix the first time the engine writes
+// into it and only copies the solved rows afterwards. A warm start whose
+// Initial factors are nonzero in the rows of empty slices must still end
+// with those rows zero; an Update that fills some of those slices must
+// write their rows, keep the rest zero, and equal the cold rebuild (whose
+// factors are fresh clones, zeroed again) bit for bit.
+func TestScatterZeroesOncePerFactorMatrix(t *testing.T) {
+	x := gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 90, Skew: 0.5, Seed: 5})
+	ranks := []int{3, 3, 3}
+	for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
+		opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2, TTMc: strat}
+		opts.Initial = InitialFactors(x, opts, ranks) // dense random columns: no zero row
+		p, err := NewPlan(x, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(p)
+		if _, err := e.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		before := emptyRowsAreZero(t, "after the warm start", e)
+		if before == 0 {
+			t.Fatal("the tensor has no empty slice: the test needs some")
+		}
+		// One new nonzero per mode, in that mode's first empty slice and
+		// in a nonempty slice of every other mode (so its Y row is not
+		// a product with a zeroed factor row).
+		filled := make([]int, x.Order())
+		delta := tensor.NewCOO(x.Dims, x.Order())
+		for n := range filled {
+			coord := make([]int, x.Order())
+			for m := range coord {
+				coord[m] = int(e.kern.Rows(m)[0])
+			}
+			solved := e.kern.Rows(n)
+			for filled[n] < len(solved) && int(solved[filled[n]]) == filled[n] {
+				filled[n]++
+			}
+			coord[n] = filled[n]
+			delta.Append(coord, 1.5)
+		}
+		updateVsColdRebuild(t, e, x, delta, opts)
+		if after := emptyRowsAreZero(t, "after the update", e); after != before-x.Order() {
+			t.Fatalf("%d empty rows before the update, %d after: %d slices should have filled", before, after, x.Order())
+		}
+		for n, u := range e.Factors() {
+			if dense.Nrm2(u.Row(filled[n])) == 0 {
+				t.Fatalf("mode %d: slice %d became nonempty and its factor row is still zero", n, filled[n])
+			}
+		}
+	}
 }

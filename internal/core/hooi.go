@@ -127,10 +127,10 @@ func Decompose(x *tensor.COO, optsIn Options) (*Result, error) {
 	return NewEngine(p).Run(context.Background())
 }
 
-// scatterRows writes the compact TRSVD result (row r belongs to slice
-// rows[r]) into the full factor matrix, zeroing every other row.
+// scatterRows copies the compact TRSVD result (row r belongs to slice
+// rows[r]) into the full factor matrix and leaves every other row as it
+// is; Engine.scatter has zeroed them.
 func scatterRows(full, compact *dense.Matrix, rows []int32) {
-	full.Zero()
 	for r, row := range rows {
 		copy(full.Row(int(row)), compact.Row(r))
 	}

@@ -298,7 +298,6 @@ func MatMulInto(c, a, b *Matrix, threads int) {
 	if c.Rows != a.Rows || c.Cols != b.Cols {
 		panic("dense: MatMul destination shape mismatch")
 	}
-	c.Zero()
 	if a.Rows*a.Cols*b.Cols < serialCutoff {
 		threads = 1
 	}
@@ -397,10 +396,21 @@ func (m *matMulTARun) Index(blk int) {
 var matMulTARunPool = sync.Pool{New: func() any { return new(matMulTARun) }}
 
 // matMulTABlock accumulates p += A[lo:hi,:]^T * B[lo:hi,:] where p is a
-// row-major a.Cols x b.Cols buffer. Rows are consumed in a four-row
-// register tile; each destination element accumulates in ascending row
-// order, identical to the untiled loop.
+// row-major a.Cols x b.Cols buffer: the AᵀB register tiles over the whole
+// groups of four rows when the build and the CPU have them, the Go loop
+// over the rest — all of it in the portable build.
 func matMulTABlock(p []float64, a, b *Matrix, lo, hi int) {
+	if useAVX2 && a.Cols >= 4 {
+		lo = atbTiles(p, a, b, lo, hi, false)
+	}
+	matMulTABlockGo(p, a, b, lo, hi)
+}
+
+// matMulTABlockGo is the definition the tiles are held to. Rows are
+// consumed four at a time through Axpy4 (no zero skipped), the last
+// (hi-lo)%4 one at a time through the zero-skipping Axpy; each destination
+// element accumulates in ascending row order, identical to the untiled loop.
+func matMulTABlockGo(p []float64, a, b *Matrix, lo, hi int) {
 	bc := b.Cols
 	i := lo
 	for ; i+4 <= hi; i += 4 {
@@ -541,8 +551,18 @@ var syrkRunPool = sync.Pool{New: func() any { return new(syrkRun) }}
 // syrkBlock accumulates the upper triangle of p += A[lo:hi,:]ᵀ·A[lo:hi,:]
 // where p is a row-major n x n buffer: matMulTABlock with both operands
 // A and each destination row started at its diagonal, so an element
-// sees exactly that kernel's operations in that kernel's order.
+// sees exactly that kernel's operations in that kernel's order. A tile
+// that straddles the diagonal also writes below it; SyrkInto mirrors the
+// upper triangle over whatever is there.
 func syrkBlock(p []float64, a *Matrix, lo, hi int) {
+	if useAVX2 && a.Cols >= 4 {
+		lo = atbTiles(p, a, a, lo, hi, true)
+	}
+	syrkBlockGo(p, a, lo, hi)
+}
+
+// syrkBlockGo is syrkBlock's Go loop; it writes nothing below the diagonal.
+func syrkBlockGo(p []float64, a *Matrix, lo, hi int) {
 	n := a.Cols
 	i := lo
 	for ; i+4 <= hi; i += 4 {

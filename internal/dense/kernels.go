@@ -18,8 +18,21 @@ package dense
 // call buys nothing. The Go loops are the portable build and the oracle
 // of the differential tests (TestKernelsBitwise, FuzzKernelsBitwise).
 //
+// Two register tiles sit in front of the Axpy4 loops of the Gram TRSVD's
+// block passes (tile.go): a 4x8 AᵀB tile under SyrkInto and MatMulTAInto,
+// a four-row tile under MatMulInto when B has at most twelve columns. They
+// keep their destination in YMM registers and give each element the
+// operations of the Axpy4 calls they replace, in order, still unfused: the
+// Go loops remain the definition (TestTilesBitwise). Unfused is enough —
+// those loops were bound by call overhead, one add chain and reloading the
+// destination, not by the arithmetic ports (FMA in Axpy4/Ger measured flat).
+//
 // The dot family (Dot, dot2, gemvRows) stays in Go: a single-chain sum
-// cannot be vectorised without re-associating it, which moves bits.
+// cannot be vectorised along a row without re-associating it, which moves
+// bits. Rows on lanes would keep them and was not taken: Gemv on
+// delicious4's 13 MB Y already moves 14-19 GB/s on two threads against a
+// 13-23 GB/s stream, and an eight-row scalar dot8 measured no faster than
+// dot2.
 
 // KernelName names the axpy-family path this process runs: "avx2" or
 // "go".

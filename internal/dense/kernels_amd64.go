@@ -23,7 +23,8 @@ func detectAVX2() bool {
 }
 
 // The kernels take bare pointers and counts: the wrappers in kernels.go
-// and blas.go have checked every length, and n >= 4 (gerAVX2: m >= 1).
+// and blas.go have checked every length, and n >= 4 (gerAVX2: m >= 1);
+// the tile drivers in tile.go pass whole tiles and rows, k >= 1.
 
 //go:noescape
 func axpy4AVX2(a0, a1, a2, a3 float64, x *float64, stride int, y *float64, n int)
@@ -33,6 +34,15 @@ func gerAVX2(c *float64, m int, x *float64, n int, y *float64)
 
 //go:noescape
 func axpyAVX2(alpha float64, x, y *float64, n int)
+
+//go:noescape
+func atb4x8AVX2(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int)
+
+//go:noescape
+func atb4x4AVX2(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask *int64)
+
+//go:noescape
+func gemm4x12AVX2(a *float64, lda int, b *float64, k int, c *float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -221,6 +221,177 @@ axpydone:
 	VZEROUPPER
 	RET
 
+// ATBROW is one destination row of the AᵀB tile for one operand row:
+// broadcast a[r][j], multiply b[r][k:k+8] (Y8, Y9) by it, add to p[j][k:k+8].
+#define ATBROW(off, bc, t0, t1, acc0, acc1) \
+	VBROADCASTSD off(SI), bc; \
+	VMULPD       Y8, bc, t0; \
+	VMULPD       Y9, bc, t1; \
+	VADDPD       t0, acc0, acc0; \
+	VADDPD       t1, acc1, acc1
+
+// func atb4x8AVX2(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int)
+// The AᵀB register tile: p[j][k] += a[r][j]*b[r][k] for r = 0..rows-1 in
+// that order, j < 4, k < 8, with a[r] = a + r*lda elements (likewise b, p).
+// The eight accumulators are loaded from p and stored back, and every row
+// adds its product to each of them with one VMULPD and one VADDPD: per
+// element, the operations of rows/4 Axpy4 calls in their order. rows >= 1.
+TEXT ·atb4x8AVX2(SB), NOSPLIT, $0-56
+	MOVQ    a+0(FP), SI
+	MOVQ    lda+8(FP), R8
+	MOVQ    b+16(FP), DI
+	MOVQ    ldb+24(FP), R9
+	MOVQ    p+32(FP), DX
+	MOVQ    ldp+40(FP), R10
+	MOVQ    rows+48(FP), CX
+	SHLQ    $3, R8
+	SHLQ    $3, R9
+	LEAQ    (DX)(R10*8), R11
+	LEAQ    (R11)(R10*8), R12
+	LEAQ    (R12)(R10*8), R13
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD (R11), Y2
+	VMOVUPD 32(R11), Y3
+	VMOVUPD (R12), Y4
+	VMOVUPD 32(R12), Y5
+	VMOVUPD (R13), Y6
+	VMOVUPD 32(R13), Y7
+
+atbwiderow:
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	ATBROW(0, Y10, Y11, Y12, Y0, Y1)
+	ATBROW(8, Y13, Y14, Y15, Y2, Y3)
+	ATBROW(16, Y10, Y11, Y12, Y4, Y5)
+	ATBROW(24, Y13, Y14, Y15, Y6, Y7)
+	ADDQ    R8, SI
+	ADDQ    R9, DI
+	DECQ    CX
+	JNZ     atbwiderow
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, (R11)
+	VMOVUPD Y3, 32(R11)
+	VMOVUPD Y4, (R12)
+	VMOVUPD Y5, 32(R12)
+	VMOVUPD Y6, (R13)
+	VMOVUPD Y7, 32(R13)
+	VZEROUPPER
+	RET
+
+#define ATBHALF(off, bc, t, acc) \
+	VBROADCASTSD off(SI), bc; \
+	VMULPD       Y8, bc, t; \
+	VADDPD       t, acc, acc
+
+// func atb4x4AVX2(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask *int64)
+// atb4x8AVX2 on the last one to four columns of b and p: mask holds four
+// lanes, all ones for a column that exists and zero past it. Loads of a
+// masked-out lane give +0 and touch no memory, stores leave it alone, and
+// what the lane computes in between is dropped.
+TEXT ·atb4x4AVX2(SB), NOSPLIT, $0-64
+	MOVQ         a+0(FP), SI
+	MOVQ         lda+8(FP), R8
+	MOVQ         b+16(FP), DI
+	MOVQ         ldb+24(FP), R9
+	MOVQ         p+32(FP), DX
+	MOVQ         ldp+40(FP), R10
+	MOVQ         rows+48(FP), CX
+	MOVQ         mask+56(FP), AX
+	VMOVDQU      (AX), Y15
+	SHLQ         $3, R8
+	SHLQ         $3, R9
+	LEAQ         (DX)(R10*8), R11
+	LEAQ         (R11)(R10*8), R12
+	LEAQ         (R12)(R10*8), R13
+	VMASKMOVPD   (DX), Y15, Y0
+	VMASKMOVPD   (R11), Y15, Y1
+	VMASKMOVPD   (R12), Y15, Y2
+	VMASKMOVPD   (R13), Y15, Y3
+
+atbhalfrow:
+	VMASKMOVPD   (DI), Y15, Y8
+	ATBHALF(0, Y9, Y10, Y0)
+	ATBHALF(8, Y11, Y12, Y1)
+	ATBHALF(16, Y9, Y10, Y2)
+	ATBHALF(24, Y11, Y12, Y3)
+	ADDQ         R8, SI
+	ADDQ         R9, DI
+	DECQ         CX
+	JNZ          atbhalfrow
+	VMASKMOVPD   Y0, Y15, (DX)
+	VMASKMOVPD   Y1, Y15, (R11)
+	VMASKMOVPD   Y2, Y15, (R12)
+	VMASKMOVPD   Y3, Y15, (R13)
+	VZEROUPPER
+	RET
+
+// GEMMROW is one row of the narrow-GEMM tile for one term: broadcast
+// a[i][k], multiply the three vectors of b[k] by it, add to c[i].
+#define GEMMROW(arow, acc0, acc1, acc2) \
+	VBROADCASTSD (arow)(AX*8), Y12; \
+	VMULPD       (DI), Y12, Y13; \
+	VMULPD       32(DI), Y12, Y14; \
+	VMULPD       64(DI), Y12, Y15; \
+	VADDPD       Y13, acc0, acc0; \
+	VADDPD       Y14, acc1, acc1; \
+	VADDPD       Y15, acc2, acc2
+
+// func gemm4x12AVX2(a *float64, lda int, b *float64, k int, c *float64)
+// The narrow-GEMM register tile: c[i][j] = ((+0 + a[i][0]*b[0][j]) +
+// a[i][1]*b[1][j]) + ... over k terms in that order, i < 4, j < 12, with
+// a[i] = a + i*lda elements, b a packed k x 12 panel and c 4 x 12
+// contiguous. The twelve accumulators start at +0, as a zeroed C row does,
+// and take one VMULPD and one VADDPD per term: per element, the operations
+// of k/4 Axpy4 calls on a zeroed row in their order. k >= 1.
+TEXT ·gemm4x12AVX2(SB), NOSPLIT, $0-40
+	MOVQ    a+0(FP), SI
+	MOVQ    lda+8(FP), BX
+	MOVQ    b+16(FP), DI
+	MOVQ    k+24(FP), CX
+	MOVQ    c+32(FP), DX
+	LEAQ    (SI)(BX*8), R8
+	LEAQ    (R8)(BX*8), R9
+	LEAQ    (R9)(BX*8), R10
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	VXORPD  Y4, Y4, Y4
+	VXORPD  Y5, Y5, Y5
+	VXORPD  Y6, Y6, Y6
+	VXORPD  Y7, Y7, Y7
+	VXORPD  Y8, Y8, Y8
+	VXORPD  Y9, Y9, Y9
+	VXORPD  Y10, Y10, Y10
+	VXORPD  Y11, Y11, Y11
+	XORQ    AX, AX
+
+gemmterm:
+	GEMMROW(SI, Y0, Y1, Y2)
+	GEMMROW(R8, Y3, Y4, Y5)
+	GEMMROW(R9, Y6, Y7, Y8)
+	GEMMROW(R10, Y9, Y10, Y11)
+	ADDQ    $96, DI
+	INCQ    AX
+	CMPQ    AX, CX
+	JLT     gemmterm
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VMOVUPD Y8, 256(DX)
+	VMOVUPD Y9, 288(DX)
+	VMOVUPD Y10, 320(DX)
+	VMOVUPD Y11, 352(DX)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -18,3 +18,15 @@ func gerAVX2(c *float64, m int, x *float64, n int, y *float64) {
 func axpyAVX2(alpha float64, x, y *float64, n int) {
 	panic("dense: no assembly kernels in this build")
 }
+
+func atb4x8AVX2(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int) {
+	panic("dense: no assembly kernels in this build")
+}
+
+func atb4x4AVX2(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask *int64) {
+	panic("dense: no assembly kernels in this build")
+}
+
+func gemm4x12AVX2(a *float64, lda int, b *float64, k int, c *float64) {
+	panic("dense: no assembly kernels in this build")
+}

@@ -1,6 +1,8 @@
 package dense
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -50,11 +52,31 @@ func twin(backing []float64, n, off int) (backing2, v2 []float64) {
 
 func compareBacking(t *testing.T, kernel string, got, want []float64, n, m, off int) {
 	t.Helper()
+	compareGuarded(t, fmt.Sprintf("%s n=%d m=%d off=%d", kernel, n, m, off), got, want, kernelGuard+off)
+}
+
+// compareGuarded holds two guarded arrays, canaries included, to the same
+// bits; the data starts at element start.
+func compareGuarded(t *testing.T, label string, got, want []float64, start int) {
+	t.Helper()
 	for i := range want {
 		if !sameFloat(got[i], want[i]) {
-			t.Fatalf("%s n=%d m=%d off=%d: element %d of the guarded array (y starts at %d) is %x on the dispatched path (%s), %x on the Go loop",
-				kernel, n, m, off, i, kernelGuard+off, math.Float64bits(got[i]), KernelName(), math.Float64bits(want[i]))
+			t.Fatalf("%s: element %d of the guarded array (the data starts at %d) is %x on the dispatched path (%s), %x on the Go loop",
+				label, i, start, math.Float64bits(got[i]), KernelName(), math.Float64bits(want[i]))
 		}
+	}
+}
+
+// saltedSource draws normal values with one in four replaced by a zero
+// of either sign, an infinity, a NaN, a denormal or MaxFloat64.
+func saltedSource(rng *rand.Rand) func() float64 {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0xfff8000000000000), 5e-324, -2.5e-310, math.MaxFloat64}
+	return func() float64 {
+		if rng.Intn(4) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64()
 	}
 }
 
@@ -103,6 +125,201 @@ func kernelCase(t *testing.T, n, m, off int, next func() float64) {
 	compareBacking(t, "Ger", gb, gb2, n, m, off)
 }
 
+// guardedMatrix is guarded as a rows x cols matrix.
+func guardedMatrix(rows, cols int, next func() float64) (backing []float64, m *Matrix) {
+	backing, data := guarded(rows*cols, 1, next)
+	return backing, &Matrix{Rows: rows, Cols: cols, Data: data}
+}
+
+// twinMatrix clones a guardedMatrix.
+func twinMatrix(backing []float64, m *Matrix) (backing2 []float64, m2 *Matrix) {
+	backing2, data := twin(backing, len(m.Data), 1)
+	return backing2, &Matrix{Rows: m.Rows, Cols: m.Cols, Data: data}
+}
+
+// rowRanges are the [lo, hi) ranges a tile case runs on: the whole
+// matrix, and a range that starts and ends off every multiple of four.
+func rowRanges(rows int) [][2]int {
+	if rows < 3 {
+		return [][2]int{{0, rows}}
+	}
+	return [][2]int{{0, rows}, {1, rows - 1}}
+}
+
+// atbCase holds the AᵀB tiles to the Go loops on one shape: the block
+// partial p += A[lo:hi]ᵀ·B[lo:hi] of MatMulTAInto for an ac-column A and a
+// bc-column B, and — when the two widths agree — the upper-triangle
+// partial of SyrkInto on A, whose destination holds NaN below the
+// diagonal on entry (the tile may write there, nothing may come out of
+// it). With zeroTail set the rows past the last whole four hold zeros of
+// both signs among infinities: the Axpy loop that takes them skips the
+// zero coefficients, a tile that reached them would turn each into a NaN.
+func atbCase(t *testing.T, rows, ac, bc int, zeroTail bool, next func() float64) {
+	t.Helper()
+	_, a := guardedMatrix(rows, ac, next)
+	_, b := guardedMatrix(rows, bc, next)
+	for _, r := range rowRanges(rows) {
+		lo, hi := r[0], r[1]
+		if zeroTail {
+			for i := lo + (hi-lo)&^3; i < hi; i++ {
+				for j := range a.Row(i) {
+					a.Row(i)[j] = []float64{0, math.Inf(1), math.Copysign(0, -1), math.Inf(-1)}[j&3]
+				}
+				for k := range b.Row(i) {
+					b.Row(i)[k] = math.Inf(1 - 2*(k&1))
+				}
+			}
+		}
+		pb, p := guardedMatrix(ac, bc, next)
+		pb2, p2 := twinMatrix(pb, p)
+		matMulTABlock(p.Data, a, b, lo, hi)
+		matMulTABlockGo(p2.Data, a, b, lo, hi)
+		compareGuarded(t, fmt.Sprintf("matMulTABlock %dx%d rows [%d, %d) of %d", ac, bc, lo, hi, rows), pb, pb2, kernelGuard+1)
+		if ac != bc {
+			continue
+		}
+		sb, sp := guardedMatrix(ac, ac, next)
+		sb2, sp2 := twinMatrix(sb, sp)
+		for j := 0; j < ac; j++ {
+			for k := 0; k < j; k++ {
+				sp.Data[j*ac+k] = math.NaN()
+			}
+		}
+		syrkBlock(sp.Data, a, lo, hi)
+		syrkBlockGo(sp2.Data, a, lo, hi)
+		for j := 0; j < ac; j++ {
+			copy(sp.Row(j)[:j], sp2.Row(j)[:j]) // below the diagonal: unspecified
+		}
+		compareGuarded(t, fmt.Sprintf("syrkBlock %dx%d rows [%d, %d) of %d", ac, ac, lo, hi, rows), sb, sb2, kernelGuard+1)
+	}
+}
+
+// gemmCase holds the narrow-GEMM tile to the Go loop on one shape:
+// C[lo:hi] = A[lo:hi]·B for a rows x kdim A and a kdim x bc B, into a C
+// that holds anything (both overwrite their rows and touch no other).
+func gemmCase(t *testing.T, rows, kdim, bc int, next func() float64) {
+	t.Helper()
+	_, a := guardedMatrix(rows, kdim, next)
+	_, b := guardedMatrix(kdim, bc, next)
+	if kdim%4 != 0 && kdim > 1 && rows > 0 {
+		// A zero against an infinity among the k%4 last terms, which
+		// the zero-skipping Axpy takes on both paths.
+		a.Row(rows - 1)[kdim-1] = 0
+		b.Row(kdim - 1)[0] = math.Inf(1)
+	}
+	for _, r := range rowRanges(rows) {
+		cb, c := guardedMatrix(rows, bc, next)
+		cb2, c2 := twinMatrix(cb, c)
+		matMulRows(c, a, b, r[0], r[1])
+		matMulRowsGo(c2, a, b, r[0], r[1])
+		compareGuarded(t, fmt.Sprintf("matMulRows %dx%dx%d rows [%d, %d)", rows, kdim, bc, r[0], r[1]), cb, cb2, kernelGuard+1)
+	}
+}
+
+// The shapes of TestTilesBitwise: every column count through 20 (below
+// one tile, every masked tail, a tile and a half), then widths that leave
+// 1, 3, 4 and 5 columns past the last whole eight; row counts with every
+// remainder of four, one strip, and several strips with a short last one.
+var (
+	tileCols = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 33, 67, 100, 125}
+	tileRows = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 130, 701}
+)
+
+// TestTilesBitwise: the Go loops are the definition of SYRK, AᵀB and the
+// narrow GEMM, and the register tiles equal them bit for bit — on finite
+// data and on data salted with zeros of both signs, infinities, NaNs and
+// denormals. Under -tags purego both sides are the Go loops.
+func TestTilesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	finite := rng.NormFloat64
+	salted := saltedSource(rng)
+	for _, rows := range tileRows {
+		for _, cols := range tileCols {
+			if rows > 200 && cols < 100 && cols > 20 {
+				continue // the long shapes at the Gram solver's widths only
+			}
+			atbCase(t, rows, cols, cols, false, finite)
+			atbCase(t, rows, cols, cols, true, salted)
+			atbCase(t, rows, cols, 10, true, finite) // a tall operand against a factor, both ways round
+			atbCase(t, rows, 10, cols, false, salted)
+			for bc := 1; bc <= gemmNarrow+1; bc++ {
+				if rows > 200 && bc != 5 && bc != 10 {
+					continue
+				}
+				gemmCase(t, rows, cols, bc, finite)
+				gemmCase(t, rows, cols, bc, salted)
+			}
+		}
+	}
+}
+
+// The tiles under the three entry points keep the thread-count contract:
+// the same bits at every T, at shapes where every tile kind runs (eights,
+// a masked tail, Axpy4 rows, strips, a backed-up last GEMM call).
+func TestTilesBitwiseInvariantAcrossThreads(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	a := RandomNormal(1301, 102, rng)
+	f := RandomNormal(1301, 10, rng)
+	v := RandomNormal(102, 10, rng)
+	var refSyrk, refTA, refMM []byte
+	var work []float64
+	for _, threads := range []int{1, 2, 4, 8} {
+		g := NewMatrix(102, 102)
+		work = SyrkInto(g, a, work, threads)
+		ta := NewMatrix(10, 102)
+		MatMulTAInto(ta, f, a, threads)
+		mm := NewMatrix(1301, 10)
+		MatMulInto(mm, a, v, threads)
+		if threads == 1 {
+			refSyrk, refTA, refMM = bits(g.Data), bits(ta.Data), bits(mm.Data)
+			continue
+		}
+		if !bytes.Equal(bits(g.Data), refSyrk) {
+			t.Fatalf("SyrkInto not bitwise invariant at %d threads", threads)
+		}
+		if !bytes.Equal(bits(ta.Data), refTA) {
+			t.Fatalf("MatMulTAInto not bitwise invariant at %d threads", threads)
+		}
+		if !bytes.Equal(bits(mm.Data), refMM) {
+			t.Fatalf("MatMulInto not bitwise invariant at %d threads", threads)
+		}
+	}
+}
+
+// SyrkInto's result is exactly symmetric and does not depend on what the
+// partial buffer it is handed held: the tiles that straddle the diagonal
+// write below it, and only the mirror of the upper triangle may come out.
+func TestSyrkSymmetricWhateverTheWorkBufferHeld(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, shape := range [][2]int{{40, 12}, {701, 20}, {2051, 100}} {
+		a := RandomNormal(shape[0], shape[1], rng)
+		n := a.Cols
+		for _, threads := range []int{1, 2} {
+			ref := NewMatrix(n, n)
+			SyrkInto(ref, a, nil, threads)
+			work := make([]float64, 40*n*n)
+			for i := range work {
+				work[i] = math.NaN()
+			}
+			g := NewMatrix(n, n)
+			for i := range g.Data {
+				g.Data[i] = math.Inf(1)
+			}
+			SyrkInto(g, a, work, threads)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if math.Float64bits(g.At(i, j)) != math.Float64bits(g.At(j, i)) {
+						t.Fatalf("%dx%d threads=%d: G(%d,%d) = %v but G(%d,%d) = %v", shape[0], n, threads, i, j, g.At(i, j), j, i, g.At(j, i))
+					}
+					if math.Float64bits(g.At(i, j)) != math.Float64bits(ref.At(i, j)) {
+						t.Fatalf("%dx%d threads=%d: G(%d,%d) = %v with a dirty work buffer, %v with a fresh one", shape[0], n, threads, i, j, g.At(i, j), ref.At(i, j))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelsBitwise: every length from 0 through 67 (below one vector,
 // every tail after whole vectors, past the widest unrolling), slices at
 // even and odd element offsets, finite data and data salted with zeros
@@ -110,14 +327,7 @@ func kernelCase(t *testing.T, n, m, off int, next func() float64) {
 func TestKernelsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	finite := rng.NormFloat64
-	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-		math.Float64frombits(0xfff8000000000000), 5e-324, -2.5e-310, math.MaxFloat64}
-	salted := func() float64 {
-		if rng.Intn(4) == 0 {
-			return specials[rng.Intn(len(specials))]
-		}
-		return rng.NormFloat64()
-	}
+	salted := saltedSource(rng)
 	for n := 0; n <= 67; n++ {
 		for _, off := range []int{0, 1, 3} {
 			for _, m := range []int{0, 1, 2, 5} {
@@ -162,6 +372,26 @@ func TestKernelZeroSkipRules(t *testing.T) {
 	}
 }
 
+// A zeroed C row is +0, and +0 plus a product that is -0 is +0: a tile
+// that started its accumulators from the first product instead would
+// hand back -0 here.
+func TestNarrowGemmStartsFromPlusZero(t *testing.T) {
+	a, b := NewMatrix(8, 8), NewMatrix(8, 5)
+	for i := range b.Data {
+		b.Data[i] = -1
+	}
+	c, want := NewMatrix(8, 5), NewMatrix(8, 5)
+	c.Data[3], want.Data[3] = 7, 7 // overwritten, not added to
+	matMulRows(c, a, b, 0, 8)
+	matMulRowsGo(want, a, b, 0, 8)
+	for i, v := range c.Data {
+		if math.Float64bits(v) != 0 || math.Float64bits(want.Data[i]) != 0 {
+			t.Fatalf("C[%d] = %x on the dispatched path (%s), %x on the Go loop, want +0 on both",
+				i, math.Float64bits(v), KernelName(), math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
 // The wrappers keep the Go loops' length rules: the assembly has no
 // bounds checks of its own.
 func TestKernelWrappersPanicOnBadLengths(t *testing.T) {
@@ -191,16 +421,23 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	x := make([]float64, 40)
 	y := make([]float64, 40)
 	c := []float64{1, 2, 3, 4}
+	a, b, u := NewMatrix(50, 13), NewMatrix(13, 10), NewMatrix(50, 10)
+	p := make([]float64, 13*13)
+	matMulRows(u, a, b, 0, 50) // warms the pack panel's pool entry
 	if n := testing.AllocsPerRun(100, func() {
 		Axpy4(1, 2, 3, 4, x, 0, y)
 		AxpyUnrolled(2, x, y)
 		Ger(c, x[:10], y)
+		syrkBlock(p, a, 0, 50)
+		matMulTABlock(p[:130], a, u, 0, 50)
+		matMulRows(u, a, b, 0, 50)
 	}); n != 0 {
 		t.Fatalf("%v allocations per run, want 0", n)
 	}
 }
 
-// FuzzKernelsBitwise drives kernelCase from fuzzed shapes and values:
+// FuzzKernelsBitwise drives kernelCase and the tile cases from fuzzed
+// shapes and values:
 // each value is a selector byte (zeros, infinities, NaN, a denormal, raw
 // bits, or a small dyadic number) and its payload, read round and round
 // the input.
@@ -239,5 +476,11 @@ func FuzzKernelsBitwise(f *testing.F) {
 			}
 		}
 		kernelCase(t, int(n%68), int(m%12), int(off%4), next)
+		// The same three bytes shape the tiles: up to 67 rows, operand
+		// widths through 21 and 14, the tail rows zeroed on odd off.
+		rows, ac, bc := int(n%68), 1+int(m%21), 1+int(off%14)
+		atbCase(t, rows, ac, bc, off&1 == 1, next)
+		atbCase(t, rows, ac, ac, off&1 == 1, next)
+		gemmCase(t, rows, ac, bc, next)
 	})
 }

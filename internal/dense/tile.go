@@ -11,7 +11,11 @@ import "sync"
 //     transposed products, Dot's single-chain association for the row
 //     dots) regardless of tile or thread boundaries. Tiling changes
 //     instruction scheduling, never values, so the HOOI fit trajectory
-//     stays bitwise identical for every thread count and schedule.
+//     stays bitwise identical for every thread count and schedule. The
+//     assembly tiles (atbTiles, matMulRowsNarrow) are held to it by the
+//     Go loops they stand in front of: per term a multiply then an add,
+//     from the Go loop's starting value, and the zero-skipping Axpy only
+//     where the Go loop has it (past the last whole four).
 //  2. No steady-state allocation: reduction partials and packing
 //     buffers come from a sync.Pool, whose per-P caches effectively pin
 //     a warm buffer to each worker between calls.
@@ -35,6 +39,61 @@ func dot2(x0, x1, y []float64) (float64, float64) {
 	return sa, sb
 }
 
+// tileStripBytes is how much of the operands one pass of the AᵀB tiles
+// walks, so that every tile of the destination re-reads it from L1. A
+// constant of the code (SYRK at C = 100 measured flat from 24 to 64 KiB on
+// a 48 KiB L1d); no result depends on it.
+const tileStripBytes = 32 << 10
+
+// laneMask[4-w:] is the atb4x4AVX2 mask of a tile w columns wide.
+var laneMask = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
+
+// atbTiles is the tiled part of matMulTABlock and, with upper set and
+// b == a, of syrkBlock: p += A[lo:end,:]ᵀ·B[lo:end,:] over the whole groups
+// of four rows, end = lo + (hi-lo)&^3, which it returns for the Go loop to
+// finish from. Within a strip of rows, 4 x 8 tiles cover four rows of p at
+// a time (from column j&^7 when only the upper triangle is wanted), the
+// masked 4 x 4 tile takes the columns past the last whole eight, and the
+// a.Cols%4 last rows of p go through Axpy4 as in the Go loop. Every
+// element, tile or not, takes its rows in ascending order, no zero skipped.
+func atbTiles(p []float64, a, b *Matrix, lo, hi int, upper bool) int {
+	ac, bc := a.Cols, b.Cols
+	rowBytes := 8 * ac
+	if b != a {
+		rowBytes += 8 * bc
+	}
+	step := max(4, tileStripBytes/rowBytes&^3)
+	end := lo + (hi-lo)&^3
+	for r0 := lo; r0 < end; r0 += step {
+		n := min(step, end-r0)
+		ar, br := a.Data[r0*ac:(r0+n)*ac], b.Data[r0*bc:(r0+n)*bc]
+		j := 0
+		for ; j+4 <= ac; j += 4 {
+			k := 0
+			if upper {
+				k = j &^ 7
+			}
+			for ; k+8 <= bc; k += 8 {
+				atb4x8AVX2(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n)
+			}
+			for ; k < bc; k += 4 {
+				atb4x4AVX2(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n, &laneMask[4-min(4, bc-k)])
+			}
+		}
+		for ; j < ac; j++ {
+			k := 0
+			if upper {
+				k = j
+			}
+			for i := 0; i < n; i += 4 {
+				a4 := ar[i*ac+j:]
+				Axpy4(a4[0], a4[ac], a4[2*ac], a4[3*ac], br[i*bc+k:], bc, p[j*bc+k:(j+1)*bc])
+			}
+		}
+	}
+	return end
+}
+
 // GEMM panel geometry: C row segments of gemmJC columns stay resident
 // in L1 across the whole k sweep, and when B is wide enough that its
 // rows are far apart, k-panels of gemmKC rows are packed into a
@@ -45,13 +104,62 @@ const (
 	gemmKC = 64
 )
 
-// matMulRows computes C[lo:hi,:] = A[lo:hi,:] * B for row-major
-// operands, assuming those C rows are already zeroed. The inner kernel
-// is a k-unrolled Axpy4 against a j-panel of B; per element the k order
-// is ascending across panels and within them, so the result matches
-// the naive i-k-j loop bit for bit and never depends on [lo, hi).
+// gemmNarrow is the widest B the narrow-GEMM tile takes: three vectors a
+// row, twelve accumulators for four rows of C.
+const gemmNarrow = 12
+
+// matMulRows computes C[lo:hi,:] = A[lo:hi,:] * B for row-major operands,
+// overwriting those C rows: through the narrow-GEMM tile when B has at
+// most gemmNarrow columns and the build and the CPU have it, matMulRowsGo
+// otherwise (on rows of a hundred Axpy4 already runs at the load/store
+// bound).
 func matMulRows(c, a, b *Matrix, lo, hi int) {
+	if useAVX2 && b.Cols <= gemmNarrow && b.Cols > 0 && a.Cols >= 4 && hi-lo >= 4 {
+		matMulRowsNarrow(c, a, b, lo, hi)
+		return
+	}
+	matMulRowsGo(c, a, b, lo, hi)
+}
+
+// matMulRowsNarrow is matMulRows through gemm4x12AVX2, four rows of C a
+// call, on B's first k&^3 rows zero-padded into a pooled k x 12 panel (the
+// padding columns are computed and dropped). The tile takes those terms
+// in ascending k from +0 without skipping a zero, as Axpy4 gives them to a
+// zeroed row; the k%4 last terms go through the zero-skipping Axpy as in
+// matMulRowsGo. When hi-lo is not a multiple of four the last call backs
+// up over rows already written and writes them the same values again.
+func matMulRowsNarrow(c, a, b *Matrix, lo, hi int) {
+	kdim := a.Cols
+	k4 := kdim &^ 3
+	sc := getScratch((k4 + 4) * gemmNarrow)
+	panel, out := sc.data[:k4*gemmNarrow], sc.data[k4*gemmNarrow:]
+	for k := 0; k < k4; k++ {
+		row := panel[k*gemmNarrow : (k+1)*gemmNarrow]
+		clear(row[copy(row, b.Row(k)):])
+	}
+	for i := lo; i < hi; i += 4 {
+		i = min(i, hi-4)
+		gemm4x12AVX2(&a.Data[i*kdim], kdim, &panel[0], k4, &out[0])
+		for r := 0; r < 4; r++ {
+			arow, crow := a.Row(i+r), c.Row(i+r)
+			copy(crow, out[r*gemmNarrow:])
+			for k := k4; k < kdim; k++ {
+				Axpy(arow[k], b.Row(k), crow)
+			}
+		}
+	}
+	sc.release()
+}
+
+// matMulRowsGo is matMulRows' Go loop, the definition the tile is held
+// to. It zeroes its own C rows (each worker its range, not one serial pass
+// before the region). The inner kernel is a k-unrolled Axpy4 against a
+// j-panel of B; per element the k order is ascending across panels and
+// within them, so the result matches the naive i-k-j loop bit for bit and
+// never depends on [lo, hi).
+func matMulRowsGo(c, a, b *Matrix, lo, hi int) {
 	kdim, bc := a.Cols, b.Cols
+	clear(c.Data[lo*bc : hi*bc])
 	if kdim == 0 || bc == 0 {
 		return
 	}
