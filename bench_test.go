@@ -270,8 +270,11 @@ func BenchmarkKernelGemmNarrow(b *testing.B) {
 // BenchmarkTTMcFlat times the run-factored flat kernel on the two
 // order-3 presets, per mode, in storage order and with the same nonzeros
 // shuffled (every run one entry long: what an unsorted .tns gets), in ns
-// per nonzero beside the runs per nonzero it found — the run effect
-// without the benchmark driver: go test -run '^$' -bench TTMcFlat -cpu 1,2 .
+// per nonzero beside the runs per nonzero it found and the bytes per
+// nonzero of list-order index streams the mode holds (0 where the list is
+// the storage order and the streams alias the tensor) — the run and
+// stream effects without the benchmark driver:
+// go test -run '^$' -bench TTMcFlat -cpu 1,2 .
 func BenchmarkTTMcFlat(b *testing.B) {
 	for _, preset := range []string{"netflix", "nell"} {
 		sorted, err := GeneratePreset(preset, 0.5)
@@ -293,12 +296,16 @@ func BenchmarkTTMcFlat(b *testing.B) {
 			flat := ttm.NewFlat(in.x, sym)
 			for n := range us {
 				y := dense.NewMatrix(sym.Modes[n].NumRows(), ttm.RowSize(us, n))
+				held := sym.StreamBytes()
+				sym.Modes[n].Streams(in.x) // built here, not in the first timed call
+				streamBytes := sym.StreamBytes() - held
 				b.Run(fmt.Sprintf("%s/%s/mode%d", preset, in.order, n), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						flat.TTMc(y, n, us, 0)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in.x.NNZ()), "ns/nnz")
 					b.ReportMetric(flat.RunsPerNZ(n), "runs/nnz")
+					b.ReportMetric(float64(streamBytes)/float64(in.x.NNZ()), "B/nnz")
 				})
 			}
 		}

@@ -273,8 +273,8 @@ func main() {
 	fmt.Printf("timings: read=%v init=%v symbolic=%v ttmc=%v trsvd=%v core=%v (steady-state allocs/sweep %d)\n",
 		readTime, dec.Timings.Init, dec.Timings.Symbolic, dec.Timings.TTMc, dec.Timings.TRSVD, dec.Timings.Core,
 		dec.AllocsPerSweep)
-	fmt.Printf("storage: index=%d B (%.2f B/nnz)\n",
-		dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()))
+	fmt.Printf("storage: index=%d B (%.2f B/nnz) streams=%d B\n",
+		dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()), dec.StreamBytes)
 	// The measured count sits next to what each strategy was predicted
 	// to cost, so a choice of -ttmc auto that the input proves wrong
 	// shows here.

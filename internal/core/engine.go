@@ -96,11 +96,15 @@ type kernel interface {
 
 // newKernel builds the kernel the plan's strategy selects on the
 // engine's current tensor and symbolic structure, with empty caches, on
-// up to threads goroutines.
+// up to threads goroutines. Under flat it warms every mode's index
+// streams (symbolic.Mode.Streams), so that the gather passes are set-up
+// and not part of the first sweep; after an Update's Insert dropped them,
+// the fresh kernel built here makes them again.
 func (e *Engine) newKernel(threads int) kernel {
 	if e.opts.TTMc == TTMcDTree {
 		return ttm.BuildDTree(e.x, threads)
 	}
+	par.For(e.order, threads, 1, func(n int) { e.sym.Modes[n].Streams(e.x) })
 	return ttm.NewFlat(e.x, e.sym)
 }
 
@@ -128,8 +132,9 @@ func NewEngine(p *Plan) *Engine {
 		e.kern = e.newKernel(threads)
 		e.symTime = time.Since(start)
 	}
-	if threads := par.DefaultThreads(e.opts.Threads); e.opts.TTMc == TTMcDTree && threads >= 2 {
-		// The tree's symbolic build only reads the index streams and the
+	if threads := par.DefaultThreads(e.opts.Threads); threads >= 2 {
+		// Either kernel's build (the tree's groupings, the flat kernel's
+		// index streams) only reads the tensor's index arrays and the
 		// initial factors (largely a serial random fill) only the shape
 		// and the seed, so the two run side by side, the build on the
 		// threads the fill leaves idle.
@@ -302,6 +307,9 @@ func (e *Engine) scatter(n int, compact *dense.Matrix, rows []int32) {
 func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	opts := e.opts
 	res := &Result{TTMc: opts.TTMc, SVD: make([]SVDMethod, e.order), IndexBytes: e.x.IndexBytes()}
+	if e.sym != nil {
+		res.StreamBytes = e.sym.StreamBytes()
+	}
 	res.Timings.Symbolic = e.symTime
 	if e.firstRun {
 		res.Timings.Init = e.initTime

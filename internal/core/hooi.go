@@ -60,6 +60,11 @@ type Result struct {
 	// IndexBytes is the tensor's index storage: N x nnz x 4 bytes of
 	// coordinate streams.
 	IndexBytes int64
+	// StreamBytes is what the flat kernel's list-order index copies hold
+	// on top of that (symbolic.Structure.StreamBytes): 4(N-1) bytes per
+	// nonzero for every mode whose update list is not in storage order,
+	// 0 under the tree, which builds none.
+	StreamBytes int64
 	// AllocsPerSweep is the steady-state heap allocation count per ALS
 	// sweep (the first sweep, which grows the workspace arenas, is
 	// excluded). Only measured when Options.MeasureAllocs is set; zero

@@ -26,7 +26,10 @@ import (
 // TTMc madds are what the kernel executed: on order 3 the flat kernel's
 // accumulator update per nonzero plus a row update per run (the nominal
 // nnz x row size of both presets is 2.2-2.5x the figure), on order 4 the
-// tree's.
+// tree's. Stream bytes are the flat kernel's list-order index copies: on
+// a sorted order-3 tensor exactly two modes copy two streams of 4 B a
+// nonzero (16 B x nnz: the storage-order mode aliases the tensor and
+// counts 0, so a change that copies it fails ==); the tree builds none.
 // Allocations per sweep depend on the runtime as well, so they are the
 // least of three runs against a bound two above what was recorded under
 // Lanczos (30/34 on the tree; 25/25 on the flat kernel since its
@@ -43,19 +46,20 @@ func TestRecordedCounts(t *testing.T) {
 		preset          string
 		ttmcMadds       int64 // per sweep
 		indexBytes      int64
+		streamBytes     int64 // flat only: 2 non-storage-order modes x 2 streams x 4 B x nnz
 		randomizedMadds int64 // TRSVD, whole run
 		snapshotBytes   int
 		allocsBound     int64 // per sweep at one thread
 		auto            string
 		lanczos, dflt   solverCounts
 	}{
-		{"netflix", 4469116, 460632, 51060480, 166084, 27, "[gram gram gram]",
+		{"netflix", 4469116, 460632, 614176, 51060480, 166084, 27, "[gram gram gram]",
 			solverCounts{20831360, 332, 0, 2, 13711512}, solverCounts{23944080, 18, 0, 2, 13711512}},
-		{"nell", 3716400, 374400, 116251200, 1260372, 27, "[gram gram gram]",
+		{"nell", 3716400, 374400, 499200, 116251200, 1260372, 27, "[gram gram gram]",
 			solverCounts{49085600, 412, 0, 2, 10391260}, solverCounts{65122200, 18, 0, 2, 10391260}},
-		{"delicious", 6922300, 896016, 177053500, 3250268, 32, "[lanczos lanczos lanczos lanczos]",
+		{"delicious", 6922300, 896016, 0, 177053500, 3250268, 32, "[lanczos lanczos lanczos lanczos]",
 			solverCounts{59142500, 356, 0, 2, 14029400}, solverCounts{59142500, 356, 0, 2, 14029400}},
-		{"flickr", 5290500, 716800, 112560500, 4821428, 36, "[lanczos lanczos lanczos lanczos]",
+		{"flickr", 5290500, 716800, 0, 112560500, 4821428, 36, "[lanczos lanczos lanczos lanczos]",
 			solverCounts{44326250, 380, 0, 2, 10728400}, solverCounts{44326250, 380, 0, 2, 10728400}},
 	} {
 		x, ranks := presetTensor(t, want.preset, 0.2)
@@ -96,6 +100,9 @@ func TestRecordedCounts(t *testing.T) {
 			}
 			if first.IndexBytes != want.indexBytes {
 				t.Errorf("%s svd=%v: %d index bytes, recorded %d", want.preset, sv.svd, first.IndexBytes, want.indexBytes)
+			}
+			if first.StreamBytes != want.streamBytes {
+				t.Errorf("%s svd=%v: %d stream bytes, recorded %d", want.preset, sv.svd, first.StreamBytes, want.streamBytes)
 			}
 			plan, err := NewPlan(x, opts)
 			if err != nil {

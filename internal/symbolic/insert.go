@@ -8,9 +8,9 @@ import (
 )
 
 // Clone returns a deep copy of the structure (the cached schedule
-// partitions are dropped; they rebuild on first use). A resident engine
-// clones the plan's structure before its first incremental Insert so
-// the plan stays reusable.
+// partitions and index streams are dropped; they rebuild on first use).
+// A resident engine clones the plan's structure before its first
+// incremental Insert so the plan stays reusable.
 func (s *Structure) Clone() *Structure {
 	out := &Structure{Modes: make([]Mode, len(s.Modes))}
 	for n := range s.Modes {
@@ -118,6 +118,9 @@ func (s *Structure) Insert(t tensor.Sparse, oldNNZ int) ([][]int32, error) {
 		if len(tl) > 0 {
 			m.chainBounds = nil // row weights changed; repartition lazily
 		}
+		// The list moved and the merge may have regrown the arrays an
+		// identity list aliased.
+		m.streams, m.streamsOf, m.streamBytes = nil, nil, 0
 		touched[n] = tl
 	}
 	return touched, nil

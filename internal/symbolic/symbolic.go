@@ -32,6 +32,11 @@ type Mode struct {
 	// chainThreads workers (see Chains).
 	chainBounds  []int32
 	chainThreads int
+	// streams caches Streams(streamsOf); streamBytes is what its copies
+	// hold, 0 when they alias the tensor's arrays.
+	streams     [][]int32
+	streamsOf   *tensor.COO
+	streamBytes int64
 }
 
 // NumRows returns |J_n|, the number of nonempty slices.
@@ -63,6 +68,53 @@ func (m *Mode) Chains(threads int) []int32 {
 	return m.chainBounds
 }
 
+// Streams returns, for every mode t a TTMc of this mode reads — each
+// other mode, and on an order-1 tensor, which has none, the mode itself —
+// x.Idx[t] in list order: s[t][p] == x.Idx[t][NZ[p]] (s[N] is nil from
+// order 2 up). It is the "resolve all index computations once" of
+// §III.A.1 taken to the index arrays: the numeric loop reads its
+// coordinates as N-1 sequential streams instead of gathering them
+// through NZ, which is random in every mode but the one the tensor is
+// sorted by. A list that is the identity (that mode, on a sorted tensor)
+// aliases the tensor's arrays and copies nothing; any other costs
+// 4(N-1) bytes per listed nonzero. Values are not copied: x.Val[NZ[p]]
+// stays the loop's one gather, so a merge that only changes values
+// invalidates nothing, for half the bytes (a value stream measured 22-24
+// against 25-27 ns per nonzero).
+//
+// Built on first use and cached like Chains, and like it not safe for
+// concurrent first callers: a kernel asks before it starts its workers.
+// Structure.Insert drops the cache with the list it describes; Clone and
+// Select start without one.
+func (m *Mode) Streams(x *tensor.COO) [][]int32 {
+	if m.streams != nil && m.streamsOf == x {
+		return m.streams
+	}
+	identity := true
+	for p, id := range m.NZ {
+		if int(id) != p {
+			identity = false
+			break
+		}
+	}
+	m.streams, m.streamsOf, m.streamBytes = make([][]int32, x.Order()), x, 0
+	for t := range m.streams {
+		switch {
+		case t == m.N && x.Order() > 1:
+		case identity:
+			m.streams[t] = x.Idx[t][:len(m.NZ):len(m.NZ)]
+		default:
+			s, idx := make([]int32, len(m.NZ)), x.Idx[t]
+			for p, id := range m.NZ {
+				s[p] = idx[id]
+			}
+			m.streams[t] = s
+			m.streamBytes += 4 * int64(len(s))
+		}
+	}
+	return m.streams
+}
+
 // Select returns the mode's structure restricted to the rows at the
 // given ascending positions: the same update lists in the same order,
 // for those rows only. A kernel driven by it computes exactly the
@@ -91,6 +143,17 @@ func (m *Mode) Select(positions []int32) Mode {
 // Structure bundles the per-mode symbolic data for a tensor.
 type Structure struct {
 	Modes []Mode
+}
+
+// StreamBytes reports what the modes' cached Streams hold now: 4 bytes
+// per listed nonzero and copied stream, nothing for a stream that
+// aliases the tensor and nothing before a kernel asked for one.
+func (s *Structure) StreamBytes() int64 {
+	var total int64
+	for n := range s.Modes {
+		total += s.Modes[n].streamBytes
+	}
+	return total
 }
 
 // Build computes the symbolic TTMc structure for every mode of t. The

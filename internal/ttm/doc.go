@@ -11,7 +11,8 @@
 //   - TTMc / Flat — the flat nonzero loop over COO streams and the
 //     per-mode update lists, the paper's Algorithm 3 and the reference
 //     path, with the leading contracted mode factored out of each run
-//     of neighbouring nonzeros that share its index.
+//     of neighbouring nonzeros that share its index, reading the other
+//     modes' indices as list-order streams (symbolic.Mode.Streams).
 //   - DTree — the dimension-tree memoization that caches the partial
 //     contractions shared between a sweep's N updates; the default
 //     from order 4 up.

@@ -422,7 +422,7 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 		}
 		c.d = kron
 	}
-	t.scratch = growKronScratch(t.scratch, threads, t.order, kron)
+	t.scratch = growKronScratch(t.scratch, threads, t.order, kron, 0)
 	runRows(nd.n, threads, t.chainsFn, body)
 	c.dst, c.u = nil, nil
 }

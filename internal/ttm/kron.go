@@ -88,13 +88,13 @@ type kronScratch struct {
 }
 
 // growKronScratch returns s holding a scratch for each of threads
-// workers, with room for order factor rows and for Kronecker prefixes
-// and an accumulator of length kron; what is already large enough is
-// kept. Every worker writes its scratch once per nonzero, and small
-// allocations made back to back sit side by side in memory, so each
-// worker's slices start and end a cache line inside their allocation:
-// no two workers share a line.
-func growKronScratch(s []kronScratch, threads, order, kron int) []kronScratch {
+// workers, with room for order factor rows, for Kronecker prefixes of
+// length kron and for an accumulator of length acc (0 for the tree,
+// which has none); what is already large enough is kept. Every worker
+// writes its scratch once per nonzero, and small allocations made back
+// to back sit side by side in memory, so each worker's slices start and
+// end a cache line inside their allocation: no two workers share a line.
+func growKronScratch(s []kronScratch, threads, order, kron, acc int) []kronScratch {
 	const (
 		linePad = 8 // float64s in a 64-byte line
 		rowsPad = 3 // slice headers covering a 64-byte line
@@ -103,11 +103,16 @@ func growKronScratch(s []kronScratch, threads, order, kron int) []kronScratch {
 		s = append(s, kronScratch{rows: make([][]float64, order+2*rowsPad)[rowsPad : rowsPad+order]})
 	}
 	for w := range s[:threads] {
-		if sc := &s[w]; cap(sc.bufA) < kron {
-			slab := make([]float64, 3*kron+2*linePad)
+		if sc := &s[w]; cap(sc.bufA) < kron || len(sc.acc) < acc {
+			// Whole lines: the size class a multiple of 64 bytes lands in is
+			// one too, so the slab starts on a line. The tree's 208-byte
+			// slab at ranks 5 (2 x 5 + padding, once it stopped carrying
+			// acc) came from a class that is not, and its TTMc ran 17%
+			// slower on buffers that straddled lines.
+			slab := make([]float64, (2*kron+acc+3*linePad-1)/linePad*linePad)
 			sc.bufA = slab[linePad : linePad+kron : linePad+kron]
 			sc.bufB = slab[linePad+kron : linePad+2*kron : linePad+2*kron]
-			sc.acc = slab[linePad+2*kron : linePad+3*kron]
+			sc.acc = slab[linePad+2*kron : linePad+2*kron+acc]
 		}
 	}
 	return s

@@ -116,6 +116,17 @@ func Flops(nnz, rowSize int) int64 { return int64(nnz) * int64(rowSize) }
 // coordinate list. Runs are found by comparing neighbours: an unsorted
 // tensor is exact too, with runs one entry long. A row's bits depend on
 // the order of its list and on nothing else.
+//
+// The loop reads its indices as streams: symbolic.Mode.Streams holds the
+// other modes' index arrays in the mode's list order, so the lead index
+// and the factor-row indices of list position p are s[t][p], read in
+// sequence, and x.Val[NZ[p]] is the one gather left. The streams belong
+// to the Mode, not to the kernel: whoever calls first builds them (an
+// Engine does at kernel build, beside the initial-factor fill; a
+// throwaway kernel of the package-level TTMc finds them on the Mode it
+// is handed from the second call on), Structure.Insert drops them, and
+// they are copies in list order — same operands, same order, same bits
+// as gathering through NZ. A dimension tree builds none.
 type Flat struct {
 	x     *tensor.COO
 	sym   *symbolic.Structure
@@ -125,6 +136,7 @@ type Flat struct {
 	// scratch and the region closures over them are the kernel's, built
 	// once: a call allocates nothing in steady state.
 	call     flatCall
+	trail    []int // the call's contracted modes after the lead, ascending
 	scratch  []kronScratch
 	rowsFn   func(worker, lo, hi int)
 	chainsFn func() []int32
@@ -136,12 +148,15 @@ type flatCall struct {
 	sm      *symbolic.Mode
 	u       []*dense.Matrix
 	threads int
-	acc     int // the accumulator's length: the row without its leading factor
+	acc     int       // the accumulator's length: the row without its leading factor
+	idx     [][]int32 // sm.Streams: the other modes' indices in list order
 }
 
 // NewFlat binds the flat kernel to a coordinate tensor and the symbolic
 // structure whose nonzero ids index it. Both may be mutated in place
-// between calls (the stable-id delta merge does).
+// between calls (the stable-id delta merge does: value changes reach the
+// kernel through x.Val, appends through Structure.Insert, which drops
+// the index streams the next call rebuilds). It builds nothing itself.
 func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
 	k := &Flat{x: x, sym: sym, runs: make([]atomic.Int64, x.Order())}
 	k.rowsFn, k.chainsFn = k.rows, k.callChains
@@ -176,12 +191,18 @@ func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, u []*dense.Matrix, thread
 		panic("ttm: TTMc output shape mismatch")
 	}
 	threads = par.DefaultThreads(threads)
-	acc := rowSize // which also bounds the prefixes built on the way to it
-	if a := leadMode(len(u), sm.N); a != sm.N {
+	acc, a := rowSize, leadMode(len(u), sm.N) // acc also bounds the prefixes built on the way to it
+	if a != sm.N {
 		acc /= u[a].Cols
 	}
-	k.scratch = growKronScratch(k.scratch, threads, len(u), acc)
-	k.call = flatCall{y: y, sm: sm, u: u, threads: threads, acc: acc}
+	k.trail = k.trail[:0]
+	for t := a + 1; t < len(u); t++ {
+		if t != sm.N {
+			k.trail = append(k.trail, t)
+		}
+	}
+	k.scratch = growKronScratch(k.scratch, threads, len(u), acc, acc)
+	k.call = flatCall{y: y, sm: sm, u: u, threads: threads, acc: acc, idx: sm.Streams(k.x)}
 	k.runs[sm.N].Store(0)
 	runRows(sm.NumRows(), threads, k.chainsFn, k.rowsFn)
 	k.call = flatCall{}
@@ -192,29 +213,37 @@ func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, u []*dense.Matrix, thread
 // callChains is the balanced partition of the running call.
 func (k *Flat) callChains() []int32 { return k.call.sm.Chains(k.call.threads) }
 
-// rows computes rows [lo, hi) of the running call.
+// rows computes rows [lo, hi) of the running call: one pass over each
+// row's list positions, the lead and trailing indices read from the
+// call's streams. With one trailing mode (all of order 3) an entry's
+// update is an axpy of that factor's row — what accumKron's 1 x R Ger
+// computes, zero skip included.
 func (k *Flat) rows(w, lo, hi int) {
-	x, y, sm, u := k.x, k.call.y, k.call.sm, k.call.u
-	sc := &k.scratch[w]
-	order, a, runs := x.Order(), leadMode(x.Order(), sm.N), 0
-	lead, leadRow, acc := x.Idx[a], unitRow, sc.acc[:k.call.acc]
-	frows := sc.rows[:max(order-2, 0)]
+	c, val, sc := &k.call, k.x.Val, &k.scratch[w]
+	y, sm, u := c.y, c.sm, c.u
+	a, runs := leadMode(len(u), sm.N), 0
+	nz, lead, leadRow, acc := sm.NZ, c.idx[a], unitRow, sc.acc[:c.acc]
+	frows := sc.rows[:len(k.trail)]
+	var one []int32
+	var uone *dense.Matrix
+	if len(k.trail) == 1 {
+		one, uone = c.idx[k.trail[0]], u[k.trail[0]]
+	}
 	for r := lo; r < hi; r++ {
 		row := y.Row(r)
 		clear(row)
-		nz := sm.RowNZ(r)
-		for p := 0; p < len(nz); runs++ {
-			i := lead[nz[p]]
+		for p, end := int(sm.Ptr[r]), int(sm.Ptr[r+1]); p < end; runs++ {
+			i := lead[p]
 			clear(acc)
-			for ; p < len(nz) && lead[nz[p]] == i; p++ {
-				id, j := nz[p], 0
-				for t := a + 1; t < order; t++ {
-					if t != sm.N {
-						frows[j] = u[t].Row(int(x.Idx[t][id]))
-						j++
-					}
+			for ; p < end && lead[p] == i; p++ {
+				if uone != nil {
+					dense.AxpyUnrolled(val[nz[p]], uone.Row(int(one[p])), acc)
+					continue
 				}
-				accumKron(acc, x.Val[id], frows, sc.bufA, sc.bufB)
+				for j, t := range k.trail {
+					frows[j] = u[t].Row(int(c.idx[t][p]))
+				}
+				accumKron(acc, val[nz[p]], frows, sc.bufA, sc.bufB)
 			}
 			if a != sm.N {
 				leadRow = u[a].Row(int(i))

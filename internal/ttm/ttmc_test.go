@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -163,7 +164,14 @@ func TestKronScratchWorkersShareNoCacheLine(t *testing.T) {
 		return span{uintptr(p) / line, (uintptr(p) + uintptr(bytes) - 1) / line}
 	}
 	for _, kron := range []int{1, 5, 10, 25, 100} {
-		sc := growKronScratch(nil, 4, 4, kron)
+		// The tree's scratch (no accumulator) starts on a line too: at
+		// ranks 5 its slab once came from a 208-byte size class.
+		for w, sc := range growKronScratch(nil, 4, 4, kron, 0) {
+			if uintptr(unsafe.Pointer(unsafe.SliceData(sc.bufA)))%line != 0 {
+				t.Fatalf("kron=%d worker %d: the tree's prefix buffer does not start on a cache line", kron, w)
+			}
+		}
+		sc := growKronScratch(nil, 4, 4, kron, kron)
 		var spans [][]span
 		for w := range sc {
 			spans = append(spans, []span{
@@ -366,6 +374,162 @@ func TestFlatShuffledOrder(t *testing.T) {
 		if flat.Flops() != flat.SweepFlops(ranks) || flat.Flops() <= sorted.Flops() {
 			t.Errorf("shuffled sweep executed %d madds, predicted %d, sorted %d", flat.Flops(), flat.SweepFlops(ranks), sorted.Flops())
 		}
+	}
+}
+
+// shuffledCopy is x with its nonzeros stored in a random order.
+func shuffledCopy(rng *rand.Rand, x *tensor.COO) *tensor.COO {
+	out, coord := tensor.NewCOO(x.Dims, x.NNZ()), make([]int, x.Order())
+	for _, id := range rng.Perm(x.NNZ()) {
+		x.Coord(id, coord)
+		out.Append(coord, x.Val[id])
+	}
+	return out
+}
+
+// checkStreams holds sm.Streams(x) to its definition — for every mode
+// the kernel reads, x.Idx[t] in list order — and returns it.
+func checkStreams(t *testing.T, what string, x *tensor.COO, sm *symbolic.Mode) [][]int32 {
+	t.Helper()
+	s := sm.Streams(x)
+	if len(s) != x.Order() {
+		t.Fatalf("%s: %d streams for order %d", what, len(s), x.Order())
+	}
+	for m, st := range s {
+		if m == sm.N && x.Order() > 1 {
+			if st != nil {
+				t.Fatalf("%s: the mode streams its own index", what)
+			}
+			continue
+		}
+		if len(st) != len(sm.NZ) {
+			t.Fatalf("%s: stream %d lists %d entries, the mode %d", what, m, len(st), len(sm.NZ))
+		}
+		for p, id := range sm.NZ {
+			if st[p] != x.Idx[m][id] {
+				t.Fatalf("%s: stream %d position %d is %d, x.Idx[%d][NZ[%d]] is %d", what, m, p, st[p], m, p, x.Idx[m][id])
+			}
+		}
+	}
+	return s
+}
+
+// A mode's streams are the tensor's index arrays in the mode's list
+// order, orders 1 to 5, sorted and shuffled: the identity list (mode 0 of
+// a sorted tensor) shares the tensor's arrays and counts no bytes, any
+// other list copies; a Select-ed mode's streams are the parent's at its
+// rows; and across COO.Merge + Structure.Insert — value changes alone,
+// then appends that reach an empty slice — the streams are a fresh
+// Build's and one resident kernel gives a fresh kernel's bits.
+func TestModeStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	for order := 1; order <= 5; order++ {
+		dims := []int{40, 9, 11, 7, 8}[:order]
+		sorted, _, _ := randomSetup(rng, dims, dims, 300)
+		for _, in := range []struct {
+			name string
+			x    *tensor.COO
+		}{{"sorted", sorted}, {"shuffled", shuffledCopy(rng, sorted)}} {
+			x, sym := in.x, symbolic.Build(in.x, 1)
+			var copied int64
+			for n := range sym.Modes {
+				sm, what := &sym.Modes[n], fmt.Sprintf("order %d %s mode %d", order, in.name, n)
+				s := checkStreams(t, what, x, sm)
+				for m, st := range s {
+					if st == nil {
+						continue
+					}
+					shares := unsafe.SliceData(st) == unsafe.SliceData(x.Idx[m])
+					if want := in.name == "sorted" && n == 0; shares != want {
+						t.Errorf("%s: stream %d shares the tensor's array: %v, want %v", what, m, shares, want)
+					}
+					if !shares {
+						copied += 4 * int64(len(st))
+					}
+					if again := sm.Streams(x)[m]; unsafe.SliceData(again) != unsafe.SliceData(st) {
+						t.Errorf("%s: a second call rebuilt stream %d", what, m)
+					}
+				}
+				var rows []int32
+				for r := 0; r < sm.NumRows(); r += 2 {
+					rows = append(rows, int32(r))
+				}
+				sel := sm.Select(rows)
+				ss := checkStreams(t, what+" selected", x, &sel)
+				for m, st := range ss {
+					if st == nil {
+						continue
+					}
+					var want []int32
+					for _, r := range rows {
+						want = append(want, s[m][sm.Ptr[r]:sm.Ptr[r+1]]...)
+					}
+					if !slices.Equal(st, want) {
+						t.Errorf("%s: selected stream %d is not the parent's at its rows", what, m)
+					}
+				}
+			}
+			if got := sym.StreamBytes(); got != copied {
+				t.Errorf("order %d %s: StreamBytes %d, the copies hold %d", order, in.name, got, copied)
+			}
+		}
+	}
+
+	x, u, sym := randomSetup(rng, []int{40, 9, 11}, []int{3, 4, 2}, 120)
+	empty := slices.Index(sym.Modes[0].Pos, -1)
+	if empty < 0 {
+		t.Fatal("the tensor has no empty mode-0 slice to fill")
+	}
+	resident := NewFlat(x, sym)
+	sameAsFresh := func(what string) {
+		t.Helper()
+		fresh := symbolic.Build(x, 1)
+		want, _ := flatSweep(x, u, fresh, 2)
+		for n := range u {
+			sm := &sym.Modes[n]
+			for m, st := range checkStreams(t, what, x, sm) {
+				if !slices.Equal(st, fresh.Modes[n].Streams(x)[m]) {
+					t.Fatalf("%s mode %d: stream %d differs from a fresh Build's", what, n, m)
+				}
+			}
+			y := dense.NewMatrix(sm.NumRows(), RowSize(u, n))
+			resident.TTMc(y, n, u, 2)
+			for i, v := range want[n].Data {
+				if math.Float64bits(y.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("%s mode %d: element %d is %v on the resident kernel, %v on a fresh one", what, n, i, y.Data[i], v)
+				}
+			}
+		}
+	}
+	sameAsFresh("before any merge")
+	coord := make([]int, 3)
+	for _, step := range []struct {
+		what    string
+		appends [][]int
+	}{
+		{"after a value-only merge", nil},
+		{"after appends", [][]int{{empty, 3, 4}, {empty, 0, 10}, {int(sym.Modes[0].Rows[0]), 8, 10}}},
+	} {
+		delta := tensor.NewCOO(x.Dims, 0)
+		for _, id := range []int{0, 7, x.NNZ() - 1} {
+			x.Coord(id, coord)
+			delta.Append(coord, 0.5)
+		}
+		for _, c := range step.appends {
+			delta.Append(c, 2)
+		}
+		oldNNZ := x.NNZ()
+		if _, err := x.Merge(delta); err != nil {
+			t.Fatal(err)
+		}
+		// The two coordinates in the empty slice are new for certain.
+		if grew := x.NNZ() - oldNNZ; grew < min(len(step.appends), 2) || grew > len(step.appends) {
+			t.Fatalf("%s: the merge appended %d nonzeros", step.what, grew)
+		}
+		if _, err := sym.Insert(x, oldNNZ); err != nil {
+			t.Fatal(err)
+		}
+		sameAsFresh(step.what)
 	}
 }
 
