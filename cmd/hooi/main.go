@@ -6,7 +6,7 @@
 // Examples:
 //
 //	hooi -input x.tns -ranks 10,10,10 -iters 20 -tol 1e-5
-//	hooi -input x.tns -ranks 10,10,10 -svd rand -sketch gauss
+//	hooi -input x.tns -ranks 10,10,10 -svd rand
 //	hooi -input x.tns -eps 0.25
 //	hooi -input x.tns -ranks 5,5,5,5 -ttmc flat
 //	hooi -input x.tns -ranks 10,10,10 -ttmc dtree -update delta.tns
@@ -63,9 +63,6 @@ func main() {
 		initM   = flag.String("init", "random", "factor initialization: random | hosvd")
 		svd     = flag.String("svd", "auto", "TRSVD solver: auto (per mode: gram when the matricized product has at most 16 columns per rank, else lanczos) | lanczos | gram (two BLAS3 passes + a dense eigenproblem) | rand")
 		eps     = flag.Float64("eps", 0, "adaptive-rank relative error target in (0,1]; selects per-mode ranks from the sketched spectrum (-ranks becomes an optional cap)")
-		sketch  = flag.String("sketch", "gauss", "randomized solver sketching operator: gauss | count")
-		oversmp = flag.Int("oversample", 0, "randomized solver oversampling columns (0 = default 8)")
-		power   = flag.Int("power", 0, "randomized solver power-iteration cap (0 = default 6, negative = none); the solver stops early once its Ritz energies settle")
 		ttmc    = flag.String("ttmc", "auto", "TTMc strategy: auto (dtree from order 4 up, else flat) | flat | dtree (memoized dimension tree)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
@@ -118,10 +115,10 @@ func main() {
 	if *distM != "" && *distM != "0" {
 		// distRun carries none of these to the ranks: each runs HOOI on one
 		// thread from the seeded random start, on the kernel its own plan
-		// resolves to, with the solver's default sketch.
+		// resolves to.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "threads", "ttmc", "init", "algo", "sketch", "oversample", "power":
+			case "threads", "ttmc", "init", "algo":
 				fail(fmt.Errorf("-%s is a shared-memory engine option; it cannot be combined with -dist", f.Name))
 			}
 		})
@@ -168,8 +165,7 @@ func main() {
 	case "hooi":
 	case "sthosvd", "sthosvd+hooi":
 		st, err := hypertensor.DecomposeSTHOSVD(x, hypertensor.STHOSVDOptions{
-			Ranks: ranks, Eps: *eps, Oversample: *oversmp, PowerIters: *power,
-			Seed: *seed, Threads: *threads,
+			Ranks: ranks, Eps: *eps, Seed: *seed, Threads: *threads,
 		})
 		if err != nil {
 			fail(err)
@@ -194,15 +190,13 @@ func main() {
 	}
 
 	opts := hypertensor.Options{
-		Ranks:      ranks,
-		Eps:        *eps,
-		MaxIters:   *iters,
-		Tol:        *tol,
-		Threads:    *threads,
-		Seed:       *seed,
-		Initial:    warmStart,
-		Oversample: *oversmp,
-		PowerIters: *power,
+		Ranks:    ranks,
+		Eps:      *eps,
+		MaxIters: *iters,
+		Tol:      *tol,
+		Threads:  *threads,
+		Seed:     *seed,
+		Initial:  warmStart,
 	}
 	switch *initM {
 	case "random":
@@ -213,14 +207,6 @@ func main() {
 		fail(fmt.Errorf("unknown init %q", *initM))
 	}
 	opts.SVD = svdMethod
-	switch *sketch {
-	case "gauss":
-		opts.Sketch = hypertensor.SketchGauss
-	case "count":
-		opts.Sketch = hypertensor.SketchCount
-	default:
-		fail(fmt.Errorf("unknown sketch %q", *sketch))
-	}
 	opts.TTMc, err = hypertensor.ParseTTMc(*ttmc)
 	if err != nil {
 		fail(err)

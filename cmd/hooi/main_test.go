@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -79,9 +80,9 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-dist", "2", "-ttmc", "auto"}, 1, "hooi: -ttmc" + notDist},
 		{[]string{"-dist", "2", "-init", "hosvd"}, 1, "hooi: -init" + notDist},
 		{[]string{"-dist", "2", "-algo", "sthosvd"}, 1, "hooi: -algo" + notDist},
-		{[]string{"-dist", "2", "-svd", "rand", "-sketch", "count"}, 1, "hooi: -sketch" + notDist},
-		{[]string{"-dist", "2", "-svd", "rand", "-oversample", "4"}, 1, "hooi: -oversample" + notDist},
-		{[]string{"-dist", "2", "-svd", "rand", "-power", "1"}, 1, "hooi: -power" + notDist},
+		{[]string{"-svd", "rand", "-sketch", "count"}, 2, "flag provided but not defined: -sketch"},
+		{[]string{"-svd", "rand", "-oversample", "4"}, 2, "flag provided but not defined: -oversample"},
+		{[]string{"-svd", "rand", "-power", "1"}, 2, "flag provided but not defined: -power"},
 		{[]string{"-dist", "spawn", "-np", "2", "-threads", "1"}, 1, "hooi: -threads" + notDist},
 		{[]string{"-dist", "2", "-update", "delta.tns"}, 1, "hooi: -update is a shared-memory engine feature; it cannot be combined with -dist"},
 		{[]string{"-dist", "2", "-eps", "0.5"}, 1, "hooi: -eps adaptive rank is a shared-memory engine feature; it cannot be combined with -dist"},
@@ -126,6 +127,39 @@ func TestQuietPrintsOneFitLine(t *testing.T) {
 		stdout, stderr, exit := hooi(t, args...)
 		if exit != 0 || !fit.MatchString(stdout) {
 			t.Errorf("hooi %v: exit %d, stdout %q, stderr %q; want one %%.10f line", args, exit, stdout, stderr)
+		}
+	}
+}
+
+// -update ingests a delta after the first solve, prints one line per
+// update, and ends with the distance to a from-scratch solve of the
+// merged tensor, which at a converged tolerance is small — under the
+// default solver and under rand.
+func TestUpdateLines(t *testing.T) {
+	x, err := tensor.ReadTNSFile(tnsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaPath := filepath.Join(t.TempDir(), "delta.tns")
+	if err := tensor.WriteTNSFile(deltaPath, gen.Delta(x, 0.01, 0.01, 7)); err != nil {
+		t.Fatal(err)
+	}
+	updateLine := regexp.MustCompile(`(?m)^update 1 \(` + regexp.QuoteMeta(deltaPath) + `\): \+\d+ nnz -> fit 0\.\d{8} in \d+ sweeps; ttmc \S+ madds/sweep vs \S+ full-sweep \([0-9.]+x less\)$`)
+	dfitLine := regexp.MustCompile(`(?m)^from-scratch solve of the merged tensor: fit 0\.\d{8} in \d+ sweeps; \|dfit\| = (\S+)$`)
+	for _, svd := range []string{"auto", "rand"} {
+		stdout, stderr, exit := hooi(t, "-svd", svd, "-iters", "40", "-tol", "1e-9", "-update", deltaPath)
+		if exit != 0 {
+			t.Fatalf("-svd %s: exit %d: %s", svd, exit, stderr)
+		}
+		if !updateLine.MatchString(stdout) {
+			t.Errorf("-svd %s: no update line in:\n%s", svd, stdout)
+		}
+		m := dfitLine.FindStringSubmatch(stdout)
+		if m == nil {
+			t.Fatalf("-svd %s: no |dfit| line in:\n%s", svd, stdout)
+		}
+		if dfit, err := strconv.ParseFloat(m[1], 64); err != nil || !(dfit < 1e-6) {
+			t.Errorf("-svd %s: |dfit| = %s, want below 1e-6", svd, m[1])
 		}
 	}
 }

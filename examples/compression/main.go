@@ -46,9 +46,7 @@ func main() {
 	ranks := []int{5, 5, 5}
 
 	// Stage 1: one-pass ST-HOSVD (no iteration).
-	st, err := hypertensor.DecomposeSTHOSVD(x, hypertensor.STHOSVDOptions{
-		Ranks: ranks, Seed: 1, PowerIters: 2,
-	})
+	st, err := hypertensor.DecomposeSTHOSVD(x, hypertensor.STHOSVDOptions{Ranks: ranks, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

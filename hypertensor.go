@@ -76,9 +76,6 @@ type (
 	// SVDMethod selects the TRSVD solver (SVDAuto, the default: SVDGram
 	// or SVDLanczos per mode by its shape; SVDRandomized).
 	SVDMethod = core.SVDMethod
-	// SketchKind selects the randomized solver's sketching operator
-	// (SketchGauss, SketchCount).
-	SketchKind = core.SketchKind
 	// TTMcStrategy selects the TTMc evaluation path (TTMcAuto, the
 	// default, which a Plan resolves to TTMcFlat or TTMcDTree).
 	TTMcStrategy = core.TTMcStrategy
@@ -135,9 +132,6 @@ const (
 	SVDLanczos    = core.SVDLanczos
 	SVDRandomized = core.SVDRandomized
 	SVDGram       = core.SVDGram
-
-	SketchGauss = core.SketchGauss
-	SketchCount = core.SketchCount
 
 	TTMcAuto  = core.TTMcAuto
 	TTMcFlat  = core.TTMcFlat

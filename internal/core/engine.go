@@ -145,9 +145,6 @@ func NewEngine(p *Plan) *Engine {
 	start := time.Now()
 	e.state = NewSweepState(InitialFactors(p.x, e.opts, startRanks(p.x, e.opts)), e.opts.Seed)
 	e.initTime = time.Since(start)
-	e.state.Sketch = e.opts.Sketch
-	e.state.Oversample = e.opts.Oversample
-	e.state.PowerIters = e.opts.PowerIters
 	<-built
 	e.ys = make([]dense.Matrix, e.order)
 	e.scattered = make([]*dense.Matrix, e.order)
@@ -303,7 +300,8 @@ func (e *Engine) scatter(n int, compact *dense.Matrix, rows []int32) {
 // MaxIters is reached, owns resume, fit tracking, checkpoint cadence
 // and phase timing, and is the body shared by Run and Update; the first
 // call matches Decompose's cold path bit for bit (no warm starts),
-// later calls warm-start every TRSVD from the previous factors.
+// later calls warm-start every Lanczos TRSVD from the previous factors
+// (Gram and the randomized solver take no warm start).
 func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	opts := e.opts
 	res := &Result{TTMc: opts.TTMc, SVD: make([]SVDMethod, e.order), IndexBytes: e.x.IndexBytes()}
@@ -326,16 +324,6 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	var memBase runtime.MemStats
 	allocFrom := -1
 	solves0 := e.state.SolveCounts
-	// The streaming single-pass sketch engages only on warm
-	// re-convergence after an Update: there the retained right bases and
-	// Ritz energies sit at the previous fixed point, so the first
-	// projection usually confirms convergence and the solve ends after
-	// one sketch-plus-projection round (the same discipline as the
-	// Lanczos warm start). Cold sweeps keep the adaptive power-iterated
-	// solves — on nearly flat spectra the early sweeps pick the subspace
-	// basin the whole trajectory settles into, and an under-resolved
-	// solve there shifts the final fit by far more than it saves.
-	e.state.SinglePass = e.warmReady
 	fits := NewFitTracker(e.normX, opts.Tol)
 	startIter := 0
 	if rs := e.resume; rs != nil {
@@ -504,10 +492,11 @@ func (e *Engine) ensureOwned() {
 // (symbolic.Structure.Insert); a plan that runs the dimension tree
 // groups the merged tensor afresh (ttm.BuildDTree) — every memo node is
 // invalidated by the first sweep before it is read, so a patched tree
-// would recompute exactly what a fresh one computes; and every TRSVD is
-// warm-started from the previous factors. The result carries the update
-// accounting: sweeps to re-converge, the TTMc madds executed, and the
-// flat-sweep cost they stand against (FullSweepMadds).
+// would recompute exactly what a fresh one computes; and every Lanczos
+// TRSVD is warm-started from the previous factors. The result carries
+// the update accounting: sweeps to re-converge, the TTMc madds
+// executed, and the flat-sweep cost they stand against
+// (FullSweepMadds).
 //
 // A validation error (shape mismatch, out-of-range coordinate) leaves
 // the engine state untouched.

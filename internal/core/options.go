@@ -6,7 +6,6 @@ import (
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/tensor"
-	"hypertensor/internal/trsvd"
 )
 
 // InitMethod selects how the factor matrices are initialized (HOOI
@@ -107,11 +106,13 @@ const (
 	// Y_(n) per operator application.
 	SVDLanczos
 	// SVDRandomized is the sketched range-finder solver
-	// (trsvd.Randomized): a deterministic Gaussian or CountSketch panel
-	// through the operator, power iterations, CholeskyQR2 Gram
-	// whitening, and a projected small SVD — a handful of BLAS3 passes
-	// instead of Lanczos's GEMV chain, at equal fit on the benchmark
-	// presets. Options.Eps switches it to adaptive rank selection.
+	// (trsvd.Randomized): a deterministic Gaussian panel through the
+	// operator, adaptive power iterations, CholeskyQR2 Gram whitening,
+	// and a projected small SVD — a handful of BLAS3 passes instead of
+	// Lanczos's GEMV chain, at equal fit on the benchmark presets. It
+	// takes no warm start: every solve, an update's included, is a
+	// function of the operator, the rank and the seed. Options.Eps
+	// switches it to adaptive rank selection.
 	SVDRandomized
 	// SVDGram is the exact two-pass solver (trsvd.Gram): G = Y_(n)ᵀY_(n)
 	// by a symmetric rank-k product, its eigenvectors by a serial
@@ -167,17 +168,6 @@ func (m SVDMethod) String() string {
 	return svdNames[m]
 }
 
-// SketchKind re-exports trsvd.SketchKind for Options.Sketch.
-type SketchKind = trsvd.SketchKind
-
-const (
-	// SketchGauss is the dense counter-based pseudo-Gaussian sketch
-	// (the default).
-	SketchGauss = trsvd.SketchGauss
-	// SketchCount is the one-nonzero-per-row CountSketch.
-	SketchCount = trsvd.SketchCount
-)
-
 // Options configure a Tucker/HOOI decomposition.
 type Options struct {
 	// Ranks holds the target rank R_n per mode. Required for fixed-rank
@@ -192,16 +182,6 @@ type Options struct {
 	// satisfies ‖X − X̂‖ ≲ eps·‖X‖. Implies SVDRandomized. Must lie in
 	// (0, 1].
 	Eps float64
-	// Sketch selects the randomized solver's sketching operator
-	// (SketchGauss by default; SVDRandomized and Eps runs only).
-	Sketch SketchKind
-	// Oversample adds extra sketch columns beyond the target rank in the
-	// randomized solver (0 selects 8).
-	Oversample int
-	// PowerIters caps the randomized solver's power-iteration rounds
-	// (0 selects 6, negative selects none); the solver stops below the
-	// cap as soon as its Ritz energies settle.
-	PowerIters int
 	// MaxIters caps the number of ALS sweeps. 0 selects 50.
 	MaxIters int
 	// Tol stops the iteration when the fit improves by less than this

@@ -12,6 +12,7 @@ import (
 
 	"hypertensor/internal/checkpoint"
 	"hypertensor/internal/dense"
+	"hypertensor/internal/gen"
 )
 
 func bitsEqual(t *testing.T, label string, a, b []float64) {
@@ -101,6 +102,52 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		resultsBitwiseEqual(t, "resumed run diverged", full, resumed)
+	}
+}
+
+// TestResumeWarmBitwise carries the contract past the first Run for all
+// three solvers: an engine resumed from SnapshotState must run the next
+// (warm) Run and an Update bit for bit as the engine it was taken from.
+// Lanczos's warm start is carried by the state's WarmReady; Gram and
+// the randomized solver read nothing a previous solve left behind.
+func TestResumeWarmBitwise(t *testing.T) {
+	x := gen.Random(gen.Config{Dims: []int{40, 30, 20}, NNZ: 2000, Skew: 0.5, Seed: 3})
+	for _, svd := range []SVDMethod{SVDRandomized, SVDLanczos, SVDGram} {
+		opts := Options{Ranks: []int{4, 4, 4}, MaxIters: 4, Tol: -1, Seed: 7, SVD: svd}
+		ctx := context.Background()
+		e1 := NewEngine(mustPlan(t, x, opts))
+		if _, err := e1.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		e2, err := ResumeEngineState(mustPlan(t, x, opts), e1.SnapshotState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := e2.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsBitwiseEqual(t, fmt.Sprintf("svd=%v restored result", svd), e1.Result(), r2)
+
+		w1, err := e1.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w2, err := e2.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsBitwiseEqual(t, fmt.Sprintf("svd=%v warm Run after resume", svd), w1, w2)
+
+		u1, err := e1.Update(gen.Delta(x, 0.01, 0.01, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		u2, err := e2.Update(gen.Delta(x, 0.01, 0.01, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsBitwiseEqual(t, fmt.Sprintf("svd=%v Update after resume", svd), u1, u2)
 	}
 }
 

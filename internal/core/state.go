@@ -27,17 +27,6 @@ type SweepState struct {
 	// re-convergence sweeps after an update keep drawing fresh
 	// deterministic seeds instead of replaying the first sweep's.
 	Step int64
-	// Sketch, Oversample and PowerIters configure the randomized solver
-	// (passed through to trsvd.Options on every solve).
-	Sketch     trsvd.SketchKind
-	Oversample int
-	PowerIters int
-	// SinglePass switches the randomized solver to its streaming variant
-	// (sketch seeded from the previous solve's right basis, previous
-	// Ritz energies feeding the first convergence check). The Engine
-	// raises it once warm re-convergence begins, mirroring the Lanczos
-	// warm-start discipline; the other solvers do not read it.
-	SinglePass bool
 	// SolveCounts accumulates over the state's lifetime.
 	SolveCounts
 }
@@ -68,11 +57,7 @@ func NewSweepState(factors []*dense.Matrix, seed int64) *SweepState {
 // next builds the options of the upcoming solve and advances the seed
 // schedule.
 func (s *SweepState) next(n int, warm []float64) trsvd.Options {
-	o := trsvd.Options{
-		Seed: s.SeedBase + 7919*s.Step, Work: s.Work[n], WarmLeft: warm,
-		Sketch: s.Sketch, Oversample: s.Oversample, PowerIters: s.PowerIters,
-		SinglePass: s.SinglePass,
-	}
+	o := trsvd.Options{Seed: s.SeedBase + 7919*s.Step, Work: s.Work[n], WarmLeft: warm}
 	s.Step++
 	return o
 }

@@ -22,36 +22,33 @@ type STHOSVDOptions struct {
 	// grows geometrically until the crossing is inside it — the
 	// classical error-controlled ST-HOSVD. Must lie in (0, 1].
 	Eps float64
-	// ModeOrder optionally fixes the processing order (a permutation of
-	// 0..N-1). Nil processes modes in ascending order; processing small
-	// modes first shrinks the intermediates fastest, the standard
-	// memory lever of ST-HOSVD.
-	ModeOrder []int
-	// Oversample adds extra sketch columns to the randomized range
-	// finder before truncation (default 4).
-	Oversample int
-	// PowerIters applies that many passes of subspace refinement to the
-	// sketch (default 1); each pass multiplies accuracy on tensors with
-	// slowly decaying spectra at the cost of one extra sweep over the
-	// current intermediate.
-	PowerIters int
 	// Seed makes the sketches deterministic.
 	Seed int64
 	// Threads bounds parallelism of the dense kernels; 0 = GOMAXPROCS.
 	Threads int
 }
 
+// The range finder's settings in STHOSVD.
+const (
+	// sthosvdOversample is the number of sketch columns beyond the rank.
+	sthosvdOversample = 4
+	// sthosvdPower is the number of subspace refinement passes over the
+	// current intermediate; each multiplies accuracy on slowly decaying
+	// spectra at the cost of one more sweep.
+	sthosvdPower = 1
+)
+
 // STHOSVD computes a Tucker decomposition with the sequentially
-// truncated higher-order SVD: modes are processed once, each factor is
-// taken as an (approximate) dominant left basis of the *current*
-// partially contracted tensor, and the tensor is immediately truncated
-// by that factor before the next mode. The TTMc operation it relies on
-// is exactly the semi-sparse contraction machinery of internal/ttm —
-// the paper's closing remark that its TTMc methods serve other Tucker
-// algorithms, made concrete.
+// truncated higher-order SVD: modes are processed once, in ascending
+// order, each factor is taken as an (approximate) dominant left basis
+// of the *current* partially contracted tensor, and the tensor is
+// immediately truncated by that factor before the next mode. The TTMc
+// operation it relies on is exactly the semi-sparse contraction
+// machinery of internal/ttm — the paper's closing remark that its TTMc
+// methods serve other Tucker algorithms, made concrete.
 //
 // Factor bases are found with a randomized range finder (hash-generated
-// Gaussian sketch plus optional power iterations): an exact sparse
+// Gaussian sketch plus sthosvdPower refinement passes): an exact sparse
 // TRSVD of X_(n) is exactly what §III.A.2 rules out, since the
 // matricization has ∏_{t≠n} I_t columns. One ALS pass of HOOI from the
 // ST-HOSVD factors recovers or beats plain HOOI's fit in practice — use
@@ -76,27 +73,6 @@ func STHOSVD(x *tensor.COO, opts STHOSVDOptions) (*Result, error) {
 			return nil, fmt.Errorf("core: invalid rank %d in mode %d", r, n)
 		}
 	}
-	modeOrder := opts.ModeOrder
-	if modeOrder == nil {
-		modeOrder = make([]int, order)
-		for i := range modeOrder {
-			modeOrder[i] = i
-		}
-	}
-	if err := checkPermutation(modeOrder, order); err != nil {
-		return nil, err
-	}
-	oversample := opts.Oversample
-	if oversample <= 0 {
-		oversample = 4
-	}
-	power := opts.PowerIters
-	if power < 0 {
-		power = 0
-	} else if power == 0 {
-		power = 1
-	}
-
 	start := time.Now()
 	res := &Result{}
 	normX := x.Norm(opts.Threads)
@@ -104,21 +80,21 @@ func STHOSVD(x *tensor.COO, opts STHOSVDOptions) (*Result, error) {
 	factors := make([]*dense.Matrix, order)
 	chosen := make([]int, order)
 	tau := opts.Eps * opts.Eps * normX * normX / float64(order)
-	for _, n := range modeOrder {
+	for n := 0; n < order; n++ {
 		if opts.Eps > 0 {
 			capR := 0
 			if opts.Ranks != nil {
 				capR = opts.Ranks[n]
 			}
-			factors[n] = adaptiveFactor(s, n, capR, oversample, power, tau, opts.Seed+101*int64(n))
+			factors[n] = adaptiveFactor(s, n, capR, tau, opts.Seed+101*int64(n))
 		} else {
-			k := opts.Ranks[n] + oversample
+			k := opts.Ranks[n] + sthosvdOversample
 			if k > x.Dims[n] {
 				k = x.Dims[n]
 			}
 			sketch := sketchMode(s, n, k, opts.Seed+101*int64(n))
 			basis := dense.Orthonormalize(sketch, 1)
-			for it := 0; it < power; it++ {
+			for it := 0; it < sthosvdPower; it++ {
 				// One subspace refinement: project the mode-n Gram action
 				// through the semi-sparse entries, Z = Y_(n) (Y_(n)^T B).
 				basis = dense.Orthonormalize(gramApply(s, n, basis), 1)
@@ -148,19 +124,19 @@ func STHOSVD(x *tensor.COO, opts STHOSVDOptions) (*Result, error) {
 // doubles until the spectrum's threshold crossing lies inside the
 // sketch (or the mode size / rank cap is reached), so the tail bound is
 // certified rather than assumed.
-func adaptiveFactor(s *ttm.SemiSparse, n, capR, oversample, power int, tau float64, seed int64) *dense.Matrix {
+func adaptiveFactor(s *ttm.SemiSparse, n, capR int, tau float64, seed int64) *dense.Matrix {
 	dim := s.Dims[n]
 	maxR := dim
 	if capR > 0 && capR < maxR {
 		maxR = capR
 	}
-	b := 8 + oversample
+	b := 8 + sthosvdOversample
 	if b > dim {
 		b = dim
 	}
 	for {
 		basis := dense.Orthonormalize(sketchMode(s, n, b, seed), 1)
-		for it := 0; it < power; it++ {
+		for it := 0; it < sthosvdPower; it++ {
 			basis = dense.Orthonormalize(gramApply(s, n, basis), 1)
 		}
 		z := gramApply(s, n, basis) // Y Yᵀ B
@@ -361,18 +337,4 @@ func colHash(s *ttm.SemiSparse, n, e int) int64 {
 		h *= 0xBF58476D1CE4E5B9
 	}
 	return int64(h)
-}
-
-func checkPermutation(p []int, n int) error {
-	if len(p) != n {
-		return fmt.Errorf("core: mode order has %d entries for %d modes", len(p), n)
-	}
-	seen := make([]bool, n)
-	for _, v := range p {
-		if v < 0 || v >= n || seen[v] {
-			return fmt.Errorf("core: mode order %v is not a permutation", p)
-		}
-		seen[v] = true
-	}
-	return nil
 }

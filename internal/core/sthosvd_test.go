@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/gen"
+	"hypertensor/internal/tensor"
 )
 
 func TestSTHOSVDExactLowRank(t *testing.T) {
@@ -46,7 +48,7 @@ func TestSTHOSVDCloseToHOOI(t *testing.T) {
 	// distance of the converged HOOI fit (it is the standard HOOI
 	// initializer).
 	x := gen.Random(gen.Config{Dims: []int{30, 25, 20}, NNZ: 1000, Skew: 0.5, Seed: 5})
-	st, err := STHOSVD(x, STHOSVDOptions{Ranks: []int{4, 4, 4}, Seed: 7, PowerIters: 2})
+	st, err := STHOSVD(x, STHOSVDOptions{Ranks: []int{4, 4, 4}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,23 +86,34 @@ func TestSTHOSVDSeedsHOOI(t *testing.T) {
 	}
 }
 
-func TestSTHOSVDModeOrder(t *testing.T) {
-	x := gen.Random(gen.Config{Dims: []int{20, 15, 10}, NNZ: 500, Skew: 0.4, Seed: 13})
-	ranks := []int{3, 3, 3}
-	a, err := STHOSVD(x, STHOSVDOptions{Ranks: ranks, Seed: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := STHOSVD(x, STHOSVDOptions{Ranks: ranks, ModeOrder: []int{2, 0, 1}, Seed: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Different orders give different (but comparable) approximations.
-	if math.Abs(a.Fit-b.Fit) > 0.3 {
-		t.Fatalf("mode orders wildly disagree: %v vs %v", a.Fit, b.Fit)
-	}
-	if _, err := STHOSVD(x, STHOSVDOptions{Ranks: ranks, ModeOrder: []int{0, 0, 1}}); err == nil {
-		t.Fatal("invalid mode order accepted")
+// ST-HOSVD's core must be the tensor contracted with every factor,
+// G = X ×₁ U₁ᵀ … ×_N U_Nᵀ, entry by entry: the fit reads only the
+// core's norm, which a core with permuted axes keeps.
+func TestSTHOSVDCoreIsTheContraction(t *testing.T) {
+	for _, tc := range []struct {
+		dims, ranks []int
+		nnz         int
+	}{
+		{[]int{20, 15, 10}, []int{5, 3, 4}, 500},
+		{[]int{9, 8, 7, 6}, []int{3, 2, 4, 2}, 400},
+	} {
+		x := gen.Random(gen.Config{Dims: tc.dims, NNZ: tc.nnz, Skew: 0.4, Seed: 13})
+		res, err := STHOSVD(x, STHOSVDOptions{Ranks: tc.ranks, Seed: 15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, d := tensor.DenseFromCOO(x).Data, append([]int(nil), tc.dims...)
+		for n, u := range res.Factors {
+			want, d[n] = modeProduct(want, d, n, u), u.Cols
+		}
+		if fmt.Sprint(res.Core.Dims) != fmt.Sprint(tc.ranks) || len(res.Core.Data) != len(want) {
+			t.Fatalf("dims %v: core of shape %v, want %v", tc.dims, res.Core.Dims, tc.ranks)
+		}
+		for i, g := range res.Core.Data {
+			if d := math.Abs(g - want[i]); !(d <= 1e-10) {
+				t.Fatalf("dims %v: core entry %d is %v, X ×ₙ Uₙᵀ gives %v (off by %.3g)", tc.dims, i, g, want[i], d)
+			}
+		}
 	}
 }
 

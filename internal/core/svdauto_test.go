@@ -39,28 +39,6 @@ func naiveHOOI(x *tensor.COO, initial []*dense.Matrix, sweeps int) []float64 {
 		}
 		return s
 	}
-	// product contracts mode m of t (shape d) with u: out[.., j, ..] =
-	// Σ_i t[.., i, ..]·u[i][j].
-	product := func(t []float64, d []int, m int, u *dense.Matrix) []float64 {
-		outer, inner := 1, 1
-		for _, s := range d[:m] {
-			outer *= s
-		}
-		for _, s := range d[m+1:] {
-			inner *= s
-		}
-		out := make([]float64, outer*u.Cols*inner)
-		for o := 0; o < outer; o++ {
-			for i := 0; i < d[m]; i++ {
-				for j := 0; j < u.Cols; j++ {
-					for k := 0; k < inner; k++ {
-						out[(o*u.Cols+j)*inner+k] += u.At(i, j) * t[(o*d[m]+i)*inner+k]
-					}
-				}
-			}
-		}
-		return out
-	}
 	u := append([]*dense.Matrix(nil), initial...)
 	xx := normSq(full)
 	var fits []float64
@@ -70,7 +48,7 @@ func naiveHOOI(x *tensor.COO, initial []*dense.Matrix, sweeps int) []float64 {
 			y, d := full, append([]int(nil), dims...)
 			for t := 0; t < order; t++ {
 				if t != n {
-					y, d[t] = product(y, d, t, u[t]), u[t].Cols
+					y, d[t] = modeProduct(y, d, t, u[t]), u[t].Cols
 				}
 			}
 			outer, inner := 1, 1
@@ -87,11 +65,34 @@ func naiveHOOI(x *tensor.COO, initial []*dense.Matrix, sweeps int) []float64 {
 				}
 			}
 			u[n], _ = dense.LeadingLeftSingularVectors(yn, u[n].Cols)
-			core = product(y, d, n, u[n])
+			core = modeProduct(y, d, n, u[n])
 		}
 		fits = append(fits, 1-math.Sqrt(math.Max(xx-normSq(core), 0)/xx))
 	}
 	return fits
+}
+
+// modeProduct contracts mode m of the row-major dense tensor t (shape d)
+// with u: out[.., j, ..] = Σ_i t[.., i, ..]·u[i][j], i.e. t ×_m uᵀ.
+func modeProduct(t []float64, d []int, m int, u *dense.Matrix) []float64 {
+	outer, inner := 1, 1
+	for _, s := range d[:m] {
+		outer *= s
+	}
+	for _, s := range d[m+1:] {
+		inner *= s
+	}
+	out := make([]float64, outer*u.Cols*inner)
+	for o := 0; o < outer; o++ {
+		for i := 0; i < d[m]; i++ {
+			for j := 0; j < u.Cols; j++ {
+				for k := 0; k < inner; k++ {
+					out[(o*u.Cols+j)*inner+k] += u.At(i, j) * t[(o*d[m]+i)*inner+k]
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Every solver the default can resolve to, and the default itself,

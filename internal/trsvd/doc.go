@@ -12,10 +12,14 @@
 //   - Golub–Kahan–Lanczos bidiagonalization with full
 //     reorthogonalization and warm starts (Options.WarmLeft) for the
 //     resident engine's re-convergence sweeps;
-//   - a randomized sketch solver (CholeskyQR2-whitened range finder,
-//     adaptive Ritz-converged power rounds, and a streaming
-//     single-pass variant for the update path), plus EpsRankSelect,
-//     the adaptive rank-selection rule behind Options.Eps.
+//   - a randomized sketch solver (Gaussian sketch, CholeskyQR2-whitened
+//     range finder, adaptive Ritz-converged power rounds), plus
+//     EpsRankSelect, the adaptive rank-selection rule behind core's
+//     Options.Eps.
+//
+// Options carries only what differs per call (seed, workspace, warm
+// start); every numerical setting is a constant of the solver that
+// reads it.
 //
 // An unblocked Gram-matrix solver on the Jacobi SVD survives in the
 // tests as the oracle all three are compared against. The iterative

@@ -7,14 +7,11 @@ import (
 	"hypertensor/internal/dense"
 )
 
-// Options control the iterative solvers.
+// Options control the solvers. Every numerical setting — the Krylov
+// cap and residual tolerance of Lanczos, the oversampling, power-round
+// cap and Ritz tolerance of the randomized solver — is a constant of
+// the solver that reads it.
 type Options struct {
-	// MaxDim caps the Krylov subspace dimension. 0 selects
-	// min(cols, max(2k+10, 30)).
-	MaxDim int
-	// Tol is the relative residual tolerance for a triplet to count as
-	// converged. 0 selects 1e-9.
-	Tol float64
 	// Seed makes start vectors (and any basis completion) deterministic.
 	Seed int64
 	// Work optionally supplies a reusable Workspace so repeated solver
@@ -33,30 +30,6 @@ type Options struct {
 	// is numerically zero (the deterministic random start is used then).
 	// The other solvers ignore it.
 	WarmLeft []float64
-	// Sketch selects the Randomized solver's sketching operator
-	// (SketchGauss by default). The other solvers ignore it.
-	Sketch SketchKind
-	// Oversample adds extra sketch columns beyond the target rank in the
-	// Randomized solver (0 selects 8). More oversampling buys accuracy
-	// on slowly decaying spectra at one extra operator column per unit.
-	Oversample int
-	// PowerIters caps the power-iteration refinement rounds of the
-	// Randomized solver: 0 selects 6, negative selects none. Each round
-	// sharpens the sketched subspace at the cost of two extra block
-	// operator passes; the solver stops below the cap as soon as the
-	// Ritz energies settle (see ritzTolCold/ritzTolWarm), so the cap
-	// only binds on slowly decaying spectra. Small explicit caps (1-2)
-	// trade trajectory accuracy for throughput.
-	PowerIters int
-	// SinglePass switches the Randomized solver to its streaming
-	// variant: the sketch is seeded from the right singular basis the
-	// workspace retained from the previous solve (falling back to a
-	// fresh random sketch when none is resident) and the retained Ritz
-	// energies feed the first convergence check, so a solve whose
-	// operator has stopped moving costs two block passes instead of
-	// 2 + 2·rounds. Intended for the Engine.Update re-convergence path,
-	// where the previous factors already sit next to the solution.
-	SinglePass bool
 }
 
 // Result holds the leading singular triplets computed by a solver.
@@ -76,20 +49,20 @@ type Result struct {
 	// MatTVec or block application, two for a Gram solve (the symmetric
 	// rank-k product and the projection).
 	Passes int
-	// Converged reports whether all k residuals met the tolerance
-	// before MaxDim was reached. HOOI tolerates approximate vectors, so
-	// callers usually proceed either way.
+	// Converged reports whether all k residuals met lanczosTol before
+	// the Krylov cap (maxDim) was reached. HOOI tolerates approximate
+	// vectors, so callers usually proceed either way.
 	Converged bool
 }
 
-func (o Options) maxDim(k, cols int) int {
-	d := o.MaxDim
-	if d <= 0 {
-		d = 2*k + 10
-		if d < 30 {
-			d = 30
-		}
-	}
+// lanczosTol is the relative residual tolerance for a Lanczos triplet
+// to count as converged.
+const lanczosTol = 1e-9
+
+// maxDim caps the Krylov subspace dimension of a k-vector Lanczos solve
+// on cols columns: min(cols, max(2k+10, 30)), and never below k.
+func maxDim(k, cols int) int {
+	d := max(2*k+10, 30)
 	if d > cols {
 		d = cols
 	}
@@ -97,13 +70,6 @@ func (o Options) maxDim(k, cols int) int {
 		d = k
 	}
 	return d
-}
-
-func (o Options) tol() float64 {
-	if o.Tol > 0 {
-		return o.Tol
-	}
-	return 1e-9
 }
 
 // Lanczos computes the k leading left singular vectors of the operator
@@ -130,8 +96,7 @@ func Lanczos(op Operator, k int, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("trsvd: k = %d exceeds column count %d", k, cols)
 	}
 	rows := op.LocalRows()
-	maxDim := opts.maxDim(k, cols)
-	tol := opts.tol()
+	maxDim := maxDim(k, cols)
 	ws := opts.work()
 	threads := opThreads(op)
 
@@ -211,7 +176,7 @@ func Lanczos(op Operator, k int, opts Options) (*Result, error) {
 		// every other step — at worst two extra matvecs before a
 		// convergence that would have been caught one step earlier,
 		// against half the projected-SVD work on the common path.
-		if s >= k && (s-k)%2 == 0 && ritzResidualsOK(alphas[:s], betas[:s-1], beta, k, tol, ws) {
+		if s >= k && (s-k)%2 == 0 && ritzResidualsOK(alphas[:s], betas[:s-1], beta, k, lanczosTol, ws) {
 			res.Converged = true
 			break
 		}

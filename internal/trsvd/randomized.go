@@ -7,52 +7,25 @@ import (
 	"hypertensor/internal/dense"
 )
 
-// SketchKind selects the sketching operator of the Randomized solver.
-type SketchKind int
-
+// The Randomized solver's settings.
 const (
-	// SketchGauss is the dense counter-based pseudo-Gaussian sketch
-	// (GaussHash): every input row feeds every sketch column. The
-	// default, and the robust choice.
-	SketchGauss SketchKind = iota
-	// SketchCount is a CountSketch: every input row lands in exactly one
-	// hashed sketch column with a random sign, so forming A·Ω touches
-	// each column of A once. Only sensible when the column count is well
-	// above the sketch size; degenerate sketches are repaired by the
-	// whitening step at some accuracy cost.
-	SketchCount
-)
-
-func (o Options) oversample() int {
-	if o.Oversample > 0 {
-		return o.Oversample
-	}
-	return 8
-}
-
-func (o Options) powerIters() int {
-	if o.PowerIters > 0 {
-		return o.PowerIters
-	}
-	if o.PowerIters < 0 {
-		return 0
-	}
-	return 6
-}
-
-// ritzTolCold and ritzTolWarm are the adaptive power-iteration stopping
-// tolerances: the solve ends as soon as the top-k Ritz energies move by
-// less than the tolerance (relative to the leading energy) between
-// successive projections. Cold solves run tight — on nearly flat
-// spectra the first sweep picks the subspace basin every later sweep
-// refines, so an under-resolved cold solve shifts the whole trajectory.
-// Warm streaming solves start next to the answer and only track drift,
-// so they stop earlier. Both comparisons run on replicated values
-// produced by fixed-order reductions, so every thread count, schedule,
-// and transport takes the identical number of iterations.
-const (
-	ritzTolCold = 1e-8
-	ritzTolWarm = 1e-7
+	// oversample is the number of sketch columns beyond the target rank.
+	oversample = 8
+	// maxPower caps the power-iteration rounds of one solve. Each round
+	// costs two block operator passes; the solve stops below the cap as
+	// soon as the Ritz energies settle, so the cap only binds on slowly
+	// decaying spectra.
+	maxPower = 6
+	// ritzTol is the adaptive power-iteration stopping tolerance: the
+	// solve ends as soon as the top-k Ritz energies move by less than
+	// ritzTol (relative to the leading energy) between successive
+	// projections. It runs tight — on nearly flat spectra the first
+	// sweep picks the subspace basin every later sweep refines, so an
+	// under-resolved solve shifts the whole trajectory. The comparison
+	// runs on replicated values produced by fixed-order reductions, so
+	// every thread count, schedule, and transport takes the identical
+	// number of iterations.
+	ritzTol = 1e-8
 )
 
 // whitenCond is the Gram condition number (λmax/λmin) above which an
@@ -85,7 +58,7 @@ func maxRelDiffK(a, b []float64, k int) float64 {
 // iterations that sharpen the captured subspace until the Ritz spectrum
 // settles. Each round orthonormalizes Y, takes one projection pass
 // B = AᵀQ whose small SVD yields the current Ritz values, and stops as
-// soon as the top-k values move by less than ritzTol (or the PowerIters
+// soon as the top-k values move by less than ritzTol (or the maxPower
 // cap is reached); otherwise the B panel — already the power-iteration
 // input — is CGS2-orthonormalized and pushed back through A. A solve
 // that stops after r rounds costs 2 + 2r block operator passes riding
@@ -102,20 +75,14 @@ func maxRelDiffK(a, b []float64, k int) float64 {
 // replicated power-iteration panels are stabilized with the same
 // two-pass classical Gram–Schmidt used by the Lanczos solver.
 //
-// The streaming single-pass variant (Options.SinglePass) additionally
-// seeds the sketch with the previous solve's right basis and carries
-// its spectrum into the first Ritz check: once the underlying operator
-// has nearly stopped moving between solves — warm re-convergence after
-// an Engine.Update, the late sweeps of ALS — the very first projection
-// matches the carried spectrum and the solve returns after a single
-// sketch-plus-projection round.
-//
-// Everything is deterministic: sketches come from the counter-based
-// GaussHash, panel products use the fixed-block reductions, and all
-// small math (including the iteration-count decisions) runs on
-// replicated matrices — so results are bitwise identical across thread
-// counts, schedules, and distributed transports. All panels live in the
-// workspace; in steady state only the returned Result.U allocates.
+// The result depends on the operator, k and opts.Seed alone: sketches
+// come from the counter-based GaussHash, panel products use the
+// fixed-block reductions, and all small math (including the
+// iteration-count decisions) runs on replicated matrices — so results
+// are bitwise identical across thread counts, schedules, distributed
+// transports, and a resumed run. The workspace holds scratch only and
+// carries nothing from one solve to the next; in steady state only the
+// returned Result.U allocates. WarmLeft is ignored.
 func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	cols := op.Cols()
 	if k <= 0 {
@@ -125,7 +92,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("trsvd: k = %d exceeds column count %d", k, cols)
 	}
 	rows := op.LocalRows()
-	b := k + opts.oversample()
+	b := k + oversample
 	if b > cols {
 		b = cols
 	}
@@ -133,30 +100,15 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	threads := opThreads(op)
 	res := &Result{}
 
-	// Sketch W (cols x b, replicated). The streaming variant seeds the
-	// leading columns with the retained right basis of the previous
-	// solve, so one block pass already lands next to the old subspace;
-	// the remaining columns stay random to catch directions the delta
-	// opened up.
+	// Sketch W (cols x b, replicated).
 	w := dense.ReuseMatrixUninit(ws.panelW, cols, b)
 	ws.panelW = w
-	warm := 0
-	if opts.SinglePass && ws.vPrev != nil && ws.vPrev.Rows == cols {
-		warm = ws.vPrev.Cols
-		if warm > k {
-			warm = k
-		}
-		for i := 0; i < cols; i++ {
-			copy(w.Row(i)[:warm], ws.vPrev.Row(i)[:warm])
-		}
-	}
-	fillSketch(w, warm, opts.Sketch, opts.Seed)
+	fillSketch(w, opts.Seed)
 
 	y := dense.ReuseMatrixUninit(ws.panelY, rows, b)
 	ws.panelY = y
 	opMatMat(op, w, y, ws, res)
 
-	maxPower := opts.powerIters()
 	coeff := dense.ReuseVec(ws.coeff, b)
 	ws.coeff = coeff
 	g := dense.ReuseMatrix(ws.gram, b, b)
@@ -172,17 +124,9 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	bm := dense.ReuseMatrixUninit(ws.panelB, cols, b)
 	ws.panelB = bm
 
-	// The Ritz energies the first convergence check compares against:
-	// the streaming variant carries the previous solve's values (the
-	// operator barely moved, so a matching first projection ends the
-	// solve single-pass); a cold solve has nothing to compare and always
-	// takes at least one power round.
+	// prevLam holds the previous round's Ritz energies; the first round
+	// has nothing to compare against and always takes a power round.
 	var prevLam []float64
-	if warm > 0 && len(ws.sigStream) >= k {
-		prevLam = ws.sigStream
-	}
-
-	var lam []float64
 	for it := 0; ; it++ {
 		// CholeskyQR: whiten Y through its small global Gram. One pass
 		// leaves O(κ²·eps) orthogonality error, which would bias the Ritz
@@ -210,19 +154,15 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		// convergence check costs no operator pass and no large SVD.
 		opMatTMat(op, y, bm, ws, res)
 		dense.MatMulTAInto(g2, bm, bm, threads)
-		_, lam, _ = ws.svd.SVD(g2)
-		tol := ritzTolWarm
-		if warm == 0 {
-			tol = ritzTolCold
-		}
-		if prevLam != nil && maxRelDiffK(lam, prevLam, k) <= tol {
+		_, lam, _ := ws.svd.SVD(g2)
+		if prevLam != nil && maxRelDiffK(lam, prevLam, k) <= ritzTol {
 			break
 		}
 		if it >= maxPower {
 			break
 		}
-		prevLam = append(ws.sigStream[:0], lam[:k]...)
-		ws.sigStream = prevLam
+		prevLam = append(ws.ritzPrev[:0], lam[:k]...)
+		ws.ritzPrev = prevLam
 
 		// Power round: Y ← A·orth(B). The CGS2 orthonormalization runs
 		// on the transposed panel so each basis vector is a contiguous
@@ -235,17 +175,13 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		ws.panelZ = z
 		opMatMat(op, z, y, ws, res)
 	}
-	// Retain the Ritz energies for the next streaming solve's first
-	// check (before the SVD calls below recycle lam's backing array).
-	ws.sigStream = append(ws.sigStream[:0], lam[:k]...)
 
 	// CholeskyQR2 second pass on the final basis: the first whitening
 	// left O(κ²·eps); this Gram is O(1)-conditioned, so its whitening C2
 	// repairs Q to machine precision. The projection panel follows
 	// algebraically — Q2 = Q·C2 ⇒ T = Q2ᵀA = C2ᵀ·Bᵀ, i.e. P = B·C2 —
 	// so the repair costs no operator pass. The SVD of T yields the
-	// sketched spectrum and, through V, the right basis retained for the
-	// next streaming solve.
+	// sketched spectrum.
 	rowGram(op, y, g, ws)
 	ws.svd.GramWhitenInto(c2, g)
 	dense.MatMulInto(q, y, c2, threads)
@@ -256,7 +192,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	dense.MatMulInto(p, bm, c2, threads)
 	t := dense.TransposeInto(ws.sketchT, p)
 	ws.sketchT = t
-	pu, sig, pv := ws.svd.SVD(t)
+	pu, sig, _ := ws.svd.SVD(t)
 
 	// U = Q·P(:, :k): Y already holds the orthonormal basis, so the left
 	// vectors are one rows x b by b x k product away.
@@ -284,13 +220,6 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		}
 	}
 
-	// Retain V(:, :k) for the next streaming solve's warm sketch.
-	vp := dense.ReuseMatrixUninit(ws.vPrev, cols, k)
-	ws.vPrev = vp
-	for i := 0; i < cols; i++ {
-		copy(vp.Row(i), pv.Row(i)[:k])
-	}
-
 	completeBasis(op, u, sigma, opts, ws)
 	res.U = u
 	res.Sigma = sigma
@@ -298,39 +227,13 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// fillSketch writes the sketch entries of columns [from, b) — the
-// columns not already seeded from a previous basis. Entries are pure
-// functions of (seed, row, column), so the sketch is identical on every
-// rank, thread count, and transport.
-func fillSketch(w *dense.Matrix, from int, kind SketchKind, seed int64) {
-	cols, b := w.Rows, w.Cols
-	if from >= b {
-		return
-	}
-	if kind == SketchCount {
-		width := uint64(b - from)
-		for i := 0; i < cols; i++ {
-			row := w.Row(i)
-			for j := from; j < b; j++ {
-				row[j] = 0
-			}
-			z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(i)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
-			z ^= z >> 30
-			z *= 0xBF58476D1CE4E5B9
-			z ^= z >> 27
-			z *= 0x94D049BB133111EB
-			z ^= z >> 31
-			sign := 1.0
-			if z&1 == 1 {
-				sign = -1
-			}
-			row[from+int((z>>1)%width)] = sign
-		}
-		return
-	}
-	for i := 0; i < cols; i++ {
+// fillSketch writes the Gaussian sketch W. Entries are pure functions
+// of (seed, row, column), so the sketch is identical on every rank,
+// thread count, and transport.
+func fillSketch(w *dense.Matrix, seed int64) {
+	for i := 0; i < w.Rows; i++ {
 		row := w.Row(i)
-		for j := from; j < b; j++ {
+		for j := range row {
 			row[j] = GaussHash(seed, int64(i), int64(j))
 		}
 	}

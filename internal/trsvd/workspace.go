@@ -2,12 +2,13 @@ package trsvd
 
 import "hypertensor/internal/dense"
 
-// Workspace holds every buffer the iterative solvers need between
-// calls: Krylov bases, block panels, projected matrices, reduction
-// scratch, and the small-SVD workspace. HOOI calls a TRSVD solver once
-// per mode per sweep on matrices whose shapes repeat exactly, so a
-// workspace threaded through Options.Work makes the steady-state sweep
-// allocate (almost) nothing — only the returned Result.U is fresh.
+// Workspace holds every buffer the solvers need: Krylov bases, block
+// panels, projected matrices, reduction scratch, and the small-SVD
+// workspace. HOOI calls a TRSVD solver once per mode per sweep on
+// matrices whose shapes repeat exactly, so a workspace threaded through
+// Options.Work makes the steady-state sweep allocate (almost) nothing —
+// only the returned Result.U is fresh. It is scratch only: no solver
+// reads what a previous call left in it.
 //
 // The zero value is ready to use; buffers grow on demand and are kept
 // at high-water size. A workspace is not safe for concurrent use: give
@@ -38,17 +39,12 @@ type Workspace struct {
 	// Randomized sketch solver: the transposed replicated panel the CGS2
 	// orthonormalization streams over, the projected B = AᵀQ panel, the
 	// two Gram-whitening combinations and their product, the local
-	// whitened panel, and the persisted right singular basis that seeds
-	// the next single-pass (streaming) sketch.
+	// whitened panel, and the previous power round's top-k Ritz
+	// energies within one solve.
 	sketchT, panelB *dense.Matrix
 	white, white2   *dense.Matrix
 	qpanel, gram2   *dense.Matrix
-	vPrev           *dense.Matrix
-	// sigStream carries the previous solve's top-k Ritz energies between
-	// streaming solves: the first convergence check of a warm solve
-	// compares against it, ending the solve single-pass once the
-	// operator has stopped moving.
-	sigStream []float64
+	ritzPrev        []float64
 
 	// Gram: the block partials of the symmetric rank-k product (gram, vk,
 	// gram2, white and qpanel above hold its small matrices and the
