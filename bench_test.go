@@ -355,17 +355,20 @@ func BenchmarkWriteTNS(b *testing.B) {
 	}
 }
 
-// The initial-factor QR of nell3_tall's longest mode (640000 x 10).
+// The initial-factor QRs of the benchmark workloads: nell3_tall's two
+// tall modes (640000 x 10, 127600 x 10) and delicious4's (400000 x 5,
+// 60000 x 5). The thread count is GOMAXPROCS:
+// go test -run '^$' -bench OrthonormalizeTall -cpu 1,2 .
 func BenchmarkOrthonormalizeTall(b *testing.B) {
-	a := dense.RandomNormal(640000, 10, rand.New(rand.NewSource(1)))
-	q := a.Clone()
-	for _, threads := range []int{1, 2} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+	for _, s := range [][2]int{{640000, 10}, {127600, 10}, {400000, 5}, {60000, 5}} {
+		a := dense.RandomNormal(s[0], s[1], rand.New(rand.NewSource(1)))
+		q := a.Clone()
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				copy(q.Data, a.Data)
 				b.StartTimer()
-				dense.Orthonormalize(q, threads)
+				dense.Orthonormalize(q, 0)
 			}
 		})
 	}

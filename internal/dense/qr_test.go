@@ -117,6 +117,38 @@ func TestOrthonormalizeThreadInvariant(t *testing.T) {
 	}
 }
 
+// bitsDigest is an FNV-1a hash of the matrix's float64 bit patterns.
+func bitsDigest(m *Matrix) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range m.Data {
+		b := math.Float64bits(v)
+		for k := 0; k < 64; k += 8 {
+			h = (h ^ (b >> k & 0xff)) * 1099511628211
+		}
+	}
+	return h
+}
+
+// The init QR's exact bits, recorded before its block partials were
+// given cache lines of their own: where a partial sits must not change
+// what is added to it, or in what order, on any thread count.
+func TestOrthonormalizeDigests(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols int
+		want       uint64
+	}{
+		{70001, 5, 0xbe8e8ddecb41f2aa},
+		{70001, 10, 0x2f4c9bab18b9},
+	} {
+		a := RandomNormal(tc.rows, tc.cols, rand.New(rand.NewSource(1)))
+		for _, threads := range []int{1, 2, 3, 8} {
+			if got := bitsDigest(Orthonormalize(a.Clone(), threads)); got != tc.want {
+				t.Fatalf("%dx%d threads=%d: digest %#x, recorded %#x", tc.rows, tc.cols, threads, got, tc.want)
+			}
+		}
+	}
+}
+
 // Degenerate inputs still give exactly Cols orthonormal columns.
 func TestOrthonormalizeDegenerate(t *testing.T) {
 	dup := RandomNormal(50000, 4, rand.New(rand.NewSource(5)))
