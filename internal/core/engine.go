@@ -110,8 +110,29 @@ func (e *Engine) newKernel(threads int) kernel {
 
 // NewEngine builds a resident handle on the plan's analysis: the
 // numeric TTMc kernel with empty caches, seeded initial factors, and
-// per-mode solver workspaces.
+// per-mode solver workspaces. Unless the options give Initial factors,
+// U_0 starts as a zero matrix (initialFactors): the first sweep solves
+// mode 0 before it reads U_0.
 func NewEngine(p *Plan) *Engine {
+	ranks := startRanks(p.x, p.opts)
+	var u0 *dense.Matrix
+	if p.opts.Initial == nil {
+		u0 = dense.NewMatrix(p.x.Dims[0], ranks[0])
+	}
+	e := newEngine(p, u0, func() []*dense.Matrix { return initialFactors(p.x, p.opts, ranks, u0) })
+	if u0 != nil {
+		// Zeros already: the first scatter into U_0 need not clear it.
+		e.scattered[0] = u0
+	}
+	return e
+}
+
+// newEngine builds an engine whose state starts from the factors
+// returned by initial, which runs beside the kernel build. fresh, if not
+// nil, is a new zero factor the first sweep scatters into: a build
+// goroutine, done long before the random fill, writes its zeros once, so
+// that its pages fault in during set-up and not in that sweep.
+func newEngine(p *Plan, fresh *dense.Matrix, initial func() []*dense.Matrix) *Engine {
 	e := &Engine{
 		plan:     p,
 		opts:     p.opts,
@@ -126,11 +147,14 @@ func NewEngine(p *Plan) *Engine {
 		e.ex = localExchange{threads: e.opts.Threads}
 	}
 	built := make(chan struct{})
-	build := func(threads int) {
+	build := func(threads int, prefault bool) {
 		defer close(built)
 		start := time.Now()
 		e.kern = e.newKernel(threads)
 		e.symTime = time.Since(start)
+		if prefault && fresh != nil {
+			clear(fresh.Data)
+		}
 	}
 	if threads := par.DefaultThreads(e.opts.Threads); threads >= 2 {
 		// Either kernel's build (the tree's groupings, the flat kernel's
@@ -138,12 +162,12 @@ func NewEngine(p *Plan) *Engine {
 		// initial factors (largely a serial random fill) only the shape
 		// and the seed, so the two run side by side, the build on the
 		// threads the fill leaves idle.
-		go build(threads - 1)
+		go build(threads-1, true)
 	} else {
-		build(threads)
+		build(threads, false)
 	}
 	start := time.Now()
-	e.state = NewSweepState(InitialFactors(p.x, e.opts, startRanks(p.x, e.opts)), e.opts.Seed)
+	e.state = NewSweepState(initial(), e.opts.Seed)
 	e.initTime = time.Since(start)
 	<-built
 	e.ys = make([]dense.Matrix, e.order)
@@ -210,7 +234,7 @@ func frobSq(y *dense.Matrix, threads int) float64 {
 func (e *Engine) Result() *Result { return e.res }
 
 // Factors exposes the engine's current factor matrices (live state, not
-// a copy).
+// a copy). Before the first Run, U_0 is zero unless Initial gave it.
 func (e *Engine) Factors() []*dense.Matrix { return e.state.Factors }
 
 // Tensor returns the engine's current tensor: the live stable-id
@@ -283,8 +307,9 @@ func (e *Engine) warmVec(n int, rows []int32) []float64 {
 // inserts slices and removes none; a distributed rank's owned rows are
 // fixed and Expand overwrites what it receives), so a factor matrix is
 // zeroed the first time this engine scatters into it and only copied into
-// afterwards — a tall mode's factor is tens of megabytes. A matrix that
-// replaces it (adaptive-rank resize, restored factors) is zeroed again.
+// afterwards — a tall mode's factor is tens of megabytes. NewEngine's
+// fresh zero U_0 starts out as zeroed. A matrix that replaces a factor
+// (adaptive-rank resize, restored factors) is zeroed again.
 func (e *Engine) scatter(n int, compact *dense.Matrix, rows []int32) {
 	full := e.state.Factors[n]
 	if e.scattered[n] != full {

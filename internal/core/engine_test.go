@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -419,49 +420,59 @@ func emptyRowsAreZero(t *testing.T, label string, e *Engine) (empty int) {
 // Initial factors are nonzero in the rows of empty slices must still end
 // with those rows zero; an Update that fills some of those slices must
 // write their rows, keep the rest zero, and equal the cold rebuild (whose
-// factors are fresh clones, zeroed again) bit for bit.
+// factors are fresh clones, zeroed again) bit for bit. The same holds on
+// a cold random start, whose U_0 the engine starts as a zero matrix that
+// the first scatter does not clear again.
 func TestScatterZeroesOncePerFactorMatrix(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 90, Skew: 0.5, Seed: 5})
 	ranks := []int{3, 3, 3}
 	for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
-		opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2, TTMc: strat}
-		opts.Initial = InitialFactors(x, opts, ranks) // dense random columns: no zero row
-		p, err := NewPlan(x, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(p)
-		if _, err := e.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		before := emptyRowsAreZero(t, "after the warm start", e)
-		if before == 0 {
-			t.Fatal("the tensor has no empty slice: the test needs some")
-		}
-		// One new nonzero per mode, in that mode's first empty slice and
-		// in a nonempty slice of every other mode (so its Y row is not
-		// a product with a zeroed factor row).
-		filled := make([]int, x.Order())
-		delta := tensor.NewCOO(x.Dims, x.Order())
-		for n := range filled {
-			coord := make([]int, x.Order())
-			for m := range coord {
-				coord[m] = int(e.kern.Rows(m)[0])
+		for _, warm := range []bool{true, false} {
+			label := fmt.Sprintf("%v warm=%v", strat, warm)
+			opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2, TTMc: strat}
+			if warm {
+				opts.Initial = InitialFactors(x, opts, ranks) // dense random columns: no zero row
 			}
-			solved := e.kern.Rows(n)
-			for filled[n] < len(solved) && int(solved[filled[n]]) == filled[n] {
-				filled[n]++
+			p, err := NewPlan(x, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			coord[n] = filled[n]
-			delta.Append(coord, 1.5)
-		}
-		updateVsColdRebuild(t, e, x, delta, opts)
-		if after := emptyRowsAreZero(t, "after the update", e); after != before-x.Order() {
-			t.Fatalf("%d empty rows before the update, %d after: %d slices should have filled", before, after, x.Order())
-		}
-		for n, u := range e.Factors() {
-			if dense.Nrm2(u.Row(filled[n])) == 0 {
-				t.Fatalf("mode %d: slice %d became nonempty and its factor row is still zero", n, filled[n])
+			e := NewEngine(p)
+			if preset := e.scattered[0] == e.Factors()[0]; preset == warm {
+				t.Fatalf("%s: U_0 counts as zeroed before the first sweep: %v", label, preset)
+			}
+			if _, err := e.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			before := emptyRowsAreZero(t, label+": after the run", e)
+			if before == 0 {
+				t.Fatal("the tensor has no empty slice: the test needs some")
+			}
+			// One new nonzero per mode, in that mode's first empty slice and
+			// in a nonempty slice of every other mode (so its Y row is not
+			// a product with a zeroed factor row).
+			filled := make([]int, x.Order())
+			delta := tensor.NewCOO(x.Dims, x.Order())
+			for n := range filled {
+				coord := make([]int, x.Order())
+				for m := range coord {
+					coord[m] = int(e.kern.Rows(m)[0])
+				}
+				solved := e.kern.Rows(n)
+				for filled[n] < len(solved) && int(solved[filled[n]]) == filled[n] {
+					filled[n]++
+				}
+				coord[n] = filled[n]
+				delta.Append(coord, 1.5)
+			}
+			updateVsColdRebuild(t, e, x, delta, opts)
+			if after := emptyRowsAreZero(t, label+": after the update", e); after != before-x.Order() {
+				t.Fatalf("%s: %d empty rows before the update, %d after: %d slices should have filled", label, before, after, x.Order())
+			}
+			for n, u := range e.Factors() {
+				if dense.Nrm2(u.Row(filled[n])) == 0 {
+					t.Fatalf("%s: mode %d: slice %d became nonempty and its factor row is still zero", label, n, filled[n])
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -67,6 +68,75 @@ func TestFitHistoryUnchanged(t *testing.T) {
 		for i, want := range tc.want {
 			if d := math.Abs(res.FitHistory[i] - want); !(d <= 1e-9) {
 				t.Fatalf("%s sweep %d: fit %.17g is %.3g off the recorded %.17g", tc.preset, i+1, res.FitHistory[i], d, want)
+			}
+		}
+	}
+}
+
+// A cold sweep computes mode 0's product from U_1…U_{N−1} and scatters
+// mode 0's solve over U_0 before anything reads U_0, which is why
+// NewEngine builds no U_0. So a NaN U_0 must leave every bit of a cold
+// run where a random one puts it; and the engine's other initial factors
+// must be InitialFactors' own, bit for bit, so that skipping U_0 left the
+// random stream (or the range finder's seeds) where they were.
+func TestColdSweepNeverReadsFirstFactor(t *testing.T) {
+	order3 := gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 900, Skew: 0.5, Seed: 5})
+	order4 := gen.Random(gen.Config{Dims: []int{30, 25, 20, 15}, NNZ: 1500, Skew: 0.5, Seed: 6})
+	for _, tc := range []struct {
+		name string
+		x    *tensor.COO
+		opts Options
+	}{
+		{"order 3 flat", order3, Options{Ranks: []int{4, 4, 4}, TTMc: TTMcFlat}},
+		{"order 4 tree", order4, Options{Ranks: []int{3, 3, 3, 3}, TTMc: TTMcDTree}},
+		{"order 4 tree lanczos", order4, Options{Ranks: []int{3, 3, 3, 3}, TTMc: TTMcDTree, SVD: SVDLanczos}},
+	} {
+		for _, threads := range []int{1, 2} {
+			opts := tc.opts
+			opts.MaxIters, opts.Tol, opts.Seed, opts.Threads = 3, -1, 3, threads
+			opts.Initial = InitialFactors(tc.x, opts, opts.Ranks)
+			want, err := Decompose(tc.x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nan := dense.NewMatrix(tc.x.Dims[0], opts.Ranks[0])
+			for i := range nan.Data {
+				nan.Data[i] = math.NaN()
+			}
+			opts.Initial = append([]*dense.Matrix{nan}, opts.Initial[1:]...)
+			got, err := Decompose(tc.x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsBitwiseEqual(t, fmt.Sprintf("%s threads=%d: a NaN U_0", tc.name, threads), want, got)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		x    *tensor.COO
+		opts Options
+	}{
+		{"order 3", order3, Options{Ranks: []int{4, 4, 4}}},
+		{"order 4", order4, Options{Ranks: []int{3, 3, 3, 3}}},
+		{"eps probe ranks", order3, Options{Eps: 0.1}},
+		{"hosvd", order4, Options{Ranks: []int{3, 3, 3, 3}, Init: InitHOSVD}},
+	} {
+		opts := tc.opts
+		opts.MaxIters, opts.Tol, opts.Seed, opts.Threads = 1, -1, 3, 2
+		want := InitialFactors(tc.x, opts, startRanks(tc.x, opts))
+		for n, u := range NewEngine(mustPlan(t, tc.x, opts)).Factors() {
+			if u.Rows != want[n].Rows || u.Cols != want[n].Cols {
+				t.Fatalf("%s: mode %d is %dx%d, InitialFactors gives %dx%d", tc.name, n, u.Rows, u.Cols, want[n].Rows, want[n].Cols)
+			}
+			if n > 0 {
+				bitsEqual(t, fmt.Sprintf("%s: mode %d", tc.name, n), u.Data, want[n].Data)
+				continue
+			}
+			for i, v := range u.Data {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("%s: U_0 element %d is %v before the first sweep, want +0", tc.name, i, v)
+				}
 			}
 		}
 	}

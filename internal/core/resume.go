@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"hypertensor/internal/checkpoint"
+	"hypertensor/internal/dense"
 	"hypertensor/internal/tensor"
 )
 
@@ -41,8 +42,9 @@ func (e *Engine) midRunState(sweep int, history []float64, g *tensor.Dense) *che
 
 // SnapshotState returns a deep copy of the engine's resume state as of
 // the most recent Run/Update (or the initial factors before the first
-// Run). Resuming from it and calling Run re-issues the interrupted (or
-// next) solve with a bitwise-identical fit trajectory.
+// Run, U_0 zero unless Initial gave it). Resuming from it and calling
+// Run re-issues the interrupted (or next) solve with a bitwise-identical
+// fit trajectory.
 func (e *Engine) SnapshotState() *checkpoint.State {
 	s := &checkpoint.State{
 		Step:      e.state.Step,
@@ -97,13 +99,16 @@ func ResumeEngineState(p *Plan, st *checkpoint.State) (*Engine, error) {
 	if err := validateState(p, st); err != nil {
 		return nil, err
 	}
-	e := NewEngine(p)
-	for n, f := range st.Factors {
-		e.state.Factors[n] = f.Clone()
-	}
+	// The restored factors replace every initial one, so none is built.
+	e := newEngine(p, nil, func() []*dense.Matrix {
+		factors := make([]*dense.Matrix, len(st.Factors))
+		for n, f := range st.Factors {
+			factors[n] = f.Clone()
+		}
+		return factors
+	})
 	e.state.Step = st.Step
 	e.warmReady = st.WarmReady
-	e.sizeYs() // under Eps the restored ranks differ from the probe ranks
 	rs := &checkpoint.State{
 		Sweep:      st.Sweep,
 		FitHistory: append([]float64(nil), st.FitHistory...),

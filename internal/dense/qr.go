@@ -89,19 +89,24 @@ func Orthonormalize(a *Matrix, threads int) *Matrix {
 	}
 	q := a // from here on it holds U, then Q
 	nb := par.NumReduceBlocks(m)
-	part := make([]float64, nb*2*n)
+	// Every block adds into its partial once per row, so each partial
+	// owns whole cache lines: packed back to back, neighbouring blocks on
+	// two workers shared lines, and two threads ran a 400000 x 5 QR
+	// slower than one.
+	stride := wholeLines(2 * n)
+	part := make([]float64, nb*stride)
 	// reduce sums, in block order, the vectors body accumulates per block.
 	reduce := func(sum []float64, body func(lo, hi int, p []float64)) {
 		w := len(sum)
 		par.For(nb, threads, 1, func(b int) {
-			p := part[b*w : (b+1)*w]
+			p := part[b*stride : b*stride+w]
 			clear(p)
 			lo, hi := par.Split(m, nb, b)
 			body(lo, hi, p)
 		})
 		clear(sum)
 		for b := 0; b < nb; b++ {
-			for k, v := range part[b*w : (b+1)*w] {
+			for k, v := range part[b*stride : b*stride+w] {
 				sum[k] += v
 			}
 		}
@@ -194,6 +199,14 @@ func Orthonormalize(a *Matrix, threads int) *Matrix {
 		}
 	}
 	return q
+}
+
+// wholeLines rounds k float64s up to whole 64-byte cache lines. The size
+// class a multiple of 64 bytes lands in is one too, so a slab made at
+// that length starts on a line and ends on one.
+func wholeLines(k int) int {
+	const lineFloats = 8
+	return (k + lineFloats - 1) / lineFloats * lineFloats
 }
 
 // reseedColumn replaces column j of q by a coordinate vector

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // checkOrthonormalColumns verifies Q^T Q = I within tol.
@@ -145,6 +146,22 @@ func TestOrthonormalizeDigests(t *testing.T) {
 			if got := bitsDigest(Orthonormalize(a.Clone(), threads)); got != tc.want {
 				t.Fatalf("%dx%d threads=%d: digest %#x, recorded %#x", tc.rows, tc.cols, threads, got, tc.want)
 			}
+		}
+	}
+}
+
+var slabSink []float64
+
+// The QR's block partials are strided by wholeLines so that no two
+// blocks share a cache line; that holds only if the slab starts on one.
+func TestWholeLinesSlabsStartOnALine(t *testing.T) {
+	for k := 1; k <= 1024; k++ {
+		slabSink = make([]float64, wholeLines(k))
+		if len(slabSink)%8 != 0 || len(slabSink) < k {
+			t.Fatalf("wholeLines(%d) = %d", k, len(slabSink))
+		}
+		if p := uintptr(unsafe.Pointer(unsafe.SliceData(slabSink))); p%64 != 0 {
+			t.Fatalf("a slab of %d float64s starts %d bytes into a cache line", len(slabSink), p%64)
 		}
 	}
 }
