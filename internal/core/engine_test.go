@@ -307,7 +307,9 @@ func TestEngineRunCancellation(t *testing.T) {
 // rebuilt the tree in place of splicing the delta into its groupings:
 // three deltas streamed into the order-4 default engine. The sweep and
 // multiply-add counts are exact; fits and the factor digest
-// sum U[i,j]*cos(0.7i+1.3j+n) hold to rounding.
+// sum U[i,j]*cos(0.7i+1.3j+n) hold to rounding. Fits and digests were
+// taken again when the default moved this shape from Lanczos to Gram
+// (the digest follows the sign each solver gives a singular vector).
 func TestUpdatePathUnchanged(t *testing.T) {
 	x, ranks := presetTensor(t, "delicious", 0.1)
 	plan, err := NewPlan(x, Options{Ranks: ranks, MaxIters: 20, Seed: 1, Threads: 2})
@@ -324,9 +326,9 @@ func TestUpdatePathUnchanged(t *testing.T) {
 		fits   []float64
 		digest float64
 	}{
-		{2, 7479500, []float64{0.98198372184533622, 0.98198373155096652}, 2.2368993106621291},
-		{2, 7571900, []float64{0.98196895006282414, 0.98196895033369669}, 1.5850410052646375},
-		{2, 7664300, []float64{0.98195570281140021, 0.98195570282731415}, 6.4455318749030779},
+		{2, 7479500, []float64{0.98198372184541682, 0.98198373155099139}, 1.4362414990303496},
+		{2, 7571900, []float64{0.98196895006284268, 0.98196895033360998}, -1.1819446451290119},
+		{2, 7664300, []float64{0.98195570281131972, 0.98195570282722755}, 2.4748427505150001},
 	} {
 		res, err := eng.Update(gen.Delta(eng.Tensor(), 0.003, 0.003, int64(100+k)))
 		if err != nil {

@@ -20,9 +20,10 @@ import (
 // and Lanczos-update columns were recorded at commit c9e0e6f, when
 // Lanczos was the default, and are now taken with SVD pinned to it: that
 // they still hold says the Lanczos path is what it was. The auto columns
-// are the default's, recorded when SVDAuto arrived: the order-3 presets
-// resolve to Gram in every mode (two passes per solve, none
-// unconverged), the order-4 ones to Lanczos, whose numbers they repeat.
+// are the default's, recorded when SVDAuto arrived for the order-3
+// presets and when the rule took order 4 at ranks 5 from Lanczos for the
+// order-4 ones: every preset resolves to Gram in every mode (two passes
+// per solve, none unconverged).
 // TTMc madds are what the kernel executed: on order 3 the flat kernel's
 // accumulator update per nonzero plus a row update per run (the nominal
 // nnz x row size of both presets is 2.2-2.5x the figure), on order 4 the
@@ -57,10 +58,10 @@ func TestRecordedCounts(t *testing.T) {
 			solverCounts{20831360, 332, 0, 2, 13711512}, solverCounts{23944080, 18, 0, 2, 13711512}},
 		{"nell", 3716400, 374400, 499200, 116251200, 1260372, 27, "[gram gram gram]",
 			solverCounts{49085600, 412, 0, 2, 10391260}, solverCounts{65122200, 18, 0, 2, 10391260}},
-		{"delicious", 6922300, 896016, 0, 177053500, 3250268, 32, "[lanczos lanczos lanczos lanczos]",
-			solverCounts{59142500, 356, 0, 2, 14029400}, solverCounts{59142500, 356, 0, 2, 14029400}},
-		{"flickr", 5290500, 716800, 0, 112560500, 4821428, 36, "[lanczos lanczos lanczos lanczos]",
-			solverCounts{44326250, 380, 0, 2, 10728400}, solverCounts{44326250, 380, 0, 2, 10728400}},
+		{"delicious", 6922300, 896016, 0, 177053500, 3250268, 32, "[gram gram gram gram]",
+			solverCounts{59142500, 356, 0, 2, 14029400}, solverCounts{134487000, 24, 0, 2, 14029400}},
+		{"flickr", 5290500, 716800, 0, 112560500, 4821428, 36, "[gram gram gram gram]",
+			solverCounts{44326250, 380, 0, 2, 10728400}, solverCounts{94834500, 24, 0, 2, 10728400}},
 	} {
 		x, ranks := presetTensor(t, want.preset, 0.2)
 		opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32}

@@ -133,9 +133,9 @@ func TestResolveSVDAndParse(t *testing.T) {
 		want       SVDMethod
 	}{
 		{100, 10, SVDGram},     // order 3 at the paper's ranks
-		{160, 10, SVDGram},     // the boundary
-		{161, 10, SVDLanczos},  // just past it
-		{125, 5, SVDLanczos},   // order 4 at ranks 5
+		{125, 5, SVDGram},      // order 4 at ranks 5
+		{160, 5, SVDGram},      // the boundary
+		{161, 5, SVDLanczos},   // just past it
 		{1000, 10, SVDLanczos}, // order 4 at ranks 10
 		{1, 1, SVDGram},
 	} {
@@ -227,50 +227,52 @@ func resultDigest(res *Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
-// On the order-4 shape the default resolves to Lanczos in all four
-// modes and runs what the commit before SVDAuto (e5aba02, Lanczos the
-// default) ran, bit for bit: a cold solve, then an update, whose TRSVDs
-// are warm-started — a warm start gathered for the wrong modes, or not
-// gathered, would show in the second digest. On the order-3 shape every
-// mode resolves to Gram, which takes no warm start, and no gather
-// buffer is ever made.
-func TestAutoIsTheParentsLanczosOnOrder4(t *testing.T) {
+// Lanczos on the order-4 shape runs what the commit before SVDAuto
+// (e5aba02, Lanczos the default) ran, bit for bit: a cold solve, then an
+// update, whose TRSVDs are warm-started — a warm start gathered for the
+// wrong modes, or not gathered, would show in the second digest. The
+// default resolves every mode of that shape (125 columns for 5 vectors)
+// and of the order-3 one to Gram, which takes no warm start, and no
+// gather buffer is ever made.
+func TestLanczosIsTheParentsOnOrder4(t *testing.T) {
 	x, ranks := presetTensor(t, "delicious", 0.1)
-	for _, svd := range []SVDMethod{SVDAuto, SVDLanczos} {
-		plan := mustPlan(t, x, Options{Ranks: ranks, MaxIters: 5, Tol: -1, Seed: 1, Threads: 2, SVD: svd})
-		if got := fmt.Sprint(plan.SVD()); got != "[lanczos lanczos lanczos lanczos]" {
-			t.Fatalf("svd=%v on ranks %v plans %s", svd, ranks, got)
-		}
-		eng := NewEngine(plan)
-		cold, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		upd, err := eng.Update(gen.Delta(x, 0.003, 0.003, 100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := resultDigest(cold), "75346c03abe181ba"; got != want {
-			t.Errorf("svd=%v cold solve: digest %s, recorded %s", svd, got, want)
-		}
-		if got, want := resultDigest(upd), "a18371c43f2488d4"; got != want {
-			t.Errorf("svd=%v update: digest %s, recorded %s", svd, got, want)
-		}
-		if eng.warmBuf == nil {
-			t.Errorf("svd=%v: the update's Lanczos solves were not warm-started", svd)
-		}
+	plan := mustPlan(t, x, Options{Ranks: ranks, MaxIters: 5, Tol: -1, Seed: 1, Threads: 2, SVD: SVDLanczos})
+	if got := fmt.Sprint(plan.SVD()); got != "[lanczos lanczos lanczos lanczos]" {
+		t.Fatalf("svd=lanczos on ranks %v plans %s", ranks, got)
 	}
-
-	x, ranks = presetTensor(t, "netflix", 0.1)
-	eng := NewEngine(mustPlan(t, x, Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 1}))
-	if _, err := eng.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Update(gen.Delta(x, 0.003, 0.003, 100))
+	eng := NewEngine(plan)
+	cold, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(res.SVD) != "[gram gram gram]" || eng.warmBuf != nil {
-		t.Errorf("order 3 ran %v; warm-start gather buffers: %v", res.SVD, eng.warmBuf != nil)
+	upd, err := eng.Update(gen.Delta(x, 0.003, 0.003, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resultDigest(cold), "75346c03abe181ba"; got != want {
+		t.Errorf("cold solve: digest %s, recorded %s", got, want)
+	}
+	if got, want := resultDigest(upd), "a18371c43f2488d4"; got != want {
+		t.Errorf("update: digest %s, recorded %s", got, want)
+	}
+	if eng.warmBuf == nil {
+		t.Error("the update's Lanczos solves were not warm-started")
+	}
+
+	for _, tc := range []struct {
+		preset, want string
+	}{{"delicious", "[gram gram gram gram]"}, {"netflix", "[gram gram gram]"}} {
+		x, ranks := presetTensor(t, tc.preset, 0.1)
+		eng := NewEngine(mustPlan(t, x, Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 1}))
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Update(gen.Delta(x, 0.003, 0.003, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(res.SVD) != tc.want || eng.warmBuf != nil {
+			t.Errorf("%s ran %v; warm-start gather buffers: %v", tc.preset, res.SVD, eng.warmBuf != nil)
+		}
 	}
 }

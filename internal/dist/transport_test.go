@@ -315,12 +315,13 @@ func TestDecomposeWorldSizeMismatch(t *testing.T) {
 // taken again when the flat TTMc began factoring runs: on the
 // re-associated Y its solves enter 8 fewer collectives per sweep at
 // np=2 and 28 more at np=4). The default's rows were
-// recorded when SVDAuto arrived. On the order-3 presets it resolves to
-// Gram, whose one packed triangle of C(C+1)/2 doubles per solve is more
-// payload than the few dozen C-vectors a Lanczos solve that converges
-// early reduces at this scale — and two collectives per solve where
-// Lanczos enters several hundred; on the order-4 presets it resolves to
-// Lanczos and repeats its row. Summed over the presets, the np=4
+// recorded when SVDAuto arrived (order 3) and when it took order 4 at
+// ranks 5 from Lanczos. It resolves every preset to Gram, whose one
+// packed triangle of C(C+1)/2 doubles per solve is more payload than the
+// few dozen C-vectors a Lanczos solve that converges early reduces at
+// this scale (on order 4, 7875 doubles a solve: about 4x Lanczos's TRSVD
+// bytes) — and two collectives per solve where Lanczos enters several
+// hundred. Summed over the presets, the np=4
 // hypergraph placements must also send less expand+fold than block
 // placements would (one preset alone may not: netflix's sorted nonzero
 // order hands the block placement a smaller cut than the multilevel
@@ -344,10 +345,10 @@ func TestRecordedWireBytes(t *testing.T) {
 			[2]cell{{2, 567440, 18960, 189600, 247200, 12}, {4, 1490240, 37600, 376000, 741600, 24}}},
 		{"delicious",
 			[2]cell{{2, 539344, 12720, 318000, 128302, 1322}, {4, 1302912, 26040, 651000, 384908, 2644}},
-			[2]cell{{2, 539344, 12720, 318000, 128302, 1322}, {4, 1302912, 26040, 651000, 384908, 2644}}},
+			[2]cell{{2, 916640, 12720, 318000, 505600, 16}, {4, 2434800, 26040, 651000, 1516800, 32}}},
 		{"flickr",
 			[2]cell{{2, 452872, 9840, 246000, 137442, 1474}, {4, 1095496, 19400, 485000, 412330, 2948}},
-			[2]cell{{2, 452872, 9840, 246000, 137442, 1474}, {4, 1095496, 19400, 485000, 412330, 2948}}},
+			[2]cell{{2, 821026, 9840, 246000, 505600, 16}, {4, 2199960, 19400, 485000, 1516800, 32}}},
 	} {
 		cfg, err := gen.Preset(want.preset, 0.2)
 		if err != nil {
