@@ -373,3 +373,21 @@ func BenchmarkOrthonormalizeTall(b *testing.B) {
 		})
 	}
 }
+
+// The Gram solver's eigenproblem at the shapes it meets, for the R_n
+// leading eigenpairs it keeps: order 3 at ranks 5 (25 columns) and 10
+// (100), order 4 at ranks 5 (125). G is a random Gram matrix of full rank:
+// go test -run '^$' -bench SymEig -cpu 1 .
+func BenchmarkSymEig(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range [][2]int{{25, 5}, {100, 10}, {125, 5}} {
+		a := dense.RandomNormal(4*s[0], s[0], rng)
+		g := dense.MatMulTA(a, a, 1)
+		var wk dense.SVDWork
+		b.Run(fmt.Sprintf("n=%d/k=%d", s[0], s[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				wk.SymEig(g, s[1])
+			}
+		})
+	}
+}

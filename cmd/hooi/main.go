@@ -61,7 +61,7 @@ func main() {
 		threads = flag.Int("threads", 0, "shared-memory threads (0 = GOMAXPROCS)")
 		algo    = flag.String("algo", "hooi", "algorithm: hooi | sthosvd | sthosvd+hooi")
 		initM   = flag.String("init", "random", "factor initialization: random | hosvd")
-		svd     = flag.String("svd", "auto", "TRSVD solver: auto (per mode: gram when the matricized product has at most 16 columns per rank, else lanczos) | lanczos | gram (two BLAS3 passes + a dense eigenproblem) | rand")
+		svd     = flag.String("svd", "auto", "TRSVD solver: auto (per mode: gram when the matricized product has at most 32 columns per rank, else lanczos) | lanczos | gram (two BLAS3 passes + a dense eigenproblem) | rand")
 		eps     = flag.Float64("eps", 0, "adaptive-rank relative error target in (0,1]; selects per-mode ranks from the sketched spectrum (-ranks becomes an optional cap)")
 		ttmc    = flag.String("ttmc", "auto", "TTMc strategy: auto (dtree from order 4 up, else flat) | flat | dtree (memoized dimension tree)")
 		seed    = flag.Int64("seed", 1, "random seed")

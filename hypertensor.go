@@ -69,7 +69,7 @@ type (
 	// merges a coordinate delta and re-converges warm.
 	Engine = core.Engine
 	// SweepState is the resident per-mode numeric state (factors, TRSVD
-	// workspaces, seed schedule) shared by every execution model.
+	// workspace, seed schedule) shared by every execution model.
 	SweepState = core.SweepState
 	// InitMethod selects factor initialization (InitRandom, InitHOSVD).
 	InitMethod = core.InitMethod

@@ -88,18 +88,18 @@ const (
 	// SVDAuto (the default) chooses per mode, from the shape of the
 	// matricized product alone: Y_(n) has C = ∏_{t≠n} R_t columns and
 	// R_n singular vectors are wanted, and the Gram solver runs when
-	// C ≤ 16·R_n, Lanczos otherwise (ResolveSVD). Gram's work per row of
+	// C ≤ 32·R_n, Lanczos otherwise (ResolveSVD). Gram's work per row of
 	// Y_(n) is C·(C/2 + R_n) multiply-adds in two BLAS3 passes, plus a
-	// serial O(C³) eigenproblem per solve; Lanczos's is C per GEMV pass,
-	// 30 to 58 passes at these ranks, and no eigenproblem. So Gram takes
-	// the order-3 shapes (C = 100 at ranks 10: 1.8-2.2x faster per
-	// solve) and Lanczos keeps the order-4 ones (C = 125 at ranks 5: the
-	// two within a tenth of each other, and only Lanczos warm-starts an
-	// update; C = 1000 at ranks 10: the eigenproblem alone takes
-	// seconds). Both sides of the rule are replicated, so every rank of
-	// a distributed world resolves the same way. Plan.SVD and Result.SVD
-	// report the choice per mode; the README's "Solvers" section has the
-	// measurements.
+	// serial O(C³) tridiagonal reduction per solve; Lanczos's is C per
+	// GEMV pass, 30 to 58 passes at these ranks, and no eigenproblem. So
+	// Gram takes the order-3 shapes (C = 100 at ranks 10: 6.5x faster per
+	// solve) and order 4 at ranks 5 (C = 125: 1.75x, now that the
+	// eigensolver builds only the R_n vectors it returns), and Lanczos
+	// keeps the wide ones (C = 1000 at ranks 10: the reduction alone
+	// takes ~0.35 s). Both sides of the rule are replicated, so every
+	// rank of a distributed world resolves the same way. Plan.SVD and
+	// Result.SVD report the choice per mode; the README's "Solvers"
+	// section has the measurements.
 	SVDAuto SVDMethod = iota
 	// SVDLanczos is Golub–Kahan–Lanczos bidiagonalization, the paper's
 	// (SLEPc) method: matrix-free, warm-startable, one GEMV pass over
@@ -115,18 +115,19 @@ const (
 	// switches it to adaptive rank selection.
 	SVDRandomized
 	// SVDGram is the exact two-pass solver (trsvd.Gram): G = Y_(n)ᵀY_(n)
-	// by a symmetric rank-k product, its eigenvectors by a serial
-	// tridiagonal eigensolver, U = Y_(n)·V·Σ⁻¹ by one GEMM.
+	// by a symmetric rank-k product, its R_n leading eigenvectors by a
+	// serial tridiagonal eigensolver, U = Y_(n)·V·Σ⁻¹ by one GEMM.
 	SVDGram
 )
 
 // gramMaxColsPerRank is SVDAuto's rule: the Gram solver runs on a mode
 // whose matricized product has at most this many columns per requested
-// singular vector. The benchmark's shapes sit at 10 on one side and at
-// 25 and 100 on the other. At 16, Gram's C/2 + R = 9·R pass-equivalents
-// per row stand against Lanczos's ~5·R passes: about the factor of two
-// by which a BLAS3 pass outruns a GEMV pass here.
-const gramMaxColsPerRank = 16
+// singular vector. The benchmark's shapes sit at 10 and 25 on one side
+// and at 100 on the other. At 25, Gram's C/2 + R = 13.5·R
+// pass-equivalents per row are 2.2x Lanczos's ~6·R passes (31 at
+// C = 125, R = 5) and still solve 1.75x faster: a BLAS3 pass outruns a
+// GEMV pass ~4x here. At 32 the arithmetic ratio is 2.8x.
+const gramMaxColsPerRank = 32
 
 // ResolveSVD turns SVDAuto into the solver that runs on a matricized
 // product with cols columns of which rank singular vectors are wanted;

@@ -9,17 +9,20 @@ import (
 
 // SweepState is the resident per-mode numeric state every HOOI variant
 // carries between sweeps: the factor matrices, one reusable TRSVD
-// workspace arena per mode, and the monotone TRSVD seed schedule. The
+// workspace arena, and the monotone TRSVD seed schedule. The
 // Engine — in shared memory and on every rank of a distributed world —
 // and the MET baseline iterate on this same state type, so warm starts
 // and workspace reuse behave identically across the execution models.
 type SweepState struct {
 	// Factors are the current factor matrices U_n (I_n x R_n).
 	Factors []*dense.Matrix
-	// Work holds one reusable TRSVD workspace per mode: each mode's
-	// solver sees the same operator shape every sweep, so after the
-	// first sweep the iteration loops allocate (almost) nothing.
-	Work []*trsvd.Workspace
+	// Work is the TRSVD workspace every mode's solve reuses. The modes
+	// solve one after another and a workspace is scratch only, so one
+	// arena at the widest mode's size serves them all: after the first
+	// sweep the iteration loops allocate (almost) nothing, and the Gram
+	// solver's block partials (32 x C² doubles) are held once, not once
+	// per mode.
+	Work *trsvd.Workspace
 	// SeedBase is the decomposition seed; solve s draws start vectors
 	// from SeedBase + 7919*s.
 	SeedBase int64
@@ -41,23 +44,15 @@ type SolveCounts struct {
 }
 
 // NewSweepState wraps initial factors (owned by the state from here on)
-// with fresh per-mode workspaces.
+// with a fresh workspace.
 func NewSweepState(factors []*dense.Matrix, seed int64) *SweepState {
-	s := &SweepState{
-		Factors:  factors,
-		Work:     make([]*trsvd.Workspace, len(factors)),
-		SeedBase: seed,
-	}
-	for n := range s.Work {
-		s.Work[n] = trsvd.NewWorkspace()
-	}
-	return s
+	return &SweepState{Factors: factors, Work: trsvd.NewWorkspace(), SeedBase: seed}
 }
 
 // next builds the options of the upcoming solve and advances the seed
 // schedule.
-func (s *SweepState) next(n int, warm []float64) trsvd.Options {
-	o := trsvd.Options{Seed: s.SeedBase + 7919*s.Step, Work: s.Work[n], WarmLeft: warm}
+func (s *SweepState) next(warm []float64) trsvd.Options {
+	o := trsvd.Options{Seed: s.SeedBase + 7919*s.Step, Work: s.Work, WarmLeft: warm}
 	s.Step++
 	return o
 }
@@ -71,7 +66,7 @@ func (s *SweepState) next(n int, warm []float64) trsvd.Options {
 // the solve counters. warm optionally supplies a left warm-start vector
 // (Lanczos only; see trsvd.Options.WarmLeft).
 func (s *SweepState) Solve(op trsvd.Operator, n, rank int, method SVDMethod, warm []float64) (*trsvd.Result, error) {
-	sopts := s.next(n, warm)
+	sopts := s.next(warm)
 	method = ResolveSVD(method, op.Cols(), rank)
 	var r *trsvd.Result
 	var err error

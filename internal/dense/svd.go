@@ -16,10 +16,14 @@ type SVDWork struct {
 	t, w, vcols, u, v *Matrix
 	s, nrms, lastRow  []float64
 	idx               []int
-	// SymEig: the transposed eigenvector matrix, the diagonal (then the
-	// eigenvalues) and the subdiagonal.
-	ev     *Matrix
-	ed, ee []float64
+	// SymEig: the matrix being reduced (then its reflectors) and the
+	// eigenvectors' rows; the diagonal (then the eigenvalues) and the
+	// subdiagonal; the tridiagonal and the reflector scales; the
+	// inverse iteration's LU factors and pivots.
+	ev, evk     *Matrix
+	ed, ee, tri []float64
+	lu          []float64
+	piv         []bool
 }
 
 // SVD computes a thin singular value decomposition a = U * diag(s) * V^T

@@ -39,8 +39,9 @@ const (
 
 // Gram computes the k leading left singular vectors of the operator
 // from the eigendecomposition of its column-side Gram matrix: G = AᵀA
-// in one symmetric rank-k pass (GramOperator.Gram), G = V·Λ·Vᵀ by the
-// serial tridiagonal eigensolver (dense.SymEig), and U = A·V_k·Σ_k⁻¹
+// in one symmetric rank-k pass (GramOperator.Gram), its k leading
+// eigenpairs G·V_k = V_k·Λ_k by the serial tridiagonal eigensolver
+// (dense.SymEig, which builds no other eigenvector), and U = A·V_k·Σ_k⁻¹
 // in one block pass — the route of TuckerMPI and of BTAS's Tucker code.
 // It is exact (no iteration, no tolerance, nothing to converge) and
 // reads the matrix twice at BLAS3 intensity, where Lanczos reads it
@@ -78,7 +79,7 @@ func Gram(op Operator, k int, opts Options) (*Result, error) {
 	g := dense.ReuseMatrixUninit(ws.gram, cols, cols)
 	ws.gram = g
 	ws.syrk = gop.Gram(g, ws.syrk)
-	lam, vt := ws.svd.SymEig(g)
+	lam, vt := ws.svd.SymEig(g, k)
 
 	// W = V_k·Σ_k⁻¹, null directions left zero.
 	w := dense.ReuseMatrix(ws.vk, cols, k)
