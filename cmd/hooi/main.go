@@ -13,6 +13,12 @@
 //	hooi -input x.tns -ranks 5,5,5,5 -dist 16 -grain fine -method hp
 //	hooi -input x.tns -ranks 5,5,5 -dist spawn -np 4
 //	hooi -input x.tns -ranks 5,5,5 -dist tcp -rank 0 -peers h0:9000,h1:9000
+//	hooi -input x.tns -ranks 10,10,10 -iters 1 -tol -1
+//
+// Every run starts from seeded random orthonormal factors, and its first
+// sweep is a randomized ST-HOSVD whose sketch of each mode is the
+// Kronecker product of the other modes' factors: -iters 1 (or 2) is the
+// cheap one-pass Tucker, and -eps picks the ranks adaptively.
 //
 // -dist spawn forks -np rank processes on this machine (binding their
 // loopback ports first, so the launch is race-free) and waits; -dist
@@ -56,11 +62,9 @@ func main() {
 	var (
 		input   = flag.String("input", "", "input tensor in .tns format (required)")
 		ranksIn = flag.String("ranks", "", "comma-separated decomposition ranks, one per mode (required)")
-		iters   = flag.Int("iters", 20, "maximum ALS sweeps")
+		iters   = flag.Int("iters", 20, "maximum ALS sweeps (1 = a one-pass randomized ST-HOSVD from the random start)")
 		tol     = flag.Float64("tol", 1e-5, "fit-change stopping tolerance (negative disables)")
 		threads = flag.Int("threads", 0, "shared-memory threads (0 = GOMAXPROCS)")
-		algo    = flag.String("algo", "hooi", "algorithm: hooi | sthosvd | sthosvd+hooi")
-		initM   = flag.String("init", "random", "factor initialization: random | hosvd")
 		svd     = flag.String("svd", "auto", "TRSVD solver: auto (per mode: gram when the matricized product has at most 32 columns per rank, else lanczos) | lanczos | gram (two BLAS3 passes + a dense eigenproblem) | rand")
 		eps     = flag.Float64("eps", 0, "adaptive-rank relative error target in (0,1]; selects per-mode ranks from the sketched spectrum (-ranks becomes an optional cap)")
 		ttmc    = flag.String("ttmc", "auto", "TTMc strategy: auto (dtree from order 4 up, else flat) | flat | dtree (memoized dimension tree)")
@@ -118,7 +122,7 @@ func main() {
 		// resolves to.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "threads", "ttmc", "init", "algo":
+			case "threads", "ttmc":
 				fail(fmt.Errorf("-%s is a shared-memory engine option; it cannot be combined with -dist", f.Name))
 			}
 		})
@@ -160,35 +164,6 @@ func main() {
 		}
 	})
 
-	var warmStart []*hypertensor.Matrix
-	switch *algo {
-	case "hooi":
-	case "sthosvd", "sthosvd+hooi":
-		st, err := hypertensor.DecomposeSTHOSVD(x, hypertensor.STHOSVDOptions{
-			Ranks: ranks, Eps: *eps, Seed: *seed, Threads: *threads,
-		})
-		if err != nil {
-			fail(err)
-		}
-		if *algo == "sthosvd" {
-			if *quiet {
-				fmt.Printf("%.10f\n", st.Fit)
-			} else {
-				fmt.Println("ST-HOSVD:", hypertensor.Summary(st))
-				if *eps > 0 {
-					fmt.Printf("eps %g selected ranks %v\n", *eps, st.ChosenRanks)
-				}
-			}
-			return
-		}
-		warmStart = st.Factors
-		if !*quiet {
-			fmt.Printf("ST-HOSVD warm start: fit %.6f ranks %v\n", st.Fit, st.ChosenRanks)
-		}
-	default:
-		fail(fmt.Errorf("unknown algo %q", *algo))
-	}
-
 	opts := hypertensor.Options{
 		Ranks:    ranks,
 		Eps:      *eps,
@@ -196,17 +171,8 @@ func main() {
 		Tol:      *tol,
 		Threads:  *threads,
 		Seed:     *seed,
-		Initial:  warmStart,
+		SVD:      svdMethod,
 	}
-	switch *initM {
-	case "random":
-		opts.Init = hypertensor.InitRandom
-	case "hosvd":
-		opts.Init = hypertensor.InitHOSVD
-	default:
-		fail(fmt.Errorf("unknown init %q", *initM))
-	}
-	opts.SVD = svdMethod
 	opts.TTMc, err = hypertensor.ParseTTMc(*ttmc)
 	if err != nil {
 		fail(err)

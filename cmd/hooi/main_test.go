@@ -78,8 +78,10 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-dist", "2", "-threads", "2"}, 1, "hooi: -threads" + notDist},
 		{[]string{"-dist", "2", "-ttmc", "flat"}, 1, "hooi: -ttmc" + notDist},
 		{[]string{"-dist", "2", "-ttmc", "auto"}, 1, "hooi: -ttmc" + notDist},
-		{[]string{"-dist", "2", "-init", "hosvd"}, 1, "hooi: -init" + notDist},
-		{[]string{"-dist", "2", "-algo", "sthosvd"}, 1, "hooi: -algo" + notDist},
+		{[]string{"-init", "hosvd"}, 2, "flag provided but not defined: -init"},
+		{[]string{"-algo", "sthosvd"}, 2, "flag provided but not defined: -algo"},
+		{[]string{"-dist", "2", "-init", "hosvd"}, 2, "flag provided but not defined: -init"},
+		{[]string{"-dist", "2", "-algo", "sthosvd"}, 2, "flag provided but not defined: -algo"},
 		{[]string{"-svd", "rand", "-sketch", "count"}, 2, "flag provided but not defined: -sketch"},
 		{[]string{"-svd", "rand", "-oversample", "4"}, 2, "flag provided but not defined: -oversample"},
 		{[]string{"-svd", "rand", "-power", "1"}, 2, "flag provided but not defined: -power"},
@@ -120,7 +122,6 @@ func TestQuietPrintsOneFitLine(t *testing.T) {
 		{"-q", "-svd", "gram"},
 		{"-q", "-svd", "lanczos"},
 		{"-q", "-dist", "2", "-svd", "gram"},
-		{"-q", "-algo", "sthosvd"},
 		{"-q", "-dist", "2"},
 		{"-q", "-dist", "2", "-grain", "coarse", "-method", "bl"},
 	} {

@@ -1,8 +1,9 @@
 // Compression: the paper's motivation for Tucker over CP — compressing
 // structured data (§I, ref [11]). A sparse measurement tensor with
 // smooth low-multilinear-rank structure is compressed with one-pass
-// ST-HOSVD, then refined with HOOI ALS sweeps warm-started from it,
-// showing the standard two-stage pipeline and the storage ratio.
+// ST-HOSVD (one HOOI sweep from the random start), then refined with
+// HOOI ALS sweeps warm-started from it, showing the standard two-stage
+// pipeline and the storage ratio.
 //
 //	go run ./examples/compression
 package main
@@ -45,14 +46,15 @@ func main() {
 
 	ranks := []int{5, 5, 5}
 
-	// Stage 1: one-pass ST-HOSVD (no iteration).
-	st, err := hypertensor.DecomposeSTHOSVD(x, hypertensor.STHOSVDOptions{Ranks: ranks, Seed: 1})
+	// Stage 1: one sweep from the random start, which is a randomized
+	// ST-HOSVD with a Kronecker-structured sketch.
+	st, err := hypertensor.Decompose(x, hypertensor.Options{Ranks: ranks, MaxIters: 1, Tol: -1, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("ST-HOSVD (single pass):  fit %.5f\n", st.Fit)
 
-	// Stage 2: HOOI refinement warm-started from the ST-HOSVD factors.
+	// Stage 2: HOOI refinement warm-started from the one-pass factors.
 	dec, err := hypertensor.Decompose(x, hypertensor.Options{
 		Ranks: ranks, MaxIters: 20, Tol: 1e-7, Seed: 1, Initial: st.Factors,
 	})

@@ -73,7 +73,6 @@ func main() {
 		Ranks:    []int{latent + 2, latent + 2, 3},
 		MaxIters: 40,
 		Tol:      1e-7,
-		Init:     hypertensor.InitHOSVD,
 		Seed:     1,
 	})
 	if err != nil {

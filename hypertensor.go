@@ -71,8 +71,6 @@ type (
 	// SweepState is the resident per-mode numeric state (factors, TRSVD
 	// workspace, seed schedule) shared by every execution model.
 	SweepState = core.SweepState
-	// InitMethod selects factor initialization (InitRandom, InitHOSVD).
-	InitMethod = core.InitMethod
 	// SVDMethod selects the TRSVD solver (SVDAuto, the default: SVDGram
 	// or SVDLanczos per mode by its shape; SVDRandomized).
 	SVDMethod = core.SVDMethod
@@ -119,15 +117,10 @@ type (
 	// precise rank kills) for recovery testing and the htbench chaos
 	// mode.
 	FaultConfig = mpi.FaultConfig
-	// STHOSVDOptions configure DecomposeSTHOSVD.
-	STHOSVDOptions = core.STHOSVDOptions
 )
 
 // Re-exported enum values.
 const (
-	InitRandom = core.InitRandom
-	InitHOSVD  = core.InitHOSVD
-
 	SVDAuto       = core.SVDAuto
 	SVDLanczos    = core.SVDLanczos
 	SVDRandomized = core.SVDRandomized
@@ -160,9 +153,13 @@ func ReadTensorFile(path string) (*SparseTensor, error) { return tensor.ReadTNSF
 func WriteTensorFile(path string, x *SparseTensor) error { return tensor.WriteTNSFile(path, x) }
 
 // Decompose computes a Tucker decomposition with the shared-memory
-// parallel HOOI algorithm. It is NewPlan + NewEngine + Run with the
-// handle thrown away; long-running callers that want to ingest tensor
-// deltas and re-converge incrementally should hold the Engine:
+// parallel HOOI algorithm, from seeded random orthonormal factors unless
+// Options.Initial gives others. From that start one sweep (MaxIters 1)
+// is a randomized ST-HOSVD whose sketch is the Kronecker product of the
+// other modes' factors — the one-pass Tucker; passing a result's Factors
+// as Options.Initial continues from it. It is NewPlan + NewEngine + Run
+// with the handle thrown away; long-running callers that want to ingest
+// tensor deltas and re-converge incrementally should hold the Engine:
 //
 //	plan, _ := hypertensor.NewPlan(x, opts)
 //	eng := hypertensor.NewEngine(plan)
@@ -229,14 +226,6 @@ func SaveCheckpoint(dir string, st *CheckpointState) (string, error) {
 // checkpoint.ErrNotFound.
 func LoadLatestCheckpoint(dir string) (*CheckpointState, string, error) {
 	return checkpoint.LoadLatest(dir)
-}
-
-// DecomposeSTHOSVD computes a Tucker decomposition with one pass of the
-// sequentially truncated HOSVD: cheaper than HOOI (no ALS iteration)
-// and the standard warm start for it — pass the returned Factors as
-// Options.Initial to Decompose to chain the two.
-func DecomposeSTHOSVD(x *SparseTensor, opts STHOSVDOptions) (*Decomposition, error) {
-	return core.STHOSVD(x, opts)
 }
 
 // NewPartition builds a task partition of the tensor for p simulated

@@ -81,24 +81,24 @@ func TestGeneratePresetErrors(t *testing.T) {
 	}
 }
 
-func TestPublicAPISTHOSVDAndWarmStart(t *testing.T) {
+func TestPublicAPIWarmStart(t *testing.T) {
 	x, err := GeneratePreset("random", 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ranks := []int{3, 3, 3}
-	st, err := DecomposeSTHOSVD(x, STHOSVDOptions{Ranks: ranks, Seed: 1})
+	start, err := Decompose(x, Options{Ranks: ranks, MaxIters: 1, Tol: -1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Fit <= 0 || len(st.Factors) != 3 {
-		t.Fatalf("ST-HOSVD result malformed: fit=%v", st.Fit)
+	if start.Fit <= 0 || len(start.Factors) != 3 {
+		t.Fatalf("one-sweep result malformed: fit=%v", start.Fit)
 	}
-	warm, err := Decompose(x, Options{Ranks: ranks, MaxIters: 2, Tol: -1, Seed: 1, Initial: st.Factors})
+	warm, err := Decompose(x, Options{Ranks: ranks, MaxIters: 2, Tol: -1, Seed: 1, Initial: start.Factors})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Fit < st.Fit-1e-9 {
-		t.Fatalf("warm-started HOOI regressed: %v -> %v", st.Fit, warm.Fit)
+	if warm.Fit < start.Fit-1e-9 {
+		t.Fatalf("warm-started HOOI regressed: %v -> %v", start.Fit, warm.Fit)
 	}
 }

@@ -39,7 +39,14 @@ func Decompose(x *tensor.COO, optsIn core.Options) (*core.Result, error) {
 	// Engine (factors, reusable TRSVD workspaces, seed schedule), so its
 	// relative timings are not skewed by per-call allocations the main
 	// path no longer performs and its seed sequence matches core's.
-	state := core.NewSweepState(core.InitialFactors(x, opts, opts.Ranks), opts.Seed)
+	var initial []*dense.Matrix
+	if opts.Initial == nil {
+		initial = core.InitialFactors(x.Dims, opts.Ranks, opts.Seed, opts.Threads)
+	}
+	for _, u := range opts.Initial {
+		initial = append(initial, u.Clone())
+	}
+	state := core.NewSweepState(initial, opts.Seed)
 	factors := state.Factors
 
 	res := &core.Result{}

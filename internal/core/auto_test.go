@@ -293,7 +293,7 @@ func epsReference(t *testing.T, x *tensor.COO, opts Options) (fits []float64, fa
 	t.Helper()
 	opts = opts.withDefaults()
 	sym := symbolic.Build(x, opts.Threads)
-	state := NewSweepState(InitialFactors(x, opts, startRanks(x, opts)), opts.Seed)
+	state := NewSweepState(InitialFactors(x.Dims, startRanks(x, opts), opts.Seed, opts.Threads), opts.Seed)
 	normX := x.Norm(opts.Threads)
 	order := x.Order()
 	for iter := 0; iter < opts.MaxIters; iter++ {

@@ -110,20 +110,26 @@ func (e *Engine) newKernel(threads int) kernel {
 
 // NewEngine builds a resident handle on the plan's analysis: the
 // numeric TTMc kernel with empty caches, seeded initial factors, and
-// per-mode solver workspaces. Unless the options give Initial factors,
-// U_0 starts as a zero matrix (initialFactors): the first sweep solves
-// mode 0 before it reads U_0.
+// per-mode solver workspaces. Given Initial factors are cloned whole;
+// otherwise U_0 starts as a zero matrix (randomFactors): the first sweep
+// solves mode 0 before it reads U_0.
 func NewEngine(p *Plan) *Engine {
+	if p.opts.Initial != nil {
+		return newEngine(p, nil, func() []*dense.Matrix {
+			factors := make([]*dense.Matrix, len(p.opts.Initial))
+			for n, u := range p.opts.Initial {
+				factors[n] = u.Clone()
+			}
+			return factors
+		})
+	}
 	ranks := startRanks(p.x, p.opts)
-	var u0 *dense.Matrix
-	if p.opts.Initial == nil {
-		u0 = dense.NewMatrix(p.x.Dims[0], ranks[0])
-	}
-	e := newEngine(p, u0, func() []*dense.Matrix { return initialFactors(p.x, p.opts, ranks, u0) })
-	if u0 != nil {
-		// Zeros already: the first scatter into U_0 need not clear it.
-		e.scattered[0] = u0
-	}
+	u0 := dense.NewMatrix(p.x.Dims[0], ranks[0])
+	e := newEngine(p, u0, func() []*dense.Matrix {
+		return randomFactors(p.x.Dims, ranks, p.opts.Seed, p.opts.Threads, u0)
+	})
+	// Zeros already: the first scatter into U_0 need not clear it.
+	e.scattered[0] = u0
 	return e
 }
 

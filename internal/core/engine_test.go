@@ -433,7 +433,7 @@ func TestScatterZeroesOncePerFactorMatrix(t *testing.T) {
 			label := fmt.Sprintf("%v warm=%v", strat, warm)
 			opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2, TTMc: strat}
 			if warm {
-				opts.Initial = InitialFactors(x, opts, ranks) // dense random columns: no zero row
+				opts.Initial = InitialFactors(x.Dims, ranks, opts.Seed, opts.Threads) // dense random columns: no zero row
 			}
 			p, err := NewPlan(x, opts)
 			if err != nil {

@@ -11,9 +11,9 @@ import (
 // Timings accumulates wall-clock time per HOOI phase across all
 // iterations; it backs the Table IV / Table V breakdowns.
 type Timings struct {
-	// Init is the one-time construction of the initial factors (random
-	// draw or range finder, then the orthonormalizing QR); it is
-	// reported by an engine's first Run only.
+	// Init is the one-time construction of the initial factors (the
+	// random draw, then the orthonormalizing QR); it is reported by an
+	// engine's first Run only.
 	Init     time.Duration
 	Symbolic time.Duration // one-time symbolic TTMc preprocessing (and, for updates, the merge and the kernel's symbolic maintenance)
 	TTMc     time.Duration

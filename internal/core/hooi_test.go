@@ -216,37 +216,6 @@ func TestSVDMethodsAgreeOnFit(t *testing.T) {
 	}
 }
 
-func TestInitMethods(t *testing.T) {
-	x := gen.Random(gen.Config{Dims: []int{30, 25, 20}, NNZ: 900, Skew: 0.5, Seed: 12})
-	for _, init := range []InitMethod{InitRandom, InitHOSVD} {
-		res, err := Decompose(x, Options{Ranks: []int{3, 3, 3}, MaxIters: 5, Tol: -1, Seed: 13, Init: init})
-		if err != nil {
-			t.Fatalf("init %d: %v", init, err)
-		}
-		if res.Fit <= 0 {
-			t.Fatalf("init %d: nonpositive fit %v", init, res.Fit)
-		}
-	}
-}
-
-func TestHOSVDInitSpeedsConvergence(t *testing.T) {
-	// On a tensor with genuine low-rank structure the HOSVD-style init
-	// should start with at least as good a first-sweep fit as random.
-	rng := rand.New(rand.NewSource(55))
-	x := lowRankTensor(rng, []int{30, 30, 30}, 2, 10)
-	rnd, err := Decompose(x, Options{Ranks: []int{2, 2, 2}, MaxIters: 1, Tol: -1, Seed: 14, Init: InitRandom})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hos, err := Decompose(x, Options{Ranks: []int{2, 2, 2}, MaxIters: 1, Tol: -1, Seed: 14, Init: InitHOSVD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hos.FitHistory[0] < rnd.FitHistory[0]-0.05 {
-		t.Fatalf("HOSVD first-sweep fit %v much worse than random %v", hos.FitHistory[0], rnd.FitHistory[0])
-	}
-}
-
 func TestValidateErrors(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{5, 5, 5}, NNZ: 20, Seed: 15})
 	cases := []Options{

@@ -4,58 +4,45 @@ import (
 	"math/rand"
 
 	"hypertensor/internal/dense"
-	"hypertensor/internal/tensor"
-	"hypertensor/internal/trsvd"
 )
 
 // InitialFactors produces the initial orthonormal factor matrices
-// (Algorithm 1, line 1) at the given per-mode ranks (the requested
-// ranks, or the starting probe ranks under adaptive selection).
-func InitialFactors(x *tensor.COO, opts Options, ranks []int) []*dense.Matrix {
-	return initialFactors(x, opts, ranks, nil)
+// (Algorithm 1, line 1) at the given per-mode ranks: Gaussian matrices
+// drawn mode by mode from one math/rand stream seeded with seed, each
+// orthonormalized on up to threads goroutines (the same bits for every
+// thread count).
+//
+// It is the only start a decomposition takes besides Options.Initial.
+// From it, one HOOI sweep is a randomized sequentially truncated HOSVD:
+// mode n's product Y_(n) = X_(n)·(⊗_{t≠n} U_t) sketches X_(n) with the
+// Kronecker product of the other modes' factors, Gaussian for the modes
+// not yet solved and truncated for the ones solved, the design of
+// Minster, Li & Ballard. So `hooi -iters 1` (or 2) is the one-pass
+// Tucker, on the engine's own TTMc and solvers.
+func InitialFactors(dims, ranks []int, seed int64, threads int) []*dense.Matrix {
+	return randomFactors(dims, ranks, seed, threads, nil)
 }
 
-// initialFactors is InitialFactors, except that a non-nil u0, a zero
+// randomFactors is InitialFactors, except that a non-nil u0, a zero
 // matrix of mode 0's shape, stands in for U_0, which is not built: a
 // cold sweep computes mode 0's product from U_1…U_{N−1} and scatters
 // mode 0's solve over U_0 before anything reads it
-// (TestColdSweepNeverReadsFirstFactor). The other modes get the numbers
-// they would have had: the random draw still takes mode 0's normals from
-// the one stream, and the range finder seeds each mode apart (Seed+n).
-// Given Initial factors are cloned whole, and u0 is then unused.
-func initialFactors(x *tensor.COO, opts Options, ranks []int, u0 *dense.Matrix) []*dense.Matrix {
-	factors := make([]*dense.Matrix, x.Order())
-	if opts.Initial != nil {
-		for n, u := range opts.Initial {
-			factors[n] = u.Clone()
-		}
-		return factors
-	}
+// (TestColdSweepNeverReadsFirstFactor). Mode 0's normals are still drawn
+// from the one stream, so the other modes get the numbers they would
+// have had.
+func randomFactors(dims, ranks []int, seed int64, threads int, u0 *dense.Matrix) []*dense.Matrix {
+	factors := make([]*dense.Matrix, len(dims))
+	rng := rand.New(rand.NewSource(seed))
 	first := 0
 	if u0 != nil {
 		first = 1
 		factors[0] = u0
+		for range dims[0] * ranks[0] {
+			rng.NormFloat64()
+		}
 	}
-	switch opts.Init {
-	case InitHOSVD:
-		// One workspace serves all modes: the sketch scratch grows to
-		// the largest mode once instead of allocating per call.
-		ws := trsvd.NewWorkspace()
-		for n := first; n < len(factors); n++ {
-			// The sketch lives in ws and the next mode reuses it: copy out.
-			sketch := trsvd.RangeFinder(x, n, ranks[n], opts.Seed+int64(n), opts.Threads, ws)
-			factors[n] = dense.Orthonormalize(sketch.Clone(), opts.Threads)
-		}
-	default:
-		rng := rand.New(rand.NewSource(opts.Seed))
-		if u0 != nil {
-			for range x.Dims[0] * ranks[0] {
-				rng.NormFloat64()
-			}
-		}
-		for n := first; n < len(factors); n++ {
-			factors[n] = dense.Orthonormalize(dense.RandomNormal(x.Dims[n], ranks[n], rng), opts.Threads)
-		}
+	for n := first; n < len(factors); n++ {
+		factors[n] = dense.Orthonormalize(dense.RandomNormal(dims[n], ranks[n], rng), threads)
 	}
 	return factors
 }

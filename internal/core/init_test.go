@@ -25,7 +25,7 @@ func TestInitialFactorsUnchanged(t *testing.T) {
 		7: {1.0694410258668472, -0.082451738049286905, 1.1281312512013857},
 	}
 	for seed, digests := range recorded {
-		got := InitialFactors(tensor.NewCOO(dims, 0), Options{Seed: seed, Threads: 2}, ranks)
+		got := InitialFactors(dims, ranks, seed, 2)
 		rng := rand.New(rand.NewSource(seed))
 		for n, u := range got {
 			want, _ := dense.QR(dense.RandomNormal(dims[n], ranks[n], rng))
@@ -78,7 +78,7 @@ func TestFitHistoryUnchanged(t *testing.T) {
 // NewEngine builds no U_0. So a NaN U_0 must leave every bit of a cold
 // run where a random one puts it; and the engine's other initial factors
 // must be InitialFactors' own, bit for bit, so that skipping U_0 left the
-// random stream (or the range finder's seeds) where they were.
+// random stream where it was.
 func TestColdSweepNeverReadsFirstFactor(t *testing.T) {
 	order3 := gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 900, Skew: 0.5, Seed: 5})
 	order4 := gen.Random(gen.Config{Dims: []int{30, 25, 20, 15}, NNZ: 1500, Skew: 0.5, Seed: 6})
@@ -94,7 +94,7 @@ func TestColdSweepNeverReadsFirstFactor(t *testing.T) {
 		for _, threads := range []int{1, 2} {
 			opts := tc.opts
 			opts.MaxIters, opts.Tol, opts.Seed, opts.Threads = 3, -1, 3, threads
-			opts.Initial = InitialFactors(tc.x, opts, opts.Ranks)
+			opts.Initial = InitialFactors(tc.x.Dims, opts.Ranks, opts.Seed, threads)
 			want, err := Decompose(tc.x, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -120,11 +120,10 @@ func TestColdSweepNeverReadsFirstFactor(t *testing.T) {
 		{"order 3", order3, Options{Ranks: []int{4, 4, 4}}},
 		{"order 4", order4, Options{Ranks: []int{3, 3, 3, 3}}},
 		{"eps probe ranks", order3, Options{Eps: 0.1}},
-		{"hosvd", order4, Options{Ranks: []int{3, 3, 3, 3}, Init: InitHOSVD}},
 	} {
 		opts := tc.opts
 		opts.MaxIters, opts.Tol, opts.Seed, opts.Threads = 1, -1, 3, 2
-		want := InitialFactors(tc.x, opts, startRanks(tc.x, opts))
+		want := InitialFactors(tc.x.Dims, startRanks(tc.x, opts), opts.Seed, opts.Threads)
 		for n, u := range NewEngine(mustPlan(t, tc.x, opts)).Factors() {
 			if u.Rows != want[n].Rows || u.Cols != want[n].Cols {
 				t.Fatalf("%s: mode %d is %dx%d, InitialFactors gives %dx%d", tc.name, n, u.Rows, u.Cols, want[n].Rows, want[n].Cols)

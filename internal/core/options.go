@@ -8,22 +8,6 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// InitMethod selects how the factor matrices are initialized (HOOI
-// Algorithm 1, line 1).
-type InitMethod int
-
-const (
-	// InitRandom draws Gaussian matrices and orthonormalizes them.
-	InitRandom InitMethod = iota
-	// InitHOSVD uses a single-pass randomized range finder on each
-	// sparse matricization X_(n): U_n = orth(X_(n)·Ω). This is the
-	// practical sparse stand-in for the higher-order SVD start the
-	// paper mentions; the exact HOSVD would require singular vectors of
-	// matrices with ∏_{t≠n} I_t columns, which is exactly what
-	// §III.A.2 rules out.
-	InitHOSVD
-)
-
 // TTMcStrategy selects how the N per-mode TTMc products of one HOOI
 // sweep are computed.
 type TTMcStrategy int
@@ -191,8 +175,6 @@ type Options struct {
 	Tol float64
 	// Threads bounds shared-memory parallelism; 0 uses GOMAXPROCS.
 	Threads int
-	// Init selects the factor initialization.
-	Init InitMethod
 	// SVD selects the TRSVD solver: SVDAuto (the default) resolves per
 	// mode to SVDGram or SVDLanczos from the mode's shape.
 	SVD SVDMethod
@@ -207,9 +189,9 @@ type Options struct {
 	// decomposition). Off by default; the benchmark harness turns it on.
 	MeasureAllocs bool
 	// Initial optionally supplies explicit initial factor matrices
-	// (I_n x R_n), overriding Init — used for warm starts and for
-	// equivalence testing against the distributed algorithm. The
-	// matrices are copied, not mutated.
+	// (I_n x R_n) in place of the seeded random start (InitialFactors) —
+	// used for warm starts and for equivalence testing against the
+	// distributed algorithm. The matrices are copied, not mutated.
 	Initial []*dense.Matrix
 }
 

@@ -111,7 +111,7 @@ func TestSolversMatchNaiveDenseHOOI(t *testing.T) {
 	} {
 		x := gen.Random(gen.Config{Dims: tc.dims, NNZ: tc.nnz, Skew: 0.3, Seed: 41})
 		opts := Options{Ranks: tc.ranks, MaxIters: 4, Tol: -1, Seed: 6}
-		opts.Initial = InitialFactors(x, opts, tc.ranks)
+		opts.Initial = InitialFactors(x.Dims, tc.ranks, opts.Seed, opts.Threads)
 		want := naiveHOOI(x, opts.Initial, opts.MaxIters)
 		for _, svd := range []SVDMethod{SVDAuto, SVDLanczos, SVDGram} {
 			opts.SVD = svd

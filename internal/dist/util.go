@@ -5,16 +5,15 @@ import (
 
 	"hypertensor/internal/core"
 	"hypertensor/internal/dense"
-	"hypertensor/internal/tensor"
 )
 
 // DefaultInitial produces the deterministic random orthonormal initial
 // factor matrices shared by the shared-memory and distributed drivers
-// (and by the MET baseline comparison): it is core's InitRandom for the
-// same seed, so the two execution models start from identical factors
-// and their per-sweep fits are directly comparable.
+// (and by the MET baseline comparison): it is core's random start for
+// the same seed, so the two execution models start from identical
+// factors and their per-sweep fits are directly comparable.
 func DefaultInitial(dims, ranks []int, seed int64) []*dense.Matrix {
-	return core.InitialFactors(tensor.NewCOO(dims, 0), core.Options{Seed: seed}, ranks)
+	return core.InitialFactors(dims, ranks, seed, 0)
 }
 
 // MaxDuration returns the maximum of the per-rank durations (the

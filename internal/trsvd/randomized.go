@@ -239,6 +239,25 @@ func fillSketch(w *dense.Matrix, seed int64) {
 	}
 }
 
+// GaussHash returns a deterministic pseudo-Gaussian sample for the
+// sketch entry Ω[col, j]: the sum of four independent uniform(-1,1)
+// hashes (variance-normalized), light-tailed enough for a range finder.
+func GaussHash(seed, col, j int64) float64 {
+	var sum float64
+	base := uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(col)*0xC2B2AE3D27D4EB4F ^ uint64(j)*0x165667B19E3779F9
+	for i := uint64(1); i <= 4; i++ {
+		z := base + i*0x9E3779B97F4A7C15
+		z ^= z >> 30
+		z *= 0xBF58476D1CE4E5B9
+		z ^= z >> 27
+		z *= 0x94D049BB133111EB
+		z ^= z >> 31
+		sum += 2*float64(z>>11)/float64(1<<53) - 1
+	}
+	// Var(uniform(-1,1)) = 1/3; sum of 4 has variance 4/3.
+	return sum * 0.8660254037844386 // * sqrt(3)/2
+}
+
 // orthRowsCGS2 orthonormalizes the rows of t in place with two-pass
 // classical Gram–Schmidt — the same CGS2 discipline as the Lanczos
 // reorthogonalization, on the same contiguous-rows layout: per row one

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hypertensor/internal/dense"
-	"hypertensor/internal/tensor"
 )
 
 func TestRandomizedMatchesDenseSVD(t *testing.T) {
@@ -237,46 +236,6 @@ func FuzzEpsRankSelect(f *testing.F) {
 		}
 		_ = grow
 	})
-}
-
-// RangeFinder's owner-computes accumulation must be bitwise identical
-// across thread counts and must match a brute-force dense S = X_(n)·Ω.
-func TestRangeFinderThreadBitwiseAndBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	dims := []int{13, 7, 9}
-	x := tensor.NewCOO(dims, 0)
-	for tnz := 0; tnz < 180; tnz++ {
-		x.Append([]int{rng.Intn(13), rng.Intn(7), rng.Intn(9)}, rng.NormFloat64())
-	}
-	const k, seed = 4, 17
-	for mode := 0; mode < 3; mode++ {
-		ws := NewWorkspace()
-		ref := RangeFinder(x, mode, k, seed, 1, ws).Clone()
-		for _, threads := range []int{2, 4, 8} {
-			got := RangeFinder(x, mode, k, seed, threads, NewWorkspace())
-			if !matEqualBits(ref, got) {
-				t.Fatalf("mode %d: RangeFinder differs bitwise at %d threads", mode, threads)
-			}
-		}
-		// Brute force over nonzeros in storage order.
-		want := dense.NewMatrix(dims[mode], k)
-		for tnz := 0; tnz < x.NNZ(); tnz++ {
-			var col int64
-			for m := 0; m < 3; m++ {
-				if m == mode {
-					continue
-				}
-				col = col*int64(dims[m]) + int64(x.Idx[m][tnz])
-			}
-			row := want.Row(int(x.Idx[mode][tnz]))
-			for j := 0; j < k; j++ {
-				row[j] += x.Val[tnz] * GaussHash(seed, col, int64(j))
-			}
-		}
-		if !want.Equal(ref, 1e-12) {
-			t.Fatalf("mode %d: RangeFinder deviates from brute force", mode)
-		}
-	}
 }
 
 func TestGaussHashMomentsAndDeterminism(t *testing.T) {

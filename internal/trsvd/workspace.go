@@ -50,11 +50,6 @@ type Workspace struct {
 	// gram2, white and qpanel above hold its small matrices and the
 	// re-whitened panel).
 	syrk []float64
-
-	// RangeFinder: counting-sort row grouping (permutation + offsets)
-	// and the sketch output matrix.
-	rfPerm, rfOff []int32
-	rfOut         *dense.Matrix
 }
 
 // NewWorkspace returns an empty workspace ready for Options.Work.

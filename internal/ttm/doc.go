@@ -23,7 +23,8 @@
 // what runs by default (docs/formats.md) and remain only as the layers
 // `go run ./benchmark` times per row, until those rows are dropped.
 //
-// Also here: core-tensor formation, and a MET-style TTM-chain baseline that materializes semi-sparse intermediate
-// tensors (the Matlab Tensor Toolbox strategy the paper compares
-// against in §V).
+// Also here: core-tensor formation, and a MET-style TTM-chain baseline
+// (ChainTTMc) that materializes semi-sparse intermediate tensors
+// (SemiSparse, which serves nothing else) — the Matlab Tensor Toolbox
+// strategy the paper compares against in §V.
 package ttm

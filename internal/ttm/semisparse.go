@@ -9,10 +9,11 @@ import (
 
 // SemiSparse is a tensor that is sparse in some modes and dense in the
 // others: each entry couples one coordinate per remaining sparse mode
-// with a dense block over the contracted modes. It is the intermediate
-// representation of TTM chains (the MET strategy of the Matlab Tensor
-// Toolbox) and of the sequentially truncated HOSVD: contracting mode m
-// with Uᵀ turns the sparse mode-m coordinate into a dense rank-R_m axis.
+// with a dense block over the contracted modes. It is only the
+// intermediate of the MET baseline's TTM chain (ChainTTMc, the Matlab
+// Tensor Toolbox strategy the paper compares against): contracting mode
+// m with Uᵀ turns the sparse mode-m coordinate into a dense rank-R_m
+// axis, until one sparse mode is left for MatricizeRows.
 //
 // Block layout: each contraction appends its rank axis as the fastest-
 // varying dimension, and contractions proceed in ascending mode order,
@@ -134,21 +135,6 @@ func (s *SemiSparse) Contract(m int, u *dense.Matrix) *SemiSparse {
 		i = j
 	}
 	return out
-}
-
-// DenseCore converts a fully contracted SemiSparse (no sparse modes
-// left: exactly one entry whose block is the core) into a dense tensor
-// with the given shape.
-func (s *SemiSparse) DenseCore(ranks []int) *tensor.Dense {
-	g := tensor.NewDense(ranks)
-	if s.NEntries() == 0 {
-		return g
-	}
-	if len(s.SparseModes) != 0 || s.NEntries() != 1 || len(g.Data) != s.BlockSize {
-		panic("ttm: DenseCore requires a fully contracted tensor")
-	}
-	copy(g.Data, s.Blocks)
-	return g
 }
 
 // MatricizeRows emits the compacted mode-n matricization of a

@@ -88,71 +88,6 @@ func TestContractInvalidModePanics(t *testing.T) {
 	s.Contract(0, dense.Identity(2))
 }
 
-func TestDenseCoreFullContraction(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	dims := []int{3, 4, 2}
-	ranks := []int{2, 2, 2}
-	x := tensor.NewCOO(dims, 0)
-	coord := make([]int, 3)
-	for i := 0; i < 15; i++ {
-		for m := range coord {
-			coord[m] = rng.Intn(dims[m])
-		}
-		x.Append(coord, rng.NormFloat64())
-	}
-	x.SortDedup()
-	us := make([]*dense.Matrix, 3)
-	for m := range us {
-		us[m] = dense.RandomNormal(dims[m], ranks[m], rng)
-	}
-	s := FromCOO(x)
-	for m := 0; m < 3; m++ {
-		s = s.Contract(m, us[m])
-	}
-	g := s.DenseCore(ranks)
-	// Reference: g[p,q,r] = sum over nonzeros of x*U0(i,p)U1(j,q)U2(k,r).
-	want := tensor.NewDense(ranks)
-	for e := 0; e < x.NNZ(); e++ {
-		x.Coord(e, coord)
-		for p := 0; p < 2; p++ {
-			for q := 0; q < 2; q++ {
-				for r := 0; r < 2; r++ {
-					want.Data[want.Offset([]int{p, q, r})] +=
-						x.Val[e] * us[0].At(coord[0], p) * us[1].At(coord[1], q) * us[2].At(coord[2], r)
-				}
-			}
-		}
-	}
-	for i := range want.Data {
-		if math.Abs(g.Data[i]-want.Data[i]) > 1e-12 {
-			t.Fatalf("core[%d] = %v, want %v", i, g.Data[i], want.Data[i])
-		}
-	}
-}
-
-func TestDenseCoreEmptyTensor(t *testing.T) {
-	x := tensor.NewCOO([]int{2, 2}, 0)
-	s := FromCOO(x)
-	s = s.Contract(0, dense.Identity(2))
-	s = s.Contract(1, dense.Identity(2))
-	g := s.DenseCore([]int{2, 2})
-	if g.Norm() != 0 {
-		t.Fatal("empty tensor core should be zero")
-	}
-}
-
-func TestDenseCorePanicsOnPartialContraction(t *testing.T) {
-	x := tensor.NewCOO([]int{2, 2}, 1)
-	x.Append([]int{0, 0}, 1)
-	s := FromCOO(x).Contract(0, dense.Identity(2))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DenseCore on a partially contracted tensor should panic")
-		}
-	}()
-	s.DenseCore([]int{2, 2})
-}
-
 func TestMatricizeRowsSortedAndComplete(t *testing.T) {
 	x := tensor.NewCOO([]int{5, 3}, 3)
 	x.Append([]int{4, 0}, 1)
