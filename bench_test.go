@@ -1,9 +1,9 @@
 package hypertensor
 
 // Kernel and ablation benchmarks for the design choices called out in
-// docs/architecture.md. The paper's tables are cmd/htbench's (drivers
-// and their tests in internal/bench); times that gate a change are
-// `go run ./benchmark`'s.
+// docs/architecture.md. The paper's tables are printed by hooi, htpart
+// and gentensor (README "Reproducing the paper's tables"); times that
+// gate a change are `go run ./benchmark`'s.
 
 import (
 	"bytes"

@@ -656,20 +656,22 @@ func (d *distRun) report(part *hypertensor.Partition, res *hypertensor.DistDecom
 		fmt.Printf("  rank %d: wall %v, sent %d B payload (core %d, assemble %d)\n",
 			r, st.RankWall[r].Round(time.Millisecond), st.SentBytes[r], st.CoreBytes[r], st.AssembleBytes[r])
 	}
+	// Per mode, the paper's Table III: comm bytes and the TTMc and TRSVD
+	// work statistics, max and avg over the ranks.
+	avg := func(sum int64) float64 { return float64(sum) / float64(p) }
 	for n := range st.Mode {
-		var maxC, sumE, sumF, sumS, sumM int64
+		var maxC, maxT, maxS, sumE, sumF, sumS, sumM, sumT, sumW int64
 		for _, ms := range st.Mode[n] {
 			sumE += ms.ExpandBytes
 			sumF += ms.FoldBytes
 			sumS += ms.TRSVDBytes
 			sumM += ms.TRSVDMsgs
-			if c := ms.CommBytes(); c > maxC {
-				maxC = c
-			}
+			sumT += ms.WTTMc
+			sumW += ms.WTRSVD
+			maxC, maxT, maxS = max(maxC, ms.CommBytes()), max(maxT, ms.WTTMc), max(maxS, ms.WTRSVD)
 		}
-		fmt.Printf("  mode %d comm: max %d B, avg %.0f B per rank (expand %.0f, fold %.0f, trsvd %.0f in %.0f collectives)\n",
-			n+1, maxC, float64(sumE+sumF+sumS)/float64(p),
-			float64(sumE)/float64(p), float64(sumF)/float64(p), float64(sumS)/float64(p), float64(sumM)/float64(p))
+		fmt.Printf("  mode %d comm: max %d B, avg %.0f B per rank (expand %.0f, fold %.0f, trsvd %.0f in %.0f collectives); W_TTMc max %d avg %.0f, W_TRSVD max %d avg %.0f\n",
+			n+1, maxC, avg(sumE+sumF+sumS), avg(sumE), avg(sumF), avg(sumS), avg(sumM), maxT, avg(sumT), maxS, avg(sumW))
 	}
 }
 

@@ -210,3 +210,36 @@ func TestReportLines(t *testing.T) {
 		}
 	}
 }
+
+// The distributed report carries the paper's Tables II-IV: wall time
+// per sweep, the per-phase maxima over the ranks, and per mode the comm
+// bytes and the W_TTMc and W_TRSVD work, max and avg per rank.
+func TestDistReportLines(t *testing.T) {
+	stdout, stderr, exit := hooi(t, "-dist", "2")
+	if exit != 0 {
+		t.Fatalf("exit %d: %s", exit, stderr)
+	}
+	const dur = `[0-9.]+(ns|µs|ms|s)`
+	for _, line := range []string{
+		`^distributed fine-hp on 2 ranks \(simulated\): fit 0\.\d{6} after 2 sweeps \([0-9.]+s/iter wall\)$`,
+		`^max phase times: ttmc=` + dur + ` trsvd=` + dur + ` core=` + dur + ` symbolic=` + dur + `$`,
+	} {
+		if !regexp.MustCompile(`(?m)` + line).MatchString(stdout) {
+			t.Errorf("no line matches %s in:\n%s", line, stdout)
+		}
+	}
+	mode := regexp.MustCompile(`(?m)^  mode (\d) comm: max \d+ B, avg \d+ B per rank \(expand \d+, fold \d+, trsvd \d+ in 2 collectives\); W_TTMc max (\d+) avg ([0-9]+), W_TRSVD max (\d+) avg ([0-9]+)$`)
+	lines := mode.FindAllStringSubmatch(stdout, -1)
+	if len(lines) != 3 {
+		t.Fatalf("%d mode lines with W_TTMc and W_TRSVD, want 3, in:\n%s", len(lines), stdout)
+	}
+	for _, m := range lines {
+		for _, pair := range [][2]string{{m[2], m[3]}, {m[4], m[5]}} {
+			mx, _ := strconv.Atoi(pair[0])
+			av, _ := strconv.Atoi(pair[1])
+			if av <= 0 || mx < av {
+				t.Errorf("mode %s: max %d below avg %d, or no work: %s", m[1], mx, av, m[0])
+			}
+		}
+	}
+}

@@ -68,8 +68,9 @@ type (
 	// Engine is a resident decomposition handle: Run converges, Update
 	// merges a coordinate delta and re-converges warm.
 	Engine = core.Engine
-	// SweepState is the resident per-mode numeric state (factors, TRSVD
-	// workspace, seed schedule) shared by every execution model.
+	// SweepState is the Engine's resident per-mode numeric state
+	// (factors, TRSVD workspace, seed schedule), in shared memory and on
+	// every rank of a distributed world.
 	SweepState = core.SweepState
 	// SVDMethod selects the TRSVD solver (SVDAuto, the default: SVDGram
 	// or SVDLanczos per mode by its shape; SVDRandomized).
@@ -114,8 +115,8 @@ type (
 	CheckpointState = checkpoint.State
 	// FaultConfig drives deterministic fault injection on either
 	// distributed transport (delays, connection drops, frame corruption,
-	// precise rank kills) for recovery testing and the htbench chaos
-	// mode.
+	// precise rank kills) for recovery testing; `hooi -dist P
+	// -chaos-kill-rank R -chaos-kill-sweep S` injects its rank kill.
 	FaultConfig = mpi.FaultConfig
 )
 
@@ -297,7 +298,7 @@ var ErrCheckpointMismatch = checkpoint.ErrMismatch
 // Version identifies the library release.
 const Version = "1.0.0"
 
-// String renders a short human-readable summary of a decomposition.
+// Summary renders a short human-readable summary of a decomposition.
 func Summary(d *Decomposition) string {
 	if d == nil {
 		return "<nil decomposition>"

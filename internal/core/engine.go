@@ -355,7 +355,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	var memBase runtime.MemStats
 	allocFrom := -1
 	solves0 := e.state.SolveCounts
-	fits := NewFitTracker(e.normX, opts.Tol)
+	fits := newFitTracker(e.normX, opts.Tol)
 	startIter := 0
 	if rs := e.resume; rs != nil {
 		// One-shot: a ResumeEngine-built engine continues the
@@ -455,7 +455,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			// the world's state. Sync also keeps ranks from running into
 			// the next sweep before the checkpoint is durable.
 			err := e.ex.Sync(e.state.Factors, func() error {
-				_, err := checkpoint.Save(e.ckptDir, e.midRunState(iter+1, fits.History, g))
+				_, err := checkpoint.Save(e.ckptDir, e.midRunState(iter+1, fits.history, g))
 				return err
 			})
 			if err != nil {
@@ -472,7 +472,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	if err := e.ex.Sync(e.state.Factors, nil); err != nil {
 		return nil, fmt.Errorf("core: assembling the factors: %w", err)
 	}
-	res.FitHistory = fits.History
+	res.FitHistory = fits.history
 	if allocFrom >= 0 && res.Iters > allocFrom {
 		var memEnd runtime.MemStats
 		runtime.ReadMemStats(&memEnd)

@@ -9,7 +9,9 @@ import (
 )
 
 // Timings accumulates wall-clock time per HOOI phase across all
-// iterations; it backs the Table IV / Table V breakdowns.
+// iterations: what cmd/hooi's timings: line prints, and so the paper's
+// Table V at each -threads count (a distributed run's phase times are
+// dist.Stats).
 type Timings struct {
 	// Init is the one-time construction of the initial factors (the
 	// random draw, then the orthonormalizing QR); it is reported by an
@@ -24,11 +26,6 @@ type Timings struct {
 	TRSVD     time.Duration
 	Core      time.Duration
 }
-
-// Total returns the summed iteration time: TTMc + TRSVD + Core. The
-// one-time Symbolic and Init phases are excluded — Total is the
-// recurring per-sweep cost, not the end-to-end wall time.
-func (t Timings) Total() time.Duration { return t.TTMc + t.TRSVD + t.Core }
 
 // Result is a computed Tucker decomposition [[G; U_1, ..., U_N]].
 type Result struct {

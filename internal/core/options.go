@@ -72,17 +72,18 @@ const (
 	// SVDAuto (the default) chooses per mode, from the shape of the
 	// matricized product alone: Y_(n) has C = ∏_{t≠n} R_t columns and
 	// R_n singular vectors are wanted, and the Gram solver runs when
-	// C ≤ 32·R_n, Lanczos otherwise (ResolveSVD). Gram's work per row of
-	// Y_(n) is C·(C/2 + R_n) multiply-adds in two BLAS3 passes, plus a
-	// serial O(C³) tridiagonal reduction per solve; Lanczos's is C per
-	// GEMV pass, 30 to 58 passes at these ranks, and no eigenproblem. So
-	// Gram takes the order-3 shapes (C = 100 at ranks 10: 6.5x faster per
-	// solve) and order 4 at ranks 5 (C = 125: 1.75x, now that the
-	// eigensolver builds only the R_n vectors it returns), and Lanczos
-	// keeps the wide ones (C = 1000 at ranks 10: the reduction alone
-	// takes ~0.35 s). Both sides of the rule are replicated, so every
-	// rank of a distributed world resolves the same way. Plan.SVD and
-	// Result.SVD report the choice per mode; the README's "Solvers"
+	// C ≤ 32·R_n and C ≤ 256, Lanczos otherwise (ResolveSVD). Gram's
+	// work per row of Y_(n) is C·(C/2 + R_n) multiply-adds in two BLAS3
+	// passes, plus a serial O(C³) tridiagonal reduction per solve;
+	// Lanczos's is C per GEMV pass, 30 to 58 passes at these ranks, and
+	// no eigenproblem. So Gram takes the order-3 shapes (C = 100 at ranks
+	// 10: 6.5x faster per solve) and order 4 at ranks 5 (C = 125: 1.75x,
+	// now that the eigensolver builds only the R_n vectors it returns),
+	// and Lanczos keeps the wide ones (C = 1000 at ranks 10: the
+	// reduction alone takes ~0.35 s; C = 400 at order 3, ranks 20: Gram
+	// is 1.6x slower per solve). Both sides of the rule are replicated, so
+	// every rank of a distributed world resolves the same way. Plan.SVD
+	// and Result.SVD report the choice per mode; the README's "Solvers"
 	// section has the measurements.
 	SVDAuto SVDMethod = iota
 	// SVDLanczos is Golub–Kahan–Lanczos bidiagonalization, the paper's
@@ -113,6 +114,14 @@ const (
 // GEMV pass ~4x here. At 32 the arithmetic ratio is 2.8x.
 const gramMaxColsPerRank = 32
 
+// gramMaxCols caps SVDAuto's Gram side on C alone, for Gram's serial
+// O(C³) reduction and its C²/2 SYRK per row outgrow Lanczos's ~70
+// passes of C however many vectors are wanted. Per solve at order 3 (ranks R, C =
+// R², the scale-1 netflix and nell presets, 2 vCPUs), Gram against
+// Lanczos: C = 256 at 18.5 / 18.9 ms and 24.3 / 30.4 ms, C = 289 at
+// 23.6 / 21.4 and 32.4 / 39.3, C = 324 at 29.7 / 24.4 and 47.7 / 39.7.
+const gramMaxCols = 256
+
 // ResolveSVD turns SVDAuto into the solver that runs on a matricized
 // product with cols columns of which rank singular vectors are wanted;
 // an explicit choice is kept.
@@ -120,7 +129,7 @@ func ResolveSVD(m SVDMethod, cols, rank int) SVDMethod {
 	if m != SVDAuto {
 		return m
 	}
-	if cols <= gramMaxColsPerRank*rank {
+	if cols <= gramMaxColsPerRank*rank && cols <= gramMaxCols {
 		return SVDGram
 	}
 	return SVDLanczos

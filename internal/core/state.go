@@ -7,12 +7,10 @@ import (
 	"hypertensor/internal/trsvd"
 )
 
-// SweepState is the resident per-mode numeric state every HOOI variant
-// carries between sweeps: the factor matrices, one reusable TRSVD
-// workspace arena, and the monotone TRSVD seed schedule. The
-// Engine — in shared memory and on every rank of a distributed world —
-// and the MET baseline iterate on this same state type, so warm starts
-// and workspace reuse behave identically across the execution models.
+// SweepState is the resident per-mode numeric state the Engine carries
+// between sweeps, in shared memory and on every rank of a distributed
+// world: the factor matrices, one reusable TRSVD workspace arena, and
+// the monotone TRSVD seed schedule.
 type SweepState struct {
 	// Factors are the current factor matrices U_n (I_n x R_n).
 	Factors []*dense.Matrix
@@ -59,8 +57,8 @@ func (s *SweepState) next(warm []float64) trsvd.Options {
 
 // Solve runs the TRSVD solver the method resolves to on mode n's
 // operator (ResolveSVD, from the operator's column count and the rank:
-// the one place SVDAuto is decided, for the engine in shared memory, on
-// every rank of a distributed world, and for the MET baseline alike) —
+// the one place SVDAuto is decided, for the engine in shared memory and
+// on every rank of a distributed world alike) —
 // the threaded dense operator in shared memory, a row-distributed one
 // on a rank of a distributed world — and advances the seed schedule and
 // the solve counters. warm optionally supplies a left warm-start vector
@@ -161,27 +159,26 @@ func (s *SweepState) SolveDenseEps(y *dense.Matrix, n, guess, capR, threads int,
 	}
 }
 
-// FitTracker accumulates the per-sweep fit trajectory and implements
-// the shared stopping rule: stop when the fit improves by less than Tol
-// between sweeps (Tol <= 0 never stops early).
-type FitTracker struct {
-	NormX   float64
-	Tol     float64
-	History []float64
-	prev    float64
+// fitTracker accumulates the per-sweep fit trajectory and implements
+// the shared stopping rule: stop when the fit improves by less than tol
+// between sweeps (tol <= 0 never stops early).
+type fitTracker struct {
+	normX, tol float64
+	history    []float64
+	prev       float64
 }
 
-// NewFitTracker starts a trajectory for a tensor of the given norm.
-func NewFitTracker(normX, tol float64) *FitTracker {
-	return &FitTracker{NormX: normX, Tol: tol, prev: math.Inf(-1)}
+// newFitTracker starts a trajectory for a tensor of the given norm.
+func newFitTracker(normX, tol float64) *fitTracker {
+	return &fitTracker{normX: normX, tol: tol, prev: math.Inf(-1)}
 }
 
 // Record appends the sweep's fit (computed from the core norm via
 // FitFromNorms) and reports whether the iteration should stop.
-func (f *FitTracker) Record(normG float64) (fit float64, stop bool) {
-	fit = FitFromNorms(f.NormX, normG)
-	f.History = append(f.History, fit)
-	stop = f.Tol > 0 && math.Abs(fit-f.prev) < f.Tol
+func (f *fitTracker) Record(normG float64) (fit float64, stop bool) {
+	fit = FitFromNorms(f.normX, normG)
+	f.history = append(f.history, fit)
+	stop = f.tol > 0 && math.Abs(fit-f.prev) < f.tol
 	f.prev = fit
 	return fit, stop
 }
@@ -190,11 +187,11 @@ func (f *FitTracker) Record(normG float64) (fit float64, stop bool) {
 // run, so the next Record extends the trajectory exactly as the
 // uninterrupted run would have: the comparison baseline is the last
 // restored fit (or -Inf when the history is empty).
-func (f *FitTracker) Restore(history []float64) {
-	f.History = append(f.History[:0], history...)
+func (f *fitTracker) Restore(history []float64) {
+	f.history = append(f.history[:0], history...)
 	f.prev = math.Inf(-1)
-	if n := len(f.History); n > 0 {
-		f.prev = f.History[n-1]
+	if n := len(f.history); n > 0 {
+		f.prev = f.history[n-1]
 	}
 }
 
@@ -202,9 +199,9 @@ func (f *FitTracker) Restore(history []float64) {
 // true when the last two fits already satisfied the stopping rule. A
 // resumed loop must then run no further sweeps — the uninterrupted run
 // stopped at exactly that sweep.
-func (f *FitTracker) Stopped() bool {
-	n := len(f.History)
-	return f.Tol > 0 && n >= 2 && math.Abs(f.History[n-1]-f.History[n-2]) < f.Tol
+func (f *fitTracker) Stopped() bool {
+	n := len(f.history)
+	return f.tol > 0 && n >= 2 && math.Abs(f.history[n-1]-f.history[n-2]) < f.tol
 }
 
 // FitFromNorms computes 1 - ||X - X̂||/||X|| using the orthonormality

@@ -137,6 +137,11 @@ func TestResolveSVDAndParse(t *testing.T) {
 		{160, 5, SVDGram},      // the boundary
 		{161, 5, SVDLanczos},   // just past it
 		{1000, 10, SVDLanczos}, // order 4 at ranks 10
+		{196, 14, SVDGram},     // order 3 at ranks 14
+		{256, 16, SVDGram},     // the cap on C alone
+		{257, 16, SVDLanczos},  // past it, at 16 columns per vector
+		{289, 17, SVDLanczos},  // order 3 at ranks 17
+		{400, 20, SVDLanczos},  // order 3 at ranks 20
 		{1, 1, SVDGram},
 	} {
 		if got := ResolveSVD(SVDAuto, tc.cols, tc.rank); got != tc.want {

@@ -69,6 +69,32 @@ func TestMakePartitionInvariants(t *testing.T) {
 			}
 		}
 	}
+
+	// The fine-grain model's headline property, the paper's Table III:
+	// hypergraph placement balances the TTMc work, every rank's W_TTMc
+	// within 1.7x of the average in every mode (flickr's shape, p = 4).
+	cfg, err := gen.Preset("flickr", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x4 := gen.Random(cfg)
+	part, err := MakePartition(x4, 4, Fine, MethodHypergraph, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Decompose(x4, part, Config{Ranks: gen.PaperRanks(x4.Order()), MaxIters: 1, Tol: -1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, perRank := range res.Stats.Mode {
+		var sum, most int64
+		for _, ms := range perRank {
+			sum, most = sum+ms.WTTMc, max(most, ms.WTTMc)
+		}
+		if avg := float64(sum) / float64(len(perRank)); !(avg > 0 && float64(most) <= 1.7*avg) {
+			t.Errorf("%s mode %d: W_TTMc max %d against avg %.0f", part.Name(), n+1, most, avg)
+		}
+	}
 }
 
 func TestMakePartitionErrors(t *testing.T) {

@@ -8,10 +8,9 @@ import (
 )
 
 // DefaultInitial produces the deterministic random orthonormal initial
-// factor matrices shared by the shared-memory and distributed drivers
-// (and by the MET baseline comparison): it is core's random start for
-// the same seed, so the two execution models start from identical
-// factors and their per-sweep fits are directly comparable.
+// factor matrices shared by the shared-memory and distributed drivers:
+// it is core's random start for the same seed, so the two start from
+// identical factors and their per-sweep fits are directly comparable.
 func DefaultInitial(dims, ranks []int, seed int64) []*dense.Matrix {
 	return core.InitialFactors(dims, ranks, seed, 0)
 }

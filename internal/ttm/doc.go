@@ -23,8 +23,8 @@
 // what runs by default (docs/formats.md) and remain only as the layers
 // `go run ./benchmark` times per row, until those rows are dropped.
 //
-// Also here: core-tensor formation, and a MET-style TTM-chain baseline
-// (ChainTTMc) that materializes semi-sparse intermediate tensors
-// (SemiSparse, which serves nothing else) — the Matlab Tensor Toolbox
-// strategy the paper compares against in §V.
+// Also here: core-tensor formation. The Matlab Tensor Toolbox strategy
+// the paper compares against in §V — a TTM chain through semi-sparse
+// intermediates — lives in the tests, as the kernels' oracle and as
+// BenchmarkChainVsFlat.
 package ttm
