@@ -19,6 +19,22 @@ func testTensor4(t *testing.T) *tensor.COO {
 	return gen.Random(gen.Config{Dims: []int{15, 12, 18, 10}, NNZ: 500, Skew: 0.4, Seed: 10})
 }
 
+// presetTensor builds a dataset preset at the given scale with the
+// paper's ranks, each capped at its mode's size.
+func presetTensor(t *testing.T, name string, scale float64) (*tensor.COO, []int) {
+	t.Helper()
+	cfg, err := gen.Preset(name, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := gen.Random(cfg)
+	ranks := gen.PaperRanks(x.Order())
+	for n := range ranks {
+		ranks[n] = min(ranks[n], x.Dims[n])
+	}
+	return x, ranks
+}
+
 func allConfigs() []struct {
 	G Grain
 	M Method
@@ -69,20 +85,19 @@ func TestMakePartitionInvariants(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// The fine-grain model's headline property, the paper's Table III:
-	// hypergraph placement balances the TTMc work, every rank's W_TTMc
-	// within 1.7x of the average in every mode (flickr's shape, p = 4).
-	cfg, err := gen.Preset("flickr", 0.02)
+// TestFineHypergraphBalancesTTMc is the fine-grain model's headline
+// property, the paper's Table III: hypergraph placement balances the
+// TTMc work, every rank's W_TTMc within 1.7x of the average in every
+// mode (flickr's shape, p = 4).
+func TestFineHypergraphBalancesTTMc(t *testing.T) {
+	x, ranks := presetTensor(t, "flickr", 0.02)
+	part, err := MakePartition(x, 4, Fine, MethodHypergraph, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x4 := gen.Random(cfg)
-	part, err := MakePartition(x4, 4, Fine, MethodHypergraph, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Decompose(x4, part, Config{Ranks: gen.PaperRanks(x4.Order()), MaxIters: 1, Tol: -1, Seed: 5})
+	res, err := Decompose(x, part, Config{Ranks: ranks, MaxIters: 1, Tol: -1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hypertensor/internal/gen"
 	"hypertensor/internal/mpi"
 	"hypertensor/internal/symbolic"
 	"hypertensor/internal/tensor"
@@ -270,6 +271,39 @@ func TestSparsePayloadMatchesCutModel(t *testing.T) {
 			}
 			if cfg.G == Coarse && fold != 0 {
 				t.Fatalf("%s: coarse grain folded %d B; owned rows are complete locally", part.Name(), fold)
+			}
+		}
+	}
+}
+
+// TestPresetPayloadMatchesCutModel carries the same claim to the
+// paper's datasets at their paper ranks: on every preset, at p = 2 and
+// 4, under fine-grain hypergraph, random and block placement, one
+// sweep's realized expand+fold payload equals the cut model's bytes.
+// So the hypergraph's cutsize advantage is the wire's advantage.
+func TestPresetPayloadMatchesCutModel(t *testing.T) {
+	for _, name := range gen.PresetNames() {
+		x, ranks := presetTensor(t, name, 0.02)
+		for _, p := range []int{2, 4} {
+			for _, m := range []Method{MethodHypergraph, MethodRandom, MethodBlock} {
+				part, err := MakePartition(x, p, Fine, m, 6)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Decompose(x, part, Config{Ranks: ranks, MaxIters: 1, Tol: -1, Seed: 7})
+				if err != nil {
+					t.Fatalf("%s %s: %v", name, part.Name(), err)
+				}
+				var realized int64
+				for n := range res.Stats.Mode {
+					for _, ms := range res.Stats.Mode[n] {
+						realized += ms.ExpandBytes + ms.FoldBytes
+					}
+				}
+				wantE, wantF := ModeledCommVolume(x, part, ranks)
+				if realized != wantE+wantF {
+					t.Errorf("%s %s p=%d: realized %d B, cut model predicts %d B", name, part.Name(), p, realized, wantE+wantF)
+				}
 			}
 		}
 	}

@@ -3,8 +3,10 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"hypertensor/internal/checkpoint"
 	"hypertensor/internal/core"
@@ -95,6 +97,50 @@ func TestDistKillAndRecoverBitwise(t *testing.T) {
 			t.Fatalf("%s recovery: %v", part.Name(), err)
 		}
 		sameResult(t, part.Name(), res, control)
+	}
+}
+
+// TestDistFaultOutcomesReproducible sweeps fault seeds over a 4-rank
+// solve with probabilistic drops, corruption and delays. Each seed's
+// outcome, a typed failure or a completed run, reproduces exactly when
+// the seed is rerun, and a run that survives on delays alone finishes
+// bitwise equal to the fault-free control.
+func TestDistFaultOutcomesReproducible(t *testing.T) {
+	x, ranks := presetTensor(t, "netflix", 0.02)
+	part, err := MakePartition(x, 4, Fine, MethodHypergraph, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 1}
+	control, err := Decompose(x, part, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seed int64) string {
+		w := mpi.NewWorld(4)
+		w.InjectFaults(mpi.FaultConfig{
+			Seed:        seed,
+			DropProb:    6e-6,
+			CorruptProb: 3e-6,
+			DelayProb:   0.02,
+			Delay:       50 * time.Microsecond,
+		})
+		res, err := DecomposeWorld(context.Background(), w, x, part, cfg)
+		switch {
+		case err == nil:
+			sameResult(t, fmt.Sprintf("fault seed %d", seed), res, control)
+			return "completed"
+		case errors.Is(err, mpi.ErrBadFrame), errors.Is(err, mpi.ErrPeerDied):
+			return err.Error()
+		default:
+			t.Fatalf("fault seed %d: untyped failure %v", seed, err)
+			return ""
+		}
+	}
+	for seed := int64(1000); seed < 1008; seed++ {
+		if a, b := run(seed), run(seed); a != b {
+			t.Fatalf("fault seed %d: outcome %q, then %q on rerun", seed, a, b)
+		}
 	}
 }
 
