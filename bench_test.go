@@ -9,7 +9,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -332,16 +334,56 @@ var tnsImage = sync.OnceValues(func() (*SparseTensor, []byte) {
 	return x, buf.Bytes()
 })
 
-// File image to COO: the largest one-time cost of a cold solve.
+// File image to COO, the largest one-time cost of a cold solve, in ns
+// per nonzero for four spellings of the same values: WriteTNS's 17
+// digits and integer counts, which the reader's fast line path takes;
+// quarters, most of which lie exactly on a float64 that the fast value
+// parse declines, so most lines take the general path; and hex, which
+// only strconv reads, so that every line takes it:
+// go test -run '^$' -bench ReadTNS -cpu 1,2 .
 func BenchmarkReadTNS(b *testing.B) {
-	_, img := tnsImage()
-	b.SetBytes(int64(len(img)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tensor.ReadTNS(bytes.NewReader(img)); err != nil {
-			b.Fatal(err)
-		}
+	x, g17 := tnsImage()
+	for _, in := range []struct {
+		name string
+		img  []byte
+	}{
+		{"g17", g17},
+		{"short", tnsSpelled(x, func(dst []byte, v float64) []byte {
+			return strconv.AppendFloat(dst, math.Round(4*v)/4, 'g', -1, 64)
+		})},
+		{"int", tnsSpelled(x, func(dst []byte, v float64) []byte {
+			return strconv.AppendInt(dst, int64(math.Ceil(v)), 10)
+		})},
+		{"hex", tnsSpelled(x, func(dst []byte, v float64) []byte {
+			return strconv.AppendFloat(dst, v, 'x', -1, 64)
+		})},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.img)))
+			for i := 0; i < b.N; i++ {
+				if _, err := tensor.ReadTNS(bytes.NewReader(in.img)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
+		})
 	}
+}
+
+// tnsSpelled is x's .tns image with every value written by spell.
+func tnsSpelled(x *SparseTensor, spell func(dst []byte, v float64) []byte) []byte {
+	img := []byte("# dims:")
+	for _, d := range x.Dims {
+		img = strconv.AppendInt(append(img, ' '), int64(d), 10)
+	}
+	img = append(img, '\n')
+	for i, v := range x.Val {
+		for m := range x.Dims {
+			img = append(strconv.AppendInt(img, int64(x.Idx[m][i])+1, 10), ' ')
+		}
+		img = append(spell(img, v), '\n')
+	}
+	return img
 }
 
 func BenchmarkWriteTNS(b *testing.B) {

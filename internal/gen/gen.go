@@ -21,7 +21,7 @@ import (
 type Config struct {
 	Name string  // dataset label used in reports
 	Dims []int   // mode sizes
-	NNZ  int     // requested nonzero count (post-dedup count may be slightly lower)
+	NNZ  int     // requested nonzero count; the last round may overshoot it (netflix3's 600,000 gives 600,013)
 	Skew float64 // Zipf exponent per mode; 0 = uniform indices
 	Seed int64   // RNG seed; same seed => same tensor
 }

@@ -70,25 +70,48 @@ func ReadTNS(r io.Reader) (*COO, error) {
 
 // parseTNS parses a whole file image. The image is cut at newlines into
 // one chunk per thread and every chunk is parsed as if the file began
-// there. That guess holds when the chunks after the first contain no
-// error and no header, have the first chunk's arity and stay inside its
-// mode sizes; the columns are then concatenated in file order. Otherwise
-// the image is read again as one chunk, line by line, so the tensor and
-// the first error are a serial reader's whatever the thread count.
+// there, straight into the result's columns: each column is allocated
+// once, with a slot per line, and each chunk owns the window of slots
+// of its lines. The columns' count is the arity of the image's first
+// data line. The guess "as if the file began there" holds when the
+// chunks after the first contain no error and no header, have the first
+// chunk's arity and stay inside its mode sizes. Otherwise the image is
+// read again as one chunk, line by line, so the tensor and the first
+// error are a serial reader's whatever the thread count.
 func parseTNS(data []byte, threads int) (*COO, error) {
 	size := max(tnsChunkBytes, (len(data)+threads-1)/threads)
 	chunks := make([]tnsChunk, max(1, (len(data)+size-1)/size))
-	cut := func(k int) int { // chunk k starts after the first newline at or past byte k*size-1
+	cut := make([]int, len(chunks)+1) // chunk k is data[cut[k]:cut[k+1]]
+	for k := range cut {
+		// Chunk k starts after the first newline at or past byte k*size-1.
 		p := min(k*size, len(data))
-		if p == 0 || p == len(data) {
-			return p
+		if p > 0 && p < len(data) {
+			if i := bytes.IndexByte(data[p-1:], '\n'); i >= 0 {
+				p += i
+			} else {
+				p = len(data)
+			}
 		}
-		if i := bytes.IndexByte(data[p-1:], '\n'); i >= 0 {
-			return p + i
-		}
-		return len(data)
+		cut[k] = p
 	}
-	par.For(len(chunks), threads, 1, func(k int) { chunks[k].parse(data, cut(k), cut(k+1)) })
+	slot := make([]int, len(chunks)+1) // chunk k's window is slots slot[k]:slot[k+1]
+	par.For(len(chunks), threads, 1, func(k int) {
+		lines := data[cut[k]:cut[k+1]]
+		slot[k+1] = bytes.Count(lines, newline)
+		if len(lines) > 0 && lines[len(lines)-1] != '\n' {
+			slot[k+1]++
+		}
+	})
+	for k := range chunks {
+		slot[k+1] += slot[k]
+	}
+	line, _, _ := bytes.Cut(data[rowOffset(data, 0):], newline)
+	idx := make([][]int32, max(0, len(fields(bytes.TrimSpace(line), nil))-1))
+	for m := range idx {
+		idx[m] = make([]int32, slot[len(chunks)])
+	}
+	val := make([]float64, slot[len(chunks)])
+	par.For(len(chunks), threads, 1, func(k int) { chunks[k].parse(data, cut[k], cut[k+1], idx, val, slot[k]) })
 
 	first := &chunks[0]
 	arity := first.arity()
@@ -100,7 +123,7 @@ func parseTNS(data []byte, threads int) (*COO, error) {
 		}
 		if !fits {
 			chunks = chunks[:1]
-			first.parse(data, 0, len(data))
+			first.parse(data, 0, len(data), idx, val, 0)
 			arity = first.arity()
 		} else if c.order != -1 {
 			arity = c.order
@@ -112,10 +135,7 @@ func parseTNS(data []byte, threads int) (*COO, error) {
 	case arity == -1:
 		return nil, fmt.Errorf("tns: empty input")
 	}
-	dims, total := first.dims, 0
-	for k := range chunks {
-		total += len(chunks[k].val)
-	}
+	dims := first.dims
 	if dims == nil {
 		dims = make([]int, arity)
 		for k := range chunks {
@@ -124,12 +144,32 @@ func parseTNS(data []byte, threads int) (*COO, error) {
 			}
 		}
 	}
-	t := NewCOO(dims, total)
+	// Move the chunks' rows together over the slots that blank, comment
+	// and header lines left empty. A header-only gap at the top of the
+	// image moves nothing: the columns start after it.
+	lo, n := -1, 0
 	for k := range chunks {
-		for m := range chunks[k].idx {
-			t.Idx[m] = append(t.Idx[m], chunks[k].idx[m]...)
+		c := &chunks[k]
+		if c.n == 0 {
+			continue
 		}
-		t.Val = append(t.Val, chunks[k].val...)
+		if lo == -1 {
+			lo = c.first
+		}
+		if c.first != lo+n {
+			for m := range idx {
+				copy(idx[m][lo+n:], idx[m][c.first:c.first+c.n])
+			}
+			copy(val[lo+n:], val[c.first:c.first+c.n])
+		}
+		n += c.n
+	}
+	if n == 0 {
+		return NewCOO(dims, 0), nil
+	}
+	t := &COO{Dims: dims, Idx: make([][]int32, len(idx)), Val: val[lo : lo+n]}
+	for m := range idx {
+		t.Idx[m] = idx[m][lo : lo+n]
 	}
 	// Nonzeros ahead of a late header were accepted before the mode sizes
 	// were known; a line-by-line reader checks them last, and so do we.
@@ -144,16 +184,20 @@ func parseTNS(data []byte, threads int) (*COO, error) {
 }
 
 // tnsChunk is the parse of a run of lines: what they fixed — the arity,
-// by the first data line, and the mode sizes, by the header — their
-// nonzeros as 0-based columns, and the first error if one stopped it.
+// by the first data line, and the mode sizes, by the header — where
+// their nonzeros went, and the first error if one stopped it.
 type tnsChunk struct {
 	order   int   // -1 until a data line is seen
 	dims    []int // nil until a header is seen
 	dimsOff int   // byte offset of the header line
 	hdrRows int   // nonzeros ahead of the header
+	lo      int   // byte offset of the chunk's first line
 	idx     [][]int32
 	val     []float64
+	first   int     // the chunk's nonzeros are idx[m][first:first+n]
+	n       int     // and val[first:first+n]
 	top     []int32 // largest index per mode
+	toks    [][]byte
 	err     error
 }
 
@@ -166,78 +210,125 @@ func (c *tnsChunk) arity() int {
 }
 
 // parse reads the lines of data[lo:hi) as if nothing preceded them,
-// stopping at the first malformed one.
-func (c *tnsChunk) parse(data []byte, lo, hi int) {
-	*c = tnsChunk{order: -1}
-	var toks [][]byte // the fields of the current line
-	n := 0
-	for rest := data[lo:hi]; len(rest) > 0 && c.err == nil; {
-		off := hi - len(rest)
-		var line []byte
-		line, rest, _ = bytes.Cut(rest, newline)
-		if line = bytes.TrimSpace(line); len(line) == 0 {
-			continue
-		}
-		if line[0] == '#' {
-			if after, ok := bytes.CutPrefix(line, []byte("# dims:")); ok {
-				c.err = c.header(data, off, string(after))
-				c.hdrRows = n
-			}
-			continue
-		}
-		toks = toks[:0]
-		for i := 0; i < len(line); {
-			j := i
-			for j < len(line) && line[j]-'!' < utf8.RuneSelf-'!' {
-				j++
-			}
-			if j < len(line) && !asciiSpace(line[j]) {
-				// A control or non-ASCII byte: it may or may not be white
-				// space, and bytes.Fields knows.
-				toks = bytes.Fields(line)
+// stopping at the first malformed one. Their nonzeros go to the columns
+// idx and val, whose slots from slot on are one per line: the first
+// data line takes its line's slot, so the lines ahead of it leave
+// theirs empty, and every later nonzero takes the next slot.
+func (c *tnsChunk) parse(data []byte, lo, hi int, idx [][]int32, val []float64, slot int) {
+	*c = tnsChunk{order: -1, lo: lo, idx: idx, val: val, first: slot}
+	for p := lo; p < hi && c.err == nil; {
+		if c.order == len(c.idx) {
+			if p = c.fastRows(data[:hi], p); p == hi {
 				break
 			}
-			toks = append(toks, line[i:j])
-			for i = j; i < len(line) && asciiSpace(line[i]); i++ {
-			}
+		} else if c.order != -1 {
+			break // the columns have another arity: the serial re-read decides
 		}
-		if c.order == -1 {
-			if len(toks) < 2 {
-				c.err = tnsErr(data, off, "need at least one coordinate and a value")
-				break
-			}
-			if c.dims != nil && len(c.dims) != len(toks)-1 {
-				c.err = tnsErr(data, off, "%d coordinates but dims header (line %d) has %d modes",
-					len(toks)-1, lineAt(data, c.dimsOff), len(c.dims))
-				break
-			}
-			c.order = len(toks) - 1
-			// Every nonzero ends a line, so the newlines left bound them.
-			rows := 1 + bytes.Count(data[off:hi], newline)
-			c.idx, c.val, c.top = make([][]int32, c.order), make([]float64, rows), make([]int32, c.order)
-			for m := range c.idx {
-				c.idx[m] = make([]int32, rows)
-			}
-		}
-		if len(toks) != c.order+1 {
-			c.err = tnsErr(data, off, "expected %d fields, got %d", c.order+1, len(toks))
-			break
-		}
-		if c.err = c.row(data, off, toks, n); c.err == nil {
-			n++
-		}
+		p = c.line(data, p, hi)
 	}
-	for m := range c.idx {
-		c.idx[m] = c.idx[m][:n]
-	}
-	c.val = c.val[:n]
 }
 
-// row parses the fields of one data line into nonzero n.
-func (c *tnsChunk) row(data []byte, off int, toks [][]byte, n int) error {
-	for m, tok := range toks[:c.order] {
-		x, ok := digits(tok)
+// fastRows parses the data lines from b[p:] that have the common shape
+// — [ \t]*, the chunk's order of coordinates of 1-9 digits each followed
+// by [ \t]+, a value parseValue takes, [ \t\r]*, then a newline or the
+// end — and returns the offset of the first line of another shape. The
+// general path makes the same nonzero of each such line; on any other it
+// decides, and words the errors.
+func (c *tnsChunk) fastRows(b []byte, p int) int {
+	idx, val, top, dims := c.idx, c.val, c.top, c.dims
+	slot := c.first + c.n
+rows:
+	for p < len(b) {
+		i := p
+		for i < len(b) && (b[i] == ' ' || b[i] == '\t') {
+			i++
+		}
+		for m := range idx {
+			x, j := digitRun(b, i, 0)
+			if x < 1 || j-i > 9 || j == len(b) || (b[j] != ' ' && b[j] != '\t') || (dims != nil && x > uint64(dims[m])) {
+				break rows
+			}
+			// A line that falls back rewrites this slot, and its
+			// coordinates are the same numbers there, so top may grow now.
+			idx[m][slot] = int32(x - 1)
+			top[m] = max(top[m], int32(x-1))
+			for i = j + 1; i < len(b) && (b[i] == ' ' || b[i] == '\t'); i++ {
+			}
+		}
+		v, k, ok := parseValue(b[i:])
 		if !ok {
+			break
+		}
+		for i += k; i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r'); i++ {
+		}
+		if i < len(b) {
+			if b[i] != '\n' {
+				break
+			}
+			i++
+		}
+		val[slot] = v
+		slot++
+		p = i
+	}
+	c.n = slot - c.first
+	return p
+}
+
+// line parses the line at data[off:hi), up to its newline, with every
+// rule of the format, and returns the offset of the next line.
+func (c *tnsChunk) line(data []byte, off, hi int) int {
+	line, next := data[off:hi], hi
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
+		line, next = line[:i], off+i+1
+	}
+	if line = bytes.TrimSpace(line); len(line) == 0 {
+		return next
+	}
+	if line[0] == '#' {
+		if after, ok := bytes.CutPrefix(line, []byte("# dims:")); ok {
+			c.err = c.header(data, off, string(after))
+			c.hdrRows = c.n
+		}
+		return next
+	}
+	c.toks = fields(line, c.toks)
+	toks := c.toks
+	if c.order == -1 {
+		if len(toks) < 2 {
+			c.err = tnsErr(data, off, "need at least one coordinate and a value")
+			return next
+		}
+		if c.dims != nil && len(c.dims) != len(toks)-1 {
+			c.err = tnsErr(data, off, "%d coordinates but dims header (line %d) has %d modes",
+				len(toks)-1, lineAt(data, c.dimsOff), len(c.dims))
+			return next
+		}
+		c.order = len(toks) - 1
+		c.first += bytes.Count(data[c.lo:off], newline)
+		c.top = make([]int32, c.order)
+		if c.order != len(c.idx) {
+			return next
+		}
+	}
+	if len(toks) != c.order+1 {
+		c.err = tnsErr(data, off, "expected %d fields, got %d", c.order+1, len(toks))
+		return next
+	}
+	if c.err = c.row(data, off, toks, c.first+c.n); c.err == nil {
+		c.n++
+	}
+	return next
+}
+
+// row parses the fields of one data line into the given slot.
+func (c *tnsChunk) row(data []byte, off int, toks [][]byte, slot int) error {
+	for m, tok := range toks[:c.order] {
+		// Every writer spells a coordinate as a run of digits; at most 18
+		// fit an int.
+		u, n := digitRun(tok, 0, 0)
+		x := int(u)
+		if n != len(tok) || n > 18 {
 			// Signs, long runs and junk: strconv decides, and words the error.
 			var err error
 			if x, err = strconv.Atoi(string(tok)); err != nil {
@@ -252,7 +343,7 @@ func (c *tnsChunk) row(data []byte, off int, toks [][]byte, n int) error {
 		case c.dims != nil && x > c.dims[m]:
 			return tnsErr(data, off, "coordinate %d out of range [1,%d] in mode %d", x, c.dims[m], m+1)
 		}
-		c.idx[m][n] = int32(x - 1)
+		c.idx[m][slot] = int32(x - 1)
 		c.top[m] = max(c.top[m], int32(x-1))
 	}
 	tok := toks[c.order]
@@ -263,7 +354,7 @@ func (c *tnsChunk) row(data []byte, off int, toks [][]byte, n int) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return tnsErr(data, off, "non-finite value %q", tok)
 	}
-	c.val[n] = v
+	c.val[slot] = v
 	return nil
 }
 
@@ -296,20 +387,25 @@ func (c *tnsChunk) header(data []byte, off int, rest string) error {
 	return nil
 }
 
-// digits parses a run of at most 18 decimal digits, which is how every
-// writer spells a coordinate.
-func digits(b []byte) (x int, ok bool) {
-	if len(b) == 0 || len(b) > 18 {
-		return 0, false
-	}
-	for _, ch := range b {
-		d := ch - '0'
-		if d > 9 {
-			return 0, false
+// fields splits a trimmed line at its white space into toks[:0]: byte
+// by byte while the line is ASCII, by bytes.Fields from the first
+// control or non-ASCII byte on, since whether that is white space is
+// for Unicode to say.
+func fields(line []byte, toks [][]byte) [][]byte {
+	toks = toks[:0]
+	for i := 0; i < len(line); {
+		j := i
+		for j < len(line) && line[j]-'!' < utf8.RuneSelf-'!' {
+			j++
 		}
-		x = x*10 + int(d)
+		if j < len(line) && !asciiSpace(line[j]) {
+			return bytes.Fields(line)
+		}
+		toks = append(toks, line[i:j])
+		for i = j; i < len(line) && asciiSpace(line[i]); i++ {
+		}
 	}
-	return x, true
+	return toks
 }
 
 // asciiSpace reports whether c is one of the six ASCII white-space
@@ -328,9 +424,10 @@ func tnsErr(data []byte, off int, format string, args ...any) error {
 }
 
 // rowOffset returns the byte offset of the line holding the row-th
-// nonzero of an image whose lines up to there are well formed.
+// nonzero of an image whose lines up to there are well formed, or
+// len(data) if it holds fewer data lines.
 func rowOffset(data []byte, row int) int {
-	for rest := data; ; {
+	for rest := data; len(rest) > 0; {
 		line, after, _ := bytes.Cut(rest, newline)
 		if line = bytes.TrimSpace(line); len(line) > 0 && line[0] != '#' {
 			if row--; row < 0 {
@@ -339,6 +436,7 @@ func rowOffset(data []byte, row int) int {
 		}
 		rest = after
 	}
+	return len(data)
 }
 
 // ReadTNSFile reads a .tns tensor from the named file.

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -598,9 +599,8 @@ func TestReadTNSLongLines(t *testing.T) {
 	}
 }
 
-// The parser's garbage must not grow with the nonzero count: a few
-// slices per chunk and the result's columns.
-func TestReadTNSAllocsBounded(t *testing.T) {
+// allocsImage is a 50k-nonzero order-3 tensor and its .tns image.
+func allocsImage(t *testing.T) (*COO, []byte) {
 	rng := rand.New(rand.NewSource(1))
 	x := NewCOO([]int{4000, 3000, 50}, 0)
 	for i := 0; i < 50000; i++ {
@@ -610,14 +610,103 @@ func TestReadTNSAllocsBounded(t *testing.T) {
 	if err := WriteTNS(&buf, x); err != nil {
 		t.Fatal(err)
 	}
+	return x, buf.Bytes()
+}
+
+// The parser's garbage must not grow with the nonzero count: the
+// result's columns, once, and a few slices per chunk.
+func TestReadTNSAllocsBounded(t *testing.T) {
+	x, img := allocsImage(t)
 	const threads = 4
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := parseTNS(buf.Bytes(), threads); err != nil {
+		if _, err := parseTNS(img, threads); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if limit := float64(16 + threads*(x.Order()+12)); allocs > limit {
+	if limit := float64(20 + threads*5); allocs > limit {
 		t.Fatalf("%v allocations for %d nonzeros in %d chunks, want at most %v", allocs, x.NNZ(), threads, limit)
+	}
+}
+
+// The chunks parse straight into the result's columns, so a parse
+// allocates those bytes once and little else. Columns built per chunk
+// and concatenated afterwards would take twice.
+func TestReadTNSAllocatesColumnsOnce(t *testing.T) {
+	x, img := allocsImage(t)
+	const threads, runs = 4, 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := parseTNS(img, threads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perParse := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	columns := float64(x.NNZ() * (4*x.Order() + 8))
+	if perParse > 1.15*columns {
+		t.Fatalf("a parse allocates %.0f bytes for %.0f bytes of columns (%.2fx), want at most 1.15x", perParse, columns, perParse/columns)
+	}
+}
+
+// The shapes the fast line path takes and the near misses it must leave
+// to the general path, against the line-at-a-time oracle: CRLF and
+// trailing tabs, signed and bare-point values, 17-digit values and
+// 17-digit exponents, coordinates of 9 and 10 digits, values at the
+// edges of the fast parse's exponent window, and what only strconv reads.
+func TestReadTNSFastPathShapes(t *testing.T) {
+	coords := []string{"3", "007", "999999999", "1000000000", "2147483648", "+2", "0", "-1", "1.0"}
+	seps := []string{"\t", "  \t ", "\v", "\u00a0", " \r ", "\f"}
+	values := []string{"+.5e-3", "-.5", "5.", ".5", "-0", "0.25", "3", "-7", "00012.5000",
+		"1.2345678901234567e-05", "9.9999999999999999e+64", "1e-64", "1e-65", "1e65", "1e00000000000000017",
+		"-2.5E-00000000000000003", "9007199254740993", "12345678901234567890", "0x1p-2", "1_0",
+		"1e", "1e+", "Inf", "nan", "1.5.2", "1e999"}
+	ends := []string{"\r\n", "\t\n", " \t\r\n", "\r\r\n", "\t", "", "\v\n", " # note\n"}
+	rng := rand.New(rand.NewSource(30))
+	pick := func(odd []string, common string) string {
+		if rng.Intn(10) == 0 {
+			return odd[rng.Intn(len(odd))]
+		}
+		return common
+	}
+	accepted := 0
+	for trial := 0; trial < 2000; trial++ {
+		order := 1 + trial%4
+		var sb strings.Builder
+		if rng.Intn(2) == 0 {
+			sb.WriteString("# dims:" + strings.Repeat(" 1000000000", order) + "\n")
+		}
+		lines := 1 + rng.Intn(8)
+		for l := 0; l < lines; l++ {
+			sb.WriteString(pick([]string{" ", "\t", " \t"}, ""))
+			for m := 0; m < order; m++ {
+				sb.WriteString(pick(coords, strconv.Itoa(1+rng.Intn(99))))
+				sb.WriteString(pick(seps, " "))
+			}
+			sb.WriteString(pick(values, strconv.FormatFloat(rng.NormFloat64(), 'g', 17, 64)))
+			end := pick(ends, "\n")
+			if l < lines-1 && !strings.Contains(end, "\n") {
+				end += "\n"
+			}
+			sb.WriteString(end)
+		}
+		data := []byte(sb.String())
+		want := oracleOf(data)
+		if want.err == nil {
+			accepted++
+		}
+		for _, chunk := range []int{1 << 16, 1 + rng.Intn(30)} {
+			withChunkBytes(chunk, func() {
+				for _, threads := range []int{1, 2, 3, 8} {
+					if err := want.check(data, threads); err != nil {
+						t.Fatalf("trial %d, chunk bytes %d: %v\ninput: %q", trial, chunk, err, data)
+					}
+				}
+			})
+		}
+	}
+	if accepted < 400 || accepted > 1600 {
+		t.Fatalf("generator is lopsided: %d of 2000 inputs accepted", accepted)
 	}
 }
 
