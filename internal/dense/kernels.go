@@ -26,6 +26,10 @@ package dense
 // Go loops remain the definition (TestTilesBitwise). Unfused is enough —
 // those loops were bound by call overhead, one add chain and reloading the
 // destination, not by the arithmetic ports (FMA in Axpy4/Ger measured flat).
+// A third, GatherGer, is the flat TTMc's row of order 3 in one call: each
+// run's accumulator stays in registers between its AxpyUnrolled terms and
+// its Ger, in the order and with the zero skips of those calls
+// (TestGatherGerBitwise).
 //
 // The dot family (Dot, dot2, gemvRows) stays in Go: a single-chain sum
 // cannot be vectorised along a row without re-associating it, which moves
@@ -129,4 +133,55 @@ func GerGo(c, x, y []float64) {
 			row[i] += cp * x[i]
 		}
 	}
+}
+
+// gatherMaxCols is the widest factor row GatherGer keeps in registers:
+// four YMM accumulators.
+const gatherMaxCols = 16
+
+// GatherGer is one row of the flat TTMc, run by run. Neighbouring list
+// positions with equal keys form a run; for each run, with
+//
+//	acc = Σ_p vals[ids[p]] · x.Row(cols[p])
+//
+// over its positions in order from +0, each term an Axpy (a zero value
+// skipped), it adds l.Row(key) ⊗ acc to the l.Cols x x.Cols block y as Ger
+// does, and it returns the number of runs. acc is the Go loops'
+// accumulator, x.Cols long; what it holds afterwards is unspecified. On a
+// CPU with AVX2 and x rows of 1 to 16 elements the row is one assembly
+// call that keeps each run's acc in registers, where the loops make a call
+// per entry and one per run and store and reload acc between them; each
+// element still sees the loops' multiplies and adds in their order, so
+// both paths give the same bits. A key, id or col out of range panics on
+// either path, possibly after earlier runs were added to y.
+func GatherGer(keys []int32, l *Matrix, vals []float64, ids, cols []int32, x *Matrix, acc, y []float64) int {
+	r, m := x.Cols, l.Cols
+	if len(ids) != len(keys) || len(cols) != len(keys) || len(acc) != r || len(y) != m*r {
+		panic("dense: GatherGer shape mismatch")
+	}
+	if useAVX2 && r >= 1 && r <= gatherMaxCols && m >= 1 && len(keys) > 0 &&
+		len(x.Data) >= x.Rows*r && len(l.Data) >= l.Rows*m {
+		runs := gatherGerAVX2(&keys[0], &ids[0], &cols[0], len(keys), &vals[0], len(vals),
+			&x.Data[0], x.Rows, r, &l.Data[0], l.Rows, m, &y[0], &laneMask[3-(r-1)%4])
+		if runs < 0 {
+			panic("dense: GatherGer index out of range")
+		}
+		return runs
+	}
+	return gatherGerLoops(keys, l, vals, ids, cols, x, acc, y)
+}
+
+// gatherGerLoops is GatherGer's portable path, on the dispatching Axpy
+// and Ger wrappers.
+func gatherGerLoops(keys []int32, l *Matrix, vals []float64, ids, cols []int32, x *Matrix, acc, y []float64) int {
+	runs := 0
+	for p := 0; p < len(keys); runs++ {
+		k := keys[p]
+		clear(acc)
+		for ; p < len(keys) && keys[p] == k; p++ {
+			AxpyUnrolled(vals[ids[p]], x.Row(int(cols[p])), acc)
+		}
+		Ger(l.Row(int(k)), acc, y)
+	}
+	return runs
 }

@@ -44,6 +44,9 @@ func atb4x4AVX2(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, r
 //go:noescape
 func gemm4x12AVX2(a *float64, lda int, b *float64, k int, c *float64)
 
+//go:noescape
+func gatherGerAVX2(keys, ids, cols *int32, n int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

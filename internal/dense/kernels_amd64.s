@@ -410,3 +410,203 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// func gatherGerAVX2(keys, ids, cols *int32, n int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int)
+// One row of the flat TTMc: for each maximal run of list positions with
+// one key k = keys[p], acc = +0, then acc += vals[ids[p]] * x[cols[p]]
+// over the run in order (rows of r elements; a zero value skipped), then
+// y[q*r:(q+1)*r] += l[k][q] * acc for q < m (a zero element of the lead
+// row l[k] skipped). Per element, the operations of Axpy calls on a
+// zeroed accumulator and one Ger per run, in their order. The accumulator
+// lives in registers for the whole run: the (r-1)/4 whole vectors Y0..Y2
+// and a last vector of one to four elements, Y4, which the gather loads
+// under the lane mask; each width has its own gather loop. The rank-one
+// update writes that last vector's elements with whole, two-element and
+// one-element stores, never masked ones: the next run reloads the same
+// block, and a masked store is not forwarded to a later load. Returns the
+// number of runs, or -1 as soon as a key, id or col is at or past its
+// bound. 1 <= r <= 16, n >= 1, m >= 1.
+TEXT ·gatherGerAVX2(SB), NOSPLIT, $0-120
+
+// The macros are defined inside the TEXT block because they name its
+// arguments, which go vet resolves against the enclosing function.
+
+// RUNENTRY reads list position AX: the value vals[ids[AX]] into Y14 and
+// the address of factor row cols[AX] into R12. An index at or past its
+// bound jumps to runbad; a value that is +0 or -0 (Axpy's zero test)
+// jumps to skip, after both indices are checked.
+#define RUNENTRY(skip) \
+	MOVL         (R8)(AX*4), R10; \
+	CMPQ         R10, nvals+40(FP); \
+	JAE          runbad; \
+	MOVL         (R9)(AX*4), R12; \
+	CMPQ         R12, xrows+56(FP); \
+	JAE          runbad; \
+	MOVQ         (SI)(R10*8), R11; \
+	SHLQ         $1, R11; \
+	JZ           skip; \
+	VBROADCASTSD (SI)(R10*8), Y14; \
+	IMULQ        R13, R12; \
+	ADDQ         DI, R12
+
+// RUNACC adds the value times the factor row's vector at off to acc;
+// RUNACCTAIL does it for the row's last one to four elements into Y4,
+// under the lane mask in Y15 (a masked-out lane loads +0 and is never
+// stored).
+#define RUNACC(off, acc) \
+	VMULPD off(R12), Y14, Y8; \
+	VADDPD Y8, acc, acc
+
+#define RUNACCTAIL(off) \
+	VMASKMOVPD off(R12), Y15, Y8; \
+	VMULPD     Y8, Y14, Y8; \
+	VADDPD     Y8, Y4, Y4
+
+// RUNNEXT steps to the next list position and back to loop while it is
+// in the row and carries the run's key (DX); otherwise on to runger.
+#define RUNNEXT(loop) \
+	INCQ AX; \
+	CMPQ AX, CX; \
+	JGE  runger; \
+	MOVL (BX)(AX*4), R10; \
+	CMPQ R10, DX; \
+	JEQ  loop; \
+	JMP  runger
+
+// RUNGER adds the lead element in Y14 times acc to the block's vector at
+// DX and steps DX past it.
+#define RUNGER(acc) \
+	VMULPD  acc, Y14, Y8; \
+	VADDPD  (DX), Y8, Y8; \
+	VMOVUPD Y8, (DX); \
+	ADDQ    $32, DX
+
+	MOVQ    keys+0(FP), BX
+	MOVQ    ids+8(FP), R8
+	MOVQ    cols+16(FP), R9
+	MOVQ    n+24(FP), CX
+	MOVQ    vals+32(FP), SI
+	MOVQ    x+48(FP), DI
+	MOVQ    r+64(FP), R13
+	SHLQ    $3, R13         // row stride of x in bytes
+	MOVQ    mask+104(FP), R10
+	VMOVDQU (R10), Y15
+	MOVQ    $0, runs+112(FP)
+	XORQ    AX, AX
+
+runstart:
+	MOVL   (BX)(AX*4), DX
+	CMPQ   DX, lrows+80(FP)
+	JAE    runbad
+	INCQ   runs+112(FP)
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y4, Y4, Y4
+	CMPQ   R13, $64
+	JGT    runwide
+	CMPQ   R13, $32
+	JGT    run2
+
+run1:
+	RUNENTRY(run1skip)
+	RUNACCTAIL(0)
+
+run1skip:
+	RUNNEXT(run1)
+
+run2:
+	RUNENTRY(run2skip)
+	RUNACC(0, Y0)
+	RUNACCTAIL(32)
+
+run2skip:
+	RUNNEXT(run2)
+
+runwide:
+	CMPQ R13, $96
+	JGT  run4
+
+run3:
+	RUNENTRY(run3skip)
+	RUNACC(0, Y0)
+	RUNACC(32, Y1)
+	RUNACCTAIL(64)
+
+run3skip:
+	RUNNEXT(run3)
+
+run4:
+	RUNENTRY(run4skip)
+	RUNACC(0, Y0)
+	RUNACC(32, Y1)
+	RUNACC(64, Y2)
+	RUNACCTAIL(96)
+
+run4skip:
+	RUNNEXT(run4)
+
+runger:
+	MOVQ  m+88(FP), R11
+	MOVQ  R11, R10
+	IMULQ DX, R10
+	SHLQ  $3, R10
+	ADDQ  l+72(FP), R10     // the lead row l[k]
+	MOVQ  y+96(FP), R12
+
+	PCALIGN $32
+
+rungerrow:
+	MOVQ         (R10), DX
+	SHLQ         $1, DX
+	JZ           rungernext
+	VBROADCASTSD (R10), Y14
+	MOVQ         R12, DX
+	CMPQ         R13, $32
+	JLE          rungertail
+	RUNGER(Y0)
+	CMPQ         R13, $64
+	JLE          rungertail
+	RUNGER(Y1)
+	CMPQ         R13, $96
+	JLE          rungertail
+	RUNGER(Y2)
+
+rungertail:
+	VMULPD  Y4, Y14, Y8
+	TESTQ   $24, R13
+	JNZ     rungerpart
+	VADDPD  (DX), Y8, Y8
+	VMOVUPD Y8, (DX)
+	JMP     rungernext
+
+rungerpart:
+	TESTQ        $16, R13
+	JZ           rungerone
+	VADDPD       (DX), X8, X9
+	VMOVUPD      X9, (DX)
+	TESTQ        $8, R13
+	JZ           rungernext
+	VEXTRACTF128 $1, Y8, X8
+	VADDSD       16(DX), X8, X8
+	VMOVSD       X8, 16(DX)
+	JMP          rungernext
+
+rungerone:
+	VADDSD (DX), X8, X8
+	VMOVSD X8, (DX)
+
+rungernext:
+	ADDQ $8, R10
+	ADDQ R13, R12
+	DECQ R11
+	JNZ  rungerrow
+	CMPQ AX, CX
+	JLT  runstart
+	VZEROUPPER
+	RET
+
+runbad:
+	MOVQ $-1, runs+112(FP)
+	VZEROUPPER
+	RET

@@ -216,6 +216,118 @@ func gemmCase(t *testing.T, rows, kdim, bc int, next func() float64) {
 	}
 }
 
+// gatherGerGo is GatherGer's definition: one flat TTMc row on the Go
+// loops, per run an Axpy per entry into a zeroed accumulator, then GerGo.
+func gatherGerGo(keys []int32, l *Matrix, vals []float64, ids, cols []int32, x *Matrix, acc, y []float64) int {
+	runs := 0
+	for p := 0; p < len(keys); runs++ {
+		k := keys[p]
+		clear(acc)
+		for ; p < len(keys) && keys[p] == k; p++ {
+			Axpy(vals[ids[p]], x.Row(int(cols[p])), acc)
+		}
+		GerGo(l.Row(int(k)), acc, y)
+	}
+	return runs
+}
+
+// gatherCase holds GatherGer to its Go loops on one shape: a row of n list
+// positions in runs of about three, over the rows of an r-column factor
+// (its last row always among them, where a tail load would run off the
+// data) and of an m-column lead factor, into a guarded block, every value
+// from next. A key may come back after another run. Where the shape
+// allows, one entry's value is a zero and two lead elements are ±0.
+func gatherCase(t *testing.T, r, m, n int, next func() float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(1000*r + 100*m + n)))
+	_, x := guardedMatrix(5, r, next)
+	_, l := guardedMatrix(4, m, next)
+	if m > 1 {
+		l.Row(0)[0], l.Row(3)[m-1] = 0, math.Copysign(0, -1)
+	}
+	vals := make([]float64, n+3)
+	for i := range vals {
+		vals[i] = next()
+	}
+	keys, ids, cols := make([]int32, n), make([]int32, n), make([]int32, n)
+	for p := range keys {
+		keys[p] = int32(rng.Intn(l.Rows))
+		if p > 0 && rng.Intn(3) > 0 {
+			keys[p] = keys[p-1]
+		}
+		ids[p], cols[p] = int32(rng.Intn(len(vals))), int32(rng.Intn(x.Rows))
+	}
+	cols[n-1] = int32(x.Rows - 1)
+	if n > 1 {
+		vals[ids[n/2]] = math.Copysign(0, float64(n&1)-0.5)
+	}
+	yb, y := guarded(m*r, 1, next)
+	yb2, y2 := twin(yb, m*r, 1)
+	label := fmt.Sprintf("GatherGer r=%d m=%d n=%d", r, m, n)
+	runs := GatherGer(keys, l, vals, ids, cols, x, make([]float64, r), y)
+	if want := gatherGerGo(keys, l, vals, ids, cols, x, make([]float64, r), y2); runs != want {
+		t.Fatalf("%s: %d runs on the dispatched path (%s), %d on the Go loops", label, runs, KernelName(), want)
+	}
+	compareGuarded(t, label, yb, yb2, kernelGuard+1)
+}
+
+// TestGatherGerBitwise: every factor row width through 20 (each register
+// count, each masked tail, and past the widest the registers hold), lead
+// rows of 1 to 10 and rows of 1 to 40 list positions, on finite and
+// salted data.
+func TestGatherGerBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	finite := rng.NormFloat64
+	salted := saltedSource(rng)
+	for r := 1; r <= 20; r++ {
+		for _, m := range []int{1, 2, 5, 10} {
+			for _, n := range []int{1, 2, 3, 7, 40} {
+				gatherCase(t, r, m, n, finite)
+				gatherCase(t, r, m, n, salted)
+			}
+		}
+	}
+}
+
+// A key, id or col out of range panics on both paths, a col under a zero
+// value included, and so do mismatched lengths: the assembly reads
+// through no index it has not checked.
+func TestGatherGerPanicsOnBadIndices(t *testing.T) {
+	for _, r := range []int{3, 10, 20} {
+		x, l, vals := NewMatrix(3, r), NewMatrix(2, 2), []float64{1, 2}
+		for _, c := range []struct {
+			name             string
+			keys, ids, cols  []int32
+			accLen, blockLen int
+		}{
+			{"key past the lead rows", []int32{0, 2}, []int32{0, 1}, []int32{0, 1}, r, 2 * r},
+			{"negative key", []int32{-1}, []int32{0}, []int32{0}, r, 2 * r},
+			{"id past the values", []int32{0, 0}, []int32{0, 2}, []int32{0, 1}, r, 2 * r},
+			{"negative id", []int32{0}, []int32{-1}, []int32{0}, r, 2 * r},
+			{"col past the rows", []int32{0, 1}, []int32{0, 1}, []int32{1, 3}, r, 2 * r},
+			{"negative col", []int32{1}, []int32{0}, []int32{-1}, r, 2 * r},
+			{"col past the rows under a zero value", []int32{0, 0}, []int32{0, 1}, []int32{0, 5}, r, 2 * r},
+			{"fewer ids than keys", []int32{0, 0}, []int32{0}, []int32{0, 1}, r, 2 * r},
+			{"fewer cols than keys", []int32{0, 0}, []int32{0, 1}, []int32{0}, r, 2 * r},
+			{"short accumulator", []int32{0}, []int32{0}, []int32{0}, r - 1, 2 * r},
+			{"short block", []int32{0}, []int32{0}, []int32{0}, r, 2*r - 1},
+		} {
+			v := slices.Clone(vals)
+			if c.name == "col past the rows under a zero value" {
+				v[1] = 0
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("r=%d %s: no panic", r, c.name)
+					}
+				}()
+				GatherGer(c.keys, l, v, c.ids, c.cols, x, make([]float64, c.accLen), make([]float64, c.blockLen))
+			}()
+		}
+	}
+}
+
 // The shapes of TestTilesBitwise: every column count through 20 (below
 // one tile, every masked tail, a tile and a half), then widths that leave
 // 1, 3, 4 and 5 columns past the last whole eight; row counts with every
@@ -424,7 +536,9 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	a, b, u := NewMatrix(50, 13), NewMatrix(13, 10), NewMatrix(50, 10)
 	p := make([]float64, 13*13)
 	matMulRows(u, a, b, 0, 50) // warms the pack panel's pool entry
+	keys, ids, cols, acc, l := []int32{0, 0, 1}, []int32{0, 3, 1}, []int32{2, 2, 40}, make([]float64, 10), NewMatrix(2, 4)
 	if n := testing.AllocsPerRun(100, func() {
+		GatherGer(keys, l, x, ids, cols, u, acc, y)
 		Axpy4(1, 2, 3, 4, x, 0, y)
 		AxpyUnrolled(2, x, y)
 		Ger(c, x[:10], y)
@@ -482,5 +596,8 @@ func FuzzKernelsBitwise(f *testing.F) {
 		atbCase(t, rows, ac, bc, off&1 == 1, next)
 		atbCase(t, rows, ac, ac, off&1 == 1, next)
 		gemmCase(t, rows, ac, bc, next)
+		// And a TTMc row: factor rows through 20 wide, lead rows through
+		// 11, up to 9 list positions.
+		gatherCase(t, 1+int(n%20), 1+int(m%11), 1+int(n/20)%9, next)
 	})
 }

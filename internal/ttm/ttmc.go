@@ -217,12 +217,12 @@ func (k *Flat) callChains() []int32 { return k.call.sm.Chains(k.call.threads) }
 // row's list positions, the lead and trailing indices read from the
 // call's streams. With one trailing mode (all of order 3) an entry's
 // update is an axpy of that factor's row — what accumKron's 1 x R Ger
-// computes, zero skip included.
+// computes, zero skip included — so a whole row is one dense.GatherGer.
 func (k *Flat) rows(w, lo, hi int) {
 	c, val, sc := &k.call, k.x.Val, &k.scratch[w]
 	y, sm, u := c.y, c.sm, c.u
 	a, runs := leadMode(len(u), sm.N), 0
-	nz, lead, leadRow, acc := sm.NZ, c.idx[a], unitRow, sc.acc[:c.acc]
+	nz, lead, leadRow, acc, ua := sm.NZ, c.idx[a], unitRow, sc.acc[:c.acc], u[a]
 	frows := sc.rows[:len(k.trail)]
 	var one []int32
 	var uone *dense.Matrix
@@ -232,21 +232,22 @@ func (k *Flat) rows(w, lo, hi int) {
 	for r := lo; r < hi; r++ {
 		row := y.Row(r)
 		clear(row)
-		for p, end := int(sm.Ptr[r]), int(sm.Ptr[r+1]); p < end; runs++ {
+		p, end := sm.Ptr[r], sm.Ptr[r+1]
+		if uone != nil {
+			runs += dense.GatherGer(lead[p:end], ua, val, nz[p:end], one[p:end], uone, acc, row)
+			continue
+		}
+		for ; p < end; runs++ {
 			i := lead[p]
 			clear(acc)
 			for ; p < end && lead[p] == i; p++ {
-				if uone != nil {
-					dense.AxpyUnrolled(val[nz[p]], uone.Row(int(one[p])), acc)
-					continue
-				}
 				for j, t := range k.trail {
 					frows[j] = u[t].Row(int(c.idx[t][p]))
 				}
 				accumKron(acc, val[nz[p]], frows, sc.bufA, sc.bufB)
 			}
 			if a != sm.N {
-				leadRow = u[a].Row(int(i))
+				leadRow = ua.Row(int(i))
 			}
 			dense.Ger(leadRow, acc, row)
 		}

@@ -569,6 +569,8 @@ func TestFlatMatchesGoLoopsBitwise(t *testing.T) {
 		{[]int{50, 40}, []int{10, 7}},
 		{[]int{30, 25, 20}, []int{10, 10, 10}},
 		{[]int{30, 25, 20}, []int{3, 5, 9}},
+		{[]int{30, 25, 20}, []int{17, 2, 20}}, // trailing rows of 20 (past the registers) and 2
+		{[]int{30, 25, 20}, []int{16, 13, 16}},
 		{[]int{10, 12, 9, 8}, []int{5, 5, 5, 5}},
 		{[]int{6, 5, 4, 5, 6}, []int{2, 3, 4, 3, 2}},
 	} {
