@@ -8,8 +8,7 @@
 //	hooi -input x.tns -ranks 10,10,10 -iters 20 -tol 1e-5
 //	hooi -input x.tns -ranks 10,10,10 -svd rand
 //	hooi -input x.tns -eps 0.25
-//	hooi -input x.tns -ranks 5,5,5,5 -ttmc flat
-//	hooi -input x.tns -ranks 10,10,10 -ttmc dtree -update delta.tns
+//	hooi -input x.tns -ranks 10,10,10 -update delta.tns
 //	hooi -input x.tns -ranks 5,5,5,5 -dist 16 -grain fine -method hp
 //	hooi -input x.tns -ranks 5,5,5 -dist spawn -np 4
 //	hooi -input x.tns -ranks 5,5,5 -dist tcp -rank 0 -peers h0:9000,h1:9000
@@ -67,7 +66,6 @@ func main() {
 		threads = flag.Int("threads", 0, "shared-memory threads (0 = GOMAXPROCS)")
 		svd     = flag.String("svd", "auto", "TRSVD solver: auto (per mode: gram when the matricized product has at most 32 columns per rank, else lanczos) | lanczos | gram (two BLAS3 passes + a dense eigenproblem) | rand")
 		eps     = flag.Float64("eps", 0, "adaptive-rank relative error target in (0,1]; selects per-mode ranks from the sketched spectrum (-ranks becomes an optional cap)")
-		ttmc    = flag.String("ttmc", "auto", "TTMc strategy: auto (dtree from order 4 up, else flat) | flat | dtree (memoized dimension tree)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
 		grain   = flag.String("grain", "fine", "distributed task grain: fine | coarse")
@@ -78,7 +76,6 @@ func main() {
 		lfd     = flag.Int("listen-fd", -1, "inherited file descriptor of this rank's pre-bound listener (-dist tcp; set by -dist spawn)")
 		distTO  = flag.Duration("dist-timeout", 2*time.Minute, "TCP transport receive/write deadline; a stalled or dead peer fails the run after this long (negative disables)")
 		update  = flag.String("update", "", "comma-separated delta tensors (.tns) to ingest incrementally after the initial convergence")
-		updates = flag.Int("updates", 1, "how many times to replay the -update delta list")
 		quiet   = flag.Bool("q", false, "print only the final fit")
 
 		ckptDir    = flag.String("checkpoint", "", "checkpoint directory: write a crash-consistent snapshot every -ckpt-every sweeps and resume from the newest usable one on startup")
@@ -117,13 +114,11 @@ func main() {
 	}
 
 	if *distM != "" && *distM != "0" {
-		// distRun carries none of these to the ranks: each runs HOOI on one
-		// thread from the seeded random start, on the kernel its own plan
-		// resolves to.
+		// distRun does not carry -threads to the ranks: each runs HOOI on
+		// one thread from the seeded random start.
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "threads", "ttmc":
-				fail(fmt.Errorf("-%s is a shared-memory engine option; it cannot be combined with -dist", f.Name))
+			if f.Name == "threads" {
+				fail(errors.New("-threads is a shared-memory engine option; it cannot be combined with -dist"))
 			}
 		})
 		if *update != "" {
@@ -173,10 +168,6 @@ func main() {
 		Seed:     *seed,
 		SVD:      svdMethod,
 	}
-	opts.TTMc, err = hypertensor.ParseTTMc(*ttmc)
-	if err != nil {
-		fail(err)
-	}
 	opts.MeasureAllocs = !*quiet
 	plan, err := hypertensor.NewPlan(x, opts)
 	if err != nil {
@@ -211,7 +202,7 @@ func main() {
 		fail(err)
 	}
 	if *update != "" {
-		runUpdates(eng, x, dec, opts, *update, *updates, *quiet)
+		runUpdates(eng, x, dec, opts, *update, *quiet)
 		return
 	}
 	if *quiet {
@@ -228,8 +219,8 @@ func main() {
 	fmt.Printf("storage: index=%d B (%.2f B/nnz) streams=%d B\n",
 		dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()), dec.StreamBytes)
 	// The measured count sits next to what each strategy was predicted
-	// to cost, so a choice of -ttmc auto that the input proves wrong
-	// shows here.
+	// to cost, so a strategy choice that the input proves wrong shows
+	// here.
 	flatMadds, treeMadds := hypertensor.PredictSweepMadds(x, dec.ChosenRanks, *threads)
 	fmt.Printf("ttmc: strategy=%s flops=%d (%d madds/sweep; predicted flat=%d dtree=%d)",
 		dec.TTMc, dec.TTMcFlops, dec.TTMcFlops/int64(max(dec.Iters, 1)), flatMadds, treeMadds)
@@ -258,11 +249,8 @@ func main() {
 // reports the incremental-path accounting, then compares the terminal
 // fit against a from-scratch solve of the fully merged tensor.
 func runUpdates(eng *hypertensor.Engine, x *hypertensor.SparseTensor, initial *hypertensor.Decomposition,
-	opts hypertensor.Options, updateList string, rounds int, quiet bool) {
+	opts hypertensor.Options, updateList string, quiet bool) {
 	paths := strings.Split(updateList, ",")
-	if rounds < 1 {
-		rounds = 1
-	}
 	if !quiet {
 		fmt.Printf("initial: fit %.8f after %d sweeps\n", initial.Fit, initial.Iters)
 	}
@@ -273,32 +261,28 @@ func runUpdates(eng *hypertensor.Engine, x *hypertensor.SparseTensor, initial *h
 		mirror = x.Clone()
 	}
 	var last *hypertensor.Decomposition = initial
-	step := 0
-	for round := 0; round < rounds; round++ {
-		for _, path := range paths {
-			delta, err := hypertensor.ReadTensorFile(strings.TrimSpace(path))
-			if err != nil {
-				fail(err)
-			}
-			if mirror != nil {
-				if _, err := mirror.Merge(delta); err != nil {
-					fail(err)
-				}
-			}
-			last, err = eng.Update(delta)
-			if err != nil {
-				fail(err)
-			}
-			step++
-			if quiet {
-				continue
-			}
-			perSweep := last.UpdateMadds / int64(last.UpdateSweeps)
-			fmt.Printf("update %d (%s): +%d nnz -> fit %.8f in %d sweeps; ttmc %s madds/sweep vs %s full-sweep (%.2fx less)\n",
-				step, strings.TrimSpace(path), last.DeltaNNZ, last.Fit, last.UpdateSweeps,
-				humanInt(perSweep), humanInt(last.FullSweepMadds),
-				float64(last.FullSweepMadds)/float64(perSweep))
+	for step, path := range paths {
+		delta, err := hypertensor.ReadTensorFile(strings.TrimSpace(path))
+		if err != nil {
+			fail(err)
 		}
+		if mirror != nil {
+			if _, err := mirror.Merge(delta); err != nil {
+				fail(err)
+			}
+		}
+		last, err = eng.Update(delta)
+		if err != nil {
+			fail(err)
+		}
+		if quiet {
+			continue
+		}
+		perSweep := last.UpdateMadds / int64(last.UpdateSweeps)
+		fmt.Printf("update %d (%s): +%d nnz -> fit %.8f in %d sweeps; ttmc %s madds/sweep vs %s full-sweep (%.2fx less)\n",
+			step+1, strings.TrimSpace(path), last.DeltaNNZ, last.Fit, last.UpdateSweeps,
+			humanInt(perSweep), humanInt(last.FullSweepMadds),
+			float64(last.FullSweepMadds)/float64(perSweep))
 	}
 	if quiet {
 		// Quiet mode reports only the incremental fit; skip the (cold,

@@ -60,9 +60,8 @@ func hooi(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 }
 
 // Flags that are gone are usage errors, and a flag the distributed path
-// does not carry to its ranks is refused when set — whatever it is set
-// to — with the error -update and -eps get there. So is a distributed
-// flag on a shared-memory run.
+// does not carry to its ranks is refused when set, with the error -update
+// and -eps get there. So is a distributed flag on a shared-memory run.
 func TestFlagErrors(t *testing.T) {
 	const notDist = " is a shared-memory engine option; it cannot be combined with -dist"
 	const needsDist = " is a distributed option; it needs -dist"
@@ -76,8 +75,8 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-svd", "jacobi"}, 1, `hooi: core: unknown svd solver "jacobi" (solvers: auto | lanczos | rand | gram)`},
 		{[]string{"-dist", "2", "-svd", "subspace"}, 1, `hooi: core: unknown svd solver "subspace"`},
 		{[]string{"-dist", "2", "-threads", "2"}, 1, "hooi: -threads" + notDist},
-		{[]string{"-dist", "2", "-ttmc", "flat"}, 1, "hooi: -ttmc" + notDist},
-		{[]string{"-dist", "2", "-ttmc", "auto"}, 1, "hooi: -ttmc" + notDist},
+		{[]string{"-ttmc", "flat"}, 2, "flag provided but not defined: -ttmc"},
+		{[]string{"-update", tnsPath, "-updates", "2"}, 2, "flag provided but not defined: -updates"},
 		{[]string{"-init", "hosvd"}, 2, "flag provided but not defined: -init"},
 		{[]string{"-algo", "sthosvd"}, 2, "flag provided but not defined: -algo"},
 		{[]string{"-dist", "2", "-init", "hosvd"}, 2, "flag provided but not defined: -init"},
@@ -117,7 +116,6 @@ func TestQuietPrintsOneFitLine(t *testing.T) {
 	fit := regexp.MustCompile(`^0\.\d{10}\n$`)
 	for _, args := range [][]string{
 		{"-q"},
-		{"-q", "-ttmc", "dtree"},
 		{"-q", "-svd", "rand"},
 		{"-q", "-svd", "gram"},
 		{"-q", "-svd", "lanczos"},
@@ -186,7 +184,12 @@ func TestReportLines(t *testing.T) {
 			t.Errorf("no line matches %s in:\n%s", line, stdout)
 		}
 	}
-	stdout, stderr, exit = hooi(t, "-ttmc", "dtree")
+	// The plan takes the dimension tree from order 4 up.
+	path4 := filepath.Join(t.TempDir(), "x4.tns")
+	if err := tensor.WriteTNSFile(path4, gen.Random(gen.Config{Dims: []int{20, 18, 16, 14}, NNZ: 2000, Skew: 0.5, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, exit = hooi(t, "-input", path4, "-ranks", "2,2,2,2")
 	if exit != 0 {
 		t.Fatalf("exit %d: %s", exit, stderr)
 	}

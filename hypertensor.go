@@ -178,10 +178,6 @@ func NewPlan(x *SparseTensor, opts Options) (*Plan, error) {
 	return core.NewPlan(x, opts)
 }
 
-// ParseTTMc maps a -ttmc flag spelling (auto, flat, dtree) to its
-// TTMcStrategy value.
-func ParseTTMc(s string) (TTMcStrategy, error) { return core.ParseTTMc(s) }
-
 // ParseSVD maps a -svd flag spelling (auto, lanczos, rand, gram) to its
 // SVDMethod value.
 func ParseSVD(s string) (SVDMethod, error) { return core.ParseSVD(s) }

@@ -105,14 +105,10 @@ func TestTTMcAutoResolution(t *testing.T) {
 		}
 	}
 
-	for _, name := range []string{"auto", "flat", "dtree"} {
-		s, err := ParseTTMc(name)
-		if err != nil || s.String() != name {
-			t.Fatalf("ParseTTMc(%q) = %v, %v", name, s, err)
+	for s, name := range []string{"auto", "flat", "dtree"} {
+		if got := TTMcStrategy(s).String(); got != name {
+			t.Fatalf("TTMcStrategy(%d).String() = %q, want %q", s, got, name)
 		}
-	}
-	if _, err := ParseTTMc("tree"); err == nil {
-		t.Fatal("ParseTTMc accepted an unknown spelling")
 	}
 }
 

@@ -39,25 +39,15 @@ const (
 	TTMcDTree
 )
 
-// ttmcNames spells the strategies the way cmd/hooi's -ttmc flag does,
-// indexed by the TTMcStrategy value.
+// ttmcNames names the strategies in reports (cmd/hooi's `ttmc:
+// strategy=` line), indexed by the TTMcStrategy value.
 var ttmcNames = [...]string{
 	TTMcAuto:  "auto",
 	TTMcFlat:  "flat",
 	TTMcDTree: "dtree",
 }
 
-// ParseTTMc maps a -ttmc flag spelling to its TTMcStrategy value.
-func ParseTTMc(s string) (TTMcStrategy, error) {
-	for t, name := range ttmcNames {
-		if s == name {
-			return TTMcStrategy(t), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown ttmc strategy %q (strategies: %s)", s, strings.Join(ttmcNames[:], " | "))
-}
-
-// String names the strategy the way cmd/hooi's -ttmc flag spells it.
+// String names the strategy as reports print it.
 func (t TTMcStrategy) String() string {
 	if int(t) < 0 || int(t) >= len(ttmcNames) {
 		return fmt.Sprintf("TTMcStrategy(%d)", int(t))

@@ -304,9 +304,10 @@ func (ex *exchange) assemble(n int, u *dense.Matrix) {
 }
 
 // rowDistOperator is the row-distributed matrix-free view of Y_(n):
-// each rank stores its owned rows; column-space results are reduced in
-// fixed rank order, so every rank receives bitwise-identical vectors
-// and the SPMD solver iterations stay in lockstep. sent accumulates the
+// each rank stores its owned rows; column-space results (MatTVec,
+// MatTMat, RowDot, RowGram, Gram) are reduced in fixed rank order, one
+// collective each, so every rank receives bitwise-identical values and
+// the SPMD solver iterations stay in lockstep. sent accumulates the
 // payload of those reductions — the mode's TRSVD traffic — and msgs
 // their number.
 type rowDistOperator struct {
@@ -378,8 +379,13 @@ func (o *rowDistOperator) Gram(g *dense.Matrix, work []float64) []float64 {
 // replicated.
 func (o *rowDistOperator) MatMat(w, y *dense.Matrix) { dense.MatMulInto(y, o.a, w, 1) }
 
+// MatTMat folds the local product AᵀY of the owned rows with one
+// Cols x b AllReduce: a panel of b columns costs one collective carrying
+// what b MatTVec reductions would carry.
+func (o *rowDistOperator) MatTMat(y, z *dense.Matrix) {
+	dense.MatMulTAInto(z, o.a, y, 1)
+	copy(z.Data, o.allReduce(z.Data))
+}
+
 var _ core.Exchange = (*exchange)(nil)
 var _ trsvd.Operator = (*rowDistOperator)(nil)
-var _ trsvd.GlobalRowIDer = (*rowDistOperator)(nil)
-var _ trsvd.RowGramer = (*rowDistOperator)(nil)
-var _ trsvd.GramOperator = (*rowDistOperator)(nil)

@@ -403,3 +403,39 @@ func TestRecordedWireBytes(t *testing.T) {
 		t.Errorf("np=4 hypergraph placements send %d expand+fold bytes per sweep over the presets, block placements %d", hp4, block4)
 	}
 }
+
+// What one sweep of the randomized solver puts on the wire, per mode and
+// summed over both ranks, in the setting of TestRecordedWireBytes's
+// netflix np=2 cells. Its panel products are each one collective: a
+// projection Aᵀ·Q reduces the whole cols x b panel at once, carrying
+// what b column reductions would carry. A change that legitimately moves
+// a count edits the literal.
+func TestRecordedRandomizedWireBytes(t *testing.T) {
+	cfg, err := gen.Preset("netflix", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := gen.Random(cfg)
+	ranks := gen.PaperRanks(x.Order())
+	for n := range ranks {
+		ranks[n] = min(ranks[n], x.Dims[n])
+	}
+	part, err := MakePartition(x, 2, Fine, MethodHypergraph, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := worldMatchesTCP(t, x, part, Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32, SVD: core.SVDRandomized})
+	var bytes, msgs [3]int64
+	for n := range res.Stats.Mode {
+		for _, ms := range res.Stats.Mode[n] {
+			bytes[n] += ms.TRSVDBytes
+			msgs[n] += ms.TRSVDMsgs
+		}
+	}
+	if want := [3]int64{95200, 95200, 64980}; bytes != want {
+		t.Errorf("TRSVD bytes per sweep by mode %v, recorded %v", bytes, want)
+	}
+	if want := [3]int64{36, 36, 26}; msgs != want {
+		t.Errorf("TRSVD collectives per sweep by mode %v, recorded %v", msgs, want)
+	}
+}

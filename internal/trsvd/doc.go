@@ -8,7 +8,7 @@
 //   - the exact Gram-eigen solver for narrow matrices (Gram): the
 //     Cols x Cols Gram matrix in one symmetric rank-k pass, its
 //     eigenvectors by a serial tridiagonal eigensolver, the left
-//     vectors in one block pass — through the GramOperator extension;
+//     vectors in one block pass (Operator.Gram, Operator.MatMat);
 //   - Golub–Kahan–Lanczos bidiagonalization with full
 //     reorthogonalization and warm starts (Options.WarmLeft) for the
 //     resident engine's re-convergence sweeps;
@@ -22,11 +22,14 @@
 // reads it.
 //
 // An unblocked Gram-matrix solver on the Jacobi SVD survives in the
-// tests as the oracle all three are compared against. The iterative
-// solvers reach the matrix only through MatVec (y = Ax) and MatTVec
-// (x = Aᵀy), or their block forms, so the same driver runs on local
-// rows and on the row-distributed Y_(n), whose operator implements the
-// paper's x-allreduce communication scheme. Solver
+// tests as the oracle all three are compared against. Every solver
+// reaches the matrix only through the one Operator interface — Lanczos
+// through MatVec (y = Ax) and MatTVec (x = Aᵀy), the randomized solver
+// through their panel forms MatMat and MatTMat, Gram through Gram and
+// MatMat — so the same driver runs on local rows and on the
+// row-distributed Y_(n), whose operator implements the paper's
+// x-allreduce communication scheme: one reduction per MatTVec, per
+// MatTMat panel, per RowGram and per Gram. Solver
 // workspaces are reusable across sweeps and allocation-free in steady
 // state.
 package trsvd

@@ -7,21 +7,6 @@ import (
 	"hypertensor/internal/dense"
 )
 
-// GramOperator is the optional Operator extension the Gram solver runs
-// on: the two block passes it makes over the matrix.
-type GramOperator interface {
-	Operator
-	// Gram computes g = AᵀA (Cols x Cols, both triangles) over all
-	// ranks' rows. Distributed implementations reduce the local product
-	// so every rank receives the identical g. work is scratch the
-	// implementation may grow; the caller keeps what is returned for the
-	// next call.
-	Gram(g *dense.Matrix, work []float64) []float64
-	// MatMat computes Y = A·W over this rank's rows, with W Cols x b
-	// (replicated) and Y LocalRows x b.
-	MatMat(w, y *dense.Matrix)
-}
-
 // The Gram solver's thresholds. Both comparisons run on replicated
 // values (the reduced Gram matrices), so every rank, thread count and
 // transport takes the same branch.
@@ -39,7 +24,7 @@ const (
 
 // Gram computes the k leading left singular vectors of the operator
 // from the eigendecomposition of its column-side Gram matrix: G = AᵀA
-// in one symmetric rank-k pass (GramOperator.Gram), its k leading
+// in one symmetric rank-k pass (Operator.Gram), its k leading
 // eigenpairs G·V_k = V_k·Λ_k by the serial tridiagonal eigensolver
 // (dense.SymEig, which builds no other eigenvector), and U = A·V_k·Σ_k⁻¹
 // in one block pass — the route of TuckerMPI and of BTAS's Tucker code.
@@ -62,10 +47,6 @@ const (
 // All scratch lives in the workspace; only Result.U and Sigma are
 // fresh.
 func Gram(op Operator, k int, opts Options) (*Result, error) {
-	gop, ok := op.(GramOperator)
-	if !ok {
-		return nil, fmt.Errorf("trsvd: the Gram solver needs a GramOperator, got %T", op)
-	}
 	cols := op.Cols()
 	if k <= 0 {
 		return nil, fmt.Errorf("trsvd: k = %d must be positive", k)
@@ -78,7 +59,7 @@ func Gram(op Operator, k int, opts Options) (*Result, error) {
 
 	g := dense.ReuseMatrixUninit(ws.gram, cols, cols)
 	ws.gram = g
-	ws.syrk = gop.Gram(g, ws.syrk)
+	ws.syrk = op.Gram(g, ws.syrk)
 	lam, vt := ws.svd.SymEig(g, k)
 
 	// W = V_k·Σ_k⁻¹, null directions left zero.
@@ -96,11 +77,11 @@ func Gram(op Operator, k int, opts Options) (*Result, error) {
 		kept++
 	}
 	u := dense.NewMatrix(rows, k)
-	gop.MatMat(w, u)
+	op.MatMat(w, u)
 
 	c := dense.ReuseMatrix(ws.gram2, k, k)
 	ws.gram2 = c
-	rowGram(op, u, c, ws)
+	op.RowGram(u, c)
 	var defect float64
 	for i := 0; i < kept; i++ {
 		for j := 0; j < kept; j++ {

@@ -40,9 +40,8 @@ type Result struct {
 	U *dense.Matrix
 	// Sigma are the corresponding singular value estimates, descending.
 	Sigma []float64
-	// MatVecs counts operator applications (MatVec + MatTVec, one per
-	// column for the block applications), the communication-bearing
-	// steps in the distributed setting. A Gram solve reports the k
+	// MatVecs counts operator applications: one per MatVec or MatTVec,
+	// one per column of a block application. A Gram solve reports the k
 	// columns of its projection pass.
 	MatVecs int
 	// Passes counts sweeps over the operator's matrix: one per MatVec,
@@ -291,13 +290,10 @@ func ritzExtract(op Operator, ub *dense.Matrix, s int, alphas, betas []float64, 
 // exactly rank-deficient operators) with deterministic pseudo-random
 // directions orthogonalized against the other columns via RowDot-based
 // modified Gram-Schmidt, so u always has orthonormal columns. Global row
-// ids (when available) make the completion consistent across ranks.
+// ids make the completion consistent across ranks.
 func completeBasis(op Operator, u *dense.Matrix, sigma []float64, opts Options, ws *Workspace) {
 	rows := u.Rows
-	rowID := func(i int) int64 { return int64(i) }
-	if g, ok := op.(GlobalRowIDer); ok {
-		rowID = func(i int) int64 { return g.GlobalRow(i) }
-	}
+	rowID := op.GlobalRow
 	col := dense.ReuseVec(ws.col, rows)
 	ws.col = col
 	other := dense.ReuseVec(ws.other, rows)

@@ -6,8 +6,12 @@ import (
 
 // Operator is a matrix-free view of a rows x cols matrix whose row space
 // may be distributed across SPMD ranks (each rank sees LocalRows rows).
-// Column-space vectors (length Cols) are replicated: every rank passes
-// identical x to MatVec and receives identical x from MatTVec.
+// Column-space vectors and panels (Cols rows) are replicated: every rank
+// passes identical x to MatVec and receives identical x from MatTVec;
+// distributed implementations reduce every column-space result across
+// ranks in a fixed order. Both implementations — DenseOperator and the
+// row-distributed Y_(n) of package dist — provide every method, so the
+// solvers have one path.
 type Operator interface {
 	// LocalRows is the number of rows stored by this rank (all rows in
 	// the shared-memory case).
@@ -17,21 +21,29 @@ type Operator interface {
 	// MatVec computes y = A x with len(x) = Cols, len(y) = LocalRows.
 	MatVec(x, y []float64)
 	// MatTVec computes x = Aᵀ y with len(y) = LocalRows, len(x) = Cols.
-	// In distributed implementations the result is reduced across ranks
-	// so every rank receives the identical global x.
 	MatTVec(y, x []float64)
 	// RowDot returns the global inner product of two row-space vectors
-	// (length LocalRows on this rank). Distributed implementations
-	// AllReduce the local partial dot.
+	// (length LocalRows on this rank).
 	RowDot(a, b []float64) float64
-}
-
-// GlobalRowIDer is an optional extension giving a stable global id for
-// each local row. The solvers use it to generate deterministic
-// pseudo-random row-space vectors that agree across ranks when an
-// orthonormal basis must be completed after rank-deficiency.
-type GlobalRowIDer interface {
+	// GlobalRow is a stable global id for a local row. The solvers seed
+	// the pseudo-random row-space vectors that complete a rank-deficient
+	// basis from it, so the completion agrees across ranks.
 	GlobalRow(local int) int64
+	// MatMat computes Y = A·W with W Cols x b (replicated) and Y
+	// LocalRows x b — one pass over A for the whole panel.
+	MatMat(w, y *dense.Matrix)
+	// MatTMat computes Z = Aᵀ·Y with Y LocalRows x b and Z Cols x b —
+	// one pass over A, and one reduction, for the whole panel.
+	MatTMat(y, z *dense.Matrix)
+	// RowGram computes the global Gram matrix g = YᵀY (b x b) of a
+	// row-space panel Y (LocalRows x b): the one reduction the
+	// randomized solver's CholeskyQR2 whitening and the Gram solver's
+	// orthogonality check make per panel.
+	RowGram(y, g *dense.Matrix)
+	// Gram computes g = AᵀA (Cols x Cols, both triangles). work is
+	// scratch the implementation may grow; the caller keeps what is
+	// returned for the next call.
+	Gram(g *dense.Matrix, work []float64) []float64
 }
 
 // DenseOperator adapts an in-memory dense matrix (the compacted TTMc
@@ -72,7 +84,7 @@ func (o *DenseOperator) MatMat(w, y *dense.Matrix) { dense.MatMulInto(y, o.A, w,
 func (o *DenseOperator) MatTMat(y, z *dense.Matrix) { dense.MatMulTAInto(z, o.A, y, o.Threads) }
 
 // RowGram computes g = YᵀY with the fixed-block deterministic BLAS3
-// reduction — the shared-memory fast path of the RowGramer extension.
+// reduction.
 func (o *DenseOperator) RowGram(y, g *dense.Matrix) { dense.MatMulTAInto(g, y, y, o.Threads) }
 
 // Gram computes g = AᵀA with the threaded symmetric rank-k kernel.
@@ -81,38 +93,6 @@ func (o *DenseOperator) Gram(g *dense.Matrix, work []float64) []float64 {
 }
 
 var _ Operator = (*DenseOperator)(nil)
-var _ GlobalRowIDer = (*DenseOperator)(nil)
-var _ BlockOperator = (*DenseOperator)(nil)
-var _ RowGramer = (*DenseOperator)(nil)
-var _ GramOperator = (*DenseOperator)(nil)
-
-// BlockOperator is an optional Operator extension for applying the
-// operator to a whole panel at once. The randomized solver's panel
-// helpers use it when available — one
-// BLAS3 pass over A per panel instead of one BLAS2 pass per column —
-// and otherwise fall back to a column loop over MatVec/MatTVec, so
-// plain distributed operators keep working unchanged.
-type BlockOperator interface {
-	// MatMat computes Y = A·W with W cols x b (replicated) and Y
-	// LocalRows x b (local).
-	MatMat(w, y *dense.Matrix)
-	// MatTMat computes Z = Aᵀ·Y with Y LocalRows x b (local) and Z
-	// cols x b; distributed implementations reduce Z across ranks so
-	// every rank receives the identical panel.
-	MatTMat(y, z *dense.Matrix)
-}
-
-// RowGramer is an optional Operator extension computing the global Gram
-// matrix g = YᵀY of a local row-space panel (Y LocalRows x b, g b x b)
-// in one pass. Distributed implementations reduce the local Gram across
-// ranks so every rank receives the identical replicated g — the
-// communication primitive the CholeskyQR2 orthonormalization of the
-// Randomized solver is built on (one b² AllReduce replaces a
-// distributed QR). Without the extension the solver falls back to
-// b(b+1)/2 RowDot collectives.
-type RowGramer interface {
-	RowGram(y, g *dense.Matrix)
-}
 
 // opThreads returns the operator's shared-memory thread budget for the
 // solver's own dense work (reorthogonalization sweeps): DenseOperator
@@ -124,59 +104,6 @@ func opThreads(op Operator) int {
 		return d.Threads
 	}
 	return 1
-}
-
-// opMatMat computes y = A·w, through BlockOperator when the operator
-// supports it and by columns otherwise. res.MatVecs is advanced by the
-// column count either way, so solver operation counts stay comparable
-// across operator kinds; res.Passes counts the sweeps over A actually
-// made — one for a block operator, one per column otherwise.
-func opMatMat(op Operator, w, y *dense.Matrix, ws *Workspace, res *Result) {
-	res.MatVecs += w.Cols
-	if b, ok := op.(BlockOperator); ok {
-		res.Passes++
-		b.MatMat(w, y)
-		return
-	}
-	res.Passes += w.Cols
-	x := dense.ReuseVec(ws.colIn, w.Rows)
-	ws.colIn = x
-	out := dense.ReuseVec(ws.colOut, y.Rows)
-	ws.colOut = out
-	for j := 0; j < w.Cols; j++ {
-		for i := 0; i < w.Rows; i++ {
-			x[i] = w.At(i, j)
-		}
-		op.MatVec(x, out)
-		for i := 0; i < y.Rows; i++ {
-			y.Set(i, j, out[i])
-		}
-	}
-}
-
-// opMatTMat computes z = Aᵀ·y, blocked when possible, by columns
-// otherwise.
-func opMatTMat(op Operator, y, z *dense.Matrix, ws *Workspace, res *Result) {
-	res.MatVecs += y.Cols
-	if b, ok := op.(BlockOperator); ok {
-		res.Passes++
-		b.MatTMat(y, z)
-		return
-	}
-	res.Passes += y.Cols
-	in := dense.ReuseVec(ws.colOut, y.Rows)
-	ws.colOut = in
-	out := dense.ReuseVec(ws.colIn, z.Rows)
-	ws.colIn = out
-	for j := 0; j < y.Cols; j++ {
-		for i := 0; i < y.Rows; i++ {
-			in[i] = y.At(i, j)
-		}
-		op.MatTVec(in, out)
-		for i := 0; i < z.Rows; i++ {
-			z.Set(i, j, out[i])
-		}
-	}
 }
 
 // hashUnit fills v with deterministic pseudo-random values derived from

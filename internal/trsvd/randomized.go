@@ -62,8 +62,8 @@ func maxRelDiffK(a, b []float64, k int) float64 {
 // cap is reached); otherwise the B panel — already the power-iteration
 // input — is CGS2-orthonormalized and pushed back through A. A solve
 // that stops after r rounds costs 2 + 2r block operator passes riding
-// the tiled BLAS3 kernels (via BlockOperator when the operator provides
-// it), against ~2·(2k+10) GEMV passes for Lanczos — the randomized
+// the tiled BLAS3 kernels (one reduction each on a distributed
+// operator), against ~2·(2k+10) GEMV passes for Lanczos — the randomized
 // TRSVD path of Minster–Li–Ballard with spectrum-converged adaptivity,
 // on the paper's row-distributed operators.
 //
@@ -107,7 +107,9 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 
 	y := dense.ReuseMatrixUninit(ws.panelY, rows, b)
 	ws.panelY = y
-	opMatMat(op, w, y, ws, res)
+	op.MatMat(w, y)
+	res.MatVecs += b
+	res.Passes++
 
 	coeff := dense.ReuseVec(ws.coeff, b)
 	ws.coeff = coeff
@@ -135,13 +137,13 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		// Gram's condition says the error exceeds the noise the check can
 		// absorb. Well-conditioned rounds (the common warm case) keep the
 		// single cheap pass.
-		rowGram(op, y, g, ws)
+		op.RowGram(y, g)
 		_, cond := ws.svd.GramWhitenInto(c1, g)
 		dense.MatMulInto(q, y, c1, threads)
 		y, q = q, y
 		ws.panelY, ws.qpanel = y, q
 		if cond > whitenCond {
-			rowGram(op, y, g, ws)
+			op.RowGram(y, g)
 			ws.svd.GramWhitenInto(c2, g)
 			dense.MatMulInto(q, y, c2, threads)
 			y, q = q, y
@@ -152,7 +154,9 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		// tiny b x b Gram BᵀB are the captured Ritz energies λ_j = σ_j² —
 		// exactly the quantities the HOOI fit is made of — so the
 		// convergence check costs no operator pass and no large SVD.
-		opMatTMat(op, y, bm, ws, res)
+		op.MatTMat(y, bm)
+		res.MatVecs += b
+		res.Passes++
 		dense.MatMulTAInto(g2, bm, bm, threads)
 		_, lam, _ := ws.svd.SVD(g2)
 		if prevLam != nil && maxRelDiffK(lam, prevLam, k) <= ritzTol {
@@ -173,7 +177,9 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		orthRowsCGS2(t, coeff, threads)
 		z := dense.TransposeInto(ws.panelZ, t)
 		ws.panelZ = z
-		opMatMat(op, z, y, ws, res)
+		op.MatMat(z, y)
+		res.MatVecs += b
+		res.Passes++
 	}
 
 	// CholeskyQR2 second pass on the final basis: the first whitening
@@ -182,7 +188,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	// algebraically — Q2 = Q·C2 ⇒ T = Q2ᵀA = C2ᵀ·Bᵀ, i.e. P = B·C2 —
 	// so the repair costs no operator pass. The SVD of T yields the
 	// sketched spectrum.
-	rowGram(op, y, g, ws)
+	op.RowGram(y, g)
 	ws.svd.GramWhitenInto(c2, g)
 	dense.MatMulInto(q, y, c2, threads)
 	y, q = q, y
@@ -288,28 +294,6 @@ func orthRowsCGS2(t *dense.Matrix, coeff []float64, threads int) {
 			dense.Scal(1/nrm, v)
 		} else {
 			zero(v)
-		}
-	}
-}
-
-// rowGram computes the global Gram matrix g = YᵀY of a local row-space
-// panel: through the operator's RowGramer extension when available (one
-// fixed-block reduction — one AllReduce in the distributed case), and
-// otherwise through b(b+1)/2 RowDot collectives over the transposed
-// panel. Every rank receives the identical replicated g either way.
-func rowGram(op Operator, y, g *dense.Matrix, ws *Workspace) {
-	if rg, ok := op.(RowGramer); ok {
-		rg.RowGram(y, g)
-		return
-	}
-	bt := dense.TransposeInto(ws.bt, y)
-	ws.bt = bt
-	for a := 0; a < y.Cols; a++ {
-		ra := bt.Row(a)
-		for c := a; c < y.Cols; c++ {
-			d := op.RowDot(ra, bt.Row(c))
-			g.Set(a, c, d)
-			g.Set(c, a, d)
 		}
 	}
 }

@@ -27,11 +27,10 @@ type Workspace struct {
 	vecRows       []float64
 	vecCols       []float64
 
-	// Block panels (randomized sketch, operator fallbacks, Gram).
+	// Block panels (randomized sketch, Gram).
 	panelW         *dense.Matrix
 	panelY, panelZ *dense.Matrix
-	gram, vk, bt   *dense.Matrix
-	colIn, colOut  []float64
+	gram, vk       *dense.Matrix
 
 	// Small vectors shared by ritz extraction and basis completion.
 	col, other []float64

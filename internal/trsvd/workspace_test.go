@@ -8,17 +8,6 @@ import (
 	"hypertensor/internal/dense"
 )
 
-// hideBlock wraps an Operator so the solvers cannot see its
-// BlockOperator extension, forcing the column-loop fallback of
-// opMatMat/opMatTMat.
-type hideBlock struct{ op Operator }
-
-func (h hideBlock) LocalRows() int                { return h.op.LocalRows() }
-func (h hideBlock) Cols() int                     { return h.op.Cols() }
-func (h hideBlock) MatVec(x, y []float64)         { h.op.MatVec(x, y) }
-func (h hideBlock) MatTVec(y, x []float64)        { h.op.MatTVec(y, x) }
-func (h hideBlock) RowDot(a, b []float64) float64 { return h.op.RowDot(a, b) }
-
 // A reused workspace must not change solver results: run twice with the
 // same warm workspace and compare bitwise against a fresh-workspace
 // run, alternating between two different operators so stale buffer
