@@ -339,6 +339,10 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	if e.sym != nil {
 		res.StreamBytes = e.sym.StreamBytes()
 	}
+	tree, _ := e.kern.(*ttm.DTree)
+	if tree != nil {
+		res.StreamBytes += tree.StreamBytes()
+	}
 	res.Timings.Symbolic = e.symTime
 	if e.firstRun {
 		res.Timings.Init = e.initTime
@@ -346,7 +350,6 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	}
 	e.symTime = 0
 	flops0 := e.kern.Flops()
-	tree, _ := e.kern.(*ttm.DTree)
 	var nodeTime0 time.Duration
 	if tree != nil {
 		nodeTime0 = tree.NodeTime()

@@ -57,10 +57,13 @@ type Result struct {
 	// IndexBytes is the tensor's index storage: N x nnz x 4 bytes of
 	// coordinate streams.
 	IndexBytes int64
-	// StreamBytes is what the flat kernel's list-order index copies hold
-	// on top of that (symbolic.Structure.StreamBytes): 4(N-1) bytes per
-	// nonzero for every mode whose update list is not in storage order,
-	// 0 under the tree, which builds none.
+	// StreamBytes is what the kernel's index copies hold on top of that:
+	// under flat the list-order streams (symbolic.Structure.StreamBytes),
+	// 4(N-1) bytes per nonzero for every mode whose update list is not in
+	// storage order; under the tree its root children's group-order
+	// streams (ttm.DTree.StreamBytes), 4 bytes per nonzero and mode a
+	// child drops, for each child whose group order is not the storage
+	// order (on a sorted tensor, the second child's).
 	StreamBytes int64
 	// AllocsPerSweep is the steady-state heap allocation count per ALS
 	// sweep (the first sweep, which grows the workspace arenas, is

@@ -30,7 +30,10 @@ import (
 // tree's. Stream bytes are the flat kernel's list-order index copies: on
 // a sorted order-3 tensor exactly two modes copy two streams of 4 B a
 // nonzero (16 B x nnz: the storage-order mode aliases the tensor and
-// counts 0, so a change that copies it fails ==); the tree builds none.
+// counts 0, so a change that copies it fails ==). On order 4 they are the
+// tree's root-child streams, the two modes a child drops in its group
+// order: the first child's order is the storage order and aliases the
+// tensor, so exactly the second child's two streams count, 8 B x nnz.
 // Allocations per sweep depend on the runtime as well, so they are the
 // least of three runs against a bound two above what was recorded under
 // Lanczos (30/34 on the tree; 25/25 on the flat kernel since its
@@ -47,7 +50,7 @@ func TestRecordedCounts(t *testing.T) {
 		preset          string
 		ttmcMadds       int64 // per sweep
 		indexBytes      int64
-		streamBytes     int64 // flat only: 2 non-storage-order modes x 2 streams x 4 B x nnz
+		streamBytes     int64 // flat: 2 non-storage-order modes x 2 streams x 4 B x nnz; tree: the second root child's 2 streams x 4 B x nnz
 		randomizedMadds int64 // TRSVD, whole run
 		snapshotBytes   int
 		allocsBound     int64 // per sweep at one thread
@@ -58,9 +61,9 @@ func TestRecordedCounts(t *testing.T) {
 			solverCounts{20831360, 332, 0, 2, 13711512}, solverCounts{23944080, 18, 0, 2, 13711512}},
 		{"nell", 3716400, 374400, 499200, 116251200, 1260372, 27, "[gram gram gram]",
 			solverCounts{49085600, 412, 0, 2, 10391260}, solverCounts{65122200, 18, 0, 2, 10391260}},
-		{"delicious", 6922300, 896016, 0, 177053500, 3250268, 32, "[gram gram gram gram]",
+		{"delicious", 6922300, 896016, 448008, 177053500, 3250268, 32, "[gram gram gram gram]",
 			solverCounts{59142500, 356, 0, 2, 14029400}, solverCounts{134487000, 24, 0, 2, 14029400}},
-		{"flickr", 5290500, 716800, 0, 112560500, 4821428, 36, "[gram gram gram gram]",
+		{"flickr", 5290500, 716800, 358400, 112560500, 4821428, 36, "[gram gram gram gram]",
 			solverCounts{44326250, 380, 0, 2, 10728400}, solverCounts{94834500, 24, 0, 2, 10728400}},
 	} {
 		x, ranks := presetTensor(t, want.preset, 0.2)

@@ -15,7 +15,9 @@
 //     modes' indices as list-order streams (symbolic.Mode.Streams).
 //   - DTree — the dimension-tree memoization that caches the partial
 //     contractions shared between a sweep's N updates; the default
-//     from order 4 up.
+//     from order 4 up. Its root children read the modes they drop as
+//     group-order index streams and compute each entry in one
+//     dense.GatherOuter call.
 //
 // CSFTTMc (fiber-walking kernels over compressed fiber trees) and
 // ALTOTTMc (sequential-stream kernels over the linearized format) have

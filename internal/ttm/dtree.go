@@ -32,6 +32,19 @@ import (
 // the root-to-leaf-n path stay valid, which is where the flop saving
 // over the recompute-everything flat sweep comes from.
 //
+// The two root children contract straight from the nonzeros, which is
+// where a sweep's gathers are. Each keeps, from the build on, the modes
+// it drops as index streams in its own group order, as Flat reads
+// symbolic.Mode.Streams: copies, 4 bytes per nonzero and dropped mode,
+// except where the group order is the storage order (the first child of
+// a sorted tensor), whose streams alias the tensor (StreamBytes). Only
+// the values are gathered through the group ids, so a merge that changes
+// values reaches the kernel through the tensor. With one or two dropped
+// modes (order 4 and below, and order 5's left child) an entry is one
+// dense.GatherOuter call that keeps the entry's block in registers; with
+// three or more, accumKron per nonzero. Both give the bits of the
+// per-nonzero accumKron loop they replaced.
+//
 // A DTree is built once per tensor (symbolic phase) and reused across
 // sweeps and rank configurations; it is not safe for concurrent use.
 type DTree struct {
@@ -98,6 +111,12 @@ type dnode struct {
 	// (weighted by group size) for boundsThreads workers.
 	bounds        []int32
 	boundsThreads int
+	// streams[j] holds, at a root child only, mode dropped[j]'s index of
+	// every nonzero in the child's group order: streams[j][p] ==
+	// keys[dropped[j]][groups.Ids[p]] of the root. streamBytes is what
+	// they copy, 0 when they alias the root's arrays.
+	streams     [][]int32
+	streamBytes int64
 }
 
 // chains returns (building on first use) the balanced chain partition
@@ -192,7 +211,8 @@ func (t *DTree) makeChild(parent *dnode, lo, hi int) *dnode {
 }
 
 // group builds the update lists of nd's subtree, top down: each node
-// groups its parent's entries by its own mode range.
+// groups its parent's entries by its own mode range. A root child also
+// takes the index streams rootRows reads (rootStreams).
 func (t *DTree) group(nd *dnode, sc *symbolic.GroupScratch) {
 	modes := make([]int, nd.hi-nd.lo)
 	for i := range modes {
@@ -204,9 +224,41 @@ func (t *DTree) group(nd *dnode, sc *symbolic.GroupScratch) {
 	for j, m := range modes {
 		nd.keys[m] = g.Keys[j]
 	}
+	if nd.parent == t.root {
+		t.rootStreams(nd)
+	}
 	if !nd.isLeaf() {
 		t.group(nd.left, sc)
 		t.group(nd.right, sc)
+	}
+}
+
+// rootStreams gives root child nd its streams: for each dropped mode the
+// root's keys in nd's group order. A group order that is the storage
+// order (the first root child of a lexicographically sorted tensor)
+// aliases the root's arrays and copies nothing, as symbolic.Mode.Streams
+// does for an identity list.
+func (t *DTree) rootStreams(nd *dnode) {
+	ids := nd.groups.Ids
+	identity := true
+	for p, id := range ids {
+		if int(id) != p {
+			identity = false
+			break
+		}
+	}
+	nd.streams = make([][]int32, len(nd.dropped))
+	for j, m := range nd.dropped {
+		keys := t.root.keys[m][:len(ids):len(ids)]
+		if !identity {
+			s := make([]int32, len(ids))
+			for p, id := range ids {
+				s[p] = keys[id]
+			}
+			keys = s
+			nd.streamBytes += 4 * int64(len(s))
+		}
+		nd.streams[j] = keys
 	}
 }
 
@@ -274,6 +326,12 @@ func (t *DTree) Flops() int64 { return t.flops }
 
 // ResetFlops zeroes the flop counter (the cache state is untouched).
 func (t *DTree) ResetFlops() { t.flops = 0 }
+
+// StreamBytes reports what the root children's index streams copy: 4
+// bytes per nonzero and dropped mode of each root child whose group
+// order is not the storage order, nothing for one whose streams alias
+// the tensor.
+func (t *DTree) StreamBytes() int64 { return t.root.left.streamBytes + t.root.right.streamBytes }
 
 // NodeTime returns the accumulated wall time spent recomputing internal
 // tree nodes, the memoized portion of TTMc; the rest of each TTMc call
@@ -430,22 +488,53 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 // callChains is the balanced partition of the running contraction.
 func (t *DTree) callChains() []int32 { return t.call.nd.chains(t.call.threads) }
 
-// rootRows computes entries [lo, hi) of a root child from the nonzeros.
+// rootRows computes entries [lo, hi) of a root child from the nonzeros,
+// reading the dropped modes' indices from the child's streams and each
+// value through the group's ids. With one or two dropped modes an entry is
+// one dense.GatherOuter: the first dropped mode's rows lead (the unit row
+// when it is the only one), the last one's trail. With three or more
+// (order 5 up) it is rootRowsKron's.
 func (t *DTree) rootRows(w, lo, hi int) {
+	c, nd := &t.call, t.call.nd
+	k := len(nd.dropped)
+	if k > 2 {
+		t.rootRowsKron(w, lo, hi)
+		return
+	}
+	ptr, ids, vals, bs := nd.groups.Ptr, nd.groups.Ids, t.x.Values(), c.bs
+	var lead []int32
+	var l *dense.Matrix
+	m := 1
+	if k == 2 {
+		lead, l = nd.streams[0], c.u[nd.dropped[0]]
+		m = l.Cols
+	}
+	trail, x, lrow := nd.streams[k-1], c.u[nd.dropped[k-1]], t.scratch[w].bufA[:m]
+	for g := lo; g < hi; g++ {
+		p, end := ptr[g], ptr[g+1]
+		var lp []int32
+		if lead != nil {
+			lp = lead[p:end]
+		}
+		dense.GatherOuter(lp, l, vals, ids[p:end], trail[p:end], x, lrow, c.dst[g*bs:(g+1)*bs])
+	}
+}
+
+// rootRowsKron is rootRows for a root child that drops three or more
+// modes: accumKron adds each nonzero's product into its entry's block.
+func (t *DTree) rootRowsKron(w, lo, hi int) {
 	c, sc := &t.call, &t.scratch[w]
 	nd, bs := c.nd, c.bs
+	ptr, ids, vals, s := nd.groups.Ptr, nd.groups.Ids, t.x.Values(), nd.streams
 	frows := sc.rows[:len(nd.dropped)]
-	vals := t.x.Values()
 	for g := lo; g < hi; g++ {
 		row := c.dst[g*bs : (g+1)*bs]
-		for i := range row {
-			row[i] = 0
-		}
-		for _, id := range nd.groups.Group(g) {
-			for jj, m := range nd.dropped {
-				frows[jj] = c.u[m].Row(int(t.root.keys[m][id]))
+		clear(row)
+		for p := ptr[g]; p < ptr[g+1]; p++ {
+			for j, m := range nd.dropped {
+				frows[j] = c.u[m].Row(int(s[j][p]))
 			}
-			accumKron(row, vals[id], frows, sc.bufA, sc.bufB)
+			accumKron(row, vals[ids[p]], frows, sc.bufA, sc.bufB)
 		}
 	}
 }

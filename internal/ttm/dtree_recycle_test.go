@@ -1,11 +1,13 @@
 package ttm
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"hypertensor/internal/dense"
+	"hypertensor/internal/tensor"
 )
 
 // engineSweep drives the tree the way core.Engine's sweep does:
@@ -132,6 +134,110 @@ func TestDTreeSweepFlopsMatchesMeasured(t *testing.T) {
 		engineSweep(tree, u, 2, rng)
 		if got, want := tree.Flops(), tree.SweepFlops(ranks); got != want {
 			t.Fatalf("dims %v: a sweep executed %d madds, SweepFlops predicts %d", dims, got, want)
+		}
+	}
+}
+
+// accumKronRootRows is the root-child loop rootRows replaced, kept as its
+// oracle: per nonzero, each dropped mode's key gathered through the group
+// id and its factor row, then accumKron into the entry's block.
+func accumKronRootRows(t *DTree) func(w, lo, hi int) {
+	return func(w, lo, hi int) {
+		c, sc := &t.call, &t.scratch[w]
+		nd, bs := c.nd, c.bs
+		frows := sc.rows[:len(nd.dropped)]
+		vals := t.x.Values()
+		for g := lo; g < hi; g++ {
+			row := c.dst[g*bs : (g+1)*bs]
+			clear(row)
+			for _, id := range nd.groups.Group(g) {
+				for j, m := range nd.dropped {
+					frows[j] = c.u[m].Row(int(t.root.keys[m][id]))
+				}
+				accumKron(row, vals[id], frows, sc.bufA, sc.bufB)
+			}
+		}
+	}
+}
+
+// The streamed root-child kernel gives the bits of the accumKron loop it
+// replaced: over two Gauss–Seidel sweeps every mode's product equals that
+// of a tree running the old loop, on order 3 (one root child with a
+// single dropped mode), order 4 and order 5 (a root child dropping three
+// modes), at ranks 5, 10 and mixed, on one thread and two, stored sorted
+// (the first root child's streams alias the tensor) and shuffled (both
+// copy) — with zero values and zero factor entries of both signs, which
+// the zero skips see.
+func TestDTreeMatchesAccumKronBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	for _, dims := range [][]int{{40, 30, 35}, {20, 15, 25, 18}, {9, 8, 10, 7, 11}} {
+		for _, rank := range []int{5, 10, 0} {
+			ranks := make([]int, len(dims))
+			for i := range ranks {
+				ranks[i] = rank
+				if rank == 0 {
+					ranks[i] = []int{3, 7, 1, 5, 16}[i]
+				}
+			}
+			sorted, u, _ := sparseSetup(rng, dims, ranks, 900)
+			for i := range sorted.Val {
+				if i%11 == 0 {
+					sorted.Val[i] = math.Copysign(0, float64(i%2)-0.5)
+				}
+			}
+			for _, x := range []*tensor.COO{sorted, shuffledCopy(rng, sorted)} {
+				for threads := 1; threads <= 2; threads++ {
+					tree, oracle := BuildDTree(x, threads), NewDTree(x)
+					oracle.rootFn = accumKronRootRows(oracle)
+					uu := make([]*dense.Matrix, len(u))
+					for m := range u {
+						uu[m] = u[m].Clone()
+						uu[m].Row(0)[0], uu[m].Row(2)[ranks[m]-1] = 0, math.Copysign(0, -1)
+					}
+					for s := 0; s < 2; s++ {
+						for n := range uu {
+							tree.Invalidate(n)
+							oracle.Invalidate(n)
+							got := dense.NewMatrix(tree.NumRows(n), RowSize(uu, n))
+							want := dense.NewMatrix(tree.NumRows(n), RowSize(uu, n))
+							tree.TTMc(got, n, uu, threads)
+							oracle.TTMc(want, n, uu, threads)
+							for i, v := range want.Data {
+								if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+									t.Fatalf("dims %v ranks %v threads %d sweep %d mode %d: element %d is %x on the %s kernels, %x on the accumKron loop",
+										dims, ranks, threads, s, n, i, math.Float64bits(got.Data[i]), dense.KernelName(), math.Float64bits(v))
+								}
+							}
+							uu[n] = dense.RandomNormal(uu[n].Rows, uu[n].Cols, rng)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A root child copies 4 B per nonzero and dropped mode, unless its group
+// order is the storage order: on a sorted tensor the first child's streams
+// alias the tensor's arrays and count nothing, so the copies are the
+// second child's; shuffled, both children copy, every mode once.
+func TestDTreeStreamBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	for _, dims := range [][]int{{9, 7}, {12, 10, 8}, {9, 8, 10, 7}, {5, 6, 4, 5, 6}} {
+		sorted, _, _ := sparseSetup(rng, dims, make([]int, len(dims)), 250)
+		nnz := int64(sorted.NNZ())
+		tree := NewDTree(sorted)
+		left, right := tree.root.left, tree.root.right
+		if got, want := tree.StreamBytes(), 4*int64(len(right.dropped))*nnz; got != want {
+			t.Fatalf("dims %v sorted: StreamBytes %d, want 4 B x %d dropped modes x %d nnz = %d", dims, got, len(right.dropped), nnz, want)
+		}
+		for j, m := range left.dropped {
+			if &left.streams[j][0] != &sorted.Idx[m][0] {
+				t.Fatalf("dims %v sorted: the first root child's mode-%d stream is a copy, want the tensor's array", dims, m)
+			}
+		}
+		if got, want := NewDTree(shuffledCopy(rng, sorted)).StreamBytes(), 4*int64(len(dims))*nnz; got != want {
+			t.Fatalf("dims %v shuffled: StreamBytes %d, want 4 B x %d modes x %d nnz = %d", dims, got, len(dims), nnz, want)
 		}
 	}
 }

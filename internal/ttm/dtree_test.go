@@ -1,11 +1,13 @@
 package ttm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"hypertensor/internal/dense"
+	"hypertensor/internal/gen"
 	"hypertensor/internal/symbolic"
 	"hypertensor/internal/tensor"
 )
@@ -301,4 +303,39 @@ func TestDTreeSweepUsesFewerFlops(t *testing.T) {
 		t.Fatalf("dimension tree used %d flops, flat sweep %d — no saving", treeFlops, flatFlops)
 	}
 	t.Logf("sweep flops: dtree %d vs flat %d (%.2fx)", treeFlops, flatFlops, float64(flatFlops)/float64(treeFlops))
+}
+
+// BenchmarkDTreeTTMc times a steady-state order-4 tree sweep — each mode
+// invalidated, then its TTMc — at ranks 5 on one thread and two, in ns
+// per nonzero of the sweep: the shape of the benchmark's delicious4
+// workload at half its nonzeros. Every memo node and both root children
+// are rebuilt each sweep, as under HOOI.
+func BenchmarkDTreeTTMc(b *testing.B) {
+	x := gen.Random(gen.Config{Dims: []int{1400, 20000, 400000, 60000}, NNZ: 200_000, Skew: 0.5, Seed: 1})
+	rng := rand.New(rand.NewSource(2))
+	u := make([]*dense.Matrix, x.Order())
+	for m := range u {
+		u[m] = dense.RandomNormal(x.Dims[m], 5, rng)
+	}
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("T%d", threads), func(b *testing.B) {
+			tree := BuildDTree(x, threads)
+			ys := make([]*dense.Matrix, len(u))
+			for n := range u {
+				ys[n] = dense.NewMatrix(tree.NumRows(n), RowSize(u, n))
+			}
+			sweep := func() {
+				for n := range u {
+					tree.Invalidate(n)
+					tree.TTMc(ys[n], n, u, threads)
+				}
+			}
+			sweep() // sizes the value buffers and the scratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
+		})
+	}
 }

@@ -51,13 +51,17 @@ func RowSize(u []*dense.Matrix, skip int) int {
 }
 
 // accumKron adds x * (rows[0] ⊗ rows[1] ⊗ ... ⊗ rows[k-1]) to dst —
-// Flat's run accumulator, a root child's block in DTree — fused: the
-// prefix Kronecker product of the first k-1 rows is built in scratch
-// buffers (bufA, bufB, each of length >= len(dst)/len(last row)), then
-// the last row is AXPY-ed into consecutive segments of dst, skipping
-// prefix entries that are zero — one dense.Ger over the whole of dst.
-// This avoids materializing a full len(dst) temporary per nonzero, the
-// difference between a bandwidth-bound and a compute-bound kernel.
+// Flat's run accumulator unless a mode has exactly one trailing mode
+// (order 3, which runs dense.GatherGer), and a DTree root child's block
+// only where the child drops three or more modes (order 5 up;
+// dense.GatherOuter computes the others' blocks, with the bits of this
+// loop) — fused: the prefix Kronecker product of the first k-1 rows is
+// built in scratch buffers (bufA, bufB, each of length >=
+// len(dst)/len(last row)), then the last row is AXPY-ed into consecutive
+// segments of dst, skipping prefix entries that are zero — one dense.Ger
+// over the whole of dst. This avoids materializing a full len(dst)
+// temporary per nonzero, the difference between a bandwidth-bound and a
+// compute-bound kernel.
 func accumKron(dst []float64, x float64, rows [][]float64, bufA, bufB []float64) {
 	k := len(rows)
 	if k == 0 {

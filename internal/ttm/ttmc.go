@@ -126,7 +126,8 @@ func Flops(nnz, rowSize int) int64 { return int64(nnz) * int64(rowSize) }
 // throwaway kernel of the package-level TTMc finds them on the Mode it
 // is handed from the second call on), Structure.Insert drops them, and
 // they are copies in list order — same operands, same order, same bits
-// as gathering through NZ. A dimension tree builds none.
+// as gathering through NZ. A dimension tree keeps its own, in its root
+// children's group order (DTree.StreamBytes).
 type Flat struct {
 	x     *tensor.COO
 	sym   *symbolic.Structure
