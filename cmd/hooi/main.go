@@ -65,7 +65,7 @@ func main() {
 		tol     = flag.Float64("tol", 1e-5, "fit-change stopping tolerance (negative disables)")
 		threads = flag.Int("threads", 0, "shared-memory threads (0 = GOMAXPROCS)")
 		svd     = flag.String("svd", "auto", "TRSVD solver: auto (per mode: gram when the matricized product has at most 32 columns per rank, else lanczos) | lanczos | gram (two BLAS3 passes + a dense eigenproblem) | rand")
-		eps     = flag.Float64("eps", 0, "adaptive-rank relative error target in (0,1]; selects per-mode ranks from the sketched spectrum (-ranks becomes an optional cap)")
+		eps     = flag.Float64("eps", 0, "adaptive-rank threshold in (0,1]: each mode keeps the sketched directions with sigma^2 >= eps^2*||X||^2/N, a per-value count that bounds no total error (-ranks becomes an optional cap)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
 		grain   = flag.String("grain", "fine", "distributed task grain: fine | coarse")

@@ -87,6 +87,7 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-dist", "spawn", "-np", "2", "-threads", "1"}, 1, "hooi: -threads" + notDist},
 		{[]string{"-dist", "2", "-update", "delta.tns"}, 1, "hooi: -update is a shared-memory engine feature; it cannot be combined with -dist"},
 		{[]string{"-dist", "2", "-eps", "0.5"}, 1, "hooi: -eps adaptive rank is a shared-memory engine feature; it cannot be combined with -dist"},
+		{[]string{"-eps", "0.5", "-svd", "gram"}, 1, "hooi: core: Eps selects ranks with the randomized solver; it cannot be combined with SVD gram"},
 		{[]string{"-dist", "0", "-threads", "2", "-q"}, 0, ""},
 		{[]string{"-grain", "coarse"}, 1, "hooi: -grain" + needsDist},
 		{[]string{"-grain", "fine"}, 1, "hooi: -grain" + needsDist},

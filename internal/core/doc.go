@@ -7,8 +7,8 @@
 // Algorithm 4 is the same loop run on every rank through an
 // Exchange (fold, row-distributed operator, expand, core reduction,
 // factor replication), of which shared memory is the one-rank case.
-// Adaptive rank selection under a relative error budget (Options.Eps)
-// is included. Every decomposition starts from the seeded random factors
+// Adaptive rank selection by a per-value spectral threshold
+// (Options.Eps) is included. Every decomposition starts from the seeded random factors
 // of InitialFactors (or from Options.Initial); from them the first sweep
 // is itself a randomized ST-HOSVD, so there is no separate initializer.
 //

@@ -159,12 +159,13 @@ type Options struct {
 	// ranks.
 	Ranks []int
 	// Eps, when positive, switches to adaptive (epsilon-truncation) rank
-	// selection: each mode's rank is chosen from the sketched spectrum
-	// so the estimated tail energy stays below the per-mode threshold
-	// eps²·‖X‖²/N (the BTAS threshold split), growing the sketch
-	// geometrically until the bound is certified. The decomposition then
-	// satisfies ‖X − X̂‖ ≲ eps·‖X‖. Implies SVDRandomized. Must lie in
-	// (0, 1].
+	// selection: each mode keeps the directions of its sketched spectrum
+	// with σ² ≥ eps²·‖X‖²/N (BTAS's per-eigenvalue count), growing the
+	// sketch geometrically until its unseen tail cannot hide one more.
+	// The threshold holds each dropped value, not their sum, so the rule
+	// bounds no total error: ‖X − X̂‖ can exceed eps·‖X‖. Runs the
+	// randomized solver, so SVD must be SVDAuto or SVDRandomized. Must
+	// lie in (0, 1].
 	Eps float64
 	// MaxIters caps the number of ALS sweeps. 0 selects 50.
 	MaxIters int
@@ -257,6 +258,9 @@ func (o *Options) Validate(x *tensor.COO) error {
 	}
 	if int(o.SVD) < 0 || int(o.SVD) >= len(svdNames) {
 		return fmt.Errorf("core: unknown SVD method %d", int(o.SVD))
+	}
+	if o.Eps > 0 && o.SVD != SVDAuto && o.SVD != SVDRandomized {
+		return fmt.Errorf("core: Eps selects ranks with the randomized solver; it cannot be combined with SVD %v", o.SVD)
 	}
 	if int(o.TTMc) < 0 || int(o.TTMc) >= len(ttmcNames) {
 		return fmt.Errorf("core: unknown ttmc strategy %d", int(o.TTMc))

@@ -154,6 +154,16 @@ func TestEpsValidation(t *testing.T) {
 	if _, err := Decompose(x, Options{Eps: 0.5, MaxIters: 2, Tol: -1}); err != nil {
 		t.Errorf("Eps run with nil Ranks rejected: %v", err)
 	}
+	// Eps runs the randomized solver: an explicit other solver is
+	// refused rather than silently replaced.
+	for _, svd := range []SVDMethod{SVDLanczos, SVDGram} {
+		if _, err := Decompose(x, Options{Eps: 0.5, SVD: svd, MaxIters: 2, Tol: -1}); err == nil {
+			t.Errorf("Eps with SVD %v accepted", svd)
+		}
+	}
+	if _, err := Decompose(x, Options{Eps: 0.5, SVD: SVDRandomized, MaxIters: 2, Tol: -1}); err != nil {
+		t.Errorf("Eps with SVD rand rejected: %v", err)
+	}
 }
 
 // The Update path under the randomized solver is held to the cold

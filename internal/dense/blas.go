@@ -9,9 +9,9 @@ import (
 
 // serialCutoff is the multiply-add count below which the level-2/3
 // kernels skip the parallel runtime and run inline: a pool region costs
-// a couple of microseconds of channel handoff plus a closure allocation,
-// which dwarfs the arithmetic of the small projected problems the TRSVD
-// solvers generate in bulk. The serial paths reuse the same fixed block
+// a couple of microseconds of channel handoff, which dwarfs the
+// arithmetic of the small projected problems the TRSVD solvers generate
+// in bulk. The serial paths reuse the same fixed block
 // association as the parallel ones, so the cutoff never changes results.
 const serialCutoff = 1 << 15
 
@@ -155,20 +155,21 @@ func Gemv(a *Matrix, x, y []float64, threads int) {
 	}
 	g := gemvRunPool.Get().(*gemvRun)
 	g.a, g.x, g.y = a, x, y
-	par.ForRangeBody(a.Rows, threads, g)
+	par.Static(a.Rows, threads, g)
 	*g = gemvRun{}
 	gemvRunPool.Put(g)
 }
 
-// gemvRun is the pooled region body of the parallel Gemv: submitting
-// it by interface keeps a steady-state GEMV region allocation-free (a
-// closure would allocate per call).
+// gemvRun is the pooled par.Body of the parallel Gemv: submitting it
+// by interface keeps a steady-state GEMV region allocation-free (a
+// closure would allocate per call). The other kernels' runners below
+// follow it.
 type gemvRun struct {
 	a    *Matrix
 	x, y []float64
 }
 
-func (g *gemvRun) Range(lo, hi int) { gemvRows(g.y, g.a, g.x, lo, hi) }
+func (g *gemvRun) Run(_, lo, hi int) { gemvRows(g.y, g.a, g.x, lo, hi) }
 
 var gemvRunPool = sync.Pool{New: func() any { return new(gemvRun) }}
 
@@ -239,7 +240,7 @@ func GemvT(a *Matrix, x, y []float64, threads int) {
 	}
 	g := gemvtRunPool.Get().(*gemvtRun)
 	g.a, g.x, g.partials, g.nb = a, x, partials, nb
-	par.ForBody(nb, threads, 1, g)
+	par.Dynamic(nb, threads, 1, g)
 	*g = gemvtRun{}
 	gemvtRunPool.Put(g)
 	for b := 0; b < nb; b++ {
@@ -255,9 +256,11 @@ type gemvtRun struct {
 	nb          int
 }
 
-func (g *gemvtRun) Index(b int) {
-	lo, hi := par.Split(g.a.Rows, g.nb, b)
-	gemvtBlock(g.partials[b*g.a.Cols:(b+1)*g.a.Cols], g.a, g.x, lo, hi)
+func (g *gemvtRun) Run(_, lo, hi int) {
+	for b := lo; b < hi; b++ {
+		rlo, rhi := par.Split(g.a.Rows, g.nb, b)
+		gemvtBlock(g.partials[b*g.a.Cols:(b+1)*g.a.Cols], g.a, g.x, rlo, rhi)
+	}
 }
 
 var gemvtRunPool = sync.Pool{New: func() any { return new(gemvtRun) }}
@@ -307,7 +310,7 @@ func MatMulInto(c, a, b *Matrix, threads int) {
 	}
 	m := matMulRunPool.Get().(*matMulRun)
 	m.c, m.a, m.b = c, a, b
-	par.ForRangeBody(a.Rows, threads, m)
+	par.Static(a.Rows, threads, m)
 	*m = matMulRun{}
 	matMulRunPool.Put(m)
 }
@@ -315,7 +318,7 @@ func MatMulInto(c, a, b *Matrix, threads int) {
 // matMulRun is the pooled region body of the parallel GEMM.
 type matMulRun struct{ c, a, b *Matrix }
 
-func (m *matMulRun) Range(lo, hi int) { matMulRows(m.c, m.a, m.b, lo, hi) }
+func (m *matMulRun) Run(_, lo, hi int) { matMulRows(m.c, m.a, m.b, lo, hi) }
 
 var matMulRunPool = sync.Pool{New: func() any { return new(matMulRun) }}
 
@@ -371,7 +374,7 @@ func MatMulTAInto(c, a, b *Matrix, threads int) {
 	}
 	m := matMulTARunPool.Get().(*matMulTARun)
 	m.a, m.b, m.partials, m.nb, m.width = a, b, partials, nb, width
-	par.ForBody(nb, threads, 1, m)
+	par.Dynamic(nb, threads, 1, m)
 	*m = matMulTARun{}
 	matMulTARunPool.Put(m)
 	for blk := 0; blk < nb; blk++ {
@@ -388,9 +391,11 @@ type matMulTARun struct {
 	nb, width int
 }
 
-func (m *matMulTARun) Index(blk int) {
-	lo, hi := par.Split(m.a.Rows, m.nb, blk)
-	matMulTABlock(m.partials[blk*m.width:(blk+1)*m.width], m.a, m.b, lo, hi)
+func (m *matMulTARun) Run(_, lo, hi int) {
+	for blk := lo; blk < hi; blk++ {
+		rlo, rhi := par.Split(m.a.Rows, m.nb, blk)
+		matMulTABlock(m.partials[blk*m.width:(blk+1)*m.width], m.a, m.b, rlo, rhi)
+	}
 }
 
 var matMulTARunPool = sync.Pool{New: func() any { return new(matMulTARun) }}
@@ -447,7 +452,7 @@ func MatMulTB(a, b *Matrix, threads int) *Matrix {
 	}
 	m := matMulTBRunPool.Get().(*matMulTBRun)
 	m.c, m.a, m.b = c, a, b
-	par.ForRangeBody(a.Rows, threads, m)
+	par.Static(a.Rows, threads, m)
 	*m = matMulTBRun{}
 	matMulTBRunPool.Put(m)
 	return c
@@ -456,7 +461,7 @@ func MatMulTB(a, b *Matrix, threads int) *Matrix {
 // matMulTBRun is the pooled region body of the parallel MatMulTB.
 type matMulTBRun struct{ c, a, b *Matrix }
 
-func (m *matMulTBRun) Range(lo, hi int) { matMulTBRows(m.c, m.a, m.b, lo, hi) }
+func (m *matMulTBRun) Run(_, lo, hi int) { matMulTBRows(m.c, m.a, m.b, lo, hi) }
 
 var matMulTBRunPool = sync.Pool{New: func() any { return new(matMulTBRun) }}
 
@@ -518,7 +523,7 @@ func SyrkInto(g, a *Matrix, work []float64, threads int) []float64 {
 		work = ReuseVec(work, nb*width)
 		s := syrkRunPool.Get().(*syrkRun)
 		s.a, s.partials, s.nb, s.width = a, work, nb, width
-		par.ForBody(nb, threads, 1, s)
+		par.Dynamic(nb, threads, 1, s)
 		*s = syrkRun{}
 		syrkRunPool.Put(s)
 		for blk := 0; blk < nb; blk++ {
@@ -541,9 +546,11 @@ type syrkRun struct {
 	nb, width int
 }
 
-func (s *syrkRun) Index(blk int) {
-	lo, hi := par.Split(s.a.Rows, s.nb, blk)
-	syrkBlock(s.partials[blk*s.width:(blk+1)*s.width], s.a, lo, hi)
+func (s *syrkRun) Run(_, lo, hi int) {
+	for blk := lo; blk < hi; blk++ {
+		rlo, rhi := par.Split(s.a.Rows, s.nb, blk)
+		syrkBlock(s.partials[blk*s.width:(blk+1)*s.width], s.a, rlo, rhi)
+	}
 }
 
 var syrkRunPool = sync.Pool{New: func() any { return new(syrkRun) }}

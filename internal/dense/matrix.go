@@ -113,18 +113,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// MaxAbs returns the largest absolute element value, or 0 for an empty
-// matrix.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)

@@ -1,12 +1,13 @@
 // Package par is the shared-memory parallel runtime used throughout the
 // library. It stands in for the OpenMP runtime of the paper's C++
-// implementation: For mirrors "#pragma omp parallel for
-// schedule(dynamic)", ForRange/ForWorker the static schedule, and the
-// Pool/Partition layer adds what OpenMP does not have built in —
-// weight-aware static partitioning (prefix-sum chain-on-chain and LPT
-// over per-fiber nonzero weights) with work-stealing for irregular
-// tails, on a persistent worker pool instead of goroutine-per-region
-// fan-out. SumBlocks and NumReduceBlocks provide parallel reductions
+// implementation: Dynamic mirrors "#pragma omp parallel for
+// schedule(dynamic)" and Static the static schedule, both running a Body
+// over [0, n) on a persistent worker pool; For, ForRange and ForWorker
+// adapt plain func bodies to them. The partition layer adds what OpenMP
+// does not have built in — weight-aware static partitioning
+// (prefix-sum chain-on-chain and LPT over per-fiber nonzero weights,
+// executed by RunChains with work-stealing for irregular tails and by
+// RunParts). SumBlocks and NumReduceBlocks provide parallel reductions
 // whose results are bitwise identical for every thread count.
 package par
 
@@ -25,45 +26,127 @@ func DefaultThreads(threads int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// For runs body(i) for every i in [0, n) on up to threads workers using
-// dynamic self-scheduling: workers claim fixed-size chunks from an atomic
-// cursor, so irregular per-iteration costs (the norm for sparse tensor
-// rows) balance automatically. chunk <= 0 selects a heuristic chunk size.
-// With threads <= 1 the loop runs inline on the caller's goroutine.
-func For(n, threads, chunk int, body func(i int)) {
+// Body is a parallel loop body: Run processes the iterations [lo, hi)
+// on worker, an id in [0, threads) that lets the body index per-worker
+// scratch without synchronization. Neither a pointer nor a func
+// converts to an interface with an allocation, so a region whose body
+// is a caller-owned struct or a hoisted BodyFunc touches the heap not
+// at all.
+type Body interface {
+	Run(worker, lo, hi int)
+}
+
+// BodyFunc adapts a func to Body.
+type BodyFunc func(worker, lo, hi int)
+
+// Run calls f(worker, lo, hi).
+func (f BodyFunc) Run(worker, lo, hi int) { f(worker, lo, hi) }
+
+// indexFunc is For's body: f(i) for each i of the range.
+type indexFunc func(i int)
+
+func (f indexFunc) Run(_, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		f(i)
+	}
+}
+
+// rangeFunc is ForRange's body.
+type rangeFunc func(lo, hi int)
+
+func (f rangeFunc) Run(_, lo, hi int) { f(lo, hi) }
+
+// For runs body(i) for every i in [0, n) on the dynamic schedule; see
+// Dynamic.
+func For(n, threads, chunk int, body func(i int)) { Dynamic(n, threads, chunk, indexFunc(body)) }
+
+// ForRange runs body(lo, hi) on the static schedule; see Static.
+func ForRange(n, threads int, body func(lo, hi int)) { Static(n, threads, rangeFunc(body)) }
+
+// ForWorker runs body(worker, lo, hi) on the static schedule; see Static.
+func ForWorker(n, threads int, body func(worker, lo, hi int)) { Static(n, threads, BodyFunc(body)) }
+
+// Static runs body over a static partition of [0, n): worker w gets
+// Split(n, threads, w), one contiguous range (an empty one is skipped).
+// It is preferred when per-iteration cost is uniform or when the body
+// wants to vectorize over a contiguous range. A non-positive threads
+// selects DefaultThreads, more threads than iterations are cut to n,
+// and one thread runs body.Run(0, 0, n) inline on the caller's
+// goroutine.
+func Static(n, threads int, body Body) {
 	if n <= 0 {
 		return
 	}
-	threads = DefaultThreads(threads)
-	if threads > n {
-		threads = n
+	threads = min(DefaultThreads(threads), n)
+	if threads == 1 {
+		body.Run(0, 0, n)
+		return
 	}
-	if threads <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
+	r := staticRuns.Get().(*staticRun)
+	r.n, r.threads, r.body = n, threads, body
+	sharedPool(threads).RunWorker(threads, r)
+	r.body = nil
+	staticRuns.Put(r)
+}
+
+// Dynamic runs body over [0, n) with dynamic self-scheduling: workers
+// claim chunk-sized ranges from an atomic cursor, so irregular
+// per-iteration costs (the norm for sparse tensor rows) balance
+// automatically. chunk <= 0 selects chunkFor's heuristic; threads is
+// treated as in Static.
+func Dynamic(n, threads, chunk int, body Body) {
+	if n <= 0 {
+		return
+	}
+	threads = min(DefaultThreads(threads), n)
+	if threads == 1 {
+		body.Run(0, 0, n)
 		return
 	}
 	if chunk <= 0 {
 		chunk = chunkFor(n, threads)
 	}
-	var cursor atomic.Int64
-	sharedPool(threads).Run(threads, func(int) {
-		for {
-			start := int(cursor.Add(int64(chunk))) - chunk
-			if start >= n {
-				return
-			}
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			for i := start; i < end; i++ {
-				body(i)
-			}
-		}
-	})
+	r := dynamicRuns.Get().(*dynamicRun)
+	r.n, r.chunk, r.body = n, chunk, body
+	r.next.Store(0)
+	sharedPool(threads).RunWorker(threads, r)
+	r.body = nil
+	dynamicRuns.Put(r)
 }
+
+// staticRun and dynamicRun are the pool Workers of Static and Dynamic,
+// pooled so a region submission allocates nothing.
+type staticRun struct {
+	n, threads int
+	body       Body
+}
+
+func (r *staticRun) Work(w int) {
+	if lo, hi := Split(r.n, r.threads, w); lo < hi {
+		r.body.Run(w, lo, hi)
+	}
+}
+
+type dynamicRun struct {
+	n, chunk int
+	next     atomic.Int64
+	body     Body
+}
+
+func (r *dynamicRun) Work(w int) {
+	for {
+		lo := int(r.next.Add(int64(r.chunk))) - r.chunk
+		if lo >= r.n {
+			return
+		}
+		r.body.Run(w, lo, min(lo+r.chunk, r.n))
+	}
+}
+
+var (
+	staticRuns  = sync.Pool{New: func() any { return new(staticRun) }}
+	dynamicRuns = sync.Pool{New: func() any { return new(dynamicRun) }}
+)
 
 // chunkFor is the dynamic-schedule chunk heuristic: aim for ~8 chunks
 // per worker to amortize the atomic increment while preserving balance.
@@ -79,197 +162,6 @@ func chunkFor(n, threads int) int {
 	return chunk
 }
 
-// RangeBody is a parallel range-loop body passed by interface; see
-// ForRangeBody.
-type RangeBody interface {
-	// Range processes the contiguous index range [lo, hi).
-	Range(lo, hi int)
-}
-
-// rangeRun adapts a RangeBody to the pool's Worker interface; pooled so
-// a region submission allocates nothing.
-type rangeRun struct {
-	n, threads int
-	body       RangeBody
-}
-
-func (r *rangeRun) Work(w int) {
-	lo, hi := Split(r.n, r.threads, w)
-	if lo < hi {
-		r.body.Range(lo, hi)
-	}
-}
-
-var rangeRunPool = sync.Pool{New: func() any { return new(rangeRun) }}
-
-// ForRangeBody is ForRange for an interface body: same static
-// partition, but the region enters the pool through pooled runner
-// objects instead of closures, so a steady-state call performs no heap
-// allocation. Kernels that run thousands of small parallel regions per
-// sweep (the TRSVD operator applications) use this form.
-func ForRangeBody(n, threads int, body RangeBody) {
-	if n <= 0 {
-		return
-	}
-	threads = DefaultThreads(threads)
-	if threads > n {
-		threads = n
-	}
-	if threads <= 1 {
-		body.Range(0, n)
-		return
-	}
-	r := rangeRunPool.Get().(*rangeRun)
-	r.n, r.threads, r.body = n, threads, body
-	sharedPool(threads).RunWorker(threads, r)
-	r.body = nil
-	rangeRunPool.Put(r)
-}
-
-// IndexBody is a parallel index-loop body passed by interface; see
-// ForBody.
-type IndexBody interface {
-	// Index processes iteration i.
-	Index(i int)
-}
-
-// indexRun adapts an IndexBody to the Worker interface with the same
-// chunked self-scheduling as For; pooled like rangeRun.
-type indexRun struct {
-	n, chunk int
-	cursor   atomic.Int64
-	body     IndexBody
-}
-
-func (r *indexRun) Work(int) {
-	for {
-		start := int(r.cursor.Add(int64(r.chunk))) - r.chunk
-		if start >= r.n {
-			return
-		}
-		end := start + r.chunk
-		if end > r.n {
-			end = r.n
-		}
-		for i := start; i < end; i++ {
-			r.body.Index(i)
-		}
-	}
-}
-
-var indexRunPool = sync.Pool{New: func() any { return new(indexRun) }}
-
-// ForBody is For for an interface body: chunked dynamic
-// self-scheduling with pooled runner objects, allocation-free in steady
-// state. The deterministic block reductions (GemvT, MatMulTA) run their
-// fixed block grids through it.
-func ForBody(n, threads, chunk int, body IndexBody) {
-	if n <= 0 {
-		return
-	}
-	threads = DefaultThreads(threads)
-	if threads > n {
-		threads = n
-	}
-	if threads <= 1 {
-		for i := 0; i < n; i++ {
-			body.Index(i)
-		}
-		return
-	}
-	if chunk <= 0 {
-		chunk = chunkFor(n, threads)
-	}
-	r := indexRunPool.Get().(*indexRun)
-	r.n, r.chunk, r.body = n, chunk, body
-	r.cursor.Store(0)
-	sharedPool(threads).RunWorker(threads, r)
-	r.body = nil
-	indexRunPool.Put(r)
-}
-
-// ForRange runs body(lo, hi) over a static partition of [0, n) into at
-// most threads contiguous ranges, one per worker. It is the static
-// counterpart of For and is preferred when per-element cost is uniform
-// or when the body wants to vectorize over a contiguous range.
-func ForRange(n, threads int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	threads = DefaultThreads(threads)
-	if threads > n {
-		threads = n
-	}
-	if threads <= 1 {
-		body(0, n)
-		return
-	}
-	sharedPool(threads).Run(threads, func(w int) {
-		lo, hi := Split(n, threads, w)
-		if lo < hi {
-			body(lo, hi)
-		}
-	})
-}
-
-// ForWorker runs body(worker, lo, hi) like ForRange but also passes the
-// worker id, letting callers index per-worker scratch buffers without
-// synchronization.
-func ForWorker(n, threads int, body func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	threads = DefaultThreads(threads)
-	if threads > n {
-		threads = n
-	}
-	if threads <= 1 {
-		body(0, 0, n)
-		return
-	}
-	sharedPool(threads).Run(threads, func(w int) {
-		lo, hi := Split(n, threads, w)
-		if lo < hi {
-			body(w, lo, hi)
-		}
-	})
-}
-
-// ForDynamicWorker combines dynamic chunk scheduling with worker ids:
-// body(worker, lo, hi) is invoked for dynamically claimed chunks, for
-// loops whose iterations have wildly different costs and no weights to
-// balance by, and whose workers each own a scratch buffer.
-func ForDynamicWorker(n, threads, chunk int, body func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	threads = DefaultThreads(threads)
-	if threads > n {
-		threads = n
-	}
-	if threads <= 1 {
-		body(0, 0, n)
-		return
-	}
-	if chunk <= 0 {
-		chunk = chunkFor(n, threads)
-	}
-	var cursor atomic.Int64
-	sharedPool(threads).Run(threads, func(worker int) {
-		for {
-			start := int(cursor.Add(int64(chunk))) - chunk
-			if start >= n {
-				return
-			}
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			body(worker, start, end)
-		}
-	})
-}
-
 // Split returns the half-open range [lo, hi) of the w-th of p nearly
 // equal contiguous blocks of [0, n). Blocks differ in size by at most 1.
 func Split(n, p, w int) (lo, hi int) {
@@ -280,11 +172,4 @@ func Split(n, p, w int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

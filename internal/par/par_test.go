@@ -68,21 +68,6 @@ func TestForWorkerIDsDistinct(t *testing.T) {
 	}
 }
 
-func TestForDynamicWorkerCoverage(t *testing.T) {
-	const n = 333
-	seen := make([]atomic.Int32, n)
-	ForDynamicWorker(n, 3, 7, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			seen[i].Add(1)
-		}
-	})
-	for i := range seen {
-		if seen[i].Load() != 1 {
-			t.Fatalf("index %d visited %d times", i, seen[i].Load())
-		}
-	}
-}
-
 // Property: Split produces a disjoint cover of [0,n) with near-equal parts.
 func TestSplitProperties(t *testing.T) {
 	f := func(nRaw, pRaw uint16) bool {
@@ -134,14 +119,14 @@ func BenchmarkForDynamic(b *testing.B) {
 	}
 }
 
-// rangeCollector records which contiguous ranges its Range method saw.
+// rangeCollector records which contiguous ranges its Run method saw.
 type rangeCollector struct {
 	mu     sync.Mutex
 	seen   []bool
 	visits int
 }
 
-func (rc *rangeCollector) Range(lo, hi int) {
+func (rc *rangeCollector) Run(_, lo, hi int) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.visits++
@@ -157,46 +142,106 @@ type indexCollector struct {
 	hits []atomic.Int64
 }
 
-func (ic *indexCollector) Index(i int) { ic.hits[i].Add(1) }
+func (ic *indexCollector) Run(_, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ic.hits[i].Add(1)
+	}
+}
 
-// ForRangeBody and ForBody must cover every index exactly once for any
+// Static and Dynamic must cover every index exactly once for any
 // thread count, including the inline single-thread path and n < threads.
 func TestForBodyVariantsCoverExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 97, 1000} {
 		for _, threads := range []int{1, 2, 4, 9} {
 			rc := &rangeCollector{seen: make([]bool, n)}
-			ForRangeBody(n, threads, rc)
+			Static(n, threads, rc)
 			for i, ok := range rc.seen {
 				if !ok {
-					t.Fatalf("ForRangeBody n=%d threads=%d: index %d missed", n, threads, i)
+					t.Fatalf("Static n=%d threads=%d: index %d missed", n, threads, i)
 				}
 			}
-			ic := &indexCollector{hits: make([]atomic.Int64, n)}
-			ForBody(n, threads, 0, ic)
-			for i := range ic.hits {
-				if got := ic.hits[i].Load(); got != 1 {
-					t.Fatalf("ForBody n=%d threads=%d: index %d ran %d times", n, threads, i, got)
+			for _, chunk := range []int{0, 1, 7} {
+				ic := &indexCollector{hits: make([]atomic.Int64, n)}
+				Dynamic(n, threads, chunk, ic)
+				for i := range ic.hits {
+					if got := ic.hits[i].Load(); got != 1 {
+						t.Fatalf("Dynamic n=%d threads=%d chunk=%d: index %d ran %d times", n, threads, chunk, i, got)
+					}
 				}
 			}
 		}
 	}
 }
 
-// The pooled runner objects must make steady-state region submission
-// allocation-free (the reason ForRangeBody exists).
-func TestForRangeBodyDoesNotAllocate(t *testing.T) {
-	rc := &rangeCollector{seen: make([]bool, 64)}
-	ForRangeBody(64, 4, rc) // warm the shared pool and runner pools
-	allocs := testing.AllocsPerRun(50, func() {
-		for i := range rc.seen {
-			rc.seen[i] = false
+// Dynamic passes each worker its own id, so per-worker scratch needs no
+// locks: a worker id out of range, or two workers in one slot at once,
+// would show here (and under -race).
+func TestDynamicWorkerIDs(t *testing.T) {
+	const n, threads = 333, 3
+	busy := make([]atomic.Int32, threads)
+	seen := make([]atomic.Int32, n)
+	Dynamic(n, threads, 7, BodyFunc(func(w, lo, hi int) {
+		if w < 0 || w >= threads {
+			t.Errorf("worker id %d out of range", w)
+			return
 		}
-		ForRangeBody(64, 4, rc)
-	})
-	if allocs > 1 {
-		t.Fatalf("ForRangeBody allocates %v per region; want 0", allocs)
+		if busy[w].Add(1) != 1 {
+			t.Errorf("worker id %d ran two chunks at once", w)
+		}
+		for i := lo; i < hi; i++ {
+			seen[i].Add(1)
+		}
+		busy[w].Add(-1)
+	}))
+	for i := range seen {
+		if seen[i].Load() != 1 {
+			t.Fatalf("index %d visited %d times", i, seen[i].Load())
+		}
 	}
 }
+
+// Every loop entry point must enter a region without touching the heap
+// once the shared pool and the runner pools are warm, given a hoisted
+// body — the TRSVD operator applications enter thousands of regions per
+// sweep. RunChains and SumBlocks allocate their per-call cursors and
+// partials and are not held here.
+func TestLoopsDoNotAllocate(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector makes sync.Pool drop puts at random")
+	}
+	const n, threads = 64, 2
+	hits := make([]int64, n)
+	var sink atomic.Int64
+	index := func(i int) { hits[i]++ }
+	rng := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	worker := func(w, lo, hi int) { sink.Add(int64(hi - lo)) }
+	item := func(w, it int) { sink.Add(int64(it)) }
+	rc := &rangeCollector{seen: make([]bool, n)}
+	ic := &indexCollector{hits: make([]atomic.Int64, n)}
+	parts := PartitionLPT(make([]int64, n), threads)
+	loops := []struct {
+		name string
+		run  func()
+	}{
+		{"For", func() { For(n, threads, 0, index) }},
+		{"ForRange", func() { ForRange(n, threads, rng) }},
+		{"ForWorker", func() { ForWorker(n, threads, worker) }},
+		{"Static", func() { clear(rc.seen); Static(n, threads, rc) }},
+		{"Dynamic", func() { Dynamic(n, threads, 1, ic) }},
+		{"RunParts", func() { RunParts(parts, item) }},
+	}
+	for _, l := range loops {
+		l.run() // warm the shared pool and the runner pools
+		if allocs := testing.AllocsPerRun(50, l.run); allocs != 0 {
+			t.Errorf("%s allocates %v per region; want 0", l.name, allocs)
+		}
+	}
+}
+
+// workerFunc adapts a func to Worker for the pool tests.
+type workerFunc func(w int)
+
+func (f workerFunc) Work(w int) { f(w) }
 
 type workerCounter struct {
 	calls []atomic.Int64
@@ -220,12 +265,12 @@ func TestRunWorkerPoolAndFallback(t *testing.T) {
 	// must complete on spawned goroutines.
 	inner := &workerCounter{calls: make([]atomic.Int64, 3)}
 	done := make(chan struct{})
-	p.Run(2, func(w int) {
+	p.RunWorker(2, workerFunc(func(w int) {
 		if w == 0 {
 			p.RunWorker(3, inner)
 			close(done)
 		}
-	})
+	}))
 	<-done
 	for w := range inner.calls {
 		if got := inner.calls[w].Load(); got != 1 {

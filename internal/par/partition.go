@@ -2,6 +2,7 @@ package par
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -197,63 +198,65 @@ func RunChains(bounds []int32, threads int, body func(worker, lo, hi int)) {
 		body(0, int(bounds[0]), int(bounds[parts]))
 		return
 	}
-	cursors := make([]atomic.Int64, parts)
+	r := &chainRun{bounds: bounds, cursors: make([]atomic.Int64, parts), body: BodyFunc(body)}
 	for c := 0; c < parts; c++ {
-		cursors[c].Store(int64(bounds[c]))
+		r.cursors[c].Store(int64(bounds[c]))
 	}
-	// claim grabs the next chunk of chain c: an eighth of the remainder,
-	// at least minChunk.
+	sharedPool(threads).RunWorker(threads, r)
+}
+
+// chainRun is RunChains's pool Worker: one atomic cursor per chain.
+type chainRun struct {
+	bounds  []int32
+	cursors []atomic.Int64
+	body    Body
+}
+
+// claim grabs the next chunk of chain c: an eighth of the remainder, at
+// least minChunk.
+func (r *chainRun) claim(c int) (lo, hi int, ok bool) {
 	const minChunk = 16
-	claim := func(c int) (lo, hi int, ok bool) {
-		end := int64(bounds[c+1])
-		for {
-			cur := cursors[c].Load()
-			if cur >= end {
-				return 0, 0, false
-			}
-			chunk := (end - cur) / 8
-			if chunk < minChunk {
-				chunk = minChunk
-			}
-			next := cur + chunk
-			if next > end {
-				next = end
-			}
-			if cursors[c].CompareAndSwap(cur, next) {
-				return int(cur), int(next), true
-			}
+	end := int64(r.bounds[c+1])
+	for {
+		cur := r.cursors[c].Load()
+		if cur >= end {
+			return 0, 0, false
+		}
+		next := min(cur+max((end-cur)/8, minChunk), end)
+		if r.cursors[c].CompareAndSwap(cur, next) {
+			return int(cur), int(next), true
 		}
 	}
-	sharedPool(threads).Run(threads, func(w int) {
-		// Own chain first (workers beyond the chain count go straight
-		// to stealing).
-		if w < parts {
-			for {
-				lo, hi, ok := claim(w)
-				if !ok {
-					break
-				}
-				body(w, lo, hi)
-			}
-		}
-		// Steal from the chain with the most remaining work.
+}
+
+func (r *chainRun) Work(w int) {
+	parts := len(r.cursors)
+	// Own chain first (workers beyond the chain count go straight to
+	// stealing).
+	if w < parts {
 		for {
-			best, bestLeft := -1, int64(0)
-			for c := 0; c < parts; c++ {
-				if left := int64(bounds[c+1]) - cursors[c].Load(); left > bestLeft {
-					best, bestLeft = c, left
-				}
-			}
-			if best < 0 {
-				return
-			}
-			lo, hi, ok := claim(best)
+			lo, hi, ok := r.claim(w)
 			if !ok {
-				continue // lost the race; rescan
+				break
 			}
-			body(w, lo, hi)
+			r.body.Run(w, lo, hi)
 		}
-	})
+	}
+	// Steal from the chain with the most remaining work.
+	for {
+		best, bestLeft := -1, int64(0)
+		for c := 0; c < parts; c++ {
+			if left := int64(r.bounds[c+1]) - r.cursors[c].Load(); left > bestLeft {
+				best, bestLeft = c, left
+			}
+		}
+		if best < 0 {
+			return
+		}
+		if lo, hi, ok := r.claim(best); ok {
+			r.body.Run(w, lo, hi)
+		} // else lost the race; rescan
+	}
 }
 
 // RunParts executes body(worker, item) for every item of every part on
@@ -262,22 +265,29 @@ func RunChains(bounds []int32, threads int, body func(worker, lo, hi int)) {
 // because ownership is total and per-part order fixed, owner-computes
 // kernels are bitwise deterministic for any thread count.
 func RunParts(parts [][]int32, body func(worker, item int)) {
-	threads := len(parts)
-	if threads == 0 {
-		return
-	}
-	if threads == 1 {
-		for _, it := range parts[0] {
-			body(0, int(it))
-		}
-		return
-	}
-	sharedPool(threads).Run(threads, func(w int) {
-		for _, it := range parts[w] {
-			body(w, int(it))
-		}
-	})
+	r := partsBodies.Get().(*partsBody)
+	r.parts, r.body = parts, body
+	Static(len(parts), len(parts), r)
+	*r = partsBody{}
+	partsBodies.Put(r)
 }
+
+// partsBody is RunParts's Body over part ids, pooled like Static's
+// runner.
+type partsBody struct {
+	parts [][]int32
+	body  func(worker, item int)
+}
+
+func (r *partsBody) Run(w, lo, hi int) {
+	for _, items := range r.parts[lo:hi] {
+		for _, it := range items {
+			r.body(w, int(it))
+		}
+	}
+}
+
+var partsBodies = sync.Pool{New: func() any { return new(partsBody) }}
 
 // reduceBlocks is the fixed reduction grid width used by the
 // deterministic parallel reductions: enough blocks to occupy the thread

@@ -188,7 +188,7 @@ func TestScheduledSumsBitwiseAcrossThreads(t *testing.T) {
 		if chains {
 			RunChains(PartitionChains(w, threads), threads, body)
 		} else {
-			ForDynamicWorker(n, threads, 0, body)
+			Dynamic(n, threads, 0, BodyFunc(body))
 		}
 		var s float64
 		for _, v := range out {

@@ -20,7 +20,7 @@ import (
 // parallelism can never deadlock the pool.
 type Pool struct {
 	threads int
-	tasks   []chan task
+	tasks   []chan Worker
 	// busy is held for the duration of one parallel region; TryLock
 	// failure routes overlapping or nested regions to the fallback.
 	busy   sync.Mutex
@@ -32,39 +32,28 @@ type Pool struct {
 	wg sync.WaitGroup
 }
 
-type task struct {
-	fn func(worker int)
-	w  Worker
-	wg *sync.WaitGroup
-}
-
-// Worker is a parallel region body passed by interface. Pooled runner
-// objects implementing Worker let hot kernels enter regions without the
-// closure allocation a func value costs: converting a pointer to an
-// interface does not allocate, so a region submitted through RunWorker
-// with a pooled runner touches the heap not at all.
+// Worker is a parallel region body passed by interface: Static's and
+// Dynamic's pooled runners and RunChains's chain runner. Converting a
+// pointer to an interface does not allocate, so a region submitted
+// through RunWorker with a pooled runner touches the heap not at all.
 type Worker interface {
 	// Work runs the region body for worker id w in [0, threads).
 	Work(w int)
 }
 
 // NewPool starts a pool of the given number of workers (non-positive
-// selects GOMAXPROCS). The workers idle on channel receives until Run
-// hands them a region body; they exit on Close.
+// selects GOMAXPROCS). The workers idle on channel receives until
+// RunWorker hands them a region body; they exit on Close.
 func NewPool(threads int) *Pool {
 	threads = DefaultThreads(threads)
-	p := &Pool{threads: threads, tasks: make([]chan task, threads)}
+	p := &Pool{threads: threads, tasks: make([]chan Worker, threads)}
 	for w := 0; w < threads; w++ {
-		ch := make(chan task)
+		ch := make(chan Worker)
 		p.tasks[w] = ch
-		go func(w int, ch chan task) {
+		go func(w int, ch chan Worker) {
 			for t := range ch {
-				if t.fn != nil {
-					t.fn(w)
-				} else {
-					t.w.Work(w)
-				}
-				t.wg.Done()
+				t.Work(w)
+				p.wg.Done()
 			}
 		}(w, ch)
 	}
@@ -74,39 +63,18 @@ func NewPool(threads int) *Pool {
 // Threads returns the worker count the pool was built with.
 func (p *Pool) Threads() int { return p.threads }
 
-// Run executes fn(w) once for every worker id w in [0, threads),
-// returning when all invocations finish. When the pool is idle and
-// large enough the bodies run on the persistent workers; otherwise —
-// nested regions, concurrent regions, or threads > Threads() — fresh
-// goroutines are spawned so the call always completes.
-func (p *Pool) Run(threads int, fn func(worker int)) {
-	if threads <= 1 {
-		fn(0)
-		return
-	}
-	if p != nil && p.tryRun(threads, task{fn: fn}) {
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for w := 0; w < threads; w++ {
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// RunWorker is Run for an interface body: it executes w.Work(id) once
-// for every worker id in [0, threads). With a pooled Worker object this
-// submits a region without any heap allocation (see Worker).
+// RunWorker executes w.Work(id) once for every worker id in
+// [0, threads), returning when all invocations finish. When the pool is
+// idle and large enough the bodies run on the persistent workers;
+// otherwise — nested regions, concurrent regions, or threads >
+// Threads() — fresh goroutines are spawned so the call always
+// completes.
 func (p *Pool) RunWorker(threads int, w Worker) {
 	if threads <= 1 {
 		w.Work(0)
 		return
 	}
-	if p != nil && p.tryRun(threads, task{w: w}) {
+	if p != nil && p.tryRun(threads, w) {
 		return
 	}
 	var wg sync.WaitGroup
@@ -121,9 +89,8 @@ func (p *Pool) RunWorker(threads int, w Worker) {
 }
 
 // tryRun runs the region on the pool workers, or reports false when the
-// pool is busy, closed, or too small. t carries the body (fn or w); its
-// wg field is overwritten with the pool's reusable WaitGroup.
-func (p *Pool) tryRun(threads int, t task) bool {
+// pool is busy, closed, or too small.
+func (p *Pool) tryRun(threads int, w Worker) bool {
 	if threads > p.threads || !p.busy.TryLock() {
 		return false
 	}
@@ -132,9 +99,8 @@ func (p *Pool) tryRun(threads int, t task) bool {
 		return false
 	}
 	p.wg.Add(threads)
-	t.wg = &p.wg
-	for w := 0; w < threads; w++ {
-		p.tasks[w] <- t
+	for id := 0; id < threads; id++ {
+		p.tasks[id] <- w
 	}
 	p.wg.Wait()
 	return true
@@ -187,7 +153,3 @@ func sharedPool(threads int) *Pool {
 	}
 	return p
 }
-
-// SharedPool exposes the process-wide pool (sized at least GOMAXPROCS),
-// for callers that want to run regions on it directly.
-func SharedPool() *Pool { return sharedPool(0) }

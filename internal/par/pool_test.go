@@ -11,7 +11,7 @@ func TestPoolRunsAllWorkers(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var seen [4]atomic.Int32
-	p.Run(4, func(w int) { seen[w].Add(1) })
+	p.RunWorker(4, workerFunc(func(w int) { seen[w].Add(1) }))
 	for w := range seen {
 		if got := seen[w].Load(); got != 1 {
 			t.Fatalf("worker %d ran %d times", w, got)
@@ -23,7 +23,7 @@ func TestPoolOversubscribedFallsBack(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	var count atomic.Int32
-	p.Run(8, func(w int) { count.Add(1) })
+	p.RunWorker(8, workerFunc(func(w int) { count.Add(1) }))
 	if got := count.Load(); got != 8 {
 		t.Fatalf("oversubscribed run invoked %d of 8 workers", got)
 	}
@@ -36,11 +36,11 @@ func TestPoolNestedRunDoesNotDeadlock(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		p.Run(4, func(w int) {
+		p.RunWorker(4, workerFunc(func(w int) {
 			// A nested region on the same pool must fall back to
 			// spawned goroutines instead of waiting for busy workers.
-			p.Run(2, func(int) { inner.Add(1) })
-		})
+			p.RunWorker(2, workerFunc(func(int) { inner.Add(1) }))
+		}))
 	}()
 	select {
 	case <-done:
@@ -57,7 +57,7 @@ func TestPoolRunAfterCloseStillCompletes(t *testing.T) {
 	p.Close()
 	p.Close() // idempotent
 	var count atomic.Int32
-	p.Run(3, func(w int) { count.Add(1) })
+	p.RunWorker(3, workerFunc(func(w int) { count.Add(1) }))
 	if got := count.Load(); got != 3 {
 		t.Fatalf("post-close run invoked %d of 3 workers", got)
 	}
@@ -69,7 +69,7 @@ func TestPoolReuseNoGoroutineLeak(t *testing.T) {
 	p := NewPool(8)
 	warm := func() {
 		var n atomic.Int32
-		p.Run(8, func(w int) { n.Add(1) })
+		p.RunWorker(8, workerFunc(func(w int) { n.Add(1) }))
 	}
 	warm()
 	runtime.GC()
@@ -119,7 +119,7 @@ func TestSharedPoolGrows(t *testing.T) {
 		t.Fatalf("shared pool did not grow: %d workers", big.Threads())
 	}
 	var count atomic.Int32
-	big.Run(big.Threads(), func(w int) { count.Add(1) })
+	big.RunWorker(big.Threads(), workerFunc(func(w int) { count.Add(1) }))
 	if int(count.Load()) != big.Threads() {
 		t.Fatalf("grown pool ran %d of %d workers", count.Load(), big.Threads())
 	}

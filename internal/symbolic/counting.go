@@ -2,7 +2,7 @@ package symbolic
 
 // groupByKey is the one counting-sort pass (histogram, exclusive
 // prefix, stable scatter) shared by the per-mode update lists, the
-// radix passes of GroupByModes, and the CSF-native builders. Elements —
+// radix passes of GroupByModes, and FiberGroups. Elements —
 // the entries of ids, or 0..len(keys)-1 when ids is nil — are scattered
 // into out stably grouped by ascending key, where the key of element e
 // is keys[e]. counts must be zeroed with len(counts) > max key; on

@@ -158,22 +158,13 @@ func (s *Structure) StreamBytes() int64 {
 
 // Build computes the symbolic TTMc structure for every mode of t. The
 // per-mode constructions are independent and run in parallel (the paper
-// parallelizes exactly this way). On a coordinate tensor each mode is a
-// counting sort over its index stream (histogram, prefix sum, scatter);
-// on a CSF tensor the fiber hierarchy is exploited directly — see
-// buildModeCSF — so the structures come out identical for the same
-// storage order but cheaper. On an ALTO tensor all N fiber groupings
-// are recovered from the mode-bit boundaries of the linearized keys in
-// one parallel stream sweep (each key is de-linearized once for all
-// modes) before the per-mode counting sorts run.
+// parallelizes exactly this way). Each mode is a counting sort over its
+// index stream (histogram, prefix sum, scatter). On an ALTO tensor the
+// streams are first recovered from the mode-bit boundaries of the
+// linearized keys in one parallel sweep (each key is de-linearized once
+// for all modes).
 func Build(t tensor.Sparse, threads int) *Structure {
 	s := &Structure{Modes: make([]Mode, t.Order())}
-	if c, ok := t.(*tensor.CSF); ok && c.Order() > 1 {
-		par.For(t.Order(), threads, 1, func(n int) {
-			s.Modes[n] = buildModeCSF(c, n)
-		})
-		return s
-	}
 	if a, ok := t.(*tensor.ALTO); ok {
 		streams := a.MaterializeStreams(threads)
 		par.For(t.Order(), threads, 1, func(n int) {
@@ -207,80 +198,6 @@ func buildMode(idx []int32, dim, n int) Mode {
 			pos[i] = -1
 		}
 		prev = end
-	}
-	return Mode{N: n, Rows: rows, Ptr: ptr, NZ: nz, Pos: pos}
-}
-
-// buildModeCSF builds one mode's update lists from the CSF fiber
-// hierarchy. For the root mode the fiber boundaries ARE the update
-// lists: nonzeros are stored grouped by root slice, so Rows, Ptr, and
-// NZ fall out of the level-0 fibers with no counting sort at all. For a
-// deeper mode the counting sort runs over that level's fibers — of
-// which there are typically far fewer than nonzeros — and each grouped
-// fiber contributes its contiguous leaf span to NZ.
-func buildModeCSF(c *tensor.CSF, n int) Mode {
-	l := c.Level(n)
-	dim := c.Shape()[n]
-	nnz := c.NNZ()
-	fids := c.Fids(l)
-
-	if l == 0 {
-		rows := fids
-		ptr := c.LeafPtr(0)
-		nz := make([]int32, nnz)
-		for i := range nz {
-			nz[i] = int32(i)
-		}
-		pos := make([]int32, dim)
-		for i := range pos {
-			pos[i] = -1
-		}
-		for r, row := range rows {
-			pos[row] = int32(r)
-		}
-		return Mode{N: n, Rows: rows, Ptr: ptr, NZ: nz, Pos: pos}
-	}
-
-	// Group this level's fibers by their slice index (stable, so fiber
-	// ids — and hence leaf spans — stay ascending within each row).
-	nf := len(fids)
-	counts := make([]int32, dim)
-	forder := make([]int32, nf)
-	groupByKey(fids, nil, forder, counts)
-
-	pos := make([]int32, dim)
-	rows := make([]int32, 0, min(dim, nf))
-	fptr := make([]int32, 1, min(dim, nf)+1)
-	prev := int32(0)
-	for i, end := range counts {
-		if end > prev {
-			pos[i] = int32(len(rows))
-			rows = append(rows, int32(i))
-			fptr = append(fptr, end)
-		} else {
-			pos[i] = -1
-		}
-		prev = end
-	}
-
-	nz := make([]int32, nnz)
-	ptr := make([]int32, len(rows)+1)
-	cursor := int32(0)
-	leaf := l == c.Order()-1
-	for r := 1; r <= len(rows); r++ {
-		for _, f := range forder[fptr[r-1]:fptr[r]] {
-			if leaf {
-				nz[cursor] = f
-				cursor++
-				continue
-			}
-			lo, hi := c.LeafPtr(l)[f], c.LeafPtr(l)[f+1]
-			for p := lo; p < hi; p++ {
-				nz[cursor] = p
-				cursor++
-			}
-		}
-		ptr[r] = cursor
 	}
 	return Mode{N: n, Rows: rows, Ptr: ptr, NZ: nz, Pos: pos}
 }

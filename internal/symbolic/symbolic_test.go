@@ -135,37 +135,6 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// csfStreamView adapts a CSF to the generic (stream counting-sort)
-// build path so the CSF-native fast path can be checked against it.
-type csfStreamView struct{ *tensor.CSF }
-
-func TestBuildCSFNativeMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, dims := range [][]int{{8, 5}, {12, 9, 6}, {7, 5, 4, 6}} {
-		x := tensor.NewCOO(dims, 0)
-		coord := make([]int, len(dims))
-		for i := 0; i < 300; i++ {
-			for m, d := range dims {
-				coord[m] = rng.Intn(d)
-			}
-			x.Append(coord, rng.Float64())
-		}
-		c := tensor.NewCSF(x, tensor.CSFOptions{})
-		native := Build(c, 2)
-		if err := native.Validate(c); err != nil {
-			t.Fatalf("dims %v: %v", dims, err)
-		}
-		generic := Build(csfStreamView{c}, 2)
-		for n := range native.Modes {
-			a, b := &native.Modes[n], &generic.Modes[n]
-			if !equalInt32(a.Rows, b.Rows) || !equalInt32(a.Ptr, b.Ptr) ||
-				!equalInt32(a.NZ, b.NZ) || !equalInt32(a.Pos, b.Pos) {
-				t.Fatalf("dims %v mode %d: CSF-native build differs from generic", dims, n)
-			}
-		}
-	}
-}
-
 func TestFiberGroups(t *testing.T) {
 	x := smallTensor()
 	c := tensor.NewCSF(x, tensor.CSFOptions{ModeOrder: []int{0, 1, 2}})

@@ -146,22 +146,3 @@ func DenseFromCOO(t *COO) *Dense {
 	}
 	return d
 }
-
-// COOFromDense gathers the nonzero entries of a dense tensor into
-// coordinate format.
-func COOFromDense(d *Dense) *COO {
-	out := NewCOO(d.Dims, 0)
-	coord := make([]int, d.Order())
-	for off, v := range d.Data {
-		if v == 0 {
-			continue
-		}
-		rem := off
-		for m := 0; m < d.Order(); m++ {
-			coord[m] = rem / d.Stride[m]
-			rem %= d.Stride[m]
-		}
-		out.Append(coord, v)
-	}
-	return out
-}

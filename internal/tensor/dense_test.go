@@ -120,27 +120,3 @@ func TestMatricizeKnownLayout(t *testing.T) {
 		}
 	}
 }
-
-func TestDenseCOORoundtrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		dims := []int{1 + rng.Intn(4), 1 + rng.Intn(4), 1 + rng.Intn(4)}
-		x := NewCOO(dims, 0)
-		n := rng.Intn(20)
-		for i := 0; i < n; i++ {
-			x.Append([]int{rng.Intn(dims[0]), rng.Intn(dims[1]), rng.Intn(dims[2])}, rng.NormFloat64())
-		}
-		d := DenseFromCOO(x)
-		back := COOFromDense(d)
-		d2 := DenseFromCOO(back)
-		for i := range d.Data {
-			if math.Abs(d.Data[i]-d2.Data[i]) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -289,71 +289,3 @@ func (k *ALTOTTMc) ownerTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*den
 			}
 		})
 }
-
-// TTMcRows computes the product only for the symbolic row positions
-// listed in rows (ascending positions into the mode's Rows): y.Row(j)
-// receives the row for slice Rows(n)[rows[j]]. Subsets always take the
-// owner-computes path — a partial output cannot amortize the dense
-// slabs.
-func (k *ALTOTTMc) TTMcRows(y *dense.Matrix, n int, rows []int32, u []*dense.Matrix, threads int) {
-	rowSize := RowSize(u, n)
-	sm := &k.sym.Modes[n]
-	if y.Rows != len(rows) || y.Cols != rowSize {
-		panic("ttm: ALTOTTMc TTMcRows output shape mismatch")
-	}
-	threads = par.DefaultThreads(threads)
-	x := k.x
-	order := x.Order()
-	cols := make([][]int32, order)
-	for t := 0; t < order; t++ {
-		cols[t] = x.ModeStream(t)
-	}
-	val := x.Values()
-	prefixLen := prefixLenFor(u, order, n)
-	type scratch struct {
-		rows [][]float64
-		bufA []float64
-		bufB []float64
-	}
-	scratches := make([]*scratch, threads)
-	chains := func() []int32 {
-		w := make([]int64, len(rows))
-		for j, r := range rows {
-			w[j] = int64(sm.Ptr[r+1] - sm.Ptr[r])
-		}
-		return par.PartitionChains(w, threads)
-	}
-	var nnzDone int64
-	runRows(len(rows), threads, chains, func(w, lo, hi int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = &scratch{
-				rows: make([][]float64, order-1),
-				bufA: make([]float64, prefixLen),
-				bufB: make([]float64, prefixLen),
-			}
-			scratches[w] = sc
-		}
-		for j := lo; j < hi; j++ {
-			row := y.Row(j)
-			for i := range row {
-				row[i] = 0
-			}
-			for _, id := range sm.RowNZ(int(rows[j])) {
-				q := 0
-				for t := 0; t < order; t++ {
-					if t == n {
-						continue
-					}
-					sc.rows[q] = u[t].Row(int(cols[t][id]))
-					q++
-				}
-				accumKron(row, val[id], sc.rows, sc.bufA, sc.bufB)
-			}
-		}
-	})
-	for _, r := range rows {
-		nnzDone += int64(sm.Ptr[r+1] - sm.Ptr[r])
-	}
-	k.flops += nnzDone * int64(rowSize)
-}

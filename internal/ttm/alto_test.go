@@ -161,29 +161,6 @@ func TestALTOTTMcOwnerPathMatchesDense(t *testing.T) {
 	}
 }
 
-func TestALTOTTMcRowsSubset(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	_, a, u, sym := altoSetup(rng, []int{25, 20, 15}, []int{4, 3, 3}, 600)
-	k := NewALTOTTMc(a, sym)
-	for mode := 0; mode < a.Order(); mode++ {
-		sm := &sym.Modes[mode]
-		full := dense.NewMatrix(sm.NumRows(), RowSize(u, mode))
-		k.TTMc(full, mode, u, 2)
-		rows := []int32{0, int32(sm.NumRows() / 2), int32(sm.NumRows() - 1)}
-		for _, threads := range []int{1, 4} {
-			y := dense.NewMatrix(len(rows), RowSize(u, mode))
-			k.TTMcRows(y, mode, rows, u, threads)
-			for j, r := range rows {
-				for c := 0; c < y.Cols; c++ {
-					if y.At(j, c) != full.At(int(r), c) {
-						t.Fatalf("mode=%d threads=%d row %d: subset differs from full", mode, threads, r)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestALTOTTMcFlops(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	_, a, u, sym := altoSetup(rng, []int{10, 9, 8}, []int{3, 3, 3}, 200)
@@ -193,14 +170,6 @@ func TestALTOTTMcFlops(t *testing.T) {
 	k.TTMc(y, 1, u, 1)
 	if got, want := k.Flops(), Flops(a.NNZ(), RowSize(u, 1)); got != want {
 		t.Fatalf("flops %d, want %d", got, want)
-	}
-	k.ResetFlops()
-	rows := []int32{0, 1}
-	yr := dense.NewMatrix(2, RowSize(u, 1))
-	k.TTMcRows(yr, 1, rows, u, 1)
-	wantRows := int64(sm.Ptr[2]-sm.Ptr[0]) * int64(RowSize(u, 1))
-	if k.Flops() != wantRows {
-		t.Fatalf("subset flops %d, want %d", k.Flops(), wantRows)
 	}
 	if k.NumRows(1) != sm.NumRows() || &k.Rows(1)[0] != &sm.Rows[0] {
 		t.Fatal("NumRows/Rows do not expose the symbolic mode")

@@ -174,30 +174,8 @@ func (k *CSFTTMc) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
 	ln := k.x.Level(n)
 	below := k.sweepUp(y, n, u, threads)
 	if ln > 0 {
-		k.emit(y, nil, n, below, u, threads)
+		k.emit(y, n, below, u, threads)
 	}
-}
-
-// TTMcRows computes the TTMc result only for the row positions listed
-// in rows (ascending positions into Rows(n)): y.Row(j) receives the row
-// for slice Rows(n)[rows[j]].
-func (k *CSFTTMc) TTMcRows(y *dense.Matrix, n int, rows []int32, u []*dense.Matrix, threads int) {
-	if y.Rows != len(rows) || y.Cols != RowSize(u, n) {
-		panic("ttm: CSF TTMcRows output shape mismatch")
-	}
-	ln := k.x.Level(n)
-	if ln == 0 {
-		// The upward sweep produces every root row; compute into
-		// scratch and copy out the requested subset.
-		full := dense.NewMatrix(k.NumRows(n), y.Cols)
-		k.sweepUp(full, n, u, threads)
-		for j, r := range rows {
-			copy(y.Row(j), full.Row(int(r)))
-		}
-		return
-	}
-	below := k.sweepUp(nil, n, u, threads)
-	k.emit(y, rows, n, below, u, threads)
 }
 
 // blockSizes returns bsz where bsz[l] is the dense block length of a
@@ -217,7 +195,7 @@ func (k *CSFTTMc) blockSizes(n int, u []*dense.Matrix) []int {
 // sweepUp runs the bottom-up fiber contraction from the leaves to
 // mode n's level and returns the level's blocks (bsz[ln] values per
 // fiber). For the root mode the final level writes straight into y and
-// the return value is nil; y may be nil for deeper modes.
+// the return value is nil.
 func (k *CSFTTMc) sweepUp(y *dense.Matrix, n int, u []*dense.Matrix, threads int) []float64 {
 	c := k.x
 	perm := c.Perm()
@@ -312,9 +290,8 @@ func (k *CSFTTMc) sweepUp(y *dense.Matrix, n int, u []*dense.Matrix, threads int
 // emit is the second phase for non-root modes: it combines each
 // level-ln fiber's below block with the Kronecker product of its
 // ancestors' factor rows and accumulates into the output row owned by
-// the fiber's slice index. rows selects a subset of row positions (nil
-// means all rows).
-func (k *CSFTTMc) emit(y *dense.Matrix, rows []int32, n int, below []float64, u []*dense.Matrix, threads int) {
+// the fiber's slice index.
+func (k *CSFTTMc) emit(y *dense.Matrix, n int, below []float64, u []*dense.Matrix, threads int) {
 	c := k.x
 	perm := c.Perm()
 	ln := c.Level(n)
@@ -392,9 +369,6 @@ func (k *CSFTTMc) emit(y *dense.Matrix, rows []int32, n int, below []float64, u 
 	g := k.groups[n]
 	nAnc := len(k.anc[n])
 	nRows := g.NumGroups()
-	if rows != nil {
-		nRows = len(rows)
-	}
 	threads = par.DefaultThreads(threads)
 	type scratch struct {
 		rows  [][]float64
@@ -409,12 +383,8 @@ func (k *CSFTTMc) emit(y *dense.Matrix, rows []int32, n int, below []float64, u 
 		}
 		return sc
 	}
-	doRow := func(sc *scratch, j int) {
-		r := j
-		if rows != nil {
-			r = int(rows[j])
-		}
-		row := y.Row(j)
+	doRow := func(sc *scratch, r int) {
+		row := y.Row(r)
 		for i := range row {
 			row[i] = 0
 		}
@@ -452,41 +422,18 @@ func (k *CSFTTMc) emit(y *dense.Matrix, rows []int32, n int, below []float64, u 
 			}
 		}
 	}
-	if rows == nil && threads > 1 && nRows > 1 {
-		// Full-mode emission rides the precomputed LPT row assignment:
-		// slice fiber counts are the most skewed weights in the
-		// pipeline, so contiguous chains can strand one worker with the
-		// hot slices.
+	if threads > 1 && nRows > 1 {
+		// Emission rides the precomputed LPT row assignment: slice
+		// fiber counts are the most skewed weights in the pipeline, so
+		// contiguous chains can strand one worker with the hot slices.
 		par.RunParts(k.partsFor(n, threads), func(w, item int) { doRow(getScratch(w), item) })
 	} else {
-		chains := func() []int32 {
-			wts := make([]int64, nRows)
-			for j := range wts {
-				r := j
-				if rows != nil {
-					r = int(rows[j])
-				}
-				wts[j] = int64(len(g.Group(r)))
-			}
-			return par.PartitionChains(wts, threads)
+		sc := getScratch(0)
+		for r := 0; r < nRows; r++ {
+			doRow(sc, r)
 		}
-		runRows(nRows, threads, chains, func(w, lo, hi int) {
-			sc := getScratch(w)
-			for j := lo; j < hi; j++ {
-				doRow(sc, j)
-			}
-		})
 	}
-	if rows == nil {
-		k.flops += int64(k.x.NumFibers(ln)) * int64(aboveSize*belowB)
-	} else {
-		// Subset evaluation: count only the emitted fibers.
-		var nf int64
-		for _, r := range rows {
-			nf += int64(len(g.Group(int(r))))
-		}
-		k.flops += nf * int64(aboveSize*belowB)
-	}
+	k.flops += int64(k.x.NumFibers(ln)) * int64(aboveSize*belowB)
 }
 
 // ensureLen grows buf to at least n elements, reusing capacity.

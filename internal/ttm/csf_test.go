@@ -98,31 +98,6 @@ func TestCSFTTMcDeterministicAcrossThreads(t *testing.T) {
 	}
 }
 
-func TestCSFTTMcRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	x, u, _ := randomSetup(rng, []int{10, 8, 6}, []int{3, 2, 4}, 90)
-	c := tensor.NewCSF(x, tensor.CSFOptions{})
-	k := NewCSFTTMc(c)
-	for mode := 0; mode < x.Order(); mode++ {
-		full := dense.NewMatrix(k.NumRows(mode), RowSize(u, mode))
-		k.TTMc(full, mode, u, 2)
-		// Every other row position.
-		var rows []int32
-		for r := 0; r < k.NumRows(mode); r += 2 {
-			rows = append(rows, int32(r))
-		}
-		sub := dense.NewMatrix(len(rows), RowSize(u, mode))
-		k.TTMcRows(sub, mode, rows, u, 2)
-		for j, r := range rows {
-			for cc := 0; cc < sub.Cols; cc++ {
-				if sub.At(j, cc) != full.At(int(r), cc) {
-					t.Fatalf("mode %d row %d: subset diverges", mode, r)
-				}
-			}
-		}
-	}
-}
-
 func TestCSFTTMcFewerFlopsThanFlat(t *testing.T) {
 	// On a compressible tensor the fiber walk must do strictly fewer
 	// multiply-adds than the per-nonzero flat kernel.

@@ -67,7 +67,7 @@ func TTMcNaive(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 		kron []float64
 	}
 	scratches := make([]*scratch, threads)
-	par.ForDynamicWorker(sm.NumRows(), threads, 0, func(w, lo, hi int) {
+	par.Dynamic(sm.NumRows(), threads, 0, par.BodyFunc(func(w, lo, hi int) {
 		sc := scratches[w]
 		if sc == nil {
 			sc = &scratch{rows: make([][]float64, order-1), kron: make([]float64, k)}
@@ -91,7 +91,7 @@ func TTMcNaive(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 				dense.Axpy(x.Val[id], sc.kron, row)
 			}
 		}
-	})
+	}))
 }
 
 // Flops returns the nominal multiply-add count of one TTMc call for the
