@@ -254,10 +254,10 @@ func TestLanczosIsTheParentsOnOrder4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := resultDigest(cold), "75346c03abe181ba"; got != want {
+	if got, want := resultDigest(cold), "92752353e98f387a"; got != want {
 		t.Errorf("cold solve: digest %s, recorded %s", got, want)
 	}
-	if got, want := resultDigest(upd), "a18371c43f2488d4"; got != want {
+	if got, want := resultDigest(upd), "230f41bfbd55d8cd"; got != want {
 		t.Errorf("update: digest %s, recorded %s", got, want)
 	}
 	if eng.warmBuf == nil {
