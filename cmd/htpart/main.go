@@ -36,9 +36,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *parts < 1 {
+		fail(fmt.Errorf("-parts %d: need at least one part", *parts))
+	}
 	x, err := tensor.ReadTNSFile(*input)
 	if err != nil {
 		fail(err)
+	}
+	var ranks []int
+	if *realized {
+		if ranks, err = realizedRanks(*ranksIn, x.Dims); err != nil {
+			fail(err)
+		}
 	}
 	fmt.Printf("tensor: dims=%v nnz=%d\n", x.Dims, x.NNZ())
 
@@ -68,10 +77,6 @@ func main() {
 	}
 
 	if *realized {
-		ranks, err := realizedRanks(*ranksIn, x.Dims)
-		if err != nil {
-			fail(err)
-		}
 		g := dist.Fine
 		if *grain == "coarse" {
 			g = dist.Coarse

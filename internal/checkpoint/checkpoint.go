@@ -2,8 +2,8 @@
 // used for single-node and distributed recovery: a versioned,
 // checksummed binary encoding of everything the HOOI sweep loop needs
 // to continue bitwise identically after a crash — factor matrices, the
-// core tensor, the sweep counter, the fit-tracker history, the chosen
-// ranks, and the position of the monotone seed schedule.
+// core tensor, the sweep counter, the fit-tracker history, and the
+// position of the monotone seed schedule.
 //
 // The format is deliberately dumb: little-endian fixed-width fields, a
 // 6-byte magic, a version, an explicit payload length, and a trailing
@@ -41,8 +41,8 @@ var (
 	// ErrBadMagic means the input does not start with the checkpoint
 	// magic — it is not a checkpoint file at all.
 	ErrBadMagic = errors.New("checkpoint: bad magic")
-	// ErrVersion means the format version is newer than this build
-	// understands.
+	// ErrVersion means the format version is not the one this build
+	// reads: an older file or a newer one.
 	ErrVersion = errors.New("checkpoint: unsupported version")
 	// ErrTruncated means the input ends before the declared payload
 	// and checksum — the classic torn write.
@@ -61,7 +61,7 @@ var (
 
 const (
 	magic   = "HTCKPT"
-	version = 1
+	version = 2
 
 	// headerLen is magic + version (uint16) + payload length (uint32).
 	headerLen = len(magic) + 2 + 4
@@ -85,19 +85,16 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // that its fit trajectory continues bitwise identically. Sweep counts
 // completed sweeps of the in-progress solve; Step is the number of
 // mode solves consumed from the monotone seed schedule (SweepState);
-// WarmReady records whether the solve started with warm Lanczos
-// starts; NormX pins the input tensor's Frobenius norm so a resume
-// against the wrong tensor is rejected.
+// NormX pins the input tensor's Frobenius norm so a resume against the
+// wrong tensor is rejected. The ranks are the factors' column counts.
 type State struct {
-	Sweep       int
-	Step        int64
-	SeedBase    int64
-	WarmReady   bool
-	NormX       float64
-	Factors     []*dense.Matrix
-	Core        *tensor.Dense // nil before the first completed sweep
-	FitHistory  []float64
-	ChosenRanks []int
+	Sweep      int
+	Step       int64
+	SeedBase   int64
+	NormX      float64
+	Factors    []*dense.Matrix
+	Core       *tensor.Dense // nil before the first completed sweep
+	FitHistory []float64
 }
 
 // validate checks the structural invariants every writer maintains.
@@ -133,11 +130,6 @@ func Encode(s *State) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.Sweep))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Step))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.SeedBase))
-	if s.WarmReady {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.NormX))
 
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(s.Factors)))
@@ -161,18 +153,13 @@ func Encode(s *State) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.FitHistory)))
 	b = appendFloats(b, s.FitHistory)
 
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s.ChosenRanks)))
-	for _, r := range s.ChosenRanks {
-		b = binary.LittleEndian.AppendUint32(b, uint32(r))
-	}
-
 	binary.LittleEndian.PutUint32(b[len(magic)+2:], uint32(len(b)-payloadStart))
 	b = binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
 	return b, nil
 }
 
 func encodedSize(s *State) int {
-	n := headerLen + 4 + 8 + 8 + 1 + 8 + 2 + crcLen
+	n := headerLen + 4 + 8 + 8 + 8 + 2 + crcLen
 	for _, f := range s.Factors {
 		n += 8 + 8*len(f.Data)
 	}
@@ -181,7 +168,6 @@ func encodedSize(s *State) int {
 		n += 2 + 4*len(s.Core.Dims) + 8*len(s.Core.Data)
 	}
 	n += 4 + 8*len(s.FitHistory)
-	n += 2 + 4*len(s.ChosenRanks)
 	return n
 }
 
@@ -231,7 +217,6 @@ func Decode(b []byte) (*State, error) {
 	s.Sweep = int(r.u32())
 	s.Step = int64(r.u64())
 	s.SeedBase = int64(r.u64())
-	s.WarmReady = r.u8() != 0
 	s.NormX = math.Float64frombits(r.u64())
 
 	nf := int(r.u16())
@@ -274,11 +259,6 @@ func Decode(b []byte) (*State, error) {
 
 	nh := int(r.u32())
 	s.FitHistory = r.floats(nh, 1)
-
-	nr := int(r.u16())
-	for i := 0; i < nr && r.err == nil; i++ {
-		s.ChosenRanks = append(s.ChosenRanks, int(r.u32()))
-	}
 	if r.err == nil && len(r.b) != 0 {
 		r.fail(fmt.Sprintf("%d unconsumed payload bytes", len(r.b)))
 	}

@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"math"
 	"os"
 	"path/filepath"
@@ -30,22 +32,43 @@ func sampleState(sweep int) *State {
 		hist[i] = 0.1 * float64(i+1)
 	}
 	return &State{
-		Sweep:       sweep,
-		Step:        int64(2 * sweep),
-		SeedBase:    42,
-		WarmReady:   sweep%2 == 1,
-		NormX:       math.Sqrt(17),
-		Factors:     []*dense.Matrix{f0, f1},
-		Core:        g,
-		FitHistory:  hist,
-		ChosenRanks: []int{2, 2},
+		Sweep:      sweep,
+		Step:       int64(2 * sweep),
+		SeedBase:   42,
+		NormX:      math.Sqrt(17),
+		Factors:    []*dense.Matrix{f0, f1},
+		Core:       g,
+		FitHistory: hist,
 	}
+}
+
+// encodeV1 builds s in the version-1 layout by hand: version 2's fields
+// with a warm-start flag byte after the seed and the chosen ranks (a
+// uint16 count, then one uint32 per mode) after the fit history.
+func encodeV1(tb testing.TB, s *State) []byte {
+	tb.Helper()
+	v2, err := Encode(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload := v2[headerLen : len(v2)-crcLen]
+	const seedEnd = 4 + 8 + 8 // sweep, step, seed
+	b := append([]byte(magic), 1, 0, 0, 0, 0, 0)
+	b = append(b, payload[:seedEnd]...)
+	b = append(b, 1)
+	b = append(b, payload[seedEnd:]...)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(s.Factors)))
+	for _, f := range s.Factors {
+		b = binary.LittleEndian.AppendUint32(b, uint32(f.Cols))
+	}
+	binary.LittleEndian.PutUint32(b[len(magic)+2:], uint32(len(b)-headerLen))
+	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
 }
 
 func statesEqual(t *testing.T, a, b *State) {
 	t.Helper()
 	if a.Sweep != b.Sweep || a.Step != b.Step || a.SeedBase != b.SeedBase ||
-		a.WarmReady != b.WarmReady || math.Float64bits(a.NormX) != math.Float64bits(b.NormX) {
+		math.Float64bits(a.NormX) != math.Float64bits(b.NormX) {
 		t.Fatalf("scalar fields differ: %+v vs %+v", a, b)
 	}
 	if len(a.Factors) != len(b.Factors) {
@@ -88,14 +111,6 @@ func statesEqual(t *testing.T, a, b *State) {
 			t.Fatalf("history entry %d differs", i)
 		}
 	}
-	if len(a.ChosenRanks) != len(b.ChosenRanks) {
-		t.Fatalf("rank count differs")
-	}
-	for i := range a.ChosenRanks {
-		if a.ChosenRanks[i] != b.ChosenRanks[i] {
-			t.Fatalf("rank %d differs", i)
-		}
-	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -103,7 +118,6 @@ func TestRoundTrip(t *testing.T) {
 		s := sampleState(sweep)
 		if sweep == 0 {
 			s.Core = nil
-			s.WarmReady = false
 		}
 		b, err := Encode(s)
 		if err != nil {
@@ -168,6 +182,35 @@ func TestDecodeTypedErrors(t *testing.T) {
 			t.Errorf("%s: got non-nil state with error", tc.name)
 		}
 	}
+}
+
+// A version-1 file, which carried a warm-start flag and the chosen
+// ranks, is refused whole; LoadLatest passes over it to a version-2 file
+// and, with none, reports ErrNotFound, so a resume starts fresh.
+func TestVersion1IsRefused(t *testing.T) {
+	v1 := encodeV1(t, sampleState(4))
+	if s, err := Decode(v1); !errors.Is(err, ErrVersion) || s != nil {
+		t.Fatalf("version-1 decode: state %v, error %v; want ErrVersion", s, err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, FileName(4)), v1, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadLatest(dir); !errors.Is(err, ErrNotFound) || !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 file alone: got %v, want ErrNotFound wrapping ErrVersion", err)
+	}
+	if _, err := Save(dir, sampleState(2)); err != nil {
+		t.Fatal(err)
+	}
+	s, path, err := LoadLatest(dir)
+	if err != nil {
+		t.Fatalf("version-1 and version-2 files: %v", err)
+	}
+	if s.Sweep != 2 {
+		t.Fatalf("loaded sweep %d from %s, want the version-2 file's 2", s.Sweep, path)
+	}
+	statesEqual(t, sampleState(2), s)
 }
 
 func TestSaveLoadLatestAndPrune(t *testing.T) {

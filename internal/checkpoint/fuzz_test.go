@@ -22,6 +22,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 	}
+	f.Add(encodeV1(f, sampleState(3)))
 	f.Add([]byte{})
 	f.Add([]byte("HTCKPT"))
 	f.Add([]byte("not a checkpoint at all, just bytes"))

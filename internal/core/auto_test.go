@@ -195,10 +195,10 @@ func TestAutoResumeBitwise(t *testing.T) {
 }
 
 // updateVsColdRebuild states what Update is: the delta merged into the
-// tensor, the kernel built on the result, and sweeps from the factors,
-// seed position and warm-start state the engine was in. An engine built
-// cold on the merged tensor and handed that state must do the same
-// thing bit for bit. e has run; it is updated with delta.
+// tensor, the kernel built on the result, and sweeps from the factors
+// and seed position the engine was in. An engine built cold on the
+// merged tensor and handed that state must do the same thing bit for
+// bit. e has run; it is updated with delta.
 func updateVsColdRebuild(t *testing.T, e *Engine, x, delta *tensor.COO, opts Options) {
 	t.Helper()
 	warm := e.SnapshotState()
@@ -301,7 +301,7 @@ func epsReference(t *testing.T, x *tensor.COO, opts Options) (fits []float64, fa
 			sweepCols = append(sweepCols, y.Cols)
 			ttm.TTMcSched(y, x, sm, state.Factors, opts.Threads, par.ScheduleBalanced)
 			tau := opts.Eps * opts.Eps * normX * normX / float64(order)
-			uc, rank, _, err := state.SolveDenseEps(y, n, state.Factors[n].Cols, 0, opts.Threads, tau, frobSq(y, opts.Threads))
+			uc, rank, _, err := state.SolveDenseEps(y, state.Factors[n].Cols, 0, opts.Threads, tau, frobSq(y, opts.Threads))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,7 +25,10 @@
 //     engine-owned copy of the evolving tensor once deltas arrive. Run
 //     converges from the current factors; Update merges a coordinate
 //     delta into the tensor, splices the flat kernel's update lists or
-//     builds the tree anew, and re-converges warm.
+//     builds the tree anew, and re-converges from the current factors.
+//     The factors carry one sweep into the next, as in the paper's
+//     Algorithm 1: every TRSVD solves that sweep's Y_(n) from its seed
+//     alone.
 //
 // Decompose is the batch convenience: NewPlan + NewEngine + Run. All
 // paths are bitwise deterministic across thread counts.

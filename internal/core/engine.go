@@ -20,8 +20,10 @@ import (
 // first Update) an engine-owned copy of the evolving tensor. Run
 // converges from the current factors; Update merges a coordinate delta
 // into the tensor, brings the kernel's symbolic structure in line with
-// it, and re-converges from the current factors with warm-started
-// TRSVD, in a handful of sweeps instead of a cold solve.
+// it, and re-converges from the current factors, in a handful of sweeps
+// instead of a cold solve. The factors and the seed schedule's position
+// are all that carries one solve into the next: every TRSVD starts cold
+// from its seed.
 //
 // An Engine is not safe for concurrent use. Several Engines may share
 // one Plan; each owns its numeric state, and none mutates the plan or
@@ -52,15 +54,10 @@ type Engine struct {
 	// one Y_(n) is live at a time (the last mode's until the core is
 	// formed from it), so one buffer sized for the widest mode serves
 	// them all.
-	ys        []dense.Matrix
-	ybuf      []float64
-	normX     float64
-	warmReady bool
-	firstRun  bool
-	// warmBuf holds one reusable per-mode gather buffer for the TRSVD
-	// warm-start vectors, so warm re-convergence sweeps stay on the
-	// zero-allocation discipline of the cold path.
-	warmBuf [][]float64
+	ys       []dense.Matrix
+	ybuf     []float64
+	normX    float64
+	firstRun bool
 	// ranksBuf backs currentRanks, keeping the per-sweep core formation
 	// allocation-free.
 	ranksBuf []int
@@ -283,31 +280,6 @@ func (e *Engine) shapeY(n int) *dense.Matrix {
 	return y
 }
 
-// warmVec gathers the compact left warm-start vector for mode n into a
-// reusable per-mode buffer: the leading column of the current factor at
-// the solved rows — the scattered leading left singular vector of the
-// previous solve. Only the Lanczos solver consumes warm starts, so
-// converge gathers one only for a mode that resolves to it.
-func (e *Engine) warmVec(n int, rows []int32) []float64 {
-	u := e.state.Factors[n]
-	if u.Cols == 0 {
-		return nil
-	}
-	if e.warmBuf == nil {
-		e.warmBuf = make([][]float64, e.order)
-	}
-	w := e.warmBuf[n]
-	if cap(w) < len(rows) {
-		w = make([]float64, len(rows))
-	}
-	w = w[:len(rows)]
-	e.warmBuf[n] = w
-	for r, row := range rows {
-		w[r] = u.At(int(row), 0)
-	}
-	return w
-}
-
 // scatter writes mode n's compact TRSVD result into the factor matrix,
 // every row outside the list zero. An engine's list only grows (Update
 // inserts slices and removes none; a distributed rank's owned rows are
@@ -329,13 +301,18 @@ func (e *Engine) scatter(n int, compact *dense.Matrix, rows []int32) {
 // and — through the plan's Exchange — Algorithm 4 on every rank of a
 // distributed world. It runs ALS sweeps until the fit stalls or
 // MaxIters is reached, owns resume, fit tracking, checkpoint cadence
-// and phase timing, and is the body shared by Run and Update; the first
-// call matches Decompose's cold path bit for bit (no warm starts),
-// later calls warm-start every Lanczos TRSVD from the previous factors
-// (Gram and the randomized solver take no warm start).
+// and phase timing, and is the body shared by Run and Update. A later
+// call differs from the first only in the factors and the seed
+// schedule's position it starts from.
 func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	opts := e.opts
 	res := &Result{TTMc: opts.TTMc, SVD: make([]SVDMethod, e.order), IndexBytes: e.x.IndexBytes()}
+	for n := range res.SVD {
+		res.SVD[n] = SVDRandomized
+		if opts.Eps <= 0 {
+			res.SVD[n] = ResolveSVD(opts.SVD, ttm.RowSize(e.state.Factors, n), opts.Ranks[n])
+		}
+	}
 	if e.sym != nil {
 		res.StreamBytes = e.sym.StreamBytes()
 	}
@@ -413,9 +390,8 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 				}
 				var rank int
 				var err error
-				res.SVD[n] = SVDRandomized
 				uc, rank, _, err = e.state.SolveDenseEps(
-					y, n, e.state.Factors[n].Cols, capR, opts.Threads, tau, frobSq(y, opts.Threads))
+					y, e.state.Factors[n].Cols, capR, opts.Threads, tau, frobSq(y, opts.Threads))
 				if err != nil {
 					return nil, fmt.Errorf("core: TRSVD failed in mode %d: %w", n, err)
 				}
@@ -423,14 +399,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 					e.state.Factors[n] = dense.NewMatrix(e.x.Dims[n], rank)
 				}
 			} else {
-				// Resolved here as Solve resolves it, so that only a mode
-				// Lanczos solves pays for the warm-start gather.
-				res.SVD[n] = ResolveSVD(opts.SVD, y.Cols, opts.Ranks[n])
-				var warm []float64
-				if e.warmReady && res.SVD[n] == SVDLanczos {
-					warm = e.warmVec(n, rows)
-				}
-				sres, err := e.state.Solve(e.ex.Operator(n, y), n, opts.Ranks[n], res.SVD[n], warm)
+				sres, err := e.state.Solve(e.ex.Operator(n, y), opts.Ranks[n], res.SVD[n])
 				if err != nil {
 					return nil, fmt.Errorf("core: TRSVD failed in mode %d: %w", n, err)
 				}
@@ -496,7 +465,6 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	res.Factors = e.state.Factors
 	res.ChosenRanks = append([]int(nil), e.currentRanks()...)
 	e.firstRun = false
-	e.warmReady = true
 	e.res = res
 	return res, nil
 }
@@ -526,8 +494,9 @@ func (e *Engine) ensureOwned() {
 // (symbolic.Structure.Insert); a plan that runs the dimension tree
 // groups the merged tensor afresh (ttm.BuildDTree) — every memo node is
 // invalidated by the first sweep before it is read, so a patched tree
-// would recompute exactly what a fresh one computes; and every Lanczos
-// TRSVD is warm-started from the previous factors. The result carries
+// would recompute exactly what a fresh one computes. The sweeps start
+// from the previous factors; every TRSVD in them starts cold, as in any
+// other sweep. The result carries
 // the update accounting: sweeps to re-converge, the TTMc madds
 // executed, and the flat-sweep cost they stand against
 // (FullSweepMadds).

@@ -74,9 +74,9 @@ type Result struct {
 	// equal to Options.Ranks for fixed-rank runs, the eps-selected ranks
 	// for adaptive-rank (Options.Eps) runs.
 	ChosenRanks []int
-	// SVD is the TRSVD solver each mode ran: Options.SVD, with SVDAuto
-	// resolved per mode (a resumed run that executed no sweep leaves
-	// SVDAuto in place).
+	// SVD is the TRSVD solver each mode runs: Options.SVD, with SVDAuto
+	// resolved per mode (ResolveSVD), and the randomized solver in every
+	// mode under Eps — also on a resumed run that executed no sweep.
 	SVD []SVDMethod
 	// TRSVDMadds counts the operator multiply-adds spent inside the
 	// TRSVD solves on this rank's rows, summed over all solves: operator

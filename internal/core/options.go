@@ -72,22 +72,20 @@ const (
 	// and Lanczos keeps the wide ones (C = 1000 at ranks 10: the
 	// reduction alone takes ~0.35 s; C = 400 at order 3, ranks 20: Gram
 	// is 1.6x slower per solve). Both sides of the rule are replicated, so
-	// every rank of a distributed world resolves the same way. Plan.SVD
-	// and Result.SVD report the choice per mode; the README's "Solvers"
+	// every rank of a distributed world resolves the same way.
+	// Result.SVD reports the choice per mode; the README's "Solvers"
 	// section has the measurements.
 	SVDAuto SVDMethod = iota
 	// SVDLanczos is Golub–Kahan–Lanczos bidiagonalization, the paper's
-	// (SLEPc) method: matrix-free, warm-startable, one GEMV pass over
-	// Y_(n) per operator application.
+	// (SLEPc) method: matrix-free, one GEMV pass over Y_(n) per
+	// operator application.
 	SVDLanczos
 	// SVDRandomized is the sketched range-finder solver
 	// (trsvd.Randomized): a deterministic Gaussian panel through the
 	// operator, adaptive power iterations, CholeskyQR2 Gram whitening,
 	// and a projected small SVD — a handful of BLAS3 passes instead of
-	// Lanczos's GEMV chain, at equal fit on the benchmark presets. It
-	// takes no warm start: every solve, an update's included, is a
-	// function of the operator, the rank and the seed. Options.Eps
-	// switches it to adaptive rank selection.
+	// Lanczos's GEMV chain, at equal fit on the benchmark presets.
+	// Options.Eps switches it to adaptive rank selection.
 	SVDRandomized
 	// SVDGram is the exact two-pass solver (trsvd.Gram): G = Y_(n)ᵀY_(n)
 	// by a symmetric rank-k product, its R_n leading eigenvectors by a

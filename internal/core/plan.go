@@ -103,33 +103,6 @@ func (p *Plan) Options() Options { return p.opts }
 // TTMcAuto resolved.
 func (p *Plan) TTMc() TTMcStrategy { return p.opts.TTMc }
 
-// SVD reports the TRSVD solver the plan runs in each mode: Options.SVD,
-// with SVDAuto resolved from the ranks (Solve decides by the same rule
-// from the operator it is handed). Adaptive-rank plans run the
-// randomized solver in every mode.
-func (p *Plan) SVD() []SVDMethod {
-	svd := make([]SVDMethod, p.x.Order())
-	for n := range svd {
-		svd[n] = p.opts.SVD
-		if p.opts.Eps <= 0 {
-			svd[n] = ResolveSVD(p.opts.SVD, rowSize(p.opts.Ranks, n), p.opts.Ranks[n])
-		}
-	}
-	return svd
-}
-
-// rowSize is the column count of mode n's matricized product at the
-// given ranks: the product of the other modes' ranks.
-func rowSize(ranks []int, n int) int {
-	size := 1
-	for t, r := range ranks {
-		if t != n {
-			size *= r
-		}
-	}
-	return size
-}
-
 // PredictSweepMadds returns the TTMc multiply-adds of one steady-state
 // sweep of x at the given ranks under each strategy: an accumulator
 // update per nonzero and a row update per run of x's update lists,

@@ -25,18 +25,13 @@ func (e *Engine) EnableCheckpoints(dir string, every int) {
 // consumes them immediately and does not retain them.
 func (e *Engine) midRunState(sweep int, history []float64, g *tensor.Dense) *checkpoint.State {
 	return &checkpoint.State{
-		Sweep:    sweep,
-		Step:     e.state.Step,
-		SeedBase: e.state.SeedBase,
-		// e.warmReady is only flipped after converge returns, so during
-		// the sweep loop it still holds the converge-entry value — the
-		// one a resumed converge must start from.
-		WarmReady:   e.warmReady,
-		NormX:       e.normX,
-		Factors:     e.state.Factors,
-		Core:        g,
-		FitHistory:  history,
-		ChosenRanks: append([]int(nil), e.currentRanks()...),
+		Sweep:      sweep,
+		Step:       e.state.Step,
+		SeedBase:   e.state.SeedBase,
+		NormX:      e.normX,
+		Factors:    e.state.Factors,
+		Core:       g,
+		FitHistory: history,
 	}
 }
 
@@ -47,10 +42,9 @@ func (e *Engine) midRunState(sweep int, history []float64, g *tensor.Dense) *che
 // fit trajectory.
 func (e *Engine) SnapshotState() *checkpoint.State {
 	s := &checkpoint.State{
-		Step:      e.state.Step,
-		SeedBase:  e.state.SeedBase,
-		WarmReady: e.warmReady,
-		NormX:     e.normX,
+		Step:     e.state.Step,
+		SeedBase: e.state.SeedBase,
+		NormX:    e.normX,
 	}
 	for _, f := range e.state.Factors {
 		s.Factors = append(s.Factors, f.Clone())
@@ -62,7 +56,6 @@ func (e *Engine) SnapshotState() *checkpoint.State {
 			s.Core = e.res.Core.Clone()
 		}
 	}
-	s.ChosenRanks = append([]int(nil), e.currentRanks()...)
 	return s
 }
 
@@ -79,7 +72,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 
 // ResumeEngine reads a checkpoint from r and reconstructs a resident
 // Engine on p positioned to continue the interrupted solve: restored
-// factors, seed-schedule position, warm-start flag, and fit history.
+// factors, seed-schedule position, and fit history.
 // Call Run to converge the remaining sweeps; if the checkpointed
 // trajectory had already stopped (by tolerance or MaxIters), Run
 // returns the restored result without running further sweeps.
@@ -108,7 +101,6 @@ func ResumeEngineState(p *Plan, st *checkpoint.State) (*Engine, error) {
 		return factors
 	})
 	e.state.Step = st.Step
-	e.warmReady = st.WarmReady
 	rs := &checkpoint.State{
 		Sweep:      st.Sweep,
 		FitHistory: append([]float64(nil), st.FitHistory...),

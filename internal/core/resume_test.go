@@ -49,15 +49,17 @@ func resultsBitwiseEqual(t *testing.T, label string, a, b *Result) {
 // strategy and either solver the default resolves to (Gram at these
 // ranks), kill a run at sweep 3 (by loading its sweep-3 checkpoint
 // into a fresh plan) and the resumed run's fit trajectory, factors, and
-// core must be bitwise identical to the uninterrupted run's.
+// core must be bitwise identical to the uninterrupted run's. So must a
+// run resumed from the last (sweep-6) checkpoint, which runs no sweep
+// and still reports the solver every mode ran.
 func TestResumeBitwiseIdentical(t *testing.T) {
 	x, ranks := presetTensor(t, "netflix", 0.02)
 	for i, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree, TTMcFlat} {
 		opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 7, TTMc: strat}
+		wantSVD := "[gram gram gram]"
 		if i == 2 {
 			opts.SVD = SVDLanczos
-		} else if got := fmt.Sprint(mustPlan(t, x, opts).SVD()); got != "[gram gram gram]" {
-			t.Fatalf("the default plans %s at ranks %v", got, ranks)
+			wantSVD = "[lanczos lanczos lanczos]"
 		}
 
 		p1, err := NewPlan(x, opts)
@@ -83,33 +85,40 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 		}
 		resultsBitwiseEqual(t, "checkpointing perturbed the run", full, ckpted)
 
+		if got := fmt.Sprint(full.SVD); got != wantSVD {
+			t.Fatalf("strat=%v svd=%v ran %s at ranks %v, want %s", strat, opts.SVD, got, ranks, wantSVD)
+		}
+
 		// Resume from the mid-run (sweep 3) checkpoint on a fresh
-		// plan — the crashed-and-restarted scenario.
-		b, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName(3)))
-		if err != nil {
-			t.Fatalf("strat=%v: sweep-3 checkpoint missing: %v", strat, err)
+		// plan — the crashed-and-restarted scenario — and from the
+		// final one, whose trajectory had already stopped.
+		for _, sweep := range []int{3, 6} {
+			b, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName(sweep)))
+			if err != nil {
+				t.Fatalf("strat=%v: sweep-%d checkpoint missing: %v", strat, sweep, err)
+			}
+			e3, err := ResumeEngine(mustPlan(t, x, opts), bytes.NewReader(b))
+			if err != nil {
+				t.Fatalf("strat=%v resume: %v", strat, err)
+			}
+			resumed, err := e3.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsBitwiseEqual(t, fmt.Sprintf("run resumed at sweep %d diverged", sweep), full, resumed)
+			if got := fmt.Sprint(resumed.SVD); got != wantSVD {
+				t.Errorf("strat=%v svd=%v: run resumed at sweep %d reports %s, want %s", strat, opts.SVD, sweep, got, wantSVD)
+			}
 		}
-		p3, err := NewPlan(x, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e3, err := ResumeEngine(p3, bytes.NewReader(b))
-		if err != nil {
-			t.Fatalf("strat=%v resume: %v", strat, err)
-		}
-		resumed, err := e3.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsBitwiseEqual(t, "resumed run diverged", full, resumed)
 	}
 }
 
 // TestResumeWarmBitwise carries the contract past the first Run for all
 // three solvers: an engine resumed from SnapshotState must run the next
-// (warm) Run and an Update bit for bit as the engine it was taken from.
-// Lanczos's warm start is carried by the state's WarmReady; Gram and
-// the randomized solver read nothing a previous solve left behind.
+// Run (from the restored factors) and an Update bit for bit as the
+// engine it was taken from. No solver reads anything a previous solve
+// left behind, so the factors and the seed schedule's position are the
+// whole state.
 func TestResumeWarmBitwise(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{40, 30, 20}, NNZ: 2000, Skew: 0.5, Seed: 3})
 	for _, svd := range []SVDMethod{SVDRandomized, SVDLanczos, SVDGram} {

@@ -47,24 +47,16 @@ func NewSweepState(factors []*dense.Matrix, seed int64) *SweepState {
 	return &SweepState{Factors: factors, Work: trsvd.NewWorkspace(), SeedBase: seed}
 }
 
-// next builds the options of the upcoming solve and advances the seed
-// schedule.
-func (s *SweepState) next(warm []float64) trsvd.Options {
-	o := trsvd.Options{Seed: s.SeedBase + 7919*s.Step, Work: s.Work, WarmLeft: warm}
+// Solve runs the TRSVD solver the method resolves to on an operator
+// over a mode's Y_(n) (ResolveSVD, from the operator's column count and
+// the rank) — the threaded dense operator in shared memory, a
+// row-distributed one on a rank of a distributed world — and advances
+// the seed schedule and the solve counters. The result is a function of
+// the operator, the rank and the seed schedule's position alone: no
+// solve reads what an earlier one computed.
+func (s *SweepState) Solve(op trsvd.Operator, rank int, method SVDMethod) (*trsvd.Result, error) {
+	sopts := trsvd.Options{Seed: s.SeedBase + 7919*s.Step, Work: s.Work}
 	s.Step++
-	return o
-}
-
-// Solve runs the TRSVD solver the method resolves to on mode n's
-// operator (ResolveSVD, from the operator's column count and the rank:
-// the one place SVDAuto is decided, for the engine in shared memory and
-// on every rank of a distributed world alike) —
-// the threaded dense operator in shared memory, a row-distributed one
-// on a rank of a distributed world — and advances the seed schedule and
-// the solve counters. warm optionally supplies a left warm-start vector
-// (Lanczos only; see trsvd.Options.WarmLeft).
-func (s *SweepState) Solve(op trsvd.Operator, n, rank int, method SVDMethod, warm []float64) (*trsvd.Result, error) {
-	sopts := s.next(warm)
 	method = ResolveSVD(method, op.Cols(), rank)
 	var r *trsvd.Result
 	var err error
@@ -96,9 +88,11 @@ func (s *SweepState) Solve(op trsvd.Operator, n, rank int, method SVDMethod, war
 
 // SolveDense is Solve on the compacted matricized tensor held in
 // memory: it returns the |J_n| x rank left singular vector block and
-// the solver's operator-application count.
+// the solver's operator-application count. The mode n and the warm
+// vector are ignored; the signature is the one the repository
+// benchmark compiles against.
 func (s *SweepState) SolveDense(y *dense.Matrix, n, rank int, method SVDMethod, threads int, warm []float64) (*dense.Matrix, int, error) {
-	r, err := s.Solve(&trsvd.DenseOperator{A: y, Threads: threads}, n, rank, method, warm)
+	r, err := s.Solve(&trsvd.DenseOperator{A: y, Threads: threads}, rank, method)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -113,7 +107,7 @@ func (s *SweepState) SolveDense(y *dense.Matrix, n, rank int, method SVDMethod, 
 // EpsRankSelect). frob2 is ‖Y_(n)‖²_F, the energy budget the tail is
 // measured against. Returns the compacted rank-column basis, the chosen
 // rank, and the accumulated operator-application count.
-func (s *SweepState) SolveDenseEps(y *dense.Matrix, n, guess, capR, threads int, tau, frob2 float64) (*dense.Matrix, int, int, error) {
+func (s *SweepState) SolveDenseEps(y *dense.Matrix, guess, capR, threads int, tau, frob2 float64) (*dense.Matrix, int, int, error) {
 	maxR := y.Cols
 	if y.Rows < maxR {
 		maxR = y.Rows
@@ -133,7 +127,7 @@ func (s *SweepState) SolveDenseEps(y *dense.Matrix, n, guess, capR, threads int,
 	}
 	matvecs := 0
 	for {
-		r, err := s.Solve(&trsvd.DenseOperator{A: y, Threads: threads}, n, k, SVDRandomized, nil)
+		r, err := s.Solve(&trsvd.DenseOperator{A: y, Threads: threads}, k, SVDRandomized)
 		if err != nil {
 			return nil, 0, 0, err
 		}

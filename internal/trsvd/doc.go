@@ -10,16 +10,16 @@
 //     eigenvectors by a serial tridiagonal eigensolver, the left
 //     vectors in one block pass (Operator.Gram, Operator.MatMat);
 //   - Golub–Kahan–Lanczos bidiagonalization with full
-//     reorthogonalization and warm starts (Options.WarmLeft) for the
-//     resident engine's re-convergence sweeps;
+//     reorthogonalization, started from a seeded pseudo-random vector;
 //   - a randomized sketch solver (Gaussian sketch, CholeskyQR2-whitened
 //     range finder, adaptive Ritz-converged power rounds), plus
 //     EpsRankSelect, the adaptive rank-selection rule behind core's
 //     Options.Eps.
 //
-// Options carries only what differs per call (seed, workspace, warm
-// start); every numerical setting is a constant of the solver that
-// reads it.
+// Options carries only what differs per call (seed, workspace); every
+// numerical setting is a constant of the solver that reads it, and no
+// solve reads what an earlier one computed, so a result is a function
+// of the operator, k and the seed alone.
 //
 // An unblocked Gram-matrix solver on the Jacobi SVD survives in the
 // tests as the oracle all three are compared against. Every solver

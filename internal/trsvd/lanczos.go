@@ -19,17 +19,6 @@ type Options struct {
 	// state. nil allocates scratch per call. A workspace must not be
 	// shared between concurrent solver calls.
 	Work *Workspace
-	// WarmLeft optionally warm-starts Lanczos from a row-space (left)
-	// vector of length LocalRows — typically the leading left singular
-	// vector of a previous, nearby operator, as a resident engine holds
-	// after a small tensor delta. The Krylov space is then seeded with
-	// v_1 = A^T·WarmLeft (one extra operator application), which starts
-	// the recurrence next to the leading subspace instead of at a random
-	// direction, so re-convergence takes fewer iterations. Ignored when
-	// nil, when the length does not match, or when the seeded direction
-	// is numerically zero (the deterministic random start is used then).
-	// The other solvers ignore it.
-	WarmLeft []float64
 }
 
 // Result holds the leading singular triplets computed by a solver.
@@ -122,28 +111,10 @@ func Lanczos(op Operator, k int, opts Options) (*Result, error) {
 	res := &Result{}
 	colID := func(i int) int64 { return int64(i) }
 
-	// Start vector in the column space: warm-seeded from a caller-
-	// supplied left vector when available, deterministic pseudo-random
-	// otherwise.
+	// Start vector in the column space: deterministic pseudo-random.
 	v := vb.Row(0)
-	warmed := false
-	// Distributed callers must supply WarmLeft uniformly across ranks
-	// (or not at all): the seeding path performs collective operator
-	// applications, so a rank-dependent decision would break lockstep.
-	if opts.WarmLeft != nil && len(opts.WarmLeft) == rows {
-		if nrm := math.Sqrt(op.RowDot(opts.WarmLeft, opts.WarmLeft)); nrm > 1e-300 {
-			op.MatTVec(opts.WarmLeft, v)
-			res.MatVecs++
-			if dense.Nrm2(v) > 1e-300 {
-				normalizeCols(v)
-				warmed = true
-			}
-		}
-	}
-	if !warmed {
-		hashUnit(v, opts.Seed+1, colID)
-		normalizeCols(v)
-	}
+	hashUnit(v, opts.Seed+1, colID)
+	normalizeCols(v)
 
 	// First step: u_1 = A v_1 / alpha_1.
 	u := ub.Row(0)

@@ -82,7 +82,7 @@ func maxRelDiffK(a, b []float64, k int) float64 {
 // are bitwise identical across thread counts, schedules, distributed
 // transports, and a resumed run. The workspace holds scratch only and
 // carries nothing from one solve to the next; in steady state only the
-// returned Result.U allocates. WarmLeft is ignored.
+// returned Result.U allocates.
 func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	cols := op.Cols()
 	if k <= 0 {

@@ -36,7 +36,7 @@ func TestChainHOOIMatchesCorePerSweep(t *testing.T) {
 		var g *tensor.Dense
 		for n := 0; n <= last; n++ {
 			rows, y := ttm.ChainTTMc(x, n, u)
-			sres, err := state.Solve(&trsvd.DenseOperator{A: y}, n, ranks[n], core.SVDAuto, nil)
+			sres, err := state.Solve(&trsvd.DenseOperator{A: y}, ranks[n], core.SVDAuto)
 			if err != nil {
 				t.Fatalf("sweep %d mode %d: %v", sweep+1, n, err)
 			}
