@@ -213,11 +213,16 @@ func main() {
 	if *eps > 0 {
 		fmt.Printf("eps %g selected ranks %v\n", *eps, dec.ChosenRanks)
 	}
-	fmt.Printf("timings: read=%v init=%v symbolic=%v ttmc=%v trsvd=%v core=%v (steady-state allocs/sweep %d)\n",
+	fmt.Printf("timings: read=%v init=%v symbolic=%v ttmc=%v trsvd=%v core=%v (steady-state allocs/sweep %d, %d B/sweep)\n",
 		readTime, dec.Timings.Init, dec.Timings.Symbolic, dec.Timings.TTMc, dec.Timings.TRSVD, dec.Timings.Core,
-		dec.AllocsPerSweep)
-	fmt.Printf("storage: index=%d B (%.2f B/nnz) streams=%d B\n",
+		dec.AllocsPerSweep, dec.AllocBytesPerSweep)
+	fmt.Printf("storage: index=%d B (%.2f B/nnz) streams=%d B",
 		dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()), dec.StreamBytes)
+	// The process's peak resident set so far (VmHWM), where the kernel reports it.
+	if kb, ok := peakRSSKiB(); ok {
+		fmt.Printf(" VmHWM=%d kB", kb)
+	}
+	fmt.Println()
 	// The measured count sits next to what each strategy was predicted
 	// to cost, so a strategy choice that the input proves wrong shows
 	// here.
@@ -300,6 +305,22 @@ func runUpdates(eng *hypertensor.Engine, x *hypertensor.SparseTensor, initial *h
 	}
 	fmt.Printf("from-scratch solve of the merged tensor: fit %.8f in %d sweeps; |dfit| = %.3g\n",
 		scratch.Fit, scratch.Iters, dfit)
+}
+
+// peakRSSKiB reads the process's resident-set high-water mark (VmHWM)
+// from /proc/self/status; ok is false where that is unreadable.
+func peakRSSKiB() (kb int64, ok bool) {
+	data, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, found := strings.CutPrefix(line, "VmHWM:"); found {
+			kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 10, 64)
+			return kb, err == nil
+		}
+	}
+	return 0, false
 }
 
 func humanInt(v int64) string {

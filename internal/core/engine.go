@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"hypertensor/internal/checkpoint"
@@ -63,6 +64,10 @@ type Engine struct {
 	ranksBuf []int
 	// scattered[n] is the mode-n factor matrix scatter has zeroed.
 	scattered []*dense.Matrix
+	// gm and core hold a sweep's core, G_(N) and unfolded (formCore);
+	// each sweep overwrites them.
+	gm   *dense.Matrix
+	core *tensor.Dense
 
 	symTime, initTime time.Duration
 	res               *Result
@@ -297,6 +302,29 @@ func (e *Engine) scatter(n int, compact *dense.Matrix, rows []int32) {
 	scatterRows(full, compact, rows)
 }
 
+// formCore computes a sweep's core G = Y ×_N U_Nᵀ into the engine's
+// buffers. G_(N) = U_cᵀ·Y is formed from the compact rows uc the last
+// solve returned, which are the rows scatter wrote into U_N, so nothing
+// is gathered; the world reduces it, and it is unfolded into the dense
+// core. Along the last mode the tensor's row-major layout is G_(N)
+// transposed.
+func (e *Engine) formCore(y, uc *dense.Matrix, threads int) *tensor.Dense {
+	gm := dense.ReuseMatrixUninit(e.gm, uc.Cols, y.Cols)
+	e.gm = gm
+	dense.MatMulTAInto(gm, uc, y, threads)
+	e.ex.ReduceCore(gm)
+	ranks := e.currentRanks()
+	if e.core == nil || !slices.Equal(e.core.Dims, ranks) {
+		e.core = tensor.NewDense(ranks)
+	}
+	for r := 0; r < gm.Rows; r++ {
+		for c, v := range gm.Row(r) {
+			e.core.Data[c*gm.Rows+r] = v
+		}
+	}
+	return e.core
+}
+
 // converge is the one HOOI sweep loop: Algorithm 3 in shared memory,
 // and — through the plan's Exchange — Algorithm 4 on every rank of a
 // distributed world. It runs ALS sweeps until the fit stalls or
@@ -354,7 +382,9 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			startIter = opts.MaxIters // the original run stopped here
 		}
 	}
-	last := e.order - 1
+	// g is the last sweep's core, in the engine's buffer until the run
+	// ends and the Result gets a copy.
+	var g *tensor.Dense
 	for iter := startIter; iter < opts.MaxIters; iter++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -368,9 +398,10 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			runtime.ReadMemStats(&memBase)
 			allocFrom = iter
 		}
-		// y and rows are the mode's folded rows; the last mode's outlive
-		// the loop, for the core is formed from them.
-		var y *dense.Matrix
+		// y and rows are the mode's folded rows and uc its solved rows of
+		// U_n, in the solver's workspace until the next solve; the last
+		// mode's outlive the loop, for the core is formed from them.
+		var y, uc *dense.Matrix
 		var rows []int32
 		for n := 0; n < e.order; n++ {
 			t0 := time.Now()
@@ -381,7 +412,6 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			res.Timings.TTMc += time.Since(t0)
 
 			t0 = time.Now()
-			var uc *dense.Matrix
 			if opts.Eps > 0 {
 				tau := opts.Eps * opts.Eps * e.normX * e.normX / float64(e.order)
 				capR := 0
@@ -411,10 +441,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 		}
 
 		t0 := time.Now()
-		gm := ttm.CoreMatricized(y, rows, e.state.Factors[last], opts.Threads)
-		e.ex.ReduceCore(gm)
-		g := ttm.CoreFromMatricized(gm, e.currentRanks(), last)
-		res.Core = g
+		g = e.formCore(y, uc, opts.Threads)
 		res.Timings.Core += time.Since(t0)
 
 		fit, stop := fits.Record(g.Norm())
@@ -448,7 +475,12 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	if allocFrom >= 0 && res.Iters > allocFrom {
 		var memEnd runtime.MemStats
 		runtime.ReadMemStats(&memEnd)
-		res.AllocsPerSweep = int64(memEnd.Mallocs-memBase.Mallocs) / int64(res.Iters-allocFrom)
+		sweeps := int64(res.Iters - allocFrom)
+		res.AllocsPerSweep = int64(memEnd.Mallocs-memBase.Mallocs) / sweeps
+		res.AllocBytesPerSweep = int64(memEnd.TotalAlloc-memBase.TotalAlloc) / sweeps
+	}
+	if g != nil {
+		res.Core = g.Clone() // once per run, outside the measured sweeps
 	}
 	res.TTMcFlops = e.kern.Flops() - flops0
 	res.TRSVDSolves = e.state.Solves - solves0.Solves

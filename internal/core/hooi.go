@@ -70,6 +70,11 @@ type Result struct {
 	// excluded). Only measured when Options.MeasureAllocs is set; zero
 	// otherwise.
 	AllocsPerSweep int64
+	// AllocBytesPerSweep is the heap bytes those allocations requested
+	// per sweep (MemStats.TotalAlloc over the same window). A sweep
+	// allocates no buffer of a factor's size, so this stays below the
+	// smallest mode's rows x R_n x 8.
+	AllocBytesPerSweep int64
 	// ChosenRanks are the per-mode ranks the decomposition ended with:
 	// equal to Options.Ranks for fixed-rank runs, the eps-selected ranks
 	// for adaptive-rank (Options.Eps) runs.

@@ -182,9 +182,10 @@ type Options struct {
 	TTMc TTMcStrategy
 	// Seed makes the whole decomposition deterministic.
 	Seed int64
-	// MeasureAllocs records the steady-state heap allocation count per
-	// sweep in Result.AllocsPerSweep (two runtime.ReadMemStats calls per
-	// decomposition). Off by default; the benchmark harness turns it on.
+	// MeasureAllocs records the steady-state heap allocation count and
+	// bytes per sweep in Result.AllocsPerSweep and AllocBytesPerSweep
+	// (two runtime.ReadMemStats calls per decomposition). Off by default;
+	// the benchmark harness turns it on.
 	MeasureAllocs bool
 	// Initial optionally supplies explicit initial factor matrices
 	// (I_n x R_n) in place of the seeded random start (InitialFactors) —

@@ -37,11 +37,11 @@ import (
 // order: the first child's order is the storage order and aliases the
 // tensor, so exactly the second child's two streams count, 8 B x nnz.
 // Allocations per sweep depend on the runtime as well, so they are the
-// least of three runs against a bound two above what was recorded under
-// Lanczos (30/34 on the tree; 25/25 on the flat kernel since its
-// per-worker scratch is resident in ttm.Flat — 43/44 when every TTMc call
-// made its own), for either solver: one make per mode per sweep crosses
-// it.
+// least of three runs against a bound two above what was recorded (7 on
+// the flat kernel, 9 on the tree, for either solver, since the solver's
+// U and the core live in the workspace and the engine; 25/25 and 30/34
+// while every solve returned a fresh U and the core was gathered and
+// unfolded into fresh matrices): one make per mode per sweep crosses it.
 func TestRecordedCounts(t *testing.T) {
 	type solverCounts struct {
 		trsvdMadds, passes, unconverged int64 // whole run
@@ -59,13 +59,13 @@ func TestRecordedCounts(t *testing.T) {
 		auto            string
 		lanczos, dflt   solverCounts
 	}{
-		{"netflix", 4469116, 460632, 614176, 51060480, 166069, 27, "[gram gram gram]",
+		{"netflix", 4469116, 460632, 614176, 51060480, 166069, 9, "[gram gram gram]",
 			solverCounts{20831360, 332, 0, 2, 13711512}, solverCounts{23944080, 18, 0, 2, 13711512}},
-		{"nell", 3716400, 374400, 499200, 116251200, 1260357, 27, "[gram gram gram]",
+		{"nell", 3716400, 374400, 499200, 116251200, 1260357, 9, "[gram gram gram]",
 			solverCounts{49085600, 412, 0, 2, 10391260}, solverCounts{65122200, 18, 0, 2, 10391260}},
-		{"delicious", 6922300, 896016, 448008, 177053500, 3250249, 32, "[gram gram gram gram]",
+		{"delicious", 6922300, 896016, 448008, 177053500, 3250249, 11, "[gram gram gram gram]",
 			solverCounts{59142500, 356, 0, 2, 14029400}, solverCounts{134487000, 24, 0, 2, 14029400}},
-		{"flickr", 5290500, 716800, 358400, 112560500, 4821409, 36, "[gram gram gram gram]",
+		{"flickr", 5290500, 716800, 358400, 112560500, 4821409, 11, "[gram gram gram gram]",
 			solverCounts{44326250, 380, 0, 2, 10728400}, solverCounts{94834500, 24, 0, 2, 10728400}},
 	} {
 		x, ranks := presetTensor(t, want.preset, 0.2)

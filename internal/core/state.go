@@ -15,11 +15,12 @@ type SweepState struct {
 	// Factors are the current factor matrices U_n (I_n x R_n).
 	Factors []*dense.Matrix
 	// Work is the TRSVD workspace every mode's solve reuses. The modes
-	// solve one after another and a workspace is scratch only, so one
-	// arena at the widest mode's size serves them all: after the first
-	// sweep the iteration loops allocate (almost) nothing, and the Gram
-	// solver's block partials (32 x C² doubles) are held once, not once
-	// per mode.
+	// solve one after another and no solve reads what an earlier one left
+	// in the workspace, so one arena at the widest mode's size serves
+	// them all: after the first sweep a solve allocates only its Result,
+	// and the Gram solver's block partials (32 x C² doubles) are held
+	// once, not once per mode. It also holds each solve's U, which the
+	// engine scatters before the next solve overwrites it.
 	Work *trsvd.Workspace
 	// SeedBase is the decomposition seed; solve s draws start vectors
 	// from SeedBase + 7919*s.
@@ -53,7 +54,8 @@ func NewSweepState(factors []*dense.Matrix, seed int64) *SweepState {
 // row-distributed one on a rank of a distributed world — and advances
 // the seed schedule and the solve counters. The result is a function of
 // the operator, the rank and the seed schedule's position alone: no
-// solve reads what an earlier one computed.
+// solve reads what an earlier one computed. Its U is the state's
+// workspace's and valid until the next solve, which overwrites it.
 func (s *SweepState) Solve(op trsvd.Operator, rank int, method SVDMethod) (*trsvd.Result, error) {
 	sopts := trsvd.Options{Seed: s.SeedBase + 7919*s.Step, Work: s.Work}
 	s.Step++
@@ -88,7 +90,8 @@ func (s *SweepState) Solve(op trsvd.Operator, rank int, method SVDMethod) (*trsv
 
 // SolveDense is Solve on the compacted matricized tensor held in
 // memory: it returns the |J_n| x rank left singular vector block and
-// the solver's operator-application count. The mode n and the warm
+// the solver's operator-application count. The block is the
+// workspace's, valid until the next solve. The mode n and the warm
 // vector are ignored; the signature is the one the repository
 // benchmark compiles against.
 func (s *SweepState) SolveDense(y *dense.Matrix, n, rank int, method SVDMethod, threads int, warm []float64) (*dense.Matrix, int, error) {
@@ -106,7 +109,9 @@ func (s *SweepState) SolveDense(y *dense.Matrix, n, rank int, method SVDMethod, 
 // and the rank is the number of retained directions (trsvd.
 // EpsRankSelect). frob2 is ‖Y_(n)‖²_F, the energy budget the tail is
 // measured against. Returns the compacted rank-column basis, the chosen
-// rank, and the accumulated operator-application count.
+// rank, and the accumulated operator-application count. The basis is
+// the last solve's U, cut to rank columns in place, and like it valid
+// until the next solve.
 func (s *SweepState) SolveDenseEps(y *dense.Matrix, guess, capR, threads int, tau, frob2 float64) (*dense.Matrix, int, int, error) {
 	maxR := y.Cols
 	if y.Rows < maxR {
@@ -137,14 +142,15 @@ func (s *SweepState) SolveDenseEps(y *dense.Matrix, guess, capR, threads int, ta
 			rank = maxR
 		}
 		if !grow || k >= maxR {
-			if rank == r.U.Cols {
-				return r.U, rank, matvecs, nil
+			u := r.U
+			if rank == u.Cols {
+				return u, rank, matvecs, nil
 			}
-			u := dense.NewMatrix(r.U.Rows, rank)
-			for i := 0; i < u.Rows; i++ {
-				copy(u.Row(i), r.U.Row(i)[:rank])
+			// Row i moves down to i·rank, never past where it is read from.
+			for i := 1; i < u.Rows; i++ {
+				copy(u.Data[i*rank:(i+1)*rank], u.Row(i)[:rank])
 			}
-			return u, rank, matvecs, nil
+			return &dense.Matrix{Rows: u.Rows, Cols: rank, Data: u.Data[:u.Rows*rank]}, rank, matvecs, nil
 		}
 		k *= 2
 		if k > maxR {

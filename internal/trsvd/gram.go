@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"hypertensor/internal/dense"
+	"hypertensor/internal/par"
 )
 
 // The Gram solver's thresholds. Both comparisons run on replicated
@@ -44,8 +45,8 @@ const (
 // Sigma describes the subspace, not the individual columns. The result
 // is bitwise identical for every thread count and transport: both
 // reductions run on fixed block grids and the eigensolver is serial.
-// All scratch lives in the workspace; only Result.U and Sigma are
-// fresh.
+// U and Sigma are the workspace's, and the whitening rotates U in place
+// through a row-block scratch the workspace holds.
 func Gram(op Operator, k int, opts Options) (*Result, error) {
 	cols := op.Cols()
 	if k <= 0 {
@@ -65,7 +66,8 @@ func Gram(op Operator, k int, opts Options) (*Result, error) {
 	// W = V_k·Σ_k⁻¹, null directions left zero.
 	w := dense.ReuseMatrix(ws.vk, cols, k)
 	ws.vk = w
-	sigma := make([]float64, k)
+	sigma := dense.ReuseVec(ws.sigma, k)
+	ws.sigma = sigma
 	cut := gramNullCut * float64(cols) * lam[0]
 	kept := 0
 	for kept < k && lam[kept] > cut && lam[kept] > 1e-300 {
@@ -76,12 +78,28 @@ func Gram(op Operator, k int, opts Options) (*Result, error) {
 		}
 		kept++
 	}
-	u := dense.NewMatrix(rows, k)
+	u := dense.ReuseMatrixUninit(ws.u, rows, k)
+	ws.u = u
 	op.MatMat(w, u)
 
 	c := dense.ReuseMatrix(ws.gram2, k, k)
 	ws.gram2 = c
 	op.RowGram(u, c)
+	if defect := orthDefect(c, kept); !(defect <= gramOrthTol) {
+		wh := dense.ReuseMatrix(ws.white, k, k)
+		ws.white = wh
+		ws.svd.GramWhitenInto(wh, c)
+		ws.rot.apply(u, wh, opThreads(op))
+	}
+	if kept < k {
+		completeBasis(op, u, sigma, opts, ws)
+	}
+	return &Result{U: u, Sigma: sigma, MatVecs: k, Passes: 2, Converged: true}, nil
+}
+
+// orthDefect is ‖C − I‖_max over the leading kept x kept block of a
+// panel's Gram matrix C = UᵀU: U's orthogonality defect.
+func orthDefect(c *dense.Matrix, kept int) float64 {
 	var defect float64
 	for i := 0; i < kept; i++ {
 		for j := 0; j < kept; j++ {
@@ -94,17 +112,62 @@ func Gram(op Operator, k int, opts Options) (*Result, error) {
 			}
 		}
 	}
-	if !(defect <= gramOrthTol) {
-		wh := dense.ReuseMatrix(ws.white, k, k)
-		ws.white = wh
-		ws.svd.GramWhitenInto(wh, c)
-		q := dense.ReuseMatrixUninit(ws.qpanel, rows, k)
-		ws.qpanel = q
-		dense.MatMulInto(q, u, wh, opThreads(op))
-		copy(u.Data, q.Data)
+	return defect
+}
+
+// rotateRows is the height of the row blocks Gram's re-whitening
+// rotates U through: a worker's block of the product, 8·rotateRows·k
+// bytes, is whole cache lines for any k and stays in L1 between its
+// product and the copy back.
+const rotateRows = 64
+
+// rotation overwrites a row panel U (rows x k) with U·C for a k x k C
+// without a second rows x k panel. A worker multiplies rotateRows rows
+// at a time into its own slot of scratch with dense.MatMulInto on one
+// thread — every row through matMulRows, as in a MatMulInto of the
+// whole panel, whose rows do not depend on the range they are computed
+// in — and copies them back over the rows they came from. So U ends
+// with the bits MatMulInto(Q, U, C) gives a separate Q, for any thread
+// count. It lives in the workspace, block views included, so once its
+// scratch has grown a rotation allocates nothing.
+type rotation struct {
+	u, c    *dense.Matrix
+	scratch []float64
+	slot    int
+	// views holds two matrix headers per worker, the block of U and its
+	// product: taken by address from here, they do not escape per block.
+	views []dense.Matrix
+}
+
+// apply sets u to u·c on up to threads workers.
+func (r *rotation) apply(u, c *dense.Matrix, threads int) {
+	blocks := (u.Rows + rotateRows - 1) / rotateRows
+	if blocks == 0 {
+		return
 	}
-	if kept < k {
-		completeBasis(op, u, sigma, opts, ws)
+	threads = min(par.DefaultThreads(threads), blocks)
+	r.slot = rotateRows * u.Cols
+	if n := threads * r.slot; cap(r.scratch) < n {
+		r.scratch = make([]float64, n)
 	}
-	return &Result{U: u, Sigma: sigma, MatVecs: k, Passes: 2, Converged: true}, nil
+	if len(r.views) < 2*threads {
+		r.views = make([]dense.Matrix, 2*threads)
+	}
+	r.u, r.c = u, c
+	par.Static(blocks, threads, r)
+	r.u, r.c = nil, nil
+}
+
+// Run rotates row blocks [lo, hi) through worker w's slot.
+func (r *rotation) Run(w, lo, hi int) {
+	k := r.u.Cols
+	out := r.scratch[w*r.slot : (w+1)*r.slot]
+	rows, prod := &r.views[2*w], &r.views[2*w+1]
+	for blk := lo; blk < hi; blk++ {
+		r0, r1 := blk*rotateRows, min((blk+1)*rotateRows, r.u.Rows)
+		*rows = dense.Matrix{Rows: r1 - r0, Cols: k, Data: r.u.Data[r0*k : r1*k]}
+		*prod = dense.Matrix{Rows: r1 - r0, Cols: k, Data: out[:(r1-r0)*k]}
+		dense.MatMulInto(prod, rows, r.c, 1)
+		copy(rows.Data, prod.Data)
+	}
 }

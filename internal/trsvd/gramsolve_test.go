@@ -179,7 +179,7 @@ func TestGramBitwiseInvariantAcrossThreads(t *testing.T) {
 }
 
 // In steady state (warm workspace, one thread) only the returned
-// Result, U and Sigma allocate.
+// Result allocates: U and Sigma live in the workspace.
 func TestGramSteadyStateAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	a := dense.RandomNormal(300, 40, rng)

@@ -24,10 +24,12 @@ type Options struct {
 // Result holds the leading singular triplets computed by a solver.
 type Result struct {
 	// U has LocalRows rows and k columns: this rank's rows of the k
-	// leading left singular vectors. It is freshly allocated, never
-	// workspace-owned.
+	// leading left singular vectors. It is the workspace's (Options.Work,
+	// or a throwaway one when that is nil) and valid until the
+	// workspace's next solve.
 	U *dense.Matrix
-	// Sigma are the corresponding singular value estimates, descending.
+	// Sigma are the corresponding singular value estimates, descending;
+	// the workspace's, like U.
 	Sigma []float64
 	// MatVecs counts operator applications: one per MatVec or MatTVec,
 	// one per column of a block application. A Gram solve reports the k
@@ -232,13 +234,15 @@ func bidiagonalInto(ws *Workspace, alphas, betas []float64) *dense.Matrix {
 // ritzExtract forms the k leading left singular vector approximations
 // U_loc = [u_1 ... u_s] * P(:, :k) and completes the basis
 // deterministically if the numerical rank fell short of k. The returned
-// matrix always has exactly k columns and is freshly allocated.
+// matrix always has exactly k columns and is the workspace's U.
 func ritzExtract(op Operator, ub *dense.Matrix, s int, alphas, betas []float64, k int, opts Options, ws *Workspace) (*dense.Matrix, []float64) {
 	rows := op.LocalRows()
 	b := bidiagonalInto(ws, alphas, betas)
 	p, sig, _ := ws.svd.SVD(b)
-	u := dense.NewMatrix(rows, k)
-	sigma := make([]float64, k)
+	u := dense.ReuseMatrix(ws.u, rows, k)
+	ws.u = u
+	sigma := dense.ReuseVec(ws.sigma, k)
+	ws.sigma = sigma
 	col := dense.ReuseVec(ws.col, rows)
 	ws.col = col
 	for j := 0; j < k && j < s; j++ {

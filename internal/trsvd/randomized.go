@@ -80,9 +80,9 @@ func maxRelDiffK(a, b []float64, k int) float64 {
 // fixed-block reductions, and all small math (including the
 // iteration-count decisions) runs on replicated matrices — so results
 // are bitwise identical across thread counts, schedules, distributed
-// transports, and a resumed run. The workspace holds scratch only and
-// carries nothing from one solve to the next; in steady state only the
-// returned Result.U allocates.
+// transports, and a resumed run. The workspace carries nothing from one
+// solve to the next; it also holds the returned U and Sigma, so in
+// steady state a solve allocates only its Result.
 func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	cols := op.Cols()
 	if k <= 0 {
@@ -207,9 +207,11 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	for i := 0; i < b; i++ {
 		copy(puK.Row(i), pu.Row(i)[:k])
 	}
-	u := dense.NewMatrix(rows, k)
+	u := dense.ReuseMatrixUninit(ws.u, rows, k)
+	ws.u = u
 	dense.MatMulInto(u, y, puK, threads)
-	sigma := make([]float64, k)
+	sigma := dense.ReuseVec(ws.sigma, k)
+	ws.sigma = sigma
 	copy(sigma, sig[:k])
 	// Numerically null directions (a rank-deficient operator) come back
 	// with denormal singular values whose pu columns duplicate retained

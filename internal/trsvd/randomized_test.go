@@ -137,7 +137,7 @@ func TestRandomizedWorkspaceReuseBitwise(t *testing.T) {
 }
 
 // In steady state (warm workspace, one thread) only the returned
-// Result/U/Sigma allocate.
+// Result allocates: U and Sigma live in the workspace.
 func TestRandomizedSteadyStateAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	a := dense.RandomNormal(300, 40, rng)

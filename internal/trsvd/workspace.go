@@ -3,12 +3,14 @@ package trsvd
 import "hypertensor/internal/dense"
 
 // Workspace holds every buffer the solvers need: Krylov bases, block
-// panels, projected matrices, reduction scratch, and the small-SVD
-// workspace. HOOI calls a TRSVD solver once per mode per sweep on
-// matrices whose shapes repeat exactly, so a workspace threaded through
-// Options.Work makes the steady-state sweep allocate (almost) nothing —
-// only the returned Result.U is fresh. It is scratch only: no solver
-// reads what a previous call left in it.
+// panels, projected matrices, reduction scratch, the small-SVD
+// workspace, and the returned U itself. HOOI calls a TRSVD solver once
+// per mode per sweep on matrices whose shapes repeat exactly, so a
+// workspace threaded through Options.Work makes the steady-state sweep
+// allocate nothing but the Result struct. Result.U and Result.Sigma
+// live in the workspace and stay valid until the workspace's next
+// solve, which overwrites them; a caller that keeps them longer copies
+// them. No solver reads what a previous call left in it.
 //
 // The zero value is ready to use; buffers grow on demand and are kept
 // at high-water size. A workspace is not safe for concurrent use: give
@@ -46,9 +48,14 @@ type Workspace struct {
 	ritzPrev        []float64
 
 	// Gram: the block partials of the symmetric rank-k product (gram, vk,
-	// gram2, white and qpanel above hold its small matrices and the
-	// re-whitened panel).
+	// gram2 and white above hold its small matrices) and the in-place
+	// re-whitening of U.
 	syrk []float64
+	rot  rotation
+
+	// Every solver's Result.U and Result.Sigma.
+	u     *dense.Matrix
+	sigma []float64
 }
 
 // NewWorkspace returns an empty workspace ready for Options.Work.

@@ -67,7 +67,7 @@ func matEqualBits(a, b *dense.Matrix) bool {
 
 // With a warm workspace and one thread (parallel regions run inline),
 // a Lanczos solve performs only a handful of allocations: the returned
-// Result and U, and nothing per iteration.
+// Result (U and Sigma live in the workspace), and nothing per iteration.
 func TestLanczosSteadyStateAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	a := dense.RandomNormal(300, 40, rng)
@@ -81,8 +81,8 @@ func TestLanczosSteadyStateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Result + U + Sigma + small slack; the seed implementation sat in
-	// the hundreds per call.
+	// Result + small slack; the seed implementation sat in the hundreds
+	// per call.
 	if allocs > 24 {
 		t.Fatalf("warm Lanczos performs %v allocations per call; want near-zero", allocs)
 	}

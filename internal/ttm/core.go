@@ -14,6 +14,11 @@ import (
 //	G_(n) = Ũ^T · y, with Ũ the rows of u at the nonempty slices.
 //
 // The result is returned as a dense tensor with dims = ranks.
+//
+// The engine no longer calls Core or CoreMatricized: it forms G_(N)
+// from the solver's compact U into buffers of its own, with nothing to
+// gather. Both stay for the repository benchmark (benchmark/) and the
+// tests, which pass a full factor.
 func Core(y *dense.Matrix, sm *symbolic.Mode, u *dense.Matrix, ranks []int, threads int) *tensor.Dense {
 	return CoreFromMatricized(CoreMatricized(y, sm.Rows, u, threads), ranks, sm.N)
 }
@@ -22,7 +27,7 @@ func Core(y *dense.Matrix, sm *symbolic.Mode, u *dense.Matrix, ranks []int, thre
 // ranks) matrix without unfolding it into a dense tensor; row r of y
 // belongs to slice rows[r]. A distributed rank passes the rows it owns:
 // the result is its local contribution and the final G is an AllReduce
-// away.
+// away. It gathers Ũ into a new matrix; see Core for who calls it.
 func CoreMatricized(y *dense.Matrix, rows []int32, u *dense.Matrix, threads int) *dense.Matrix {
 	uc := dense.NewMatrix(len(rows), u.Cols)
 	for r, row := range rows {
