@@ -275,12 +275,18 @@ func BenchmarkKernelGemmNarrow(b *testing.B) {
 // per nonzero beside the runs per nonzero it found and the bytes per
 // nonzero of list-order index streams the mode holds (0 where the list is
 // the storage order and the streams alias the tensor) — the run and
-// stream effects without the benchmark driver:
+// stream effects without the benchmark driver. The presets at half scale
+// mostly fit in L2; nell3_tall is the benchmark workload of that name
+// (640000 x 301 x 127600, 400k nonzeros, seed 1), whose factor-row
+// gathers come from beyond it:
 // go test -run '^$' -bench TTMcFlat -cpu 1,2 .
 func BenchmarkTTMcFlat(b *testing.B) {
-	for _, preset := range []string{"netflix", "nell"} {
-		sorted, err := GeneratePreset(preset, 0.5)
-		if err != nil {
+	for _, preset := range []string{"netflix", "nell", "nell3_tall"} {
+		var sorted *SparseTensor
+		var err error
+		if preset == "nell3_tall" {
+			sorted = gen.Random(gen.Config{Dims: []int{640000, 301, 127600}, NNZ: 400_000, Skew: 0.3, Seed: 1})
+		} else if sorted, err = GeneratePreset(preset, 0.5); err != nil {
 			b.Fatal(err)
 		}
 		shuffled := tensor.NewCOO(sorted.Dims, sorted.NNZ())

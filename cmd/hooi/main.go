@@ -235,7 +235,12 @@ func main() {
 		// Per mode; ~1 means the file's order leaves the kernel nothing to factor out.
 		fmt.Printf(" runs=%.2f", dec.TTMcRuns)
 	}
-	fmt.Println()
+	// Per mode, per sweep: the gathers of a tall mode's factor rows show here.
+	nsPerNZ := make([]float64, len(dec.Timings.TTMcModes))
+	for n, d := range dec.Timings.TTMcModes {
+		nsPerNZ[n] = float64(d.Nanoseconds()) / float64(max(dec.Iters, 1)) / float64(max(x.NNZ(), 1))
+	}
+	fmt.Printf(" ns/nnz=%.1f\n", nsPerNZ)
 	// The solver each mode resolved to, how often it read Y_(n), and the
 	// Lanczos solves that stopped at the Krylov cap short of their
 	// tolerance (HOOI carries on with their approximate vectors).

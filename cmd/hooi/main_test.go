@@ -176,7 +176,7 @@ func TestReportLines(t *testing.T) {
 		`^Tucker core \[3 3 3\], fit 0\.\d{4} after 2 sweeps$`,
 		`^timings: read=` + dur + ` init=` + dur + ` symbolic=` + dur + ` ttmc=` + dur + ` trsvd=` + dur + ` core=` + dur + ` \(steady-state allocs/sweep \d+, \d+ B/sweep\)$`,
 		`^storage: index=\d+ B \(12\.00 B/nnz\) streams=[1-9]\d* B( VmHWM=[1-9]\d* kB)?$`,
-		`^ttmc: strategy=flat flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\) runs=\[0\.\d\d 0\.\d\d 0\.\d\d\]$`,
+		`^ttmc: strategy=flat flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\) runs=\[0\.\d\d 0\.\d\d 0\.\d\d\] ns/nnz=\[\d+\.\d \d+\.\d \d+\.\d\]$`,
 		`^trsvd: solver=\[gram gram gram\] solves=6 passes=12 \(2\.0/solve\) madds=\d+ unconverged=0$`,
 		`^kernels: (avx2|go)$`,
 		`^  sweep  2: fit 0\.\d{8}$`,
@@ -194,7 +194,7 @@ func TestReportLines(t *testing.T) {
 	if exit != 0 {
 		t.Fatalf("exit %d: %s", exit, stderr)
 	}
-	if !regexp.MustCompile(`(?m)^ttmc: strategy=dtree flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\) \(node recompute time ` + dur + `\)$`).MatchString(stdout) {
+	if !regexp.MustCompile(`(?m)^ttmc: strategy=dtree flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\) \(node recompute time ` + dur + `\) ns/nnz=\[\d+\.\d \d+\.\d \d+\.\d \d+\.\d\]$`).MatchString(stdout) {
 		t.Errorf("no dtree ttmc line in:\n%s", stdout)
 	}
 	// The trsvd line names the solver each mode resolved to and what it

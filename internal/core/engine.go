@@ -335,6 +335,7 @@ func (e *Engine) formCore(y, uc *dense.Matrix, threads int) *tensor.Dense {
 func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	opts := e.opts
 	res := &Result{TTMc: opts.TTMc, SVD: make([]SVDMethod, e.order), IndexBytes: e.x.IndexBytes()}
+	res.Timings.TTMcModes = make([]time.Duration, e.order)
 	for n := range res.SVD {
 		res.SVD[n] = SVDRandomized
 		if opts.Eps <= 0 {
@@ -409,7 +410,9 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			yn := e.shapeY(n)
 			e.kern.TTMc(yn, n, e.state.Factors, opts.Threads)
 			y, rows = e.ex.Fold(n, yn, e.kern.Rows(n))
-			res.Timings.TTMc += time.Since(t0)
+			d := time.Since(t0)
+			res.Timings.TTMc += d
+			res.Timings.TTMcModes[n] += d
 
 			t0 = time.Now()
 			if opts.Eps > 0 {

@@ -23,6 +23,10 @@ type Timings struct {
 	// dimension-tree nodes (zero for the flat strategy); the remainder
 	// of TTMc is leaf emission.
 	TTMcNodes time.Duration
+	// TTMcModes is TTMc split by mode: entry n is the time of mode n's
+	// TTMc, summed over the run's sweeps (under the tree, with the node
+	// recomputations that mode triggered). The entries sum to TTMc.
+	TTMcModes []time.Duration
 	TRSVD     time.Duration
 	Core      time.Duration
 }

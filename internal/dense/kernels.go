@@ -33,6 +33,9 @@ package dense
 // dimension tree's root child in one call: the whole lead x trail block
 // stays in registers across the entry's nonzeros, each adding its scaled
 // lead row's Ger in order, with Ger's zero skip (TestGatherOuterBitwise).
+// Where the factors leave L2 both gathers wait on their rows, not on
+// arithmetic, so both prefetch what the position GATHER_AHEAD ahead will
+// read (kernels_amd64.s): that changes when a row arrives, never a value.
 //
 // The dot family (Dot, dot2, gemvRows) stays in Go: a single-chain sum
 // cannot be vectorised along a row without re-associating it, which moves
@@ -157,6 +160,15 @@ const gatherMaxCols = 16
 // element still sees the loops' multiplies and adds in their order, so
 // both paths give the same bits. A key, id or col out of range panics on
 // either path, possibly after earlier runs were added to y.
+//
+// The assembly prefetches the value and both factor rows of the list
+// position a fixed distance ahead of the one it computes, and that
+// look-ahead runs on past len(keys) up to the capacity the three index
+// slices share: given sub-slices of a mode's list-order streams, a short
+// row prefetches the head of the next. An index past len(keys) only
+// ever forms a prefetch address, which is neither checked nor loaded
+// through, so what it holds can change neither the result nor whether
+// the call panics (TestGatherLookAhead).
 func GatherGer(keys []int32, l *Matrix, vals []float64, ids, cols []int32, x *Matrix, acc, y []float64) int {
 	r, m := x.Cols, l.Cols
 	if len(ids) != len(keys) || len(cols) != len(keys) || len(acc) != r || len(y) != m*r {
@@ -164,7 +176,8 @@ func GatherGer(keys []int32, l *Matrix, vals []float64, ids, cols []int32, x *Ma
 	}
 	if useAVX2 && r >= 1 && r <= gatherMaxCols && m >= 1 && len(keys) > 0 &&
 		len(x.Data) >= x.Rows*r && len(l.Data) >= l.Rows*m {
-		runs := gatherGerAVX2(&keys[0], &ids[0], &cols[0], len(keys), &vals[0], len(vals),
+		lim := min(cap(keys), cap(ids), cap(cols))
+		runs := gatherGerAVX2(&keys[0], &ids[0], &cols[0], len(keys), lim, &vals[0], len(vals),
 			&x.Data[0], x.Rows, r, &l.Data[0], l.Rows, m, &y[0], &laneMask[3-(r-1)%4])
 		if runs < 0 {
 			panic("dense: GatherGer index out of range")
@@ -217,7 +230,9 @@ var (
 // where the loops make a Ger call per position and store and reload the
 // block between them; each element still sees the loops' multiplies and
 // adds in their order, so both paths give the same bits. A lead, id or
-// trail index out of range panics on either path.
+// trail index out of range panics on either path. The assembly looks
+// ahead as GatherGer's does, up to the capacity that ids, trail and a
+// non-nil lead share.
 func GatherOuter(lead []int32, l *Matrix, vals []float64, ids, trail []int32, x *Matrix, c, y []float64) {
 	r, m := x.Cols, 1
 	if lead != nil {
@@ -229,10 +244,12 @@ func GatherOuter(lead []int32, l *Matrix, vals []float64, ids, trail []int32, x 
 	if useAVX2 && r >= 1 && r <= gatherMaxCols && m >= 1 && m*((r+3)/4) <= outerMaxVecs && len(ids) > 0 &&
 		len(x.Data) >= x.Rows*r && (lead == nil || len(l.Data) >= l.Rows*m) {
 		lp, step, ld, lrows := &unitLead[0], 0, &unitOne[0], 1
+		lim := min(cap(ids), cap(trail))
 		if lead != nil {
 			lp, step, ld, lrows = &lead[0], 4, &l.Data[0], l.Rows
+			lim = min(lim, cap(lead))
 		}
-		if gatherOuterAVX2(lp, step, &ids[0], &trail[0], len(ids), &vals[0], len(vals),
+		if gatherOuterAVX2(lp, step, &ids[0], &trail[0], len(ids), lim, &vals[0], len(vals),
 			&x.Data[0], x.Rows, r, ld, lrows, m, &y[0], &laneMask[3-(r-1)%4]) < 0 {
 			panic("dense: GatherOuter index out of range")
 		}

@@ -411,7 +411,31 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gatherGerAVX2(keys, ids, cols *int32, n int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int)
+// GATHER_AHEAD is how many list positions ahead of the one they compute
+// the two gather kernels prefetch (PREFETCHT0) the factor rows and the
+// value that position will read, so that the gathers from beyond L2 are in
+// flight while the positions before it compute. A constant of the code
+// (8, 12, 16 and 24 measured alike, within the noise of a 2-vCPU box, on
+// BenchmarkTTMcFlat's nell3_tall case, BenchmarkDTreeTTMc and the
+// nell3_tall and netflix3 sweeps; 8 lost a little on the TTMc); no
+// result depends on it.
+#define GATHER_AHEAD 12
+
+// AHEADTRAIL prefetches, for list position R10, the value vals[ids[R10]]
+// and the first and last element of the factor row x[trail[R10]], with
+// the registers both gather kernels keep them in: ids in R8, the trail
+// (col) indices in R9, vals in SI, x in DI and its row stride in bytes in
+// R13. Clobbers R11.
+#define AHEADTRAIL \
+	MOVL       (R8)(R10*4), R11; \
+	PREFETCHT0 (SI)(R11*8); \
+	MOVL       (R9)(R10*4), R11; \
+	IMULQ      R13, R11; \
+	ADDQ       DI, R11; \
+	PREFETCHT0 (R11); \
+	PREFETCHT0 -8(R11)(R13*1)
+
+// func gatherGerAVX2(keys, ids, cols *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int)
 // One row of the flat TTMc: for each maximal run of list positions with
 // one key k = keys[p], acc = +0, then acc += vals[ids[p]] * x[cols[p]]
 // over the run in order (rows of r elements; a zero value skipped), then
@@ -425,11 +449,33 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // one-element stores, never masked ones: the next run reloads the same
 // block, and a masked store is not forwarded to a later load. Returns the
 // number of runs, or -1 as soon as a key, id or col is at or past its
-// bound. 1 <= r <= 16, n >= 1, m >= 1.
-TEXT ·gatherGerAVX2(SB), NOSPLIT, $0-120
+// bound. Before it reads position p, it prefetches what position
+// p+GATHER_AHEAD will read: vals[ids[p+D]], the first and last element
+// of x[cols[p+D]] and of l[keys[p+D]]. The look-ahead runs past n up to
+// lim, the length all three index arrays can be read to, so a short row
+// prefetches the next row's positions of the same streams. The indices of
+// a position at or past n only ever form prefetch addresses, which are
+// checked against no bound (a prefetch cannot fault) and never loaded
+// through or stored to.
+// 1 <= r <= 16, 1 <= n <= lim, m >= 1.
+TEXT ·gatherGerAVX2(SB), NOSPLIT, $0-128
 
 // The macros are defined inside the TEXT block because they name its
 // arguments, which go vet resolves against the enclosing function.
+
+// RUNAHEAD prefetches what list position AX+GATHER_AHEAD reads, or
+// jumps to done when that position is at or past lim.
+#define RUNAHEAD(done) \
+	LEAQ       GATHER_AHEAD(AX), R10; \
+	CMPQ       R10, lim+32(FP); \
+	JAE        done; \
+	AHEADTRAIL; \
+	MOVL       (BX)(R10*4), R11; \
+	IMULQ      m+96(FP), R11; \
+	MOVQ       l+80(FP), R12; \
+	PREFETCHT0 (R12)(R11*8); \
+	ADDQ       m+96(FP), R11; \
+	PREFETCHT0 -8(R12)(R11*8)
 
 // RUNENTRY reads list position AX: the value vals[ids[AX]] into Y14 and
 // the address of factor row cols[AX] into R12. An index at or past its
@@ -437,10 +483,10 @@ TEXT ·gatherGerAVX2(SB), NOSPLIT, $0-120
 // jumps to skip, after both indices are checked.
 #define RUNENTRY(skip) \
 	MOVL         (R8)(AX*4), R10; \
-	CMPQ         R10, nvals+40(FP); \
+	CMPQ         R10, nvals+48(FP); \
 	JAE          runbad; \
 	MOVL         (R9)(AX*4), R12; \
-	CMPQ         R12, xrows+56(FP); \
+	CMPQ         R12, xrows+64(FP); \
 	JAE          runbad; \
 	MOVQ         (SI)(R10*8), R11; \
 	SHLQ         $1, R11; \
@@ -485,20 +531,20 @@ TEXT ·gatherGerAVX2(SB), NOSPLIT, $0-120
 	MOVQ    ids+8(FP), R8
 	MOVQ    cols+16(FP), R9
 	MOVQ    n+24(FP), CX
-	MOVQ    vals+32(FP), SI
-	MOVQ    x+48(FP), DI
-	MOVQ    r+64(FP), R13
+	MOVQ    vals+40(FP), SI
+	MOVQ    x+56(FP), DI
+	MOVQ    r+72(FP), R13
 	SHLQ    $3, R13         // row stride of x in bytes
-	MOVQ    mask+104(FP), R10
+	MOVQ    mask+112(FP), R10
 	VMOVDQU (R10), Y15
-	MOVQ    $0, runs+112(FP)
+	MOVQ    $0, runs+120(FP)
 	XORQ    AX, AX
 
 runstart:
 	MOVL   (BX)(AX*4), DX
-	CMPQ   DX, lrows+80(FP)
+	CMPQ   DX, lrows+88(FP)
 	JAE    runbad
-	INCQ   runs+112(FP)
+	INCQ   runs+120(FP)
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -509,6 +555,9 @@ runstart:
 	JGT    run2
 
 run1:
+	RUNAHEAD(run1entry)
+
+run1entry:
 	RUNENTRY(run1skip)
 	RUNACCTAIL(0)
 
@@ -516,6 +565,9 @@ run1skip:
 	RUNNEXT(run1)
 
 run2:
+	RUNAHEAD(run2entry)
+
+run2entry:
 	RUNENTRY(run2skip)
 	RUNACC(0, Y0)
 	RUNACCTAIL(32)
@@ -528,6 +580,9 @@ runwide:
 	JGT  run4
 
 run3:
+	RUNAHEAD(run3entry)
+
+run3entry:
 	RUNENTRY(run3skip)
 	RUNACC(0, Y0)
 	RUNACC(32, Y1)
@@ -537,6 +592,9 @@ run3skip:
 	RUNNEXT(run3)
 
 run4:
+	RUNAHEAD(run4entry)
+
+run4entry:
 	RUNENTRY(run4skip)
 	RUNACC(0, Y0)
 	RUNACC(32, Y1)
@@ -547,12 +605,12 @@ run4skip:
 	RUNNEXT(run4)
 
 runger:
-	MOVQ  m+88(FP), R11
+	MOVQ  m+96(FP), R11
 	MOVQ  R11, R10
 	IMULQ DX, R10
 	SHLQ  $3, R10
-	ADDQ  l+72(FP), R10     // the lead row l[k]
-	MOVQ  y+96(FP), R12
+	ADDQ  l+80(FP), R10     // the lead row l[k]
+	MOVQ  y+104(FP), R12
 
 	PCALIGN $32
 
@@ -607,11 +665,11 @@ rungernext:
 	RET
 
 runbad:
-	MOVQ $-1, runs+112(FP)
+	MOVQ $-1, runs+120(FP)
 	VZEROUPPER
 	RET
 
-// func gatherOuterAVX2(lead *int32, lstep int, ids, trail *int32, n int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (bad int)
+// func gatherOuterAVX2(lead *int32, lstep int, ids, trail *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (bad int)
 // One entry of a dimension tree's root child: y = +0, then for each list
 // position p in order, with v = vals[ids[p]], the lead row l[lead[p]] (m
 // elements) and the trail row x[trail[p]] (r elements),
@@ -626,8 +684,28 @@ runbad:
 // steps lstep bytes a position (0 reads lead[0] throughout, the unit row).
 // The block is written once, at the end, under the same mask. Returns 0,
 // or -1 as soon as a lead, id or trail index is at or past its bound, y
-// then unwritten. 1 <= r <= 16, 1 <= m, m*⌈r/4⌉ <= 12, n >= 1.
-TEXT ·gatherOuterAVX2(SB), NOSPLIT, $0-128
+// then unwritten. Before it reads position p, it prefetches what position
+// p+GATHER_AHEAD will read, as gatherGerAVX2 does and up to the same kind
+// of bound lim: vals[ids[p+D]], the first and last element of
+// x[trail[p+D]] and of the lead row l[lead[p+D]].
+// 1 <= r <= 16, 1 <= m, m*⌈r/4⌉ <= 12, 1 <= n <= lim.
+TEXT ·gatherOuterAVX2(SB), NOSPLIT, $0-136
+
+// OUTAHEAD prefetches what list position AX+GATHER_AHEAD reads, or
+// jumps to done when that position is at or past lim. Its lead index sits
+// GATHER_AHEAD steps of lstep bytes past the lead cursor.
+#define OUTAHEAD(done) \
+	LEAQ       GATHER_AHEAD(AX), R10; \
+	CMPQ       R10, lim+40(FP); \
+	JAE        done; \
+	AHEADTRAIL; \
+	MOVQ       lstep+8(FP), R11; \
+	IMUL3Q     $GATHER_AHEAD, R11, R11; \
+	MOVL       (BX)(R11*1), R11; \
+	IMULQ      m+104(FP), R11; \
+	PREFETCHT0 (DX)(R11*8); \
+	ADDQ       m+104(FP), R11; \
+	PREFETCHT0 -8(DX)(R11*8)
 
 // OUTENTRY reads list position AX: the value into X14, the address of
 // lead row lead[p] into R10 and of trail row trail[p] into R12, and that
@@ -635,20 +713,20 @@ TEXT ·gatherOuterAVX2(SB), NOSPLIT, $0-128
 // An index at or past its bound jumps to outbad before any is used.
 #define OUTENTRY(tail) \
 	MOVL       (BX), R10; \
-	CMPQ       R10, lrows+88(FP); \
+	CMPQ       R10, lrows+96(FP); \
 	JAE        outbad; \
 	MOVL       (R8)(AX*4), R11; \
-	CMPQ       R11, nvals+48(FP); \
+	CMPQ       R11, nvals+56(FP); \
 	JAE        outbad; \
 	MOVL       (R9)(AX*4), R12; \
-	CMPQ       R12, xrows+64(FP); \
+	CMPQ       R12, xrows+72(FP); \
 	JAE        outbad; \
 	VMOVSD     (SI)(R11*8), X14; \
 	IMULQ      R13, R12; \
 	ADDQ       DI, R12; \
-	IMULQ      m+96(FP), R10; \
+	IMULQ      m+104(FP), R10; \
 	LEAQ       (DX)(R10*8), R10; \
-	MOVQ       mask+112(FP), R11; \
+	MOVQ       mask+120(FP), R11; \
 	VMOVDQU    (R11), Y13; \
 	VMASKMOVPD tail(R12), Y13, Y12
 
@@ -674,7 +752,7 @@ TEXT ·gatherOuterAVX2(SB), NOSPLIT, $0-128
 
 // OUTMORE jumps to done when the block has no row past the first rows.
 #define OUTMORE(rows, done) \
-	CMPQ m+96(FP), $rows; \
+	CMPQ m+104(FP), $rows; \
 	JEQ  done
 
 // OUTNEXT steps to the next list position and back to loop while there
@@ -689,8 +767,8 @@ TEXT ·gatherOuterAVX2(SB), NOSPLIT, $0-128
 // OUTSTART points R12 at y and loads the lane mask into Y13 for the
 // stores; OUTROW steps R12 to the block's next row.
 #define OUTSTART \
-	MOVQ    y+104(FP), R12; \
-	MOVQ    mask+112(FP), R11; \
+	MOVQ    y+112(FP), R12; \
+	MOVQ    mask+120(FP), R11; \
 	VMOVDQU (R11), Y13
 
 #define OUTROW ADDQ R13, R12
@@ -699,11 +777,11 @@ TEXT ·gatherOuterAVX2(SB), NOSPLIT, $0-128
 	MOVQ   ids+16(FP), R8
 	MOVQ   trail+24(FP), R9
 	MOVQ   n+32(FP), CX
-	MOVQ   vals+40(FP), SI
-	MOVQ   x+56(FP), DI
-	MOVQ   r+72(FP), R13
-	MOVQ   l+80(FP), DX
-	MOVQ   $0, bad+120(FP)
+	MOVQ   vals+48(FP), SI
+	MOVQ   x+64(FP), DI
+	MOVQ   r+80(FP), R13
+	MOVQ   l+88(FP), DX
+	MOVQ   $0, bad+128(FP)
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -730,6 +808,9 @@ outv1:
 	SHLQ $3, R13 // row stride of x and of y in bytes
 
 outv1pos:
+	OUTAHEAD(outv1entry)
+
+outv1entry:
 	OUTENTRY(0)
 	OUTLEAD(0, outv1r1)
 	OUTTAIL(Y0)
@@ -835,6 +916,9 @@ outv2:
 	SHLQ $3, R13
 
 outv2pos:
+	OUTAHEAD(outv2entry)
+
+outv2entry:
 	OUTENTRY(32)
 	OUTLEAD(0, outv2r1)
 	OUTACC(0, Y0)
@@ -904,6 +988,9 @@ outv3:
 	SHLQ $3, R13
 
 outv3pos:
+	OUTAHEAD(outv3entry)
+
+outv3entry:
 	OUTENTRY(64)
 	OUTLEAD(0, outv3r1)
 	OUTACC(0, Y0)
@@ -961,6 +1048,9 @@ outv4:
 	SHLQ $3, R13
 
 outv4pos:
+	OUTAHEAD(outv4entry)
+
+outv4entry:
 	OUTENTRY(96)
 	OUTLEAD(0, outv4r1)
 	OUTACC(0, Y0)
@@ -1011,6 +1101,6 @@ outdone:
 	RET
 
 outbad:
-	MOVQ $-1, bad+120(FP)
+	MOVQ $-1, bad+128(FP)
 	VZEROUPPER
 	RET

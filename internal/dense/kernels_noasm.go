@@ -31,10 +31,10 @@ func gemm4x12AVX2(a *float64, lda int, b *float64, k int, c *float64) {
 	panic("dense: no assembly kernels in this build")
 }
 
-func gatherGerAVX2(keys, ids, cols *int32, n int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int) {
+func gatherGerAVX2(keys, ids, cols *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int) {
 	panic("dense: no assembly kernels in this build")
 }
 
-func gatherOuterAVX2(lead *int32, lstep int, ids, trail *int32, n int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (bad int) {
+func gatherOuterAVX2(lead *int32, lstep int, ids, trail *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (bad int) {
 	panic("dense: no assembly kernels in this build")
 }

@@ -236,8 +236,10 @@ func gatherGerGo(keys []int32, l *Matrix, vals []float64, ids, cols []int32, x *
 // (its last row always among them, where a tail load would run off the
 // data) and of an m-column lead factor, into a guarded block, every value
 // from next. A key may come back after another run. Where the shape
-// allows, one entry's value is a zero and two lead elements are ±0.
-func gatherCase(t *testing.T, r, m, n int, next func() float64) {
+// allows, one entry's value is a zero and two lead elements are ±0. A
+// non-nil frame places each index array the way the caller's streams hold
+// it (streamIn).
+func gatherCase(t *testing.T, r, m, n int, next func() float64, frame func([]int32) []int32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(1000*r + 100*m + n)))
 	_, x := guardedMatrix(5, r, next)
@@ -261,6 +263,9 @@ func gatherCase(t *testing.T, r, m, n int, next func() float64) {
 	if n > 1 {
 		vals[ids[n/2]] = math.Copysign(0, float64(n&1)-0.5)
 	}
+	if frame != nil {
+		keys, ids, cols = frame(keys), frame(ids), frame(cols)
+	}
 	yb, y := guarded(m*r, 1, next)
 	yb2, y2 := twin(yb, m*r, 1)
 	label := fmt.Sprintf("GatherGer r=%d m=%d n=%d", r, m, n)
@@ -282,8 +287,8 @@ func TestGatherGerBitwise(t *testing.T) {
 	for r := 1; r <= 20; r++ {
 		for _, m := range []int{1, 2, 5, 10} {
 			for _, n := range []int{1, 2, 3, 7, 40} {
-				gatherCase(t, r, m, n, finite)
-				gatherCase(t, r, m, n, salted)
+				gatherCase(t, r, m, n, finite, nil)
+				gatherCase(t, r, m, n, salted, nil)
 			}
 		}
 	}
@@ -351,8 +356,9 @@ func gatherOuterGo(lead []int32, l *Matrix, vals []float64, ids, trail []int32, 
 // lead factor — the unit row when unit — into a guarded block that starts
 // out holding values the kernel must overwrite, every value from next.
 // Where the shape allows, one position's value is a zero and two lead and
-// two trail elements are ±0.
-func outerCase(t *testing.T, r, m, n int, unit bool, next func() float64) {
+// two trail elements are ±0. A non-nil frame places each index array as
+// gatherCase's does.
+func outerCase(t *testing.T, r, m, n int, unit bool, next func() float64, frame func([]int32) []int32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(1000*r + 100*m + n)))
 	_, x := guardedMatrix(5, r, next)
@@ -374,6 +380,9 @@ func outerCase(t *testing.T, r, m, n int, unit bool, next func() float64) {
 	}
 	if n > 1 {
 		vals[ids[n/2]] = math.Copysign(0, float64(n&1)-0.5)
+	}
+	if frame != nil {
+		lead, ids, trail = frame(lead), frame(ids), frame(trail)
 	}
 	label := fmt.Sprintf("GatherOuter r=%d m=%d n=%d", r, m, n)
 	if unit {
@@ -413,8 +422,8 @@ func TestGatherOuterBitwise(t *testing.T) {
 	}
 	for _, s := range shapes {
 		for _, n := range []int{0, 1, 2, 3, 7, 40} {
-			outerCase(t, s.r, s.m, n, s.unit, finite)
-			outerCase(t, s.r, s.m, n, s.unit, salted)
+			outerCase(t, s.r, s.m, n, s.unit, finite, nil)
+			outerCase(t, s.r, s.m, n, s.unit, salted, nil)
 		}
 	}
 }
@@ -463,6 +472,48 @@ func TestGatherOuterPanicsOnBadIndices(t *testing.T) {
 				GatherOuter(c.lead, lm, v, c.ids, c.trail, x, make([]float64, c.scratchLen), make([]float64, c.blockLen))
 			}()
 		}
+	}
+}
+
+// streamIn returns s inside a longer stream array, as a row's positions
+// sit inside a mode's list: after a few positions and, when junk, before
+// 64 more whose indices are out of every range (negative, the int32
+// extremes, huge), or with its capacity ending at its last position. The
+// gather kernels' look-ahead reads the index arrays up to their capacity
+// and only ever prefetches through what it reads there.
+func streamIn(s []int32, junk bool) []int32 {
+	const before, after = 3, 64
+	bad := [...]int32{-1, math.MaxInt32, math.MinInt32, 1 << 24, 1<<31 - 64}
+	buf := make([]int32, before+len(s)+after)
+	for i := range buf {
+		buf[i] = bad[i%len(bad)]
+	}
+	copy(buf[before:], s)
+	end := before + len(s)
+	if junk {
+		return buf[before:end]
+	}
+	return buf[before:end:end]
+}
+
+// TestGatherLookAhead: GatherGer and GatherOuter give their Go loops' bits
+// and do not panic whether the stream arrays end at the row's last
+// position or run on into positions whose indices are out of range — the
+// look-ahead only prefetches through them. Every register width, rows
+// shorter and longer than the look-ahead, real and unit lead rows.
+func TestGatherLookAhead(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, junk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("junk=%v", junk), func(t *testing.T) {
+			frame := func(s []int32) []int32 { return streamIn(s, junk) }
+			for r := 1; r <= 16; r++ {
+				for _, n := range []int{1, 5, 40} {
+					gatherCase(t, r, 3, n, rng.NormFloat64, frame)
+					outerCase(t, r, 3, n, false, rng.NormFloat64, frame)
+					outerCase(t, r, 1, n, true, rng.NormFloat64, frame)
+				}
+			}
+		})
 	}
 }
 
@@ -738,9 +789,9 @@ func FuzzKernelsBitwise(f *testing.F) {
 		gemmCase(t, rows, ac, bc, next)
 		// And a TTMc row: factor rows through 20 wide, lead rows through
 		// 11, up to 9 list positions.
-		gatherCase(t, 1+int(n%20), 1+int(m%11), 1+int(n/20)%9, next)
+		gatherCase(t, 1+int(n%20), 1+int(m%11), 1+int(n/20)%9, next, nil)
 		// And a tree entry: trail rows through 20 wide, lead rows through
 		// 13 (the unit row at 0), up to 9 list positions.
-		outerCase(t, 1+int(n%20), max(1, int(m%14)), int(n/20)%10, m%14 == 0, next)
+		outerCase(t, 1+int(n%20), max(1, int(m%14)), int(n/20)%10, m%14 == 0, next, nil)
 	})
 }
