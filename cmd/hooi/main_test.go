@@ -198,19 +198,22 @@ func TestReportLines(t *testing.T) {
 		t.Errorf("no dtree ttmc line in:\n%s", stdout)
 	}
 	// The trsvd line names the solver each mode resolved to and what it
-	// cost: -svd auto (the default) is Gram at 9 columns for 3 vectors,
-	// and an explicit solver is reported as given.
-	for svd, line := range map[string]string{
-		"auto":    `^trsvd: solver=\[gram gram gram\] solves=6 passes=12 \(2\.0/solve\) madds=\d+ unconverged=0$`,
-		"lanczos": `^trsvd: solver=\[lanczos lanczos lanczos\] solves=6 passes=\d{2,} \(\d+\.\d/solve\) madds=\d+ unconverged=\d$`,
-		"rand":    `^trsvd: solver=\[rand rand rand\] solves=6 passes=\d{2,} `,
+	// cost: Gram at 9 columns for 3 vectors (above), Lanczos at 289
+	// columns for 17, past the Gram side's cap, and the randomized solver
+	// wherever -eps picks the ranks.
+	for _, tc := range []struct {
+		args []string
+		line string
+	}{
+		{[]string{"-ranks", "17,17,17"}, `^trsvd: solver=\[lanczos lanczos lanczos\] solves=6 passes=\d{2,} \(\d+\.\d/solve\) madds=\d+ unconverged=\d$`},
+		{[]string{"-eps", "0.5"}, `^trsvd: solver=\[rand rand rand\] solves=\d+ passes=\d{2,} `},
 	} {
-		stdout, stderr, exit = hooi(t, "-svd", svd)
+		stdout, stderr, exit = hooi(t, tc.args...)
 		if exit != 0 {
-			t.Fatalf("-svd %s: exit %d: %s", svd, exit, stderr)
+			t.Fatalf("%v: exit %d: %s", tc.args, exit, stderr)
 		}
-		if !regexp.MustCompile(`(?m)` + line).MatchString(stdout) {
-			t.Errorf("-svd %s: no line matches %s in:\n%s", svd, line, stdout)
+		if !regexp.MustCompile(`(?m)` + tc.line).MatchString(stdout) {
+			t.Errorf("%v: no line matches %s in:\n%s", tc.args, tc.line, stdout)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hypertensor/internal/checkpoint"
-	"hypertensor/internal/core"
 	"hypertensor/internal/mpi"
 )
 
@@ -45,26 +44,26 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 // at a sweep boundary, restart the whole world from the last
 // coordinated checkpoint, and the completed run is bitwise identical to
 // one that never faulted — through two successive crashes, under either
-// solver the default resolves to (Gram at these ranks).
+// solver the default resolves to: Gram at ranks 3 (9 columns), Lanczos
+// at ranks 17 (289 columns, past the Gram side's cap).
 func TestDistKillAndRecoverBitwise(t *testing.T) {
 	x := testTensor3(t)
-	ranks := []int{3, 3, 3}
 	for _, pc := range []struct {
-		p   int
-		g   Grain
-		m   Method
-		svd core.SVDMethod
+		p     int
+		g     Grain
+		m     Method
+		ranks []int
 	}{
-		{2, Fine, MethodHypergraph, core.SVDAuto},
-		{4, Fine, MethodHypergraph, core.SVDAuto},
-		{4, Coarse, MethodBlock, core.SVDAuto},
-		{3, Fine, MethodHypergraph, core.SVDLanczos},
+		{2, Fine, MethodHypergraph, []int{3, 3, 3}},
+		{4, Fine, MethodHypergraph, []int{3, 3, 3}},
+		{4, Coarse, MethodBlock, []int{3, 3, 3}},
+		{3, Fine, MethodHypergraph, []int{17, 17, 17}},
 	} {
 		part, err := MakePartition(x, pc.p, pc.g, pc.m, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := Config{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3, SVD: pc.svd}
+		base := Config{Ranks: pc.ranks, MaxIters: 6, Tol: -1, Seed: 3}
 		control, err := Decompose(x, part, base)
 		if err != nil {
 			t.Fatalf("%s control: %v", part.Name(), err)

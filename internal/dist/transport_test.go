@@ -55,8 +55,7 @@ func tcpWorlds(t *testing.T, p int) []*mpi.TCPWorld {
 // trajectories, factors, and payload-byte accounting.
 func TestTransportEquivalence(t *testing.T) {
 	x := testTensor3(t)
-	ranks := []int{3, 3, 3}
-	cfg := Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 17}
+	cfg := Config{MaxIters: 3, Tol: -1, Seed: 17}
 
 	var parts []*Partition
 	for _, pc := range []struct {
@@ -83,10 +82,11 @@ func TestTransportEquivalence(t *testing.T) {
 	idle := idleRankPartition(x, 3)
 	parts = append(parts, idle)
 
-	// The default resolves to Gram at these ranks (9 columns for 3
-	// vectors); Lanczos is the other solver it can resolve to.
-	for _, svd := range []core.SVDMethod{core.SVDAuto, core.SVDLanczos} {
-		cfg.SVD = svd
+	// The default resolves to Gram at ranks 3 (9 columns for 3 vectors)
+	// and to Lanczos, the other solver it can resolve to, at ranks 17
+	// (289 columns, past the Gram side's cap).
+	for _, ranks := range [][]int{{3, 3, 3}, {17, 17, 17}} {
+		cfg.Ranks = ranks
 		for _, part := range parts {
 			sim := worldMatchesTCP(t, x, part, cfg)
 			for n := range sim.Stats.Mode {
@@ -96,8 +96,8 @@ func TestTransportEquivalence(t *testing.T) {
 					}
 					// Two collectives per Gram solve, on every rank, the
 					// idle one included; a Lanczos solve enters dozens.
-					if gram := svd == core.SVDAuto; gram != (ms.TRSVDMsgs == 2) {
-						t.Fatalf("%s svd=%v mode %d rank %d: %d TRSVD collectives per sweep", part.Name(), svd, n, r, ms.TRSVDMsgs)
+					if gram := ranks[n] == 3; gram != (ms.TRSVDMsgs == 2) {
+						t.Fatalf("%s ranks %v mode %d rank %d: %d TRSVD collectives per sweep", part.Name(), ranks, n, r, ms.TRSVDMsgs)
 					}
 				}
 			}
@@ -306,90 +306,78 @@ func TestDecomposeWorldSizeMismatch(t *testing.T) {
 // What one sweep of the four presets at scale 0.2 puts on the wire under
 // the fine-grain hypergraph partition (3 sweeps, no tolerance stop), on
 // both transports: the whole run's payload per sweep, its expand, fold
-// and TRSVD parts, and the number of TRSVD collectives. The bytes are
-// functions of the partition and the solver alone, so they are held with
-// ==; a change that legitimately moves one edits the literal. The
-// Lanczos byte columns were recorded at commit c9e0e6f, when Lanczos was
-// the default, and are now taken with SVD pinned to it: that they still
-// hold says the Lanczos path is what it was (netflix's Lanczos row was
-// taken again when the flat TTMc began factoring runs: on the
-// re-associated Y its solves enter 8 fewer collectives per sweep at
-// np=2 and 28 more at np=4). The default's rows were
-// recorded when SVDAuto arrived (order 3) and when it took order 4 at
-// ranks 5 from Lanczos. It resolves every preset to Gram, whose one
-// packed triangle of C(C+1)/2 doubles per solve is more payload than the
-// few dozen C-vectors a Lanczos solve that converges early reduces at
-// this scale (on order 4, 7875 doubles a solve: about 4x Lanczos's TRSVD
-// bytes) — and two collectives per solve where Lanczos enters several
-// hundred. Summed over the presets, the np=4
-// hypergraph placements must also send less expand+fold than block
-// placements would (one preset alone may not: netflix's sorted nonzero
-// order hands the block placement a smaller cut than the multilevel
-// partitioner finds).
+// and TRSVD parts, the number of TRSVD collectives, and the fit the run
+// ends at. The bytes are functions of the partition and the solver alone,
+// so they are held with ==, and so is the fit; a change that
+// legitimately moves one edits the literal. The solver is the one the
+// shape selects. At the paper's ranks the default resolves every preset
+// to Gram (recorded when SVDAuto arrived for order 3 and when it took
+// order 4 at ranks 5 from Lanczos), whose one packed triangle of
+// C(C+1)/2 doubles per solve is more payload than the few dozen C-vectors
+// a Lanczos solve that converges early reduces at this scale (on order 4,
+// 7875 doubles a solve: about 4x Lanczos's TRSVD bytes) — and two
+// collectives per solve where Lanczos enters several hundred. nell at
+// ranks 17 has C = 289 columns in every mode, past the Gram side's cap,
+// and is the Lanczos row. Summed over the rows, the np=4 hypergraph
+// placements must also send less expand+fold than block placements would
+// (one preset alone may not: netflix's sorted nonzero order hands the
+// block placement a smaller cut than the multilevel partitioner finds).
 func TestRecordedWireBytes(t *testing.T) {
 	type cell struct {
 		np                       int
-		net, expand, fold, trsvd int64 // per sweep, all ranks
-		trsvdMsgs                int64 // per sweep, all ranks
+		net, expand, fold, trsvd int64   // per sweep, all ranks
+		trsvdMsgs                int64   // per sweep, all ranks
+		fit                      float64 // after the last sweep
 	}
 	var hp4, block4 int64
 	for _, want := range []struct {
-		preset        string
-		lanczos, dflt [2]cell
+		preset string
+		ranks  []int // nil: the paper's, each capped at its mode's size
+		cells  [2]cell
 	}{
-		{"netflix",
-			[2]cell{{2, 224341, 7872, 65280, 85844, 1586}, {4, 670320, 23296, 193280, 257708, 3188}},
-			[2]cell{{2, 327200, 7872, 65280, 188704, 12}, {4, 978720, 23296, 193280, 566112, 24}}},
-		{"nell",
-			[2]cell{{2, 445834, 18960, 189600, 125592, 2102}, {4, 1125424, 37600, 376000, 376780, 4204}},
-			[2]cell{{2, 567440, 18960, 189600, 247200, 12}, {4, 1490240, 37600, 376000, 741600, 24}}},
-		{"delicious",
-			[2]cell{{2, 539344, 12720, 318000, 128302, 1322}, {4, 1302912, 26040, 651000, 384908, 2644}},
-			[2]cell{{2, 916640, 12720, 318000, 505600, 16}, {4, 2434800, 26040, 651000, 1516800, 32}}},
-		{"flickr",
-			[2]cell{{2, 452872, 9840, 246000, 137442, 1474}, {4, 1095496, 19400, 485000, 412330, 2948}},
-			[2]cell{{2, 821026, 9840, 246000, 505600, 16}, {4, 2199960, 19400, 485000, 1516800, 32}}},
+		{"netflix", nil, [2]cell{{2, 327200, 7872, 65280, 188704, 12, 0.9987526278964657}, {4, 978720, 23296, 193280, 566112, 24, 0.9987526278962756}}},
+		{"nell", nil, [2]cell{{2, 567440, 18960, 189600, 247200, 12, 0.9972652815668882}, {4, 1490240, 37600, 376000, 741600, 24, 0.9972652815668882}}},
+		{"delicious", nil, [2]cell{{2, 916640, 12720, 318000, 505600, 16, 0.9887610905019784}, {4, 2434800, 26040, 651000, 1516800, 32, 0.9887610905021795}}},
+		{"flickr", nil, [2]cell{{2, 821026, 9840, 246000, 505600, 16, 0.9928143053999199}, {4, 2199960, 19400, 485000, 1516800, 32, 0.9928143054000166}}},
+		{"nell", []int{17, 17, 17}, [2]cell{{2, 1348373, 32232, 547944, 526932, 4618, 0.997886145333128}, {4, 3455152, 63920, 1086640, 1580798, 9236, 0.997886145333128}}},
 	} {
 		cfg, err := gen.Preset(want.preset, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		x := gen.Random(cfg)
-		ranks := gen.PaperRanks(x.Order())
-		for n := range ranks {
-			ranks[n] = min(ranks[n], x.Dims[n])
+		ranks := want.ranks
+		if ranks == nil {
+			ranks = gen.PaperRanks(x.Order())
+			for n := range ranks {
+				ranks[n] = min(ranks[n], x.Dims[n])
+			}
 		}
 		for i, np := range []int{2, 4} {
 			part, err := MakePartition(x, np, Fine, MethodHypergraph, 32)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sv := range []struct {
-				svd  core.SVDMethod
-				want cell
-			}{{core.SVDLanczos, want.lanczos[i]}, {core.SVDAuto, want.dflt[i]}} {
-				res := worldMatchesTCP(t, x, part, Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32, SVD: sv.svd})
-				got := cell{np: np, net: res.Stats.TotalSentBytes() / int64(res.Iters)}
-				for n := range res.Stats.Mode {
-					for _, ms := range res.Stats.Mode[n] {
-						got.expand += ms.ExpandBytes
-						got.fold += ms.FoldBytes
-						got.trsvd += ms.TRSVDBytes
-						got.trsvdMsgs += ms.TRSVDMsgs
-					}
+			res := worldMatchesTCP(t, x, part, Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32})
+			got := cell{np: np, net: res.Stats.TotalSentBytes() / int64(res.Iters), fit: res.Fit}
+			for n := range res.Stats.Mode {
+				for _, ms := range res.Stats.Mode[n] {
+					got.expand += ms.ExpandBytes
+					got.fold += ms.FoldBytes
+					got.trsvd += ms.TRSVDBytes
+					got.trsvdMsgs += ms.TRSVDMsgs
 				}
-				if got != sv.want {
-					t.Errorf("%s svd=%v: {np net expand fold trsvd trsvdMsgs} per sweep %v, recorded %v", want.preset, sv.svd, got, sv.want)
-				}
-				// At the paper's ranks the default solves every mode of an
-				// order-3 tensor by Gram, and a Gram solve enters at most
-				// three collectives on a rank.
-				if solves := int64(x.Order() * np); sv.svd == core.SVDAuto && x.Order() == 3 && got.trsvdMsgs > 3*solves {
-					t.Errorf("%s np=%d: %d TRSVD collectives per sweep for %d Gram solves", want.preset, np, got.trsvdMsgs, solves)
-				}
-				if np == 4 && sv.svd == core.SVDAuto {
-					hp4 += got.expand + got.fold
-				}
+			}
+			if got != want.cells[i] {
+				t.Errorf("%s ranks %v: {np net expand fold trsvd trsvdMsgs fit} per sweep %v, recorded %v", want.preset, ranks, got, want.cells[i])
+			}
+			// A Gram solve enters at most three collectives on a rank;
+			// a Lanczos solve, dozens.
+			if solves, gram := int64(x.Order()*np), want.ranks == nil; gram != (got.trsvdMsgs <= 3*solves) {
+				t.Errorf("%s ranks %v np=%d: %d TRSVD collectives per sweep for %d solves", want.preset, ranks, np, got.trsvdMsgs, solves)
+			}
+			if np == 4 {
+				hp4 += got.expand + got.fold
 			}
 		}
 		block, err := MakePartition(x, 4, Fine, MethodBlock, 32)
