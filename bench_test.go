@@ -85,23 +85,52 @@ func BenchmarkAblationNumericSweep(b *testing.B) {
 	}
 }
 
-// TRSVD solver ablation: Lanczos (paper's choice) vs the randomized
-// sketch solver, on the same matricized-tensor shape.
-func benchTRSVD(b *testing.B, method core.SVDMethod) {
-	x := gen.Random(gen.Config{Dims: []int{500, 400, 300}, NNZ: 20000, Skew: 0.5, Seed: 4})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := core.Decompose(x, core.Options{
-			Ranks: []int{10, 10, 10}, MaxIters: 2, Tol: -1, Seed: 5, SVD: method,
-		})
+// BenchmarkSVDRule is the evidence for the rule that picks a mode's
+// TRSVD solver from its shape (core.ResolveSVD): it times one Gram and
+// one Lanczos solve of the same Y_(n), mode by mode, at C = ∏_{t≠n} R_t
+// columns on both sides of the per-rank bound (C = 32·R_n, mode 0 of
+// ranks 5,10,16 and 5,10,17) and of the cap on C alone (256, ranks
+// 16,16,16 and 17,17,17). The tensor has the netflix preset's mode sizes
+// at a quarter of its nonzeros, so its modes' Y_(n) run from thousands
+// of rows down to a few dozen. Y_(n) is the product with the factors
+// after one HOOI sweep, as in a steady-state sweep. The sub-benchmark's
+// name says which solver the rule picks.
+func BenchmarkSVDRule(b *testing.B) {
+	x := gen.Random(gen.Config{Dims: []int{9600, 340, 40}, NNZ: 50000, Skew: 0.7, Seed: 42})
+	sym := symbolic.Build(x, 0)
+	for _, ranks := range [][]int{
+		{10, 10, 10}, {5, 10, 16}, {5, 10, 17}, {16, 16, 16}, {17, 17, 17}, {20, 20, 20},
+	} {
+		res, err := core.Decompose(x, core.Options{Ranks: ranks, MaxIters: 1, Tol: -1, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
+		for n, rank := range ranks {
+			y := dense.NewMatrix(sym.Modes[n].NumRows(), ttm.RowSize(res.Factors, n))
+			ttm.TTMc(y, x, &sym.Modes[n], res.Factors, 0)
+			rule := core.ResolveSVD(core.SVDAuto, y.Cols, rank)
+			for _, solver := range []struct {
+				name  string
+				solve func(trsvd.Operator, int, trsvd.Options) (*trsvd.Result, error)
+			}{{"gram", trsvd.Gram}, {"lanczos", trsvd.Lanczos}} {
+				name := fmt.Sprintf("ranks=%d,%d,%d/mode=%d,rows=%d,C=%d,rule=%v/%s", ranks[0], ranks[1], ranks[2], n, y.Rows, y.Cols, rule, solver.name)
+				b.Run(name, func(b *testing.B) {
+					ws := trsvd.NewWorkspace()
+					op := &trsvd.DenseOperator{A: y}
+					var passes int
+					for i := 0; i < b.N; i++ {
+						r, err := solver.solve(op, rank, trsvd.Options{Seed: 1, Work: ws})
+						if err != nil {
+							b.Fatal(err)
+						}
+						passes = r.Passes
+					}
+					b.ReportMetric(float64(passes), "passes/solve")
+				})
+			}
+		}
 	}
 }
-
-func BenchmarkAblationTRSVDLanczos(b *testing.B)    { benchTRSVD(b, core.SVDLanczos) }
-func BenchmarkAblationTRSVDRandomized(b *testing.B) { benchTRSVD(b, core.SVDRandomized) }
 
 // Partitioning ablation: multilevel hypergraph partitioning time and
 // achieved cutsize versus the random baseline.

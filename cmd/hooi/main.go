@@ -6,7 +6,6 @@
 // Examples:
 //
 //	hooi -input x.tns -ranks 10,10,10 -iters 20 -tol 1e-5
-//	hooi -input x.tns -ranks 10,10,10 -svd rand
 //	hooi -input x.tns -eps 0.25
 //	hooi -input x.tns -ranks 10,10,10 -update delta.tns
 //	hooi -input x.tns -ranks 5,5,5,5 -dist 16 -grain fine -method hp
@@ -64,7 +63,6 @@ func main() {
 		iters   = flag.Int("iters", 20, "maximum ALS sweeps (1 = a one-pass randomized ST-HOSVD from the random start)")
 		tol     = flag.Float64("tol", 1e-5, "fit-change stopping tolerance (negative disables)")
 		threads = flag.Int("threads", 0, "shared-memory threads (0 = GOMAXPROCS)")
-		svd     = flag.String("svd", "auto", "TRSVD solver: auto (per mode: gram when the matricized product has at most 32 columns per rank, else lanczos) | lanczos | gram (two BLAS3 passes + a dense eigenproblem) | rand")
 		eps     = flag.Float64("eps", 0, "adaptive-rank threshold in (0,1]: each mode keeps the sketched directions with sigma^2 >= eps^2*||X||^2/N, a per-value count that bounds no total error (-ranks becomes an optional cap)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
@@ -97,10 +95,6 @@ func main() {
 			fail(err)
 		}
 	}
-	svdMethod, err := hypertensor.ParseSVD(*svd)
-	if err != nil {
-		fail(err)
-	}
 	readStart := time.Now()
 	x, err := hypertensor.ReadTensorFile(*input)
 	readTime := time.Since(readStart)
@@ -131,7 +125,7 @@ func main() {
 			fail(fmt.Errorf("-dist requires explicit -ranks"))
 		}
 		d := distRun{
-			input: *input, ranks: ranks, grain: *grain, method: *method, svd: *svd, svdMethod: svdMethod,
+			input: *input, ranks: ranks, grain: *grain, method: *method,
 			iters: *iters, tol: *tol, seed: *seed, timeout: *distTO, quiet: *quiet,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, maxRestarts: *maxRestart,
 			chaosRank: *chaosRank, chaosSweep: *chaosSweep,
@@ -166,7 +160,6 @@ func main() {
 		Tol:      *tol,
 		Threads:  *threads,
 		Seed:     *seed,
-		SVD:      svdMethod,
 	}
 	opts.MeasureAllocs = !*quiet
 	plan, err := hypertensor.NewPlan(x, opts)
@@ -346,8 +339,6 @@ type distRun struct {
 	input         string
 	ranks         []int
 	grain, method string
-	svd           string // the flag as spelled, for the spawned children
-	svdMethod     hypertensor.SVDMethod
 	iters         int
 	tol           float64
 	seed          int64
@@ -368,7 +359,7 @@ type distRun struct {
 // real process death for the supervisor to detect.
 func (d *distRun) config() hypertensor.DistConfig {
 	return hypertensor.DistConfig{
-		Ranks: d.ranks, MaxIters: d.iters, Tol: d.tol, Seed: d.seed, SVD: d.svdMethod,
+		Ranks: d.ranks, MaxIters: d.iters, Tol: d.tol, Seed: d.seed,
 		CheckpointDir: d.ckptDir, CheckpointEvery: d.ckptEvery,
 	}
 }
@@ -557,7 +548,6 @@ func (d *distRun) spawnOnce(exe string, np, attempt int) *rankFailure {
 			"-seed", strconv.FormatInt(d.seed, 10),
 			"-grain", d.grain,
 			"-method", d.method,
-			"-svd", d.svd,
 			"-dist", "tcp",
 			"-rank", strconv.Itoa(r),
 			"-peers", strings.Join(addrs, ","),

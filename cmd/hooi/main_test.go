@@ -72,8 +72,8 @@ func TestFlagErrors(t *testing.T) {
 	}{
 		{[]string{"-format", "csf"}, 2, "flag provided but not defined: -format"},
 		{[]string{"-schedule", "static"}, 2, "flag provided but not defined: -schedule"},
-		{[]string{"-svd", "jacobi"}, 1, `hooi: core: unknown svd solver "jacobi" (solvers: auto | lanczos | rand | gram)`},
-		{[]string{"-dist", "2", "-svd", "subspace"}, 1, `hooi: core: unknown svd solver "subspace"`},
+		{[]string{"-svd", "gram"}, 2, "flag provided but not defined: -svd"},
+		{[]string{"-dist", "2", "-svd", "lanczos"}, 2, "flag provided but not defined: -svd"},
 		{[]string{"-dist", "2", "-threads", "2"}, 1, "hooi: -threads" + notDist},
 		{[]string{"-ttmc", "flat"}, 2, "flag provided but not defined: -ttmc"},
 		{[]string{"-update", tnsPath, "-updates", "2"}, 2, "flag provided but not defined: -updates"},
@@ -81,13 +81,12 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-algo", "sthosvd"}, 2, "flag provided but not defined: -algo"},
 		{[]string{"-dist", "2", "-init", "hosvd"}, 2, "flag provided but not defined: -init"},
 		{[]string{"-dist", "2", "-algo", "sthosvd"}, 2, "flag provided but not defined: -algo"},
-		{[]string{"-svd", "rand", "-sketch", "count"}, 2, "flag provided but not defined: -sketch"},
-		{[]string{"-svd", "rand", "-oversample", "4"}, 2, "flag provided but not defined: -oversample"},
-		{[]string{"-svd", "rand", "-power", "1"}, 2, "flag provided but not defined: -power"},
+		{[]string{"-eps", "0.5", "-sketch", "count"}, 2, "flag provided but not defined: -sketch"},
+		{[]string{"-eps", "0.5", "-oversample", "4"}, 2, "flag provided but not defined: -oversample"},
+		{[]string{"-eps", "0.5", "-power", "1"}, 2, "flag provided but not defined: -power"},
 		{[]string{"-dist", "spawn", "-np", "2", "-threads", "1"}, 1, "hooi: -threads" + notDist},
 		{[]string{"-dist", "2", "-update", "delta.tns"}, 1, "hooi: -update is a shared-memory engine feature; it cannot be combined with -dist"},
 		{[]string{"-dist", "2", "-eps", "0.5"}, 1, "hooi: -eps adaptive rank is a shared-memory engine feature; it cannot be combined with -dist"},
-		{[]string{"-eps", "0.5", "-svd", "gram"}, 1, "hooi: core: Eps selects ranks with the randomized solver; it cannot be combined with SVD gram"},
 		{[]string{"-dist", "0", "-threads", "2", "-q"}, 0, ""},
 		{[]string{"-grain", "coarse"}, 1, "hooi: -grain" + needsDist},
 		{[]string{"-grain", "fine"}, 1, "hooi: -grain" + needsDist},
@@ -117,10 +116,6 @@ func TestQuietPrintsOneFitLine(t *testing.T) {
 	fit := regexp.MustCompile(`^0\.\d{10}\n$`)
 	for _, args := range [][]string{
 		{"-q"},
-		{"-q", "-svd", "rand"},
-		{"-q", "-svd", "gram"},
-		{"-q", "-svd", "lanczos"},
-		{"-q", "-dist", "2", "-svd", "gram"},
 		{"-q", "-dist", "2"},
 		{"-q", "-dist", "2", "-grain", "coarse", "-method", "bl"},
 	} {
@@ -133,8 +128,7 @@ func TestQuietPrintsOneFitLine(t *testing.T) {
 
 // -update ingests a delta after the first solve, prints one line per
 // update, and ends with the distance to a from-scratch solve of the
-// merged tensor, which at a converged tolerance is small — under the
-// default solver and under rand.
+// merged tensor, which at a converged tolerance is small.
 func TestUpdateLines(t *testing.T) {
 	x, err := tensor.ReadTNSFile(tnsPath)
 	if err != nil {
@@ -146,21 +140,19 @@ func TestUpdateLines(t *testing.T) {
 	}
 	updateLine := regexp.MustCompile(`(?m)^update 1 \(` + regexp.QuoteMeta(deltaPath) + `\): \+\d+ nnz -> fit 0\.\d{8} in \d+ sweeps; ttmc \S+ madds/sweep vs \S+ full-sweep \([0-9.]+x less\)$`)
 	dfitLine := regexp.MustCompile(`(?m)^from-scratch solve of the merged tensor: fit 0\.\d{8} in \d+ sweeps; \|dfit\| = (\S+)$`)
-	for _, svd := range []string{"auto", "rand"} {
-		stdout, stderr, exit := hooi(t, "-svd", svd, "-iters", "40", "-tol", "1e-9", "-update", deltaPath)
-		if exit != 0 {
-			t.Fatalf("-svd %s: exit %d: %s", svd, exit, stderr)
-		}
-		if !updateLine.MatchString(stdout) {
-			t.Errorf("-svd %s: no update line in:\n%s", svd, stdout)
-		}
-		m := dfitLine.FindStringSubmatch(stdout)
-		if m == nil {
-			t.Fatalf("-svd %s: no |dfit| line in:\n%s", svd, stdout)
-		}
-		if dfit, err := strconv.ParseFloat(m[1], 64); err != nil || !(dfit < 1e-6) {
-			t.Errorf("-svd %s: |dfit| = %s, want below 1e-6", svd, m[1])
-		}
+	stdout, stderr, exit := hooi(t, "-iters", "40", "-tol", "1e-9", "-update", deltaPath)
+	if exit != 0 {
+		t.Fatalf("exit %d: %s", exit, stderr)
+	}
+	if !updateLine.MatchString(stdout) {
+		t.Errorf("no update line in:\n%s", stdout)
+	}
+	m := dfitLine.FindStringSubmatch(stdout)
+	if m == nil {
+		t.Fatalf("no |dfit| line in:\n%s", stdout)
+	}
+	if dfit, err := strconv.ParseFloat(m[1], 64); err != nil || !(dfit < 1e-6) {
+		t.Errorf("|dfit| = %s, want below 1e-6", m[1])
 	}
 }
 

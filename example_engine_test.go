@@ -27,7 +27,6 @@ func ExampleEngine_Update() {
 		MaxIters: 50,
 		Tol:      1e-9,
 		Seed:     1,
-		TTMc:     hypertensor.TTMcDTree,
 	}
 	// Plan once (symbolic analysis), then hold a resident engine.
 	plan, err := hypertensor.NewPlan(x, opts)
@@ -52,10 +51,11 @@ func ExampleEngine_Update() {
 	}
 	fmt.Printf("update: %d nonzeros ingested, re-converged in %d sweeps\n",
 		dec.DeltaNNZ, dec.UpdateSweeps)
-	// Result.UpdateMadds and Result.FullSweepMadds report the dirty-
-	// subtree cost of the re-convergence against the recompute-
-	// everything flat sweep it replaces; on realistically sized tensors
-	// the former is several-fold smaller per sweep.
+	// Result.UpdateMadds and Result.FullSweepMadds report the TTMc cost
+	// of the re-convergence against the recompute-everything flat sweep
+	// it replaces; under the dimension tree (order 4 and up), on
+	// realistically sized tensors, the former is several-fold smaller
+	// per sweep.
 	fmt.Printf("update accounting present: %v\n",
 		dec.UpdateMadds > 0 && dec.FullSweepMadds > 0)
 	// Output:

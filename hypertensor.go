@@ -72,11 +72,12 @@ type (
 	// (factors, TRSVD workspace, seed schedule), in shared memory and on
 	// every rank of a distributed world.
 	SweepState = core.SweepState
-	// SVDMethod selects the TRSVD solver (SVDAuto, the default: SVDGram
-	// or SVDLanczos per mode by its shape; SVDRandomized).
+	// SVDMethod names the TRSVD solver a mode ran (Decomposition.SVD):
+	// SVDGram or SVDLanczos by the mode's shape, SVDRandomized under
+	// Options.Eps.
 	SVDMethod = core.SVDMethod
-	// TTMcStrategy selects the TTMc evaluation path (TTMcAuto, the
-	// default, which a Plan resolves to TTMcFlat or TTMcDTree).
+	// TTMcStrategy names the TTMc evaluation path a Plan chose
+	// (Decomposition.TTMc): TTMcFlat, or TTMcDTree from order 4 up.
 	TTMcStrategy = core.TTMcStrategy
 	// Partition is a distributed task assignment (rows and, for fine
 	// grain, nonzeros) for P ranks.
@@ -122,12 +123,10 @@ type (
 
 // Re-exported enum values.
 const (
-	SVDAuto       = core.SVDAuto
 	SVDLanczos    = core.SVDLanczos
 	SVDRandomized = core.SVDRandomized
 	SVDGram       = core.SVDGram
 
-	TTMcAuto  = core.TTMcAuto
 	TTMcFlat  = core.TTMcFlat
 	TTMcDTree = core.TTMcDTree
 
@@ -178,13 +177,9 @@ func NewPlan(x *SparseTensor, opts Options) (*Plan, error) {
 	return core.NewPlan(x, opts)
 }
 
-// ParseSVD maps a -svd flag spelling (auto, lanczos, rand, gram) to its
-// SVDMethod value.
-func ParseSVD(s string) (SVDMethod, error) { return core.ParseSVD(s) }
-
 // PredictSweepMadds returns the TTMc multiply-adds per sweep the flat
 // path and the dimension tree would each execute on x at the given
-// ranks — the quantities TTMcAuto's rule stands for. It builds the
+// ranks — the quantities the Plan's strategy rule stands for. It builds the
 // tree's symbolic structure to count its entries.
 func PredictSweepMadds(x *SparseTensor, ranks []int, threads int) (flat, tree int64) {
 	return core.PredictSweepMadds(x, ranks, threads)

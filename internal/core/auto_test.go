@@ -30,7 +30,7 @@ func mustRun(t *testing.T, x *tensor.COO, opts Options) *Result {
 // TTMcAuto is resolved once, at plan time, from what the plan can see:
 // the order, whether there is anything to contract, and — for a rank
 // plan — whether the caller's update lists cover every local nonzero.
-// An explicit strategy is kept as given.
+// A pinned strategy is kept as given.
 func TestTTMcAutoResolution(t *testing.T) {
 	for order := 1; order <= 5; order++ {
 		dims, ranks := make([]int, order), make([]int, order)
@@ -50,7 +50,7 @@ func TestTTMcAutoResolution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("order %d: %v", order, err)
 		}
-		if p.TTMc() != want || p.Options().TTMc != want {
+		if p.TTMc() != want || p.Options().ttmc != want {
 			t.Fatalf("order %d: auto resolved to %v, want %v", order, p.TTMc(), want)
 		}
 		res, err := NewEngine(p).Run(context.Background())
@@ -64,25 +64,17 @@ func TestTTMcAutoResolution(t *testing.T) {
 			if explicit == TTMcDTree && order < 2 {
 				continue
 			}
-			opts.TTMc = explicit
+			opts.ttmc = explicit
 			if p, err := NewPlan(x, opts); err != nil || p.TTMc() != explicit {
 				t.Fatalf("order %d: explicit %v became %v (err %v)", order, explicit, p.TTMc(), err)
 			}
 		}
 	}
 
-	x1 := gen.Random(gen.Config{Dims: []int{12}, NNZ: 8, Seed: 1})
-	if _, err := NewPlan(x1, Options{Ranks: []int{1}, TTMc: TTMcDTree}); err == nil {
-		t.Fatal("an explicit dimension tree on an order-1 tensor was accepted")
-	}
-	x4 := gen.Random(gen.Config{Dims: []int{9, 10, 11, 12}, NNZ: 300, Seed: 4})
-	if _, err := NewPlan(x4, Options{Ranks: []int{2, 2, 2, 2}, TTMc: TTMcStrategy(7)}); err == nil {
-		t.Fatal("an unknown strategy value was accepted")
-	}
-
 	// Rank plans: a fine-grain rank hands over the full update lists of
 	// its local tensor (or none), a coarse-grain rank lists restricted
 	// to the slices it owns, and a rank may hold no nonzero at all.
+	x4 := gen.Random(gen.Config{Dims: []int{9, 10, 11, 12}, NNZ: 300, Seed: 4})
 	opts := Options{Ranks: []int{2, 2, 2, 2}}
 	full := symbolic.Build(x4, 1)
 	restricted := &symbolic.Structure{Modes: make([]symbolic.Mode, 4)}
@@ -119,7 +111,7 @@ func TestAutoIsTheTreeOnOrder4(t *testing.T) {
 	base := Options{Ranks: ranks, MaxIters: 4, Tol: -1, Seed: 7, Threads: 2}
 	auto := mustRun(t, x, base)
 	tree, flat := base, base
-	tree.TTMc, flat.TTMc = TTMcDTree, TTMcFlat
+	tree.ttmc, flat.ttmc = TTMcDTree, TTMcFlat
 	rt, rf := mustRun(t, x, tree), mustRun(t, x, flat)
 	resultsBitwiseEqual(t, "auto vs explicit dtree", auto, rt)
 	if auto.TTMcFlops != rt.TTMcFlops {
@@ -268,7 +260,7 @@ func TestUpdateOnWideShapesMatchesColdRebuild(t *testing.T) {
 			ranks[n] = 2
 		}
 		for _, strategy := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
-			opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 3, Threads: 2, TTMc: strategy}
+			opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 3, Threads: 2, ttmc: strategy}
 			p, err := NewPlan(x, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -330,7 +322,7 @@ func epsReference(t *testing.T, x *tensor.COO, opts Options) (fits []float64, fa
 // left there.
 func TestSharedYUnderChangingRanks(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{30, 25, 20}, NNZ: 1200, Skew: 0.5, Seed: 21})
-	opts := Options{Eps: 0.5, MaxIters: 4, Tol: -1, Seed: 13, TTMc: TTMcFlat}
+	opts := Options{Eps: 0.5, MaxIters: 4, Tol: -1, Seed: 13, ttmc: TTMcFlat}
 	fits, factors, cols := epsReference(t, x, opts)
 	changed := false
 	for n := range cols[0] {
@@ -409,7 +401,7 @@ func TestAutoHoldsFlatPlusOneMemoNode(t *testing.T) {
 	x, ranks := presetTensor(t, "delicious", 0.1)
 	held := func(strategy TTMcStrategy) (uint64, *Engine) {
 		base := liveBytes()
-		p, err := NewPlan(x, Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 1, Threads: 2, TTMc: strategy})
+		p, err := NewPlan(x, Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 1, Threads: 2, ttmc: strategy})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,13 +22,13 @@ func TestDecomposeDTreeMatchesFlat(t *testing.T) {
 	} {
 		x := gen.Random(gen.Config{Dims: tc.dims, NNZ: tc.nnz, Skew: 0.5, Seed: 71})
 		flat, err := Decompose(x, Options{
-			Ranks: tc.ranks, MaxIters: 4, Tol: -1, Seed: 5, TTMc: TTMcFlat,
+			Ranks: tc.ranks, MaxIters: 4, Tol: -1, Seed: 5, ttmc: TTMcFlat,
 		})
 		if err != nil {
 			t.Fatalf("%s flat: %v", tc.name, err)
 		}
 		tree, err := Decompose(x, Options{
-			Ranks: tc.ranks, MaxIters: 4, Tol: -1, Seed: 5, TTMc: TTMcDTree,
+			Ranks: tc.ranks, MaxIters: 4, Tol: -1, Seed: 5, ttmc: TTMcDTree,
 		})
 		if err != nil {
 			t.Fatalf("%s dtree: %v", tc.name, err)
@@ -60,7 +60,7 @@ func TestDecomposeDTreeReproducible(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{30, 25, 20, 15}, NNZ: 600, Skew: 0.4, Seed: 72})
 	run := func(threads int) *Result {
 		res, err := Decompose(x, Options{
-			Ranks: []int{2, 2, 2, 2}, MaxIters: 3, Tol: -1, Seed: 9, Threads: threads, TTMc: TTMcDTree,
+			Ranks: []int{2, 2, 2, 2}, MaxIters: 3, Tol: -1, Seed: 9, Threads: threads, ttmc: TTMcDTree,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -103,7 +103,7 @@ type kernel interface {
 // and not part of the first sweep; after an Update's Insert dropped them,
 // the fresh kernel built here makes them again.
 func (e *Engine) newKernel(threads int) kernel {
-	if e.opts.TTMc == TTMcDTree {
+	if e.opts.ttmc == TTMcDTree {
 		return ttm.BuildDTree(e.x, threads)
 	}
 	par.For(e.order, threads, 1, func(n int) { e.sym.Modes[n].Streams(e.x) })
@@ -334,12 +334,12 @@ func (e *Engine) formCore(y, uc *dense.Matrix, threads int) *tensor.Dense {
 // schedule's position it starts from.
 func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	opts := e.opts
-	res := &Result{TTMc: opts.TTMc, SVD: make([]SVDMethod, e.order), IndexBytes: e.x.IndexBytes()}
+	res := &Result{TTMc: opts.ttmc, SVD: make([]SVDMethod, e.order), IndexBytes: e.x.IndexBytes()}
 	res.Timings.TTMcModes = make([]time.Duration, e.order)
 	for n := range res.SVD {
 		res.SVD[n] = SVDRandomized
 		if opts.Eps <= 0 {
-			res.SVD[n] = ResolveSVD(opts.SVD, ttm.RowSize(e.state.Factors, n), opts.Ranks[n])
+			res.SVD[n] = ResolveSVD(opts.svd, ttm.RowSize(e.state.Factors, n), opts.Ranks[n])
 		}
 	}
 	if e.sym != nil {

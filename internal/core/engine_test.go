@@ -44,7 +44,7 @@ func TestEngineUpdateMatchesScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
-			opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 7, TTMc: strat}
+			opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 7, ttmc: strat}
 			p, err := NewPlan(x, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -102,7 +102,7 @@ func TestEngineUpdateScale02(t *testing.T) {
 	if _, err := merged.Merge(delta); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Ranks: ranks, MaxIters: 100, Tol: 1e-10, Seed: 7, TTMc: TTMcDTree}
+	opts := Options{Ranks: ranks, MaxIters: 100, Tol: 1e-10, Seed: 7, ttmc: TTMcDTree}
 	p, err := NewPlan(x, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestEngineUpdateDeterminism(t *testing.T) {
 	for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
 		var ref []float64
 		for _, threads := range []int{1, 2, 4, 8} {
-			opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3, TTMc: strat, Threads: threads}
+			opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3, ttmc: strat, Threads: threads}
 			p, err := NewPlan(x, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -178,7 +178,7 @@ func TestEnginePlanReuse(t *testing.T) {
 	x, ranks := presetTensor(t, "netflix", 0.01)
 	nnz0 := x.NNZ()
 	val0 := x.Val[0]
-	opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 11, TTMc: TTMcDTree}
+	opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 11, ttmc: TTMcDTree}
 	p, err := NewPlan(x, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestEnginePlanReuse(t *testing.T) {
 // merged tensor.
 func TestEngineSequentialUpdates(t *testing.T) {
 	x, ranks := presetTensor(t, "flickr", 0.01)
-	opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 13, TTMc: TTMcDTree}
+	opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 13, ttmc: TTMcDTree}
 	p, err := NewPlan(x, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +431,7 @@ func TestScatterZeroesOncePerFactorMatrix(t *testing.T) {
 	for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
 		for _, warm := range []bool{true, false} {
 			label := fmt.Sprintf("%v warm=%v", strat, warm)
-			opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2, TTMc: strat}
+			opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2, ttmc: strat}
 			if warm {
 				opts.Initial = InitialFactors(x.Dims, ranks, opts.Seed, opts.Threads) // dense random columns: no zero row
 			}

@@ -55,8 +55,7 @@ type Result struct {
 	// in its last TTMc: about 1 on an unsorted input, which gets no run
 	// saving, a third on the sorted presets. Nil under the tree.
 	TTMcRuns []float64
-	// TTMc is the TTMc strategy it ran: Options.TTMc, with TTMcAuto
-	// resolved.
+	// TTMc is the TTMc strategy it ran, the plan's choice.
 	TTMc TTMcStrategy
 	// IndexBytes is the tensor's index storage: N x nnz x 4 bytes of
 	// coordinate streams.
@@ -83,9 +82,9 @@ type Result struct {
 	// equal to Options.Ranks for fixed-rank runs, the eps-selected ranks
 	// for adaptive-rank (Options.Eps) runs.
 	ChosenRanks []int
-	// SVD is the TRSVD solver each mode runs: Options.SVD, with SVDAuto
-	// resolved per mode (ResolveSVD), and the randomized solver in every
-	// mode under Eps — also on a resumed run that executed no sweep.
+	// SVD is the TRSVD solver each mode runs: the one its shape resolves
+	// to (ResolveSVD), and the randomized solver in every mode under Eps
+	// — also on a resumed run that executed no sweep.
 	SVD []SVDMethod
 	// TRSVDMadds counts the operator multiply-adds spent inside the
 	// TRSVD solves on this rank's rows, summed over all solves: operator

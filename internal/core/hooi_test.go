@@ -153,7 +153,7 @@ func TestFitBitwiseInvariantAcrossThreads(t *testing.T) {
 				MaxIters: 4,
 				Tol:      -1,
 				Threads:  threads,
-				TTMc:     strategy,
+				ttmc:     strategy,
 				Seed:     5,
 			})
 			if err != nil {
@@ -203,7 +203,7 @@ func TestSVDMethodsAgreeOnFit(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{25, 20, 15}, NNZ: 700, Skew: 0.4, Seed: 10})
 	var fits []float64
 	for _, m := range []SVDMethod{SVDLanczos, SVDRandomized} {
-		res, err := Decompose(x, Options{Ranks: []int{3, 3, 3}, MaxIters: 10, Tol: -1, Seed: 11, SVD: m})
+		res, err := Decompose(x, Options{Ranks: []int{3, 3, 3}, MaxIters: 10, Tol: -1, Seed: 11, svd: m})
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
 		}

@@ -87,9 +87,9 @@ func TestColdSweepNeverReadsFirstFactor(t *testing.T) {
 		x    *tensor.COO
 		opts Options
 	}{
-		{"order 3 flat", order3, Options{Ranks: []int{4, 4, 4}, TTMc: TTMcFlat}},
-		{"order 4 tree", order4, Options{Ranks: []int{3, 3, 3, 3}, TTMc: TTMcDTree}},
-		{"order 4 tree lanczos", order4, Options{Ranks: []int{3, 3, 3, 3}, TTMc: TTMcDTree, SVD: SVDLanczos}},
+		{"order 3 flat", order3, Options{Ranks: []int{4, 4, 4}, ttmc: TTMcFlat}},
+		{"order 4 tree", order4, Options{Ranks: []int{3, 3, 3, 3}, ttmc: TTMcDTree}},
+		{"order 4 tree lanczos", order4, Options{Ranks: []int{3, 3, 3, 3}, ttmc: TTMcDTree, svd: SVDLanczos}},
 	} {
 		for _, threads := range []int{1, 2} {
 			opts := tc.opts

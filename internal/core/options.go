@@ -2,26 +2,24 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/tensor"
 )
 
-// TTMcStrategy selects how the N per-mode TTMc products of one HOOI
-// sweep are computed.
+// TTMcStrategy names how the N per-mode TTMc products of one HOOI sweep
+// are computed. The plan chooses, once, from what it can see of the
+// input (resolveTTMc): the dimension tree for tensors of order 4 and up,
+// where the partial products the modes share are worth several-fold
+// fewer multiply-adds per sweep, and the flat path for order 3 and below
+// (one memoized node there buys little time for its memory) and for rank
+// plans whose update lists are restricted to owned slices, which only
+// the flat kernel reads. Plan.TTMc and Result.TTMc report the choice;
+// docs/formats.md has the measurements behind the rule.
 type TTMcStrategy int
 
 const (
-	// TTMcAuto (the default) lets the plan choose, once, from what it
-	// can see of the input: the dimension tree for tensors of order 4
-	// and up, where the partial products the modes share are worth
-	// several-fold fewer multiply-adds per sweep, and the flat path for
-	// order 3 and below (one memoized node there buys little time for
-	// its memory) and for rank plans whose update lists are restricted
-	// to owned slices, which only the flat kernel reads.
-	// Plan.TTMc and Result.TTMc report the choice; docs/formats.md has
-	// the measurements behind the rule.
+	// TTMcAuto is the unresolved zero value: the plan's rule decides.
 	TTMcAuto TTMcStrategy = iota
 	// TTMcFlat recomputes every mode's product from the nonzeros with
 	// the row-parallel kernel over the per-mode update lists
@@ -35,7 +33,7 @@ const (
 	// presets; ttm.flat_madds against ttm.dtree_madds in `go run
 	// ./benchmark`). The numeric results match
 	// TTMcFlat to rounding and remain deterministic for any thread
-	// count. Needs a tensor of order 2 or more.
+	// count.
 	TTMcDTree
 )
 
@@ -55,26 +53,27 @@ func (t TTMcStrategy) String() string {
 	return ttmcNames[t]
 }
 
-// SVDMethod selects the truncated SVD solver used for the TRSVD step.
+// SVDMethod names a truncated SVD solver for the TRSVD step. A
+// fixed-rank run chooses per mode, from the shape of the matricized
+// product alone (ResolveSVD): Y_(n) has C = ∏_{t≠n} R_t columns and R_n
+// singular vectors are wanted, and the Gram solver runs when C ≤ 32·R_n
+// and C ≤ 256, Lanczos otherwise. Gram's work per row of Y_(n) is
+// C·(C/2 + R_n) multiply-adds in two BLAS3 passes, plus a serial O(C³)
+// tridiagonal reduction per solve; Lanczos's is C per GEMV pass, 30 to
+// 58 passes at these ranks, and no eigenproblem. So Gram takes the
+// order-3 shapes (C = 100 at ranks 10: 6.5x faster per solve) and order
+// 4 at ranks 5 (C = 125: 1.75x, now that the eigensolver builds only the
+// R_n vectors it returns), and Lanczos keeps the wide ones (C = 1000 at
+// ranks 10: the reduction alone takes ~0.35 s; C = 400 at order 3, ranks
+// 20: Gram is 1.6x slower per solve). Both sides of the rule are
+// replicated, so every rank of a distributed world resolves the same
+// way. An adaptive-rank run (Options.Eps) runs the randomized solver in
+// every mode. Result.SVD reports the choice per mode; the README's
+// "Solvers" section has the measurements.
 type SVDMethod int
 
 const (
-	// SVDAuto (the default) chooses per mode, from the shape of the
-	// matricized product alone: Y_(n) has C = ∏_{t≠n} R_t columns and
-	// R_n singular vectors are wanted, and the Gram solver runs when
-	// C ≤ 32·R_n and C ≤ 256, Lanczos otherwise (ResolveSVD). Gram's
-	// work per row of Y_(n) is C·(C/2 + R_n) multiply-adds in two BLAS3
-	// passes, plus a serial O(C³) tridiagonal reduction per solve;
-	// Lanczos's is C per GEMV pass, 30 to 58 passes at these ranks, and
-	// no eigenproblem. So Gram takes the order-3 shapes (C = 100 at ranks
-	// 10: 6.5x faster per solve) and order 4 at ranks 5 (C = 125: 1.75x,
-	// now that the eigensolver builds only the R_n vectors it returns),
-	// and Lanczos keeps the wide ones (C = 1000 at ranks 10: the
-	// reduction alone takes ~0.35 s; C = 400 at order 3, ranks 20: Gram
-	// is 1.6x slower per solve). Both sides of the rule are replicated, so
-	// every rank of a distributed world resolves the same way.
-	// Result.SVD reports the choice per mode; the README's "Solvers"
-	// section has the measurements.
+	// SVDAuto is the unresolved zero value: the shape decides.
 	SVDAuto SVDMethod = iota
 	// SVDLanczos is Golub–Kahan–Lanczos bidiagonalization, the paper's
 	// (SLEPc) method: matrix-free, one GEMV pass over Y_(n) per
@@ -83,9 +82,8 @@ const (
 	// SVDRandomized is the sketched range-finder solver
 	// (trsvd.Randomized): a deterministic Gaussian panel through the
 	// operator, adaptive power iterations, CholeskyQR2 Gram whitening,
-	// and a projected small SVD — a handful of BLAS3 passes instead of
-	// Lanczos's GEMV chain, at equal fit on the benchmark presets.
-	// Options.Eps switches it to adaptive rank selection.
+	// and a projected small SVD. It runs where Options.Eps selects the
+	// ranks.
 	SVDRandomized
 	// SVDGram is the exact two-pass solver (trsvd.Gram): G = Y_(n)ᵀY_(n)
 	// by a symmetric rank-k product, its R_n leading eigenvectors by a
@@ -93,26 +91,27 @@ const (
 	SVDGram
 )
 
-// gramMaxColsPerRank is SVDAuto's rule: the Gram solver runs on a mode
-// whose matricized product has at most this many columns per requested
-// singular vector. The benchmark's shapes sit at 10 and 25 on one side
-// and at 100 on the other. At 25, Gram's C/2 + R = 13.5·R
+// gramMaxColsPerRank is ResolveSVD's rule: the Gram solver runs on a
+// mode whose matricized product has at most this many columns per
+// requested singular vector. The benchmark's shapes sit at 10 and 25 on
+// one side and at 100 on the other. At 25, Gram's C/2 + R = 13.5·R
 // pass-equivalents per row are 2.2x Lanczos's ~6·R passes (31 at
 // C = 125, R = 5) and still solve 1.75x faster: a BLAS3 pass outruns a
-// GEMV pass ~4x here. At 32 the arithmetic ratio is 2.8x.
+// GEMV pass ~4x here. At 32 the arithmetic ratio is 2.8x. Both solvers'
+// per-solve times on either side of this bound and of gramMaxCols:
+// go test -run '^$' -bench SVDRule . (the README's "Solvers" section).
 const gramMaxColsPerRank = 32
 
-// gramMaxCols caps SVDAuto's Gram side on C alone, for Gram's serial
+// gramMaxCols caps ResolveSVD's Gram side on C alone, for Gram's serial
 // O(C³) reduction and its C²/2 SYRK per row outgrow Lanczos's ~70
-// passes of C however many vectors are wanted. Per solve at order 3 (ranks R, C =
-// R², the scale-1 netflix and nell presets, 2 vCPUs), Gram against
-// Lanczos: C = 256 at 18.5 / 18.9 ms and 24.3 / 30.4 ms, C = 289 at
-// 23.6 / 21.4 and 32.4 / 39.3, C = 324 at 29.7 / 24.4 and 47.7 / 39.7.
+// passes of C however many vectors are wanted; the shorter the mode, the
+// sooner. BenchmarkSVDRule times both solvers per mode at C = 256 and
+// 289 (ranks 16 and 17 at order 3).
 const gramMaxCols = 256
 
 // ResolveSVD turns SVDAuto into the solver that runs on a matricized
 // product with cols columns of which rank singular vectors are wanted;
-// an explicit choice is kept.
+// any other method is kept.
 func ResolveSVD(m SVDMethod, cols, rank int) SVDMethod {
 	if m != SVDAuto {
 		return m
@@ -123,8 +122,8 @@ func ResolveSVD(m SVDMethod, cols, rank int) SVDMethod {
 	return SVDLanczos
 }
 
-// svdNames spells the solvers the way cmd/hooi's -svd flag does,
-// indexed by the SVDMethod value.
+// svdNames names the solvers in reports (cmd/hooi's `trsvd: solver=`
+// line), indexed by the SVDMethod value.
 var svdNames = [...]string{
 	SVDAuto:       "auto",
 	SVDLanczos:    "lanczos",
@@ -132,17 +131,7 @@ var svdNames = [...]string{
 	SVDGram:       "gram",
 }
 
-// ParseSVD maps a -svd flag spelling to its SVDMethod value.
-func ParseSVD(s string) (SVDMethod, error) {
-	for m, name := range svdNames {
-		if s == name {
-			return SVDMethod(m), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown svd solver %q (solvers: %s)", s, strings.Join(svdNames[:], " | "))
-}
-
-// String names the solver the way cmd/hooi's -svd flag spells it.
+// String names the solver as reports print it.
 func (m SVDMethod) String() string {
 	if int(m) < 0 || int(m) >= len(svdNames) {
 		return fmt.Sprintf("SVDMethod(%d)", int(m))
@@ -162,8 +151,7 @@ type Options struct {
 	// sketch geometrically until its unseen tail cannot hide one more.
 	// The threshold holds each dropped value, not their sum, so the rule
 	// bounds no total error: ‖X − X̂‖ can exceed eps·‖X‖. Runs the
-	// randomized solver, so SVD must be SVDAuto or SVDRandomized. Must
-	// lie in (0, 1].
+	// randomized solver. Must lie in (0, 1].
 	Eps float64
 	// MaxIters caps the number of ALS sweeps. 0 selects 50.
 	MaxIters int
@@ -173,13 +161,6 @@ type Options struct {
 	Tol float64
 	// Threads bounds shared-memory parallelism; 0 uses GOMAXPROCS.
 	Threads int
-	// SVD selects the TRSVD solver: SVDAuto (the default) resolves per
-	// mode to SVDGram or SVDLanczos from the mode's shape.
-	SVD SVDMethod
-	// TTMc selects the TTMc evaluation strategy: TTMcAuto (the default)
-	// resolves at plan time to the flat reference path or the memoized
-	// dimension tree.
-	TTMc TTMcStrategy
 	// Seed makes the whole decomposition deterministic.
 	Seed int64
 	// MeasureAllocs records the steady-state heap allocation count and
@@ -192,6 +173,13 @@ type Options struct {
 	// used for warm starts and for equivalence testing against the
 	// distributed algorithm. The matrices are copied, not mutated.
 	Initial []*dense.Matrix
+
+	// svd and ttmc pin the solver and the TTMc strategy. Left at zero,
+	// the shape decides (ResolveSVD, resolveTTMc); withDefaults sets svd
+	// under Eps, and this package's oracle tests pin either to compare
+	// the paths.
+	svd  SVDMethod
+	ttmc TTMcStrategy
 }
 
 func (o *Options) withDefaults() Options {
@@ -203,7 +191,7 @@ func (o *Options) withDefaults() Options {
 		out.Tol = 1e-5
 	}
 	if out.Eps > 0 {
-		out.SVD = SVDRandomized
+		out.svd = SVDRandomized
 	}
 	return out
 }
@@ -254,18 +242,6 @@ func (o *Options) Validate(x *tensor.COO) error {
 				return fmt.Errorf("core: rank %d in mode %d exceeds the product of the other ranks (%d); Y_(%d) cannot have that many singular vectors", r, n, other, n)
 			}
 		}
-	}
-	if int(o.SVD) < 0 || int(o.SVD) >= len(svdNames) {
-		return fmt.Errorf("core: unknown SVD method %d", int(o.SVD))
-	}
-	if o.Eps > 0 && o.SVD != SVDAuto && o.SVD != SVDRandomized {
-		return fmt.Errorf("core: Eps selects ranks with the randomized solver; it cannot be combined with SVD %v", o.SVD)
-	}
-	if int(o.TTMc) < 0 || int(o.TTMc) >= len(ttmcNames) {
-		return fmt.Errorf("core: unknown ttmc strategy %d", int(o.TTMc))
-	}
-	if o.TTMc == TTMcDTree && x.Order() < 2 {
-		return fmt.Errorf("core: the dimension tree needs a tensor of order 2 or more, got order %d", x.Order())
 	}
 	if o.Initial != nil {
 		if len(o.Initial) != x.Order() {

@@ -61,10 +61,10 @@ func NewRankPlan(x *tensor.COO, opts Options, normX float64, sym *symbolic.Struc
 }
 
 func buildPlan(x *tensor.COO, opts Options, sym *symbolic.Structure) *Plan {
-	opts.TTMc = resolveTTMc(opts.TTMc, x, sym)
+	opts.ttmc = resolveTTMc(opts.ttmc, x, sym)
 	p := &Plan{opts: opts, x: x}
 	start := time.Now()
-	if sym == nil && opts.TTMc != TTMcDTree {
+	if sym == nil && opts.ttmc != TTMcDTree {
 		sym = symbolic.Build(x, opts.Threads)
 	}
 	p.sym = sym
@@ -72,8 +72,8 @@ func buildPlan(x *tensor.COO, opts Options, sym *symbolic.Structure) *Plan {
 	return p
 }
 
-// resolveTTMc turns TTMcAuto into the strategy the plan runs; an
-// explicit choice is kept. The tree earns its memo nodes from order 4
+// resolveTTMc turns TTMcAuto into the strategy the plan runs; a pinned
+// strategy is kept. The tree earns its memo nodes from order 4
 // up; on order 3 the flat kernel's run factoring takes less time than
 // the tree (ttm.flat_s 0.038 against ttm.dtree_s 0.054 on netflix3) and
 // holds no memo. A rank's local tensor may be empty, and sym — a rank
@@ -99,16 +99,15 @@ func resolveTTMc(s TTMcStrategy, x *tensor.COO, sym *symbolic.Structure) TTMcStr
 // Options returns a copy of the validated options (defaults applied).
 func (p *Plan) Options() Options { return p.opts }
 
-// TTMc reports the TTMc strategy the plan runs: Options.TTMc, with
-// TTMcAuto resolved.
-func (p *Plan) TTMc() TTMcStrategy { return p.opts.TTMc }
+// TTMc reports the TTMc strategy the plan runs.
+func (p *Plan) TTMc() TTMcStrategy { return p.opts.ttmc }
 
 // PredictSweepMadds returns the TTMc multiply-adds of one steady-state
 // sweep of x at the given ranks under each strategy: an accumulator
 // update per nonzero and a row update per run of x's update lists,
 // summed over the modes, for the flat path; parent entries times block
 // size, summed over the nodes, for the dimension tree (0 below order 2,
-// where there is none). It is what TTMcAuto's rule should agree with;
+// where there is none). It is what the plan's rule should agree with;
 // counting runs and tree entries costs one symbolic build each.
 func PredictSweepMadds(x *tensor.COO, ranks []int, threads int) (flat, tree int64) {
 	flat = ttm.NewFlat(x, symbolic.Build(x, threads)).SweepFlops(ranks)

@@ -17,9 +17,9 @@ func TestRandomizedFitMatchesLanczos(t *testing.T) {
 	x, ranks := presetTensor(t, "netflix", 0.02)
 	opts := Options{Ranks: ranks, MaxIters: 5, Tol: -1, Seed: 11}
 	lan := opts
-	lan.SVD = SVDLanczos
+	lan.svd = SVDLanczos
 	rnd := opts
-	rnd.SVD = SVDRandomized
+	rnd.svd = SVDRandomized
 	rl, err := Decompose(x, lan)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestRandomizedFitMatchesLanczos(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(71))
 	lr := lowRankTensor(rng, []int{20, 18, 16}, 3, 8)
-	res, err := Decompose(lr, Options{Ranks: []int{3, 3, 3}, MaxIters: 30, Tol: 1e-12, Seed: 2, SVD: SVDRandomized})
+	res, err := Decompose(lr, Options{Ranks: []int{3, 3, 3}, MaxIters: 30, Tol: 1e-12, Seed: 2, svd: SVDRandomized})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRandomizedFitBitwiseAcrossThreads(t *testing.T) {
 			MaxIters: 4,
 			Tol:      -1,
 			Threads:  threads,
-			SVD:      SVDRandomized,
+			svd:      SVDRandomized,
 			Seed:     5,
 		})
 		if err != nil {
@@ -154,16 +154,6 @@ func TestEpsValidation(t *testing.T) {
 	if _, err := Decompose(x, Options{Eps: 0.5, MaxIters: 2, Tol: -1}); err != nil {
 		t.Errorf("Eps run with nil Ranks rejected: %v", err)
 	}
-	// Eps runs the randomized solver: an explicit other solver is
-	// refused rather than silently replaced.
-	for _, svd := range []SVDMethod{SVDLanczos, SVDGram} {
-		if _, err := Decompose(x, Options{Eps: 0.5, SVD: svd, MaxIters: 2, Tol: -1}); err == nil {
-			t.Errorf("Eps with SVD %v accepted", svd)
-		}
-	}
-	if _, err := Decompose(x, Options{Eps: 0.5, SVD: SVDRandomized, MaxIters: 2, Tol: -1}); err != nil {
-		t.Errorf("Eps with SVD rand rejected: %v", err)
-	}
 }
 
 // The Update path under the randomized solver is held to the cold
@@ -177,7 +167,7 @@ func TestEngineUpdateRandomized(t *testing.T) {
 		if _, err := merged.Merge(delta); err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Ranks: ranks, MaxIters: 40, Tol: 1e-7, Seed: 7, SVD: SVDRandomized}
+		opts := Options{Ranks: ranks, MaxIters: 40, Tol: 1e-7, Seed: 7, svd: SVDRandomized}
 		e := NewEngine(mustPlan(t, x, opts))
 		if _, err := e.Run(context.Background()); err != nil {
 			t.Fatal(err)

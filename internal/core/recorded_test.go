@@ -19,7 +19,7 @@ import (
 // legitimately moves one, the failure prints got and recorded and the
 // literal is edited in that change. The Lanczos, randomized and
 // Lanczos-update columns were recorded at commit c9e0e6f, when Lanczos
-// was the default, and are now taken with SVD pinned to it: that they
+// was the default, and are now taken with the solver pinned to it: that they
 // still hold says the Lanczos path is what it was. The snapshot column
 // is checkpoint format version 2's. The auto columns
 // are the default's, recorded when SVDAuto arrived for the order-3
@@ -74,7 +74,7 @@ func TestRecordedCounts(t *testing.T) {
 			svd  SVDMethod
 			want solverCounts
 		}{{SVDLanczos, want.lanczos}, {SVDAuto, want.dflt}} {
-			opts.SVD = sv.svd
+			opts.svd = sv.svd
 			// The fit trajectory must not depend on the thread count, bit
 			// for bit. The one-thread runs (parallel regions inline, so no
 			// worker pool in the count) also count allocations.
@@ -123,7 +123,7 @@ func TestRecordedCounts(t *testing.T) {
 
 			// The update path on the tree, to a converged tolerance, so the
 			// sweep count is the re-convergence's and not a budget's.
-			plan, err := NewPlan(x, Options{Ranks: ranks, MaxIters: 30, Tol: 1e-9, Threads: 1, TTMc: TTMcDTree, Seed: 32, SVD: sv.svd})
+			plan, err := NewPlan(x, Options{Ranks: ranks, MaxIters: 30, Tol: 1e-9, Threads: 1, ttmc: TTMcDTree, Seed: 32, svd: sv.svd})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,12 +151,12 @@ func TestRecordedCounts(t *testing.T) {
 			t.Errorf("%s: PredictSweepMadds gives flat=%d dtree=%d, recorded %d madds per sweep", want.preset, flat, tree, want.ttmcMadds)
 		}
 
-		opts.SVD = SVDRandomized
+		opts.svd = SVDRandomized
 		if got := mustRun(t, x, opts).TRSVDMadds; got != want.randomizedMadds {
 			t.Errorf("%s: %d randomized-solver madds, recorded %d", want.preset, got, want.randomizedMadds)
 		}
 
-		opts.SVD = SVDAuto
+		opts.svd = SVDAuto
 		plan, err := NewPlan(x, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -55,10 +55,10 @@ func resultsBitwiseEqual(t *testing.T, label string, a, b *Result) {
 func TestResumeBitwiseIdentical(t *testing.T) {
 	x, ranks := presetTensor(t, "netflix", 0.02)
 	for i, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree, TTMcFlat} {
-		opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 7, TTMc: strat}
+		opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 7, ttmc: strat}
 		wantSVD := "[gram gram gram]"
 		if i == 2 {
-			opts.SVD = SVDLanczos
+			opts.svd = SVDLanczos
 			wantSVD = "[lanczos lanczos lanczos]"
 		}
 
@@ -86,7 +86,7 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 		resultsBitwiseEqual(t, "checkpointing perturbed the run", full, ckpted)
 
 		if got := fmt.Sprint(full.SVD); got != wantSVD {
-			t.Fatalf("strat=%v svd=%v ran %s at ranks %v, want %s", strat, opts.SVD, got, ranks, wantSVD)
+			t.Fatalf("strat=%v svd=%v ran %s at ranks %v, want %s", strat, opts.svd, got, ranks, wantSVD)
 		}
 
 		// Resume from the mid-run (sweep 3) checkpoint on a fresh
@@ -107,7 +107,7 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 			}
 			resultsBitwiseEqual(t, fmt.Sprintf("run resumed at sweep %d diverged", sweep), full, resumed)
 			if got := fmt.Sprint(resumed.SVD); got != wantSVD {
-				t.Errorf("strat=%v svd=%v: run resumed at sweep %d reports %s, want %s", strat, opts.SVD, sweep, got, wantSVD)
+				t.Errorf("strat=%v svd=%v: run resumed at sweep %d reports %s, want %s", strat, opts.svd, sweep, got, wantSVD)
 			}
 		}
 	}
@@ -122,7 +122,7 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 func TestResumeWarmBitwise(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{40, 30, 20}, NNZ: 2000, Skew: 0.5, Seed: 3})
 	for _, svd := range []SVDMethod{SVDRandomized, SVDLanczos, SVDGram} {
-		opts := Options{Ranks: []int{4, 4, 4}, MaxIters: 4, Tol: -1, Seed: 7, SVD: svd}
+		opts := Options{Ranks: []int{4, 4, 4}, MaxIters: 4, Tol: -1, Seed: 7, svd: svd}
 		ctx := context.Background()
 		e1 := NewEngine(mustPlan(t, x, opts))
 		if _, err := e1.Run(ctx); err != nil {

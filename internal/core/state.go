@@ -111,7 +111,10 @@ func (s *SweepState) SolveDense(y *dense.Matrix, n, rank int, method SVDMethod, 
 // measured against. Returns the compacted rank-column basis, the chosen
 // rank, and the accumulated operator-application count. The basis is
 // the last solve's U, cut to rank columns in place, and like it valid
-// until the next solve.
+// until the next solve. The cut is why this runs the randomized solver:
+// its columns are ordered by singular value, where a Gram U after its
+// orthogonality repair is rotated within the leading subspace, and its
+// first rank columns are the wrong directions (trsvd.Result).
 func (s *SweepState) SolveDenseEps(y *dense.Matrix, guess, capR, threads int, tau, frob2 float64) (*dense.Matrix, int, int, error) {
 	maxR := y.Cols
 	if y.Rows < maxR {

@@ -120,7 +120,7 @@ func TestSTHOSVDDeterministic(t *testing.T) {
 func TestSTHOSVD4Mode(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{12, 10, 8, 6}, NNZ: 500, Skew: 0.4, Seed: 23})
 	tree := oneSweep(t, x, Options{Ranks: []int{2, 2, 2, 2}, Seed: 25})
-	flat := oneSweep(t, x, Options{Ranks: []int{2, 2, 2, 2}, Seed: 25, TTMc: TTMcFlat})
+	flat := oneSweep(t, x, Options{Ranks: []int{2, 2, 2, 2}, Seed: 25, ttmc: TTMcFlat})
 	if tree.TTMc != TTMcDTree || tree.Core.Order() != 4 || !(tree.Fit > 0) {
 		t.Fatalf("4-mode one sweep: strategy %v, core order %d, fit %v", tree.TTMc, tree.Core.Order(), tree.Fit)
 	}

@@ -115,7 +115,7 @@ func TestSolversMatchNaiveDenseHOOI(t *testing.T) {
 		opts.Initial = InitialFactors(x.Dims, tc.ranks, opts.Seed, opts.Threads)
 		want := naiveHOOI(x, opts.Initial, opts.MaxIters)
 		for _, svd := range []SVDMethod{SVDAuto, SVDLanczos, SVDGram} {
-			opts.SVD = svd
+			opts.svd = svd
 			res := mustRun(t, x, opts)
 			for i, fit := range want {
 				if d := math.Abs(res.FitHistory[i] - fit); !(d <= 1e-9) {
@@ -127,8 +127,8 @@ func TestSolversMatchNaiveDenseHOOI(t *testing.T) {
 }
 
 // SVDAuto's rule on the shapes it was measured on, either side of the
-// boundary, and the spellings of the solvers.
-func TestResolveSVDAndParse(t *testing.T) {
+// boundary; a pinned solver is kept.
+func TestResolveSVD(t *testing.T) {
 	for _, tc := range []struct {
 		cols, rank int
 		want       SVDMethod
@@ -154,23 +154,6 @@ func TestResolveSVDAndParse(t *testing.T) {
 			}
 		}
 	}
-	for m, name := range svdNames {
-		got, err := ParseSVD(name)
-		if err != nil || got != SVDMethod(m) || got.String() != name {
-			t.Errorf("ParseSVD(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseSVD("jacobi"); err == nil {
-		t.Error("ParseSVD accepted an unknown solver")
-	}
-	x := gen.Random(gen.Config{Dims: []int{5, 5, 5}, NNZ: 20, Seed: 15})
-	if _, err := NewPlan(x, Options{Ranks: []int{2, 2, 2}, SVD: SVDMethod(len(svdNames))}); err == nil {
-		t.Error("an out-of-range SVD method was accepted")
-	}
-	var zero Options
-	if zero.SVD != SVDAuto {
-		t.Error("SVDAuto is not the zero value of Options.SVD")
-	}
 }
 
 // Where the default resolves to Gram, its fit trajectory is Lanczos's
@@ -181,7 +164,7 @@ func TestGramDefaultTracksLanczosOnOrder3(t *testing.T) {
 		x, ranks := presetTensor(t, name, 0.2)
 		opts := Options{Ranks: ranks, MaxIters: 20, Tol: -1, Seed: 32, Threads: 2}
 		auto := mustRun(t, x, opts)
-		opts.SVD = SVDLanczos
+		opts.svd = SVDLanczos
 		lan := mustRun(t, x, opts)
 		for _, sweep := range []int{5, 20} {
 			if d := math.Abs(auto.FitHistory[sweep-1] - lan.FitHistory[sweep-1]); !(d <= 1e-9) {
@@ -242,7 +225,7 @@ func resultDigest(res *Result) string {
 // for 5 vectors) and of the order-3 one to Gram.
 func TestLanczosIsTheParentsOnOrder4(t *testing.T) {
 	x, ranks := presetTensor(t, "delicious", 0.1)
-	eng := NewEngine(mustPlan(t, x, Options{Ranks: ranks, MaxIters: 5, Tol: -1, Seed: 1, Threads: 2, SVD: SVDLanczos}))
+	eng := NewEngine(mustPlan(t, x, Options{Ranks: ranks, MaxIters: 5, Tol: -1, Seed: 1, Threads: 2, svd: SVDLanczos}))
 	cold, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -33,19 +33,17 @@ func TestInvalidOptionsArePlainErrors(t *testing.T) {
 		name     string
 		ranks    []int
 		maxIters int
-		svd      core.SVDMethod
 		initial  []*dense.Matrix
 	}{
-		{"short initial", ranks, 2, core.SVDLanczos, good[:2]},
-		{"initial with too few rows", ranks, 2, core.SVDLanczos, []*dense.Matrix{dense.NewMatrix(9, 3), good[1], good[2]}},
-		{"initial with the wrong rank", ranks, 2, core.SVDLanczos, DefaultInitial(x.Dims, []int{3, 2, 3}, 1)},
-		{"negative MaxIters", ranks, -1, core.SVDLanczos, nil},
-		{"too few ranks", ranks[:2], 2, core.SVDLanczos, nil},
-		{"rank above the mode size", []int{3, 3, 21}, 2, core.SVDLanczos, nil},
-		{"unknown solver", ranks, 2, core.SVDMethod(7), nil},
+		{"short initial", ranks, 2, good[:2]},
+		{"initial with too few rows", ranks, 2, []*dense.Matrix{dense.NewMatrix(9, 3), good[1], good[2]}},
+		{"initial with the wrong rank", ranks, 2, DefaultInitial(x.Dims, []int{3, 2, 3}, 1)},
+		{"negative MaxIters", ranks, -1, nil},
+		{"too few ranks", ranks[:2], 2, nil},
+		{"rank above the mode size", []int{3, 3, 21}, 2, nil},
 	} {
-		_, planErr := core.NewPlan(x, core.Options{Ranks: tc.ranks, MaxIters: tc.maxIters, SVD: tc.svd, Initial: tc.initial})
-		res, distErr := Decompose(x, part, Config{Ranks: tc.ranks, MaxIters: tc.maxIters, SVD: tc.svd, Initial: tc.initial})
+		_, planErr := core.NewPlan(x, core.Options{Ranks: tc.ranks, MaxIters: tc.maxIters, Initial: tc.initial})
+		res, distErr := Decompose(x, part, Config{Ranks: tc.ranks, MaxIters: tc.maxIters, Initial: tc.initial})
 		if res != nil {
 			t.Errorf("%s: dist.Decompose returned a result", tc.name)
 		}
@@ -122,45 +120,47 @@ func TestSteadyStateSweepAllocatesNoFactorSizedBlock(t *testing.T) {
 	}
 }
 
-// The seam between the exchange and the rank's compute carries any
-// core.Plan: ranks planned with the dimension tree converge to the flat
-// ranks' fit, and the tree — which is what a fine-grain order-4 rank
-// plans by default — executes at most half of the nominal W_TTMc
-// multiply-adds, and fewer than the flat kernel's, on every rank.
+// The seam between the exchange and the rank's compute carries either
+// kernel a rank plans with: on an order-4 tensor a fine-grain rank plans
+// the dimension tree and a coarse-grain one, whose update lists are
+// restricted to the slices it owns, the flat kernel. The two worlds
+// converge to the same fit, and the tree executes at most half of the
+// nominal W_TTMc multiply-adds on every rank, and fewer in all than the
+// flat world.
 func TestRankPlansCarryAnyKernel(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{40, 30, 35, 25}, NNZ: 3000, Skew: 0.4, Seed: 12})
 	cfg := Config{Ranks: []int{3, 3, 3, 3}, MaxIters: 4, Tol: -1, Seed: 2}
-	part, err := MakePartition(x, 3, Fine, MethodHypergraph, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := decompose(context.Background(), mpi.NewWorld(part.P), x, part, cfg,
-		seam{rankOptions: func(o *core.Options) { o.TTMc = core.TTMcFlat }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, rewrite := range map[string]func(*core.Options){
-		"dtree": func(o *core.Options) { o.TTMc = core.TTMcDTree },
-		"auto":  func(*core.Options) {},
-	} {
-		res, err := decompose(context.Background(), mpi.NewWorld(part.P), x, part, cfg, seam{rankOptions: rewrite})
+	var worlds [2]*Result
+	var madds [2]int64
+	for i, g := range []Grain{Fine, Coarse} {
+		part, err := MakePartition(x, 3, g, MethodHypergraph, 4)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		for i, fit := range flat.FitHistory {
-			if d := math.Abs(res.FitHistory[i] - fit); d > 1e-8 {
-				t.Fatalf("%s sweep %d: fit %v, flat %v (diff %v)", name, i, res.FitHistory[i], fit, d)
-			}
+		res, err := Decompose(x, part, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", part.Name(), err)
 		}
-		for r, madds := range res.Stats.TTMcMadds {
+		for r, m := range res.Stats.TTMcMadds {
 			var nominal int64
 			for n := range res.Stats.Mode {
 				nominal += res.Stats.Mode[n][r].WTTMc * int64(cfg.MaxIters)
 			}
-			if 2*madds > nominal || madds >= flat.Stats.TTMcMadds[r] || flat.Stats.TTMcMadds[r] > nominal {
-				t.Fatalf("%s rank %d: %d TTMc madds, flat's %d, nominal %d", name, r, madds, flat.Stats.TTMcMadds[r], nominal)
+			if g == Fine && 2*m > nominal || m > nominal {
+				t.Fatalf("%s rank %d: %d TTMc madds, nominal %d", part.Name(), r, m, nominal)
 			}
+			madds[i] += m
 		}
+		worlds[i] = res
+	}
+	tree, flat := worlds[0], worlds[1]
+	for i, fit := range flat.FitHistory {
+		if d := math.Abs(tree.FitHistory[i] - fit); d > 1e-8 {
+			t.Fatalf("sweep %d: fine-grain fit %v, coarse-grain %v (diff %v)", i, tree.FitHistory[i], fit, d)
+		}
+	}
+	if madds[0] >= madds[1] {
+		t.Fatalf("the fine-grain world executed %d TTMc madds, the coarse-grain one %d", madds[0], madds[1])
 	}
 }
 

@@ -28,12 +28,6 @@ type Config struct {
 	// Initial optionally supplies explicit initial factor matrices;
 	// when nil, DefaultInitial(x.Dims, Ranks, Seed) is used.
 	Initial []*dense.Matrix
-	// SVD selects the per-mode solver (default core.SVDAuto: Gram or
-	// Lanczos by the mode's shape, the same on every rank). The Gram and
-	// randomized solvers' decisions are all made on replicated small
-	// matrices after fixed rank-order reductions, so ranks with zero
-	// owned rows stay in lockstep with the rest of the world.
-	SVD core.SVDMethod
 	// CheckpointDir enables coordinated sweep-boundary checkpoints: rank
 	// 0 writes one atomically (write-temp, fsync, rename) every
 	// CheckpointEvery sweeps, after the sweep's core allreduce — at
@@ -159,15 +153,18 @@ type Result struct {
 }
 
 // options routes the configuration through the shared-memory
-// validation (ranks, sweep cap, solver, initial factor shapes — against
-// the whole tensor) and returns the options every rank plans with.
-// Rank kernels are single-threaded COO, the ranks being the
-// parallelism, and the TTMc strategy is each rank plan's own choice
-// (core.TTMcAuto).
+// validation (ranks, sweep cap, initial factor shapes — against the
+// whole tensor) and returns the options every rank plans with. Rank
+// kernels are single-threaded COO, the ranks being the parallelism; the
+// TTMc strategy is each rank plan's own choice, and each mode's solver
+// the one its shape resolves to, the same on every rank (Gram's
+// decisions are made on replicated small matrices after fixed
+// rank-order reductions, so ranks with zero owned rows stay in lockstep
+// with the rest of the world).
 func (cfg Config) options(x *tensor.COO, part *Partition) (core.Options, error) {
 	opts := core.Options{
 		Ranks: cfg.Ranks, MaxIters: cfg.MaxIters, Tol: cfg.Tol, Seed: cfg.Seed,
-		SVD: cfg.SVD, Initial: cfg.Initial, Threads: 1,
+		Initial: cfg.Initial, Threads: 1,
 	}
 	if err := opts.Validate(x); err != nil {
 		return opts, err
@@ -205,15 +202,10 @@ func DecomposeWorld(ctx context.Context, world mpi.Runner, x *tensor.COO, part *
 	return decompose(ctx, world, x, part, cfg, seam{})
 }
 
-// seam lets tests vary what production fixes. rankOptions rewrites the
-// options a rank plans with (the TTMc strategy), proving the exchange
-// carries any core.Plan — under the fine grain: a coarse rank's
-// restriction to its owned slices lives in the update lists only the
-// flat kernel reads. wrap substitutes the exchange, which is how
-// the dense-collective oracle is run.
+// seam lets tests vary what production fixes: wrap substitutes the
+// exchange, which is how the dense-collective oracle is run.
 type seam struct {
-	rankOptions func(*core.Options)
-	wrap        func(*exchange) core.Exchange
+	wrap func(*exchange) core.Exchange
 }
 
 func decompose(ctx context.Context, world mpi.Runner, x *tensor.COO, part *Partition, cfg Config, sm seam) (*Result, error) {
@@ -226,9 +218,6 @@ func decompose(ctx context.Context, world mpi.Runner, x *tensor.COO, part *Parti
 	}
 	if opts.Initial == nil {
 		opts.Initial = DefaultInitial(x.Dims, cfg.Ranks, cfg.Seed)
-	}
-	if sm.rankOptions != nil {
-		sm.rankOptions(&opts)
 	}
 	gsym := symbolic.Build(x, 0)
 	// Ranks measure the fit against the whole tensor's norm, not their

@@ -12,6 +12,7 @@ import (
 	"hypertensor/internal/gen"
 	"hypertensor/internal/mpi"
 	"hypertensor/internal/tensor"
+	"hypertensor/internal/ttm"
 )
 
 // tcpWorlds stands up one TCPWorld per rank over loopback, using
@@ -171,18 +172,20 @@ func worldMatchesTCP(t *testing.T, x *tensor.COO, part *Partition, cfg Config) *
 	return sim
 }
 
-// On an order-4 tensor every rank plans with default options, so the
-// TTMc strategy is the plan's choice: the tree on a fine-grain rank,
-// the flat kernel on a coarse-grain one (its update lists are
-// restricted to owned slices) and on a rank that holds nothing. Either
-// way World ≡ TCP, at even and odd world sizes, and the fits agree with
-// an all-flat world's to rounding.
+// On an order-4 tensor the TTMc strategy is each rank plan's choice:
+// the tree on a fine-grain rank, the flat kernel on a coarse-grain one
+// (its update lists are restricted to owned slices) and on a rank that
+// holds nothing. Either way World ≡ TCP, at even and odd world sizes,
+// and the fits agree with the two-rank coarse-grain world's, which runs
+// the flat kernel on every rank, to rounding. Each rank's multiply-adds
+// say which kernel ran: a flat rank executes what the flat kernel counts
+// on its local lists, a tree rank less.
 func TestDefaultRankPlansOnOrder4(t *testing.T) {
 	x := testTensor4(t)
 	cfg := Config{Ranks: []int{2, 2, 3, 2}, MaxIters: 3, Tol: -1, Seed: 5}
 	var parts []*Partition
 	for _, p := range []int{2, 3} {
-		for _, g := range []Grain{Fine, Coarse} {
+		for _, g := range []Grain{Coarse, Fine} {
 			part, err := MakePartition(x, p, g, MethodHypergraph, 3)
 			if err != nil {
 				t.Fatal(err)
@@ -191,20 +194,26 @@ func TestDefaultRankPlansOnOrder4(t *testing.T) {
 		}
 	}
 	parts = append(parts, idleRankPartition(x, 3))
+	var flat *Result
 	for _, part := range parts {
 		sim := worldMatchesTCP(t, x, part, cfg)
-		flat, err := decompose(context.Background(), mpi.NewWorld(part.P), x, part, cfg,
-			seam{rankOptions: func(o *core.Options) { o.TTMc = core.TTMcFlat }})
-		if err != nil {
-			t.Fatal(err)
+		if flat == nil {
+			flat = sim
 		}
 		for i, fit := range flat.FitHistory {
 			if d := math.Abs(sim.FitHistory[i] - fit); !(d <= 1e-10) {
-				t.Fatalf("%s sweep %d: default fit %.17g is %.3g off the all-flat world's", part.Name(), i+1, sim.FitHistory[i], d)
+				t.Fatalf("%s sweep %d: fit %.17g is %.3g off the all-flat world's", part.Name(), i+1, sim.FitHistory[i], d)
 			}
 		}
+		rankEx := make([]*exchange, part.P)
+		if _, err := decompose(context.Background(), mpi.NewWorld(part.P), x, part, cfg, seam{wrap: func(ex *exchange) core.Exchange {
+			rankEx[ex.me] = ex
+			return ex
+		}}); err != nil {
+			t.Fatal(err)
+		}
 		for r, madds := range sim.Stats.TTMcMadds {
-			flatMadds := flat.Stats.TTMcMadds[r]
+			flatMadds := ttm.NewFlat(rankEx[r].xloc, rankEx[r].sym).SweepFlops(cfg.Ranks) * int64(cfg.MaxIters)
 			tree := part.Grain == Fine && flatMadds > 0
 			if tree && madds >= flatMadds {
 				t.Fatalf("%s rank %d: %d TTMc madds by default, the flat kernel %d — not the tree", part.Name(), r, madds, flatMadds)
@@ -392,38 +401,28 @@ func TestRecordedWireBytes(t *testing.T) {
 	}
 }
 
-// What one sweep of the randomized solver puts on the wire, per mode and
-// summed over both ranks, in the setting of TestRecordedWireBytes's
-// netflix np=2 cells. Its panel products are each one collective: a
-// projection Aᵀ·Q reduces the whole cols x b panel at once, carrying
-// what b column reductions would carry. A change that legitimately moves
-// a count edits the literal.
-func TestRecordedRandomizedWireBytes(t *testing.T) {
-	cfg, err := gen.Preset("netflix", 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := gen.Random(cfg)
-	ranks := gen.PaperRanks(x.Order())
-	for n := range ranks {
-		ranks[n] = min(ranks[n], x.Dims[n])
-	}
-	part, err := MakePartition(x, 2, Fine, MethodHypergraph, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := worldMatchesTCP(t, x, part, Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32, SVD: core.SVDRandomized})
-	var bytes, msgs [3]int64
-	for n := range res.Stats.Mode {
-		for _, ms := range res.Stats.Mode[n] {
-			bytes[n] += ms.TRSVDBytes
-			msgs[n] += ms.TRSVDMsgs
+// The Gram solver's branches (null directions, the orthogonality repair)
+// all run on replicated small matrices after fixed rank-order
+// reductions, so World ≡ TCP holds under it bit for bit — including on a
+// tensor with a mode smaller than the rank count, where some ranks own
+// zero rows of that matricization and enter the collectives with empty
+// panels.
+func TestGramTransportBitwise(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		x     *tensor.COO
+		ranks []int
+		p     int
+	}{
+		{"3mode", testTensor3(t), []int{4, 3, 3}, 4},
+		{"4mode", testTensor4(t), []int{2, 2, 3, 2}, 2},
+		// Mode 2 has 3 rows split across 4 ranks.
+		{"zero-row-rank", gen.Random(gen.Config{Dims: []int{25, 20, 3}, NNZ: 600, Skew: 0.4, Seed: 31}), []int{3, 3, 2}, 4},
+	} {
+		part, err := MakePartition(tc.x, tc.p, Coarse, MethodBlock, 11)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}
-	if want := [3]int64{95200, 95200, 64980}; bytes != want {
-		t.Errorf("TRSVD bytes per sweep by mode %v, recorded %v", bytes, want)
-	}
-	if want := [3]int64{36, 36, 26}; msgs != want {
-		t.Errorf("TRSVD collectives per sweep by mode %v, recorded %v", msgs, want)
+		worldMatchesTCP(t, tc.x, part, Config{Ranks: tc.ranks, MaxIters: 3, Tol: -1, Seed: 17})
 	}
 }

@@ -36,13 +36,14 @@ const (
 // condition number: singular values below ~1e-7·σ₁ are not resolved
 // and their vectors come from completeBasis, which HOOI — after the
 // dominant subspace only — does not notice. It is the solver for
-// narrow matricizations; SVDAuto in package core holds the rule.
+// narrow matricizations; core.ResolveSVD holds the rule.
 //
 // U's orthogonality defect is eps·(σ₁/σ_k)², so U is checked through
 // its k x k Gram matrix (one more small reduction) and re-whitened when
 // the defect exceeds gramOrthTol; the whitening spans the same
 // subspace but may rotate the columns within it, so after a repair
-// Sigma describes the subspace, not the individual columns. The result
+// Sigma describes the subspace, not the individual columns, and U must
+// not be cut to its first j < k columns (Result.Sigma). The result
 // is bitwise identical for every thread count and transport: both
 // reductions run on fixed block grids and the eigensolver is serial.
 // U and Sigma are the workspace's, and the whitening rotates U in place

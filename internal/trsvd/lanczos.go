@@ -28,8 +28,15 @@ type Result struct {
 	// or a throwaway one when that is nil) and valid until the
 	// workspace's next solve.
 	U *dense.Matrix
-	// Sigma are the corresponding singular value estimates, descending;
-	// the workspace's, like U.
+	// Sigma are the singular value estimates, descending; the
+	// workspace's, like U. Under Lanczos and Randomized, column j of U
+	// is Sigma[j]'s vector, so the first j columns of U span the leading
+	// j-dimensional subspace and U may be cut to them. Under Gram that
+	// holds only when its orthogonality repair did not run, which the
+	// caller cannot tell: a repaired U spans the leading k-dimensional
+	// subspace in rotated columns, and its first j columns are not the
+	// leading j directions. Solve at the k wanted instead of cutting a
+	// Gram U.
 	Sigma []float64
 	// MatVecs counts operator applications: one per MatVec or MatTVec,
 	// one per column of a block application. A Gram solve reports the k
