@@ -416,41 +416,24 @@ func nextPow2(p int) int {
 	return d
 }
 
-// ReduceSum sums data across ranks element-wise at root. Non-roots send
-// their contribution directly to root; root accumulates in ascending
-// rank order so the result is deterministic. Returns the sum at root and
-// nil elsewhere.
-func (c *Comm) ReduceSum(root int, data []float64) []float64 {
-	if c.Rank() != root {
-		c.sendMsg(root, message{tag: tagReduce, f: append([]float64(nil), data...)})
-		return nil
+// AllReduceSum sums data element-wise across all ranks; every rank
+// receives the bitwise-identical result. The other ranks send their
+// contribution to rank 0, which accumulates in ascending rank order, so
+// the sum is deterministic, and broadcasts it.
+func (c *Comm) AllReduceSum(data []float64) []float64 {
+	if c.Rank() != 0 {
+		c.sendMsg(0, message{tag: tagReduce, f: append([]float64(nil), data...)})
+		return c.Bcast(0, make([]float64, len(data)))
 	}
 	acc := append([]float64(nil), data...)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
+	for r := 1; r < c.Size(); r++ {
 		m := c.recvMsg(r, tagReduce)
 		if len(m.f) != len(acc) {
-			panic("mpi: ReduceSum length mismatch")
+			panic("mpi: AllReduceSum length mismatch")
 		}
 		for i, v := range m.f {
 			acc[i] += v
 		}
-	}
-	return acc
-}
-
-// AllReduceSum sums data element-wise across all ranks; every rank
-// receives the bitwise-identical result (reduce to rank 0, then
-// broadcast).
-func (c *Comm) AllReduceSum(data []float64) []float64 {
-	acc := c.ReduceSum(0, data)
-	if c.Rank() != 0 {
-		acc = nil
-	}
-	if acc == nil {
-		acc = make([]float64, len(data))
 	}
 	return c.Bcast(0, acc)
 }
