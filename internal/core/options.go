@@ -174,10 +174,10 @@ type Options struct {
 	// distributed algorithm. The matrices are copied, not mutated.
 	Initial []*dense.Matrix
 
-	// svd and ttmc pin the solver and the TTMc strategy. Left at zero,
-	// the shape decides (ResolveSVD, resolveTTMc); withDefaults sets svd
-	// under Eps, and this package's oracle tests pin either to compare
-	// the paths.
+	// svd and ttmc pin the solver and the TTMc strategy, for this
+	// package's oracle tests to compare the paths. Left at zero, as
+	// everywhere else, the shape decides (ResolveSVD, resolveTTMc); a
+	// run under Eps takes the randomized solver whatever svd says.
 	svd  SVDMethod
 	ttmc TTMcStrategy
 }
@@ -189,9 +189,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Tol == 0 {
 		out.Tol = 1e-5
-	}
-	if out.Eps > 0 {
-		out.svd = SVDRandomized
 	}
 	return out
 }

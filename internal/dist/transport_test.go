@@ -83,10 +83,10 @@ func TestTransportEquivalence(t *testing.T) {
 	idle := idleRankPartition(x, 3)
 	parts = append(parts, idle)
 
-	// The default resolves to Gram at ranks 3 (9 columns for 3 vectors)
-	// and to Lanczos, the other solver it can resolve to, at ranks 17
-	// (289 columns, past the Gram side's cap).
-	for _, ranks := range [][]int{{3, 3, 3}, {17, 17, 17}} {
+	// The shape picks each mode's solver: Gram at ranks 3 (9 columns for
+	// 3 vectors), and at ranks 2,9,8 Lanczos, the other solver it can
+	// pick, in mode 0 (72 columns for 2 vectors, past 32 a vector).
+	for _, ranks := range [][]int{{3, 3, 3}, {2, 9, 8}} {
 		cfg.Ranks = ranks
 		for _, part := range parts {
 			sim := worldMatchesTCP(t, x, part, cfg)
@@ -97,7 +97,7 @@ func TestTransportEquivalence(t *testing.T) {
 					}
 					// Two collectives per Gram solve, on every rank, the
 					// idle one included; a Lanczos solve enters dozens.
-					if gram := ranks[n] == 3; gram != (ms.TRSVDMsgs == 2) {
+					if gram := ranks[n] != 2; gram != (ms.TRSVDMsgs == 2) {
 						t.Fatalf("%s ranks %v mode %d rank %d: %d TRSVD collectives per sweep", part.Name(), ranks, n, r, ms.TRSVDMsgs)
 					}
 				}
