@@ -146,7 +146,7 @@ func TestRankPlansCarryAnyKernel(t *testing.T) {
 			for n := range res.Stats.Mode {
 				nominal += res.Stats.Mode[n][r].WTTMc * int64(cfg.MaxIters)
 			}
-			if g == Fine && 2*m > nominal || m > nominal {
+			if (g == Fine && 2*m > nominal) || m > nominal {
 				t.Fatalf("%s rank %d: %d TTMc madds, nominal %d", part.Name(), r, m, nominal)
 			}
 			madds[i] += m
