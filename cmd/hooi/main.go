@@ -18,13 +18,15 @@
 // Kronecker product of the other modes' factors: -iters 1 (or 2) is the
 // cheap one-pass Tucker, and -eps picks the ranks adaptively.
 //
-// -dist spawn forks -np rank processes on this machine (binding their
-// loopback ports first, so the launch is race-free) and waits; -dist
-// tcp joins an externally launched process group as one rank, where
-// every process must be started with the same -peers list and its own
-// -rank. Both run the same collective algorithms as the simulated
-// transport, so fit trajectories are bitwise identical at equal rank
-// counts.
+// -dist spawn runs this command line again as -np rank processes on
+// this machine, each with its own -rank and the -peers list appended
+// (binding their loopback ports first, so the launch is race-free), and
+// restarts the group from -checkpoint when one dies (-chaos-kill R@S
+// kills one for a drill); -dist tcp joins an externally launched
+// process group as one rank, where every process must be started with
+// the same -peers list and its own -rank. Both run the same collective
+// algorithms as the simulated transport, so fit trajectories are
+// bitwise identical at equal rank counts.
 //
 // With -update the tool converges once, then ingests the delta
 // tensor(s) through the resident engine and reports, per update, the
@@ -40,10 +42,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,34 +58,37 @@ import (
 	"hypertensor/internal/mpi"
 )
 
-func main() {
-	var (
-		input   = flag.String("input", "", "input tensor in .tns format (required)")
-		ranksIn = flag.String("ranks", "", "comma-separated decomposition ranks, one per mode (required)")
-		iters   = flag.Int("iters", 20, "maximum ALS sweeps (1 = a one-pass randomized ST-HOSVD from the random start)")
-		tol     = flag.Float64("tol", 1e-5, "fit-change stopping tolerance (negative disables)")
-		threads = flag.Int("threads", 0, "shared-memory threads (0 = GOMAXPROCS)")
-		eps     = flag.Float64("eps", 0, "adaptive-rank threshold in (0,1]: each mode keeps the sketched directions with sigma^2 >= eps^2*||X||^2/N, a per-value count that bounds no total error (-ranks becomes an optional cap)")
-		seed    = flag.Int64("seed", 1, "random seed")
-		distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
-		grain   = flag.String("grain", "fine", "distributed task grain: fine | coarse")
-		method  = flag.String("method", "hp", "distributed placement: hp | rd | bl")
-		np      = flag.Int("np", 4, "rank-process count for -dist spawn")
-		rank    = flag.Int("rank", -1, "this process's rank for -dist tcp")
-		peersIn = flag.String("peers", "", "comma-separated host:port of every rank (index = rank) for -dist tcp")
-		lfd     = flag.Int("listen-fd", -1, "inherited file descriptor of this rank's pre-bound listener (-dist tcp; set by -dist spawn)")
-		distTO  = flag.Duration("dist-timeout", 2*time.Minute, "TCP transport receive/write deadline; a stalled or dead peer fails the run after this long (negative disables)")
-		update  = flag.String("update", "", "comma-separated delta tensors (.tns) to ingest incrementally after the initial convergence")
-		quiet   = flag.Bool("q", false, "print only the final fit")
+// A -dist spawn child parses its parent's command line again, so each
+// flag has one copy, here.
+var (
+	input   = flag.String("input", "", "input tensor in .tns format (required)")
+	ranksIn = flag.String("ranks", "", "comma-separated decomposition ranks, one per mode (required)")
+	iters   = flag.Int("iters", 20, "maximum ALS sweeps (1 = a one-pass randomized ST-HOSVD from the random start)")
+	tol     = flag.Float64("tol", 1e-5, "fit-change stopping tolerance (negative disables)")
+	threads = flag.Int("threads", 0, "shared-memory threads (0 = GOMAXPROCS)")
+	eps     = flag.Float64("eps", 0, "adaptive-rank threshold in (0,1]: each mode keeps the sketched directions with sigma^2 >= eps^2*||X||^2/N, a per-value count that bounds no total error (-ranks becomes an optional cap)")
+	seed    = flag.Int64("seed", 1, "random seed")
+	distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
+	grain   = flag.String("grain", "fine", "distributed task grain: fine | coarse")
+	method  = flag.String("method", "hp", "distributed placement: hp | rd | bl")
+	np      = flag.Int("np", 4, "rank-process count for -dist spawn")
+	rank    = flag.Int("rank", -1, "this process's rank for -dist tcp (under -dist spawn, set by the parent for each child)")
+	peersIn = flag.String("peers", "", "comma-separated host:port of every rank (index = rank) for -dist tcp")
+	distTO  = flag.Duration("dist-timeout", 2*time.Minute, "TCP transport receive/write deadline; a stalled or dead peer fails the run after this long (negative disables)")
+	update  = flag.String("update", "", "comma-separated delta tensors (.tns) to ingest incrementally after the initial convergence")
+	quiet   = flag.Bool("q", false, "print only the final fit")
 
-		ckptDir    = flag.String("checkpoint", "", "checkpoint directory: write a crash-consistent snapshot every -ckpt-every sweeps and resume from the newest usable one on startup")
-		ckptEvery  = flag.Int("ckpt-every", 1, "sweeps between checkpoints when -checkpoint is set")
-		maxRestart = flag.Int("max-restarts", 3, "-dist spawn: how many times to restart the whole rank group after a process failure before giving up (restarts resume from -checkpoint)")
-		chaosRank  = flag.Int("chaos-kill-rank", -1, "fault injection: rank that dies at -chaos-kill-sweep (spawn children exit hard; simulated ranks fail typed) — for recovery testing")
-		chaosSweep = flag.Int("chaos-kill-sweep", 0, "fault injection: 1-based sweep at which -chaos-kill-rank dies")
-	)
+	ckptDir    = flag.String("checkpoint", "", "checkpoint directory: write a crash-consistent snapshot every -ckpt-every sweeps and resume from the newest usable one on startup")
+	ckptEvery  = flag.Int("ckpt-every", 1, "sweeps between checkpoints when -checkpoint is set")
+	maxRestart = flag.Int("max-restarts", 3, "-dist spawn: how many times to restart the whole rank group after a process failure before giving up (restarts resume from -checkpoint)")
+	chaosKill  = flag.String("chaos-kill", "", "fault injection for recovery drills: R@S kills rank R as it enters 1-based sweep S (spawn ranks exit hard; simulated ranks fail typed)")
+)
+
+func main() {
 	flag.Parse()
-	if *input == "" || (*ranksIn == "" && *eps == 0) {
+	// A spawn child's -rank and -peers follow the parent's arguments,
+	// where a positional argument would stop the child's flag parsing.
+	if *input == "" || (*ranksIn == "" && *eps == 0) || flag.NArg() > 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -95,21 +100,25 @@ func main() {
 			fail(err)
 		}
 	}
+	if *ckptEvery < 1 {
+		fail(fmt.Errorf("-ckpt-every must be at least 1; got %d", *ckptEvery))
+	}
 	readStart := time.Now()
 	x, err := hypertensor.ReadTensorFile(*input)
 	readTime := time.Since(readStart)
 	if err != nil {
 		fail(err)
 	}
-	// The spawn parent and non-zero TCP ranks stay silent: rank 0 of the
-	// process group reports for everyone.
-	if !*quiet && *distM != "spawn" && !(*distM == "tcp" && *rank != 0) {
+	// The spawn parent (-rank -1) and every rank other than 0 stay
+	// silent: rank 0 of the process group reports for everyone.
+	group := *distM == "tcp" || *distM == "spawn"
+	if !*quiet && !(group && *rank != 0) {
 		fmt.Printf("tensor: dims=%v nnz=%d\n", x.Dims, x.NNZ())
 	}
 
 	if *distM != "" && *distM != "0" {
-		// distRun does not carry -threads to the ranks: each runs HOOI on
-		// one thread from the seeded random start.
+		// The ranks run HOOI on one thread each from the seeded random
+		// start.
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "threads" {
 				fail(errors.New("-threads is a shared-memory engine option; it cannot be combined with -dist"))
@@ -124,23 +133,21 @@ func main() {
 		if ranks == nil {
 			fail(fmt.Errorf("-dist requires explicit -ranks"))
 		}
-		d := distRun{
-			input: *input, ranks: ranks, grain: *grain, method: *method,
-			iters: *iters, tol: *tol, seed: *seed, timeout: *distTO, quiet: *quiet,
-			ckptDir: *ckptDir, ckptEvery: *ckptEvery, maxRestarts: *maxRestart,
-			chaosRank: *chaosRank, chaosSweep: *chaosSweep,
+		cfg := hypertensor.DistConfig{
+			Ranks: ranks, MaxIters: *iters, Tol: *tol, Seed: *seed,
+			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Fault: chaosHook(group),
 		}
-		switch *distM {
-		case "tcp":
-			d.runTCP(x, *rank, *peersIn, *lfd)
-		case "spawn":
-			d.runSpawn(*np)
+		switch {
+		case *distM == "spawn" && *rank < 0:
+			runSpawn()
+		case group:
+			runRank(x, cfg)
 		default:
 			p, err := strconv.Atoi(*distM)
 			if err != nil || p < 1 {
 				fail(fmt.Errorf("-dist wants a rank count, \"tcp\", or \"spawn\"; got %q", *distM))
 			}
-			d.runSimulated(x, p)
+			runSimulated(x, p, cfg)
 		}
 		return
 	}
@@ -148,7 +155,7 @@ func main() {
 	// A shared-memory run reads none of the distributed flags.
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "grain", "method", "np", "rank", "peers", "listen-fd", "dist-timeout", "max-restarts", "chaos-kill-rank", "chaos-kill-sweep":
+		case "grain", "method", "np", "rank", "peers", "dist-timeout", "max-restarts", "chaos-kill":
 			fail(fmt.Errorf("-%s is a distributed option; it needs -dist", f.Name))
 		}
 	})
@@ -195,7 +202,7 @@ func main() {
 		fail(err)
 	}
 	if *update != "" {
-		runUpdates(eng, x, dec, opts, *update, *quiet)
+		runUpdates(eng, dec, opts)
 		return
 	}
 	if *quiet {
@@ -250,35 +257,22 @@ func main() {
 
 // runUpdates streams the delta files through the resident engine and
 // reports the incremental-path accounting, then compares the terminal
-// fit against a from-scratch solve of the fully merged tensor.
-func runUpdates(eng *hypertensor.Engine, x *hypertensor.SparseTensor, initial *hypertensor.Decomposition,
-	opts hypertensor.Options, updateList string, quiet bool) {
-	paths := strings.Split(updateList, ",")
-	if !quiet {
+// fit against a from-scratch solve of the engine's merged tensor.
+func runUpdates(eng *hypertensor.Engine, initial *hypertensor.Decomposition, opts hypertensor.Options) {
+	if !*quiet {
 		fmt.Printf("initial: fit %.8f after %d sweeps\n", initial.Fit, initial.Iters)
 	}
-	// The mirror exercises the standalone COO.Merge path and feeds the
-	// from-scratch comparison at the end; quiet mode skips both.
-	var mirror *hypertensor.SparseTensor
-	if !quiet {
-		mirror = x.Clone()
-	}
-	var last *hypertensor.Decomposition = initial
-	for step, path := range paths {
+	last := initial
+	for step, path := range strings.Split(*update, ",") {
 		delta, err := hypertensor.ReadTensorFile(strings.TrimSpace(path))
 		if err != nil {
 			fail(err)
-		}
-		if mirror != nil {
-			if _, err := mirror.Merge(delta); err != nil {
-				fail(err)
-			}
 		}
 		last, err = eng.Update(delta)
 		if err != nil {
 			fail(err)
 		}
-		if quiet {
+		if *quiet {
 			continue
 		}
 		perSweep := last.UpdateMadds / int64(last.UpdateSweeps)
@@ -287,13 +281,13 @@ func runUpdates(eng *hypertensor.Engine, x *hypertensor.SparseTensor, initial *h
 			humanInt(perSweep), humanInt(last.FullSweepMadds),
 			float64(last.FullSweepMadds)/float64(perSweep))
 	}
-	if quiet {
+	if *quiet {
 		// Quiet mode reports only the incremental fit; skip the (cold,
 		// expensive) from-scratch comparison solve entirely.
 		fmt.Printf("%.10f\n", last.Fit)
 		return
 	}
-	scratch, err := hypertensor.Decompose(mirror, opts)
+	scratch, err := hypertensor.Decompose(eng.Tensor(), opts)
 	if err != nil {
 		fail(err)
 	}
@@ -333,49 +327,44 @@ func humanInt(v int64) string {
 	return fmt.Sprintf("%d", v)
 }
 
-// distRun carries the flag state a distributed launch needs, in any of
-// its three modes (simulated ranks, one TCP rank, local spawn).
-type distRun struct {
-	input         string
-	ranks         []int
-	grain, method string
-	iters         int
-	tol           float64
-	seed          int64
-	timeout       time.Duration
-	quiet         bool
-
-	ckptDir     string
-	ckptEvery   int
-	maxRestarts int
-	chaosRank   int
-	chaosSweep  int
-}
-
-// config assembles the distributed configuration shared by all three
-// launch modes, including checkpointing and (for the simulated
-// transport) in-process fault injection. The TCP children install a
-// hard-exit chaos hook separately — a spawn-mode chaos kill must be a
-// real process death for the supervisor to detect.
-func (d *distRun) config() hypertensor.DistConfig {
-	return hypertensor.DistConfig{
-		Ranks: d.ranks, MaxIters: d.iters, Tol: d.tol, Seed: d.seed,
-		CheckpointDir: d.ckptDir, CheckpointEvery: d.ckptEvery,
+// chaosHook reads -chaos-kill R@S into a hook that kills rank R as it
+// enters sweep S, or nil when the flag is empty. A rank process dies for
+// real, so the spawn supervisor exercises its production
+// detect-and-restart path; in-process ranks are goroutines, whose kill
+// is a typed transport fault, and recovery is a rerun of the command.
+func chaosHook(process bool) func(rank, sweep int) {
+	if *chaosKill == "" {
+		return nil
+	}
+	rs, ss, ok := strings.Cut(*chaosKill, "@")
+	killRank, rerr := strconv.Atoi(rs)
+	killSweep, serr := strconv.Atoi(ss)
+	if !ok || rerr != nil || serr != nil || killRank < 0 || killSweep < 1 {
+		fail(fmt.Errorf("-chaos-kill wants R@S, a rank R >= 0 and a 1-based sweep S; got %q", *chaosKill))
+	}
+	if !process {
+		return hypertensor.FaultConfig{KillRank: killRank, KillAtSweep: killSweep}.SweepHook()
+	}
+	return func(r, sweep int) {
+		if r == killRank && sweep == killSweep {
+			fmt.Fprintf(os.Stderr, "hooi: rank %d: injected chaos kill at sweep %d\n", r, sweep)
+			os.Exit(137)
+		}
 	}
 }
 
-func (d *distRun) partition(x *hypertensor.SparseTensor, p int) *hypertensor.Partition {
+func partition(x *hypertensor.SparseTensor, p int) *hypertensor.Partition {
 	var g hypertensor.Grain
-	switch d.grain {
+	switch *grain {
 	case "fine":
 		g = hypertensor.FineGrain
 	case "coarse":
 		g = hypertensor.CoarseGrain
 	default:
-		fail(fmt.Errorf("unknown grain %q", d.grain))
+		fail(fmt.Errorf("unknown grain %q", *grain))
 	}
 	var m hypertensor.PartitionMethod
-	switch d.method {
+	switch *method {
 	case "hp":
 		m = hypertensor.PartitionHypergraph
 	case "rd":
@@ -383,9 +372,9 @@ func (d *distRun) partition(x *hypertensor.SparseTensor, p int) *hypertensor.Par
 	case "bl":
 		m = hypertensor.PartitionBlock
 	default:
-		fail(fmt.Errorf("unknown method %q", d.method))
+		fail(fmt.Errorf("unknown method %q", *method))
 	}
-	part, err := hypertensor.NewPartition(x, p, g, m, d.seed)
+	part, err := hypertensor.NewPartition(x, p, g, m, *seed)
 	if err != nil {
 		fail(err)
 	}
@@ -393,58 +382,43 @@ func (d *distRun) partition(x *hypertensor.SparseTensor, p int) *hypertensor.Par
 }
 
 // runSimulated solves on p in-process simulated ranks.
-func (d *distRun) runSimulated(x *hypertensor.SparseTensor, p int) {
-	part := d.partition(x, p)
-	cfg := d.config()
-	if d.chaosRank >= 0 && d.chaosSweep > 0 {
-		// In-process ranks are goroutines: the chaos kill is a typed
-		// transport fault, and recovery is a rerun of the same command.
-		cfg.Fault = hypertensor.FaultConfig{KillRank: d.chaosRank, KillAtSweep: d.chaosSweep}.SweepHook()
-	}
+func runSimulated(x *hypertensor.SparseTensor, p int, cfg hypertensor.DistConfig) {
+	part := partition(x, p)
 	res, err := hypertensor.DecomposeDistributed(x, part, cfg)
 	if err != nil {
 		fail(err)
 	}
-	d.report(part, res, p, "simulated")
+	report(part, res, p, "simulated")
 }
 
-// runTCP joins a multi-process group as one rank. Every process of the
-// group runs the same deterministic solve; rank 0 reports.
-func (d *distRun) runTCP(x *hypertensor.SparseTensor, rank int, peerList string, listenFD int) {
-	peers := strings.Split(peerList, ",")
+// runRank joins a multi-process group as one rank: a -dist tcp process
+// started by hand, or a -dist spawn child, which listens on the socket
+// its parent bound and passed down as file descriptor 3. Every process
+// of the group runs the same deterministic solve; rank 0 reports.
+func runRank(x *hypertensor.SparseTensor, cfg hypertensor.DistConfig) {
+	peers := strings.Split(*peersIn, ",")
 	for i := range peers {
 		peers[i] = strings.TrimSpace(peers[i])
 	}
 	if len(peers) < 1 || peers[0] == "" {
 		fail(fmt.Errorf("-dist tcp needs -peers host:port,..."))
 	}
-	if rank < 0 || rank >= len(peers) {
+	if *rank < 0 || *rank >= len(peers) {
 		fail(fmt.Errorf("-dist tcp needs -rank in [0,%d)", len(peers)))
 	}
-	opt := hypertensor.TCPOptions{Timeout: d.timeout}
-	if listenFD >= 0 {
-		ln, err := net.FileListener(os.NewFile(uintptr(listenFD), "listener"))
+	opt := hypertensor.TCPOptions{Timeout: *distTO}
+	if *distM == "spawn" {
+		ln, err := net.FileListener(os.NewFile(3, "listener"))
 		if err != nil {
-			fail(fmt.Errorf("rank %d: inherited listener fd %d: %v", rank, listenFD, err))
+			fail(fmt.Errorf("rank %d: inherited listener fd 3: %v", *rank, err))
 		}
 		opt.Listener = ln
 	}
-	w, err := hypertensor.ConnectTCP(context.Background(), rank, peers, opt)
+	w, err := hypertensor.ConnectTCP(context.Background(), *rank, peers, opt)
 	if err != nil {
 		fail(err)
 	}
-	part := d.partition(x, len(peers))
-	cfg := d.config()
-	if d.chaosRank >= 0 && d.chaosSweep > 0 {
-		cfg.Fault = func(r, sweep int) {
-			if r == d.chaosRank && sweep == d.chaosSweep {
-				// A real process death, so the spawn supervisor exercises
-				// its production detect-and-restart path.
-				fmt.Fprintf(os.Stderr, "hooi: rank %d: injected chaos kill at sweep %d\n", r, sweep)
-				os.Exit(137)
-			}
-		}
-	}
+	part := partition(x, len(peers))
 	res, err := hypertensor.DecomposeDistributedWorld(context.Background(), w, x, part, cfg)
 	if err != nil {
 		// Ranks that failed because some OTHER rank died — aborted by
@@ -458,10 +432,10 @@ func (d *distRun) runTCP(x *hypertensor.SparseTensor, rank int, peerList string,
 		}
 		fail(err)
 	}
-	if rank != 0 {
+	if *rank != 0 {
 		return // replicated result; only rank 0 speaks
 	}
-	d.report(part, res, len(peers), fmt.Sprintf("tcp wire=%dB", w.WireBytes()))
+	report(part, res, len(peers), fmt.Sprintf("tcp wire=%dB", w.WireBytes()))
 }
 
 // exitSecondary is the exit code of a rank process whose run was
@@ -477,15 +451,17 @@ type rankFailure struct {
 	summary string
 }
 
-// runSpawn binds one loopback listener per rank, forks this binary -np
-// times in -dist tcp mode (passing each child its pre-bound listener as
-// an inherited file descriptor — race-free ephemeral ports), and
-// supervises the group: if a rank process dies and -checkpoint is set,
-// the whole world is restarted with exponential backoff and resumes
-// from the last coordinated checkpoint. Without -checkpoint a failure
-// is terminal, propagated with the originating rank's exit code.
-func (d *distRun) runSpawn(np int) {
-	if np < 1 {
+// runSpawn binds one loopback listener per rank, starts -np children of
+// this binary, each on this command line plus its own -rank and the
+// -peers list (the last occurrence of a flag wins), passing each its
+// pre-bound listener as an inherited file descriptor (race-free
+// ephemeral ports), and supervises the group: if a rank process dies
+// and -checkpoint is set, the whole world is restarted with exponential
+// backoff and resumes from the last coordinated checkpoint. Without
+// -checkpoint a failure is terminal, propagated with the originating
+// rank's exit code.
+func runSpawn() {
+	if *np < 1 {
 		fail(fmt.Errorf("-dist spawn needs -np >= 1"))
 	}
 	exe, err := os.Executable()
@@ -493,31 +469,25 @@ func (d *distRun) runSpawn(np int) {
 		fail(err)
 	}
 	maxAttempts := 1
-	if d.ckptDir != "" && d.maxRestarts > 0 {
-		maxAttempts += d.maxRestarts
+	if *ckptDir != "" && *maxRestart > 0 {
+		maxAttempts += *maxRestart
 	}
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	for attempt := 0; ; attempt++ {
-		failure := d.spawnOnce(exe, np, attempt)
+		failure := spawnOnce(exe, attempt)
 		if failure == nil {
 			return
 		}
 		fmt.Fprintf(os.Stderr, "hooi: rank %d failed (exit %d): %s\n", failure.rank, failure.code, failure.summary)
 		if attempt+1 >= maxAttempts {
-			if d.ckptDir == "" {
+			if *ckptDir == "" {
 				fmt.Fprintln(os.Stderr, "hooi: no -checkpoint directory; cannot restart")
 			}
 			os.Exit(failure.code)
 		}
-		// Exponential backoff with jitter: doubles from 250ms, capped at
-		// 5s, +/-20% so restarted groups don't thunder in lockstep.
-		backoff := 250 * time.Millisecond << attempt
-		if backoff > 5*time.Second {
-			backoff = 5 * time.Second
-		}
-		backoff += time.Duration(rng.Int63n(int64(2*backoff/5)+1)) - backoff/5
+		// Exponential backoff: doubles from 250ms, capped at 5s.
+		backoff := min(250*time.Millisecond<<min(attempt, 5), 5*time.Second)
 		fmt.Fprintf(os.Stderr, "hooi: restarting %d ranks from checkpoint %s in %v (attempt %d of %d)\n",
-			np, d.ckptDir, backoff.Round(time.Millisecond), attempt+2, maxAttempts)
+			*np, *ckptDir, backoff, attempt+2, maxAttempts)
 		time.Sleep(backoff)
 	}
 }
@@ -526,10 +496,10 @@ func (d *distRun) runSpawn(np int) {
 // when every rank exits cleanly, else the failure of the originating
 // rank: the earliest-exiting rank whose code is not exitSecondary
 // (falling back to the earliest failure when every exit is secondary).
-func (d *distRun) spawnOnce(exe string, np, attempt int) *rankFailure {
-	lns := make([]*net.TCPListener, np)
-	addrs := make([]string, np)
-	for r := 0; r < np; r++ {
+func spawnOnce(exe string, attempt int) *rankFailure {
+	lns := make([]*net.TCPListener, *np)
+	addrs := make([]string, *np)
+	for r := range *np {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			fail(err)
@@ -537,34 +507,14 @@ func (d *distRun) spawnOnce(exe string, np, attempt int) *rankFailure {
 		lns[r] = ln.(*net.TCPListener)
 		addrs[r] = ln.Addr().String()
 	}
-	cmds := make([]*exec.Cmd, np)
-	stderrs := make([]*bytes.Buffer, np)
-	for r := 0; r < np; r++ {
-		args := []string{
-			"-input", d.input,
-			"-ranks", intsCSV(d.ranks),
-			"-iters", strconv.Itoa(d.iters),
-			"-tol", strconv.FormatFloat(d.tol, 'g', -1, 64),
-			"-seed", strconv.FormatInt(d.seed, 10),
-			"-grain", d.grain,
-			"-method", d.method,
-			"-dist", "tcp",
-			"-rank", strconv.Itoa(r),
-			"-peers", strings.Join(addrs, ","),
-			"-listen-fd", "3",
-			"-dist-timeout", d.timeout.String(),
-		}
-		if d.quiet {
-			args = append(args, "-q")
-		}
-		if d.ckptDir != "" {
-			args = append(args, "-checkpoint", d.ckptDir, "-ckpt-every", strconv.Itoa(d.ckptEvery))
-		}
-		if attempt == 0 && d.chaosRank >= 0 && d.chaosSweep > 0 {
+	cmds := make([]*exec.Cmd, *np)
+	stderrs := make([]*bytes.Buffer, *np)
+	for r := range *np {
+		args := append(slices.Clip(os.Args[1:]), "-rank", strconv.Itoa(r), "-peers", strings.Join(addrs, ","))
+		if attempt > 0 {
 			// Chaos kills fire on the first attempt only: the restarted
 			// group must be able to finish the run.
-			args = append(args, "-chaos-kill-rank", strconv.Itoa(d.chaosRank),
-				"-chaos-kill-sweep", strconv.Itoa(d.chaosSweep))
+			args = append(args, "-chaos-kill", "")
 		}
 		f, err := lns[r].File() // dup of the listening socket for the child
 		if err != nil {
@@ -590,10 +540,10 @@ func (d *distRun) spawnOnce(exe string, np, attempt int) *rankFailure {
 		code  int
 		order int
 	}
-	exits := make([]exit, np)
+	exits := make([]exit, *np)
 	var order atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(np)
+	wg.Add(*np)
 	for r, cmd := range cmds {
 		go func(r int, cmd *exec.Cmd) {
 			defer wg.Done()
@@ -611,7 +561,7 @@ func (d *distRun) spawnOnce(exe string, np, attempt int) *rankFailure {
 	wg.Wait()
 
 	var failure *rankFailure
-	failOrder := np + 1
+	failOrder := *np + 1
 	secondary := true
 	for r, e := range exits {
 		if e.code == 0 {
@@ -641,8 +591,8 @@ func stderrTail(buf *bytes.Buffer) string {
 	return "no stderr output"
 }
 
-func (d *distRun) report(part *hypertensor.Partition, res *hypertensor.DistDecomposition, p int, transport string) {
-	if d.quiet {
+func report(part *hypertensor.Partition, res *hypertensor.DistDecomposition, p int, transport string) {
+	if *quiet {
 		fmt.Printf("%.10f\n", res.Fit)
 		return
 	}
@@ -673,14 +623,6 @@ func (d *distRun) report(part *hypertensor.Partition, res *hypertensor.DistDecom
 		fmt.Printf("  mode %d comm: max %d B, avg %.0f B per rank (expand %.0f, fold %.0f, trsvd %.0f in %.0f collectives); W_TTMc max %d avg %.0f, W_TRSVD max %d avg %.0f\n",
 			n+1, maxC, avg(sumE+sumF+sumS), avg(sumE), avg(sumF), avg(sumS), avg(sumM), maxT, avg(sumT), maxS, avg(sumW))
 	}
-}
-
-func intsCSV(vs []int) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.Itoa(v)
-	}
-	return strings.Join(parts, ",")
 }
 
 func parseRanks(s string) ([]int, error) {

@@ -61,10 +61,14 @@ func hooi(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 
 // Flags that are gone are usage errors, and a flag the distributed path
 // does not carry to its ranks is refused when set, with the error -update
-// and -eps get there. So is a distributed flag on a shared-memory run.
+// and -eps get there. So is a distributed flag on a shared-memory run,
+// and in every mode a malformed -chaos-kill or a -ckpt-every below 1.
 func TestFlagErrors(t *testing.T) {
 	const notDist = " is a shared-memory engine option; it cannot be combined with -dist"
 	const needsDist = " is a distributed option; it needs -dist"
+	const badKill = "hooi: -chaos-kill wants R@S, a rank R >= 0 and a 1-based sweep S; got "
+	const badEvery = "hooi: -ckpt-every must be at least 1; got 0"
+	ckpt := t.TempDir()
 	for _, tc := range []struct {
 		args   []string
 		exit   int
@@ -94,12 +98,21 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-np", "2"}, 1, "hooi: -np" + needsDist},
 		{[]string{"-rank", "0"}, 1, "hooi: -rank" + needsDist},
 		{[]string{"-peers", "127.0.0.1:1"}, 1, "hooi: -peers" + needsDist},
-		{[]string{"-listen-fd", "3"}, 1, "hooi: -listen-fd" + needsDist},
+		{[]string{"-listen-fd", "3"}, 2, "flag provided but not defined: -listen-fd"},
 		{[]string{"-dist-timeout", "1s"}, 1, "hooi: -dist-timeout" + needsDist},
 		{[]string{"-max-restarts", "1"}, 1, "hooi: -max-restarts" + needsDist},
-		{[]string{"-chaos-kill-rank", "1"}, 1, "hooi: -chaos-kill-rank" + needsDist},
-		{[]string{"-chaos-kill-sweep", "2"}, 1, "hooi: -chaos-kill-sweep" + needsDist},
+		{[]string{"-chaos-kill", "1@2"}, 1, "hooi: -chaos-kill" + needsDist},
+		{[]string{"-dist", "2", "-chaos-kill-rank", "1"}, 2, "flag provided but not defined: -chaos-kill-rank"},
+		{[]string{"-dist", "2", "-chaos-kill-sweep", "2"}, 2, "flag provided but not defined: -chaos-kill-sweep"},
+		{[]string{"-dist", "2", "-chaos-kill", "2"}, 1, badKill + `"2"`},
+		{[]string{"-dist", "2", "-chaos-kill", "1@0"}, 1, badKill + `"1@0"`},
+		{[]string{"-dist", "spawn", "-np", "2", "-chaos-kill", "-1@2"}, 1, badKill + `"-1@2"`},
 		{[]string{"-dist", "0", "-method", "hp"}, 1, "hooi: -method" + needsDist},
+		{[]string{"-checkpoint", ckpt, "-ckpt-every", "0"}, 1, badEvery},
+		{[]string{"-dist", "2", "-checkpoint", ckpt, "-ckpt-every", "0"}, 1, badEvery},
+		// A spawn child's -rank and -peers follow the parent's arguments,
+		// so a positional argument is refused before any child starts.
+		{[]string{"-dist", "spawn", "-np", "2", "stray"}, 2, "Usage of"},
 	} {
 		stdout, stderr, exit := hooi(t, tc.args...)
 		if exit != tc.exit || !strings.Contains(stderr, tc.stderr) {
@@ -108,6 +121,9 @@ func TestFlagErrors(t *testing.T) {
 		if tc.exit != 0 && strings.Contains(stdout, "fit") {
 			t.Errorf("hooi %v: refused, yet it solved: %q", tc.args, stdout)
 		}
+	}
+	if entries, err := os.ReadDir(ckpt); err != nil || len(entries) != 0 {
+		t.Errorf("refused runs wrote checkpoints: %v %v", entries, err)
 	}
 }
 
@@ -240,5 +256,44 @@ func TestDistReportLines(t *testing.T) {
 				t.Errorf("mode %s: max %d below avg %d, or no work: %s", m[1], mx, av, m[0])
 			}
 		}
+	}
+}
+
+// A spawn group runs the same collectives as the simulated ranks, so it
+// prints the same fit; without -q, rank 0 alone prints the tensor line.
+func TestSpawnMatchesSimulated(t *testing.T) {
+	flags := []string{"-np", "2", "-seed", "7", "-iters", "3", "-tol", "-1", "-grain", "coarse", "-method", "bl", "-q"}
+	sim, stderr, exit := hooi(t, append([]string{"-dist", "2"}, flags...)...)
+	if exit != 0 {
+		t.Fatalf("-dist 2: exit %d: %s", exit, stderr)
+	}
+	flags = append([]string{"-dist", "spawn"}, flags...)
+	spawn, stderr, exit := hooi(t, flags...)
+	if exit != 0 || spawn != sim {
+		t.Errorf("-dist spawn: exit %d, stdout %q, stderr %q; want the -dist 2 line %q", exit, spawn, stderr, sim)
+	}
+	full, stderr, exit := hooi(t, flags[:len(flags)-1]...)
+	if n := strings.Count(full, "tensor: "); exit != 0 || n != 1 {
+		t.Errorf("-dist spawn without -q: exit %d, %d tensor lines, want 1, in:\n%s%s", exit, n, full, stderr)
+	}
+}
+
+// A rank process killed at a sweep boundary is restarted from the
+// checkpoint and the group finishes on the clean run's fit; without
+// -checkpoint the kill is terminal, with the killed rank's exit code.
+func TestSpawnChaos(t *testing.T) {
+	flags := []string{"-dist", "spawn", "-np", "2", "-iters", "3", "-q"}
+	clean, stderr, exit := hooi(t, flags...)
+	if exit != 0 {
+		t.Fatalf("clean run: exit %d: %s", exit, stderr)
+	}
+	kill := append(flags, "-chaos-kill", "1@2")
+	stdout, stderr, exit := hooi(t, append(kill, "-checkpoint", t.TempDir(), "-ckpt-every", "1")...)
+	if exit != 0 || stdout != clean || !strings.Contains(stderr, "hooi: rank 1 failed (exit 137)") {
+		t.Errorf("recovery: exit %d, stdout %q, stderr %q; want exit 0 and the clean fit %q", exit, stdout, stderr, clean)
+	}
+	stdout, stderr, exit = hooi(t, kill...)
+	if exit != 137 || stdout != "" || !strings.Contains(stderr, "no -checkpoint directory; cannot restart") {
+		t.Errorf("no checkpoint: exit %d, stdout %q, stderr %q; want exit 137 and no restart", exit, stdout, stderr)
 	}
 }

@@ -117,7 +117,7 @@ type (
 	// FaultConfig drives deterministic fault injection on either
 	// distributed transport (delays, connection drops, frame corruption,
 	// precise rank kills) for recovery testing; `hooi -dist P
-	// -chaos-kill-rank R -chaos-kill-sweep S` injects its rank kill.
+	// -chaos-kill R@S` injects its rank kill.
 	FaultConfig = mpi.FaultConfig
 )
 
