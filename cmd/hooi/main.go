@@ -451,15 +451,14 @@ type rankFailure struct {
 	summary string
 }
 
-// runSpawn binds one loopback listener per rank, starts -np children of
-// this binary, each on this command line plus its own -rank and the
-// -peers list (the last occurrence of a flag wins), passing each its
-// pre-bound listener as an inherited file descriptor (race-free
-// ephemeral ports), and supervises the group: if a rank process dies
-// and -checkpoint is set, the whole world is restarted with exponential
-// backoff and resumes from the last coordinated checkpoint. Without
-// -checkpoint a failure is terminal, propagated with the originating
-// rank's exit code.
+// runSpawn starts -np children of this binary and supervises them. Each
+// child runs this command line with its own -rank and the -peers list
+// appended (the last occurrence of a flag wins) and listens on a
+// loopback socket bound here and inherited as fd 3, so the ephemeral
+// ports are race-free. If a rank process dies and -checkpoint is set,
+// the whole world restarts with exponential backoff and resumes from
+// the last coordinated checkpoint; without -checkpoint the failure is
+// terminal, with the originating rank's exit code.
 func runSpawn() {
 	if *np < 1 {
 		fail(fmt.Errorf("-dist spawn needs -np >= 1"))
