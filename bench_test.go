@@ -264,12 +264,13 @@ func BenchmarkKernelGer(b *testing.B) {
 
 // The two block passes of the Gram TRSVD at the shapes the order-3 and
 // order-4 presets give them: rows that stay in L2 (2048) and a nell-2
-// mode's worth (41655), Y_(n) rows of 25 and 100. The thread count is
+// mode's worth (41655), Y_(n) rows of 25, 100 and 125 (order 4 at ranks
+// 5). The thread count is
 // GOMAXPROCS: go test -run '^$' -bench 'KernelSyrk|KernelGemmNarrow' -cpu 1,2 .
 func BenchmarkKernelSyrk(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, rows := range []int{2048, 41655} {
-		for _, cols := range []int{25, 100} {
+		for _, cols := range []int{25, 100, 125} {
 			a := dense.RandomNormal(rows, cols, rng)
 			g := dense.NewMatrix(cols, cols)
 			var work []float64

@@ -247,8 +247,8 @@ func main() {
 	fmt.Printf("trsvd: solver=%v solves=%d passes=%d (%.1f/solve) madds=%d unconverged=%d\n",
 		dec.SVD, dec.TRSVDSolves, dec.TRSVDPasses, float64(dec.TRSVDPasses)/float64(max(dec.TRSVDSolves, 1)),
 		dec.TRSVDMadds, dec.TRSVDUnconverged)
-	// Which path the dense axpy-family kernels took on this CPU; the fit
-	// does not depend on it.
+	// Which path the dense kernels took on this CPU (avx512, avx2 or go);
+	// the fit does not depend on it.
 	fmt.Printf("kernels: %s\n", dense.KernelName())
 	for i, f := range dec.FitHistory {
 		fmt.Printf("  sweep %2d: fit %.8f\n", i+1, f)

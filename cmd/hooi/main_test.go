@@ -186,7 +186,7 @@ func TestReportLines(t *testing.T) {
 		`^storage: index=\d+ B \(12\.00 B/nnz\) streams=[1-9]\d* B( VmHWM=[1-9]\d* kB)?$`,
 		`^ttmc: strategy=flat flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\) runs=\[0\.\d\d 0\.\d\d 0\.\d\d\] ns/nnz=\[\d+\.\d \d+\.\d \d+\.\d\]$`,
 		`^trsvd: solver=\[gram gram gram\] solves=6 passes=12 \(2\.0/solve\) madds=\d+ unconverged=0$`,
-		`^kernels: (avx2|go)$`,
+		`^kernels: (avx512|avx2|go)$`,
 		`^  sweep  2: fit 0\.\d{8}$`,
 	} {
 		if !regexp.MustCompile(`(?m)` + line).MatchString(stdout) {

@@ -2,24 +2,31 @@
 
 package dense
 
-// useAVX2 is the one dispatch point of the axpy family (see kernels.go).
-var useAVX2 = detectAVX2()
+// useAVX2 and useAVX512 are the dispatch points of the kernels (see
+// kernels.go), set once at start-up. The tests switch them off to run the
+// AVX2 tiles and the Go loops on a host that has the wider paths.
+var useAVX2, useAVX512 = detectAVX()
 
-// detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// state across context switches (OSXSAVE, and XCR0 bits 1 and 2).
-func detectAVX2() bool {
-	const osxsave, avx, avx2, xmmYmm = 1 << 27, 1 << 28, 1 << 5, 6
+// detectAVX reports whether the CPU has AVX2 and the OS saves the YMM
+// state across context switches (OSXSAVE, and XCR0 bits 1 and 2), and
+// whether on top of that it has AVX512F and the OS saves the opmask and
+// ZMM state (XCR0 bits 5 to 7).
+func detectAVX() (avx2, avx512 bool) {
+	const osxsave, avx, avx2Bit, avx512F = 1 << 27, 1 << 28, 1 << 5, 1 << 16
+	const xmmYmm, opmaskZmm = 0x6, 0xe0
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+		return false, false
 	}
 	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
-		return false
+		return false, false
 	}
-	if lo, _ := xgetbv(); lo&xmmYmm != xmmYmm {
-		return false
+	xcr0, _ := xgetbv()
+	if xcr0&xmmYmm != xmmYmm {
+		return false, false
 	}
 	_, b, _, _ := cpuid(7, 0)
-	return b&avx2 != 0
+	avx2 = b&avx2Bit != 0
+	return avx2, avx2 && b&avx512F != 0 && xcr0&opmaskZmm == opmaskZmm
 }
 
 // The kernels take bare pointers and counts: the wrappers in kernels.go
@@ -43,6 +50,21 @@ func atb4x4AVX2(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, r
 
 //go:noescape
 func gemm4x12AVX2(a *float64, lda int, b *float64, k int, c *float64)
+
+//go:noescape
+func atb4x16AVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int)
+
+//go:noescape
+func atb4x16MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask uint64)
+
+//go:noescape
+func atb4x8MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask uint64)
+
+//go:noescape
+func gemm8x8AVX512(a *float64, lda int, b *float64, k int, c *float64)
+
+//go:noescape
+func gemm4x16AVX512(a *float64, lda int, b *float64, k int, c *float64)
 
 //go:noescape
 func gatherGerAVX2(keys, ids, cols *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int)

@@ -9,20 +9,21 @@ import (
 	"unsafe"
 )
 
-// atPageEnd copies s to the end of a fresh page that a page with no access
-// follows, so that reading one element past it faults.
-func atPageEnd(t *testing.T, s []int32) []int32 {
+// atPageEnd copies s to the end of fresh pages that a page with no access
+// follows, so that touching one element past it faults.
+func atPageEnd[T int32 | float64](t *testing.T, s []T) []T {
 	t.Helper()
-	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	page, n := syscall.Getpagesize(), len(s)*int(unsafe.Sizeof(s[0]))
+	size := (n + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, size+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
 	}
 	t.Cleanup(func() { syscall.Munmap(mem) })
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+	if err := syscall.Mprotect(mem[size:], syscall.PROT_NONE); err != nil {
 		t.Skipf("mprotect: %v", err)
 	}
-	out := unsafe.Slice((*int32)(unsafe.Pointer(&mem[page-4*len(s)])), len(s))
+	out := unsafe.Slice((*T)(unsafe.Pointer(&mem[size-n])), len(s))
 	copy(out, s)
 	return out
 }
@@ -66,4 +67,43 @@ func TestGatherLookAheadStopsAtCapacity(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// TestTilesStopAtTheData: with an operand's data and the destination each
+// ending where unreadable memory begins, the register tiles read and
+// write nothing past the last column of the last row — the masked tails
+// load and store only their live lanes — and give the Go loops' bits, on
+// every path the host has, for every tail width past the last whole eight
+// and sixteen.
+func TestTilesStopAtTheData(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	onEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(39))
+		for _, cols := range []int{4, 5, 8, 9, 12, 15, 16, 17, 20, 23, 24, 31, 33} {
+			const rows = 12
+			label := fmt.Sprintf("cols=%d", cols)
+			func() {
+				defer func() {
+					if e := recover(); e != nil {
+						t.Fatalf("%s: %v", label, e)
+					}
+				}()
+				a := &Matrix{Rows: rows, Cols: cols, Data: atPageEnd(t, RandomNormal(rows, cols, rng).Data)}
+				f := &Matrix{Rows: rows, Cols: 4, Data: atPageEnd(t, RandomNormal(rows, 4, rng).Data)}
+				want := RandomNormal(cols, cols, rng).Data
+				p := atPageEnd(t, want)
+				syrkBlock(p, a, 0, rows)
+				syrkBlockGo(want, a, 0, rows)
+				for j := 0; j < cols; j++ {
+					copy(p[j*cols:j*cols+j], want[j*cols:j*cols+j]) // below the diagonal: unspecified
+				}
+				compareGuarded(t, "syrkBlock "+label, p, want, 0)
+				wantQ := RandomNormal(4, cols, rng).Data
+				q := atPageEnd(t, wantQ)
+				matMulTABlock(q, f, a, 0, rows)
+				matMulTABlockGo(wantQ, f, a, 0, rows)
+				compareGuarded(t, "matMulTABlock "+label, q, wantQ, 0)
+			}()
+		}
+	})
 }

@@ -2,10 +2,10 @@
 
 package dense
 
-// useAVX2 is constant false in this build, so the compiler drops the
-// assembly branch of every wrapper; the declarations below only let
-// those branches type-check.
-const useAVX2 = false
+// useAVX2 and useAVX512 are constant false in this build, so the compiler
+// drops the assembly branch of every wrapper; the declarations below only
+// let those branches type-check.
+const useAVX2, useAVX512 = false, false
 
 func axpy4AVX2(a0, a1, a2, a3 float64, x *float64, stride int, y *float64, n int) {
 	panic("dense: no assembly kernels in this build")
@@ -28,6 +28,26 @@ func atb4x4AVX2(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, r
 }
 
 func gemm4x12AVX2(a *float64, lda int, b *float64, k int, c *float64) {
+	panic("dense: no assembly kernels in this build")
+}
+
+func atb4x16AVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int) {
+	panic("dense: no assembly kernels in this build")
+}
+
+func atb4x16MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask uint64) {
+	panic("dense: no assembly kernels in this build")
+}
+
+func atb4x8MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask uint64) {
+	panic("dense: no assembly kernels in this build")
+}
+
+func gemm8x8AVX512(a *float64, lda int, b *float64, k int, c *float64) {
+	panic("dense: no assembly kernels in this build")
+}
+
+func gemm4x16AVX512(a *float64, lda int, b *float64, k int, c *float64) {
 	panic("dense: no assembly kernels in this build")
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -517,80 +518,140 @@ func TestGatherLookAhead(t *testing.T) {
 	}
 }
 
+// kernelPath is one set of kernels a host can run: the Go loops, the AVX2
+// kernels and tiles, or those with the AVX-512 tiles on top. hostPaths
+// (paths_*_test.go) lists the ones this host has, and use switches the
+// package to one of them.
+type kernelPath struct {
+	name         string
+	avx2, avx512 bool
+}
+
+// onEachPath runs f as a subtest on every kernel path this host has,
+// the Go loops included, and logs which ran.
+func onEachPath(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	var ran []string
+	for _, p := range hostPaths() {
+		func() {
+			defer p.use()()
+			t.Run(p.name, f)
+		}()
+		ran = append(ran, p.name)
+	}
+	t.Logf("kernel paths run: %s", strings.Join(ran, ", "))
+	if !slices.Contains(ran, "avx512") {
+		t.Logf("no AVX-512 here (%s): the ZMM tiles did not run", cpuFeatures())
+	}
+}
+
+// TestKernelPath logs the path a plain run takes and the CPU bits it was
+// chosen from, so that a CI log shows whether the runner had the ZMM
+// tiles. The path is the last, widest one the host has.
+func TestKernelPath(t *testing.T) {
+	paths := hostPaths()
+	t.Logf("kernels: %s; %s", KernelName(), cpuFeatures())
+	if want := paths[len(paths)-1].name; KernelName() != want {
+		t.Fatalf("KernelName() = %q, want %q, the widest path this host has", KernelName(), want)
+	}
+}
+
 // The shapes of TestTilesBitwise: every column count through 20 (below
 // one tile, every masked tail, a tile and a half), then widths that leave
-// 1, 3, 4 and 5 columns past the last whole eight; row counts with every
-// remainder of four, one strip, and several strips with a short last one.
+// 1, 3, 4 and 5 columns past the last whole eight and none, one to eight
+// and nine to fifteen past the last whole sixteen (24, 31 to 33, 100,
+// 125); row counts with every remainder of four, one strip, and several
+// strips with a short last one.
 var (
-	tileCols = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 33, 67, 100, 125}
+	tileCols = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 24, 31, 32, 33, 67, 100, 125}
 	tileRows = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 130, 701}
 )
 
 // TestTilesBitwise: the Go loops are the definition of SYRK, AᵀB and the
 // narrow GEMM, and the register tiles equal them bit for bit — on finite
 // data and on data salted with zeros of both signs, infinities, NaNs and
-// denormals. Under -tags purego both sides are the Go loops.
+// denormals — on every path the host has. On the Go loops, and under
+// -tags purego, both sides are the Go loops.
 func TestTilesBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	finite := rng.NormFloat64
-	salted := saltedSource(rng)
-	for _, rows := range tileRows {
-		for _, cols := range tileCols {
-			if rows > 200 && cols < 100 && cols > 20 {
-				continue // the long shapes at the Gram solver's widths only
-			}
-			atbCase(t, rows, cols, cols, false, finite)
-			atbCase(t, rows, cols, cols, true, salted)
-			atbCase(t, rows, cols, 10, true, finite) // a tall operand against a factor, both ways round
-			atbCase(t, rows, 10, cols, false, salted)
-			for bc := 1; bc <= gemmNarrow+1; bc++ {
-				if rows > 200 && bc != 5 && bc != 10 {
-					continue
+	onEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		finite := rng.NormFloat64
+		salted := saltedSource(rng)
+		for _, rows := range tileRows {
+			for _, cols := range tileCols {
+				if rows > 200 && cols < 100 && cols > 20 {
+					continue // the long shapes at the Gram solver's widths only
 				}
-				gemmCase(t, rows, cols, bc, finite)
-				gemmCase(t, rows, cols, bc, salted)
+				atbCase(t, rows, cols, cols, false, finite)
+				atbCase(t, rows, cols, cols, true, salted)
+				atbCase(t, rows, cols, 10, true, finite) // a tall operand against a factor, both ways round
+				atbCase(t, rows, 10, cols, false, salted)
+				for bc := 1; bc <= gemmNarrow+1; bc++ {
+					if rows > 200 && bc != 5 && bc != 10 {
+						continue
+					}
+					gemmCase(t, rows, cols, bc, finite)
+					gemmCase(t, rows, cols, bc, salted)
+				}
 			}
 		}
-	}
+	})
 }
 
 // The tiles under the three entry points keep the thread-count contract:
-// the same bits at every T, at shapes where every tile kind runs (eights,
-// a masked tail, Axpy4 rows, strips, a backed-up last GEMM call).
+// the same bits at every T and on every path the host has (the first
+// path's T = 1 result is the reference), at shapes where every tile kind
+// runs (whole tiles, masked tails, Axpy4 rows, strips, a backed-up last
+// GEMM call on both the four- and the eight-row tiles).
 func TestTilesBitwiseInvariantAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := RandomNormal(1301, 102, rng)
 	f := RandomNormal(1301, 10, rng)
 	v := RandomNormal(102, 10, rng)
-	var refSyrk, refTA, refMM []byte
-	var work []float64
-	for _, threads := range []int{1, 2, 4, 8} {
-		g := NewMatrix(102, 102)
-		work = SyrkInto(g, a, work, threads)
-		ta := NewMatrix(10, 102)
-		MatMulTAInto(ta, f, a, threads)
-		mm := NewMatrix(1301, 10)
-		MatMulInto(mm, a, v, threads)
-		if threads == 1 {
-			refSyrk, refTA, refMM = bits(g.Data), bits(ta.Data), bits(mm.Data)
-			continue
+	v5 := RandomNormal(102, 5, rng)
+	var refSyrk, refTA, refMM, refMM5 []byte
+	var refPath string
+	onEachPath(t, func(t *testing.T) {
+		var work []float64
+		for _, threads := range []int{1, 2, 4, 8} {
+			g := NewMatrix(102, 102)
+			work = SyrkInto(g, a, work, threads)
+			ta := NewMatrix(10, 102)
+			MatMulTAInto(ta, f, a, threads)
+			mm := NewMatrix(1301, 10)
+			MatMulInto(mm, a, v, threads)
+			mm5 := NewMatrix(1301, 5)
+			MatMulInto(mm5, a, v5, threads)
+			if refSyrk == nil {
+				refSyrk, refTA, refMM, refMM5 = bits(g.Data), bits(ta.Data), bits(mm.Data), bits(mm5.Data)
+				refPath = KernelName()
+				continue
+			}
+			for _, c := range []struct {
+				name      string
+				got, want []byte
+			}{
+				{"SyrkInto", bits(g.Data), refSyrk},
+				{"MatMulTAInto", bits(ta.Data), refTA},
+				{"MatMulInto 102->10", bits(mm.Data), refMM},
+				{"MatMulInto 102->5", bits(mm5.Data), refMM5},
+			} {
+				if !bytes.Equal(c.got, c.want) {
+					t.Fatalf("%s on %s at %d threads differs from %s at 1 thread", c.name, KernelName(), threads, refPath)
+				}
+			}
 		}
-		if !bytes.Equal(bits(g.Data), refSyrk) {
-			t.Fatalf("SyrkInto not bitwise invariant at %d threads", threads)
-		}
-		if !bytes.Equal(bits(ta.Data), refTA) {
-			t.Fatalf("MatMulTAInto not bitwise invariant at %d threads", threads)
-		}
-		if !bytes.Equal(bits(mm.Data), refMM) {
-			t.Fatalf("MatMulInto not bitwise invariant at %d threads", threads)
-		}
-	}
+	})
 }
 
 // SyrkInto's result is exactly symmetric and does not depend on what the
 // partial buffer it is handed held: the tiles that straddle the diagonal
 // write below it, and only the mirror of the upper triangle may come out.
 func TestSyrkSymmetricWhateverTheWorkBufferHeld(t *testing.T) {
+	onEachPath(t, testSyrkSymmetric)
+}
+
+func testSyrkSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, shape := range [][2]int{{40, 12}, {701, 20}, {2051, 100}} {
 		a := RandomNormal(shape[0], shape[1], rng)
@@ -781,12 +842,20 @@ func FuzzKernelsBitwise(f *testing.F) {
 			}
 		}
 		kernelCase(t, int(n%68), int(m%12), int(off%4), next)
-		// The same three bytes shape the tiles: up to 67 rows, operand
-		// widths through 21 and 14, the tail rows zeroed on odd off.
-		rows, ac, bc := int(n%68), 1+int(m%21), 1+int(off%14)
-		atbCase(t, rows, ac, bc, off&1 == 1, next)
-		atbCase(t, rows, ac, ac, off&1 == 1, next)
-		gemmCase(t, rows, ac, bc, next)
+		// The same three bytes shape the tiles, on every path the host
+		// has: up to 67 rows, operand widths through 33 (a whole
+		// sixteen-lane tile and a tail of any width in both), the tail
+		// rows zeroed on odd off. The narrow GEMM takes B through 13
+		// columns, one past the widest its tiles take.
+		rows, ac, bc := int(n%68), 1+int(m%33), 1+int(off%33)
+		for _, p := range hostPaths() {
+			func() {
+				defer p.use()()
+				atbCase(t, rows, ac, bc, off&1 == 1, next)
+				atbCase(t, rows, ac, ac, off&1 == 1, next)
+				gemmCase(t, rows, ac, 1+(bc-1)%(gemmNarrow+1), next)
+			}()
+		}
 		// And a TTMc row: factor rows through 20 wide, lead rows through
 		// 11, up to 9 list positions.
 		gatherCase(t, 1+int(n%20), 1+int(m%11), 1+int(n/20)%9, next, nil)

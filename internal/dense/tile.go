@@ -51,11 +51,10 @@ var laneMask = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
 // atbTiles is the tiled part of matMulTABlock and, with upper set and
 // b == a, of syrkBlock: p += A[lo:end,:]ᵀ·B[lo:end,:] over the whole groups
 // of four rows, end = lo + (hi-lo)&^3, which it returns for the Go loop to
-// finish from. Within a strip of rows, 4 x 8 tiles cover four rows of p at
-// a time (from column j&^7 when only the upper triangle is wanted), the
-// masked 4 x 4 tile takes the columns past the last whole eight, and the
-// a.Cols%4 last rows of p go through Axpy4 as in the Go loop. Every
-// element, tile or not, takes its rows in ascending order, no zero skipped.
+// finish from. Within a strip of rows, register tiles cover four rows of p
+// at a time and the a.Cols%4 last rows of p go through Axpy4 as in the Go
+// loop. Every element, tile or not, takes its rows in ascending order, no
+// zero skipped.
 func atbTiles(p []float64, a, b *Matrix, lo, hi int, upper bool) int {
 	ac, bc := a.Cols, b.Cols
 	rowBytes := 8 * ac
@@ -69,15 +68,10 @@ func atbTiles(p []float64, a, b *Matrix, lo, hi int, upper bool) int {
 		ar, br := a.Data[r0*ac:(r0+n)*ac], b.Data[r0*bc:(r0+n)*bc]
 		j := 0
 		for ; j+4 <= ac; j += 4 {
-			k := 0
-			if upper {
-				k = j &^ 7
-			}
-			for ; k+8 <= bc; k += 8 {
-				atb4x8AVX2(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n)
-			}
-			for ; k < bc; k += 4 {
-				atb4x4AVX2(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n, &laneMask[4-min(4, bc-k)])
+			if useAVX512 {
+				atbRowAVX512(p, ar, br, ac, bc, j, n, upper)
+			} else {
+				atbRowAVX2(p, ar, br, ac, bc, j, n, upper)
 			}
 		}
 		for ; j < ac; j++ {
@@ -94,6 +88,45 @@ func atbTiles(p []float64, a, b *Matrix, lo, hi int, upper bool) int {
 	return end
 }
 
+// atbRowAVX2 is rows j to j+3 of p in atbTiles on the n operand rows ar and
+// br: 4 x 8 tiles (from column j&^7 when only the upper triangle is
+// wanted), then the masked 4 x 4 tile on the columns past the last whole
+// eight.
+func atbRowAVX2(p, ar, br []float64, ac, bc, j, n int, upper bool) {
+	k := 0
+	if upper {
+		k = j &^ 7
+	}
+	for ; k+8 <= bc; k += 8 {
+		atb4x8AVX2(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n)
+	}
+	for ; k < bc; k += 4 {
+		atb4x4AVX2(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n, &laneMask[4-min(4, bc-k)])
+	}
+}
+
+// atbRowAVX512 is atbRowAVX2 on the ZMM tiles: 4 x 16 tiles, then one
+// masked tile on the columns past the last whole sixteen, eight lanes wide
+// for up to eight of them. With only the upper triangle wanted the tiles
+// start at the diagonal, column j, so that no more than the 4 x 4 block's
+// six elements below it are computed. Each tile prefetches the columns it
+// reads of the next strip's rows, n rows on (ATBPREFETCH).
+func atbRowAVX512(p, ar, br []float64, ac, bc, j, n int, upper bool) {
+	k := 0
+	if upper {
+		k = j
+	}
+	for ; k+16 <= bc; k += 16 {
+		atb4x16AVX512(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n)
+	}
+	switch w := bc - k; {
+	case w > 8:
+		atb4x16MaskAVX512(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n, 1<<(w-8)-1)
+	case w > 0:
+		atb4x8MaskAVX512(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n, 1<<w-1)
+	}
+}
+
 // GEMM panel geometry: C row segments of gemmJC columns stay resident
 // in L1 across the whole k sweep, and when B is wide enough that its
 // rows are far apart, k-panels of gemmKC rows are packed into a
@@ -104,13 +137,13 @@ const (
 	gemmKC = 64
 )
 
-// gemmNarrow is the widest B the narrow-GEMM tile takes: three vectors a
-// row, twelve accumulators for four rows of C.
+// gemmNarrow is the widest B the narrow-GEMM tiles take: three YMM
+// vectors a row, twelve accumulators for four rows of C.
 const gemmNarrow = 12
 
 // matMulRows computes C[lo:hi,:] = A[lo:hi,:] * B for row-major operands,
-// overwriting those C rows: through the narrow-GEMM tile when B has at
-// most gemmNarrow columns and the build and the CPU have it, matMulRowsGo
+// overwriting those C rows: through a narrow-GEMM tile when B has at most
+// gemmNarrow columns and the build and the CPU have it, matMulRowsGo
 // otherwise (on rows of a hundred Axpy4 already runs at the load/store
 // bound).
 func matMulRows(c, a, b *Matrix, lo, hi int) {
@@ -121,28 +154,45 @@ func matMulRows(c, a, b *Matrix, lo, hi int) {
 	matMulRowsGo(c, a, b, lo, hi)
 }
 
-// matMulRowsNarrow is matMulRows through gemm4x12AVX2, four rows of C a
-// call, on B's first k&^3 rows zero-padded into a pooled k x 12 panel (the
-// padding columns are computed and dropped). The tile takes those terms
-// in ascending k from +0 without skipping a zero, as Axpy4 gives them to a
+// matMulRowsNarrow is matMulRows through a narrow-GEMM tile of m rows of C
+// a call on B's first k&^3 rows zero-padded into a pooled k x w panel (the
+// padding columns are computed and dropped). Where the CPU has AVX-512
+// that is gemm8x8AVX512 (m = w = 8) when B has at most eight columns and
+// there are at least eight rows, gemm4x16AVX512 (m = 4, w = 16) otherwise;
+// without it, gemm4x12AVX2 (m = 4, w = 12). The tiles take those terms in
+// ascending k from +0 without skipping a zero, as Axpy4 gives them to a
 // zeroed row; the k%4 last terms go through the zero-skipping Axpy as in
-// matMulRowsGo. When hi-lo is not a multiple of four the last call backs
-// up over rows already written and writes them the same values again.
+// matMulRowsGo. When hi-lo is not a multiple of m the last call backs up
+// over rows already written and writes them the same values again.
 func matMulRowsNarrow(c, a, b *Matrix, lo, hi int) {
+	m, w := 4, gemmNarrow
+	switch {
+	case useAVX512 && b.Cols <= 8 && hi-lo >= 8:
+		m, w = 8, 8
+	case useAVX512:
+		w = 16
+	}
 	kdim := a.Cols
 	k4 := kdim &^ 3
-	sc := getScratch((k4 + 4) * gemmNarrow)
-	panel, out := sc.data[:k4*gemmNarrow], sc.data[k4*gemmNarrow:]
+	sc := getScratch((k4 + m) * w)
+	panel, out := sc.data[:k4*w], sc.data[k4*w:]
 	for k := 0; k < k4; k++ {
-		row := panel[k*gemmNarrow : (k+1)*gemmNarrow]
+		row := panel[k*w : (k+1)*w]
 		clear(row[copy(row, b.Row(k)):])
 	}
-	for i := lo; i < hi; i += 4 {
-		i = min(i, hi-4)
-		gemm4x12AVX2(&a.Data[i*kdim], kdim, &panel[0], k4, &out[0])
-		for r := 0; r < 4; r++ {
+	for i := lo; i < hi; i += m {
+		i = min(i, hi-m)
+		switch w {
+		case 8:
+			gemm8x8AVX512(&a.Data[i*kdim], kdim, &panel[0], k4, &out[0])
+		case 16:
+			gemm4x16AVX512(&a.Data[i*kdim], kdim, &panel[0], k4, &out[0])
+		default:
+			gemm4x12AVX2(&a.Data[i*kdim], kdim, &panel[0], k4, &out[0])
+		}
+		for r := 0; r < m; r++ {
 			arow, crow := a.Row(i+r), c.Row(i+r)
-			copy(crow, out[r*gemmNarrow:])
+			copy(crow, out[r*w:])
 			for k := k4; k < kdim; k++ {
 				Axpy(arow[k], b.Row(k), crow)
 			}
