@@ -14,26 +14,27 @@ package dense
 // Two dispatch points, set once at start-up from CPUID + XGETBV on amd64
 // and the constant false elsewhere and under the purego build tag: useAVX2
 // for every kernel below, and useAVX512 (which requires useAVX2, AVX512F
-// and the OS saving the opmask and ZMM state) for the Gram TRSVD's tiles
-// at ZMM width. The wrappers keep every length check, take the assembly from one
-// vector up (n >= 4) and fall through to the Go loop below that, where a
-// call buys nothing. The Go loops are the portable build and the oracle
+// and the OS saving the opmask and ZMM state) for the Gram TRSVD's AᵀB
+// tile at ZMM width. The wrappers keep every length check, take the
+// assembly from one vector up (n >= 4) and fall through to the Go loop
+// below that, where a call buys nothing. The Go loops are the portable build and the oracle
 // of the differential tests (TestKernelsBitwise, FuzzKernelsBitwise).
 //
 // Two register tiles sit in front of the Axpy4 loops of the Gram TRSVD's
 // block passes (tile.go): an AᵀB tile under SyrkInto and MatMulTAInto, and
 // a narrow-GEMM tile under MatMulInto when B has at most twelve columns.
-// Each has a YMM form (4x8 with a masked 4x4 tail; 4x12) and, where
-// useAVX512 holds, a ZMM form: the 4x16 AᵀB tile with an opmask tail of
-// one to fifteen columns, SYRK's tiles starting at the diagonal, and
-// narrow-GEMM tiles of 8x8 (B of at most eight columns) and 4x16. The ZMM
-// tiles also prefetch the operand rows their next calls read, which on
-// the Gram solver's tall shapes is worth more than the width (tile.go,
-// kernels_amd64.s); a prefetch changes no value. They keep their
-// destination in registers and give each element the operations of the
-// Axpy4 calls they replace, in order, still unfused — the same bits at
-// either width: the Go loops remain the definition (TestTilesBitwise, on
-// every path the host has). Unfused is enough — the Axpy4 loops were
+// Each has a YMM form (4x8 with a masked 4x4 tail; 4x12). Where useAVX512
+// holds the AᵀB tile runs a ZMM form instead: 4x16 with an opmask tail of
+// one to fifteen columns, SYRK's tiles starting at the diagonal. (ZMM
+// narrow-GEMM tiles, 4x16 and 8x8, measured level end to end and were
+// dropped; README "Kernels".) The ZMM tiles and the 4x12 tile prefetch
+// the operand rows their next calls read, which on the Gram solver's tall
+// shapes is worth more than the width (kernels_amd64.s); a prefetch
+// changes no value. The tiles keep their destination in registers and
+// give each element the operations of the Axpy4 calls they replace, in
+// order, still unfused — the same bits at either width: the Go loops
+// remain the definition (TestTilesBitwise, on every path the host has).
+// Unfused is enough — the Axpy4 loops were
 // bound by call overhead, one add chain and reloading the destination,
 // not by the arithmetic ports (FMA in Axpy4/Ger measured flat), and the
 // ZMM tiles gain by doing twice the lanes per instruction, not by fusing.

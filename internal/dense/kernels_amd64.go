@@ -58,15 +58,6 @@ func atb4x16AVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int
 func atb4x16MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask uint64)
 
 //go:noescape
-func atb4x8MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask uint64)
-
-//go:noescape
-func gemm8x8AVX512(a *float64, lda int, b *float64, k int, c *float64)
-
-//go:noescape
-func gemm4x16AVX512(a *float64, lda int, b *float64, k int, c *float64)
-
-//go:noescape
 func gatherGerAVX2(keys, ids, cols *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -345,6 +345,13 @@ atbhalfrow:
 // contiguous. The twelve accumulators start at +0, as a zeroed C row does,
 // and take one VMULPD and one VADDPD per term: per element, the operations
 // of k/4 Axpy4 calls on a zeroed row in their order. k >= 1.
+//
+// Each term also prefetches half a line of the next block of rows of a,
+// the rows the next call takes (contiguous, because lda is the row
+// length), so that the whole block is on its way while this one
+// computes: a's rows are each read once, for a handful of multiply-adds
+// an element, so without it the tile waits on memory. A prefetch past the
+// end of a cannot fault and changes no value.
 TEXT ·gemm4x12AVX2(SB), NOSPLIT, $0-40
 	MOVQ    a+0(FP), SI
 	MOVQ    lda+8(FP), BX
@@ -354,6 +361,7 @@ TEXT ·gemm4x12AVX2(SB), NOSPLIT, $0-40
 	LEAQ    (SI)(BX*8), R8
 	LEAQ    (R8)(BX*8), R9
 	LEAQ    (R9)(BX*8), R10
+	LEAQ    (R10)(BX*8), R11 // the next block's first row
 	VXORPD  Y0, Y0, Y0
 	VXORPD  Y1, Y1, Y1
 	VXORPD  Y2, Y2, Y2
@@ -369,10 +377,12 @@ TEXT ·gemm4x12AVX2(SB), NOSPLIT, $0-40
 	XORQ    AX, AX
 
 gemmterm:
+	PREFETCHT0 (R11)
 	GEMMROW(SI, Y0, Y1, Y2)
 	GEMMROW(R8, Y3, Y4, Y5)
 	GEMMROW(R9, Y6, Y7, Y8)
 	GEMMROW(R10, Y9, Y10, Y11)
+	ADDQ    $32, R11
 	ADDQ    $96, DI
 	INCQ    AX
 	CMPQ    AX, CX
@@ -392,13 +402,13 @@ gemmterm:
 	VZEROUPPER
 	RET
 
-// The AVX-512 tiles below are the AᵀB and narrow-GEMM tiles above at ZMM
-// width, for a CPU with AVX512F whose OS saves the opmask and ZMM state.
-// They keep the rule of the AVX2 tiles: a VMULPD and then a VADDPD per
-// term, never an FMA, in ascending row (or k) order from the value the Go
-// loop starts from. A masked load (the .Z form) gives +0 in a lane whose
-// mask bit is clear and touches no memory there, a masked store leaves
-// that lane alone, and what the lane computes in between is dropped.
+// The AVX-512 tiles below are the AᵀB tiles above at ZMM width, for a CPU
+// with AVX512F whose OS saves the opmask and ZMM state. They keep the rule
+// of the AVX2 tiles: a VMULPD and then a VADDPD per term, never an FMA, in
+// ascending row order from the value the Go loop starts from. A masked
+// load (the .Z form) gives +0 in a lane whose mask bit is clear and
+// touches no memory there, a masked store leaves that lane alone, and
+// what the lane computes in between is dropped.
 
 // ATBPREFETCH asks for the two cache lines of b's row r + rows at the
 // columns of b's row r that this tile reads, into L2 (PREFETCHT1, so that
@@ -406,8 +416,12 @@ gemmterm:
 // atbTiles hands the next calls. b's rows of a strip are read from
 // memory once and then reused from L1 by every tile of the strip, and
 // the first tiles to read them no longer wait for them: on the Gram
-// solver's tall shapes SyrkInto gained 5-18% and MatMulTAInto 14-38%. A
-// prefetch past the end of b cannot fault and changes no value.
+// solver's tall shapes SyrkInto gained 5-18% and MatMulTAInto 14-38%.
+// Every group of four rows of p asks for the same lines again; asking
+// only from the first group, whose tiles read every column, measured the
+// same on those shapes at one and two threads (2-vCPU AVX-512 Xeon), so
+// the tiles keep the one loop. A prefetch past the end of b cannot fault
+// and changes no value.
 #define ATBPREFETCH \
 	PREFETCHT1 (DI)(BX*1); \
 	PREFETCHT1 64(DI)(BX*1)
@@ -426,7 +440,7 @@ gemmterm:
 // 0..rows-1 in that order, j < 4, k < 16. rows >= 1.
 TEXT ·atb4x16AVX512(SB), NOSPLIT, $0-56
 
-// ATBARGS loads the arguments the three ZMM AᵀB tiles share: a, b and p
+// ATBARGS loads the arguments the two ZMM AᵀB tiles share: a, b and p
 // in SI, DI and DX, the operand strides in bytes in R8 and R9, the row
 // count in CX, p's rows 1 to 3 in R11, R12 and R13, and in BX the
 // distance in bytes from a row of b to the one rows rows on. Like
@@ -482,25 +496,28 @@ atbzrow:
 	RET
 
 // func atb4x16MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask uint64)
-// atb4x16AVX512 on the last nine to fifteen columns of b and p: the first
-// eight whole, the rest under the lane mask (bit i set for column 8+i).
+// atb4x16AVX512 on the last one to fifteen columns of b and p, under the
+// lane mask: bit i set for column i, the low eight bits in K1 for the
+// first vector of a row, the next eight in K2 for the second.
 TEXT ·atb4x16MaskAVX512(SB), NOSPLIT, $0-64
 	ATBARGS
-	MOVQ         mask+56(FP), AX
-	KMOVW        AX, K1
-	VMOVUPD      (DX), Z0
-	VMOVUPD.Z    64(DX), K1, Z1
-	VMOVUPD      (R11), Z2
-	VMOVUPD.Z    64(R11), K1, Z3
-	VMOVUPD      (R12), Z4
-	VMOVUPD.Z    64(R12), K1, Z5
-	VMOVUPD      (R13), Z6
-	VMOVUPD.Z    64(R13), K1, Z7
+	MOVQ      mask+56(FP), AX
+	KMOVW     AX, K1
+	SHRQ      $8, AX
+	KMOVW     AX, K2
+	VMOVUPD.Z (DX), K1, Z0
+	VMOVUPD.Z 64(DX), K2, Z1
+	VMOVUPD.Z (R11), K1, Z2
+	VMOVUPD.Z 64(R11), K2, Z3
+	VMOVUPD.Z (R12), K1, Z4
+	VMOVUPD.Z 64(R12), K2, Z5
+	VMOVUPD.Z (R13), K1, Z6
+	VMOVUPD.Z 64(R13), K2, Z7
 
 atbzmaskrow:
 	ATBPREFETCH
-	VMOVUPD   (DI), Z8
-	VMOVUPD.Z 64(DI), K1, Z9
+	VMOVUPD.Z (DI), K1, Z8
+	VMOVUPD.Z 64(DI), K2, Z9
 	ATBROWZ(0, Z10, Z11, Z12, Z0, Z1)
 	ATBROWZ(8, Z13, Z14, Z15, Z2, Z3)
 	ATBROWZ(16, Z10, Z11, Z12, Z4, Z5)
@@ -509,180 +526,14 @@ atbzmaskrow:
 	ADDQ      R9, DI
 	DECQ      CX
 	JNZ       atbzmaskrow
-	VMOVUPD   Z0, (DX)
-	VMOVUPD   Z1, K1, 64(DX)
-	VMOVUPD   Z2, (R11)
-	VMOVUPD   Z3, K1, 64(R11)
-	VMOVUPD   Z4, (R12)
-	VMOVUPD   Z5, K1, 64(R12)
-	VMOVUPD   Z6, (R13)
-	VMOVUPD   Z7, K1, 64(R13)
-	VZEROUPPER
-	RET
-
-// ATBHALFZ is one destination row of the eight-column tile for one
-// operand row: broadcast a[r][j], multiply b[r][k:k+8] (Z8) by it, add to
-// p[j][k:k+8].
-#define ATBHALFZ(off, bc, t, acc) \
-	VBROADCASTSD off(SI), bc; \
-	VMULPD       Z8, bc, t; \
-	VADDPD       t, acc, acc
-
-// func atb4x8MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask uint64)
-// atb4x16AVX512 on the last one to eight columns of b and p, one ZMM
-// vector a row under the lane mask (bit i set for column i).
-TEXT ·atb4x8MaskAVX512(SB), NOSPLIT, $0-64
-	ATBARGS
-	MOVQ      mask+56(FP), AX
-	KMOVW     AX, K1
-	VMOVUPD.Z (DX), K1, Z0
-	VMOVUPD.Z (R11), K1, Z1
-	VMOVUPD.Z (R12), K1, Z2
-	VMOVUPD.Z (R13), K1, Z3
-
-atbzhalfrow:
-	ATBPREFETCH
-	VMOVUPD.Z (DI), K1, Z8
-	ATBHALFZ(0, Z9, Z10, Z0)
-	ATBHALFZ(8, Z11, Z12, Z1)
-	ATBHALFZ(16, Z9, Z10, Z2)
-	ATBHALFZ(24, Z11, Z12, Z3)
-	ADDQ      R8, SI
-	ADDQ      R9, DI
-	DECQ      CX
-	JNZ       atbzhalfrow
 	VMOVUPD   Z0, K1, (DX)
-	VMOVUPD   Z1, K1, (R11)
-	VMOVUPD   Z2, K1, (R12)
-	VMOVUPD   Z3, K1, (R13)
-	VZEROUPPER
-	RET
-
-// GEMMROWZ is one row of the eight-column narrow-GEMM tile for one term:
-// broadcast a[i][k], multiply b[k] (Z8) by it, add to c[i].
-#define GEMMROWZ(arow, acc) \
-	VBROADCASTSD (arow)(AX*8), Z9; \
-	VMULPD       Z8, Z9, Z9; \
-	VADDPD       Z9, acc, acc
-
-// The two ZMM narrow-GEMM tiles prefetch the next block of rows of a —
-// the rows the next call takes, contiguous because lda is the row length
-// — one 64-byte line a term on the eight-row tile, half a line on the
-// four-row one, so that the whole block is on its way while this one
-// computes. A's rows are each read once, for a handful of multiply-adds
-// an element, so without it the tile waits on memory, not on its ports
-// (the widening alone measured level with gemm4x12AVX2 on 100 -> 10).
-// A prefetch past the end of a cannot fault and changes no value.
-
-// func gemm8x8AVX512(a *float64, lda int, b *float64, k int, c *float64)
-// gemm4x12AVX2 on eight rows and one ZMM vector of columns: c[i][j] =
-// ((+0 + a[i][0]*b[0][j]) + a[i][1]*b[1][j]) + ... over k terms in that
-// order, i < 8, j < 8, with a[i] = a + i*lda elements, b a packed k x 8
-// panel and c 8 x 8 contiguous. k >= 1.
-TEXT ·gemm8x8AVX512(SB), NOSPLIT, $0-40
-	MOVQ   a+0(FP), SI
-	MOVQ   lda+8(FP), AX
-	MOVQ   b+16(FP), DI
-	MOVQ   k+24(FP), CX
-	LEAQ   (SI)(AX*8), BX
-	LEAQ   (BX)(AX*8), R8
-	LEAQ   (R8)(AX*8), R9
-	LEAQ   (R9)(AX*8), R10
-	LEAQ   (R10)(AX*8), R11
-	LEAQ   (R11)(AX*8), R12
-	LEAQ   (R12)(AX*8), R13
-	LEAQ   (R13)(AX*8), DX // the next block's first row
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	XORQ   AX, AX
-
-gemmzterm:
-	PREFETCHT0 (DX)
-	VMOVUPD    (DI), Z8
-	GEMMROWZ(SI, Z0)
-	GEMMROWZ(BX, Z1)
-	GEMMROWZ(R8, Z2)
-	GEMMROWZ(R9, Z3)
-	GEMMROWZ(R10, Z4)
-	GEMMROWZ(R11, Z5)
-	GEMMROWZ(R12, Z6)
-	GEMMROWZ(R13, Z7)
-	ADDQ       $64, DX
-	ADDQ       $64, DI
-	INCQ       AX
-	CMPQ       AX, CX
-	JLT        gemmzterm
-	MOVQ       c+32(FP), DX
-	VMOVUPD    Z0, (DX)
-	VMOVUPD    Z1, 64(DX)
-	VMOVUPD    Z2, 128(DX)
-	VMOVUPD    Z3, 192(DX)
-	VMOVUPD    Z4, 256(DX)
-	VMOVUPD    Z5, 320(DX)
-	VMOVUPD    Z6, 384(DX)
-	VMOVUPD    Z7, 448(DX)
-	VZEROUPPER
-	RET
-
-// GEMMROWZ2 is one row of the sixteen-column narrow-GEMM tile for one
-// term: broadcast a[i][k], multiply b[k] (Z8, Z9) by it, add to c[i].
-#define GEMMROWZ2(arow, acc0, acc1) \
-	VBROADCASTSD (arow)(AX*8), Z10; \
-	VMULPD       Z8, Z10, Z11; \
-	VMULPD       Z9, Z10, Z12; \
-	VADDPD       Z11, acc0, acc0; \
-	VADDPD       Z12, acc1, acc1
-
-// func gemm4x16AVX512(a *float64, lda int, b *float64, k int, c *float64)
-// gemm4x12AVX2 with two ZMM vectors of columns: b a packed k x 16 panel,
-// c 4 x 16 contiguous. k >= 1.
-TEXT ·gemm4x16AVX512(SB), NOSPLIT, $0-40
-	MOVQ   a+0(FP), SI
-	MOVQ   lda+8(FP), BX
-	MOVQ   b+16(FP), DI
-	MOVQ   k+24(FP), CX
-	MOVQ   c+32(FP), DX
-	LEAQ   (SI)(BX*8), R8
-	LEAQ   (R8)(BX*8), R9
-	LEAQ   (R9)(BX*8), R10
-	LEAQ   (R10)(BX*8), R11 // the next block's first row
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	XORQ   AX, AX
-
-gemmzwideterm:
-	PREFETCHT0 (R11)
-	VMOVUPD    (DI), Z8
-	VMOVUPD    64(DI), Z9
-	GEMMROWZ2(SI, Z0, Z1)
-	GEMMROWZ2(R8, Z2, Z3)
-	GEMMROWZ2(R9, Z4, Z5)
-	GEMMROWZ2(R10, Z6, Z7)
-	ADDQ       $32, R11
-	ADDQ       $128, DI
-	INCQ       AX
-	CMPQ       AX, CX
-	JLT        gemmzwideterm
-	VMOVUPD    Z0, (DX)
-	VMOVUPD    Z1, 64(DX)
-	VMOVUPD    Z2, 128(DX)
-	VMOVUPD    Z3, 192(DX)
-	VMOVUPD    Z4, 256(DX)
-	VMOVUPD    Z5, 320(DX)
-	VMOVUPD    Z6, 384(DX)
-	VMOVUPD    Z7, 448(DX)
+	VMOVUPD   Z1, K2, 64(DX)
+	VMOVUPD   Z2, K1, (R11)
+	VMOVUPD   Z3, K2, 64(R11)
+	VMOVUPD   Z4, K1, (R12)
+	VMOVUPD   Z5, K2, 64(R12)
+	VMOVUPD   Z6, K1, (R13)
+	VMOVUPD   Z7, K2, 64(R13)
 	VZEROUPPER
 	RET
 

@@ -39,18 +39,6 @@ func atb4x16MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp
 	panic("dense: no assembly kernels in this build")
 }
 
-func atb4x8MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp int, rows int, mask uint64) {
-	panic("dense: no assembly kernels in this build")
-}
-
-func gemm8x8AVX512(a *float64, lda int, b *float64, k int, c *float64) {
-	panic("dense: no assembly kernels in this build")
-}
-
-func gemm4x16AVX512(a *float64, lda int, b *float64, k int, c *float64) {
-	panic("dense: no assembly kernels in this build")
-}
-
 func gatherGerAVX2(keys, ids, cols *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int) {
 	panic("dense: no assembly kernels in this build")
 }

@@ -602,7 +602,7 @@ func TestTilesBitwise(t *testing.T) {
 // the same bits at every T and on every path the host has (the first
 // path's T = 1 result is the reference), at shapes where every tile kind
 // runs (whole tiles, masked tails, Axpy4 rows, strips, a backed-up last
-// GEMM call on both the four- and the eight-row tiles).
+// GEMM call on B of ten and of five columns).
 func TestTilesBitwiseInvariantAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := RandomNormal(1301, 102, rng)

@@ -106,11 +106,11 @@ func atbRowAVX2(p, ar, br []float64, ac, bc, j, n int, upper bool) {
 }
 
 // atbRowAVX512 is atbRowAVX2 on the ZMM tiles: 4 x 16 tiles, then one
-// masked tile on the columns past the last whole sixteen, eight lanes wide
-// for up to eight of them. With only the upper triangle wanted the tiles
-// start at the diagonal, column j, so that no more than the 4 x 4 block's
-// six elements below it are computed. Each tile prefetches the columns it
-// reads of the next strip's rows, n rows on (ATBPREFETCH).
+// masked tile on the columns past the last whole sixteen. With only the
+// upper triangle wanted the tiles start at the diagonal, column j, so
+// that no more than the 4 x 4 block's six elements below it are computed.
+// Each tile prefetches the columns it reads of the next strip's rows, n
+// rows on (ATBPREFETCH).
 func atbRowAVX512(p, ar, br []float64, ac, bc, j, n int, upper bool) {
 	k := 0
 	if upper {
@@ -119,11 +119,8 @@ func atbRowAVX512(p, ar, br []float64, ac, bc, j, n int, upper bool) {
 	for ; k+16 <= bc; k += 16 {
 		atb4x16AVX512(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n)
 	}
-	switch w := bc - k; {
-	case w > 8:
-		atb4x16MaskAVX512(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n, 1<<(w-8)-1)
-	case w > 0:
-		atb4x8MaskAVX512(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n, 1<<w-1)
+	if w := bc - k; w > 0 {
+		atb4x16MaskAVX512(&ar[j], ac, &br[k], bc, &p[j*bc+k], bc, n, 1<<w-1)
 	}
 }
 
@@ -137,13 +134,13 @@ const (
 	gemmKC = 64
 )
 
-// gemmNarrow is the widest B the narrow-GEMM tiles take: three YMM
-// vectors a row, twelve accumulators for four rows of C.
+// gemmNarrow is the widest B the narrow-GEMM tile takes: three vectors a
+// row, twelve accumulators for four rows of C.
 const gemmNarrow = 12
 
 // matMulRows computes C[lo:hi,:] = A[lo:hi,:] * B for row-major operands,
-// overwriting those C rows: through a narrow-GEMM tile when B has at most
-// gemmNarrow columns and the build and the CPU have it, matMulRowsGo
+// overwriting those C rows: through the narrow-GEMM tile when B has at
+// most gemmNarrow columns and the build and the CPU have it, matMulRowsGo
 // otherwise (on rows of a hundred Axpy4 already runs at the load/store
 // bound).
 func matMulRows(c, a, b *Matrix, lo, hi int) {
@@ -154,45 +151,28 @@ func matMulRows(c, a, b *Matrix, lo, hi int) {
 	matMulRowsGo(c, a, b, lo, hi)
 }
 
-// matMulRowsNarrow is matMulRows through a narrow-GEMM tile of m rows of C
-// a call on B's first k&^3 rows zero-padded into a pooled k x w panel (the
-// padding columns are computed and dropped). Where the CPU has AVX-512
-// that is gemm8x8AVX512 (m = w = 8) when B has at most eight columns and
-// there are at least eight rows, gemm4x16AVX512 (m = 4, w = 16) otherwise;
-// without it, gemm4x12AVX2 (m = 4, w = 12). The tiles take those terms in
-// ascending k from +0 without skipping a zero, as Axpy4 gives them to a
+// matMulRowsNarrow is matMulRows through gemm4x12AVX2, four rows of C a
+// call, on B's first k&^3 rows zero-padded into a pooled k x 12 panel (the
+// padding columns are computed and dropped). The tile takes those terms
+// in ascending k from +0 without skipping a zero, as Axpy4 gives them to a
 // zeroed row; the k%4 last terms go through the zero-skipping Axpy as in
-// matMulRowsGo. When hi-lo is not a multiple of m the last call backs up
-// over rows already written and writes them the same values again.
+// matMulRowsGo. When hi-lo is not a multiple of four the last call backs
+// up over rows already written and writes them the same values again.
 func matMulRowsNarrow(c, a, b *Matrix, lo, hi int) {
-	m, w := 4, gemmNarrow
-	switch {
-	case useAVX512 && b.Cols <= 8 && hi-lo >= 8:
-		m, w = 8, 8
-	case useAVX512:
-		w = 16
-	}
 	kdim := a.Cols
 	k4 := kdim &^ 3
-	sc := getScratch((k4 + m) * w)
-	panel, out := sc.data[:k4*w], sc.data[k4*w:]
+	sc := getScratch((k4 + 4) * gemmNarrow)
+	panel, out := sc.data[:k4*gemmNarrow], sc.data[k4*gemmNarrow:]
 	for k := 0; k < k4; k++ {
-		row := panel[k*w : (k+1)*w]
+		row := panel[k*gemmNarrow : (k+1)*gemmNarrow]
 		clear(row[copy(row, b.Row(k)):])
 	}
-	for i := lo; i < hi; i += m {
-		i = min(i, hi-m)
-		switch w {
-		case 8:
-			gemm8x8AVX512(&a.Data[i*kdim], kdim, &panel[0], k4, &out[0])
-		case 16:
-			gemm4x16AVX512(&a.Data[i*kdim], kdim, &panel[0], k4, &out[0])
-		default:
-			gemm4x12AVX2(&a.Data[i*kdim], kdim, &panel[0], k4, &out[0])
-		}
-		for r := 0; r < m; r++ {
+	for i := lo; i < hi; i += 4 {
+		i = min(i, hi-4)
+		gemm4x12AVX2(&a.Data[i*kdim], kdim, &panel[0], k4, &out[0])
+		for r := 0; r < 4; r++ {
 			arow, crow := a.Row(i+r), c.Row(i+r)
-			copy(crow, out[r*w:])
+			copy(crow, out[r*gemmNarrow:])
 			for k := k4; k < kdim; k++ {
 				Axpy(arow[k], b.Row(k), crow)
 			}
