@@ -142,6 +142,24 @@ func TestQuietPrintsOneFitLine(t *testing.T) {
 	}
 }
 
+// A fit that is not a number is an error in every mode, never a printed
+// NaN and exit 0: values of 1e200 overflow ‖X‖² and the fit with it.
+func TestNonFiniteFitIsAnError(t *testing.T) {
+	big := filepath.Join(t.TempDir(), "big.tns")
+	if err := os.WriteFile(big, []byte("1 1 1 1e200\n2 2 2 1e200\n3 3 3 1e200\n1 2 3 1e200\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-input", big, "-ranks", "2,2,2", "-q"},
+		{"-input", big, "-ranks", "2,2,2", "-q", "-dist", "2"},
+	} {
+		stdout, stderr, exit := hooi(t, args...)
+		if exit != 1 || stdout != "" || !strings.Contains(stderr, "core: non-finite fit NaN at sweep 1") {
+			t.Errorf("hooi %v: exit %d, stdout %q, stderr %q; want exit 1 and the non-finite-fit error", args, exit, stdout, stderr)
+		}
+	}
+}
+
 // -update ingests a delta after the first solve, prints one line per
 // update, and ends with the distance to a from-scratch solve of the
 // merged tensor, which at a converged tolerance is small.

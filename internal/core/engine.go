@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"time"
@@ -447,7 +448,11 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 		g = e.formCore(y, uc, opts.Threads)
 		res.Timings.Core += time.Since(t0)
 
-		fit, stop := fits.Record(g.Norm())
+		normG := g.Norm()
+		fit, stop := fits.Record(normG)
+		if math.IsNaN(fit) || math.IsInf(fit, 0) {
+			return nil, fmt.Errorf("core: non-finite fit %v at sweep %d (‖X‖ = %g, ‖G‖ = %g)", fit, iter+1, e.normX, normG)
+		}
 		res.Fit = fit
 		res.Iters = iter + 1
 		if e.ckptDir != "" && e.ckptEvery > 0 && (iter+1)%e.ckptEvery == 0 {

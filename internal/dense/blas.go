@@ -193,77 +193,38 @@ func gemvRows(y []float64, a *Matrix, x []float64, lo, hi int) {
 }
 
 // GemvT computes y = A^T*x: the matrix transpose-vector product (MTxV
-// in the paper). The row range is cut into a fixed block grid
-// (par.NumReduceBlocks — a function of the row count only, never the
-// thread count), each block accumulates a private buffer, and the
-// partials combine in block order. No locks are needed, and the result
-// is bitwise identical for every thread count, which keeps the HOOI fit
-// trajectory invariant under the -threads knob. The block buffers come
-// from a pool shared with the other reduction kernels, so steady-state
-// calls allocate nothing.
+// in the paper), a sum over the rows of A through par.ReduceRows, so
+// the result is bitwise identical for every thread count, which keeps
+// the HOOI fit trajectory invariant under the -threads knob. The block
+// partials and the operands ride in one pooled scratch, and a one-block
+// sum skips even that, so steady-state calls allocate nothing.
 func GemvT(a *Matrix, x, y []float64, threads int) {
 	if len(x) != a.Rows || len(y) != a.Cols {
 		panic("dense: GemvT shape mismatch")
 	}
-	for j := range y {
-		y[j] = 0
-	}
-	nb := par.NumReduceBlocks(a.Rows)
-	if nb <= 1 {
+	if par.OneBlock(a.Rows) {
+		clear(y)
 		gemvtBlock(y, a, x, 0, a.Rows)
 		return
 	}
 	if a.Rows*a.Cols < serialCutoff {
 		threads = 1
 	}
-	if par.DefaultThreads(threads) <= 1 {
-		// Serial fast path: one reused block buffer, combined into y in
-		// block order — the same association as the parallel partials
-		// below, so the result stays bitwise thread-count invariant.
-		sc := getScratch(a.Cols)
-		buf := sc.data
-		for b := 0; b < nb; b++ {
-			lo, hi := par.Split(a.Rows, nb, b)
-			for j := range buf {
-				buf[j] = 0
-			}
-			gemvtBlock(buf, a, x, lo, hi)
-			AxpyUnrolled(1, buf, y)
-		}
-		sc.release()
-		return
-	}
-	sc := getScratch(nb * a.Cols)
-	partials := sc.data
-	for i := range partials {
-		partials[i] = 0
-	}
-	g := gemvtRunPool.Get().(*gemvtRun)
-	g.a, g.x, g.partials, g.nb = a, x, partials, nb
-	par.Dynamic(nb, threads, 1, g)
-	*g = gemvtRun{}
-	gemvtRunPool.Put(g)
-	for b := 0; b < nb; b++ {
-		AxpyUnrolled(1, partials[b*a.Cols:(b+1)*a.Cols], y)
-	}
+	sc := scratchPool.Get().(*scratch)
+	sc.a, sc.x = a, x
+	sc.data = par.ReduceRows(y, a.Rows, threads, sc.data, (*gemvtSum)(sc))
+	sc.a, sc.x = nil, nil
 	sc.release()
 }
 
-// gemvtRun is the pooled region body of the parallel GemvT block grid.
-type gemvtRun struct {
-	a           *Matrix
-	x, partials []float64
-	nb          int
-}
+// gemvtSum is GemvT's block kernel, a view of the scratch that holds its
+// operands and partials. Like the other row sums it adds partials with
+// AxpyUnrolled: the Go loop's bits, several times as fast on the wide
+// Gram partials.
+type gemvtSum scratch
 
-func (g *gemvtRun) Run(_, lo, hi int) {
-	for b := lo; b < hi; b++ {
-		rlo, rhi := par.Split(g.a.Rows, g.nb, b)
-		gemvtBlock(g.partials[b*g.a.Cols:(b+1)*g.a.Cols], g.a, g.x, rlo, rhi)
-	}
-}
-
-var gemvtRunPool = sync.Pool{New: func() any { return new(gemvtRun) }}
+func (s *gemvtSum) Sum(p []float64, lo, hi int) { gemvtBlock(p, s.a, s.x, lo, hi) }
+func (*gemvtSum) Add(dst, p []float64)          { AxpyUnrolled(1, p, dst) }
 
 // GemvTInto is GemvT with the destination first: y = A^T*x.
 func GemvTInto(y []float64, a *Matrix, x []float64, threads int) { GemvT(a, x, y, threads) }
@@ -330,10 +291,9 @@ func MatMulTA(a, b *Matrix, threads int) *Matrix {
 }
 
 // MatMulTAInto computes C = A^T*B (A is m x n, B is m x p, C is n x p)
-// into caller-owned storage, parallel over a fixed grid of row blocks
-// with pooled per-block partials reduced in block order — like GemvT,
-// bitwise identical for every thread count and allocation-free in
-// steady state.
+// into caller-owned storage: like GemvT a sum over rows through
+// par.ReduceRows with a pooled scratch, bitwise identical for every
+// thread count and allocation-free in steady state.
 func MatMulTAInto(c, a, b *Matrix, threads int) {
 	if a.Rows != b.Rows {
 		panic("dense: MatMulTA shape mismatch")
@@ -341,64 +301,27 @@ func MatMulTAInto(c, a, b *Matrix, threads int) {
 	if c.Rows != a.Cols || c.Cols != b.Cols {
 		panic("dense: MatMulTA destination shape mismatch")
 	}
-	c.Zero()
-	nb := par.NumReduceBlocks(a.Rows)
-	if nb <= 1 {
+	if par.OneBlock(a.Rows) {
+		c.Zero()
 		matMulTABlock(c.Data, a, b, 0, a.Rows)
 		return
 	}
 	if a.Rows*a.Cols*b.Cols < serialCutoff {
 		threads = 1
 	}
-	width := a.Cols * b.Cols
-	if par.DefaultThreads(threads) <= 1 {
-		// Serial fast path: one reused partial, combined in block order
-		// (bitwise identical to the parallel partials below).
-		sc := getScratch(width)
-		p := sc.data
-		for blk := 0; blk < nb; blk++ {
-			lo, hi := par.Split(a.Rows, nb, blk)
-			for i := range p {
-				p[i] = 0
-			}
-			matMulTABlock(p, a, b, lo, hi)
-			AxpyUnrolled(1, p, c.Data)
-		}
-		sc.release()
-		return
-	}
-	sc := getScratch(nb * width)
-	partials := sc.data
-	for i := range partials {
-		partials[i] = 0
-	}
-	m := matMulTARunPool.Get().(*matMulTARun)
-	m.a, m.b, m.partials, m.nb, m.width = a, b, partials, nb, width
-	par.Dynamic(nb, threads, 1, m)
-	*m = matMulTARun{}
-	matMulTARunPool.Put(m)
-	for blk := 0; blk < nb; blk++ {
-		AxpyUnrolled(1, partials[blk*width:(blk+1)*width], c.Data)
-	}
+	sc := scratchPool.Get().(*scratch)
+	sc.a, sc.b = a, b
+	sc.data = par.ReduceRows(c.Data, a.Rows, threads, sc.data, (*matMulTASum)(sc))
+	sc.a, sc.b = nil, nil
 	sc.release()
 }
 
-// matMulTARun is the pooled region body of the parallel MatMulTA block
-// grid.
-type matMulTARun struct {
-	a, b      *Matrix
-	partials  []float64
-	nb, width int
-}
+// matMulTASum is MatMulTAInto's block kernel, a view of the scratch that
+// holds its operands and partials.
+type matMulTASum scratch
 
-func (m *matMulTARun) Run(_, lo, hi int) {
-	for blk := lo; blk < hi; blk++ {
-		rlo, rhi := par.Split(m.a.Rows, m.nb, blk)
-		matMulTABlock(m.partials[blk*m.width:(blk+1)*m.width], m.a, m.b, rlo, rhi)
-	}
-}
-
-var matMulTARunPool = sync.Pool{New: func() any { return new(matMulTARun) }}
+func (s *matMulTASum) Sum(p []float64, lo, hi int) { matMulTABlock(p, s.a, s.b, lo, hi) }
+func (*matMulTASum) Add(dst, p []float64)          { AxpyUnrolled(1, p, dst) }
 
 // matMulTABlock accumulates p += A[lo:hi,:]^T * B[lo:hi,:] where p is a
 // row-major a.Cols x b.Cols buffer: the AᵀB register tiles over the whole
@@ -436,100 +359,24 @@ func matMulTABlockGo(p []float64, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulTB returns C = A*B^T (A is m x n, B is p x n, C is m x p),
-// parallel over rows of A with a two-row dot-product tile.
-func MatMulTB(a, b *Matrix, threads int) *Matrix {
-	if a.Cols != b.Cols {
-		panic("dense: MatMulTB shape mismatch")
-	}
-	c := NewMatrix(a.Rows, b.Rows)
-	if a.Rows*a.Cols*b.Rows < serialCutoff {
-		threads = 1
-	}
-	if par.DefaultThreads(threads) <= 1 {
-		matMulTBRows(c, a, b, 0, a.Rows)
-		return c
-	}
-	m := matMulTBRunPool.Get().(*matMulTBRun)
-	m.c, m.a, m.b = c, a, b
-	par.Static(a.Rows, threads, m)
-	*m = matMulTBRun{}
-	matMulTBRunPool.Put(m)
-	return c
-}
-
-// matMulTBRun is the pooled region body of the parallel MatMulTB.
-type matMulTBRun struct{ c, a, b *Matrix }
-
-func (m *matMulTBRun) Run(_, lo, hi int) { matMulTBRows(m.c, m.a, m.b, lo, hi) }
-
-var matMulTBRunPool = sync.Pool{New: func() any { return new(matMulTBRun) }}
-
-// matMulTBRows computes C[lo:hi,:] = A[lo:hi,:]*B^T with a two-row
-// dot-product tile per B row pair.
-func matMulTBRows(c, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		j := 0
-		for ; j+2 <= b.Rows; j += 2 {
-			crow[j], crow[j+1] = dot2(b.Row(j), b.Row(j+1), arow)
-		}
-		for ; j < b.Rows; j++ {
-			crow[j] = Dot(arow, b.Row(j))
-		}
-	}
-}
-
 // SyrkInto computes the symmetric rank-k product G = AᵀA (A is m x n,
 // G n x n) into caller-owned storage: only the upper triangle is
 // accumulated — half the multiply-adds of MatMulTAInto(g, a, a) — and
-// then mirrored, so g is exactly symmetric. The row range is cut into
-// the same fixed block grid and consumed by the same four-row tiles as
-// MatMulTAInto, so every upper-triangle element is bitwise equal to
-// that kernel's and the result is bitwise identical for every thread
-// count. The block partials live in work (n² values on one thread, one
-// n² buffer per block otherwise), which is grown as needed and
+// then mirrored, so g is exactly symmetric. It is the same sum over rows
+// through par.ReduceRows, consumed by the same four-row tiles as
+// MatMulTAInto, so every upper-triangle element is bitwise equal to that
+// kernel's and the result is bitwise identical for every thread count.
+// The block partials live in work, which is grown as needed and
 // returned: a caller that keeps it allocates nothing in steady state.
 func SyrkInto(g, a *Matrix, work []float64, threads int) []float64 {
 	n := a.Cols
 	if g.Rows != n || g.Cols != n {
 		panic("dense: Syrk destination shape mismatch")
 	}
-	g.Zero()
-	nb := par.NumReduceBlocks(a.Rows)
-	width := n * n
-	if a.Rows*width < serialCutoff {
+	if a.Rows*n*n < serialCutoff {
 		threads = 1
 	}
-	switch {
-	case nb <= 1:
-		syrkBlock(g.Data, a, 0, a.Rows)
-	case par.DefaultThreads(threads) <= 1:
-		// One reused partial, combined in block order: bitwise identical
-		// to the parallel partials below.
-		work = ReuseVec(work, width)
-		for blk := 0; blk < nb; blk++ {
-			lo, hi := par.Split(a.Rows, nb, blk)
-			if blk > 0 {
-				for i := range work {
-					work[i] = 0
-				}
-			}
-			syrkBlock(work, a, lo, hi)
-			AxpyUnrolled(1, work, g.Data)
-		}
-	default:
-		work = ReuseVec(work, nb*width)
-		s := syrkRunPool.Get().(*syrkRun)
-		s.a, s.partials, s.nb, s.width = a, work, nb, width
-		par.Dynamic(nb, threads, 1, s)
-		*s = syrkRun{}
-		syrkRunPool.Put(s)
-		for blk := 0; blk < nb; blk++ {
-			AxpyUnrolled(1, work[blk*width:(blk+1)*width], g.Data)
-		}
-	}
+	work = par.ReduceRows(g.Data, a.Rows, threads, work, (*syrkSum)(a))
 	for i := 1; i < n; i++ {
 		row := g.Row(i)
 		for j := 0; j < i; j++ {
@@ -539,21 +386,11 @@ func SyrkInto(g, a *Matrix, work []float64, threads int) []float64 {
 	return work
 }
 
-// syrkRun is the pooled region body of the parallel SyrkInto block grid.
-type syrkRun struct {
-	a         *Matrix
-	partials  []float64
-	nb, width int
-}
+// syrkSum is SyrkInto's block kernel: A itself, so it needs no pool.
+type syrkSum Matrix
 
-func (s *syrkRun) Run(_, lo, hi int) {
-	for blk := lo; blk < hi; blk++ {
-		rlo, rhi := par.Split(s.a.Rows, s.nb, blk)
-		syrkBlock(s.partials[blk*s.width:(blk+1)*s.width], s.a, rlo, rhi)
-	}
-}
-
-var syrkRunPool = sync.Pool{New: func() any { return new(syrkRun) }}
+func (s *syrkSum) Sum(p []float64, lo, hi int) { syrkBlock(p, (*Matrix)(s), lo, hi) }
+func (*syrkSum) Add(dst, p []float64)          { AxpyUnrolled(1, p, dst) }
 
 // syrkBlock accumulates the upper triangle of p += A[lo:hi,:]ᵀ·A[lo:hi,:]
 // where p is a row-major n x n buffer: matMulTABlock with both operands

@@ -800,6 +800,29 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("%v allocations per run, want 0", n)
 	}
+
+	// The entry points, above serialCutoff so two threads run the
+	// parallel paths, hold their partials and region bodies in pools.
+	if raceBuild {
+		t.Skip("the race detector makes sync.Pool drop puts at random")
+	}
+	rng := rand.New(rand.NewSource(4))
+	big, tall, narrow := RandomNormal(400, 100, rng), RandomNormal(400, 10, rng), RandomNormal(100, 10, rng)
+	xr, yc := make([]float64, 400), make([]float64, 100)
+	g, ct, cm := NewMatrix(100, 100), NewMatrix(100, 10), NewMatrix(400, 10)
+	for _, threads := range []int{1, 2} {
+		var work []float64
+		run := func() {
+			GemvT(big, xr, yc, threads)
+			MatMulTAInto(ct, big, tall, threads)
+			work = SyrkInto(g, big, work, threads)
+			MatMulInto(cm, big, narrow, threads)
+		}
+		run() // grows work and warms the pools
+		if n := testing.AllocsPerRun(20, run); n != 0 {
+			t.Fatalf("threads=%d: the entry points make %v allocations per run, want 0", threads, n)
+		}
+	}
 }
 
 // FuzzKernelsBitwise drives kernelCase and the tile cases from fuzzed

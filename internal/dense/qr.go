@@ -76,9 +76,8 @@ func QR(a *Matrix) (q, r *Matrix) {
 // reflector j-1 to the row's trailing entries and sums column j's dot
 // products with them, which is all reflector j needs; Q = (I -
 // U*T*U^T)[I; 0] (compact WY) is then one more row pass. Every sum over
-// rows goes through a block grid fixed by the row count and is combined
-// in block order, so the result is bitwise identical for every thread
-// count.
+// rows goes through par.ReduceRows, so the result is bitwise identical
+// for every thread count.
 func Orthonormalize(a *Matrix, threads int) *Matrix {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -88,29 +87,8 @@ func Orthonormalize(a *Matrix, threads int) *Matrix {
 		threads = 1
 	}
 	q := a // from here on it holds U, then Q
-	nb := par.NumReduceBlocks(m)
-	// Every block adds into its partial once per row, so each partial
-	// owns whole cache lines: packed back to back, neighbouring blocks on
-	// two workers shared lines, and two threads ran a 400000 x 5 QR
-	// slower than one.
-	stride := wholeLines(2 * n)
-	part := make([]float64, nb*stride)
-	// reduce sums, in block order, the vectors body accumulates per block.
-	reduce := func(sum []float64, body func(lo, hi int, p []float64)) {
-		w := len(sum)
-		par.For(nb, threads, 1, func(b int) {
-			p := part[b*stride : b*stride+w]
-			clear(p)
-			lo, hi := par.Split(m, nb, b)
-			body(lo, hi, p)
-		})
-		clear(sum)
-		for b := 0; b < nb; b++ {
-			for k, v := range part[b*stride : b*stride+w] {
-				sum[k] += v
-			}
-		}
-	}
+	// part holds par.ReduceRows's partials across the row passes.
+	var part []float64
 	d, g, beta := make([]float64, 2*n), make([]float64, n), make([]float64, n)
 	gram, t := make([]float64, n*n), make([]float64, n*n)
 	nm := make([]float64, (n+3)*n) // -T*Utop^T, then three rows of zeros for Axpy4's last step
@@ -118,7 +96,7 @@ func Orthonormalize(a *Matrix, threads int) *Matrix {
 	for j := 0; j < n; j++ {
 		// d[k], k >= j: column j (reflector j-1 applied) dot column k;
 		// d[n+l], l < j: u_l dot column j, T's raw material.
-		reduce(d, func(lo, hi int, p []float64) {
+		part = par.ReduceRows(d, m, threads, part, par.SummerFunc(func(p []float64, lo, hi int) {
 			gj, pj, ph := g[j:n], p[j:n], p[n:n+j]
 			for i := max(lo, j); i < hi; i++ {
 				head, row, u := q.Data[i*n:i*n+j], q.Data[i*n+j:(i+1)*n], 0.0
@@ -135,7 +113,7 @@ func Orthonormalize(a *Matrix, threads int) *Matrix {
 					ph[l] += ul * x
 				}
 			}
-		})
+		}))
 		row := q.Row(j)
 		x0, alpha := row[j], math.Sqrt(d[j])
 		if x0 > 0 {
@@ -176,7 +154,7 @@ func Orthonormalize(a *Matrix, threads int) *Matrix {
 	}
 	// Q[i,:] = e_i + U[i,:]*nm, with the column norms riding along. Row
 	// i < n of U ends at its diagonal; what lies beyond is R's.
-	reduce(d[:n], func(lo, hi int, p []float64) {
+	par.ReduceRows(d[:n], m, threads, part, par.SummerFunc(func(p []float64, lo, hi int) {
 		u := make([]float64, n+3)
 		for i := lo; i < hi; i++ {
 			row := q.Row(i)
@@ -192,21 +170,13 @@ func Orthonormalize(a *Matrix, threads int) *Matrix {
 				p[c] += v * v
 			}
 		}
-	})
+	}))
 	for j, s := range d[:n] {
 		if math.Sqrt(s) < 1e-12 {
 			reseedColumn(q, j)
 		}
 	}
 	return q
-}
-
-// wholeLines rounds k float64s up to whole 64-byte cache lines. The size
-// class a multiple of 64 bytes lands in is one too, so a slab made at
-// that length starts on a line and ends on one.
-func wholeLines(k int) int {
-	const lineFloats = 8
-	return (k + lineFloats - 1) / lineFloats * lineFloats
 }
 
 // reseedColumn replaces column j of q by a coordinate vector

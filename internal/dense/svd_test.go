@@ -15,7 +15,7 @@ func reconstructSVD(u *Matrix, s []float64, v *Matrix) *Matrix {
 			row[j] *= s[j]
 		}
 	}
-	return MatMulTB(us, v, 1)
+	return MatMul(us, v.T(), 1)
 }
 
 func TestSVDReconstructs(t *testing.T) {

@@ -348,7 +348,7 @@ func withSpectrum(rng *rand.Rand, lam []float64) *Matrix {
 			ql.Data[i*n+j] *= l
 		}
 	}
-	return MatMulTB(ql, q, 1)
+	return MatMul(ql, q.T(), 1)
 }
 
 // The top-k solver against the full oracle: the same eigenvalues, bit

@@ -244,8 +244,12 @@ func matMulRowsGo(c, a, b *Matrix, lo, hi int) {
 
 // scratch is a pooled float64 buffer used for reduction partials and
 // packed GEMM panels. Contents are unspecified on Get; callers zero
-// what they need.
-type scratch struct{ data []float64 }
+// what they need. A row sum's operands ride along with its partials.
+type scratch struct {
+	data []float64
+	a, b *Matrix
+	x    []float64
+}
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 

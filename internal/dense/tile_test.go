@@ -106,10 +106,6 @@ func TestTiledKernelsMatchNaiveOddShapes(t *testing.T) {
 			if want := naiveMM(a.T(), bt); !ct.Equal(want, 1e-10) {
 				t.Fatalf("MatMulTA %dx%dx%d threads=%d mismatch", sh.m, sh.k, sh.n, threads)
 			}
-			// MatMulTB vs naive.
-			if got, want := MatMulTB(a, b.T(), threads), naiveMM(a, b); !got.Equal(want, 1e-10) {
-				t.Fatalf("MatMulTB %dx%dx%d threads=%d mismatch", sh.m, sh.k, sh.n, threads)
-			}
 		}
 	}
 }

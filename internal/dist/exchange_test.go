@@ -260,7 +260,7 @@ func TestGramOnRowDistributedOperator(t *testing.T) {
 				u.Row(i)[j] *= sv
 			}
 		}
-		return dense.MatMulTB(u, v, 1)
+		return dense.MatMul(u, v.T(), 1)
 	}
 	dup := dense.NewMatrix(60, 12) // two distinct rows, 30 times each
 	for i, pair := 0, dense.RandomNormal(2, 12, rng); i < dup.Rows; i++ {

@@ -9,38 +9,19 @@ import (
 type Options struct {
 	// Parts is the number of parts K. Required (>= 1).
 	Parts int
-	// Epsilon is the allowed load imbalance (default 0.10).
-	Epsilon float64
 	// Seed drives all randomized decisions; fixed seed = fixed result.
 	Seed int64
-	// CoarsestSize stops coarsening once the hypergraph is this small
-	// (default max(200, 30·K)).
-	CoarsestSize int
-	// Passes caps refinement sweeps per level (default 4).
-	Passes int
-	// MaxNetSize excludes larger nets from coarsening scores
-	// (default 256).
-	MaxNetSize int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Epsilon <= 0 {
-		o.Epsilon = 0.10
-	}
-	if o.CoarsestSize <= 0 {
-		o.CoarsestSize = 200
-		if 30*o.Parts > o.CoarsestSize {
-			o.CoarsestSize = 30 * o.Parts
-		}
-	}
-	if o.Passes <= 0 {
-		o.Passes = 4
-	}
-	if o.MaxNetSize <= 0 {
-		o.MaxNetSize = 256
-	}
-	return o
-}
+// The partitioner's fixed settings: the allowed load imbalance, the
+// refinement sweeps per level, and the net size above which a net is
+// left out of the coarsening scores. Coarsening stops at max(200, 30·K)
+// vertices.
+const (
+	epsilon    = 0.10
+	passes     = 4
+	maxNetSize = 256
+)
 
 // Partition computes a K-way partition of the hypergraph minimizing the
 // connectivity-1 cutsize under the balance constraint, with the
@@ -50,7 +31,6 @@ func (o Options) withDefaults() Options {
 // PaToH and produces the "fine-hp"/"coarse-hp" partitions of the
 // experiments.
 func Partition(h *Hypergraph, opts Options) []int32 {
-	opts = opts.withDefaults()
 	k := opts.Parts
 	if k <= 1 || h.NumV == 0 {
 		return make([]int32, h.NumV)
@@ -65,8 +45,8 @@ func Partition(h *Hypergraph, opts Options) []int32 {
 	var levels []level
 	cur := h
 	maxClusterW := cur.TotalWeight()/(2*int64(k)) + 1
-	for cur.NumV > opts.CoarsestSize {
-		coarse, vmap, ok := coarsen(cur, maxClusterW, opts.MaxNetSize, rng)
+	for coarsest := max(200, 30*k); cur.NumV > coarsest; {
+		coarse, vmap, ok := coarsen(cur, maxClusterW, maxNetSize, rng)
 		if !ok {
 			break
 		}
@@ -78,7 +58,7 @@ func Partition(h *Hypergraph, opts Options) []int32 {
 	// vertex to least-loaded part) gives balance; refinement supplies
 	// the cut quality.
 	parts := lptPartition(cur.VWeights, k, rng)
-	refine(cur, parts, k, opts.Epsilon, opts.Passes+2, rng)
+	refine(cur, parts, k, epsilon, passes+2, rng)
 
 	// Uncoarsening with refinement at every level.
 	for li := len(levels) - 1; li >= 0; li-- {
@@ -88,7 +68,7 @@ func Partition(h *Hypergraph, opts Options) []int32 {
 			fineParts[v] = parts[fine.vmap[v]]
 		}
 		parts = fineParts
-		refine(fine.h, parts, k, opts.Epsilon, opts.Passes, rng)
+		refine(fine.h, parts, k, epsilon, passes, rng)
 	}
 	return parts
 }

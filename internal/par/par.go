@@ -7,8 +7,11 @@
 // does not have built in — weight-aware static partitioning
 // (prefix-sum chain-on-chain and LPT over per-fiber nonzero weights,
 // executed by RunChains with work-stealing for irregular tails and by
-// RunParts). SumBlocks and NumReduceBlocks provide parallel reductions
-// whose results are bitwise identical for every thread count.
+// RunParts). ReduceRows is the one reduction over rows whose result is
+// bitwise identical for every thread count: it cuts the rows into the
+// fixed grid of NumReduceBlocks, sums each block into a partial of its
+// own cache lines and adds the partials in block order; SumBlocks is
+// its scalar form.
 package par
 
 import (

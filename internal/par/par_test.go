@@ -203,8 +203,9 @@ func TestDynamicWorkerIDs(t *testing.T) {
 // Every loop entry point must enter a region without touching the heap
 // once the shared pool and the runner pools are warm, given a hoisted
 // body — the TRSVD operator applications enter thousands of regions per
-// sweep. RunChains and SumBlocks allocate their per-call cursors and
-// partials and are not held here.
+// sweep; ReduceRows given a kept work buffer likewise. RunChains and
+// SumBlocks allocate their per-call cursors and partials and are not
+// held here.
 func TestLoopsDoNotAllocate(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector makes sync.Pool drop puts at random")
@@ -219,6 +220,8 @@ func TestLoopsDoNotAllocate(t *testing.T) {
 	rc := &rangeCollector{seen: make([]bool, n)}
 	ic := &indexCollector{hits: make([]atomic.Int64, n)}
 	parts := PartitionLPT(make([]int64, n), threads)
+	rs := &rowSummer{vals: make([]float64, 2*n), width: 2, visits: make([]atomic.Int32, n)}
+	sum, work := make([]float64, 2), []float64(nil)
 	loops := []struct {
 		name string
 		run  func()
@@ -229,6 +232,7 @@ func TestLoopsDoNotAllocate(t *testing.T) {
 		{"Static", func() { clear(rc.seen); Static(n, threads, rc) }},
 		{"Dynamic", func() { Dynamic(n, threads, 1, ic) }},
 		{"RunParts", func() { RunParts(parts, item) }},
+		{"ReduceRows", func() { work = ReduceRows(sum, n, threads, work, rs) }},
 	}
 	for _, l := range loops {
 		l.run() // warm the shared pool and the runner pools

@@ -288,52 +288,3 @@ func (r *partsBody) Run(w, lo, hi int) {
 }
 
 var partsBodies = sync.Pool{New: func() any { return new(partsBody) }}
-
-// reduceBlocks is the fixed reduction grid width used by the
-// deterministic parallel reductions: enough blocks to occupy the thread
-// counts the paper sweeps (32), few enough that the sequential
-// block-order combine stays negligible.
-const reduceBlocks = 32
-
-// NumReduceBlocks returns the number of contiguous blocks [0, n) is cut
-// into for a bitwise thread-count-invariant parallel reduction. The
-// grid depends only on n — never on the thread count — so partials
-// combine in the same order however many workers computed them. Tiny n
-// reduces sequentially (one block), and the grid grows with n (one
-// block per 32 elements, capped) so small inputs do not pay the full
-// 32-partial allocation for parallelism they cannot use.
-func NumReduceBlocks(n int) int {
-	nb := n / reduceBlocks
-	if nb < 2 {
-		return 1
-	}
-	if nb > reduceBlocks {
-		return reduceBlocks
-	}
-	return nb
-}
-
-// SumBlocks computes sum over b of f(lo_b, hi_b) for the fixed block
-// grid of NumReduceBlocks(n), evaluating the blocks in parallel and
-// combining the partials in block order. The result is bitwise
-// identical for every thread count, unlike a per-worker partial
-// reduction whose summation tree follows the worker count.
-func SumBlocks(n, threads int, f func(lo, hi int) float64) float64 {
-	nb := NumReduceBlocks(n)
-	if nb <= 1 {
-		if n <= 0 {
-			return 0
-		}
-		return f(0, n)
-	}
-	partial := make([]float64, nb)
-	For(nb, threads, 1, func(b int) {
-		lo, hi := Split(n, nb, b)
-		partial[b] = f(lo, hi)
-	})
-	var s float64
-	for _, p := range partial {
-		s += p
-	}
-	return s
-}

@@ -22,7 +22,7 @@ func matrixWithSpectrum(m, n int, s []float64, rng *rand.Rand) *dense.Matrix {
 			row[j] *= s[j]
 		}
 	}
-	return dense.MatMulTB(us, v, 1)
+	return dense.MatMul(us, v.T(), 1)
 }
 
 func checkLeftVectors(t *testing.T, a *dense.Matrix, u *dense.Matrix, sigma []float64, k int, tol float64) {
