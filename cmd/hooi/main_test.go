@@ -315,3 +315,22 @@ func TestSpawnChaos(t *testing.T) {
 		t.Errorf("no checkpoint: exit %d, stdout %q, stderr %q; want exit 137 and no restart", exit, stdout, stderr)
 	}
 }
+
+// A checkpointed run that ingests -update deltas can be run again: the
+// merged tensor is not the input, so the engine writes no checkpoint of
+// it, and the rerun resumes the input's own solve to the same fit.
+func TestCheckpointWithUpdateReruns(t *testing.T) {
+	dir := t.TempDir()
+	delta := filepath.Join(dir, "delta.tns")
+	if err := os.WriteFile(delta, []byte("1 1 1 0.5\n60 50 40 2.0\n3 4 5 1.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-iters", "3", "-checkpoint", filepath.Join(dir, "ck"), "-update", delta, "-q"}
+	first, stderr, exit := hooi(t, args...)
+	if exit != 0 {
+		t.Fatalf("first run: exit %d: %s", exit, stderr)
+	}
+	if again, stderr, exit := hooi(t, args...); exit != 0 || again != first {
+		t.Errorf("rerun: exit %d, stdout %q, stderr %q; want exit 0 and %q", exit, again, stderr, first)
+	}
+}

@@ -51,17 +51,18 @@ func main() {
 	}
 	fmt.Printf("tensor: dims=%v nnz=%d\n", x.Dims, x.NNZ())
 
+	g, err := dist.ParseGrain(*grain)
+	if err != nil {
+		fail(err)
+	}
 	var h *hypergraph.Hypergraph
-	switch *grain {
-	case "fine":
+	switch {
+	case g == dist.Fine:
 		h = hypergraph.FineGrainModel(x)
-	case "coarse":
-		if *mode < 0 || *mode >= x.Order() {
-			fail(fmt.Errorf("mode %d out of range", *mode))
-		}
-		h = hypergraph.CoarseGrainModel(x, *mode)
+	case *mode < 0 || *mode >= x.Order():
+		fail(fmt.Errorf("mode %d out of range", *mode))
 	default:
-		fail(fmt.Errorf("unknown grain %q", *grain))
+		h = hypergraph.CoarseGrainModel(x, *mode)
 	}
 	fmt.Printf("hypergraph: %d vertices, %d nets, %d pins\n", h.NumV, h.NumN, h.NumPins())
 
@@ -77,25 +78,14 @@ func main() {
 	}
 
 	if *realized {
-		g := dist.Fine
-		if *grain == "coarse" {
-			g = dist.Coarse
-		}
-		fmt.Printf("sparse-exchange volume per sweep (%s grain, ranks %v, expand+fold cut model):\n", *grain, ranks)
-		for _, m := range []struct {
-			name   string
-			method dist.Method
-		}{
-			{"hp", dist.MethodHypergraph},
-			{"rd", dist.MethodRandom},
-			{"bl", dist.MethodBlock},
-		} {
-			part, err := dist.MakePartition(x, *parts, g, m.method, *seed)
+		fmt.Printf("sparse-exchange volume per sweep (%s grain, ranks %v, expand+fold cut model):\n", g, ranks)
+		for _, m := range []dist.Method{dist.MethodHypergraph, dist.MethodRandom, dist.MethodBlock} {
+			part, err := dist.MakePartition(x, *parts, g, m, *seed)
 			if err != nil {
 				fail(err)
 			}
 			expand, fold := dist.ModeledCommVolume(x, part, ranks)
-			fmt.Printf("  %-12s expand=%-12d fold=%-12d total=%d B\n", m.name, expand, fold, expand+fold)
+			fmt.Printf("  %-12s expand=%-12d fold=%-12d total=%d B\n", m, expand, fold, expand+fold)
 		}
 	}
 }
@@ -105,10 +95,7 @@ func realizedRanks(s string, dims []int) ([]int, error) {
 	if s == "" {
 		ranks := make([]int, len(dims))
 		for n, d := range dims {
-			ranks[n] = 8
-			if d < 8 {
-				ranks[n] = d
-			}
+			ranks[n] = min(8, d)
 		}
 		return ranks, nil
 	}

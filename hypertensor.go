@@ -192,32 +192,19 @@ func PredictSweepMadds(x *SparseTensor, ranks []int, threads int) (flat, tree in
 func NewEngine(p *Plan) *Engine { return core.NewEngine(p) }
 
 // ResumeEngine rebuilds a resident engine from a checkpoint stream
-// written by Engine.Snapshot (or found via LoadLatestCheckpoint). The
-// plan must describe an equivalent problem — same tensor, ranks, and
-// seed — which is validated against the checkpoint's recorded norm and
-// configuration before any state is adopted. The resumed engine's fit
-// trajectory continues bitwise identically to the uninterrupted run.
+// written by Engine.Snapshot. The plan must describe an equivalent
+// problem — same tensor, ranks, and seed — which is validated against
+// the checkpoint's recorded norm and configuration before any state is
+// adopted. The resumed engine's fit trajectory continues bitwise
+// identically to the uninterrupted run.
 func ResumeEngine(p *Plan, r io.Reader) (*Engine, error) { return core.ResumeEngine(p, r) }
 
-// ResumeEngineState is ResumeEngine for an already-decoded checkpoint.
-func ResumeEngineState(p *Plan, st *CheckpointState) (*Engine, error) {
-	return core.ResumeEngineState(p, st)
-}
-
-// SaveCheckpoint atomically writes a checkpoint into dir (write to a
-// temp file, fsync, rename) and prunes old ones, keeping the two
-// newest. It returns the written filename.
-func SaveCheckpoint(dir string, st *CheckpointState) (string, error) {
-	return checkpoint.Save(dir, st)
-}
-
-// LoadLatestCheckpoint returns the newest usable checkpoint in dir and
-// its path, skipping torn or corrupt files (the atomic-write discipline
-// means at most the newest can be damaged, and only by external
-// interference). A dir with no usable checkpoint returns
-// checkpoint.ErrNotFound.
-func LoadLatestCheckpoint(dir string) (*CheckpointState, string, error) {
-	return checkpoint.LoadLatest(dir)
+// OpenEngine builds an engine on p that checkpoints into dir every
+// `every` sweeps, resumed from the newest usable checkpoint there (from
+// names it, at sweep) or fresh when there is none. A checkpoint of
+// another problem is an error wrapping ErrCheckpointMismatch.
+func OpenEngine(p *Plan, dir string, every int) (e *Engine, from string, sweep int, err error) {
+	return core.OpenEngine(p, dir, every)
 }
 
 // NewPartition builds a task partition of the tensor for p simulated
@@ -276,10 +263,6 @@ func GeneratePreset(name string, scale float64) (*SparseTensor, error) {
 // tensor of the given order (10 per mode for 3-mode tensors, 5 for
 // 4-mode), clamped to the tensor's dimensions by Decompose's validation.
 func PaperRanks(order int) []int { return gen.PaperRanks(order) }
-
-// ErrCheckpointNotFound reports that a checkpoint directory holds no
-// usable checkpoint — the fresh-start signal, not a failure.
-var ErrCheckpointNotFound = checkpoint.ErrNotFound
 
 // ErrCheckpointMismatch reports a checkpoint that decodes cleanly but
 // belongs to a different problem or configuration than the one it was

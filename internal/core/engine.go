@@ -541,6 +541,10 @@ func (e *Engine) ensureOwned() {
 // executed, and the flat-sweep cost they stand against
 // (FullSweepMadds).
 //
+// A merged delta also ends checkpointing: the engine's tensor is no
+// longer the plan's, so a checkpoint of it could not be resumed on a
+// plan rebuilt from the original input.
+//
 // A validation error (shape mismatch, out-of-range coordinate) leaves
 // the engine state untouched.
 func (e *Engine) Update(delta *tensor.COO) (*Result, error) {
@@ -559,6 +563,7 @@ func (e *Engine) UpdateContext(ctx context.Context, delta *tensor.COO) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	e.ckptDir = ""
 	if e.sym != nil {
 		if _, err := e.sym.Insert(e.x, oldNNZ); err != nil {
 			return nil, fmt.Errorf("core: incremental symbolic maintenance failed: %w", err)

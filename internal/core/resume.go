@@ -13,11 +13,34 @@ import (
 // EnableCheckpoints turns on sweep-boundary checkpointing for this
 // engine: after every `every`-th completed sweep the engine atomically
 // writes its resume state into dir (see package checkpoint for the
-// format and retention policy). Passing every <= 0 disables
-// checkpointing again.
+// format and retention policy). Passing every <= 0 or an empty dir
+// disables checkpointing again, and so does the first Update that
+// merges a delta: the merged tensor is not the one a plan rebuilt from
+// the original input holds, so no checkpoint of it could be resumed.
 func (e *Engine) EnableCheckpoints(dir string, every int) {
 	e.ckptDir = dir
 	e.ckptEvery = every
+}
+
+// OpenEngine builds an engine on p that checkpoints into dir every
+// `every` sweeps, resumed from the newest usable checkpoint there (from,
+// at sweep) or, when there is none, fresh. A checkpoint of another
+// problem is an error wrapping checkpoint.ErrMismatch, with its path.
+func OpenEngine(p *Plan, dir string, every int) (e *Engine, from string, sweep int, err error) {
+	if dir != "" {
+		// LoadLatest fails only when dir holds no usable checkpoint.
+		if st, path, lerr := checkpoint.LoadLatest(dir); lerr == nil {
+			if e, err = ResumeEngineState(p, st); err != nil {
+				return nil, path, 0, err
+			}
+			from, sweep = path, st.Sweep
+		}
+	}
+	if e == nil {
+		e = NewEngine(p)
+	}
+	e.EnableCheckpoints(dir, every)
+	return e, from, sweep, nil
 }
 
 // midRunState assembles the checkpoint view of the engine between two

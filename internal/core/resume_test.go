@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -289,5 +290,48 @@ func TestResumeMismatch(t *testing.T) {
 	// And the matching state still resumes.
 	if _, err := ResumeEngineState(p, good); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
+	}
+}
+
+// TestUpdateWritesNoCheckpoint: a merged delta makes the engine's tensor
+// another than the plan's, so Update leaves the checkpoint directory's
+// files byte-identical, and OpenEngine on a plan of the original input
+// still resumes from them.
+func TestUpdateWritesNoCheckpoint(t *testing.T) {
+	x := gen.Random(gen.Config{Dims: []int{40, 30, 20}, NNZ: 2000, Skew: 0.5, Seed: 3})
+	opts := Options{Ranks: []int{4, 4, 4}, MaxIters: 3, Tol: -1, Seed: 7}
+	dir := t.TempDir()
+	e, from, _, err := OpenEngine(mustPlan(t, x, opts), dir, 1)
+	if err != nil || from != "" {
+		t.Fatalf("fresh directory: resumed from %q, err %v", from, err)
+	}
+	if _, err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]string{}
+		for _, ent := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[ent.Name()] = string(b)
+		}
+		return m
+	}
+	before := files()
+	if _, err := e.Update(gen.Delta(x, 0.01, 0.01, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if after := files(); !maps.Equal(after, before) {
+		t.Errorf("Update changed the checkpoint directory: %d files before, %d after", len(before), len(after))
+	}
+	_, from, sweep, err := OpenEngine(mustPlan(t, x, opts), dir, 1)
+	if want := filepath.Join(dir, checkpoint.FileName(3)); err != nil || from != want || sweep != 3 {
+		t.Errorf("reopen: from %q at sweep %d, err %v; want %q at sweep 3", from, sweep, err, want)
 	}
 }

@@ -390,7 +390,15 @@ func SyrkInto(g, a *Matrix, work []float64, threads int) []float64 {
 type syrkSum Matrix
 
 func (s *syrkSum) Sum(p []float64, lo, hi int) { syrkBlock(p, (*Matrix)(s), lo, hi) }
-func (*syrkSum) Add(dst, p []float64)          { AxpyUnrolled(1, p, dst) }
+
+// Add adds the partial's upper triangle, row i from column i on: the
+// mirror overwrites everything below it.
+func (s *syrkSum) Add(dst, p []float64) {
+	n := s.Cols
+	for i := range n {
+		AxpyUnrolled(1, p[i*n+i:i*n+n], dst[i*n+i:i*n+n])
+	}
+}
 
 // syrkBlock accumulates the upper triangle of p += A[lo:hi,:]ᵀ·A[lo:hi,:]
 // where p is a row-major n x n buffer: matMulTABlock with both operands

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"hypertensor/internal/hypergraph"
 	"hypertensor/internal/tensor"
@@ -19,12 +20,25 @@ const (
 	Fine
 )
 
+// grainNames and methodNames are the short names of the experiment
+// tables, which the CLIs parse.
+var (
+	grainNames  = []string{Coarse: "coarse", Fine: "fine"}
+	methodNames = []string{MethodHypergraph: "hp", MethodRandom: "rd", MethodBlock: "bl"}
+)
+
 // String renders the short name used in the experiment tables.
-func (g Grain) String() string {
-	if g == Fine {
-		return "fine"
+func (g Grain) String() string { return grainNames[g] }
+
+// ParseGrain reads a grain's short name: fine or coarse.
+func ParseGrain(s string) (Grain, error) { return parseName[Grain](grainNames, "grain", s) }
+
+// parseName returns the index of s in names, the value it names.
+func parseName[T ~int](names []string, kind, s string) (T, error) {
+	if i := slices.Index(names, s); i >= 0 {
+		return T(i), nil
 	}
-	return "coarse"
+	return 0, fmt.Errorf("unknown %s %q", kind, s)
 }
 
 // Method selects the task placement strategy.
@@ -43,16 +57,10 @@ const (
 )
 
 // String renders the short name used in the experiment tables.
-func (m Method) String() string {
-	switch m {
-	case MethodRandom:
-		return "rd"
-	case MethodBlock:
-		return "bl"
-	default:
-		return "hp"
-	}
-}
+func (m Method) String() string { return methodNames[m] }
+
+// ParseMethod reads a placement's short name: hp, rd or bl.
+func ParseMethod(s string) (Method, error) { return parseName[Method](methodNames, "method", s) }
 
 // Partition is a task assignment of a tensor to P ranks.
 type Partition struct {

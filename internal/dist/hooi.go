@@ -2,11 +2,9 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
-	"hypertensor/internal/checkpoint"
 	"hypertensor/internal/core"
 	"hypertensor/internal/dense"
 	"hypertensor/internal/mpi"
@@ -224,22 +222,6 @@ func decompose(ctx context.Context, world mpi.Runner, x *tensor.COO, part *Parti
 	// local storage's.
 	normX := x.Norm(0)
 
-	// Resume from the newest usable checkpoint, if any. Every process
-	// loads the same file independently (LoadLatest skips torn or
-	// corrupt files), so all ranks restart from identical state without
-	// a broadcast. An empty or missing directory is a fresh start.
-	var resume *checkpoint.State
-	var resumePath string
-	if cfg.CheckpointDir != "" {
-		resume, resumePath, err = checkpoint.LoadLatest(cfg.CheckpointDir)
-		if err != nil && !errors.Is(err, checkpoint.ErrNotFound) {
-			return nil, fmt.Errorf("dist: load checkpoint: %w", err)
-		}
-	}
-	ckptEvery := cfg.CheckpointEvery
-	if ckptEvery <= 0 {
-		ckptEvery = 1
-	}
 	allOwned := ownedRows(gsym, part)
 
 	// Each rank assembles its own complete Result (fit, factors, core
@@ -256,22 +238,12 @@ func decompose(ctx context.Context, world mpi.Runner, x *tensor.COO, part *Parti
 			rankEx = sm.wrap(ex)
 		}
 		plan := core.NewRankPlan(ex.xloc, opts, normX, ex.sym, rankEx)
-		var eng *core.Engine
-		resumed := 0
-		if resume == nil {
-			eng = core.NewEngine(plan)
-		} else {
-			// A checkpoint of a different tensor, rank target or seed
-			// would continue a trajectory no uninterrupted run could have
-			// taken; every rank refuses it identically.
-			var err error
-			if eng, err = core.ResumeEngineState(plan, resume); err != nil {
-				panic(fmt.Errorf("dist: checkpoint %s: %w", resumePath, err))
-			}
-			resumed = resume.Sweep
-		}
-		if cfg.CheckpointDir != "" {
-			eng.EnableCheckpoints(cfg.CheckpointDir, ckptEvery)
+		// Every rank loads the newest usable checkpoint itself, so all
+		// restart from identical state without a broadcast, and every
+		// rank refuses one of another tensor, rank target or seed.
+		eng, from, resumed, err := core.OpenEngine(plan, cfg.CheckpointDir, max(cfg.CheckpointEvery, 1))
+		if err != nil {
+			panic(fmt.Errorf("dist: checkpoint %s: %w", from, err))
 		}
 		symTime := time.Since(setupStart)
 
