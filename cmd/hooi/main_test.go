@@ -203,7 +203,7 @@ func TestReportLines(t *testing.T) {
 		`^timings: read=` + dur + ` init=` + dur + ` symbolic=` + dur + ` ttmc=` + dur + ` trsvd=` + dur + ` core=` + dur + ` \(steady-state allocs/sweep \d+, \d+ B/sweep\)$`,
 		`^storage: index=\d+ B \(12\.00 B/nnz\) streams=[1-9]\d* B( VmHWM=[1-9]\d* kB)?$`,
 		`^ttmc: strategy=flat flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\) runs=\[0\.\d\d 0\.\d\d 0\.\d\d\] ns/nnz=\[\d+\.\d \d+\.\d \d+\.\d\]$`,
-		`^trsvd: solver=\[gram gram gram\] solves=6 passes=12 \(2\.0/solve\) madds=\d+ unconverged=0$`,
+		`^trsvd: solver=\[gram gram gram\] solves=6 passes=12 \(2\.0/solve\) madds=\d+ unconverged=0 singletons=\[0 0 0\] group=\[- - -\] gram=\[- - -\]$`,
 		`^kernels: (avx512|avx2|go)$`,
 		`^  sweep  2: fit 0\.\d{8}$`,
 	} {
@@ -224,14 +224,15 @@ func TestReportLines(t *testing.T) {
 		t.Errorf("no dtree ttmc line in:\n%s", stdout)
 	}
 	// The trsvd line names the solver each mode resolved to and what it
-	// cost: Gram at 9 columns for 3 vectors (above), Lanczos at 289
-	// columns for 17, past the Gram side's cap, and the randomized solver
-	// wherever -eps picks the ranks.
+	// cost: Gram at 9 columns for 3 vectors (above, no one-nonzero slice
+	// to split off), Lanczos at 289 columns for 17, past the Gram side's
+	// cap, and the randomized solver wherever -eps picks the ranks; only a
+	// Gram mode takes the singleton census.
 	for _, tc := range []struct {
 		args []string
 		line string
 	}{
-		{[]string{"-ranks", "17,17,17"}, `^trsvd: solver=\[lanczos lanczos lanczos\] solves=6 passes=\d{2,} \(\d+\.\d/solve\) madds=\d+ unconverged=\d$`},
+		{[]string{"-ranks", "17,17,17"}, `^trsvd: solver=\[lanczos lanczos lanczos\] solves=6 passes=\d{2,} \(\d+\.\d/solve\) madds=\d+ unconverged=\d singletons=\[- - -\] group=\[- - -\] gram=\[- - -\]$`},
 		{[]string{"-eps", "0.5"}, `^trsvd: solver=\[rand rand rand\] solves=\d+ passes=\d{2,} `},
 	} {
 		stdout, stderr, exit = hooi(t, tc.args...)
