@@ -93,8 +93,10 @@ func BenchmarkAblationNumericSweep(b *testing.B) {
 // 16,16,16 and 17,17,17). The tensor has the netflix preset's mode sizes
 // at a quarter of its nonzeros, so its modes' Y_(n) run from thousands
 // of rows down to a few dozen. Y_(n) is the product with the factors
-// after one HOOI sweep, as in a steady-state sweep. The sub-benchmark's
-// name says which solver the rule picks.
+// after one HOOI sweep, as in a steady-state sweep, in the split order
+// of a mode whose singleton census takes the split Gram (split=true),
+// which the Gram solve then runs. The sub-benchmark's name says which
+// solver the rule picks.
 func BenchmarkSVDRule(b *testing.B) {
 	x := gen.Random(gen.Config{Dims: []int{9600, 340, 40}, NNZ: 50000, Skew: 0.7, Seed: 42})
 	sym := symbolic.Build(x, 0)
@@ -105,19 +107,30 @@ func BenchmarkSVDRule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// The Gram solve is the split one wherever its census takes the
+		// split, as an engine's would be if the rule sent the mode to
+		// Gram; Lanczos reads the same rows.
+		kern := ttm.NewFlat(x, sym)
 		for n, rank := range ranks {
+			cen, kron := kern.SplitSingletons(n, ranks)
+			if kron != nil {
+				kron.U = res.Factors[cen.Group]
+			}
 			y := dense.NewMatrix(sym.Modes[n].NumRows(), ttm.RowSize(res.Factors, n))
-			ttm.TTMc(y, x, &sym.Modes[n], res.Factors, 0)
+			kern.TTMc(y, n, res.Factors, 0)
 			rule := core.ResolveSVD(core.SVDAuto, y.Cols, rank)
 			for _, solver := range []struct {
 				name  string
 				solve func(trsvd.Operator, int, trsvd.Options) (*trsvd.Result, error)
 			}{{"gram", trsvd.Gram}, {"lanczos", trsvd.Lanczos}} {
-				name := fmt.Sprintf("ranks=%d,%d,%d/mode=%d,rows=%d,C=%d,rule=%v/%s", ranks[0], ranks[1], ranks[2], n, y.Rows, y.Cols, rule, solver.name)
+				name := fmt.Sprintf("ranks=%d,%d,%d/mode=%d,rows=%d,C=%d,split=%v,rule=%v/%s", ranks[0], ranks[1], ranks[2], n, y.Rows, y.Cols, cen.Taken(), rule, solver.name)
 				b.Run(name, func(b *testing.B) {
 					// A sweep's solves reuse one workspace; the first solve
 					// grows it, untimed.
 					op := &trsvd.DenseOperator{A: y}
+					if solver.name == "gram" {
+						op.Kron = kron
+					}
 					opts := trsvd.Options{Seed: 1, Work: trsvd.NewWorkspace()}
 					r, err := solver.solve(op, rank, opts)
 					if err != nil {

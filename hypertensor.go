@@ -203,6 +203,8 @@ func ResumeEngine(p *Plan, r io.Reader) (*Engine, error) { return core.ResumeEng
 // `every` sweeps, resumed from the newest usable checkpoint there (from
 // names it, at sweep) or fresh when there is none. A checkpoint of
 // another problem is an error wrapping ErrCheckpointMismatch.
+// Checkpointing covers the engine's first solve only: reopening dir
+// resumes that solve, however many more Runs the engine made.
 func OpenEngine(p *Plan, dir string, every int) (e *Engine, from string, sweep int, err error) {
 	return core.OpenEngine(p, dir, every)
 }

@@ -29,6 +29,7 @@ import (
 	"hypertensor/internal/dist"
 	"hypertensor/internal/mpi"
 	"hypertensor/internal/tensor"
+	"hypertensor/internal/ttm"
 )
 
 // Hooi runs the command line args (args[0] is the name the usage text
@@ -320,15 +321,39 @@ func (h *hooi) report(x *tensor.COO, dec *core.Result, readTime time.Duration) {
 	// The solver each mode resolved to, how often it read Y_(n), and the
 	// Lanczos solves that stopped at the Krylov cap short of their
 	// tolerance (HOOI carries on with their approximate vectors).
-	fmt.Fprintf(w, "trsvd: solver=%v solves=%d passes=%d (%.1f/solve) madds=%d unconverged=%d\n",
+	// Then the singleton census per mode: the rows of Y_(n) one nonzero
+	// builds, the mode they group by, and the predicted madds of one Gram
+	// product plain/split where the split is taken.
+	fmt.Fprintf(w, "trsvd: solver=%v solves=%d passes=%d (%.1f/solve) madds=%d unconverged=%d %s\n",
 		dec.SVD, dec.TRSVDSolves, dec.TRSVDPasses, float64(dec.TRSVDPasses)/float64(max(dec.TRSVDSolves, 1)),
-		dec.TRSVDMadds, dec.TRSVDUnconverged)
+		dec.TRSVDMadds, dec.TRSVDUnconverged, census(dec.Census, len(dec.SVD)))
 	// Which path the dense kernels took on this CPU (avx512, avx2 or go);
 	// the fit does not depend on it.
 	fmt.Fprintf(w, "kernels: %s\n", dense.KernelName())
 	for i, f := range dec.FitHistory {
 		fmt.Fprintf(w, "  sweep %2d: fit %.8f\n", i+1, f)
 	}
+}
+
+// census formats the per-mode singleton census of the trsvd: line, a
+// dash wherever a mode took none or does not take the split.
+func census(c []ttm.Census, order int) string {
+	singles, group, gram := make([]string, order), make([]string, order), make([]string, order)
+	for n := range order {
+		singles[n], group[n], gram[n] = "-", "-", "-"
+		if c == nil || c[n].Plain == 0 {
+			continue
+		}
+		singles[n] = strconv.Itoa(c[n].Singletons)
+		if c[n].Group >= 0 {
+			group[n] = strconv.Itoa(c[n].Group)
+		}
+		if c[n].Taken() {
+			gram[n] = fmt.Sprintf("%d/%d", c[n].Plain, c[n].Split)
+		}
+	}
+	return fmt.Sprintf("singletons=[%s] group=[%s] gram=[%s]",
+		strings.Join(singles, " "), strings.Join(group, " "), strings.Join(gram, " "))
 }
 
 // updates streams the -update deltas through the resident engine and

@@ -20,8 +20,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // dir holds the inputs TestMain writes: x.tns, the 2k-nnz order-3
-// tensor cmd/hooi's tests use, x4.tns, an order-4 one, and delta.tns,
-// three nonzeros for x.tns (two changed, one new).
+// tensor cmd/hooi's tests use, x4.tns, an order-4 one, tall.tns, an
+// order-3 one whose modes 0 and 2 are mostly one-nonzero slices, and
+// delta.tns, three nonzeros for x.tns (two changed, one new).
 var dir string
 
 func TestMain(m *testing.M) {
@@ -36,8 +37,9 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	for name, x := range map[string]*tensor.COO{
-		"x.tns":  gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 2000, Skew: 0.5, Seed: 1}),
-		"x4.tns": gen.Random(gen.Config{Dims: []int{20, 18, 16, 14}, NNZ: 2000, Skew: 0.5, Seed: 1}),
+		"x.tns":    gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 2000, Skew: 0.5, Seed: 1}),
+		"x4.tns":   gen.Random(gen.Config{Dims: []int{20, 18, 16, 14}, NNZ: 2000, Skew: 0.5, Seed: 1}),
+		"tall.tns": gen.Random(gen.Config{Dims: []int{3000, 8, 900}, NNZ: 2000, Skew: 0.3, Seed: 1}),
 	} {
 		if err == nil {
 			err = tensor.WriteTNSFile(filepath.Join(dir, name), x)
@@ -114,9 +116,9 @@ func golden(t *testing.T, name, got string) {
 
 // Every report line, masked. -threads 1 prints the default report, and
 // -dist 2's fit at fine grain and coarse is shared memory's to every
-// printed digit.
+// printed digit. On tall.tns modes 0 and 2 take the split Gram.
 func TestReports(t *testing.T) {
-	x4 := filepath.Join(dir, "x4.tns")
+	x4, tall := filepath.Join(dir, "x4.tns"), filepath.Join(dir, "tall.tns")
 	for _, tc := range []struct {
 		golden string
 		args   []string
@@ -126,6 +128,8 @@ func TestReports(t *testing.T) {
 		{"eps", []string{"-eps", "0.5"}},
 		{"lanczos", []string{"-ranks", "17,17,17"}},
 		{"order4", []string{"-input", x4, "-ranks", "2,2,2,2"}},
+		{"split", []string{"-input", tall}},
+		{"split", []string{"-input", tall, "-threads", "1"}},
 		{"update", []string{"-iters", "3", "-update", filepath.Join(dir, "delta.tns")}},
 		{"dist2_fine", []string{"-dist", "2"}},
 		{"dist2_coarse", []string{"-dist", "2", "-grain", "coarse"}},

@@ -13,6 +13,7 @@ import (
 	"hypertensor/internal/par"
 	"hypertensor/internal/symbolic"
 	"hypertensor/internal/tensor"
+	"hypertensor/internal/trsvd"
 	"hypertensor/internal/ttm"
 )
 
@@ -50,6 +51,11 @@ type Engine struct {
 	// (newKernel); ex is the world the sweep runs in.
 	kern kernel
 	ex   Exchange
+	// census[n] is mode n's singleton census, taken when a flat kernel is
+	// built (splitSingletons), and kron[n] the split Gram's rows where
+	// the mode takes it; both are nil where no census was taken.
+	census []ttm.Census
+	kron   []*dense.KronRows
 
 	state *SweepState
 	// ys[n] is mode n's matricized product Y_(n), a view of ybuf: only
@@ -104,11 +110,53 @@ type kernel interface {
 // and not part of the first sweep; after an Update's Insert dropped them,
 // the fresh kernel built here makes them again.
 func (e *Engine) newKernel(threads int) kernel {
+	e.census, e.kron = nil, nil
 	if e.opts.ttmc == TTMcDTree {
 		return ttm.BuildDTree(e.x, threads)
 	}
 	par.For(e.order, threads, 1, func(n int) { e.sym.Modes[n].Streams(e.x) })
-	return ttm.NewFlat(e.x, e.sym)
+	k := ttm.NewFlat(e.x, e.sym)
+	e.splitSingletons(k)
+	return k
+}
+
+// splitSingletons takes the singleton census of every Gram-solved mode
+// of a shared-memory order-3 plan at fixed ranks on the flat kernel k,
+// which puts each mode whose split Gram is predicted to cost less in
+// split order (ttm.Flat.SplitSingletons). Other plans keep every mode's
+// row order and plain SYRK: under Eps the randomized solver reads Y in
+// its row order, a distributed rank's Gram is the row-distributed
+// operator's allreduced SYRK, and the order-4 tree (or an order-4 flat
+// plan) has no two-factor Kronecker rows to group.
+func (e *Engine) splitSingletons(k *ttm.Flat) {
+	if e.plan.ex != nil || e.opts.Eps > 0 || e.order != 3 {
+		return
+	}
+	e.census, e.kron = make([]ttm.Census, e.order), make([]*dense.KronRows, e.order)
+	for n := range e.census {
+		e.census[n].Group = -1
+		cols := 1
+		for t, r := range e.opts.Ranks {
+			if t != n {
+				cols *= r
+			}
+		}
+		if ResolveSVD(e.opts.svd, cols, e.opts.Ranks[n]) == SVDGram {
+			e.census[n], e.kron[n] = k.SplitSingletons(n, e.opts.Ranks)
+		}
+	}
+}
+
+// operator is mode n's TRSVD operator on its folded rows y: the
+// exchange's, which is the dense one wherever a census ran, with a split
+// mode's grouped rows bound to the current factor they share.
+func (e *Engine) operator(n int, y *dense.Matrix) trsvd.Operator {
+	op := e.ex.Operator(n, y)
+	if e.kron != nil && e.kron[n] != nil {
+		e.kron[n].U = e.state.Factors[e.census[n].Group]
+		op.(*trsvd.DenseOperator).Kron = e.kron[n]
+	}
+	return op
 }
 
 // NewEngine builds a resident handle on the plan's analysis: the
@@ -433,7 +481,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 					e.state.Factors[n] = dense.NewMatrix(e.x.Dims[n], rank)
 				}
 			} else {
-				sres, err := e.state.Solve(e.ex.Operator(n, y), opts.Ranks[n], res.SVD[n])
+				sres, err := e.state.Solve(e.operator(n, y), opts.Ranks[n], res.SVD[n])
 				if err != nil {
 					return nil, fmt.Errorf("core: TRSVD failed in mode %d: %w", n, err)
 				}
@@ -502,7 +550,11 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			res.TTMcRuns = append(res.TTMcRuns, flat.RunsPerNZ(n))
 		}
 	}
+	// The solve is complete, and so is its checkpoint trail: a later Run
+	// numbers its sweeps from 1 again (EnableCheckpoints).
+	e.ckptDir = ""
 	res.Factors = e.state.Factors
+	res.Census = e.census
 	res.ChosenRanks = append([]int(nil), e.currentRanks()...)
 	e.firstRun = false
 	e.res = res

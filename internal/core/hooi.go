@@ -6,6 +6,7 @@ import (
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/tensor"
+	"hypertensor/internal/ttm"
 )
 
 // Timings accumulates wall-clock time per HOOI phase across all
@@ -89,8 +90,9 @@ type Result struct {
 	// TRSVDMadds counts the operator multiply-adds spent inside the
 	// TRSVD solves on this rank's rows, summed over all solves: operator
 	// applications x matricization size for Lanczos and for the
-	// randomized solver (its sketch flops); rows x (C(C+1)/2 + C·R) for a
-	// Gram solve of R vectors from C columns.
+	// randomized solver (its sketch flops); for a Gram solve of R vectors
+	// from C columns the product YᵀY as it ran (rows x C(C+1)/2, or in a
+	// split mode the Census's Split) plus rows x C·R for Y·W.
 	TRSVDMadds int64
 	// TRSVDSolves counts the mode solves and TRSVDPasses their sweeps
 	// over Y_(n): two per Gram solve, one per operator application of a
@@ -101,6 +103,14 @@ type Result struct {
 	// their approximate vectors; a count near TRSVDSolves says every
 	// Lanczos solve was cut short.
 	TRSVDUnconverged int64
+	// Census is each mode's singleton census, taken where the kernel was
+	// built (ttm.Census): per mode, its one-nonzero rows, the grouping
+	// mode and the predicted Gram madds both ways; a mode whose Gram
+	// took the split (Census.Taken) solved from Y_(n) in split order. A
+	// mode that is not Gram-solved holds Group -1 and no counts, and the
+	// slice is nil where no mode took one (a distributed rank, Eps, the
+	// dimension tree, an order other than 3).
+	Census []ttm.Census
 
 	// Update accounting, populated by Engine.Update (zero for cold
 	// solves): the cost of the re-convergence next to one

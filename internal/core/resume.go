@@ -10,13 +10,17 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// EnableCheckpoints turns on sweep-boundary checkpointing for this
-// engine: after every `every`-th completed sweep the engine atomically
-// writes its resume state into dir (see package checkpoint for the
-// format and retention policy). Passing every <= 0 or an empty dir
-// disables checkpointing again, and so does the first Update that
-// merges a delta: the merged tensor is not the one a plan rebuilt from
-// the original input holds, so no checkpoint of it could be resumed.
+// EnableCheckpoints turns on sweep-boundary checkpointing for the
+// engine's next solve: after every `every`-th completed sweep the engine
+// atomically writes its resume state into dir (see package checkpoint
+// for the format and retention policy). Passing every <= 0 or an empty
+// dir disables checkpointing again. So does the end of the solve: a
+// second Run starts from the first one's factors but numbers its sweeps
+// from 1 again, and its checkpoints would overwrite the first solve's
+// files of the same numbers, which resume as that solve. An Update that
+// merges a delta ends it as well, before it converges: the merged tensor
+// is not the one a plan rebuilt from the original input holds, so no
+// checkpoint of it could be resumed.
 func (e *Engine) EnableCheckpoints(dir string, every int) {
 	e.ckptDir = dir
 	e.ckptEvery = every
@@ -26,6 +30,9 @@ func (e *Engine) EnableCheckpoints(dir string, every int) {
 // `every` sweeps, resumed from the newest usable checkpoint there (from,
 // at sweep) or, when there is none, fresh. A checkpoint of another
 // problem is an error wrapping checkpoint.ErrMismatch, with its path.
+// Checkpointing covers the engine's first solve only (EnableCheckpoints):
+// reopening dir afterwards resumes that solve, however many more Runs
+// the engine made.
 func OpenEngine(p *Plan, dir string, every int) (e *Engine, from string, sweep int, err error) {
 	if dir != "" {
 		// LoadLatest fails only when dir holds no usable checkpoint.

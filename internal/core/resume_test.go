@@ -335,3 +335,48 @@ func TestUpdateWritesNoCheckpoint(t *testing.T) {
 		t.Errorf("reopen: from %q at sweep %d, err %v; want %q at sweep 3", from, sweep, err, want)
 	}
 }
+
+// TestSecondRunWritesNoCheckpoint: a checkpointing engine's second Run
+// starts from the first one's factors but numbers its sweeps from 1
+// again, so checkpointing ends with the first solve. The second Run
+// leaves ckpt-000000003 byte-identical, and reopening the directory
+// resumes the first solve and ends on its fit.
+func TestSecondRunWritesNoCheckpoint(t *testing.T) {
+	x := gen.Random(gen.Config{Dims: []int{40, 30, 20}, NNZ: 2000, Skew: 0.5, Seed: 3})
+	opts := Options{Ranks: []int{4, 4, 4}, MaxIters: 3, Tol: -1, Seed: 7}
+	dir := t.TempDir()
+	e, _, _, err := OpenEngine(mustPlan(t, x, opts), dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := e.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := filepath.Join(dir, checkpoint.FileName(3))
+	before, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := e.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Fit == cold.Fit {
+		t.Fatalf("the warm Run ended on the cold one's fit %v: the test cannot tell the two apart", cold.Fit)
+	}
+	if after, err := os.ReadFile(last); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the second Run rewrote %s (err %v)", last, err)
+	}
+	re, from, sweep, err := OpenEngine(mustPlan(t, x, opts), dir, 1)
+	if err != nil || from != last || sweep != 3 {
+		t.Fatalf("reopen: from %q at sweep %d, err %v; want %q at sweep 3", from, sweep, err, last)
+	}
+	res, err := re.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fit != cold.Fit {
+		t.Errorf("reopened: fit %.17g, the cold run's %.17g (the warm run's %.17g)", res.Fit, cold.Fit, warm.Fit)
+	}
+}

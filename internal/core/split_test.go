@@ -1,0 +1,94 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"hypertensor/internal/gen"
+	"hypertensor/internal/symbolic"
+	"hypertensor/internal/tensor"
+)
+
+// singletons counts each mode's one-nonzero slices.
+func singletons(x *tensor.COO) []int {
+	sym := symbolic.Build(x, 1)
+	counts := make([]int, x.Order())
+	for n := range sym.Modes {
+		for r := range sym.Modes[n].Rows {
+			if len(sym.Modes[n].RowNZ(r)) == 1 {
+				counts[n]++
+			}
+		}
+	}
+	return counts
+}
+
+// The singleton census runs in the Gram-solved modes of a shared-memory
+// order-3 plan at fixed ranks, and an Update takes it again on the
+// merged tensor; every other plan — Eps, a Lanczos mode, order 4 under
+// the tree or pinned flat, a rank plan — keeps its row order and takes
+// none.
+func TestCensusOnlyOnSharedOrder3Gram(t *testing.T) {
+	x, ranks := presetTensor(t, "netflix", 0.2)
+	opts := Options{Ranks: ranks, MaxIters: 2, Tol: -1, Seed: 5, Threads: 2}
+	e := NewEngine(mustPlan(t, x, opts))
+	res, err := e.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := singletons(x)
+	if len(res.Census) != 3 || !res.Census[0].Taken() {
+		t.Fatalf("netflix: census %+v, want mode 0 to take the split", res.Census)
+	}
+	for n, c := range res.Census {
+		if c.Singletons != want[n] {
+			t.Errorf("netflix mode %d: census counts %d singletons, the lists %d", n, c.Singletons, want[n])
+		}
+	}
+	delta := gen.Delta(x, 0.01, 0.01, 9)
+	res, err = e.Update(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := x.Clone()
+	if _, err := merged.Merge(delta); err != nil {
+		t.Fatal(err)
+	}
+	want = singletons(merged)
+	for n, c := range res.Census {
+		if c.Singletons != want[n] {
+			t.Errorf("netflix after Update, mode %d: census counts %d singletons, the merged lists %d", n, c.Singletons, want[n])
+		}
+	}
+
+	lan := opts
+	lan.svd = SVDLanczos
+	for n, c := range mustRun(t, x, lan).Census {
+		if c.Group != -1 || c.Plain != 0 {
+			t.Errorf("netflix under Lanczos, mode %d: census %+v", n, c)
+		}
+	}
+	eps := opts
+	eps.Eps = 0.5
+	if c := mustRun(t, x, eps).Census; c != nil {
+		t.Errorf("netflix under Eps: census %+v", c)
+	}
+	if err := opts.Validate(x); err != nil {
+		t.Fatal(err)
+	}
+	rank, err := NewEngine(NewRankPlan(x, opts, x.Norm(2), nil, localExchange{threads: 2})).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rank.Census != nil {
+		t.Errorf("netflix on a rank plan: census %+v", rank.Census)
+	}
+
+	x4, ranks4 := presetTensor(t, "delicious", 0.05)
+	for _, strat := range []TTMcStrategy{TTMcAuto, TTMcFlat} {
+		o := Options{Ranks: ranks4, MaxIters: 1, Tol: -1, Seed: 5, ttmc: strat}
+		if c := mustRun(t, x4, o).Census; c != nil {
+			t.Errorf("delicious strategy %v: census %+v", strat, c)
+		}
+	}
+}

@@ -174,13 +174,25 @@ func TestGramDefaultTracksLanczosOnOrder3(t *testing.T) {
 		if solves := int64(20 * x.Order()); auto.TRSVDSolves != solves || auto.TRSVDPasses != 2*solves || auto.TRSVDUnconverged != 0 {
 			t.Errorf("%s auto: %d solves, %d passes, %d unconverged; want %d, %d, 0", name, auto.TRSVDSolves, auto.TRSVDPasses, auto.TRSVDUnconverged, solves, 2*solves)
 		}
+		// YᵀY costs rows·C(C+1)/2, or the census's Split in a mode that
+		// takes it (the tall mode 0 of both presets does).
 		var want int64
+		split := false
 		for n, m := range mustPlan(t, x, opts).sym.Modes {
 			c := int64(ttm.RowSize(auto.Factors, n))
-			want += 20 * int64(m.NumRows()) * (c*(c+1)/2 + c*int64(ranks[n]))
+			gram := int64(m.NumRows()) * c * (c + 1) / 2
+			if cen := auto.Census[n]; cen.Plain != gram {
+				t.Errorf("%s mode %d: census predicts %d plain Gram madds, want rows·C(C+1)/2 = %d", name, n, cen.Plain, gram)
+			} else if cen.Taken() {
+				gram, split = cen.Split, true
+			}
+			want += 20 * (gram + int64(m.NumRows())*c*int64(ranks[n]))
+		}
+		if !split {
+			t.Errorf("%s: no mode took the split Gram", name)
 		}
 		if auto.TRSVDMadds != want {
-			t.Errorf("%s auto: %d TRSVD madds, want Σ rows·(C(C+1)/2 + C·R) = %d", name, auto.TRSVDMadds, want)
+			t.Errorf("%s auto: %d TRSVD madds, want Σ (Gram + rows·C·R) = %d", name, auto.TRSVDMadds, want)
 		}
 		if lan.TRSVDPasses <= 10*auto.TRSVDPasses {
 			t.Errorf("%s: Lanczos made %d passes over Y, Gram %d", name, lan.TRSVDPasses, auto.TRSVDPasses)

@@ -810,12 +810,14 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	big, tall, narrow := RandomNormal(400, 100, rng), RandomNormal(400, 10, rng), RandomNormal(100, 10, rng)
 	xr, yc := make([]float64, 400), make([]float64, 100)
 	g, ct, cm := NewMatrix(100, 100), NewMatrix(100, 10), NewMatrix(400, 10)
+	ka, kk := kronCases[0].build(rng)
 	for _, threads := range []int{1, 2} {
-		var work []float64
+		var work, kwork []float64
 		run := func() {
 			GemvT(big, xr, yc, threads)
 			MatMulTAInto(ct, big, tall, threads)
 			work = SyrkInto(g, big, work, threads)
+			kwork = SyrkKronInto(g, ka, kk, kwork, threads)
 			MatMulInto(cm, big, narrow, threads)
 		}
 		run() // grows work and warms the pools

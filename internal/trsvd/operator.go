@@ -48,10 +48,14 @@ type Operator interface {
 
 // DenseOperator adapts an in-memory dense matrix (the compacted TTMc
 // result) to the Operator interface, using the threaded GEMV kernels —
-// the shared-memory TRSVD path of §III.A.2.
+// the shared-memory TRSVD path of §III.A.2. Kron, when set, describes
+// A's trailing rows as grouped Kronecker products (a mode of the flat
+// kernel in split order, ttm.Flat.SplitSingletons), and Gram sums them
+// through it.
 type DenseOperator struct {
 	A       *dense.Matrix
 	Threads int
+	Kron    *dense.KronRows
 }
 
 // LocalRows returns the row count of the wrapped matrix.
@@ -87,9 +91,25 @@ func (o *DenseOperator) MatTMat(y, z *dense.Matrix) { dense.MatMulTAInto(z, o.A,
 // reduction.
 func (o *DenseOperator) RowGram(y, g *dense.Matrix) { dense.MatMulTAInto(g, y, y, o.Threads) }
 
-// Gram computes g = AᵀA with the threaded symmetric rank-k kernel.
+// Gram computes g = AᵀA with the threaded symmetric rank-k kernel, over
+// the rows Kron does not describe when it is set (dense.SyrkKronInto).
 func (o *DenseOperator) Gram(g *dense.Matrix, work []float64) []float64 {
+	if o.Kron != nil {
+		return dense.SyrkKronInto(g, o.A, o.Kron, work, o.Threads)
+	}
 	return dense.SyrkInto(g, o.A, work, o.Threads)
+}
+
+// GramMadds is the multiply-adds op.Gram runs on this rank's rows: the
+// split product's where a DenseOperator has Kron, the upper triangle of
+// every row's term otherwise.
+func GramMadds(op Operator) int64 {
+	rows, cols := op.LocalRows(), op.Cols()
+	if d, ok := op.(*DenseOperator); ok && d.Kron != nil {
+		k := d.Kron
+		return dense.SyrkKronMadds(k.Multi, rows-k.Multi, len(k.Idx), cols, k.U.Cols)
+	}
+	return dense.SyrkMadds(rows, cols)
 }
 
 var _ Operator = (*DenseOperator)(nil)

@@ -28,7 +28,7 @@ import (
 // uniform chunking leaves the worker that owns the heaviest slices
 // running long after the rest are idle.
 func TTMc(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix, threads int) {
-	NewFlat(x, nil).run(y, sm, u, threads)
+	NewFlat(x, nil).run(y, sm, nil, u, threads)
 }
 
 // TTMcSched is TTMc; the schedule argument has one value, and the
@@ -141,6 +141,10 @@ type Flat struct {
 	scratch  []kronScratch
 	rowsFn   func(worker, lo, hi int)
 	chainsFn func() []int32
+	// splitRows[n] and splitAt[n] are set for a mode in split order
+	// (SplitSingletons): its slices in Y_(n)'s row order, and the row of
+	// Y_(n) each list row is written to.
+	splitRows, splitAt [][]int32
 }
 
 // flatCall is the state of the running TTMc call.
@@ -151,6 +155,7 @@ type flatCall struct {
 	threads int
 	acc     int       // the accumulator's length: the row without its leading factor
 	idx     [][]int32 // sm.Streams: the other modes' indices in list order
+	at      []int32   // the row of y each list row goes to; nil: its own
 }
 
 // NewFlat binds the flat kernel to a coordinate tensor and the symbolic
@@ -164,13 +169,24 @@ func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
 	return k
 }
 
-// Rows lists the slices of mode n the kernel computes, ascending.
-func (k *Flat) Rows(n int) []int32 { return k.sym.Modes[n].Rows }
+// Rows lists the slices of mode n the kernel computes, in the order of
+// Y_(n)'s rows: ascending, unless the mode is in split order
+// (SplitSingletons).
+func (k *Flat) Rows(n int) []int32 {
+	if k.splitRows != nil && k.splitRows[n] != nil {
+		return k.splitRows[n]
+	}
+	return k.sym.Modes[n].Rows
+}
 
 // TTMc computes the mode-n product for every row of the mode's update
-// lists into y (see TTMc).
+// lists into y, in the order of Rows(n) (see TTMc).
 func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
-	k.run(y, &k.sym.Modes[n], u, threads)
+	var at []int32
+	if k.splitAt != nil {
+		at = k.splitAt[n]
+	}
+	k.run(y, &k.sym.Modes[n], at, u, threads)
 }
 
 // leadMode is the mode factored out of mode n's runs: the first one
@@ -185,8 +201,9 @@ func leadMode(order, n int) int {
 
 var unitRow = []float64{1}
 
-// run is TTMc over the update lists of sm, counted.
-func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, u []*dense.Matrix, threads int) {
+// run is TTMc over the update lists of sm, counted, list row r written
+// to row at[r] of y (row r when at is nil).
+func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, at []int32, u []*dense.Matrix, threads int) {
 	rowSize := RowSize(u, sm.N)
 	if y.Rows != sm.NumRows() || y.Cols != rowSize {
 		panic("ttm: TTMc output shape mismatch")
@@ -203,7 +220,7 @@ func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, u []*dense.Matrix, thread
 		}
 	}
 	k.scratch = growKronScratch(k.scratch, threads, len(u), acc, acc)
-	k.call = flatCall{y: y, sm: sm, u: u, threads: threads, acc: acc, idx: sm.Streams(k.x)}
+	k.call = flatCall{y: y, sm: sm, u: u, threads: threads, acc: acc, idx: sm.Streams(k.x), at: at}
 	k.runs[sm.N].Store(0)
 	runRows(sm.NumRows(), threads, k.chainsFn, k.rowsFn)
 	k.call = flatCall{}
@@ -231,7 +248,11 @@ func (k *Flat) rows(w, lo, hi int) {
 		one, uone = c.idx[k.trail[0]], u[k.trail[0]]
 	}
 	for r := lo; r < hi; r++ {
-		row := y.Row(r)
+		yr := r
+		if c.at != nil {
+			yr = int(c.at[r])
+		}
+		row := y.Row(yr)
 		clear(row)
 		p, end := sm.Ptr[r], sm.Ptr[r+1]
 		if uone != nil {
