@@ -201,7 +201,7 @@ func TestReportLines(t *testing.T) {
 		`^tensor: dims=\[60 50 40\] nnz=\d+$`,
 		`^Tucker core \[3 3 3\], fit 0\.\d{4} after 2 sweeps$`,
 		`^timings: read=` + dur + ` init=` + dur + ` symbolic=` + dur + ` ttmc=` + dur + ` trsvd=` + dur + ` core=` + dur + ` \(steady-state allocs/sweep \d+, \d+ B/sweep\)$`,
-		`^storage: index=\d+ B \(12\.00 B/nnz\) streams=[1-9]\d* B( VmHWM=[1-9]\d* kB)?$`,
+		`^storage: index=\d+ B \(12\.00 B/nnz\) streams=[1-9]\d* B y=[1-9]\d* B( VmHWM=[1-9]\d* kB)?$`,
 		`^ttmc: strategy=flat flops=\d+ \(\d+ madds/sweep; predicted flat=\d+ dtree=\d+\) runs=\[0\.\d\d 0\.\d\d 0\.\d\d\] ns/nnz=\[\d+\.\d \d+\.\d \d+\.\d\]$`,
 		`^trsvd: solver=\[gram gram gram\] solves=6 passes=12 \(2\.0/solve\) madds=\d+ unconverged=0 singletons=\[0 0 0\] group=\[- - -\] gram=\[- - -\]$`,
 		`^kernels: (avx512|avx2|go)$`,
