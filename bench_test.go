@@ -95,8 +95,9 @@ func BenchmarkAblationNumericSweep(b *testing.B) {
 // of rows down to a few dozen. Y_(n) is the product with the factors
 // after one HOOI sweep, as in a steady-state sweep, in the split order
 // of a mode whose singleton census takes the split Gram (split=true),
-// which the Gram solve then runs. The sub-benchmark's name says which
-// solver the rule picks.
+// whose compact singleton rows the Gram solve then reads; Lanczos reads
+// them written out C wide. The sub-benchmark's name says which solver
+// the rule picks.
 func BenchmarkSVDRule(b *testing.B) {
 	x := gen.Random(gen.Config{Dims: []int{9600, 340, 40}, NNZ: 50000, Skew: 0.7, Seed: 42})
 	sym := symbolic.Build(x, 0)
@@ -108,28 +109,37 @@ func BenchmarkSVDRule(b *testing.B) {
 			b.Fatal(err)
 		}
 		// The Gram solve is the split one wherever its census takes the
-		// split, as an engine's would be if the rule sent the mode to
-		// Gram; Lanczos reads the same rows.
+		// split, its singleton rows compact, as an engine's would be if the
+		// rule sent the mode to Gram; Lanczos reads the same rows written
+		// out C wide, as an engine's Lanczos mode holds them.
 		kern := ttm.NewFlat(x, sym)
 		for n, rank := range ranks {
 			cen, kron := kern.SplitSingletons(n, ranks)
+			y := dense.NewMatrix(sym.Modes[n].NumRows(), ttm.RowSize(res.Factors, n))
+			gram := &trsvd.DenseOperator{A: y, Kron: kron}
 			if kron != nil {
 				kron.U = res.Factors[cen.Group]
+				kron.T = *dense.NewMatrix(cen.Singletons, y.Cols/ranks[cen.Group])
+				y.Rows -= cen.Singletons
+				y.Data = y.Data[:y.Rows*y.Cols]
 			}
-			y := dense.NewMatrix(sym.Modes[n].NumRows(), ttm.RowSize(res.Factors, n))
 			kern.TTMc(y, n, res.Factors, 0)
+			lanczos := gram
+			if kron != nil {
+				lanczos = &trsvd.DenseOperator{A: kron.Materialize(y)}
+			}
 			rule := core.ResolveSVD(core.SVDAuto, y.Cols, rank)
 			for _, solver := range []struct {
 				name  string
 				solve func(trsvd.Operator, int, trsvd.Options) (*trsvd.Result, error)
 			}{{"gram", trsvd.Gram}, {"lanczos", trsvd.Lanczos}} {
-				name := fmt.Sprintf("ranks=%d,%d,%d/mode=%d,rows=%d,C=%d,split=%v,rule=%v/%s", ranks[0], ranks[1], ranks[2], n, y.Rows, y.Cols, cen.Taken(), rule, solver.name)
+				name := fmt.Sprintf("ranks=%d,%d,%d/mode=%d,rows=%d,C=%d,split=%v,rule=%v/%s", ranks[0], ranks[1], ranks[2], n, gram.LocalRows(), y.Cols, cen.Taken(), rule, solver.name)
 				b.Run(name, func(b *testing.B) {
 					// A sweep's solves reuse one workspace; the first solve
 					// grows it, untimed.
-					op := &trsvd.DenseOperator{A: y}
-					if solver.name == "gram" {
-						op.Kron = kron
+					op := gram
+					if solver.name == "lanczos" {
+						op = lanczos
 					}
 					opts := trsvd.Options{Seed: 1, Work: trsvd.NewWorkspace()}
 					r, err := solver.solve(op, rank, opts)

@@ -293,8 +293,10 @@ func (h *hooi) report(x *tensor.COO, dec *core.Result, readTime time.Duration) {
 	fmt.Fprintf(w, "timings: read=%v init=%v symbolic=%v ttmc=%v trsvd=%v core=%v (steady-state allocs/sweep %d, %d B/sweep)\n",
 		readTime, dec.Timings.Init, dec.Timings.Symbolic, dec.Timings.TTMc, dec.Timings.TRSVD, dec.Timings.Core,
 		dec.AllocsPerSweep, dec.AllocBytesPerSweep)
-	fmt.Fprintf(w, "storage: index=%d B (%.2f B/nnz) streams=%d B",
-		dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()), dec.StreamBytes)
+	// y is the one buffer every mode's Y_(n) takes turns in; a split
+	// mode's singleton rows are narrow there.
+	fmt.Fprintf(w, "storage: index=%d B (%.2f B/nnz) streams=%d B y=%d B",
+		dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()), dec.StreamBytes, dec.YBytes)
 	// The process's peak resident set so far (VmHWM), where the kernel reports it.
 	if kb, ok := peakRSSKiB(); ok {
 		fmt.Fprintf(w, " VmHWM=%d kB", kb)

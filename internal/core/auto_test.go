@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hypertensor/internal/checkpoint"
@@ -339,33 +340,65 @@ func TestSharedYUnderChangingRanks(t *testing.T) {
 }
 
 // foldSpy is the one-rank world with a witness: it keeps what Fold
-// returned for the last mode and checks, at the moment the core has
-// just been formed from it, that nothing wrote to it in between.
+// returned for the last mode, and the compact rows behind it where that
+// mode is split, and checks, at the moment the core has just been formed
+// from them, that nothing wrote to them in between.
 type foldSpy struct {
 	localExchange
-	t    *testing.T
-	last int
-	y    *dense.Matrix
-	copy []float64
-	seen int
+	t       *testing.T
+	last    int
+	y       *dense.Matrix
+	compact *dense.KronRows
+	copy    []float64
+	seen    int
+}
+
+// held is the last mode's Y as it stands: its rows, then any compact rows.
+func (s *foldSpy) held() []float64 {
+	held := slices.Clone(s.y.Data)
+	if s.compact != nil {
+		held = append(held, s.compact.T.Data...)
+	}
+	return held
 }
 
 func (s *foldSpy) Fold(n int, y *dense.Matrix, rows []int32) (*dense.Matrix, []int32) {
 	if n == s.last {
-		s.y, s.copy = y, append(s.copy[:0], y.Data...)
+		s.y = y
+		s.copy = s.held()
 	}
 	return y, rows
 }
 
 func (s *foldSpy) ReduceCore(*dense.Matrix) {
 	s.seen++
-	bitsEqual(s.t, "last mode's Y when the core is formed", s.y.Data, s.copy)
+	bitsEqual(s.t, "last mode's Y when the core is formed", s.held(), s.copy)
 }
 
 // The last mode's Y outlives its mode: the core is formed from it after
 // the loop. In the shared buffer that holds as long as nothing shapes
-// or computes another mode's product first.
+// or computes another mode's product first — the compact rows of a split
+// last mode (nell's) included, which the witness watches in an engine
+// that took its census in the one-rank world.
 func TestLastModeYIntactAtCoreFormation(t *testing.T) {
+	x, ranks := presetTensor(t, "nell", 0.05)
+	opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2, Threads: 2}
+	e := NewEngine(mustPlan(t, x, opts))
+	last := x.Order() - 1
+	if e.splitRows(last) == nil {
+		t.Fatalf("nell: the last mode takes no split (census %+v)", e.census)
+	}
+	spy := &foldSpy{localExchange: localExchange{threads: 2}, t: t, last: last, compact: e.splitRows(last)}
+	e.ex = spy
+	res, err := e.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spy.seen != 3 {
+		t.Fatalf("nell: core formed %d times in 3 sweeps", spy.seen)
+	}
+	resultsBitwiseEqual(t, "nell: run under the witness vs plain run", res, mustRun(t, x, opts))
+
 	for _, preset := range []string{"netflix", "flickr"} {
 		x, ranks := presetTensor(t, preset, 0.02)
 		opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2, Threads: 2}

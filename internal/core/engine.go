@@ -52,8 +52,9 @@ type Engine struct {
 	kern kernel
 	ex   Exchange
 	// census[n] is mode n's singleton census, taken when a flat kernel is
-	// built (splitSingletons), and kron[n] the split Gram's rows where
-	// the mode takes it; both are nil where no census was taken.
+	// built (splitSingletons), and kron[n] the mode's singleton rows, held
+	// compactly, where the mode takes the split; both are nil where no
+	// census was taken.
 	census []ttm.Census
 	kron   []*dense.KronRows
 
@@ -61,7 +62,8 @@ type Engine struct {
 	// ys[n] is mode n's matricized product Y_(n), a view of ybuf: only
 	// one Y_(n) is live at a time (the last mode's until the core is
 	// formed from it), so one buffer sized for the widest mode serves
-	// them all.
+	// them all. A split mode's view holds its multi rows, and its
+	// singletons' compact rows (kron[n].T) follow them in ybuf.
 	ys       []dense.Matrix
 	ybuf     []float64
 	normX    float64
@@ -132,29 +134,46 @@ func (e *Engine) splitSingletons(k *ttm.Flat) {
 	if e.plan.ex != nil || e.opts.Eps > 0 || e.order != 3 {
 		return
 	}
-	e.census, e.kron = make([]ttm.Census, e.order), make([]*dense.KronRows, e.order)
-	for n := range e.census {
-		e.census[n].Group = -1
+	e.census, e.kron = takeCensus(k, e.opts.Ranks, e.opts.svd)
+}
+
+// takeCensus takes the singleton census of every mode of k that the
+// method resolves to the Gram solver at the given ranks, which puts each
+// mode whose split Gram is predicted to cost less in split order; every
+// other mode's census holds Group -1 and no counts.
+func takeCensus(k *ttm.Flat, ranks []int, method SVDMethod) ([]ttm.Census, []*dense.KronRows) {
+	census, kron := make([]ttm.Census, len(ranks)), make([]*dense.KronRows, len(ranks))
+	for n := range census {
+		census[n].Group = -1
 		cols := 1
-		for t, r := range e.opts.Ranks {
+		for t, r := range ranks {
 			if t != n {
 				cols *= r
 			}
 		}
-		if ResolveSVD(e.opts.svd, cols, e.opts.Ranks[n]) == SVDGram {
-			e.census[n], e.kron[n] = k.SplitSingletons(n, e.opts.Ranks)
+		if ResolveSVD(method, cols, ranks[n]) == SVDGram {
+			census[n], kron[n] = k.SplitSingletons(n, ranks)
 		}
 	}
+	return census, kron
+}
+
+// splitRows is mode n's compact singleton rows, nil unless the mode is
+// split.
+func (e *Engine) splitRows(n int) *dense.KronRows {
+	if e.kron == nil {
+		return nil
+	}
+	return e.kron[n]
 }
 
 // operator is mode n's TRSVD operator on its folded rows y: the
 // exchange's, which is the dense one wherever a census ran, with a split
-// mode's grouped rows bound to the current factor they share.
+// mode's compact rows (bound by shapeY) behind y's.
 func (e *Engine) operator(n int, y *dense.Matrix) trsvd.Operator {
 	op := e.ex.Operator(n, y)
-	if e.kron != nil && e.kron[n] != nil {
-		e.kron[n].U = e.state.Factors[e.census[n].Group]
-		op.(*trsvd.DenseOperator).Kron = e.kron[n]
+	if kr := e.splitRows(n); kr != nil {
+		op.(*trsvd.DenseOperator).Kron = kr
 	}
 	return op
 }
@@ -312,25 +331,42 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 func (e *Engine) sizeYs() {
 	need := 0
 	for n := 0; n < e.order; n++ {
-		need = max(need, len(e.kern.Rows(n))*ttm.RowSize(e.state.Factors, n))
+		multi, cols, singles, c := e.yShape(n)
+		need = max(need, multi*cols+singles*c)
 	}
 	if cap(e.ybuf) < need {
 		e.ybuf = make([]float64, need)
 	}
 }
 
-// shapeY returns mode n's view of the shared buffer, sized for the
-// mode's current rows and the ∏ of the other modes' current ranks
-// (which adaptive rank selection changes mid-sweep). Whatever another
-// mode left in the buffer is dead by the time this one is computed.
+// yShape is mode n's product at the current rows and ranks: multi rows
+// of cols, the ∏ of the other modes' current ranks (which adaptive rank
+// selection changes mid-sweep), and for a split mode singles compact
+// rows of c = cols/R_Group; every row is a multi row otherwise.
+func (e *Engine) yShape(n int) (multi, cols, singles, c int) {
+	multi, cols = len(e.kern.Rows(n)), ttm.RowSize(e.state.Factors, n)
+	if kr := e.splitRows(n); kr != nil {
+		singles, c = kr.Rows(), cols/e.state.Factors[e.census[n].Group].Cols
+		multi -= singles
+	}
+	return multi, cols, singles, c
+}
+
+// shapeY returns mode n's view of the shared buffer, sized by yShape,
+// and binds a split mode's compact rows to the buffer after it and to
+// the grouping factor the TTMc reads. Whatever another mode left in the
+// buffer is dead by the time this one is computed.
 func (e *Engine) shapeY(n int) *dense.Matrix {
-	rows := len(e.kern.Rows(n))
-	cols := ttm.RowSize(e.state.Factors, n)
-	if cap(e.ybuf) < rows*cols {
+	multi, cols, singles, c := e.yShape(n)
+	if cap(e.ybuf) < multi*cols+singles*c {
 		e.sizeYs()
 	}
 	y := &e.ys[n]
-	y.Rows, y.Cols, y.Data = rows, cols, e.ybuf[:rows*cols]
+	y.Rows, y.Cols, y.Data = multi, cols, e.ybuf[:multi*cols]
+	if kr := e.splitRows(n); kr != nil {
+		kr.T = dense.Matrix{Rows: singles, Cols: c, Data: e.ybuf[multi*cols : multi*cols+singles*c]}
+		kr.U = e.state.Factors[e.census[n].Group]
+	}
 	return y
 }
 
@@ -356,16 +392,28 @@ func (e *Engine) scatter(n int, compact *dense.Matrix, rows []int32) {
 // solve returned, which are the rows scatter wrote into U_N, so nothing
 // is gathered; the world reduces it, and it is unfolded into the dense
 // core. Along the last mode the tensor's row-major layout is G_(N)
-// transposed.
+// transposed. A split last mode, which only the one-rank world has,
+// forms G_(N)ᵀ = Yᵀ·U_c by its operator's MatTMat (dense.KronMatMulTAInto)
+// in the core's buffer, its singletons read at their compact width.
 func (e *Engine) formCore(y, uc *dense.Matrix, threads int) *tensor.Dense {
-	gm := dense.ReuseMatrixUninit(e.gm, uc.Cols, y.Cols)
-	e.gm = gm
-	dense.MatMulTAInto(gm, uc, y, threads)
-	e.ex.ReduceCore(gm)
 	ranks := e.currentRanks()
 	if e.core == nil || !slices.Equal(e.core.Dims, ranks) {
 		e.core = tensor.NewDense(ranks)
 	}
+	gm := dense.ReuseMatrixUninit(e.gm, uc.Cols, y.Cols)
+	e.gm = gm
+	if kr := e.splitRows(e.order - 1); kr != nil {
+		gt := &dense.Matrix{Rows: y.Cols, Cols: uc.Cols, Data: e.core.Data}
+		dense.KronMatMulTAInto(gt, y, kr, uc, threads)
+		for r := 0; r < gm.Rows; r++ {
+			for c := range gm.Row(r) {
+				gm.Data[r*gm.Cols+c] = gt.Data[c*gm.Rows+r]
+			}
+		}
+	} else {
+		dense.MatMulTAInto(gm, uc, y, threads)
+	}
+	e.ex.ReduceCore(gm)
 	for r := 0; r < gm.Rows; r++ {
 		for c, v := range gm.Row(r) {
 			e.core.Data[c*gm.Rows+r] = v
@@ -555,6 +603,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	e.ckptDir = ""
 	res.Factors = e.state.Factors
 	res.Census = e.census
+	res.YBytes = 8 * int64(cap(e.ybuf))
 	res.ChosenRanks = append([]int(nil), e.currentRanks()...)
 	e.firstRun = false
 	e.res = res

@@ -69,6 +69,10 @@ type Result struct {
 	// child drops, for each child whose group order is not the storage
 	// order (on a sorted tensor, the second child's).
 	StreamBytes int64
+	// YBytes is the one buffer every mode's product Y_(n) takes turns in,
+	// sized for the widest: rows x ∏_{t≠n} R_t doubles, where a split
+	// mode's singleton rows take ∏_{t≠n,g} R_t each.
+	YBytes int64
 	// AllocsPerSweep is the steady-state heap allocation count per ALS
 	// sweep (the first sweep, which grows the workspace arenas, is
 	// excluded). Only measured when Options.MeasureAllocs is set; zero
@@ -92,7 +96,8 @@ type Result struct {
 	// applications x matricization size for Lanczos and for the
 	// randomized solver (its sketch flops); for a Gram solve of R vectors
 	// from C columns the product YᵀY as it ran (rows x C(C+1)/2, or in a
-	// split mode the Census's Split) plus rows x C·R for Y·W.
+	// split mode the Census's Split) plus Y·W as it ran (rows x C·R, or in
+	// a split mode dense.KronMatMulMadds).
 	TRSVDMadds int64
 	// TRSVDSolves counts the mode solves and TRSVDPasses their sweeps
 	// over Y_(n): two per Gram solve, one per operator application of a

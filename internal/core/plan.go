@@ -105,12 +105,18 @@ func (p *Plan) TTMc() TTMcStrategy { return p.opts.ttmc }
 // PredictSweepMadds returns the TTMc multiply-adds of one steady-state
 // sweep of x at the given ranks under each strategy: an accumulator
 // update per nonzero and a row update per run of x's update lists,
-// summed over the modes, for the flat path; parent entries times block
-// size, summed over the nodes, for the dimension tree (0 below order 2,
-// where there is none). It is what the plan's rule should agree with;
+// summed over the modes, for the flat path, where on order 3 the modes a
+// default engine splits (its census of the Gram-solved modes) write each
+// singleton row compactly instead; parent entries times block size,
+// summed over the nodes, for the dimension tree (0 below order 2, where
+// there is none). It is what the plan's rule should agree with;
 // counting runs and tree entries costs one symbolic build each.
 func PredictSweepMadds(x *tensor.COO, ranks []int, threads int) (flat, tree int64) {
-	flat = ttm.NewFlat(x, symbolic.Build(x, threads)).SweepFlops(ranks)
+	k := ttm.NewFlat(x, symbolic.Build(x, threads))
+	if x.Order() == 3 {
+		takeCensus(k, ranks, SVDAuto)
+	}
+	flat = k.SweepFlops(ranks)
 	if x.Order() >= 2 && x.NNZ() > 0 {
 		tree = ttm.BuildDTree(x, threads).SweepFlops(ranks)
 	}

@@ -7,6 +7,7 @@ import (
 	"hypertensor/internal/gen"
 	"hypertensor/internal/symbolic"
 	"hypertensor/internal/tensor"
+	"hypertensor/internal/ttm"
 )
 
 // singletons counts each mode's one-nonzero slices.
@@ -91,4 +92,35 @@ func TestCensusOnlyOnSharedOrder3Gram(t *testing.T) {
 			t.Errorf("delicious strategy %v: census %+v", strat, c)
 		}
 	}
+}
+
+// A split mode's singleton rows take c = C/R_g doubles in the shared Y
+// buffer: it holds exactly max_n (multi·C + singles·c) doubles, what the
+// storage line reports as y, against max_n rows·C without the census.
+func TestSplitYBufferIsCompact(t *testing.T) {
+	x, ranks := presetTensor(t, "nell", 0.2)
+	opts := Options{Ranks: ranks, MaxIters: 2, Tol: -1, Seed: 5, Threads: 2}
+	e := NewEngine(mustPlan(t, x, opts))
+	res, err := e.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, wide := 0, 0
+	for n, c := range res.Census {
+		cols, rows := ttm.RowSize(res.Factors, n), len(e.kern.Rows(n))
+		need := rows * cols
+		if c.Taken() {
+			need -= c.Singletons * (cols - cols/ranks[c.Group])
+		}
+		compact, wide = max(compact, need), max(wide, rows*cols)
+	}
+	if cap(e.ybuf) != compact || res.YBytes != 8*int64(compact) {
+		t.Fatalf("nell: Y buffer holds %d doubles (YBytes %d), want max (multi·C + singles·c) = %d", cap(e.ybuf), res.YBytes, compact)
+	}
+	lan := opts
+	lan.svd = SVDLanczos
+	if got := mustRun(t, x, lan).YBytes; got != 8*int64(wide) || compact >= wide {
+		t.Fatalf("nell: %d Y bytes without the census, want max rows·C = %d; %d with it", got, 8*wide, 8*compact)
+	}
+	t.Logf("nell: Y buffer %d B split, %d B C wide", 8*compact, 8*wide)
 }

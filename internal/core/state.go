@@ -76,8 +76,8 @@ func (s *SweepState) Solve(op trsvd.Operator, rank int, method SVDMethod) (*trsv
 	rows, cols := int64(op.LocalRows()), int64(op.Cols())
 	madds := int64(r.MatVecs) * rows * cols
 	if method == SVDGram {
-		// YᵀY as the operator sums it, then Y·(V·Σ⁻¹).
-		madds = trsvd.GramMadds(op) + rows*cols*int64(rank)
+		// YᵀY and Y·(V·Σ⁻¹) as the operator runs them.
+		madds = trsvd.GramMadds(op) + trsvd.MatMatMadds(op, rank)
 	}
 	s.Solves++
 	s.Passes += int64(r.Passes)

@@ -174,25 +174,27 @@ func TestGramDefaultTracksLanczosOnOrder3(t *testing.T) {
 		if solves := int64(20 * x.Order()); auto.TRSVDSolves != solves || auto.TRSVDPasses != 2*solves || auto.TRSVDUnconverged != 0 {
 			t.Errorf("%s auto: %d solves, %d passes, %d unconverged; want %d, %d, 0", name, auto.TRSVDSolves, auto.TRSVDPasses, auto.TRSVDUnconverged, solves, 2*solves)
 		}
-		// YᵀY costs rows·C(C+1)/2, or the census's Split in a mode that
-		// takes it (the tall mode 0 of both presets does).
+		// YᵀY costs rows·C(C+1)/2 and Y·W rows·C·R, or in a mode that
+		// takes the split (the tall mode 0 of both presets does) the
+		// census's Split and the compact rows' product.
 		var want int64
 		split := false
 		for n, m := range mustPlan(t, x, opts).sym.Modes {
-			c := int64(ttm.RowSize(auto.Factors, n))
-			gram := int64(m.NumRows()) * c * (c + 1) / 2
+			rows, c := m.NumRows(), ttm.RowSize(auto.Factors, n)
+			gram, yw := int64(rows)*int64(c)*int64(c+1)/2, int64(rows)*int64(c)*int64(ranks[n])
 			if cen := auto.Census[n]; cen.Plain != gram {
 				t.Errorf("%s mode %d: census predicts %d plain Gram madds, want rows·C(C+1)/2 = %d", name, n, cen.Plain, gram)
 			} else if cen.Taken() {
 				gram, split = cen.Split, true
+				yw = dense.KronMatMulMadds(rows-cen.Singletons, cen.Singletons, cen.Groups, c, ranks[cen.Group], ranks[n])
 			}
-			want += 20 * (gram + int64(m.NumRows())*c*int64(ranks[n]))
+			want += 20 * (gram + yw)
 		}
 		if !split {
 			t.Errorf("%s: no mode took the split Gram", name)
 		}
 		if auto.TRSVDMadds != want {
-			t.Errorf("%s auto: %d TRSVD madds, want Σ (Gram + rows·C·R) = %d", name, auto.TRSVDMadds, want)
+			t.Errorf("%s auto: %d TRSVD madds, want Σ (Gram + Y·W) = %d", name, auto.TRSVDMadds, want)
 		}
 		if lan.TRSVDPasses <= 10*auto.TRSVDPasses {
 			t.Errorf("%s: Lanczos made %d passes over Y, Gram %d", name, lan.TRSVDPasses, auto.TRSVDPasses)

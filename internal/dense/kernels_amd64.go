@@ -3,9 +3,33 @@
 package dense
 
 // useAVX2 and useAVX512 are the dispatch points of the kernels (see
-// kernels.go), set once at start-up. The tests switch them off to run the
-// AVX2 tiles and the Go loops on a host that has the wider paths.
+// kernels.go), set once at start-up; hostAVX2 and hostAVX512 keep what
+// start-up found while a test runs another path (UseKernelPath).
 var useAVX2, useAVX512 = detectAVX()
+
+var hostAVX2, hostAVX512 = useAVX2, useAVX512
+
+// KernelPaths names the kernel paths this host can run, the Go loops
+// first and the one a plain run takes (KernelName) last.
+func KernelPaths() []string {
+	paths := []string{"go"}
+	if hostAVX2 {
+		paths = append(paths, "avx2")
+	}
+	if hostAVX512 {
+		paths = append(paths, "avx512")
+	}
+	return paths
+}
+
+// UseKernelPath switches the kernels to a path of KernelPaths and returns
+// the function that switches them back to the host's: a test holds a
+// result to every path with it, this package's and those built on it. No
+// kernel may run meanwhile.
+func UseKernelPath(name string) (restore func()) {
+	useAVX2, useAVX512 = name != "go", name == "avx512"
+	return func() { useAVX2, useAVX512 = hostAVX2, hostAVX512 }
+}
 
 // detectAVX reports whether the CPU has AVX2 and the OS saves the YMM
 // state across context switches (OSXSAVE, and XCR0 bits 1 and 2), and

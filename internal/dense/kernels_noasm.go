@@ -7,6 +7,12 @@ package dense
 // let those branches type-check.
 const useAVX2, useAVX512 = false, false
 
+// KernelPaths names the kernel paths this build can run: the Go loops.
+func KernelPaths() []string { return []string{"go"} }
+
+// UseKernelPath is a no-op: the Go loops are this build's only path.
+func UseKernelPath(string) (restore func()) { return func() {} }
+
 func axpy4AVX2(a0, a1, a2, a3 float64, x *float64, stride int, y *float64, n int) {
 	panic("dense: no assembly kernels in this build")
 }

@@ -518,26 +518,17 @@ func TestGatherLookAhead(t *testing.T) {
 	}
 }
 
-// kernelPath is one set of kernels a host can run: the Go loops, the AVX2
-// kernels and tiles, or those with the AVX-512 tiles on top. hostPaths
-// (paths_*_test.go) lists the ones this host has, and use switches the
-// package to one of them.
-type kernelPath struct {
-	name         string
-	avx2, avx512 bool
-}
-
 // onEachPath runs f as a subtest on every kernel path this host has,
 // the Go loops included, and logs which ran.
 func onEachPath(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	var ran []string
-	for _, p := range hostPaths() {
+	for _, p := range KernelPaths() {
 		func() {
-			defer p.use()()
-			t.Run(p.name, f)
+			defer UseKernelPath(p)()
+			t.Run(p, f)
 		}()
-		ran = append(ran, p.name)
+		ran = append(ran, p)
 	}
 	t.Logf("kernel paths run: %s", strings.Join(ran, ", "))
 	if !slices.Contains(ran, "avx512") {
@@ -549,9 +540,9 @@ func onEachPath(t *testing.T, f func(t *testing.T)) {
 // chosen from, so that a CI log shows whether the runner had the ZMM
 // tiles. The path is the last, widest one the host has.
 func TestKernelPath(t *testing.T) {
-	paths := hostPaths()
+	paths := KernelPaths()
 	t.Logf("kernels: %s; %s", KernelName(), cpuFeatures())
-	if want := paths[len(paths)-1].name; KernelName() != want {
+	if want := paths[len(paths)-1]; KernelName() != want {
 		t.Fatalf("KernelName() = %q, want %q, the widest path this host has", KernelName(), want)
 	}
 }
@@ -810,7 +801,9 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	big, tall, narrow := RandomNormal(400, 100, rng), RandomNormal(400, 10, rng), RandomNormal(100, 10, rng)
 	xr, yc := make([]float64, 400), make([]float64, 100)
 	g, ct, cm := NewMatrix(100, 100), NewMatrix(100, 10), NewMatrix(400, 10)
-	ka, kk := kronCases[0].build(rng)
+	ka, kk, kfull := kronCases[len(kronCases)-1].build(rng) // several groups' reduce blocks
+	kw, ky := NewMatrix(kfull.Rows, 10), RandomNormal(kfull.Rows, 10, rng)
+	kz := NewMatrix(kfull.Cols, 10)
 	for _, threads := range []int{1, 2} {
 		var work, kwork []float64
 		run := func() {
@@ -818,6 +811,8 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			MatMulTAInto(ct, big, tall, threads)
 			work = SyrkInto(g, big, work, threads)
 			kwork = SyrkKronInto(g, ka, kk, kwork, threads)
+			KronMatMulInto(kw, ka, kk, narrow, threads)
+			KronMatMulTAInto(kz, ka, kk, ky, threads)
 			MatMulInto(cm, big, narrow, threads)
 		}
 		run() // grows work and warms the pools
@@ -873,9 +868,9 @@ func FuzzKernelsBitwise(f *testing.F) {
 		// rows zeroed on odd off. The narrow GEMM takes B through 13
 		// columns, one past the widest its tiles take.
 		rows, ac, bc := int(n%68), 1+int(m%33), 1+int(off%33)
-		for _, p := range hostPaths() {
+		for _, p := range KernelPaths() {
 			func() {
-				defer p.use()()
+				defer UseKernelPath(p)()
 				atbCase(t, rows, ac, bc, off&1 == 1, next)
 				atbCase(t, rows, ac, ac, off&1 == 1, next)
 				gemmCase(t, rows, ac, 1+(bc-1)%(gemmNarrow+1), next)

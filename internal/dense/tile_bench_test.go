@@ -25,10 +25,10 @@ func BenchmarkTilePaths(b *testing.B) {
 		v := RandomNormal(s.cols, s.rank, rng)
 		g, ta, u := NewMatrix(s.cols, s.cols), NewMatrix(s.rank, s.cols), NewMatrix(s.rows, s.rank)
 		var work []float64
-		for _, p := range hostPaths() {
-			restore := p.use()
+		for _, p := range KernelPaths() {
+			restore := UseKernelPath(p)
 			run := func(name string, madds int, op func()) {
-				b.Run(fmt.Sprintf("%s/%s", name, p.name), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/%s", name, p), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						op()
 					}

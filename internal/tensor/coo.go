@@ -94,14 +94,51 @@ func (t *COO) Clone() *COO {
 
 // Norm returns the Frobenius norm of the tensor, parallel over nonzeros
 // with a fixed-block reduction (bitwise identical for any thread count).
+// Where the sum of squares overflows or underflows, it is taken again
+// over the values scaled by a power of two (normScale).
 func (t *COO) Norm(threads int) float64 {
-	return math.Sqrt(par.SumBlocks(t.NNZ(), threads, func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += t.Val[i] * t.Val[i]
+	s := t.squares(1, threads)
+	if scale := normScale(s, t.Val); scale != 1 {
+		return math.Sqrt(t.squares(scale, threads)) / scale
+	}
+	return math.Sqrt(s)
+}
+
+// squares is sumSquares over the values on SumBlocks' fixed grid.
+func (t *COO) squares(scale float64, threads int) float64 {
+	return par.SumBlocks(t.NNZ(), threads, func(lo, hi int) float64 { return sumSquares(t.Val[lo:hi], scale) })
+}
+
+// sumSquares is Σ (scale·v)² over vals in order: at scale 1 the plain
+// sum of squares, bit for bit.
+func sumSquares(vals []float64, scale float64) float64 {
+	var s float64
+	for _, v := range vals {
+		v *= scale
+		s += v * v
+	}
+	return s
+}
+
+// normScale is the power of two a sum of squares s of vals is taken
+// again at: 2^-600 where s overflowed to +Inf, 2^600 where it came out
+// zero with a nonzero value, 1 where s stands — a finite nonzero s (every
+// in-range input) or a NaN. Scaled, the largest values' squares neither
+// overflow nor underflow (an overflowing sum's finite values are below
+// 2^1024, an underflowing one's below 2^-537), and the scaling is exact
+// wherever a square counts; an infinite value stays infinite.
+func normScale(s float64, vals []float64) float64 {
+	switch {
+	case math.IsInf(s, 1):
+		return 0x1p-600
+	case s == 0:
+		for _, v := range vals {
+			if v != 0 {
+				return 0x1p600
+			}
 		}
-		return s
-	}))
+	}
+	return 1
 }
 
 // keyWords is the number of 64-bit words a linearized coordinate of a

@@ -50,6 +50,42 @@ func TestNorm(t *testing.T) {
 	}
 }
 
+// Norms whose squares leave the float64 range: four values of 1e200 (the
+// file cmd/hooi's TestNonFiniteFitIsAnError reads) have ‖X‖ = 2e200,
+// four of 1e-170 have 2e-170, and four subnormals of 1e-310 have 2e-310
+// — where the plain sum of squares is +Inf or 0 — for the sparse and the
+// dense tensor alike and at any thread count. An infinite value keeps an
+// infinite norm, a NaN a NaN, and an in-range tensor the plain sum's bits.
+func TestNormOutOfRange(t *testing.T) {
+	for _, tc := range []struct{ v, want float64 }{
+		{1e200, 2e200}, {-1e200, 2e200}, {1e-170, 2e-170}, {1e-310, 2e-310},
+		{math.Inf(-1), math.Inf(1)}, {math.NaN(), math.NaN()}, {0, 0}, {3, 6},
+	} {
+		x := NewCOO([]int{3, 3, 3}, 4)
+		d := NewDense([]int{3, 3, 3})
+		for i, c := range [][]int{{0, 0, 0}, {1, 1, 1}, {2, 2, 2}, {0, 1, 2}} {
+			x.Append(c, tc.v)
+			d.Set(tc.v, c...)
+			if i == 0 && tc.v == 3 {
+				x.Val[0], d.Data[0] = 3*(1+0x1p-52), 3*(1+0x1p-52)
+			}
+		}
+		want := tc.want
+		if tc.v == 3 {
+			want = math.Sqrt(x.Val[0]*x.Val[0] + 9 + 9 + 9) // the plain sum, in order
+		}
+		for _, got := range []float64{x.Norm(1), x.Norm(4), d.Norm()} {
+			ok := math.Abs(got-want) <= 1e-15*want || got == want || (math.IsNaN(want) && math.IsNaN(got))
+			if tc.v == 3 {
+				ok = math.Float64bits(got) == math.Float64bits(want)
+			}
+			if !ok {
+				t.Errorf("values %g: norm %g, want %g", tc.v, got, want)
+			}
+		}
+	}
+}
+
 func TestSortDedup(t *testing.T) {
 	x := NewCOO([]int{3, 3}, 5)
 	x.Append([]int{2, 2}, 1)

@@ -59,11 +59,12 @@ func (d *Dense) At(coord ...int) float64 { return d.Data[d.Offset(coord)] }
 // Set assigns the element at the given coordinates.
 func (d *Dense) Set(v float64, coord ...int) { d.Data[d.Offset(coord)] = v }
 
-// Norm returns the Frobenius norm.
+// Norm returns the Frobenius norm, rescaled as COO.Norm's where the sum
+// of squares overflows or underflows.
 func (d *Dense) Norm() float64 {
-	var s float64
-	for _, v := range d.Data {
-		s += v * v
+	s := sumSquares(d.Data, 1)
+	if scale := normScale(s, d.Data); scale != 1 {
+		return math.Sqrt(sumSquares(d.Data, scale)) / scale
 	}
 	return math.Sqrt(s)
 }

@@ -11,15 +11,19 @@ import (
 	"hypertensor/internal/ttm"
 )
 
-// BenchmarkGramSplit times one Gram solve of each mode that takes the
-// split Gram on inputs of the nell3_tall and netflix3 benchmark
-// workloads' shapes (seed 1, ranks 10): Y_(n) in split order from the
-// flat kernel, its singleton rows summed by the split (split) and by the
-// plain SYRK over the same rows (plain), the product G = YᵀY alone
-// (product, with its madds) and the whole solve (solve). The factors are
-// random orthonormal ones; the Gram's cost does not depend on their
-// values. The census row times SplitSingletons over every mode, index
-// streams built, as an engine runs it when it builds the kernel.
+// BenchmarkGramSplit times each mode that takes the split Gram on inputs
+// of the nell3_tall and netflix3 benchmark workloads' shapes (seed 1,
+// ranks 10), with Y_(n) held two ways: compact, the mode's singleton
+// rows c = C/R_g wide behind its multi rows as the flat kernel in split
+// order writes them, read by the split operator (DenseOperator with
+// Kron); and wide, every row C wide from the kernel in list order, read
+// by the plain operator — what a mode without the census runs. Per
+// layout it times the TTMc of the mode (ttmc), the product G = YᵀY
+// (product, with its madds), U = Y·W (yw, with its madds) and the whole
+// Gram solve (solve). The factors are random orthonormal ones; no cost
+// depends on their values. The census row times SplitSingletons over
+// every mode, index streams built, as an engine runs it when it builds
+// the kernel.
 //
 //	go test -run '^$' -bench GramSplit -cpu 1,2 ./internal/trsvd
 func BenchmarkGramSplit(b *testing.B) {
@@ -52,34 +56,51 @@ func BenchmarkGramSplit(b *testing.B) {
 				}
 			}
 		})
-		k := ttm.NewFlat(x, sym)
+		wideKern, split := ttm.NewFlat(x, sym), ttm.NewFlat(x, sym)
 		for n := range ranks {
-			cen, kron := k.SplitSingletons(n, ranks)
+			cen, kron := split.SplitSingletons(n, ranks)
 			if kron == nil {
 				continue
 			}
+			cols := ttm.RowSize(u, n)
 			kron.U = u[cen.Group]
-			y := dense.NewMatrix(len(k.Rows(n)), ttm.RowSize(u, n))
-			k.TTMc(y, n, u, 0)
-			for _, split := range []bool{false, true} {
-				op := &DenseOperator{A: y}
-				label := "plain"
-				if split {
-					op.Kron, label = kron, "split"
-				}
+			kron.T = *dense.NewMatrix(cen.Singletons, cols/ranks[cen.Group])
+			compact := &DenseOperator{A: dense.NewMatrix(len(split.Rows(n))-cen.Singletons, cols), Kron: kron}
+			wide := &DenseOperator{A: dense.NewMatrix(len(split.Rows(n)), cols)}
+			for _, layout := range []struct {
+				name string
+				op   *DenseOperator
+				kern *ttm.Flat
+			}{{"wide", wide, wideKern}, {"compact", compact, split}} {
+				op, kern := layout.op, layout.kern
 				name := fmt.Sprintf("%s/mode=%d,rows=%d,singletons=%d,group=%d,groups=%d/%s",
-					w.name, n, y.Rows, cen.Singletons, cen.Group, cen.Groups, label)
-				// The product G = YᵀY alone, and the whole solve. A sweep's
-				// solves reuse one workspace; the first call grows it,
-				// untimed.
+					w.name, n, op.LocalRows(), cen.Singletons, cen.Group, cen.Groups, layout.name)
+				// Every phase after the TTMc reads the Y it wrote; a
+				// sweep's solves reuse one workspace, and the first call
+				// of each phase grows what it keeps, untimed.
+				b.Run(name+"/ttmc", func(b *testing.B) {
+					for range b.N {
+						kern.TTMc(op.A, n, u, 0)
+					}
+				})
 				b.Run(name+"/product", func(b *testing.B) {
-					g := dense.NewMatrix(y.Cols, y.Cols)
+					g := dense.NewMatrix(cols, cols)
 					work := op.Gram(g, nil)
 					b.ResetTimer()
 					for range b.N {
 						work = op.Gram(g, work)
 					}
 					b.ReportMetric(float64(GramMadds(op))/1e6, "Mmadd/op")
+				})
+				b.Run(name+"/yw", func(b *testing.B) {
+					wm := dense.RandomNormal(cols, ranks[n], rand.New(rand.NewSource(2)))
+					uy := dense.NewMatrix(op.LocalRows(), ranks[n])
+					op.MatMat(wm, uy)
+					b.ResetTimer()
+					for range b.N {
+						op.MatMat(wm, uy)
+					}
+					b.ReportMetric(float64(MatMatMadds(op, ranks[n]))/1e6, "Mmadd/op")
 				})
 				b.Run(name+"/solve", func(b *testing.B) {
 					opts := Options{Seed: 1, Work: NewWorkspace()}

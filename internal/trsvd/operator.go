@@ -48,10 +48,13 @@ type Operator interface {
 
 // DenseOperator adapts an in-memory dense matrix (the compacted TTMc
 // result) to the Operator interface, using the threaded GEMV kernels —
-// the shared-memory TRSVD path of §III.A.2. Kron, when set, describes
-// A's trailing rows as grouped Kronecker products (a mode of the flat
-// kernel in split order, ttm.Flat.SplitSingletons), and Gram sums them
-// through it.
+// the shared-memory TRSVD path of §III.A.2. Kron, when set, holds the
+// matrix's rows past A compactly as grouped Kronecker products (a mode of
+// the flat kernel in split order, ttm.Flat.SplitSingletons): the
+// operator is then the matrix dense.KronRows describes, A its first
+// rows, and every method reads the grouped rows at their compact width
+// through the dense Kron kernels (MatVec and MatTVec as one-column
+// MatMat and MatTMat).
 type DenseOperator struct {
 	A       *dense.Matrix
 	Threads int
@@ -59,16 +62,33 @@ type DenseOperator struct {
 }
 
 // LocalRows returns the row count of the wrapped matrix.
-func (o *DenseOperator) LocalRows() int { return o.A.Rows }
+func (o *DenseOperator) LocalRows() int {
+	if o.Kron != nil {
+		return o.A.Rows + o.Kron.T.Rows
+	}
+	return o.A.Rows
+}
 
 // Cols returns the column count of the wrapped matrix.
 func (o *DenseOperator) Cols() int { return o.A.Cols }
 
 // MatVec computes y = A x with the threaded GEMV kernel.
-func (o *DenseOperator) MatVec(x, y []float64) { dense.Gemv(o.A, x, y, o.Threads) }
+func (o *DenseOperator) MatVec(x, y []float64) {
+	if o.Kron != nil {
+		o.MatMat(&dense.Matrix{Rows: len(x), Cols: 1, Data: x}, &dense.Matrix{Rows: len(y), Cols: 1, Data: y})
+		return
+	}
+	dense.Gemv(o.A, x, y, o.Threads)
+}
 
 // MatTVec computes x = Aᵀ y with the threaded transposed GEMV kernel.
-func (o *DenseOperator) MatTVec(y, x []float64) { dense.GemvT(o.A, y, x, o.Threads) }
+func (o *DenseOperator) MatTVec(y, x []float64) {
+	if o.Kron != nil {
+		o.MatTMat(&dense.Matrix{Rows: len(y), Cols: 1, Data: y}, &dense.Matrix{Rows: len(x), Cols: 1, Data: x})
+		return
+	}
+	dense.GemvT(o.A, y, x, o.Threads)
+}
 
 // RowDot is a plain local dot product over this rank's rows — long
 // vectors, so the 4-way unrolled kernel pays. Every row-space inner
@@ -81,11 +101,23 @@ func (o *DenseOperator) GlobalRow(local int) int64 { return int64(local) }
 
 // MatMat computes Y = A·W in one BLAS3 pass (register-tiled GEMM)
 // instead of W.Cols separate GEMVs.
-func (o *DenseOperator) MatMat(w, y *dense.Matrix) { dense.MatMulInto(y, o.A, w, o.Threads) }
+func (o *DenseOperator) MatMat(w, y *dense.Matrix) {
+	if o.Kron != nil {
+		dense.KronMatMulInto(y, o.A, o.Kron, w, o.Threads)
+		return
+	}
+	dense.MatMulInto(y, o.A, w, o.Threads)
+}
 
 // MatTMat computes Z = Aᵀ·Y in one BLAS3 pass with the fixed-block
 // deterministic reduction.
-func (o *DenseOperator) MatTMat(y, z *dense.Matrix) { dense.MatMulTAInto(z, o.A, y, o.Threads) }
+func (o *DenseOperator) MatTMat(y, z *dense.Matrix) {
+	if o.Kron != nil {
+		dense.KronMatMulTAInto(z, o.A, o.Kron, y, o.Threads)
+		return
+	}
+	dense.MatMulTAInto(z, o.A, y, o.Threads)
+}
 
 // RowGram computes g = YᵀY with the fixed-block deterministic BLAS3
 // reduction.
@@ -104,12 +136,28 @@ func (o *DenseOperator) Gram(g *dense.Matrix, work []float64) []float64 {
 // split product's where a DenseOperator has Kron, the upper triangle of
 // every row's term otherwise.
 func GramMadds(op Operator) int64 {
-	rows, cols := op.LocalRows(), op.Cols()
-	if d, ok := op.(*DenseOperator); ok && d.Kron != nil {
-		k := d.Kron
-		return dense.SyrkKronMadds(k.Multi, rows-k.Multi, len(k.Idx), cols, k.U.Cols)
+	if k := kronOf(op); k != nil {
+		return dense.SyrkKronMadds(op.LocalRows()-k.T.Rows, k.T.Rows, len(k.Idx), op.Cols(), k.U.Cols)
 	}
-	return dense.SyrkMadds(rows, cols)
+	return dense.SyrkMadds(op.LocalRows(), op.Cols())
+}
+
+// MatMatMadds is the multiply-adds op.MatMat runs on this rank's rows
+// for a panel of k columns: the split product's where a DenseOperator
+// has Kron, every row at full width otherwise.
+func MatMatMadds(op Operator, k int) int64 {
+	if kr := kronOf(op); kr != nil {
+		return dense.KronMatMulMadds(op.LocalRows()-kr.T.Rows, kr.T.Rows, len(kr.Idx), op.Cols(), kr.U.Cols, k)
+	}
+	return int64(op.LocalRows()) * int64(op.Cols()) * int64(k)
+}
+
+// kronOf is a DenseOperator's Kron, nil for any other operator.
+func kronOf(op Operator) *dense.KronRows {
+	if d, ok := op.(*DenseOperator); ok {
+		return d.Kron
+	}
+	return nil
 }
 
 var _ Operator = (*DenseOperator)(nil)

@@ -29,17 +29,21 @@ func (c Census) Taken() bool { return c.Group >= 0 && c.Split < c.Plain }
 // the split Gram is predicted to cost less, puts the mode in split
 // order: the rows of more than one nonzero first, ascending, then the
 // singletons grouped by their index in Group, groups and the rows within
-// each ascending. Rows(n) then lists the slices in that order and TTMc
-// writes Y_(n)'s rows in it; the update lists, their order and every
-// row's bits stay as they were. It returns the groups as the split
-// Gram's rows (dense.SyrkKronInto), U left for the caller to bind to the
-// current factor of Group, or nil where the split is not taken. Only an
-// order-3 or order-2 tensor has one: there a singleton row is a Kronecker
-// product of the grouping factor's row and one other, in the layout of
-// the row's columns (Group is the slow index when it is the lead mode).
-// The census reads the mode's index streams once, in passes without a
-// data-dependent branch, and allocates O(rows + the other modes' sizes /
-// 64) words, nothing sized by a row's length.
+// each ascending. Rows(n) then lists the slices in that order, and TTMc
+// writes the multi rows to y at full width and each singleton compactly
+// into the returned rows' T: the nonzero's value times its row of the
+// factor that is neither n's nor Group's, c = RowSize/R_Group entries
+// (just the value on order 2). It returns the groups as the split
+// matrix's rows (dense.KronRows), U and T left for the caller to bind to
+// the current factor of Group and to T.Rows x c storage before each
+// TTMc, or nil where the split is not taken. Only an order-3 or order-2
+// tensor has one: there a singleton row is a Kronecker product of the
+// grouping factor's row and one other, in the layout of the row's
+// columns (Group is the slow index when it is the lead mode). The update
+// lists and their order stay as they were, and so do the multi rows'
+// bits. The census reads the mode's index streams once, in passes
+// without a data-dependent branch, and allocates O(rows + the other
+// modes' sizes / 64) words, nothing sized by a row's length.
 func (k *Flat) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 	sm := &k.sym.Modes[n]
 	ptr, rows, cols := sm.Ptr, sm.NumRows(), 1
@@ -105,20 +109,25 @@ func (k *Flat) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 		sum += int32(bits.OnesCount64(word))
 	}
 	kr := &dense.KronRows{
-		Multi: rows - s,
-		Ptr:   make([]int32, cen.Groups+1),
-		Idx:   make([]int32, cen.Groups),
-		Slow:  g == leadMode(len(ranks), n),
+		Ptr:  make([]int32, cen.Groups+1),
+		Idx:  make([]int32, cen.Groups),
+		Slow: g == leadMode(len(ranks), n),
 	}
 	for q, i := range gid {
 		j := seen[i>>6] + int32(bits.OnesCount64(set[i>>6]&(uint64(1)<<(i&63)-1)))
 		kr.Idx[j], gid[q] = i, j
 		kr.Ptr[j+1]++
 	}
+	sp := &splitMode{multi: rows - s, group: g, other: -1, kron: kr}
+	for _, t := range others {
+		if t != g {
+			sp.other = t
+		}
+	}
 	next := make([]int32, cen.Groups)
 	for j := range next {
 		kr.Ptr[j+1] += kr.Ptr[j]
-		next[j] = int32(kr.Multi) + kr.Ptr[j]
+		next[j] = int32(sp.multi) + kr.Ptr[j]
 	}
 	// The multi rows take their places in order; what a singleton writes
 	// on the way is overwritten when the singletons take theirs.
@@ -132,11 +141,25 @@ func (k *Flat) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 		at[r], order[next[j]] = next[j], sm.Rows[r]
 		next[j]++
 	}
-	if k.splitRows == nil {
-		k.splitRows, k.splitAt = make([][]int32, len(k.sym.Modes)), make([][]int32, len(k.sym.Modes))
+	sp.rows, sp.at = order, at
+	if k.split == nil {
+		k.split = make([]*splitMode, len(k.sym.Modes))
 	}
-	k.splitRows[n], k.splitAt[n] = order, at
+	k.split[n] = sp
 	return cen, kr
+}
+
+// splitMode is a mode in split order (SplitSingletons).
+type splitMode struct {
+	// rows lists the slices in Y_(n)'s row order, and at[r] is where list
+	// row r goes: row at[r] of y below multi, row at[r]-multi of kron.T
+	// from multi on.
+	rows, at []int32
+	multi    int
+	// group is the grouping mode and other the contracted mode whose
+	// factor row a singleton's compact row scales (-1 on order 2).
+	group, other int
+	kron         *dense.KronRows
 }
 
 // one is 1 for an update list of one nonzero and 0 for a longer one,

@@ -141,10 +141,8 @@ type Flat struct {
 	scratch  []kronScratch
 	rowsFn   func(worker, lo, hi int)
 	chainsFn func() []int32
-	// splitRows[n] and splitAt[n] are set for a mode in split order
-	// (SplitSingletons): its slices in Y_(n)'s row order, and the row of
-	// Y_(n) each list row is written to.
-	splitRows, splitAt [][]int32
+	// split[n] is set for a mode in split order (SplitSingletons).
+	split []*splitMode
 }
 
 // flatCall is the state of the running TTMc call.
@@ -155,7 +153,14 @@ type flatCall struct {
 	threads int
 	acc     int       // the accumulator's length: the row without its leading factor
 	idx     [][]int32 // sm.Streams: the other modes' indices in list order
-	at      []int32   // the row of y each list row goes to; nil: its own
+	// A mode in split order writes list row r to row at[r] of y below
+	// multi and compactly to row at[r]-multi of t from multi on: the
+	// value times row other[p] of uo, or the value alone where uo is nil.
+	at    []int32 // nil: every list row to its own row of y
+	multi int
+	t     *dense.Matrix
+	other []int32
+	uo    *dense.Matrix
 }
 
 // NewFlat binds the flat kernel to a coordinate tensor and the symbolic
@@ -173,20 +178,26 @@ func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
 // Y_(n)'s rows: ascending, unless the mode is in split order
 // (SplitSingletons).
 func (k *Flat) Rows(n int) []int32 {
-	if k.splitRows != nil && k.splitRows[n] != nil {
-		return k.splitRows[n]
+	if sp := k.splitOf(n); sp != nil {
+		return sp.rows
 	}
 	return k.sym.Modes[n].Rows
 }
 
-// TTMc computes the mode-n product for every row of the mode's update
-// lists into y, in the order of Rows(n) (see TTMc).
-func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
-	var at []int32
-	if k.splitAt != nil {
-		at = k.splitAt[n]
+// splitOf is mode n's split order, nil where it has none.
+func (k *Flat) splitOf(n int) *splitMode {
+	if k.split == nil {
+		return nil
 	}
-	k.run(y, &k.sym.Modes[n], at, u, threads)
+	return k.split[n]
+}
+
+// TTMc computes the mode-n product for every row of the mode's update
+// lists, in the order of Rows(n) (see TTMc): into y, or for a mode in
+// split order its multi rows into y and its singletons into the T its
+// SplitSingletons rows hold.
+func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
+	k.run(y, &k.sym.Modes[n], k.splitOf(n), u, threads)
 }
 
 // leadMode is the mode factored out of mode n's runs: the first one
@@ -202,10 +213,16 @@ func leadMode(order, n int) int {
 var unitRow = []float64{1}
 
 // run is TTMc over the update lists of sm, counted, list row r written
-// to row at[r] of y (row r when at is nil).
-func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, at []int32, u []*dense.Matrix, threads int) {
-	rowSize := RowSize(u, sm.N)
-	if y.Rows != sm.NumRows() || y.Cols != rowSize {
+// to row r of y, or where sp puts it when the mode is in split order.
+func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, sp *splitMode, u []*dense.Matrix, threads int) {
+	rowSize, rows := RowSize(u, sm.N), sm.NumRows()
+	if sp != nil {
+		rows = sp.multi
+		if t := &sp.kron.T; t.Rows != sm.NumRows()-rows || t.Cols != rowSize/u[sp.group].Cols {
+			panic("ttm: TTMc compact row shape mismatch")
+		}
+	}
+	if y.Rows != rows || y.Cols != rowSize {
 		panic("ttm: TTMc output shape mismatch")
 	}
 	threads = par.DefaultThreads(threads)
@@ -220,12 +237,22 @@ func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, at []int32, u []*dense.Ma
 		}
 	}
 	k.scratch = growKronScratch(k.scratch, threads, len(u), acc, acc)
-	k.call = flatCall{y: y, sm: sm, u: u, threads: threads, acc: acc, idx: sm.Streams(k.x), at: at}
+	k.call = flatCall{y: y, sm: sm, u: u, threads: threads, acc: acc, idx: sm.Streams(k.x), multi: rows}
+	if sp != nil {
+		k.call.at, k.call.t = sp.at, &sp.kron.T
+		if sp.other >= 0 {
+			k.call.other, k.call.uo = k.call.idx[sp.other], u[sp.other]
+		}
+	}
 	k.runs[sm.N].Store(0)
 	runRows(sm.NumRows(), threads, k.chainsFn, k.rowsFn)
 	k.call = flatCall{}
-	// What ran: an accumulator update per nonzero, a row update per run.
+	// What ran: an accumulator update per nonzero, a row update per run;
+	// a compact row is one run of one nonzero that scales one factor row.
 	k.flops += int64(len(sm.NZ))*int64(acc) + k.runs[sm.N].Load()*int64(rowSize)
+	if sp != nil {
+		k.flops -= int64(sp.kron.T.Rows) * int64(acc+rowSize-sp.kron.T.Cols)
+	}
 }
 
 // callChains is the balanced partition of the running call.
@@ -251,6 +278,19 @@ func (k *Flat) rows(w, lo, hi int) {
 		yr := r
 		if c.at != nil {
 			yr = int(c.at[r])
+		}
+		if yr >= c.multi {
+			p := sm.Ptr[r]
+			t, x := c.t.Row(yr-c.multi), val[nz[p]]
+			if c.uo == nil {
+				t[0] = x
+			} else {
+				for j, f := range c.uo.Row(int(c.other[p])) {
+					t[j] = x * f
+				}
+			}
+			runs++
+			continue
 		}
 		row := y.Row(yr)
 		clear(row)
@@ -289,7 +329,8 @@ func (k *Flat) RunsPerNZ(n int) float64 {
 
 // SweepFlops predicts the multiply-adds of one sweep at the given ranks
 // by walking the update lists for their runs, as DTree.SweepFlops does
-// the tree's nodes.
+// the tree's nodes; a mode in split order writes each singleton's row
+// in RowSize/R_Group.
 func (k *Flat) SweepFlops(ranks []int) int64 {
 	var total int64
 	for n := range k.sym.Modes {
@@ -312,6 +353,9 @@ func (k *Flat) SweepFlops(ranks []int) int64 {
 			}
 		}
 		total += int64(len(sm.NZ))*int64(acc) + runs*int64(rowSize)
+		if sp := k.splitOf(n); sp != nil {
+			total -= int64(sp.kron.Rows()) * int64(acc+rowSize-rowSize/ranks[sp.group])
+		}
 	}
 	return total
 }

@@ -1,9 +1,11 @@
 #!/bin/sh
-# Lists every dense, ttm, trsvd and core function whose start offset mod 64
-# in the benchmark binary differs between a parent commit and the working
-# tree: the code-placement check to run whenever a package linked before
-# core changes size (a 32-byte shift has moved sweep_s by a few percent
-# with no hot code touched). Run from anywhere inside the repository:
+# Lists every dense, tensor, symbolic, ttm, trsvd and core function whose
+# start offset mod 64 in the benchmark binary differs between a parent
+# commit and the working tree: the code-placement check to run whenever a
+# package linked before core changes size (a 32-byte shift has moved
+# sweep_s by a few percent with no hot code touched, and setup_s, the
+# reader's and the symbolic build's, with tensor and symbolic). Run from
+# anywhere inside the repository:
 #
 #	scripts/placement.sh <parent-ref>
 #
@@ -21,7 +23,7 @@ git -C "$root" archive "$1" | tar -x -C "$tmp/parent"
 (cd "$root" && go build -o "$tmp/change.bin" ./benchmark)
 for side in parent change; do
 	go tool nm -n "$tmp/$side.bin" |
-		awk '$2 == "T" && $3 ~ /^hypertensor\/internal\/(dense|ttm|trsvd|core)\./ {
+		awk '$2 == "T" && $3 ~ /^hypertensor\/internal\/(dense|tensor|symbolic|ttm|trsvd|core)\./ {
 			a = tolower(substr($1, length($1) - 1))
 			v = 16 * (index("0123456789abcdef", substr(a, 1, 1)) - 1) + index("0123456789abcdef", substr(a, 2, 1)) - 1
 			printf "%s %d\n", $3, v % 64 }' |
