@@ -370,7 +370,7 @@ func (s *foldSpy) Fold(n int, y *dense.Matrix, rows []int32) (*dense.Matrix, []i
 	return y, rows
 }
 
-func (s *foldSpy) ReduceCore(*dense.Matrix) {
+func (s *foldSpy) ReduceCore([]float64) {
 	s.seen++
 	bitsEqual(s.t, "last mode's Y when the core is formed", s.held(), s.copy)
 }

@@ -52,18 +52,16 @@ type Engine struct {
 	kern kernel
 	ex   Exchange
 	// census[n] is mode n's singleton census, taken when a flat kernel is
-	// built (splitSingletons), and kron[n] the mode's singleton rows, held
-	// compactly, where the mode takes the split; both are nil where no
-	// census was taken.
+	// built (newKernel), nil where none was taken; the kernel holds
+	// the singleton rows of a mode that takes the split (splitRows).
 	census []ttm.Census
-	kron   []*dense.KronRows
 
 	state *SweepState
 	// ys[n] is mode n's matricized product Y_(n), a view of ybuf: only
 	// one Y_(n) is live at a time (the last mode's until the core is
 	// formed from it), so one buffer sized for the widest mode serves
 	// them all. A split mode's view holds its multi rows, and its
-	// singletons' compact rows (kron[n].T) follow them in ybuf.
+	// singletons' compact rows (splitRows(n).T) follow them in ybuf.
 	ys       []dense.Matrix
 	ybuf     []float64
 	normX    float64
@@ -73,9 +71,7 @@ type Engine struct {
 	ranksBuf []int
 	// scattered[n] is the mode-n factor matrix scatter has zeroed.
 	scattered []*dense.Matrix
-	// gm and core hold a sweep's core, G_(N) and unfolded (formCore);
-	// each sweep overwrites them.
-	gm   *dense.Matrix
+	// core holds a sweep's core (formCore); each sweep overwrites it.
 	core *tensor.Dense
 
 	symTime, initTime time.Duration
@@ -111,38 +107,34 @@ type kernel interface {
 // streams (symbolic.Mode.Streams), so that the gather passes are set-up
 // and not part of the first sweep; after an Update's Insert dropped them,
 // the fresh kernel built here makes them again.
+//
+// On a shared-memory order-3 plan at fixed ranks it also takes the
+// singleton census of every Gram-solved mode, which puts each mode whose
+// split Gram is predicted to cost less in split order
+// (ttm.Flat.SplitSingletons). Other plans keep every mode's row order and
+// plain SYRK: under Eps the randomized solver reads Y in its row order, a
+// distributed rank's Gram is the row-distributed operator's allreduced
+// SYRK, and the order-4 tree (or an order-4 flat plan) has no two-factor
+// Kronecker rows to group.
 func (e *Engine) newKernel(threads int) kernel {
-	e.census, e.kron = nil, nil
+	e.census = nil
 	if e.opts.ttmc == TTMcDTree {
 		return ttm.BuildDTree(e.x, threads)
 	}
 	par.For(e.order, threads, 1, func(n int) { e.sym.Modes[n].Streams(e.x) })
 	k := ttm.NewFlat(e.x, e.sym)
-	e.splitSingletons(k)
-	return k
-}
-
-// splitSingletons takes the singleton census of every Gram-solved mode
-// of a shared-memory order-3 plan at fixed ranks on the flat kernel k,
-// which puts each mode whose split Gram is predicted to cost less in
-// split order (ttm.Flat.SplitSingletons). Other plans keep every mode's
-// row order and plain SYRK: under Eps the randomized solver reads Y in
-// its row order, a distributed rank's Gram is the row-distributed
-// operator's allreduced SYRK, and the order-4 tree (or an order-4 flat
-// plan) has no two-factor Kronecker rows to group.
-func (e *Engine) splitSingletons(k *ttm.Flat) {
-	if e.plan.ex != nil || e.opts.Eps > 0 || e.order != 3 {
-		return
+	if e.plan.ex == nil && e.opts.Eps <= 0 && e.order == 3 {
+		e.census = takeCensus(k, e.opts.Ranks, e.opts.svd)
 	}
-	e.census, e.kron = takeCensus(k, e.opts.Ranks, e.opts.svd)
+	return k
 }
 
 // takeCensus takes the singleton census of every mode of k that the
 // method resolves to the Gram solver at the given ranks, which puts each
 // mode whose split Gram is predicted to cost less in split order; every
 // other mode's census holds Group -1 and no counts.
-func takeCensus(k *ttm.Flat, ranks []int, method SVDMethod) ([]ttm.Census, []*dense.KronRows) {
-	census, kron := make([]ttm.Census, len(ranks)), make([]*dense.KronRows, len(ranks))
+func takeCensus(k *ttm.Flat, ranks []int, method SVDMethod) []ttm.Census {
+	census := make([]ttm.Census, len(ranks))
 	for n := range census {
 		census[n].Group = -1
 		cols := 1
@@ -152,19 +144,19 @@ func takeCensus(k *ttm.Flat, ranks []int, method SVDMethod) ([]ttm.Census, []*de
 			}
 		}
 		if ResolveSVD(method, cols, ranks[n]) == SVDGram {
-			census[n], kron[n] = k.SplitSingletons(n, ranks)
+			census[n], _ = k.SplitSingletons(n, ranks)
 		}
 	}
-	return census, kron
+	return census
 }
 
-// splitRows is mode n's compact singleton rows, nil unless the mode is
-// split.
+// splitRows is mode n's compact singleton rows, nil unless the flat
+// kernel holds the mode in split order.
 func (e *Engine) splitRows(n int) *dense.KronRows {
-	if e.kron == nil {
-		return nil
+	if flat, ok := e.kern.(*ttm.Flat); ok {
+		return flat.SplitRows(n)
 	}
-	return e.kron[n]
+	return nil
 }
 
 // operator is mode n's TRSVD operator on its folded rows y: the
@@ -220,7 +212,7 @@ func newEngine(p *Plan, fresh *dense.Matrix, initial func() []*dense.Matrix) *En
 		firstRun: true,
 	}
 	if e.ex == nil {
-		e.ex = localExchange{threads: e.opts.Threads}
+		e.ex = &localExchange{threads: e.opts.Threads}
 	}
 	built := make(chan struct{})
 	build := func(threads int, prefault bool) {
@@ -353,8 +345,8 @@ func (e *Engine) yShape(n int) (multi, cols, singles, c int) {
 }
 
 // shapeY returns mode n's view of the shared buffer, sized by yShape,
-// and binds a split mode's compact rows to the buffer after it and to
-// the grouping factor the TTMc reads. Whatever another mode left in the
+// and binds a split mode's compact rows to the buffer after it (the TTMc
+// binds them to the grouping factor). Whatever another mode left in the
 // buffer is dead by the time this one is computed.
 func (e *Engine) shapeY(n int) *dense.Matrix {
 	multi, cols, singles, c := e.yShape(n)
@@ -365,7 +357,6 @@ func (e *Engine) shapeY(n int) *dense.Matrix {
 	y.Rows, y.Cols, y.Data = multi, cols, e.ybuf[:multi*cols]
 	if kr := e.splitRows(n); kr != nil {
 		kr.T = dense.Matrix{Rows: singles, Cols: c, Data: e.ybuf[multi*cols : multi*cols+singles*c]}
-		kr.U = e.state.Factors[e.census[n].Group]
 	}
 	return y
 }
@@ -388,37 +379,20 @@ func (e *Engine) scatter(n int, compact *dense.Matrix, rows []int32) {
 }
 
 // formCore computes a sweep's core G = Y ×_N U_Nᵀ into the engine's
-// buffers. G_(N) = U_cᵀ·Y is formed from the compact rows uc the last
-// solve returned, which are the rows scatter wrote into U_N, so nothing
-// is gathered; the world reduces it, and it is unfolded into the dense
-// core. Along the last mode the tensor's row-major layout is G_(N)
-// transposed. A split last mode, which only the one-rank world has,
-// forms G_(N)ᵀ = Yᵀ·U_c by its operator's MatTMat (dense.KronMatMulTAInto)
-// in the core's buffer, its singletons read at their compact width.
+// buffer. Along the last mode the core's row-major layout is G_(N)ᵀ =
+// Yᵀ·U_c, which the last mode's operator product forms there
+// (dense.KronMatMulTAInto, a split mode's singletons read at their
+// compact width) from the compact rows uc the last solve returned: the
+// rows scatter wrote into U_N, so nothing is gathered. The world then
+// reduces it.
 func (e *Engine) formCore(y, uc *dense.Matrix, threads int) *tensor.Dense {
 	ranks := e.currentRanks()
 	if e.core == nil || !slices.Equal(e.core.Dims, ranks) {
 		e.core = tensor.NewDense(ranks)
 	}
-	gm := dense.ReuseMatrixUninit(e.gm, uc.Cols, y.Cols)
-	e.gm = gm
-	if kr := e.splitRows(e.order - 1); kr != nil {
-		gt := &dense.Matrix{Rows: y.Cols, Cols: uc.Cols, Data: e.core.Data}
-		dense.KronMatMulTAInto(gt, y, kr, uc, threads)
-		for r := 0; r < gm.Rows; r++ {
-			for c := range gm.Row(r) {
-				gm.Data[r*gm.Cols+c] = gt.Data[c*gm.Rows+r]
-			}
-		}
-	} else {
-		dense.MatMulTAInto(gm, uc, y, threads)
-	}
-	e.ex.ReduceCore(gm)
-	for r := 0; r < gm.Rows; r++ {
-		for c, v := range gm.Row(r) {
-			e.core.Data[c*gm.Rows+r] = v
-		}
-	}
+	gt := dense.Matrix{Rows: y.Cols, Cols: uc.Cols, Data: e.core.Data}
+	dense.KronMatMulTAInto(&gt, y, e.splitRows(e.order-1), uc, threads)
+	e.ex.ReduceCore(e.core.Data)
 	return e.core
 }
 

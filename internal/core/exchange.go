@@ -36,9 +36,9 @@ type Exchange interface {
 	// factor holds this rank's owned rows of U_n, on return also every
 	// row its local nonzeros reference. It runs inside the TRSVD timer.
 	Expand(n int, factor *dense.Matrix)
-	// ReduceCore sums the matricized core partial g over all ranks in
-	// place.
-	ReduceCore(g *dense.Matrix)
+	// ReduceCore sums the core partial g over all ranks in place,
+	// element by element.
+	ReduceCore(g []float64)
 	// Sync completes every factor on every rank, lets exactly one rank
 	// run persist (when non-nil) on that replicated state, and holds all
 	// ranks until it is durable. It closes every checkpointed sweep and
@@ -47,24 +47,28 @@ type Exchange interface {
 }
 
 // localExchange is the one-rank world: all rows are local and owned, so
-// nothing moves and the operator is the threaded dense one.
-type localExchange struct{ threads int }
+// nothing moves, and its one threaded dense operator is rebound per mode.
+type localExchange struct {
+	threads int
+	op      trsvd.DenseOperator
+}
 
-func (localExchange) BeginSweep(int) {}
+func (*localExchange) BeginSweep(int) {}
 
-func (localExchange) Fold(_ int, y *dense.Matrix, rows []int32) (*dense.Matrix, []int32) {
+func (*localExchange) Fold(_ int, y *dense.Matrix, rows []int32) (*dense.Matrix, []int32) {
 	return y, rows
 }
 
-func (l localExchange) Operator(_ int, y *dense.Matrix) trsvd.Operator {
-	return &trsvd.DenseOperator{A: y, Threads: l.threads}
+func (l *localExchange) Operator(_ int, y *dense.Matrix) trsvd.Operator {
+	l.op = trsvd.DenseOperator{A: y, Threads: l.threads}
+	return &l.op
 }
 
-func (localExchange) Expand(int, *dense.Matrix) {}
+func (*localExchange) Expand(int, *dense.Matrix) {}
 
-func (localExchange) ReduceCore(*dense.Matrix) {}
+func (*localExchange) ReduceCore([]float64) {}
 
-func (localExchange) Sync(_ []*dense.Matrix, persist func() error) error {
+func (*localExchange) Sync(_ []*dense.Matrix, persist func() error) error {
 	if persist == nil {
 		return nil
 	}

@@ -77,7 +77,7 @@ func TestCensusOnlyOnSharedOrder3Gram(t *testing.T) {
 	if err := opts.Validate(x); err != nil {
 		t.Fatal(err)
 	}
-	rank, err := NewEngine(NewRankPlan(x, opts, x.Norm(2), nil, localExchange{threads: 2})).Run(context.Background())
+	rank, err := NewEngine(NewRankPlan(x, opts, x.Norm(2), nil, &localExchange{threads: 2})).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

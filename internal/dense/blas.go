@@ -293,7 +293,10 @@ func MatMulTA(a, b *Matrix, threads int) *Matrix {
 // MatMulTAInto computes C = A^T*B (A is m x n, B is m x p, C is n x p)
 // into caller-owned storage: like GemvT a sum over rows through
 // par.ReduceRows with a pooled scratch, bitwise identical for every
-// thread count and allocation-free in steady state.
+// thread count and allocation-free in steady state. The tiles run along
+// the product's rows, so where C's are the shorter it forms Cᵀ = BᵀA, the
+// same products summed in the same order, and transposes it (a 125 x 5
+// C from 50000 rows took 4.5 times as long the other way).
 func MatMulTAInto(c, a, b *Matrix, threads int) {
 	if a.Rows != b.Rows {
 		panic("dense: MatMulTA shape mismatch")
@@ -301,6 +304,23 @@ func MatMulTAInto(c, a, b *Matrix, threads int) {
 	if c.Rows != a.Cols || c.Cols != b.Cols {
 		panic("dense: MatMulTA destination shape mismatch")
 	}
+	if b.Cols < a.Cols {
+		t := getScratch(a.Cols * b.Cols)
+		ct := Matrix{Rows: b.Cols, Cols: a.Cols, Data: t.data}
+		matMulTA(&ct, b, a, threads)
+		for k := range ct.Rows {
+			for j, v := range ct.Row(k) {
+				c.Data[j*c.Cols+k] = v
+			}
+		}
+		t.release()
+		return
+	}
+	matMulTA(c, a, b, threads)
+}
+
+// matMulTA is MatMulTAInto in C's own orientation.
+func matMulTA(c, a, b *Matrix, threads int) {
 	if par.OneBlock(a.Rows) {
 		c.Zero()
 		matMulTABlock(c.Data, a, b, 0, a.Rows)

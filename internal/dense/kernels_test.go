@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -818,6 +819,35 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		run() // grows work and warms the pools
 		if n := testing.AllocsPerRun(20, run); n != 0 {
 			t.Fatalf("threads=%d: the entry points make %v allocations per run, want 0", threads, n)
+		}
+
+		// The Kron kernels keep their state in the rows, which no
+		// collection drops: two empty every sync.Pool, and once the same
+		// calls on nil rows have refilled dense's and par's shared pools,
+		// the split calls allocate nothing. The nil calls run twice: the
+		// scratch pool hands its buffers out in turn, and the second round
+		// grows each to the largest size any of the calls takes. All run
+		// on one P, so that every Put and Get meets the same per-P cache.
+		var allocs uint64
+		procs := runtime.GOMAXPROCS(1)
+		for range 5 {
+			runtime.GC()
+			runtime.GC()
+			for range 2 {
+				kwork = SyrkKronInto(g, kfull, nil, kwork, threads)
+				KronMatMulInto(kw, kfull, nil, narrow, threads)
+				KronMatMulTAInto(kz, kfull, nil, ky, threads)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			kwork = SyrkKronInto(g, ka, kk, kwork, threads)
+			KronMatMulInto(kw, ka, kk, narrow, threads)
+			runtime.ReadMemStats(&after)
+			allocs += after.Mallocs - before.Mallocs
+		}
+		runtime.GOMAXPROCS(procs)
+		if allocs != 0 {
+			t.Fatalf("threads=%d: after two collections SyrkKronInto and KronMatMulInto make %d allocations in five calls, want 0", threads, allocs)
 		}
 	}
 }

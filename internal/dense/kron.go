@@ -1,10 +1,6 @@
 package dense
 
-import (
-	"sync"
-
-	"hypertensor/internal/par"
-)
+import "hypertensor/internal/par"
 
 // KronRows stores compactly the rows of a matrix B that follow its dense
 // prefix A and are each one scaled Kronecker product with a factor row
@@ -17,18 +13,33 @@ import (
 // row where B holds A.Cols. B is A's rows, then T's in T's order, each
 // expanded (Materialize); the Kron kernels compute with B without forming
 // it: SyrkKronInto its Gram matrix, KronMatMulInto B·W and
-// KronMatMulTAInto Bᵀ·Y.
+// KronMatMulTAInto Bᵀ·Y. Nil rows are none: B is A, and the kernels make
+// exactly SyrkInto's, MatMulInto's and MatMulTAInto's calls.
+//
+// The rows also keep the kernels' state (headers, W_j slots, M and its
+// partials), so that no call allocates once it has grown, and serve one
+// call at a time.
 type KronRows struct {
 	Ptr  []int32
 	Idx  []int32
 	U    *Matrix
 	T    Matrix
 	Slow bool
+
+	p, s, m, head, tail Matrix
+	w                   *Matrix
+	buf, slots, work    []float64
+	stride              int
 }
 
 // Rows is the number of grouped rows, Ptr's last entry: T.Rows once T is
-// bound.
-func (k *KronRows) Rows() int { return int(k.Ptr[len(k.Idx)]) }
+// bound, and 0 for nil rows.
+func (k *KronRows) Rows() int {
+	if k == nil {
+		return 0
+	}
+	return int(k.Ptr[len(k.Idx)])
+}
 
 // strides returns the distance in a row of B between consecutive
 // entries of u_j and of t_i: u slow, t fast when Slow holds.
@@ -39,11 +50,22 @@ func (k *KronRows) strides() (us, ts int) {
 	return 1, k.U.Cols
 }
 
-// check panics unless a and k describe one matrix.
+// check panics unless a and k describe one matrix (nil rows and any a do).
 func (k *KronRows) check(a *Matrix) {
-	if k.T.Cols*k.U.Cols != a.Cols || k.T.Rows != k.Rows() || len(k.T.Data) < k.T.Rows*k.T.Cols {
+	if k != nil && (k.T.Cols*k.U.Cols != a.Cols || k.T.Rows != k.Rows() || len(k.T.Data) < k.T.Rows*k.T.Cols) {
 		panic("dense: KronRows shape mismatch")
 	}
+}
+
+// split returns y's first rows rows, the ones A gives: y itself for nil
+// rows, otherwise k.head, with k.tail the rest.
+func (k *KronRows) split(y *Matrix, rows int) *Matrix {
+	if k == nil {
+		return y
+	}
+	k.head = Matrix{Rows: rows, Cols: y.Cols, Data: y.Data[:rows*y.Cols]}
+	k.tail = Matrix{Rows: y.Rows - rows, Cols: y.Cols, Data: y.Data[rows*y.Cols : y.Rows*y.Cols]}
+	return &k.head
 }
 
 // Materialize returns B, the matrix a and k describe, every grouped row
@@ -91,40 +113,56 @@ func KronMatMulMadds(multi, singles, groups, cols, rg, k int) int64 {
 	return (int64(multi)*int64(cols) + int64(singles)*int64(cols/rg) + int64(groups)*int64(cols)) * int64(k)
 }
 
+// SyrkMadds is SyrkKronMadds of a rows x cols B with these grouped rows,
+// and SyrkMadds for nil rows.
+func (k *KronRows) SyrkMadds(rows, cols int) int64 {
+	if k == nil {
+		return SyrkMadds(rows, cols)
+	}
+	return SyrkKronMadds(rows-k.Rows(), k.Rows(), len(k.Idx), cols, k.U.Cols)
+}
+
+// MatMulMadds is KronMatMulMadds of the same B and a panel of panel
+// columns, and every row at full width for nil rows.
+func (k *KronRows) MatMulMadds(rows, cols, panel int) int64 {
+	if k == nil {
+		return int64(rows) * int64(cols) * int64(panel)
+	}
+	singles := k.Rows()
+	return KronMatMulMadds(rows-singles, singles, len(k.Idx), cols, k.U.Cols, panel)
+}
+
 // SyrkKronInto computes G = BᵀB for the matrix B that a and k describe:
 // SyrkInto over a, plus K = Σ_j (u_j u_jᵀ) ⊗ S_j with S_j = T_jᵀT_j the
 // SYRK of the group's rows of T, c x c. Each group's S_j is summed
 // serially, in row order, and its row of P is vec(u_j u_jᵀ); the groups
 // run on the dynamic schedule and K's entries are the one product Pᵀ·S
-// (MatMulTAInto), so G is bitwise identical for every thread count. It
-// is BᵀB summed in another order, and exactly symmetric. P, S and their
-// product live in work once the SYRK's partials are spent; work is
+// (MatMulTAInto's sum), so G is bitwise identical for every thread count.
+// It is BᵀB summed in another order, and exactly symmetric. P, S and
+// their product live in work once the SYRK's partials are spent; work is
 // grown as needed and returned, as SyrkInto's is.
 func SyrkKronInto(g, a *Matrix, k *KronRows, work []float64, threads int) []float64 {
 	k.check(a)
-	n, rg, c := a.Cols, k.U.Cols, k.T.Cols
 	work = SyrkInto(g, a, work, threads)
-	groups := len(k.Idx)
-	if groups == 0 {
+	if k.Rows() == 0 {
 		return work
 	}
+	n, rg, c, groups := a.Cols, k.U.Cols, k.T.Cols, len(k.Idx)
 	np, ns, nm := groups*rg*rg, groups*c*c, rg*rg*c*c
 	if cap(work) < np+ns+nm {
 		work = make([]float64, np+ns+nm)
 	}
-	r := kronRuns.Get().(*kronRun)
-	r.k = k
-	r.p = Matrix{Rows: groups, Cols: rg * rg, Data: work[:np]}
-	r.s = Matrix{Rows: groups, Cols: c * c, Data: work[np : np+ns]}
-	r.m = Matrix{Rows: rg * rg, Cols: c * c, Data: work[np+ns : np+ns+nm]}
-	par.Dynamic(groups, threads, 1, (*kronGram)(r))
-	MatMulTAInto(&r.m, &r.p, &r.s, threads)
+	k.p = Matrix{Rows: groups, Cols: rg * rg, Data: work[:np]}
+	k.s = Matrix{Rows: groups, Cols: c * c, Data: work[np : np+ns]}
+	k.m = Matrix{Rows: rg * rg, Cols: c * c, Data: work[np+ns : np+ns+nm]}
+	par.Dynamic(groups, threads, 1, (*kronGram)(k))
+	k.work = par.ReduceRows(k.m.Data, groups, threads, k.work, (*kronPS)(k))
 
 	// K[(u, v), (u', v')] = M[(u, u'), (v, v')], in B's column layout.
 	us, vs := k.strides()
 	for u := 0; u < rg; u++ {
 		for u2 := 0; u2 < rg; u2++ {
-			mrow := r.m.Row(u*rg + u2)
+			mrow := k.m.Row(u*rg + u2)
 			for v := 0; v < c; v++ {
 				grow := g.Data[(u*us+v*vs)*n:]
 				for v2, val := range mrow[v*c : v*c+c] {
@@ -133,7 +171,6 @@ func SyrkKronInto(g, a *Matrix, k *KronRows, work []float64, threads int) []floa
 			}
 		}
 	}
-	r.release()
 	return work
 }
 
@@ -142,31 +179,23 @@ func SyrkKronInto(g, a *Matrix, k *KronRows, work []float64, threads int) []floa
 // T_j·W_j, where W_j = Σ_p u_j[p]·W[(p, ·), :] is the c x W.Cols block
 // of W that u_j contracts — c·W.Cols madds a grouped row where B·W
 // spends A.Cols·W.Cols. The groups run on the dynamic schedule, each W_j
-// in its worker's slot of a pooled scratch, and every row of Y is
-// matMulRows' whatever range it is computed in, so Y is bitwise
+// in its worker's slot (par.Slots) of the rows' scratch, and every row of
+// Y is matMulRows' whatever range it is computed in, so Y is bitwise
 // identical for every thread count.
 func KronMatMulInto(y, a *Matrix, k *KronRows, w *Matrix, threads int) {
 	k.check(a)
-	if w.Rows != a.Cols || y.Rows != a.Rows+k.T.Rows || y.Cols != w.Cols {
+	if w.Rows != a.Cols || y.Rows != a.Rows+k.Rows() || y.Cols != w.Cols {
 		panic("dense: KronMatMulInto shape mismatch")
 	}
-	r := kronRuns.Get().(*kronRun)
-	r.k, r.w = k, w
-	r.head = Matrix{Rows: a.Rows, Cols: w.Cols, Data: y.Data[:a.Rows*w.Cols]}
-	r.tail = Matrix{Rows: k.T.Rows, Cols: w.Cols, Data: y.Data[a.Rows*w.Cols : y.Rows*w.Cols]}
-	MatMulInto(&r.head, a, w, threads)
-	if groups := len(k.Idx); groups > 0 {
-		threads = min(par.DefaultThreads(threads), groups)
-		r.slot = k.T.Cols * w.Cols
-		if n := threads * r.slot; cap(r.buf) < n {
-			r.buf = make([]float64, n)
-		}
-		if len(r.views) < threads {
-			r.views = make([]Matrix, threads)
-		}
-		par.Dynamic(groups, threads, 1, (*kronMul)(r))
+	MatMulInto(k.split(y, a.Rows), a, w, threads)
+	if k.Rows() == 0 {
+		return
 	}
-	r.release()
+	threads = min(par.DefaultThreads(threads), len(k.Idx))
+	k.buf, k.slots, k.stride = par.Slots(k.buf, threads, k.T.Cols*w.Cols)
+	k.w = w
+	par.Dynamic(len(k.Idx), threads, 1, (*kronMul)(k))
+	k.w, k.head, k.tail = nil, Matrix{}, Matrix{}
 }
 
 // KronMatMulTAInto computes Z = Bᵀ·Y for the matrix B that a and k
@@ -176,64 +205,38 @@ func KronMatMulInto(y, a *Matrix, k *KronRows, w *Matrix, threads int) {
 // row order, so Z is bitwise identical for every thread count.
 func KronMatMulTAInto(z, a *Matrix, k *KronRows, y *Matrix, threads int) {
 	k.check(a)
-	if y.Rows != a.Rows+k.T.Rows || z.Rows != a.Cols || z.Cols != y.Cols {
+	if y.Rows != a.Rows+k.Rows() || z.Rows != a.Cols || z.Cols != y.Cols {
 		panic("dense: KronMatMulTAInto shape mismatch")
 	}
-	r := kronRuns.Get().(*kronRun)
-	r.k = k
-	r.head = Matrix{Rows: a.Rows, Cols: y.Cols, Data: y.Data[:a.Rows*y.Cols]}
-	r.tail = Matrix{Rows: k.T.Rows, Cols: y.Cols, Data: y.Data[a.Rows*y.Cols : y.Rows*y.Cols]}
-	MatMulTAInto(z, a, &r.head, threads)
-	if len(k.Idx) > 0 {
-		rg, c, bc := k.U.Cols, k.T.Cols, y.Cols
-		// M (rg x c·bc) = Σ_j u_j ⊗ vec(T_jᵀ·Y_j); row p of M is the
-		// block of Z's rows that u_j[p] scales.
-		if n := rg * c * bc; cap(r.buf) < n {
-			r.buf = make([]float64, n)
-		}
-		m := r.buf[:rg*c*bc]
-		r.work = par.ReduceRows(m, len(k.Idx), threads, r.work, (*kronSum)(r))
-		us, ts := k.strides()
-		for p := 0; p < rg; p++ {
-			for q := 0; q < c; q++ {
-				AxpyUnrolled(1, m[(p*c+q)*bc:(p*c+q+1)*bc], z.Row(p*us+q*ts))
-			}
+	MatMulTAInto(z, a, k.split(y, a.Rows), threads)
+	if k.Rows() == 0 {
+		return
+	}
+	rg, c, bc := k.U.Cols, k.T.Cols, y.Cols
+	// M (rg x c·bc) = Σ_j u_j ⊗ vec(T_jᵀ·Y_j); row p of M is the block of
+	// Z's rows that u_j[p] scales.
+	if n := rg * c * bc; cap(k.buf) < n {
+		k.buf = make([]float64, n)
+	}
+	m := k.buf[:rg*c*bc]
+	k.work = par.ReduceRows(m, len(k.Idx), threads, k.work, (*kronSum)(k))
+	us, ts := k.strides()
+	for p := 0; p < rg; p++ {
+		for q := 0; q < c; q++ {
+			AxpyUnrolled(1, m[(p*c+q)*bc:(p*c+q+1)*bc], z.Row(p*us+q*ts))
 		}
 	}
-	r.release()
-}
-
-// kronRun is the Kron kernels' pooled state: the matrix headers they
-// hand the block kernels and the group loops' operands, so that a call
-// allocates nothing once its scratch has grown.
-type kronRun struct {
-	k          *KronRows
-	w          *Matrix
-	p, s, m    Matrix
-	head, tail Matrix
-	slot       int
-	buf, work  []float64
-	views      []Matrix // a W_j header per worker
-}
-
-var kronRuns = sync.Pool{New: func() any { return new(kronRun) }}
-
-// release drops r's references to the call's matrices, keeping its
-// scratch, and returns r to the pool.
-func (r *kronRun) release() {
-	clear(r.views)
-	*r = kronRun{buf: r.buf, work: r.work, views: r.views}
-	kronRuns.Put(r)
+	k.head, k.tail = Matrix{}, Matrix{}
 }
 
 // kronGram sets the rows of P and S of groups [lo, hi) (SyrkKronInto).
-type kronGram kronRun
+type kronGram KronRows
 
-func (r *kronGram) Run(_, lo, hi int) {
-	k, c := r.k, r.k.T.Cols
+func (k *kronGram) Run(_, lo, hi int) {
+	c := k.T.Cols
 	for j := lo; j < hi; j++ {
 		u := k.U.Row(int(k.Idx[j]))
-		p, s := r.p.Row(j), r.s.Row(j)
+		p, s := k.p.Row(j), k.s.Row(j)
 		for i, ui := range u {
 			for i2, ui2 := range u {
 				p[i*len(u)+i2] = ui * ui2
@@ -249,42 +252,46 @@ func (r *kronGram) Run(_, lo, hi int) {
 	}
 }
 
+// kronPS is SyrkKronInto's Pᵀ·S: MatMulTAInto's sum over the groups.
+type kronPS KronRows
+
+func (k *kronPS) Sum(p []float64, lo, hi int) { matMulTABlock(p, &k.p, &k.s, lo, hi) }
+func (*kronPS) Add(dst, p []float64)          { AxpyUnrolled(1, p, dst) }
+
 // kronMul computes the rows of groups [lo, hi) of KronMatMulInto's Y on
 // worker w: W_j in the worker's slot, then T_j·W_j.
-type kronMul kronRun
+type kronMul KronRows
 
-func (r *kronMul) Run(w, lo, hi int) {
-	k, c, bc := r.k, r.k.T.Cols, r.w.Cols
-	wj := &r.views[w]
-	*wj = Matrix{Rows: c, Cols: bc, Data: r.buf[w*r.slot : (w+1)*r.slot]}
-	us, ts := k.strides()
+func (k *kronMul) Run(w, lo, hi int) {
+	c, bc, wm := k.T.Cols, k.w.Cols, k.w
+	wj := Matrix{Rows: c, Cols: bc, Data: k.slots[w*k.stride:][:c*bc]}
+	us, ts := (*KronRows)(k).strides()
 	for j := lo; j < hi; j++ {
 		clear(wj.Data)
 		for p, up := range k.U.Row(int(k.Idx[j])) {
 			if k.Slow {
-				AxpyUnrolled(up, r.w.Data[p*us*bc:(p*us+c)*bc], wj.Data)
+				AxpyUnrolled(up, wm.Data[p*us*bc:(p*us+c)*bc], wj.Data)
 				continue
 			}
 			for q := 0; q < c; q++ {
-				Axpy(up, r.w.Row(p*us+q*ts), wj.Row(q))
+				Axpy(up, wm.Row(p*us+q*ts), wj.Row(q))
 			}
 		}
-		matMulRows(&r.tail, &k.T, wj, int(k.Ptr[j]), int(k.Ptr[j+1]))
+		matMulRows(&k.tail, &k.T, &wj, int(k.Ptr[j]), int(k.Ptr[j+1]))
 	}
 }
 
 // kronSum is KronMatMulTAInto's group sum: Sum adds u_j ⊗ vec(T_jᵀ·Y_j)
-// of groups [lo, hi) to a partial, each T_jᵀ·Y_j formed in a pooled
-// scratch.
-type kronSum kronRun
+// of groups [lo, hi) to a partial, each T_jᵀ·Y_j formed in a block
+// temporary from the shared scratch pool.
+type kronSum KronRows
 
-func (r *kronSum) Sum(m []float64, lo, hi int) {
-	k, bc := r.k, r.tail.Cols
-	n := k.T.Cols * bc
+func (k *kronSum) Sum(m []float64, lo, hi int) {
+	n := k.T.Cols * k.tail.Cols
 	sc := getScratch(n)
 	for j := lo; j < hi; j++ {
 		clear(sc.data)
-		matMulTABlock(sc.data, &k.T, &r.tail, int(k.Ptr[j]), int(k.Ptr[j+1]))
+		matMulTABlock(sc.data, &k.T, &k.tail, int(k.Ptr[j]), int(k.Ptr[j+1]))
 		for p, up := range k.U.Row(int(k.Idx[j])) {
 			AxpyUnrolled(up, sc.data, m[p*n:(p+1)*n])
 		}

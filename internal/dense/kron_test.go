@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // kronCase is a matrix whose rows past multi are grouped Kronecker
@@ -216,5 +217,62 @@ func TestSyrkKronMadds(t *testing.T) {
 	}
 	if got, want := KronMatMulMadds(7, 30, 4, 100, 10, 3), int64(7*100*3+30*10*3+4*100*3); got != want {
 		t.Errorf("KronMatMulMadds = %d, want %d", got, want)
+	}
+}
+
+// Nil rows are no grouped rows: each Kron kernel then makes exactly the
+// plain kernel's calls, and gives its bits, on every kernel path at every
+// thread count.
+func TestNilKronRowsArePlainKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	var ops [][3]*Matrix // a, W, Y
+	for _, kc := range kronCases {
+		_, _, full := kc.build(rng)
+		ops = append(ops, [3]*Matrix{full, RandomNormal(full.Cols, 10, rng), RandomNormal(full.Rows, 10, rng)})
+	}
+	onEachPath(t, func(t *testing.T) {
+		for _, threads := range []int{1, 2, 3, 8} {
+			for i, op := range ops {
+				a, w, y := op[0], op[1], op[2]
+				n := a.Cols
+				want, got := NewMatrix(n, n), NewMatrix(n, n)
+				SyrkInto(want, a, nil, threads)
+				SyrkKronInto(got, a, nil, nil, threads)
+				wantW, gotW := NewMatrix(a.Rows, w.Cols), NewMatrix(a.Rows, w.Cols)
+				MatMulInto(wantW, a, w, threads)
+				KronMatMulInto(gotW, a, nil, w, threads)
+				wantT, gotT := NewMatrix(n, y.Cols), NewMatrix(n, y.Cols)
+				MatMulTAInto(wantT, a, y, threads)
+				KronMatMulTAInto(gotT, a, nil, y, threads)
+				for _, p := range [][2]*Matrix{{got, want}, {gotW, wantW}, {gotT, wantT}} {
+					if !bytes.Equal(bits(p[0].Data), bits(p[1].Data)) {
+						t.Fatalf("%s at %d threads: a Kron kernel on nil rows is not the plain kernel's bits", kronCases[i].name, threads)
+					}
+				}
+			}
+		}
+	})
+	var k *KronRows
+	if k.Rows() != 0 || k.SyrkMadds(7, 100) != SyrkMadds(7, 100) || k.MatMulMadds(7, 100, 3) != 7*100*3 {
+		t.Errorf("nil rows: Rows %d, SyrkMadds %d, MatMulMadds %d; want 0 and the plain counts", k.Rows(), k.SyrkMadds(7, 100), k.MatMulMadds(7, 100, 3))
+	}
+}
+
+// Every worker's W_j slot starts on a cache line of its own, whatever
+// the thread count.
+func TestKronMatMulSlotsStartOnALine(t *testing.T) {
+	kc := kronCases[len(kronCases)-1]
+	a, k, full := kc.build(rand.New(rand.NewSource(71)))
+	w, y := RandomNormal(a.Cols, 3, rand.New(rand.NewSource(73))), NewMatrix(full.Rows, 3)
+	for _, threads := range []int{1, 2, 3, 8} {
+		KronMatMulInto(y, a, k, w, threads)
+		if k.stride%8 != 0 || k.stride < kc.c*3 {
+			t.Fatalf("%d threads: slots %d float64s apart for %d", threads, k.stride, kc.c*3)
+		}
+		for i := range threads {
+			if p := uintptr(unsafe.Pointer(&k.slots[i*k.stride])); p%64 != 0 {
+				t.Fatalf("%d threads: worker %d's slot starts %d bytes into a cache line", threads, i, p%64)
+			}
+		}
 	}
 }

@@ -18,7 +18,9 @@ import "sync"
 //     where the Go loop has it (past the last whole four).
 //  2. No steady-state allocation: reduction partials and packing
 //     buffers come from a sync.Pool, whose per-P caches effectively pin
-//     a warm buffer to each worker between calls.
+//     a warm buffer to each worker between calls, or from an operand
+//     that outlives the call (SyrkInto's work, the state a KronRows
+//     keeps), which no collection empties.
 
 // dot2 returns (Dot(x0, y), Dot(x1, y)) sharing one streaming pass
 // over y: two independent single-accumulator chains with exactly Dot's

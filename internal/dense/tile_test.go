@@ -274,3 +274,33 @@ func TestSVDWorkMatchesSVD(t *testing.T) {
 		}
 	}
 }
+
+// MatMulTAInto forms a product whose rows are shorter than its columns
+// are many as the transpose of BᵀA: every element has the bits of the
+// product in its own orientation, on every kernel path and at every
+// thread count, with exact zeros in either operand (the Go loop's tail
+// skips those of its first operand, and a transposed product reads the
+// other one first) and with row counts that leave a tail.
+func TestMatMulTATransposedBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	onEachPath(t, func(t *testing.T) {
+		for _, sh := range [][3]int{{1301, 125, 5}, {2003, 100, 10}, {999, 100, 1}, {67, 9, 4}, {5, 7, 3}} {
+			a, b := RandomNormal(sh[0], sh[1], rng), RandomNormal(sh[0], sh[2], rng)
+			for i := 0; i < len(a.Data); i += 7 {
+				a.Data[i] = 0
+			}
+			for i := 0; i < len(b.Data); i += 5 {
+				b.Data[i] = 0
+			}
+			want := NewMatrix(sh[1], sh[2])
+			matMulTA(want, a, b, 1)
+			for _, threads := range []int{1, 2, 3, 8} {
+				got := NewMatrix(sh[1], sh[2])
+				MatMulTAInto(got, a, b, threads)
+				if !bytes.Equal(bits(got.Data), bits(want.Data)) {
+					t.Fatalf("%d rows, %d x %d at %d threads: not the bits of the product in its own orientation", sh[0], sh[1], sh[2], threads)
+				}
+			}
+		}
+	})
+}

@@ -255,9 +255,9 @@ func (ex *exchange) Expand(n int, factor *dense.Matrix) {
 
 // ReduceCore AllReduces the owned-row block product, so every rank
 // holds the identical dense core (Algorithm 4 line 13).
-func (ex *exchange) ReduceCore(g *dense.Matrix) {
+func (ex *exchange) ReduceCore(g []float64) {
 	b0 := ex.c.BytesSent()
-	copy(g.Data, ex.c.AllReduceSum(g.Data))
+	copy(g, ex.c.AllReduceSum(g))
 	ex.coreBytes += ex.c.BytesSent() - b0
 }
 

@@ -198,7 +198,7 @@ func (w *foldWitness) Expand(n int, factor *dense.Matrix) {
 	w.exchange.Expand(n, factor)
 }
 
-func (w *foldWitness) ReduceCore(g *dense.Matrix) {
+func (w *foldWitness) ReduceCore(g []float64) {
 	w.intact(len(w.kept)-1, "the core was formed")
 	w.exchange.ReduceCore(g)
 }

@@ -85,7 +85,7 @@ func ReduceRows(dst []float64, rows, threads int, work []float64, s Summer) []fl
 		s.Sum(dst, 0, rows)
 		return work
 	}
-	width, stride := len(dst), wholeLines(len(dst))
+	width := len(dst)
 	threads = min(DefaultThreads(threads), nb)
 	if threads == 1 {
 		var p []float64
@@ -98,7 +98,7 @@ func ReduceRows(dst []float64, rows, threads int, work []float64, s Summer) []fl
 		}
 		return work
 	}
-	work, parts := lineAligned(work, nb*stride)
+	work, parts, stride := Slots(work, nb, width)
 	r := reduceRuns.Get().(*reduceRun)
 	*r = reduceRun{rows: rows, nb: nb, width: width, stride: stride, parts: parts, s: s}
 	Dynamic(nb, threads, 1, r)
@@ -108,6 +108,15 @@ func ReduceRows(dst []float64, rows, threads int, work []float64, s Summer) []fl
 		s.Add(dst, parts[b*stride:b*stride+width])
 	}
 	return work
+}
+
+// Slots carves n per-worker slots of width float64s out of work, slot i
+// at slots[i*stride:], each on 64-byte cache lines of its own; work is
+// grown as needed and returned.
+func Slots(work []float64, n, width int) (grown, slots []float64, stride int) {
+	stride = wholeLines(width)
+	grown, slots = lineAligned(work, n*stride)
+	return grown, slots, stride
 }
 
 // lineAligned returns work, grown if it cannot hold n float64s from its

@@ -105,3 +105,24 @@ func TestWholeLinesSlabsStartOnALine(t *testing.T) {
 		}
 	}
 }
+
+// Every worker's slot starts on a cache line and no two slots share one,
+// whatever the width and however far into a line the work buffer starts.
+func TestSlotsStartOnALine(t *testing.T) {
+	var work []float64
+	for _, n := range []int{1, 2, 3, 8} {
+		for width := 1; width <= 130; width++ {
+			var slots []float64
+			var stride int
+			work, slots, stride = Slots(work[min(width%3, len(work)):], n, width)
+			if stride < width || len(slots) < n*stride {
+				t.Fatalf("n=%d width=%d: stride %d over %d float64s", n, width, stride, len(slots))
+			}
+			for i := range n {
+				if p := uintptr(unsafe.Pointer(&slots[i*stride])); p%64 != 0 {
+					t.Fatalf("n=%d width=%d: slot %d starts %d bytes into a cache line", n, width, i, p%64)
+				}
+			}
+		}
+	}
+}

@@ -90,7 +90,7 @@ func Gram(op Operator, k int, opts Options) (*Result, error) {
 		wh := dense.ReuseMatrix(ws.white, k, k)
 		ws.white = wh
 		ws.svd.GramWhitenInto(wh, c)
-		ws.rot.apply(u, wh, opThreads(op))
+		ws.rot.apply(u, wh, denseOf(op).Threads)
 	}
 	if kept < k {
 		completeBasis(op, u, sigma, opts, ws)
@@ -132,9 +132,11 @@ const rotateRows = 64
 // count. It lives in the workspace, block views included, so once its
 // scratch has grown a rotation allocates nothing.
 type rotation struct {
-	u, c    *dense.Matrix
-	scratch []float64
-	slot    int
+	u, c *dense.Matrix
+	// slots holds a worker's slot every stride float64s (par.Slots), in
+	// scratch.
+	scratch, slots []float64
+	stride         int
 	// views holds two matrix headers per worker, the block of U and its
 	// product: taken by address from here, they do not escape per block.
 	views []dense.Matrix
@@ -147,10 +149,7 @@ func (r *rotation) apply(u, c *dense.Matrix, threads int) {
 		return
 	}
 	threads = min(par.DefaultThreads(threads), blocks)
-	r.slot = rotateRows * u.Cols
-	if n := threads * r.slot; cap(r.scratch) < n {
-		r.scratch = make([]float64, n)
-	}
+	r.scratch, r.slots, r.stride = par.Slots(r.scratch, threads, rotateRows*u.Cols)
 	if len(r.views) < 2*threads {
 		r.views = make([]dense.Matrix, 2*threads)
 	}
@@ -162,7 +161,7 @@ func (r *rotation) apply(u, c *dense.Matrix, threads int) {
 // Run rotates row blocks [lo, hi) through worker w's slot.
 func (r *rotation) Run(w, lo, hi int) {
 	k := r.u.Cols
-	out := r.scratch[w*r.slot : (w+1)*r.slot]
+	out := r.slots[w*r.stride : w*r.stride+rotateRows*k]
 	rows, prod := &r.views[2*w], &r.views[2*w+1]
 	for blk := lo; blk < hi; blk++ {
 		r0, r1 := blk*rotateRows, min((blk+1)*rotateRows, r.u.Rows)

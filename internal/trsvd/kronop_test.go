@@ -142,3 +142,62 @@ func TestSplitOperatorMadds(t *testing.T) {
 		t.Errorf("plain operator: MatMatMadds = %d, want %d; GramMadds = %d", got, want, GramMadds(plain))
 	}
 }
+
+// A DenseOperator without Kron is the plain kernels: every method gives
+// their bits, on every kernel path at 1, 2, 3 and 8 threads.
+func TestNilKronOperatorIsThePlainKernels(t *testing.T) {
+	for _, path := range dense.KernelPaths() {
+		restore := dense.UseKernelPath(path)
+		rng := rand.New(rand.NewSource(79))
+		for _, sc := range splitCases {
+			a := sc.build(rng).A
+			if a.Rows == 0 {
+				continue
+			}
+			for _, threads := range []int{1, 2, 3, 8} {
+				op := &DenseOperator{A: a, Threads: threads}
+				got := applyAll(op, 13)
+				// applyAll's operands, drawn again, through the plain kernels.
+				rng := rand.New(rand.NewSource(13))
+				x, yv := dense.RandomNormal(a.Cols, 1, rng).Data, dense.RandomNormal(a.Rows, 1, rng).Data
+				w, y := dense.RandomNormal(a.Cols, 10, rng), dense.RandomNormal(a.Rows, 10, rng)
+				ax, aty := make([]float64, a.Rows), make([]float64, a.Cols)
+				aw, aty10, yty, g := dense.NewMatrix(a.Rows, 10), dense.NewMatrix(a.Cols, 10), dense.NewMatrix(10, 10), dense.NewMatrix(a.Cols, a.Cols)
+				dense.Gemv(a, x, ax, threads)
+				dense.GemvT(a, yv, aty, threads)
+				dense.MatMulInto(aw, a, w, threads)
+				dense.MatMulTAInto(aty10, a, y, threads)
+				dense.MatMulTAInto(yty, y, y, threads)
+				dense.SyrkInto(g, a, nil, threads)
+				want := [][]float64{{float64(a.Rows)}, {float64(a.Cols)}, ax, aty, aw.Data, aty10.Data, yty.Data, g.Data}
+				for m, name := range methodNames {
+					for i, v := range want[m] {
+						if math.Float64bits(got[m][i]) != math.Float64bits(v) {
+							t.Fatalf("%s, %s at %d threads: %s is not the plain kernel's bits", path, sc.name, threads, name)
+						}
+					}
+				}
+			}
+		}
+		restore()
+	}
+}
+
+// A split operator's MatVec and MatTVec, the Lanczos solver's products,
+// allocate nothing once the rows' scratch has grown.
+func TestSplitOperatorVectorProductsDoNotAllocate(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector makes sync.Pool drop puts at random")
+	}
+	op := splitCases[len(splitCases)-1].build(rand.New(rand.NewSource(83)))
+	x, y := make([]float64, op.Cols()), make([]float64, op.LocalRows())
+	for _, threads := range []int{1, 2} {
+		op.Threads = threads
+		if n := testing.AllocsPerRun(20, func() {
+			op.MatVec(x, y)
+			op.MatTVec(y, x)
+		}); n != 0 {
+			t.Fatalf("threads=%d: MatVec and MatTVec make %v allocations per call, want 0", threads, n)
+		}
+	}
+}

@@ -52,42 +52,40 @@ type Operator interface {
 // matrix's rows past A compactly as grouped Kronecker products (a mode of
 // the flat kernel in split order, ttm.Flat.SplitSingletons): the
 // operator is then the matrix dense.KronRows describes, A its first
-// rows, and every method reads the grouped rows at their compact width
-// through the dense Kron kernels (MatVec and MatTVec as one-column
-// MatMat and MatTMat).
+// rows. Every method runs the dense Kron kernels, which make the plain
+// kernels' calls when Kron is nil, except that MatVec and MatTVec then
+// run the GEMVs.
 type DenseOperator struct {
 	A       *dense.Matrix
 	Threads int
 	Kron    *dense.KronRows
+	x, y    dense.Matrix // MatVec's and MatTVec's columns, kept from escaping
 }
 
 // LocalRows returns the row count of the wrapped matrix.
-func (o *DenseOperator) LocalRows() int {
-	if o.Kron != nil {
-		return o.A.Rows + o.Kron.T.Rows
-	}
-	return o.A.Rows
-}
+func (o *DenseOperator) LocalRows() int { return o.A.Rows + o.Kron.Rows() }
 
 // Cols returns the column count of the wrapped matrix.
 func (o *DenseOperator) Cols() int { return o.A.Cols }
 
 // MatVec computes y = A x with the threaded GEMV kernel.
 func (o *DenseOperator) MatVec(x, y []float64) {
-	if o.Kron != nil {
-		o.MatMat(&dense.Matrix{Rows: len(x), Cols: 1, Data: x}, &dense.Matrix{Rows: len(y), Cols: 1, Data: y})
+	if o.Kron == nil {
+		dense.Gemv(o.A, x, y, o.Threads)
 		return
 	}
-	dense.Gemv(o.A, x, y, o.Threads)
+	o.x, o.y = dense.Matrix{Rows: len(x), Cols: 1, Data: x}, dense.Matrix{Rows: len(y), Cols: 1, Data: y}
+	o.MatMat(&o.x, &o.y)
 }
 
 // MatTVec computes x = Aᵀ y with the threaded transposed GEMV kernel.
 func (o *DenseOperator) MatTVec(y, x []float64) {
-	if o.Kron != nil {
-		o.MatTMat(&dense.Matrix{Rows: len(y), Cols: 1, Data: y}, &dense.Matrix{Rows: len(x), Cols: 1, Data: x})
+	if o.Kron == nil {
+		dense.GemvT(o.A, y, x, o.Threads)
 		return
 	}
-	dense.GemvT(o.A, y, x, o.Threads)
+	o.x, o.y = dense.Matrix{Rows: len(x), Cols: 1, Data: x}, dense.Matrix{Rows: len(y), Cols: 1, Data: y}
+	o.MatTMat(&o.y, &o.x)
 }
 
 // RowDot is a plain local dot product over this rank's rows — long
@@ -102,77 +100,52 @@ func (o *DenseOperator) GlobalRow(local int) int64 { return int64(local) }
 // MatMat computes Y = A·W in one BLAS3 pass (register-tiled GEMM)
 // instead of W.Cols separate GEMVs.
 func (o *DenseOperator) MatMat(w, y *dense.Matrix) {
-	if o.Kron != nil {
-		dense.KronMatMulInto(y, o.A, o.Kron, w, o.Threads)
-		return
-	}
-	dense.MatMulInto(y, o.A, w, o.Threads)
+	dense.KronMatMulInto(y, o.A, o.Kron, w, o.Threads)
 }
 
 // MatTMat computes Z = Aᵀ·Y in one BLAS3 pass with the fixed-block
 // deterministic reduction.
 func (o *DenseOperator) MatTMat(y, z *dense.Matrix) {
-	if o.Kron != nil {
-		dense.KronMatMulTAInto(z, o.A, o.Kron, y, o.Threads)
-		return
-	}
-	dense.MatMulTAInto(z, o.A, y, o.Threads)
+	dense.KronMatMulTAInto(z, o.A, o.Kron, y, o.Threads)
 }
 
 // RowGram computes g = YᵀY with the fixed-block deterministic BLAS3
 // reduction.
 func (o *DenseOperator) RowGram(y, g *dense.Matrix) { dense.MatMulTAInto(g, y, y, o.Threads) }
 
-// Gram computes g = AᵀA with the threaded symmetric rank-k kernel, over
-// the rows Kron does not describe when it is set (dense.SyrkKronInto).
+// Gram computes g = AᵀA with the threaded symmetric rank-k kernel.
 func (o *DenseOperator) Gram(g *dense.Matrix, work []float64) []float64 {
-	if o.Kron != nil {
-		return dense.SyrkKronInto(g, o.A, o.Kron, work, o.Threads)
-	}
-	return dense.SyrkInto(g, o.A, work, o.Threads)
+	return dense.SyrkKronInto(g, o.A, o.Kron, work, o.Threads)
 }
 
-// GramMadds is the multiply-adds op.Gram runs on this rank's rows: the
-// split product's where a DenseOperator has Kron, the upper triangle of
-// every row's term otherwise.
+// GramMadds is the multiply-adds op.Gram runs on this rank's rows: a
+// DenseOperator's as its Kron counts them, the upper triangle of every
+// row's term for any other operator.
 func GramMadds(op Operator) int64 {
-	if k := kronOf(op); k != nil {
-		return dense.SyrkKronMadds(op.LocalRows()-k.T.Rows, k.T.Rows, len(k.Idx), op.Cols(), k.U.Cols)
-	}
-	return dense.SyrkMadds(op.LocalRows(), op.Cols())
+	return denseOf(op).Kron.SyrkMadds(op.LocalRows(), op.Cols())
 }
 
 // MatMatMadds is the multiply-adds op.MatMat runs on this rank's rows
-// for a panel of k columns: the split product's where a DenseOperator
-// has Kron, every row at full width otherwise.
+// for a panel of k columns: a DenseOperator's as its Kron counts them,
+// every row at full width for any other operator.
 func MatMatMadds(op Operator, k int) int64 {
-	if kr := kronOf(op); kr != nil {
-		return dense.KronMatMulMadds(op.LocalRows()-kr.T.Rows, kr.T.Rows, len(kr.Idx), op.Cols(), kr.U.Cols, k)
-	}
-	return int64(op.LocalRows()) * int64(op.Cols()) * int64(k)
-}
-
-// kronOf is a DenseOperator's Kron, nil for any other operator.
-func kronOf(op Operator) *dense.KronRows {
-	if d, ok := op.(*DenseOperator); ok {
-		return d.Kron
-	}
-	return nil
+	return denseOf(op).Kron.MatMulMadds(op.LocalRows(), op.Cols(), k)
 }
 
 var _ Operator = (*DenseOperator)(nil)
 
-// opThreads returns the operator's shared-memory thread budget for the
-// solver's own dense work (reorthogonalization sweeps): DenseOperator
-// carries one explicitly; any other operator (the distributed ones,
-// whose rank goroutines each run a solver concurrently) gets 1 so SPMD
-// ranks never oversubscribe the machine through the fallback spawner.
-func opThreads(op Operator) int {
+// denseOf returns op if it is a DenseOperator and otherwise notDense: no
+// Kron rows, and one thread for the solver's own dense work, since a
+// distributed operator's rank goroutines each run a solver concurrently.
+func denseOf(op Operator) *DenseOperator {
 	if d, ok := op.(*DenseOperator); ok {
-		return d.Threads
+		return d
 	}
-	return 1
+	return &notDense
 }
+
+// notDense is read-only.
+var notDense = DenseOperator{Threads: 1}
 
 // hashUnit fills v with deterministic pseudo-random values derived from
 // (seed, id(i)) and is used to (re)start Krylov spaces and complete

@@ -97,7 +97,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		b = cols
 	}
 	ws := opts.work()
-	threads := opThreads(op)
+	threads := denseOf(op).Threads
 	res := &Result{}
 
 	// Sketch W (cols x b, replicated).

@@ -1,6 +1,9 @@
 package ttm
 
-import "hypertensor/internal/dense"
+import (
+	"hypertensor/internal/dense"
+	"hypertensor/internal/par"
+)
 
 // KronRows writes the Kronecker product of the given row vectors into
 // dst, which must have length equal to the product of the row lengths.
@@ -85,39 +88,35 @@ func accumKron(dst []float64, x float64, rows [][]float64, bufA, bufB []float64)
 }
 
 // kronScratch is one worker's scratch: the factor rows of the entry at
-// hand, two Kronecker prefix buffers and Flat's run accumulator.
+// hand, two Kronecker prefix buffers and Flat's run accumulator, the
+// last three in one slot of slab.
 type kronScratch struct {
-	rows            [][]float64
-	bufA, bufB, acc []float64
+	rows                  [][]float64
+	bufA, bufB, acc, slab []float64
 }
 
 // growKronScratch returns s holding a scratch for each of threads
 // workers, with room for order factor rows, for Kronecker prefixes of
 // length kron and for an accumulator of length acc (0 for the tree,
 // which has none); what is already large enough is kept. Every worker
-// writes its scratch once per nonzero, and small allocations made back
-// to back sit side by side in memory, so each worker's slices start and
-// end a cache line inside their allocation: no two workers share a line.
+// writes its scratch once per nonzero, so each worker's buffers are a
+// slot of its own (par.Slots), which starts and ends on a cache line,
+// and its row headers sit a line inside their allocation: no two workers
+// share a line. The tree's prefix buffer at ranks 5 once came from a
+// 208-byte size class that is not whole lines, and its TTMc ran 17%
+// slower on buffers that straddled them.
 func growKronScratch(s []kronScratch, threads, order, kron, acc int) []kronScratch {
-	const (
-		linePad = 8 // float64s in a 64-byte line
-		rowsPad = 3 // slice headers covering a 64-byte line
-	)
+	const rowsPad = 3 // slice headers covering a 64-byte line
 	for len(s) < threads {
 		s = append(s, kronScratch{rows: make([][]float64, order+2*rowsPad)[rowsPad : rowsPad+order]})
 	}
 	for w := range s[:threads] {
-		if sc := &s[w]; cap(sc.bufA) < kron || len(sc.acc) < acc {
-			// Whole lines: the size class a multiple of 64 bytes lands in is
-			// one too, so the slab starts on a line. The tree's 208-byte
-			// slab at ranks 5 (2 x 5 + padding, once it stopped carrying
-			// acc) came from a class that is not, and its TTMc ran 17%
-			// slower on buffers that straddled lines.
-			slab := make([]float64, (2*kron+acc+3*linePad-1)/linePad*linePad)
-			sc.bufA = slab[linePad : linePad+kron : linePad+kron]
-			sc.bufB = slab[linePad+kron : linePad+2*kron : linePad+2*kron]
-			sc.acc = slab[linePad+2*kron : linePad+2*kron+acc]
-		}
+		sc := &s[w]
+		var slot []float64
+		sc.slab, slot, _ = par.Slots(sc.slab, 1, 2*kron+acc)
+		sc.bufA = slot[:kron:kron]
+		sc.bufB = slot[kron : 2*kron : 2*kron]
+		sc.acc = slot[2*kron : 2*kron+acc]
 	}
 	return s
 }

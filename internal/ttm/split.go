@@ -34,16 +34,16 @@ func (c Census) Taken() bool { return c.Group >= 0 && c.Split < c.Plain }
 // into the returned rows' T: the nonzero's value times its row of the
 // factor that is neither n's nor Group's, c = RowSize/R_Group entries
 // (just the value on order 2). It returns the groups as the split
-// matrix's rows (dense.KronRows), U and T left for the caller to bind to
-// the current factor of Group and to T.Rows x c storage before each
-// TTMc, or nil where the split is not taken. Only an order-3 or order-2
-// tensor has one: there a singleton row is a Kronecker product of the
-// grouping factor's row and one other, in the layout of the row's
-// columns (Group is the slow index when it is the lead mode). The update
-// lists and their order stay as they were, and so do the multi rows'
-// bits. The census reads the mode's index streams once, in passes
-// without a data-dependent branch, and allocates O(rows + the other
-// modes' sizes / 64) words, nothing sized by a row's length.
+// matrix's rows (dense.KronRows), T left for the caller to bind to
+// T.Rows x c storage before each TTMc, which binds U, or nil where the
+// split is not taken. Only an order-3 or order-2 tensor has one: there a
+// singleton row is a Kronecker product of the grouping factor's row and
+// one other, in the layout of the row's columns (Group is the slow index
+// when it is the lead mode). The update lists and their order stay as
+// they were, and so do the multi rows' bits. The census reads the mode's
+// index streams once, in passes without a data-dependent branch, and
+// allocates O(rows + the other modes' sizes / 64) words, nothing sized
+// by a row's length.
 func (k *Flat) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 	sm := &k.sym.Modes[n]
 	ptr, rows, cols := sm.Ptr, sm.NumRows(), 1

@@ -184,6 +184,14 @@ func (k *Flat) Rows(n int) []int32 {
 	return k.sym.Modes[n].Rows
 }
 
+// SplitRows is mode n's SplitSingletons rows, nil if it has none.
+func (k *Flat) SplitRows(n int) *dense.KronRows {
+	if sp := k.splitOf(n); sp != nil {
+		return sp.kron
+	}
+	return nil
+}
+
 // splitOf is mode n's split order, nil where it has none.
 func (k *Flat) splitOf(n int) *splitMode {
 	if k.split == nil {
@@ -195,7 +203,7 @@ func (k *Flat) splitOf(n int) *splitMode {
 // TTMc computes the mode-n product for every row of the mode's update
 // lists, in the order of Rows(n) (see TTMc): into y, or for a mode in
 // split order its multi rows into y and its singletons into the T its
-// SplitSingletons rows hold.
+// SplitSingletons rows hold, binding their U to the grouping factor.
 func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
 	k.run(y, &k.sym.Modes[n], k.splitOf(n), u, threads)
 }
@@ -221,6 +229,7 @@ func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, sp *splitMode, u []*dense
 		if t := &sp.kron.T; t.Rows != sm.NumRows()-rows || t.Cols != rowSize/u[sp.group].Cols {
 			panic("ttm: TTMc compact row shape mismatch")
 		}
+		sp.kron.U = u[sp.group]
 	}
 	if y.Rows != rows || y.Cols != rowSize {
 		panic("ttm: TTMc output shape mismatch")
