@@ -160,12 +160,12 @@ func (e *Engine) splitRows(n int) *dense.KronRows {
 }
 
 // operator is mode n's TRSVD operator on its folded rows y: the
-// exchange's, which is the dense one wherever a census ran, with a split
-// mode's compact rows (bound by shapeY) behind y's.
+// exchange's, whose dense operator takes a split mode's compact rows
+// (bound by shapeY) behind y's.
 func (e *Engine) operator(n int, y *dense.Matrix) trsvd.Operator {
 	op := e.ex.Operator(n, y)
 	if kr := e.splitRows(n); kr != nil {
-		op.(*trsvd.DenseOperator).Kron = kr
+		op.Dense().Kron = kr
 	}
 	return op
 }
@@ -380,18 +380,18 @@ func (e *Engine) scatter(n int, compact *dense.Matrix, rows []int32) {
 
 // formCore computes a sweep's core G = Y ×_N U_Nᵀ into the engine's
 // buffer. Along the last mode the core's row-major layout is G_(N)ᵀ =
-// Yᵀ·U_c, which the last mode's operator product forms there
-// (dense.KronMatMulTAInto, a split mode's singletons read at their
-// compact width) from the compact rows uc the last solve returned: the
-// rows scatter wrote into U_N, so nothing is gathered. The world then
-// reduces it.
-func (e *Engine) formCore(y, uc *dense.Matrix, threads int) *tensor.Dense {
+// Yᵀ·U_c, which the last mode's dense operator forms there (MatTMat on
+// this rank's rows, a split mode's singletons read at their compact
+// width) from the compact rows uc the last solve returned: the rows
+// scatter wrote into U_N, so nothing is gathered. The world then reduces
+// it.
+func (e *Engine) formCore(y, uc *dense.Matrix) *tensor.Dense {
 	ranks := e.currentRanks()
 	if e.core == nil || !slices.Equal(e.core.Dims, ranks) {
 		e.core = tensor.NewDense(ranks)
 	}
 	gt := dense.Matrix{Rows: y.Cols, Cols: uc.Cols, Data: e.core.Data}
-	dense.KronMatMulTAInto(&gt, y, e.splitRows(e.order-1), uc, threads)
+	e.operator(e.order-1, y).Dense().MatTMat(uc, &gt)
 	e.ex.ReduceCore(e.core.Data)
 	return e.core
 }
@@ -515,7 +515,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 		}
 
 		t0 := time.Now()
-		g = e.formCore(y, uc, opts.Threads)
+		g = e.formCore(y, uc)
 		res.Timings.Core += time.Since(t0)
 
 		normG := g.Norm()

@@ -47,7 +47,8 @@ type Exchange interface {
 }
 
 // localExchange is the one-rank world: all rows are local and owned, so
-// nothing moves, and its one threaded dense operator is rebound per mode.
+// nothing moves, and its one threaded dense operator is rebound per mode,
+// keeping its kernels' state.
 type localExchange struct {
 	threads int
 	op      trsvd.DenseOperator
@@ -60,7 +61,7 @@ func (*localExchange) Fold(_ int, y *dense.Matrix, rows []int32) (*dense.Matrix,
 }
 
 func (l *localExchange) Operator(_ int, y *dense.Matrix) trsvd.Operator {
-	l.op = trsvd.DenseOperator{A: y, Threads: l.threads}
+	l.op.A, l.op.Threads, l.op.Kron = y, l.threads, nil
 	return &l.op
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
@@ -43,12 +42,18 @@ import (
 // tree's root-child streams, the two modes a child drops in its group
 // order: the first child's order is the storage order and aliases the
 // tensor, so exactly the second child's two streams count, 8 B x nnz.
-// Allocations per sweep depend on the runtime as well, so they are the
-// least of three runs against a bound two above what was recorded (7 on
-// the flat kernel, 9 on the tree, for either solver, since the solver's
-// U and the core live in the workspace and the engine; 25/25 and 30/34
-// while every solve returned a fresh U and the core was gathered and
-// unfolded into fresh matrices): one make per mode per sweep crosses it.
+// Allocations per sweep are held with == too, at one, two and three
+// threads: one literal per preset, which both solvers make (the Results
+// and the fit history; every kernel's state is kept by the engine, the
+// operator, the workspace or the pool, which no collection empties).
+// The runtime may add one of its own (a sudog after a collection has
+// emptied its cache, an OS thread), never take one away, so a count
+// above the literal is measured again and the least of three is held.
+// It was a bound of 7 on the flat kernel and 9 on the tree, taken at
+// one thread only, while seven sync.Pools under the sweep were remade
+// after a collection (T2 read 10-13); 25/25 and 30/34 while every solve
+// returned a fresh U and the core was gathered and unfolded into fresh
+// matrices.
 func TestRecordedCounts(t *testing.T) {
 	type solverCounts struct {
 		ttmcMadds                       int64 // per sweep
@@ -62,17 +67,17 @@ func TestRecordedCounts(t *testing.T) {
 		streamBytes     int64 // flat: 2 non-storage-order modes x 2 streams x 4 B x nnz; tree: the second root child's 2 streams x 4 B x nnz
 		randomizedMadds int64 // TRSVD, whole run
 		snapshotBytes   int
-		allocsBound     int64 // per sweep at one thread
+		allocs          int64 // per sweep, either solver, at one to three threads
 		auto            string
 		lanczos, dflt   solverCounts
 	}{
-		{"netflix", 460632, 614176, 51060480, 166069, 9, "[gram gram gram]",
+		{"netflix", 460632, 614176, 51060480, 166069, 4, "[gram gram gram]",
 			solverCounts{4469116, 20831360, 332, 0, 2, 13711512}, solverCounts{4462174, 23079585, 18, 0, 2, 13711512}},
-		{"nell", 374400, 499200, 116251200, 1260357, 9, "[gram gram gram]",
+		{"nell", 374400, 499200, 116251200, 1260357, 4, "[gram gram gram]",
 			solverCounts{3716400, 49085600, 412, 0, 2, 10391260}, solverCounts{3555700, 40167405, 18, 0, 2, 10391260}},
-		{"delicious", 896016, 448008, 177053500, 3250249, 11, "[gram gram gram gram]",
+		{"delicious", 896016, 448008, 177053500, 3250249, 5, "[gram gram gram gram]",
 			solverCounts{6922300, 59142500, 356, 0, 2, 14029400}, solverCounts{6922300, 134487000, 24, 0, 2, 14029400}},
-		{"flickr", 716800, 358400, 112560500, 4821409, 11, "[gram gram gram gram]",
+		{"flickr", 716800, 358400, 112560500, 4821409, 5, "[gram gram gram gram]",
 			solverCounts{5290500, 44326250, 380, 0, 2, 10728400}, solverCounts{5290500, 94834500, 24, 0, 2, 10728400}},
 	} {
 		x, ranks := presetTensor(t, want.preset, 0.2)
@@ -83,17 +88,24 @@ func TestRecordedCounts(t *testing.T) {
 		}{{SVDLanczos, want.lanczos}, {SVDAuto, want.dflt}} {
 			opts.svd = sv.svd
 			// The fit trajectory must not depend on the thread count, bit
-			// for bit. The one-thread runs (parallel regions inline, so no
-			// worker pool in the count) also count allocations.
+			// for bit, and up to three threads neither must the
+			// allocation count.
 			var first *Result
-			allocs := int64(math.MaxInt64)
-			for _, threads := range []int{1, 1, 1, 2, 4, 8} {
+			for _, threads := range []int{1, 2, 3, 4, 8} {
 				o := opts
 				o.Threads = threads
-				o.MeasureAllocs = threads == 1
+				o.MeasureAllocs = threads <= 3
 				res := mustRun(t, x, o)
 				if o.MeasureAllocs {
-					allocs = min(allocs, res.AllocsPerSweep)
+					allocs := res.AllocsPerSweep
+					for range 2 {
+						if allocs > want.allocs {
+							allocs = min(allocs, mustRun(t, x, o).AllocsPerSweep)
+						}
+					}
+					if allocs != want.allocs {
+						t.Errorf("%s svd=%v threads=%d: %d allocations per sweep, recorded %d", want.preset, sv.svd, threads, allocs, want.allocs)
+					}
 				}
 				if first == nil {
 					first = res
@@ -121,9 +133,6 @@ func TestRecordedCounts(t *testing.T) {
 			}
 			if ran := fmt.Sprint(first.SVD); ran != wantSVD {
 				t.Errorf("%s svd=%v: ran %s, want %s", want.preset, sv.svd, ran, wantSVD)
-			}
-			if !raceBuild && (allocs <= 0 || allocs > want.allocsBound) {
-				t.Errorf("%s svd=%v: %d allocations per sweep, bound %d", want.preset, sv.svd, allocs, want.allocsBound)
 			}
 
 			// The update path on the tree, to a converged tolerance, so the

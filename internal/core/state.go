@@ -31,6 +31,9 @@ type SweepState struct {
 	Step int64
 	// SolveCounts accumulates over the state's lifetime.
 	SolveCounts
+	// op is SolveDense's and SolveDenseEps's operator, rebound per call
+	// so that its kernels' state outlives the call.
+	op trsvd.DenseOperator
 }
 
 // SolveCounts is what Solve keeps count of: the mode solves, their
@@ -95,7 +98,8 @@ func (s *SweepState) Solve(op trsvd.Operator, rank int, method SVDMethod) (*trsv
 // vector are ignored; the signature is the one the repository
 // benchmark compiles against.
 func (s *SweepState) SolveDense(y *dense.Matrix, n, rank int, method SVDMethod, threads int, warm []float64) (*dense.Matrix, int, error) {
-	r, err := s.Solve(&trsvd.DenseOperator{A: y, Threads: threads}, rank, method)
+	s.op.A, s.op.Threads = y, threads
+	r, err := s.Solve(&s.op, rank, method)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -134,8 +138,9 @@ func (s *SweepState) SolveDenseEps(y *dense.Matrix, guess, capR, threads int, ta
 		k = maxR
 	}
 	matvecs := 0
+	s.op.A, s.op.Threads = y, threads
 	for {
-		r, err := s.Solve(&trsvd.DenseOperator{A: y, Threads: threads}, k, SVDRandomized)
+		r, err := s.Solve(&s.op, k, SVDRandomized)
 		if err != nil {
 			return nil, 0, 0, err
 		}

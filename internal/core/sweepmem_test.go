@@ -16,13 +16,8 @@ import (
 // the fit history's growth) stays below the smallest factor of any mode
 // on all four presets — on the netflix preset the 8 x 8 third factor,
 // 512 bytes, where a solve's U or a core alone would cross it. The
-// least of three runs is taken, as for the allocation count, and the
-// race detector's random sync.Pool drops skip the test as they skip
-// that count.
+// least of three runs is taken, as for the allocation count.
 func TestSweepAllocatesNoFactorSizedMemory(t *testing.T) {
-	if raceBuild {
-		t.Skip("the race detector makes sync.Pool drop puts at random")
-	}
 	split := false
 	for _, preset := range []string{"netflix", "nell", "delicious", "flickr"} {
 		x, ranks := presetTensor(t, preset, 0.2)

@@ -2,7 +2,6 @@ package dense
 
 import (
 	"math"
-	"sync"
 
 	"hypertensor/internal/par"
 )
@@ -138,11 +137,42 @@ func Nrm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
+// The package-level level-2/3 kernels run on a fresh Scratch, for
+// one-shot calls; a caller that repeats a call keeps a Scratch.
+
+// GemvInto computes y = A*x into caller-owned storage; see Scratch.Gemv.
+func GemvInto(y []float64, a *Matrix, x []float64, threads int) { new(Scratch).Gemv(a, x, y, threads) }
+
+// GemvTInto computes y = A^T*x; see Scratch.GemvT.
+func GemvTInto(y []float64, a *Matrix, x []float64, threads int) {
+	new(Scratch).GemvT(a, x, y, threads)
+}
+
+// MatMul returns C = A*B; see Scratch.MatMulInto.
+func MatMul(a, b *Matrix, threads int) *Matrix {
+	c := NewMatrix(a.Rows, b.Cols)
+	MatMulInto(c, a, b, threads)
+	return c
+}
+
+// MatMulInto computes C = A*B into c; see Scratch.MatMulInto.
+func MatMulInto(c, a, b *Matrix, threads int) { new(Scratch).MatMulInto(c, a, b, threads) }
+
+// MatMulTA returns C = A^T*B; see Scratch.MatMulTAInto.
+func MatMulTA(a, b *Matrix, threads int) *Matrix {
+	c := NewMatrix(a.Cols, b.Cols)
+	MatMulTAInto(c, a, b, threads)
+	return c
+}
+
+// MatMulTAInto computes C = A^T*B into c; see Scratch.MatMulTAInto.
+func MatMulTAInto(c, a, b *Matrix, threads int) { new(Scratch).MatMulTAInto(c, a, b, threads) }
+
 // Gemv computes y = A*x for a row-major matrix (BLAS2 kernel of the
 // shared-memory TRSVD). threads <= 1, or a problem below the serial
 // cutoff, runs inline; either way row i is the same Dot, so the result
-// is bitwise identical for every thread count.
-func Gemv(a *Matrix, x, y []float64, threads int) {
+// is bitwise identical for every thread count. The region body is s.
+func (s *Scratch) Gemv(a *Matrix, x, y []float64, threads int) {
 	if len(x) != a.Cols || len(y) != a.Rows {
 		panic("dense: Gemv shape mismatch")
 	}
@@ -153,29 +183,17 @@ func Gemv(a *Matrix, x, y []float64, threads int) {
 		gemvRows(y, a, x, 0, a.Rows)
 		return
 	}
-	g := gemvRunPool.Get().(*gemvRun)
-	g.a, g.x, g.y = a, x, y
-	par.Static(a.Rows, threads, g)
-	*g = gemvRun{}
-	gemvRunPool.Put(g)
+	s.a, s.x, s.y = a, x, y
+	par.Static(a.Rows, threads, (*gemvRun)(s))
 }
 
-// gemvRun is the pooled par.Body of the parallel Gemv: submitting it
-// by interface keeps a steady-state GEMV region allocation-free (a
-// closure would allocate per call). The other kernels' runners below
-// follow it.
-type gemvRun struct {
-	a    *Matrix
-	x, y []float64
-}
+// gemvRun is the parallel Gemv's par.Body, a view of the scratch that
+// holds its operands: submitting it by interface keeps a GEMV region
+// allocation-free (a closure would allocate per call). The other
+// kernels' bodies below follow it.
+type gemvRun Scratch
 
 func (g *gemvRun) Run(_, lo, hi int) { gemvRows(g.y, g.a, g.x, lo, hi) }
-
-var gemvRunPool = sync.Pool{New: func() any { return new(gemvRun) }}
-
-// GemvInto is Gemv with the destination first, mirroring the other
-// *Into kernels: y = A*x written into caller-owned storage.
-func GemvInto(y []float64, a *Matrix, x []float64, threads int) { Gemv(a, x, y, threads) }
 
 // gemvRows computes y[lo:hi] = A[lo:hi,:]*x with a two-row register
 // tile. Each row's dot product uses exactly Dot's single-accumulator
@@ -196,9 +214,9 @@ func gemvRows(y []float64, a *Matrix, x []float64, lo, hi int) {
 // in the paper), a sum over the rows of A through par.ReduceRows, so
 // the result is bitwise identical for every thread count, which keeps
 // the HOOI fit trajectory invariant under the -threads knob. The block
-// partials and the operands ride in one pooled scratch, and a one-block
-// sum skips even that, so steady-state calls allocate nothing.
-func GemvT(a *Matrix, x, y []float64, threads int) {
+// partials and the operands live in s, and a one-block sum skips even
+// that.
+func (s *Scratch) GemvT(a *Matrix, x, y []float64, threads int) {
 	if len(x) != a.Rows || len(y) != a.Cols {
 		panic("dense: GemvT shape mismatch")
 	}
@@ -210,24 +228,18 @@ func GemvT(a *Matrix, x, y []float64, threads int) {
 	if a.Rows*a.Cols < serialCutoff {
 		threads = 1
 	}
-	sc := scratchPool.Get().(*scratch)
-	sc.a, sc.x = a, x
-	sc.data = par.ReduceRows(y, a.Rows, threads, sc.data, (*gemvtSum)(sc))
-	sc.a, sc.x = nil, nil
-	sc.release()
+	s.a, s.x = a, x
+	s.part = par.ReduceRows(y, a.Rows, threads, s.part, (*gemvtSum)(s))
 }
 
 // gemvtSum is GemvT's block kernel, a view of the scratch that holds its
 // operands and partials. Like the other row sums it adds partials with
 // AxpyUnrolled: the Go loop's bits, several times as fast on the wide
 // Gram partials.
-type gemvtSum scratch
+type gemvtSum Scratch
 
-func (s *gemvtSum) Sum(p []float64, lo, hi int) { gemvtBlock(p, s.a, s.x, lo, hi) }
-func (*gemvtSum) Add(dst, p []float64)          { AxpyUnrolled(1, p, dst) }
-
-// GemvTInto is GemvT with the destination first: y = A^T*x.
-func GemvTInto(y []float64, a *Matrix, x []float64, threads int) { GemvT(a, x, y, threads) }
+func (s *gemvtSum) Sum(_ int, p []float64, lo, hi int) { gemvtBlock(p, s.a, s.x, lo, hi) }
+func (*gemvtSum) Add(dst, p []float64)                 { AxpyUnrolled(1, p, dst) }
 
 // gemvtBlock accumulates y += A[lo:hi,:]^T * x[lo:hi] with a four-row
 // register tile; element j is updated in ascending row order exactly
@@ -242,20 +254,14 @@ func gemvtBlock(y []float64, a *Matrix, x []float64, lo, hi int) {
 	}
 }
 
-// MatMul returns C = A*B; see MatMulInto.
-func MatMul(a, b *Matrix, threads int) *Matrix {
-	c := NewMatrix(a.Rows, b.Cols)
-	MatMulInto(c, a, b, threads)
-	return c
-}
-
 // MatMulInto computes C = A*B into caller-owned storage (overwriting
 // c), parallel over rows of A with a register-tiled, panel-blocked
 // inner kernel. Element (i, j) always accumulates over k in ascending
 // order, so the result is bitwise identical for every thread count. It
 // is the BLAS3 kernel behind the core-tensor formation and the block
-// TRSVD operator applications.
-func MatMulInto(c, a, b *Matrix, threads int) {
+// TRSVD operator applications. B's narrow-tile panel and the region
+// body are s's.
+func (s *Scratch) MatMulInto(c, a, b *Matrix, threads int) {
 	if a.Cols != b.Rows {
 		panic("dense: MatMul shape mismatch")
 	}
@@ -265,39 +271,28 @@ func MatMulInto(c, a, b *Matrix, threads int) {
 	if a.Rows*a.Cols*b.Cols < serialCutoff {
 		threads = 1
 	}
+	s.pack, s.panel = packNarrow(s.pack, a.Cols, b)
 	if par.DefaultThreads(threads) <= 1 {
-		matMulRows(c, a, b, 0, a.Rows)
+		matMulRows(c, a, b, s.panel, 0, a.Rows)
 		return
 	}
-	m := matMulRunPool.Get().(*matMulRun)
-	m.c, m.a, m.b = c, a, b
-	par.Static(a.Rows, threads, m)
-	*m = matMulRun{}
-	matMulRunPool.Put(m)
+	s.c, s.a, s.b = c, a, b
+	par.Static(a.Rows, threads, (*matMulRun)(s))
 }
 
-// matMulRun is the pooled region body of the parallel GEMM.
-type matMulRun struct{ c, a, b *Matrix }
+// matMulRun is the region body of the parallel GEMM.
+type matMulRun Scratch
 
-func (m *matMulRun) Run(_, lo, hi int) { matMulRows(m.c, m.a, m.b, lo, hi) }
-
-var matMulRunPool = sync.Pool{New: func() any { return new(matMulRun) }}
-
-// MatMulTA returns C = A^T*B; see MatMulTAInto.
-func MatMulTA(a, b *Matrix, threads int) *Matrix {
-	c := NewMatrix(a.Cols, b.Cols)
-	MatMulTAInto(c, a, b, threads)
-	return c
-}
+func (m *matMulRun) Run(_, lo, hi int) { matMulRows(m.c, m.a, m.b, m.panel, lo, hi) }
 
 // MatMulTAInto computes C = A^T*B (A is m x n, B is m x p, C is n x p)
 // into caller-owned storage: like GemvT a sum over rows through
-// par.ReduceRows with a pooled scratch, bitwise identical for every
-// thread count and allocation-free in steady state. The tiles run along
-// the product's rows, so where C's are the shorter it forms Cᵀ = BᵀA, the
-// same products summed in the same order, and transposes it (a 125 x 5
-// C from 50000 rows took 4.5 times as long the other way).
-func MatMulTAInto(c, a, b *Matrix, threads int) {
+// par.ReduceRows with its partials in s, bitwise identical for every
+// thread count. The tiles run along the product's rows, so where C's are
+// the shorter it forms Cᵀ = BᵀA in s, the same products summed in the
+// same order, and transposes it (a 125 x 5 C from 50000 rows took 4.5
+// times as long the other way).
+func (s *Scratch) MatMulTAInto(c, a, b *Matrix, threads int) {
 	if a.Rows != b.Rows {
 		panic("dense: MatMulTA shape mismatch")
 	}
@@ -305,22 +300,21 @@ func MatMulTAInto(c, a, b *Matrix, threads int) {
 		panic("dense: MatMulTA destination shape mismatch")
 	}
 	if b.Cols < a.Cols {
-		t := getScratch(a.Cols * b.Cols)
-		ct := Matrix{Rows: b.Cols, Cols: a.Cols, Data: t.data}
-		matMulTA(&ct, b, a, threads)
+		s.t = ReuseVec(s.t, a.Cols*b.Cols)
+		ct := Matrix{Rows: b.Cols, Cols: a.Cols, Data: s.t}
+		s.matMulTA(&ct, b, a, threads)
 		for k := range ct.Rows {
 			for j, v := range ct.Row(k) {
 				c.Data[j*c.Cols+k] = v
 			}
 		}
-		t.release()
 		return
 	}
-	matMulTA(c, a, b, threads)
+	s.matMulTA(c, a, b, threads)
 }
 
 // matMulTA is MatMulTAInto in C's own orientation.
-func matMulTA(c, a, b *Matrix, threads int) {
+func (s *Scratch) matMulTA(c, a, b *Matrix, threads int) {
 	if par.OneBlock(a.Rows) {
 		c.Zero()
 		matMulTABlock(c.Data, a, b, 0, a.Rows)
@@ -329,19 +323,16 @@ func matMulTA(c, a, b *Matrix, threads int) {
 	if a.Rows*a.Cols*b.Cols < serialCutoff {
 		threads = 1
 	}
-	sc := scratchPool.Get().(*scratch)
-	sc.a, sc.b = a, b
-	sc.data = par.ReduceRows(c.Data, a.Rows, threads, sc.data, (*matMulTASum)(sc))
-	sc.a, sc.b = nil, nil
-	sc.release()
+	s.a, s.b = a, b
+	s.part = par.ReduceRows(c.Data, a.Rows, threads, s.part, (*matMulTASum)(s))
 }
 
 // matMulTASum is MatMulTAInto's block kernel, a view of the scratch that
 // holds its operands and partials.
-type matMulTASum scratch
+type matMulTASum Scratch
 
-func (s *matMulTASum) Sum(p []float64, lo, hi int) { matMulTABlock(p, s.a, s.b, lo, hi) }
-func (*matMulTASum) Add(dst, p []float64)          { AxpyUnrolled(1, p, dst) }
+func (s *matMulTASum) Sum(_ int, p []float64, lo, hi int) { matMulTABlock(p, s.a, s.b, lo, hi) }
+func (*matMulTASum) Add(dst, p []float64)                 { AxpyUnrolled(1, p, dst) }
 
 // matMulTABlock accumulates p += A[lo:hi,:]^T * B[lo:hi,:] where p is a
 // row-major a.Cols x b.Cols buffer: the AᵀB register tiles over the whole
@@ -406,10 +397,10 @@ func SyrkInto(g, a *Matrix, work []float64, threads int) []float64 {
 	return work
 }
 
-// syrkSum is SyrkInto's block kernel: A itself, so it needs no pool.
+// syrkSum is SyrkInto's block kernel: A itself, so it needs no scratch.
 type syrkSum Matrix
 
-func (s *syrkSum) Sum(p []float64, lo, hi int) { syrkBlock(p, (*Matrix)(s), lo, hi) }
+func (s *syrkSum) Sum(_ int, p []float64, lo, hi int) { syrkBlock(p, (*Matrix)(s), lo, hi) }
 
 // Add adds the partial's upper triangle, row i from column i on: the
 // mirror overwrites everything below it.

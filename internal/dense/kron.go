@@ -16,9 +16,9 @@ import "hypertensor/internal/par"
 // KronMatMulTAInto Bᵀ·Y. Nil rows are none: B is A, and the kernels make
 // exactly SyrkInto's, MatMulInto's and MatMulTAInto's calls.
 //
-// The rows also keep the kernels' state (headers, W_j slots, M and its
-// partials), so that no call allocates once it has grown, and serve one
-// call at a time.
+// The rows also keep the kernels' state (headers, per-worker slots, M
+// and its partials), so that no call allocates once it has grown, and
+// serve one call at a time.
 type KronRows struct {
 	Ptr  []int32
 	Idx  []int32
@@ -26,10 +26,10 @@ type KronRows struct {
 	T    Matrix
 	Slow bool
 
-	p, s, m, head, tail Matrix
-	w                   *Matrix
-	buf, slots, work    []float64
-	stride              int
+	p, s, m, head, tail   Matrix
+	w                     *Matrix
+	buf, slots, sum, work []float64
+	stride                int
 }
 
 // Rows is the number of grouped rows, Ptr's last entry: T.Rows once T is
@@ -175,50 +175,51 @@ func SyrkKronInto(g, a *Matrix, k *KronRows, work []float64, threads int) []floa
 }
 
 // KronMatMulInto computes Y = B·W for the matrix B that a and k describe:
-// Y's first a.Rows rows are MatMulInto's a·W, and group j's rows are
-// T_j·W_j, where W_j = Σ_p u_j[p]·W[(p, ·), :] is the c x W.Cols block
-// of W that u_j contracts — c·W.Cols madds a grouped row where B·W
+// Y's first a.Rows rows are MatMulInto's a·W, on s, and group j's rows
+// are T_j·W_j, where W_j = Σ_p u_j[p]·W[(p, ·), :] is the c x W.Cols
+// block of W that u_j contracts — c·W.Cols madds a grouped row where B·W
 // spends A.Cols·W.Cols. The groups run on the dynamic schedule, each W_j
-// in its worker's slot (par.Slots) of the rows' scratch, and every row of
-// Y is matMulRows' whatever range it is computed in, so Y is bitwise
-// identical for every thread count.
-func KronMatMulInto(y, a *Matrix, k *KronRows, w *Matrix, threads int) {
+// and its narrow-tile panel in its worker's slot (par.Slots) of the rows'
+// scratch, and every row of Y is matMulRows' whatever range it is
+// computed in, so Y is bitwise identical for every thread count.
+func (s *Scratch) KronMatMulInto(y, a *Matrix, k *KronRows, w *Matrix, threads int) {
 	k.check(a)
 	if w.Rows != a.Cols || y.Rows != a.Rows+k.Rows() || y.Cols != w.Cols {
 		panic("dense: KronMatMulInto shape mismatch")
 	}
-	MatMulInto(k.split(y, a.Rows), a, w, threads)
+	s.MatMulInto(k.split(y, a.Rows), a, w, threads)
 	if k.Rows() == 0 {
 		return
 	}
+	c := k.T.Cols
 	threads = min(par.DefaultThreads(threads), len(k.Idx))
-	k.buf, k.slots, k.stride = par.Slots(k.buf, threads, k.T.Cols*w.Cols)
+	k.buf, k.slots, k.stride = par.Slots(k.buf, threads, c*w.Cols+narrowLen(c, w.Cols))
 	k.w = w
 	par.Dynamic(len(k.Idx), threads, 1, (*kronMul)(k))
 	k.w, k.head, k.tail = nil, Matrix{}, Matrix{}
 }
 
 // KronMatMulTAInto computes Z = Bᵀ·Y for the matrix B that a and k
-// describe: MatMulTAInto's aᵀ·Y over Y's first a.Rows rows, plus
+// describe: MatMulTAInto's aᵀ·Y over Y's first a.Rows rows, on s, plus
 // Σ_j u_j ⊗ (T_jᵀ·Y_j) over each group's rows Y_j of Y. The groups' sum
 // runs on par.ReduceRows' fixed grid, each group's T_jᵀ·Y_j serially in
-// row order, so Z is bitwise identical for every thread count.
-func KronMatMulTAInto(z, a *Matrix, k *KronRows, y *Matrix, threads int) {
+// row order in its worker's slot, so Z is bitwise identical for every
+// thread count.
+func (s *Scratch) KronMatMulTAInto(z, a *Matrix, k *KronRows, y *Matrix, threads int) {
 	k.check(a)
 	if y.Rows != a.Rows+k.Rows() || z.Rows != a.Cols || z.Cols != y.Cols {
 		panic("dense: KronMatMulTAInto shape mismatch")
 	}
-	MatMulTAInto(z, a, k.split(y, a.Rows), threads)
+	s.MatMulTAInto(z, a, k.split(y, a.Rows), threads)
 	if k.Rows() == 0 {
 		return
 	}
 	rg, c, bc := k.U.Cols, k.T.Cols, y.Cols
 	// M (rg x c·bc) = Σ_j u_j ⊗ vec(T_jᵀ·Y_j); row p of M is the block of
 	// Z's rows that u_j[p] scales.
-	if n := rg * c * bc; cap(k.buf) < n {
-		k.buf = make([]float64, n)
-	}
-	m := k.buf[:rg*c*bc]
+	m := ReuseVec(k.sum, rg*c*bc)
+	k.sum = m
+	k.buf, k.slots, k.stride = par.Slots(k.buf, par.DefaultThreads(threads), c*bc)
 	k.work = par.ReduceRows(m, len(k.Idx), threads, k.work, (*kronSum)(k))
 	us, ts := k.strides()
 	for p := 0; p < rg; p++ {
@@ -255,16 +256,19 @@ func (k *kronGram) Run(_, lo, hi int) {
 // kronPS is SyrkKronInto's Pᵀ·S: MatMulTAInto's sum over the groups.
 type kronPS KronRows
 
-func (k *kronPS) Sum(p []float64, lo, hi int) { matMulTABlock(p, &k.p, &k.s, lo, hi) }
-func (*kronPS) Add(dst, p []float64)          { AxpyUnrolled(1, p, dst) }
+func (k *kronPS) Sum(_ int, p []float64, lo, hi int) { matMulTABlock(p, &k.p, &k.s, lo, hi) }
+func (*kronPS) Add(dst, p []float64)                 { AxpyUnrolled(1, p, dst) }
 
 // kronMul computes the rows of groups [lo, hi) of KronMatMulInto's Y on
-// worker w: W_j in the worker's slot, then T_j·W_j.
+// worker w: W_j in the worker's slot, packed there for the narrow tile,
+// then T_j·W_j.
 type kronMul KronRows
 
 func (k *kronMul) Run(w, lo, hi int) {
 	c, bc, wm := k.T.Cols, k.w.Cols, k.w
-	wj := Matrix{Rows: c, Cols: bc, Data: k.slots[w*k.stride:][:c*bc]}
+	slot := k.slots[w*k.stride:]
+	wj := Matrix{Rows: c, Cols: bc, Data: slot[:c*bc]}
+	pack := slot[c*bc : c*bc+narrowLen(c, bc)]
 	us, ts := (*KronRows)(k).strides()
 	for j := lo; j < hi; j++ {
 		clear(wj.Data)
@@ -277,26 +281,26 @@ func (k *kronMul) Run(w, lo, hi int) {
 				Axpy(up, wm.Row(p*us+q*ts), wj.Row(q))
 			}
 		}
-		matMulRows(&k.tail, &k.T, &wj, int(k.Ptr[j]), int(k.Ptr[j+1]))
+		_, panel := packNarrow(pack, c, &wj)
+		matMulRows(&k.tail, &k.T, &wj, panel, int(k.Ptr[j]), int(k.Ptr[j+1]))
 	}
 }
 
 // kronSum is KronMatMulTAInto's group sum: Sum adds u_j ⊗ vec(T_jᵀ·Y_j)
-// of groups [lo, hi) to a partial, each T_jᵀ·Y_j formed in a block
-// temporary from the shared scratch pool.
+// of groups [lo, hi) to a partial, each T_jᵀ·Y_j formed in worker w's
+// slot.
 type kronSum KronRows
 
-func (k *kronSum) Sum(m []float64, lo, hi int) {
+func (k *kronSum) Sum(w int, m []float64, lo, hi int) {
 	n := k.T.Cols * k.tail.Cols
-	sc := getScratch(n)
+	t := k.slots[w*k.stride:][:n]
 	for j := lo; j < hi; j++ {
-		clear(sc.data)
-		matMulTABlock(sc.data, &k.T, &k.tail, int(k.Ptr[j]), int(k.Ptr[j+1]))
+		clear(t)
+		matMulTABlock(t, &k.T, &k.tail, int(k.Ptr[j]), int(k.Ptr[j+1]))
 		for p, up := range k.U.Row(int(k.Idx[j])) {
-			AxpyUnrolled(up, sc.data, m[p*n:(p+1)*n])
+			AxpyUnrolled(up, t, m[p*n:(p+1)*n])
 		}
 	}
-	sc.release()
 }
 
 func (*kronSum) Add(dst, p []float64) { AxpyUnrolled(1, p, dst) }

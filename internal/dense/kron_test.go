@@ -145,7 +145,7 @@ func TestKronMatMulMatchesMatMul(t *testing.T) {
 				want, got := NewMatrix(full.Rows, bc), NewMatrix(full.Rows, bc)
 				MatMulInto(want, full, w, 1)
 				got.Data[0] = 99
-				KronMatMulInto(got, a, k, w, 2)
+				new(Scratch).KronMatMulInto(got, a, k, w, 2)
 				if d := relDiff(got.Data, want.Data); d > 1e-13 {
 					t.Errorf("%s, %d columns: |B·W - MatMulInto| is %g of its largest entry", kc.name, bc, d)
 				}
@@ -153,7 +153,7 @@ func TestKronMatMulMatchesMatMul(t *testing.T) {
 				wantT, gotT := NewMatrix(a.Cols, bc), NewMatrix(a.Cols, bc)
 				MatMulTAInto(wantT, full, y, 1)
 				gotT.Data[0] = 99
-				KronMatMulTAInto(gotT, a, k, y, 2)
+				new(Scratch).KronMatMulTAInto(gotT, a, k, y, 2)
 				if d := relDiff(gotT.Data, wantT.Data); d > 1e-13 {
 					t.Errorf("%s, %d columns: |Bᵀ·Y - MatMulTAInto| is %g of its largest entry", kc.name, bc, d)
 				}
@@ -188,9 +188,9 @@ func TestSyrkKronBitwiseInvariantAcrossThreads(t *testing.T) {
 				g := NewMatrix(c.a.Cols, c.a.Cols)
 				work = SyrkKronInto(g, c.a, c.k, work, threads)
 				yw := NewMatrix(c.y.Rows, c.w.Cols)
-				KronMatMulInto(yw, c.a, c.k, c.w, threads)
+				new(Scratch).KronMatMulInto(yw, c.a, c.k, c.w, threads)
 				z := NewMatrix(c.a.Cols, c.y.Cols)
-				KronMatMulTAInto(z, c.a, c.k, c.y, threads)
+				new(Scratch).KronMatMulTAInto(z, c.a, c.k, c.y, threads)
 				got := append(append(bits(g.Data), bits(yw.Data)...), bits(z.Data)...)
 				if ref[i] == nil {
 					ref[i] = got
@@ -240,10 +240,10 @@ func TestNilKronRowsArePlainKernels(t *testing.T) {
 				SyrkKronInto(got, a, nil, nil, threads)
 				wantW, gotW := NewMatrix(a.Rows, w.Cols), NewMatrix(a.Rows, w.Cols)
 				MatMulInto(wantW, a, w, threads)
-				KronMatMulInto(gotW, a, nil, w, threads)
+				new(Scratch).KronMatMulInto(gotW, a, nil, w, threads)
 				wantT, gotT := NewMatrix(n, y.Cols), NewMatrix(n, y.Cols)
 				MatMulTAInto(wantT, a, y, threads)
-				KronMatMulTAInto(gotT, a, nil, y, threads)
+				new(Scratch).KronMatMulTAInto(gotT, a, nil, y, threads)
 				for _, p := range [][2]*Matrix{{got, want}, {gotW, wantW}, {gotT, wantT}} {
 					if !bytes.Equal(bits(p[0].Data), bits(p[1].Data)) {
 						t.Fatalf("%s at %d threads: a Kron kernel on nil rows is not the plain kernel's bits", kronCases[i].name, threads)
@@ -265,7 +265,7 @@ func TestKronMatMulSlotsStartOnALine(t *testing.T) {
 	a, k, full := kc.build(rand.New(rand.NewSource(71)))
 	w, y := RandomNormal(a.Cols, 3, rand.New(rand.NewSource(73))), NewMatrix(full.Rows, 3)
 	for _, threads := range []int{1, 2, 3, 8} {
-		KronMatMulInto(y, a, k, w, threads)
+		new(Scratch).KronMatMulInto(y, a, k, w, threads)
 		if k.stride%8 != 0 || k.stride < kc.c*3 {
 			t.Fatalf("%d threads: slots %d float64s apart for %d", threads, k.stride, kc.c*3)
 		}

@@ -98,7 +98,7 @@ func TestGemvMatchesNaive(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		y := make([]float64, 17)
-		Gemv(a, x, y, threads)
+		GemvInto(y, a, x, threads)
 		for i := 0; i < a.Rows; i++ {
 			want := Dot(a.Row(i), x)
 			if math.Abs(y[i]-want) > 1e-12 {
@@ -117,7 +117,7 @@ func TestGemvTMatchesNaive(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		y := make([]float64, 7)
-		GemvT(a, x, y, threads)
+		GemvTInto(y, a, x, threads)
 		for j := 0; j < a.Cols; j++ {
 			var want float64
 			for i := 0; i < a.Rows; i++ {

@@ -68,7 +68,7 @@ func TestSymEigMatchesJacobi(t *testing.T) {
 		// ‖G·V − V·Λ‖: row j of vt is the eigenvector of lam[j].
 		for j := 0; j < n; j++ {
 			gv := make([]float64, n)
-			Gemv(tc.g, vt.Row(j), gv, 1)
+			GemvInto(gv, tc.g, vt.Row(j), 1)
 			Axpy(-lam[j], vt.Row(j), gv)
 			if r := Nrm2(gv); r > 1e-12*norm {
 				t.Fatalf("%s: ‖G·v − λ·v‖ = %.3g·‖G‖ for pair %d", tc.name, r/norm, j)

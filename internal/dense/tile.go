@@ -1,10 +1,10 @@
 package dense
 
-import "sync"
+import "hypertensor/internal/par"
 
-// This file holds the register-tiled micro-kernels and the pooled
-// scratch behind the level-2/3 BLAS layer. Two invariants govern every
-// kernel here:
+// This file holds the register-tiled micro-kernels and the scratch
+// behind the level-2/3 BLAS layer. Two invariants govern every kernel
+// here:
 //
 //  1. Fixed association: each output element accumulates its terms in
 //     one canonical order (ascending k for GEMM, ascending row for the
@@ -16,11 +16,10 @@ import "sync"
 //     Go loops they stand in front of: per term a multiply then an add,
 //     from the Go loop's starting value, and the zero-skipping Axpy only
 //     where the Go loop has it (past the last whole four).
-//  2. No steady-state allocation: reduction partials and packing
-//     buffers come from a sync.Pool, whose per-P caches effectively pin
-//     a warm buffer to each worker between calls, or from an operand
-//     that outlives the call (SyrkInto's work, the state a KronRows
-//     keeps), which no collection empties.
+//  2. No steady-state allocation: region bodies, reduction partials and
+//     packed panels live in state that outlives the call and that no
+//     collection empties — a Scratch kept beside the operands,
+//     SyrkInto's work, the state a KronRows keeps.
 
 // dot2 returns (Dot(x0, y), Dot(x1, y)) sharing one streaming pass
 // over y: two independent single-accumulator chains with exactly Dot's
@@ -127,10 +126,8 @@ func atbRowAVX512(p, ar, br []float64, ac, bc, j, n int, upper bool) {
 }
 
 // GEMM panel geometry: C row segments of gemmJC columns stay resident
-// in L1 across the whole k sweep, and when B is wide enough that its
-// rows are far apart, k-panels of gemmKC rows are packed into a
-// contiguous pooled buffer first (the classic GEMM B-pack), so the
-// inner kernel streams one dense panel instead of gemmKC strided rows.
+// in L1 across a k-panel of gemmKC rows of B, which the rows of A then
+// share from cache.
 const (
 	gemmJC = 512
 	gemmKC = 64
@@ -140,35 +137,60 @@ const (
 // row, twelve accumulators for four rows of C.
 const gemmNarrow = 12
 
+// narrowLen is the length of the panel the narrow-GEMM tile reads for an
+// A of kdim columns times a B of cols columns: B's first kdim&^3 rows,
+// each padded to gemmNarrow; 0 where the build, the CPU or the shape
+// keeps the tile from running.
+func narrowLen(kdim, cols int) int {
+	if useAVX2 && cols <= gemmNarrow && cols > 0 && kdim >= 4 {
+		return kdim &^ 3 * gemmNarrow
+	}
+	return 0
+}
+
+// packNarrow writes B's narrow-tile panel for an A of kdim columns into
+// buf, which is grown as needed and returned; the panel is nil where the
+// tile does not run (narrowLen). The padding columns are zero.
+func packNarrow(buf []float64, kdim int, b *Matrix) (grown, panel []float64) {
+	n := narrowLen(kdim, b.Cols)
+	if n == 0 {
+		return buf, nil
+	}
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	panel = buf[:n]
+	for k := 0; k < kdim&^3; k++ {
+		row := panel[k*gemmNarrow : (k+1)*gemmNarrow]
+		clear(row[copy(row, b.Row(k)):])
+	}
+	return buf, panel
+}
+
 // matMulRows computes C[lo:hi,:] = A[lo:hi,:] * B for row-major operands,
-// overwriting those C rows: through the narrow-GEMM tile when B has at
-// most gemmNarrow columns and the build and the CPU have it, matMulRowsGo
-// otherwise (on rows of a hundred Axpy4 already runs at the load/store
-// bound).
-func matMulRows(c, a, b *Matrix, lo, hi int) {
-	if useAVX2 && b.Cols <= gemmNarrow && b.Cols > 0 && a.Cols >= 4 && hi-lo >= 4 {
-		matMulRowsNarrow(c, a, b, lo, hi)
+// overwriting those C rows: through the narrow-GEMM tile on panel, B
+// packed by packNarrow, when there is one and the range holds four rows,
+// matMulRowsGo otherwise (on rows of a hundred Axpy4 already runs at the
+// load/store bound).
+func matMulRows(c, a, b *Matrix, panel []float64, lo, hi int) {
+	if panel != nil && hi-lo >= 4 {
+		matMulRowsNarrow(c, a, b, panel, lo, hi)
 		return
 	}
 	matMulRowsGo(c, a, b, lo, hi)
 }
 
 // matMulRowsNarrow is matMulRows through gemm4x12AVX2, four rows of C a
-// call, on B's first k&^3 rows zero-padded into a pooled k x 12 panel (the
-// padding columns are computed and dropped). The tile takes those terms
-// in ascending k from +0 without skipping a zero, as Axpy4 gives them to a
-// zeroed row; the k%4 last terms go through the zero-skipping Axpy as in
+// call, on B's first k&^3 rows zero-padded in panel (the padding columns
+// are computed and dropped). The tile takes those terms in ascending k
+// from +0 without skipping a zero, as Axpy4 gives them to a zeroed row;
+// the k%4 last terms go through the zero-skipping Axpy as in
 // matMulRowsGo. When hi-lo is not a multiple of four the last call backs
 // up over rows already written and writes them the same values again.
-func matMulRowsNarrow(c, a, b *Matrix, lo, hi int) {
+func matMulRowsNarrow(c, a, b *Matrix, panel []float64, lo, hi int) {
 	kdim := a.Cols
 	k4 := kdim &^ 3
-	sc := getScratch((k4 + 4) * gemmNarrow)
-	panel, out := sc.data[:k4*gemmNarrow], sc.data[k4*gemmNarrow:]
-	for k := 0; k < k4; k++ {
-		row := panel[k*gemmNarrow : (k+1)*gemmNarrow]
-		clear(row[copy(row, b.Row(k)):])
-	}
+	var out [4 * gemmNarrow]float64
 	for i := lo; i < hi; i += 4 {
 		i = min(i, hi-4)
 		gemm4x12AVX2(&a.Data[i*kdim], kdim, &panel[0], k4, &out[0])
@@ -180,7 +202,6 @@ func matMulRowsNarrow(c, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
-	sc.release()
 }
 
 // matMulRowsGo is matMulRows' Go loop, the definition the tile is held
@@ -195,37 +216,10 @@ func matMulRowsGo(c, a, b *Matrix, lo, hi int) {
 	if kdim == 0 || bc == 0 {
 		return
 	}
-	// Packing pays once per panel and is amortized over the row range;
-	// skip it for narrow B (rows already nearly contiguous) or when too
-	// few rows share the packed panel.
-	pack := bc > gemmJC && hi-lo >= 8
-	var sc *scratch
-	if pack {
-		sc = getScratch(gemmKC * gemmJC)
-	}
 	for j0 := 0; j0 < bc; j0 += gemmJC {
 		j1 := min(j0+gemmJC, bc)
-		jw := j1 - j0
 		for k0 := 0; k0 < kdim; k0 += gemmKC {
 			k1 := min(k0+gemmKC, kdim)
-			if pack {
-				panel := sc.data[:(k1-k0)*jw]
-				for k := k0; k < k1; k++ {
-					copy(panel[(k-k0)*jw:(k-k0+1)*jw], b.Row(k)[j0:j1])
-				}
-				for i := lo; i < hi; i++ {
-					arow := a.Row(i)
-					crow := c.Row(i)[j0:j1]
-					k := k0
-					for ; k+4 <= k1; k += 4 {
-						Axpy4(arow[k], arow[k+1], arow[k+2], arow[k+3], panel[(k-k0)*jw:], jw, crow)
-					}
-					for ; k < k1; k++ {
-						Axpy(arow[k], panel[(k-k0)*jw:(k-k0+1)*jw], crow)
-					}
-				}
-				continue
-			}
 			for i := lo; i < hi; i++ {
 				arow := a.Row(i)
 				crow := c.Row(i)[j0:j1]
@@ -239,32 +233,67 @@ func matMulRowsGo(c, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
-	if sc != nil {
-		sc.release()
+}
+
+// Scratch is the state the level-2/3 kernels keep between calls: the
+// operands of a parallel region's body, the partials of a row sum, the
+// transposed product of a short MatMulTAInto, B packed for the narrow
+// tile, and Rotate's per-worker row blocks. Whoever keeps an operand
+// keeps one beside it (trsvd.DenseOperator, trsvd.Workspace), so that
+// once its buffers have grown no call allocates, and no collection takes
+// them. The zero value is ready to use; a Scratch serves one call at a
+// time.
+type Scratch struct {
+	a, b, c     *Matrix
+	x, y        []float64
+	part, t     []float64
+	pack, panel []float64
+	slab, slots []float64
+	stride      int
+}
+
+// rotateRows is the height of the row blocks Rotate moves U through: a
+// worker's block of the product, 8·rotateRows·k bytes, is whole cache
+// lines for any k and stays in L1 between its product and the copy back.
+const rotateRows = 64
+
+// Rotate overwrites a row panel U (rows x k) with U·C for a k x k C
+// without a second rows x k panel. A worker multiplies rotateRows rows at
+// a time into its own slot (par.Slots) — every row through matMulRows,
+// as in a MatMulInto of the whole panel, whose rows do not depend on the
+// range they are computed in — and copies them back over the rows they
+// came from. So U ends with the bits MatMulInto(Q, U, C) gives a separate
+// Q, for any thread count.
+func (s *Scratch) Rotate(u, c *Matrix, threads int) {
+	if c.Rows != u.Cols || c.Cols != u.Cols {
+		panic("dense: Rotate shape mismatch")
+	}
+	blocks := (u.Rows + rotateRows - 1) / rotateRows
+	if blocks == 0 {
+		return
+	}
+	threads = min(par.DefaultThreads(threads), blocks)
+	s.pack, s.panel = packNarrow(s.pack, u.Cols, c)
+	s.slab, s.slots, s.stride = par.Slots(s.slab, threads, rotateRows*u.Cols)
+	s.a, s.b = u, c
+	par.Static(blocks, threads, (*rotation)(s))
+}
+
+// rotation is Rotate's region body: row blocks [lo, hi) through worker
+// w's slot.
+type rotation Scratch
+
+func (r *rotation) Run(w, lo, hi int) {
+	u, k := r.a, r.a.Cols
+	out := r.slots[w*r.stride : w*r.stride+rotateRows*k]
+	for blk := lo; blk < hi; blk++ {
+		r0, r1 := blk*rotateRows, min((blk+1)*rotateRows, u.Rows)
+		rows := Matrix{Rows: r1 - r0, Cols: k, Data: u.Data[r0*k : r1*k]}
+		prod := Matrix{Rows: r1 - r0, Cols: k, Data: out[:(r1-r0)*k]}
+		matMulRows(&prod, &rows, r.b, r.panel, 0, r1-r0)
+		copy(rows.Data, prod.Data)
 	}
 }
-
-// scratch is a pooled float64 buffer used for reduction partials and
-// packed GEMM panels. Contents are unspecified on Get; callers zero
-// what they need. A row sum's operands ride along with its partials.
-type scratch struct {
-	data []float64
-	a, b *Matrix
-	x    []float64
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-func getScratch(n int) *scratch {
-	s := scratchPool.Get().(*scratch)
-	if cap(s.data) < n {
-		s.data = make([]float64, n)
-	}
-	s.data = s.data[:n]
-	return s
-}
-
-func (s *scratch) release() { scratchPool.Put(s) }
 
 // ReuseMatrix returns a zeroed r x c matrix, reusing m's backing
 // storage when it is large enough and allocating otherwise. Growth is

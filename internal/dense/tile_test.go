@@ -56,8 +56,8 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // The tiled/panel-blocked kernels must agree with naive loops on every
 // awkward shape: empty dimensions, single rows/columns, odd sizes that
-// leave every kind of tile remainder, and shapes wide enough to engage
-// the packed-panel GEMM path (cols > gemmJC with >= 8 rows).
+// leave every kind of tile remainder, and shapes wide enough to take
+// more than one GEMM j-panel (cols > gemmJC).
 func TestTiledKernelsMatchNaiveOddShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []struct{ m, k, n int }{
@@ -65,8 +65,8 @@ func TestTiledKernelsMatchNaiveOddShapes(t *testing.T) {
 		{1, 1, 1}, {1, 7, 1}, {7, 1, 7}, {1, 1, 9},
 		{2, 3, 5}, {3, 4, 2}, {9, 13, 7}, {13, 9, 11},
 		{33, 65, 17}, {65, 33, 66}, {64, 64, 64},
-		{16, 40, 600},                // packed-panel path: bc > gemmJC, >= 8 rows
-		{7, 40, 600},                 // wide but too few rows to pack
+		{16, 40, 600},                // two j-panels: bc > gemmJC
+		{7, 40, 600},                 // the same on few rows
 		{16, gemmKC + 3, gemmJC + 5}, // k and j panel remainders
 	}
 	for _, sh := range shapes {
@@ -93,7 +93,7 @@ func TestTiledKernelsMatchNaiveOddShapes(t *testing.T) {
 			if d := maxAbsDiff(yt, naiveGemvT(a, xr)); d > 1e-10 {
 				t.Fatalf("GemvT %dx%d threads=%d: diff %g", sh.m, sh.k, threads, d)
 			}
-			// MatMulInto vs naive (also exercises the pack path).
+			// MatMulInto vs naive (also on more than one j-panel).
 			c := NewMatrix(sh.m, sh.n)
 			MatMulInto(c, a, b, threads)
 			if want := naiveMM(a, b); !c.Equal(want, 1e-10) {
@@ -293,7 +293,7 @@ func TestMatMulTATransposedBitwise(t *testing.T) {
 				b.Data[i] = 0
 			}
 			want := NewMatrix(sh[1], sh[2])
-			matMulTA(want, a, b, 1)
+			new(Scratch).matMulTA(want, a, b, 1)
 			for _, threads := range []int{1, 2, 3, 8} {
 				got := NewMatrix(sh[1], sh[2])
 				MatMulTAInto(got, a, b, threads)

@@ -133,7 +133,7 @@ func newExchange(c *mpi.Comm, x *tensor.COO, part *Partition, gsym *symbolic.Str
 				rowSize *= r
 			}
 		}
-		m.op = rowDistOperator{c: c, gids: gids, tmp: make([]float64, rowSize), sent: &m.trsvdBytes, msgs: &m.trsvdMsgs}
+		m.op = rowDistOperator{DenseOperator: trsvd.DenseOperator{Threads: 1}, c: c, gids: gids, sent: &m.trsvdBytes, msgs: &m.trsvdMsgs}
 		m.gather = make([]float64, len(m.owned)*ranks[n])
 		m.wTRSVD = int64(len(m.owned)) * int64(rowSize)
 
@@ -221,9 +221,8 @@ func (ex *exchange) sumFold(m *exchangeMode, y *dense.Matrix, recv [][]float64) 
 
 // Operator is the row-distributed view of the folded rows.
 func (ex *exchange) Operator(n int, y *dense.Matrix) trsvd.Operator {
-	op := &ex.modes[n].op
-	op.a = y
-	return op
+	ex.modes[n].op.A = y
+	return &ex.modes[n].op
 }
 
 // Expand sends each solved row to exactly the ranks whose nonzeros
@@ -304,17 +303,16 @@ func (ex *exchange) assemble(n int, u *dense.Matrix) {
 }
 
 // rowDistOperator is the row-distributed matrix-free view of Y_(n):
-// each rank stores its owned rows; column-space results (MatTVec,
-// MatTMat, RowDot, RowGram, Gram) are reduced in fixed rank order, one
-// collective each, so every rank receives bitwise-identical values and
-// the SPMD solver iterations stay in lockstep. sent accumulates the
-// payload of those reductions — the mode's TRSVD traffic — and msgs
-// their number.
+// the dense operator over this rank's owned rows, on one thread, whose
+// column-space results (MatTVec, MatTMat, RowDot, RowGram, Gram) are
+// reduced in fixed rank order, one collective each, so every rank
+// receives bitwise-identical values and the SPMD solver iterations stay
+// in lockstep. sent accumulates the payload of those reductions — the
+// mode's TRSVD traffic — and msgs their number.
 type rowDistOperator struct {
-	a          *dense.Matrix
+	trsvd.DenseOperator
 	c          *mpi.Comm
 	gids       []int64
-	tmp        []float64
 	sent, msgs *int64
 }
 
@@ -326,16 +324,12 @@ func (o *rowDistOperator) allReduce(v []float64) []float64 {
 	return sum
 }
 
-func (o *rowDistOperator) LocalRows() int { return o.a.Rows }
-func (o *rowDistOperator) Cols() int      { return o.a.Cols }
-
-func (o *rowDistOperator) MatVec(x, y []float64) { dense.Gemv(o.a, x, y, 1) }
-
 func (o *rowDistOperator) MatTVec(y, x []float64) {
-	dense.GemvT(o.a, y, o.tmp, 1)
-	copy(x, o.allReduce(o.tmp))
+	o.DenseOperator.MatTVec(y, x)
+	copy(x, o.allReduce(x))
 }
 
+// RowDot keeps Dot's association: the dense operator's is DotUnrolled's.
 func (o *rowDistOperator) RowDot(a, b []float64) float64 {
 	return o.allReduce([]float64{dense.Dot(a, b)})[0]
 }
@@ -348,7 +342,7 @@ func (o *rowDistOperator) GlobalRow(local int) int64 { return o.gids[local] }
 // Ranks owning zero rows contribute a zero block and receive the same
 // replicated Gram as everyone else.
 func (o *rowDistOperator) RowGram(y, g *dense.Matrix) {
-	dense.MatMulTAInto(g, y, y, 1)
+	o.DenseOperator.RowGram(y, g)
 	copy(g.Data, o.allReduce(g.Data))
 }
 
@@ -358,7 +352,7 @@ func (o *rowDistOperator) RowGram(y, g *dense.Matrix) {
 // Cols-vector reduction per step and a scalar one per inner product.
 // work holds the block partials, then the packed triangle.
 func (o *rowDistOperator) Gram(g *dense.Matrix, work []float64) []float64 {
-	work = dense.SyrkInto(g, o.a, work, 1)
+	work = o.DenseOperator.Gram(g, work)
 	n := g.Rows
 	work = dense.ReuseVec(work, n*(n+1)/2)
 	packed := work[:0]
@@ -375,15 +369,11 @@ func (o *rowDistOperator) Gram(g *dense.Matrix, work []float64) []float64 {
 	return work
 }
 
-// MatMat is the local block of A·W: the rows are this rank's, W is
-// replicated.
-func (o *rowDistOperator) MatMat(w, y *dense.Matrix) { dense.MatMulInto(y, o.a, w, 1) }
-
 // MatTMat folds the local product AᵀY of the owned rows with one
 // Cols x b AllReduce: a panel of b columns costs one collective carrying
 // what b MatTVec reductions would carry.
 func (o *rowDistOperator) MatTMat(y, z *dense.Matrix) {
-	dense.MatMulTAInto(z, o.a, y, 1)
+	o.DenseOperator.MatTMat(y, z)
 	copy(z.Data, o.allReduce(z.Data))
 }
 

@@ -298,7 +298,7 @@ func TestGramOnRowDistributedOperator(t *testing.T) {
 				copy(local.Row(r), a.Row(int(g)))
 			}
 			var sent int64
-			op := &rowDistOperator{a: local, c: c, gids: gids, tmp: make([]float64, a.Cols), sent: &sent, msgs: &msgs[me]}
+			op := &rowDistOperator{DenseOperator: trsvd.DenseOperator{A: local, Threads: 1}, c: c, gids: gids, sent: &sent, msgs: &msgs[me]}
 			res, err := trsvd.Gram(op, tc.k, trsvd.Options{Seed: 4})
 			if err != nil {
 				panic(err)

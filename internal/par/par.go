@@ -11,12 +11,14 @@
 // bitwise identical for every thread count: it cuts the rows into the
 // fixed grid of NumReduceBlocks, sums each block into a partial of its
 // own cache lines and adds the partials in block order; SumBlocks is
-// its scalar form.
+// its scalar form. The loops keep no state of their own: a region fills
+// the shared pool's one descriptor, so it allocates nothing whatever the
+// collector does, unless the pool cannot take it (nested, concurrent or
+// wider than the pool) and it builds one on the heap.
 package par
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -85,11 +87,7 @@ func Static(n, threads int, body Body) {
 		body.Run(0, 0, n)
 		return
 	}
-	r := staticRuns.Get().(*staticRun)
-	r.n, r.threads, r.body = n, threads, body
-	sharedPool(threads).RunWorker(threads, r)
-	r.body = nil
-	staticRuns.Put(r)
+	begin(threads).runStatic(n, body)
 }
 
 // Dynamic runs body over [0, n) with dynamic self-scheduling: workers
@@ -109,47 +107,91 @@ func Dynamic(n, threads, chunk int, body Body) {
 	if chunk <= 0 {
 		chunk = chunkFor(n, threads)
 	}
-	r := dynamicRuns.Get().(*dynamicRun)
-	r.n, r.chunk, r.body = n, chunk, body
-	r.next.Store(0)
-	sharedPool(threads).RunWorker(threads, r)
-	r.body = nil
-	dynamicRuns.Put(r)
+	begin(threads).runDynamic(n, chunk, body)
 }
 
-// staticRun and dynamicRun are the pool Workers of Static and Dynamic,
-// pooled so a region submission allocates nothing.
-type staticRun struct {
-	n, threads int
-	body       Body
-}
+// schedule is how a region hands [0, n) to its workers.
+type schedule int
 
-func (r *staticRun) Work(w int) {
-	if lo, hi := Split(r.n, r.threads, w); lo < hi {
-		r.body.Run(w, lo, hi)
-	}
-}
+const (
+	static schedule = iota
+	dynamic
+	chains // RunChains's balanced chains with stealing
+)
 
-type dynamicRun struct {
+// region is one parallel region: its schedule, its cursors and the Body
+// it runs, plus the bodies ReduceRows and RunParts build. The shared
+// pool owns one, which a loop fills only once begin has taken the pool
+// for it, so a region on the pool allocates nothing, however often a
+// collection runs; a region the pool cannot take (nested, concurrent or
+// wider than the pool) is built on the heap and fans out on fresh
+// goroutines.
+type region struct {
+	pool     *Pool // the owner, nil for a heap region
+	threads  int
+	sched    schedule
 	n, chunk int
 	next     atomic.Int64
+	bounds   []int32
+	cursors  []atomic.Int64 // one per chain, grown once
 	body     Body
+	reduce   reduceRun
+	parts    partsBody
 }
 
-func (r *dynamicRun) Work(w int) {
-	for {
-		lo := int(r.next.Add(int64(r.chunk))) - r.chunk
-		if lo >= r.n {
-			return
+// begin returns a region of threads workers: the shared pool's, held
+// until its run returns, or a fresh one.
+func begin(threads int) *region {
+	if p := sharedPool(threads); p.acquire(threads) {
+		p.region.threads = threads
+		return &p.region
+	}
+	return &region{threads: threads}
+}
+
+func (r *region) runStatic(n int, body Body) {
+	r.sched, r.n, r.body = static, n, body
+	r.run()
+}
+
+func (r *region) runDynamic(n, chunk int, body Body) {
+	r.sched, r.n, r.chunk, r.body = dynamic, n, chunk, body
+	r.next.Store(0)
+	r.run()
+}
+
+// run executes the region on its workers and, on the pool, drops the
+// references it held and releases the pool.
+func (r *region) run() {
+	p := r.pool
+	if p == nil {
+		fanOut(r.threads, r)
+		return
+	}
+	p.dispatch(r.threads, r)
+	r.bounds, r.body, r.reduce, r.parts = nil, nil, reduceRun{}, partsBody{}
+	p.busy.Unlock()
+}
+
+// Work runs worker w's share of the region.
+func (r *region) Work(w int) {
+	switch r.sched {
+	case static:
+		if lo, hi := Split(r.n, r.threads, w); lo < hi {
+			r.body.Run(w, lo, hi)
 		}
-		r.body.Run(w, lo, min(lo+r.chunk, r.n))
+	case dynamic:
+		for {
+			lo := int(r.next.Add(int64(r.chunk))) - r.chunk
+			if lo >= r.n {
+				return
+			}
+			r.body.Run(w, lo, min(lo+r.chunk, r.n))
+		}
+	default:
+		r.workChains(w)
 	}
 }
-
-var (
-	staticRuns  = sync.Pool{New: func() any { return new(staticRun) }}
-	dynamicRuns = sync.Pool{New: func() any { return new(dynamicRun) }}
-)
 
 // chunkFor is the dynamic-schedule chunk heuristic: aim for ~8 chunks
 // per worker to amortize the atomic increment while preserving balance.

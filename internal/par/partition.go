@@ -2,7 +2,6 @@ package par
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -148,18 +147,6 @@ func ChainLoads(weights []int64, bounds []int32) []int64 {
 	return loads
 }
 
-// PartLoads returns the total weight of each part of a PartitionLPT
-// result.
-func PartLoads(weights []int64, parts [][]int32) []int64 {
-	loads := make([]int64, len(parts))
-	for p, items := range parts {
-		for _, it := range items {
-			loads[p] += weights[it]
-		}
-	}
-	return loads
-}
-
 // Imbalance returns max(loads)/mean(loads), the load-balance metric of
 // the paper's partitioning experiments (1.0 is perfect). Zero loads
 // give 1.
@@ -187,7 +174,8 @@ func Imbalance(loads []int64) float64 {
 // the most work remaining. Chunks shrink geometrically toward each
 // chain's tail, so stealing granularity tightens exactly where the
 // static balance was wrong. Every index is claimed exactly once, so
-// owner-computes kernels stay bitwise deterministic under stealing.
+// owner-computes kernels stay bitwise deterministic under stealing. The
+// cursors are the region's, grown once, so a call allocates nothing.
 func RunChains(bounds []int32, threads int, body func(worker, lo, hi int)) {
 	parts := len(bounds) - 1
 	if parts <= 0 || bounds[parts] == bounds[0] {
@@ -198,23 +186,21 @@ func RunChains(bounds []int32, threads int, body func(worker, lo, hi int)) {
 		body(0, int(bounds[0]), int(bounds[parts]))
 		return
 	}
-	r := &chainRun{bounds: bounds, cursors: make([]atomic.Int64, parts), body: BodyFunc(body)}
-	for c := 0; c < parts; c++ {
+	r := begin(threads)
+	if cap(r.cursors) < parts {
+		r.cursors = make([]atomic.Int64, parts)
+	}
+	r.cursors = r.cursors[:parts]
+	for c := range parts {
 		r.cursors[c].Store(int64(bounds[c]))
 	}
-	sharedPool(threads).RunWorker(threads, r)
-}
-
-// chainRun is RunChains's pool Worker: one atomic cursor per chain.
-type chainRun struct {
-	bounds  []int32
-	cursors []atomic.Int64
-	body    Body
+	r.sched, r.bounds, r.body = chains, bounds, BodyFunc(body)
+	r.run()
 }
 
 // claim grabs the next chunk of chain c: an eighth of the remainder, at
 // least minChunk.
-func (r *chainRun) claim(c int) (lo, hi int, ok bool) {
+func (r *region) claim(c int) (lo, hi int, ok bool) {
 	const minChunk = 16
 	end := int64(r.bounds[c+1])
 	for {
@@ -229,7 +215,8 @@ func (r *chainRun) claim(c int) (lo, hi int, ok bool) {
 	}
 }
 
-func (r *chainRun) Work(w int) {
+// workChains is worker w's share of a RunChains region.
+func (r *region) workChains(w int) {
 	parts := len(r.cursors)
 	// Own chain first (workers beyond the chain count go straight to
 	// stealing).
@@ -265,15 +252,15 @@ func (r *chainRun) Work(w int) {
 // because ownership is total and per-part order fixed, owner-computes
 // kernels are bitwise deterministic for any thread count.
 func RunParts(parts [][]int32, body func(worker, item int)) {
-	r := partsBodies.Get().(*partsBody)
-	r.parts, r.body = parts, body
-	Static(len(parts), len(parts), r)
-	*r = partsBody{}
-	partsBodies.Put(r)
+	if len(parts) == 0 {
+		return
+	}
+	r := begin(len(parts))
+	r.parts = partsBody{parts: parts, body: body}
+	r.runStatic(len(parts), &r.parts)
 }
 
-// partsBody is RunParts's Body over part ids, pooled like Static's
-// runner.
+// partsBody is RunParts's Body over part ids, held in its region.
 type partsBody struct {
 	parts [][]int32
 	body  func(worker, item int)
@@ -286,5 +273,3 @@ func (r *partsBody) Run(w, lo, hi int) {
 		}
 	}
 }
-
-var partsBodies = sync.Pool{New: func() any { return new(partsBody) }}

@@ -25,17 +25,16 @@ type Pool struct {
 	// failure routes overlapping or nested regions to the fallback.
 	busy   sync.Mutex
 	closed bool
-	// wg is reused across regions (busy serializes them), so a region
-	// costs no WaitGroup allocation. A HOOI sweep enters hundreds of
-	// regions; the solver workspaces got kernel allocations to zero, so
-	// region bookkeeping was the remaining steady-state heap traffic.
-	wg sync.WaitGroup
+	// wg and region are reused across regions (busy serializes them):
+	// the package's loops fill the pool's region descriptor rather than
+	// a fresh one, so a region on the pool touches the heap not at all.
+	wg     sync.WaitGroup
+	region region
 }
 
-// Worker is a parallel region body passed by interface: Static's and
-// Dynamic's pooled runners and RunChains's chain runner. Converting a
-// pointer to an interface does not allocate, so a region submitted
-// through RunWorker with a pooled runner touches the heap not at all.
+// Worker is a parallel region body passed by interface: the region
+// descriptor of the package's loops, or a test's. Converting a pointer
+// to an interface does not allocate.
 type Worker interface {
 	// Work runs the region body for worker id w in [0, threads).
 	Work(w int)
@@ -43,10 +42,11 @@ type Worker interface {
 
 // NewPool starts a pool of the given number of workers (non-positive
 // selects GOMAXPROCS). The workers idle on channel receives until
-// RunWorker hands them a region body; they exit on Close.
+// RunWorker or a loop hands them a region body; they exit on Close.
 func NewPool(threads int) *Pool {
 	threads = DefaultThreads(threads)
 	p := &Pool{threads: threads, tasks: make([]chan Worker, threads)}
+	p.region.pool = p
 	for w := 0; w < threads; w++ {
 		ch := make(chan Worker)
 		p.tasks[w] = ch
@@ -74,9 +74,40 @@ func (p *Pool) RunWorker(threads int, w Worker) {
 		w.Work(0)
 		return
 	}
-	if p != nil && p.tryRun(threads, w) {
+	if !p.acquire(threads) {
+		fanOut(threads, w)
 		return
 	}
+	p.dispatch(threads, w)
+	p.busy.Unlock()
+}
+
+// acquire takes the pool for a region of threads workers, or reports
+// false when it is busy, closed, or too small.
+func (p *Pool) acquire(threads int) bool {
+	if p == nil || threads > p.threads || !p.busy.TryLock() {
+		return false
+	}
+	if p.closed {
+		p.busy.Unlock()
+		return false
+	}
+	return true
+}
+
+// dispatch runs w on the first threads workers of an acquired pool and
+// waits for them.
+func (p *Pool) dispatch(threads int, w Worker) {
+	p.wg.Add(threads)
+	for id := 0; id < threads; id++ {
+		p.tasks[id] <- w
+	}
+	p.wg.Wait()
+}
+
+// fanOut runs w on threads fresh goroutines: the path of a region the
+// pool cannot take.
+func fanOut(threads int, w Worker) {
 	var wg sync.WaitGroup
 	wg.Add(threads)
 	for id := 0; id < threads; id++ {
@@ -86,24 +117,6 @@ func (p *Pool) RunWorker(threads int, w Worker) {
 		}(id)
 	}
 	wg.Wait()
-}
-
-// tryRun runs the region on the pool workers, or reports false when the
-// pool is busy, closed, or too small.
-func (p *Pool) tryRun(threads int, w Worker) bool {
-	if threads > p.threads || !p.busy.TryLock() {
-		return false
-	}
-	defer p.busy.Unlock()
-	if p.closed {
-		return false
-	}
-	p.wg.Add(threads)
-	for id := 0; id < threads; id++ {
-		p.tasks[id] <- w
-	}
-	p.wg.Wait()
-	return true
 }
 
 // Close terminates the pool workers. It waits for an in-flight region

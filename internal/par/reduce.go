@@ -1,9 +1,6 @@
 package par
 
-import (
-	"sync"
-	"unsafe"
-)
+import "unsafe"
 
 // reduceBlocks is the fixed reduction grid width used by the
 // deterministic parallel reductions: enough blocks to occupy the thread
@@ -31,7 +28,7 @@ func NumReduceBlocks(n int) int {
 
 // OneBlock reports whether ReduceRows sums rows in one block, straight
 // into dst: a caller may then run its block kernel on dst itself and
-// skip the round trip through its pools that a Summer costs.
+// skip setting up the Summer.
 func OneBlock(rows int) bool { return NumReduceBlocks(rows) == 1 }
 
 // lineFloats is the number of float64s in a 64-byte cache line.
@@ -43,11 +40,13 @@ func wholeLines(k int) int {
 }
 
 // Summer is the two kernels of a row-space sum: Sum adds the terms of
-// rows [lo, hi) into p, a zeroed partial as long as the sum, and Add adds
-// a partial into dst elementwise with one rounding per element, the bits
-// of dst[k] += p[k] (a vector kernel may do that where sums are wide).
+// rows [lo, hi) into p, a zeroed partial as long as the sum, on worker
+// w, an id below the thread count ReduceRows was given that lets it use
+// per-worker scratch; Add adds a partial into dst elementwise with one
+// rounding per element, the bits of dst[k] += p[k] (a vector kernel may
+// do that where sums are wide).
 type Summer interface {
-	Sum(p []float64, lo, hi int)
+	Sum(w int, p []float64, lo, hi int)
 	Add(dst, p []float64)
 }
 
@@ -55,7 +54,7 @@ type Summer interface {
 type SummerFunc func(p []float64, lo, hi int)
 
 // Sum calls f(p, lo, hi).
-func (f SummerFunc) Sum(p []float64, lo, hi int) { f(p, lo, hi) }
+func (f SummerFunc) Sum(_ int, p []float64, lo, hi int) { f(p, lo, hi) }
 
 // Add adds p into dst elementwise.
 func (SummerFunc) Add(dst, p []float64) {
@@ -76,13 +75,13 @@ func (SummerFunc) Add(dst, p []float64) {
 // no two workers write one line.
 //
 // The partials live in work, which is grown as needed and returned: a
-// caller that keeps it, and passes a pooled or long-lived s, allocates
-// nothing in steady state.
+// caller that keeps it, and passes a long-lived s, allocates nothing in
+// steady state.
 func ReduceRows(dst []float64, rows, threads int, work []float64, s Summer) []float64 {
 	clear(dst)
 	nb := NumReduceBlocks(rows)
 	if nb == 1 {
-		s.Sum(dst, 0, rows)
+		s.Sum(0, dst, 0, rows)
 		return work
 	}
 	width := len(dst)
@@ -93,17 +92,15 @@ func ReduceRows(dst []float64, rows, threads int, work []float64, s Summer) []fl
 		for b := 0; b < nb; b++ {
 			clear(p)
 			lo, hi := Split(rows, nb, b)
-			s.Sum(p, lo, hi)
+			s.Sum(0, p, lo, hi)
 			s.Add(dst, p)
 		}
 		return work
 	}
 	work, parts, stride := Slots(work, nb, width)
-	r := reduceRuns.Get().(*reduceRun)
-	*r = reduceRun{rows: rows, nb: nb, width: width, stride: stride, parts: parts, s: s}
-	Dynamic(nb, threads, 1, r)
-	*r = reduceRun{}
-	reduceRuns.Put(r)
+	r := begin(threads)
+	r.reduce = reduceRun{rows: rows, nb: nb, width: width, stride: stride, parts: parts, s: s}
+	r.runDynamic(nb, 1, &r.reduce)
 	for b := 0; b < nb; b++ {
 		s.Add(dst, parts[b*stride:b*stride+width])
 	}
@@ -130,23 +127,22 @@ func lineAligned(work []float64, n int) (grown, aligned []float64) {
 	return work, work[off : off+n]
 }
 
-// reduceRun is ReduceRows's pooled Dynamic body over block ids.
+// reduceRun is ReduceRows's Dynamic body over block ids, held in its
+// region.
 type reduceRun struct {
 	rows, nb, width, stride int
 	parts                   []float64
 	s                       Summer
 }
 
-func (r *reduceRun) Run(_, lo, hi int) {
+func (r *reduceRun) Run(w, lo, hi int) {
 	for b := lo; b < hi; b++ {
 		p := r.parts[b*r.stride : b*r.stride+r.width]
 		clear(p)
 		rlo, rhi := Split(r.rows, r.nb, b)
-		r.s.Sum(p, rlo, rhi)
+		r.s.Sum(w, p, rlo, rhi)
 	}
 }
-
-var reduceRuns = sync.Pool{New: func() any { return new(reduceRun) }}
 
 // SumBlocks returns the sum of f over the blocks of the fixed grid of
 // NumReduceBlocks(n): ReduceRows for a scalar, bitwise identical for

@@ -20,7 +20,7 @@ type rowSummer struct {
 
 func (*rowSummer) Add(dst, p []float64) { SummerFunc(nil).Add(dst, p) }
 
-func (s *rowSummer) Sum(p []float64, lo, hi int) {
+func (s *rowSummer) Sum(_ int, p []float64, lo, hi int) {
 	if uintptr(unsafe.Pointer(unsafe.SliceData(p)))%64 != 0 {
 		s.misaligned.Add(1)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"hypertensor/internal/dense"
-	"hypertensor/internal/par"
 )
 
 // The Gram solver's thresholds. Both comparisons run on replicated
@@ -90,7 +89,7 @@ func Gram(op Operator, k int, opts Options) (*Result, error) {
 		wh := dense.ReuseMatrix(ws.white, k, k)
 		ws.white = wh
 		ws.svd.GramWhitenInto(wh, c)
-		ws.rot.apply(u, wh, denseOf(op).Threads)
+		ws.scratch.Rotate(u, wh, op.Dense().Threads)
 	}
 	if kept < k {
 		completeBasis(op, u, sigma, opts, ws)
@@ -114,60 +113,4 @@ func orthDefect(c *dense.Matrix, kept int) float64 {
 		}
 	}
 	return defect
-}
-
-// rotateRows is the height of the row blocks Gram's re-whitening
-// rotates U through: a worker's block of the product, 8·rotateRows·k
-// bytes, is whole cache lines for any k and stays in L1 between its
-// product and the copy back.
-const rotateRows = 64
-
-// rotation overwrites a row panel U (rows x k) with U·C for a k x k C
-// without a second rows x k panel. A worker multiplies rotateRows rows
-// at a time into its own slot of scratch with dense.MatMulInto on one
-// thread — every row through matMulRows, as in a MatMulInto of the
-// whole panel, whose rows do not depend on the range they are computed
-// in — and copies them back over the rows they came from. So U ends
-// with the bits MatMulInto(Q, U, C) gives a separate Q, for any thread
-// count. It lives in the workspace, block views included, so once its
-// scratch has grown a rotation allocates nothing.
-type rotation struct {
-	u, c *dense.Matrix
-	// slots holds a worker's slot every stride float64s (par.Slots), in
-	// scratch.
-	scratch, slots []float64
-	stride         int
-	// views holds two matrix headers per worker, the block of U and its
-	// product: taken by address from here, they do not escape per block.
-	views []dense.Matrix
-}
-
-// apply sets u to u·c on up to threads workers.
-func (r *rotation) apply(u, c *dense.Matrix, threads int) {
-	blocks := (u.Rows + rotateRows - 1) / rotateRows
-	if blocks == 0 {
-		return
-	}
-	threads = min(par.DefaultThreads(threads), blocks)
-	r.scratch, r.slots, r.stride = par.Slots(r.scratch, threads, rotateRows*u.Cols)
-	if len(r.views) < 2*threads {
-		r.views = make([]dense.Matrix, 2*threads)
-	}
-	r.u, r.c = u, c
-	par.Static(blocks, threads, r)
-	r.u, r.c = nil, nil
-}
-
-// Run rotates row blocks [lo, hi) through worker w's slot.
-func (r *rotation) Run(w, lo, hi int) {
-	k := r.u.Cols
-	out := r.slots[w*r.stride : w*r.stride+rotateRows*k]
-	rows, prod := &r.views[2*w], &r.views[2*w+1]
-	for blk := lo; blk < hi; blk++ {
-		r0, r1 := blk*rotateRows, min((blk+1)*rotateRows, r.u.Rows)
-		*rows = dense.Matrix{Rows: r1 - r0, Cols: k, Data: r.u.Data[r0*k : r1*k]}
-		*prod = dense.Matrix{Rows: r1 - r0, Cols: k, Data: out[:(r1-r0)*k]}
-		dense.MatMulInto(prod, rows, r.c, 1)
-		copy(rows.Data, prod.Data)
-	}
 }

@@ -163,8 +163,8 @@ func TestNilKronOperatorIsThePlainKernels(t *testing.T) {
 				w, y := dense.RandomNormal(a.Cols, 10, rng), dense.RandomNormal(a.Rows, 10, rng)
 				ax, aty := make([]float64, a.Rows), make([]float64, a.Cols)
 				aw, aty10, yty, g := dense.NewMatrix(a.Rows, 10), dense.NewMatrix(a.Cols, 10), dense.NewMatrix(10, 10), dense.NewMatrix(a.Cols, a.Cols)
-				dense.Gemv(a, x, ax, threads)
-				dense.GemvT(a, yv, aty, threads)
+				dense.GemvInto(ax, a, x, threads)
+				dense.GemvTInto(aty, a, yv, threads)
 				dense.MatMulInto(aw, a, w, threads)
 				dense.MatMulTAInto(aty10, a, y, threads)
 				dense.MatMulTAInto(yty, y, y, threads)
@@ -186,9 +186,6 @@ func TestNilKronOperatorIsThePlainKernels(t *testing.T) {
 // A split operator's MatVec and MatTVec, the Lanczos solver's products,
 // allocate nothing once the rows' scratch has grown.
 func TestSplitOperatorVectorProductsDoNotAllocate(t *testing.T) {
-	if raceBuild {
-		t.Skip("the race detector makes sync.Pool drop puts at random")
-	}
 	op := splitCases[len(splitCases)-1].build(rand.New(rand.NewSource(83)))
 	x, y := make([]float64, op.Cols()), make([]float64, op.LocalRows())
 	for _, threads := range []int{1, 2} {

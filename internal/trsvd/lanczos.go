@@ -95,7 +95,7 @@ func Lanczos(op Operator, k int, opts Options) (*Result, error) {
 	rows := op.LocalRows()
 	maxDim := maxDim(k, cols)
 	ws := opts.work()
-	threads := denseOf(op).Threads
+	threads := op.Dense().Threads
 
 	// Krylov bases: V (col space, replicated) and U (row space, local),
 	// one basis vector per matrix row. Uninitialized reuse is safe —
@@ -321,7 +321,7 @@ func completeBasis(op Operator, u *dense.Matrix, sigma []float64, opts Options, 
 // all coefficients in one GEMV sweep, then one fused update sweep. A
 // second pass runs when the norm drops (CGS2), which is as robust as
 // the modified variant for the small subspaces used here and twice as
-// cache-friendly. threads is the solver's thread budget (denseOf).
+// cache-friendly. threads is the solver's thread budget (Operator.Dense).
 func reorthCols(v []float64, ws *Workspace, s, threads int) {
 	if s == 0 {
 		return
@@ -333,7 +333,7 @@ func reorthCols(v []float64, ws *Workspace, s, threads int) {
 	coeff := ws.coeff[:s]
 	for pass := 0; pass < 2; pass++ {
 		before := dense.Nrm2(v)
-		dense.GemvInto(coeff, view, v, threads)
+		ws.scratch.Gemv(view, v, coeff, threads)
 		for t := 0; t < s; t++ {
 			dense.Axpy(-coeff[t], vb.Row(t), v)
 		}

@@ -46,7 +46,7 @@ func checkLeftVectors(t *testing.T, a *dense.Matrix, u *dense.Matrix, sigma []fl
 			ui[r] = u.At(r, i)
 		}
 		atu := make([]float64, a.Cols)
-		dense.GemvT(a, ui, atu, 1)
+		dense.GemvTInto(atu, a, ui, 1)
 		if math.Abs(dense.Nrm2(atu)-sigma[i]) > tol*(1+sRef[0]) {
 			t.Fatalf("||A^T u_%d|| = %v, want %v", i, dense.Nrm2(atu), sigma[i])
 		}

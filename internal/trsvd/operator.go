@@ -44,6 +44,10 @@ type Operator interface {
 	// scratch the implementation may grow; the caller keeps what is
 	// returned for the next call.
 	Gram(g *dense.Matrix, work []float64) []float64
+	// Dense is the dense operator over this rank's rows: the operator
+	// itself in shared memory, one thread and no Kron rows under a
+	// distributed one. Its Threads are the solver's own dense work's.
+	Dense() *DenseOperator
 }
 
 // DenseOperator adapts an in-memory dense matrix (the compacted TTMc
@@ -54,12 +58,14 @@ type Operator interface {
 // operator is then the matrix dense.KronRows describes, A its first
 // rows. Every method runs the dense Kron kernels, which make the plain
 // kernels' calls when Kron is nil, except that MatVec and MatTVec then
-// run the GEMVs.
+// run the GEMVs. The kernels' state is the operator's, so a caller that
+// keeps the operator and rebinds A allocates nothing per application.
 type DenseOperator struct {
 	A       *dense.Matrix
 	Threads int
 	Kron    *dense.KronRows
 	x, y    dense.Matrix // MatVec's and MatTVec's columns, kept from escaping
+	s       dense.Scratch
 }
 
 // LocalRows returns the row count of the wrapped matrix.
@@ -71,7 +77,7 @@ func (o *DenseOperator) Cols() int { return o.A.Cols }
 // MatVec computes y = A x with the threaded GEMV kernel.
 func (o *DenseOperator) MatVec(x, y []float64) {
 	if o.Kron == nil {
-		dense.Gemv(o.A, x, y, o.Threads)
+		o.s.Gemv(o.A, x, y, o.Threads)
 		return
 	}
 	o.x, o.y = dense.Matrix{Rows: len(x), Cols: 1, Data: x}, dense.Matrix{Rows: len(y), Cols: 1, Data: y}
@@ -81,7 +87,7 @@ func (o *DenseOperator) MatVec(x, y []float64) {
 // MatTVec computes x = Aᵀ y with the threaded transposed GEMV kernel.
 func (o *DenseOperator) MatTVec(y, x []float64) {
 	if o.Kron == nil {
-		dense.GemvT(o.A, y, x, o.Threads)
+		o.s.GemvT(o.A, y, x, o.Threads)
 		return
 	}
 	o.x, o.y = dense.Matrix{Rows: len(x), Cols: 1, Data: x}, dense.Matrix{Rows: len(y), Cols: 1, Data: y}
@@ -100,52 +106,40 @@ func (o *DenseOperator) GlobalRow(local int) int64 { return int64(local) }
 // MatMat computes Y = A·W in one BLAS3 pass (register-tiled GEMM)
 // instead of W.Cols separate GEMVs.
 func (o *DenseOperator) MatMat(w, y *dense.Matrix) {
-	dense.KronMatMulInto(y, o.A, o.Kron, w, o.Threads)
+	o.s.KronMatMulInto(y, o.A, o.Kron, w, o.Threads)
 }
 
 // MatTMat computes Z = Aᵀ·Y in one BLAS3 pass with the fixed-block
 // deterministic reduction.
 func (o *DenseOperator) MatTMat(y, z *dense.Matrix) {
-	dense.KronMatMulTAInto(z, o.A, o.Kron, y, o.Threads)
+	o.s.KronMatMulTAInto(z, o.A, o.Kron, y, o.Threads)
 }
 
 // RowGram computes g = YᵀY with the fixed-block deterministic BLAS3
 // reduction.
-func (o *DenseOperator) RowGram(y, g *dense.Matrix) { dense.MatMulTAInto(g, y, y, o.Threads) }
+func (o *DenseOperator) RowGram(y, g *dense.Matrix) { o.s.MatMulTAInto(g, y, y, o.Threads) }
 
 // Gram computes g = AᵀA with the threaded symmetric rank-k kernel.
 func (o *DenseOperator) Gram(g *dense.Matrix, work []float64) []float64 {
 	return dense.SyrkKronInto(g, o.A, o.Kron, work, o.Threads)
 }
 
-// GramMadds is the multiply-adds op.Gram runs on this rank's rows: a
-// DenseOperator's as its Kron counts them, the upper triangle of every
-// row's term for any other operator.
+// Dense returns the operator itself.
+func (o *DenseOperator) Dense() *DenseOperator { return o }
+
+// GramMadds is the multiply-adds op.Gram runs on this rank's rows, as its
+// dense operator's Kron counts them.
 func GramMadds(op Operator) int64 {
-	return denseOf(op).Kron.SyrkMadds(op.LocalRows(), op.Cols())
+	return op.Dense().Kron.SyrkMadds(op.LocalRows(), op.Cols())
 }
 
 // MatMatMadds is the multiply-adds op.MatMat runs on this rank's rows
-// for a panel of k columns: a DenseOperator's as its Kron counts them,
-// every row at full width for any other operator.
+// for a panel of k columns, as its dense operator's Kron counts them.
 func MatMatMadds(op Operator, k int) int64 {
-	return denseOf(op).Kron.MatMulMadds(op.LocalRows(), op.Cols(), k)
+	return op.Dense().Kron.MatMulMadds(op.LocalRows(), op.Cols(), k)
 }
 
 var _ Operator = (*DenseOperator)(nil)
-
-// denseOf returns op if it is a DenseOperator and otherwise notDense: no
-// Kron rows, and one thread for the solver's own dense work, since a
-// distributed operator's rank goroutines each run a solver concurrently.
-func denseOf(op Operator) *DenseOperator {
-	if d, ok := op.(*DenseOperator); ok {
-		return d
-	}
-	return &notDense
-}
-
-// notDense is read-only.
-var notDense = DenseOperator{Threads: 1}
 
 // hashUnit fills v with deterministic pseudo-random values derived from
 // (seed, id(i)) and is used to (re)start Krylov spaces and complete

@@ -51,13 +51,14 @@ func TestSolversReturnUInTheWorkspace(t *testing.T) {
 }
 
 // Gram's re-whitening rotates U in place through the workspace's row
-// blocks, and gets the bits dense.MatMulInto writes into a separate
-// panel: on row counts around the block height, on one and two threads,
-// and with no allocation once the scratch has grown. The panel's
+// blocks (dense.Scratch.Rotate), and gets the bits dense.MatMulInto
+// writes into a separate panel: on row counts around the block height,
+// 64 rows, on one and two threads, and with no allocation once the
+// scratch has grown. The panel's
 // columns are nearly parallel, so its defect is far above gramOrthTol
 // and Gram would take this branch.
 func TestGramRotatesUInPlace(t *testing.T) {
-	const k = 10
+	const k, rotateRows = 10, 64
 	rng := rand.New(rand.NewSource(31))
 	for _, rows := range []int{1, 3, rotateRows - 1, rotateRows, rotateRows + 1, 3*rotateRows + 5} {
 		u := dense.NewMatrix(rows, k)
@@ -79,14 +80,11 @@ func TestGramRotatesUInPlace(t *testing.T) {
 			dense.MatMulInto(want, u, wh, threads)
 			var ws Workspace
 			got := u.Clone()
-			ws.rot.apply(got, wh, threads)
+			ws.scratch.Rotate(got, wh, threads)
 			if !matEqualBits(want, got) {
 				t.Fatalf("%d rows, %d threads: the in-place rotation differs from MatMulInto", rows, threads)
 			}
-			if raceBuild {
-				continue
-			}
-			if allocs := testing.AllocsPerRun(5, func() { ws.rot.apply(got, wh, threads) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(5, func() { ws.scratch.Rotate(got, wh, threads) }); allocs != 0 {
 				t.Errorf("%d rows, %d threads: %v allocations per rotation", rows, threads, allocs)
 			}
 		}

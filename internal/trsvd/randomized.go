@@ -97,7 +97,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		b = cols
 	}
 	ws := opts.work()
-	threads := denseOf(op).Threads
+	threads := op.Dense().Threads
 	res := &Result{}
 
 	// Sketch W (cols x b, replicated).
@@ -139,13 +139,13 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		// single cheap pass.
 		op.RowGram(y, g)
 		_, cond := ws.svd.GramWhitenInto(c1, g)
-		dense.MatMulInto(q, y, c1, threads)
+		ws.scratch.MatMulInto(q, y, c1, threads)
 		y, q = q, y
 		ws.panelY, ws.qpanel = y, q
 		if cond > whitenCond {
 			op.RowGram(y, g)
 			ws.svd.GramWhitenInto(c2, g)
-			dense.MatMulInto(q, y, c2, threads)
+			ws.scratch.MatMulInto(q, y, c2, threads)
 			y, q = q, y
 			ws.panelY, ws.qpanel = y, q
 		}
@@ -157,7 +157,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		op.MatTMat(y, bm)
 		res.MatVecs += b
 		res.Passes++
-		dense.MatMulTAInto(g2, bm, bm, threads)
+		ws.scratch.MatMulTAInto(g2, bm, bm, threads)
 		_, lam, _ := ws.svd.SVD(g2)
 		if prevLam != nil && maxRelDiffK(lam, prevLam, k) <= ritzTol {
 			break
@@ -174,7 +174,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		// columns of B would wash out the trailing directions.
 		t := dense.TransposeInto(ws.sketchT, bm)
 		ws.sketchT = t
-		orthRowsCGS2(t, coeff, threads)
+		orthRowsCGS2(t, coeff, &ws.scratch, threads)
 		z := dense.TransposeInto(ws.panelZ, t)
 		ws.panelZ = z
 		op.MatMat(z, y)
@@ -190,12 +190,12 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	// sketched spectrum.
 	op.RowGram(y, g)
 	ws.svd.GramWhitenInto(c2, g)
-	dense.MatMulInto(q, y, c2, threads)
+	ws.scratch.MatMulInto(q, y, c2, threads)
 	y, q = q, y
 	ws.panelY, ws.qpanel = y, q
 	p := dense.ReuseMatrixUninit(ws.panelZ, cols, b)
 	ws.panelZ = p
-	dense.MatMulInto(p, bm, c2, threads)
+	ws.scratch.MatMulInto(p, bm, c2, threads)
 	t := dense.TransposeInto(ws.sketchT, p)
 	ws.sketchT = t
 	pu, sig, _ := ws.svd.SVD(t)
@@ -209,7 +209,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	}
 	u := dense.ReuseMatrixUninit(ws.u, rows, k)
 	ws.u = u
-	dense.MatMulInto(u, y, puK, threads)
+	ws.scratch.MatMulInto(u, y, puK, threads)
 	sigma := dense.ReuseVec(ws.sigma, k)
 	ws.sigma = sigma
 	copy(sigma, sig[:k])
@@ -273,7 +273,7 @@ func GaussHash(seed, col, j int64) float64 {
 // sweep, and a second pass when the norm drops. Numerically dependent
 // rows are zeroed (the sketch carried a redundant direction); the Gram
 // whitening downstream tolerates the explicit zero.
-func orthRowsCGS2(t *dense.Matrix, coeff []float64, threads int) {
+func orthRowsCGS2(t *dense.Matrix, coeff []float64, sc *dense.Scratch, threads int) {
 	var view dense.Matrix
 	for s := 0; s < t.Rows; s++ {
 		v := t.Row(s)
@@ -282,7 +282,7 @@ func orthRowsCGS2(t *dense.Matrix, coeff []float64, threads int) {
 			view.Data = t.Data[:s*t.Cols]
 			for pass := 0; pass < 2; pass++ {
 				before := dense.Nrm2(v)
-				dense.GemvInto(coeff[:s], &view, v, threads)
+				sc.Gemv(&view, v, coeff[:s], threads)
 				for r := 0; r < s; r++ {
 					dense.Axpy(-coeff[r], t.Row(r), v)
 				}

@@ -4,7 +4,7 @@ import "hypertensor/internal/dense"
 
 // Workspace holds every buffer the solvers need: Krylov bases, block
 // panels, projected matrices, reduction scratch, the small-SVD
-// workspace, and the returned U itself. HOOI calls a TRSVD solver once
+// workspace, the dense kernels' state, and the returned U itself. HOOI calls a TRSVD solver once
 // per mode per sweep on matrices whose shapes repeat exactly, so a
 // workspace threaded through Options.Work makes the steady-state sweep
 // allocate nothing but the Result struct. Result.U and Result.Sigma
@@ -48,10 +48,10 @@ type Workspace struct {
 	ritzPrev        []float64
 
 	// Gram: the block partials of the symmetric rank-k product (gram, vk,
-	// gram2 and white above hold its small matrices) and the in-place
-	// re-whitening of U.
-	syrk []float64
-	rot  rotation
+	// gram2 and white above hold its small matrices). scratch is the
+	// solvers' own dense kernels' state, Gram's re-whitening of U's too.
+	syrk    []float64
+	scratch dense.Scratch
 
 	// Every solver's Result.U and Result.Sigma.
 	u     *dense.Matrix
