@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"hypertensor/internal/gen"
@@ -25,11 +26,11 @@ func singletons(x *tensor.COO) []int {
 }
 
 // The singleton census runs in the Gram-solved modes of a shared-memory
-// order-3 plan at fixed ranks, and an Update takes it again on the
-// merged tensor; every other plan — Eps, a Lanczos mode, order 4 under
-// the tree or pinned flat, a rank plan — keeps its row order and takes
-// none.
-func TestCensusOnlyOnSharedOrder3Gram(t *testing.T) {
+// plan at fixed ranks, at every order and on either kernel, and an
+// Update takes it again on the merged tensor (on order 4, on the tree it
+// rebuilds); every other plan — Eps, a Lanczos mode, a rank plan — keeps
+// its row order and takes none.
+func TestCensusOnSharedGram(t *testing.T) {
 	x, ranks := presetTensor(t, "netflix", 0.2)
 	opts := Options{Ranks: ranks, MaxIters: 2, Tol: -1, Seed: 5, Threads: 2}
 	e := NewEngine(mustPlan(t, x, opts))
@@ -85,11 +86,52 @@ func TestCensusOnlyOnSharedOrder3Gram(t *testing.T) {
 		t.Errorf("netflix on a rank plan: census %+v", rank.Census)
 	}
 
+	// Order 4: the tree takes the flat kernel's census, and so does an
+	// Update on the tree it rebuilds.
 	x4, ranks4 := presetTensor(t, "delicious", 0.05)
-	for _, strat := range []TTMcStrategy{TTMcAuto, TTMcFlat} {
-		o := Options{Ranks: ranks4, MaxIters: 1, Tol: -1, Seed: 5, ttmc: strat}
-		if c := mustRun(t, x4, o).Census; c != nil {
-			t.Errorf("delicious strategy %v: census %+v", strat, c)
+	o := Options{Ranks: ranks4, MaxIters: 1, Tol: -1, Seed: 5, Threads: 2, ttmc: TTMcFlat}
+	flat := mustRun(t, x4, o).Census
+	o.ttmc = TTMcAuto
+	e4 := NewEngine(mustPlan(t, x4, o))
+	if _, ok := e4.kern.(*ttm.DTree); !ok {
+		t.Fatalf("delicious: the default engine runs %T", e4.kern)
+	}
+	res, err = e4.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Census, flat) || len(flat) != 4 {
+		t.Fatalf("delicious: the tree's census %+v, the flat kernel's %+v", res.Census, flat)
+	}
+	want = singletons(x4)
+	taken := 0
+	for n, c := range res.Census {
+		if c.Singletons != want[n] {
+			t.Errorf("delicious mode %d: census counts %d singletons, the lists %d", n, c.Singletons, want[n])
+		}
+		if c.Taken() {
+			taken++
+		}
+	}
+	if taken == 0 {
+		t.Fatalf("delicious: census %+v, want a mode to take the split", res.Census)
+	}
+	delta = gen.Delta(x4, 0.01, 0.01, 9)
+	res, err = e4.Update(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged = x4.Clone()
+	if _, err := merged.Merge(delta); err != nil {
+		t.Fatal(err)
+	}
+	want = singletons(merged)
+	for n, c := range res.Census {
+		if c.Singletons != want[n] {
+			t.Errorf("delicious after Update, mode %d: census counts %d singletons, the merged lists %d", n, c.Singletons, want[n])
+		}
+		if (e4.kern.SplitRows(n) != nil) != c.Taken() {
+			t.Errorf("delicious after Update, mode %d: census %+v, the rebuilt tree's rows split %v", n, c, e4.kern.SplitRows(n) != nil)
 		}
 	}
 }
