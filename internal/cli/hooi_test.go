@@ -21,8 +21,9 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 // dir holds the inputs TestMain writes: x.tns, the 2k-nnz order-3
 // tensor cmd/hooi's tests use, x4.tns, an order-4 one, tall.tns, an
-// order-3 one whose modes 0 and 2 are mostly one-nonzero slices, and
-// delta.tns, three nonzeros for x.tns (two changed, one new).
+// order-3 one whose modes 0 and 2 are mostly one-nonzero slices,
+// tall4.tns, an order-4 one whose mode 1 is, and delta.tns, three
+// nonzeros for x.tns (two changed, one new).
 var dir string
 
 func TestMain(m *testing.M) {
@@ -37,9 +38,10 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	for name, x := range map[string]*tensor.COO{
-		"x.tns":    gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 2000, Skew: 0.5, Seed: 1}),
-		"x4.tns":   gen.Random(gen.Config{Dims: []int{20, 18, 16, 14}, NNZ: 2000, Skew: 0.5, Seed: 1}),
-		"tall.tns": gen.Random(gen.Config{Dims: []int{3000, 8, 900}, NNZ: 2000, Skew: 0.3, Seed: 1}),
+		"x.tns":     gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 2000, Skew: 0.5, Seed: 1}),
+		"x4.tns":    gen.Random(gen.Config{Dims: []int{20, 18, 16, 14}, NNZ: 2000, Skew: 0.5, Seed: 1}),
+		"tall.tns":  gen.Random(gen.Config{Dims: []int{3000, 8, 900}, NNZ: 2000, Skew: 0.3, Seed: 1}),
+		"tall4.tns": gen.Random(gen.Config{Dims: []int{8, 2000, 60, 40}, NNZ: 2000, Skew: 0.3, Seed: 1}),
 	} {
 		if err == nil {
 			err = tensor.WriteTNSFile(filepath.Join(dir, name), x)
@@ -116,9 +118,10 @@ func golden(t *testing.T, name, got string) {
 
 // Every report line, masked. -threads 1 prints the default report, and
 // -dist 2's fit at fine grain and coarse is shared memory's to every
-// printed digit. On tall.tns modes 0 and 2 take the split Gram.
+// printed digit. On tall.tns modes 0 and 2 take the split Gram, on
+// tall4.tns the tree's mode 1.
 func TestReports(t *testing.T) {
-	x4, tall := filepath.Join(dir, "x4.tns"), filepath.Join(dir, "tall.tns")
+	x4, tall, tall4 := filepath.Join(dir, "x4.tns"), filepath.Join(dir, "tall.tns"), filepath.Join(dir, "tall4.tns")
 	for _, tc := range []struct {
 		golden string
 		args   []string
@@ -130,6 +133,8 @@ func TestReports(t *testing.T) {
 		{"order4", []string{"-input", x4, "-ranks", "2,2,2,2"}},
 		{"split", []string{"-input", tall}},
 		{"split", []string{"-input", tall, "-threads", "1"}},
+		{"split4", []string{"-input", tall4, "-ranks", "3,3,3,3"}},
+		{"split4", []string{"-input", tall4, "-ranks", "3,3,3,3", "-threads", "1"}},
 		{"update", []string{"-iters", "3", "-update", filepath.Join(dir, "delta.tns")}},
 		{"dist2_fine", []string{"-dist", "2"}},
 		{"dist2_coarse", []string{"-dist", "2", "-grain", "coarse"}},
@@ -139,6 +144,25 @@ func TestReports(t *testing.T) {
 			t.Fatalf("%v: exit %d, stderr %q", tc.args, exit, stderr)
 		}
 		golden(t, tc.golden, mask(stdout))
+	}
+}
+
+// On an order-4 input with a mode in split order, the tree's measured
+// madds per sweep are the dtree figure the ttmc: line predicts beside
+// them: the prediction takes the census the engine takes, and counts a
+// split mode's singleton rows c wide as the tree writes them.
+func TestSplitOrder4MaddsArePredicted(t *testing.T) {
+	exit, stdout, stderr := runHooi(append(base(), "-input", filepath.Join(dir, "tall4.tns"), "-ranks", "3,3,3,3")...)
+	if exit != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", exit, stderr)
+	}
+	ttmc := regexp.MustCompile(`ttmc: strategy=dtree flops=\d+ \((\d+) madds/sweep; predicted flat=\d+ dtree=(\d+)\)`).FindStringSubmatch(stdout)
+	split := regexp.MustCompile(`gram=\[[^\]]*\d+/\d+`).MatchString(stdout)
+	if ttmc == nil || !split {
+		t.Fatalf("want a dtree ttmc: line and a split mode on the trsvd: line, got:\n%s", stdout)
+	}
+	if ttmc[1] != ttmc[2] {
+		t.Fatalf("the tree ran %s madds a sweep, predicted %s:\n%s", ttmc[1], ttmc[2], stdout)
 	}
 }
 

@@ -378,26 +378,29 @@ func (s *foldSpy) ReduceCore([]float64) {
 // The last mode's Y outlives its mode: the core is formed from it after
 // the loop. In the shared buffer that holds as long as nothing shapes
 // or computes another mode's product first — the compact rows of a split
-// last mode (nell's) included, which the witness watches in an engine
-// that took its census in the one-rank world.
+// last mode (nell's under the flat kernel, delicious's under the tree)
+// included, which the witness watches in an engine that took its census
+// in the one-rank world.
 func TestLastModeYIntactAtCoreFormation(t *testing.T) {
-	x, ranks := presetTensor(t, "nell", 0.05)
-	opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2, Threads: 2}
-	e := NewEngine(mustPlan(t, x, opts))
-	last := x.Order() - 1
-	if e.splitRows(last) == nil {
-		t.Fatalf("nell: the last mode takes no split (census %+v)", e.census)
+	for _, preset := range []string{"nell", "delicious"} {
+		x, ranks := presetTensor(t, preset, 0.05)
+		opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 2, Threads: 2}
+		e := NewEngine(mustPlan(t, x, opts))
+		last := x.Order() - 1
+		if e.kern.SplitRows(last) == nil {
+			t.Fatalf("%s: the last mode takes no split (census %+v)", preset, e.census)
+		}
+		spy := &foldSpy{localExchange: localExchange{threads: 2}, t: t, last: last, compact: e.kern.SplitRows(last)}
+		e.ex = spy
+		res, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spy.seen != 3 {
+			t.Fatalf("%s: core formed %d times in 3 sweeps", preset, spy.seen)
+		}
+		resultsBitwiseEqual(t, preset+": run under the witness vs plain run", res, mustRun(t, x, opts))
 	}
-	spy := &foldSpy{localExchange: localExchange{threads: 2}, t: t, last: last, compact: e.splitRows(last)}
-	e.ex = spy
-	res, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spy.seen != 3 {
-		t.Fatalf("nell: core formed %d times in 3 sweeps", spy.seen)
-	}
-	resultsBitwiseEqual(t, "nell: run under the witness vs plain run", res, mustRun(t, x, opts))
 
 	for _, preset := range []string{"netflix", "flickr"} {
 		x, ranks := presetTensor(t, preset, 0.02)
@@ -413,7 +416,11 @@ func TestLastModeYIntactAtCoreFormation(t *testing.T) {
 		if spy.seen != 3 {
 			t.Fatalf("%s: core formed %d times in 3 sweeps", preset, spy.seen)
 		}
-		resultsBitwiseEqual(t, preset+": run under the witness vs plain run", res, mustRun(t, x, opts))
+		plain, err := NewEngine(NewRankPlan(x, opts, x.Norm(2), nil, &localExchange{threads: 2})).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsBitwiseEqual(t, preset+": run under the witness vs plain run", res, plain)
 	}
 }
 

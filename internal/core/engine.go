@@ -51,9 +51,9 @@ type Engine struct {
 	// (newKernel); ex is the world the sweep runs in.
 	kern kernel
 	ex   Exchange
-	// census[n] is mode n's singleton census, taken when a flat kernel is
+	// census[n] is mode n's singleton census, taken when the kernel is
 	// built (newKernel), nil where none was taken; the kernel holds
-	// the singleton rows of a mode that takes the split (splitRows).
+	// the singleton rows of a mode that takes the split (kern.SplitRows).
 	census []ttm.Census
 
 	state *SweepState
@@ -61,7 +61,7 @@ type Engine struct {
 	// one Y_(n) is live at a time (the last mode's until the core is
 	// formed from it), so one buffer sized for the widest mode serves
 	// them all. A split mode's view holds its multi rows, and its
-	// singletons' compact rows (splitRows(n).T) follow them in ybuf.
+	// singletons' compact rows (kern.SplitRows(n).T) follow them in ybuf.
 	ys       []dense.Matrix
 	ybuf     []float64
 	normX    float64
@@ -87,10 +87,18 @@ type Engine struct {
 // kernel is the numeric TTMc engine of a sweep: the flat reference loop
 // or the dimension tree.
 type kernel interface {
-	// Rows lists the nonempty slices of mode n, ascending: row r of the
-	// mode-n product belongs to slice Rows(n)[r].
+	// Rows lists the nonempty slices of mode n in the order of the
+	// mode-n product's rows: row r belongs to slice Rows(n)[r].
 	Rows(n int) []int32
-	// TTMc computes the compacted mode-n product into y.
+	// SplitSingletons takes mode n's singleton census at the given
+	// ranks, putting the mode in split order where the split Gram is
+	// predicted to cost less (ttm.Flat.SplitSingletons).
+	SplitSingletons(n int, ranks []int) (ttm.Census, *dense.KronRows)
+	// SplitRows is mode n's compact singleton rows, nil unless the mode
+	// is in split order.
+	SplitRows(n int) *dense.KronRows
+	// TTMc computes the compacted mode-n product into y: a mode in split
+	// order its multi rows, and its singletons into SplitRows(n).T.
 	TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int)
 	// Flops is the multiply-add count of all calls so far.
 	Flops() int64
@@ -108,22 +116,23 @@ type kernel interface {
 // and not part of the first sweep; after an Update's Insert dropped them,
 // the fresh kernel built here makes them again.
 //
-// On a shared-memory order-3 plan at fixed ranks it also takes the
-// singleton census of every Gram-solved mode, which puts each mode whose
-// split Gram is predicted to cost less in split order
-// (ttm.Flat.SplitSingletons). Other plans keep every mode's row order and
-// plain SYRK: under Eps the randomized solver reads Y in its row order, a
-// distributed rank's Gram is the row-distributed operator's allreduced
-// SYRK, and the order-4 tree (or an order-4 flat plan) has no two-factor
-// Kronecker rows to group.
+// On a shared-memory plan at fixed ranks it also takes the singleton
+// census of every Gram-solved mode, which puts each mode whose split
+// Gram is predicted to cost less in split order (ttm.Flat.SplitSingletons,
+// ttm.DTree.SplitSingletons). Other plans keep every mode's row order and
+// plain SYRK: under Eps the randomized solver reads Y in its row order,
+// and a distributed rank's Gram is the row-distributed operator's
+// allreduced SYRK.
 func (e *Engine) newKernel(threads int) kernel {
-	e.census = nil
+	var k kernel
 	if e.opts.ttmc == TTMcDTree {
-		return ttm.BuildDTree(e.x, threads)
+		k = ttm.BuildDTree(e.x, threads)
+	} else {
+		par.For(e.order, threads, 1, func(n int) { e.sym.Modes[n].Streams(e.x) })
+		k = ttm.NewFlat(e.x, e.sym)
 	}
-	par.For(e.order, threads, 1, func(n int) { e.sym.Modes[n].Streams(e.x) })
-	k := ttm.NewFlat(e.x, e.sym)
-	if e.plan.ex == nil && e.opts.Eps <= 0 && e.order == 3 {
+	e.census = nil
+	if e.plan.ex == nil && e.opts.Eps <= 0 {
 		e.census = takeCensus(k, e.opts.Ranks, e.opts.svd)
 	}
 	return k
@@ -133,7 +142,7 @@ func (e *Engine) newKernel(threads int) kernel {
 // method resolves to the Gram solver at the given ranks, which puts each
 // mode whose split Gram is predicted to cost less in split order; every
 // other mode's census holds Group -1 and no counts.
-func takeCensus(k *ttm.Flat, ranks []int, method SVDMethod) []ttm.Census {
+func takeCensus(k kernel, ranks []int, method SVDMethod) []ttm.Census {
 	census := make([]ttm.Census, len(ranks))
 	for n := range census {
 		census[n].Group = -1
@@ -150,21 +159,12 @@ func takeCensus(k *ttm.Flat, ranks []int, method SVDMethod) []ttm.Census {
 	return census
 }
 
-// splitRows is mode n's compact singleton rows, nil unless the flat
-// kernel holds the mode in split order.
-func (e *Engine) splitRows(n int) *dense.KronRows {
-	if flat, ok := e.kern.(*ttm.Flat); ok {
-		return flat.SplitRows(n)
-	}
-	return nil
-}
-
 // operator is mode n's TRSVD operator on its folded rows y: the
 // exchange's, whose dense operator takes a split mode's compact rows
 // (bound by shapeY) behind y's.
 func (e *Engine) operator(n int, y *dense.Matrix) trsvd.Operator {
 	op := e.ex.Operator(n, y)
-	if kr := e.splitRows(n); kr != nil {
+	if kr := e.kern.SplitRows(n); kr != nil {
 		op.Dense().Kron = kr
 	}
 	return op
@@ -337,7 +337,7 @@ func (e *Engine) sizeYs() {
 // rows of c = cols/R_Group; every row is a multi row otherwise.
 func (e *Engine) yShape(n int) (multi, cols, singles, c int) {
 	multi, cols = len(e.kern.Rows(n)), ttm.RowSize(e.state.Factors, n)
-	if kr := e.splitRows(n); kr != nil {
+	if kr := e.kern.SplitRows(n); kr != nil {
 		singles, c = kr.Rows(), cols/e.state.Factors[e.census[n].Group].Cols
 		multi -= singles
 	}
@@ -355,7 +355,7 @@ func (e *Engine) shapeY(n int) *dense.Matrix {
 	}
 	y := &e.ys[n]
 	y.Rows, y.Cols, y.Data = multi, cols, e.ybuf[:multi*cols]
-	if kr := e.splitRows(n); kr != nil {
+	if kr := e.kern.SplitRows(n); kr != nil {
 		kr.T = dense.Matrix{Rows: singles, Cols: c, Data: e.ybuf[multi*cols : multi*cols+singles*c]}
 	}
 	return y

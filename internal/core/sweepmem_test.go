@@ -43,7 +43,7 @@ func TestSweepAllocatesNoFactorSizedMemory(t *testing.T) {
 			// largest entry, from its Y written out C wide.
 			last, y, u := x.Order()-1, &eng.ys[x.Order()-1], res.Factors[x.Order()-1]
 			rows := eng.kern.Rows(last)
-			if kr := eng.splitRows(last); kr != nil {
+			if kr := eng.kern.SplitRows(last); kr != nil {
 				split = true
 				want := ttm.CoreFromMatricized(ttm.CoreMatricized(kr.Materialize(y), rows, u, 1), ranks, last)
 				var scale, diff float64

@@ -138,9 +138,10 @@ func (k *KronRows) MatMulMadds(rows, cols, panel int) int64 {
 // serially, in row order, and its row of P is vec(u_j u_jᵀ); the groups
 // run on the dynamic schedule and K's entries are the one product Pᵀ·S
 // (MatMulTAInto's sum), so G is bitwise identical for every thread count.
-// It is BᵀB summed in another order, and exactly symmetric. P, S and
-// their product live in work once the SYRK's partials are spent; work is
-// grown as needed and returned, as SyrkInto's is.
+// It is BᵀB summed in another order, and exactly symmetric. P, S, their
+// product and its partials live in work once the SYRK's partials are
+// spent, so the rows of every mode share the caller's one buffer; work
+// is grown as needed and returned, as SyrkInto's is.
 func SyrkKronInto(g, a *Matrix, k *KronRows, work []float64, threads int) []float64 {
 	k.check(a)
 	work = SyrkInto(g, a, work, threads)
@@ -149,14 +150,15 @@ func SyrkKronInto(g, a *Matrix, k *KronRows, work []float64, threads int) []floa
 	}
 	n, rg, c, groups := a.Cols, k.U.Cols, k.T.Cols, len(k.Idx)
 	np, ns, nm := groups*rg*rg, groups*c*c, rg*rg*c*c
-	if cap(work) < np+ns+nm {
-		work = make([]float64, np+ns+nm)
+	off := np + ns + nm
+	if cap(work) < off {
+		work = make([]float64, off)
 	}
 	k.p = Matrix{Rows: groups, Cols: rg * rg, Data: work[:np]}
 	k.s = Matrix{Rows: groups, Cols: c * c, Data: work[np : np+ns]}
-	k.m = Matrix{Rows: rg * rg, Cols: c * c, Data: work[np+ns : np+ns+nm]}
+	k.m = Matrix{Rows: rg * rg, Cols: c * c, Data: work[np+ns : off]}
 	par.Dynamic(groups, threads, 1, (*kronGram)(k))
-	k.work = par.ReduceRows(k.m.Data, groups, threads, k.work, (*kronPS)(k))
+	parts := par.ReduceRows(k.m.Data, groups, threads, work[off:cap(work)], (*kronPS)(k))
 
 	// K[(u, v), (u', v')] = M[(u, u'), (v, v')], in B's column layout.
 	us, vs := k.strides()
@@ -170,6 +172,12 @@ func SyrkKronInto(g, a *Matrix, k *KronRows, work []float64, threads int) []floa
 				}
 			}
 		}
+	}
+	k.p, k.s, k.m = Matrix{}, Matrix{}, Matrix{}
+	if cap(parts) > cap(work)-off {
+		// The partials did not fit behind M and took a buffer of their
+		// own; the next call's fit in the one returned.
+		work = make([]float64, off+cap(parts))
 	}
 	return work
 }

@@ -12,51 +12,64 @@ import (
 )
 
 // BenchmarkGramSplit times each mode that takes the split Gram on inputs
-// of the nell3_tall and netflix3 benchmark workloads' shapes (seed 1,
-// ranks 10), with Y_(n) held two ways: compact, the mode's singleton
-// rows c = C/R_g wide behind its multi rows as the flat kernel in split
-// order writes them, read by the split operator (DenseOperator with
-// Kron); and wide, every row C wide from the kernel in list order, read
-// by the plain operator — what a mode without the census runs. Per
-// layout it times the TTMc of the mode (ttmc), the product G = YᵀY
-// (product, with its madds), U = Y·W (yw, with its madds) and the whole
-// Gram solve (solve). The factors are random orthonormal ones; no cost
-// depends on their values. The census row times SplitSingletons over
-// every mode, index streams built, as an engine runs it when it builds
-// the kernel.
+// of the nell3_tall, netflix3 and delicious4 benchmark workloads' shapes
+// (seed 1, ranks 10 on order 3 and 5 on order 4), with Y_(n) held two
+// ways: compact, the mode's singleton rows c = C/R_g wide behind its
+// multi rows as the kernel the plan picks (the flat kernel on order 3,
+// the dimension tree on order 4) writes them in split order, read by the
+// split operator (DenseOperator with Kron); and wide, every row C wide
+// from the same kernel in ascending order, read by the plain operator —
+// what a mode without the census runs. Per layout it times the TTMc of
+// the mode (ttmc; the tree's with its parent cached, as in a sweep), the
+// product G = YᵀY (product, with its madds), U = Y·W (yw, with its
+// madds) and the whole Gram solve (solve). The factors are random
+// orthonormal ones; no cost depends on their values. The census row
+// times SplitSingletons over every mode, index streams built, as an
+// engine runs it when it builds the kernel.
 //
 //	go test -run '^$' -bench GramSplit -cpu 1,2 ./internal/trsvd
 func BenchmarkGramSplit(b *testing.B) {
 	for _, w := range []struct {
-		name string
-		dims []int
-		nnz  int
-		skew float64
+		name  string
+		dims  []int
+		nnz   int
+		skew  float64
+		ranks []int
 	}{
-		{"nell3_tall", []int{640000, 301, 127600}, 400_000, 0.3},
-		{"netflix3", []int{96000, 3400, 400}, 600_000, 0.4},
+		{"nell3_tall", []int{640000, 301, 127600}, 400_000, 0.3, []int{10, 10, 10}},
+		{"netflix3", []int{96000, 3400, 400}, 600_000, 0.4, []int{10, 10, 10}},
+		{"delicious4", []int{1400, 20000, 400000, 60000}, 400_000, 0.5, []int{5, 5, 5, 5}},
 	} {
 		x := gen.Random(gen.Config{Dims: w.dims, NNZ: w.nnz, Skew: w.skew, Seed: 1})
-		ranks := []int{10, 10, 10}
+		ranks := w.ranks
 		rng := rand.New(rand.NewSource(1))
 		u := make([]*dense.Matrix, len(ranks))
 		for n := range u {
 			u[n] = dense.Orthonormalize(dense.RandomNormal(w.dims[n], ranks[n], rng), 0)
 		}
+		// newKernel builds the kernel an engine builds for the shape.
 		sym := symbolic.Build(x, 0)
 		for n := range sym.Modes {
 			sym.Modes[n].Streams(x)
 		}
-		// The census of every mode, as an engine takes it at kernel build.
+		newKernel := func() splitKernel {
+			if len(ranks) >= 4 {
+				return ttm.BuildDTree(x, 0)
+			}
+			return ttm.NewFlat(x, sym)
+		}
+		// The census of every mode, as an engine takes it at kernel build
+		// (each call takes it afresh).
 		b.Run(w.name+"/census", func(b *testing.B) {
+			k := newKernel()
+			b.ResetTimer()
 			for range b.N {
-				k := ttm.NewFlat(x, sym)
 				for n := range ranks {
 					k.SplitSingletons(n, ranks)
 				}
 			}
 		})
-		wideKern, split := ttm.NewFlat(x, sym), ttm.NewFlat(x, sym)
+		wideKern, split := newKernel(), newKernel()
 		for n := range ranks {
 			cen, kron := split.SplitSingletons(n, ranks)
 			if kron == nil {
@@ -70,7 +83,7 @@ func BenchmarkGramSplit(b *testing.B) {
 			for _, layout := range []struct {
 				name string
 				op   *DenseOperator
-				kern *ttm.Flat
+				kern splitKernel
 			}{{"wide", wide, wideKern}, {"compact", compact, split}} {
 				op, kern := layout.op, layout.kern
 				name := fmt.Sprintf("%s/mode=%d,rows=%d,singletons=%d,group=%d,groups=%d/%s",
@@ -79,6 +92,8 @@ func BenchmarkGramSplit(b *testing.B) {
 				// sweep's solves reuse one workspace, and the first call
 				// of each phase grows what it keeps, untimed.
 				b.Run(name+"/ttmc", func(b *testing.B) {
+					kern.TTMc(op.A, n, u, 0)
+					b.ResetTimer()
 					for range b.N {
 						kern.TTMc(op.A, n, u, 0)
 					}
@@ -117,4 +132,11 @@ func BenchmarkGramSplit(b *testing.B) {
 			}
 		}
 	}
+}
+
+// splitKernel is what either TTMc kernel offers a mode in split order.
+type splitKernel interface {
+	SplitSingletons(n int, ranks []int) (ttm.Census, *dense.KronRows)
+	Rows(n int) []int32
+	TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int)
 }

@@ -174,7 +174,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		// columns of B would wash out the trailing directions.
 		t := dense.TransposeInto(ws.sketchT, bm)
 		ws.sketchT = t
-		orthRowsCGS2(t, coeff, &ws.scratch, threads)
+		orthRowsCGS2(t, &ws.sketchView, coeff, &ws.scratch, threads)
 		z := dense.TransposeInto(ws.panelZ, t)
 		ws.panelZ = z
 		op.MatMat(z, y)
@@ -272,9 +272,10 @@ func GaussHash(seed, col, j int64) float64 {
 // GEMV coefficient sweep against the rows above it, one fused update
 // sweep, and a second pass when the norm drops. Numerically dependent
 // rows are zeroed (the sketch carried a redundant direction); the Gram
-// whitening downstream tolerates the explicit zero.
-func orthRowsCGS2(t *dense.Matrix, coeff []float64, sc *dense.Scratch, threads int) {
-	var view dense.Matrix
+// whitening downstream tolerates the explicit zero. view is the header
+// of the rows above, which sc.Gemv keeps: the workspace's, as Lanczos
+// keeps vbView, so that a call allocates nothing.
+func orthRowsCGS2(t, view *dense.Matrix, coeff []float64, sc *dense.Scratch, threads int) {
 	for s := 0; s < t.Rows; s++ {
 		v := t.Row(s)
 		if s > 0 {
@@ -282,7 +283,7 @@ func orthRowsCGS2(t *dense.Matrix, coeff []float64, sc *dense.Scratch, threads i
 			view.Data = t.Data[:s*t.Cols]
 			for pass := 0; pass < 2; pass++ {
 				before := dense.Nrm2(v)
-				sc.Gemv(&view, v, coeff[:s], threads)
+				sc.Gemv(view, v, coeff[:s], threads)
 				for r := 0; r < s; r++ {
 					dense.Axpy(-coeff[r], t.Row(r), v)
 				}

@@ -3,6 +3,7 @@ package trsvd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hypertensor/internal/dense"
@@ -153,6 +154,32 @@ func TestRandomizedSteadyStateAllocations(t *testing.T) {
 	})
 	if allocs > 24 {
 		t.Fatalf("warm Randomized performs %v allocations per call; want near-zero", allocs)
+	}
+}
+
+// The sketch's CGS2 keeps the header of the rows above the one at hand
+// in the workspace, as Lanczos keeps vbView: a call allocates nothing, at
+// one thread or two, and its rows are the same bits either way.
+func TestCGS2DoesNotAllocate(t *testing.T) {
+	src := dense.RandomNormal(12, 40, rand.New(rand.NewSource(5)))
+	ws := NewWorkspace()
+	coeff := make([]float64, src.Rows)
+	var first *dense.Matrix
+	for _, threads := range []int{1, 2} {
+		rows := src.Clone()
+		orth := func() {
+			copy(rows.Data, src.Data)
+			orthRowsCGS2(rows, &ws.sketchView, coeff, &ws.scratch, threads)
+		}
+		orth() // grows the scratch
+		if n := testing.AllocsPerRun(20, orth); n != 0 {
+			t.Fatalf("threads=%d: CGS2 makes %v allocations per call, want 0", threads, n)
+		}
+		if first == nil {
+			first = rows
+		} else if !slices.Equal(rows.Data, first.Data) {
+			t.Fatalf("threads=%d: CGS2 rows differ from one thread's", threads)
+		}
 	}
 }
 

@@ -38,11 +38,13 @@ type Workspace struct {
 	col, other []float64
 
 	// Randomized sketch solver: the transposed replicated panel the CGS2
-	// orthonormalization streams over, the projected B = AᵀQ panel, the
-	// two Gram-whitening combinations and their product, the local
-	// whitened panel, and the previous power round's top-k Ritz
-	// energies within one solve.
+	// orthonormalization streams over and the header of its rows above
+	// the one at hand, the projected B = AᵀQ panel, the two
+	// Gram-whitening combinations and their product, the local whitened
+	// panel, and the previous power round's top-k Ritz energies within
+	// one solve.
 	sketchT, panelB *dense.Matrix
+	sketchView      dense.Matrix
 	white, white2   *dense.Matrix
 	qpanel, gram2   *dense.Matrix
 	ritzPrev        []float64

@@ -73,6 +73,8 @@ type DTree struct {
 	rootFn   func(worker, lo, hi int)
 	innerFn  func(worker, lo, hi int)
 	chainsFn func() []int32
+	// The leaves in split order (SplitSingletons).
+	splits
 }
 
 // contraction is the state of the running contract call.
@@ -85,6 +87,12 @@ type contraction struct {
 	// Internal step only: the parent's blocks are a x b, the dropped
 	// modes' Kronecker row has d entries.
 	a, b, d int
+	// A leaf in split order (sp) writes entry g to block at[g] of dst
+	// below multi and compactly to row at[g]-multi of sp's T from multi
+	// on (compactRow).
+	at    []int32 // nil: every entry to its own block of dst, all below multi
+	multi int
+	sp    *splitMode
 }
 
 // dnode is one tree node.
@@ -360,19 +368,23 @@ func (t *DTree) Nodes() []NodeInfo {
 // count of nonempty slices), matching symbolic.Mode.NumRows.
 func (t *DTree) NumRows(n int) int { return t.leaves[n].n }
 
-// Rows returns the sorted nonempty slice indices of mode n, matching
-// symbolic.Mode.Rows.
-func (t *DTree) Rows(n int) []int32 { return t.leaves[n].keys[n] }
-
 // TTMc computes the compacted mode-n matricized product Y_(n) into y —
 // the same result (and row order) as the flat TTMc over the mode's
 // update lists — reusing every cached ancestor that is still valid and
 // recomputing only invalidated ones. y must be pre-shaped
-// NumRows(n) x RowSize(u, n); it is overwritten.
+// NumRows(n) x RowSize(u, n); it is overwritten. A mode in split order
+// writes its multi rows into y, which then has only those, and its
+// singletons into the T its SplitSingletons rows hold, binding their U to
+// the grouping factor.
 func (t *DTree) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
 	t.syncRanks(u)
-	leaf := t.leaves[n]
-	if y.Rows != leaf.n || y.Cols != t.rowSize(leaf) {
+	leaf, sp := t.leaves[n], t.of(n)
+	rows, rowSize := leaf.n, t.rowSize(leaf)
+	if sp != nil {
+		rows = sp.multi
+		sp.bind(u, rowSize)
+	}
+	if y.Rows != rows || y.Cols != rowSize {
 		panic("ttm: DTree TTMc output shape mismatch")
 	}
 	start := time.Now()
@@ -444,9 +456,14 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 	parent := nd.parent
 	threads = par.DefaultThreads(threads)
 	c := &t.call
-	*c = contraction{nd: nd, dst: dst, u: u, threads: threads, bs: t.rowSize(nd)}
+	*c = contraction{nd: nd, dst: dst, u: u, threads: threads, bs: t.rowSize(nd), multi: nd.n}
 	nd.computes++
 	t.flops += int64(parent.n) * int64(c.bs) // the group sizes sum to the parent's entries
+	if sp := t.splitOf(nd); sp != nil {
+		// A singleton entry is one parent entry, written c wide.
+		c.at, c.multi, c.sp = sp.at, sp.multi, sp
+		t.flops -= int64(sp.kron.T.Rows) * int64(c.bs-sp.kron.T.Cols)
+	}
 
 	// kron is the longest Kronecker product a worker builds per entry.
 	kron := 1
@@ -482,7 +499,16 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 	}
 	t.scratch = growKronScratch(t.scratch, threads, t.order, kron, 0)
 	runRows(nd.n, threads, t.chainsFn, body)
-	c.dst, c.u = nil, nil
+	c.dst, c.u, c.at, c.sp = nil, nil, nil, nil
+}
+
+// splitOf is nd's split order: its mode's for a leaf in split order, nil
+// for any other node.
+func (t *DTree) splitOf(nd *dnode) *splitMode {
+	if !nd.isLeaf() {
+		return nil
+	}
+	return t.of(nd.lo)
 }
 
 // callChains is the balanced partition of the running contraction.
@@ -511,13 +537,28 @@ func (t *DTree) rootRows(w, lo, hi int) {
 	}
 	trail, x, lrow := nd.streams[k-1], c.u[nd.dropped[k-1]], t.scratch[w].bufA[:m]
 	for g := lo; g < hi; g++ {
+		r := c.row(g)
+		if r >= c.multi {
+			t.compactRow(w, g, r-c.multi)
+			continue
+		}
 		p, end := ptr[g], ptr[g+1]
 		var lp []int32
 		if lead != nil {
 			lp = lead[p:end]
 		}
-		dense.GatherOuter(lp, l, vals, ids[p:end], trail[p:end], x, lrow, c.dst[g*bs:(g+1)*bs])
+		dense.GatherOuter(lp, l, vals, ids[p:end], trail[p:end], x, lrow, c.dst[r*bs:(r+1)*bs])
 	}
+}
+
+// Rows lists the nonempty slices of mode n in the order of Y_(n)'s
+// rows: sorted, matching symbolic.Mode.Rows, unless the mode is in split
+// order (SplitSingletons), where they match Flat.Rows.
+func (t *DTree) Rows(n int) []int32 {
+	if sp := t.of(n); sp != nil {
+		return sp.rows
+	}
+	return t.leaves[n].keys[n]
 }
 
 // rootRowsKron is rootRows for a root child that drops three or more
@@ -549,10 +590,13 @@ func (t *DTree) innerRows(w, lo, hi int) {
 	pbs := parent.blockSize
 	frows := sc.rows[:len(nd.dropped)]
 	for g := lo; g < hi; g++ {
-		blk := c.dst[g*bs : (g+1)*bs]
-		for i := range blk {
-			blk[i] = 0
+		r := c.row(g)
+		if r >= c.multi {
+			t.compactRow(w, g, r-c.multi)
+			continue
 		}
+		blk := c.dst[r*bs : (r+1)*bs]
+		clear(blk)
 		for _, e := range nd.groups.Group(g) {
 			var kw []float64
 			if len(nd.dropped) == 1 {
@@ -582,11 +626,16 @@ func (t *DTree) innerRows(w, lo, hi int) {
 // SweepFlops returns the tree's multiply-add count of one steady-state
 // HOOI sweep at the given ranks: a Gauss–Seidel sweep builds every node
 // below the root exactly once, each from its parent's entries at its
-// own block size.
+// own block size; a leaf in split order writes each singleton's row in
+// RowSize/R_Group, as Flat.SweepFlops counts it.
 func (t *DTree) SweepFlops(ranks []int) int64 {
 	var total int64
 	for _, nd := range t.nodes[1:] {
-		total += int64(nd.parent.n) * int64(nd.blockLen(ranks))
+		bs := nd.blockLen(ranks)
+		total += int64(nd.parent.n) * int64(bs)
+		if sp := t.splitOf(nd); sp != nil {
+			total -= int64(sp.kron.Rows()) * int64(bs-bs/ranks[sp.group])
+		}
 	}
 	return total
 }

@@ -10,13 +10,6 @@ import (
 // The last row varies fastest, matching the matricization layout
 // produced by tensor.MatricizeOffset.
 func KronRows(rows [][]float64, dst []float64) {
-	if len(rows) == 0 {
-		if len(dst) != 1 {
-			panic("ttm: KronRows of no rows needs dst of length 1")
-		}
-		dst[0] = 1
-		return
-	}
 	size := 1
 	for _, r := range rows {
 		size *= len(r)
@@ -24,20 +17,7 @@ func KronRows(rows [][]float64, dst []float64) {
 	if size != len(dst) {
 		panic("ttm: KronRows dst length mismatch")
 	}
-	dst[0] = 1
-	cur := 1
-	for _, r := range rows {
-		// Expand dst[:cur] by r in place, walking backwards so sources
-		// are not overwritten before they are read.
-		for p := cur - 1; p >= 0; p-- {
-			v := dst[p]
-			base := p * len(r)
-			for q := len(r) - 1; q >= 0; q-- {
-				dst[base+q] = v * r[q]
-			}
-		}
-		cur *= len(r)
-	}
+	scaleKron(dst, 1, rows)
 }
 
 // RowSize returns the TTMc row length for the given factor matrices when

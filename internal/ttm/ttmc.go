@@ -37,19 +37,6 @@ func TTMcSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 	TTMc(y, x, sm, u, threads)
 }
 
-// runRows executes an owner-computes row loop over [0, n) on balanced
-// chains with work-stealing (chains() is not consulted when the loop
-// runs inline, so callers can defer the partition computation).
-func runRows(n, threads int, chains func() []int32, body func(worker, lo, hi int)) {
-	if threads <= 1 || n <= 1 {
-		if n > 0 {
-			body(0, 0, n)
-		}
-		return
-	}
-	par.RunChains(chains(), threads, body)
-}
-
 // TTMcNaive is the un-fused variant used as an ablation baseline: for
 // every nonzero it materializes the full Kronecker product in a
 // temporary of length RowSize and then adds it to the row. Numerically
@@ -141,8 +128,8 @@ type Flat struct {
 	scratch  []kronScratch
 	rowsFn   func(worker, lo, hi int)
 	chainsFn func() []int32
-	// split[n] is set for a mode in split order (SplitSingletons).
-	split []*splitMode
+	// The modes in split order (SplitSingletons).
+	splits
 }
 
 // flatCall is the state of the running TTMc call.
@@ -155,10 +142,12 @@ type flatCall struct {
 	idx     [][]int32 // sm.Streams: the other modes' indices in list order
 	// A mode in split order writes list row r to row at[r] of y below
 	// multi and compactly to row at[r]-multi of t from multi on: the
-	// value times row other[p] of uo, or the value alone where uo is nil.
+	// value times ⊗ of its rows of the rest's factors — with one of
+	// them (order 3), row other[p] of uo.
 	at    []int32 // nil: every list row to its own row of y
 	multi int
 	t     *dense.Matrix
+	rest  []int
 	other []int32
 	uo    *dense.Matrix
 }
@@ -178,26 +167,10 @@ func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
 // Y_(n)'s rows: ascending, unless the mode is in split order
 // (SplitSingletons).
 func (k *Flat) Rows(n int) []int32 {
-	if sp := k.splitOf(n); sp != nil {
+	if sp := k.of(n); sp != nil {
 		return sp.rows
 	}
 	return k.sym.Modes[n].Rows
-}
-
-// SplitRows is mode n's SplitSingletons rows, nil if it has none.
-func (k *Flat) SplitRows(n int) *dense.KronRows {
-	if sp := k.splitOf(n); sp != nil {
-		return sp.kron
-	}
-	return nil
-}
-
-// splitOf is mode n's split order, nil where it has none.
-func (k *Flat) splitOf(n int) *splitMode {
-	if k.split == nil {
-		return nil
-	}
-	return k.split[n]
 }
 
 // TTMc computes the mode-n product for every row of the mode's update
@@ -205,7 +178,7 @@ func (k *Flat) splitOf(n int) *splitMode {
 // split order its multi rows into y and its singletons into the T its
 // SplitSingletons rows hold, binding their U to the grouping factor.
 func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
-	k.run(y, &k.sym.Modes[n], k.splitOf(n), u, threads)
+	k.run(y, &k.sym.Modes[n], k.of(n), u, threads)
 }
 
 // leadMode is the mode factored out of mode n's runs: the first one
@@ -226,10 +199,7 @@ func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, sp *splitMode, u []*dense
 	rowSize, rows := RowSize(u, sm.N), sm.NumRows()
 	if sp != nil {
 		rows = sp.multi
-		if t := &sp.kron.T; t.Rows != sm.NumRows()-rows || t.Cols != rowSize/u[sp.group].Cols {
-			panic("ttm: TTMc compact row shape mismatch")
-		}
-		sp.kron.U = u[sp.group]
+		sp.bind(u, rowSize)
 	}
 	if y.Rows != rows || y.Cols != rowSize {
 		panic("ttm: TTMc output shape mismatch")
@@ -248,16 +218,16 @@ func (k *Flat) run(y *dense.Matrix, sm *symbolic.Mode, sp *splitMode, u []*dense
 	k.scratch = growKronScratch(k.scratch, threads, len(u), acc, acc)
 	k.call = flatCall{y: y, sm: sm, u: u, threads: threads, acc: acc, idx: sm.Streams(k.x), multi: rows}
 	if sp != nil {
-		k.call.at, k.call.t = sp.at, &sp.kron.T
-		if sp.other >= 0 {
-			k.call.other, k.call.uo = k.call.idx[sp.other], u[sp.other]
+		k.call.at, k.call.t, k.call.rest = sp.at, &sp.kron.T, sp.rest
+		if len(sp.rest) == 1 {
+			k.call.other, k.call.uo = k.call.idx[sp.rest[0]], u[sp.rest[0]]
 		}
 	}
 	k.runs[sm.N].Store(0)
 	runRows(sm.NumRows(), threads, k.chainsFn, k.rowsFn)
 	k.call = flatCall{}
 	// What ran: an accumulator update per nonzero, a row update per run;
-	// a compact row is one run of one nonzero that scales one factor row.
+	// a compact row is one run of one nonzero, counted c.
 	k.flops += int64(len(sm.NZ))*int64(acc) + k.runs[sm.N].Load()*int64(rowSize)
 	if sp != nil {
 		k.flops -= int64(sp.kron.T.Rows) * int64(acc+rowSize-sp.kron.T.Cols)
@@ -291,12 +261,14 @@ func (k *Flat) rows(w, lo, hi int) {
 		if yr >= c.multi {
 			p := sm.Ptr[r]
 			t, x := c.t.Row(yr-c.multi), val[nz[p]]
-			if c.uo == nil {
-				t[0] = x
-			} else {
+			if c.uo != nil {
+				// scaleKron of one row, inline: order 3 writes a singleton
+				// a row at a time.
 				for j, f := range c.uo.Row(int(c.other[p])) {
 					t[j] = x * f
 				}
+			} else {
+				k.compactRow(w, t, x, p)
 			}
 			runs++
 			continue
@@ -324,6 +296,19 @@ func (k *Flat) rows(w, lo, hi int) {
 		}
 	}
 	k.runs[sm.N].Add(int64(runs)) // once a chunk; integers, so any thread count sums the same
+}
+
+// compactRow writes into t the compact row of the singleton at list
+// position p whose rest is not one mode: its value x times ⊗ of its rows
+// of the rest's factors (scaleKron; x alone on order 2). It stays out of
+// rows, whose loop order 3 runs.
+func (k *Flat) compactRow(w int, t []float64, x float64, p int32) {
+	c := &k.call
+	rest := k.scratch[w].rows[:len(c.rest)]
+	for j, m := range c.rest {
+		rest[j] = c.u[m].Row(int(c.idx[m][p]))
+	}
+	scaleKron(t, x, rest)
 }
 
 // Flops returns the accumulated multiply-add count of all calls so far:
@@ -362,7 +347,7 @@ func (k *Flat) SweepFlops(ranks []int) int64 {
 			}
 		}
 		total += int64(len(sm.NZ))*int64(acc) + runs*int64(rowSize)
-		if sp := k.splitOf(n); sp != nil {
+		if sp := k.of(n); sp != nil {
 			total -= int64(sp.kron.Rows()) * int64(acc+rowSize-rowSize/ranks[sp.group])
 		}
 	}
@@ -371,3 +356,16 @@ func (k *Flat) SweepFlops(ranks []int) int64 {
 
 // Invalidate is a no-op: the flat kernel caches nothing between calls.
 func (k *Flat) Invalidate(int) {}
+
+// runRows executes an owner-computes row loop over [0, n) on balanced
+// chains with work-stealing (chains() is not consulted when the loop
+// runs inline, so callers can defer the partition computation).
+func runRows(n, threads int, chains func() []int32, body func(worker, lo, hi int)) {
+	if threads <= 1 || n <= 1 {
+		if n > 0 {
+			body(0, 0, n)
+		}
+		return
+	}
+	par.RunChains(chains(), threads, body)
+}
