@@ -10,7 +10,6 @@ import (
 	"hypertensor/internal/dense"
 	"hypertensor/internal/gen"
 	"hypertensor/internal/tensor"
-	"hypertensor/internal/trsvd"
 	"hypertensor/internal/ttm"
 )
 
@@ -310,7 +309,10 @@ func TestEngineRunCancellation(t *testing.T) {
 // multiply-add counts are exact; fits and the factor digest
 // sum U[i,j]*cos(0.7i+1.3j+n) hold to rounding. Fits and digests were
 // taken again when the default moved this shape from Lanczos to Gram
-// (the digest follows the sign each solver gives a singular vector).
+// (the digest follows the sign each solver gives a singular vector), and
+// the madds and digests when the tree took the singleton census on
+// order 4 (its compact rows count c, and the split Gram sums G in
+// another order; the fits hold).
 func TestUpdatePathUnchanged(t *testing.T) {
 	x, ranks := presetTensor(t, "delicious", 0.1)
 	plan, err := NewPlan(x, Options{Ranks: ranks, MaxIters: 20, Seed: 1, Threads: 2})
@@ -361,12 +363,7 @@ func TestUpdatePathUnchanged(t *testing.T) {
 // one per update. Between the first and the eighth update its live heap
 // grows with the tensor (new nonzeros open new slices, and every Y row
 // and memo entry has its price) — by well under what one resident tree
-// holds, where keeping the old trees would cost seven. The TRSVD
-// workspace is priced apart: it keeps the partials of the largest Gram
-// product the engine has run, whose block count follows a split mode's
-// multi rows, and updates turn singleton rows into multi rows. Each
-// measurement drops it for a fresh one, which the next solve grows again
-// (every solve starts cold, so no result depends on it).
+// holds, where keeping the old trees would cost seven.
 func TestEngineHoldsOneTreeAcrossUpdates(t *testing.T) {
 	x, ranks := presetTensor(t, "delicious", 0.1)
 	base := liveBytes()
@@ -378,24 +375,21 @@ func TestEngineHoldsOneTreeAcrossUpdates(t *testing.T) {
 	if _, err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var first, last, ws uint64
+	var first, last uint64
 	for k := 0; k < 8; k++ {
 		if _, err := eng.Update(gen.Delta(eng.Tensor(), 0.003, 0.003, int64(100+k))); err != nil {
 			t.Fatal(err)
 		}
-		held := liveBytes()
-		eng.state.Work = trsvd.NewWorkspace()
 		if last = liveBytes() - base; k == 0 {
 			first = last
 		}
-		ws = held - base - last
 	}
 	if _, ok := eng.kern.(*ttm.DTree); !ok {
 		t.Fatalf("the order-4 default engine runs %T", eng.kern)
 	}
 	eng.kern = nil
 	tree := last - (liveBytes() - base)
-	t.Logf("live heap after update 1: %d B, after update 8: %d B; the resident tree: %d B; the TRSVD workspace after update 8: %d B", first, last, tree, ws)
+	t.Logf("live heap after update 1: %d B, after update 8: %d B; the resident tree: %d B", first, last, tree)
 	if last-first > tree {
 		t.Fatalf("the engine grew from %d B to %d B over seven updates; one resident tree is %d B", first, last, tree)
 	}

@@ -30,15 +30,16 @@ import (
 // Pᵀ·S, plus Y·W; and again when the singleton rows left Y: mode 0's
 // Y·W reads them c = C/R_g wide. The order-4 presets' default TTMc and
 // TRSVD madds were re-recorded when the tree took the census, which
-// splits three of their modes, and so was every default update column:
-// the update runs on the tree, which since then splits on order 3 too.
+// splits three of their modes, and so were their default update columns;
+// an order-3 tree keeps every row wide (treeSplits).
 // TTMc madds are what the kernel executed: on order 3 the flat kernel's
 // accumulator update per nonzero plus a row update per run (the nominal
 // nnz x row size of both presets is 2.2-2.5x the figure), on order 4 the
 // tree's. A default run writes a split mode's singleton rows c wide, one
 // multiply per entry, so its figure is below the Lanczos column's, which
-// takes no census; PredictSweepMadds predicts the default's. Stream bytes are the flat kernel's list-order index copies: on
-// a sorted order-3 tensor exactly two modes copy two streams of 4 B a
+// takes no census; PredictSweepMadds predicts the default's. Stream
+// bytes are the flat kernel's list-order index copies: on a sorted
+// order-3 tensor exactly two modes copy two streams of 4 B a
 // nonzero (16 B x nnz: the storage-order mode aliases the tensor and
 // counts 0, so a change that copies it fails ==). On order 4 they are the
 // tree's root-child streams, the two modes a child drops in its group
@@ -74,9 +75,9 @@ func TestRecordedCounts(t *testing.T) {
 		lanczos, dflt   solverCounts
 	}{
 		{"netflix", 460632, 614176, 51060480, 166069, 4, "[gram gram gram]",
-			solverCounts{4469116, 20831360, 332, 0, 2, 13711512}, solverCounts{4462174, 23079585, 18, 0, 2, 13699472}},
+			solverCounts{4469116, 20831360, 332, 0, 2, 13711512}, solverCounts{4462174, 23079585, 18, 0, 2, 13711512}},
 		{"nell", 374400, 499200, 116251200, 1260357, 4, "[gram gram gram]",
-			solverCounts{3716400, 49085600, 412, 0, 2, 10391260}, solverCounts{3555700, 40167405, 18, 0, 2, 10087960}},
+			solverCounts{3716400, 49085600, 412, 0, 2, 10391260}, solverCounts{3555700, 40167405, 18, 0, 2, 10391260}},
 		{"delicious", 896016, 448008, 177053500, 3250249, 5, "[gram gram gram gram]",
 			solverCounts{6922300, 59142500, 356, 0, 2, 14029400}, solverCounts{6676900, 83802900, 24, 0, 2, 13477800}},
 		{"flickr", 716800, 358400, 112560500, 4821409, 5, "[gram gram gram gram]",
