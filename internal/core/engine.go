@@ -122,7 +122,8 @@ type kernel interface {
 // ttm.DTree.SplitSingletons). Other plans keep every mode's row order and
 // plain SYRK: under Eps the randomized solver reads Y in its row order,
 // and a distributed rank's Gram is the row-distributed operator's
-// allreduced SYRK.
+// allreduced SYRK. The tree takes the census from order 4 up, the
+// orders the plan runs it at (treeSplits).
 func (e *Engine) newKernel(threads int) kernel {
 	var k kernel
 	if e.opts.ttmc == TTMcDTree {
@@ -132,11 +133,18 @@ func (e *Engine) newKernel(threads int) kernel {
 		k = ttm.NewFlat(e.x, e.sym)
 	}
 	e.census = nil
-	if e.plan.ex == nil && e.opts.Eps <= 0 {
+	if e.plan.ex == nil && e.opts.Eps <= 0 && (e.opts.ttmc != TTMcDTree || treeSplits(e.order)) {
 		e.census = takeCensus(k, e.opts.Ranks, e.opts.svd)
 	}
 	return k
 }
+
+// treeSplits reports whether a dimension tree of the given order takes
+// the singleton census: from order 4 up. An order-3 tree runs only where
+// a caller pins it (resolveTTMc picks the flat kernel there) and keeps
+// every row wide, so the figures it reports — the update path's madds,
+// the dtree prediction on the ttmc: line — stay the unsplit tree's.
+func treeSplits(order int) bool { return order >= 4 }
 
 // takeCensus takes the singleton census of every mode of k that the
 // method resolves to the Gram solver at the given ranks, which puts each

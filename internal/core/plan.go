@@ -104,11 +104,12 @@ func (p *Plan) TTMc() TTMcStrategy { return p.opts.ttmc }
 
 // PredictSweepMadds returns the TTMc multiply-adds of one steady-state
 // sweep of x at the given ranks under each strategy, where the modes a
-// default engine splits (its census of the Gram-solved modes) write each
-// singleton row compactly: an accumulator update per nonzero and a row
-// update per run of x's update lists, summed over the modes, for the
-// flat path; parent entries times block size, summed over the nodes,
-// for the dimension tree (0 below order 2, where there is none). It is
+// default engine splits (its census of the Gram-solved modes; the
+// tree's from order 4 up, treeSplits) write each singleton row
+// compactly: an accumulator update per nonzero and a row update per run
+// of x's update lists, summed over the modes, for the flat path; parent
+// entries times block size, summed over the nodes, for the dimension
+// tree (0 below order 2, where there is none). It is
 // what the plan's rule should agree with; counting runs and tree entries
 // costs one symbolic build each.
 func PredictSweepMadds(x *tensor.COO, ranks []int, threads int) (flat, tree int64) {
@@ -117,7 +118,9 @@ func PredictSweepMadds(x *tensor.COO, ranks []int, threads int) (flat, tree int6
 	flat = k.SweepFlops(ranks)
 	if x.Order() >= 2 && x.NNZ() > 0 {
 		t := ttm.BuildDTree(x, threads)
-		takeCensus(t, ranks, SVDAuto)
+		if treeSplits(x.Order()) {
+			takeCensus(t, ranks, SVDAuto)
+		}
 		tree = t.SweepFlops(ranks)
 	}
 	return flat, tree

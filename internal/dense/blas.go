@@ -384,10 +384,7 @@ func SyrkInto(g, a *Matrix, work []float64, threads int) []float64 {
 	if g.Rows != n || g.Cols != n {
 		panic("dense: Syrk destination shape mismatch")
 	}
-	if a.Rows*n*n < serialCutoff {
-		threads = 1
-	}
-	work = par.ReduceRows(g.Data, a.Rows, threads, work, (*syrkSum)(a))
+	work = par.ReduceRows(g.Data, a.Rows, syrkThreads(a.Rows, n, threads), work, (*syrkSum)(a))
 	for i := 1; i < n; i++ {
 		row := g.Row(i)
 		for j := 0; j < i; j++ {
@@ -395,6 +392,14 @@ func SyrkInto(g, a *Matrix, work []float64, threads int) []float64 {
 		}
 	}
 	return work
+}
+
+// syrkThreads is the thread count SyrkInto runs an m x n product on.
+func syrkThreads(m, n, threads int) int {
+	if m*n*n < serialCutoff {
+		return 1
+	}
+	return threads
 }
 
 // syrkSum is SyrkInto's block kernel: A itself, so it needs no scratch.

@@ -26,7 +26,7 @@ type KronRows struct {
 	T    Matrix
 	Slow bool
 
-	p, s, m, head, tail   Matrix
+	m, head, tail         Matrix
 	w                     *Matrix
 	buf, slots, sum, work []float64
 	stride                int
@@ -135,30 +135,36 @@ func (k *KronRows) MatMulMadds(rows, cols, panel int) int64 {
 // SyrkKronInto computes G = BᵀB for the matrix B that a and k describe:
 // SyrkInto over a, plus K = Σ_j (u_j u_jᵀ) ⊗ S_j with S_j = T_jᵀT_j the
 // SYRK of the group's rows of T, c x c. Each group's S_j is summed
-// serially, in row order, and its row of P is vec(u_j u_jᵀ); the groups
-// run on the dynamic schedule and K's entries are the one product Pᵀ·S
-// (MatMulTAInto's sum), so G is bitwise identical for every thread count.
-// It is BᵀB summed in another order, and exactly symmetric. P, S, their
-// product and its partials live in work once the SYRK's partials are
-// spent, so the rows of every mode share the caller's one buffer; work
-// is grown as needed and returned, as SyrkInto's is.
+// serially, in row order, and its row of P is vec(u_j u_jᵀ); K's entries
+// are the one product Pᵀ·S (MatMulTAInto's sum) on par.ReduceRows' grid
+// over the groups, each block's rows of P and S set first in its
+// worker's slot (par.Slots), so G is bitwise identical for every thread
+// count. It is BᵀB summed in another order, and exactly symmetric.
+// M = Pᵀ·S, the slots and M's partials live in work once the SYRK's
+// partials are spent, so the rows of every mode share the caller's one
+// buffer; work is grown as needed and returned, as SyrkInto's is. It
+// holds at least the partials of SyrkInto over all of B's rows, the
+// plain product's, so that a singleton row turning into a multi row (a
+// tensor update) grows no buffer.
 func SyrkKronInto(g, a *Matrix, k *KronRows, work []float64, threads int) []float64 {
 	k.check(a)
-	work = SyrkInto(g, a, work, threads)
 	if k.Rows() == 0 {
-		return work
+		return SyrkInto(g, a, work, threads)
 	}
+	rows := a.Rows + k.Rows()
+	work = par.ReduceWork(work, rows, a.Cols*a.Cols, syrkThreads(rows, a.Cols, threads))
+	work = SyrkInto(g, a, work, threads)
 	n, rg, c, groups := a.Cols, k.U.Cols, k.T.Cols, len(k.Idx)
-	np, ns, nm := groups*rg*rg, groups*c*c, rg*rg*c*c
-	off := np + ns + nm
-	if cap(work) < off {
-		work = make([]float64, off)
+	nm := rg * rg * c * c
+	if cap(work) < nm {
+		work = make([]float64, nm)
 	}
-	k.p = Matrix{Rows: groups, Cols: rg * rg, Data: work[:np]}
-	k.s = Matrix{Rows: groups, Cols: c * c, Data: work[np : np+ns]}
-	k.m = Matrix{Rows: rg * rg, Cols: c * c, Data: work[np+ns : off]}
-	par.Dynamic(groups, threads, 1, (*kronGram)(k))
-	parts := par.ReduceRows(k.m.Data, groups, threads, work[off:cap(work)], (*kronPS)(k))
+	k.m = Matrix{Rows: rg * rg, Cols: c * c, Data: work[:nm]}
+	// The workers' slots follow M, and the partials follow the slots.
+	nb := par.NumReduceBlocks(groups)
+	grown, slots, stride := par.Slots(work[nm:cap(work)], min(par.DefaultThreads(threads), nb), (groups+nb-1)/nb*(rg*rg+c*c))
+	k.slots, k.stride = slots, stride
+	parts := par.ReduceRows(k.m.Data, groups, threads, slots[len(slots):cap(slots)], (*kronPS)(k))
 
 	// K[(u, v), (u', v')] = M[(u, u'), (v, v')], in B's column layout.
 	us, vs := k.strides()
@@ -173,11 +179,11 @@ func SyrkKronInto(g, a *Matrix, k *KronRows, work []float64, threads int) []floa
 			}
 		}
 	}
-	k.p, k.s, k.m = Matrix{}, Matrix{}, Matrix{}
-	if cap(parts) > cap(work)-off {
-		// The partials did not fit behind M and took a buffer of their
-		// own; the next call's fit in the one returned.
-		work = make([]float64, off+cap(parts))
+	k.m, k.slots = Matrix{}, nil
+	if cap(grown) > cap(work)-nm || cap(parts) > cap(slots)-len(slots) {
+		// The slots or the partials did not fit behind M and took a
+		// buffer of their own; the next call's fit in the one returned.
+		work = make([]float64, nm+cap(grown)+cap(parts))
 	}
 	return work
 }
@@ -238,34 +244,35 @@ func (s *Scratch) KronMatMulTAInto(z, a *Matrix, k *KronRows, y *Matrix, threads
 	k.head, k.tail = Matrix{}, Matrix{}
 }
 
-// kronGram sets the rows of P and S of groups [lo, hi) (SyrkKronInto).
-type kronGram KronRows
+// kronPS is SyrkKronInto's Pᵀ·S: MatMulTAInto's sum over the groups,
+// whose rows of P and S a block sets first in its worker's slot.
+type kronPS KronRows
 
-func (k *kronGram) Run(_, lo, hi int) {
-	c := k.T.Cols
+func (k *kronPS) Sum(w int, part []float64, lo, hi int) {
+	rg, c, rows := k.U.Cols, k.T.Cols, hi-lo
+	slot := k.slots[w*k.stride:]
+	p := Matrix{Rows: rows, Cols: rg * rg, Data: slot[:rows*rg*rg]}
+	s := Matrix{Rows: rows, Cols: c * c, Data: slot[rows*rg*rg : rows*(rg*rg+c*c)]}
 	for j := lo; j < hi; j++ {
 		u := k.U.Row(int(k.Idx[j]))
-		p, s := k.p.Row(j), k.s.Row(j)
+		pj, sj := p.Row(j-lo), s.Row(j-lo)
 		for i, ui := range u {
 			for i2, ui2 := range u {
-				p[i*len(u)+i2] = ui * ui2
+				pj[i*len(u)+i2] = ui * ui2
 			}
 		}
-		clear(s)
-		syrkBlock(s, &k.T, int(k.Ptr[j]), int(k.Ptr[j+1]))
+		clear(sj)
+		syrkBlock(sj, &k.T, int(k.Ptr[j]), int(k.Ptr[j+1]))
 		for v := 1; v < c; v++ {
 			for v2 := 0; v2 < v; v2++ {
-				s[v*c+v2] = s[v2*c+v]
+				sj[v*c+v2] = sj[v2*c+v]
 			}
 		}
 	}
+	matMulTABlock(part, &p, &s, 0, rows)
 }
 
-// kronPS is SyrkKronInto's Pᵀ·S: MatMulTAInto's sum over the groups.
-type kronPS KronRows
-
-func (k *kronPS) Sum(_ int, p []float64, lo, hi int) { matMulTABlock(p, &k.p, &k.s, lo, hi) }
-func (*kronPS) Add(dst, p []float64)                 { AxpyUnrolled(1, p, dst) }
+func (*kronPS) Add(dst, p []float64) { AxpyUnrolled(1, p, dst) }
 
 // kronMul computes the rows of groups [lo, hi) of KronMatMulInto's Y on
 // worker w: W_j in the worker's slot, packed there for the narrow tile,

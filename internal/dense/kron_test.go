@@ -204,6 +204,28 @@ func TestSyrkKronBitwiseInvariantAcrossThreads(t *testing.T) {
 	})
 }
 
+// SyrkKronInto's buffer holds the partials of SyrkInto over all of the
+// matrix's rows: the written-out matrix's SYRK, whose singleton rows are
+// all multi rows, grows no buffer, and neither does a second call.
+func TestSyrkKronWorkHoldsThePlainPartials(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, kc := range kronCases {
+		a, k, full := kc.build(rng)
+		for _, threads := range []int{1, 2, 3} {
+			g := NewMatrix(a.Cols, a.Cols)
+			work := SyrkKronInto(g, a, k, nil, threads)
+			if len(work) == 0 {
+				continue // one reduction block: no partials to hold
+			}
+			for _, got := range [][]float64{SyrkInto(g, full, work, threads), SyrkKronInto(g, a, k, work, threads)} {
+				if &got[:1][0] != &work[:1][0] || cap(got) != cap(work) {
+					t.Errorf("%s at %d threads: the buffer grew from %d to %d", kc.name, threads, cap(work), cap(got))
+				}
+			}
+		}
+	}
+}
+
 // The madds the Kron kernels are counted at: the multi rows' SYRK, each
 // grouped row's c x c triangle, and Pᵀ·S; for a product with k columns
 // the multi rows at full width, the grouped ones at c, and each group's

@@ -144,6 +144,21 @@ func (r *reduceRun) Run(w, lo, hi int) {
 	}
 }
 
+// ReduceWork returns work grown, as ReduceRows grows it, to hold the
+// partials of a sum over rows rows of width float64s on threads: a
+// caller that expects more rows later may reserve their partials first.
+func ReduceWork(work []float64, rows, width, threads int) []float64 {
+	nb := NumReduceBlocks(rows)
+	switch {
+	case nb == 1:
+	case min(DefaultThreads(threads), nb) == 1:
+		work, _ = lineAligned(work, width)
+	default:
+		work, _, _ = Slots(work, nb, width)
+	}
+	return work
+}
+
 // SumBlocks returns the sum of f over the blocks of the fixed grid of
 // NumReduceBlocks(n): ReduceRows for a scalar, bitwise identical for
 // every thread count.

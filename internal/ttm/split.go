@@ -39,11 +39,13 @@ type splitMode struct {
 	group int
 	rest  []int
 	kron  *dense.KronRows
-	// The tree's: ids[i] is compact row i's nonzero (newSplit) and, where
-	// the row is not a parent block, its indices in the rest's modes are
-	// restIdx[i·len(rest):], so that a sweep reads them in place of a walk
-	// up the tree and a gather from the tensor per row.
-	ids, restIdx []int32
+	// The tree's, where a compact row is not its parent block
+	// (DTree.SplitSingletons): compact row i's nonzero has value vals[i]
+	// and indices restIdx[i·len(rest):] in the rest's modes, so that a
+	// sweep reads them in place of a walk up the tree and a gather from
+	// the tensor per row.
+	vals    []float64
+	restIdx []int32
 }
 
 // newSplit is the census rule of both kernels. A kernel lists mode n's
@@ -150,13 +152,12 @@ func newSplit(n int, ranks, dims []int, idx [][]int32, slices, single []int32) (
 		at[r], order[multi] = multi, slices[r]
 		multi -= id >> 31
 	}
-	ids := make([]int32, s)
 	for q, r := range singles {
 		j := gid[q]
-		at[r], order[next[j]], ids[next[j]-multi] = next[j], slices[r], single[r]
+		at[r], order[next[j]] = next[j], slices[r]
 		next[j]++
 	}
-	sp.rows, sp.at, sp.ids = order, at, ids
+	sp.rows, sp.at = order, at
 	return cen, sp
 }
 
@@ -222,9 +223,6 @@ func (k *Flat) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 		single[r] = p | int32(one(sm.Ptr[r+1]-p)-1)
 	}
 	cen, sp := newSplit(n, ranks, k.x.Dims, sm.Streams(k.x), sm.Rows, single)
-	if sp != nil {
-		sp.ids = nil // the rows read their streams
-	}
 	return k.splits.take(n, len(ranks), cen, sp)
 }
 
@@ -234,8 +232,8 @@ func (k *Flat) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 // group id is the nonzero's. The tree then writes the mode's rows in the
 // flat kernel's split order, with the same bits. Where a compact row is
 // not its parent block (fromParent), the census keeps each singleton's
-// rest indices in the compact rows' order beside its nonzero id,
-// 4(1+N-2) bytes a singleton.
+// value and rest indices in the compact rows' order, 8+4(N-2) bytes a
+// singleton.
 func (t *DTree) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 	leaf := t.leaves[n]
 	single := make([]int32, leaf.n)
@@ -244,11 +242,14 @@ func (t *DTree) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 	}
 	cen, sp := newSplit(n, ranks, t.x.Shape(), t.root.keys, leaf.keys[n], single)
 	if sp != nil && !t.fromParent(n, sp.group) {
-		k := len(sp.rest)
-		sp.restIdx = make([]int32, len(sp.ids)*k)
-		for i, id := range sp.ids {
-			for j, m := range sp.rest {
-				sp.restIdx[i*k+j] = t.root.keys[m][id]
+		k, vals := len(sp.rest), t.x.Values()
+		sp.vals, sp.restIdx = make([]float64, cen.Singletons), make([]int32, cen.Singletons*k)
+		for r, id := range single {
+			if i := int(sp.at[r]) - sp.multi; i >= 0 {
+				sp.vals[i] = vals[id]
+				for j, m := range sp.rest {
+					sp.restIdx[i*k+j] = t.root.keys[m][id]
+				}
 			}
 		}
 	}
@@ -259,7 +260,9 @@ func (t *DTree) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 // its one parent entry's block: where the parent is a root child, whose
 // block of a one-nonzero entry is x·⊗ of the rows of the modes it drops
 // (GatherOuter's and accumKron's bits), and g is the leaf's sibling, so
-// that those modes are exactly the rest.
+// that those modes are exactly the rest. Copying that block reads no
+// factor row: on delicious4's mode 1 the rest's rows are those of its
+// two largest modes, read at random.
 func (t *DTree) fromParent(n, g int) bool {
 	leaf := t.leaves[n]
 	sib := leaf.parent.left
@@ -295,8 +298,8 @@ func (c *contraction) row(g int) int {
 // compactRow writes singleton entry g of the running leaf contraction
 // into row i of T: a copy of its parent block where that is the row
 // (fromParent), otherwise its nonzero's value times ⊗ of its rows of the
-// rest's factors (scaleKron), read from the ids and indices the census
-// stored for row i.
+// rest's factors (scaleKron), read from the values and indices the
+// census stored for row i.
 func (t *DTree) compactRow(w, g, i int) {
 	c, nd := &t.call, t.call.nd
 	sp := c.sp
@@ -311,7 +314,7 @@ func (t *DTree) compactRow(w, g, i int) {
 	for j, m := range sp.rest {
 		rest[j] = c.u[m].Row(int(idx[j]))
 	}
-	scaleKron(row, t.x.Values()[sp.ids[i]], rest)
+	scaleKron(row, sp.vals[i], rest)
 }
 
 // scaleKron writes x·(rows[0] ⊗ rows[1] ⊗ …) into dst, the last row
