@@ -59,7 +59,7 @@ func ExampleEngine_Update() {
 	fmt.Printf("update accounting present: %v\n",
 		dec.UpdateMadds > 0 && dec.FullSweepMadds > 0)
 	// Output:
-	// initial solve: core [4 4 4] after 19 sweeps
+	// initial solve: core [4 4 4] after 30 sweeps
 	// update: 3 nonzeros ingested, re-converged in 2 sweeps
 	// update accounting present: true
 }

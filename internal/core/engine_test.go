@@ -312,7 +312,8 @@ func TestEngineRunCancellation(t *testing.T) {
 // (the digest follows the sign each solver gives a singular vector), and
 // the madds and digests when the tree took the singleton census on
 // order 4 (its compact rows count c, and the split Gram sums G in
-// another order; the fits hold).
+// another order; the fits hold), and the digests again when the start
+// became the counter-based fill (the fits hold).
 func TestUpdatePathUnchanged(t *testing.T) {
 	x, ranks := presetTensor(t, "delicious", 0.1)
 	plan, err := NewPlan(x, Options{Ranks: ranks, MaxIters: 20, Seed: 1, Threads: 2})
@@ -329,9 +330,9 @@ func TestUpdatePathUnchanged(t *testing.T) {
 		fits   []float64
 		digest float64
 	}{
-		{2, 7140100, []float64{0.98198372184541682, 0.98198373155099139}, -1.0820283068032093},
-		{2, 7197100, []float64{0.98196895006284268, 0.98196895033360998}, 2.6877402695963521},
-		{2, 7256700, []float64{0.98195570281131972, 0.98195570282722755}, 0.94291140248973193},
+		{2, 7140100, []float64{0.98198372184541682, 0.98198373155099139}, 0.47824405683712828},
+		{2, 7197100, []float64{0.98196895006284268, 0.98196895033360998}, 2.3335193339845892},
+		{2, 7256700, []float64{0.98195570281131972, 0.98195570282722755}, 3.2992147774272156},
 	} {
 		res, err := eng.Update(gen.Delta(eng.Tensor(), 0.003, 0.003, int64(100+k)))
 		if err != nil {

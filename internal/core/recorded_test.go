@@ -75,13 +75,13 @@ func TestRecordedCounts(t *testing.T) {
 		lanczos, dflt   solverCounts
 	}{
 		{"netflix", 460632, 614176, 51060480, 166069, 4, "[gram gram gram]",
-			solverCounts{4469116, 20831360, 332, 0, 2, 13711512}, solverCounts{4462174, 23079585, 18, 0, 2, 13711512}},
-		{"nell", 374400, 499200, 116251200, 1260357, 4, "[gram gram gram]",
-			solverCounts{3716400, 49085600, 412, 0, 2, 10391260}, solverCounts{3555700, 40167405, 18, 0, 2, 10391260}},
-		{"delicious", 896016, 448008, 177053500, 3250249, 5, "[gram gram gram gram]",
-			solverCounts{6922300, 59142500, 356, 0, 2, 14029400}, solverCounts{6676900, 83802900, 24, 0, 2, 13477800}},
-		{"flickr", 716800, 358400, 112560500, 4821409, 5, "[gram gram gram gram]",
-			solverCounts{5290500, 44326250, 380, 0, 2, 10728400}, solverCounts{5138100, 63684900, 24, 0, 2, 10375600}},
+			solverCounts{4469116, 22066560, 344, 0, 2, 13711512}, solverCounts{4462174, 23079585, 18, 0, 2, 13711512}},
+		{"nell", 374400, 499200, 122925600, 1260357, 4, "[gram gram gram]",
+			solverCounts{3716400, 49706800, 412, 0, 2, 10391260}, solverCounts{3555700, 40167405, 18, 0, 2, 10391260}},
+		{"delicious", 896016, 448008, 171405000, 3250249, 5, "[gram gram gram gram]",
+			solverCounts{6922300, 58913000, 356, 0, 2, 14029400}, solverCounts{6676900, 83802900, 24, 0, 2, 13477800}},
+		{"flickr", 716800, 358400, 111458750, 4821409, 5, "[gram gram gram gram]",
+			solverCounts{5290500, 43542750, 372, 0, 2, 10728400}, solverCounts{5138100, 63684900, 24, 0, 2, 10375600}},
 	} {
 		x, ranks := presetTensor(t, want.preset, 0.2)
 		opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32}
