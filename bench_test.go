@@ -26,6 +26,16 @@ import (
 	"hypertensor/internal/ttm"
 )
 
+// randomNormal fills a new r x c matrix with N(0,1) samples drawn from
+// rng: the tests' operands.
+func randomNormal(r, c int, rng *rand.Rand) *dense.Matrix {
+	m := dense.NewMatrix(r, c)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
 // --- Ablations -------------------------------------------------------
 
 // ablationSetup builds a mid-size tensor with factor matrices and the
@@ -248,7 +258,7 @@ func BenchmarkTRSVDKernel(b *testing.B) {
 func BenchmarkKernelAxpy4(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{5, 10, 25, 100} {
-		x := dense.RandomNormal(4, n, rng)
+		x := randomNormal(4, n, rng)
 		y := dense.NewMatrix(8, n)
 		for _, k := range []struct {
 			name string
@@ -267,8 +277,8 @@ func BenchmarkKernelAxpy4(b *testing.B) {
 func BenchmarkKernelGer(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{5, 10, 25, 100} {
-		c := dense.RandomNormal(1, n, rng).Data
-		x := dense.RandomNormal(1, n, rng).Data
+		c := randomNormal(1, n, rng).Data
+		x := randomNormal(1, n, rng).Data
 		dense.Scal(1e-3, c)
 		y := make([]float64, n*n)
 		for _, k := range []struct {
@@ -294,7 +304,7 @@ func BenchmarkKernelSyrk(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, rows := range []int{2048, 41655} {
 		for _, cols := range []int{25, 100, 125} {
-			a := dense.RandomNormal(rows, cols, rng)
+			a := randomNormal(rows, cols, rng)
 			g := dense.NewMatrix(cols, cols)
 			var work []float64
 			b.Run(fmt.Sprintf("%s/%dx%d", dense.KernelName(), rows, cols), func(b *testing.B) {
@@ -313,8 +323,8 @@ func BenchmarkKernelGemmNarrow(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, rows := range []int{2048, 41655} {
 		for _, s := range [][2]int{{100, 10}, {125, 5}} {
-			y := dense.RandomNormal(rows, s[0], rng)
-			v := dense.RandomNormal(s[0], s[1], rng)
+			y := randomNormal(rows, s[0], rng)
+			v := randomNormal(s[0], s[1], rng)
 			u := dense.NewMatrix(rows, s[1])
 			b.Run(fmt.Sprintf("%s/%dx%dx%d", dense.KernelName(), rows, s[0], s[1]), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -460,25 +470,6 @@ func BenchmarkWriteTNS(b *testing.B) {
 	}
 }
 
-// The initial-factor QRs of the benchmark workloads: nell3_tall's two
-// tall modes (640000 x 10, 127600 x 10) and delicious4's (400000 x 5,
-// 60000 x 5). The thread count is GOMAXPROCS:
-// go test -run '^$' -bench OrthonormalizeTall -cpu 1,2 .
-func BenchmarkOrthonormalizeTall(b *testing.B) {
-	for _, s := range [][2]int{{640000, 10}, {127600, 10}, {400000, 5}, {60000, 5}} {
-		a := dense.RandomNormal(s[0], s[1], rand.New(rand.NewSource(1)))
-		q := a.Clone()
-		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(q.Data, a.Data)
-				b.StartTimer()
-				dense.Orthonormalize(q, 0)
-			}
-		})
-	}
-}
-
 // The Gram solver's eigenproblem at the shapes it meets, for the R_n
 // leading eigenpairs it keeps: order 3 at ranks 5 (25 columns) and 10
 // (100), order 4 at ranks 5 (125). G is a random Gram matrix of full rank:
@@ -486,7 +477,7 @@ func BenchmarkOrthonormalizeTall(b *testing.B) {
 func BenchmarkSymEig(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range [][2]int{{25, 5}, {100, 10}, {125, 5}} {
-		a := dense.RandomNormal(4*s[0], s[0], rng)
+		a := randomNormal(4*s[0], s[0], rng)
 		g := dense.MatMulTA(a, a, 1)
 		var wk dense.SVDWork
 		b.Run(fmt.Sprintf("n=%d/k=%d", s[0], s[1]), func(b *testing.B) {

@@ -8,9 +8,11 @@
 // Exchange (fold, row-distributed operator, expand, core reduction,
 // factor replication), of which shared memory is the one-rank case.
 // Adaptive rank selection by a per-value spectral threshold
-// (Options.Eps) is included. Every decomposition starts from the seeded random factors
-// of InitialFactors (or from Options.Initial); from them the first sweep
-// is itself a randomized ST-HOSVD, so there is no separate initializer.
+// (Options.Eps) is included. Every decomposition starts from the seeded
+// random factors of InitialFactors, a counter-based fill keyed on (seed,
+// mode, row, column) and orthonormalized by Gram whitening, or from
+// Options.Initial; from them the first sweep is itself a randomized
+// ST-HOSVD, so there is no separate initializer.
 //
 // The API splits the paper's symbolic/numeric separation into two
 // objects (see docs/architecture.md):

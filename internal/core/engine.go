@@ -196,7 +196,9 @@ func NewEngine(p *Plan) *Engine {
 	ranks := startRanks(p.x, p.opts)
 	u0 := dense.NewMatrix(p.x.Dims[0], ranks[0])
 	e := newEngine(p, u0, func() []*dense.Matrix {
-		return randomFactors(p.x.Dims, ranks, p.opts.Seed, p.opts.Threads, u0)
+		factors := randomFactors(p.x.Dims, ranks, p.opts.Seed, p.opts.Threads, 1)
+		factors[0] = u0
+		return factors
 	})
 	// Zeros already: the first scatter into U_0 need not clear it.
 	e.scattered[0] = u0

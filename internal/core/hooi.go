@@ -15,7 +15,7 @@ import (
 // dist.Stats).
 type Timings struct {
 	// Init is the one-time construction of the initial factors (the
-	// random draw, then the orthonormalizing QR); it is reported by an
+	// counter-based fill, then its Gram whitening); it is reported by an
 	// engine's first Run only.
 	Init     time.Duration
 	Symbolic time.Duration // one-time symbolic TTMc preprocessing (and, for updates, the merge and the kernel's symbolic maintenance)

@@ -54,6 +54,76 @@ func TestInitialFactorsUnchanged(t *testing.T) {
 	}
 }
 
+// The start is the same bits at every thread count: the fill is a pure
+// function of (seed, row, column), and the Gram, the whitening and the
+// rotation are thread-invariant. Mode 1 is near-square and modes 2–3
+// square or one row more, so the second whitening pass runs there.
+func TestInitialFactorsThreadInvariant(t *testing.T) {
+	dims, ranks := []int{20000, 25, 11, 10}, []int{10, 10, 10, 10}
+	for _, seed := range []int64{1, 9} {
+		want := InitialFactors(dims, ranks, seed, 1)
+		for _, threads := range []int{2, 3, 8} {
+			for n, u := range InitialFactors(dims, ranks, seed, threads) {
+				bitsEqual(t, fmt.Sprintf("seed %d threads %d mode %d", seed, threads, n), u.Data, want[n].Data)
+			}
+		}
+	}
+}
+
+// A row's draw depends on its index alone: the fill of a mode with d
+// rows is, bit for bit, the first d rows of the fill with d+k rows, at
+// any thread count. A compacted mode or rows an update appends get the
+// numbers they would have had in the whole mode.
+func TestStartFillExtendsByRows(t *testing.T) {
+	for _, d := range []int{1, 7, 64, 1000} {
+		for _, k := range []int{1, 5, 3000} {
+			short, long := dense.NewMatrix(d, 10), dense.NewMatrix(d+k, 10)
+			fillStart(short, 4, 2)
+			fillStart(long, 4, 3)
+			bitsEqual(t, fmt.Sprintf("%d rows against %d", d, d+k), short.Data, long.Data[:len(short.Data)])
+		}
+	}
+}
+
+// The start is orthonormal to ‖UᵀU − I‖_max ≤ 1e-14 on every mode of the
+// benchmark workloads' shapes (the update and distributed workloads
+// share the first and third's) and on modes of rank rows or one more,
+// whose fills are ill-conditioned enough that one whitening pass misses
+// the bound and the second must run.
+func TestInitialFactorsOrthonormal(t *testing.T) {
+	type shape struct {
+		dims, ranks []int
+		seeds       []int64
+	}
+	shapes := []shape{
+		{[]int{96000, 3400, 400}, []int{10, 10, 10}, []int64{1}},
+		{[]int{640000, 301, 127600}, []int{10, 10, 10}, []int64{1}},
+		{[]int{1400, 20000, 400000, 60000}, []int{5, 5, 5, 5}, []int64{1}},
+	}
+	for _, r := range []int{1, 2, 5, 10, 17} {
+		shapes = append(shapes, shape{[]int{r, r + 1}, []int{r, r}, []int64{1, 2, 3, 4}})
+	}
+	for _, sh := range shapes {
+		for _, seed := range sh.seeds {
+			for n, u := range InitialFactors(sh.dims, sh.ranks, seed, 2) {
+				g := dense.NewMatrix(u.Cols, u.Cols)
+				dense.SyrkInto(g, u, nil, 2)
+				for i := 0; i < g.Rows; i++ {
+					for j := 0; j < g.Cols; j++ {
+						want := 0.0
+						if i == j {
+							want = 1
+						}
+						if d := math.Abs(g.At(i, j) - want); !(d <= 1e-14) {
+							t.Fatalf("dims %v seed %d mode %d: |UᵀU − I| is %.3g at (%d,%d)", sh.dims, seed, n, d, i, j)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // Fit histories recorded when the start became the counter-based fill;
 // nothing in a sweep moves them, so they hold to rounding.
 func TestFitHistoryUnchanged(t *testing.T) {
@@ -86,8 +156,8 @@ func TestFitHistoryUnchanged(t *testing.T) {
 // mode 0's solve over U_0 before anything reads U_0, which is why
 // NewEngine builds no U_0. So a NaN U_0 must leave every bit of a cold
 // run where a random one puts it; and the engine's other initial factors
-// must be InitialFactors' own, bit for bit, so that skipping U_0 left the
-// random stream where it was.
+// must be InitialFactors' own, bit for bit: U_0 is the one mode the
+// engine does not draw.
 func TestColdSweepNeverReadsFirstFactor(t *testing.T) {
 	order3 := gen.Random(gen.Config{Dims: []int{60, 50, 40}, NNZ: 900, Skew: 0.5, Seed: 5})
 	order4 := gen.Random(gen.Config{Dims: []int{30, 25, 20, 15}, NNZ: 1500, Skew: 0.5, Seed: 6})

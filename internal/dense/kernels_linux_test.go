@@ -88,9 +88,9 @@ func TestTilesStopAtTheData(t *testing.T) {
 						t.Fatalf("%s: %v", label, e)
 					}
 				}()
-				a := &Matrix{Rows: rows, Cols: cols, Data: atPageEnd(t, RandomNormal(rows, cols, rng).Data)}
-				f := &Matrix{Rows: rows, Cols: 4, Data: atPageEnd(t, RandomNormal(rows, 4, rng).Data)}
-				want := RandomNormal(cols, cols, rng).Data
+				a := &Matrix{Rows: rows, Cols: cols, Data: atPageEnd(t, randomNormal(rows, cols, rng).Data)}
+				f := &Matrix{Rows: rows, Cols: 4, Data: atPageEnd(t, randomNormal(rows, 4, rng).Data)}
+				want := randomNormal(cols, cols, rng).Data
 				p := atPageEnd(t, want)
 				syrkBlock(p, a, 0, rows)
 				syrkBlockGo(want, a, 0, rows)
@@ -98,7 +98,7 @@ func TestTilesStopAtTheData(t *testing.T) {
 					copy(p[j*cols:j*cols+j], want[j*cols:j*cols+j]) // below the diagonal: unspecified
 				}
 				compareGuarded(t, "syrkBlock "+label, p, want, 0)
-				wantQ := RandomNormal(4, cols, rng).Data
+				wantQ := randomNormal(4, cols, rng).Data
 				q := atPageEnd(t, wantQ)
 				matMulTABlock(q, f, a, 0, rows)
 				matMulTABlockGo(wantQ, f, a, 0, rows)

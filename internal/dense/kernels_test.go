@@ -603,10 +603,10 @@ func TestTilesBitwise(t *testing.T) {
 // GEMM call on B of ten and of five columns).
 func TestTilesBitwiseInvariantAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	a := RandomNormal(1301, 102, rng)
-	f := RandomNormal(1301, 10, rng)
-	v := RandomNormal(102, 10, rng)
-	v5 := RandomNormal(102, 5, rng)
+	a := randomNormal(1301, 102, rng)
+	f := randomNormal(1301, 10, rng)
+	v := randomNormal(102, 10, rng)
+	v5 := randomNormal(102, 5, rng)
 	var refSyrk, refTA, refMM, refMM5 []byte
 	var refPath string
 	onEachPath(t, func(t *testing.T) {
@@ -652,7 +652,7 @@ func TestSyrkSymmetricWhateverTheWorkBufferHeld(t *testing.T) {
 func testSyrkSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, shape := range [][2]int{{40, 12}, {701, 20}, {2051, 100}} {
-		a := RandomNormal(shape[0], shape[1], rng)
+		a := randomNormal(shape[0], shape[1], rng)
 		n := a.Cols
 		for _, threads := range []int{1, 2} {
 			ref := NewMatrix(n, n)
@@ -808,13 +808,13 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	// sudog for a parking worker, its cache emptied by the collection),
 	// never take one away: the least of three rounds is the kernels'.
 	rng := rand.New(rand.NewSource(4))
-	big, tall, narrow := RandomNormal(400, 100, rng), RandomNormal(400, 10, rng), RandomNormal(100, 10, rng)
+	big, tall, narrow := randomNormal(400, 100, rng), randomNormal(400, 10, rng), randomNormal(100, 10, rng)
 	xr, yc := make([]float64, 400), make([]float64, 100)
 	g, ct, cm := NewMatrix(100, 100), NewMatrix(100, 10), NewMatrix(400, 10)
 	ka, kk, kfull := kronCases[len(kronCases)-1].build(rng) // several groups' reduce blocks
-	kw, ky := NewMatrix(kfull.Rows, 10), RandomNormal(kfull.Rows, 10, rng)
+	kw, ky := NewMatrix(kfull.Rows, 10), randomNormal(kfull.Rows, 10, rng)
 	kz := NewMatrix(kfull.Cols, 10)
-	rotated, id := RandomNormal(400, 10, rng), Identity(10)
+	rotated, id := randomNormal(400, 10, rng), Identity(10)
 	for _, threads := range []int{1, 2} {
 		var s Scratch
 		var work, kwork, nwork []float64

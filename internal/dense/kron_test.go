@@ -28,9 +28,9 @@ func (kc kronCase) build(rng *rand.Rand) (*Matrix, *KronRows, *Matrix) {
 	for _, s := range kc.sizes {
 		singles += s
 	}
-	full := RandomNormal(kc.multi+singles, n, rng)
+	full := randomNormal(kc.multi+singles, n, rng)
 	a := &Matrix{Rows: kc.multi, Cols: n, Data: append([]float64(nil), full.Data[:kc.multi*n]...)}
-	u := RandomNormal(3*len(kc.sizes)+1, kc.rg, rng)
+	u := randomNormal(3*len(kc.sizes)+1, kc.rg, rng)
 	k := &KronRows{Ptr: []int32{0}, U: u, T: *NewMatrix(singles, kc.c), Slow: kc.slow}
 	row := 0
 	for j, s := range kc.sizes {
@@ -141,7 +141,7 @@ func TestKronMatMulMatchesMatMul(t *testing.T) {
 		for _, kc := range kronCases {
 			a, k, full := kc.build(rng)
 			for _, bc := range []int{1, 3, 10, 13} {
-				w := RandomNormal(a.Cols, bc, rng)
+				w := randomNormal(a.Cols, bc, rng)
 				want, got := NewMatrix(full.Rows, bc), NewMatrix(full.Rows, bc)
 				MatMulInto(want, full, w, 1)
 				got.Data[0] = 99
@@ -149,7 +149,7 @@ func TestKronMatMulMatchesMatMul(t *testing.T) {
 				if d := relDiff(got.Data, want.Data); d > 1e-13 {
 					t.Errorf("%s, %d columns: |B·W - MatMulInto| is %g of its largest entry", kc.name, bc, d)
 				}
-				y := RandomNormal(full.Rows, bc, rng)
+				y := randomNormal(full.Rows, bc, rng)
 				wantT, gotT := NewMatrix(a.Cols, bc), NewMatrix(a.Cols, bc)
 				MatMulTAInto(wantT, full, y, 1)
 				gotT.Data[0] = 99
@@ -177,8 +177,8 @@ func TestSyrkKronBitwiseInvariantAcrossThreads(t *testing.T) {
 	for i, kc := range kronCases {
 		var full *Matrix
 		cases[i].a, cases[i].k, full = kc.build(rng)
-		cases[i].w = RandomNormal(full.Cols, 10, rng)
-		cases[i].y = RandomNormal(full.Rows, 10, rng)
+		cases[i].w = randomNormal(full.Cols, 10, rng)
+		cases[i].y = randomNormal(full.Rows, 10, rng)
 	}
 	ref := make([][]byte, len(kronCases))
 	onEachPath(t, func(t *testing.T) {
@@ -250,7 +250,7 @@ func TestNilKronRowsArePlainKernels(t *testing.T) {
 	var ops [][3]*Matrix // a, W, Y
 	for _, kc := range kronCases {
 		_, _, full := kc.build(rng)
-		ops = append(ops, [3]*Matrix{full, RandomNormal(full.Cols, 10, rng), RandomNormal(full.Rows, 10, rng)})
+		ops = append(ops, [3]*Matrix{full, randomNormal(full.Cols, 10, rng), randomNormal(full.Rows, 10, rng)})
 	}
 	onEachPath(t, func(t *testing.T) {
 		for _, threads := range []int{1, 2, 3, 8} {
@@ -285,7 +285,7 @@ func TestNilKronRowsArePlainKernels(t *testing.T) {
 func TestKronMatMulSlotsStartOnALine(t *testing.T) {
 	kc := kronCases[len(kronCases)-1]
 	a, k, full := kc.build(rand.New(rand.NewSource(71)))
-	w, y := RandomNormal(a.Cols, 3, rand.New(rand.NewSource(73))), NewMatrix(full.Rows, 3)
+	w, y := randomNormal(a.Cols, 3, rand.New(rand.NewSource(73))), NewMatrix(full.Rows, 3)
 	for _, threads := range []int{1, 2, 3, 8} {
 		new(Scratch).KronMatMulInto(y, a, k, w, threads)
 		if k.stride%8 != 0 || k.stride < kc.c*3 {

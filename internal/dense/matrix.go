@@ -1,7 +1,8 @@
 // Package dense provides the dense linear algebra substrate that the
 // paper obtains from ESSL BLAS and LAPACK: a row-major matrix type,
-// level-1/2/3 kernels, Householder QR, and a one-sided Jacobi SVD for
-// the small projected problems arising in the truncated SVD solver.
+// level-1/2/3 kernels, Householder QR (a test oracle), and a one-sided
+// Jacobi SVD for the small projected problems arising in the truncated
+// SVD solver.
 //
 // Everything is implemented on float64 slices with no external
 // dependencies. Shapes follow the paper's conventions: factor matrices
@@ -12,7 +13,6 @@ package dense
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Matrix is a dense row-major matrix: element (i, j) lives at
@@ -118,17 +118,6 @@ func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// RandomNormal fills a new r x c matrix with N(0,1) samples drawn from
-// rng. It is used for random factor initialization and random start
-// vectors; passing an explicit rng keeps every solver deterministic.
-func RandomNormal(r, c int, rng *rand.Rand) *Matrix {
-	m := NewMatrix(r, c)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
 	}
 	return m
 }

@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// randomNormal fills a new r x c matrix with N(0,1) samples drawn from
+// rng: the tests' operands.
+func randomNormal(r, c int, rng *rand.Rand) *Matrix {
+	m := NewMatrix(r, c)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 0, 1)
@@ -92,7 +102,7 @@ func TestDotAxpyScalNrm2(t *testing.T) {
 func TestGemvMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, threads := range []int{1, 4} {
-		a := RandomNormal(17, 9, rng)
+		a := randomNormal(17, 9, rng)
 		x := make([]float64, 9)
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -111,7 +121,7 @@ func TestGemvMatchesNaive(t *testing.T) {
 func TestGemvTMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, threads := range []int{1, 4} {
-		a := RandomNormal(23, 7, rng)
+		a := randomNormal(23, 7, rng)
 		x := make([]float64, 23)
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -146,8 +156,8 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 
 func TestMatMulVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := RandomNormal(8, 5, rng)
-	b := RandomNormal(5, 6, rng)
+	a := randomNormal(8, 5, rng)
+	b := randomNormal(5, 6, rng)
 	for _, threads := range []int{1, 3} {
 		if got, want := MatMul(a, b, threads), naiveMatMul(a, b); !got.Equal(want, 1e-12) {
 			t.Fatalf("MatMul mismatch (threads=%d)", threads)

@@ -62,8 +62,11 @@ func (wk *SVDWork) svdTall(a *Matrix) (*Matrix, []float64, *Matrix) {
 	// accumulated column-major too: vcols.Row(j) is column j of V.
 	wk.w = transposeInto(wk.w, a)
 	w := wk.w
-	wk.vcols = identityInto(wk.vcols, n)
-	vcols := wk.vcols
+	vcols := ReuseMatrix(wk.vcols, n, n)
+	for i := range n {
+		vcols.Set(i, i, 1)
+	}
+	wk.vcols = vcols
 	jacobiSweeps(w, vcols)
 
 	// Singular values are the column norms, sorted descending (stable).
@@ -88,7 +91,7 @@ func (wk *SVDWork) svdTall(a *Matrix) (*Matrix, []float64, *Matrix) {
 			}
 		}
 		// Null directions keep a zero column; callers that need an
-		// orthonormal basis use Orthonormalize on the result.
+		// orthonormal basis complete it themselves.
 		vsrc := vcols.Row(j)
 		for i := 0; i < n; i++ {
 			v.Set(i, out, vsrc[i])
@@ -265,15 +268,6 @@ func transposeInto(dst, a *Matrix) *Matrix {
 		for j, v := range row {
 			dst.Data[j*dst.Cols+i] = v
 		}
-	}
-	return dst
-}
-
-// identityInto writes the n x n identity into dst, reusing its storage.
-func identityInto(dst *Matrix, n int) *Matrix {
-	dst = ReuseMatrix(dst, n, n)
-	for i := 0; i < n; i++ {
-		dst.Set(i, i, 1)
 	}
 	return dst
 }

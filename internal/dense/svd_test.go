@@ -21,7 +21,7 @@ func reconstructSVD(u *Matrix, s []float64, v *Matrix) *Matrix {
 func TestSVDReconstructs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, shape := range [][2]int{{1, 1}, {4, 4}, {12, 5}, {5, 12}, {30, 3}} {
-		a := RandomNormal(shape[0], shape[1], rng)
+		a := randomNormal(shape[0], shape[1], rng)
 		u, s, v := SVD(a)
 		if got := reconstructSVD(u, s, v); !got.Equal(a, 1e-9) {
 			t.Fatalf("SVD does not reconstruct for shape %v", shape)
@@ -69,7 +69,7 @@ func TestSVDSingularValuesMatchGram(t *testing.T) {
 	// Singular values squared are the eigenvalues of A^T A; verify the
 	// trace identity sum(s^2) = ||A||_F^2.
 	rng := rand.New(rand.NewSource(13))
-	a := RandomNormal(9, 6, rng)
+	a := randomNormal(9, 6, rng)
 	_, s, _ := SVD(a)
 	var sum float64
 	for _, sv := range s {
@@ -83,7 +83,7 @@ func TestSVDSingularValuesMatchGram(t *testing.T) {
 
 func TestLeadingLeftSingularVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	a := RandomNormal(20, 6, rng)
+	a := randomNormal(20, 6, rng)
 	u, s := LeadingLeftSingularVectors(a, 3)
 	if u.Rows != 20 || u.Cols != 3 || len(s) != 3 {
 		t.Fatalf("unexpected shapes: %dx%d, %d values", u.Rows, u.Cols, len(s))
@@ -102,7 +102,7 @@ func TestSVDProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + rng.Intn(15)
 		n := 1 + rng.Intn(15)
-		a := RandomNormal(m, n, rng)
+		a := randomNormal(m, n, rng)
 		u, s, v := SVD(a)
 		return reconstructSVD(u, s, v).Equal(a, 1e-8)
 	}
@@ -113,7 +113,7 @@ func TestSVDProperty(t *testing.T) {
 
 func BenchmarkSVD32x16(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	a := RandomNormal(32, 16, rng)
+	a := randomNormal(32, 16, rng)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		SVD(a)
@@ -122,7 +122,7 @@ func BenchmarkSVD32x16(b *testing.B) {
 
 func BenchmarkQR256x16(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	a := RandomNormal(256, 16, rng)
+	a := randomNormal(256, 16, rng)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		QR(a)

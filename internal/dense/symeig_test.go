@@ -11,7 +11,7 @@ import (
 // gramOf returns the PSD matrix AᵀA of a random rows x n matrix whose
 // columns are scaled by scale (nil leaves them alone).
 func gramOf(rng *rand.Rand, rows, n int, scale []float64) *Matrix {
-	a := RandomNormal(rows, n, rng)
+	a := randomNormal(rows, n, rng)
 	for i := 0; i < rows && scale != nil; i++ {
 		for j := range scale {
 			a.Data[i*n+j] *= scale[j]
@@ -109,7 +109,7 @@ func TestSymEigReadsUpperTriangleAndReuses(t *testing.T) {
 func TestSyrkMatchesMatMulTABitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, shape := range [][2]int{{0, 4}, {1, 1}, {3, 5}, {63, 9}, {130, 33}, {701, 67}, {2051, 40}} {
-		a := RandomNormal(shape[0], shape[1], rng)
+		a := randomNormal(shape[0], shape[1], rng)
 		if shape[0] > 2 {
 			a.Row(shape[0] - 1)[0] = 0 // a zero coefficient in the remainder rows
 		}
@@ -340,8 +340,7 @@ func equalBlocks(b *Matrix, m int) *Matrix {
 // withSpectrum returns Q·diag(lam)·Qᵀ for a random orthogonal Q.
 func withSpectrum(rng *rand.Rand, lam []float64) *Matrix {
 	n := len(lam)
-	q := RandomNormal(n, n, rng)
-	Orthonormalize(q, 1)
+	q, _ := QR(randomNormal(n, n, rng))
 	ql := q.Clone()
 	for i := 0; i < n; i++ {
 		for j, l := range lam {
@@ -372,7 +371,7 @@ func TestSymEigTopKMatchesFull(t *testing.T) {
 	}
 	cases = append(cases,
 		tc{"zero", NewMatrix(25, 25)},
-		tc{"identity", identityInto(nil, 125)},
+		tc{"identity", Identity(125)},
 		tc{"repeated top", withSpectrum(rng, []float64{5, 5, 5, 3, 2, 1, 0.5, 0.25, 0.1, 0.1, 0.05, 0.01})},
 		tc{"rank 1", gramOf(rng, 1, 100, nil)},
 		tc{"three equal blocks", equalBlocks(gramOf(rng, 12, 8, nil), 3)},

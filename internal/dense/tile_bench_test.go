@@ -20,9 +20,9 @@ func BenchmarkTilePaths(b *testing.B) {
 	for _, s := range []struct{ rows, cols, rank int }{
 		{41656, 100, 10}, {32496, 100, 10}, {13308, 125, 5}, {2048, 100, 10},
 	} {
-		y := RandomNormal(s.rows, s.cols, rng)
-		f := RandomNormal(s.rows, s.rank, rng)
-		v := RandomNormal(s.cols, s.rank, rng)
+		y := randomNormal(s.rows, s.cols, rng)
+		f := randomNormal(s.rows, s.rank, rng)
+		v := randomNormal(s.cols, s.rank, rng)
 		g, ta, u := NewMatrix(s.cols, s.cols), NewMatrix(s.rank, s.cols), NewMatrix(s.rows, s.rank)
 		var work []float64
 		for _, p := range KernelPaths() {

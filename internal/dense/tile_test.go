@@ -70,8 +70,8 @@ func TestTiledKernelsMatchNaiveOddShapes(t *testing.T) {
 		{16, gemmKC + 3, gemmJC + 5}, // k and j panel remainders
 	}
 	for _, sh := range shapes {
-		a := RandomNormal(sh.m, sh.k, rng)
-		b := RandomNormal(sh.k, sh.n, rng)
+		a := randomNormal(sh.m, sh.k, rng)
+		b := randomNormal(sh.k, sh.n, rng)
 		x := make([]float64, sh.k)
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -101,7 +101,7 @@ func TestTiledKernelsMatchNaiveOddShapes(t *testing.T) {
 			}
 			// MatMulTAInto vs naive.
 			ct := NewMatrix(sh.k, sh.n)
-			bt := RandomNormal(sh.m, sh.n, rng)
+			bt := randomNormal(sh.m, sh.n, rng)
 			MatMulTAInto(ct, a, bt, threads)
 			if want := naiveMM(a.T(), bt); !ct.Equal(want, 1e-10) {
 				t.Fatalf("MatMulTA %dx%dx%d threads=%d mismatch", sh.m, sh.k, sh.n, threads)
@@ -127,8 +127,8 @@ func bits(x []float64) []byte {
 // run.
 func TestKernelsBitwiseInvariantAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a := RandomNormal(301, 203, rng) // > serialCutoff elements
-	b := RandomNormal(301, 57, rng)
+	a := randomNormal(301, 203, rng) // > serialCutoff elements
+	b := randomNormal(301, 57, rng)
 	x := make([]float64, 203)
 	for i := range x {
 		x[i] = rng.NormFloat64()
@@ -144,7 +144,7 @@ func TestKernelsBitwiseInvariantAcrossThreads(t *testing.T) {
 	GemvTInto(refGemvT, a, xr, 1)
 	refTA := NewMatrix(203, 57)
 	MatMulTAInto(refTA, a, b, 1)
-	big := RandomNormal(203, 301, rng)
+	big := randomNormal(203, 301, rng)
 	refMM := NewMatrix(301, 301)
 	MatMulInto(refMM, a, big, 1)
 
@@ -252,7 +252,7 @@ func TestSVDWorkMatchesSVD(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var wk SVDWork
 	for _, sh := range []struct{ m, n int }{{6, 6}, {12, 5}, {5, 12}, {30, 30}} {
-		a := RandomNormal(sh.m, sh.n, rng)
+		a := randomNormal(sh.m, sh.n, rng)
 		u1, s1, v1 := SVD(a)
 		u2, s2, v2 := wk.SVD(a)
 		if !u1.Equal(u2, 1e-12) || !v1.Equal(v2, 1e-12) {
@@ -285,7 +285,7 @@ func TestMatMulTATransposedBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	onEachPath(t, func(t *testing.T) {
 		for _, sh := range [][3]int{{1301, 125, 5}, {2003, 100, 10}, {999, 100, 1}, {67, 9, 4}, {5, 7, 3}} {
-			a, b := RandomNormal(sh[0], sh[1], rng), RandomNormal(sh[0], sh[2], rng)
+			a, b := randomNormal(sh[0], sh[1], rng), randomNormal(sh[0], sh[2], rng)
 			for i := 0; i < len(a.Data); i += 7 {
 				a.Data[i] = 0
 			}

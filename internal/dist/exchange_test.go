@@ -17,6 +17,16 @@ import (
 	"hypertensor/internal/trsvd"
 )
 
+// randomNormal fills a new r x c matrix with N(0,1) samples drawn from
+// rng: the tests' operands.
+func randomNormal(r, c int, rng *rand.Rand) *dense.Matrix {
+	m := dense.NewMatrix(r, c)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
 // Options from outside the program must come back as plain errors, from
 // the shared-memory planner and the distributed driver alike — never as
 // a rank's index-out-of-range panic, and never as a nil result with a
@@ -253,8 +263,8 @@ func TestFoldResultsOutliveTheSharedBuffer(t *testing.T) {
 func TestGramOnRowDistributedOperator(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	withSpectrum := func(m, n int, s []float64) *dense.Matrix {
-		u := dense.Orthonormalize(dense.RandomNormal(m, len(s), rng), 1)
-		v := dense.Orthonormalize(dense.RandomNormal(n, len(s), rng), 1)
+		u, _ := dense.QR(randomNormal(m, len(s), rng))
+		v, _ := dense.QR(randomNormal(n, len(s), rng))
 		for i := 0; i < m; i++ {
 			for j, sv := range s {
 				u.Row(i)[j] *= sv
@@ -263,7 +273,7 @@ func TestGramOnRowDistributedOperator(t *testing.T) {
 		return dense.MatMul(u, v.T(), 1)
 	}
 	dup := dense.NewMatrix(60, 12) // two distinct rows, 30 times each
-	for i, pair := 0, dense.RandomNormal(2, 12, rng); i < dup.Rows; i++ {
+	for i, pair := 0, randomNormal(2, 12, rng); i < dup.Rows; i++ {
 		copy(dup.Row(i), pair.Row(i%2))
 	}
 	const p = 3

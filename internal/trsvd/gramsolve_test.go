@@ -96,7 +96,7 @@ func TestGramHostileSpectra(t *testing.T) {
 	for i := range steep {
 		steep[i] = 1e3 * math.Pow(10, -6*float64(i)/7)
 	}
-	dup := dense.RandomNormal(40, 9, rng)
+	dup := randomNormal(40, 9, rng)
 	for i := 1; i < dup.Rows; i += 2 {
 		copy(dup.Row(i), dup.Row(i-1)) // every row twice
 	}
@@ -108,9 +108,9 @@ func TestGramHostileSpectra(t *testing.T) {
 	}{
 		{"sigma1/sigmaR = 1e6", matrixWithSpectrum(300, 30, steep, rng), 8, 8},
 		{"rank 2, four wanted", matrixWithSpectrum(30, 8, []float64{10, 3}, rng), 4, 2},
-		{"length-1 mode", dense.RandomNormal(1, 20, rng), 1, 1},
-		{"more vectors than rows", dense.RandomNormal(2, 20, rng), 4, 2},
-		{"R = I_n", dense.RandomNormal(5, 30, rng), 5, 5},
+		{"length-1 mode", randomNormal(1, 20, rng), 1, 1},
+		{"more vectors than rows", randomNormal(2, 20, rng), 4, 2},
+		{"R = I_n", randomNormal(5, 30, rng), 5, 5},
 		{"duplicate rows", dup, 6, 6},
 		{"zero matrix", dense.NewMatrix(10, 5), 2, 0},
 		{"no rows", dense.NewMatrix(0, 5), 2, 0},
@@ -156,7 +156,7 @@ func TestGramHostileSpectra(t *testing.T) {
 // workspace.
 func TestGramBitwiseInvariantAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	a := dense.RandomNormal(2051, 40, rng) // several reduce blocks, above the serial cutoff
+	a := randomNormal(2051, 40, rng) // several reduce blocks, above the serial cutoff
 	ref, err := Gram(&DenseOperator{A: a, Threads: 1}, 6, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestGramBitwiseInvariantAcrossThreads(t *testing.T) {
 // Result allocates: U and Sigma live in the workspace.
 func TestGramSteadyStateAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	a := dense.RandomNormal(300, 40, rng)
+	a := randomNormal(300, 40, rng)
 	op := &DenseOperator{A: a, Threads: 1}
 	ws := NewWorkspace()
 	if _, err := Gram(op, 8, Options{Seed: 1, Work: ws}); err != nil {

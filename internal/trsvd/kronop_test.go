@@ -26,8 +26,8 @@ func (sc splitCase) build(rng *rand.Rand) *DenseOperator {
 	for _, s := range sc.sizes {
 		singles += s
 	}
-	u := dense.RandomNormal(2*len(sc.sizes)+1, sc.rg, rng)
-	k := &dense.KronRows{Ptr: []int32{0}, U: u, T: *dense.RandomNormal(singles, sc.c, rng), Slow: sc.slow}
+	u := randomNormal(2*len(sc.sizes)+1, sc.rg, rng)
+	k := &dense.KronRows{Ptr: []int32{0}, U: u, T: *randomNormal(singles, sc.c, rng), Slow: sc.slow}
 	for j, s := range sc.sizes {
 		k.Idx = append(k.Idx, int32(2*j+1))
 		k.Ptr = append(k.Ptr, k.Ptr[j]+int32(s))
@@ -35,7 +35,7 @@ func (sc splitCase) build(rng *rand.Rand) *DenseOperator {
 			clear(u.Row(2*j + 1))
 		}
 	}
-	return &DenseOperator{A: dense.RandomNormal(sc.multi, sc.rg*sc.c, rng), Kron: k}
+	return &DenseOperator{A: randomNormal(sc.multi, sc.rg*sc.c, rng), Kron: k}
 }
 
 var splitCases = []splitCase{
@@ -58,8 +58,8 @@ var splitCases = []splitCase{
 func applyAll(op Operator, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	rows, cols := op.LocalRows(), op.Cols()
-	x, yv := dense.RandomNormal(cols, 1, rng).Data, dense.RandomNormal(rows, 1, rng).Data
-	w, y := dense.RandomNormal(cols, 10, rng), dense.RandomNormal(rows, 10, rng)
+	x, yv := randomNormal(cols, 1, rng).Data, randomNormal(rows, 1, rng).Data
+	w, y := randomNormal(cols, 10, rng), randomNormal(rows, 10, rng)
 	ax, aty := make([]float64, rows), make([]float64, cols)
 	aw, aty10, yty, g := dense.NewMatrix(rows, 10), dense.NewMatrix(cols, 10), dense.NewMatrix(10, 10), dense.NewMatrix(cols, cols)
 	ax[0], aty[0], aw.Data[0], aty10.Data[0], g.Data[0] = 9, 9, 9, 9, 9 // each is overwritten
@@ -159,8 +159,8 @@ func TestNilKronOperatorIsThePlainKernels(t *testing.T) {
 				got := applyAll(op, 13)
 				// applyAll's operands, drawn again, through the plain kernels.
 				rng := rand.New(rand.NewSource(13))
-				x, yv := dense.RandomNormal(a.Cols, 1, rng).Data, dense.RandomNormal(a.Rows, 1, rng).Data
-				w, y := dense.RandomNormal(a.Cols, 10, rng), dense.RandomNormal(a.Rows, 10, rng)
+				x, yv := randomNormal(a.Cols, 1, rng).Data, randomNormal(a.Rows, 1, rng).Data
+				w, y := randomNormal(a.Cols, 10, rng), randomNormal(a.Rows, 10, rng)
 				ax, aty := make([]float64, a.Rows), make([]float64, a.Cols)
 				aw, aty10, yty, g := dense.NewMatrix(a.Rows, 10), dense.NewMatrix(a.Cols, 10), dense.NewMatrix(10, 10), dense.NewMatrix(a.Cols, a.Cols)
 				dense.GemvInto(ax, a, x, threads)

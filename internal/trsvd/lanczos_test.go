@@ -9,12 +9,22 @@ import (
 	"hypertensor/internal/dense"
 )
 
+// randomNormal fills a new r x c matrix with N(0,1) samples drawn from
+// rng: the tests' operands.
+func randomNormal(r, c int, rng *rand.Rand) *dense.Matrix {
+	m := dense.NewMatrix(r, c)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
 // matrixWithSpectrum builds an m x n matrix with prescribed singular
 // values via A = U diag(s) V^T with random orthonormal U, V.
 func matrixWithSpectrum(m, n int, s []float64, rng *rand.Rand) *dense.Matrix {
 	k := len(s)
-	u := dense.Orthonormalize(dense.RandomNormal(m, k, rng), 1)
-	v := dense.Orthonormalize(dense.RandomNormal(n, k, rng), 1)
+	u, _ := dense.QR(randomNormal(m, k, rng))
+	v, _ := dense.QR(randomNormal(n, k, rng))
 	us := u.Clone()
 	for i := 0; i < m; i++ {
 		row := us.Row(i)
@@ -63,7 +73,7 @@ func TestLanczosMatchesDenseSVD(t *testing.T) {
 		{40, 40, 4},
 		{15, 50, 5}, // wide
 	} {
-		a := dense.RandomNormal(tc.m, tc.n, rng)
+		a := randomNormal(tc.m, tc.n, rng)
 		res, err := Lanczos(&DenseOperator{A: a, Threads: 1}, tc.k, Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +149,7 @@ func TestLanczosArgumentErrors(t *testing.T) {
 
 func TestLanczosDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	a := dense.RandomNormal(50, 10, rng)
+	a := randomNormal(50, 10, rng)
 	r1, _ := Lanczos(&DenseOperator{A: a}, 3, Options{Seed: 5})
 	r2, _ := Lanczos(&DenseOperator{A: a}, 3, Options{Seed: 5})
 	if !r1.U.Equal(r2.U, 0) {
@@ -149,7 +159,7 @@ func TestLanczosDeterministic(t *testing.T) {
 
 func TestGramSVDMatchesDenseSVD(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	a := dense.RandomNormal(120, 12, rng)
+	a := randomNormal(120, 12, rng)
 	res, err := GramSVD(a, 4, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +236,7 @@ func TestHashUnitDeterministicAndBounded(t *testing.T) {
 
 func BenchmarkLanczos1000x100k10(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	a := dense.RandomNormal(1000, 100, rng)
+	a := randomNormal(1000, 100, rng)
 	op := &DenseOperator{A: a, Threads: 0}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -13,8 +13,8 @@ import (
 // the bits of a solve on a fresh workspace.
 func TestSolversReturnUInTheWorkspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	a := dense.RandomNormal(140, 30, rng)
-	b := dense.RandomNormal(90, 24, rng) // smaller: the slot does not grow
+	a := randomNormal(140, 30, rng)
+	b := randomNormal(90, 24, rng) // smaller: the slot does not grow
 	for _, s := range []struct {
 		name  string
 		solve func(Operator, int, Options) (*Result, error)

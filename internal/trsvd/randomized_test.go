@@ -91,7 +91,7 @@ func TestRandomizedArgumentErrors(t *testing.T) {
 // trajectories ride on.
 func TestRandomizedThreadCountBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
-	a := dense.RandomNormal(300, 40, rng)
+	a := randomNormal(300, 40, rng)
 	ref, err := Randomized(&DenseOperator{A: a, Threads: 1}, 8, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +119,8 @@ func TestRandomizedThreadCountBitwise(t *testing.T) {
 // state between solves, only scratch.
 func TestRandomizedWorkspaceReuseBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	a := dense.RandomNormal(120, 30, rng)
-	b := dense.RandomNormal(80, 22, rng)
+	a := randomNormal(120, 30, rng)
+	b := randomNormal(80, 22, rng)
 	ws := NewWorkspace()
 	for _, m := range []*dense.Matrix{a, b, a} { // alternate shapes
 		fresh, err := Randomized(&DenseOperator{A: m, Threads: 1}, 5, Options{Seed: 3})
@@ -141,7 +141,7 @@ func TestRandomizedWorkspaceReuseBitwise(t *testing.T) {
 // Result allocates: U and Sigma live in the workspace.
 func TestRandomizedSteadyStateAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	a := dense.RandomNormal(300, 40, rng)
+	a := randomNormal(300, 40, rng)
 	op := &DenseOperator{A: a, Threads: 1}
 	ws := NewWorkspace()
 	if _, err := Randomized(op, 8, Options{Seed: 1, Work: ws}); err != nil {
@@ -161,7 +161,7 @@ func TestRandomizedSteadyStateAllocations(t *testing.T) {
 // in the workspace, as Lanczos keeps vbView: a call allocates nothing, at
 // one thread or two, and its rows are the same bits either way.
 func TestCGS2DoesNotAllocate(t *testing.T) {
-	src := dense.RandomNormal(12, 40, rand.New(rand.NewSource(5)))
+	src := randomNormal(12, 40, rand.New(rand.NewSource(5)))
 	ws := NewWorkspace()
 	coeff := make([]float64, src.Rows)
 	var first *dense.Matrix

@@ -14,8 +14,8 @@ import (
 // contents would be caught.
 func TestWorkspaceReuseBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	a := dense.RandomNormal(120, 30, rng)
-	b := dense.RandomNormal(80, 22, rng)
+	a := randomNormal(120, 30, rng)
+	b := randomNormal(80, 22, rng)
 	ws := NewWorkspace()
 	solvers := []struct {
 		name string
@@ -70,7 +70,7 @@ func matEqualBits(a, b *dense.Matrix) bool {
 // Result (U and Sigma live in the workspace), and nothing per iteration.
 func TestLanczosSteadyStateAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	a := dense.RandomNormal(300, 40, rng)
+	a := randomNormal(300, 40, rng)
 	op := &DenseOperator{A: a, Threads: 1}
 	ws := NewWorkspace()
 	if _, err := Lanczos(op, 8, Options{Seed: 1, Work: ws}); err != nil {

@@ -26,7 +26,7 @@ func altoSetup(rng *rand.Rand, dims, ranks []int, nnz int) (*tensor.COO, *tensor
 	a := tensor.NewALTO(x, tensor.ALTOOptions{})
 	u := make([]*dense.Matrix, len(dims))
 	for m := range u {
-		u[m] = dense.RandomNormal(dims[m], ranks[m], rng)
+		u[m] = randomNormal(dims[m], ranks[m], rng)
 	}
 	return x, a, u, symbolic.Build(a, 1)
 }

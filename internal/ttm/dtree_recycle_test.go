@@ -16,7 +16,7 @@ func engineSweep(tree *DTree, u []*dense.Matrix, threads int, rng *rand.Rand) {
 	for n := range u {
 		tree.Invalidate(n)
 		tree.TTMc(dense.NewMatrix(tree.NumRows(n), RowSize(u, n)), n, u, threads)
-		u[n] = dense.RandomNormal(u[n].Rows, u[n].Cols, rng)
+		u[n] = randomNormal(u[n].Rows, u[n].Cols, rng)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestDTreeSiblingNodesShareOneBuffer(t *testing.T) {
 			if !reflect.DeepEqual(got.Data, want.Data) {
 				t.Fatalf("sweep %d mode %d: product on recycled storage differs from a fresh tree's", s, n)
 			}
-			u[n] = dense.RandomNormal(u[n].Rows, u[n].Cols, rng)
+			u[n] = randomNormal(u[n].Rows, u[n].Cols, rng)
 		}
 		if count, largest := liveBuffers(tree); count != 1 || largest != largestNode {
 			t.Fatalf("sweep %d: tree holds %d value buffers, largest %d floats; want 1 of %d", s, count, largest, largestNode)
@@ -208,7 +208,7 @@ func TestDTreeMatchesAccumKronBitwise(t *testing.T) {
 										dims, ranks, threads, s, n, i, math.Float64bits(got.Data[i]), dense.KernelName(), math.Float64bits(v))
 								}
 							}
-							uu[n] = dense.RandomNormal(uu[n].Rows, uu[n].Cols, rng)
+							uu[n] = randomNormal(uu[n].Rows, uu[n].Cols, rng)
 						}
 					}
 				}

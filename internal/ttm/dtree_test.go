@@ -33,7 +33,7 @@ func sparseSetup(rng *rand.Rand, dims, ranks []int, nnz int) (*tensor.COO, []*de
 	x.SortDedup()
 	u := make([]*dense.Matrix, len(dims))
 	for m := range u {
-		u[m] = dense.RandomNormal(dims[m], ranks[m], rng)
+		u[m] = randomNormal(dims[m], ranks[m], rng)
 	}
 	return x, u, symbolic.Build(x, 1)
 }
@@ -149,7 +149,7 @@ func sweep(t *testing.T, tree *DTree, x *tensor.COO, sym *symbolic.Structure, u 
 		if e := relErr(got, flat); e > 1e-8 {
 			t.Fatalf("sweep mode %d: rel err %v", n, e)
 		}
-		u[n] = dense.RandomNormal(u[n].Rows, u[n].Cols, rng)
+		u[n] = randomNormal(u[n].Rows, u[n].Cols, rng)
 		tree.Invalidate(n)
 	}
 }
@@ -210,7 +210,7 @@ func TestDTreeInvalidationRecomputesExactlyDirtySubtree(t *testing.T) {
 
 	// Updating U_0 must NOT dirty {0,1} (it excludes U_0 from its
 	// contraction): mode 1 reuses it.
-	u[0] = dense.RandomNormal(u[0].Rows, u[0].Cols, rng)
+	u[0] = randomNormal(u[0].Rows, u[0].Cols, rng)
 	tree.Invalidate(0)
 	tree.TTMc(y(1), 1, u, 1)
 	if c := computes(0, 2); c != 1 {
@@ -218,10 +218,10 @@ func TestDTreeInvalidationRecomputesExactlyDirtySubtree(t *testing.T) {
 	}
 
 	// Modes 2 and 3 share one build of {2,3}.
-	u[1] = dense.RandomNormal(u[1].Rows, u[1].Cols, rng)
+	u[1] = randomNormal(u[1].Rows, u[1].Cols, rng)
 	tree.Invalidate(1)
 	tree.TTMc(y(2), 2, u, 1)
-	u[2] = dense.RandomNormal(u[2].Rows, u[2].Cols, rng)
+	u[2] = randomNormal(u[2].Rows, u[2].Cols, rng)
 	tree.Invalidate(2)
 	tree.TTMc(y(3), 3, u, 1)
 	if c := computes(2, 4); c != 1 {
@@ -251,7 +251,7 @@ func TestDTreeRankChangeInvalidates(t *testing.T) {
 
 	u2 := make([]*dense.Matrix, len(u))
 	for m := range u2 {
-		u2[m] = dense.RandomNormal(x.Dims[m], 2, rng)
+		u2[m] = randomNormal(x.Dims[m], 2, rng)
 	}
 	for mode := 0; mode < x.Order(); mode++ {
 		sm := &sym.Modes[mode]
@@ -315,7 +315,7 @@ func BenchmarkDTreeTTMc(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	u := make([]*dense.Matrix, x.Order())
 	for m := range u {
-		u[m] = dense.RandomNormal(x.Dims[m], 5, rng)
+		u[m] = randomNormal(x.Dims[m], 5, rng)
 	}
 	for _, threads := range []int{1, 2} {
 		b.Run(fmt.Sprintf("T%d", threads), func(b *testing.B) {

@@ -218,7 +218,7 @@ func TestContractMatchesDense(t *testing.T) {
 		x.Append(coord, rng.NormFloat64())
 	}
 	x.SortDedup()
-	u1 := dense.RandomNormal(5, 2, rng)
+	u1 := randomNormal(5, 2, rng)
 
 	s := FromCOO(x).Contract(1, u1)
 	if s.BlockSize != 2 {
@@ -311,7 +311,7 @@ func BenchmarkChainVsFlat(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	u := make([]*dense.Matrix, x.Order())
 	for m := range u {
-		u[m] = dense.RandomNormal(x.Dims[m], 10, rng)
+		u[m] = randomNormal(x.Dims[m], 10, rng)
 	}
 	sym := symbolic.Build(x, 1)
 	for n := range u {

@@ -35,7 +35,7 @@ func singletonSetup(rng *rand.Rand, dims, ranks []int) (*tensor.COO, []*dense.Ma
 	x.SortDedup()
 	u := make([]*dense.Matrix, len(dims))
 	for m := range u {
-		u[m] = dense.RandomNormal(dims[m], ranks[m], rng)
+		u[m] = randomNormal(dims[m], ranks[m], rng)
 	}
 	return x, u, symbolic.Build(x, 1)
 }
