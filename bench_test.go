@@ -470,6 +470,28 @@ func BenchmarkWriteTNS(b *testing.B) {
 	}
 }
 
+// The initial factors the engine draws on the benchmark workloads'
+// shapes (every mode but mode 0, which it never draws): the
+// counter-based fill and its Gram whitening. The thread count is
+// GOMAXPROCS:
+// go test -run '^$' -bench InitialFactors -cpu 1,2 .
+func BenchmarkInitialFactors(b *testing.B) {
+	for _, w := range []struct {
+		name        string
+		dims, ranks []int
+	}{
+		{"netflix3", []int{3400, 400}, []int{10, 10}},
+		{"nell3_tall", []int{301, 127600}, []int{10, 10}},
+		{"delicious4", []int{20000, 400000, 60000}, []int{5, 5, 5}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.InitialFactors(w.dims, w.ranks, 1, 0)
+			}
+		})
+	}
+}
+
 // The Gram solver's eigenproblem at the shapes it meets, for the R_n
 // leading eigenpairs it keeps: order 3 at ranks 5 (25 columns) and 10
 // (100), order 4 at ranks 5 (125). G is a random Gram matrix of full rank:

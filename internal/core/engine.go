@@ -207,9 +207,9 @@ func NewEngine(p *Plan) *Engine {
 
 // newEngine builds an engine whose state starts from the factors
 // returned by initial, which runs beside the kernel build. fresh, if not
-// nil, is a new zero factor the first sweep scatters into: a build
-// goroutine, done long before the random fill, writes its zeros once, so
-// that its pages fault in during set-up and not in that sweep.
+// nil, is a new zero factor the first sweep scatters into: the build
+// goroutine writes its zeros once, so that its pages fault in during
+// set-up and not in that sweep.
 func newEngine(p *Plan, fresh *dense.Matrix, initial func() []*dense.Matrix) *Engine {
 	e := &Engine{
 		plan:     p,
@@ -237,9 +237,8 @@ func newEngine(p *Plan, fresh *dense.Matrix, initial func() []*dense.Matrix) *En
 	if threads := par.DefaultThreads(e.opts.Threads); threads >= 2 {
 		// Either kernel's build (the tree's groupings, the flat kernel's
 		// index streams) only reads the tensor's index arrays and the
-		// initial factors (largely a serial random fill) only the shape
-		// and the seed, so the two run side by side, the build on the
-		// threads the fill leaves idle.
+		// initial factors only the shape and the seed, so the two run
+		// side by side, the build on one thread fewer.
 		go build(threads-1, true)
 	} else {
 		build(threads, false)
