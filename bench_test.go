@@ -371,9 +371,9 @@ func BenchmarkTTMcFlat(b *testing.B) {
 			flat := ttm.NewFlat(in.x, sym)
 			for n := range us {
 				y := dense.NewMatrix(sym.Modes[n].NumRows(), ttm.RowSize(us, n))
-				held := sym.StreamBytes()
-				sym.Modes[n].Streams(in.x) // built here, not in the first timed call
-				streamBytes := sym.StreamBytes() - held
+				sm := sym.Modes[n] // the kernel gathered its own copy's streams; this one counts their bytes
+				sm.Streams(in.x)
+				streamBytes := sm.StreamBytes()
 				b.Run(fmt.Sprintf("%s/%s/mode%d", preset, in.order, n), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						flat.TTMc(y, n, us, 0)

@@ -29,8 +29,10 @@ import (
 // from its seed.
 //
 // An Engine is not safe for concurrent use. Several Engines may share
-// one Plan; each owns its numeric state, and none mutates the plan or
-// the caller's tensor.
+// one Plan and run at once: each owns its numeric state and its kernel,
+// which builds and keeps its index streams and chain partitions on
+// copies of the plan's mode headers (ttm.BuildFlat) or in its own tree
+// (ttm.BuildDTree), and none writes to the plan or the caller's tensor.
 type Engine struct {
 	plan  *Plan
 	opts  Options
@@ -102,6 +104,8 @@ type kernel interface {
 	TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int)
 	// Flops is the multiply-add count of all calls so far.
 	Flops() int64
+	// StreamBytes is what the kernel's list-order index streams copy.
+	StreamBytes() int64
 	// Invalidate records that factor n is being replaced. The sweep
 	// calls it before mode n's TTMc — which reads neither U_n nor any
 	// partial that depends on it — so that a kernel holding such
@@ -111,10 +115,10 @@ type kernel interface {
 
 // newKernel builds the kernel the plan's strategy selects on the
 // engine's current tensor and symbolic structure, with empty caches, on
-// up to threads goroutines. Under flat it warms every mode's index
-// streams (symbolic.Mode.Streams), so that the gather passes are set-up
-// and not part of the first sweep; after an Update's Insert dropped them,
-// the fresh kernel built here makes them again.
+// up to threads goroutines. Either kernel gathers its index streams
+// here, so that the gather passes are set-up and not part of the first
+// sweep, and owns them: the flat kernel on its copies of the modes'
+// headers (ttm.BuildFlat), the tree in its root children.
 //
 // On a shared-memory plan at fixed ranks it also takes the singleton
 // census of every Gram-solved mode, which puts each mode whose split
@@ -129,8 +133,7 @@ func (e *Engine) newKernel(threads int) kernel {
 	if e.opts.ttmc == TTMcDTree {
 		k = ttm.BuildDTree(e.x, threads)
 	} else {
-		par.For(e.order, threads, 1, func(n int) { e.sym.Modes[n].Streams(e.x) })
-		k = ttm.NewFlat(e.x, e.sym)
+		k = ttm.BuildFlat(e.x, e.sym, threads)
 	}
 	e.census = nil
 	if e.plan.ex == nil && e.opts.Eps <= 0 && (e.opts.ttmc != TTMcDTree || treeSplits(e.order)) {
@@ -238,7 +241,8 @@ func newEngine(p *Plan, fresh *dense.Matrix, initial func() []*dense.Matrix) *En
 		// Either kernel's build (the tree's groupings, the flat kernel's
 		// index streams) only reads the tensor's index arrays and the
 		// initial factors only the shape and the seed, so the two run
-		// side by side, the build on one thread fewer.
+		// side by side, the build on one thread fewer: on all T it read
+		// no lower set-up time on the benchmark's three workloads.
 		go build(threads-1, true)
 	} else {
 		build(threads, false)
@@ -253,28 +257,19 @@ func newEngine(p *Plan, fresh *dense.Matrix, initial func() []*dense.Matrix) *En
 	return e
 }
 
-// startRanks resolves the per-mode ranks the factors start with: the
-// requested Ranks for fixed-rank runs; under Eps, the Initial factors'
-// column counts when given and otherwise a small probe rank (adaptive
-// selection grows it within a sweep or two).
+// startRanks resolves the per-mode ranks the drawn factors start with
+// (NewEngine draws none when Initial is given): the requested Ranks for
+// fixed-rank runs; under Eps, a small probe rank (adaptive selection
+// grows it within a sweep or two).
 func startRanks(x *tensor.COO, opts Options) []int {
 	if opts.Eps <= 0 {
 		return opts.Ranks
 	}
 	ranks := make([]int, x.Order())
 	for n := range ranks {
-		switch {
-		case opts.Initial != nil:
-			ranks[n] = opts.Initial[n].Cols
-		default:
-			r := 4
-			if opts.Ranks != nil && opts.Ranks[n] < r {
-				r = opts.Ranks[n]
-			}
-			if x.Dims[n] < r {
-				r = x.Dims[n]
-			}
-			ranks[n] = r
+		ranks[n] = min(4, x.Dims[n])
+		if opts.Ranks != nil {
+			ranks[n] = min(ranks[n], opts.Ranks[n])
 		}
 	}
 	return ranks
@@ -422,13 +417,8 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			res.SVD[n] = ResolveSVD(opts.svd, ttm.RowSize(e.state.Factors, n), opts.Ranks[n])
 		}
 	}
-	if e.sym != nil {
-		res.StreamBytes = e.sym.StreamBytes()
-	}
+	res.StreamBytes = e.kern.StreamBytes()
 	tree, _ := e.kern.(*ttm.DTree)
-	if tree != nil {
-		res.StreamBytes += tree.StreamBytes()
-	}
 	res.Timings.Symbolic = e.symTime
 	if e.firstRun {
 		res.Timings.Init = e.initTime

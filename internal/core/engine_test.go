@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/gen"
+	"hypertensor/internal/symbolic"
 	"hypertensor/internal/tensor"
 	"hypertensor/internal/ttm"
 )
@@ -206,6 +209,51 @@ func TestEnginePlanReuse(t *testing.T) {
 		if ra.FitHistory[i] != rb.FitHistory[i] {
 			t.Fatalf("sibling engines diverged at sweep %d", i)
 		}
+	}
+}
+
+// TestEnginesShareAPlan holds the plan's read-only contract under
+// concurrency: two engines built and run at once on one order-3 plan,
+// each flat kernel gathering its index streams, partitioning its chains
+// and taking its census on its own copies of the plan's mode headers.
+// Their fits, factors and stream bytes are a lone engine's, bitwise, and
+// the plan's structure is still a fresh symbolic.Build's afterwards: no
+// engine cached anything on it. Under -race it shows that the two
+// engines write no shared state.
+func TestEnginesShareAPlan(t *testing.T) {
+	x, ranks := presetTensor(t, "netflix", 0.02)
+	opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 5, Threads: 2, ttmc: TTMcFlat}
+	lone, err := NewEngine(mustPlan(t, x, opts)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lone.StreamBytes == 0 {
+		t.Fatal("the lone engine's kernel copied no stream; the test would not see one shared")
+	}
+	p := mustPlan(t, x, opts)
+	var results [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = NewEngine(p).Run(context.Background())
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		label := fmt.Sprintf("engine %d of 2", i)
+		resultsBitwiseEqual(t, label, lone, res)
+		if res.StreamBytes != lone.StreamBytes {
+			t.Errorf("%s: %d stream bytes, a lone engine's %d", label, res.StreamBytes, lone.StreamBytes)
+		}
+	}
+	if !reflect.DeepEqual(p.sym, symbolic.Build(x, opts.Threads)) {
+		t.Error("the plan's symbolic structure is not a fresh Build's after two engines ran on it")
 	}
 }
 

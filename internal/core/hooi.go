@@ -61,13 +61,14 @@ type Result struct {
 	// IndexBytes is the tensor's index storage: N x nnz x 4 bytes of
 	// coordinate streams.
 	IndexBytes int64
-	// StreamBytes is what the kernel's index copies hold on top of that:
-	// under flat the list-order streams (symbolic.Structure.StreamBytes),
-	// 4(N-1) bytes per nonzero for every mode whose update list is not in
-	// storage order; under the tree its root children's group-order
-	// streams (ttm.DTree.StreamBytes), 4 bytes per nonzero and mode a
-	// child drops, for each child whose group order is not the storage
-	// order (on a sorted tensor, the second child's).
+	// StreamBytes is what the engine's kernel copies into index streams
+	// on top of that, streams it builds and owns: under flat the
+	// list-order streams of its copies of the modes
+	// (ttm.Flat.StreamBytes), 4(N-1) bytes per nonzero for every mode
+	// whose update list is not in storage order; under the tree its root
+	// children's group-order streams (ttm.DTree.StreamBytes), 4 bytes per
+	// nonzero and mode a child drops, for each child whose group order is
+	// not the storage order (on a sorted tensor, the second child's).
 	StreamBytes int64
 	// YBytes is the one buffer every mode's product Y_(n) takes turns in,
 	// sized for the widest: rows x ∏_{t≠n} R_t doubles, where a split

@@ -12,16 +12,20 @@ import (
 // validated options with the TTMc strategy resolved, the symbolic update
 // lists, and the tensor norm.
 // Everything in a Plan is a pure function of (tensor, options) and is
-// never mutated afterwards, so one Plan can back any number of Engines
-// — the resident handles that own the mutable factor state and ingest
-// deltas. Decompose is NewPlan + NewEngine + Run.
+// never mutated afterwards, so one Plan can back any number of Engines,
+// at once — the resident handles that own the mutable factor state and
+// ingest deltas. What a kernel derives from the lists (index streams,
+// chain partitions, the singleton census) each engine's kernel builds
+// and keeps on its own copies of the mode headers (ttm.BuildFlat).
+// Decompose is NewPlan + NewEngine + Run.
 type Plan struct {
 	opts Options
 	x    *tensor.COO // the caller's tensor; engines clone before mutating
 
-	// sym holds the per-mode update lists the flat kernel runs on. It is
-	// nil under the dimension tree, which groups the nonzeros its own way
-	// (in the engine, next to its caches) and reads none of them.
+	// sym holds the per-mode update lists the flat kernel runs on, read
+	// only. It is nil under the dimension tree, which groups the nonzeros
+	// its own way (in the engine, next to its caches) and reads none of
+	// them.
 	sym   *symbolic.Structure
 	normX float64
 	// ex is the world a rank plan converges in (NewRankPlan); nil is

@@ -24,7 +24,8 @@ type Config struct {
 	// Seed makes the decomposition deterministic.
 	Seed int64
 	// Initial optionally supplies explicit initial factor matrices;
-	// when nil, DefaultInitial(x.Dims, Ranks, Seed) is used.
+	// when nil, every rank's engine draws core's seeded start itself
+	// (DefaultInitial's modes 1…N−1; U_0 is solved before it is read).
 	Initial []*dense.Matrix
 	// CheckpointDir enables coordinated sweep-boundary checkpoints: rank
 	// 0 writes one atomically (write-temp, fsync, rename) every
@@ -213,9 +214,6 @@ func decompose(ctx context.Context, world mpi.Runner, x *tensor.COO, part *Parti
 	}
 	if world.Size() != part.P {
 		return nil, fmt.Errorf("dist: world has %d ranks but partition wants %d", world.Size(), part.P)
-	}
-	if opts.Initial == nil {
-		opts.Initial = DefaultInitial(x.Dims, cfg.Ranks, cfg.Seed)
 	}
 	gsym := symbolic.Build(x, 0)
 	// Ranks measure the fit against the whole tensor's norm, not their

@@ -8,9 +8,10 @@ import (
 )
 
 // DefaultInitial produces the deterministic random orthonormal initial
-// factor matrices shared by the shared-memory and distributed drivers:
-// it is core's random start for the same seed, so the two start from
-// identical factors and their per-sweep fits are directly comparable.
+// factor matrices of core's seeded start, every mode drawn. A
+// shared-memory engine and every rank of a distributed one draw the
+// same modes 1…N−1 themselves (U_0 is solved before it is read), so a
+// run given these as Initial gives the bits of one given none.
 func DefaultInitial(dims, ranks []int, seed int64) []*dense.Matrix {
 	return core.InitialFactors(dims, ranks, seed, 0)
 }

@@ -115,12 +115,9 @@ func (s *Structure) Insert(t tensor.Sparse, oldNNZ int) ([][]int32, error) {
 				m.Pos[newRows[p]] = int32(p)
 			}
 		}
-		if len(tl) > 0 {
-			m.chainBounds = nil // row weights changed; repartition lazily
-		}
-		// The list moved and the merge may have regrown the arrays an
-		// identity list aliased.
-		m.streams, m.streamsOf, m.streamBytes = nil, nil, 0
+		// The row weights changed, the list moved and the merge may have
+		// regrown the arrays an identity list aliased.
+		m.chains, m.streams, m.streamsOf, m.streamBytes = ChainCache{}, nil, nil, 0
 		touched[n] = tl
 	}
 	return touched, nil

@@ -28,12 +28,9 @@ type Mode struct {
 	// multi-million-index modes of the 4-mode datasets.
 	Pos []int32
 
-	// chainBounds caches the balanced chain partition of the rows for
-	// chainThreads workers (see Chains).
-	chainBounds  []int32
-	chainThreads int
-	// streams caches Streams(streamsOf); streamBytes is what its copies
-	// hold, 0 when they alias the tensor's arrays.
+	// The caches of Chains and Streams (of streamsOf, copying
+	// streamBytes), held by this Mode value.
+	chains      ChainCache
 	streams     [][]int32
 	streamsOf   *tensor.COO
 	streamBytes int64
@@ -47,73 +44,102 @@ func (m *Mode) RowNZ(r int) []int32 { return m.NZ[m.Ptr[r]:m.Ptr[r+1]] }
 
 // RowWeights returns the per-row nonzero counts — the TTMc cost of each
 // row, which the balanced schedule partitions over.
-func (m *Mode) RowWeights() []int64 {
-	w := make([]int64, m.NumRows())
+func (m *Mode) RowWeights() []int64 { return rowWeights(m.Ptr) }
+
+func rowWeights(ptr []int32) []int64 {
+	w := make([]int64, len(ptr)-1)
 	for r := range w {
-		w[r] = int64(m.Ptr[r+1] - m.Ptr[r])
+		w[r] = int64(ptr[r+1] - ptr[r])
 	}
 	return w
 }
 
-// Chains returns the balanced chain partition of the mode's rows for
-// the given worker count (par.PartitionChains over RowWeights), cached
-// so every HOOI sweep after the first reuses it. Not safe for
-// concurrent callers with different thread counts; the shared-memory
-// HOOI drives one mode at a time.
-func (m *Mode) Chains(threads int) []int32 {
-	if m.chainBounds == nil || m.chainThreads != threads {
-		m.chainBounds = par.PartitionChains(m.RowWeights(), threads)
-		m.chainThreads = threads
-	}
-	return m.chainBounds
+// ChainCache holds a balanced chain partition of a CSR structure's rows
+// (par.PartitionChains over the row lengths), so that every sweep after
+// the first reuses it. The zero value is empty; not safe for concurrent
+// callers.
+type ChainCache struct {
+	bounds  []int32
+	threads int
 }
 
-// Streams returns, for every mode t a TTMc of this mode reads — each
-// other mode, and on an order-1 tensor, which has none, the mode itself —
-// x.Idx[t] in list order: s[t][p] == x.Idx[t][NZ[p]] (s[N] is nil from
-// order 2 up). It is the "resolve all index computations once" of
-// §III.A.1 taken to the index arrays: the numeric loop reads its
-// coordinates as N-1 sequential streams instead of gathering them
-// through NZ, which is random in every mode but the one the tensor is
-// sorted by. A list that is the identity (that mode, on a sorted tensor)
-// aliases the tensor's arrays and copies nothing; any other costs
-// 4(N-1) bytes per listed nonzero. Values are not copied: x.Val[NZ[p]]
-// stays the loop's one gather, so a merge that only changes values
-// invalidates nothing, for half the bytes (a value stream measured 22-24
-// against 25-27 ns per nonzero).
-//
-// Built on first use and cached like Chains, and like it not safe for
-// concurrent first callers: a kernel asks before it starts its workers.
-// Structure.Insert drops the cache with the list it describes; Clone and
-// Select start without one.
-func (m *Mode) Streams(x *tensor.COO) [][]int32 {
-	if m.streams != nil && m.streamsOf == x {
-		return m.streams
+// Partition returns the partition of the rows ptr delimits for threads
+// workers, computed on first use and when threads changed.
+func (c *ChainCache) Partition(ptr []int32, threads int) []int32 {
+	if c.bounds == nil || c.threads != threads {
+		c.bounds, c.threads = par.PartitionChains(rowWeights(ptr), threads), threads
 	}
+	return c.bounds
+}
+
+// Chains returns the balanced chain partition of the mode's rows for
+// threads workers, cached on this Mode value (ChainCache). A kernel
+// caches it on its own copy of the mode (ttm.BuildFlat).
+func (m *Mode) Chains(threads int) []int32 { return m.chains.Partition(m.Ptr, threads) }
+
+// Gather returns keys[t] in the order of ids, s[t][p] == keys[t][ids[p]],
+// for every t with keys[t] set (s[t] is nil where it is not): the
+// "resolve all index computations once" of §III.A.1 taken to the index
+// arrays, so that a loop over a list reads its coordinates in sequence
+// instead of through the list. Where ids is the identity every stream
+// aliases its keys; otherwise each is a copy, 4 bytes an entry, summed
+// in bytes. Mode.Streams and the dimension tree's root children use it.
+func Gather(ids []int32, keys [][]int32) (s [][]int32, bytes int64) {
 	identity := true
-	for p, id := range m.NZ {
+	for p, id := range ids {
 		if int(id) != p {
 			identity = false
 			break
 		}
 	}
-	m.streams, m.streamsOf, m.streamBytes = make([][]int32, x.Order()), x, 0
-	for t := range m.streams {
+	s = make([][]int32, len(keys))
+	for t, k := range keys {
 		switch {
-		case t == m.N && x.Order() > 1:
+		case k == nil:
 		case identity:
-			m.streams[t] = x.Idx[t][:len(m.NZ):len(m.NZ)]
+			s[t] = k[:len(ids):len(ids)]
 		default:
-			s, idx := make([]int32, len(m.NZ)), x.Idx[t]
-			for p, id := range m.NZ {
-				s[p] = idx[id]
+			st := make([]int32, len(ids))
+			for p, id := range ids {
+				st[p] = k[id]
 			}
-			m.streams[t] = s
-			m.streamBytes += 4 * int64(len(s))
+			s[t], bytes = st, bytes+4*int64(len(st))
 		}
+	}
+	return s, bytes
+}
+
+// Streams returns, for every mode t a TTMc of this mode reads — each
+// other mode, and on an order-1 tensor, which has none, the mode itself —
+// x.Idx[t] in list order (Gather over NZ): s[t][p] == x.Idx[t][NZ[p]]
+// (s[N] is nil from order 2 up). A list that is the identity (that mode,
+// on a sorted tensor) aliases the tensor's arrays; any other costs
+// 4(N-1) bytes per listed nonzero (StreamBytes). Values are not copied:
+// x.Val[NZ[p]] stays the loop's one gather, so a merge that only changes
+// values invalidates nothing, for half the bytes (a value stream
+// measured 22-24 against 25-27 ns per nonzero).
+//
+// Built on first use and cached on this Mode value, like Chains, and
+// like it not safe for concurrent first callers: the flat kernel builds
+// them on its own copies of the modes (ttm.BuildFlat), never on a
+// Structure's. Structure.Insert drops the cache with the list it
+// describes; Clone and Select start without one.
+func (m *Mode) Streams(x *tensor.COO) [][]int32 {
+	if m.streams == nil || m.streamsOf != x {
+		keys := append([][]int32(nil), x.Idx...)
+		if x.Order() > 1 {
+			keys[m.N] = nil
+		}
+		m.streams, m.streamBytes = Gather(m.NZ, keys)
+		m.streamsOf = x
 	}
 	return m.streams
 }
+
+// StreamBytes reports what the mode's cached Streams copy: 4 bytes per
+// listed nonzero and copied stream, nothing for a stream that aliases
+// the tensor and nothing before Streams was called.
+func (m *Mode) StreamBytes() int64 { return m.streamBytes }
 
 // Select returns the mode's structure restricted to the rows at the
 // given ascending positions: the same update lists in the same order,
@@ -143,17 +169,6 @@ func (m *Mode) Select(positions []int32) Mode {
 // Structure bundles the per-mode symbolic data for a tensor.
 type Structure struct {
 	Modes []Mode
-}
-
-// StreamBytes reports what the modes' cached Streams hold now: 4 bytes
-// per listed nonzero and copied stream, nothing for a stream that
-// aliases the tensor and nothing before a kernel asked for one.
-func (s *Structure) StreamBytes() int64 {
-	var total int64
-	for n := range s.Modes {
-		total += s.Modes[n].streamBytes
-	}
-	return total
 }
 
 // Build computes the symbolic TTMc structure for every mode of t. The

@@ -49,14 +49,11 @@ func BenchmarkGramSplit(b *testing.B) {
 		}
 		// newKernel builds the kernel an engine builds for the shape.
 		sym := symbolic.Build(x, 0)
-		for n := range sym.Modes {
-			sym.Modes[n].Streams(x)
-		}
 		newKernel := func() splitKernel {
 			if len(ranks) >= 4 {
 				return ttm.BuildDTree(x, 0)
 			}
-			return ttm.NewFlat(x, sym)
+			return ttm.BuildFlat(x, sym, 0)
 		}
 		// The census of every mode, as an engine takes it at kernel build
 		// (each call takes it afresh).

@@ -36,8 +36,10 @@ type ALTOTTMc struct {
 	flops int64
 
 	// bounds is the recursive-split block grid over the linearized
-	// range: block b covers stream positions [bounds[b], bounds[b+1]).
+	// range: block b covers stream positions [bounds[b], bounds[b+1]),
+	// and chains its balanced partition, weighted by block length.
 	bounds []int32
+	chains symbolic.ChainCache
 	// acc is the reusable per-block dense accumulator arena of the
 	// short-mode path.
 	acc []float64
@@ -178,13 +180,7 @@ func (k *ALTOTTMc) denseTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*den
 	val := x.Values()
 	prefixLen := prefixLenFor(u, order, n)
 
-	chains := func() []int32 {
-		w := make([]int64, blocks)
-		for b := range w {
-			w[b] = int64(k.bounds[b+1] - k.bounds[b])
-		}
-		return par.PartitionChains(w, threads)
-	}
+	chains := func() []int32 { return k.chains.Partition(k.bounds, threads) }
 	type scratch struct {
 		rows [][]float64
 		bufA []float64

@@ -34,16 +34,16 @@ import (
 //
 // The two root children contract straight from the nonzeros, which is
 // where a sweep's gathers are. Each keeps, from the build on, the modes
-// it drops as index streams in its own group order, as Flat reads
-// symbolic.Mode.Streams: copies, 4 bytes per nonzero and dropped mode,
-// except where the group order is the storage order (the first child of
-// a sorted tensor), whose streams alias the tensor (StreamBytes). Only
-// the values are gathered through the group ids, so a merge that changes
-// values reaches the kernel through the tensor. With one or two dropped
-// modes (order 4 and below, and order 5's left child) an entry is one
-// dense.GatherOuter call that keeps the entry's block in registers; with
-// three or more, accumKron per nonzero. Both give the bits of the
-// per-nonzero accumKron loop they replaced.
+// it drops as index streams in its own group order (symbolic.Gather, as
+// Flat's symbolic.Mode.Streams): copies, 4 bytes per nonzero and dropped
+// mode, except where the group order is the storage order (the first
+// child of a sorted tensor), whose streams alias the tensor
+// (StreamBytes). Only the values are gathered through the group ids, so
+// a merge that changes values reaches the kernel through the tensor.
+// With one or two dropped modes (order 4 and below, and order 5's left
+// child) an entry is one dense.GatherOuter call that keeps the entry's
+// block in registers; with three or more, accumKron per nonzero. Both
+// give the bits of the per-nonzero accumKron loop they replaced.
 //
 // A DTree is built once per tensor (symbolic phase) and reused across
 // sweeps and rank configurations; it is not safe for concurrent use.
@@ -115,31 +115,16 @@ type dnode struct {
 	val       []float64
 	valid     bool
 	computes  int
-	// bounds caches the balanced chain partition of the node's entries
-	// (weighted by group size) for boundsThreads workers.
-	bounds        []int32
-	boundsThreads int
+	// chains caches the balanced chain partition of the node's entries,
+	// weighted by each entry's update-list length: the partition the
+	// recompute loop runs on.
+	chains symbolic.ChainCache
 	// streams[j] holds, at a root child only, mode dropped[j]'s index of
 	// every nonzero in the child's group order: streams[j][p] ==
 	// keys[dropped[j]][groups.Ids[p]] of the root. streamBytes is what
 	// they copy, 0 when they alias the root's arrays.
 	streams     [][]int32
 	streamBytes int64
-}
-
-// chains returns (building on first use) the balanced chain partition
-// of the node's entries, weighted by each entry's update-list length —
-// the precomputed partition the recompute loop runs on.
-func (nd *dnode) chains(threads int) []int32 {
-	if nd.bounds == nil || nd.boundsThreads != threads {
-		w := make([]int64, nd.n)
-		for g := range w {
-			w[g] = int64(nd.groups.Ptr[g+1] - nd.groups.Ptr[g])
-		}
-		nd.bounds = par.PartitionChains(w, threads)
-		nd.boundsThreads = threads
-	}
-	return nd.bounds
 }
 
 func (nd *dnode) isLeaf() bool { return nd.hi-nd.lo == 1 }
@@ -220,7 +205,9 @@ func (t *DTree) makeChild(parent *dnode, lo, hi int) *dnode {
 
 // group builds the update lists of nd's subtree, top down: each node
 // groups its parent's entries by its own mode range. A root child also
-// takes the index streams rootRows reads (rootStreams).
+// gathers the index streams rootRows reads: for each dropped mode the
+// root's keys in its group order, aliased where that order is the
+// storage order (symbolic.Gather).
 func (t *DTree) group(nd *dnode, sc *symbolic.GroupScratch) {
 	modes := make([]int, nd.hi-nd.lo)
 	for i := range modes {
@@ -233,40 +220,15 @@ func (t *DTree) group(nd *dnode, sc *symbolic.GroupScratch) {
 		nd.keys[m] = g.Keys[j]
 	}
 	if nd.parent == t.root {
-		t.rootStreams(nd)
+		keys := make([][]int32, len(nd.dropped))
+		for j, m := range nd.dropped {
+			keys[j] = t.root.keys[m]
+		}
+		nd.streams, nd.streamBytes = symbolic.Gather(g.Ids, keys)
 	}
 	if !nd.isLeaf() {
 		t.group(nd.left, sc)
 		t.group(nd.right, sc)
-	}
-}
-
-// rootStreams gives root child nd its streams: for each dropped mode the
-// root's keys in nd's group order. A group order that is the storage
-// order (the first root child of a lexicographically sorted tensor)
-// aliases the root's arrays and copies nothing, as symbolic.Mode.Streams
-// does for an identity list.
-func (t *DTree) rootStreams(nd *dnode) {
-	ids := nd.groups.Ids
-	identity := true
-	for p, id := range ids {
-		if int(id) != p {
-			identity = false
-			break
-		}
-	}
-	nd.streams = make([][]int32, len(nd.dropped))
-	for j, m := range nd.dropped {
-		keys := t.root.keys[m][:len(ids):len(ids)]
-		if !identity {
-			s := make([]int32, len(ids))
-			for p, id := range ids {
-				s[p] = keys[id]
-			}
-			keys = s
-			nd.streamBytes += 4 * int64(len(s))
-		}
-		nd.streams[j] = keys
 	}
 }
 
@@ -512,7 +474,10 @@ func (t *DTree) splitOf(nd *dnode) *splitMode {
 }
 
 // callChains is the balanced partition of the running contraction.
-func (t *DTree) callChains() []int32 { return t.call.nd.chains(t.call.threads) }
+func (t *DTree) callChains() []int32 {
+	nd := t.call.nd
+	return nd.chains.Partition(nd.groups.Ptr, t.call.threads)
+}
 
 // rootRows computes entries [lo, hi) of a root child from the nonzeros,
 // reading the dropped modes' indices from the child's streams and each

@@ -216,7 +216,7 @@ func (s *splits) take(n, order int, cen Census, sp *splitMode) (Census, *dense.K
 // they were, and so do the multi rows' bits. The census reads the mode's
 // index streams, in list order.
 func (k *Flat) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
-	sm := &k.sym.Modes[n]
+	sm := &k.modes[n]
 	single := make([]int32, sm.NumRows())
 	for r := range single {
 		p := sm.Ptr[r]

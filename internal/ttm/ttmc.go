@@ -28,7 +28,7 @@ import (
 // uniform chunking leaves the worker that owns the heaviest slices
 // running long after the rest are idle.
 func TTMc(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix, threads int) {
-	NewFlat(x, nil).run(y, sm, nil, u, threads)
+	newFlat(x, nil).run(y, sm, nil, u, threads)
 }
 
 // TTMcSched is TTMc; the schedule argument has one value, and the
@@ -107,17 +107,17 @@ func Flops(nnz, rowSize int) int64 { return int64(nnz) * int64(rowSize) }
 // The loop reads its indices as streams: symbolic.Mode.Streams holds the
 // other modes' index arrays in the mode's list order, so the lead index
 // and the factor-row indices of list position p are s[t][p], read in
-// sequence, and x.Val[NZ[p]] is the one gather left. The streams belong
-// to the Mode, not to the kernel: whoever calls first builds them (an
-// Engine does at kernel build, beside the initial-factor fill; a
-// throwaway kernel of the package-level TTMc finds them on the Mode it
-// is handed from the second call on), Structure.Insert drops them, and
-// they are copies in list order — same operands, same order, same bits
-// as gathering through NZ. A dimension tree keeps its own, in its root
-// children's group order (DTree.StreamBytes).
+// sequence, and x.Val[NZ[p]] is the one gather left. The streams and the
+// chain partitions belong to the kernel: it holds its own copies of the
+// modes' headers, whose lists stay the structure's, shared and read-only,
+// and builds both on those copies (BuildFlat), so any number of kernels
+// may run on one structure at once. They are copies in list order —
+// same operands, same order, same bits as gathering through NZ. A
+// dimension tree gathers its own the same way, in its root children's
+// group order (StreamBytes).
 type Flat struct {
 	x     *tensor.COO
-	sym   *symbolic.Structure
+	modes []symbolic.Mode // the kernel's copies of the structure's modes
 	flops int64
 	runs  []atomic.Int64 // per mode, the runs its last TTMc closed
 	// One call runs at a time, so its parameters (call), the per-worker
@@ -152,13 +152,23 @@ type flatCall struct {
 	uo    *dense.Matrix
 }
 
-// NewFlat binds the flat kernel to a coordinate tensor and the symbolic
-// structure whose nonzero ids index it. Both may be mutated in place
-// between calls (the stable-id delta merge does: value changes reach the
-// kernel through x.Val, appends through Structure.Insert, which drops
-// the index streams the next call rebuilds). It builds nothing itself.
-func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat {
-	k := &Flat{x: x, sym: sym, runs: make([]atomic.Int64, x.Order())}
+// NewFlat is BuildFlat on one thread.
+func NewFlat(x *tensor.COO, sym *symbolic.Structure) *Flat { return BuildFlat(x, sym, 1) }
+
+// BuildFlat binds the flat kernel to a coordinate tensor and the symbolic
+// structure whose nonzero ids index it, and builds every mode's index
+// streams on up to threads goroutines, on the kernel's own copies of the
+// modes' headers: sym is only read, here and in every call. Value changes
+// reach the kernel through x.Val; a merge that appends nonzeros needs a
+// new kernel on the structure Structure.Insert brought in line.
+func BuildFlat(x *tensor.COO, sym *symbolic.Structure, threads int) *Flat {
+	k := newFlat(x, append([]symbolic.Mode(nil), sym.Modes...))
+	par.For(len(k.modes), threads, 1, func(n int) { k.modes[n].Streams(x) })
+	return k
+}
+
+func newFlat(x *tensor.COO, modes []symbolic.Mode) *Flat {
+	k := &Flat{x: x, modes: modes, runs: make([]atomic.Int64, x.Order())}
 	k.rowsFn, k.chainsFn = k.rows, k.callChains
 	return k
 }
@@ -170,7 +180,7 @@ func (k *Flat) Rows(n int) []int32 {
 	if sp := k.of(n); sp != nil {
 		return sp.rows
 	}
-	return k.sym.Modes[n].Rows
+	return k.modes[n].Rows
 }
 
 // TTMc computes the mode-n product for every row of the mode's update
@@ -178,7 +188,7 @@ func (k *Flat) Rows(n int) []int32 {
 // split order its multi rows into y and its singletons into the T its
 // SplitSingletons rows hold, binding their U to the grouping factor.
 func (k *Flat) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
-	k.run(y, &k.sym.Modes[n], k.of(n), u, threads)
+	k.run(y, &k.modes[n], k.of(n), u, threads)
 }
 
 // leadMode is the mode factored out of mode n's runs: the first one
@@ -318,7 +328,7 @@ func (k *Flat) Flops() int64 { return k.flops }
 // RunsPerNZ reports the runs mode n's last TTMc closed per listed
 // nonzero: about 1 on an unsorted input, a fraction on a sorted one.
 func (k *Flat) RunsPerNZ(n int) float64 {
-	return float64(k.runs[n].Load()) / float64(max(len(k.sym.Modes[n].NZ), 1))
+	return float64(k.runs[n].Load()) / float64(max(len(k.modes[n].NZ), 1))
 }
 
 // SweepFlops predicts the multiply-adds of one sweep at the given ranks
@@ -327,8 +337,8 @@ func (k *Flat) RunsPerNZ(n int) float64 {
 // in RowSize/R_Group.
 func (k *Flat) SweepFlops(ranks []int) int64 {
 	var total int64
-	for n := range k.sym.Modes {
-		sm, a := &k.sym.Modes[n], leadMode(len(ranks), n)
+	for n := range k.modes {
+		sm, a := &k.modes[n], leadMode(len(ranks), n)
 		rowSize, acc, runs := 1, 1, int64(0)
 		for t, r := range ranks {
 			if t != n {
@@ -354,7 +364,17 @@ func (k *Flat) SweepFlops(ranks []int) int64 {
 	return total
 }
 
-// Invalidate is a no-op: the flat kernel caches nothing between calls.
+// StreamBytes reports what the kernel's index streams copy: nothing for
+// a stream that aliases the tensor (symbolic.Mode.StreamBytes).
+func (k *Flat) StreamBytes() int64 {
+	var total int64
+	for n := range k.modes {
+		total += k.modes[n].StreamBytes()
+	}
+	return total
+}
+
+// Invalidate is a no-op: the flat kernel keeps no partials between calls.
 func (k *Flat) Invalidate(int) {}
 
 // runRows executes an owner-computes row loop over [0, n) on balanced
