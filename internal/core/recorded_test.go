@@ -79,9 +79,9 @@ func TestRecordedCounts(t *testing.T) {
 		{"nell", 374400, 499200, 122925600, 1260357, 4, "[gram gram gram]",
 			solverCounts{3716400, 49706800, 412, 0, 2, 10391260}, solverCounts{3555700, 40167405, 18, 0, 2, 10391260}},
 		{"delicious", 896016, 448008, 171405000, 3250249, 5, "[gram gram gram gram]",
-			solverCounts{6922300, 58913000, 356, 0, 2, 14029400}, solverCounts{6676900, 83802900, 24, 0, 2, 13477800}},
+			solverCounts{5960185, 58913000, 356, 0, 2, 12108530}, solverCounts{5714785, 83802900, 24, 0, 2, 11556930}},
 		{"flickr", 716800, 358400, 111458750, 4821409, 5, "[gram gram gram gram]",
-			solverCounts{5290500, 43542750, 372, 0, 2, 10728400}, solverCounts{5138100, 63684900, 24, 0, 2, 10375600}},
+			solverCounts{4480400, 43542750, 372, 0, 2, 9110880}, solverCounts{4328000, 63684900, 24, 0, 2, 8758080}},
 	} {
 		x, ranks := presetTensor(t, want.preset, 0.2)
 		opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 32}

@@ -346,8 +346,8 @@ func TestRecordedWireBytes(t *testing.T) {
 	}{
 		{"netflix", nil, [2]cell{{2, 327200, 7872, 65280, 188704, 12, 0.9987526011280594}, {4, 978720, 23296, 193280, 566112, 24, 0.9987526011281862}}},
 		{"nell", nil, [2]cell{{2, 567440, 18960, 189600, 247200, 12, 0.9972652739953954}, {4, 1490240, 37600, 376000, 741600, 24, 0.9972652739952481}}},
-		{"delicious", nil, [2]cell{{2, 916640, 12720, 318000, 505600, 16, 0.9887611128282409}, {4, 2434800, 26040, 651000, 1516800, 32, 0.9887611128284169}}},
-		{"flickr", nil, [2]cell{{2, 821026, 9840, 246000, 505600, 16, 0.9928143133013697}, {4, 2199960, 19400, 485000, 1516800, 32, 0.99281431330144}}},
+		{"delicious", nil, [2]cell{{2, 916640, 12720, 318000, 505600, 16, 0.9887611128283414}, {4, 2434800, 26040, 651000, 1516800, 32, 0.9887611128282723}}},
+		{"flickr", nil, [2]cell{{2, 821026, 9840, 246000, 505600, 16, 0.9928143133015103}, {4, 2199960, 19400, 485000, 1516800, 32, 0.99281431330144}}},
 		{"nell", []int{17, 17, 17}, [2]cell{{2, 1344837, 32232, 547944, 523396, 4560, 0.9978861537011011}, {4, 3444544, 63920, 1086640, 1570190, 9120, 0.9978861537014443}}},
 	} {
 		cfg, err := gen.Preset(want.preset, 0.2)
