@@ -38,16 +38,14 @@ package dense
 // bound by call overhead, one add chain and reloading the destination,
 // not by the arithmetic ports (FMA in Axpy4/Ger measured flat), and the
 // ZMM tiles gain by doing twice the lanes per instruction, not by fusing.
-// A third, GatherGer, is the flat TTMc's row of order 3 in one call: each
-// run's accumulator stays in registers between its AxpyUnrolled terms and
-// its Ger, in the order and with the zero skips of those calls
-// (TestGatherGerBitwise). A fourth, GatherOuter, is one entry of a
-// dimension tree's root child in one call: the whole lead x trail block
-// stays in registers across the entry's nonzeros, each adding its scaled
-// lead row's Ger in order, with Ger's zero skip (TestGatherOuterBitwise).
-// Where the factors leave L2 both gathers wait on their rows, not on
-// arithmetic, so both prefetch what the position GATHER_AHEAD ahead will
-// read (kernels_amd64.s): that changes when a row arrives, never a value.
+// A third, GatherGer, is the TTMc's run loop in one call — a flat row of
+// order 3, or an entry of a dimension tree's root child that drops two
+// modes: each run's accumulator stays in registers between its
+// AxpyUnrolled terms and its Ger, in the order and with the zero skips of
+// those calls (TestGatherGerBitwise). Where the factors leave L2 it waits
+// on its rows, not on arithmetic, so it prefetches what the position
+// GATHER_AHEAD ahead will read (kernels_amd64.s): that changes when a row
+// arrives, never a value.
 //
 // The dot family (Dot, dot2, gemvRows) stays in Go: a single-chain sum
 // cannot be vectorised along a row without re-associating it, which moves
@@ -161,7 +159,8 @@ func GerGo(c, x, y []float64) {
 // four YMM accumulators.
 const gatherMaxCols = 16
 
-// GatherGer is one row of the flat TTMc, run by run. Neighbouring list
+// GatherGer is one row of the flat TTMc, or one entry of a dimension
+// tree's root child that drops two modes, run by run. Neighbouring list
 // positions with equal keys form a run; for each run, with
 //
 //	acc = Σ_p vals[ids[p]] · x.Row(cols[p])
@@ -216,76 +215,4 @@ func gatherGerLoops(keys []int32, l *Matrix, vals []float64, ids, cols []int32, 
 		Ger(l.Row(int(k)), acc, y)
 	}
 	return runs
-}
-
-// outerMaxVecs is the most YMM accumulators GatherOuter's assembly keeps
-// a block in: twelve, leaving four for the value, the scaled lead
-// element, the trail row's last vector and a product.
-const outerMaxVecs = 12
-
-// unitLead and unitOne are GatherOuter's unit lead row as the assembly
-// reads it: every position's lead index 0, into a one-element row {1}.
-var (
-	unitLead = [1]int32{0}
-	unitOne  = [1]float64{1}
-)
-
-// GatherOuter sets the block y to one entry of a dimension tree's root
-// child: with l.Cols = m and x.Cols = r, for each list position p in order
-//
-//	c = vals[ids[p]] · l.Row(lead[p])
-//	y[i*r+q] += c[i] · x.Row(trail[p])[q]   (i < m, q < r)
-//
-// from +0, a zero element of c (either sign) skipping its row: the fused
-// two-row Kronecker accumulation of the TTMc loops — the scaled prefix
-// row, then one Ger — once per position. With lead nil every lead row is
-// the unit row {1} (m = 1) and l is not read. c is the Go loops' scaled
-// lead row, m long; what it holds afterwards is unspecified.
-// On a CPU with AVX2, x rows of 1 to 16 elements and m·⌈r/4⌉ <= 12 the
-// entry is one assembly call that keeps the whole block in registers,
-// where the loops make a Ger call per position and store and reload the
-// block between them; each element still sees the loops' multiplies and
-// adds in their order, so both paths give the same bits. A lead, id or
-// trail index out of range panics on either path. The assembly looks
-// ahead as GatherGer's does, up to the capacity that ids, trail and a
-// non-nil lead share.
-func GatherOuter(lead []int32, l *Matrix, vals []float64, ids, trail []int32, x *Matrix, c, y []float64) {
-	r, m := x.Cols, 1
-	if lead != nil {
-		m = l.Cols
-	}
-	if (lead != nil && len(lead) != len(ids)) || len(trail) != len(ids) || len(c) != m || len(y) != m*r {
-		panic("dense: GatherOuter shape mismatch")
-	}
-	if useAVX2 && r >= 1 && r <= gatherMaxCols && m >= 1 && m*((r+3)/4) <= outerMaxVecs && len(ids) > 0 &&
-		len(x.Data) >= x.Rows*r && (lead == nil || len(l.Data) >= l.Rows*m) {
-		lp, step, ld, lrows := &unitLead[0], 0, &unitOne[0], 1
-		lim := min(cap(ids), cap(trail))
-		if lead != nil {
-			lp, step, ld, lrows = &lead[0], 4, &l.Data[0], l.Rows
-			lim = min(lim, cap(lead))
-		}
-		if gatherOuterAVX2(lp, step, &ids[0], &trail[0], len(ids), lim, &vals[0], len(vals),
-			&x.Data[0], x.Rows, r, ld, lrows, m, &y[0], &laneMask[3-(r-1)%4]) < 0 {
-			panic("dense: GatherOuter index out of range")
-		}
-		return
-	}
-	gatherOuterLoops(lead, l, vals, ids, trail, x, c, y)
-}
-
-// gatherOuterLoops is GatherOuter's portable path, on the dispatching Ger.
-func gatherOuterLoops(lead []int32, l *Matrix, vals []float64, ids, trail []int32, x *Matrix, c, y []float64) {
-	clear(y)
-	lrow := unitOne[:]
-	for p, id := range ids {
-		v := vals[id]
-		if lead != nil {
-			lrow = l.Row(int(lead[p]))
-		}
-		for i, e := range lrow {
-			c[i] = v * e
-		}
-		Ger(c, x.Row(int(trail[p])), y)
-	}
 }

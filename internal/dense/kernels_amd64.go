@@ -87,6 +87,3 @@ func gatherGerAVX2(keys, ids, cols *int32, n, lim int, vals *float64, nvals int,
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
-
-//go:noescape
-func gatherOuterAVX2(lead *int32, lstep int, ids, trail *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (bad int)

@@ -556,29 +556,15 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// GATHER_AHEAD is how many list positions ahead of the one they compute
-// the two gather kernels prefetch (PREFETCHT0) the factor rows and the
-// value that position will read, so that the gathers from beyond L2 are in
+// GATHER_AHEAD is how many list positions ahead of the one it computes
+// the gather kernel prefetches (PREFETCHT0) the factor rows and the value
+// that position will read, so that the gathers from beyond L2 are in
 // flight while the positions before it compute. A constant of the code
 // (8, 12, 16 and 24 measured alike, within the noise of a 2-vCPU box, on
 // BenchmarkTTMcFlat's nell3_tall case, BenchmarkDTreeTTMc and the
 // nell3_tall and netflix3 sweeps; 8 lost a little on the TTMc); no
 // result depends on it.
 #define GATHER_AHEAD 12
-
-// AHEADTRAIL prefetches, for list position R10, the value vals[ids[R10]]
-// and the first and last element of the factor row x[trail[R10]], with
-// the registers both gather kernels keep them in: ids in R8, the trail
-// (col) indices in R9, vals in SI, x in DI and its row stride in bytes in
-// R13. Clobbers R11.
-#define AHEADTRAIL \
-	MOVL       (R8)(R10*4), R11; \
-	PREFETCHT0 (SI)(R11*8); \
-	MOVL       (R9)(R10*4), R11; \
-	IMULQ      R13, R11; \
-	ADDQ       DI, R11; \
-	PREFETCHT0 (R11); \
-	PREFETCHT0 -8(R11)(R13*1)
 
 // func gatherGerAVX2(keys, ids, cols *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int)
 // One row of the flat TTMc: for each maximal run of list positions with
@@ -608,13 +594,21 @@ TEXT ·gatherGerAVX2(SB), NOSPLIT, $0-128
 // The macros are defined inside the TEXT block because they name its
 // arguments, which go vet resolves against the enclosing function.
 
-// RUNAHEAD prefetches what list position AX+GATHER_AHEAD reads, or
-// jumps to done when that position is at or past lim.
+// RUNAHEAD prefetches what list position R10 = AX+GATHER_AHEAD reads,
+// or jumps to done when that position is at or past lim: the value
+// vals[ids[R10]], and the first and last element of the factor row
+// x[cols[R10]] and of the lead row l[keys[R10]]. Clobbers R11 and R12.
 #define RUNAHEAD(done) \
 	LEAQ       GATHER_AHEAD(AX), R10; \
 	CMPQ       R10, lim+32(FP); \
 	JAE        done; \
-	AHEADTRAIL; \
+	MOVL       (R8)(R10*4), R11; \
+	PREFETCHT0 (SI)(R11*8); \
+	MOVL       (R9)(R10*4), R11; \
+	IMULQ      R13, R11; \
+	ADDQ       DI, R11; \
+	PREFETCHT0 (R11); \
+	PREFETCHT0 -8(R11)(R13*1); \
 	MOVL       (BX)(R10*4), R11; \
 	IMULQ      m+96(FP), R11; \
 	MOVQ       l+80(FP), R12; \
@@ -811,441 +805,5 @@ rungernext:
 
 runbad:
 	MOVQ $-1, runs+120(FP)
-	VZEROUPPER
-	RET
-
-// func gatherOuterAVX2(lead *int32, lstep int, ids, trail *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (bad int)
-// One entry of a dimension tree's root child: y = +0, then for each list
-// position p in order, with v = vals[ids[p]], the lead row l[lead[p]] (m
-// elements) and the trail row x[trail[p]] (r elements),
-// y[i*r:(i+1)*r] += (v*l[lead[p]][i]) * x[trail[p]] for i < m, a row
-// whose scaled lead element is +0 or -0 skipped. Per element, the
-// operations of the Go loops' Ger calls in their order. The block lives in
-// registers for the whole entry: row i in the ⌈r/4⌉ vectors from
-// Y(i*⌈r/4⌉), the last of them over the row's last one to four elements,
-// which the trail row's vector in Y12 is loaded for under the lane mask
-// (a masked-out lane loads +0 and is never stored); each vector count has
-// its own loop, and a row past m is never touched. The lead cursor BX
-// steps lstep bytes a position (0 reads lead[0] throughout, the unit row).
-// The block is written once, at the end, under the same mask. Returns 0,
-// or -1 as soon as a lead, id or trail index is at or past its bound, y
-// then unwritten. Before it reads position p, it prefetches what position
-// p+GATHER_AHEAD will read, as gatherGerAVX2 does and up to the same kind
-// of bound lim: vals[ids[p+D]], the first and last element of
-// x[trail[p+D]] and of the lead row l[lead[p+D]].
-// 1 <= r <= 16, 1 <= m, m*⌈r/4⌉ <= 12, 1 <= n <= lim.
-TEXT ·gatherOuterAVX2(SB), NOSPLIT, $0-136
-
-// OUTAHEAD prefetches what list position AX+GATHER_AHEAD reads, or
-// jumps to done when that position is at or past lim. Its lead index sits
-// GATHER_AHEAD steps of lstep bytes past the lead cursor.
-#define OUTAHEAD(done) \
-	LEAQ       GATHER_AHEAD(AX), R10; \
-	CMPQ       R10, lim+40(FP); \
-	JAE        done; \
-	AHEADTRAIL; \
-	MOVQ       lstep+8(FP), R11; \
-	IMUL3Q     $GATHER_AHEAD, R11, R11; \
-	MOVL       (BX)(R11*1), R11; \
-	IMULQ      m+104(FP), R11; \
-	PREFETCHT0 (DX)(R11*8); \
-	ADDQ       m+104(FP), R11; \
-	PREFETCHT0 -8(DX)(R11*8)
-
-// OUTENTRY reads list position AX: the value into X14, the address of
-// lead row lead[p] into R10 and of trail row trail[p] into R12, and that
-// row's last vector, at byte offset tail, into Y12 under the lane mask.
-// An index at or past its bound jumps to outbad before any is used.
-#define OUTENTRY(tail) \
-	MOVL       (BX), R10; \
-	CMPQ       R10, lrows+96(FP); \
-	JAE        outbad; \
-	MOVL       (R8)(AX*4), R11; \
-	CMPQ       R11, nvals+56(FP); \
-	JAE        outbad; \
-	MOVL       (R9)(AX*4), R12; \
-	CMPQ       R12, xrows+72(FP); \
-	JAE        outbad; \
-	VMOVSD     (SI)(R11*8), X14; \
-	IMULQ      R13, R12; \
-	ADDQ       DI, R12; \
-	IMULQ      m+104(FP), R10; \
-	LEAQ       (DX)(R10*8), R10; \
-	MOVQ       mask+120(FP), R11; \
-	VMOVDQU    (R11), Y13; \
-	VMASKMOVPD tail(R12), Y13, Y12
-
-// OUTLEAD scales the lead element at byte offset off by the value into
-// Y13, all lanes, or jumps to skip when the product is +0 or -0 (Ger's
-// zero test: a NaN is not a zero).
-#define OUTLEAD(off, skip) \
-	VMULSD       off(R10), X14, X13; \
-	MOVQ         X13, R11; \
-	SHLQ         $1, R11; \
-	JZ           skip; \
-	VBROADCASTSD X13, Y13
-
-// OUTACC adds the scaled lead element times the trail row's vector at
-// off to acc; OUTTAIL does it for the row's last vector, held in Y12.
-#define OUTACC(off, acc) \
-	VMULPD off(R12), Y13, Y15; \
-	VADDPD Y15, acc, acc
-
-#define OUTTAIL(acc) \
-	VMULPD Y12, Y13, Y15; \
-	VADDPD Y15, acc, acc
-
-// OUTMORE jumps to done when the block has no row past the first rows.
-#define OUTMORE(rows, done) \
-	CMPQ m+104(FP), $rows; \
-	JEQ  done
-
-// OUTNEXT steps to the next list position and back to loop while there
-// is one, otherwise on to store.
-#define OUTNEXT(loop, store) \
-	ADDQ lstep+8(FP), BX; \
-	INCQ AX; \
-	CMPQ AX, CX; \
-	JLT  loop; \
-	JMP  store
-
-// OUTSTART points R12 at y and loads the lane mask into Y13 for the
-// stores; OUTROW steps R12 to the block's next row.
-#define OUTSTART \
-	MOVQ    y+112(FP), R12; \
-	MOVQ    mask+120(FP), R11; \
-	VMOVDQU (R11), Y13
-
-#define OUTROW ADDQ R13, R12
-
-	MOVQ   lead+0(FP), BX
-	MOVQ   ids+16(FP), R8
-	MOVQ   trail+24(FP), R9
-	MOVQ   n+32(FP), CX
-	MOVQ   vals+48(FP), SI
-	MOVQ   x+64(FP), DI
-	MOVQ   r+80(FP), R13
-	MOVQ   l+88(FP), DX
-	MOVQ   $0, bad+128(FP)
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-	XORQ   AX, AX
-	CMPQ   R13, $4
-	JLE    outv1
-	CMPQ   R13, $8
-	JLE    outv2
-	CMPQ   R13, $12
-	JLE    outv3
-	JMP    outv4
-
-// Rows of one vector: up to twelve, row i in Y(i).
-outv1:
-	SHLQ $3, R13 // row stride of x and of y in bytes
-
-outv1pos:
-	OUTAHEAD(outv1entry)
-
-outv1entry:
-	OUTENTRY(0)
-	OUTLEAD(0, outv1r1)
-	OUTTAIL(Y0)
-
-outv1r1:
-	OUTMORE(1, outv1next)
-	OUTLEAD(8, outv1r2)
-	OUTTAIL(Y1)
-
-outv1r2:
-	OUTMORE(2, outv1next)
-	OUTLEAD(16, outv1r3)
-	OUTTAIL(Y2)
-
-outv1r3:
-	OUTMORE(3, outv1next)
-	OUTLEAD(24, outv1r4)
-	OUTTAIL(Y3)
-
-outv1r4:
-	OUTMORE(4, outv1next)
-	OUTLEAD(32, outv1r5)
-	OUTTAIL(Y4)
-
-outv1r5:
-	OUTMORE(5, outv1next)
-	OUTLEAD(40, outv1r6)
-	OUTTAIL(Y5)
-
-outv1r6:
-	OUTMORE(6, outv1next)
-	OUTLEAD(48, outv1r7)
-	OUTTAIL(Y6)
-
-outv1r7:
-	OUTMORE(7, outv1next)
-	OUTLEAD(56, outv1r8)
-	OUTTAIL(Y7)
-
-outv1r8:
-	OUTMORE(8, outv1next)
-	OUTLEAD(64, outv1r9)
-	OUTTAIL(Y8)
-
-outv1r9:
-	OUTMORE(9, outv1next)
-	OUTLEAD(72, outv1r10)
-	OUTTAIL(Y9)
-
-outv1r10:
-	OUTMORE(10, outv1next)
-	OUTLEAD(80, outv1r11)
-	OUTTAIL(Y10)
-
-outv1r11:
-	OUTMORE(11, outv1next)
-	OUTLEAD(88, outv1next)
-	OUTTAIL(Y11)
-
-outv1next:
-	OUTNEXT(outv1pos, outv1store)
-
-outv1store:
-	OUTSTART
-	VMASKMOVPD Y0, Y13, (R12)
-	OUTMORE(1, outdone)
-	OUTROW
-	VMASKMOVPD Y1, Y13, (R12)
-	OUTMORE(2, outdone)
-	OUTROW
-	VMASKMOVPD Y2, Y13, (R12)
-	OUTMORE(3, outdone)
-	OUTROW
-	VMASKMOVPD Y3, Y13, (R12)
-	OUTMORE(4, outdone)
-	OUTROW
-	VMASKMOVPD Y4, Y13, (R12)
-	OUTMORE(5, outdone)
-	OUTROW
-	VMASKMOVPD Y5, Y13, (R12)
-	OUTMORE(6, outdone)
-	OUTROW
-	VMASKMOVPD Y6, Y13, (R12)
-	OUTMORE(7, outdone)
-	OUTROW
-	VMASKMOVPD Y7, Y13, (R12)
-	OUTMORE(8, outdone)
-	OUTROW
-	VMASKMOVPD Y8, Y13, (R12)
-	OUTMORE(9, outdone)
-	OUTROW
-	VMASKMOVPD Y9, Y13, (R12)
-	OUTMORE(10, outdone)
-	OUTROW
-	VMASKMOVPD Y10, Y13, (R12)
-	OUTMORE(11, outdone)
-	OUTROW
-	VMASKMOVPD Y11, Y13, (R12)
-	JMP        outdone
-
-// Rows of two vectors: up to six, row i in Y(2i), Y(2i+1).
-outv2:
-	SHLQ $3, R13
-
-outv2pos:
-	OUTAHEAD(outv2entry)
-
-outv2entry:
-	OUTENTRY(32)
-	OUTLEAD(0, outv2r1)
-	OUTACC(0, Y0)
-	OUTTAIL(Y1)
-
-outv2r1:
-	OUTMORE(1, outv2next)
-	OUTLEAD(8, outv2r2)
-	OUTACC(0, Y2)
-	OUTTAIL(Y3)
-
-outv2r2:
-	OUTMORE(2, outv2next)
-	OUTLEAD(16, outv2r3)
-	OUTACC(0, Y4)
-	OUTTAIL(Y5)
-
-outv2r3:
-	OUTMORE(3, outv2next)
-	OUTLEAD(24, outv2r4)
-	OUTACC(0, Y6)
-	OUTTAIL(Y7)
-
-outv2r4:
-	OUTMORE(4, outv2next)
-	OUTLEAD(32, outv2r5)
-	OUTACC(0, Y8)
-	OUTTAIL(Y9)
-
-outv2r5:
-	OUTMORE(5, outv2next)
-	OUTLEAD(40, outv2next)
-	OUTACC(0, Y10)
-	OUTTAIL(Y11)
-
-outv2next:
-	OUTNEXT(outv2pos, outv2store)
-
-outv2store:
-	OUTSTART
-	VMOVUPD    Y0, (R12)
-	VMASKMOVPD Y1, Y13, 32(R12)
-	OUTMORE(1, outdone)
-	OUTROW
-	VMOVUPD    Y2, (R12)
-	VMASKMOVPD Y3, Y13, 32(R12)
-	OUTMORE(2, outdone)
-	OUTROW
-	VMOVUPD    Y4, (R12)
-	VMASKMOVPD Y5, Y13, 32(R12)
-	OUTMORE(3, outdone)
-	OUTROW
-	VMOVUPD    Y6, (R12)
-	VMASKMOVPD Y7, Y13, 32(R12)
-	OUTMORE(4, outdone)
-	OUTROW
-	VMOVUPD    Y8, (R12)
-	VMASKMOVPD Y9, Y13, 32(R12)
-	OUTMORE(5, outdone)
-	OUTROW
-	VMOVUPD    Y10, (R12)
-	VMASKMOVPD Y11, Y13, 32(R12)
-	JMP        outdone
-
-// Rows of three vectors: up to four, row i in Y(3i) to Y(3i+2).
-outv3:
-	SHLQ $3, R13
-
-outv3pos:
-	OUTAHEAD(outv3entry)
-
-outv3entry:
-	OUTENTRY(64)
-	OUTLEAD(0, outv3r1)
-	OUTACC(0, Y0)
-	OUTACC(32, Y1)
-	OUTTAIL(Y2)
-
-outv3r1:
-	OUTMORE(1, outv3next)
-	OUTLEAD(8, outv3r2)
-	OUTACC(0, Y3)
-	OUTACC(32, Y4)
-	OUTTAIL(Y5)
-
-outv3r2:
-	OUTMORE(2, outv3next)
-	OUTLEAD(16, outv3r3)
-	OUTACC(0, Y6)
-	OUTACC(32, Y7)
-	OUTTAIL(Y8)
-
-outv3r3:
-	OUTMORE(3, outv3next)
-	OUTLEAD(24, outv3next)
-	OUTACC(0, Y9)
-	OUTACC(32, Y10)
-	OUTTAIL(Y11)
-
-outv3next:
-	OUTNEXT(outv3pos, outv3store)
-
-outv3store:
-	OUTSTART
-	VMOVUPD    Y0, (R12)
-	VMOVUPD    Y1, 32(R12)
-	VMASKMOVPD Y2, Y13, 64(R12)
-	OUTMORE(1, outdone)
-	OUTROW
-	VMOVUPD    Y3, (R12)
-	VMOVUPD    Y4, 32(R12)
-	VMASKMOVPD Y5, Y13, 64(R12)
-	OUTMORE(2, outdone)
-	OUTROW
-	VMOVUPD    Y6, (R12)
-	VMOVUPD    Y7, 32(R12)
-	VMASKMOVPD Y8, Y13, 64(R12)
-	OUTMORE(3, outdone)
-	OUTROW
-	VMOVUPD    Y9, (R12)
-	VMOVUPD    Y10, 32(R12)
-	VMASKMOVPD Y11, Y13, 64(R12)
-	JMP        outdone
-
-// Rows of four vectors: up to three, row i in Y(4i) to Y(4i+3).
-outv4:
-	SHLQ $3, R13
-
-outv4pos:
-	OUTAHEAD(outv4entry)
-
-outv4entry:
-	OUTENTRY(96)
-	OUTLEAD(0, outv4r1)
-	OUTACC(0, Y0)
-	OUTACC(32, Y1)
-	OUTACC(64, Y2)
-	OUTTAIL(Y3)
-
-outv4r1:
-	OUTMORE(1, outv4next)
-	OUTLEAD(8, outv4r2)
-	OUTACC(0, Y4)
-	OUTACC(32, Y5)
-	OUTACC(64, Y6)
-	OUTTAIL(Y7)
-
-outv4r2:
-	OUTMORE(2, outv4next)
-	OUTLEAD(16, outv4next)
-	OUTACC(0, Y8)
-	OUTACC(32, Y9)
-	OUTACC(64, Y10)
-	OUTTAIL(Y11)
-
-outv4next:
-	OUTNEXT(outv4pos, outv4store)
-
-outv4store:
-	OUTSTART
-	VMOVUPD    Y0, (R12)
-	VMOVUPD    Y1, 32(R12)
-	VMOVUPD    Y2, 64(R12)
-	VMASKMOVPD Y3, Y13, 96(R12)
-	OUTMORE(1, outdone)
-	OUTROW
-	VMOVUPD    Y4, (R12)
-	VMOVUPD    Y5, 32(R12)
-	VMOVUPD    Y6, 64(R12)
-	VMASKMOVPD Y7, Y13, 96(R12)
-	OUTMORE(2, outdone)
-	OUTROW
-	VMOVUPD    Y8, (R12)
-	VMOVUPD    Y9, 32(R12)
-	VMOVUPD    Y10, 64(R12)
-	VMASKMOVPD Y11, Y13, 96(R12)
-
-outdone:
-	VZEROUPPER
-	RET
-
-outbad:
-	MOVQ $-1, bad+128(FP)
 	VZEROUPPER
 	RET

@@ -29,10 +29,9 @@ func atPageEnd[T int32 | float64](t *testing.T, s []T) []T {
 }
 
 // TestGatherLookAheadStopsAtCapacity: with every index array ending where
-// unreadable memory begins, GatherGer and GatherOuter read no element past
-// the arrays' capacity — the look-ahead's bound — and give the Go loops'
-// bits, for each register width and rows shorter and longer than the
-// look-ahead.
+// unreadable memory begins, GatherGer reads no element past the arrays'
+// capacity — the look-ahead's bound — and gives the Go loops' bits, for
+// each register width and rows shorter and longer than the look-ahead.
 func TestGatherLookAheadStopsAtCapacity(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	rng := rand.New(rand.NewSource(38))
@@ -58,12 +57,6 @@ func TestGatherLookAheadStopsAtCapacity(t *testing.T) {
 				GatherGer(gk, l, vals, gi, gc, x, make([]float64, r), y)
 				gatherGerGo(keys, l, vals, ids, cols, x, make([]float64, r), y2)
 				compareGuarded(t, "GatherGer "+label, y, y2, 0)
-				GatherOuter(gk, l, vals, gi, gc, x, make([]float64, 3), y)
-				gatherOuterGo(keys, l, vals, ids, cols, x, y2)
-				compareGuarded(t, "GatherOuter "+label, y, y2, 0)
-				GatherOuter(nil, nil, vals, gi, gc, x, make([]float64, 1), y[:r])
-				gatherOuterGo(nil, nil, vals, ids, cols, x, y2[:r])
-				compareGuarded(t, "GatherOuter unit "+label, y[:r], y2[:r], 0)
 			}()
 		}
 	}

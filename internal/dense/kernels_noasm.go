@@ -48,7 +48,3 @@ func atb4x16MaskAVX512(a *float64, lda int, b *float64, ldb int, p *float64, ldp
 func gatherGerAVX2(keys, ids, cols *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (runs int) {
 	panic("dense: no assembly kernels in this build")
 }
-
-func gatherOuterAVX2(lead *int32, lstep int, ids, trail *int32, n, lim int, vals *float64, nvals int, x *float64, xrows, r int, l *float64, lrows, m int, y *float64, mask *int64) (bad int) {
-	panic("dense: no assembly kernels in this build")
-}

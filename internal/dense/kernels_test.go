@@ -286,14 +286,14 @@ func gatherCase(t *testing.T, r, m, n int, next func() float64, frame func([]int
 
 // TestGatherGerBitwise: every factor row width through 20 (each register
 // count, each masked tail, and past the widest the registers hold), lead
-// rows of 1 to 10 and rows of 1 to 40 list positions, on finite and
-// salted data.
+// rows of 1 to 17 (the flat kernel's and a tree root child's ranks) and
+// rows of 1 to 40 list positions, on finite and salted data.
 func TestGatherGerBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	finite := rng.NormFloat64
 	salted := saltedSource(rng)
 	for r := 1; r <= 20; r++ {
-		for _, m := range []int{1, 2, 5, 10} {
+		for _, m := range []int{1, 2, 5, 7, 10, 16, 17} {
 			for _, n := range []int{1, 2, 3, 7, 40} {
 				gatherCase(t, r, m, n, finite, nil)
 				gatherCase(t, r, m, n, salted, nil)
@@ -341,153 +341,11 @@ func TestGatherGerPanicsOnBadIndices(t *testing.T) {
 	}
 }
 
-// gatherOuterGo is GatherOuter's definition: a zeroed block, then per list
-// position the scaled lead row and one GerGo.
-func gatherOuterGo(lead []int32, l *Matrix, vals []float64, ids, trail []int32, x *Matrix, y []float64) {
-	clear(y)
-	for p, id := range ids {
-		lrow := []float64{1}
-		if lead != nil {
-			lrow = l.Row(int(lead[p]))
-		}
-		c := make([]float64, len(lrow))
-		for i, e := range lrow {
-			c[i] = vals[id] * e
-		}
-		GerGo(c, x.Row(int(trail[p])), y)
-	}
-}
-
-// outerCase holds GatherOuter to its definition on one shape: n list
-// positions over the rows of an r-column trail factor (its last row always
-// among them, where a tail load would run off the data) and of an m-column
-// lead factor — the unit row when unit — into a guarded block that starts
-// out holding values the kernel must overwrite, every value from next.
-// Where the shape allows, one position's value is a zero and two lead and
-// two trail elements are ±0. A non-nil frame places each index array as
-// gatherCase's does.
-func outerCase(t *testing.T, r, m, n int, unit bool, next func() float64, frame func([]int32) []int32) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(int64(1000*r + 100*m + n)))
-	_, x := guardedMatrix(5, r, next)
-	x.Row(1)[0], x.Row(2)[r-1] = 0, math.Copysign(0, -1)
-	_, l := guardedMatrix(4, m, next)
-	if m > 1 {
-		l.Row(0)[0], l.Row(3)[m-1] = 0, math.Copysign(0, -1)
-	}
-	vals := make([]float64, n+3)
-	for i := range vals {
-		vals[i] = next()
-	}
-	lead, ids, trail := make([]int32, n), make([]int32, n), make([]int32, n)
-	for p := range ids {
-		lead[p], ids[p], trail[p] = int32(rng.Intn(l.Rows)), int32(rng.Intn(len(vals))), int32(rng.Intn(x.Rows))
-	}
-	if n > 0 {
-		trail[n-1] = int32(x.Rows - 1)
-	}
-	if n > 1 {
-		vals[ids[n/2]] = math.Copysign(0, float64(n&1)-0.5)
-	}
-	if frame != nil {
-		lead, ids, trail = frame(lead), frame(ids), frame(trail)
-	}
-	label := fmt.Sprintf("GatherOuter r=%d m=%d n=%d", r, m, n)
-	if unit {
-		lead, l, label = nil, nil, fmt.Sprintf("GatherOuter r=%d unit n=%d", r, n)
-		m = 1
-	}
-	yb, y := guarded(m*r, 1, next)
-	yb2, y2 := twin(yb, m*r, 1)
-	GatherOuter(lead, l, vals, ids, trail, x, make([]float64, m), y)
-	gatherOuterGo(lead, l, vals, ids, trail, x, y2)
-	compareGuarded(t, label, yb, yb2, kernelGuard+1)
-}
-
-// TestGatherOuterBitwise: lead rows of 1 (the unit row and a real one), 2,
-// 5, 8 and 10 elements against every trail row width through 20 (each
-// vector count, each masked tail, and past the widest the registers
-// hold), the blocks either side of the twelve-register boundary, and 0 to
-// 40 list positions, on finite and salted data.
-func TestGatherOuterBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	finite := rng.NormFloat64
-	salted := saltedSource(rng)
-	type shape struct {
-		r, m int
-		unit bool
-	}
-	var shapes []shape
-	for r := 1; r <= 20; r++ {
-		shapes = append(shapes, shape{r, 1, true})
-		for _, m := range []int{1, 2, 5, 8, 10} {
-			shapes = append(shapes, shape{r, m, false})
-		}
-	}
-	// m·⌈r/4⌉ at 12 and just past it, for each vector count.
-	for _, s := range [][2]int{{4, 12}, {4, 13}, {8, 6}, {8, 7}, {12, 4}, {9, 5}, {16, 3}, {13, 4}} {
-		shapes = append(shapes, shape{s[0], s[1], false})
-	}
-	for _, s := range shapes {
-		for _, n := range []int{0, 1, 2, 3, 7, 40} {
-			outerCase(t, s.r, s.m, n, s.unit, finite, nil)
-			outerCase(t, s.r, s.m, n, s.unit, salted, nil)
-		}
-	}
-}
-
-// A lead, id or trail index out of range panics on both paths, a trail
-// index under a zero value included, and so do mismatched lengths: the
-// assembly reads through no index it has not checked.
-func TestGatherOuterPanicsOnBadIndices(t *testing.T) {
-	for _, r := range []int{3, 10, 20} {
-		x, l, vals := NewMatrix(3, r), NewMatrix(2, 2), []float64{1, 2}
-		for _, c := range []struct {
-			name                 string
-			lead, ids, trail     []int32
-			unit                 bool
-			scratchLen, blockLen int
-		}{
-			{"lead past the rows", []int32{0, 2}, []int32{0, 1}, []int32{0, 1}, false, 2, 2 * r},
-			{"negative lead", []int32{-1}, []int32{0}, []int32{0}, false, 2, 2 * r},
-			{"id past the values", []int32{0, 0}, []int32{0, 2}, []int32{0, 1}, false, 2, 2 * r},
-			{"negative id", []int32{0}, []int32{-1}, []int32{0}, false, 2, 2 * r},
-			{"negative id on the unit row", nil, []int32{-1}, []int32{0}, true, 1, r},
-			{"trail past the rows", []int32{0, 1}, []int32{0, 1}, []int32{1, 3}, false, 2, 2 * r},
-			{"negative trail", []int32{1}, []int32{0}, []int32{-1}, false, 2, 2 * r},
-			{"trail past the rows on the unit row", nil, []int32{0, 1}, []int32{0, 3}, true, 1, r},
-			{"trail past the rows under a zero value", []int32{0, 0}, []int32{0, 1}, []int32{0, 5}, false, 2, 2 * r},
-			{"fewer leads than ids", []int32{0}, []int32{0, 1}, []int32{0, 1}, false, 2, 2 * r},
-			{"fewer trails than ids", []int32{0, 0}, []int32{0, 1}, []int32{0}, false, 2, 2 * r},
-			{"short scratch", []int32{0}, []int32{0}, []int32{0}, false, 1, 2 * r},
-			{"short block", []int32{0}, []int32{0}, []int32{0}, false, 2, 2*r - 1},
-			{"unit block of two rows", nil, []int32{0}, []int32{0}, true, 1, 2 * r},
-		} {
-			v := slices.Clone(vals)
-			if c.name == "trail past the rows under a zero value" {
-				v[1] = 0
-			}
-			lm := l
-			if c.unit {
-				lm = nil
-			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("r=%d %s: no panic", r, c.name)
-					}
-				}()
-				GatherOuter(c.lead, lm, v, c.ids, c.trail, x, make([]float64, c.scratchLen), make([]float64, c.blockLen))
-			}()
-		}
-	}
-}
-
 // streamIn returns s inside a longer stream array, as a row's positions
 // sit inside a mode's list: after a few positions and, when junk, before
 // 64 more whose indices are out of every range (negative, the int32
 // extremes, huge), or with its capacity ending at its last position. The
-// gather kernels' look-ahead reads the index arrays up to their capacity
+// gather kernel's look-ahead reads the index arrays up to their capacity
 // and only ever prefetches through what it reads there.
 func streamIn(s []int32, junk bool) []int32 {
 	const before, after = 3, 64
@@ -504,11 +362,11 @@ func streamIn(s []int32, junk bool) []int32 {
 	return buf[before:end:end]
 }
 
-// TestGatherLookAhead: GatherGer and GatherOuter give their Go loops' bits
-// and do not panic whether the stream arrays end at the row's last
-// position or run on into positions whose indices are out of range — the
-// look-ahead only prefetches through them. Every register width, rows
-// shorter and longer than the look-ahead, real and unit lead rows.
+// TestGatherLookAhead: GatherGer gives its Go loops' bits and does not
+// panic whether the stream arrays end at the row's last position or run
+// on into positions whose indices are out of range — the look-ahead only
+// prefetches through them. Every register width, rows shorter and longer
+// than the look-ahead.
 func TestGatherLookAhead(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, junk := range []bool{false, true} {
@@ -517,8 +375,6 @@ func TestGatherLookAhead(t *testing.T) {
 			for r := 1; r <= 16; r++ {
 				for _, n := range []int{1, 5, 40} {
 					gatherCase(t, r, 3, n, rng.NormFloat64, frame)
-					outerCase(t, r, 3, n, false, rng.NormFloat64, frame)
-					outerCase(t, r, 1, n, true, rng.NormFloat64, frame)
 				}
 			}
 		})
@@ -787,8 +643,6 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	keys, ids, cols, acc, l := []int32{0, 0, 1}, []int32{0, 3, 1}, []int32{2, 2, 40}, make([]float64, 10), NewMatrix(2, 4)
 	if n := testing.AllocsPerRun(100, func() {
 		GatherGer(keys, l, x, ids, cols, u, acc, y)
-		GatherOuter(keys, l, x, ids, cols, u, acc[:4], y[:40])
-		GatherOuter(nil, nil, x, ids, cols, u, acc[:1], y[:10])
 		Axpy4(1, 2, 3, 4, x, 0, y)
 		AxpyUnrolled(2, x, y)
 		Ger(c, x[:10], y)
@@ -906,8 +760,5 @@ func FuzzKernelsBitwise(f *testing.F) {
 		// And a TTMc row: factor rows through 20 wide, lead rows through
 		// 11, up to 9 list positions.
 		gatherCase(t, 1+int(n%20), 1+int(m%11), 1+int(n/20)%9, next, nil)
-		// And a tree entry: trail rows through 20 wide, lead rows through
-		// 13 (the unit row at 0), up to 9 list positions.
-		outerCase(t, 1+int(n%20), max(1, int(m%14)), int(n/20)%10, m%14 == 0, next, nil)
 	})
 }

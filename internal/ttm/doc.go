@@ -16,8 +16,8 @@
 //   - DTree — the dimension-tree memoization that caches the partial
 //     contractions shared between a sweep's N updates; the default
 //     from order 4 up. Its root children read the modes they drop as
-//     group-order index streams and compute each entry in one
-//     dense.GatherOuter call.
+//     group-order index streams; from order 4 up a child that drops two
+//     runs the flat row's run loop, an entry in one dense.GatherGer call.
 //
 // CSFTTMc (fiber-walking kernels over compressed fiber trees) and
 // ALTOTTMc (sequential-stream kernels over the linearized format) have

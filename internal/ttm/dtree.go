@@ -40,10 +40,15 @@ import (
 // child of a sorted tensor), whose streams alias the tensor
 // (StreamBytes). Only the values are gathered through the group ids, so
 // a merge that changes values reaches the kernel through the tensor.
-// With one or two dropped modes (order 4 and below, and order 5's left
-// child) an entry is one dense.GatherOuter call that keeps the entry's
-// block in registers; with three or more, accumKron per nonzero. Both
-// give the bits of the per-nonzero accumKron loop they replaced.
+// A child that drops two modes and keeps two or more (every child at
+// order 4, order 5's left child) runs the flat row's run loop, an entry in
+// one dense.GatherGer: the first dropped mode leads, and each run of
+// equal lead indices in a group adds one rank-one update of the lead row
+// and the run's sum of trail rows. Any other root child runs accumKron
+// per nonzero: one that drops three modes or more, and those of orders 2
+// and 3, where the decomposition runs Flat and only tests pin the tree.
+// Like Flat, the tree counts what ran: the runs are counted once, at the
+// build.
 //
 // A DTree is built once per tensor (symbolic phase) and reused across
 // sweeps and rank configurations; it is not safe for concurrent use.
@@ -125,9 +130,19 @@ type dnode struct {
 	// they copy, 0 when they alias the root's arrays.
 	streams     [][]int32
 	streamBytes int64
+	// runs counts, at a root child that runs the run loop (runLoop), the
+	// spans of equal lead indices (streams[0]) inside its groups: the
+	// loop's rank-one updates of a block.
+	runs int64
 }
 
 func (nd *dnode) isLeaf() bool { return nd.hi-nd.lo == 1 }
+
+// runLoop reports whether nd is a root child that drops two modes and
+// keeps two or more, whose entries the run loop computes (rootRows).
+func (nd *dnode) runLoop() bool {
+	return nd.streams != nil && len(nd.dropped) == 2 && !nd.isLeaf()
+}
 
 // NewDTree builds the symbolic dimension tree for x: node structure and
 // the per-node update lists (groupings). No factor matrices are needed;
@@ -207,7 +222,8 @@ func (t *DTree) makeChild(parent *dnode, lo, hi int) *dnode {
 // groups its parent's entries by its own mode range. A root child also
 // gathers the index streams rootRows reads: for each dropped mode the
 // root's keys in its group order, aliased where that order is the
-// storage order (symbolic.Gather).
+// storage order (symbolic.Gather); one that runs the run loop counts
+// its runs.
 func (t *DTree) group(nd *dnode, sc *symbolic.GroupScratch) {
 	modes := make([]int, nd.hi-nd.lo)
 	for i := range modes {
@@ -226,10 +242,31 @@ func (t *DTree) group(nd *dnode, sc *symbolic.GroupScratch) {
 		}
 		nd.streams, nd.streamBytes = symbolic.Gather(g.Ids, keys)
 	}
+	if nd.runLoop() {
+		// A run starts at each group's first position and wherever the
+		// lead index changes inside a group: count every change, then
+		// take back those at group starts, each group counted once.
+		lead := nd.streams[0]
+		nd.runs = int64(nd.n)
+		for p := 1; p < len(lead); p++ {
+			nd.runs += changes(lead, p)
+		}
+		for _, p := range g.Ptr[1:nd.n] {
+			nd.runs -= changes(lead, int(p))
+		}
+	}
 	if !nd.isLeaf() {
 		t.group(nd.left, sc)
 		t.group(nd.right, sc)
 	}
+}
+
+// changes is 1 where s[p] differs from s[p-1] and 0 where it does not,
+// without a branch: on a sorted order-4 tensor about every other
+// position changes, which no branch predictor guesses.
+func changes(s []int32, p int) int64 {
+	d := s[p] ^ s[p-1]
+	return int64(uint32(d|-d) >> 31)
 }
 
 // release hands nd's value buffer to the free list.
@@ -290,8 +327,7 @@ func (t *DTree) InvalidateAll() {
 }
 
 // Flops returns the accumulated multiply-add count of all node and leaf
-// computations so far (dominant AXPY terms, the same convention as
-// Flops for the flat kernel).
+// computations so far: what ran, as Flat.Flops counts it (cost).
 func (t *DTree) Flops() int64 { return t.flops }
 
 // ResetFlops zeroes the flop counter (the cache state is untouched).
@@ -384,6 +420,19 @@ func (t *DTree) syncRanks(u []*dense.Matrix) {
 // the caches were computed with.
 func (t *DTree) rowSize(nd *dnode) int { return nd.blockLen(t.ranks) }
 
+// cost is the multiply-adds of computing nd at the given ranks, and of
+// one of its entries that holds one parent entry: a block update per
+// parent entry, or in the run loop (runLoop) an update of a trail-rank
+// accumulator per nonzero and a block update per run.
+func (nd *dnode) cost(ranks []int) (total, single int64) {
+	bs := int64(nd.blockLen(ranks))
+	if !nd.runLoop() {
+		return int64(nd.parent.n) * bs, bs
+	}
+	r := int64(ranks[nd.dropped[1]])
+	return int64(nd.parent.n)*r + nd.runs*bs, r + bs
+}
+
 // blockLen is the dense block length of the node's entries at the given
 // ranks: the product of the contracted modes' ranks.
 func (nd *dnode) blockLen(ranks []int) int {
@@ -420,23 +469,27 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 	c := &t.call
 	*c = contraction{nd: nd, dst: dst, u: u, threads: threads, bs: t.rowSize(nd), multi: nd.n}
 	nd.computes++
-	t.flops += int64(parent.n) * int64(c.bs) // the group sizes sum to the parent's entries
+	total, single := nd.cost(t.ranks)
+	t.flops += total
 	if sp := t.splitOf(nd); sp != nil {
 		// A singleton entry is one parent entry, written c wide.
 		c.at, c.multi, c.sp = sp.at, sp.multi, sp
-		t.flops -= int64(sp.kron.T.Rows) * int64(c.bs-sp.kron.T.Cols)
+		t.flops -= int64(sp.kron.T.Rows) * (single - int64(sp.kron.T.Cols))
 	}
 
-	// kron is the longest Kronecker product a worker builds per entry.
-	kron := 1
+	// kron is the longest Kronecker product a worker builds per entry,
+	// acc the run loop's accumulator.
+	kron, acc := 1, 0
 	body := t.rootFn
 	if parent == t.root {
-		// Root child: contract straight from the nonzeros with the same
-		// fused Kronecker kernel as the flat TTMc; the last dropped
-		// mode's row is AXPY-ed, the rest form the prefix.
-		for _, m := range nd.dropped[:len(nd.dropped)-1] {
+		// Root child: contract straight from the nonzeros with the flat
+		// TTMc's kernels; the last dropped mode's row is AXPY-ed, the
+		// rest form the prefix (accumKron) or lead the runs.
+		last := len(nd.dropped) - 1
+		for _, m := range nd.dropped[:last] {
 			kron *= t.ranks[m]
 		}
+		acc = t.ranks[nd.dropped[last]]
 	} else {
 		// Internal step: the parent's blocks cover the modes outside
 		// [parent.lo, parent.hi) as an a x b matrix (a = ranks before
@@ -459,7 +512,7 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 		}
 		c.d = kron
 	}
-	t.scratch = growKronScratch(t.scratch, threads, t.order, kron, 0)
+	t.scratch = growKronScratch(t.scratch, threads, t.order, kron, acc)
 	runRows(nd.n, threads, t.chainsFn, body)
 	c.dst, c.u, c.at, c.sp = nil, nil, nil, nil
 }
@@ -481,38 +534,24 @@ func (t *DTree) callChains() []int32 {
 
 // rootRows computes entries [lo, hi) of a root child from the nonzeros,
 // reading the dropped modes' indices from the child's streams and each
-// value through the group's ids. With one or two dropped modes an entry is
-// one dense.GatherOuter: the first dropped mode's rows lead (the unit row
-// when it is the only one), the last one's trail. With three or more
-// (order 5 up) it is rootRowsKron's.
+// value through the group's ids. Where the child runs the run loop
+// (runLoop) an entry is one dense.GatherGer into the cleared block: the
+// first dropped mode's rows lead, the second's trail. Elsewhere it is
+// rootRowsKron's.
 func (t *DTree) rootRows(w, lo, hi int) {
 	c, nd := &t.call, t.call.nd
-	k := len(nd.dropped)
-	if k > 2 {
+	if !nd.runLoop() {
 		t.rootRowsKron(w, lo, hi)
 		return
 	}
 	ptr, ids, vals, bs := nd.groups.Ptr, nd.groups.Ids, t.x.Values(), c.bs
-	var lead []int32
-	var l *dense.Matrix
-	m := 1
-	if k == 2 {
-		lead, l = nd.streams[0], c.u[nd.dropped[0]]
-		m = l.Cols
-	}
-	trail, x, lrow := nd.streams[k-1], c.u[nd.dropped[k-1]], t.scratch[w].bufA[:m]
+	lead, trail, acc := nd.streams[0], nd.streams[1], t.scratch[w].acc
+	l, x := c.u[nd.dropped[0]], c.u[nd.dropped[1]]
 	for g := lo; g < hi; g++ {
-		r := c.row(g)
-		if r >= c.multi {
-			t.compactRow(w, g, r-c.multi)
-			continue
-		}
 		p, end := ptr[g], ptr[g+1]
-		var lp []int32
-		if lead != nil {
-			lp = lead[p:end]
-		}
-		dense.GatherOuter(lp, l, vals, ids[p:end], trail[p:end], x, lrow, c.dst[r*bs:(r+1)*bs])
+		blk := c.dst[g*bs : (g+1)*bs]
+		clear(blk)
+		dense.GatherGer(lead[p:end], l, vals, ids[p:end], trail[p:end], x, acc, blk)
 	}
 }
 
@@ -526,15 +565,21 @@ func (t *DTree) Rows(n int) []int32 {
 	return t.leaves[n].keys[n]
 }
 
-// rootRowsKron is rootRows for a root child that drops three or more
-// modes: accumKron adds each nonzero's product into its entry's block.
+// rootRowsKron is rootRows for a root child off the run loop:
+// accumKron adds each nonzero's product into its entry's block. A leaf
+// (orders 2 and 3) may be in split order.
 func (t *DTree) rootRowsKron(w, lo, hi int) {
 	c, sc := &t.call, &t.scratch[w]
 	nd, bs := c.nd, c.bs
 	ptr, ids, vals, s := nd.groups.Ptr, nd.groups.Ids, t.x.Values(), nd.streams
 	frows := sc.rows[:len(nd.dropped)]
 	for g := lo; g < hi; g++ {
-		row := c.dst[g*bs : (g+1)*bs]
+		r := c.row(g)
+		if r >= c.multi {
+			t.compactRow(w, g, r-c.multi)
+			continue
+		}
+		row := c.dst[r*bs : (r+1)*bs]
 		clear(row)
 		for p := ptr[g]; p < ptr[g+1]; p++ {
 			for j, m := range nd.dropped {
@@ -590,19 +635,18 @@ func (t *DTree) innerRows(w, lo, hi int) {
 
 // SweepFlops returns the tree's multiply-add count of one steady-state
 // HOOI sweep at the given ranks: a Gauss–Seidel sweep builds every node
-// below the root exactly once, each from its parent's entries at its
-// own block size; a leaf in split order writes each singleton's row in
-// RowSize/R_Group, as Flat.SweepFlops counts it.
+// below the root exactly once, at its cost; a leaf in split order writes
+// each singleton's row in RowSize/R_Group, as Flat.SweepFlops counts it.
 func (t *DTree) SweepFlops(ranks []int) int64 {
-	var total int64
+	var sum int64
 	for _, nd := range t.nodes[1:] {
-		bs := nd.blockLen(ranks)
-		total += int64(nd.parent.n) * int64(bs)
+		total, single := nd.cost(ranks)
+		sum += total
 		if sp := t.splitOf(nd); sp != nil {
-			total -= int64(sp.kron.Rows()) * int64(bs-bs/ranks[sp.group])
+			sum -= int64(sp.kron.Rows()) * (single - int64(nd.blockLen(ranks)/ranks[sp.group]))
 		}
 	}
-	return total
+	return sum
 }
 
 // SweepFlops returns the nominal multiply-add count of one full HOOI

@@ -138,37 +138,53 @@ func TestDTreeSweepFlopsMatchesMeasured(t *testing.T) {
 	}
 }
 
-// accumKronRootRows is the root-child loop rootRows replaced, kept as its
+// goLoopsRootRows is the root-child loop in Go, kept as rootRows'
 // oracle: per nonzero, each dropped mode's key gathered through the group
-// id and its factor row, then accumKron into the entry's block.
-func accumKronRootRows(t *DTree) func(w, lo, hi int) {
+// id and its factor row; where the child runs the run loop (runLoop) the
+// loop of dense.GatherGer's Go path — per run of equal lead keys an
+// accumulator of AxpyUnrolled terms from +0, then one Ger of the lead row
+// into the entry's block — and otherwise accumKron into the block.
+func goLoopsRootRows(t *DTree) func(w, lo, hi int) {
 	return func(w, lo, hi int) {
 		c, sc := &t.call, &t.scratch[w]
 		nd, bs := c.nd, c.bs
 		frows := sc.rows[:len(nd.dropped)]
-		vals := t.x.Values()
+		vals, keys := t.x.Values(), t.root.keys
 		for g := lo; g < hi; g++ {
 			row := c.dst[g*bs : (g+1)*bs]
 			clear(row)
-			for _, id := range nd.groups.Group(g) {
-				for j, m := range nd.dropped {
-					frows[j] = c.u[m].Row(int(t.root.keys[m][id]))
+			group := nd.groups.Group(g)
+			if !nd.runLoop() {
+				for _, id := range group {
+					for j, m := range nd.dropped {
+						frows[j] = c.u[m].Row(int(keys[m][id]))
+					}
+					accumKron(row, vals[id], frows, sc.bufA, sc.bufB)
 				}
-				accumKron(row, vals[id], frows, sc.bufA, sc.bufB)
+				continue
+			}
+			a, b := nd.dropped[0], nd.dropped[1]
+			for p := 0; p < len(group); {
+				k := keys[a][group[p]]
+				clear(sc.acc)
+				for ; p < len(group) && keys[a][group[p]] == k; p++ {
+					dense.AxpyUnrolled(vals[group[p]], c.u[b].Row(int(keys[b][group[p]])), sc.acc)
+				}
+				dense.Ger(c.u[a].Row(int(k)), sc.acc, row)
 			}
 		}
 	}
 }
 
-// The streamed root-child kernel gives the bits of the accumKron loop it
-// replaced: over two Gauss–Seidel sweeps every mode's product equals that
-// of a tree running the old loop, on order 3 (one root child with a
-// single dropped mode), order 4 and order 5 (a root child dropping three
-// modes), at ranks 5, 10 and mixed, on one thread and two, stored sorted
-// (the first root child's streams alias the tensor) and shuffled (both
-// copy) — with zero values and zero factor entries of both signs, which
-// the zero skips see.
-func TestDTreeMatchesAccumKronBitwise(t *testing.T) {
+// The root children give the bits of their Go loops: over two
+// Gauss–Seidel sweeps every mode's product equals that of a tree running
+// goLoopsRootRows, on order 3 (two accumKron children, one a leaf that
+// drops two modes), order 4 (both children run the run loop) and order 5
+// (one runs it, one drops three modes), at ranks 5, 10 and mixed, on one thread and two,
+// stored sorted (the first root child's streams alias the tensor) and
+// shuffled (both copy) — with zero values and zero factor entries of both
+// signs, which the zero skips see.
+func TestDTreeMatchesGoLoopsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	for _, dims := range [][]int{{40, 30, 35}, {20, 15, 25, 18}, {9, 8, 10, 7, 11}} {
 		for _, rank := range []int{5, 10, 0} {
@@ -188,7 +204,7 @@ func TestDTreeMatchesAccumKronBitwise(t *testing.T) {
 			for _, x := range []*tensor.COO{sorted, shuffledCopy(rng, sorted)} {
 				for threads := 1; threads <= 2; threads++ {
 					tree, oracle := BuildDTree(x, threads), NewDTree(x)
-					oracle.rootFn = accumKronRootRows(oracle)
+					oracle.rootFn = goLoopsRootRows(oracle)
 					uu := make([]*dense.Matrix, len(u))
 					for m := range u {
 						uu[m] = u[m].Clone()
@@ -204,7 +220,7 @@ func TestDTreeMatchesAccumKronBitwise(t *testing.T) {
 							oracle.TTMc(want, n, uu, threads)
 							for i, v := range want.Data {
 								if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
-									t.Fatalf("dims %v ranks %v threads %d sweep %d mode %d: element %d is %x on the %s kernels, %x on the accumKron loop",
+									t.Fatalf("dims %v ranks %v threads %d sweep %d mode %d: element %d is %x on the %s kernels, %x on the Go loops",
 										dims, ranks, threads, s, n, i, math.Float64bits(got.Data[i]), dense.KernelName(), math.Float64bits(v))
 								}
 							}

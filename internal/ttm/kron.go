@@ -36,15 +36,14 @@ func RowSize(u []*dense.Matrix, skip int) int {
 // accumKron adds x * (rows[0] ⊗ rows[1] ⊗ ... ⊗ rows[k-1]) to dst —
 // Flat's run accumulator unless a mode has exactly one trailing mode
 // (order 3, which runs dense.GatherGer), and a DTree root child's block
-// only where the child drops three or more modes (order 5 up;
-// dense.GatherOuter computes the others' blocks, with the bits of this
-// loop) — fused: the prefix Kronecker product of the first k-1 rows is
-// built in scratch buffers (bufA, bufB, each of length >=
-// len(dst)/len(last row)), then the last row is AXPY-ed into consecutive
-// segments of dst, skipping prefix entries that are zero — one dense.Ger
-// over the whole of dst. This avoids materializing a full len(dst)
-// temporary per nonzero, the difference between a bandwidth-bound and a
-// compute-bound kernel.
+// where the child drops one mode or three or more (a child that drops
+// two runs the run loop, dense.GatherGer) — fused: the prefix Kronecker
+// product of the first k-1 rows is built in scratch buffers (bufA, bufB,
+// each of length >= len(dst)/len(last row)), then the last row is AXPY-ed
+// into consecutive segments of dst, skipping prefix entries that are
+// zero — one dense.Ger over the whole of dst. This avoids materializing a
+// full len(dst) temporary per nonzero, the difference between a
+// bandwidth-bound and a compute-bound kernel.
 func accumKron(dst []float64, x float64, rows [][]float64, bufA, bufB []float64) {
 	k := len(rows)
 	if k == 0 {
@@ -77,12 +76,12 @@ type kronScratch struct {
 
 // growKronScratch returns s holding a scratch for each of threads
 // workers, with room for order factor rows, for Kronecker prefixes of
-// length kron and for an accumulator of length acc (0 for the tree,
-// which has none); what is already large enough is kept. Every worker
-// writes its scratch once per nonzero, so each worker's buffers are a
-// slot of its own (par.Slots), which starts and ends on a cache line,
-// and its row headers sit a line inside their allocation: no two workers
-// share a line. The tree's prefix buffer at ranks 5 once came from a
+// length kron and for an accumulator of length acc (the tree's is its
+// root children's trail rank); what is already large enough is kept.
+// Every worker writes its scratch once per nonzero, so each worker's
+// buffers are a slot of its own (par.Slots), which starts and ends on a
+// cache line, and its row headers sit a line inside their allocation: no
+// two workers share a line. The tree's prefix buffer at ranks 5 once came from a
 // 208-byte size class that is not whole lines, and its TTMc ran 17%
 // slower on buffers that straddled them.
 func growKronScratch(s []kronScratch, threads, order, kron, acc int) []kronScratch {

@@ -257,19 +257,19 @@ func (t *DTree) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 }
 
 // fromParent reports whether a singleton row of leaf n grouped by g is
-// its one parent entry's block: where the parent is a root child, whose
-// block of a one-nonzero entry is x·⊗ of the rows of the modes it drops
-// (GatherOuter's and accumKron's bits), and g is the leaf's sibling, so
-// that those modes are exactly the rest. Copying that block reads no
-// factor row: on delicious4's mode 1 the rest's rows are those of its
-// two largest modes, read at random.
+// its one parent entry's block: where the parent is a root child that
+// drops two modes, whose block of a one-nonzero entry is the run loop's
+// a[i]·(x·b[j]) over the rows a and b of the modes it drops (scaleKron's
+// bits), and g is the leaf's sibling, so that those modes are exactly the
+// rest. Copying that block reads no factor row: on delicious4's mode 1
+// the rest's rows are those of its two largest modes, read at random.
 func (t *DTree) fromParent(n, g int) bool {
 	leaf := t.leaves[n]
 	sib := leaf.parent.left
 	if sib == leaf {
 		sib = leaf.parent.right
 	}
-	return leaf.parent.parent == t.root && sib.isLeaf() && sib.lo == g
+	return leaf.parent.runLoop() && sib.isLeaf() && sib.lo == g
 }
 
 // singleID is the id of the one nonzero under entry e of nd, -1 where
@@ -318,20 +318,30 @@ func (t *DTree) compactRow(w, g, i int) {
 }
 
 // scaleKron writes x·(rows[0] ⊗ rows[1] ⊗ …) into dst, the last row
-// fastest, multiplying left to right: entry (i, j) of two rows is
-// (x·rows[0][i])·rows[1][j]. dst must hold the product of the row
+// fastest: x scales the last row first, and the product of the other
+// rows, multiplied left to right, then scales that: entry (i, j) of two
+// rows is rows[0][i]·(x·rows[1][j]), the bits of a run loop's run of one
+// nonzero (dense.GatherGer). dst must hold the product of the row
 // lengths; no rows give x.
 func scaleKron(dst []float64, x float64, rows [][]float64) {
-	dst[0] = x
+	if len(rows) == 0 {
+		dst[0] = x
+		return
+	}
+	dst[0] = 1
 	cur := 1
-	for _, r := range rows {
-		// Expand dst[:cur] by r in place, walking backwards so sources
+	for j, r := range rows {
+		s := 1.0
+		if j == len(rows)-1 {
+			s = x
+		}
+		// Expand dst[:cur] by s·r in place, walking backwards so sources
 		// are not overwritten before they are read.
 		for p := cur - 1; p >= 0; p-- {
 			v := dst[p]
 			base := p * len(r)
 			for q := len(r) - 1; q >= 0; q-- {
-				dst[base+q] = v * r[q]
+				dst[base+q] = v * (s * r[q])
 			}
 		}
 		cur *= len(r)

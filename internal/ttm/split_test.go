@@ -42,7 +42,8 @@ func singletonSetup(rng *rand.Rand, dims, ranks []int) (*tensor.COO, []*dense.Ma
 
 // compactRef is nonzero id's compact row, computed entry by entry: its
 // value times its rows of the factors of rest (ascending, the last
-// fastest), multiplied left to right.
+// fastest), the value into the last row's element first and that times
+// the product of the others, multiplied left to right.
 func compactRef(x *tensor.COO, id int32, u []*dense.Matrix, rest []int) []float64 {
 	size := 1
 	for _, t := range rest {
@@ -55,11 +56,14 @@ func compactRef(x *tensor.COO, id int32, u []*dense.Matrix, rest []int) []float6
 		for j := len(rest) - 1; j >= 0; j-- {
 			digits[j], rem = rem%u[rest[j]].Cols, rem/u[rest[j]].Cols
 		}
-		v := x.Val[id]
-		for j, t := range rest {
-			v *= u[t].At(int(x.Idx[t][id]), digits[j])
+		out[k] = x.Val[id]
+		if last := len(rest) - 1; last >= 0 {
+			prefix := 1.0
+			for j, t := range rest[:last] {
+				prefix *= u[t].At(int(x.Idx[t][id]), digits[j])
+			}
+			out[k] = prefix * (x.Val[id] * u[rest[last]].At(int(x.Idx[rest[last]][id]), digits[last]))
 		}
-		out[k] = v
 	}
 	return out
 }
