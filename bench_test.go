@@ -11,6 +11,9 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"testing"
@@ -412,7 +415,10 @@ var tnsImage = sync.OnceValues(func() (*SparseTensor, []byte) {
 // digits and integer counts, which the reader's fast line path takes;
 // quarters, most of which lie exactly on a float64 that the fast value
 // parse declines, so most lines take the general path; and hex, which
-// only strconv reads, so that every line takes it:
+// only strconv reads, so that every line takes it. The file case is the
+// g17 image read from a file by ReadTNSFile, as a solve reads its
+// input, with the heap handed back to the OS before every read (timer
+// stopped), so that each read faults in its memory afresh:
 // go test -run '^$' -bench ReadTNS -cpu 1,2 .
 func BenchmarkReadTNS(b *testing.B) {
 	x, g17 := tnsImage()
@@ -441,6 +447,22 @@ func BenchmarkReadTNS(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
 		})
 	}
+	b.Run("file", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "g17.tns")
+		if err := os.WriteFile(path, g17, 0o600); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(g17)))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			debug.FreeOSMemory()
+			b.StartTimer()
+			if _, err := tensor.ReadTNSFile(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
+	})
 }
 
 // tnsSpelled is x's .tns image with every value written by spell.

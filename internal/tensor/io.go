@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -77,8 +78,11 @@ func ReadTNS(r io.Reader) (*COO, error) {
 // chunks after the first contain no error and no header, have the first
 // chunk's arity and stay inside its mode sizes. Otherwise the image is
 // read again as one chunk, line by line, so the tensor and the first
-// error are a serial reader's whatever the thread count.
-func parseTNS(data []byte, threads int) (*COO, error) {
+// error are a serial reader's whatever the thread count. Every
+// goroutine reads the image under recoverFault, so an image whose pages
+// vanish under the parse yields an error.
+func parseTNS(data []byte, threads int) (_ *COO, err error) {
+	defer recoverFault(&err, debug.SetPanicOnFault(true))
 	size := max(tnsChunkBytes, (len(data)+threads-1)/threads)
 	chunks := make([]tnsChunk, max(1, (len(data)+size-1)/size))
 	cut := make([]int, len(chunks)+1) // chunk k is data[cut[k]:cut[k+1]]
@@ -96,6 +100,7 @@ func parseTNS(data []byte, threads int) (*COO, error) {
 	}
 	slot := make([]int, len(chunks)+1) // chunk k's window is slots slot[k]:slot[k+1]
 	par.For(len(chunks), threads, 1, func(k int) {
+		defer recoverFault(&chunks[k].err, debug.SetPanicOnFault(true))
 		lines := data[cut[k]:cut[k+1]]
 		slot[k+1] = bytes.Count(lines, newline)
 		if len(lines) > 0 && lines[len(lines)-1] != '\n' {
@@ -103,6 +108,9 @@ func parseTNS(data []byte, threads int) (*COO, error) {
 		}
 	})
 	for k := range chunks {
+		if err := chunks[k].err; err != nil {
+			return nil, err
+		}
 		slot[k+1] += slot[k]
 	}
 	line, _, _ := bytes.Cut(data[rowOffset(data, 0):], newline)
@@ -216,6 +224,7 @@ func (c *tnsChunk) arity() int {
 // theirs empty, and every later nonzero takes the next slot.
 func (c *tnsChunk) parse(data []byte, lo, hi int, idx [][]int32, val []float64, slot int) {
 	*c = tnsChunk{order: -1, lo: lo, idx: idx, val: val, first: slot}
+	defer recoverFault(&c.err, debug.SetPanicOnFault(true))
 	for p := lo; p < hi && c.err == nil; {
 		if c.order == len(c.idx) {
 			if p = c.fastRows(data[:hi], p); p == hi {
@@ -439,9 +448,40 @@ func rowOffset(data []byte, row int) int {
 	return len(data)
 }
 
-// ReadTNSFile reads a .tns tensor from the named file.
+// recoverFault, deferred as
+//
+//	defer recoverFault(&err, debug.SetPanicOnFault(true))
+//
+// by every goroutine that reads an image, turns a fault on the image —
+// a page of a mapped file that was truncated under the parse — into
+// *err instead of a crash, and puts the goroutine's old setting back.
+// Any other panic goes on.
+func recoverFault(err *error, old bool) {
+	debug.SetPanicOnFault(old)
+	if r := recover(); r != nil {
+		f, ok := r.(interface{ Addr() uintptr })
+		if !ok {
+			panic(r)
+		}
+		*err = fmt.Errorf("tns: the input could not be read at address %#x (was the file truncated under the read?)", f.Addr())
+	}
+}
+
+// ReadTNSFile reads a .tns tensor from the named file. A non-empty
+// regular file is parsed straight from a read-only mapping (mapFile),
+// which is gone when ReadTNSFile returns; anything else, and a file
+// that does not map, is read into memory first.
 func ReadTNSFile(path string) (*COO, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if data, unmap := mapFile(f); data != nil {
+		defer unmap()
+		return parseTNS(data, par.DefaultThreads(0))
+	}
+	data, err := io.ReadAll(f)
 	if err != nil {
 		return nil, err
 	}

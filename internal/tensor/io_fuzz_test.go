@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,11 +10,13 @@ import (
 // FuzzReadTNS drives the .tns parser with arbitrary input: it must
 // never panic, must agree with the line-at-a-time oracle — acceptance,
 // tensor, error text and line number; non-finite values excepted — both
-// in one chunk and cut every few bytes, and anything it accepts must
-// survive a write/read round trip with identical shape and nonzeros.
+// in one chunk and cut every few bytes, ReadTNSFile on the input written
+// to a file must equal ReadTNS, and anything it accepts must survive a
+// write/read round trip with identical shape and nonzeros.
 func FuzzReadTNS(f *testing.F) {
 	defer func(old int) { tnsChunkBytes = old }(tnsChunkBytes)
 	tnsChunkBytes = 5
+	path := filepath.Join(f.TempDir(), "x.tns")
 	f.Add("# dims: 3 4\n1 1 1.5\n3 4 -2\n")
 	f.Add("1 2 3 4.25\n")
 	f.Add("# dims: 2\n")
@@ -32,6 +35,9 @@ func FuzzReadTNS(f *testing.F) {
 			if err := want.check([]byte(data), threads); err != nil {
 				t.Fatalf("%v\ninput: %q", err, data)
 			}
+		}
+		if err := fileAgrees(path, []byte(data)); err != nil {
+			t.Fatalf("%v\ninput: %q", err, data)
 		}
 		x, err := ReadTNS(strings.NewReader(data))
 		if err != nil {

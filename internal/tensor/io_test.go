@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -408,6 +409,27 @@ func (want oracleResult) check(data []byte, threads int) error {
 	return nil
 }
 
+// fileAgrees writes data to the named file and reports any disagreement
+// between ReadTNSFile on it and ReadTNS on data: the tensor, or the
+// error text, line number included.
+func fileAgrees(path string, data []byte) error {
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		return err
+	}
+	want, wantErr := ReadTNS(bytes.NewReader(data))
+	got, err := ReadTNSFile(path)
+	if wantErr != nil || err != nil {
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			return fmt.Errorf("file: error %v, ReadTNS %v", err, wantErr)
+		}
+		return nil
+	}
+	if err := sameCOO(got, want); err != nil {
+		return fmt.Errorf("file: %v", err)
+	}
+	return nil
+}
+
 // withChunkBytes runs f with the reader cutting chunks of at least n bytes.
 func withChunkBytes(n int, f func()) {
 	defer func(old int) { tnsChunkBytes = old }(tnsChunkBytes)
@@ -490,9 +512,11 @@ func hostileTNS(rng *rand.Rand, order int, bad float64) []byte {
 
 // Property: on generated inputs, clean and hostile, orders 1-6, the
 // chunked reader equals the oracle — tensor, error text, line number —
-// for every thread count and with cuts far smaller than a line.
+// for every thread count and with cuts far smaller than a line, and
+// ReadTNSFile on the input written to a file equals ReadTNS.
 func TestReadTNSMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
+	path := filepath.Join(t.TempDir(), "x.tns")
 	rejected := 0
 	for trial := 0; trial < 1500; trial++ {
 		data := hostileTNS(rng, 1+trial%6, []float64{0, 0.05, 0.3}[trial%3])
@@ -506,6 +530,9 @@ func TestReadTNSMatchesOracle(t *testing.T) {
 					if err := want.check(data, threads); err != nil {
 						t.Fatalf("trial %d, chunk bytes %d: %v\ninput: %q", trial, chunk, err, data)
 					}
+				}
+				if err := fileAgrees(path, data); err != nil {
+					t.Fatalf("trial %d, chunk bytes %d: %v\ninput: %q", trial, chunk, err, data)
 				}
 			})
 		}
