@@ -75,9 +75,9 @@ func TestRecordedCounts(t *testing.T) {
 		lanczos, dflt   solverCounts
 	}{
 		{"netflix", 460632, 614176, 51060480, 166069, 4, "[gram gram gram]",
-			solverCounts{4469116, 22066560, 344, 0, 2, 13711512}, solverCounts{4462174, 23079585, 18, 0, 2, 13711512}},
+			solverCounts{4469116, 22066560, 344, 0, 2, 8459046}, solverCounts{4462174, 23079585, 18, 0, 2, 8459046}},
 		{"nell", 374400, 499200, 122925600, 1260357, 4, "[gram gram gram]",
-			solverCounts{3716400, 49706800, 412, 0, 2, 10391260}, solverCounts{3555700, 40167405, 18, 0, 2, 10391260}},
+			solverCounts{3716400, 49706800, 412, 0, 2, 6930906}, solverCounts{3555700, 40167405, 18, 0, 2, 6930906}},
 		{"delicious", 896016, 448008, 171405000, 3250249, 5, "[gram gram gram gram]",
 			solverCounts{5960185, 58913000, 356, 0, 2, 12108530}, solverCounts{5714785, 83802900, 24, 0, 2, 11556930}},
 		{"flickr", 716800, 358400, 111458750, 4821409, 5, "[gram gram gram gram]",
