@@ -51,7 +51,10 @@ func ablationSetup() (*SparseTensor, []*dense.Matrix, *symbolic.Structure) {
 	return x, us, symbolic.Build(x, 0)
 }
 
-// Fused final-mode AXPY Kronecker accumulation (the production kernel)...
+// The production kernel's rows for one mode: the fused, run-factored
+// TTMc. Its unfused oracle, which materializes the Kronecker product per
+// nonzero, is timed beside it in the kernel's package:
+// go test -run '^$' -bench 'TTMc(Fused|Naive)' ./internal/ttm
 func BenchmarkAblationTTMcFused(b *testing.B) {
 	x, us, sym := ablationSetup()
 	sm := &sym.Modes[0]
@@ -59,17 +62,6 @@ func BenchmarkAblationTTMcFused(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ttm.TTMc(y, x, sm, us, 0)
-	}
-}
-
-// ...versus materializing the full Kronecker temporary per nonzero.
-func BenchmarkAblationTTMcNaiveKron(b *testing.B) {
-	x, us, sym := ablationSetup()
-	sm := &sym.Modes[0]
-	y := dense.NewMatrix(sm.NumRows(), ttm.RowSize(us, 0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ttm.TTMcNaive(y, x, sm, us, 0)
 	}
 }
 
@@ -343,7 +335,7 @@ func BenchmarkKernelGemmNarrow(b *testing.B) {
 // order-3 presets, per mode, in storage order and with the same nonzeros
 // shuffled (every run one entry long: what an unsorted .tns gets), in ns
 // per nonzero beside the runs per nonzero it found and the bytes per
-// nonzero of list-order index streams the mode holds (0 where the list is
+// nonzero of list-order index streams the mode's leaf holds (0 where the list is
 // the storage order and the streams alias the tensor) — the run and
 // stream effects without the benchmark driver. The presets at half scale
 // mostly fit in L2; nell3_tall is the benchmark workload of that name
@@ -374,9 +366,8 @@ func BenchmarkTTMcFlat(b *testing.B) {
 			flat := ttm.NewFlat(in.x, sym)
 			for n := range us {
 				y := dense.NewMatrix(sym.Modes[n].NumRows(), ttm.RowSize(us, n))
-				sm := sym.Modes[n] // the kernel gathered its own copy's streams; this one counts their bytes
-				sm.Streams(in.x)
-				streamBytes := sm.StreamBytes()
+				// A star over this mode alone copies what its leaf in flat does.
+				streamBytes := ttm.NewFlat(in.x, &symbolic.Structure{Modes: sym.Modes[n : n+1]}).StreamBytes()
 				b.Run(fmt.Sprintf("%s/%s/mode%d", preset, in.order, n), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						flat.TTMc(y, n, us, 0)

@@ -237,7 +237,7 @@ func TestUpdateOnRecycledTreeMatchesColdRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := 0
-	for _, ni := range e.kern.(*ttm.DTree).Nodes() {
+	for _, ni := range e.kern.Nodes() {
 		if ni.Valid {
 			valid++
 		}
@@ -455,7 +455,7 @@ func TestAutoHoldsFlatPlusOneMemoNode(t *testing.T) {
 	flat, ef := held(TTMcFlat)
 	auto, ea := held(TTMcAuto)
 	var node uint64
-	for _, ni := range ea.kern.(*ttm.DTree).Nodes() {
+	for _, ni := range ea.kern.Nodes() {
 		if width := ni.Hi - ni.Lo; width > 1 && width < x.Order() {
 			block := uint64(8)
 			for m, r := range ranks {

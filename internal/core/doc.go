@@ -22,12 +22,13 @@
 //     over the coordinate tensor. A Plan is a pure function of (tensor,
 //     options).
 //   - Engine holds the resident mutable state — factors, TRSVD
-//     workspaces, the TTMc kernel the plan resolved to (the flat kernel
-//     or the dimension tree with its memoized partials), and an
+//     workspaces, the TTMc kernel in the shape the plan resolved to (the
+//     star or the dimension tree with its memoized partials), and an
 //     engine-owned copy of the evolving tensor once deltas arrive. Run
 //     converges from the current factors; Update merges a coordinate
-//     delta into the tensor, splices the flat kernel's update lists or
-//     builds the tree anew, and re-converges from the current factors.
+//     delta into the tensor, splices the star's update lists and builds
+//     the kernel anew (or keeps it, when only values changed), and
+//     re-converges from the current factors.
 //     The factors carry one sweep into the next, as in the paper's
 //     Algorithm 1: every TRSVD solves that sweep's Y_(n) from its seed
 //     alone.

@@ -30,9 +30,9 @@ import (
 //
 // An Engine is not safe for concurrent use. Several Engines may share
 // one Plan and run at once: each owns its numeric state and its kernel,
-// which builds and keeps its index streams and chain partitions on
-// copies of the plan's mode headers (ttm.BuildFlat) or in its own tree
-// (ttm.BuildDTree), and none writes to the plan or the caller's tensor.
+// which builds and keeps its index streams and chain partitions in its
+// own nodes (ttm.BuildFlat, ttm.BuildDTree), and none writes to the plan
+// or the caller's tensor.
 type Engine struct {
 	plan  *Plan
 	opts  Options
@@ -49,10 +49,11 @@ type Engine struct {
 	// ingest, so Update cost is proportional to the delta.
 	mergeIx *tensor.MergeIndex
 
-	// kern is the numeric TTMc engine the plan's strategy selects
-	// (newKernel); ex is the world the sweep runs in.
-	kern kernel
-	ex   Exchange
+	// kern is the TTMc kernel in the shape the plan's strategy selects
+	// (newKernel), built on kernX; ex is the world the sweep runs in.
+	kern  *ttm.DTree
+	kernX *tensor.COO
+	ex    Exchange
 	// census[n] is mode n's singleton census, taken when the kernel is
 	// built (newKernel), nil where none was taken; the kernel holds
 	// the singleton rows of a mode that takes the split (kern.SplitRows).
@@ -86,65 +87,38 @@ type Engine struct {
 	resume    *checkpoint.State
 }
 
-// kernel is the numeric TTMc engine of a sweep: the flat reference loop
-// or the dimension tree.
-type kernel interface {
-	// Rows lists the nonempty slices of mode n in the order of the
-	// mode-n product's rows: row r belongs to slice Rows(n)[r].
-	Rows(n int) []int32
-	// SplitSingletons takes mode n's singleton census at the given
-	// ranks, putting the mode in split order where the split Gram is
-	// predicted to cost less (ttm.Flat.SplitSingletons).
-	SplitSingletons(n int, ranks []int) (ttm.Census, *dense.KronRows)
-	// SplitRows is mode n's compact singleton rows, nil unless the mode
-	// is in split order.
-	SplitRows(n int) *dense.KronRows
-	// TTMc computes the compacted mode-n product into y: a mode in split
-	// order its multi rows, and its singletons into SplitRows(n).T.
-	TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int)
-	// Flops is the multiply-add count of all calls so far.
-	Flops() int64
-	// StreamBytes is what the kernel's list-order index streams copy.
-	StreamBytes() int64
-	// Invalidate records that factor n is being replaced. The sweep
-	// calls it before mode n's TTMc — which reads neither U_n nor any
-	// partial that depends on it — so that a kernel holding such
-	// partials can reuse their storage for what that TTMc builds.
-	Invalidate(n int)
-}
-
-// newKernel builds the kernel the plan's strategy selects on the
-// engine's current tensor and symbolic structure, with empty caches, on
-// up to threads goroutines. Either kernel gathers its index streams
-// here, so that the gather passes are set-up and not part of the first
-// sweep, and owns them: the flat kernel on its copies of the modes'
-// headers (ttm.BuildFlat), the tree in its root children.
+// newKernel builds the kernel in the shape the plan's strategy selects
+// on the engine's current tensor and symbolic structure, with empty
+// caches, on up to threads goroutines: the star over the update lists
+// (ttm.BuildFlat) or the binary tree (ttm.BuildDTree). Either gathers
+// its root children's index streams here, so that the gather passes are
+// set-up and not part of the first sweep.
 //
 // On a shared-memory plan at fixed ranks it also takes the singleton
 // census of every Gram-solved mode, which puts each mode whose split
-// Gram is predicted to cost less in split order (ttm.Flat.SplitSingletons,
-// ttm.DTree.SplitSingletons). Other plans keep every mode's row order and
+// Gram is predicted to cost less in split order
+// (ttm.DTree.SplitSingletons). Other plans keep every mode's row order and
 // plain SYRK: under Eps the randomized solver reads Y in its row order,
 // and a distributed rank's Gram is the row-distributed operator's
 // allreduced SYRK. The tree takes the census from order 4 up, the
 // orders the plan runs it at (treeSplits).
-func (e *Engine) newKernel(threads int) kernel {
-	var k kernel
+func (e *Engine) newKernel(threads int) *ttm.DTree {
+	var k *ttm.DTree
 	if e.opts.ttmc == TTMcDTree {
 		k = ttm.BuildDTree(e.x, threads)
 	} else {
 		k = ttm.BuildFlat(e.x, e.sym, threads)
 	}
-	e.census = nil
+	e.kernX, e.census = e.x, nil
 	if e.plan.ex == nil && e.opts.Eps <= 0 && (e.opts.ttmc != TTMcDTree || treeSplits(e.order)) {
 		e.census = takeCensus(k, e.opts.Ranks, e.opts.svd)
 	}
 	return k
 }
 
-// treeSplits reports whether a dimension tree of the given order takes
+// treeSplits reports whether a binary tree of the given order takes
 // the singleton census: from order 4 up. An order-3 tree runs only where
-// a caller pins it (resolveTTMc picks the flat kernel there) and keeps
+// a caller pins it (resolveTTMc picks the star there) and keeps
 // every row wide, so the figures it reports — the update path's madds,
 // the dtree prediction on the ttmc: line — stay the unsplit tree's.
 func treeSplits(order int) bool { return order >= 4 }
@@ -153,7 +127,7 @@ func treeSplits(order int) bool { return order >= 4 }
 // method resolves to the Gram solver at the given ranks, which puts each
 // mode whose split Gram is predicted to cost less in split order; every
 // other mode's census holds Group -1 and no counts.
-func takeCensus(k kernel, ranks []int, method SVDMethod) []ttm.Census {
+func takeCensus(k *ttm.DTree, ranks []int, method SVDMethod) []ttm.Census {
 	census := make([]ttm.Census, len(ranks))
 	for n := range census {
 		census[n].Group = -1
@@ -238,9 +212,9 @@ func newEngine(p *Plan, fresh *dense.Matrix, initial func() []*dense.Matrix) *En
 		}
 	}
 	if threads := par.DefaultThreads(e.opts.Threads); threads >= 2 {
-		// Either kernel's build (the tree's groupings, the flat kernel's
-		// index streams) only reads the tensor's index arrays and the
-		// initial factors only the shape and the seed, so the two run
+		// The kernel's build (its groupings and index streams) only reads
+		// the tensor's index arrays and the initial factors only the shape
+		// and the seed, so the two run
 		// side by side, the build on one thread fewer: on all T it read
 		// no lower set-up time on the benchmark's three workloads.
 		go build(threads-1, true)
@@ -418,18 +392,13 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 		}
 	}
 	res.StreamBytes = e.kern.StreamBytes()
-	tree, _ := e.kern.(*ttm.DTree)
 	res.Timings.Symbolic = e.symTime
 	if e.firstRun {
 		res.Timings.Init = e.initTime
 		res.Timings.Symbolic += e.plan.symbolicTime
 	}
 	e.symTime = 0
-	flops0 := e.kern.Flops()
-	var nodeTime0 time.Duration
-	if tree != nil {
-		nodeTime0 = tree.NodeTime()
-	}
+	flops0, nodeTime0 := e.kern.Flops(), e.kern.NodeTime()
 
 	var memBase runtime.MemStats
 	allocFrom := -1
@@ -564,11 +533,10 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	res.TRSVDPasses = e.state.Passes - solves0.Passes
 	res.TRSVDMadds = e.state.Madds - solves0.Madds
 	res.TRSVDUnconverged = e.state.Unconverged - solves0.Unconverged
-	if tree != nil {
-		res.Timings.TTMcNodes = tree.NodeTime() - nodeTime0
-	} else if flat, ok := e.kern.(*ttm.Flat); ok {
+	res.Timings.TTMcNodes = e.kern.NodeTime() - nodeTime0
+	if opts.ttmc == TTMcFlat {
 		for n := 0; n < e.order; n++ {
-			res.TTMcRuns = append(res.TTMcRuns, flat.RunsPerNZ(n))
+			res.TTMcRuns = append(res.TTMcRuns, e.kern.RunsPerNZ(n))
 		}
 	}
 	// The solve is complete, and so is its checkpoint trail: a later Run
@@ -586,8 +554,8 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 // ensureOwned clones the shared plan structures the first time the
 // engine is about to mutate them. The kernel stays on the plan's —
 // bit-identical, immutable — copies until Update has merged the delta
-// and rebuilds it; the plan, and the caller's tensor, are never touched
-// by updates.
+// and rebuilds it on the clones; the plan, and the caller's tensor, are
+// never touched by updates.
 func (e *Engine) ensureOwned() {
 	if e.owned {
 		return
@@ -603,12 +571,14 @@ func (e *Engine) ensureOwned() {
 // duplicates summed — and re-converges from the current factors. The
 // path is the same whatever the delta: the merge sums into existing
 // storage positions and appends new coordinates at the tail
-// (tensor.COO.MergeIndexed, cost proportional to the delta); the flat
-// kernel's update lists take the appended nonzeros by splice
-// (symbolic.Structure.Insert); a plan that runs the dimension tree
-// groups the merged tensor afresh (ttm.BuildDTree) — every memo node is
+// (tensor.COO.MergeIndexed, cost proportional to the delta); the star's
+// update lists take the appended nonzeros by splice
+// (symbolic.Structure.Insert), and the kernel is built afresh on them or,
+// under the binary tree, on the merged tensor — every memo node is
 // invalidated by the first sweep before it is read, so a patched tree
-// would recompute exactly what a fresh one computes. The sweeps start
+// would recompute exactly what a fresh one computes. A delta that only
+// changes values keeps a kernel already built on the engine's tensor,
+// every cache dropped: it reads values through the tensor. The sweeps start
 // from the previous factors; every TRSVD in them starts cold, as in any
 // other sweep. The result carries
 // the update accounting: sweeps to re-converge, the TTMc madds
@@ -643,10 +613,14 @@ func (e *Engine) UpdateContext(ctx context.Context, delta *tensor.COO) (*Result,
 			return nil, fmt.Errorf("core: incremental symbolic maintenance failed: %w", err)
 		}
 	}
-	// The old kernel is dropped before its successor is built, so that a
-	// tree's memo buffers are collectable while the new groupings grow.
-	e.kern = nil
-	e.kern = e.newKernel(e.opts.Threads)
+	if info.Appended == 0 && e.kernX == e.x {
+		e.kern.InvalidateAll()
+	} else {
+		// The old kernel is dropped before its successor is built, so that
+		// a tree's memo buffers are collectable while the new groupings grow.
+		e.kern = nil
+		e.kern = e.newKernel(e.opts.Threads)
+	}
 	e.normX = e.x.Norm(e.opts.Threads)
 	e.sizeYs()
 	e.symTime += time.Since(start)

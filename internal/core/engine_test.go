@@ -6,8 +6,10 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/gen"
@@ -214,8 +216,9 @@ func TestEnginePlanReuse(t *testing.T) {
 
 // TestEnginesShareAPlan holds the plan's read-only contract under
 // concurrency: two engines built and run at once on one order-3 plan,
-// each flat kernel gathering its index streams, partitioning its chains
-// and taking its census on its own copies of the plan's mode headers.
+// each star taking the plan's update lists as its leaves' groups and
+// gathering its index streams, partitioning its chains and taking its
+// census in its own nodes.
 // Their fits, factors and stream bytes are a lone engine's, bitwise, and
 // the plan's structure is still a fresh symbolic.Build's afterwards: no
 // engine cached anything on it. Under -race it shows that the two
@@ -435,8 +438,8 @@ func TestEngineHoldsOneTreeAcrossUpdates(t *testing.T) {
 			first = last
 		}
 	}
-	if _, ok := eng.kern.(*ttm.DTree); !ok {
-		t.Fatalf("the order-4 default engine runs %T", eng.kern)
+	if eng.opts.ttmc != TTMcDTree {
+		t.Fatalf("the order-4 default engine runs %v", eng.opts.ttmc)
 	}
 	eng.kern = nil
 	tree := last - (liveBytes() - base)
@@ -532,4 +535,105 @@ func TestScatterZeroesOncePerFactorMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A delta that only changes values keeps the kernel an engine built on
+// its own tensor, every cache dropped, and gives a rebuilt kernel's
+// factors and fit bit for bit: on the star (order 3) and the binary tree
+// (order 4), with modes in split order (the Gram default) and without
+// (Lanczos takes no census). The first Update builds the kernel on the
+// engine's copy of the tensor, whatever the delta.
+func TestValueOnlyUpdateKeepsTheKernel(t *testing.T) {
+	for _, tc := range []struct {
+		preset string
+		svd    SVDMethod
+		split  bool
+	}{
+		{"nell", SVDAuto, true}, {"nell", SVDLanczos, false},
+		{"delicious", SVDAuto, true}, {"delicious", SVDLanczos, false},
+	} {
+		x, ranks := presetTensor(t, tc.preset, 0.02)
+		p := mustPlan(t, x, Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 7, Threads: 2, svd: tc.svd})
+		kept, rebuilt := NewEngine(p), NewEngine(p)
+		grow := gen.Delta(x, 0.002, 0.002, 1)
+		for _, e := range []*Engine{kept, rebuilt} {
+			if _, err := e.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			plans := e.kern
+			if _, err := e.Update(gen.Delta(x, 0.003, 0, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if e.kern == plans {
+				t.Fatalf("%s: the first Update kept the kernel built on the plan's tensor", tc.preset)
+			}
+			if _, err := e.Update(grow); err != nil {
+				t.Fatal(err)
+			}
+		}
+		split := slices.ContainsFunc(kept.census, func(c ttm.Census) bool { return c.Taken() })
+		if split != tc.split {
+			t.Fatalf("%s svd=%v: a mode in split order: %v, want %v", tc.preset, tc.svd, split, tc.split)
+		}
+		for step := 0; step < 2; step++ {
+			delta := gen.Delta(kept.Tensor(), 0.003, 0, int64(10+step))
+			k0 := kept.kern
+			rebuilt.kernX = nil
+			a, err := kept.Update(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := rebuilt.Update(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s svd=%v value-only update %d", tc.preset, tc.svd, step)
+			if kept.kern != k0 {
+				t.Fatalf("%s: the kernel was rebuilt", label)
+			}
+			resultsBitwiseEqual(t, label, a, b)
+		}
+	}
+}
+
+// BenchmarkUpdateValueOnly times what a value-only delta costs before
+// its sweeps: 12 deltas in a row, each changing 0.1% of the values of a
+// 600k-nnz tensor of the benchmark's netflix3 shape (ranks 10, T = 2, one
+// sweep an update). The first Update builds the kernel on the engine's
+// own copy of the tensor; the later ones keep it. It reports
+// Timings.Symbolic of the first and the median of the other eleven, in
+// ms: go test -run '^$' -bench UpdateValueOnly -benchtime 3x ./internal/core
+func BenchmarkUpdateValueOnly(b *testing.B) {
+	x := gen.Random(gen.Config{Dims: []int{96000, 3400, 400}, NNZ: 600_000, Skew: 0.4, Seed: 1})
+	p, err := NewPlan(x, Options{Ranks: []int{10, 10, 10}, MaxIters: 1, Tol: -1, Seed: 1, Threads: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	deltas := make([]*tensor.COO, 12)
+	for i := range deltas {
+		deltas[i] = gen.Delta(x, 0.001, 0, int64(i+1))
+	}
+	var first, later []float64
+	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(p)
+		if _, err := e.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		for j, d := range deltas {
+			res, err := e.Update(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if j == 0 {
+				first = append(first, ms(res.Timings.Symbolic))
+			} else {
+				later = append(later, ms(res.Timings.Symbolic))
+			}
+		}
+	}
+	slices.Sort(first)
+	slices.Sort(later)
+	b.ReportMetric(first[len(first)/2], "first-ms")
+	b.ReportMetric(later[len(later)/2], "later-ms")
 }

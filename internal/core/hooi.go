@@ -21,7 +21,7 @@ type Timings struct {
 	Symbolic time.Duration // one-time symbolic TTMc preprocessing (and, for updates, the merge and the kernel's symbolic maintenance)
 	TTMc     time.Duration
 	// TTMcNodes is the share of TTMc spent recomputing internal
-	// dimension-tree nodes (zero for the flat strategy); the remainder
+	// dimension-tree nodes (zero for the star); the remainder
 	// of TTMc is leaf emission.
 	TTMcNodes time.Duration
 	// TTMcModes is TTMc split by mode: entry n is the time of mode n's
@@ -52,9 +52,10 @@ type Result struct {
 	// mode and sweep, nnz x (row size / leading rank) + runs x row size;
 	// for the dimension tree, the memoized count.
 	TTMcFlops int64
-	// TTMcRuns is, per mode, the flat kernel's runs per listed nonzero
-	// in its last TTMc: about 1 on an unsorted input, which gets no run
-	// saving, a third on the sorted presets. Nil under the tree.
+	// TTMcRuns is, per mode, the star's runs per listed nonzero, counted
+	// when its kernel was built: about 1 on an unsorted input, which gets
+	// no run saving, a third on the sorted presets. Nil under the binary
+	// tree.
 	TTMcRuns []float64
 	// TTMc is the TTMc strategy it ran, the plan's choice.
 	TTMc TTMcStrategy
@@ -62,13 +63,12 @@ type Result struct {
 	// coordinate streams.
 	IndexBytes int64
 	// StreamBytes is what the engine's kernel copies into index streams
-	// on top of that, streams it builds and owns: under flat the
-	// list-order streams of its copies of the modes
-	// (ttm.Flat.StreamBytes), 4(N-1) bytes per nonzero for every mode
-	// whose update list is not in storage order; under the tree its root
-	// children's group-order streams (ttm.DTree.StreamBytes), 4 bytes per
-	// nonzero and mode a child drops, for each child whose group order is
-	// not the storage order (on a sorted tensor, the second child's).
+	// on top of that, its root children's group-order streams
+	// (ttm.DTree.StreamBytes): 4 bytes per listed nonzero and mode a child
+	// drops, for each child whose group order is not the storage order —
+	// under the star 4(N-1) bytes per nonzero for every mode but, on a
+	// sorted tensor, mode 0; under the binary tree, on a sorted tensor,
+	// the second child's.
 	StreamBytes int64
 	// YBytes is the one buffer every mode's product Y_(n) takes turns in,
 	// sized for the widest: rows x ∏_{t≠n} R_t doubles, where a split

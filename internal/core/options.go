@@ -7,26 +7,27 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// TTMcStrategy names how the N per-mode TTMc products of one HOOI sweep
-// are computed. The plan chooses, once, from what it can see of the
-// input (resolveTTMc): the dimension tree for tensors of order 4 and up,
-// where the partial products the modes share are worth several-fold
-// fewer multiply-adds per sweep, and the flat path for order 3 and below
-// (one memoized node there buys little time for its memory) and for rank
-// plans whose update lists are restricted to owned slices, which only
-// the flat kernel reads. Plan.TTMc and Result.TTMc report the choice;
-// docs/formats.md has the measurements behind the rule.
+// TTMcStrategy names the shape of the one TTMc kernel (ttm.DTree) that
+// computes the N per-mode products of a HOOI sweep. The plan chooses,
+// once, from what it can see of the input (resolveTTMc): the binary
+// dimension tree for tensors of order 4 and up, where the partial
+// products the modes share are worth several-fold fewer multiply-adds
+// per sweep, and the star for order 3 and below (one memoized node there
+// buys little time for its memory) and for rank plans whose update lists
+// are restricted to owned slices, which only the star's leaves take.
+// Plan.TTMc and Result.TTMc report the choice; docs/formats.md has the
+// measurements behind the rule.
 type TTMcStrategy int
 
 const (
 	// TTMcAuto is the unresolved zero value: the plan's rule decides.
 	TTMcAuto TTMcStrategy = iota
-	// TTMcFlat recomputes every mode's product from the nonzeros with
-	// the row-parallel kernel over the per-mode update lists
-	// (Algorithm 3). It is the reference path.
+	// TTMcFlat is the star (ttm.BuildFlat): every mode's product is
+	// recomputed from the nonzeros by a root child over the mode's update
+	// lists (Algorithm 3). It is the reference path.
 	TTMcFlat
 	// TTMcDTree memoizes partial contractions shared between the modes
-	// in a binary dimension tree (ttm.DTree): internal nodes cache the
+	// in the binary dimension tree (ttm.BuildDTree): internal nodes cache the
 	// semi-sparse product over their mode set and are recomputed only
 	// when a factor in their contracted complement changes, cutting the
 	// TTMc flops per sweep several-fold (~4x on the 4-mode benchmark

@@ -16,14 +16,14 @@ import (
 // at once — the resident handles that own the mutable factor state and
 // ingest deltas. What a kernel derives from the lists (index streams,
 // chain partitions, the singleton census) each engine's kernel builds
-// and keeps on its own copies of the mode headers (ttm.BuildFlat).
+// and keeps in its own nodes (ttm.BuildFlat).
 // Decompose is NewPlan + NewEngine + Run.
 type Plan struct {
 	opts Options
 	x    *tensor.COO // the caller's tensor; engines clone before mutating
 
-	// sym holds the per-mode update lists the flat kernel runs on, read
-	// only. It is nil under the dimension tree, which groups the nonzeros
+	// sym holds the per-mode update lists the star runs on, read only.
+	// It is nil under the binary tree, which groups the nonzeros
 	// its own way (in the engine, next to its caches) and reads none of
 	// them.
 	sym   *symbolic.Structure
@@ -78,7 +78,7 @@ func buildPlan(x *tensor.COO, opts Options, sym *symbolic.Structure) *Plan {
 
 // resolveTTMc turns TTMcAuto into the strategy the plan runs; a pinned
 // strategy is kept. The tree earns its memo nodes from order 4
-// up; on order 3 the flat kernel's run factoring takes less time than
+// up; on order 3 the star's run factoring takes less time than
 // the tree (ttm.flat_s 0.038 against ttm.dtree_s 0.054 on netflix3) and
 // holds no memo. A rank's local tensor may be empty, and sym — a rank
 // plan's caller-supplied update lists — may leave out nonzeros of
@@ -111,9 +111,10 @@ func (p *Plan) TTMc() TTMcStrategy { return p.opts.ttmc }
 // default engine splits (its census of the Gram-solved modes; the
 // tree's from order 4 up, treeSplits) write each singleton row
 // compactly: an accumulator update per nonzero and a row update per run
-// of x's update lists, summed over the modes, for the flat path; parent
-// entries times block size, summed over the nodes, for the dimension
-// tree (0 below order 2, where there is none). It is
+// of x's update lists, summed over the modes, for the star; the same at
+// the binary tree's root children and parent entries times block size
+// at its deeper nodes, summed over the nodes (0 below order 2, where
+// there is none). It is
 // what the plan's rule should agree with; counting runs and tree entries
 // costs one symbolic build each.
 func PredictSweepMadds(x *tensor.COO, ranks []int, threads int) (flat, tree int64) {

@@ -93,8 +93,8 @@ func TestCensusOnSharedGram(t *testing.T) {
 	flat := mustRun(t, x4, o).Census
 	o.ttmc = TTMcAuto
 	e4 := NewEngine(mustPlan(t, x4, o))
-	if _, ok := e4.kern.(*ttm.DTree); !ok {
-		t.Fatalf("delicious: the default engine runs %T", e4.kern)
+	if e4.opts.ttmc != TTMcDTree {
+		t.Fatalf("delicious: the default engine runs %v", e4.opts.ttmc)
 	}
 	res, err = e4.Run(context.Background())
 	if err != nil {

@@ -8,7 +8,7 @@ import "hypertensor/internal/par"
 // is row Idx[j] of U, and row i of T holds the c = T.Cols entries t_i of
 // B's row u_j ⊗ t_i when Slow holds and t_i ⊗ u_j otherwise, a row of
 // A.Cols = U.Cols·c. These are the rows of a mode-n TTMc that one
-// nonzero builds (ttm.Flat.SplitSingletons): t_i is the nonzero's value
+// nonzero builds (ttm.DTree.SplitSingletons): t_i is the nonzero's value
 // times the row of the factor that is not U's, so T holds c entries of a
 // row where B holds A.Cols. B is A's rows, then T's in T's order, each
 // expanded (Materialize); the Kron kernels compute with B without forming

@@ -24,9 +24,9 @@ type exchange struct {
 	fault func(rank, sweep int)
 	xloc  *tensor.COO
 	lsym  *symbolic.Structure
-	// sym is what the rank's flat kernel runs on: all of lsym under the
-	// fine grain, and under the coarse grain only the update lists of
-	// the owned slices — the local tensor also stores nonzeros held
+	// sym is what the rank's star (ttm.BuildFlat) runs on: all of lsym
+	// under the fine grain, and under the coarse grain only the update
+	// lists of the owned slices — the local tensor also stores nonzeros held
 	// through other modes, and computing their rows would raise the
 	// rank's TTMc work for nothing (Algorithm 4 lines 3-4).
 	sym   *symbolic.Structure

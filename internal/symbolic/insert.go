@@ -7,8 +7,7 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// Clone returns a deep copy of the structure (the cached schedule
-// partitions and index streams are dropped; they rebuild on first use).
+// Clone returns a deep copy of the structure.
 // A resident engine clones the plan's structure before its first
 // incremental Insert so the plan stays reusable.
 func (s *Structure) Clone() *Structure {
@@ -115,9 +114,6 @@ func (s *Structure) Insert(t tensor.Sparse, oldNNZ int) ([][]int32, error) {
 				m.Pos[newRows[p]] = int32(p)
 			}
 		}
-		// The row weights changed, the list moved and the merge may have
-		// regrown the arrays an identity list aliased.
-		m.chains, m.streams, m.streamsOf, m.streamBytes = ChainCache{}, nil, nil, 0
 		touched[n] = tl
 	}
 	return touched, nil

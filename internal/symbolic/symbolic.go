@@ -27,13 +27,6 @@ type Mode struct {
 	// slice is empty. Sized Dims[n]; int32 keeps it compact for the
 	// multi-million-index modes of the 4-mode datasets.
 	Pos []int32
-
-	// The caches of Chains and Streams (of streamsOf, copying
-	// streamBytes), held by this Mode value.
-	chains      ChainCache
-	streams     [][]int32
-	streamsOf   *tensor.COO
-	streamBytes int64
 }
 
 // NumRows returns |J_n|, the number of nonempty slices.
@@ -72,18 +65,13 @@ func (c *ChainCache) Partition(ptr []int32, threads int) []int32 {
 	return c.bounds
 }
 
-// Chains returns the balanced chain partition of the mode's rows for
-// threads workers, cached on this Mode value (ChainCache). A kernel
-// caches it on its own copy of the mode (ttm.BuildFlat).
-func (m *Mode) Chains(threads int) []int32 { return m.chains.Partition(m.Ptr, threads) }
-
 // Gather returns keys[t] in the order of ids, s[t][p] == keys[t][ids[p]],
 // for every t with keys[t] set (s[t] is nil where it is not): the
 // "resolve all index computations once" of §III.A.1 taken to the index
 // arrays, so that a loop over a list reads its coordinates in sequence
 // instead of through the list. Where ids is the identity every stream
 // aliases its keys; otherwise each is a copy, 4 bytes an entry, summed
-// in bytes. Mode.Streams and the dimension tree's root children use it.
+// in bytes. The TTMc kernel's root children (ttm.DTree) use it.
 func Gather(ids []int32, keys [][]int32) (s [][]int32, bytes int64) {
 	identity := true
 	for p, id := range ids {
@@ -108,38 +96,6 @@ func Gather(ids []int32, keys [][]int32) (s [][]int32, bytes int64) {
 	}
 	return s, bytes
 }
-
-// Streams returns, for every mode t a TTMc of this mode reads — each
-// other mode, and on an order-1 tensor, which has none, the mode itself —
-// x.Idx[t] in list order (Gather over NZ): s[t][p] == x.Idx[t][NZ[p]]
-// (s[N] is nil from order 2 up). A list that is the identity (that mode,
-// on a sorted tensor) aliases the tensor's arrays; any other costs
-// 4(N-1) bytes per listed nonzero (StreamBytes). Values are not copied:
-// x.Val[NZ[p]] stays the loop's one gather, so a merge that only changes
-// values invalidates nothing, for half the bytes (a value stream
-// measured 22-24 against 25-27 ns per nonzero).
-//
-// Built on first use and cached on this Mode value, like Chains, and
-// like it not safe for concurrent first callers: the flat kernel builds
-// them on its own copies of the modes (ttm.BuildFlat), never on a
-// Structure's. Structure.Insert drops the cache with the list it
-// describes; Clone and Select start without one.
-func (m *Mode) Streams(x *tensor.COO) [][]int32 {
-	if m.streams == nil || m.streamsOf != x {
-		keys := append([][]int32(nil), x.Idx...)
-		if x.Order() > 1 {
-			keys[m.N] = nil
-		}
-		m.streams, m.streamBytes = Gather(m.NZ, keys)
-		m.streamsOf = x
-	}
-	return m.streams
-}
-
-// StreamBytes reports what the mode's cached Streams copy: 4 bytes per
-// listed nonzero and copied stream, nothing for a stream that aliases
-// the tensor and nothing before Streams was called.
-func (m *Mode) StreamBytes() int64 { return m.streamBytes }
 
 // Select returns the mode's structure restricted to the rows at the
 // given ascending positions: the same update lists in the same order,

@@ -54,7 +54,7 @@ type Operator interface {
 // result) to the Operator interface, using the threaded GEMV kernels —
 // the shared-memory TRSVD path of §III.A.2. Kron, when set, holds the
 // matrix's rows past A compactly as grouped Kronecker products (a mode of
-// the flat kernel in split order, ttm.Flat.SplitSingletons): the
+// the TTMc kernel in split order, ttm.DTree.SplitSingletons): the
 // operator is then the matrix dense.KronRows describes, A its first
 // rows. Every method runs the dense Kron kernels, which make the plain
 // kernels' calls when Kron is nil, except that MatVec and MatTVec then

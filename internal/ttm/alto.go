@@ -104,7 +104,7 @@ func (k *ALTOTTMc) Rows(n int) []int32 { return k.sym.Modes[n].Rows }
 
 // Flops returns the accumulated multiply-add count of all kernel
 // invocations so far (dominant AXPY terms, the same convention as the
-// flat kernel's Flops).
+// TTMc kernel's Flops).
 func (k *ALTOTTMc) Flops() int64 { return k.flops }
 
 // ResetFlops clears the accumulated flop counter.
@@ -219,7 +219,7 @@ func (k *ALTOTTMc) denseTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*den
 		}
 	})
 
-	runRows(sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
+	runRows(sm.NumRows(), threads, func() []int32 { return par.PartitionChains(sm.RowWeights(), threads) },
 		func(w, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				row := y.Row(r)
@@ -255,7 +255,7 @@ func (k *ALTOTTMc) ownerTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*den
 		bufB []float64
 	}
 	scratches := make([]*scratch, threads)
-	runRows(sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
+	runRows(sm.NumRows(), threads, func() []int32 { return par.PartitionChains(sm.RowWeights(), threads) },
 		func(w, lo, hi int) {
 			sc := scratches[w]
 			if sc == nil {

@@ -23,7 +23,7 @@ import (
 // with the Kronecker product of its ancestors' factor rows, grouped by
 // slice index so that every output row is owned by exactly one worker
 // and accumulated in ascending fiber order — the same lock-free,
-// thread-count-deterministic discipline as the flat kernel.
+// thread-count-deterministic discipline as the TTMc kernel.
 //
 // The symbolic fiber groupings are built once per tensor and reused by
 // every numeric call; the engine is not safe for concurrent use.
@@ -153,7 +153,7 @@ func (k *CSFTTMc) Rows(n int) []int32 {
 
 // Flops returns the accumulated multiply-add count of all kernel
 // invocations so far (dominant AXPY terms, the same convention as Flops
-// for the flat kernel).
+// for the TTMc kernel).
 func (k *CSFTTMc) Flops() int64 { return k.flops }
 
 // ResetFlops zeroes the flop counter.

@@ -5,19 +5,21 @@
 // update lists so results are bitwise deterministic for any thread
 // count.
 //
-// The decomposition runs one of two kernels, both built on the
-// Kronecker row kernels:
+// The decomposition runs one kernel, DTree, in one of two shapes fixed
+// when it is built:
 //
-//   - TTMc / Flat — the flat nonzero loop over COO streams and the
-//     per-mode update lists, the paper's Algorithm 3 and the reference
-//     path, with the leading contracted mode factored out of each run
-//     of neighbouring nonzeros that share its index, reading the other
-//     modes' indices as list-order streams (symbolic.Mode.Streams).
-//   - DTree — the dimension-tree memoization that caches the partial
-//     contractions shared between a sweep's N updates; the default
-//     from order 4 up. Its root children read the modes they drop as
-//     group-order index streams; from order 4 up a child that drops two
-//     runs the flat row's run loop, an entry in one dense.GatherGer call.
+//   - Star (BuildFlat, and TTMc for one mode) — the root's children are
+//     the N leaves, each computed from the nonzeros over its mode's
+//     update lists: the paper's Algorithm 3, the reference path.
+//   - Binary (BuildDTree) — the dimension tree, whose internal nodes
+//     memoize the partial contractions shared between a sweep's N
+//     updates; the default from order 4 up.
+//
+// Either way the root's children run one loop: over each entry's list
+// positions, reading the modes the child drops as index streams in its
+// group order (symbolic.Gather), the first dropped mode factored out of
+// every run of neighbouring nonzeros that share its index — with one
+// mode trailing it, an entry is one dense.GatherGer call.
 //
 // CSFTTMc (fiber-walking kernels over compressed fiber trees) and
 // ALTOTTMc (sequential-stream kernels over the linearized format) have

@@ -10,54 +10,62 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// DTree is a dimension-tree TTMc engine: a binary tree over the tensor
-// modes whose internal nodes memoize the partial mode contractions
-// shared between the N per-mode TTMc products of one HOOI sweep
-// (the dimension-tree scheme of the TuckerMPI / HyperTensor lineage).
+// DTree is the TTMc kernel: a tree over the tensor modes whose root is
+// the sparse tensor, whose leaf for mode n is the compacted matricized
+// product Y_(n) that HOOI feeds to the TRSVD, and whose internal nodes
+// memoize the partial mode contractions shared between the N per-mode
+// products of one HOOI sweep. Its shape is fixed when it is built:
 //
-// A node over the contiguous mode range [Lo, Hi) holds the semi-sparse
-// value X ×_{t ∉ [Lo,Hi)} U_tᵀ: one entry per distinct projection of the
+//   - Binary (BuildDTree): the dimension tree of the TuckerMPI /
+//     HyperTensor lineage, each internal node over a contiguous mode
+//     range halved into two children. The default from order 4 up.
+//   - Star (BuildFlat): the root's children are the N leaves, each
+//     computed straight from the nonzeros over its mode's update lists
+//     — the paper's flat, fused TTMc (Algorithm 3) — with no memo.
+//
+// A node over the mode range [Lo, Hi) holds the semi-sparse value
+// X ×_{t ∉ [Lo,Hi)} U_tᵀ: one entry per distinct projection of the
 // nonzeros onto [Lo, Hi), each carrying a dense block over the
-// contracted ranks (ascending mode order, later modes fastest — the
-// same Kronecker layout as the flat TTMc kernel). The root is the
-// sparse tensor itself; the leaf for mode n is exactly the compacted
-// matricized product Y_(n) that HOOI feeds to the TRSVD.
+// contracted ranks (ascending mode order, later modes fastest). Each
+// child is computed from its parent's value by contracting the modes
+// the child drops, with a lock-free owner-computes discipline: every
+// entry is owned by exactly one worker and accumulated in its group's
+// order, so results are bitwise deterministic for any thread count.
+// Updating factor U_n invalidates exactly the nodes whose mode set
+// excludes n; the nodes on the root-to-leaf-n path stay valid, which is
+// where the binary tree's flop saving comes from.
 //
-// Each child is computed from its parent's cached value by contracting
-// the modes the child drops, with the same lock-free row-parallel
-// discipline as the flat kernel: every child entry is owned by exactly
-// one worker and accumulated in the symbolic (CSR) order, so results
-// are bitwise deterministic for any thread count. Updating factor U_n
-// invalidates exactly the nodes whose mode set excludes n; the nodes on
-// the root-to-leaf-n path stay valid, which is where the flop saving
-// over the recompute-everything flat sweep comes from.
-//
-// The two root children contract straight from the nonzeros, which is
-// where a sweep's gathers are. Each keeps, from the build on, the modes
-// it drops as index streams in its own group order (symbolic.Gather, as
-// Flat's symbolic.Mode.Streams): copies, 4 bytes per nonzero and dropped
-// mode, except where the group order is the storage order (the first
-// child of a sorted tensor), whose streams alias the tensor
-// (StreamBytes). Only the values are gathered through the group ids, so
-// a merge that changes values reaches the kernel through the tensor.
-// A child that drops two modes and keeps two or more (every child at
-// order 4, order 5's left child) runs the flat row's run loop, an entry in
-// one dense.GatherGer: the first dropped mode leads, and each run of
-// equal lead indices in a group adds one rank-one update of the lead row
-// and the run's sum of trail rows. Any other root child runs accumKron
-// per nonzero: one that drops three modes or more, and those of orders 2
-// and 3, where the decomposition runs Flat and only tests pin the tree.
-// Like Flat, the tree counts what ran: the runs are counted once, at the
-// build.
+// The root's children contract straight from the nonzeros in one loop
+// (rootRows), which is where a sweep's gathers are. Each keeps, from
+// the build on, the modes it drops as index streams in its group order
+// (symbolic.Gather): copies, 4 bytes per listed nonzero and dropped
+// mode, except where the group order is the storage order (mode 0 of a
+// sorted tensor under the star, the first child of the binary tree),
+// whose streams alias the tensor (StreamBytes). Only the values are
+// gathered through the group ids, so a merge that changes values reaches
+// the kernel through the tensor. Eq. 4 is bilinear, so the first dropped
+// mode is factored out of every run of consecutive entries with one index
+// in it: each nonzero adds its value times ⊗ of the other dropped modes'
+// rows to an accumulator, and each run ends in one rank-one update of
+// the block (nnz·acc + runs·block multiply-adds instead of nnz·block).
+// With one trailing mode (order 3 under the star, order 4's children) an
+// entry is one dense.GatherGer call. Runs are found by comparing
+// neighbours, so an unsorted tensor is exact too, with runs one entry
+// long; they are counted once, at the build, and the tree counts what
+// ran (Flops).
 //
 // A DTree is built once per tensor (symbolic phase) and reused across
 // sweeps and rank configurations; it is not safe for concurrent use.
+// It reads the tensor and a star's update lists and writes neither, so
+// any number of kernels may run on one structure at once.
 type DTree struct {
-	x      tensor.Sparse
-	order  int
-	root   *dnode
-	nodes  []*dnode // topological order, parents before children
-	leaves []*dnode // leaves[n] is the node for mode set {n}
+	x     tensor.Sparse
+	order int
+	root  *dnode
+	nodes []*dnode // topological order, parents before children
+	// leaves[n] is the node for mode set {n}; nil for a mode a star was
+	// not given lists for (TTMc).
+	leaves []*dnode
 	// ranks[m] is the factor column count the cached values were
 	// computed with; a change invalidates every cache.
 	ranks []int
@@ -78,8 +86,9 @@ type DTree struct {
 	rootFn   func(worker, lo, hi int)
 	innerFn  func(worker, lo, hi int)
 	chainsFn func() []int32
-	// The leaves in split order (SplitSingletons).
-	splits
+	// splits[n] is mode n's split order, nil for a mode in ascending
+	// order (SplitSingletons).
+	splits []*splitMode
 }
 
 // contraction is the state of the running contract call.
@@ -89,6 +98,11 @@ type contraction struct {
 	u       []*dense.Matrix
 	threads int
 	bs      int // block size of nd
+	// Root child only: the lead factor (nil on order 1, whose lead row
+	// is the unit row), the accumulator's length and, with exactly one
+	// trailing mode, that mode's factor.
+	lead, one *dense.Matrix
+	acc       int
 	// Internal step only: the parent's blocks are a x b, the dropped
 	// modes' Kronecker row has d entries.
 	a, b, d int
@@ -102,9 +116,11 @@ type contraction struct {
 
 // dnode is one tree node.
 type dnode struct {
-	lo, hi              int
-	parent, left, right *dnode
-	// groups maps parent entries to this node's entries (nil at root).
+	lo, hi   int
+	parent   *dnode
+	children []*dnode
+	// groups maps parent entries to this node's entries (nil at root);
+	// a star leaf's are its mode's update lists.
 	groups *symbolic.Groups
 	// keys[m] holds each entry's coordinate in mode m, for m in
 	// [lo, hi); nil outside the range. At the root these alias the
@@ -121,41 +137,53 @@ type dnode struct {
 	valid     bool
 	computes  int
 	// chains caches the balanced chain partition of the node's entries,
-	// weighted by each entry's update-list length: the partition the
+	// weighted by each entry's group length: the partition the
 	// recompute loop runs on.
 	chains symbolic.ChainCache
-	// streams[j] holds, at a root child only, mode dropped[j]'s index of
-	// every nonzero in the child's group order: streams[j][p] ==
-	// keys[dropped[j]][groups.Ids[p]] of the root. streamBytes is what
-	// they copy, 0 when they alias the root's arrays.
+	// streams[m] holds, at a root child only, mode m's index of every
+	// listed nonzero in the child's group order, for each mode the child
+	// drops (its own mode on order 1, which drops none): streams[m][p] ==
+	// keys[m][groups.Ids[p]] of the root; nil for any other mode.
+	// streamBytes is what they copy, 0 when they alias the root's arrays.
 	streams     [][]int32
 	streamBytes int64
-	// runs counts, at a root child that runs the run loop (runLoop), the
-	// spans of equal lead indices (streams[0]) inside its groups: the
-	// loop's rank-one updates of a block.
+	// runs counts, at a root child, the spans of equal lead indices
+	// inside its groups: the rank-one updates of a block rootRows makes.
 	runs int64
 }
 
 func (nd *dnode) isLeaf() bool { return nd.hi-nd.lo == 1 }
 
-// runLoop reports whether nd is a root child that drops two modes and
-// keeps two or more, whose entries the run loop computes (rootRows).
-func (nd *dnode) runLoop() bool {
-	return nd.streams != nil && len(nd.dropped) == 2 && !nd.isLeaf()
+// lead is the mode a root child factors out of its runs: the first one
+// it drops, or its own mode on order 1, which drops none, so that an
+// entry is one run with the unit factor row.
+func (nd *dnode) lead() int {
+	if len(nd.dropped) == 0 {
+		return nd.lo
+	}
+	return nd.dropped[0]
 }
 
-// NewDTree builds the symbolic dimension tree for x: node structure and
+// trail lists the modes a root child accumulates per nonzero: the ones
+// it drops after the lead.
+func (nd *dnode) trail() []int {
+	if len(nd.dropped) == 0 {
+		return nil
+	}
+	return nd.dropped[1:]
+}
+
+// NewDTree is BuildDTree on one thread.
+func NewDTree(x tensor.Sparse) *DTree { return BuildDTree(x, 1) }
+
+// BuildDTree builds the binary dimension tree for x: node structure and
 // the per-node update lists (groupings). No factor matrices are needed;
 // numeric values are computed lazily by TTMc. x must have order >= 2
 // and at least one nonzero. Any storage format works: the tree operates
 // on the per-mode index streams, which a CSF tensor expands (and keeps)
-// on first use — the tree's own memoized nodes dominate its footprint
-// either way.
-func NewDTree(x tensor.Sparse) *DTree { return BuildDTree(x, 1) }
-
-// BuildDTree is NewDTree on up to threads goroutines: the root's two
-// subtrees group their entries independently, so with threads >= 2 they
-// are built side by side. The tree is the same for every thread count.
+// on first use. The root's subtrees group their entries independently,
+// on up to threads goroutines; the tree is the same for every thread
+// count.
 func BuildDTree(x tensor.Sparse, threads int) *DTree {
 	if x.Order() < 2 {
 		panic("ttm: DTree requires an order >= 2 tensor")
@@ -163,48 +191,58 @@ func BuildDTree(x tensor.Sparse, threads int) *DTree {
 	if x.NNZ() == 0 {
 		panic("ttm: DTree requires a nonempty tensor")
 	}
-	t := &DTree{
-		x:      x,
-		order:  x.Order(),
-		leaves: make([]*dnode, x.Order()),
+	t := newTree(x)
+	t.split(t.root)
+	t.group(threads)
+	return t
+}
+
+// NewFlat is BuildFlat on one thread.
+func NewFlat(x *tensor.COO, sym *symbolic.Structure) *DTree { return BuildFlat(x, sym, 1) }
+
+// BuildFlat builds the star over a coordinate tensor and the symbolic
+// structure whose nonzero ids index it: a leaf per mode of sym, whose
+// entries are the mode's nonempty slices and whose groups are its update
+// lists — also those Mode.Select restricted, which make the kernel
+// compute exactly those rows. It gathers each leaf's index streams on
+// up to threads goroutines; sym is only read, here and in every call.
+// Value changes reach the kernel through x.Val; a merge that appends
+// nonzeros needs a new kernel on the structure Structure.Insert brought
+// in line.
+func BuildFlat(x *tensor.COO, sym *symbolic.Structure, threads int) *DTree {
+	t := newTree(x)
+	for n := range sym.Modes {
+		sm := &sym.Modes[n]
+		leaf := t.makeChild(t.root, sm.N, sm.N+1)
+		leaf.groups = &symbolic.Groups{Modes: []int{sm.N}, Keys: [][]int32{sm.Rows}, Ptr: sm.Ptr, Ids: sm.NZ}
 	}
+	t.group(threads)
+	return t
+}
+
+func newTree(x tensor.Sparse) *DTree {
+	t := &DTree{x: x, order: x.Order(), leaves: make([]*dnode, x.Order()), splits: make([]*splitMode, x.Order())}
 	t.rootFn, t.innerFn, t.chainsFn = t.rootRows, t.innerRows, t.callChains
 	t.root = &dnode{lo: 0, hi: t.order, n: x.NNZ(), keys: make([][]int32, t.order)}
 	for m := 0; m < t.order; m++ {
 		t.root.keys[m] = x.ModeStream(m)
 	}
 	t.nodes = append(t.nodes, t.root)
-	t.split(t.root)
-	// One grouping scratch serves a whole subtree: the root children
-	// size it for the nonzero stream, everything below fits inside.
-	if par.DefaultThreads(threads) >= 2 {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			t.group(t.root.left, &symbolic.GroupScratch{})
-		}()
-		t.group(t.root.right, &symbolic.GroupScratch{})
-		<-done
-	} else {
-		sc := &symbolic.GroupScratch{}
-		t.group(t.root.left, sc)
-		t.group(t.root.right, sc)
-	}
 	return t
 }
 
-// split recursively lays out both children of an internal node
+// split recursively lays out both halves of an internal node's range
 // (structure only; group fills in the update lists).
 func (t *DTree) split(nd *dnode) {
 	if nd.isLeaf() {
-		t.leaves[nd.lo] = nd
 		return
 	}
 	mid := (nd.lo + nd.hi + 1) / 2
-	nd.left = t.makeChild(nd, nd.lo, mid)
-	nd.right = t.makeChild(nd, mid, nd.hi)
-	t.split(nd.left)
-	t.split(nd.right)
+	t.makeChild(nd, nd.lo, mid)
+	t.makeChild(nd, mid, nd.hi)
+	for _, c := range nd.children {
+		t.split(c)
+	}
 }
 
 func (t *DTree) makeChild(parent *dnode, lo, hi int) *dnode {
@@ -214,58 +252,84 @@ func (t *DTree) makeChild(parent *dnode, lo, hi int) *dnode {
 			c.dropped = append(c.dropped, m)
 		}
 	}
+	parent.children = append(parent.children, c)
 	t.nodes = append(t.nodes, c)
+	if c.isLeaf() {
+		t.leaves[lo] = c
+	}
 	return c
 }
 
-// group builds the update lists of nd's subtree, top down: each node
-// groups its parent's entries by its own mode range. A root child also
-// gathers the index streams rootRows reads: for each dropped mode the
-// root's keys in its group order, aliased where that order is the
-// storage order (symbolic.Gather); one that runs the run loop counts
-// its runs.
-func (t *DTree) group(nd *dnode, sc *symbolic.GroupScratch) {
-	modes := make([]int, nd.hi-nd.lo)
-	for i := range modes {
-		modes[i] = nd.lo + i
+// group fills in the update lists of the root's subtrees side by side,
+// one grouping scratch per worker: the root children size it for the
+// nonzero stream, everything below fits inside.
+func (t *DTree) group(threads int) {
+	kids := t.root.children
+	scratch := make([]symbolic.GroupScratch, min(par.DefaultThreads(threads), max(len(kids), 1)))
+	par.Dynamic(len(kids), len(scratch), 1, par.BodyFunc(func(w, lo, hi int) {
+		for _, c := range kids[lo:hi] {
+			t.groupNode(c, &scratch[w])
+		}
+	}))
+}
+
+// groupNode builds the update lists of nd's subtree, top down: each node
+// groups its parent's entries by its own mode range (a star leaf has its
+// mode's lists already). A root child also gathers the index streams
+// rootRows reads, for each dropped mode the root's keys in its group
+// order, aliased where that order is the storage order
+// (symbolic.Gather), and counts its runs.
+func (t *DTree) groupNode(nd *dnode, sc *symbolic.GroupScratch) {
+	if nd.groups == nil {
+		modes := make([]int, nd.hi-nd.lo)
+		for i := range modes {
+			modes[i] = nd.lo + i
+		}
+		nd.groups = symbolic.GroupByModes(nd.parent.keys, nd.parent.n, modes, sc)
 	}
-	g := symbolic.GroupByModes(nd.parent.keys, nd.parent.n, modes, sc)
-	nd.groups = g
+	g := nd.groups
 	nd.n = g.NumGroups()
-	for j, m := range modes {
+	for j, m := range g.Modes {
 		nd.keys[m] = g.Keys[j]
 	}
 	if nd.parent == t.root {
-		keys := make([][]int32, len(nd.dropped))
-		for j, m := range nd.dropped {
-			keys[j] = t.root.keys[m]
+		keys := make([][]int32, t.order)
+		keys[nd.lead()] = t.root.keys[nd.lead()]
+		for _, m := range nd.trail() {
+			keys[m] = t.root.keys[m]
 		}
 		nd.streams, nd.streamBytes = symbolic.Gather(g.Ids, keys)
+		nd.runs = countRuns(nd.streams[nd.lead()], g.Ptr)
 	}
-	if nd.runLoop() {
-		// A run starts at each group's first position and wherever the
-		// lead index changes inside a group: count every change, then
-		// take back those at group starts, each group counted once.
-		lead := nd.streams[0]
-		nd.runs = int64(nd.n)
-		for p := 1; p < len(lead); p++ {
-			nd.runs += changes(lead, p)
-		}
-		for _, p := range g.Ptr[1:nd.n] {
-			nd.runs -= changes(lead, int(p))
-		}
-	}
-	if !nd.isLeaf() {
-		t.group(nd.left, sc)
-		t.group(nd.right, sc)
+	for _, c := range nd.children {
+		t.groupNode(c, sc)
 	}
 }
 
-// changes is 1 where s[p] differs from s[p-1] and 0 where it does not,
-// without a branch: on a sorted order-4 tensor about every other
-// position changes, which no branch predictor guesses.
-func changes(s []int32, p int) int64 {
-	d := s[p] ^ s[p-1]
+// countRuns counts the spans of equal lead indices inside the groups
+// ptr delimits. A run starts at each group's first position and wherever
+// the lead index changes inside a group: it counts every change, then
+// takes back those at group starts, each group counted once.
+func countRuns(lead, ptr []int32) int64 {
+	runs := int64(len(ptr) - 1)
+	if len(lead) > 0 {
+		prev := lead[0]
+		for _, v := range lead[1:] {
+			runs += changes(prev, v)
+			prev = v
+		}
+	}
+	for _, p := range ptr[1:max(len(ptr)-1, 1)] {
+		runs -= changes(lead[p-1], lead[p])
+	}
+	return runs
+}
+
+// changes is 1 where a and b differ and 0 where they do not, without a
+// branch: on a sorted order-4 tensor about every other position changes,
+// which no branch predictor guesses.
+func changes(a, b int32) int64 {
+	d := a ^ b
 	return int64(uint32(d|-d) >> 31)
 }
 
@@ -279,8 +343,8 @@ func (t *DTree) release(nd *dnode) {
 }
 
 // take returns a value buffer of length need: the smallest free one
-// that fits, or a new one sized for sibling too — the node that, sweep
-// after sweep, is built right after nd died or right before it is.
+// that fits, or a new one sized for nd's siblings too — the nodes that,
+// sweep after sweep, are built right after nd died or right before it is.
 func (t *DTree) take(nd *dnode, need int) []float64 {
 	best := -1
 	for i, buf := range t.free {
@@ -296,12 +360,10 @@ func (t *DTree) take(nd *dnode, need int) []float64 {
 		return buf[:need]
 	}
 	size := need
-	sib := nd.parent.left
-	if sib == nd {
-		sib = nd.parent.right
-	}
-	if !sib.isLeaf() {
-		size = max(size, sib.n*t.rowSize(sib))
+	for _, sib := range nd.parent.children {
+		if !sib.isLeaf() {
+			size = max(size, sib.n*t.rowSize(sib))
+		}
 	}
 	return make([]float64, need, size)
 }
@@ -317,8 +379,8 @@ func (t *DTree) Invalidate(n int) {
 	}
 }
 
-// InvalidateAll drops every cached value (used when the factor ranks
-// change between calls).
+// InvalidateAll drops every cached value: after the factor ranks or
+// the tensor's values changed.
 func (t *DTree) InvalidateAll() {
 	for _, nd := range t.nodes {
 		t.release(nd)
@@ -327,17 +389,31 @@ func (t *DTree) InvalidateAll() {
 }
 
 // Flops returns the accumulated multiply-add count of all node and leaf
-// computations so far: what ran, as Flat.Flops counts it (cost).
+// computations so far: what ran (cost), not the nominal Flops.
 func (t *DTree) Flops() int64 { return t.flops }
 
 // ResetFlops zeroes the flop counter (the cache state is untouched).
 func (t *DTree) ResetFlops() { t.flops = 0 }
 
 // StreamBytes reports what the root children's index streams copy: 4
-// bytes per nonzero and dropped mode of each root child whose group
-// order is not the storage order, nothing for one whose streams alias
-// the tensor.
-func (t *DTree) StreamBytes() int64 { return t.root.left.streamBytes + t.root.right.streamBytes }
+// bytes per listed nonzero and dropped mode of each root child whose
+// group order is not the storage order, nothing for one whose streams
+// alias the tensor.
+func (t *DTree) StreamBytes() int64 {
+	var total int64
+	for _, c := range t.root.children {
+		total += c.streamBytes
+	}
+	return total
+}
+
+// RunsPerNZ reports the runs of leaf n per listed nonzero where the leaf
+// is a root child (every leaf of a star): about 1 on an unsorted input,
+// a fraction on a sorted one; 0 for a leaf deeper in a binary tree.
+func (t *DTree) RunsPerNZ(n int) float64 {
+	leaf := t.leaves[n]
+	return float64(leaf.runs) / float64(max(len(leaf.groups.Ids), 1))
+}
 
 // NodeTime returns the accumulated wall time spent recomputing internal
 // tree nodes, the memoized portion of TTMc; the rest of each TTMc call
@@ -363,57 +439,72 @@ func (t *DTree) Nodes() []NodeInfo {
 }
 
 // NumRows returns the number of compact result rows for mode n (the
-// count of nonempty slices), matching symbolic.Mode.NumRows.
+// count of nonempty slices, or of a star's listed ones), matching
+// symbolic.Mode.NumRows.
 func (t *DTree) NumRows(n int) int { return t.leaves[n].n }
 
-// TTMc computes the compacted mode-n matricized product Y_(n) into y —
-// the same result (and row order) as the flat TTMc over the mode's
-// update lists — reusing every cached ancestor that is still valid and
-// recomputing only invalidated ones. y must be pre-shaped
-// NumRows(n) x RowSize(u, n); it is overwritten. A mode in split order
-// writes its multi rows into y, which then has only those, and its
+// Rows lists the slices of mode n in the order of Y_(n)'s rows:
+// ascending, matching symbolic.Mode.Rows, unless the mode is in split
+// order (SplitSingletons).
+func (t *DTree) Rows(n int) []int32 {
+	if sp := t.splits[n]; sp != nil {
+		return sp.rows
+	}
+	return t.leaves[n].keys[n]
+}
+
+// TTMc computes the compacted mode-n matricized product Y_(n) into y,
+// reusing every cached ancestor that is still valid and recomputing
+// only invalidated ones. y must be pre-shaped NumRows(n) x RowSize(u, n);
+// it is overwritten. U_n is not read and may be nil. A mode in split
+// order writes its multi rows into y, which then has only those, and its
 // singletons into the T its SplitSingletons rows hold, binding their U to
 // the grouping factor.
 func (t *DTree) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) {
 	t.syncRanks(u)
-	leaf, sp := t.leaves[n], t.of(n)
+	leaf, sp := t.leaves[n], t.splits[n]
 	rows, rowSize := leaf.n, t.rowSize(leaf)
 	if sp != nil {
 		rows = sp.multi
 		sp.bind(u, rowSize)
 	}
 	if y.Rows != rows || y.Cols != rowSize {
-		panic("ttm: DTree TTMc output shape mismatch")
+		panic("ttm: TTMc output shape mismatch")
 	}
-	start := time.Now()
-	t.ensure(leaf.parent, u, threads)
-	t.nodeTime += time.Since(start)
+	if leaf.parent != t.root {
+		start := time.Now()
+		t.ensure(leaf.parent, u, threads)
+		t.nodeTime += time.Since(start)
+	}
 	t.contract(leaf, y.Data, u, threads)
 }
 
 // syncRanks checks the factor column counts against the cached values
-// and drops every cache when they changed.
+// and drops every cache when they changed. A nil factor counts as rank
+// 0: no node on the path to its own leaf reads it.
 func (t *DTree) syncRanks(u []*dense.Matrix) {
 	if len(u) != t.order {
 		panic(fmt.Sprintf("ttm: DTree built for order %d, got %d factors", t.order, len(u)))
 	}
 	same := t.ranks != nil
-	for m := 0; m < t.order; m++ {
-		if u[m] == nil {
-			panic("ttm: DTree requires every factor matrix (leaves contract all other modes)")
-		}
-		if same && t.ranks[m] != u[m].Cols {
-			same = false
-		}
+	for m := 0; m < t.order && same; m++ {
+		same = t.ranks[m] == cols(u[m])
 	}
 	if same {
 		return
 	}
 	t.InvalidateAll()
 	t.ranks = make([]int, t.order)
-	for m := 0; m < t.order; m++ {
-		t.ranks[m] = u[m].Cols
+	for m := range t.ranks {
+		t.ranks[m] = cols(u[m])
 	}
+}
+
+func cols(m *dense.Matrix) int {
+	if m == nil {
+		return 0
+	}
+	return m.Cols
 }
 
 // rowSize is the dense block length of a node's entries at the ranks
@@ -422,15 +513,18 @@ func (t *DTree) rowSize(nd *dnode) int { return nd.blockLen(t.ranks) }
 
 // cost is the multiply-adds of computing nd at the given ranks, and of
 // one of its entries that holds one parent entry: a block update per
-// parent entry, or in the run loop (runLoop) an update of a trail-rank
-// accumulator per nonzero and a block update per run.
+// parent entry for an internal step, and at a root child an update of
+// the trail-rank accumulator per nonzero and a block update per run.
 func (nd *dnode) cost(ranks []int) (total, single int64) {
-	bs := int64(nd.blockLen(ranks))
-	if !nd.runLoop() {
-		return int64(nd.parent.n) * bs, bs
+	bs, entries := int64(nd.blockLen(ranks)), int64(len(nd.groups.Ids))
+	if nd.streams == nil {
+		return entries * bs, bs
 	}
-	r := int64(ranks[nd.dropped[1]])
-	return int64(nd.parent.n)*r + nd.runs*bs, r + bs
+	acc := int64(1)
+	for _, m := range nd.trail() {
+		acc *= int64(ranks[m])
+	}
+	return entries*acc + nd.runs*bs, acc + bs
 }
 
 // blockLen is the dense block length of the node's entries at the given
@@ -461,8 +555,8 @@ func (t *DTree) ensure(nd *dnode, u []*dense.Matrix, threads int) {
 
 // contract computes nd's value into dst (nd.n blocks of rowSize(nd))
 // from its parent's value, contracting the modes the child drops. Every
-// entry is owned by exactly one worker and accumulated in CSR order, so
-// the result is deterministic for any thread count.
+// entry is owned by exactly one worker and accumulated in group order,
+// so the result is deterministic for any thread count.
 func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads int) {
 	parent := nd.parent
 	threads = par.DefaultThreads(threads)
@@ -477,19 +571,27 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 		t.flops -= int64(sp.kron.T.Rows) * (single - int64(sp.kron.T.Cols))
 	}
 
-	// kron is the longest Kronecker product a worker builds per entry,
-	// acc the run loop's accumulator.
-	kron, acc := 1, 0
+	// kron is the longest Kronecker prefix a worker builds per entry.
+	kron := 1
 	body := t.rootFn
 	if parent == t.root {
-		// Root child: contract straight from the nonzeros with the flat
-		// TTMc's kernels; the last dropped mode's row is AXPY-ed, the
-		// rest form the prefix (accumKron) or lead the runs.
-		last := len(nd.dropped) - 1
-		for _, m := range nd.dropped[:last] {
-			kron *= t.ranks[m]
+		// Root child: the lead mode's rows end the runs, the trailing
+		// modes' rows go into the accumulator (accumKron: the last one
+		// AXPY-ed, the others a prefix).
+		trail := nd.trail()
+		c.acc = 1
+		for j, m := range trail {
+			c.acc *= t.ranks[m]
+			if j < len(trail)-1 {
+				kron *= t.ranks[m]
+			}
 		}
-		acc = t.ranks[nd.dropped[last]]
+		if len(nd.dropped) > 0 {
+			c.lead = u[nd.lead()]
+		}
+		if len(trail) == 1 {
+			c.one = u[trail[0]]
+		}
 	} else {
 		// Internal step: the parent's blocks cover the modes outside
 		// [parent.lo, parent.hi) as an a x b matrix (a = ranks before
@@ -512,9 +614,9 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 		}
 		c.d = kron
 	}
-	t.scratch = growKronScratch(t.scratch, threads, t.order, kron, acc)
+	t.scratch = growKronScratch(t.scratch, threads, t.order, kron, c.acc)
 	runRows(nd.n, threads, t.chainsFn, body)
-	c.dst, c.u, c.at, c.sp = nil, nil, nil, nil
+	*c = contraction{}
 }
 
 // splitOf is nd's split order: its mode's for a leaf in split order, nil
@@ -523,7 +625,7 @@ func (t *DTree) splitOf(nd *dnode) *splitMode {
 	if !nd.isLeaf() {
 		return nil
 	}
-	return t.of(nd.lo)
+	return t.splits[nd.lo]
 }
 
 // callChains is the balanced partition of the running contraction.
@@ -532,60 +634,54 @@ func (t *DTree) callChains() []int32 {
 	return nd.chains.Partition(nd.groups.Ptr, t.call.threads)
 }
 
-// rootRows computes entries [lo, hi) of a root child from the nonzeros,
-// reading the dropped modes' indices from the child's streams and each
-// value through the group's ids. Where the child runs the run loop
-// (runLoop) an entry is one dense.GatherGer into the cleared block: the
-// first dropped mode's rows lead, the second's trail. Elsewhere it is
-// rootRowsKron's.
+var unitRow = []float64{1}
+
+// rootRows computes entries [lo, hi) of a root child from the nonzeros:
+// one pass over each group's positions, the lead and trailing indices
+// read from the child's streams and each value through the group's ids.
+// Each run of equal lead indices clears the accumulator, adds each
+// nonzero's value times ⊗ of its trailing rows (accumKron) and ends in
+// one rank-one update of the block by the lead row. With one trailing
+// mode that is an axpy of its row per nonzero — what accumKron's 1 x R
+// Ger computes, zero skip included — so a whole entry is one
+// dense.GatherGer. A leaf in split order writes its singletons compactly
+// (compactRow).
 func (t *DTree) rootRows(w, lo, hi int) {
-	c, nd := &t.call, t.call.nd
-	if !nd.runLoop() {
-		t.rootRowsKron(w, lo, hi)
-		return
-	}
-	ptr, ids, vals, bs := nd.groups.Ptr, nd.groups.Ids, t.x.Values(), c.bs
-	lead, trail, acc := nd.streams[0], nd.streams[1], t.scratch[w].acc
-	l, x := c.u[nd.dropped[0]], c.u[nd.dropped[1]]
-	for g := lo; g < hi; g++ {
-		p, end := ptr[g], ptr[g+1]
-		blk := c.dst[g*bs : (g+1)*bs]
-		clear(blk)
-		dense.GatherGer(lead[p:end], l, vals, ids[p:end], trail[p:end], x, acc, blk)
-	}
-}
-
-// Rows lists the nonempty slices of mode n in the order of Y_(n)'s
-// rows: sorted, matching symbolic.Mode.Rows, unless the mode is in split
-// order (SplitSingletons), where they match Flat.Rows.
-func (t *DTree) Rows(n int) []int32 {
-	if sp := t.of(n); sp != nil {
-		return sp.rows
-	}
-	return t.leaves[n].keys[n]
-}
-
-// rootRowsKron is rootRows for a root child off the run loop:
-// accumKron adds each nonzero's product into its entry's block. A leaf
-// (orders 2 and 3) may be in split order.
-func (t *DTree) rootRowsKron(w, lo, hi int) {
 	c, sc := &t.call, &t.scratch[w]
-	nd, bs := c.nd, c.bs
-	ptr, ids, vals, s := nd.groups.Ptr, nd.groups.Ids, t.x.Values(), nd.streams
-	frows := sc.rows[:len(nd.dropped)]
+	nd, bs, u, s := c.nd, c.bs, c.u, c.nd.streams
+	ptr, ids, vals := nd.groups.Ptr, nd.groups.Ids, t.x.Values()
+	trail, lead, leadRow, acc := nd.trail(), s[nd.lead()], unitRow, sc.acc[:c.acc]
+	frows := sc.rows[:len(trail)]
+	var one []int32
+	if c.one != nil {
+		one = s[trail[0]]
+	}
 	for g := lo; g < hi; g++ {
 		r := c.row(g)
 		if r >= c.multi {
-			t.compactRow(w, g, r-c.multi)
+			t.compactRow(w, g, r-c.multi, vals)
 			continue
 		}
 		row := c.dst[r*bs : (r+1)*bs]
 		clear(row)
-		for p := ptr[g]; p < ptr[g+1]; p++ {
-			for j, m := range nd.dropped {
-				frows[j] = c.u[m].Row(int(s[j][p]))
+		p, end := ptr[g], ptr[g+1]
+		if one != nil {
+			dense.GatherGer(lead[p:end], c.lead, vals, ids[p:end], one[p:end], c.one, acc, row)
+			continue
+		}
+		for p < end {
+			i := lead[p]
+			clear(acc)
+			for ; p < end && lead[p] == i; p++ {
+				for j, m := range trail {
+					frows[j] = u[m].Row(int(s[m][p]))
+				}
+				accumKron(acc, vals[ids[p]], frows, sc.bufA, sc.bufB)
 			}
-			accumKron(row, vals[ids[p]], frows, sc.bufA, sc.bufB)
+			if c.lead != nil {
+				leadRow = c.lead.Row(int(i))
+			}
+			dense.Ger(leadRow, acc, row)
 		}
 	}
 }
@@ -597,12 +693,12 @@ func (t *DTree) innerRows(w, lo, hi int) {
 	nd, bs := c.nd, c.bs
 	parent := nd.parent
 	a, b, d := c.a, c.b, c.d
-	pbs := parent.blockSize
+	pbs, vals := parent.blockSize, t.x.Values()
 	frows := sc.rows[:len(nd.dropped)]
 	for g := lo; g < hi; g++ {
 		r := c.row(g)
 		if r >= c.multi {
-			t.compactRow(w, g, r-c.multi)
+			t.compactRow(w, g, r-c.multi, vals)
 			continue
 		}
 		blk := c.dst[r*bs : (r+1)*bs]
@@ -633,10 +729,10 @@ func (t *DTree) innerRows(w, lo, hi int) {
 	}
 }
 
-// SweepFlops returns the tree's multiply-add count of one steady-state
-// HOOI sweep at the given ranks: a Gauss–Seidel sweep builds every node
-// below the root exactly once, at its cost; a leaf in split order writes
-// each singleton's row in RowSize/R_Group, as Flat.SweepFlops counts it.
+// SweepFlops returns the kernel's multiply-add count of one
+// steady-state HOOI sweep at the given ranks: a Gauss–Seidel sweep
+// builds every node below the root exactly once, at its cost; a leaf in
+// split order writes each singleton's row in RowSize/R_Group.
 func (t *DTree) SweepFlops(ranks []int) int64 {
 	var sum int64
 	for _, nd := range t.nodes[1:] {
@@ -647,15 +743,4 @@ func (t *DTree) SweepFlops(ranks []int) int64 {
 		}
 	}
 	return sum
-}
-
-// SweepFlops returns the nominal multiply-add count of one full HOOI
-// sweep over all modes (the recompute-everything cost the kernels are
-// measured against, not what Flat executes): sum over modes of Flops.
-func SweepFlops(nnz int, u []*dense.Matrix) int64 {
-	var total int64
-	for n := range u {
-		total += Flops(nnz, RowSize(u, n))
-	}
-	return total
 }

@@ -1,12 +1,14 @@
 package ttm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"hypertensor/internal/dense"
+	"hypertensor/internal/symbolic"
 	"hypertensor/internal/tensor"
 )
 
@@ -140,53 +142,79 @@ func TestDTreeSweepFlopsMatchesMeasured(t *testing.T) {
 
 // goLoopsRootRows is the root-child loop in Go, kept as rootRows'
 // oracle: per nonzero, each dropped mode's key gathered through the group
-// id and its factor row; where the child runs the run loop (runLoop) the
-// loop of dense.GatherGer's Go path — per run of equal lead keys an
-// accumulator of AxpyUnrolled terms from +0, then one Ger of the lead row
-// into the entry's block — and otherwise accumKron into the block.
+// id and its factor row; per run of equal lead keys an accumulator from
+// +0 — AxpyUnrolled terms with one trailing mode, dense.GatherGer's Go
+// path, accumKron terms otherwise — then one Ger of the lead row (the
+// unit row on order 1) into the entry's block. A singleton of a leaf in
+// split order is its value times ⊗ of its rows of the rest's factors.
 func goLoopsRootRows(t *DTree) func(w, lo, hi int) {
 	return func(w, lo, hi int) {
 		c, sc := &t.call, &t.scratch[w]
 		nd, bs := c.nd, c.bs
-		frows := sc.rows[:len(nd.dropped)]
+		trail, acc := nd.trail(), sc.acc[:c.acc]
+		frows := sc.rows[:len(trail)]
 		vals, keys := t.x.Values(), t.root.keys
 		for g := lo; g < hi; g++ {
-			row := c.dst[g*bs : (g+1)*bs]
-			clear(row)
-			group := nd.groups.Group(g)
-			if !nd.runLoop() {
-				for _, id := range group {
-					for j, m := range nd.dropped {
-						frows[j] = c.u[m].Row(int(keys[m][id]))
-					}
-					accumKron(row, vals[id], frows, sc.bufA, sc.bufB)
+			group, r := nd.groups.Group(g), c.row(g)
+			if r >= c.multi {
+				id, rest := group[0], make([][]float64, len(c.sp.rest))
+				for j, m := range c.sp.rest {
+					rest[j] = c.u[m].Row(int(keys[m][id]))
 				}
+				scaleKron(c.sp.kron.T.Row(r-c.multi), vals[id], rest)
 				continue
 			}
-			a, b := nd.dropped[0], nd.dropped[1]
+			row := c.dst[r*bs : (r+1)*bs]
+			clear(row)
+			lead := keys[nd.lead()]
 			for p := 0; p < len(group); {
-				k := keys[a][group[p]]
-				clear(sc.acc)
-				for ; p < len(group) && keys[a][group[p]] == k; p++ {
-					dense.AxpyUnrolled(vals[group[p]], c.u[b].Row(int(keys[b][group[p]])), sc.acc)
+				k := lead[group[p]]
+				clear(acc)
+				for ; p < len(group) && lead[group[p]] == k; p++ {
+					id := group[p]
+					if len(trail) == 1 {
+						dense.AxpyUnrolled(vals[id], c.u[trail[0]].Row(int(keys[trail[0]][id])), acc)
+						continue
+					}
+					for j, m := range trail {
+						frows[j] = c.u[m].Row(int(keys[m][id]))
+					}
+					accumKron(acc, vals[id], frows, sc.bufA, sc.bufB)
 				}
-				dense.Ger(c.u[a].Row(int(k)), sc.acc, row)
+				leadRow := unitRow
+				if len(nd.dropped) > 0 {
+					leadRow = c.u[nd.lead()].Row(int(k))
+				}
+				dense.Ger(leadRow, acc, row)
 			}
 		}
 	}
 }
 
+// sameBits fails unless got holds want's bits.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i, v := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: element %d is %x on the %s kernels, %x on the Go loops", what, i, math.Float64bits(got[i]), dense.KernelName(), math.Float64bits(v))
+		}
+	}
+}
+
 // The root children give the bits of their Go loops: over two
-// Gauss–Seidel sweeps every mode's product equals that of a tree running
-// goLoopsRootRows, on order 3 (two accumKron children, one a leaf that
-// drops two modes), order 4 (both children run the run loop) and order 5
-// (one runs it, one drops three modes), at ranks 5, 10 and mixed, on one thread and two,
-// stored sorted (the first root child's streams alias the tensor) and
-// shuffled (both copy) — with zero values and zero factor entries of both
-// signs, which the zero skips see.
+// Gauss–Seidel sweeps every mode's product equals that of a kernel
+// running goLoopsRootRows, in both shapes — the star at orders 1 to 5
+// (order 1 leads with the unit row, order 2 has no trailing mode, order 3
+// one), the binary tree at orders 2 to 5 (order 4's children trail one
+// mode, order 5's right child two) — at ranks 5, 10 and mixed, on one
+// thread and two, stored sorted (the first root child's streams alias
+// the tensor) and shuffled (every child copies), with zero values and
+// zero factor entries of both signs, which the zero skips see. So does a
+// star leaf in split order (its compact rows too) and one on a
+// Mode.Select-restricted list.
 func TestDTreeMatchesGoLoopsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
-	for _, dims := range [][]int{{40, 30, 35}, {20, 15, 25, 18}, {9, 8, 10, 7, 11}} {
+	for _, dims := range [][]int{{50}, {40, 30}, {40, 30, 35}, {20, 15, 25, 18}, {9, 8, 10, 7, 11}} {
 		for _, rank := range []int{5, 10, 0} {
 			ranks := make([]int, len(dims))
 			for i := range ranks {
@@ -202,34 +230,83 @@ func TestDTreeMatchesGoLoopsBitwise(t *testing.T) {
 				}
 			}
 			for _, x := range []*tensor.COO{sorted, shuffledCopy(rng, sorted)} {
-				for threads := 1; threads <= 2; threads++ {
-					tree, oracle := BuildDTree(x, threads), NewDTree(x)
-					oracle.rootFn = goLoopsRootRows(oracle)
-					uu := make([]*dense.Matrix, len(u))
-					for m := range u {
-						uu[m] = u[m].Clone()
-						uu[m].Row(0)[0], uu[m].Row(2)[ranks[m]-1] = 0, math.Copysign(0, -1)
+				sym := symbolic.Build(x, 1)
+				for _, star := range []bool{true, false} {
+					if !star && len(dims) < 2 {
+						continue
 					}
-					for s := 0; s < 2; s++ {
-						for n := range uu {
-							tree.Invalidate(n)
-							oracle.Invalidate(n)
-							got := dense.NewMatrix(tree.NumRows(n), RowSize(uu, n))
-							want := dense.NewMatrix(tree.NumRows(n), RowSize(uu, n))
-							tree.TTMc(got, n, uu, threads)
-							oracle.TTMc(want, n, uu, threads)
-							for i, v := range want.Data {
-								if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
-									t.Fatalf("dims %v ranks %v threads %d sweep %d mode %d: element %d is %x on the %s kernels, %x on the Go loops",
-										dims, ranks, threads, s, n, i, math.Float64bits(got.Data[i]), dense.KernelName(), math.Float64bits(v))
-								}
+					build := func(threads int) *DTree {
+						if star {
+							return BuildFlat(x, sym, threads)
+						}
+						return BuildDTree(x, threads)
+					}
+					for threads := 1; threads <= 2; threads++ {
+						tree, oracle := build(threads), build(1)
+						oracle.rootFn = goLoopsRootRows(oracle)
+						uu := make([]*dense.Matrix, len(u))
+						for m := range u {
+							uu[m] = u[m].Clone()
+							uu[m].Row(0)[0], uu[m].Row(2)[ranks[m]-1] = 0, math.Copysign(0, -1)
+						}
+						for s := 0; s < 2; s++ {
+							for n := range uu {
+								tree.Invalidate(n)
+								oracle.Invalidate(n)
+								got := dense.NewMatrix(tree.NumRows(n), RowSize(uu, n))
+								want := dense.NewMatrix(tree.NumRows(n), RowSize(uu, n))
+								tree.TTMc(got, n, uu, threads)
+								oracle.TTMc(want, n, uu, threads)
+								sameBits(t, fmt.Sprintf("dims %v ranks %v star %v threads %d sweep %d mode %d", dims, ranks, star, threads, s, n), got.Data, want.Data)
+								uu[n] = randomNormal(uu[n].Rows, uu[n].Cols, rng)
 							}
-							uu[n] = randomNormal(uu[n].Rows, uu[n].Cols, rng)
 						}
 					}
 				}
 			}
 		}
+	}
+
+	// A star in split order (modes 0 and 2 take it), and a star over every
+	// other row of mode 1's lists.
+	ranks := []int{4, 3, 5}
+	x, u, sym := randomSetup(rng, []int{400, 6, 150}, ranks, 500)
+	x.Val[0], u[1].Row(0)[0] = math.Copysign(0, -1), math.Copysign(0, -1)
+	for threads := 1; threads <= 2; threads++ {
+		star, oracle := BuildFlat(x, sym, threads), NewFlat(x, sym)
+		oracle.rootFn = goLoopsRootRows(oracle)
+		for n := range ranks {
+			_, kr := star.SplitSingletons(n, ranks)
+			_, okr := oracle.SplitSingletons(n, ranks)
+			multi := star.NumRows(n)
+			if kr != nil {
+				multi -= kr.Rows()
+				c := RowSize(u, n) / ranks[star.splits[n].group]
+				kr.T, okr.T = *dense.NewMatrix(kr.Rows(), c), *dense.NewMatrix(kr.Rows(), c)
+			}
+			got, want := dense.NewMatrix(multi, RowSize(u, n)), dense.NewMatrix(multi, RowSize(u, n))
+			star.TTMc(got, n, u, threads)
+			oracle.TTMc(want, n, u, threads)
+			what := fmt.Sprintf("split star threads %d mode %d", threads, n)
+			sameBits(t, what, got.Data, want.Data)
+			if kr != nil {
+				sameBits(t, what+" compact rows", kr.T.Data, okr.T.Data)
+			}
+		}
+		if star.splits[0] == nil || star.splits[2] == nil {
+			t.Fatal("modes 0 and 2 of the split star are not in split order")
+		}
+		var rows []int32
+		for r := 0; r < sym.Modes[1].NumRows(); r += 2 {
+			rows = append(rows, int32(r))
+		}
+		sel := &symbolic.Structure{Modes: []symbolic.Mode{sym.Modes[1].Select(rows)}}
+		star, oracle = BuildFlat(x, sel, threads), NewFlat(x, sel)
+		oracle.rootFn = goLoopsRootRows(oracle)
+		got, want := dense.NewMatrix(len(rows), RowSize(u, 1)), dense.NewMatrix(len(rows), RowSize(u, 1))
+		star.TTMc(got, 1, u, threads)
+		oracle.TTMc(want, 1, u, threads)
+		sameBits(t, fmt.Sprintf("selected star threads %d", threads), got.Data, want.Data)
 	}
 }
 
@@ -243,12 +320,12 @@ func TestDTreeStreamBytes(t *testing.T) {
 		sorted, _, _ := sparseSetup(rng, dims, make([]int, len(dims)), 250)
 		nnz := int64(sorted.NNZ())
 		tree := NewDTree(sorted)
-		left, right := tree.root.left, tree.root.right
+		left, right := tree.root.children[0], tree.root.children[1]
 		if got, want := tree.StreamBytes(), 4*int64(len(right.dropped))*nnz; got != want {
 			t.Fatalf("dims %v sorted: StreamBytes %d, want 4 B x %d dropped modes x %d nnz = %d", dims, got, len(right.dropped), nnz, want)
 		}
-		for j, m := range left.dropped {
-			if &left.streams[j][0] != &sorted.Idx[m][0] {
+		for _, m := range left.dropped {
+			if &left.streams[m][0] != &sorted.Idx[m][0] {
 				t.Fatalf("dims %v sorted: the first root child's mode-%d stream is a copy, want the tensor's array", dims, m)
 			}
 		}

@@ -33,16 +33,14 @@ func RowSize(u []*dense.Matrix, skip int) int {
 	return size
 }
 
-// accumKron adds x * (rows[0] ⊗ rows[1] ⊗ ... ⊗ rows[k-1]) to dst —
-// Flat's run accumulator unless a mode has exactly one trailing mode
-// (order 3, which runs dense.GatherGer), and a DTree root child's block
-// where the child drops one mode or three or more (a child that drops
-// two runs the run loop, dense.GatherGer) — fused: the prefix Kronecker
-// product of the first k-1 rows is built in scratch buffers (bufA, bufB,
-// each of length >= len(dst)/len(last row)), then the last row is AXPY-ed
-// into consecutive segments of dst, skipping prefix entries that are
-// zero — one dense.Ger over the whole of dst. This avoids materializing a
-// full len(dst) temporary per nonzero, the difference between a
+// accumKron adds x * (rows[0] ⊗ rows[1] ⊗ ... ⊗ rows[k-1]) to dst — a
+// root child's run accumulator unless exactly one mode trails the lead
+// (which runs dense.GatherGer) — fused: the prefix Kronecker product of
+// the first k-1 rows is built in scratch buffers (bufA, bufB, each of
+// length >= len(dst)/len(last row)), then the last row is AXPY-ed into
+// consecutive segments of dst, skipping prefix entries that are zero —
+// one dense.Ger over the whole of dst. This avoids materializing a full
+// len(dst) temporary per nonzero, the difference between a
 // bandwidth-bound and a compute-bound kernel.
 func accumKron(dst []float64, x float64, rows [][]float64, bufA, bufB []float64) {
 	k := len(rows)
@@ -67,8 +65,8 @@ func accumKron(dst []float64, x float64, rows [][]float64, bufA, bufB []float64)
 }
 
 // kronScratch is one worker's scratch: the factor rows of the entry at
-// hand, two Kronecker prefix buffers and Flat's run accumulator, the
-// last three in one slot of slab.
+// hand, two Kronecker prefix buffers and a root child's run
+// accumulator, the last three in one slot of slab.
 type kronScratch struct {
 	rows                  [][]float64
 	bufA, bufB, acc, slab []float64
@@ -76,8 +74,8 @@ type kronScratch struct {
 
 // growKronScratch returns s holding a scratch for each of threads
 // workers, with room for order factor rows, for Kronecker prefixes of
-// length kron and for an accumulator of length acc (the tree's is its
-// root children's trail rank); what is already large enough is kept.
+// length kron and for an accumulator of length acc (a root child's
+// trail rank); what is already large enough is kept.
 // Every worker writes its scratch once per nonzero, so each worker's
 // buffers are a slot of its own (par.Slots), which starts and ends on a
 // cache line, and its row headers sit a line inside their allocation: no

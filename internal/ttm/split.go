@@ -39,20 +39,20 @@ type splitMode struct {
 	group int
 	rest  []int
 	kron  *dense.KronRows
-	// The tree's, where a compact row is not its parent block
-	// (DTree.SplitSingletons): compact row i's nonzero has value vals[i]
-	// and indices restIdx[i·len(rest):] in the rest's modes, so that a
-	// sweep reads them in place of a walk up the tree and a gather from
-	// the tensor per row.
-	vals    []float64
-	restIdx []int32
+	// A leaf below a root child whose compact row is not its parent
+	// block (SplitSingletons): compact row i's nonzero has id ids[i] and
+	// indices restIdx[i·len(rest):] in the rest's modes, so that a sweep
+	// reads them in place of a walk up the tree and a gather from the
+	// tensor's index arrays per row. The value is read through the id, so
+	// a merge that changes values reaches the row.
+	ids, restIdx []int32
 }
 
-// newSplit is the census rule of both kernels. A kernel lists mode n's
-// rows as the ascending slices and, per row, single: where the row's one
-// nonzero sits in idx, or -1 for a row of more; idx holds every other
-// mode's index of each nonzero (the tensor's arrays, addressed by id, or
-// the flat kernel's streams, by list position), and dims the mode sizes.
+// newSplit is the census rule. The kernel lists mode n's rows as the
+// ascending slices and, per row, single: where the row's one nonzero
+// sits in idx, or -1 for a row of more; idx holds every other mode's
+// index of each nonzero (a root child's streams, by list position, or
+// the tensor's arrays, by id), and dims the mode sizes.
 // newSplit counts the singletons, chooses the grouping mode among the
 // first and the last of the other modes — only with those is a singleton
 // row u_g ⊗ t (g the slow index) or t ⊗ u_g in Y's column layout — and
@@ -171,37 +171,13 @@ func (sp *splitMode) bind(u []*dense.Matrix, rowSize int) {
 	sp.kron.U = u[sp.group]
 }
 
-// splits holds a kernel's modes in split order, nil for a mode in its
-// ascending order (and while no mode is split).
-type splits []*splitMode
-
-// of is mode n's split order, nil where it has none.
-func (s splits) of(n int) *splitMode {
-	if s == nil {
-		return nil
-	}
-	return s[n]
-}
-
 // SplitRows is mode n's compact singleton rows, nil unless the mode is
 // in split order.
-func (s splits) SplitRows(n int) *dense.KronRows {
-	if sp := s.of(n); sp != nil {
+func (t *DTree) SplitRows(n int) *dense.KronRows {
+	if sp := t.splits[n]; sp != nil {
 		return sp.kron
 	}
 	return nil
-}
-
-// take records mode n's census outcome, sp or nil where the split is not
-// taken, and returns what SplitSingletons returns.
-func (s *splits) take(n, order int, cen Census, sp *splitMode) (Census, *dense.KronRows) {
-	if sp != nil && *s == nil {
-		*s = make(splits, order)
-	}
-	if *s != nil {
-		(*s)[n] = sp
-	}
-	return cen, s.SplitRows(n)
 }
 
 // SplitSingletons takes mode n's census at the given ranks (newSplit)
@@ -213,78 +189,95 @@ func (s *splits) take(n, order int, cen Census, sp *splitMode) (Census, *dense.K
 // (scaleKron; just the value on order 2). T is left for the caller to
 // bind to T.Rows x c storage before each TTMc, which binds U; nil rows
 // where the split is not taken. The update lists and their order stay as
-// they were, and so do the multi rows' bits. The census reads the mode's
-// index streams, in list order.
-func (k *Flat) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
-	sm := &k.modes[n]
-	single := make([]int32, sm.NumRows())
-	for r := range single {
-		p := sm.Ptr[r]
-		single[r] = p | int32(one(sm.Ptr[r+1]-p)-1)
-	}
-	cen, sp := newSplit(n, ranks, k.x.Dims, sm.Streams(k.x), sm.Rows, single)
-	return k.splits.take(n, len(ranks), cen, sp)
-}
-
-// SplitSingletons is Flat.SplitSingletons on the tree: a row of leaf n
-// is a singleton when its group holds one entry of its parent that holds
-// one of its own, and so on up to the root child, whose entry's one
-// group id is the nonzero's. The tree then writes the mode's rows in the
-// flat kernel's split order, with the same bits. Where a compact row is
-// not its parent block (fromParent), the census keeps each singleton's
-// value and rest indices in the compact rows' order, 8+4(N-2) bytes a
-// singleton.
+// they were, and so do the multi rows' bits.
+//
+// A row of leaf n is a singleton when its group holds one entry of its
+// parent that holds one of its own, and so on up to the root child
+// (singles). A root child's leaf (every leaf of a star) finds the
+// nonzero's indices at its list position in its streams, and so does its
+// compact row. Below one the census reads them through the nonzero's id
+// in the tensor's arrays, and where a compact row is not its parent block
+// (fromParent) keeps each singleton's id and rest indices in the compact
+// rows' order, 4+4(N-2) bytes a singleton.
 func (t *DTree) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
-	leaf := t.leaves[n]
-	single := make([]int32, leaf.n)
-	for r := range single {
-		single[r] = t.singleID(leaf, int32(r))
+	leaf, rc := t.leaves[n], t.leaves[n]
+	for rc.parent != t.root {
+		rc = rc.parent
 	}
-	cen, sp := newSplit(n, ranks, t.x.Shape(), t.root.keys, leaf.keys[n], single)
-	if sp != nil && !t.fromParent(n, sp.group) {
-		k, vals := len(sp.rest), t.x.Values()
-		sp.vals, sp.restIdx = make([]float64, cen.Singletons), make([]int32, cen.Singletons*k)
+	single, idx := t.singles(leaf), rc.streams
+	if rc != leaf {
+		idx = t.root.keys
+		for r, p := range single {
+			if p >= 0 {
+				single[r] = rc.groups.Ids[p]
+			}
+		}
+	}
+	cen, sp := newSplit(n, ranks, t.x.Shape(), idx, leaf.keys[n], single)
+	if sp != nil && rc != leaf && !t.fromParent(n, sp.group) {
+		k := len(sp.rest)
+		sp.ids, sp.restIdx = make([]int32, cen.Singletons), make([]int32, cen.Singletons*k)
 		for r, id := range single {
 			if i := int(sp.at[r]) - sp.multi; i >= 0 {
-				sp.vals[i] = vals[id]
+				sp.ids[i] = id
 				for j, m := range sp.rest {
 					sp.restIdx[i*k+j] = t.root.keys[m][id]
 				}
 			}
 		}
 	}
-	return t.splits.take(n, t.order, cen, sp)
+	t.splits[n] = sp
+	return cen, t.SplitRows(n)
 }
 
 // fromParent reports whether a singleton row of leaf n grouped by g is
 // its one parent entry's block: where the parent is a root child that
-// drops two modes, whose block of a one-nonzero entry is the run loop's
-// a[i]·(x·b[j]) over the rows a and b of the modes it drops (scaleKron's
-// bits), and g is the leaf's sibling, so that those modes are exactly the
-// rest. Copying that block reads no factor row: on delicious4's mode 1
-// the rest's rows are those of its two largest modes, read at random.
+// drops two modes, whose block of a one-nonzero entry is
+// a[i]·(x·b[j]) over the rows a and b of the modes it drops
+// (dense.GatherGer; scaleKron's bits), and g is the leaf's one sibling,
+// so that those modes are exactly the rest. Copying that block reads no
+// factor row: on delicious4's mode 1 the rest's rows are those of its
+// two largest modes, read at random.
 func (t *DTree) fromParent(n, g int) bool {
-	leaf := t.leaves[n]
-	sib := leaf.parent.left
-	if sib == leaf {
-		sib = leaf.parent.right
+	p := t.leaves[n].parent
+	if p.parent != t.root || len(p.dropped) != 2 || len(p.children) != 2 {
+		return false
 	}
-	return leaf.parent.runLoop() && sib.isLeaf() && sib.lo == g
+	sib := p.children[0]
+	if sib == t.leaves[n] {
+		sib = p.children[1]
+	}
+	return sib.isLeaf() && sib.lo == g
 }
 
-// singleID is the id of the one nonzero under entry e of nd, -1 where
-// there is more than one: the entry's group holds one parent entry, that
-// entry's one of its own, and so on up to the root child.
-func (t *DTree) singleID(nd *dnode, e int32) int32 {
-	for ; nd != t.root; nd = nd.parent {
-		p := nd.groups.Ptr[e]
-		if nd.groups.Ptr[e+1]-p != 1 {
-			return -1
-		}
-		e = nd.groups.Ids[p]
+// singles is, per entry of leaf, the list position in its root child's
+// group order of the entry's one nonzero, -1 where it holds more: the
+// entry's group holds one parent entry, that entry's one of its own, and
+// so on up to the root child. It walks a level at a time, without a
+// branch on the group length (on a star the root child is the leaf, and
+// singletons and longer rows alternate at random).
+func (t *DTree) singles(leaf *dnode) []int32 {
+	s, ptr := make([]int32, leaf.n), leaf.groups.Ptr
+	for r := range s {
+		p := ptr[r]
+		s[r] = p | int32(one(ptr[r+1]-p)-1)
 	}
-	return e
+	for nd := leaf; nd.parent != t.root; nd = nd.parent {
+		ids, ptr := nd.groups.Ids, nd.parent.groups.Ptr
+		for r, p := range s {
+			if p >= 0 {
+				e := ids[p]
+				q := ptr[e]
+				s[r] = q | int32(one(ptr[e+1]-q)-1)
+			}
+		}
+	}
+	return s
 }
+
+// one is 1 for a group of one entry and 0 for a longer one, without a
+// branch (no group is empty).
+func one(length int32) int { return int(uint32(length-2) >> 31) }
 
 // row is where entry g goes: its block of dst, or row row(g)-multi of T
 // from multi on.
@@ -296,25 +289,32 @@ func (c *contraction) row(g int) int {
 }
 
 // compactRow writes singleton entry g of the running leaf contraction
-// into row i of T: a copy of its parent block where that is the row
-// (fromParent), otherwise its nonzero's value times ⊗ of its rows of the
-// rest's factors (scaleKron), read from the values and indices the
-// census stored for row i.
-func (t *DTree) compactRow(w, g, i int) {
+// into row i of T: its nonzero's value (in vals, the tensor's) times ⊗ of its rows of the rest's
+// factors (scaleKron), the indices read from a root child's streams or
+// those the census stored for row i, or a copy of its parent block where
+// that is the row (fromParent).
+func (t *DTree) compactRow(w, g, i int, vals []float64) {
 	c, nd := &t.call, t.call.nd
 	sp := c.sp
 	row := sp.kron.T.Row(i)
-	if sp.restIdx == nil {
+	rest := t.scratch[w].rows[:len(sp.rest)]
+	switch {
+	case nd.streams != nil:
+		p := nd.groups.Ptr[g]
+		for j, m := range sp.rest {
+			rest[j] = c.u[m].Row(int(nd.streams[m][p]))
+		}
+		scaleKron(row, vals[nd.groups.Ids[p]], rest)
+	case sp.restIdx == nil:
 		e, pbs := int(nd.groups.Ids[nd.groups.Ptr[g]]), nd.parent.blockSize
 		copy(row, nd.parent.val[e*pbs:(e+1)*pbs])
-		return
+	default:
+		k := len(rest)
+		for j, m := range sp.rest {
+			rest[j] = c.u[m].Row(int(sp.restIdx[i*k+j]))
+		}
+		scaleKron(row, vals[sp.ids[i]], rest)
 	}
-	k := len(sp.rest)
-	rest, idx := t.scratch[w].rows[:k], sp.restIdx[i*k:(i+1)*k]
-	for j, m := range sp.rest {
-		rest[j] = c.u[m].Row(int(idx[j]))
-	}
-	scaleKron(row, sp.vals[i], rest)
 }
 
 // scaleKron writes x·(rows[0] ⊗ rows[1] ⊗ …) into dst, the last row
@@ -324,8 +324,15 @@ func (t *DTree) compactRow(w, g, i int) {
 // nonzero (dense.GatherGer). dst must hold the product of the row
 // lengths; no rows give x.
 func scaleKron(dst []float64, x float64, rows [][]float64) {
-	if len(rows) == 0 {
+	switch len(rows) {
+	case 0:
 		dst[0] = x
+		return
+	case 1:
+		// 1·(x·r[q]) is x·r[q]: order 3 writes a singleton a row at a time.
+		for q, f := range rows[0] {
+			dst[q] = x * f
+		}
 		return
 	}
 	dst[0] = 1
@@ -347,7 +354,3 @@ func scaleKron(dst []float64, x float64, rows [][]float64) {
 		cur *= len(r)
 	}
 }
-
-// one is 1 for an update list of one nonzero and 0 for a longer one,
-// without a branch (no list is empty).
-func one(length int32) int { return int(uint32(length-2) >> 31) }

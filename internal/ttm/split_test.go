@@ -11,15 +11,6 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// splitKernel is what Flat and DTree both offer a mode in split order.
-type splitKernel interface {
-	SplitSingletons(n int, ranks []int) (Census, *dense.KronRows)
-	Rows(n int) []int32
-	TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int)
-	Flops() int64
-	SweepFlops(ranks []int) int64
-}
-
 // singletonSetup is randomSetup with one nonzero per mode-0 index, so
 // every row of mode 0 is a singleton.
 func singletonSetup(rng *rand.Rand, dims, ranks []int) (*tensor.COO, []*dense.Matrix, *symbolic.Structure) {
@@ -71,7 +62,7 @@ func compactRef(x *tensor.COO, id int32, u []*dense.Matrix, rest []int) []float6
 // A mode in split order lists its rows of more than one nonzero first,
 // ascending, then its singletons grouped by their index in the census's
 // mode — of the first and the last other mode, the one with fewer
-// indices — groups and rows ascending. The flat kernel and the tree take
+// indices — groups and rows ascending. The star and the binary tree take
 // the same census and put the mode in the same order, at every order:
 // the cases cover the group as the slow index and as the fast one, the
 // tree's leaf sibling and a mode that is not, a leaf below a root child
@@ -163,20 +154,20 @@ func TestSplitSingletons(t *testing.T) {
 				t.Fatalf("%s: %d of mode 0's %d rows are singletons", tc.name, singles, sm.NumRows())
 			}
 
-			// The tree's census and order are the flat kernel's.
+			// The tree's census and order are the star's.
 			tcen, tkr := tree.SplitSingletons(n, tc.ranks)
 			if tcen != cen || (tkr != nil) != (kr != nil) || !slices.Equal(tree.Rows(n), flat.Rows(n)) {
-				t.Fatalf("%s mode %d: the tree's census %+v and rows differ from the flat kernel's %+v", tc.name, n, tcen, cen)
+				t.Fatalf("%s mode %d: the tree's census %+v and rows differ from the star's %+v", tc.name, n, tcen, cen)
 			}
 			if kr != nil && (!slices.Equal(tkr.Idx, kr.Idx) || !slices.Equal(tkr.Ptr, kr.Ptr) || tkr.Slow != kr.Slow) {
-				t.Fatalf("%s mode %d: the tree's groups differ from the flat kernel's", tc.name, n)
+				t.Fatalf("%s mode %d: the tree's groups differ from the star's", tc.name, n)
 			}
 
 			if kr == nil {
 				if !slices.Equal(flat.Rows(n), sm.Rows) {
 					t.Fatalf("%s mode %d: the split is not taken, yet the rows moved", tc.name, n)
 				}
-				for _, k := range []struct{ split, plain splitKernel }{{flat, plainFlat}, {tree, plainTree}} {
+				for _, k := range []struct{ split, plain *DTree }{{flat, plainFlat}, {tree, plainTree}} {
 					want, got := dense.NewMatrix(sm.NumRows(), cols), dense.NewMatrix(sm.NumRows(), cols)
 					k.plain.TTMc(want, n, u, 1)
 					k.split.TTMc(got, n, u, 3)
@@ -227,7 +218,7 @@ func TestSplitSingletons(t *testing.T) {
 			// ascending rows to rounding.
 			for _, k := range []struct {
 				name         string
-				split, plain splitKernel
+				split, plain *DTree
 				kr           *dense.KronRows
 			}{{"flat", flat, plainFlat, kr}, {"tree", tree, plainTree, tkr}} {
 				want := dense.NewMatrix(sm.NumRows(), cols)
@@ -271,23 +262,17 @@ func TestSplitSingletons(t *testing.T) {
 		// kernel's where a mode is split.
 		for _, k := range []struct {
 			name         string
-			split, plain splitKernel
-			splits       splits
-		}{{"flat", flat, plainFlat, flat.splits}, {"tree", tree, plainTree, tree.splits}} {
-			tree, _ := k.split.(*DTree)
-			if tree != nil {
-				tree.InvalidateAll() // every node is built once in the sweep
-			}
+			split, plain *DTree
+		}{{"flat", flat, plainFlat}, {"tree", tree, plainTree}} {
+			k.split.InvalidateAll() // every node is built once in the sweep
 			f0 := k.split.Flops()
 			for n := range tc.dims {
 				y := dense.NewMatrix(len(k.split.Rows(n)), RowSize(u, n))
-				if sp := k.splits.of(n); sp != nil {
+				if sp := k.split.splits[n]; sp != nil {
 					y.Rows, y.Data = sp.multi, y.Data[:sp.multi*y.Cols]
 					sp.kron.T = *dense.NewMatrix(sp.kron.Rows(), y.Cols/tc.ranks[sp.group])
 				}
-				if tree != nil {
-					tree.Invalidate(n)
-				}
+				k.split.Invalidate(n)
 				k.split.TTMc(y, n, u, 2)
 			}
 			if got, want := k.split.Flops()-f0, k.split.SweepFlops(tc.ranks); got != want || (got < k.plain.SweepFlops(tc.ranks)) != anyTaken {
