@@ -26,9 +26,8 @@
 //     star or the dimension tree with its memoized partials), and an
 //     engine-owned copy of the evolving tensor once deltas arrive. Run
 //     converges from the current factors; Update merges a coordinate
-//     delta into the tensor, splices the star's update lists and builds
-//     the kernel anew (or keeps it, when only values changed), and
-//     re-converges from the current factors.
+//     delta into the tensor, splices the star's update lists, builds the
+//     kernel anew unless only values changed, and re-converges.
 //     The factors carry one sweep into the next, as in the paper's
 //     Algorithm 1: every TRSVD solves that sweep's Y_(n) from its seed
 //     alone.

@@ -52,10 +52,9 @@ type Result struct {
 	// mode and sweep, nnz x (row size / leading rank) + runs x row size;
 	// for the dimension tree, the memoized count.
 	TTMcFlops int64
-	// TTMcRuns is, per mode, the star's runs per listed nonzero, counted
-	// when its kernel was built: about 1 on an unsorted input, which gets
-	// no run saving, a third on the sorted presets. Nil under the binary
-	// tree.
+	// TTMcRuns is, per mode, the star's runs per listed nonzero: about 1
+	// on an unsorted input, which gets no run saving, a third on the
+	// sorted presets. Nil under the binary tree.
 	TTMcRuns []float64
 	// TTMc is the TTMc strategy it ran, the plan's choice.
 	TTMc TTMcStrategy

@@ -7,16 +7,15 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// TTMcStrategy names the shape of the one TTMc kernel (ttm.DTree) that
-// computes the N per-mode products of a HOOI sweep. The plan chooses,
-// once, from what it can see of the input (resolveTTMc): the binary
-// dimension tree for tensors of order 4 and up, where the partial
-// products the modes share are worth several-fold fewer multiply-adds
-// per sweep, and the star for order 3 and below (one memoized node there
-// buys little time for its memory) and for rank plans whose update lists
-// are restricted to owned slices, which only the star's leaves take.
-// Plan.TTMc and Result.TTMc report the choice; docs/formats.md has the
-// measurements behind the rule.
+// TTMcStrategy names the shape of the TTMc kernel (ttm.DTree). The plan
+// chooses, once, from what it can see of the input (resolveTTMc): the
+// binary tree for order 4 and up, where the partial products the modes
+// share are worth several-fold fewer multiply-adds per sweep, and the
+// star for order 3 and below (one memoized node there buys little time
+// for its memory) and for rank plans whose update lists are restricted
+// to owned slices, which only the star's leaves take. Plan.TTMc and
+// Result.TTMc report the choice; docs/formats.md has the measurements
+// behind the rule.
 type TTMcStrategy int
 
 const (

@@ -112,9 +112,8 @@ func (p *Plan) TTMc() TTMcStrategy { return p.opts.ttmc }
 // tree's from order 4 up, treeSplits) write each singleton row
 // compactly: an accumulator update per nonzero and a row update per run
 // of x's update lists, summed over the modes, for the star; the same at
-// the binary tree's root children and parent entries times block size
-// at its deeper nodes, summed over the nodes (0 below order 2, where
-// there is none). It is
+// the binary tree's root children, parent entries times block size
+// below them (0 below order 2, where there is none). It is
 // what the plan's rule should agree with; counting runs and tree entries
 // costs one symbolic build each.
 func PredictSweepMadds(x *tensor.COO, ranks []int, threads int) (flat, tree int64) {

@@ -11,53 +11,42 @@ import (
 )
 
 // DTree is the TTMc kernel: a tree over the tensor modes whose root is
-// the sparse tensor, whose leaf for mode n is the compacted matricized
-// product Y_(n) that HOOI feeds to the TRSVD, and whose internal nodes
-// memoize the partial mode contractions shared between the N per-mode
-// products of one HOOI sweep. Its shape is fixed when it is built:
+// the sparse tensor and whose leaf for mode n is the compacted
+// matricized product Y_(n) that HOOI feeds to the TRSVD. Its shape is
+// fixed when it is built:
 //
 //   - Binary (BuildDTree): the dimension tree of the TuckerMPI /
 //     HyperTensor lineage, each internal node over a contiguous mode
-//     range halved into two children. The default from order 4 up.
+//     range halved into two children, which memoize the partial
+//     contractions shared between a sweep's N products. The default from
+//     order 4 up.
 //   - Star (BuildFlat): the root's children are the N leaves, each
-//     computed straight from the nonzeros over its mode's update lists
-//     — the paper's flat, fused TTMc (Algorithm 3) — with no memo.
+//     computed from the nonzeros over its mode's update lists — the
+//     paper's flat, fused TTMc (Algorithm 3) — with no memo.
 //
 // A node over the mode range [Lo, Hi) holds the semi-sparse value
 // X ×_{t ∉ [Lo,Hi)} U_tᵀ: one entry per distinct projection of the
-// nonzeros onto [Lo, Hi), each carrying a dense block over the
-// contracted ranks (ascending mode order, later modes fastest). Each
-// child is computed from its parent's value by contracting the modes
-// the child drops, with a lock-free owner-computes discipline: every
-// entry is owned by exactly one worker and accumulated in its group's
-// order, so results are bitwise deterministic for any thread count.
-// Updating factor U_n invalidates exactly the nodes whose mode set
-// excludes n; the nodes on the root-to-leaf-n path stay valid, which is
-// where the binary tree's flop saving comes from.
+// nonzeros onto [Lo, Hi), each a dense block over the contracted ranks
+// (ascending mode order, later modes fastest), computed from its
+// parent's value by contracting the modes it drops. Every entry is owned
+// by exactly one worker and accumulated in its group's order, so results
+// are bitwise deterministic for any thread count. Updating factor U_n
+// invalidates exactly the nodes whose mode set excludes n; the nodes on
+// the root-to-leaf-n path stay valid, which is where the binary tree's
+// flop saving comes from.
 //
-// The root's children contract straight from the nonzeros in one loop
-// (rootRows), which is where a sweep's gathers are. Each keeps, from
-// the build on, the modes it drops as index streams in its group order
-// (symbolic.Gather): copies, 4 bytes per listed nonzero and dropped
-// mode, except where the group order is the storage order (mode 0 of a
-// sorted tensor under the star, the first child of the binary tree),
-// whose streams alias the tensor (StreamBytes). Only the values are
-// gathered through the group ids, so a merge that changes values reaches
-// the kernel through the tensor. Eq. 4 is bilinear, so the first dropped
-// mode is factored out of every run of consecutive entries with one index
-// in it: each nonzero adds its value times ⊗ of the other dropped modes'
-// rows to an accumulator, and each run ends in one rank-one update of
-// the block (nnz·acc + runs·block multiply-adds instead of nnz·block).
-// With one trailing mode (order 3 under the star, order 4's children) an
-// entry is one dense.GatherGer call. Runs are found by comparing
-// neighbours, so an unsorted tensor is exact too, with runs one entry
-// long; they are counted once, at the build, and the tree counts what
-// ran (Flops).
+// The root's children contract the nonzeros in one loop (rootRows),
+// reading the modes they drop as index streams gathered at the build in
+// their group order (symbolic.Gather): 4 bytes per listed nonzero and
+// dropped mode, nothing where the group order is the storage order and
+// the streams alias the tensor (StreamBytes). Values are read through the
+// group ids, so a merge that changes values reaches the kernel through
+// the tensor. The tree counts what ran (Flops).
 //
 // A DTree is built once per tensor (symbolic phase) and reused across
 // sweeps and rank configurations; it is not safe for concurrent use.
-// It reads the tensor and a star's update lists and writes neither, so
-// any number of kernels may run on one structure at once.
+// It writes neither the tensor nor a star's update lists, so any number
+// of kernels may run on one structure at once.
 type DTree struct {
 	x     tensor.Sparse
 	order int
@@ -99,10 +88,9 @@ type contraction struct {
 	threads int
 	bs      int // block size of nd
 	// Root child only: the lead factor (nil on order 1, whose lead row
-	// is the unit row), the accumulator's length and, with exactly one
-	// trailing mode, that mode's factor.
-	lead, one *dense.Matrix
-	acc       int
+	// is the unit row) and the accumulator's length.
+	lead *dense.Matrix
+	acc  int
 	// Internal step only: the parent's blocks are a x b, the dropped
 	// modes' Kronecker row has d entries.
 	a, b, d int
@@ -128,8 +116,13 @@ type dnode struct {
 	keys [][]int32
 	n    int // number of entries
 	// dropped lists, ascending, the modes the parent keeps sparse and
-	// this node contracts.
+	// this node contracts. A root child factors lead out of its runs —
+	// the first dropped mode, or its own on order 1, which drops none, so
+	// that an entry is one run of the unit row — and accumulates the
+	// trail, the others, per nonzero.
 	dropped []int
+	lead    int
+	trail   []int
 	// Numeric cache (internal nodes only; leaves are emitted straight
 	// into the caller's matrix since each is consumed once per sweep).
 	blockSize int
@@ -153,25 +146,6 @@ type dnode struct {
 }
 
 func (nd *dnode) isLeaf() bool { return nd.hi-nd.lo == 1 }
-
-// lead is the mode a root child factors out of its runs: the first one
-// it drops, or its own mode on order 1, which drops none, so that an
-// entry is one run with the unit factor row.
-func (nd *dnode) lead() int {
-	if len(nd.dropped) == 0 {
-		return nd.lo
-	}
-	return nd.dropped[0]
-}
-
-// trail lists the modes a root child accumulates per nonzero: the ones
-// it drops after the lead.
-func (nd *dnode) trail() []int {
-	if len(nd.dropped) == 0 {
-		return nil
-	}
-	return nd.dropped[1:]
-}
 
 // NewDTree is BuildDTree on one thread.
 func NewDTree(x tensor.Sparse) *DTree { return BuildDTree(x, 1) }
@@ -211,10 +185,8 @@ func NewFlat(x *tensor.COO, sym *symbolic.Structure) *DTree { return BuildFlat(x
 // in line.
 func BuildFlat(x *tensor.COO, sym *symbolic.Structure, threads int) *DTree {
 	t := newTree(x)
-	for n := range sym.Modes {
-		sm := &sym.Modes[n]
-		leaf := t.makeChild(t.root, sm.N, sm.N+1)
-		leaf.groups = &symbolic.Groups{Modes: []int{sm.N}, Keys: [][]int32{sm.Rows}, Ptr: sm.Ptr, Ids: sm.NZ}
+	for _, sm := range sym.Modes {
+		t.makeChild(t.root, sm.N, sm.N+1).groups = &symbolic.Groups{Modes: []int{sm.N}, Keys: [][]int32{sm.Rows}, Ptr: sm.Ptr, Ids: sm.NZ}
 	}
 	t.group(threads)
 	return t
@@ -246,11 +218,14 @@ func (t *DTree) split(nd *dnode) {
 }
 
 func (t *DTree) makeChild(parent *dnode, lo, hi int) *dnode {
-	c := &dnode{lo: lo, hi: hi, parent: parent, keys: make([][]int32, t.order)}
+	c := &dnode{lo: lo, hi: hi, parent: parent, keys: make([][]int32, t.order), lead: lo}
 	for m := parent.lo; m < parent.hi; m++ {
 		if m < lo || m >= hi {
 			c.dropped = append(c.dropped, m)
 		}
+	}
+	if len(c.dropped) > 0 {
+		c.lead, c.trail = c.dropped[0], c.dropped[1:]
 	}
 	parent.children = append(parent.children, c)
 	t.nodes = append(t.nodes, c)
@@ -294,12 +269,12 @@ func (t *DTree) groupNode(nd *dnode, sc *symbolic.GroupScratch) {
 	}
 	if nd.parent == t.root {
 		keys := make([][]int32, t.order)
-		keys[nd.lead()] = t.root.keys[nd.lead()]
-		for _, m := range nd.trail() {
+		keys[nd.lead] = t.root.keys[nd.lead]
+		for _, m := range nd.trail {
 			keys[m] = t.root.keys[m]
 		}
 		nd.streams, nd.streamBytes = symbolic.Gather(g.Ids, keys)
-		nd.runs = countRuns(nd.streams[nd.lead()], g.Ptr)
+		nd.runs = countRuns(nd.streams[nd.lead], g.Ptr)
 	}
 	for _, c := range nd.children {
 		t.groupNode(c, sc)
@@ -521,7 +496,7 @@ func (nd *dnode) cost(ranks []int) (total, single int64) {
 		return entries * bs, bs
 	}
 	acc := int64(1)
-	for _, m := range nd.trail() {
+	for _, m := range nd.trail {
 		acc *= int64(ranks[m])
 	}
 	return entries*acc + nd.runs*bs, acc + bs
@@ -571,26 +546,20 @@ func (t *DTree) contract(nd *dnode, dst []float64, u []*dense.Matrix, threads in
 		t.flops -= int64(sp.kron.T.Rows) * (single - int64(sp.kron.T.Cols))
 	}
 
-	// kron is the longest Kronecker prefix a worker builds per entry.
+	// kron bounds the Kronecker products a worker builds per entry.
 	kron := 1
 	body := t.rootFn
 	if parent == t.root {
 		// Root child: the lead mode's rows end the runs, the trailing
-		// modes' rows go into the accumulator (accumKron: the last one
-		// AXPY-ed, the others a prefix).
-		trail := nd.trail()
+		// modes' rows go into the accumulator (accumKron, whose prefixes
+		// are shorter than it).
 		c.acc = 1
-		for j, m := range trail {
+		for _, m := range nd.trail {
 			c.acc *= t.ranks[m]
-			if j < len(trail)-1 {
-				kron *= t.ranks[m]
-			}
 		}
+		kron = c.acc
 		if len(nd.dropped) > 0 {
-			c.lead = u[nd.lead()]
-		}
-		if len(trail) == 1 {
-			c.one = u[trail[0]]
+			c.lead = u[nd.lead]
 		}
 	} else {
 		// Internal step: the parent's blocks cover the modes outside
@@ -639,10 +608,14 @@ var unitRow = []float64{1}
 // rootRows computes entries [lo, hi) of a root child from the nonzeros:
 // one pass over each group's positions, the lead and trailing indices
 // read from the child's streams and each value through the group's ids.
-// Each run of equal lead indices clears the accumulator, adds each
-// nonzero's value times ⊗ of its trailing rows (accumKron) and ends in
-// one rank-one update of the block by the lead row. With one trailing
-// mode that is an axpy of its row per nonzero — what accumKron's 1 x R
+// Eq. 4 is bilinear, so the lead is factored out of every run of
+// neighbouring positions with one lead index: the run clears the
+// accumulator, adds each nonzero's value times ⊗ of its trailing rows
+// (accumKron) and ends in one rank-one update of the block by the lead
+// row — nnz·acc + runs·block multiply-adds where nnz·block would do
+// without. Runs are found by comparing neighbours, so any storage order
+// is exact, an unsorted one with runs one entry long. With one trailing
+// mode a nonzero's update is an axpy of its row — what accumKron's 1 x R
 // Ger computes, zero skip included — so a whole entry is one
 // dense.GatherGer. A leaf in split order writes its singletons compactly
 // (compactRow).
@@ -650,10 +623,10 @@ func (t *DTree) rootRows(w, lo, hi int) {
 	c, sc := &t.call, &t.scratch[w]
 	nd, bs, u, s := c.nd, c.bs, c.u, c.nd.streams
 	ptr, ids, vals := nd.groups.Ptr, nd.groups.Ids, t.x.Values()
-	trail, lead, leadRow, acc := nd.trail(), s[nd.lead()], unitRow, sc.acc[:c.acc]
+	trail, lead, leadRow, acc := nd.trail, s[nd.lead], unitRow, sc.acc[:c.acc]
 	frows := sc.rows[:len(trail)]
 	var one []int32
-	if c.one != nil {
+	if len(trail) == 1 {
 		one = s[trail[0]]
 	}
 	for g := lo; g < hi; g++ {
@@ -666,7 +639,7 @@ func (t *DTree) rootRows(w, lo, hi int) {
 		clear(row)
 		p, end := ptr[g], ptr[g+1]
 		if one != nil {
-			dense.GatherGer(lead[p:end], c.lead, vals, ids[p:end], one[p:end], c.one, acc, row)
+			dense.GatherGer(lead[p:end], c.lead, vals, ids[p:end], one[p:end], u[trail[0]], acc, row)
 			continue
 		}
 		for p < end {

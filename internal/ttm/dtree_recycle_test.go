@@ -151,7 +151,7 @@ func goLoopsRootRows(t *DTree) func(w, lo, hi int) {
 	return func(w, lo, hi int) {
 		c, sc := &t.call, &t.scratch[w]
 		nd, bs := c.nd, c.bs
-		trail, acc := nd.trail(), sc.acc[:c.acc]
+		trail, acc := nd.trail, sc.acc[:c.acc]
 		frows := sc.rows[:len(trail)]
 		vals, keys := t.x.Values(), t.root.keys
 		for g := lo; g < hi; g++ {
@@ -166,7 +166,7 @@ func goLoopsRootRows(t *DTree) func(w, lo, hi int) {
 			}
 			row := c.dst[r*bs : (r+1)*bs]
 			clear(row)
-			lead := keys[nd.lead()]
+			lead := keys[nd.lead]
 			for p := 0; p < len(group); {
 				k := lead[group[p]]
 				clear(acc)
@@ -183,7 +183,7 @@ func goLoopsRootRows(t *DTree) func(w, lo, hi int) {
 				}
 				leadRow := unitRow
 				if len(nd.dropped) > 0 {
-					leadRow = c.u[nd.lead()].Row(int(k))
+					leadRow = c.u[nd.lead].Row(int(k))
 				}
 				dense.Ger(leadRow, acc, row)
 			}

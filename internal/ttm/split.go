@@ -200,11 +200,9 @@ func (t *DTree) SplitRows(n int) *dense.KronRows {
 // (fromParent) keeps each singleton's id and rest indices in the compact
 // rows' order, 4+4(N-2) bytes a singleton.
 func (t *DTree) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
-	leaf, rc := t.leaves[n], t.leaves[n]
-	for rc.parent != t.root {
-		rc = rc.parent
-	}
-	single, idx := t.singles(leaf), rc.streams
+	leaf := t.leaves[n]
+	single, rc := t.singles(leaf)
+	idx := rc.streams
 	if rc != leaf {
 		idx = t.root.keys
 		for r, p := range single {
@@ -240,30 +238,23 @@ func (t *DTree) SplitSingletons(n int, ranks []int) (Census, *dense.KronRows) {
 // two largest modes, read at random.
 func (t *DTree) fromParent(n, g int) bool {
 	p := t.leaves[n].parent
-	if p.parent != t.root || len(p.dropped) != 2 || len(p.children) != 2 {
-		return false
-	}
-	sib := p.children[0]
-	if sib == t.leaves[n] {
-		sib = p.children[1]
-	}
-	return sib.isLeaf() && sib.lo == g
+	return p.parent == t.root && len(p.dropped) == 2 && len(p.children) == 2 && t.leaves[g].parent == p
 }
 
-// singles is, per entry of leaf, the list position in its root child's
-// group order of the entry's one nonzero, -1 where it holds more: the
+// singles is, per entry of leaf, the list position in the order of its
+// root child rc of the entry's one nonzero, -1 where it holds more: the
 // entry's group holds one parent entry, that entry's one of its own, and
 // so on up to the root child. It walks a level at a time, without a
 // branch on the group length (on a star the root child is the leaf, and
 // singletons and longer rows alternate at random).
-func (t *DTree) singles(leaf *dnode) []int32 {
+func (t *DTree) singles(leaf *dnode) (s []int32, rc *dnode) {
 	s, ptr := make([]int32, leaf.n), leaf.groups.Ptr
 	for r := range s {
 		p := ptr[r]
 		s[r] = p | int32(one(ptr[r+1]-p)-1)
 	}
-	for nd := leaf; nd.parent != t.root; nd = nd.parent {
-		ids, ptr := nd.groups.Ids, nd.parent.groups.Ptr
+	for rc = leaf; rc.parent != t.root; rc = rc.parent {
+		ids, ptr := rc.groups.Ids, rc.parent.groups.Ptr
 		for r, p := range s {
 			if p >= 0 {
 				e := ids[p]
@@ -272,7 +263,7 @@ func (t *DTree) singles(leaf *dnode) []int32 {
 			}
 		}
 	}
-	return s
+	return s, rc
 }
 
 // one is 1 for a group of one entry and 0 for a longer one, without a
